@@ -826,12 +826,15 @@ class OptimizationEngine:
                 for (cid, i, j), (_, ti, _) in moves:
                     cls = class_by_id[cid]
                     frac = distribution.pop((cid, i, j))
+                    tslot = (cls.path[ti], cls.chain[j])
+                    if (cid, ti, j) not in distribution:
+                        # A portion the slot already holds is listed once:
+                        # listed twice, a later evacuation stages it twice.
+                        portions.setdefault(tslot, []).append((cid, ti, j))
                     distribution[(cid, ti, j)] = (
                         distribution.get((cid, ti, j), 0.0) + frac
                     )
-                    tslot = (cls.path[ti], cls.chain[j])
                     loads[tslot] = loads.get(tslot, 0.0) + frac * cls.rate_mbps
-                    portions.setdefault(tslot, []).append((cid, ti, j))
                 loads.pop(slot, None)
                 portions.pop(slot, None)
                 del quantities[slot]

@@ -42,12 +42,10 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.classify.split import range_to_cidr_count
 from repro.dataplane.packet import Packet
-from repro.perf import REGISTRY
 
 
 class ActionKind(enum.Enum):
@@ -135,7 +133,16 @@ _BUCKETS = 1 << TcamEntry.HASH_BITS
 
 
 class TcamTable:
-    """A priority-ordered TCAM table with an exact-match flow cache."""
+    """A priority-ordered TCAM table with an exact-match flow cache.
+
+    Generation contract: every method that changes the installed entries
+    (:meth:`install`, :meth:`remove_where`, :meth:`remove_by_name`,
+    :meth:`replace`, :meth:`clear`) moves :attr:`generation`, and nothing
+    else may change them.  The flow cache, the network's walk plans and
+    the southbound fabric's installed-state view all trust an unmoved
+    generation to mean unchanged entries
+    (``tests/test_dataplane_generation.py`` enforces it).
+    """
 
     def __init__(self, name: str = "table0") -> None:
         self.name = name
@@ -252,11 +259,9 @@ class TcamTable:
         if hit is not _NOT_CACHED:
             self.cache_hits += 1
             return hit
-        started = perf_counter()
         entry = self._scan_indexed(class_id, tag, flow_hash)
         if bucket not in self._boundary_buckets:
             self._cache[key] = entry
-        REGISTRY.record("dataplane.tcam.cold_scan", perf_counter() - started)
         return entry
 
     def hash_boundaries(self, class_id: Optional[str]) -> List[float]:

@@ -35,6 +35,16 @@ class VSwitchRule:
 class VSwitch:
     """Open vSwitch model inside one APPLE host.
 
+    Generation contract: every method that changes the rule table, the
+    origin classification table or the instance set
+    (:meth:`register_instance`, :meth:`deregister_instance`,
+    :meth:`install_rule`, :meth:`remove_rule`, :meth:`clear_rules`,
+    :meth:`install_origin_rule`, :meth:`clear_origin_rules`) moves
+    :attr:`generation`, and nothing else may change them.  The network's
+    walk plans and the southbound fabric's installed-state view trust an
+    unmoved generation to mean unchanged state
+    (``tests/test_dataplane_generation.py`` enforces it).
+
     Args:
         switch: the physical switch this host hangs off.
     """

@@ -20,7 +20,6 @@ from repro.southbound.state import (
     NetworkState,
     SwitchDiff,
     VERSION_STRIDE,
-    diff_states,
     read_installed,
     render_desired,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SwitchDiff",
     "Transaction",
     "VERSION_STRIDE",
-    "diff_states",
     "generate_southbound_schedule",
     "read_installed",
     "render_desired",

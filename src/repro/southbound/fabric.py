@@ -45,10 +45,10 @@ from repro.southbound.metrics import (
     TXN_COMMITTED,
 )
 from repro.southbound.state import (
+    InstalledView,
     NetworkState,
     SwitchDiff,
-    class_fingerprint,
-    diff_states,
+    class_fingerprints,
     read_installed,
     render_desired,
 )
@@ -113,6 +113,7 @@ class SouthboundFabric:
             )
 
         self.desired: Optional[NetworkState] = None
+        self._view = InstalledView(network)
         self.epoch = 0
         self.converged_epoch = -1
         self.desired_since = 0.0
@@ -145,9 +146,7 @@ class SouthboundFabric:
         epoch 0 is already converged (``drift_count() == 0``).
         """
         self.instances = dict(instances or {})
-        self._fingerprints = {
-            c.class_id: class_fingerprint(rules, c) for c in classes
-        }
+        self._fingerprints = class_fingerprints(rules, classes)
         self.versions = {}
         self.desired = render_desired(
             sorted(self.network.switches),
@@ -189,17 +188,13 @@ class SouthboundFabric:
         stranded = dict(stranded or {})
         if instances is not None:
             self.instances = dict(instances)
-        current = {c.class_id for c in classes}
-        for c in classes:
-            fp = class_fingerprint(rules, c)
-            old = self._fingerprints.get(c.class_id)
+        fingerprints = class_fingerprints(rules, classes)
+        for cid, fp in fingerprints.items():
+            old = self._fingerprints.get(cid)
             if old is not None and old != fp:
                 # Content changed: new sub-ID version => pure-add rules.
-                self.versions[c.class_id] = self.versions.get(c.class_id, 0) + 1
-            self._fingerprints[c.class_id] = fp
-        for cid in list(self._fingerprints):
-            if cid not in current:
-                del self._fingerprints[cid]
+                self.versions[cid] = self.versions.get(cid, 0) + 1
+        self._fingerprints = fingerprints
 
         self.instances = self.rulegen.materialize_instances(
             rules, self.network, sim=self.sim, instances=self.instances
@@ -306,9 +301,7 @@ class SouthboundFabric:
         self.instances = self.rulegen.materialize_instances(
             rules, self.network, sim=self.sim, instances=dict(instances)
         )
-        self._fingerprints = {
-            c.class_id: class_fingerprint(rules, c) for c in classes
-        }
+        self._fingerprints = class_fingerprints(rules, classes)
         self.versions = {cid: int(v) for cid, v in versions.items()}
         self.desired = render_desired(
             sorted(self.network.switches),
@@ -452,4 +445,4 @@ class SouthboundFabric:
 
     def _diffs(self) -> List[SwitchDiff]:
         assert self.desired is not None
-        return diff_states(read_installed(self.network), self.desired)
+        return self._view.diffs(self.desired)

@@ -6,7 +6,9 @@ diff engine: *desired* state is rendered from
 stranded classes), *installed* state is read back from the live
 :class:`~repro.dataplane.network.DataPlaneNetwork`, and the per-switch
 difference becomes phased op lists (adds → classification swap →
-deletes) for the make-before-break transaction.
+deletes) for the make-before-break transaction.  Read-back and diff are
+kept per switch by :class:`InstalledView` and redone only where the
+switch's generation counters or its desired rules moved.
 
 Sub-class ID versioning (the make-before-break enabler)
 -------------------------------------------------------
@@ -38,7 +40,8 @@ from repro.dataplane.switch import (
     pass_by_entry,
     quarantine_entry,
 )
-from repro.dataplane.vswitch import UPLINK
+from repro.dataplane.tcam import TcamTable
+from repro.dataplane.vswitch import UPLINK, VSwitch
 from repro.southbound.messages import EntrySpec, entry_spec
 from repro.traffic.classes import TrafficClass
 
@@ -81,6 +84,33 @@ class NetworkState:
     )
     origin: Dict[str, Tuple[tuple, ...]] = field(default_factory=dict)
     paths: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    _ingress: Optional[Dict[str, tuple]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def paths_at(self, switch: str) -> tuple:
+        """(class_id, path) updates riding a sync op at ``switch``.
+
+        A class's path is registered at its ingress switch's sync, so path
+        and classification change in the same atomic apply.  The ingress
+        index is built on first use; ``paths`` must not change afterwards.
+        """
+        if self._ingress is None:
+            index: Dict[str, list] = {}
+            for class_id, path in sorted(self.paths.items()):
+                if path:
+                    index.setdefault(path[0], []).append((class_id, tuple(path)))
+            self._ingress = {s: tuple(rows) for s, rows in index.items()}
+        return self._ingress.get(switch, ())
+
+    def same_at(self, switch: str, other: "NetworkState") -> bool:
+        """Whether both states hold the same rules and ingress paths at ``switch``."""
+        return (
+            self.tcam.get(switch) == other.tcam.get(switch)
+            and self.vsw.get(switch) == other.vsw.get(switch)
+            and self.origin.get(switch) == other.origin.get(switch)
+            and self.paths_at(switch) == other.paths_at(switch)
+        )
 
     def signature_payload(self) -> dict:
         """JSON-ready canonical form (tests compare state signatures)."""
@@ -101,39 +131,37 @@ class NetworkState:
         }
 
 
-def class_fingerprint(
-    rules: GeneratedRules, cls: TrafficClass
-) -> tuple:
-    """Everything about one class's rules that must swap atomically.
+def class_fingerprints(
+    rules: GeneratedRules, classes: Iterable[TrafficClass]
+) -> Dict[str, tuple]:
+    """Per class, everything about its rules that must swap atomically.
 
     A change in any component (classification rows, vSwitch rules, origin
     rows, or the routing path) bumps the class's version, turning the
-    update into add-new → swap → delete-old.
+    update into add-new → swap → delete-old.  One pass over ``rules``
+    serves every class.
     """
-    cid = cls.class_id
-    classifications = []
+    classes = list(classes)
+    parts: Dict[str, Tuple[list, list, list]] = {
+        c.class_id: ([], [], []) for c in classes
+    }
     for switch, rs in sorted(rules.switch_rule_sets.items()):
         for row in rs.classifications:
-            if row[0] == cid:
-                classifications.append((switch, row))
-    vsw_rows = []
+            if row[0] in parts:
+                parts[row[0]][0].append((switch, row))
     for switch, lst in sorted(rules.vswitch_rules.items()):
         for class_id, sub_id, rule in lst:
-            if class_id == cid:
-                vsw_rows.append(
+            if class_id in parts:
+                parts[class_id][1].append(
                     (switch, sub_id, tuple(rule.instance_ids), rule.exit_host_tag)
                 )
-    origin_rows = []
     for switch, lst in sorted(rules.origin_rules.items()):
         for row in lst:
-            if row[0] == cid:
-                origin_rows.append((switch, row))
-    return (
-        tuple(classifications),
-        tuple(vsw_rows),
-        tuple(origin_rows),
-        tuple(cls.path),
-    )
+            if row[0] in parts:
+                parts[row[0]][2].append((switch, row))
+    return {
+        c.class_id: (*map(tuple, parts[c.class_id]), tuple(c.path)) for c in classes
+    }
 
 
 def render_desired(
@@ -200,27 +228,16 @@ def render_desired(
     return state
 
 
-def read_installed(network: DataPlaneNetwork) -> NetworkState:
-    """Read the live network back into the canonical state shape."""
-    state = NetworkState()
-    for s, sw in network.switches.items():
-        state.tcam[s] = {e.name: entry_spec(e) for e in sw.table.entries()}
-    for s, vsw in network.vswitches.items():
-        table: Dict[Tuple[str, int], Tuple[Tuple[str, ...], str]] = {}
-        for (in_port, class_id, sub_id), rule in vsw.installed_rules().items():
-            if in_port != UPLINK or sub_id is None:
-                continue
-            table[(class_id, sub_id)] = (
-                tuple(rule.instance_ids),
-                rule.exit_host_tag,
-            )
-        state.vsw[s] = table
-        state.origin[s] = tuple(
-            (cid, tuple(hr), sid, fh)
-            for cid, hr, sid, fh in vsw.installed_origin_rules()
-        )
-    state.paths = dict(network.class_paths)
-    return state
+def _read_vswitch(vsw: VSwitch) -> Tuple[dict, Tuple[tuple, ...]]:
+    table: Dict[Tuple[str, int], Tuple[Tuple[str, ...], str]] = {}
+    for (in_port, class_id, sub_id), rule in vsw.installed_rules().items():
+        if in_port != UPLINK or sub_id is None:
+            continue
+        table[(class_id, sub_id)] = (tuple(rule.instance_ids), rule.exit_host_tag)
+    origin = tuple(
+        (cid, tuple(hr), sid, fh) for cid, hr, sid, fh in vsw.installed_origin_rules()
+    )
+    return table, origin
 
 
 @dataclass
@@ -240,10 +257,8 @@ class SwitchDiff:
         return len(self.adds) + len(self.swap) + len(self.dels)
 
 
-def diff_states(
-    installed: NetworkState, desired: NetworkState
-) -> List[SwitchDiff]:
-    """Per-switch phased diffs (only switches with work), sorted by name.
+def diff_switch(s: str, installed: NetworkState, desired: NetworkState) -> SwitchDiff:
+    """The phased diff of one switch (possibly empty).
 
     Phase safety invariants:
 
@@ -258,72 +273,137 @@ def diff_states(
     * ``dels`` removes only state nothing references once every swap has
       been acknowledged.
     """
-    out: List[SwitchDiff] = []
-    switches = sorted(set(installed.tcam) | set(desired.tcam))
-    for s in switches:
-        diff = SwitchDiff(switch=s)
-        prefix = _classify_prefix(s)
-        inst = installed.tcam.get(s, {})
-        want = desired.tcam.get(s, {})
+    diff = SwitchDiff(switch=s)
+    prefix = _classify_prefix(s)
+    inst = installed.tcam.get(s, {})
+    want = desired.tcam.get(s, {})
 
-        inst_classify = {n: v for n, v in inst.items() if n.startswith(prefix)}
-        want_classify = {n: v for n, v in want.items() if n.startswith(prefix)}
-        inst_other = {n: v for n, v in inst.items() if n not in inst_classify}
-        want_other = {n: v for n, v in want.items() if n not in want_classify}
+    inst_classify = {n: v for n, v in inst.items() if n.startswith(prefix)}
+    want_classify = {n: v for n, v in want.items() if n.startswith(prefix)}
+    inst_other = {n: v for n, v in inst.items() if n not in inst_classify}
+    want_other = {n: v for n, v in want.items() if n not in want_classify}
 
-        for name in sorted(want_other):
-            if name not in inst_other:
-                diff.adds.append(("tcam_put", want_other[name]))
-            elif inst_other[name] != want_other[name]:
-                # Same-name content change (should not occur for the
-                # static entry kinds; handled atomically for safety).
-                diff.swap.append(("tcam_put", want_other[name]))
-        for name in sorted(inst_other):
-            if name not in want_other:
-                diff.dels.append(("tcam_del", name))
+    for name in sorted(want_other):
+        if name not in inst_other:
+            diff.adds.append(("tcam_put", want_other[name]))
+        elif inst_other[name] != want_other[name]:
+            # Same-name content change (should not occur for the
+            # static entry kinds; handled atomically for safety).
+            diff.swap.append(("tcam_put", want_other[name]))
+    for name in sorted(inst_other):
+        if name not in want_other:
+            diff.dels.append(("tcam_del", name))
 
-        if set(inst_classify.items()) != set(want_classify.items()):
-            paths = _paths_for_switch(s, desired)
-            diff.swap.append(
-                (
-                    "classify_sync",
-                    tuple(want_classify[n] for n in sorted(want_classify)),
-                    paths,
-                )
+    if set(inst_classify.items()) != set(want_classify.items()):
+        diff.swap.append(
+            (
+                "classify_sync",
+                tuple(want_classify[n] for n in sorted(want_classify)),
+                desired.paths_at(s),
             )
+        )
 
-        inst_vsw = installed.vsw.get(s, {})
-        want_vsw = desired.vsw.get(s, {})
-        for key in sorted(want_vsw):
-            if key not in inst_vsw:
-                ids, tag = want_vsw[key]
-                diff.adds.append(("vsw_put", key[0], key[1], ids, tag))
-            elif inst_vsw[key] != want_vsw[key]:
-                ids, tag = want_vsw[key]
-                diff.swap.append(("vsw_put", key[0], key[1], ids, tag))
-        for key in sorted(inst_vsw):
-            if key not in want_vsw:
-                diff.dels.append(("vsw_del", key[0], key[1]))
+    inst_vsw = installed.vsw.get(s, {})
+    want_vsw = desired.vsw.get(s, {})
+    for key in sorted(want_vsw):
+        if key not in inst_vsw:
+            ids, tag = want_vsw[key]
+            diff.adds.append(("vsw_put", key[0], key[1], ids, tag))
+        elif inst_vsw[key] != want_vsw[key]:
+            ids, tag = want_vsw[key]
+            diff.swap.append(("vsw_put", key[0], key[1], ids, tag))
+    for key in sorted(inst_vsw):
+        if key not in want_vsw:
+            diff.dels.append(("vsw_del", key[0], key[1]))
 
-        inst_origin = installed.origin.get(s, ())
-        want_origin = desired.origin.get(s, ())
-        if tuple(inst_origin) != tuple(want_origin):
-            paths = _paths_for_switch(s, desired)
-            diff.swap.append(("origin_sync", tuple(want_origin), paths))
-
-        if not diff.empty:
-            out.append(diff)
-    return out
+    inst_origin = installed.origin.get(s, ())
+    want_origin = desired.origin.get(s, ())
+    if tuple(inst_origin) != tuple(want_origin):
+        diff.swap.append(("origin_sync", tuple(want_origin), desired.paths_at(s)))
+    return diff
 
 
-def _paths_for_switch(switch: str, desired: NetworkState) -> tuple:
-    """(class_id, path) updates riding a sync op at ``switch``.
+class _SwitchView:
+    """One switch's cache line in an :class:`InstalledView`."""
 
-    A class's path is registered at its ingress switch's sync, so path
-    and classification change in the same atomic apply.
+    __slots__ = ("name", "table", "vswitch", "tcam_gen", "vsw_gen", "diff")
+
+    def __init__(self, name: str, table: TcamTable, vswitch: Optional[VSwitch]) -> None:
+        self.name = name
+        self.table = table
+        self.vswitch = vswitch
+        self.tcam_gen = self.vsw_gen = -1  # no generation is negative: cold
+        self.diff: Optional[SwitchDiff] = None  # None: must be recomputed
+
+
+class InstalledView:
+    """The live network read back per switch, re-read only where it moved.
+
+    Each switch's snapshot is stamped with the generation counters of its
+    TCAM table and its vSwitch — the counters every rule mutator bumps
+    (see both classes' docstrings) and ``DataPlaneNetwork`` retires walk
+    plans by.  A switch is re-read only when a stamp moved, and its
+    :class:`SwitchDiff` is recomputed only when it was re-read or its
+    slice of the desired state changed, so a pass over an unchanged
+    network is one integer comparison per table.  A new view is cold: its
+    first pass reads and diffs every switch with the same code.
     """
-    rows = []
-    for class_id, path in sorted(desired.paths.items()):
-        if path and path[0] == switch:
-            rows.append((class_id, tuple(path)))
-    return tuple(rows)
+
+    def __init__(self, network: DataPlaneNetwork) -> None:
+        self.network = network
+        self._installed = NetworkState()
+        self._switches = [
+            _SwitchView(s, sw.table, network.vswitches.get(s))
+            for s, sw in sorted(network.switches.items())
+        ]
+        self._desired: Optional[NetworkState] = None
+        self._work: List[SwitchDiff] = []
+
+    def _refresh(self) -> bool:
+        """Re-read every switch whose stamp moved; True if any did."""
+        moved = False
+        installed = self._installed
+        for sv in self._switches:
+            gen = sv.table.generation
+            if gen != sv.tcam_gen:
+                installed.tcam[sv.name] = {
+                    e.name: entry_spec(e) for e in sv.table.entries()
+                }
+                sv.tcam_gen = gen
+                sv.diff = None
+                moved = True
+            vsw = sv.vswitch
+            if vsw is not None and vsw.generation != sv.vsw_gen:
+                installed.vsw[sv.name], installed.origin[sv.name] = _read_vswitch(vsw)
+                sv.vsw_gen = vsw.generation
+                sv.diff = None
+                moved = True
+        return moved
+
+    def state(self) -> NetworkState:
+        """The current installed state (shared with the view: do not mutate)."""
+        self._refresh()
+        self._installed.paths = dict(self.network.class_paths)
+        return self._installed
+
+    def diffs(self, desired: NetworkState) -> List[SwitchDiff]:
+        """Per-switch phased diffs (only switches with work), sorted by name."""
+        stale = self._refresh()
+        old = self._desired
+        if desired is not old:
+            for sv in self._switches:
+                if old is None or not old.same_at(sv.name, desired):
+                    sv.diff = None
+            self._desired = desired
+            stale = True
+        if stale:
+            for sv in self._switches:
+                if sv.diff is None:
+                    sv.diff = diff_switch(sv.name, self._installed, desired)
+            self._work = [sv.diff for sv in self._switches if not sv.diff.empty]
+        return self._work
+
+
+def read_installed(network: DataPlaneNetwork) -> NetworkState:
+    """Read the live network back into the canonical state shape."""
+    return InstalledView(network).state()

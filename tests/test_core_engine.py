@@ -147,6 +147,22 @@ def test_consolidation_reduces_or_preserves():
     assert not with_c.validate(CORES)
 
 
+def test_consolidation_moves_into_a_slot_already_holding_the_portion():
+    """A portion merged into a slot that holds it is listed there once.
+
+    Slot a's sliver moves to b, where the class already has a portion; b
+    is dust too and moves on to c.  Listed twice at b, the merged portion
+    was staged twice and the second ``distribution.pop`` raised KeyError.
+    """
+    engine = OptimizationEngine()
+    cls = _cls("c1", "a", "c", LINE, ["firewall"], 10.0)
+    distribution = {("c1", 0, 0): 0.1, ("c1", 1, 0): 0.2, ("c1", 2, 0): 0.7}
+    quantities = {(s, "firewall"): 1 for s in LINE}
+    engine._consolidate_dust([cls], distribution, quantities)
+    assert quantities == {("c", "firewall"): 1}
+    assert distribution == {("c1", 2, 0): pytest.approx(1.0)}
+
+
 def test_solve_seconds_recorded():
     plan = _place([_cls("c1", "a", "c", LINE, ["nat"], 10.0)], CORES)
     assert plan.solve_seconds > 0

@@ -21,8 +21,10 @@ from repro.chaos import ChaosConfig, ChaosEngine, FaultKind, generate_schedule
 from repro.chaos.recovery import RecoveryConfig
 from repro.cloud.opendaylight import RULE_INSTALL_SECONDS
 from repro.core.controller import AppleController
+from repro.core.subclasses import assign_subclasses
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.switch import host_match_entry
+from repro.experiments.harness import standard_setup
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRNG, derive
 from repro.southbound import (
@@ -41,7 +43,7 @@ from repro.southbound.messages import (
     entry_spec,
 )
 from repro.southbound.metrics import SouthboundMetrics
-from repro.southbound.state import SwitchDiff, read_installed
+from repro.southbound.state import SwitchDiff, class_fingerprints, read_installed
 from repro.southbound.transaction import Transaction
 from repro.topology.datasets import internet2
 from repro.topology.graph import AppleHostSpec, Link, Topology
@@ -490,3 +492,54 @@ def test_legacy_signature_unchanged_without_fabric():
     assert result.southbound_signature is None
     assert "southbound_schedule" not in result.signature()
     assert "southbound" not in result.metrics
+
+
+# ----------------------------------------------------------------------
+# Single-pass class fingerprints
+# ----------------------------------------------------------------------
+def _reference_fingerprint(rules, cls):
+    """One class's fingerprint by scanning every rule list for it alone."""
+    cid = cls.class_id
+    return (
+        tuple(
+            (switch, row)
+            for switch, rs in sorted(rules.switch_rule_sets.items())
+            for row in rs.classifications
+            if row[0] == cid
+        ),
+        tuple(
+            (switch, sub_id, tuple(rule.instance_ids), rule.exit_host_tag)
+            for switch, lst in sorted(rules.vswitch_rules.items())
+            for class_id, sub_id, rule in lst
+            if class_id == cid
+        ),
+        tuple(
+            (switch, row)
+            for switch, lst in sorted(rules.origin_rules.items())
+            for row in lst
+            if row[0] == cid
+        ),
+        tuple(cls.path),
+    )
+
+
+def test_single_pass_fingerprints_equal_the_per_class_scan():
+    _topo, controller, series = standard_setup("geant", snapshots=1)
+    plan = controller.compute_placement(series[0])
+    classes = plan.classes
+    rules = controller.rule_generator.generate(classes, assign_subclasses(plan))
+    # Stranded classes are withdrawn from the rules but may still be asked
+    # about, and rules may carry classes that are not asked about.
+    serving = classes[: len(classes) // 2]
+    partial_plan = controller.engine.place(serving, controller.available_cores())
+    partial = controller.rule_generator.generate(
+        serving, assign_subclasses(partial_plan)
+    )
+    for rule_set, asked in ((rules, classes), (partial, classes), (rules, serving)):
+        got = class_fingerprints(rule_set, asked)
+        assert list(got) == [c.class_id for c in asked]
+        for cls in asked:
+            assert got[cls.class_id] == _reference_fingerprint(rule_set, cls)
+    assert any(fp[0] for fp in class_fingerprints(rules, classes).values())
+    stranded = class_fingerprints(partial, classes)[classes[-1].class_id]
+    assert stranded == ((), (), (), tuple(classes[-1].path))

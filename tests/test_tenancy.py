@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.controller import AppleController, UnknownClassError
 from repro.experiments.harness import normalize_name
+from repro.experiments.multi_tenant import generate_intents
 from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.sim.kernel import Simulator
+from repro.sim.rng import derive
 from repro.tenancy import (
     CapacityArbiter,
     CreateChain,
@@ -303,6 +305,24 @@ def test_orchestrator_capacity_rejection_is_terminal():
 # ----------------------------------------------------------------------
 # Satellites: metrics cardinality cap, CLI name normalization
 # ----------------------------------------------------------------------
+def test_history_that_crashed_dust_consolidation_runs_clean():
+    """The platform history that raised KeyError ('t0058/c1', 0, 0) in
+    ``_consolidate_dust`` at simulated 26.75 s answers every intent."""
+    seed = derive(1000024, "pipeline.history.0")
+    topo = internet2(default_host_cores=160)
+    sim = Simulator(seed=seed)
+    orch = TenantOrchestrator(topo, sim, seed=seed)
+    orch.start()
+    for delay, intent in generate_intents(100, sorted(topo.hosts), seed):
+        orch.submit(intent, delay=delay)
+    sim.run(until=70.0)
+    orch.stop()
+    m = orch.metrics_summary()
+    assert (m["intents"], m["waiting"], m["drift"]) == (339, 0, 0)
+    assert m["completed"] + m["rejected"] + m["failed"] == 339
+    assert m["verify_failed"] == 0
+
+
 def test_metrics_registry_configurable_series_cap():
     registry = MetricsRegistry(max_series=3)
     metric = registry.counter("tenancy_test_total", "per-tenant", ["tenant"])
