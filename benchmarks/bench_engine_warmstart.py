@@ -2,8 +2,12 @@
 
 Two acceptance targets of the warm-start/vectorization work:
 
-* a warm re-solve (cached :class:`PlacementTemplate`, rate-only rewrite)
-  is at least 3x faster than a cold ``place()`` on GEANT;
+* writing the placement LP down is cheap next to solving it: on GEANT the
+  template build takes no longer than one warm solve, and a cold
+  ``place()`` (build + solve) at most twice a warm one (cached
+  :class:`PlacementTemplate`, rate-only rewrite).  Before the LP was
+  assembled straight into solver-native arrays the build was 3x the solve
+  and this gate read "warm is at least 3x faster than cold";
 * a Fig. 12-style replay (120 snapshots over the three LP-scale
   topologies) with ``jobs="auto"`` is at least 1.5x faster than serial on
   hosts with >= 4 cores, and never materially slower (>= 0.95x) anywhere —
@@ -57,6 +61,8 @@ def test_warm_vs_cold_place_geant(record_bench):
 
     speedup_min = min(cold) / min(warm)
     speedup_median = statistics.median(cold) / statistics.median(warm)
+    template_build_min = REGISTRY.stats("engine.template_build").min_seconds
+    warm_solve_min = REGISTRY.stats("engine.warm_solve").min_seconds
     record_bench(
         "engine_warm_vs_cold_geant",
         {
@@ -67,19 +73,20 @@ def test_warm_vs_cold_place_geant(record_bench):
             "warm_place_median_s": round(statistics.median(warm), 5),
             "speedup_min": round(speedup_min, 2),
             "speedup_median": round(speedup_median, 2),
-            "template_build_min_s": round(
-                REGISTRY.stats("engine.template_build").min_seconds, 5
-            ),
-            "warm_solve_min_s": round(
-                REGISTRY.stats("engine.warm_solve").min_seconds, 5
-            ),
+            "template_build_min_s": round(template_build_min, 5),
+            "warm_solve_min_s": round(warm_solve_min, 5),
             "rate_update_min_s": round(
                 REGISTRY.stats("engine.rate_update").min_seconds, 5
             ),
         },
     )
-    assert speedup_min >= 3.0, (
-        f"warm re-solve only {speedup_min:.2f}x faster than cold place()"
+    assert template_build_min <= warm_solve_min, (
+        f"template build {template_build_min * 1e3:.1f} ms exceeds one warm "
+        f"solve {warm_solve_min * 1e3:.1f} ms: LP assembly is no longer cheap"
+    )
+    assert min(cold) <= 2.0 * min(warm), (
+        f"cold place() {min(cold) * 1e3:.1f} ms is more than twice a warm "
+        f"one {min(warm) * 1e3:.1f} ms"
     )
 
 

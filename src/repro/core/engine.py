@@ -18,31 +18,29 @@ Warm-start architecture (the re-solve hot path):
 
 Between traffic snapshots only the class rates T_h change — topology,
 paths, chains, and host sets are identical.  ``place()`` therefore splits
-into a *structure phase* that builds variables, the rate-independent
-constraints, and the compiled sparse matrices (cached in a
-:class:`PlacementTemplate`, keyed by the class/host/catalog structure) and
+into a *structure phase* that writes the LP's solver-native arrays
+(:func:`repro.core.constraints.assemble_placement_lp`, cached in a
+:class:`PlacementTemplate` keyed by the class/host/catalog structure) and
 a *per-snapshot phase* that only rewrites the rate coefficients of the
 Eq. 5 capacity rows in place (:meth:`PlacementTemplate.set_rates`) before
-re-solving.  A 672-snapshot replay compiles the model once, not 672 times,
-and warm re-solves are bit-identical to cold solves because both run the
-same solve code over the same matrices.
+re-solving.  Warm re-solves are bit-identical to cold solves because both
+run the same solve code over the same arrays.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs, perf
-from repro.core.constraints import assemble_placement_model
+from repro.core.constraints import PlacementTemplate, assemble_placement_lp
 from repro.core.placement import PlacementPlan
 from repro.solver.branch_bound import solve_branch_bound
 from repro.solver.lp import solve_lp, SolverError
-from repro.solver.model import CompiledModel, Model, Variable
 from repro.solver.rounding import solve_with_rounding
 from repro.traffic.classes import TrafficClass
 from repro.vnf.types import DEFAULT_CATALOG, NFTypeCatalog
@@ -102,95 +100,6 @@ class EngineConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.template_cache_size < 1:
             raise ValueError("template_cache_size must be at least 1")
-
-
-@dataclass
-class PlacementTemplate:
-    """The structure phase of one placement instance, ready to re-solve.
-
-    Holds the model, its compiled matrices, and the variable bookkeeping
-    for a fixed (class structure, hosts, catalog, config) key.  Rates are
-    the only snapshot-dependent input; :meth:`set_rates` rewrites them in
-    place on both the :class:`~repro.solver.model.Model` expressions and
-    the cached :class:`~repro.solver.model.CompiledModel` so every solver
-    path (LP ceiling, rounding fallback, branch-and-bound) sees the new
-    snapshot without a recompile.
-    """
-
-    key: tuple
-    model: Model
-    compiled: CompiledModel
-    d_vars: Dict[Tuple[str, int, int], Variable]
-    q_vars: Dict[Tuple[str, str], Variable]
-    #: Sorted (switch, nf) slots, indexing the vectorized load arrays.
-    slots: List[Tuple[str, str]]
-    #: Per slot: the (class index, d variable) pairs loading it.
-    load_members: Dict[Tuple[str, str], List[Tuple[int, Variable]]]
-    #: Constraint index (into ``model.constraints``) of each Eq. 5 row.
-    cap_rows: Dict[Tuple[str, str], int]
-    #: Constraint index of each Eq. 6 core-budget row, per switch.
-    resource_rows: Dict[str, int]
-    #: False when the compiled sparsity pattern cannot absorb new rates
-    #: (a rate compiled to exactly zero); such templates are single-shot.
-    reusable: bool = True
-    solves: int = 0
-    # Vectorized helpers, filled by the builder ------------------------
-    _rate_positions: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _rate_class_idx: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _expr_updates: List[Tuple[Dict[int, float], int, int]] = field(
-        default_factory=list, repr=False
-    )
-    _member_slot_idx: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _member_var_idx: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _member_class_idx: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _d_keys: List[Tuple[str, int, int]] = field(default_factory=list, repr=False)
-    _d_idx: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _rates: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    #: Renormalisation group (one per class × chain step) of each d var.
-    _d_group: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _n_groups: int = 0
-    # Per-slot datasheet arrays (aligned with ``slots``) and the switch
-    # universe, for the vectorized ceiling/budget accounting.
-    _slot_cap: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _slot_cores: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _slot_mem: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _slot_switch: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _switch_names: List[str] = field(default_factory=list, repr=False)
-    _q_idx: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    # ------------------------------------------------------------------
-    def set_rates(self, classes: Sequence[TrafficClass]) -> None:
-        """Rewrite the rate-dependent coefficients for a new snapshot.
-
-        Updates the Eq. 5 capacity rows in both the model expressions and
-        the compiled matrix data (one vectorized scatter); everything else
-        in the model is rate-independent.
-        """
-        rates = np.fromiter(
-            (c.rate_mbps for c in classes), dtype=float, count=len(classes)
-        )
-        self._rates = rates
-        if not self.reusable:
-            # Coefficients were embedded at build time and cannot be
-            # rewritten through the sparsity pattern; the template is only
-            # valid for the rates it was built with.
-            return
-        self.compiled.set_ub_coefficients(
-            self._rate_positions, rates[self._rate_class_idx]
-        )
-        for coeffs, var_index, cls_idx in self._expr_updates:
-            coeffs[var_index] = rates[cls_idx]
-
-    def slot_loads(self, solution: np.ndarray) -> np.ndarray:
-        """L_vn per slot under an LP solution (vectorized Eq. 5 left side)."""
-        if not len(self.slots):
-            return np.zeros(0)
-        weights = (
-            self._rates[self._member_class_idx] * solution[self._member_var_idx]
-        )
-        return np.bincount(
-            self._member_slot_idx, weights=weights, minlength=len(self.slots)
-        )
 
 
 class OptimizationEngine:
@@ -270,6 +179,16 @@ class OptimizationEngine:
         started = time.perf_counter()
         classes = [self._clamped(c) for c in classes]
         self._check_paths(classes, available_cores)
+        if not any(c.chain_length for c in classes):
+            # No chain step anywhere: no variables, nothing to solve.
+            return PlacementPlan(
+                quantities={},
+                distribution={},
+                classes=classes,
+                catalog=self.catalog,
+                objective=0.0,
+                solve_seconds=time.perf_counter() - started,
+            )
         key = self._structure_key(classes, available_cores, available_memory_gb)
 
         warm = False
@@ -317,15 +236,12 @@ class OptimizationEngine:
             )
         template.solves += 1
 
-        model, q_vars = template.model, template.q_vars
         span_name = "engine.warm_solve" if warm else "engine.cold_solve"
         try:
             with obs.span(span_name, cat="solver"):
                 if self.config.solver == "exact":
                     bb = solve_branch_bound(
-                        model,
-                        max_nodes=self.config.max_bb_nodes,
-                        compiled=template.compiled,
+                        template.lp, max_nodes=self.config.max_bb_nodes
                     )
                     if bb.solution is None:
                         raise PlacementError(
@@ -334,11 +250,7 @@ class OptimizationEngine:
                     solution, objective, lp_bound = (
                         bb.solution, bb.objective, bb.objective,
                     )
-                    quantities = {
-                        key_: int(round(solution[q.index]))
-                        for key_, q in q_vars.items()
-                        if round(solution[q.index]) > 0
-                    }
+                    quantities = template.quantities(solution)
                 else:
                     solution, quantities, objective, lp_bound = self._solve_ceiling(
                         template, available_cores, available_memory_gb
@@ -511,118 +423,15 @@ class OptimizationEngine:
         available_memory_gb: Optional[Mapping[str, float]],
         key: tuple,
     ) -> PlacementTemplate:
-        """The structure phase: variables, constraints, compiled matrices.
-
-        The Eq. 1–6 assembly lives in :mod:`repro.core.constraints`; the
-        builders run in a pinned order so variable indices and constraint
-        rows — and therefore warm-started solves — stay bit-identical to
-        the historical inline assembly.
-        """
-        model = Model("apple-placement")
-        bundle = assemble_placement_model(
-            model,
+        """The structure phase: the LP arrays and the template's indices."""
+        return assemble_placement_lp(
             classes,
             available_cores,
             available_memory_gb,
             cap=self._cap,
             catalog=self.catalog,
-        )
-        compiled = model.compile()
-
-        template = PlacementTemplate(
             key=key,
-            model=model,
-            compiled=compiled,
-            d_vars=bundle.d_vars,
-            q_vars=bundle.q_vars,
-            slots=bundle.slots,
-            load_members=bundle.load_members,
-            cap_rows=bundle.cap_rows,
-            resource_rows=bundle.resource_rows,
         )
-        self._index_template(template)
-        return template
-
-    def _index_template(self, template: PlacementTemplate) -> None:
-        """Resolve the rate coefficients' storage slots for bulk rewrites."""
-        positions: List[int] = []
-        class_idx: List[int] = []
-        member_slot: List[int] = []
-        member_var: List[int] = []
-        member_cls: List[int] = []
-        expr_updates: List[Tuple[Dict[int, float], int, int]] = []
-        compiled = template.compiled
-        reusable = True
-        for slot_i, slot in enumerate(template.slots):
-            con_index = template.cap_rows[slot]
-            expr_coeffs = template.model.constraints[con_index].expr.coeffs
-            for cls_i, var in template.load_members[slot]:
-                member_slot.append(slot_i)
-                member_var.append(var.index)
-                member_cls.append(cls_i)
-                try:
-                    _, pos, sign = compiled.coefficient_slot(con_index, var.index)
-                except KeyError:
-                    # A rate compiled to exactly zero and fell out of the
-                    # sparsity pattern; this template cannot take new rates.
-                    reusable = False
-                    continue
-                if sign != 1.0:
-                    reusable = False
-                    continue
-                positions.append(pos)
-                class_idx.append(cls_i)
-                expr_updates.append((expr_coeffs, var.index, cls_i))
-        if len(set(positions)) != len(positions):
-            reusable = False  # aliased storage (duplicate switch on a path)
-        template.reusable = reusable
-        template._rate_positions = np.asarray(positions, dtype=np.intp)
-        template._rate_class_idx = np.asarray(class_idx, dtype=np.intp)
-        template._expr_updates = expr_updates
-        template._member_slot_idx = np.asarray(member_slot, dtype=np.intp)
-        template._member_var_idx = np.asarray(member_var, dtype=np.intp)
-        template._member_class_idx = np.asarray(member_cls, dtype=np.intp)
-        template._d_keys = list(template.d_vars)
-        template._d_idx = np.fromiter(
-            (v.index for v in template.d_vars.values()),
-            dtype=np.intp,
-            count=len(template.d_vars),
-        )
-        # Renormalisation groups: d vars of one (class, chain step) are
-        # created consecutively, so a run-length scan assigns group ids.
-        groups = np.empty(len(template._d_keys), dtype=np.intp)
-        gid = -1
-        prev = None
-        for k, (cid, _i, j) in enumerate(template._d_keys):
-            if (cid, j) != prev:
-                gid += 1
-                prev = (cid, j)
-            groups[k] = gid
-        template._d_group = groups
-        template._n_groups = gid + 1
-        # Per-slot datasheet arrays for the vectorized ceiling rounding.
-        n_slots = len(template.slots)
-        template._slot_cap = np.empty(n_slots)
-        template._slot_cores = np.empty(n_slots)
-        template._slot_mem = np.empty(n_slots)
-        switch_of = {}
-        switch_idx = np.empty(n_slots, dtype=np.intp)
-        for k, (switch, nf_name) in enumerate(template.slots):
-            nf = self.catalog.get(nf_name)
-            template._slot_cap[k] = self._cap(nf_name)
-            template._slot_cores[k] = float(nf.cores)
-            template._slot_mem[k] = float(nf.memory_gb)
-            switch_idx[k] = switch_of.setdefault(switch, len(switch_of))
-        template._slot_switch = switch_idx
-        template._switch_names = list(switch_of)
-        template._q_idx = np.fromiter(
-            (template.q_vars[slot].index for slot in template.slots),
-            dtype=np.intp,
-            count=n_slots,
-        )
-        # Build the solver-native array cache eagerly so its one-time CSC
-        # conversion is charged to the structure phase, not the first solve.
-        compiled.highs_arrays()
 
     # ------------------------------------------------------------------
     def _solve_ceiling(
@@ -643,11 +452,7 @@ class OptimizationEngine:
         a couple of iterations in practice.  If repair fails, fall back to
         generic iterative rounding.
         """
-        model, compiled = template.model, template.compiled
-        q_vars, resource_rows = template.q_vars, template.resource_rows
-        budgets = {
-            sw: float(available_cores.get(sw, 0)) for sw in resource_rows
-        }
+        program = template.lp
         switch_names = template._switch_names
         avail_cores_arr = np.fromiter(
             (float(available_cores.get(sw, 0)) for sw in switch_names),
@@ -660,27 +465,23 @@ class OptimizationEngine:
                 dtype=float,
                 count=len(switch_names),
             )
-        banned_slots: set = set()  # slots whose d vars are forced to zero
-        prev_violations: Dict[str, int] = {}
+        budgets = avail_cores_arr.copy()
+        banned: List[int] = []  # slot indices whose d vars are forced to zero
+        prev_violations: Dict[int, int] = {}
         lp_bound: Optional[float] = None
         for _ in range(8):
-            if all(
-                budgets[sw] == float(available_cores.get(sw, 0))
-                for sw in resource_rows
-            ):
-                b_ub = None
-            else:
-                b_ub = compiled.b_ub.copy()
-                for sw, ci in resource_rows.items():
-                    b_ub[compiled.ub_row_of[ci]] = budgets[sw]
+            b_ub = program.rhs[: program.n_ub].copy()
+            b_ub[template._core_rows] = budgets
             extra_ub = None
-            if banned_slots:
-                extra_ub = np.full(model.num_variables, np.nan)
-                for slot in banned_slots:
-                    for _ci, var in template.load_members.get(slot, []):
-                        extra_ub[var.index] = 0.0
+            if banned:
+                extra_ub = np.full(program.num_variables, np.nan)
+                extra_ub[
+                    template._member_var_idx[
+                        np.isin(template._member_slot_idx, banned)
+                    ]
+                ] = 0.0
             lp = solve_lp(
-                model, compiled, b_ub_override=b_ub, extra_upper_bounds=extra_ub
+                program, b_ub_override=b_ub, extra_upper_bounds=extra_ub
             )
             if lp_bound is None:
                 lp_bound = lp.objective
@@ -703,7 +504,7 @@ class OptimizationEngine:
             )
             over = cores_used - avail_cores_arr
             violations = {
-                switch_names[k]: int(over[k]) for k in np.flatnonzero(over > 0)
+                int(k): int(over[k]) for k in np.flatnonzero(over > 0)
             }
             if available_memory_gb is not None and not violations:
                 # Memory overshoot cannot be repaired by tightening core
@@ -729,24 +530,23 @@ class OptimizationEngine:
                     # Budget tightening had no effect: the overshoot comes
                     # from dust slots whose fractional core use is ~0.
                     # Evacuate the lightest slot at this switch instead.
-                    slots_here = sorted(
-                        (float(loads[slot_i]), slot)
-                        for slot_i, slot in enumerate(template.slots)
-                        if slot[0] == sw
-                        and slot not in banned_slots
-                        and loads[slot_i] > 1e-12
+                    lightest = min(
+                        (
+                            (float(loads[k]), int(k))
+                            for k in np.flatnonzero(
+                                (template._slot_switch == sw) & active
+                            )
+                            if k not in banned
+                        ),
+                        default=None,
                     )
-                    if slots_here:
-                        banned_slots.add(slots_here[0][1])
+                    if lightest is not None:
+                        banned.append(lightest[1])
                 budgets[sw] = max(0.0, budgets[sw] - float(overshoot))
-            prev_violations = dict(violations)
+            prev_violations = violations
 
-        res = solve_with_rounding(model, compiled=compiled)
-        quantities = {
-            slot: int(round(res.solution[q.index]))
-            for slot, q in q_vars.items()
-            if round(res.solution[q.index]) > 0
-        }
+        res = solve_with_rounding(program)
+        quantities = template.quantities(res.solution)
         return res.solution, quantities, res.objective, res.lp_objective
 
     def _consolidate_dust(
@@ -957,7 +757,7 @@ class OptimizationEngine:
         over the precomputed renormalisation groups, and only surviving
         (> ``eps``) entries are materialised into the result dict.
         """
-        values = np.asarray(solution)[template._d_idx]
+        values = np.asarray(solution)[: len(template._d_keys)]
         keep = values > eps
         vals = np.where(keep, values, 0.0)
         totals = np.bincount(

@@ -46,7 +46,7 @@ class PlacementPlan:
         solve_seconds: wall time of model build + solve.
         warm_start: True when the engine re-solved a cached
             :class:`~repro.core.engine.PlacementTemplate` instead of
-            rebuilding and recompiling the model.
+            assembling the LP again.
     """
 
     quantities: Dict[Tuple[str, str], int]

@@ -46,7 +46,7 @@ CATALOG: Tuple[MetricDef, ...] = (
     MetricDef("histogram", "solver_solve_seconds",
               "Wall time of one place() call", ("mode",)),
     MetricDef("histogram", "solver_lp_assembly_seconds",
-              "Wall time of the structure phase (template build + compile)"),
+              "Wall time of the structure phase (assembling the placement LP's arrays)"),
     MetricDef("histogram", "solver_rate_update_seconds",
               "Wall time of the in-place Eq. 5 rate rewrite"),
     MetricDef("gauge", "solver_warm_hit_ratio",

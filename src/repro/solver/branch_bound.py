@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.solver.lp import LPResult, SolverError, solve_lp
-from repro.solver.model import Model
+from repro.solver.lp import SolverError, as_lp, solve_lp
 
 
 @dataclass
@@ -46,27 +45,24 @@ def _most_fractional(solution: np.ndarray, integer_indices, tol: float) -> Optio
 
 
 def solve_branch_bound(
-    model: Model,
+    problem,
     max_nodes: int = 2000,
     int_tol: float = 1e-6,
     gap_tol: float = 1e-6,
-    compiled=None,
 ) -> BranchBoundResult:
-    """Minimise ``model`` respecting integrality of its integer variables.
+    """Minimise ``problem`` respecting integrality of its integer variables.
 
     Args:
-        compiled: reuse a pre-compiled model (warm-start callers pass the
-            template's cached matrices; per-node solves then share one set
-            of clamped bounds via ``CompiledModel.clamped_bounds``).
+        problem: a :class:`~repro.solver.model.LinearProgram`, or a
+            :class:`~repro.solver.model.Model` to compile into one.
     """
-    if compiled is None:
-        compiled = model.compile()
-    integer_indices = model.integer_indices
-    n = model.num_variables
+    program = as_lp(problem)
+    integer_indices = program.integer_indices
+    n = program.num_variables
     counter = itertools.count()
 
     try:
-        root = solve_lp(model, compiled)
+        root = solve_lp(program)
     except SolverError:
         return BranchBoundResult("infeasible", math.inf, None, 0, math.inf)
 
@@ -81,11 +77,10 @@ def solve_branch_bound(
         """Primal heuristic: ceil the integer variables, keep if feasible."""
         nonlocal incumbent_obj, incumbent
         snapped = lp_result.solution.copy()
-        for i in integer_indices:
-            snapped[i] = math.ceil(snapped[i] - int_tol)
-        if model.check_feasible(snapped, tol=1e-6):
+        snapped[integer_indices] = np.ceil(snapped[integer_indices] - int_tol)
+        if not program.is_feasible(snapped, tol=1e-6):
             return
-        objective = model.objective.value(snapped)
+        objective = program.objective_value(snapped)
         if objective < incumbent_obj:
             incumbent_obj = objective
             incumbent = snapped
@@ -114,8 +109,7 @@ def solve_branch_bound(
                 new_lbs[branch_var] = math.ceil(pivot)
             try:
                 child = solve_lp(
-                    model,
-                    compiled,
+                    program,
                     extra_lower_bounds=new_lbs,
                     extra_upper_bounds=new_ubs,
                 )

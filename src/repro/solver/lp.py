@@ -1,13 +1,15 @@
 """LP solving via scipy's HiGHS backend.
 
-Solves the continuous relaxation of a :class:`~repro.solver.model.Model`
-(integrality is ignored here; see :mod:`repro.solver.rounding` and
-:mod:`repro.solver.branch_bound` for integer handling).
+Solves the continuous relaxation of a
+:class:`~repro.solver.model.LinearProgram` (integrality is ignored here;
+see :mod:`repro.solver.rounding` and :mod:`repro.solver.branch_bound` for
+integer handling).  A :class:`~repro.solver.model.Model` is accepted too
+and lowered to that form first (:func:`as_lp`).
 
 Two call paths share one semantic contract:
 
-* The *direct* path hands :meth:`CompiledModel.highs_arrays`'s cached CSC
-  matrix straight to scipy's bundled HiGHS wrapper, skipping
+* The *direct* path hands the LinearProgram's CSC arrays straight to
+  scipy's bundled HiGHS wrapper, skipping
   ``linprog``'s per-call input validation and matrix stacking (which cost
   more than the dual simplex itself on warm re-solves).  Presolve is off:
   these models re-solve hundreds of times against one compiled structure,
@@ -25,9 +27,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.solver.model import CompiledModel, Model
+from repro.solver.model import CompiledModel, LinearProgram
 
 try:  # pragma: no cover - exercised implicitly by every solve
     from scipy.optimize._highspy import _core as _highs_core
@@ -78,14 +81,27 @@ class LPResult:
         return float(self.solution[var.index])
 
 
+def as_lp(problem, compiled: Optional[CompiledModel] = None) -> LinearProgram:
+    """The :class:`LinearProgram` of ``problem``.
+
+    ``problem`` is either a :class:`LinearProgram` already (the placement
+    assembler's output) or a :class:`Model`, lowered through ``compiled``
+    (or a fresh ``compile()``) and its cached :meth:`highs_arrays`.
+    """
+    if isinstance(problem, LinearProgram):
+        return problem
+    cm = compiled if compiled is not None else problem.compile()
+    return cm.highs_arrays()
+
+
 def solve_lp(
-    model: Model,
+    problem,
     compiled: Optional[CompiledModel] = None,
     extra_upper_bounds: Optional[np.ndarray] = None,
     extra_lower_bounds: Optional[np.ndarray] = None,
     b_ub_override: Optional[np.ndarray] = None,
 ) -> LPResult:
-    """Solve the LP relaxation of ``model``.
+    """Solve the LP relaxation of ``problem`` (a Model or LinearProgram).
 
     Args:
         compiled: reuse a pre-compiled model (branch-and-bound recompiles
@@ -98,36 +114,8 @@ def solve_lp(
     Raises:
         SolverError: if the problem is infeasible or unbounded.
     """
-    cm = compiled if compiled is not None else model.compile()
-    if HAVE_DIRECT_HIGHS:
-        return _solve_direct(
-            model, cm, extra_lower_bounds, extra_upper_bounds, b_ub_override
-        )
-    return _solve_linprog(
-        model, cm, extra_lower_bounds, extra_upper_bounds, b_ub_override
-    )
-
-
-def _solve_direct(
-    model: Model,
-    cm: CompiledModel,
-    extra_lower_bounds: Optional[np.ndarray],
-    extra_upper_bounds: Optional[np.ndarray],
-    b_ub_override: Optional[np.ndarray],
-) -> LPResult:
-    """Hand the cached CSC arrays straight to the bundled HiGHS solver.
-
-    A ``HighsLp`` is built once per compiled model and cached alongside
-    the arrays; each solve refreshes only the vectors that may have moved
-    (matrix values after a rate rewrite, bounds under branching overrides)
-    — tens of microseconds against the several milliseconds scipy's
-    wrapper spends rebuilding the whole object.  A fresh ``Highs`` engine
-    is created per solve, so every solve is a cold dual simplex run:
-    identical inputs give identical (bit-for-bit) solutions regardless of
-    solve history, which the warm-start plan-identity guarantee relies on.
-    """
-    h = cm.highs_arrays()
-    lb, ub = h["lb"], h["ub"]
+    lp = as_lp(problem, compiled)
+    lb, ub = lp.lb, lp.ub
     if extra_lower_bounds is not None or extra_upper_bounds is not None:
         lb, ub = lb.copy(), ub.copy()
         if extra_lower_bounds is not None:
@@ -136,46 +124,63 @@ def _solve_direct(
         if extra_upper_bounds is not None:
             m = ~np.isnan(extra_upper_bounds)
             ub[m] = np.minimum(ub[m], extra_upper_bounds[m])
-    rhs = h["rhs"]
+    rhs = lp.rhs
     if b_ub_override is not None:
         rhs = rhs.copy()
-        rhs[: h["n_ub"]] = b_ub_override
+        rhs[: lp.n_ub] = b_ub_override
+    solve = _solve_direct if HAVE_DIRECT_HIGHS else _solve_linprog
+    return solve(lp, lb, ub, rhs)
 
-    lp = h.get("highs_lp")
-    if lp is None:
-        lp = _highs_core.HighsLp()
-        lp.num_col_ = h["c"].size
-        lp.num_row_ = h["rhs"].size
-        lp.a_matrix_.num_col_ = h["c"].size
-        lp.a_matrix_.num_row_ = h["rhs"].size
-        lp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
-        lp.col_cost_ = h["c"]
-        lp.a_matrix_.start_ = h["indptr"]
-        lp.a_matrix_.index_ = h["indices"]
-        h["highs_lp"] = lp
+
+def _solve_direct(
+    lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, rhs: np.ndarray
+) -> LPResult:
+    """Hand the CSC arrays straight to the bundled HiGHS solver.
+
+    A ``HighsLp`` is built once per :class:`LinearProgram` and cached on
+    it; each solve refreshes only the vectors that may have moved (matrix
+    values after a rate rewrite, bounds under branching overrides) — tens
+    of microseconds against the several milliseconds scipy's wrapper
+    spends rebuilding the whole object.  A fresh ``Highs`` engine is
+    created per solve, so every solve is a cold dual simplex run:
+    identical inputs give identical (bit-for-bit) solutions regardless of
+    solve history, which the warm-start plan-identity guarantee relies on.
+    """
+    hlp = lp._highs_lp
+    if hlp is None:
+        hlp = _highs_core.HighsLp()
+        hlp.num_col_ = lp.c.size
+        hlp.num_row_ = lp.rhs.size
+        hlp.a_matrix_.num_col_ = lp.c.size
+        hlp.a_matrix_.num_row_ = lp.rhs.size
+        hlp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
+        hlp.col_cost_ = lp.c
+        hlp.a_matrix_.start_ = lp.indptr
+        hlp.a_matrix_.index_ = lp.indices
+        lp._highs_lp = hlp
     # HighsLp fields hold copies, so the mutable vectors are refreshed on
     # every solve; the structural fields above never change.
-    lp.a_matrix_.value_ = h["data"]
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = h["lhs"]
-    lp.row_upper_ = rhs
+    hlp.a_matrix_.value_ = lp.data
+    hlp.col_lower_ = lb
+    hlp.col_upper_ = ub
+    hlp.row_lower_ = lp.lhs
+    hlp.row_upper_ = rhs
 
     highs = _highs_core._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
-    highs.passModel(lp)
+    highs.passModel(hlp)
     highs.run()
     status = highs.getModelStatus()
     if status == HighsModelStatus.kInfeasible:
-        raise SolverError(f"model {model.name!r}: infeasible")
+        raise SolverError(f"model {lp.name!r}: infeasible")
     if status in (
         HighsModelStatus.kUnbounded,
         HighsModelStatus.kUnboundedOrInfeasible,
     ):
-        raise SolverError(f"model {model.name!r}: unbounded")
+        raise SolverError(f"model {lp.name!r}: unbounded")
     if status != HighsModelStatus.kOptimal:
         raise SolverError(
-            f"model {model.name!r}: solver failed "
+            f"model {lp.name!r}: solver failed "
             f"({highs.modelStatusToString(status)})"
         )
     return LPResult(
@@ -186,42 +191,24 @@ def _solve_direct(
 
 
 def _solve_linprog(
-    model: Model,
-    cm: CompiledModel,
-    extra_lower_bounds: Optional[np.ndarray],
-    extra_upper_bounds: Optional[np.ndarray],
-    b_ub_override: Optional[np.ndarray],
+    lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, rhs: np.ndarray
 ) -> LPResult:
-    """Portable fallback through public ``scipy.optimize.linprog``."""
-    # The clamped (linprog-form) bounds are cached on the compiled model;
-    # without overrides they are handed to linprog as-is, and with overrides
-    # only the touched indices are rebuilt (branch-and-bound overrides a
-    # handful of variables per node, not the whole vector).
-    bounds = cm.clamped_bounds()
-    if extra_lower_bounds is not None or extra_upper_bounds is not None:
-        touched = np.zeros(len(bounds), dtype=bool)
-        if extra_lower_bounds is not None:
-            touched |= ~np.isnan(extra_lower_bounds)
-        if extra_upper_bounds is not None:
-            touched |= ~np.isnan(extra_upper_bounds)
-        if touched.any():
-            bounds = list(bounds)
-            for i in np.flatnonzero(touched):
-                lb, ub = bounds[i]
-                if extra_lower_bounds is not None and not np.isnan(extra_lower_bounds[i]):
-                    lb = max(lb, float(extra_lower_bounds[i]))
-                if extra_upper_bounds is not None and not np.isnan(extra_upper_bounds[i]):
-                    new_ub = float(extra_upper_bounds[i])
-                    ub = new_ub if ub is None else min(ub, new_ub)
-                bounds[i] = (lb, ub)
+    """Portable fallback through public ``scipy.optimize.linprog``.
 
+    ``A_ub`` / ``A_eq`` are row slices of the same CSC the direct path
+    hands over, re-sliced per solve because ``data`` is rewritten in place.
+    """
+    n_ub = lp.n_ub
+    a = sparse.csc_matrix(
+        (lp.data, lp.indices, lp.indptr), shape=(lp.rhs.size, lp.c.size)
+    )
     res = linprog(
-        cm.c,
-        A_ub=cm.a_ub,
-        b_ub=cm.b_ub if b_ub_override is None else b_ub_override,
-        A_eq=cm.a_eq,
-        b_eq=cm.b_eq,
-        bounds=bounds,
+        lp.c,
+        A_ub=a[:n_ub] if n_ub else None,
+        b_ub=rhs[:n_ub] if n_ub else None,
+        A_eq=a[n_ub:] if rhs.size > n_ub else None,
+        b_eq=rhs[n_ub:] if rhs.size > n_ub else None,
+        bounds=np.column_stack([lb, ub]),
         method="highs",
         options={
             "presolve": False,
@@ -229,9 +216,9 @@ def _solve_linprog(
         },
     )
     if res.status == 2:
-        raise SolverError(f"model {model.name!r}: infeasible")
+        raise SolverError(f"model {lp.name!r}: infeasible")
     if res.status == 3:
-        raise SolverError(f"model {model.name!r}: unbounded")
+        raise SolverError(f"model {lp.name!r}: unbounded")
     if not res.success:
-        raise SolverError(f"model {model.name!r}: solver failed ({res.message})")
+        raise SolverError(f"model {lp.name!r}: solver failed ({res.message})")
     return LPResult(status="optimal", objective=float(res.fun), solution=res.x)

@@ -7,16 +7,17 @@ minimisation objective.  Kept deliberately minimal: everything the
 Optimization Engine's formulation (Eq. 1–8) needs and nothing more.
 
 Compilation assembles COO triplet buffers with :func:`numpy.repeat` rather
-than per-term Python loops, and a :class:`CompiledModel` supports in-place
-coefficient / right-hand-side rewrites so warm-start callers (the engine's
-:class:`~repro.core.engine.PlacementTemplate`) re-solve without recompiling.
+than per-term Python loops.  :meth:`CompiledModel.highs_arrays` lowers the
+result to a :class:`LinearProgram`, the solver-native form every solve path
+consumes; the Optimization Engine writes that form directly
+(:mod:`repro.core.constraints`) and never builds a :class:`Model`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -170,15 +171,74 @@ class Constraint:
 
 
 @dataclass
+class LinearProgram:
+    """``min c·x`` s.t. ``lhs ≤ A x ≤ rhs``, ``lb ≤ x ≤ ub`` — solver-native.
+
+    The one representation every solver path consumes (direct HiGHS, the
+    ``linprog`` fallback, iterative rounding, branch-and-bound), whether it
+    came from :meth:`CompiledModel.highs_arrays` or was written directly by
+    :func:`repro.core.constraints.assemble_placement_lp`.  ``A`` is the
+    stacked ``[A_ub; A_eq]`` in CSC (``indptr``/``indices``/``data``, row
+    indices ascending inside every column): the first ``n_ub`` rows are
+    inequalities (``lhs = -inf``), the rest equalities (``lhs == rhs``).
+    ``data``, ``rhs`` and the bounds may be rewritten in place between
+    solves; the sparsity pattern may not.
+    """
+
+    name: str
+    c: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    n_ub: int
+    integer_mask: np.ndarray
+    #: Column index → display name, called only when an error is raised.
+    var_name: Callable[[int], str] = field(repr=False)
+    #: ``HighsLp`` object cached by the direct solve path.
+    _highs_lp: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def num_variables(self) -> int:
+        return self.c.size
+
+    @property
+    def integer_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.integer_mask)
+
+    def objective_value(self, solution: np.ndarray) -> float:
+        return float(self.c @ solution)
+
+    def row_activity(self, solution: np.ndarray) -> np.ndarray:
+        """``A x`` straight from the CSC arrays."""
+        per_entry = self.data * np.repeat(solution, np.diff(self.indptr))
+        return np.bincount(self.indices, weights=per_entry, minlength=self.rhs.size)
+
+    def is_feasible(self, solution: np.ndarray, tol: float = 1e-6) -> bool:
+        """Rows within ``[lhs − tol, rhs + tol]`` and columns within bounds."""
+        solution = np.asarray(solution, dtype=float)
+        act = self.row_activity(solution)
+        return bool(
+            np.all(act >= self.lhs - tol)
+            and np.all(act <= self.rhs + tol)
+            and np.all(solution >= self.lb - tol)
+            and np.all(solution <= self.ub + tol)
+        )
+
+
+@dataclass
 class CompiledModel:
-    """Sparse arrays ready for ``scipy.optimize.linprog``.
+    """Sparse standard form of a :class:`Model` (``A_ub x ≤ b_ub``, ``A_eq x = b_eq``).
 
     ``ub_row_of`` / ``eq_row_of`` map a constraint's index in
     ``Model.constraints`` to its row in ``a_ub`` / ``a_eq``, letting callers
     retune right-hand sides (e.g. resource budgets) without recompiling.
     ``row_sign`` records the standardisation sign per constraint (−1 for ≥
-    rows, which are stored negated), so :meth:`set_coefficient` and
-    :meth:`set_rhs` can be expressed in the constraint's own orientation.
+    rows, which are stored negated), so :meth:`set_rhs` can be expressed in
+    the constraint's own orientation.
     """
 
     c: np.ndarray
@@ -191,152 +251,63 @@ class CompiledModel:
     ub_row_of: Dict[int, int] = field(default_factory=dict)
     eq_row_of: Dict[int, int] = field(default_factory=dict)
     row_sign: Dict[int, float] = field(default_factory=dict)
+    name: str = "model"
+    var_names: Optional[List[str]] = None
     #: Cache of linprog-ready bounds (see :meth:`clamped_bounds`).
     _clamped: Optional[List[Tuple[float, Optional[float]]]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Lazy (is_eq, row, col) → position-in-``data`` cache for coefficient
-    #: rewrites; filled one row at a time on first touch.
-    _pos_cache: Dict[Tuple[int, int, int], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    #: Lazy cache of the solver-native form (see :meth:`highs_arrays`).
+    _lp: Optional[LinearProgram] = field(
+        default=None, init=False, repr=False, compare=False
     )
-    #: Lazy cache of HiGHS-native arrays (see :meth:`highs_arrays`).
-    _highs: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
-    def highs_arrays(self) -> dict:
-        """Solver-native arrays for the direct HiGHS call path, cached.
+    def highs_arrays(self) -> LinearProgram:
+        """The :class:`LinearProgram` the solvers consume, built once.
 
-        scipy's ``linprog`` re-stacks ``A_ub``/``A_eq`` into one CSC matrix
-        and re-derives row/column bound arrays on *every* call; for warm
-        re-solves that conversion dominates the non-simplex overhead.  This
-        cache performs the conversion once per compiled model and keeps a
-        CSR→CSC position map so in-place coefficient rewrites
-        (:meth:`set_coefficient`, :meth:`set_ub_coefficients`) stay visible
-        to the solver without rebuilding anything.
-
-        Returns a dict with keys ``c``, ``indptr``/``indices``/``data``
-        (stacked [A_ub; A_eq] in CSC), ``lhs``/``rhs`` (row activity
-        bounds: ``(-inf, b_ub]`` rows then ``[b_eq, b_eq]`` rows), ``lb``/
-        ``ub`` (column bounds), ``n_ub`` (number of inequality rows) and
-        ``csr_to_csc`` (data-position map, A_ub entries first).
+        Stacks ``[A_ub; A_eq]`` into one CSC matrix and derives the row
+        activity bounds (``(-inf, b_ub]`` rows then ``[b_eq, b_eq]`` rows)
+        and column bound arrays; :meth:`set_rhs` keeps the cached copy in
+        step with later right-hand-side rewrites.
         """
-        if self._highs is not None:
-            return self._highs
+        if self._lp is not None:
+            return self._lp
         n = len(self.c)
         mats = [m for m in (self.a_ub, self.a_eq) if m is not None]
         if mats:
-            stacked = mats[0] if len(mats) == 1 else sparse.vstack(mats, format="csr")
-            stacked = stacked.tocsr()
-            nnz = stacked.nnz
-            # Map each CSR data position to its slot in the CSC copy by
-            # pushing 1-based positions through the same conversion.
-            marker = sparse.csr_matrix(
-                (
-                    np.arange(1, nnz + 1, dtype=float),
-                    stacked.indices,
-                    stacked.indptr,
-                ),
-                shape=stacked.shape,
-            ).tocsc()
-            csc = stacked.tocsc()
-            csr_to_csc = np.empty(nnz, dtype=np.intp)
-            csr_to_csc[marker.data.astype(np.intp) - 1] = np.arange(nnz, dtype=np.intp)
+            csc = sparse.vstack(mats, format="csc")
+            csc.sort_indices()
         else:
             csc = sparse.csc_matrix((0, n), dtype=float)
-            csr_to_csc = np.empty(0, dtype=np.intp)
         n_ub = 0 if self.a_ub is None else self.a_ub.shape[0]
         b_ub = np.empty(0) if self.b_ub is None else np.asarray(self.b_ub, dtype=float)
         b_eq = np.empty(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float)
-        lhs = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-        rhs = np.concatenate([b_ub, b_eq])
-        lb = np.fromiter((b[0] for b in self.bounds), dtype=float, count=n)
-        ub = np.fromiter((b[1] for b in self.bounds), dtype=float, count=n)
-        self._highs = {
-            "c": np.asarray(self.c, dtype=float),
-            "indptr": csc.indptr,
-            "indices": csc.indices,
-            "data": csc.data,
-            "lhs": lhs,
-            "rhs": rhs,
-            "lb": lb,
-            "ub": ub,
-            "n_ub": n_ub,
-            "n_ub_nnz": 0 if self.a_ub is None else self.a_ub.nnz,
-            "csr_to_csc": csr_to_csc,
-        }
-        return self._highs
-
-    def set_ub_coefficients(self, data_positions: np.ndarray, values: np.ndarray) -> None:
-        """Bulk-overwrite ``a_ub.data`` at ``data_positions`` (one scatter).
-
-        The warm-start hot path: the engine's template resolves the Eq. 5
-        rate slots once and rewrites them all per snapshot through here,
-        which also keeps the cached HiGHS CSC copy in sync.
-        """
-        self.a_ub.data[data_positions] = values
-        if self._highs is not None:
-            self._highs["data"][self._highs["csr_to_csc"][data_positions]] = values
+        names = self.var_names
+        self._lp = LinearProgram(
+            name=self.name,
+            c=np.asarray(self.c, dtype=float),
+            indptr=csc.indptr,
+            indices=csc.indices,
+            data=csc.data,
+            lhs=np.concatenate([np.full(n_ub, -np.inf), b_eq]),
+            rhs=np.concatenate([b_ub, b_eq]),
+            lb=np.fromiter((b[0] for b in self.bounds), dtype=float, count=n),
+            ub=np.fromiter((b[1] for b in self.bounds), dtype=float, count=n),
+            n_ub=n_ub,
+            integer_mask=np.asarray(self.integer_mask, dtype=bool),
+            var_name=names.__getitem__ if names is not None else "x[{}]".format,
+        )
+        return self._lp
 
     # ------------------------------------------------------------------
     def clamped_bounds(self) -> List[Tuple[float, Optional[float]]]:
-        """Bounds in linprog form (``inf`` → ``None``), computed once.
-
-        Branch-and-bound and iterative rounding issue many solves against
-        one compiled model; caching here removes the per-solve rebuild.
-        """
+        """Bounds in linprog form (``inf`` → ``None``), computed once."""
         if self._clamped is None:
             self._clamped = [
                 (lb, None if ub == float("inf") else ub) for lb, ub in self.bounds
             ]
         return self._clamped
-
-    # ------------------------------------------------------------------
-    def _locate(self, constraint_index: int):
-        """(matrix, row, is_eq) of a constraint's standardised row."""
-        row = self.ub_row_of.get(constraint_index)
-        if row is not None:
-            return self.a_ub, row, False
-        row = self.eq_row_of.get(constraint_index)
-        if row is not None:
-            return self.a_eq, row, True
-        raise KeyError(f"constraint {constraint_index} not in compiled model")
-
-    def coefficient_slot(self, constraint_index: int, var_index: int):
-        """``(matrix, data position, sign)`` of one stored coefficient.
-
-        Exposed so warm-start callers can resolve positions once and batch
-        their data writes.  Raises ``KeyError`` when the coefficient is not
-        in the compiled sparsity pattern (it was zero at compile time) —
-        recompile instead of writing through this API.
-        """
-        mat, row, is_eq = self._locate(constraint_index)
-        key = (int(is_eq), row, var_index)
-        pos = self._pos_cache.get(key)
-        if pos is None:
-            start, end = int(mat.indptr[row]), int(mat.indptr[row + 1])
-            for off, col in enumerate(mat.indices[start:end]):
-                self._pos_cache[(int(is_eq), row, int(col))] = start + off
-            pos = self._pos_cache.get(key)
-            if pos is None:
-                raise KeyError(
-                    f"constraint {constraint_index}: variable {var_index} "
-                    "not in the compiled sparsity pattern"
-                )
-        return mat, pos, self.row_sign.get(constraint_index, 1.0)
-
-    def set_coefficient(self, constraint_index: int, var_index: int, value: float) -> None:
-        """Overwrite one coefficient, in the constraint's own orientation.
-
-        Only coefficients that were nonzero at compile time can be rewritten
-        (the sparsity pattern is fixed); standardisation sign for ≥ rows is
-        applied internally.
-        """
-        mat, pos, sign = self.coefficient_slot(constraint_index, var_index)
-        mat.data[pos] = sign * value
-        if self._highs is not None:
-            off = pos if mat is self.a_ub else self._highs["n_ub_nnz"] + pos
-            self._highs["data"][self._highs["csr_to_csc"][off]] = sign * value
 
     def set_rhs(self, constraint_index: int, value: float) -> None:
         """Overwrite a constraint's right-hand side.
@@ -347,15 +318,15 @@ class CompiledModel:
         row = self.ub_row_of.get(constraint_index)
         if row is not None:
             self.b_ub[row] = self.row_sign.get(constraint_index, 1.0) * value
-            if self._highs is not None:
-                self._highs["rhs"][row] = self.b_ub[row]
+            if self._lp is not None:
+                self._lp.rhs[row] = self.b_ub[row]
             return
         row = self.eq_row_of.get(constraint_index)
         if row is not None:
             self.b_eq[row] = value
-            if self._highs is not None:
-                self._highs["lhs"][self._highs["n_ub"] + row] = value
-                self._highs["rhs"][self._highs["n_ub"] + row] = value
+            if self._lp is not None:
+                self._lp.lhs[self._lp.n_ub + row] = value
+                self._lp.rhs[self._lp.n_ub + row] = value
             return
         raise KeyError(f"constraint {constraint_index} not in compiled model")
 
@@ -396,11 +367,7 @@ class Model:
         constraints: Iterable[Constraint],
         names: Optional[Sequence[str]] = None,
     ) -> List[Constraint]:
-        """Bulk-register constraints with one list extend.
-
-        The engine's emission loops produce hundreds of constraints per
-        class; this path avoids a Python call per constraint.
-        """
+        """Bulk-register constraints with one list extend."""
         batch = list(constraints)
         if names is not None:
             if len(names) != len(batch):
@@ -512,6 +479,7 @@ class Model:
         return CompiledModel(
             c, a_ub, b_ub, a_eq, b_eq, bounds, integer_mask,
             ub_row_of, eq_row_of, row_sign,
+            name=self.name, var_names=[v.name for v in self.variables],
         )
 
     def check_feasible(self, solution: np.ndarray, tol: float = 1e-6) -> List[str]:

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.solver.lp import LPResult, SolverError, solve_lp
-from repro.solver.model import Model
+from repro.solver.lp import SolverError, as_lp, solve_lp
 
 
 @dataclass
@@ -49,29 +48,27 @@ class RoundingResult:
 
 
 def solve_with_rounding(
-    model: Model,
+    problem,
     int_tol: float = 1e-6,
     max_iterations: Optional[int] = None,
-    compiled=None,
 ) -> RoundingResult:
-    """Solve ``model`` by LP relaxation + iterative round-up.
+    """Solve ``problem`` by LP relaxation + iterative round-up.
 
     Args:
-        compiled: reuse a pre-compiled model (warm-start callers pass the
-            template's cached matrices instead of recompiling).
+        problem: a :class:`~repro.solver.model.LinearProgram`, or a
+            :class:`~repro.solver.model.Model` to compile into one.
 
     Raises:
         SolverError: when even the relaxation is infeasible, or when neither
             rounding direction of some variable admits a feasible completion.
     """
-    if compiled is None:
-        compiled = model.compile()
-    n = model.num_variables
-    integer_indices = model.integer_indices
+    program = as_lp(problem)
+    n = program.num_variables
+    integer_indices = program.integer_indices
     lower = np.full(n, np.nan)
     upper = np.full(n, np.nan)
 
-    lp = solve_lp(model, compiled)
+    lp = solve_lp(program)
     lp_bound = lp.objective
     solves = 1
     limit = max_iterations if max_iterations is not None else len(integer_indices) + 1
@@ -80,9 +77,8 @@ def solve_with_rounding(
         frac_idx = _pick_fractional(lp.solution, integer_indices, int_tol)
         if frac_idx is None:
             snapped = lp.solution.copy()
-            for i in integer_indices:
-                snapped[i] = round(snapped[i])
-            objective = model.objective.value(snapped)
+            snapped[integer_indices] = np.round(snapped[integer_indices])
+            objective = program.objective_value(snapped)
             return RoundingResult("integral", objective, snapped, lp_bound, solves)
 
         value = lp.solution[frac_idx]
@@ -92,7 +88,7 @@ def solve_with_rounding(
             upper[frac_idx] = candidate
             try:
                 lp = solve_lp(
-                    model, compiled, extra_lower_bounds=lower, extra_upper_bounds=upper
+                    program, extra_lower_bounds=lower, extra_upper_bounds=upper
                 )
                 solves += 1
                 fixed = True
@@ -101,15 +97,15 @@ def solve_with_rounding(
                 continue
         if not fixed:
             raise SolverError(
-                f"model {model.name!r}: variable "
-                f"{model.variables[frac_idx].name!r} admits no feasible rounding"
+                f"model {program.name!r}: variable "
+                f"{program.var_name(frac_idx)!r} admits no feasible rounding"
             )
 
-    raise SolverError(f"model {model.name!r}: rounding did not converge")
+    raise SolverError(f"model {program.name!r}: rounding did not converge")
 
 
 def _pick_fractional(
-    solution: np.ndarray, integer_indices: List[int], tol: float
+    solution: np.ndarray, integer_indices: Sequence[int], tol: float
 ) -> Optional[int]:
     """Index of the most fractional integer variable, or None if integral."""
     best, best_frac = None, tol

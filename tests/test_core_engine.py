@@ -132,6 +132,40 @@ def test_exact_solver_small_instance():
     assert exact.total_instances() <= rounded.total_instances()
 
 
+@pytest.mark.parametrize(
+    "classes, solver",
+    [
+        ([], "rounding"),
+        ([], "exact"),
+        ([_cls("c1", "a", "c", LINE, [], 100.0), _cls("c2", "a", "b", "ab", [], 5.0)],
+         "rounding"),
+    ],
+    ids=["no-classes", "no-classes-exact", "all-chains-empty"],
+)
+def test_placement_without_variables_is_an_empty_plan(classes, solver, monkeypatch):
+    def no_solver(*_args, **_kwargs):
+        raise AssertionError("an instance without variables reached the solver")
+
+    monkeypatch.setattr("repro.core.engine.solve_lp", no_solver)
+    monkeypatch.setattr("repro.core.engine.solve_branch_bound", no_solver)
+    plan = _place(classes, CORES, solver=solver)
+    assert plan.total_instances() == 0
+    assert plan.quantities == {} and plan.distribution == {}
+    assert plan.objective == 0.0
+    assert [c.class_id for c in plan.classes] == [c.class_id for c in classes]
+    assert not plan.validate(CORES)
+
+
+def test_empty_chain_class_adds_nothing_to_a_mixed_instance():
+    loaded = _cls("c1", "a", "c", LINE, ["firewall"], 100.0)
+    chainless = _cls("c0", "a", "c", LINE, [], 100.0)
+    alone = _place([loaded], CORES)
+    mixed = _place([chainless, loaded], CORES)
+    assert mixed.quantities == alone.quantities
+    assert mixed.distribution == alone.distribution
+    assert not mixed.validate(CORES)
+
+
 def test_bad_solver_name_rejected():
     with pytest.raises(ValueError):
         EngineConfig(solver="magic")

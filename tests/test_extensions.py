@@ -158,6 +158,21 @@ def test_memory_constraint_blocks_placement():
         engine.place([cls], cores, available_memory_gb={"a": 4, "b": 4, "c": 4})
 
 
+def test_infeasible_rounding_names_the_slot():
+    # The name is derived from the column index when the error is raised;
+    # nothing stores a name per variable at build time.
+    cls = _cls("c1", 100.0, ["ids"])
+    with pytest.raises(PlacementError) as err:
+        OptimizationEngine().place(
+            [cls], {"a": 64, "b": 64, "c": 64},
+            available_memory_gb={"a": 4, "b": 4, "c": 4},
+        )
+    assert str(err.value) == (
+        "placement infeasible: model 'apple-placement': "
+        "variable 'q[a,ids]' admits no feasible rounding"
+    )
+
+
 def test_memory_steers_placement_to_roomy_switch():
     cls = _cls("c1", 100.0, ["ids"])
     cores = {"a": 64, "b": 64, "c": 64}

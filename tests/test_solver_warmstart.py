@@ -1,9 +1,8 @@
 """Warm-start correctness: template reuse, in-place rewrites, fan-out.
 
 The performance work must never change results: a warm re-solve (cached
-:class:`PlacementTemplate`, rate-only coefficient rewrite, cached HiGHS
-arrays) has to produce a plan *bit-identical* to a cold solve of the same
-snapshot, the vectorized ``Model.compile`` has to emit exactly the matrices
+:class:`PlacementTemplate`, rate-only coefficient rewrite) has to produce a
+plan *bit-identical* to a cold solve of the same snapshot, the vectorized ``Model.compile`` has to emit exactly the matrices
 of the straightforward per-constraint loop it replaced, and the process
 fan-out has to return the same rows as the serial path.
 """
@@ -199,7 +198,7 @@ def test_vectorized_compile_matches_reference(model):
 
 
 # ---------------------------------------------------------------------------
-# In-place rewrites must stay visible through the cached HiGHS arrays.
+# In-place rewrites must stay visible through the cached LinearProgram.
 # ---------------------------------------------------------------------------
 
 
@@ -208,22 +207,10 @@ def _two_var_model():
     x = model.add_var("x", ub=10.0)
     y = model.add_var("y", ub=10.0)
     model.minimize(-1.0 * x - 1.0 * y)
-    model.add_constraint(1.0 * x + 1.0 * y <= 8.0)   # 0: rewritten below
+    model.add_constraint(1.0 * x + 1.0 * y <= 8.0)   # 0: an LE row
     model.add_constraint(1.0 * x - 1.0 * y >= -6.0)  # 1: a GE row
     model.add_constraint((1.0 * x + 0.0).eq(3.0) if False else 1.0 * x <= 7.0)
     return model, x, y
-
-
-def test_set_coefficient_updates_cached_highs_arrays():
-    model, _x, _y = _two_var_model()
-    cm = model.compile()
-    cm.highs_arrays()  # populate the CSC cache first
-    cm.set_coefficient(0, 1, 4.0)  # x + 4y <= 8
-    fresh = model.compile()
-    fresh.set_coefficient(0, 1, 4.0)
-    res_cached, res_fresh = solve_lp(model, cm), solve_lp(model, fresh)
-    assert res_cached.objective == res_fresh.objective
-    np.testing.assert_array_equal(res_cached.solution, res_fresh.solution)
 
 
 def test_set_rhs_updates_cached_highs_arrays():
@@ -238,29 +225,6 @@ def test_set_rhs_updates_cached_highs_arrays():
     res_cached, res_fresh = solve_lp(model, cm), solve_lp(model, fresh)
     assert res_cached.objective == res_fresh.objective
     np.testing.assert_array_equal(res_cached.solution, res_fresh.solution)
-
-
-def test_set_ub_coefficients_bulk_scatter_syncs_csc():
-    model, _x, _y = _two_var_model()
-    cm = model.compile()
-    h = cm.highs_arrays()
-    positions = np.arange(cm.a_ub.nnz, dtype=np.intp)
-    values = np.arange(1.0, cm.a_ub.nnz + 1.0)
-    cm.set_ub_coefficients(positions, values)
-    np.testing.assert_array_equal(cm.a_ub.data, values)
-    # The CSC copy holds the same values, permuted by the position map.
-    np.testing.assert_array_equal(h["data"][h["csr_to_csc"][positions]], values)
-
-
-def test_unknown_coefficient_slot_raises():
-    model = Model("sparsity")
-    x = model.add_var("x", ub=5.0)
-    y = model.add_var("y", ub=5.0)
-    model.minimize(x + y)
-    model.add_constraint(1.0 * x <= 3.0)  # y absent from the pattern
-    cm = model.compile()
-    with pytest.raises(KeyError, match="not in the compiled sparsity"):
-        cm.set_coefficient(0, y.index, 2.0)
 
 
 def test_solve_lp_bound_overrides_match_rebuilt_model():
