@@ -17,7 +17,7 @@ Usage::
 
 from repro.core.controller import AppleController
 from repro.core.online import OnlinePlacementError, OnlinePlacer
-from repro.core.periodic import diff_plans
+from repro.core.placement import diff_plans
 from repro.topology.datasets import geant
 from repro.traffic.classes import hashed_assignment, TrafficClass
 from repro.traffic.gravity import gravity_matrix
@@ -77,13 +77,13 @@ def main() -> None:
     consolidated = controller.engine.place(
         all_classes, controller.available_cores()
     )
-    launched_slots, retired_slots = diff_plans(online_plan, consolidated)
+    migration = diff_plans(online_plan, consolidated)
     delta = online_plan.total_instances() - consolidated.total_instances()
     print(f"   global re-solve: {consolidated.total_instances()} instances "
           f"({consolidated.total_cores()} cores) in "
           f"{consolidated.solve_seconds*1000:.0f} ms")
-    print(f"   migration vs online state: launch {sum(launched_slots.values())}, "
-          f"retire {sum(retired_slots.values())}")
+    print(f"   migration vs online state: launch {len(migration.added)}, "
+          f"retire {len(migration.retired)}")
     if delta > 0:
         print(f"   {delta} instances reclaimed by consolidating online "
               f"decisions globally")

@@ -19,11 +19,7 @@ from repro.chaos.metrics import (
     ProbeTick,
     fault_id,
 )
-from repro.chaos.recovery import (
-    PRIORITY_QUARANTINE,
-    RecoveryConfig,
-    RecoveryManager,
-)
+from repro.chaos.recovery import RecoveryConfig, RecoveryManager
 from repro.chaos.runner import ChaosEngine, ChaosRunResult
 from repro.chaos.schedule import (
     CHAOS_STREAM,
@@ -33,6 +29,7 @@ from repro.chaos.schedule import (
     FaultSchedule,
     generate_schedule,
 )
+from repro.dataplane.switch import PRIORITY_QUARANTINE
 
 __all__ = [
     "CHAOS_STREAM",

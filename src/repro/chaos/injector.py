@@ -20,11 +20,11 @@ assignments keep surviving instances where they were).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro import perf
 from repro.chaos.metrics import ChaosMetrics
-from repro.chaos.schedule import FaultEvent, FaultKind, FaultSchedule
+from repro.chaos.schedule import FaultEvent, FaultKind
 from repro.core.controller import AppleController
 from repro.sim.kernel import Simulator
 from repro.vnf.instance import VNFInstance
@@ -40,29 +40,30 @@ class FaultInjector:
         sim: the shared simulator.
         controller: the live controller (its ``deployment`` and ``topo``
             are the ground truth being broken).
-        schedule: what to break, when.
+        schedule: what to break, when — a :class:`FaultSchedule`, or any
+            sequence of fault events (the chaos engine concatenates its
+            data-plane and control-plane schedules).
         metrics: event-plane recorder.
+        fabric: the control-plane fabric; ``SWITCH_DISCONNECT`` events
+            sever that switch's control channel on it, not its data plane.
         on_fault: optional hook per applied fault (tests use it).
-        southbound: the control-plane fabric; required only when the
-            schedule contains ``SWITCH_DISCONNECT`` events (they sever
-            that switch's control channel, not its data plane).
     """
 
     def __init__(
         self,
         sim: Simulator,
         controller: AppleController,
-        schedule: FaultSchedule,
+        schedule: Sequence[FaultEvent],
         metrics: ChaosMetrics,
+        fabric: "SouthboundFabric",
         on_fault: Optional[Callable[[FaultEvent], None]] = None,
-        southbound: Optional["SouthboundFabric"] = None,
     ) -> None:
         self.sim = sim
         self.controller = controller
         self.schedule = schedule
         self.metrics = metrics
+        self.fabric = fabric
         self.on_fault = on_fault
-        self.southbound = southbound
         self.applied: List[FaultEvent] = []
         #: Brownout target objects, so a lift never restores a replacement.
         self._browned: Dict[str, VNFInstance] = {}
@@ -119,11 +120,7 @@ class FaultInjector:
                 # every southbound leg to/from this switch is lost until
                 # the lift.  No plan invalidation — the data plane is
                 # untouched by construction.
-                if self.southbound is None:
-                    raise RuntimeError(
-                        "SWITCH_DISCONNECT requires a southbound fabric"
-                    )
-                self.southbound.disconnect(event.target)
+                self.fabric.disconnect(event.target)
             self.applied.append(event)
             self.metrics.fault_applied(event, self.sim.now)
             if self.on_fault is not None:
@@ -146,6 +143,5 @@ class FaultInjector:
                 target.restore_full()
                 network.invalidate_plans()
         elif event.kind is FaultKind.SWITCH_DISCONNECT:
-            if self.southbound is not None:
-                self.southbound.reconnect(event.target)
+            self.fabric.reconnect(event.target)
         self.metrics.fault_lifted(event, self.sim.now)

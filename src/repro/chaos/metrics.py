@@ -61,21 +61,23 @@ class ConvergenceRecord:
     classes: int
     rerouted: int
     stranded: int
-    warm_start: bool
-    switches_updated: int
-    flow_mods: int
-    vswitch_updates: int
-    instances_created: int
+    warm_start: bool = False
+    switches_updated: int = 0
+    flow_mods: int = 0
+    vswitch_updates: int = 0
+    instances_created: int = 0
     verify_summary: Optional[str] = None
     verify_ok: Optional[bool] = None
     failed: bool = False
     failure_reason: str = ""
+    #: A later reconvergence replaced this epoch before it converged; the
+    #: push counters and verify fields stay unset, ``time`` is when.
+    superseded: bool = False
     #: The placement came from the greedy deadline fallback, not the LP.
     degraded_solver: bool = False
-    #: Retransmissions spent pushing this convergence (southbound runs).
+    #: Retransmissions spent pushing this convergence.
     channel_retries: int = 0
-    #: Push -> zero drift everywhere (southbound runs; None for legacy
-    #: fixed-delay commits, whose latency is the configured constant).
+    #: Push -> zero drift everywhere (None when failed or superseded).
     convergence_latency: Optional[float] = None
     #: Wall-clock solver+push cost; excluded from the deterministic dict.
     wall_seconds: float = 0.0
@@ -167,12 +169,12 @@ class ChaosMetrics:
         self.convergences.append(record)
         self.note(
             record.time,
-            "recover",
+            "superseded" if record.superseded else "recover",
             f"classes={record.classes} rerouted={record.rerouted} "
             f"stranded={record.stranded} warm={record.warm_start} "
             f"flow_mods={record.flow_mods}",
         )
-        if record.failed:
+        if record.failed or record.superseded:
             return
         for rec in self.faults.values():
             if rec.detected_at is not None and rec.repaired_at is None:
@@ -271,6 +273,9 @@ class ChaosMetrics:
                     "degraded_solver": c.degraded_solver,
                     "channel_retries": c.channel_retries,
                     "convergence_latency": r6(c.convergence_latency),
+                    # Present only when set: runs without a superseded
+                    # epoch keep their pre-existing signatures.
+                    **({"superseded": True} if c.superseded else {}),
                 }
                 for c in self.convergences
             ],

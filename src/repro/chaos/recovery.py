@@ -12,90 +12,69 @@ Pipeline (one reconvergence per detector verdict batch):
    resources (crashed hosts contribute zero cores).  Re-solves with an
    unchanged class/host structure hit the PR-1 ``PlacementTemplate``
    cache and warm-start.
-3. **push deltas** — after ``rule_install_delay`` (the modelled flow-mod
-   push latency) the new rules are applied as TCAM/flow-mod *deltas*
-   (:meth:`RuleGenerator.install_delta`): untouched switches keep their
-   flow caches and walk plans warm.  Stranded classes get an ingress
-   quarantine DROP rule — their traffic must black-hole, never pass
-   unprocessed.
-4. **verify** — :func:`repro.core.verify.verify_deployment` re-checks
-   policy enforcement, interference freedom and isolation on the new
-   deployment; the report lands in the convergence record.
+3. **commit** — the new rules go through the one commit step
+   (:func:`repro.core.reconfigure.commit`): an acked make-before-break
+   epoch on the southbound fabric, which diffs per switch so untouched
+   switches keep their flow caches and walk plans warm.  Stranded
+   classes get an ingress quarantine DROP as part of the same desired
+   state — their traffic must black-hole, never pass unprocessed.
+4. **verify** — at convergence ``commit`` re-checks policy enforcement,
+   interference freedom and isolation on the new deployment; the report
+   lands in the convergence record.  An epoch replaced by a later
+   reconvergence before it converged is recorded as *superseded*, so
+   there is exactly one record per reconvergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from repro import perf
 from repro.chaos.detector import Detection
 from repro.chaos.metrics import ChaosMetrics, ConvergenceRecord
-from repro.core.controller import AppleController, Deployment
+from repro.core.controller import AppleController
 from repro.core.engine import PlacementError
 from repro.core.placement import PlacementPlan
-from repro.core.subclasses import assign_subclasses
-from repro.core.verify import verify_deployment
-from repro.dataplane.network import DataPlaneNetwork
-from repro.dataplane.switch import (
-    PRIORITY_QUARANTINE,
+from repro.core.reconfigure import Outcome, commit, realize
+from repro.dataplane.switch import (  # noqa: F401 - tests name quarantine entries
     QUARANTINE_PREFIX as _QUARANTINE_PREFIX,
-    quarantine_entry,
 )
 from repro.sim.kernel import Simulator
-from repro.southbound.config import ChannelConfig
 from repro.topology.graph import Topology
 from repro.topology.routing import Router
 from repro.traffic.classes import TrafficClass
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.southbound.fabric import SouthboundFabric
-    from repro.southbound.metrics import EpochConvergence
 
 
 @dataclass
 class RecoveryConfig:
     """Reaction-path tunables."""
 
-    #: Modelled latency between the solve and the rules taking effect
-    #: (flow-mod push + switch apply).  ``None`` (the default) resolves to
-    #: the southbound channel's one-way install latency, so the legacy
-    #: fixed-delay commit and the acked channel share one source of truth
-    #: (:attr:`repro.southbound.config.ChannelConfig.install_latency`,
-    #: i.e. the 70 ms OpenDaylight figure).
-    rule_install_delay: Optional[float] = None
-    #: Run the core verifier after every convergence.
-    verify_after_convergence: bool = True
     #: Give up on the LP placement and fall back to the greedy first-fit
     #: placer when the (deterministic) solve-time estimate exceeds this
     #: many seconds.  ``None`` disables the deadline.
     solver_deadline: Optional[float] = None
 
-    def resolved_install_delay(self) -> float:
-        if self.rule_install_delay is not None:
-            return self.rule_install_delay
-        return ChannelConfig().install_latency
-
 
 class RecoveryManager:
-    """Drives re-placement and delta rule pushes on detector verdicts.
+    """Drives re-placement and rule pushes on detector verdicts.
 
     Args:
-        sim: shared simulator (commit latency rides on its clock).
+        sim: shared simulator.
         controller: the live controller; its ``deployment`` is swapped
-            atomically at each commit (the data-plane network object is
-            reused — rules mutate in place, exactly like a real switch
-            fabric).
+            atomically when a committed epoch converges (the data-plane
+            network object is reused — rules mutate in place, exactly
+            like a real switch fabric).
         metrics: event-plane recorder.
+        fabric: the southbound fabric that owns the deployment's network;
+            every commit is an acked transactional push through it.
         config: reaction tunables.
-        southbound: when given, commits flow through the resilient
-            southbound fabric (acked transactional pushes + anti-entropy)
-            instead of the legacy fixed-delay direct install; the
-            deployment swap and verification then ride the fabric's
-            convergence callback.
     """
 
     def __init__(
@@ -103,16 +82,16 @@ class RecoveryManager:
         sim: Simulator,
         controller: AppleController,
         metrics: ChaosMetrics,
+        fabric: "SouthboundFabric",
         config: Optional[RecoveryConfig] = None,
-        southbound: Optional["SouthboundFabric"] = None,
     ) -> None:
         if controller.deployment is None:
             raise RuntimeError("recovery needs a deployed placement")
         self.sim = sim
         self.controller = controller
         self.metrics = metrics
+        self.fabric = fabric
         self.config = config or RecoveryConfig()
-        self.southbound = southbound
         #: The routing application's original input: classes at full rate
         #: on their primary paths.  Recovery always re-derives from this,
         #: so lifted faults converge back to the primary placement.
@@ -121,25 +100,21 @@ class RecoveryManager:
         )
         #: Slot keys whose current VM is known-dead (detector verdicts).
         self.failed_instance_keys: Set[str] = set()
-        #: Class ids currently quarantined (no surviving path/host).
-        self.stranded_ids: Set[str] = set()
         self.reconvergences = 0
 
     # ------------------------------------------------------------------
     def on_detections(self, detections: Sequence[Detection]) -> None:
         """Detector callback: record verdicts, react, reconverge once."""
-        deployment = self.controller.deployment
-        network = deployment.network
         for d in detections:
             self.metrics.detection(d.kind, d.target, d.time)
             if d.kind == "instance":
                 self.failed_instance_keys.add(d.target)
             elif d.kind == "brownout":
                 # Operator policy: a degraded VM is replaced, not nursed.
-                inst = deployment.instances.get(d.target)
+                inst = self.fabric.instances.get(d.target)
                 if inst is not None and inst.running:
                     inst.shutdown()
-                    network.invalidate_plans()
+                    self.fabric.network.invalidate_plans()
                 self.failed_instance_keys.add(d.target)
         self._reconverge(tuple(f"{d.kind}:{d.target}" for d in detections))
 
@@ -147,20 +122,15 @@ class RecoveryManager:
     def _reconverge(self, trigger: Tuple[str, ...]) -> None:
         with perf.span("chaos.recovery"):
             wall0 = perf_counter()
-            controller = self.controller
+            controller, fabric = self.controller, self.fabric
             topo = controller.topo
             failed_links = topo.failed_links
             router = Router(topo.surviving(), ecmp=controller.router.ecmp)
-            cores = {
-                s: spec.cores
-                for s, spec in topo.hosts.items()
-                if not topo.host_failed(s)
+            live = {
+                s: spec for s, spec in topo.hosts.items() if not topo.host_failed(s)
             }
-            memory = {
-                s: spec.memory_gb
-                for s, spec in topo.hosts.items()
-                if not topo.host_failed(s)
-            }
+            cores = {s: spec.cores for s, spec in live.items()}
+            memory = {s: spec.memory_gb for s, spec in live.items()}
 
             new_classes: List[TrafficClass] = []
             stranded: List[TrafficClass] = []
@@ -185,15 +155,23 @@ class RecoveryManager:
                     cls = replace(cls, path=tuple(path))
                 new_classes.append(cls)
 
+            record = ConvergenceRecord(
+                time=self.sim.now,
+                trigger=trigger,
+                classes=len(new_classes),
+                rerouted=rerouted,
+                stranded=len(stranded),
+            )
             warm_before = controller.engine.warm_solves
-            degraded_solver = False
             try:
                 if new_classes:
-                    plan, degraded_solver = controller.engine.place_with_deadline(
-                        new_classes,
-                        cores,
-                        memory,
-                        deadline=self.config.solver_deadline,
+                    plan, record.degraded_solver = (
+                        controller.engine.place_with_deadline(
+                            new_classes,
+                            cores,
+                            memory,
+                            deadline=self.config.solver_deadline,
+                        )
                     )
                 else:
                     # Everything stranded: nothing to place, but the commit
@@ -206,206 +184,56 @@ class RecoveryManager:
                         objective=0.0,
                     )
             except PlacementError as exc:
-                self.metrics.convergence(
-                    ConvergenceRecord(
-                        time=self.sim.now,
-                        trigger=trigger,
-                        classes=len(new_classes),
-                        rerouted=rerouted,
-                        stranded=len(stranded),
-                        warm_start=False,
-                        switches_updated=0,
-                        flow_mods=0,
-                        vswitch_updates=0,
-                        instances_created=0,
-                        failed=True,
-                        failure_reason=str(exc),
-                        wall_seconds=perf_counter() - wall0,
-                    )
-                )
+                record.failed, record.failure_reason = True, str(exc)
+                record.wall_seconds = perf_counter() - wall0
+                self.metrics.convergence(record)
                 return
-            warm = controller.engine.warm_solves > warm_before
-            subclass_plan = assign_subclasses(plan)
-            rules = controller.rule_generator.generate(plan.classes, subclass_plan)
-            solve_wall = perf_counter() - wall0
+            record.warm_start = controller.engine.warm_solves > warm_before
+            subclass_plan, rules = realize(controller.rule_generator, plan)
+            record.wall_seconds = perf_counter() - wall0
         self.reconvergences += 1
-        if self.southbound is not None:
-            self._commit_via_fabric(
-                plan, subclass_plan, rules, trigger, stranded, rerouted,
-                warm, solve_wall, degraded_solver,
-            )
-        else:
-            self.sim.schedule(
-                self.config.resolved_install_delay(),
-                self._commit,
-                args=(
-                    plan, subclass_plan, rules, trigger, stranded, rerouted,
-                    warm, solve_wall, degraded_solver,
-                ),
-            )
 
-    # ------------------------------------------------------------------
-    def _commit(
-        self,
-        plan,
-        subclass_plan,
-        rules,
-        trigger: Tuple[str, ...],
-        stranded: List[TrafficClass],
-        rerouted: int,
-        warm: bool,
-        solve_wall: float,
-        degraded_solver: bool = False,
-    ) -> None:
-        with perf.span("chaos.rule_push"):
-            wall0 = perf_counter()
-            controller = self.controller
-            topo = controller.topo
-            deployment = controller.deployment
-            network = deployment.network
-            surviving = {
-                key: inst
-                for key, inst in deployment.instances.items()
-                if inst.running
-                and not topo.host_failed(inst.switch)
-                and key not in self.failed_instance_keys
-            }
-            inst_map, delta = controller.rule_generator.install_delta(
-                rules,
-                network,
-                plan.classes,
-                previous=deployment.rules,
-                sim=self.sim,
-                instances=surviving,
-            )
-            controller.deployment = Deployment(
-                plan, subclass_plan, rules, network, inst_map
-            )
-            self._apply_quarantine(network, plan, stranded)
-            self.failed_instance_keys = {
-                key for key, inst in inst_map.items() if not inst.running
-            }
-            self.stranded_ids = {c.class_id for c in stranded}
-            push_wall = perf_counter() - wall0
-
-        record = ConvergenceRecord(
-            time=self.sim.now,
-            trigger=trigger,
-            classes=len(plan.classes),
-            rerouted=rerouted,
-            stranded=len(stranded),
-            warm_start=warm,
-            switches_updated=delta.switches_updated,
-            flow_mods=delta.flow_mods,
-            vswitch_updates=delta.vswitch_updates,
-            instances_created=delta.instances_created,
-            degraded_solver=degraded_solver,
-            wall_seconds=solve_wall + push_wall,
-        )
-        if self.config.verify_after_convergence:
-            report = verify_deployment(controller.deployment, topo)
-            record.verify_summary = report.summary()
-            record.verify_ok = report.ok
-        self.metrics.convergence(record)
-
-    # ------------------------------------------------------------------
-    def _commit_via_fabric(
-        self,
-        plan,
-        subclass_plan,
-        rules,
-        trigger: Tuple[str, ...],
-        stranded: List[TrafficClass],
-        rerouted: int,
-        warm: bool,
-        solve_wall: float,
-        degraded_solver: bool,
-    ) -> None:
-        """Push the new desired state through the southbound fabric.
-
-        The deployment swap, quarantine state, and verification all ride
-        the fabric's convergence callback: until every switch acks its way
-        to zero drift, the controller's ``deployment`` keeps describing
-        the state actually serving traffic, and the make-before-break
-        transaction guarantees no partial-install window in between.
-        Stranded-class quarantine DROPs are part of the rendered desired
-        state itself, not a separate direct install.
-        """
-        fabric = self.southbound
-        assert fabric is not None
-        controller = self.controller
-        topo = controller.topo
-        deployment = controller.deployment
-        network = deployment.network
+        # What is on the wire, not what a (possibly superseded) earlier
+        # epoch meant to swap into ``controller.deployment``.
         surviving = {
             key: inst
-            for key, inst in deployment.instances.items()
+            for key, inst in fabric.instances.items()
             if inst.running
             and not topo.host_failed(inst.switch)
             and key not in self.failed_instance_keys
         }
-        stranded_map = {c.class_id: c.src for c in stranded}
         retries_before = fabric.metrics.retries
 
-        def _converged(conv: "EpochConvergence") -> None:
-            inst_map = dict(fabric.instances)
-            controller.deployment = Deployment(
-                plan, subclass_plan, rules, network, inst_map
-            )
+        def done(outcome: Outcome) -> None:
+            record.time = self.sim.now
+            record.channel_retries = fabric.metrics.retries - retries_before
+            if outcome.superseded:
+                record.superseded = True
+                self.metrics.convergence(record)
+                return
+            controller.deployment = outcome.deployment
+            instances = outcome.deployment.instances
             self.failed_instance_keys = {
-                key for key, inst in inst_map.items() if not inst.running
+                key for key, inst in instances.items() if not inst.running
             }
-            self.stranded_ids = set(stranded_map)
-            record = ConvergenceRecord(
-                time=self.sim.now,
-                trigger=trigger,
-                classes=len(plan.classes),
-                rerouted=rerouted,
-                stranded=len(stranded),
-                warm_start=warm,
-                switches_updated=fabric.last_push["switches"],
-                flow_mods=fabric.last_push["ops"],
-                vswitch_updates=fabric.last_push["vsw_ops"],
-                instances_created=sum(
-                    1 for key in inst_map if key not in surviving
-                ),
-                degraded_solver=degraded_solver,
-                channel_retries=fabric.metrics.retries - retries_before,
-                convergence_latency=conv.latency,
-                wall_seconds=solve_wall,
+            record.switches_updated = fabric.last_push["switches"]
+            record.flow_mods = fabric.last_push["ops"]
+            record.vswitch_updates = fabric.last_push["vsw_ops"]
+            record.instances_created = sum(
+                1 for key in instances if key not in surviving
             )
-            if self.config.verify_after_convergence:
-                report = verify_deployment(controller.deployment, topo)
-                record.verify_summary = report.summary()
-                record.verify_ok = report.ok
+            record.convergence_latency = outcome.convergence.latency
+            record.verify_summary = outcome.report.summary()
+            record.verify_ok = outcome.report.ok
             self.metrics.convergence(record)
 
-        fabric.push_desired(
+        commit(
+            fabric,
+            plan,
+            subclass_plan,
             rules,
-            plan.classes,
-            stranded=stranded_map,
+            stranded={c.class_id: c.src for c in stranded},
             instances=surviving,
-            on_converged=_converged,
-            degraded_solver=degraded_solver,
+            degraded_solver=record.degraded_solver,
+            on_done=done,
         )
-
-    # ------------------------------------------------------------------
-    def _apply_quarantine(
-        self,
-        network: DataPlaneNetwork,
-        plan,
-        stranded: Sequence[TrafficClass],
-    ) -> None:
-        """Ingress DROP for stranded classes; lift it for recovered ones."""
-        placed = {c.class_id for c in plan.classes}
-        for sw in network.switches.values():
-            sw.table.remove_where(
-                lambda e: e.name.startswith(_QUARANTINE_PREFIX)
-                and e.class_id in placed
-            )
-        for cls in stranded:
-            sw = network.switches[cls.src]
-            name = f"{_QUARANTINE_PREFIX}{cls.class_id}"
-            if any(e.name == name for e in sw.table.entries()):
-                continue
-            sw.table.install(quarantine_entry(cls.src, cls.class_id))

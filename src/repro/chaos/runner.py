@@ -15,8 +15,8 @@ alongside, outside the deterministic part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro import obs
 from repro.chaos.detector import DetectorConfig, FailureDetector
@@ -34,9 +34,7 @@ from repro.core.controller import AppleController
 from repro.core.verify import verify_deployment
 from repro.dataplane.network import NetworkStats
 from repro.sim.kernel import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.southbound.fabric import SouthboundFabric
+from repro.southbound.fabric import SouthboundFabric
 
 
 @dataclass
@@ -57,8 +55,8 @@ class ChaosRunResult:
     final_policy_violations: int
     final_interference_violations: int
     network_stats: NetworkStats
-    #: Signature of the control-plane fault schedule, when a southbound
-    #: fabric was attached (``None`` keeps legacy signatures unchanged).
+    #: Signature of the control-plane fault schedule (``None`` when the
+    #: run had none).
     southbound_signature: Optional[str] = None
 
     def signature(self) -> str:
@@ -88,15 +86,16 @@ class ChaosEngine:
         detector_config: detection-latency model.
         recovery_config: reaction-path tunables.
         probe_interval: traffic-plane sampling cadence (seconds).
-        southbound: a :class:`~repro.southbound.fabric.SouthboundFabric`;
-            when given, recovery commits flow through it, its reconciler
-            runs for the whole study, circuit-breaker events feed the
-            detection timeline, and the probe loop scores interference
-            against the fabric's live (acked) paths instead of the plan's
-            target paths.
+        southbound: a configured
+            :class:`~repro.southbound.fabric.SouthboundFabric` over the
+            deployment's network (lossy channels, ``drain_retired``, …);
+            left out, the engine builds the default loss-free one and has
+            it adopt the deployment as epoch 0.  Recovery commits flow
+            through it, its reconciler runs for the whole study,
+            circuit-breaker events feed the detection timeline, and the
+            probe loop scores interference against its live (acked) paths.
         southbound_schedule: control-plane fault schedule (switch
-            disconnects) applied by a dedicated injector; requires
-            ``southbound``.
+            disconnects), injected alongside ``schedule``.
     """
 
     def __init__(
@@ -107,11 +106,18 @@ class ChaosEngine:
         detector_config: Optional[DetectorConfig] = None,
         recovery_config: Optional[RecoveryConfig] = None,
         probe_interval: float = 0.25,
-        southbound: Optional["SouthboundFabric"] = None,
+        southbound: Optional[SouthboundFabric] = None,
         southbound_schedule: Optional[FaultSchedule] = None,
     ) -> None:
-        if southbound_schedule is not None and southbound is None:
-            raise ValueError("a southbound schedule requires a southbound fabric")
+        if southbound is None:
+            southbound = SouthboundFabric(
+                sim,
+                controller.deployment.network,
+                schedule.seed,
+                controller.rule_generator,
+            )
+        if southbound.desired is None:
+            controller.attach_southbound(southbound)
         self.sim = sim
         self.controller = controller
         self.schedule = schedule
@@ -120,43 +126,30 @@ class ChaosEngine:
         self.metrics = ChaosMetrics()
         self.metrics.probe_interval = probe_interval
         self.recovery = RecoveryManager(
-            sim, controller, self.metrics, recovery_config, southbound=southbound
+            sim, controller, self.metrics, southbound, recovery_config
         )
         self.detector = FailureDetector(
             sim, controller, detector_config, on_detect=self.recovery.on_detections
         )
-        self.injector = FaultInjector(sim, controller, schedule, self.metrics)
-        self.southbound_injector: Optional[FaultInjector] = None
-        if southbound is not None:
-            if southbound.desired is None:
-                deployment = controller.deployment
-                southbound.adopt(
-                    deployment.rules,
-                    deployment.plan.classes,
-                    deployment.instances,
-                )
-            southbound.on_degraded = (
-                lambda sw, now: self.metrics.detection("southbound", sw, now)
-            )
-            southbound.on_restored = (
-                lambda sw, now: self.metrics.repair(sw, now)
-            )
-            if southbound_schedule is not None:
-                self.southbound_injector = FaultInjector(
-                    sim,
-                    controller,
-                    southbound_schedule,
-                    self.metrics,
-                    southbound=southbound,
-                )
+        # One injector, both schedules: data-plane faults first, then the
+        # control-plane disconnects (arming order breaks same-time ties).
+        self.injector = FaultInjector(
+            sim,
+            controller,
+            (*schedule, *(southbound_schedule or ())),
+            self.metrics,
+            southbound,
+        )
+        southbound.on_degraded = (
+            lambda sw, now: self.metrics.detection("southbound", sw, now)
+        )
+        southbound.on_restored = lambda sw, now: self.metrics.repair(sw, now)
         self.probes = ProbeLoop(
             sim,
             lambda: controller.deployment,
             interval=probe_interval,
             on_tick=self.metrics.record_tick,
-            expected_path_fn=(
-                southbound.active_path if southbound is not None else None
-            ),
+            expected_path_fn=southbound.active_path,
         )
         self._started = False
 
@@ -167,10 +160,7 @@ class ChaosEngine:
             return
         self._started = True
         self.injector.arm()
-        if self.southbound_injector is not None:
-            self.southbound_injector.arm()
-        if self.southbound is not None:
-            self.southbound.start()
+        self.southbound.start()
         self.detector.start()
         self.probes.start()
 
@@ -189,17 +179,14 @@ class ChaosEngine:
         """
         self.detector.stop()
         self.probes.stop()
-        if self.southbound is not None:
-            self.southbound.stop()
+        self.southbound.stop()
         metrics_dict = self.metrics.to_dict()
-        if self.southbound is not None:
-            metrics_dict["southbound"] = self.southbound.metrics.to_dict()
+        metrics_dict["southbound"] = self.southbound.metrics.to_dict()
         wall = self.metrics.wall_clock()
         if obs.REGISTRY.enabled:
             collect_chaos(self.metrics)
             collect_solver(self.controller.engine)
-            if self.southbound is not None:
-                collect_southbound(self.southbound.metrics)
+            collect_southbound(self.southbound.metrics)
         if obs.TRACER.enabled:
             trace_chaos_timeline(self.metrics)
         report = verify_deployment(
@@ -210,12 +197,9 @@ class ChaosEngine:
             1 for v in report.violations if v.kind == "interference"
         )
         stats = self.controller.deployment.network.stats_snapshot()
-        injected = len(self.injector.applied)
-        if self.southbound_injector is not None:
-            injected += len(self.southbound_injector.applied)
         return ChaosRunResult(
             seed=self.schedule.seed,
-            faults_injected=injected,
+            faults_injected=len(self.injector.applied),
             faults_detected=self.metrics.detected_count(),
             reconvergences=self.recovery.reconvergences,
             metrics=metrics_dict,

@@ -8,6 +8,8 @@
 * :mod:`repro.core.rulegen` — the Rule Generator (Table III layouts, vSwitch
   rules, TCAM accounting with and without tagging);
 * :mod:`repro.core.dynamic` — the Dynamic Handler and fast failover (Sec. VI);
+* :mod:`repro.core.reconfigure` — the one commit step from a plan to a
+  converged epoch (``realize`` / ``bootstrap`` / ``commit``);
 * :mod:`repro.core.controller` — the central controller wiring everything;
 * :mod:`repro.core.baselines` — the ingress strawman, the no-tagging TCAM
   scheme, a greedy placement heuristic, and Table I's framework comparison.
@@ -31,7 +33,7 @@ from repro.core.metrics import (
 )
 from repro.core.online import OnlineDecision, OnlinePlacementError, OnlinePlacer
 from repro.core.periodic import PeriodicReoptimizer, ReoptimizationReport
-from repro.core.provisioning import OrchestatedProvisioner, ProvisioningResult
+from repro.core.provisioning import OrchestratedProvisioner, ProvisioningResult
 from repro.core.verify import verify_deployment, VerificationReport
 from repro.core.placement import InstanceRef, PlacementPlan
 from repro.core.rulegen import GeneratedRules, RuleGenerator
@@ -65,7 +67,7 @@ __all__ = [
     "OnlinePlacementError",
     "PeriodicReoptimizer",
     "ReoptimizationReport",
-    "OrchestatedProvisioner",
+    "OrchestratedProvisioner",
     "ProvisioningResult",
     "verify_deployment",
     "VerificationReport",

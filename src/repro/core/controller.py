@@ -9,23 +9,21 @@ integration tests drive the system through this façade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.dynamic import DynamicHandler, FailoverConfig
 from repro.core.engine import EngineConfig, OptimizationEngine
 from repro.core.metrics import free_cores_after
 from repro.core.placement import PlacementPlan
-from repro.core.rulegen import GeneratedRules, RuleGenerator
-from repro.core.subclasses import SubclassPlan, assign_subclasses
-from repro.dataplane.network import DataPlaneNetwork, DeliveryRecord
+from repro.core.reconfigure import Deployment, bootstrap, realize
+from repro.core.rulegen import RuleGenerator
+from repro.dataplane.network import DeliveryRecord
 from repro.dataplane.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.topology.graph import Topology
 from repro.topology.routing import Router
 from repro.traffic.classes import ClassBuilder, PolicyAssignment, TrafficClass
 from repro.traffic.matrix import TrafficMatrix
-from repro.vnf.instance import VNFInstance
 from repro.vnf.types import DEFAULT_CATALOG, NFTypeCatalog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -47,17 +45,6 @@ class UnknownClassError(KeyError):
 
     def __str__(self) -> str:  # KeyError would repr() the message
         return self.args[0]
-
-
-@dataclass
-class Deployment:
-    """A realised placement: everything needed to push packets."""
-
-    plan: PlacementPlan
-    subclass_plan: SubclassPlan
-    rules: GeneratedRules
-    network: DataPlaneNetwork
-    instances: Dict[str, VNFInstance]
 
 
 class AppleController:
@@ -126,13 +113,13 @@ class AppleController:
         self, plan: PlacementPlan, sim: Optional[Simulator] = None
     ) -> Deployment:
         """Realise a plan: sub-classes, rules, and a wired data plane."""
-        subclass_plan = assign_subclasses(plan)
-        rules = self.rule_generator.generate(plan.classes, subclass_plan)
-        network = DataPlaneNetwork(self.topo)
-        instances = self.rule_generator.install(
-            rules, network, plan.classes, sim=sim
+        self.deployment = bootstrap(
+            self.rule_generator,
+            self.topo,
+            plan,
+            *realize(self.rule_generator, plan),
+            sim=sim,
         )
-        self.deployment = Deployment(plan, subclass_plan, rules, network, instances)
         return self.deployment
 
     def run(
@@ -145,11 +132,11 @@ class AppleController:
     def attach_southbound(self, fabric: "SouthboundFabric") -> None:
         """Adopt the current deployment into a southbound fabric.
 
-        The initial install goes through the direct path (:meth:`deploy`);
+        The initial install goes through the cold path (:meth:`deploy`);
         the fabric blesses the result as its desired epoch 0 — a no-op on
         the wire — and every later rule change (recovery reconvergences,
-        reconciler repairs) then flows through acked, transactional
-        southbound pushes.
+        scale actions, periodic re-optimization, reconciler repairs) then
+        flows through acked, transactional southbound pushes.
         """
         if self.deployment is None:
             raise RuntimeError("deploy a placement before attaching southbound")

@@ -154,12 +154,12 @@ class OnlinePlacer:
         # NOTE: the DP's per-switch core costs are additive per step; when
         # two steps share a switch the combined cost could exceed the
         # budget even though each fits alone — verify before committing.
-        new_instances = self._commit(cls, positions)
+        new_instances = self._stage_and_apply(cls, positions)
         decision = OnlineDecision(cls.class_id, tuple(positions), tuple(new_instances))
         self._admitted[cls.class_id] = (cls, decision)
         return decision
 
-    def _commit(
+    def _stage_and_apply(
         self, cls: TrafficClass, positions: Sequence[int]
     ) -> List[Tuple[str, str]]:
         staged_q: Dict[Tuple[str, str], int] = {}

@@ -5,7 +5,10 @@
 Engine and placing VNF instances accordingly."  This module runs that loop
 on the simulator clock: each period it pulls the current traffic matrix,
 re-runs the engine, and diffs the new plan against the deployed one so the
-Resource Orchestrator knows which instances to launch and retire.
+Resource Orchestrator knows which instances to launch and retire.  When
+the controller has a southbound fabric attached, the new plan is also
+committed through it (:func:`repro.core.reconfigure.commit`); otherwise
+the loop only reports churn.
 
 Churn is the metric that matters here (how much the deployment thrashes);
 the diff is reported per run and accumulated.
@@ -13,12 +16,13 @@ the diff is reported per run and accumulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from repro.core.controller import AppleController
 from repro.core.engine import PlacementError
-from repro.core.placement import PlacementPlan
+from repro.core.placement import PlacementPlan, diff_plans
+from repro.core.reconfigure import Outcome, commit, realize
 from repro.sim.kernel import Simulator, Timer
 from repro.traffic.matrix import TrafficMatrix
 
@@ -32,8 +36,9 @@ class ReoptimizationReport:
     time: float
     instances_before: int
     instances_after: int
-    launched: Dict[Tuple[str, str], int]
-    retired: Dict[Tuple[str, str], int]
+    #: Instance slots the new plan adds / stops using (``PlanDelta``).
+    launched: int
+    retired: int
     solve_seconds: float
     failed: bool = False
     #: True when the engine re-solved a cached placement template rather
@@ -44,23 +49,7 @@ class ReoptimizationReport:
     @property
     def churn(self) -> int:
         """Instances launched + retired by this run."""
-        return sum(self.launched.values()) + sum(self.retired.values())
-
-
-def diff_plans(
-    old: Optional[PlacementPlan], new: PlacementPlan
-) -> Tuple[Dict[Tuple[str, str], int], Dict[Tuple[str, str], int]]:
-    """(launched, retired) instance counts per slot between two plans."""
-    old_q = old.quantities if old is not None else {}
-    launched: Dict[Tuple[str, str], int] = {}
-    retired: Dict[Tuple[str, str], int] = {}
-    for slot in set(old_q) | set(new.quantities):
-        delta = new.quantities.get(slot, 0) - old_q.get(slot, 0)
-        if delta > 0:
-            launched[slot] = delta
-        elif delta < 0:
-            retired[slot] = -delta
-    return launched, retired
+        return self.launched + self.retired
 
 
 class PeriodicReoptimizer:
@@ -74,8 +63,6 @@ class PeriodicReoptimizer:
             matrix of the last period).
         period: seconds between engine runs (large time-scale: the paper's
             snapshots are 15 minutes).
-        redeploy: when True, each successful run also redeploys rules into
-            a fresh data plane via the controller.
     """
 
     def __init__(
@@ -84,7 +71,6 @@ class PeriodicReoptimizer:
         controller: AppleController,
         matrix_provider: MatrixProvider,
         period: float = 900.0,
-        redeploy: bool = True,
     ) -> None:
         if period <= 0:
             raise ValueError("period must be positive")
@@ -92,7 +78,6 @@ class PeriodicReoptimizer:
         self.controller = controller
         self.matrix_provider = matrix_provider
         self.period = period
-        self.redeploy = redeploy
         self.reports: List[ReoptimizationReport] = []
         self.current_plan: Optional[PlacementPlan] = None
         self._timer: Optional[Timer] = None
@@ -123,14 +108,18 @@ class PeriodicReoptimizer:
                     time=self.sim.now,
                     instances_before=before,
                     instances_after=before,
-                    launched={},
-                    retired={},
+                    launched=0,
+                    retired=0,
                     solve_seconds=0.0,
                     failed=True,
                 )
             )
             return
-        launched, retired = diff_plans(self.current_plan, plan)
+        if self.current_plan is None:  # nothing deployed: all of it is new
+            launched, retired = plan.total_instances(), 0
+        else:
+            delta = diff_plans(self.current_plan, plan)
+            launched, retired = len(delta.added), len(delta.retired)
         self.reports.append(
             ReoptimizationReport(
                 time=self.sim.now,
@@ -143,8 +132,18 @@ class PeriodicReoptimizer:
             )
         )
         self.current_plan = plan
-        if self.redeploy:
-            self.controller.deploy(plan, sim=self.sim)
+        fabric = self.controller.southbound
+        if fabric is not None:
+            commit(
+                fabric,
+                plan,
+                *realize(self.controller.rule_generator, plan),
+                on_done=self._committed,
+            )
+
+    def _committed(self, outcome: Outcome) -> None:
+        if not outcome.superseded:
+            self.controller.deployment = outcome.deployment
 
     # ------------------------------------------------------------------
     @property

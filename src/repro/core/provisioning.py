@@ -12,13 +12,14 @@ are only installed once every instance of a class's sub-classes is running
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from repro.cloud.orchestrator import ResourceOrchestrator
 from repro.core.placement import PlacementPlan
+from repro.core.reconfigure import realize
 from repro.core.rulegen import GeneratedRules, RuleGenerator
-from repro.core.subclasses import assign_subclasses, SubclassPlan
+from repro.core.subclasses import SubclassPlan
 from repro.dataplane.network import DataPlaneNetwork
 from repro.sim.kernel import Simulator
 from repro.vnf.instance import VNFInstance
@@ -48,7 +49,7 @@ class ProvisioningResult:
         return self.rules_installed_at is not None
 
 
-class OrchestatedProvisioner:
+class OrchestratedProvisioner:
     """Rolls a placement plan out through the Resource Orchestrator.
 
     Args:
@@ -85,8 +86,7 @@ class OrchestatedProvisioner:
         sent before :attr:`ProvisioningResult.complete` would blackhole —
         exactly the Fig. 7 failure mode the sequencing avoids.
         """
-        subclass_plan = assign_subclasses(plan)
-        rules = self.rule_generator.generate(plan.classes, subclass_plan)
+        subclass_plan, rules = realize(self.rule_generator, plan)
         network = DataPlaneNetwork(self.orchestrator.topo)
         result = ProvisioningResult(
             network=network,

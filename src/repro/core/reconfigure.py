@@ -1,0 +1,129 @@
+"""The one commit step from a placement plan to a converged epoch.
+
+The paper has exactly one way for a placement to become forwarding
+state — Optimization Engine → sub-classes → Rule Generator → switches
+(Fig. 1, Sec. V–VI).  Every driver that computes a new plan (chaos
+recovery, the elastic loop, tenant workers, periodic re-optimization,
+orchestrated provisioning, crash recovery) goes through the three
+functions here and differs only in its trigger and in what it records:
+
+* :func:`realize` — plan → (sub-class plan, generated rules);
+* :func:`bootstrap` — day 0: the one cold install onto a fresh, empty
+  network (the state a southbound fabric then ``adopt``s as epoch 0);
+* :func:`commit` — every later change: one ``push_desired`` on the
+  southbound fabric, with **exactly one** :class:`Outcome` per epoch —
+  *converged* or *superseded* by a later push.
+
+After epoch 0 nothing here (or in any caller) touches a switch: the only
+writer of a live network is a ``SwitchAgent`` applying an acked message.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+
+from repro.core.placement import PlacementPlan
+from repro.core.rulegen import GeneratedRules, RuleGenerator
+from repro.core.subclasses import SubclassPlan, assign_subclasses
+from repro.core.verify import VerificationReport, verify_deployment
+from repro.dataplane.network import DataPlaneNetwork
+from repro.sim.kernel import Simulator
+from repro.topology.graph import Topology
+from repro.vnf.instance import VNFInstance
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.southbound.fabric import SouthboundFabric
+    from repro.southbound.metrics import EpochConvergence
+
+
+@dataclass
+class Deployment:
+    """A realised placement: everything needed to push packets."""
+
+    plan: PlacementPlan
+    subclass_plan: SubclassPlan
+    rules: GeneratedRules
+    network: DataPlaneNetwork
+    instances: Dict[str, VNFInstance]
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """How one committed epoch ended.
+
+    Converged: ``deployment`` is what now serves traffic (instances as
+    the fabric holds them, drained ones gone), ``convergence`` the
+    fabric's record, ``report`` the post-convergence audit.  Superseded
+    (a later push replaced the epoch before it converged): all three are
+    ``None`` and nothing of the committed plan may be assumed live.
+    """
+
+    deployment: Optional[Deployment] = None
+    convergence: Optional["EpochConvergence"] = None
+    report: Optional[VerificationReport] = None
+
+    @property
+    def superseded(self) -> bool:
+        return self.deployment is None
+
+
+def realize(
+    rulegen: RuleGenerator, plan: PlacementPlan
+) -> Tuple[SubclassPlan, GeneratedRules]:
+    """Sub-class assignment and rule generation for one plan."""
+    subclass_plan = assign_subclasses(plan)
+    return subclass_plan, rulegen.generate(plan.classes, subclass_plan)
+
+
+def bootstrap(
+    rulegen: RuleGenerator,
+    topo: Topology,
+    plan: PlacementPlan,
+    subclass_plan: SubclassPlan,
+    rules: GeneratedRules,
+    sim: Optional[Simulator] = None,
+) -> Deployment:
+    """Day 0: cold-install realised rules onto a fresh data plane."""
+    network = DataPlaneNetwork(topo)
+    instances = rulegen.install(rules, network, plan.classes, sim=sim)
+    return Deployment(plan, subclass_plan, rules, network, instances)
+
+
+def commit(
+    fabric: "SouthboundFabric",
+    plan: PlacementPlan,
+    subclass_plan: SubclassPlan,
+    rules: GeneratedRules,
+    *,
+    on_done: Callable[[Outcome], None],
+    stranded: Optional[Dict[str, str]] = None,
+    instances: Optional[Dict[str, VNFInstance]] = None,
+    degraded_solver: bool = False,
+) -> None:
+    """Open one epoch on the fabric; ``on_done`` fires exactly once.
+
+    Until then the caller's current deployment keeps describing the state
+    actually serving traffic — the make-before-break transaction leaves
+    no partial-install window in between.  ``stranded``, ``instances``
+    and ``degraded_solver`` are passed to ``push_desired`` unchanged.
+    """
+
+    def settled(conv: Optional["EpochConvergence"]) -> None:
+        if conv is None:
+            on_done(Outcome())
+            return
+        deployment = Deployment(
+            plan, subclass_plan, rules, fabric.network, dict(fabric.instances)
+        )
+        report = verify_deployment(deployment, fabric.network.topo)
+        on_done(Outcome(deployment, conv, report))
+
+    fabric.push_desired(
+        rules,
+        plan.classes,
+        stranded=stranded,
+        instances=instances,
+        on_converged=settled,
+        degraded_solver=degraded_solver,
+    )

@@ -56,17 +56,6 @@ class GeneratedRules:
         return sum(len(rs.classifications) for rs in self.switch_rule_sets.values())
 
 
-@dataclass
-class RuleDelta:
-    """What :meth:`RuleGenerator.install_delta` actually pushed."""
-
-    switches_updated: int = 0
-    flow_mods: int = 0
-    vswitch_updates: int = 0
-    instances_created: int = 0
-    paths_updated: int = 0
-
-
 class RuleGenerator:
     """Computes and installs data-plane rules for a sub-class plan.
 
@@ -177,14 +166,12 @@ class RuleGenerator:
         network: DataPlaneNetwork,
         sim: Optional[Simulator] = None,
         instances: Optional[Dict[str, VNFInstance]] = None,
-        delta: Optional[RuleDelta] = None,
     ) -> Dict[str, VNFInstance]:
         """Create and register every instance the rules reference.
 
-        Shared by :meth:`install`, :meth:`install_delta` and the
-        southbound fabric: instance creation is a hypervisor-local action
-        (not a flow rule), so it happens before rules that reference the
-        instances are pushed.  Registration is skipped where the binding
+        Shared by :meth:`install` and the southbound fabric: instance
+        creation is a hypervisor-local action (not a flow rule), so it
+        happens before rules that reference the instances are pushed.  Registration is skipped where the binding
         is unchanged (re-registering bumps the vSwitch generation and
         retires warm walk plans for no reason).
 
@@ -209,8 +196,6 @@ class RuleGenerator:
                         switch=switch,
                         sim=sim,
                     )
-                    if delta is not None:
-                        delta.instances_created += 1
                 if vsw.registered(key) is not inst_map[key]:
                     vsw.register_instance(inst_map[key], alias=key)
         return inst_map
@@ -224,7 +209,10 @@ class RuleGenerator:
         sim: Optional[Simulator] = None,
         instances: Optional[Dict[str, VNFInstance]] = None,
     ) -> Dict[str, VNFInstance]:
-        """Apply generated rules to a data-plane network.
+        """Cold-install generated rules onto an empty data-plane network.
+
+        The day-0 path only (:func:`repro.core.reconfigure.bootstrap`):
+        every later change to a live network is a southbound epoch.
 
         Args:
             instances: existing instances keyed by
@@ -260,7 +248,7 @@ class RuleGenerator:
                 sw.install_pass_by()
 
         if obs.REGISTRY.enabled:
-            obs.metric("controller_installs_total").labels(mode="full").inc()
+            obs.metric("controller_installs_total").inc()
             obs.metric("controller_rule_installs_total").labels(kind="tcam").inc(
                 sum(sw.table.logical_entries for sw in network.switches.values())
             )
@@ -272,108 +260,6 @@ class RuleGenerator:
             ).inc(sum(len(v) for v in rules.origin_rules.values()))
 
         return inst_map
-
-    # ------------------------------------------------------------------
-    def install_delta(
-        self,
-        rules: GeneratedRules,
-        network: DataPlaneNetwork,
-        classes: Sequence[TrafficClass],
-        previous: Optional[GeneratedRules],
-        sim: Optional[Simulator] = None,
-        instances: Optional[Dict[str, VNFInstance]] = None,
-    ) -> Tuple[Dict[str, VNFInstance], RuleDelta]:
-        """Apply only what changed since ``previous`` (TCAM/flow-mod deltas).
-
-        The recovery path's installer: a re-placement after a localised
-        fault usually leaves most switches' rule sets identical, and a
-        full reinstall would clear every TCAM table — invalidating every
-        flow cache and walk plan network-wide for no reason.  This applies
-        per-switch rule sets, per-vSwitch rule tables, class-path updates
-        and instance (re-)registrations only where they differ from
-        ``previous``, and reports the push volume in a :class:`RuleDelta`.
-
-        With ``previous=None`` this degrades to a full :meth:`install`
-        (every rule counts as pushed).
-
-        Returns:
-            ``(instance_map, delta)``.
-        """
-        delta = RuleDelta()
-        if previous is None:
-            inst_map = self.install(
-                rules, network, classes, sim=sim, instances=instances
-            )
-            delta.switches_updated = len(network.switches)
-            delta.flow_mods = sum(
-                sw.table.logical_entries for sw in network.switches.values()
-            )
-            delta.vswitch_updates = len(rules.vswitch_rules)
-            delta.instances_created = len(inst_map) - len(instances or {})
-            delta.paths_updated = len(classes)
-            return inst_map, delta
-
-        inst_map: Dict[str, VNFInstance] = dict(instances or {})
-
-        for cls in classes:
-            if network.class_paths.get(cls.class_id) != tuple(cls.path):
-                network.register_class_path(cls.class_id, cls.path)
-                delta.paths_updated += 1
-
-        # Instance materialisation + (re-)registration where bindings moved.
-        inst_map = self.materialize_instances(
-            rules, network, sim=sim, instances=inst_map, delta=delta
-        )
-
-        # vSwitch rule tables, only where the rule list changed.
-        touched = set(rules.vswitch_rules) | set(previous.vswitch_rules)
-        for switch in sorted(touched):
-            new_list = rules.vswitch_rules.get(switch, [])
-            if new_list == previous.vswitch_rules.get(switch, []):
-                continue
-            vsw = network.vswitch_at(switch)
-            vsw.clear_rules()
-            for class_id, sub_id, rule in new_list:
-                vsw.install_rule(class_id, sub_id, rule)
-            delta.vswitch_updates += 1
-
-        # Origin classifications (host-originated classes) are rare; any
-        # change rewrites the affected vSwitch's origin table wholesale.
-        origin_touched = set(rules.origin_rules) | set(previous.origin_rules)
-        for switch in sorted(origin_touched):
-            new_list = rules.origin_rules.get(switch, [])
-            if new_list == previous.origin_rules.get(switch, []):
-                continue
-            vsw = network.vswitch_at(switch)
-            vsw.clear_origin_rules()
-            for class_id, hash_range, sub_id, first_host in new_list:
-                vsw.install_origin_rule(class_id, hash_range, sub_id, first_host)
-            delta.vswitch_updates += 1
-
-        # Physical-switch TCAM layouts, only where the rule set changed.
-        for switch_name, sw in network.switches.items():
-            new_rs = rules.switch_rule_sets.get(switch_name)
-            old_rs = previous.switch_rule_sets.get(switch_name)
-            if new_rs == old_rs:
-                continue
-            if new_rs is not None:
-                new_rs.apply(sw)
-            else:
-                sw.table.clear()
-                sw.install_pass_by()
-            delta.switches_updated += 1
-            delta.flow_mods += sw.table.logical_entries
-
-        if obs.REGISTRY.enabled:
-            obs.metric("controller_installs_total").labels(mode="delta").inc()
-            obs.metric("controller_rule_installs_total").labels(kind="tcam").inc(
-                delta.flow_mods
-            )
-            obs.metric("controller_rule_installs_total").labels(
-                kind="vswitch"
-            ).inc(delta.vswitch_updates)
-
-        return inst_map, delta
 
 
 def _group_by_switch(

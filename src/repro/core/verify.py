@@ -18,12 +18,14 @@ deployments and injected faults show up with precise locations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.controller import Deployment
 from repro.dataplane.packet import Packet
 from repro.topology.graph import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.core.reconfigure import Deployment
 
 
 @dataclass

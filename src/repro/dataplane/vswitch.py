@@ -187,7 +187,7 @@ class VSwitch:
     def registered(self, alias: str) -> Optional[VNFInstance]:
         """The instance currently bound to ``alias`` (None if absent).
 
-        Delta rule installation uses this to skip re-registering an
+        Instance materialisation uses this to skip re-registering an
         unchanged binding (which would bump the generation and retire
         warm walk plans for no reason).
         """

@@ -7,11 +7,14 @@ against the *deployed* plan, and feeds the bottleneck utilization
 through the hysteresis bands.  An action re-runs admission control over
 the full offered demand, warm-start re-places the admitted classes at
 ``offered / target_utilization`` (so post-action utilization lands in
-the hysteresis dead band), and pushes the new rules make-before-break
-through the southbound fabric.  At epoch convergence the fabric drains
+the hysteresis dead band), and commits the new rules through the one
+commit step (:func:`repro.core.reconfigure.commit`) — a make-before-break
+epoch on the southbound fabric.  At epoch convergence the fabric drains
 instances the new plan no longer references, the controller's
-deployment is swapped, and — optionally — ``verify_deployment`` audits
-the result, exactly like the chaos recovery path.
+deployment is swapped and ``verify_deployment`` has audited the result,
+exactly like the chaos recovery path.  If another committer (a recovery
+reconvergence) replaces the epoch first, the action is recorded as
+*superseded* and the next tick re-decides from the live utilization.
 
 Shed flows go through the same ingress-quarantine mechanism chaos
 recovery uses for stranded classes: their rules are withdrawn and a
@@ -34,11 +37,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Set
 
-from repro.core.controller import AppleController, Deployment
+from repro.core.controller import AppleController
 from repro.core.engine import PlacementError
-from repro.core.placement import diff_plans
-from repro.core.subclasses import assign_subclasses
-from repro.core.verify import verify_deployment
+from repro.core.placement import PlacementPlan, diff_plans
+from repro.core.reconfigure import Outcome, commit, realize
 from repro.elastic.admission import admission_control
 from repro.elastic.hysteresis import (
     HOLD,
@@ -51,7 +53,6 @@ from repro.elastic.monitor import UtilizationSnapshot, utilization_snapshot
 from repro.elastic.slo import DEFAULT_SLO, SLOClass
 from repro.sim.kernel import Simulator, Timer
 from repro.southbound.fabric import SouthboundFabric
-from repro.southbound.metrics import EpochConvergence
 from repro.traffic.classes import TrafficClass
 
 
@@ -67,15 +68,12 @@ class ElasticConfig:
         slo_ceiling: utilization above which a tick counts toward
             ``slo_violation_seconds`` (1.0 = demand exceeded the
             planned, headroom-derated capacity).
-        verify_each_convergence: audit the deployment after every
-            scale action converges.
     """
 
     enabled: bool = True
     interval: float = 0.5
     hysteresis: HysteresisConfig = field(default_factory=HysteresisConfig)
     slo_ceiling: float = 1.0
-    verify_each_convergence: bool = True
 
 
 class ElasticController:
@@ -85,7 +83,7 @@ class ElasticController:
         sim: the shared simulator (also driving the fabric and chaos).
         controller: the APPLE controller owning the deployment; its
             engine provides warm-start re-placement, its rule generator
-            the delta rules.
+            the new rule set.
         fabric: the southbound fabric (constructed with
             ``drain_retired=True`` so scale-in actually retires
             instances at convergence).
@@ -127,7 +125,6 @@ class ElasticController:
         self.available_memory = controller.available_memory_gb()
         self.total_cores = sum(self.available_cores.values())
 
-        self.plan = controller.deployment.plan
         self.state = HysteresisState()
         self.shed_ids: Set[str] = set()
         self.degraded_caps: Dict[str, float] = {}
@@ -170,7 +167,11 @@ class ElasticController:
         self.shed_ids = set(snap["shed_ids"])
         self.degraded_caps = dict(snap["degraded_caps"])
         self._pending = None
-        self.plan = self.controller.deployment.plan
+
+    @property
+    def plan(self) -> PlacementPlan:
+        """The deployed plan — whoever committed it (this loop or recovery)."""
+        return self.controller.deployment.plan
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -312,8 +313,7 @@ class ElasticController:
         else:
             self.metrics.resolves_cold += 1
 
-        subclass_plan = assign_subclasses(plan)
-        rules = self.controller.rule_generator.generate(plan.classes, subclass_plan)
+        subclass_plan, rules = realize(self.controller.rule_generator, plan)
         delta = diff_plans(self.plan, plan)
         shed = admission.shed_ids()
         stranded = {cid: self.base[cid].src for cid in shed}
@@ -356,31 +356,25 @@ class ElasticController:
         self._pending = action
         drained_before = self.fabric.drained_total
 
-        def _converged(conv: EpochConvergence) -> None:
-            self.plan = plan
+        def done(outcome: Outcome) -> None:
+            self._pending = None
+            if outcome.superseded:
+                self.metrics.superseded.append(action)
+                return
             self.shed_ids = set(shed)
             self.degraded_caps = admission.degraded_caps()
-            self.controller.deployment = Deployment(
-                plan,
-                subclass_plan,
-                rules,
-                self.fabric.network,
-                dict(self.fabric.instances),
-            )
-            action.epoch = conv.epoch
-            action.converged_at = round(conv.converged_at, 6)
+            self.controller.deployment = outcome.deployment
+            action.epoch = outcome.convergence.epoch
+            action.converged_at = round(outcome.convergence.converged_at, 6)
             action.drained = self.fabric.drained_total - drained_before
-            if self.config.verify_each_convergence:
-                report = verify_deployment(
-                    self.controller.deployment, self.controller.topo
-                )
-                action.verify_ok = report.ok
+            action.verify_ok = outcome.report.ok
             self.metrics.record_action(action)
-            self._pending = None
 
-        self.fabric.push_desired(
+        commit(
+            self.fabric,
+            plan,
+            subclass_plan,
             rules,
-            plan.classes,
             stranded=stranded,
-            on_converged=_converged,
+            on_done=done,
         )

@@ -91,6 +91,9 @@ class ElasticMetrics:
         self.interval = interval
         self.ticks: List[ElasticTick] = []
         self.actions: List[ScaleAction] = []
+        #: Decisions whose epoch another committer replaced before it
+        #: converged; none of their effects ever went live.
+        self.superseded: List[ScaleAction] = []
         self.scale_out_total = 0
         self.scale_in_total = 0
         self.resolves_warm = 0
@@ -170,7 +173,7 @@ class ElasticMetrics:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        return {
+        out: Dict[str, object] = {
             "interval": self.interval,
             "ticks_total": self.ticks_total,
             "scale_out_total": self.scale_out_total,
@@ -187,6 +190,9 @@ class ElasticMetrics:
             ),
             "actions": [a.to_dict() for a in self.actions],
         }
+        if self.superseded:  # key absent otherwise: such runs keep their signatures
+            out["superseded"] = [a.to_dict() for a in self.superseded]
+        return out
 
     def signature(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -4,8 +4,9 @@ Supersedes the offline failure sweep as the headline failure experiment:
 instead of killing instances *between* replay snapshots, a deterministic
 fault schedule (link flaps, a host crash, VNF crashes, a brownout) is
 injected into a *live* simulation; a heartbeat detector notices, and the
-controller re-places, pushes rule deltas, and re-verifies — while a probe
-loop measures downtime, black-holed traffic and policy-violation-seconds
+controller re-places, commits the new rules as an acked make-before-break
+epoch on the (default, loss-free) southbound fabric, and re-verifies at
+convergence — while a probe loop measures downtime, black-holed traffic and policy-violation-seconds
 from the data plane's point of view.
 
 The acceptance bar is the paper's interference-freedom claim under churn:
@@ -145,7 +146,9 @@ def run(
         ],
         rows=rows,
         notes=(
-            "TTR = fault applied → rules converged; downtime integrates "
+            "TTR = fault applied → epoch converged (acked make-before-break "
+            "round trips included); Flow mods = southbound ops of the "
+            "recovery epochs; downtime integrates "
             "probe intervals with at least one black-holed probe; PV-seconds "
             "integrates intervals where a delivered probe violated its "
             "policy chain or registered path."

@@ -89,7 +89,6 @@ def _flash_row(
         controller.rule_generator,
         drain_retired=True,
     )
-    controller.attach_southbound(fabric)
     chaos = ChaosEngine(sim, controller, FaultSchedule.empty(seed), southbound=fabric)
 
     def offered(now: float) -> dict:

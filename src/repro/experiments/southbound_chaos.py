@@ -91,7 +91,6 @@ def _southbound_row(loss_rate: float, seed: int = 0, quick: bool = False) -> lis
         controller.rule_generator,
         chaos=_southbound_config(loss_rate, quick),
     )
-    controller.attach_southbound(fabric)
     schedule = generate_schedule(
         topo,
         _data_plane_config(quick),

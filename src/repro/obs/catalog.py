@@ -97,7 +97,7 @@ CATALOG: Tuple[MetricDef, ...] = (
     MetricDef("counter", "controller_rule_installs_total",
               "Data-plane rules installed", ("kind",)),
     MetricDef("counter", "controller_installs_total",
-              "Rule installation operations", ("mode",)),
+              "Cold (day-0) rule installs onto an empty network"),
     MetricDef("counter", "controller_verify_calls_total",
               "verify_deployment audits", ("result",)),
     MetricDef("counter", "controller_verify_probes_total",

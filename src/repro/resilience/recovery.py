@@ -41,14 +41,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.core.controller import Deployment
-from repro.core.subclasses import assign_subclasses
-from repro.dataplane.network import DataPlaneNetwork
+from repro.core.reconfigure import Deployment, bootstrap, realize
 from repro.elastic.slo import SLO_CLASSES
+from repro.resilience.checkpoint import settled_snapshot
 from repro.resilience.journal import COMMIT, INTENT, RECOVERY, Journal
 from repro.sim.kernel import Simulator
-from repro.sim.rng import derive
-from repro.southbound.fabric import SouthboundFabric
 from repro.tenancy.arbiter import Grant
 from repro.tenancy.intents import IntentRecord, intent_from_payload
 from repro.tenancy.orchestrator import DEFAULT_TCAM_BUDGET, TenantOrchestrator
@@ -123,18 +120,11 @@ def _restore_worker(
     orch.workers[tenant_id] = worker
     worker.slo = SLO_CLASSES[snap["slo"]]
     worker.ops_completed = int(snap["ops_completed"])
-    worker._settled = {
-        "slo": snap["slo"],
-        "ops_completed": int(snap["ops_completed"]),
-        "chains": [list(row) for row in snap["chains"]],
-        "versions": {k: int(v) for k, v in snap["versions"].items()},
-        "epoch": int(snap["epoch"]),
-        "converged_epoch": int(snap["converged_epoch"]),
-    }
     if not snap["chains"]:
         # Torn-down (or never-deployed) tenant: the worker must exist —
         # orch.workers never drops tenants, and state_signature() hashes
         # every worker — but it holds nothing.
+        worker._settled = settled_snapshot(worker)
         return False
 
     target: Dict[str, TrafficClass] = {}
@@ -156,8 +146,7 @@ def _restore_worker(
             f"recovery: checkpointed blueprint of {tenant_id!r} no longer fits"
         )
     plan = worker.engine.place(classes, need)
-    subclass_plan = assign_subclasses(plan)
-    rules = worker.rulegen.generate(plan.classes, subclass_plan)
+    subclass_plan, rules = realize(worker.rulegen, plan)
 
     harvested = harvest.get(tenant_id) if harvest else None
     if harvested is not None:
@@ -166,17 +155,11 @@ def _restore_worker(
         # No surviving wire to adopt: rebuild base (version-0) rules and
         # let the reconciler transition them to the checkpointed
         # versions.  The documented exception to never-blind-reinstall.
-        network = DataPlaneNetwork(orch.topo)
-        instances = worker.rulegen.install(
-            rules, network, plan.classes, sim=orch.sim
+        rebuilt = bootstrap(
+            worker.rulegen, orch.topo, plan, subclass_plan, rules, sim=orch.sim
         )
-    fabric = SouthboundFabric(
-        orch.sim,
-        network,
-        seed=derive(orch.seed, f"tenancy.sb.{tenant_id}"),
-        rulegen=worker.rulegen,
-        config=orch.channel_config,
-    )
+        network, instances = rebuilt.network, rebuilt.instances
+    fabric = worker.new_fabric(network)
     fabric.restore(
         rules,
         plan.classes,
@@ -187,11 +170,11 @@ def _restore_worker(
     )
     fabric.start()
     worker.chains = target
-    worker.network = network
     worker.fabric = fabric
     worker.deployment = Deployment(
         plan, subclass_plan, rules, network, dict(fabric.instances)
     )
+    worker._settled = settled_snapshot(worker)
     return harvested is not None
 
 

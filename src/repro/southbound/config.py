@@ -3,9 +3,9 @@
 Single source of truth for install latency (satellite of ISSUE 5): the
 channel's healthy round-trip time defaults to
 :data:`repro.cloud.opendaylight.RULE_INSTALL_SECONDS` — the paper's
-measured 70 ms REST rule install — so the chaos recovery path, the
-OpenDaylight facade and the southbound fabric all attribute the same
-number instead of each hard-coding its own.
+measured 70 ms REST rule install — so the OpenDaylight facade and the
+southbound fabric (which every recovery, scale and tenant commit rides)
+attribute the same number instead of each hard-coding its own.
 """
 
 from __future__ import annotations

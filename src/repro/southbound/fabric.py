@@ -4,9 +4,9 @@
 and the single *desired* :class:`~repro.southbound.state.NetworkState`.
 State changes flow through exactly one door:
 
-* :meth:`adopt` — bless the network's current (legacy-installed) state
-  as desired epoch 0 without pushing anything, so enabling the fabric on
-  an already-deployed network is a no-op on the wire.
+* :meth:`adopt` — bless the network's current (cold-installed, day-0)
+  state as desired epoch 0 without pushing anything, so enabling the
+  fabric on an already-deployed network is a no-op on the wire.
 * :meth:`push_desired` — render a new desired state from fresh
   :class:`~repro.core.rulegen.GeneratedRules` (bumping per-class
   versions where content changed), open a new epoch, and drive a
@@ -20,8 +20,10 @@ State changes flow through exactly one door:
 
 An epoch *converges* when a diff comes back empty; the fabric records
 the convergence latency and fires the epoch's ``on_converged`` callback
-exactly once (the chaos recovery path hangs deployment verification off
-it).
+exactly once — with the convergence record, or with ``None`` if a later
+:meth:`push_desired` replaced the epoch before it got there
+(:func:`repro.core.reconfigure.commit` hangs the deployment swap and
+verification off it).
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ from repro.southbound.state import (
 from repro.southbound.transaction import Transaction
 from repro.traffic.classes import TrafficClass
 from repro.vnf.instance import VNFInstance
+
+
+#: How an epoch ended: its convergence record, or ``None`` = superseded.
+EpochCallback = Callable[[Optional[EpochConvergence]], None]
 
 
 class SouthboundFabric:
@@ -126,7 +132,9 @@ class SouthboundFabric:
         #: reconciler repairs); recovery reports it per convergence.
         self.last_push: Dict[str, int] = {"switches": 0, "ops": 0, "vsw_ops": 0}
         self.current_txn: Optional[Transaction] = None
-        self._on_converged: Optional[Callable[[EpochConvergence], None]] = None
+        #: The open epoch's committer; cleared when it has been told how
+        #: the epoch ended (converged / superseded).
+        self._on_converged: Optional[EpochCallback] = None
         self._degraded_solver = False
         self._reconcile_timer: Optional[Timer] = None
 
@@ -139,11 +147,12 @@ class SouthboundFabric:
         classes: Sequence[TrafficClass],
         instances: Optional[Dict[str, VNFInstance]] = None,
     ) -> None:
-        """Bless the legacy-installed state as desired epoch 0.
+        """Bless the cold-installed day-0 state as desired epoch 0.
 
-        The initial deployment goes through the controller's normal
-        install path; the fabric adopts the result, so by construction
-        epoch 0 is already converged (``drift_count() == 0``).
+        The initial deployment is the one cold install
+        (:func:`repro.core.reconfigure.bootstrap`); the fabric adopts the
+        result, so by construction epoch 0 is already converged
+        (``drift_count() == 0``).
         """
         self.instances = dict(instances or {})
         self._fingerprints = class_fingerprints(rules, classes)
@@ -167,7 +176,7 @@ class SouthboundFabric:
         classes: Sequence[TrafficClass],
         stranded: Optional[Dict[str, str]] = None,
         instances: Optional[Dict[str, VNFInstance]] = None,
-        on_converged: Optional[Callable[[EpochConvergence], None]] = None,
+        on_converged: Optional[EpochCallback] = None,
         degraded_solver: bool = False,
     ) -> int:
         """Open a new desired-state epoch and start pushing toward it.
@@ -179,12 +188,17 @@ class SouthboundFabric:
                 in-flight packets still walk into the DROP).
             instances: the surviving instance map (replaces the
                 fabric's; dead instances must not linger here).
-            on_converged: fired exactly once, when every switch first
-                reaches zero drift against this epoch.
+            on_converged: fired exactly once: with the
+                :class:`EpochConvergence` when every switch first reaches
+                zero drift against this epoch, or with ``None`` when a
+                later push supersedes the epoch before that.
 
         Returns:
             The new epoch number.
         """
+        superseded, self._on_converged = self._on_converged, None
+        if superseded is not None:
+            superseded(None)
         stranded = dict(stranded or {})
         if instances is not None:
             self.instances = dict(instances)
@@ -384,7 +398,7 @@ class SouthboundFabric:
             degraded_solver=self._degraded_solver,
         )
         self.metrics.record_convergence(record)
-        callback = self._on_converged
+        callback, self._on_converged = self._on_converged, None
         if callback is not None:
             callback(record)
 

@@ -268,13 +268,16 @@ class TenantOrchestrator:
         if self._checkpoint_timer is not None:
             self._checkpoint_timer.cancel()
             self._checkpoint_timer = None
+        return self._sever()
+
+    def _sever(self) -> Dict[str, tuple]:
+        """Kill every live tenant fabric; hand back the surviving wire."""
         harvest: Dict[str, tuple] = {}
         for tenant_id in sorted(self.workers):
-            worker = self.workers[tenant_id]
-            if worker.fabric is None:
-                continue
-            worker.fabric.kill()
-            harvest[tenant_id] = (worker.network, dict(worker.fabric.instances))
+            fabric = self.workers[tenant_id].fabric
+            if fabric is not None:
+                fabric.kill()
+                harvest[tenant_id] = (fabric.network, dict(fabric.instances))
         return harvest
 
     def shutdown(self) -> Dict[str, tuple]:
@@ -288,14 +291,7 @@ class TenantOrchestrator:
         self.stop()
         self.dead = True
         self.arbiter.dead = True
-        harvest: Dict[str, tuple] = {}
-        for tenant_id in sorted(self.workers):
-            worker = self.workers[tenant_id]
-            if worker.fabric is None:
-                continue
-            worker.fabric.kill()
-            harvest[tenant_id] = (worker.network, dict(worker.fabric.instances))
-        return harvest
+        return self._sever()
 
     def _audit(self, interval: float) -> None:
         """One isolation tick: ledgers balanced, physical budgets hold."""

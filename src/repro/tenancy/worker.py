@@ -15,11 +15,12 @@ templates cache per-blueprint structure: rate-only day-2 ops
 (``UpdateRates`` / ``ScaleChain``) re-solve through the Eq. 5 rate
 rewrite, not a fresh model build.
 
-Commits ride each tenant's own southbound fabric (PR 5): the day-0
-deployment installs directly and is *adopted* as epoch 0; every later
-change is a make-before-break transactional push, so independent tenants'
-epochs overlap freely on the shared timeline while each tenant's own ops
-stay serialized.
+Commits ride each tenant's own southbound fabric (PR 5) through
+:mod:`repro.core.reconfigure`: the day-0 deployment is ``bootstrap``ped
+and *adopted* as epoch 0; every later change is one ``commit`` — a
+make-before-break transactional push — so independent tenants' epochs
+overlap freely on the shared timeline while each tenant's own ops stay
+serialized (which is also why a tenant's epoch is never superseded).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.controller import Deployment, UnknownClassError
+from repro.core.controller import UnknownClassError
 from repro.core.engine import OptimizationEngine, PlacementError
-from repro.core.rulegen import GeneratedRules, RuleGenerator
-from repro.core.subclasses import SubclassPlan, assign_subclasses
-from repro.core.verify import verify_deployment
+from repro.core.reconfigure import Deployment, bootstrap, commit, realize
+from repro.core.rulegen import RuleGenerator
+from repro.core.verify import VerificationReport, verify_deployment
 from repro.dataplane.network import DataPlaneNetwork
 from repro.elastic.slo import DEFAULT_SLO, SLO_CLASSES
 from repro.resilience.checkpoint import settled_snapshot
@@ -55,7 +56,6 @@ from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import cycle guard
-    from repro.core.placement import PlacementPlan
     from repro.tenancy.orchestrator import TenantOrchestrator
 
 
@@ -74,7 +74,6 @@ class TenantWorker:
         self.current: Optional[IntentRecord] = None
         self.engine = OptimizationEngine(orch.catalog, orch.engine_config)
         self.rulegen = RuleGenerator(orch.catalog)
-        self.network: Optional[DataPlaneNetwork] = None
         self.fabric: Optional[SouthboundFabric] = None
         self.deployment: Optional[Deployment] = None
         self.ops_completed = 0
@@ -208,8 +207,7 @@ class TenantWorker:
             self.orch.arbiter.restore(self.tenant_id)
             self._finish(record, FAILED, f"placement infeasible: {exc}")
             return
-        subclass_plan = assign_subclasses(plan)
-        rules = self.rulegen.generate(plan.classes, subclass_plan)
+        subclass_plan, rules = realize(self.rulegen, plan)
         tcam_entries = rules.classification_rule_count()
         if not self.orch.arbiter.commit(
             self.tenant_id, plan.cores_by_switch(), tcam_entries
@@ -220,65 +218,59 @@ class TenantWorker:
 
         self.chains = dict(target)
         if self.fabric is None:
-            self._deploy_initial(record, plan, subclass_plan, rules)
+            # Day 0: cold install, adopted as the fabric's epoch 0.
+            deployment = bootstrap(
+                self.rulegen,
+                self.orch.topo,
+                plan,
+                subclass_plan,
+                rules,
+                sim=self.orch.sim,
+            )
+            self.fabric = self.new_fabric(deployment.network)
+            self.fabric.adopt(rules, plan.classes, deployment.instances)
+            self.fabric.start()
+            self._converged(
+                record, deployment, verify_deployment(deployment, self.orch.topo)
+            )
         else:
             # Write-ahead: the epoch this push will open is journaled
             # before any rule hits the wire.
             self.orch._journal_epoch(self.tenant_id, self.fabric.epoch + 1, "push")
-            self.fabric.push_desired(
+            commit(
+                self.fabric,
+                plan,
+                subclass_plan,
                 rules,
-                plan.classes,
-                on_converged=lambda ev, r=record, p=plan, sp=subclass_plan,
-                ru=rules: self._converged(r, p, sp, ru),
+                on_done=lambda out, r=record: self._converged(
+                    r, out.deployment, out.report
+                ),
             )
 
-    def _deploy_initial(
-        self,
-        record: IntentRecord,
-        plan: "PlacementPlan",
-        subclass_plan: SubclassPlan,
-        rules: GeneratedRules,
-    ) -> None:
-        """Day-0: direct install, then adopt as the fabric's epoch 0."""
-        sim = self.orch.sim
-        self.network = DataPlaneNetwork(self.orch.topo)
-        instances = self.rulegen.install(
-            rules, self.network, plan.classes, sim=sim
-        )
-        fabric = SouthboundFabric(
-            sim,
-            self.network,
+    def new_fabric(self, network: DataPlaneNetwork) -> SouthboundFabric:
+        """This tenant's private fabric over ``network`` (seeded per tenant)."""
+        return SouthboundFabric(
+            self.orch.sim,
+            network,
             seed=derive(self.orch.seed, f"tenancy.sb.{self.tenant_id}"),
             rulegen=self.rulegen,
             config=self.orch.channel_config,
         )
-        fabric.adopt(rules, plan.classes, instances)
-        fabric.start()
-        self.fabric = fabric
-        self._converged(record, plan, subclass_plan, rules)
 
     def _converged(
         self,
         record: IntentRecord,
-        plan: "PlacementPlan",
-        subclass_plan: SubclassPlan,
-        rules: GeneratedRules,
+        deployment: Deployment,
+        report: VerificationReport,
     ) -> None:
-        """The epoch reached zero drift: audit it, then admit the next op."""
+        """The epoch reached zero drift and was audited: admit the next op."""
         # The old epoch is off the wire — release its share of the pool.
         self.orch.arbiter.settle(self.tenant_id)
-        self.deployment = Deployment(
-            plan,
-            subclass_plan,
-            rules,
-            self.network,
-            dict(self.fabric.instances),
-        )
+        self.deployment = deployment
         self._settled = settled_snapshot(self)
         self.orch._journal_epoch(
             self.tenant_id, self.fabric.converged_epoch, "converged"
         )
-        report = verify_deployment(self.deployment, self.orch.topo)
         self.orch._note_verify(self.tenant_id, report)
         if report.ok:
             self._finish(record, COMPLETED)
@@ -291,7 +283,6 @@ class TenantWorker:
             self.fabric.stop()
         self.chains = {}
         self.deployment = None
-        self.network = None
         self.fabric = None
         self.orch.arbiter.release(self.tenant_id)
         self.orch._tenant_down(self.tenant_id)

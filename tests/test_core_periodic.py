@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.controller import AppleController
-from repro.core.periodic import diff_plans, PeriodicReoptimizer
+from repro.core.periodic import PeriodicReoptimizer
+from repro.core.placement import diff_plans
 from repro.sim.kernel import Simulator
+from repro.southbound import SouthboundFabric
 from repro.topology.datasets import internet2
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.diurnal import synthesize_series
@@ -32,9 +34,7 @@ def _provider(series):
 def test_periodic_runs_each_period(setup):
     controller, series = setup
     sim = Simulator()
-    reopt = PeriodicReoptimizer(
-        sim, controller, _provider(series), period=300.0, redeploy=False
-    )
+    reopt = PeriodicReoptimizer(sim, controller, _provider(series), period=300.0)
     reopt.start(immediately=True)
     sim.run(until=4 * 300.0 - 1)
     reopt.stop()
@@ -46,23 +46,21 @@ def test_periodic_runs_each_period(setup):
 def test_first_run_launches_everything(setup):
     controller, series = setup
     sim = Simulator()
-    reopt = PeriodicReoptimizer(
-        sim, controller, _provider(series), period=300.0, redeploy=False
-    )
+    reopt = PeriodicReoptimizer(sim, controller, _provider(series), period=300.0)
     reopt.start()
     sim.run(until=1.0)
     first = reopt.reports[0]
     assert first.instances_before == 0
-    assert sum(first.launched.values()) == first.instances_after
+    assert first.launched == first.instances_after
     assert not first.retired
+    # No southbound fabric attached: churn is reported, nothing deployed.
+    assert controller.deployment is None
 
 
 def test_churn_tracks_traffic_change(setup):
     controller, series = setup
     sim = Simulator()
-    reopt = PeriodicReoptimizer(
-        sim, controller, _provider(series), period=300.0, redeploy=False
-    )
+    reopt = PeriodicReoptimizer(sim, controller, _provider(series), period=300.0)
     reopt.start()
     sim.run(until=3 * 300.0 - 1)
     reopt.stop()
@@ -73,14 +71,22 @@ def test_churn_tracks_traffic_change(setup):
 
 
 def test_redeploy_installs_rules(setup):
+    # With a southbound fabric attached the loop commits each new plan
+    # through it; the deployment swaps when the epoch converges.
     controller, series = setup
     sim = Simulator()
-    reopt = PeriodicReoptimizer(
-        sim, controller, _provider(series), period=300.0, redeploy=True
+    day0 = controller.run(series[0], sim=sim)
+    fabric = SouthboundFabric(
+        sim, day0.network, 0, controller.rule_generator, drain_retired=True
     )
+    controller.attach_southbound(fabric)
+    reopt = PeriodicReoptimizer(sim, controller, lambda now: series[0].scaled(3.0))
     reopt.start()
-    sim.run(until=1.0)
-    assert controller.deployment is not None
+    sim.run(until=5.0)
+    reopt.stop()
+    assert fabric.converged and fabric.epoch == 1 and fabric.drift_count() == 0
+    assert controller.deployment is not day0
+    assert controller.deployment.plan is reopt.current_plan
     record = controller.send_packet(
         controller.deployment.plan.classes[0].class_id, 0.5
     )
@@ -91,10 +97,12 @@ def test_diff_plans_directions(setup):
     controller, series = setup
     plan_a = controller.compute_placement(series[0])
     plan_b = controller.compute_placement(series[0].scaled(3.0))
-    launched, retired = diff_plans(plan_a, plan_b)
-    assert sum(launched.values()) > 0  # 3x demand needs more instances
-    back_l, back_r = diff_plans(plan_b, plan_a)
-    assert back_l == retired and back_r == launched
+    forward = diff_plans(plan_a, plan_b)
+    assert len(forward.added) > 0  # 3x demand needs more instances
+    assert forward.core_delta > 0
+    back = diff_plans(plan_b, plan_a)
+    assert back.added == forward.retired and back.retired == forward.added
+    assert back.core_delta == -forward.core_delta
 
 
 def test_invalid_period_rejected(setup):

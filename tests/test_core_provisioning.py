@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.orchestrator import ResourceOrchestrator
 from repro.core.engine import OptimizationEngine
-from repro.core.provisioning import OrchestatedProvisioner
+from repro.core.provisioning import OrchestratedProvisioner
 from repro.core.rulegen import RuleGenerator
 from repro.dataplane.packet import Packet
 from repro.sim.kernel import Simulator
@@ -45,7 +45,7 @@ def _provision(spares=0, fast=True):
     topo = _topo()
     orch = ResourceOrchestrator(sim, topo, spare_clickos=spares)
     sim.run(until=0.5)  # spares boot
-    prov = OrchestatedProvisioner(
+    prov = OrchestratedProvisioner(
         sim, orch, RuleGenerator(DEFAULT_CATALOG), use_fast_path=fast
     )
     plan = _plan()
@@ -99,7 +99,7 @@ def test_fast_path_accelerates_clickos_instances():
 def test_empty_plan_rolls_out_immediately():
     sim = Simulator()
     orch = ResourceOrchestrator(sim, _topo())
-    prov = OrchestatedProvisioner(sim, orch, RuleGenerator(DEFAULT_CATALOG))
+    prov = OrchestratedProvisioner(sim, orch, RuleGenerator(DEFAULT_CATALOG))
     from repro.core.placement import PlacementPlan
 
     empty = PlacementPlan(

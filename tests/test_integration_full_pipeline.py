@@ -14,7 +14,7 @@ from repro.cloud.orchestrator import ResourceOrchestrator
 from repro.core.controller import AppleController
 from repro.core.dynamic import FailoverConfig
 from repro.core.engine import EngineConfig
-from repro.core.provisioning import OrchestatedProvisioner
+from repro.core.provisioning import OrchestratedProvisioner
 from repro.core.rulegen import RuleGenerator
 from repro.core.verify import verify_deployment
 from repro.core.controller import Deployment
@@ -55,7 +55,7 @@ def test_full_pipeline(scenario):
     orch = ResourceOrchestrator(sim, topo, spare_clickos=1)
     monitor = ResourceMonitor(sim, orch, interval=5.0)
     monitor.start()
-    prov = OrchestatedProvisioner(sim, orch, RuleGenerator(controller.catalog))
+    prov = OrchestratedProvisioner(sim, orch, RuleGenerator(controller.catalog))
     result = prov.provision(plan)
     sim.run(until=120.0)
     monitor.stop()

@@ -1,0 +1,309 @@
+"""The one commit step: exactly one outcome per epoch, for every committer.
+
+* two back-to-back ``commit``s on one fabric deliver *superseded* then
+  *converged*, each exactly once;
+* an elastic scale-out superseded by a recovery push leaves ``busy``,
+  re-decides, later scales in, and the run stays clean;
+* single writer: across a chaos + elastic + tenancy history, no rule
+  table of a live network moves outside a ``SwitchAgent`` apply.
+"""
+
+from repro.chaos import (
+    ChaosConfig,
+    ChaosEngine,
+    FaultEvent,
+    FaultKind,
+    FaultSchedule,
+    generate_schedule,
+)
+from repro.core.controller import AppleController
+from repro.core.engine import EngineConfig
+from repro.core.reconfigure import commit, realize
+from repro.dataplane.vswitch import VSwitch
+from repro.elastic import ElasticController, assign_slo_classes
+from repro.experiments.flash_crowd import QUICK_HORIZON, TOPOLOGY, _flash_config
+from repro.experiments.harness import (
+    REPLAY_HEADROOM,
+    TOPOLOGY_DEMAND_MBPS,
+    standard_setup,
+)
+from repro.experiments.multi_tenant import generate_intents
+from repro.sim.kernel import Simulator
+from repro.southbound import SouthboundChaosConfig, SouthboundFabric
+from repro.southbound.channel import SwitchAgent
+from repro.tenancy import TenantOrchestrator
+from repro.topology.datasets import internet2
+from repro.topology.graph import AppleHostSpec, Link, Topology
+from repro.traffic.classes import hashed_assignment
+from repro.traffic.flashcrowd import generate_flash_crowd
+from repro.traffic.gravity import gravity_matrix
+from repro.traffic.matrix import TrafficMatrix
+from repro.vnf.chains import STANDARD_CHAINS
+
+
+def test_back_to_back_commits_superseded_then_converged():
+    topo = internet2()
+    controller = AppleController(
+        topo, hashed_assignment(STANDARD_CHAINS), min_rate_mbps=1.0
+    )
+    matrix = gravity_matrix(topo, 8000.0, seed=7)
+    sim = Simulator()
+    deployment = controller.run(matrix, sim=sim)
+    # drain_retired: instances the superseded epoch booted and the final
+    # plan does not use must go, or verify's isolation audit counts them.
+    fabric = SouthboundFabric(
+        sim, deployment.network, 7, controller.rule_generator, drain_retired=True
+    )
+    controller.attach_southbound(fabric)
+
+    outcomes = {"first": [], "second": []}
+    plans = [
+        controller.compute_placement(matrix.scaled(factor)) for factor in (2.0, 3.0)
+    ]
+    for name, plan in zip(("first", "second"), plans):
+        commit(
+            fabric,
+            plan,
+            *realize(controller.rule_generator, plan),
+            on_done=outcomes[name].append,
+        )
+    # The second push told the first committer at once; nothing converged yet.
+    assert fabric.epoch == 2
+    assert [o.superseded for o in outcomes["first"]] == [True]
+    assert outcomes["second"] == []
+
+    fabric.start()
+    sim.run(until=10.0)
+    fabric.stop()
+    (first,), (second,) = outcomes["first"], outcomes["second"]
+    assert (first.deployment, first.convergence, first.report) == (None,) * 3
+    assert not second.superseded
+    assert second.convergence.epoch == 2
+    assert second.deployment.plan is plans[1]
+    assert second.deployment.instances == fabric.instances
+    assert second.report.ok, second.report.summary()
+    assert fabric.converged and fabric.drift_count() == 0
+
+
+def _flash_scenario(seed=0, amplitude=2.0, faults=None, sb_chaos=None):
+    """The quick flash-crowd row, with the moving parts handed back."""
+    topo, controller, series = standard_setup(
+        TOPOLOGY,
+        snapshots=1,
+        seed=seed,
+        demand_mbps=TOPOLOGY_DEMAND_MBPS[TOPOLOGY],
+        engine_config=EngineConfig(capacity_headroom=REPLAY_HEADROOM),
+    )
+    sim = Simulator()
+    deployment = controller.run(series.snapshots[0], sim=sim)
+    baseline = {c.class_id: c.rate_mbps for c in deployment.plan.classes}
+    spikes = generate_flash_crowd(
+        sorted(baseline), _flash_config(amplitude, quick=True), seed
+    )
+    fabric = SouthboundFabric(
+        sim,
+        deployment.network,
+        seed,
+        controller.rule_generator,
+        chaos=sb_chaos,
+        drain_retired=True,
+    )
+    schedule = (
+        generate_schedule(
+            topo,
+            faults,
+            seed,
+            instance_keys=sorted(deployment.instances),
+            hosts_in_use=deployment.rules.hosts_in_use,
+        )
+        if faults is not None
+        else FaultSchedule.empty(seed)
+    )
+    chaos = ChaosEngine(sim, controller, schedule, southbound=fabric)
+    elastic = ElasticController(
+        sim,
+        controller,
+        fabric,
+        lambda now: {
+            cid: rate * spikes.multiplier(cid, now) for cid, rate in baseline.items()
+        },
+        slo_map=assign_slo_classes(sorted(baseline)),
+    )
+    elastic.start()
+    return sim, chaos, elastic, fabric
+
+
+def test_elastic_scale_out_superseded_by_recovery_push_recovers():
+    # Dry run: when does the autoscaler open its first scale-out epoch?
+    _sim, chaos, elastic, _fabric = _flash_scenario()
+    chaos.run(until=QUICK_HORIZON)
+    first = elastic.metrics.actions[0]
+    assert first.direction == "scale_out"
+
+    # Same run, with a recovery reconvergence landing 10 ms into that epoch.
+    sim, chaos, elastic, fabric = _flash_scenario()
+    sim.schedule_at(first.time + 0.01, chaos.recovery.on_detections, args=([],))
+    result = chaos.run(until=QUICK_HORIZON)
+    elastic.stop()
+    em = elastic.metrics
+
+    # The scale-out was told it lost the wire — once — and not counted.
+    assert [a.time for a in em.superseded] == [first.time]
+    assert em.superseded[0].epoch is None and em.superseded[0].verify_ok is None
+    assert elastic._pending is None
+    # The loop left ``busy``, re-decided, and later scaled back in.
+    busy = [t for t in em.ticks if t.action == "busy"]
+    assert len(busy) < len(em.ticks) // 2
+    assert em.scale_out_total >= 1 and em.scale_in_total >= 1
+    assert all(a.verify_ok for a in em.actions)
+    # Recovery's own epoch converged and is on record, once.
+    assert result.reconvergences == len(result.metrics["convergences"]) == 1
+    assert result.metrics["convergences"][0]["verify_ok"]
+    # And the run stayed clean.
+    assert result.metrics["policy_violation_seconds"] == 0
+    assert result.final_verify_ok
+    assert fabric.converged and fabric.drift_count() == 0
+
+
+# ----------------------------------------------------------------------
+# Single writer (the oracle below shares no code with repro.core.reconfigure:
+# it only reads the PR-12 generation counters)
+# ----------------------------------------------------------------------
+class _GenerationLedger:
+    """Every watched network's generation counters, as last left by an apply.
+
+    A network is watched from the moment a fabric takes it over (``adopt``
+    = epoch 0).  From then on its TCAM generations may move only inside
+    ``SwitchAgent.receive``; a vSwitch generation may additionally move by
+    exactly one per VM port attach (``register_instance`` is the
+    hypervisor booting an instance, not a rule write).
+    """
+
+    def __init__(self, monkeypatch):
+        self.expected = {}  # id(network) -> (network, tcam gens, vswitch gens)
+        self.applies = 0
+        self.violations = []
+        ledger = self
+
+        adopt = SouthboundFabric.adopt
+        receive = SwitchAgent.receive
+        register = VSwitch.register_instance
+
+        def watched_adopt(fabric, *args, **kwargs):
+            adopt(fabric, *args, **kwargs)
+            ledger.snapshot(fabric.network)
+
+        def watched_receive(agent, msg):
+            ledger.check(agent.network, f"before apply at {agent.switch}")
+            ack = receive(agent, msg)
+            ledger.applies += 1
+            ledger.snapshot(agent.network)
+            return ack
+
+        def watched_register(vsw, instance, alias=None):
+            register(vsw, instance, alias)
+            for _net, _tcam, vsw_gens in ledger.expected.values():
+                if id(vsw) in vsw_gens:
+                    vsw_gens[id(vsw)] += 1
+
+        monkeypatch.setattr(SouthboundFabric, "adopt", watched_adopt)
+        monkeypatch.setattr(SwitchAgent, "receive", watched_receive)
+        monkeypatch.setattr(VSwitch, "register_instance", watched_register)
+
+    @staticmethod
+    def _read(network):
+        tcam = {s: sw.table.generation for s, sw in network.switches.items()}
+        vsw = {id(v): v.generation for v in network.vswitches.values()}
+        return tcam, vsw
+
+    def snapshot(self, network):
+        self.expected[id(network)] = (network, *self._read(network))
+
+    def check(self, network, where):
+        watched = self.expected.get(id(network))
+        if watched is not None and self._read(network) != watched[1:]:
+            self.violations.append(where)
+
+    def check_all(self, where):
+        for network, _tcam, _vsw in list(self.expected.values()):
+            self.check(network, where)
+
+
+def test_southbound_fabric_is_the_only_writer_of_a_live_network(monkeypatch):
+    ledger = _GenerationLedger(monkeypatch)
+
+    # Chaos + elastic on one network: a VNF crash and a link flap under a
+    # flash crowd, over a lossy control channel.
+    faults = ChaosConfig(
+        link_flaps=1,
+        host_crashes=0,
+        vnf_crashes=1,
+        brownouts=1,
+        window=(3.0, 10.0),
+        flap_duration=(4.0, 7.0),
+    )
+    sim, chaos, elastic, fabric = _flash_scenario(
+        seed=1,
+        faults=faults,
+        sb_chaos=SouthboundChaosConfig(loss_rate=0.1, extra_delay_mean=0.01),
+    )
+    sim.every(0.05, lambda: ledger.check_all("between sim events"))
+    result = chaos.run(until=QUICK_HORIZON + 10.0)
+    elastic.stop()
+    ledger.check_all("end of chaos + elastic history")
+    assert result.reconvergences >= 2 and elastic.metrics.actions
+    assert fabric.metrics.messages_lost > 0
+    assert result.metrics["policy_violation_seconds"] == 0
+    chaos_applies = ledger.applies
+    assert chaos_applies > 0
+
+    # Fabric-less ChaosEngine on a ring whose only APPLE host dies: the
+    # default fabric carries recovery, quarantine DROPs included.
+    topo = Topology(
+        "ring",
+        ["a", "b", "c", "d"],
+        [Link("a", "b"), Link("b", "c"), Link("c", "d"), Link("d", "a")],
+        hosts={"b": AppleHostSpec(cores=16)},
+    )
+    controller = AppleController(topo, hashed_assignment(STANDARD_CHAINS))
+    sim = Simulator()
+    deployment = controller.run(
+        TrafficMatrix(["a", "b", "c", "d"], [[0, 0, 400.0, 0]] + [[0] * 4] * 3),
+        sim=sim,
+    )
+    crash = FaultEvent(time=2.0, kind=FaultKind.HOST_CRASH, target="b")
+    engine = ChaosEngine(sim, controller, FaultSchedule(seed=0, events=(crash,)))
+    assert id(deployment.network) in ledger.expected  # adopted => watched
+    sim.every(0.05, lambda: ledger.check_all("between default-fabric sim events"))
+    result = engine.run(until=8.0)
+    ledger.check_all("end of default-fabric history")
+    assert any(c["stranded"] for c in result.metrics["convergences"])
+    assert ledger.applies > chaos_applies
+    chaos_applies = ledger.applies
+
+    # Tenancy: many private networks, each adopted at its tenant's day 0.
+    topo = internet2(default_host_cores=256)
+    sim = Simulator(seed=3)
+    orch = TenantOrchestrator(topo, sim, seed=3)
+    orch.start()
+    for delay, intent in generate_intents(12, sorted(topo.hosts), 3):
+        orch.submit(intent, delay=delay)
+    sim.every(0.05, lambda: ledger.check_all("between tenancy sim events"))
+    sim.run(until=60.0)
+    orch.stop()
+    ledger.check_all("end of tenancy history")
+    assert orch.metrics_summary()["convergences"] > 12
+    assert ledger.applies > chaos_applies
+    assert orch.total_drift() == 0
+
+    assert ledger.violations == []
+
+
+def test_generation_ledger_catches_a_direct_write(monkeypatch):
+    # The oracle is not vacuous: a write behind the fabric's back shows up.
+    ledger = _GenerationLedger(monkeypatch)
+    sim, chaos, _elastic, fabric = _flash_scenario()
+    victim = sorted(fabric.network.switches)[0]
+    fabric.network.switches[victim].install_pass_by()
+    ledger.check_all("after a direct write")
+    assert ledger.violations == ["after a direct write"]

@@ -18,7 +18,6 @@ Four layers of coverage, bottom up:
 import pytest
 
 from repro.chaos import ChaosConfig, ChaosEngine, FaultKind, generate_schedule
-from repro.chaos.recovery import RecoveryConfig
 from repro.cloud.opendaylight import RULE_INSTALL_SECONDS
 from repro.core.controller import AppleController
 from repro.core.subclasses import assign_subclasses
@@ -89,10 +88,15 @@ def _msg(epoch=1, txn_id=1, phase="add"):
 def test_install_latency_single_source():
     # Satellite: the paper's measured 70 ms lives in exactly one place.
     assert ChannelConfig().install_latency == RULE_INSTALL_SECONDS
-    # The legacy fixed-delay commit path resolves to the same number...
-    assert RecoveryConfig().resolved_install_delay() == RULE_INSTALL_SECONDS
-    # ...unless explicitly overridden.
-    assert RecoveryConfig(rule_install_delay=0.1).resolved_install_delay() == 0.1
+    # Recovery has no install delay of its own any more: over a loss-free
+    # channel every convergence takes a whole number of acked round trips
+    # (one per non-empty make-before-break phase) at exactly that latency.
+    result, _fabric = _southbound_chaos_run(sb_chaos=SouthboundChaosConfig())
+    latencies = [c["convergence_latency"] for c in result.metrics["convergences"]]
+    assert latencies and max(latencies) > 0
+    for latency in latencies:
+        trips = latency / RULE_INSTALL_SECONDS
+        assert trips == pytest.approx(round(trips)) and 0 <= round(trips) <= 3
 
 
 def test_lossless_roundtrip_is_exactly_install_latency():
@@ -477,21 +481,52 @@ def test_southbound_schedule_rides_an_independent_substream():
     assert len({ev.target for ev in sb.events}) == len(sb.events)
 
 
-def test_legacy_signature_unchanged_without_fabric():
-    # A fabric-less chaos run must not grow a southbound key: stacked
-    # replay tooling hashes these signatures.
-    topo, controller, sim, deployment = _deployed()
-    schedule = generate_schedule(
-        topo,
-        _DP_CHAOS,
-        SEED,
-        instance_keys=sorted(deployment.instances),
-        hosts_in_use=deployment.rules.hosts_in_use,
-    )
-    result = ChaosEngine(sim, controller, schedule).run(until=12.0)
+def test_fabricless_engine_runs_on_the_default_fabric():
+    # No fabric handed in: the engine builds the loss-free default over
+    # the deployment's network and adopts it as epoch 0 — the same run,
+    # bit for bit, as handing that fabric in.
+    def run(explicit):
+        topo, controller, sim, deployment = _deployed()
+        schedule = generate_schedule(
+            topo,
+            _DP_CHAOS,
+            SEED,
+            instance_keys=sorted(deployment.instances),
+            hosts_in_use=deployment.rules.hosts_in_use,
+        )
+        fabric = _fabric(sim, controller, deployment) if explicit else None
+        engine = ChaosEngine(sim, controller, schedule, southbound=fabric)
+        return engine, engine.run(until=12.0)
+
+    engine, result = run(explicit=False)
+    fabric = engine.southbound
+    assert engine.controller.southbound is fabric
+    assert fabric.network is engine.controller.deployment.network
+    assert fabric.chaos == SouthboundChaosConfig() and not fabric.drain_retired
+    assert result.reconvergences == len(result.metrics["convergences"]) > 0
+    assert fabric.converged and fabric.drift_count() == 0
+    # Every recovery push went over the wire, none was lost.
+    sb = result.metrics["southbound"]
+    assert sb["messages_sent"] > 0 and sb["messages_lost"] == 0
+    # No control-plane fault schedule: the signature carries none.
     assert result.southbound_signature is None
     assert "southbound_schedule" not in result.signature()
-    assert "southbound" not in result.metrics
+    assert result.signature() == run(explicit=True)[1].signature()
+
+
+def test_every_reconvergence_leaves_exactly_one_record():
+    # Seed 2 supersedes two of its three recovery epochs (a later verdict
+    # batch pushes before the earlier epoch converged over the lossy
+    # channel); each is on record once, flagged, and repairs nothing.
+    result, fabric = _southbound_chaos_run(seed=2)
+    records = result.metrics["convergences"]
+    assert result.reconvergences == len(records) == 3
+    assert [c.get("superseded", False) for c in records] == [True, True, False]
+    for c in records[:2]:
+        assert c["convergence_latency"] is None and c["verify_ok"] is None
+    assert records[-1]["verify_ok"]
+    assert result.metrics["policy_violation_seconds"] == 0
+    assert result.final_verify_ok and fabric.drift_count() == 0
 
 
 # ----------------------------------------------------------------------
