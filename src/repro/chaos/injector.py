@@ -7,15 +7,16 @@ link set, and the affected VNF instances — never the controller's view;
 the detector has to notice, and recovery has to react, exactly as in a
 real deployment.
 
-Invalidation contract: a VM kill or brownout changes state that cached
-batched-walk plans captured by value (instance admission budgets), and a
-link failure changes which hops are reachable, so every applied or lifted
-fault bumps the network's plan-invalidation epoch
-(:meth:`DataPlaneNetwork.invalidate_plans` / ``set_link_failed``).  The
-sharded data plane rides the same protocol: the epoch bump also expires
-its flow partition and per-class interval edges, so the next sharded
-inject revalidates against the mutated ground truth (sticky shard
-assignments keep surviving instances where they were).
+Invalidation contract: a link failure changes which hops are reachable,
+and a VM kill or brownout changes which instances a flow partition may
+treat as independent, so every applied or lifted fault moves the
+network's rule epoch (:meth:`DataPlaneNetwork.invalidate_plans` /
+``set_link_failed``).  That retires every resolved walk plan and, with
+them, the sharded data plane's flow partition, so the next inject
+re-resolves against the mutated ground truth (sticky shard assignments
+keep surviving instances where they were).  The walkers read an
+instance's ``running`` flag and admission budget live, so a fault is
+visible to the very next packet even before the epoch is consulted.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Pipeline (one reconvergence per detector verdict batch):
 3. **commit** — the new rules go through the one commit step
    (:func:`repro.core.reconfigure.commit`): an acked make-before-break
    epoch on the southbound fabric, which diffs per switch so untouched
-   switches keep their flow caches and walk plans warm.  Stranded
+   switches are neither re-read nor rewritten.  Stranded
    classes get an ingress quarantine DROP as part of the same desired
    state — their traffic must black-hole, never pass unprocessed.
 4. **verify** — at convergence ``commit`` re-checks policy enforcement,

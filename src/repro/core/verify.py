@@ -4,8 +4,12 @@ Table I's properties are behavioural claims; this module checks them on a
 live deployment the way an operator (or the AP Verifier the paper builds
 on) would — by exhaustively probing the data plane:
 
-* for every class and every sub-class, inject probes at the sub-class's
-  hash midpoint and at both interval boundaries;
+* for every class and every sub-class, walk probes at the sub-class's
+  hash midpoint and at both interval boundaries — hop by hop through
+  :meth:`DataPlaneNetwork.walk_reference`, never through the network's
+  cache of resolved walks: an audit must not trust the cache it audits
+  (a rule table rewritten behind its generation counter is exactly what
+  the probes are there to catch);
 * verify each delivered probe traversed its chain in order
   (**policy enforcement**), on the class's exact routing path
   (**interference freedom**);
@@ -95,7 +99,7 @@ def verify_deployment(
                 packet = Packet(
                     class_id=cls.class_id, flow_hash=h, src=cls.src, dst=cls.dst
                 )
-                record = deployment.network.inject(packet)
+                record = deployment.network.walk_reference(packet)
                 if not record.delivered:
                     if expect_no_loss:
                         report.violations.append(

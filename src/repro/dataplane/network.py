@@ -2,26 +2,45 @@
 
 :class:`DataPlaneNetwork` holds one :class:`PhysicalSwitch` per topology
 node and one :class:`VSwitch` per APPLE host, executes installed rules on
-injected packets, and records delivery outcomes.  Crucially the walker
+injected packets, and records delivery outcomes.  Crucially every walker
 *always* forwards along the class's original routing path — it has no other
 forwarding state — so any policy-enforcement behaviour observed emerges
 purely from the tag rules, and interference freedom is structural.
 
-Two walkers share the installed rules:
+One resolution cache, three walkers on it.  The tagging scheme fixes a
+packet's whole walk at the ingress switch by two things: its class and the
+hash *interval* its sub-class owns.  So per class the network keeps the
+sorted interval edges (:meth:`DataPlaneNetwork.class_intervals`: the union
+of :meth:`TcamTable.hash_boundaries` along the path) and, per interval, one
+lazily resolved :class:`_WalkPlan` — entries matched, tag writes, vSwitch
+rules, instance sequence, pre-built trace tuples.  The whole cache is valid
+for one value of the network's *rule epoch*, an integer that every
+``TcamTable``/``VSwitch`` mutator, :meth:`register_class_path`,
+:meth:`set_link_failed` and :meth:`invalidate_plans` moves.
 
-* :meth:`inject` — the scalar reference walker: one packet, full pipeline,
-  per-hop counters, a :class:`DeliveryRecord` in the ring buffer.
-* :meth:`inject_batch` — the fast path.  Within one hash bucket (the flow
-  cache's quantum, see :mod:`repro.dataplane.tcam`) every packet of a class
-  takes the *same* walk: same entries matched, same tag writes, same
-  vSwitch rules, same instance sequence.  The batched walker therefore
-  resolves that walk once into a :class:`_WalkPlan` and replays only the
-  per-packet part — sliding-window admission at each VNF instance — for
-  the whole batch, bulk-updating switch/vSwitch counters per plan rather
-  than per packet.  Plans fall back to the scalar walker whenever the
-  per-bucket invariant cannot be guaranteed: the bucket straddles a
-  hash-range boundary, an instance has a downstream hook, or a
-  hash-dependent classification happens after a header-modifying VNF.
+* :meth:`inject` — one packet: ``bisect`` to its interval, then replay the
+  plan with the per-packet effects only (trace appends, per-hop counters,
+  ``VNFInstance.consume`` called live, tags, a :class:`DeliveryRecord`).
+* :meth:`inject_stream` / :meth:`inject_batch` — many packets: the same
+  plans, admission inlined, switch/ledger counters accumulated on the plan
+  and applied in bulk by :meth:`flush_counters`.  Falls back to
+  :meth:`inject` per packet only where batching itself would change
+  behaviour: an instance with a downstream hook (sees each packet in
+  order), or a hash-dependent match after a header-modifying VNF.
+* the columnar walker of :mod:`repro.dataplane.sharded` — whole columns.
+
+:meth:`walk_reference` is the hop-by-hop Table III pipeline
+(``PhysicalSwitch.process`` → ``TcamTable.lookup`` → ``VSwitch.process``)
+with no cache in front of it.  ``verify_deployment`` walks its probes
+through it (an audit must not trust the cache it audits), packets that
+arrive already tagged take it (:meth:`inject_from_host`), and the
+equivalence suites compare every other walker against it.  The pipeline is
+interpreted in exactly two places: there and in :meth:`_resolve_plan`.
+
+``TcamTable.cache_hits`` has one meaning: hop lookups answered from a
+resolved plan, without a priority scan.  :meth:`inject` counts them per
+packet, the batched and columnar walkers in bulk at flush time, the
+reference walker never.
 
 Delivery accounting is a counter ledger (delivered/dropped/violations)
 plus a bounded ring of recent :class:`DeliveryRecord` objects for
@@ -35,6 +54,7 @@ per-packet records).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
@@ -42,13 +62,11 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dataplane.packet import FIN, Packet
 from repro.dataplane.switch import PhysicalSwitch, SwitchDecision
-from repro.dataplane.tcam import ActionKind
+from repro.dataplane.tcam import ActionKind, RuleEpoch
 from repro.dataplane.vswitch import VSwitch
 from repro.obs import state as _obs
 from repro.perf import REGISTRY
 from repro.topology.graph import Topology
-
-_BUCKETS = 65536  # 1 << TcamEntry.HASH_BITS; inlined on the hot path
 
 
 @dataclass(frozen=True)
@@ -92,23 +110,28 @@ class DeliveryRecord:
 
 
 class _WalkPlan:
-    """The resolved walk of one (class, hash-bucket) through the pipeline.
+    """The resolved walk of one (class, hash interval) through the pipeline.
 
-    ``hops`` lists the visited switches in path order (with each hop's
-    TCAM table and whether the lookup missed); ``vsteps`` lists the host
-    visits as ``(hop_index, switch_name, vswitch, instance_slots)``.  The
-    per-call accumulators ``n`` / ``drops`` let the executor bulk-update
-    switch and ledger counters once per plan per batch.
+    ``legs`` cuts the walk at each host visit into
+    ``(hops, visits, vswitch, instances, vnf_visits, tags)``: the hops up
+    to and including the diverting switch as ``(switch, table,
+    lookup_missed)``, their pre-built trace tuples, the instances by
+    reference, the trace tuples of a full traversal and the packet's
+    ``(host_tag, subclass_tag)`` while inside the host.  The last leg has
+    ``vswitch=None`` and carries the tags at exit.  The scalar replay
+    needs nothing else.
+
+    For the bulk walkers, ``vsteps`` lists per host visit one
+    ``(instance, window_list, window_seconds)`` slot per instance, and the
+    per-call accumulators ``n`` / ``drops`` let them bulk-update switch and
+    ledger counters once per plan.  ``fallback`` marks a plan they must not
+    batch (see :meth:`DataPlaneNetwork.inject_stream`).
     """
 
     __slots__ = (
-        "src",
-        "dst",
         "fallback",
-        "cacheable",
-        "hops",
+        "legs",
         "vsteps",
-        "tcam_drop_at",
         "finished",
         "step_outcomes",
         "final_outcome",
@@ -117,18 +140,36 @@ class _WalkPlan:
     )
 
     def __init__(self) -> None:
-        self.src = ""
-        self.dst = ""
         self.fallback = False
-        self.cacheable = True
-        self.hops: List[tuple] = []
+        self.legs: List[tuple] = []
         self.vsteps: List[tuple] = []
-        self.tcam_drop_at: Optional[str] = None
         self.finished = False
         self.step_outcomes: List[tuple] = []
         self.final_outcome: tuple = (True, None)
         self.n = 0
         self.drops: List[int] = []
+
+
+class _ClassPlans:
+    """One class's share of the resolution cache.
+
+    ``edges`` is ``[0.0, cuts…, 1.0]``; interval ``g`` is
+    ``[edges[g], edges[g + 1])`` and ``bisect_right(cuts, h)`` is the
+    interval of hash ``h`` — the same ``lo <= h < hi`` comparison the TCAM
+    entries make, so a hash exactly on an edge lands where the rules put it.
+    ``plans[g]`` is None until the first packet of the interval.
+    """
+
+    __slots__ = ("class_id", "path", "src", "dst", "edges", "cuts", "plans")
+
+    def __init__(self, class_id: str, path: Tuple[str, ...], cuts: List[float]) -> None:
+        self.class_id = class_id
+        self.path = path
+        self.src = path[0]
+        self.dst = path[-1]
+        self.cuts = cuts
+        self.edges = [0.0] + cuts + [1.0]
+        self.plans: List[Optional[_WalkPlan]] = [None] * (len(cuts) + 1)
 
 
 class DataPlaneNetwork:
@@ -145,11 +186,15 @@ class DataPlaneNetwork:
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
+        # The rule epoch: every table and vSwitch of this network, and the
+        # failure overlay below, move it when they change.
+        self._epoch = RuleEpoch()
         self.switches: Dict[str, PhysicalSwitch] = {
-            s: PhysicalSwitch(s, has_host=s in topo.hosts) for s in topo.switches
+            s: PhysicalSwitch(s, has_host=s in topo.hosts, epoch=self._epoch)
+            for s in topo.switches
         }
         self.vswitches: Dict[str, VSwitch] = {
-            s: VSwitch(s) for s in topo.hosts
+            s: VSwitch(s, epoch=self._epoch) for s in topo.hosts
         }
         self.class_paths: Dict[str, Tuple[str, ...]] = {}
         # Delivery ledger: O(1) counters + a bounded ring of recent records.
@@ -159,26 +204,22 @@ class DataPlaneNetwork:
         self.recent_records: Deque[DeliveryRecord] = deque(
             maxlen=self.RECENT_RECORDS
         )
-        # Batched-walk plan cache: class_id -> hash bucket -> _WalkPlan,
-        # valid for one (TCAM tables + vSwitches) generation snapshot.
-        self._plans: Dict[str, Dict[int, _WalkPlan]] = {}
-        # Buckets matching the same entry sequence share one plan object,
-        # so counter accumulation/flushing scales with the number of
-        # distinct walks (≈ sub-classes), not the number of hash buckets.
-        self._plan_pool: Dict[tuple, _WalkPlan] = {}
-        self._plans_snapshot: Optional[tuple] = None
+        # The resolution cache: class_id -> _ClassPlans, valid while the
+        # rule epoch reads ``_plans_epoch``.
+        self._class_plans: Dict[str, _ClassPlans] = {}
+        self._plans_epoch = 0
         self._dirty_plans: List[_WalkPlan] = []
         self._span_tick = 0
-        self._switch_list = list(self.switches.values())
-        self._vswitch_list = list(self.vswitches.values())
         # Failure overlay: packets crossing a failed link are dropped at the
-        # upstream switch.  The epoch joins the generation snapshot so link
-        # state changes (and explicit invalidations, e.g. a VM kill) retire
-        # cached walk plans.
+        # upstream switch.
         self.failed_links: set = set()
-        self._overlay_epoch = 0
 
     # ------------------------------------------------------------------
+    @property
+    def rule_epoch(self) -> int:
+        """Moves whenever anything a resolved walk depends on changes."""
+        return self._epoch.value
+
     def register_class_path(self, class_id: str, path: Tuple[str, ...]) -> None:
         """Declare the routing path of a class (set by other applications)."""
         if len(path) < 1:
@@ -187,11 +228,7 @@ class DataPlaneNetwork:
             if s not in self.switches:
                 raise KeyError(f"path references unknown switch {s!r}")
         self.class_paths[class_id] = tuple(path)
-        self._flush_dirty()
-        self._plans.pop(class_id, None)
-        self._plan_pool = {
-            k: p for k, p in self._plan_pool.items() if k[0] != class_id
-        }
+        self._epoch.value += 1
 
     def vswitch_at(self, switch: str) -> VSwitch:
         try:
@@ -211,32 +248,218 @@ class DataPlaneNetwork:
             self.failed_links.add(key)
         else:
             self.failed_links.discard(key)
-        self._overlay_epoch += 1
+        self._epoch.value += 1
 
     def invalidate_plans(self) -> None:
-        """Retire every cached walk plan (pending counts flush first).
+        """Retire every resolved walk, and the flow partitions built on them.
 
-        The chaos injector calls this when it mutates state the plans
-        captured by value (e.g. an instance's admission budget after a
-        brownout, or a killed VM).
+        For callers that change something no rule table knows about — the
+        chaos injector after a VM kill or a brownout.  Counts still
+        deferred on the old plans flush when the next walker notices.
         """
-        self._overlay_epoch += 1
+        self._epoch.value += 1
 
+    # ------------------------------------------------------------------
+    # The resolution cache
+    # ------------------------------------------------------------------
+    def _retire_plans(self) -> None:
+        self._flush_dirty()  # pending counts reference the old plans
+        self._class_plans.clear()
+        self._plans_epoch = self._epoch.value
+
+    def class_intervals(self, class_id: str) -> _ClassPlans:
+        """The class's hash-interval edges and the plans resolved so far.
+
+        The one place interval edges are computed: cut [0, 1) at the union
+        of hash-range boundaries installed along the class's path, so that
+        within one interval every flow matches the same entry at every hop.
+        """
+        if self._plans_epoch != self._epoch.value:
+            self._retire_plans()
+        cp = self._class_plans.get(class_id)
+        if cp is None:
+            path = self.class_paths.get(class_id)
+            if path is None:
+                raise KeyError(f"class {class_id!r} has no registered path")
+            bounds: set = set()
+            for sw_name in path:
+                bounds.update(self.switches[sw_name].table.hash_boundaries(class_id))
+            cp = self._class_plans[class_id] = _ClassPlans(
+                class_id, path, sorted(bounds)
+            )
+        return cp
+
+    def interval_plan(self, cp: _ClassPlans, g: int) -> _WalkPlan:
+        """The walk of interval ``g`` of a class, resolved on first use."""
+        plan = cp.plans[g]
+        if plan is None:
+            lo, hi = cp.edges[g], cp.edges[g + 1]
+            mid = lo + (hi - lo) / 2
+            if not lo <= mid < hi:
+                mid = lo  # degenerate float interval: probe its left edge
+            plan = cp.plans[g] = self._resolve_plan(cp.class_id, cp.path, mid)
+        return plan
+
+    def _resolve_plan(
+        self, class_id: str, path: Tuple[str, ...], flow_hash: float
+    ) -> _WalkPlan:
+        """Walk a probe through the pipeline once, recording the plan.
+
+        The probe performs exactly the reference walk's lookups and tag
+        writes, but against local tag variables instead of a packet and
+        without touching any counter.
+        """
+        started = perf_counter()
+        if len(path) > self.MAX_HOPS + 1:
+            raise RuntimeError("hop limit exceeded (loop?)")
+        plan = _WalkPlan()
+        hops: List[tuple] = []  # (switch, table, missed) of the leg being built
+        host_tag: Optional[str] = None
+        subclass_tag: Optional[int] = None
+        modified_headers = False
+        visits: List[Tuple[str, str]] = []  # and its trace tuples
+        failed_links = self.failed_links
+        for hi, sw_name in enumerate(path):
+            if failed_links and hi:
+                prev = path[hi - 1]
+                key = (prev, sw_name) if prev <= sw_name else (sw_name, prev)
+                if key in failed_links:
+                    # Black-hole: the walk ends on the dead link, charged to
+                    # the upstream switch (matches the reference walker).
+                    plan.final_outcome = (False, prev)
+                    break
+            switch = self.switches[sw_name]
+            entry = switch.table.match(class_id, host_tag, flow_hash)
+            if (
+                entry is not None
+                and entry.hash_range is not None
+                and modified_headers
+            ):
+                # A header-modifying VNF ran upstream, so the on-the-wire
+                # hash may no longer equal the probe's: hash-dependent
+                # classification past this point must run per packet.
+                plan.fallback = True
+            hops.append((switch, switch.table, entry is None))
+            visits.append(("switch", sw_name))
+            if entry is None:
+                continue  # no rules: behave as pass-by
+            kind = entry.action.kind
+            if kind is ActionKind.GOTO_NEXT_TABLE:
+                continue
+            if kind is ActionKind.TAG_SUBCLASS_AND_HOST:
+                subclass_tag = entry.action.subclass_id
+                host_tag = entry.action.next_host
+                continue
+            if kind is ActionKind.DROP:
+                plan.final_outcome = (False, sw_name)
+                break
+            # FORWARD_TO_HOST, with or without the sub-class tag write.
+            if kind is ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST:
+                subclass_tag = entry.action.subclass_id
+            vsw = self.vswitch_at(sw_name)
+            rule, instances = vsw.resolve(class_id, subclass_tag)
+            for inst in instances:
+                if inst.downstream is not None:
+                    # Downstream hooks see each packet, in order.
+                    plan.fallback = True
+                if inst.nf_type.modifies_headers:
+                    modified_headers = True
+            visits.append(("vswitch", f"ovs-{sw_name}"))
+            plan.legs.append((
+                tuple(hops),
+                tuple(visits),
+                vsw,
+                instances,
+                tuple(("vnf", iid) for iid in rule.instance_ids),
+                (host_tag, subclass_tag),
+            ))
+            hops, visits = [], []
+            plan.vsteps.append(
+                tuple((inst, inst._recent, inst.window) for inst in instances)
+            )
+            plan.step_outcomes.append((False, sw_name))
+            plan.drops.append(0)
+            host_tag = rule.exit_host_tag
+            if host_tag == sw_name:
+                raise RuntimeError(
+                    f"packet re-tagged for the host it just left ({sw_name})"
+                )
+        else:
+            plan.finished = host_tag == FIN
+        exit_tags = (host_tag, subclass_tag)
+        plan.legs.append(
+            (tuple(hops), tuple(visits), None, (), (), exit_tags)
+        )
+        REGISTRY.record("dataplane.batch.resolve", perf_counter() - started)
+        return plan
+
+    # ------------------------------------------------------------------
+    # One packet
     # ------------------------------------------------------------------
     def inject(self, packet: Packet, now: float = 0.0) -> DeliveryRecord:
         """Walk a packet from its ingress to its egress switch.
 
-        The walk follows the registered class path hop by hop.  At each
-        switch the Table III pipeline runs; a TO_HOST decision hands the
-        packet to the local vSwitch (which may drop it on overload), after
-        which forwarding resumes along the path.
+        Replays the resolved walk of the packet's (class, hash interval):
+        per hop the switch and table counters, per host visit a live
+        ``consume`` at each instance (so a stopped or browned-out instance
+        and a downstream hook behave exactly as in the pipeline), then the
+        tags and the trace the pipeline would have left.  A packet that
+        arrives already tagged is not at its ingress classification, and a
+        walk that cannot be resolved has a rule bug somewhere along it:
+        both take :meth:`walk_reference`, which raises where the bug is.
         """
-        # Per-packet walk/vswitch spans are sampled (1 in SPAN_SAMPLE
-        # packets): recording every walk would cost a measurable fraction
-        # of the walk itself.
+        # Per-packet walk spans are sampled (1 in SPAN_SAMPLE packets):
+        # recording every walk would cost a measurable fraction of the walk.
         tick = self._span_tick = self._span_tick + 1
-        sample = not (tick & (self.SPAN_SAMPLE - 1))
-        started = perf_counter() if sample else 0.0
+        started = 0.0 if tick & (self.SPAN_SAMPLE - 1) else perf_counter()
+        if packet.host_tag is not None or packet.subclass_tag is not None:
+            return self.walk_reference(packet, now)
+        cp = self._class_plans.get(packet.class_id)
+        if cp is None or self._plans_epoch != self._epoch.value:
+            cp = self.class_intervals(packet.class_id)
+        if cp.src != packet.src or cp.dst != packet.dst:
+            raise ValueError(
+                f"packet {packet.packet_id} src/dst disagree with class path"
+            )
+        g = bisect_right(cp.cuts, packet.flow_hash)
+        plan = cp.plans[g]
+        if plan is None:
+            try:
+                plan = self.interval_plan(cp, g)
+            except (KeyError, RuntimeError):
+                return self.walk_reference(packet, now)
+        trace = packet.trace
+        size = packet.size_bytes
+        for hops, visits, vsw, instances, vnf_visits, tags in plan.legs:
+            for switch, table, missed in hops:
+                switch.packets_seen += 1
+                table.lookup_count += 1
+                table.cache_hits += 1
+                if missed:
+                    table.miss_count += 1
+            trace.extend(visits)
+            if vsw is None:
+                break
+            vsw.packets_in += 1
+            for k, inst in enumerate(instances):
+                if not inst.consume(size, now):
+                    vsw.packets_dropped += 1
+                    trace.extend(vnf_visits[:k])
+                    packet.host_tag, packet.subclass_tag = tags
+                    return self._record(started, packet, False, vsw.switch)
+            trace.extend(vnf_visits)
+        packet.host_tag, packet.subclass_tag = tags
+        delivered, dropped_at = plan.final_outcome
+        return self._record(started, packet, delivered, dropped_at)
+
+    def walk_reference(self, packet: Packet, now: float = 0.0) -> DeliveryRecord:
+        """Walk a packet hop by hop through the Table III pipeline.
+
+        The walk follows the registered class path.  At each switch the
+        pipeline runs; a TO_HOST decision hands the packet to the local
+        vSwitch (which may drop it on overload), after which forwarding
+        resumes along the path.  Nothing here reads the resolution cache.
+        """
         path = self.class_paths.get(packet.class_id)
         if path is None:
             raise KeyError(f"class {packet.class_id!r} has no registered path")
@@ -257,21 +480,11 @@ class DataPlaneNetwork:
                 if key in failed_links:
                     # The packet black-holes on the dead link; it never
                     # reaches sw_name, so the drop is charged upstream.
-                    return self._record(started, packet, False, prev)
-            switch = self.switches[sw_name]
-            decision = switch.process(packet)
+                    return self._record(0.0, packet, False, prev)
+            decision = self.switches[sw_name].process(packet)
             if decision is SwitchDecision.TO_HOST:
-                vsw = self.vswitch_at(sw_name)
-                if sample:
-                    vsw_started = perf_counter()
-                    out = vsw.process(packet, now)
-                    REGISTRY.record(
-                        "dataplane.vswitch.process", perf_counter() - vsw_started
-                    )
-                else:
-                    out = vsw.process(packet, now)
-                if out is None:
-                    return self._record(started, packet, False, sw_name)
+                if self.vswitch_at(sw_name).process(packet, now) is None:
+                    return self._record(0.0, packet, False, sw_name)
                 # Packet re-enters the switch from the host; if it is now
                 # tagged for this same switch again that is a rule bug.
                 if packet.host_tag == sw_name:
@@ -279,26 +492,27 @@ class DataPlaneNetwork:
                         f"packet re-tagged for the host it just left ({sw_name})"
                     )
             elif decision is SwitchDecision.DROP:
-                return self._record(started, packet, False, sw_name)
+                return self._record(0.0, packet, False, sw_name)
             # FORWARD: continue to the next switch on the path.
 
-        return self._record(started, packet, True, None)
+        return self._record(0.0, packet, True, None)
 
     def inject_from_host(self, packet: Packet, now: float = 0.0) -> DeliveryRecord:
         """Walk a packet that originates at a production VM in an APPLE host.
 
         Fig. 3's third scenario: the packet enters its source switch's
         vSwitch untagged (from a production-VM port), is classified and
-        tagged there, then follows the normal walk along its class path.
+        tagged there, then follows the hop-by-hop walk along its class
+        path — it reaches the first switch already tagged, which is not
+        the ingress state the resolved plans describe.
         """
-        path = self.class_paths.get(packet.class_id)
-        if path is None:
+        if packet.class_id not in self.class_paths:
             raise KeyError(f"class {packet.class_id!r} has no registered path")
         vsw = self.vswitch_at(packet.src)
         out = vsw.process_origin(packet, now)
         if out is None:
             return self._record(0.0, packet, False, packet.src)
-        return self.inject(packet, now=now)
+        return self.walk_reference(packet, now)
 
     def _record(
         self,
@@ -307,7 +521,7 @@ class DataPlaneNetwork:
         delivered: bool,
         dropped_at: Optional[str],
     ) -> DeliveryRecord:
-        record = DeliveryRecord(packet, delivered=delivered, dropped_at=dropped_at)
+        record = DeliveryRecord(packet, delivered, dropped_at)
         if delivered:
             self.delivered_count += 1
             if not packet.finished_processing:
@@ -320,7 +534,7 @@ class DataPlaneNetwork:
         return record
 
     # ------------------------------------------------------------------
-    # Batched fast path
+    # Many packets
     # ------------------------------------------------------------------
     def inject_batch(
         self,
@@ -356,33 +570,30 @@ class DataPlaneNetwork:
         sources: items may interleave classes arbitrarily as long as the
         timestamps are non-decreasing (sliding-window admission trims by
         time).  Only instance admission runs per packet; everything else is
-        plan-resolved per hash bucket, and switch/ledger counter updates
+        plan-resolved per hash interval, and switch/ledger counter updates
         accumulate on the plans until :meth:`flush_counters` (or any ledger
         reader) applies them — all updates are commutative ``+=``, so the
         deferral is observation-order only.
         """
         started = perf_counter()
-        self._ensure_current_plans()
-        plans = self._plans
+        if self._plans_epoch != self._epoch.value:
+            self._retire_plans()
+        class_plans = self._class_plans
         dirty = self._dirty_plans
         size = size_bytes
         outcomes: Optional[list] = [] if collect else None
         for class_id, h, t in items:
-            cplans = plans.get(class_id)
-            if cplans is None:
-                cplans = plans[class_id] = {}
-            bucket = int(h * _BUCKETS)
-            plan = cplans.get(bucket)
-            if plan is None:
-                plan = self._resolve_plan(class_id, h)
-                if plan.cacheable:
-                    cplans[bucket] = plan
+            cp = class_plans.get(class_id)
+            if cp is None:
+                cp = self.class_intervals(class_id)
+            g = bisect_right(cp.cuts, h)
+            plan = cp.plans[g] or self.interval_plan(cp, g)
             if plan.fallback:
                 packet = Packet(
                     class_id=class_id,
                     flow_hash=h,
-                    src=plan.src,
-                    dst=plan.dst,
+                    src=cp.src,
+                    dst=cp.dst,
                     size_bytes=size,
                 )
                 record = self.inject(packet, now=t)
@@ -393,9 +604,9 @@ class DataPlaneNetwork:
                 dirty.append(plan)
             plan.n += 1
             dropped_step = -1
-            for si, step in enumerate(plan.vsteps):
+            for si, slots in enumerate(plan.vsteps):
                 ok = True
-                for inst, recent, budget, window in step[3]:
+                for inst, recent, window in slots:
                     if not inst.running:
                         ok = False
                         break
@@ -408,7 +619,7 @@ class DataPlaneNetwork:
                         while i < lr and recent[i] <= cutoff:
                             i += 1
                         del recent[:i]
-                    if len(recent) + 1 > budget:
+                    if len(recent) + 1 > inst._budget:
                         st.packets_dropped += 1
                         ok = False
                         break
@@ -438,157 +649,13 @@ class DataPlaneNetwork:
         """
         self._flush_dirty()
 
-    def _generation_snapshot(self) -> tuple:
-        """Current rule-state fingerprint: any mutation changes it."""
-        return (
-            tuple(sw.table.generation for sw in self._switch_list),
-            tuple(v.generation for v in self._vswitch_list),
-            self._overlay_epoch,
-        )
-
-    def _ensure_current_plans(self) -> None:
-        """Retire cached walk plans if any rule state changed since caching.
-
-        Pending deferred counts flush first (they reference the old plan
-        objects).  Shared by the batched walker and the sharded walker
-        (:mod:`repro.dataplane.sharded`), whose flow partition is keyed on
-        the same snapshot — one invalidation protocol covers both.
-        """
-        snapshot = self._generation_snapshot()
-        if snapshot != self._plans_snapshot:
-            self._flush_dirty()  # pending counts reference the old plans
-            self._plans.clear()
-            self._plan_pool.clear()
-            self._plans_snapshot = snapshot
-
-    def walk_plan(self, class_id: str, flow_hash: float) -> _WalkPlan:
-        """The (cached) walk plan of one ``(class, flow-hash)`` pair.
-
-        Exactly the lookup ``inject_stream`` performs per packet, exposed
-        for the columnar sharded walker: resolve once per distinct
-        ``(class, bucket)`` column, cache unless the bucket straddles a
-        hash-range boundary.  Callers must have run
-        :meth:`_ensure_current_plans` this generation.
-        """
-        cplans = self._plans.get(class_id)
-        if cplans is None:
-            cplans = self._plans[class_id] = {}
-        bucket = int(flow_hash * _BUCKETS)
-        plan = cplans.get(bucket)
-        if plan is None:
-            plan = self._resolve_plan(class_id, flow_hash)
-            if plan.cacheable:
-                cplans[bucket] = plan
-        return plan
-
-    def _resolve_plan(self, class_id: str, flow_hash: float) -> _WalkPlan:
-        """Walk a probe through the pipeline once, recording the plan.
-
-        The probe performs exactly the scalar walk's lookups and tag
-        writes, but against local tag variables instead of a packet and
-        without touching any counter.
-        """
-        started = perf_counter()
-        path = self.class_paths.get(class_id)
-        if path is None:
-            raise KeyError(f"class {class_id!r} has no registered path")
-        plan = _WalkPlan()
-        plan.src = path[0]
-        plan.dst = path[-1]
-        host_tag: Optional[str] = None
-        subclass_tag: Optional[int] = None
-        modified_headers = False
-        sig: List[int] = []  # matched-entry identity per hop
-        failed_links = self.failed_links
-        for hi, sw_name in enumerate(path):
-            if failed_links and hi:
-                prev = path[hi - 1]
-                key = (prev, sw_name) if prev <= sw_name else (sw_name, prev)
-                if key in failed_links:
-                    # Black-hole: the walk ends on the dead link, charged to
-                    # the upstream switch (matches the scalar walker).
-                    plan.tcam_drop_at = prev
-                    plan.final_outcome = (False, prev)
-                    sig.append(-1)
-                    break
-            switch = self.switches[sw_name]
-            table = switch.table
-            if not table.bucket_is_cacheable(flow_hash):
-                # A hash-range boundary splits this bucket: packets in it
-                # may match different entries, so no shared plan exists.
-                plan.cacheable = False
-                plan.fallback = True
-            entry = table.match(class_id, host_tag, flow_hash)
-            sig.append(0 if entry is None else id(entry))
-            if (
-                entry is not None
-                and entry.hash_range is not None
-                and modified_headers
-            ):
-                # A header-modifying VNF ran upstream, so the on-the-wire
-                # hash may no longer equal the probe's: hash-dependent
-                # classification past this point must run per packet.
-                plan.fallback = True
-            plan.hops.append((switch, table, entry is None))
-            if entry is None:
-                continue  # no rules: behave as pass-by
-            kind = entry.action.kind
-            if kind is ActionKind.GOTO_NEXT_TABLE:
-                continue
-            if kind is ActionKind.TAG_SUBCLASS_AND_HOST:
-                subclass_tag = entry.action.subclass_id
-                host_tag = entry.action.next_host
-                continue
-            if (
-                kind is ActionKind.FORWARD_TO_HOST
-                or kind is ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST
-            ):
-                if kind is ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST:
-                    subclass_tag = entry.action.subclass_id
-                vsw = self.vswitch_at(sw_name)
-                rule, instances = vsw.resolve(class_id, subclass_tag)
-                slots = []
-                for inst in instances:
-                    if inst.downstream is not None:
-                        # Downstream hooks see each packet: scalar only.
-                        plan.fallback = True
-                    if inst.nf_type.modifies_headers:
-                        modified_headers = True
-                    slots.append((inst, inst._recent, inst._budget, inst.window))
-                plan.vsteps.append((hi, sw_name, vsw, tuple(slots)))
-                plan.step_outcomes.append((False, sw_name))
-                plan.drops.append(0)
-                host_tag = rule.exit_host_tag
-                if host_tag == sw_name:
-                    raise RuntimeError(
-                        f"packet re-tagged for the host it just left ({sw_name})"
-                    )
-                continue
-            # DROP
-            plan.tcam_drop_at = sw_name
-            plan.final_outcome = (False, sw_name)
-            break
-        else:
-            plan.finished = host_tag == FIN
-            plan.final_outcome = (True, None)
-        if plan.cacheable:
-            # Every bucket matching the same entry sequence walks the same
-            # plan: share one object so accumulation batches across buckets.
-            key = (class_id, tuple(sig))
-            pooled = self._plan_pool.get(key)
-            if pooled is not None:
-                plan = pooled
-            else:
-                self._plan_pool[key] = plan
-        REGISTRY.record("dataplane.batch.resolve", perf_counter() - started)
-        return plan
-
     def _flush_dirty(self) -> None:
         """Apply each touched plan's accumulated counts to the counters.
 
         A packet dropped at the vSwitch of hop *i* still visited switches
         0..i, so per-hop counts start at the plan's total and shrink by the
-        per-step drop counts as the flush walks the path.
+        per-step drop counts as the flush walks the path.  Every hop was
+        answered from the plan, so it is a ``cache_hits`` count too.
         """
         dirty = self._dirty_plans
         if not dirty:
@@ -597,24 +664,22 @@ class DataPlaneNetwork:
             n = plan.n
             alive = n
             drops = plan.drops
-            vsteps = plan.vsteps
-            nv = len(vsteps)
-            vi = 0
-            for hi, (sw, table, was_miss) in enumerate(plan.hops):
-                sw.packets_seen += alive
-                table.lookup_count += alive
-                if was_miss:
-                    table.miss_count += alive
-                while vi < nv and vsteps[vi][0] == hi:
-                    vsw = vsteps[vi][2]
-                    vsw.packets_in += alive
-                    d = drops[vi]
-                    if d:
-                        vsw.packets_dropped += d
-                        alive -= d
-                        drops[vi] = 0
-                    vi += 1
-            if plan.tcam_drop_at is None:
+            for k, (hops, _visits, vsw, *_replay) in enumerate(plan.legs):
+                for sw, table, was_miss in hops:
+                    sw.packets_seen += alive
+                    table.lookup_count += alive
+                    table.cache_hits += alive
+                    if was_miss:
+                        table.miss_count += alive
+                if vsw is None:
+                    break
+                vsw.packets_in += alive
+                d = drops[k]
+                if d:
+                    vsw.packets_dropped += d
+                    alive -= d
+                    drops[k] = 0
+            if plan.final_outcome[0]:
                 self.delivered_count += alive
                 self.dropped_count += n - alive
                 if not plan.finished:
@@ -669,8 +734,8 @@ class DataPlaneNetwork:
     def reset_runtime_state(self) -> None:
         """Zero every runtime counter while keeping rules (and plans) hot.
 
-        Benchmarks use this between repetitions: the installed rules, the
-        flow caches and the walk plans stay warm, but delivery counters,
+        Benchmarks use this between repetitions: the installed rules and
+        the resolved walk plans stay warm, but delivery counters,
         switch/vSwitch counters and instance sliding windows start fresh.
         """
         self.reset_records()

@@ -1,16 +1,14 @@
 """Sharded, shared-nothing data plane: columnar walks over flow partitions.
 
 The batched walker (:meth:`DataPlaneNetwork.inject_stream`) already
-amortises rule lookups per hash bucket but still executes per packet.
+amortises rule lookups per hash interval but still executes per packet.
 This module adds the next structural step, in three layers:
 
 **Partition** (:func:`build_partition`).  The unit of work is a
-``(class, hash-interval)`` pair, where the intervals come from the union
-of hash-range boundaries installed along the class's path
-(:meth:`TcamTable.hash_boundaries`): within one interval every flow of
-the class matches the same entry sequence at every hop, so probing the
-interval midpoint with the planner yields the interval's exact VNF
-instance set.  Units are then joined with a union-find whenever they
+``(class, hash-interval)`` pair — exactly the key of the network's
+resolution cache (:meth:`DataPlaneNetwork.class_intervals`), so the
+interval's :class:`_WalkPlan` names its exact VNF instance set.  Units
+are then joined with a union-find whenever they
 share an instance — an instance's sliding admission window is the one
 piece of order-dependent mutable state in a walk, so two units touching
 the same instance must never run on different shards.  The resulting
@@ -18,14 +16,15 @@ connected components are *shared-nothing*: components are distributed
 across shards (largest weight first, least-loaded shard, deterministic
 tie-breaks) and never split, which is what makes sharded execution
 bit-identical to the global-order walk no matter how shards interleave.
-The partition is keyed on the same generation snapshot as the walk-plan
-cache, so every chaos invalidation (``invalidate_plans``, link failures,
-rule mutations) retires it automatically.
+The partition is valid for one value of the network's rule epoch, like
+the plans it was built from, so every chaos invalidation
+(``invalidate_plans``, link failures, rule mutations) and every newly
+registered class retires it automatically.
 
 **Columnar walk** (:class:`_ColumnWalker`).  Within a shard the column of
-``(class_idx, hash, timestamp)`` arrays is grouped by ``(class, bucket)``
-via one ``np.unique`` — the columnar TCAM walk: each distinct group
-resolves its per-hop TCAM hits once through the plan cache.  The walker
+``(class_idx, hash, timestamp)`` arrays is grouped by ``(class, interval)``
+via one ``np.searchsorted`` per class — the columnar TCAM walk: each
+distinct group takes its per-hop TCAM hits from the plan cache.  The walker
 then tries to apply whole time-slices in bulk: for every instance
 appearing in the slice it evaluates a vectorised *no-drop* admission
 check (exact sliding-window arithmetic over the instance's merged
@@ -33,8 +32,8 @@ arrival column), and if every instance admits everything, counters are
 bulk-added and windows bulk-extended — numpy instead of the per-packet
 loop.  If anything could drop, the slice is bisected; slices at or below
 :data:`MIN_LEAF` run through the unmodified ``inject_stream``, which is
-exact by definition (and also covers the scalar-fallback plans: boundary
-buckets, header-modifying VNF hops, downstream hooks).  Instances that
+exact by definition (and also covers the scalar-fallback plans:
+header-modifying VNF hops, downstream hooks).  Instances that
 fail a check are penalised so subsequent slices skip straight to the
 sequential path instead of re-paying a doomed vector check.
 
@@ -219,13 +218,13 @@ class CounterDelta:
 class FlowPartition:
     """An immutable class → hash-interval → shard map.
 
-    Built by :func:`build_partition`; valid for exactly one generation
-    snapshot of the network (rule tables + vSwitches + failure overlay).
+    Built by :func:`build_partition`; valid for exactly one rule epoch of
+    the network (rule tables + vSwitches + class paths + failure overlay).
     """
 
     def __init__(
         self,
-        snapshot: tuple,
+        epoch: int,
         nshards: int,
         n_components: int,
         class_bounds: Dict[str, np.ndarray],
@@ -233,7 +232,7 @@ class FlowPartition:
         instance_shards: Dict[str, int],
         has_hooks: bool,
     ) -> None:
-        self.snapshot = snapshot
+        self.epoch = epoch
         self.nshards = nshards
         self.n_components = n_components
         self._class_bounds = class_bounds
@@ -246,11 +245,10 @@ class FlowPartition:
 
     def shard_ids_for(self, class_id: str, hashes: np.ndarray) -> np.ndarray:
         """Shard of every hash in ``hashes`` for one class (vectorised)."""
-        bounds = self._class_bounds[class_id]
-        shards = self._class_shards[class_id]
-        if len(bounds) == 0:
-            return np.full(len(hashes), shards[0], dtype=np.int64)
-        return shards[np.searchsorted(bounds, hashes, side="right")]
+        cuts = self._class_bounds[class_id]
+        return self._class_shards[class_id][
+            np.searchsorted(cuts, hashes, side="right")
+        ]
 
 
 def _uf_find(parent: dict, x):
@@ -278,13 +276,12 @@ def build_partition(
 
     The partitioning rule, in order:
 
-    1. cut each class's [0, 1) hash domain at the union of hash-range
-       boundaries installed along its path — within one interval all
-       flows take the same walk;
-    2. probe each interval's midpoint through the planner to learn the
-       interval's VNF instance set (for scalar-fallback probes the set is
-       over-approximated to every instance hosted along the path, which
-       costs parallelism but never correctness);
+    1. take each class's hash intervals from the network's resolution
+       cache — within one interval all flows take the same walk;
+    2. read the interval's VNF instance set off its walk plan (for
+       scalar-fallback plans the set is over-approximated to every
+       instance hosted along the path, which costs parallelism but never
+       correctness);
     3. union-find intervals sharing any instance into connected
        components — the shared-nothing units;
     4. deal components onto ``shards`` shards, heaviest first (weight =
@@ -298,51 +295,37 @@ def build_partition(
     degrades gracefully instead of creating idle workers.
     """
     started = perf_counter()
-    network._ensure_current_plans()
     class_ids = list(network.class_paths)
     weights = class_weights or {}
     sticky = sticky or {}
 
     parent: dict = {}  # union-find over ("u", unit_idx) and ("i", instance_id)
-    units: List[tuple] = []  # (class_id, lo, hi, weight, frozenset(instance_ids))
+    units: List[tuple] = []  # (weight, instance_ids), classes in order
     has_hooks = False
     for class_id in class_ids:
-        path = network.class_paths[class_id]
-        bounds: set = set()
-        for sw_name in path:
-            bounds.update(network.switches[sw_name].table.hash_boundaries(class_id))
-        cuts = sorted(bounds)
-        edges = [0.0] + cuts + [1.0]
+        cp = network.class_intervals(class_id)
         rate = float(weights.get(class_id, 1.0))
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi <= lo:
-                continue
-            mid = lo + (hi - lo) / 2
-            if not (lo <= mid < hi):
-                mid = lo  # degenerate float interval: probe its left edge
-            plan = network._resolve_plan(class_id, mid)
+        for g, (lo, hi) in enumerate(zip(cp.edges[:-1], cp.edges[1:])):
+            plan = network.interval_plan(cp, g)
             if plan.fallback:
-                # The probe cannot vouch for the interval (header-modifying
-                # VNF upstream, boundary bucket, downstream hook): assume
-                # it may touch any instance hosted along the path.
-                inst_ids = set()
-                for sw_name in path:
-                    vsw = network.vswitches.get(sw_name)
-                    if vsw is not None:
-                        for inst in vsw.instances():
-                            inst_ids.add(inst.instance_id)
-                            if inst.downstream is not None:
-                                has_hooks = True
+                # The plan cannot vouch for the interval (header-modifying
+                # VNF upstream, downstream hook): assume it may touch any
+                # instance hosted along the path.
+                instances = [
+                    inst
+                    for sw_name in cp.path
+                    if sw_name in network.vswitches
+                    for inst in network.vswitches[sw_name].instances()
+                ]
             else:
-                inst_ids = set()
-                for _hi, _sw, _vsw, slots in plan.vsteps:
-                    for slot in slots:
-                        inst = slot[0]
-                        inst_ids.add(inst.instance_id)
-                        if inst.downstream is not None:
-                            has_hooks = True
+                instances = [
+                    slot[0] for slots in plan.vsteps for slot in slots
+                ]
+            inst_ids = {inst.instance_id for inst in instances}
+            if any(inst.downstream is not None for inst in instances):
+                has_hooks = True
             ui = ("u", len(units))
-            units.append((class_id, lo, hi, rate * (hi - lo), inst_ids))
+            units.append((rate * (hi - lo), inst_ids))
             parent[ui] = ui
             for iid in inst_ids:
                 ik = ("i", iid)
@@ -363,8 +346,8 @@ def build_partition(
             comp_weight.append(0.0)
             comp_instances.append(set())
         comp_of_unit.append(ci)
-        comp_weight[ci] += units[ui][3]
-        comp_instances[ci] |= units[ui][4]
+        comp_weight[ci] += units[ui][0]
+        comp_instances[ci] |= units[ui][1]
 
     n_components = max(1, len(comp_weight))
     nshards = auto_shards(n_components, shards if shards else "auto")
@@ -411,21 +394,16 @@ def build_partition(
     class_shards: Dict[str, np.ndarray] = {}
     ui = 0
     for class_id in class_ids:
-        cuts: List[float] = []
-        shard_list: List[int] = []
-        while ui < len(units) and units[ui][0] == class_id:
-            _cid, lo, hi, _w, _insts = units[ui]
-            if shard_list:
-                cuts.append(lo)
-            shard_list.append(comp_shard[comp_of_unit[ui]])
-            ui += 1
-        if not shard_list:
-            shard_list = [0]
+        cuts = network.class_intervals(class_id).cuts
         class_bounds[class_id] = np.asarray(cuts, dtype=np.float64)
-        class_shards[class_id] = np.asarray(shard_list, dtype=np.int64)
+        class_shards[class_id] = np.asarray(
+            [comp_shard[ci] for ci in comp_of_unit[ui : ui + len(cuts) + 1]],
+            dtype=np.int64,
+        )
+        ui += len(cuts) + 1
 
     part = FlowPartition(
-        snapshot=network._plans_snapshot,
+        epoch=network.rule_epoch,
         nshards=nshards,
         n_components=n_components,
         class_bounds=class_bounds,
@@ -450,33 +428,8 @@ class _ColumnWalker:
     def __init__(self, network: DataPlaneNetwork) -> None:
         self.net = network
         self._penalty: Dict[int, int] = {}  # id(instance) → remaining leaves
-        self._edges: Dict[str, tuple] = {}  # class → (edge list, cuts array)
-        self._edges_snapshot: Optional[tuple] = None
         self.bulk_packets = 0
         self.seq_packets = 0
-
-    def _class_edges(self, class_id: str) -> tuple:
-        """Interval edges of one class's hash domain: ``[0, cuts…, 1]``.
-
-        Cut points are the union of TCAM hash-range boundaries installed
-        along the class path — the same rule :func:`build_partition` uses,
-        so within one interval every flow matches the same entry sequence
-        at every hop.
-        """
-        cached = self._edges.get(class_id)
-        if cached is None:
-            net = self.net
-            bounds: set = set()
-            for sw_name in net.class_paths[class_id]:
-                bounds.update(
-                    net.switches[sw_name].table.hash_boundaries(class_id)
-                )
-            cuts = sorted(bounds)
-            cached = self._edges[class_id] = (
-                [0.0] + cuts + [1.0],
-                np.asarray(cuts, dtype=np.float64),
-            )
-        return cached
 
     def run(
         self,
@@ -492,17 +445,12 @@ class _ColumnWalker:
         n = len(ts)
         if n == 0:
             return [] if collect else None
-        net._ensure_current_plans()
 
-        # Columnar TCAM walk: one plan resolution per (class, hash
-        # interval) group.  Between adjacent TCAM hash-range boundaries
-        # every flow matches the same entry sequence, so a whole interval
-        # shares the plan resolved at its midpoint — grouping by exact
-        # hash position, not bucket, keeps the group count at classes ×
-        # intervals instead of one group per distinct flow hash.
-        if self._edges_snapshot != net._plans_snapshot:
-            self._edges.clear()
-            self._edges_snapshot = net._plans_snapshot
+        # Columnar TCAM walk: one group per (class, hash interval), the
+        # key of the network's plan cache.  Between adjacent TCAM
+        # hash-range boundaries every flow matches the same entry
+        # sequence, so the group count is classes × intervals, not one
+        # group per distinct flow hash.
         group_pos: List[np.ndarray] = []
         plans: List[_WalkPlan] = []
         fallback_parts = []
@@ -515,18 +463,14 @@ class _ColumnWalker:
                               cends.tolist()):
             class_id = classes[int(ci)]
             cpos = order[cs:ce]  # ascending: stable sort keeps time order
-            edges, cuts = self._class_edges(class_id)
-            if len(cuts):
-                ivals = np.searchsorted(cuts, hashes[cpos], side="right")
+            cp = net.class_intervals(class_id)
+            if cp.cuts:
+                ivals = np.searchsorted(cp.cuts, hashes[cpos], side="right")
+                groups = [(g, cpos[ivals == g]) for g in np.unique(ivals).tolist()]
             else:
-                ivals = np.zeros(len(cpos), dtype=np.int64)
-            for g in np.unique(ivals):
-                pos = cpos[ivals == g]
-                lo, hi = edges[g], edges[g + 1]
-                mid = lo + (hi - lo) / 2
-                if not (lo <= mid < hi):
-                    mid = lo  # degenerate float interval: probe its edge
-                plan = net.walk_plan(class_id, mid)
+                groups = [(0, cpos)]  # one sub-class: the column is the group
+            for g, pos in groups:
+                plan = net.interval_plan(cp, g)
                 plans.append(plan)
                 group_pos.append(pos)
                 if plan.fallback:
@@ -539,8 +483,8 @@ class _ColumnWalker:
             if plan.fallback:
                 continue
             occ: Dict[int, list] = {}
-            for step in plan.vsteps:
-                for slot in step[3]:
+            for slots in plan.vsteps:
+                for slot in slots:
                     rec = occ.setdefault(id(slot[0]), [slot, 0])
                     rec[1] += 1
             for iid, (slot, k) in occ.items():
@@ -601,8 +545,8 @@ class _ColumnWalker:
         dirty_iids = set(culprits)
         dirty_groups: set = set()
         for g, plan in enumerate(plans):
-            for step in plan.vsteps:
-                if any(id(slot[0]) in dirty_iids for slot in step[3]):
+            for slots in plan.vsteps:
+                if any(id(slot[0]) in dirty_iids for slot in slots):
                     dirty_groups.add(g)
                     break
 
@@ -654,7 +598,7 @@ class _ColumnWalker:
             size_bytes, outcomes,
         )
         for slot, pos in mixed:
-            inst, recent, budget, window = slot
+            inst, recent, window = slot
             st = inst.stats
             cnt = len(pos)
             st.packets_in += cnt
@@ -741,8 +685,8 @@ class _ColumnWalker:
     def _check_bulk(self, lo, hi, ts, inst_cols) -> List[int]:
         """Vectorised no-drop check; returns instances that could drop.
 
-        For an instance with pre-slice window ``recent`` (sorted), budget
-        ``B`` and window ``w``, a slice arrival at time ``t_j`` (j-th of
+        For an instance with pre-slice window ``recent`` (sorted), live
+        budget ``B`` and window ``w``, a slice arrival at time ``t_j`` (j-th of
         the instance's in-slice arrivals) is admitted by the scalar
         walker iff, with every earlier slice arrival admitted,
 
@@ -760,7 +704,7 @@ class _ColumnWalker:
             b = np.searchsorted(pos, hi)
             if b <= a:
                 continue
-            inst, recent, budget, window = slot
+            inst, recent, window = slot
             if not inst.running:
                 culprits.append(iid)
                 continue
@@ -769,7 +713,7 @@ class _ColumnWalker:
             old = np.asarray(recent, dtype=np.float64)
             old_live = len(old) - np.searchsorted(old, cut, side="right")
             within = np.arange(b - a) - np.searchsorted(sub, cut, side="right")
-            if np.any(old_live + within + 1 > budget):
+            if np.any(old_live + within + 1 > inst._budget):
                 culprits.append(iid)
         return culprits
 
@@ -801,7 +745,7 @@ class _ColumnWalker:
             m = b - a
             if not m:
                 continue
-            inst, recent, budget, window = slot
+            inst, recent, window = slot
             sub = ts[pos[a:b]]
             st = inst.stats
             st.packets_in += int(m)
@@ -949,18 +893,10 @@ class ShardedDataPlane:
         self._worker_shards = 0
 
     # -- partition lifecycle ------------------------------------------
-    def _ensure_partition(
-        self, classes: Optional[Sequence[str]] = None
-    ) -> FlowPartition:
-        self.network._ensure_current_plans()
+    def _ensure_partition(self) -> FlowPartition:
         part = self._partition
-        if part is not None and part.snapshot == self.network._plans_snapshot:
-            # Registering a class does not bump the generation snapshot,
-            # so a partition predating the class must be rebuilt by hand.
-            if classes is None or all(
-                c in part._class_shards for c in classes
-            ):
-                return part
+        if part is not None and part.epoch == self.network.rule_epoch:
+            return part
         sticky = part.instance_shards if part is not None else None
         part = build_partition(
             self.network,
@@ -969,7 +905,7 @@ class ShardedDataPlane:
             sticky=sticky,
         )
         self._partition = part
-        self._walker = _ColumnWalker(self.network)  # plans were retired
+        self._walker = _ColumnWalker(self.network)  # penalties may be stale
         if _obs.REGISTRY.enabled:
             _obs.metric("dataplane_shard_components").set(part.n_components)
         return part
@@ -1031,7 +967,7 @@ class ShardedDataPlane:
         """
         started = perf_counter()
         classes = list(classes)
-        part = self._ensure_partition(classes)
+        part = self._ensure_partition()
         n = len(ts)
         if n == 0:
             return [] if collect else None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dataplane.packet import Packet
-from repro.dataplane.tcam import Action, ActionKind, TcamEntry, TcamTable
+from repro.dataplane.tcam import Action, ActionKind, RuleEpoch, TcamEntry, TcamTable
 
 # Table III priorities: host match above classification above pass-by.
 PRIORITY_HOST_MATCH = 300
@@ -103,12 +103,15 @@ class PhysicalSwitch:
     Args:
         name: switch identifier (matches the topology node).
         has_host: whether an APPLE host hangs off this switch.
+        epoch: the network-wide rule epoch the table reports mutations to.
     """
 
-    def __init__(self, name: str, has_host: bool = True) -> None:
+    def __init__(
+        self, name: str, has_host: bool = True, epoch: Optional[RuleEpoch] = None
+    ) -> None:
         self.name = name
         self.has_host = has_host
-        self.table = TcamTable(name=f"{name}/table0")
+        self.table = TcamTable(name=f"{name}/table0", epoch=epoch)
         self.port_counters: Dict[str, int] = {}
         self.packets_seen = 0
 
@@ -166,32 +169,6 @@ class PhysicalSwitch:
         if action.kind is ActionKind.GOTO_NEXT_TABLE:
             return SwitchDecision.FORWARD
         return SwitchDecision.DROP
-
-    def resolve(
-        self, class_id: str, host_tag: Optional[str], flow_hash: float
-    ) -> tuple:
-        """Pipeline decision for raw header fields, without side effects.
-
-        Returns ``(decision, entry)``.  Unlike :meth:`process` this mutates
-        neither the packet (the caller applies the entry's tag writes) nor
-        the counters — the batched walker resolves a hash bucket's pipeline
-        once and bulk-updates counters afterwards.
-        """
-        entry = self.table.match(class_id, host_tag, flow_hash)
-        if entry is None:
-            return SwitchDecision.FORWARD, None
-        kind = entry.action.kind
-        if (
-            kind is ActionKind.FORWARD_TO_HOST
-            or kind is ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST
-        ):
-            return SwitchDecision.TO_HOST, entry
-        if (
-            kind is ActionKind.TAG_SUBCLASS_AND_HOST
-            or kind is ActionKind.GOTO_NEXT_TABLE
-        ):
-            return SwitchDecision.FORWARD, entry
-        return SwitchDecision.DROP, entry
 
     def tcam_usage(self) -> int:
         """Hardware TCAM slots consumed by APPLE rules at this switch."""

@@ -10,30 +10,22 @@ Entry counts reported by :meth:`TcamTable.entry_count` use the *hardware*
 cost: a classification entry whose hash range needs k prefix rules counts
 as k TCAM entries (Sec. V-A's prefix method).
 
-Lookup fast path (the OVS architecture in miniature): real Open vSwitch
-puts an exact-match *flow cache* in front of its megaflow classifier so
-that only the first packet of a flow pays the full wildcard-match cost.
-:meth:`TcamTable.match` does the same here.  The cache key is
-``(class_id, host-tag, hash bucket)`` where the bucket quantises
-``flow_hash`` at :attr:`TcamEntry.HASH_BITS` resolution — the exact
-resolution the hardware prefix expansion uses.  Correctness:
+Lookup path: :meth:`TcamTable.match` is a priority scan, nothing else.
+A class-id index (entries keyed by their exact ``class_id`` plus the
+wildcard list, rebuilt lazily when :attr:`TcamTable.generation` moves)
+narrows the scan to entries that could possibly match, merged in priority
+order; ``_scan_all`` keeps the plain linear scan as the property tests'
+reference.  There is no per-table flow cache: what makes repeated lookups
+cheap is one level up, where :class:`~repro.dataplane.network.DataPlaneNetwork`
+resolves a whole walk once per (class, hash interval) and replays it —
+:meth:`TcamTable.hash_boundaries` supplies the interval edges, and
+:attr:`TcamTable.cache_hits` counts the hop lookups such a replay answered
+without any scan here.
 
-* the three key components are the only packet fields ``matches`` reads,
-  so a cached decision is wrong only if the matched entry could differ
-  *within* one hash bucket;
-* because the bucket width is 2**-HASH_BITS and scaling by a power of two
-  is exact in binary floating point, a hash-range boundary can split a
-  bucket only when ``boundary * 2**HASH_BITS`` is not an integer.  Buckets
-  containing such an interior boundary are collected per generation and
-  never cached — they always take the cold scan;
-* every mutation (:meth:`install`, :meth:`remove_where`, :meth:`clear`)
-  bumps a generation counter; the cache and the per-class index are
-  rebuilt lazily when the generation moves, so a stale entry can never be
-  served.
-
-Cold lookups use a class-id index (entries keyed by their exact
-``class_id`` plus the wildcard list) so they scan only entries that could
-possibly match, merged in priority order.
+Every table of one network shares a :class:`RuleEpoch`: each mutator moves
+the table's own ``generation`` (what the southbound reconciler watches)
+*and* the shared epoch (what retires the network's resolved walks), so
+"did any rule anywhere change" is one integer comparison.
 """
 
 from __future__ import annotations
@@ -80,7 +72,7 @@ class TcamEntry:
             :attr:`hardware_entries` prefix rules.
 
     Match fields are treated as immutable once the entry is installed in a
-    table (the flow cache and the hardware-entry count rely on it); install
+    table (the scan index and the hardware-entry count rely on it); install
     a fresh entry instead of mutating one in place.
     """
 
@@ -94,15 +86,20 @@ class TcamEntry:
     HASH_BITS = 16  # resolution at which hash ranges map onto prefix rules
 
     def matches(self, packet: Packet) -> bool:
-        if self.host_tag_is is not None:
-            tag = packet.host_tag if packet.host_tag is not None else "EMPTY"
-            if tag != self.host_tag_is:
-                return False
-        if self.class_id is not None and packet.class_id != self.class_id:
+        tag = packet.host_tag if packet.host_tag is not None else "EMPTY"
+        return self.matches_fields(packet.class_id, tag, packet.flow_hash)
+
+    def matches_fields(
+        self, class_id: Optional[str], tag: str, flow_hash: float
+    ) -> bool:
+        """Match on raw header fields (``tag`` already ``"EMPTY"``-mapped)."""
+        if self.host_tag_is is not None and tag != self.host_tag_is:
+            return False
+        if self.class_id is not None and self.class_id != class_id:
             return False
         if self.hash_range is not None:
             lo, hi = self.hash_range
-            if not lo <= packet.flow_hash < hi:
+            if not lo <= flow_hash < hi:
                 return False
         return True
 
@@ -125,50 +122,65 @@ class TcamEntry:
         return range_to_cidr_count(start, stop, bits=self.HASH_BITS)
 
 
-#: Sentinel distinguishing "cached None (miss)" from "not cached".
-_NOT_CACHED = object()
+class RuleEpoch:
+    """A counter shared by every rule table of one network.
 
-#: Number of exact-match buckets the hash domain is quantised into.
-_BUCKETS = 1 << TcamEntry.HASH_BITS
+    Anything that holds rule state bumps ``value`` when that state
+    changes; anything that caches a function of rule state compares one
+    integer to learn whether it is still valid.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
 
 
 class TcamTable:
-    """A priority-ordered TCAM table with an exact-match flow cache.
+    """A priority-ordered TCAM table.
 
     Generation contract: every method that changes the installed entries
     (:meth:`install`, :meth:`remove_where`, :meth:`remove_by_name`,
-    :meth:`replace`, :meth:`clear`) moves :attr:`generation`, and nothing
-    else may change them.  The flow cache, the network's walk plans and
-    the southbound fabric's installed-state view all trust an unmoved
-    generation to mean unchanged entries
+    :meth:`replace`, :meth:`clear`) moves :attr:`generation` and the
+    shared ``epoch``, and nothing else may change them.  The network's
+    walk plans and the southbound fabric's installed-state view trust an
+    unmoved counter to mean unchanged entries
     (``tests/test_dataplane_generation.py`` enforces it).
+
+    Args:
+        epoch: the network-wide rule epoch this table reports mutations
+            to; a table built on its own gets a private one.
     """
 
-    def __init__(self, name: str = "table0") -> None:
+    def __init__(self, name: str = "table0", epoch: Optional[RuleEpoch] = None) -> None:
         self.name = name
         self._entries: List[TcamEntry] = []
         #: Parallel list of ``-priority`` keys for O(log n) ordered insert.
         self._prio_keys: List[int] = []
         self.lookup_count = 0
         self.miss_count = 0
+        #: Hop lookups answered without a priority scan: a walker that
+        #: replays a resolved plan counts every hop here (and in
+        #: ``lookup_count``); :meth:`lookup` itself always scans and never
+        #: does.
         self.cache_hits = 0
-        #: Disable to force the pre-fast-path linear scan (benchmarks use
-        #: this to reproduce the uncached baseline).
-        self.cache_enabled = True
         self._generation = 0
+        self._epoch = epoch if epoch is not None else RuleEpoch()
         self._hw_count = 0
-        # Flow cache + cold-scan index, rebuilt lazily per generation.
-        self._cache: Dict[Tuple[Optional[str], str, int], Optional[TcamEntry]] = {}
+        # Scan index, rebuilt lazily per generation.
         self._index_generation = -1
         self._by_class: Dict[str, List[Tuple[int, TcamEntry]]] = {}
         self._wildcard: List[Tuple[int, TcamEntry]] = []
-        self._boundary_buckets: frozenset = frozenset()
 
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
         """Monotone counter bumped by every rule mutation."""
         return self._generation
+
+    def _moved(self) -> None:
+        self._generation += 1
+        self._epoch.value += 1
 
     def install(self, entry: TcamEntry) -> None:
         """Insert keeping priority order (higher priority matched first).
@@ -183,7 +195,7 @@ class TcamTable:
         self._prio_keys.insert(idx, key)
         self._entries.insert(idx, entry)
         self._hw_count += entry.hardware_entries
-        self._generation += 1
+        self._moved()
 
     def remove_where(self, predicate) -> int:
         """Remove entries satisfying ``predicate``; returns count removed."""
@@ -193,14 +205,14 @@ class TcamTable:
             self._entries = kept
             self._prio_keys = [-e.priority for e in kept]
             self._hw_count = sum(e.hardware_entries for e in kept)
-            self._generation += 1
+            self._moved()
         return removed
 
     def clear(self) -> None:
         self._entries.clear()
         self._prio_keys.clear()
         self._hw_count = 0
-        self._generation += 1
+        self._moved()
 
     def remove_by_name(self, name: str) -> int:
         """Remove every entry called ``name``; returns count removed.
@@ -234,9 +246,6 @@ class TcamTable:
             self.miss_count += 1
         return entry
 
-    # ------------------------------------------------------------------
-    # Fast path
-    # ------------------------------------------------------------------
     def match(
         self,
         class_id: Optional[str],
@@ -245,89 +254,14 @@ class TcamTable:
     ) -> Optional[TcamEntry]:
         """Like :meth:`lookup` on raw fields, without the hit/miss counters.
 
-        This is the flow-cached fast path; the batched walker calls it
-        directly when resolving a bucket's pipeline once.
+        Merges the class's index list with the wildcard list.  Both carry
+        each entry's position in the full priority order, so the merge
+        visits candidates in exactly the order :meth:`_scan_all` would.
         """
+        if self._index_generation != self._generation:
+            self._rebuild_index()
         tag = host_tag if host_tag is not None else "EMPTY"
-        if not self.cache_enabled:
-            return self._scan_all(class_id, tag, flow_hash)
-        if self._index_generation != self._generation:
-            self._rebuild_index()
-        bucket = int(flow_hash * _BUCKETS)
-        key = (class_id, tag, bucket)
-        hit = self._cache.get(key, _NOT_CACHED)
-        if hit is not _NOT_CACHED:
-            self.cache_hits += 1
-            return hit
-        entry = self._scan_indexed(class_id, tag, flow_hash)
-        if bucket not in self._boundary_buckets:
-            self._cache[key] = entry
-        return entry
-
-    def hash_boundaries(self, class_id: Optional[str]) -> List[float]:
-        """Sorted interior hash-range bounds of entries a class can match.
-
-        The sharded data plane's partitioner cuts the hash domain [0, 1)
-        at these points: within one resulting interval, every flow of the
-        class matches the same entry sequence in this table, so a single
-        probe resolves the whole interval's walk.  Includes wildcard
-        (``class_id is None``) entries, which the class can also match.
-        """
-        if self._index_generation != self._generation:
-            self._rebuild_index()
-        bounds = set()
-        for e in self._entries:
-            if e.class_id is not None and e.class_id != class_id:
-                continue
-            if e.hash_range is not None:
-                for b in e.hash_range:
-                    if 0.0 < b < 1.0:
-                        bounds.add(b)
-        return sorted(bounds)
-
-    def bucket_is_cacheable(self, flow_hash: float) -> bool:
-        """Whether the whole hash bucket of ``flow_hash`` matches uniformly.
-
-        False only for buckets containing an interior hash-range boundary;
-        the batched walker falls back to per-packet resolution there.
-        """
-        if self._index_generation != self._generation:
-            self._rebuild_index()
-        return int(flow_hash * _BUCKETS) not in self._boundary_buckets
-
-    @staticmethod
-    def _entry_matches(
-        e: TcamEntry, class_id: Optional[str], tag: str, flow_hash: float
-    ) -> bool:
-        if e.host_tag_is is not None and tag != e.host_tag_is:
-            return False
-        if e.class_id is not None and e.class_id != class_id:
-            return False
-        if e.hash_range is not None:
-            lo, hi = e.hash_range
-            if not lo <= flow_hash < hi:
-                return False
-        return True
-
-    def _scan_all(
-        self, class_id: Optional[str], tag: str, flow_hash: float
-    ) -> Optional[TcamEntry]:
-        """The pre-fast-path behaviour: linear scan over every entry."""
-        for e in self._entries:
-            if self._entry_matches(e, class_id, tag, flow_hash):
-                return e
-        return None
-
-    def _scan_indexed(
-        self, class_id: Optional[str], tag: str, flow_hash: float
-    ) -> Optional[TcamEntry]:
-        """Cold lookup: merge the class's entries with the wildcard list.
-
-        Both index lists carry each entry's position in the full priority
-        order, so the merge visits candidates in exactly the order the
-        linear scan would.
-        """
-        a = self._by_class.get(class_id, []) if class_id is not None else []
+        a = self._by_class.get(class_id, ()) if class_id is not None else ()
         b = self._wildcard
         i = j = 0
         la, lb = len(a), len(b)
@@ -338,29 +272,50 @@ class TcamTable:
             else:
                 e = b[j][1]
                 j += 1
-            if self._entry_matches(e, class_id, tag, flow_hash):
+            if e.matches_fields(class_id, tag, flow_hash):
+                return e
+        return None
+
+    def hash_boundaries(self, class_id: Optional[str]) -> List[float]:
+        """Sorted interior hash-range bounds of entries a class can match.
+
+        The network cuts the class's hash domain [0, 1) at these points
+        (:meth:`DataPlaneNetwork.class_intervals`): within one resulting
+        interval, every flow of the class matches the same entry sequence
+        in this table, so a single probe resolves the whole interval's
+        walk.  Reads the scan index — the class's own entries plus the
+        wildcard (``class_id is None``) ones, which it can also match.
+        """
+        if self._index_generation != self._generation:
+            self._rebuild_index()
+        bounds = set()
+        for candidates in (self._by_class.get(class_id, ()), self._wildcard):
+            for _pos, e in candidates:
+                if e.hash_range is not None:
+                    for b in e.hash_range:
+                        if 0.0 < b < 1.0:
+                            bounds.add(b)
+        return sorted(bounds)
+
+    def _scan_all(
+        self, class_id: Optional[str], tag: str, flow_hash: float
+    ) -> Optional[TcamEntry]:
+        """Plain linear scan over every entry: :meth:`match`'s reference."""
+        for e in self._entries:
+            if e.matches_fields(class_id, tag, flow_hash):
                 return e
         return None
 
     def _rebuild_index(self) -> None:
         by_class: Dict[str, List[Tuple[int, TcamEntry]]] = {}
         wildcard: List[Tuple[int, TcamEntry]] = []
-        boundaries = set()
         for pos, e in enumerate(self._entries):
             if e.class_id is None:
                 wildcard.append((pos, e))
             else:
                 by_class.setdefault(e.class_id, []).append((pos, e))
-            if e.hash_range is not None:
-                for bound in e.hash_range:
-                    scaled = bound * _BUCKETS  # exact: power-of-two scale
-                    ib = int(scaled)
-                    if scaled != ib and 0 <= ib < _BUCKETS:
-                        boundaries.add(ib)
         self._by_class = by_class
         self._wildcard = wildcard
-        self._boundary_buckets = frozenset(boundaries)
-        self._cache = {}
         self._index_generation = self._generation
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataplane.packet import FIN, Packet
+from repro.dataplane.tcam import RuleEpoch
 from repro.vnf.instance import VNFInstance
 
 UPLINK = "uplink"  # the port facing the physical switch
@@ -40,16 +41,18 @@ class VSwitch:
     (:meth:`register_instance`, :meth:`deregister_instance`,
     :meth:`install_rule`, :meth:`remove_rule`, :meth:`clear_rules`,
     :meth:`install_origin_rule`, :meth:`clear_origin_rules`) moves
-    :attr:`generation`, and nothing else may change them.  The network's
-    walk plans and the southbound fabric's installed-state view trust an
-    unmoved generation to mean unchanged state
+    :attr:`generation` and the shared ``epoch``, and nothing else may change
+    them.  The network's walk plans and the southbound fabric's
+    installed-state view trust an unmoved counter to mean unchanged state
     (``tests/test_dataplane_generation.py`` enforces it).
 
     Args:
         switch: the physical switch this host hangs off.
+        epoch: the network-wide rule epoch this vSwitch reports mutations
+            to; a vSwitch built on its own gets a private one.
     """
 
-    def __init__(self, switch: str) -> None:
+    def __init__(self, switch: str, epoch: Optional[RuleEpoch] = None) -> None:
         self.switch = switch
         self._rules: Dict[Tuple[str, str, Optional[int]], VSwitchRule] = {}
         self._instances: Dict[str, VNFInstance] = {}
@@ -60,9 +63,14 @@ class VSwitch:
         self._origin_rules: List[Tuple[str, Tuple[float, float], int, str]] = []
         self.packets_in = 0
         self.packets_dropped = 0
-        #: Bumped whenever rules or the instance set change; cached walk
-        #: plans in the network layer revalidate against it.
+        #: Bumped (with the shared epoch) whenever rules or the instance set
+        #: change; the southbound reconciler watches it.
         self.generation = 0
+        self._epoch = epoch if epoch is not None else RuleEpoch()
+
+    def _moved(self) -> None:
+        self.generation += 1
+        self._epoch.value += 1
 
     # ------------------------------------------------------------------
     def register_instance(
@@ -81,7 +89,7 @@ class VSwitch:
                 f"{instance.switch!r}, not {self.switch!r}"
             )
         self._instances[alias or instance.instance_id] = instance
-        self.generation += 1
+        self._moved()
 
     def deregister_instance(self, instance_id: str) -> None:
         self._instances.pop(instance_id, None)
@@ -90,7 +98,7 @@ class VSwitch:
         self._rules = {
             k: r for k, r in self._rules.items() if instance_id not in r.instance_ids
         }
-        self.generation += 1
+        self._moved()
 
     def install_rule(
         self,
@@ -106,7 +114,7 @@ class VSwitch:
                     f"vSwitch at {self.switch!r}: unknown instance {iid!r}"
                 )
         self._rules[(in_port, class_id, subclass_id)] = rule
-        self.generation += 1
+        self._moved()
 
     def remove_rule(
         self,
@@ -121,12 +129,12 @@ class VSwitch:
         """
         if self._rules.pop((in_port, class_id, subclass_id), None) is None:
             return False
-        self.generation += 1
+        self._moved()
         return True
 
     def clear_rules(self) -> None:
         self._rules.clear()
-        self.generation += 1
+        self._moved()
 
     @property
     def rule_count(self) -> int:
@@ -209,11 +217,11 @@ class VSwitch:
     ) -> None:
         """Classification for packets born at a production VM in this host."""
         self._origin_rules.append((class_id, hash_range, sub_id, first_host))
-        self.generation += 1
+        self._moved()
 
     def clear_origin_rules(self) -> None:
         self._origin_rules.clear()
-        self.generation += 1
+        self._moved()
 
     @property
     def origin_rule_count(self) -> int:

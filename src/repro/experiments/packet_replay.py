@@ -141,7 +141,7 @@ def run(
     elif batch > 1:
         # Batched fast path: one mux merges every class's CBR stream in
         # global arrival order, and the network walks each batch through
-        # cached per-bucket plans.  Flow hashes cycle exactly as in the
+        # cached per-interval plans.  Flow hashes cycle exactly as in the
         # scalar consumers (per-class k counter), and the phase RNG is
         # consumed in the same order, so the packet sequence is identical.
         network = deployment.network

@@ -69,7 +69,8 @@ CATALOG: Tuple[MetricDef, ...] = (
     MetricDef("counter", "dataplane_tcam_misses_total",
               "TCAM lookups matching no entry (collected)"),
     MetricDef("counter", "dataplane_flow_cache_hits_total",
-              "Exact-match flow-cache hits across all TCAM tables (collected)"),
+              "Hop lookups answered from a resolved walk plan, without a "
+              "TCAM priority scan (collected)"),
     MetricDef("gauge", "dataplane_tcam_hw_entries",
               "Hardware TCAM slots occupied by APPLE rules (collected)"),
     MetricDef("counter", "dataplane_packets_delivered_total",

@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 
 def collect_network(network: "DataPlaneNetwork") -> None:
-    """Data-plane ground truth → registry (ledger, TCAM, flow cache)."""
+    """Data-plane ground truth → registry (ledger, TCAM, plan replays)."""
     if not state.REGISTRY.enabled:
         return
     lookups = misses = hits = hw = 0

@@ -76,11 +76,9 @@ class VNFInstance:
         self.degradation = 1.0
         self._recent: List[float] = []  # processed-packet timestamps in window
         # Window budget in packets; NFType is frozen, so only degrade()
-        # changes this (and whoever calls it must invalidate cached walk
-        # plans, which capture the budget by value).  The batched walker
-        # reads _budget/_recent directly (see
-        # DataPlaneNetwork.inject_stream) — keep their semantics in sync
-        # with consume().
+        # changes this.  The batched and columnar walkers read
+        # _budget/_recent directly (see DataPlaneNetwork.inject_stream) —
+        # keep their semantics in sync with consume().
         self._budget: float = float(nf_type.capacity_pps) * window
 
     # ------------------------------------------------------------------
@@ -121,14 +119,23 @@ class VNFInstance:
             if self.sim is None:
                 raise ValueError("packet-level consume needs a simulator or timestamps")
             now = self.sim.now
-        self.stats.packets_in += 1
-        self._trim(now)
-        if len(self._recent) + 1 > self._budget:
-            self.stats.packets_dropped += 1
+        stats = self.stats
+        stats.packets_in += 1
+        # _trim(now), inlined: this is every packet walker's inner loop.
+        recent = self._recent
+        cutoff = now - self.window
+        if recent and recent[0] <= cutoff:
+            i = 1
+            n = len(recent)
+            while i < n and recent[i] <= cutoff:
+                i += 1
+            del recent[:i]
+        if len(recent) + 1 > self._budget:
+            stats.packets_dropped += 1
             return False
-        self._recent.append(now)
-        self.stats.packets_processed += 1
-        self.stats.bytes_processed += packet_size
+        recent.append(now)
+        stats.packets_processed += 1
+        stats.bytes_processed += packet_size
         if self.downstream is not None:
             self.downstream(packet_size, now)
         return True
@@ -152,9 +159,8 @@ class VNFInstance:
         """Scale capacity to ``factor`` of nominal (a chaos brownout).
 
         Affects both views: the sliding-window packet budget shrinks and
-        :attr:`effective_capacity_mbps` drops.  Callers driving the batched
-        walker must invalidate cached walk plans afterwards (they capture
-        the budget by value).
+        :attr:`effective_capacity_mbps` drops.  Every walker reads the
+        budget live, so the next packet already sees it.
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError("degradation factor must be in (0, 1]")

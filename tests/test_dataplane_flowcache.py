@@ -1,8 +1,13 @@
-"""Property-based tests (hypothesis) for the TCAM flow cache.
+"""Property-based tests (hypothesis) for the TCAM lookup path.
 
-The cache must be a pure memoisation of the linear scan: for any rule set
-and any lookup, the cached answer equals the uncached one, and no mutation
+``TcamTable.match`` scans a per-class index that is rebuilt lazily when
+the generation moves; it must be indistinguishable from the plain linear
+scan (``_scan_all``, kept as the reference): for any rule set and any
+lookup the indexed answer equals the linear one, and no mutation
 (install / remove_where / clear) may ever let a stale entry be served.
+(The file keeps its name from the exact-match flow cache that used to sit
+in front of the index; resolved walks now live one level up, in
+``DataPlaneNetwork`` — see ``tests/test_dataplane_programs.py``.)
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,9 +23,8 @@ ACTIONS = [
     Action(ActionKind.FORWARD_TO_HOST),
 ]
 
-#: Hash boundaries drawn from a mix of bucket-aligned values (multiples of
-#: 2**-16 are cache-friendly) and arbitrary floats (which split buckets and
-#: must force the cold path).
+#: Hash boundaries drawn from a mix of prefix-aligned values (multiples of
+#: 2**-16) and arbitrary floats.
 _ALIGNED = st.integers(0, 1 << 16).map(lambda k: k / (1 << 16))
 _BOUNDARY = st.one_of(_ALIGNED, st.floats(0.0, 1.0, allow_nan=False))
 
@@ -66,7 +70,7 @@ def test_cached_lookup_equals_uncached(rule_set, queries):
         table.install(e)
     for class_id, host_tag, h in queries:
         expected = _uncached(table, class_id, host_tag, h)
-        # Repeat so the second lookup is served from the cache when cacheable.
+        # Repeat: a lookup must not change what the next one answers.
         assert table.match(class_id, host_tag, h) is expected
         assert table.match(class_id, host_tag, h) is expected
 
@@ -82,7 +86,7 @@ def test_mutations_never_serve_stale_entries(initial, later, queries, drop_prio)
     table = TcamTable()
     for e in initial:
         table.install(e)
-    # Warm the cache, then mutate underneath it.
+    # Build the index, then mutate underneath it.
     for class_id, host_tag, h in queries:
         table.match(class_id, host_tag, h)
 
@@ -121,9 +125,10 @@ def test_incremental_entry_count_matches_recompute(rule_set):
     assert table.entry_count() == 0
 
 
-def test_boundary_bucket_never_cached():
-    # 0.3 * 2**16 is not an integer, so the range boundary splits a bucket:
-    # lookups on either side of the boundary within that bucket must differ.
+def test_boundary_inside_a_prefix_bucket_splits_lookups():
+    # 0.3 * 2**16 is not an integer, so the range boundary falls inside one
+    # 2**-16 bucket: lookups on either side of it must differ, and 0.3 is
+    # the one interval edge the network cuts this class's hash domain at.
     table = TcamTable()
     table.install(
         TcamEntry(
@@ -147,8 +152,8 @@ def test_boundary_bucket_never_cached():
     just_below = (bucket + 0.1) / (1 << 16)
     just_above = (bucket + 0.9) / (1 << 16)
     assert just_below < 0.3 < just_above
-    assert not table.bucket_is_cacheable(just_below)
-    for _ in range(3):  # repeats must not poison a cache for the sibling
+    assert table.hash_boundaries("c1") == [0.3]
+    for _ in range(3):  # repeats must not change the sibling's answer
         assert table.match("c1", None, just_below).name == "low-half"
         assert table.match("c1", None, just_above).name == "high-half"
 
@@ -172,15 +177,3 @@ def test_priority_ties_keep_install_order():
         Packet(class_id="c1", flow_hash=0.5, src="s1", dst="s2")
     )
     assert hit.name == "top"
-
-
-def test_cache_disabled_reproduces_linear_scan():
-    table = TcamTable()
-    table.cache_enabled = False
-    e = TcamEntry(
-        priority=1, action=Action(ActionKind.DROP), class_id="c1"
-    )
-    table.install(e)
-    assert table.match("c1", None, 0.25) is e
-    assert table.cache_hits == 0
-    assert table._cache == {}

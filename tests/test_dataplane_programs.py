@@ -1,0 +1,391 @@
+"""Walk-program equivalence: ``inject`` must mirror the reference walker.
+
+``DataPlaneNetwork.inject`` replays a walk resolved once per (class, hash
+interval); ``walk_reference`` runs the Table III pipeline hop by hop with
+no cache in front of it.  Two identically installed networks are driven
+with one event stream — packets, faults, rule mutations — and must agree
+on every packet (outcome, drop site, trace, both tags), on every counter
+(except ``cache_hits``, which only the replay counts) and on the ledger.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.packet import FIN, Packet
+from repro.dataplane.sharded import CounterDelta
+from repro.dataplane.switch import classification_entry, host_match_entry
+from repro.dataplane.tcam import Action, ActionKind, TcamEntry
+from repro.dataplane.vswitch import VSwitchRule
+from repro.topology.graph import AppleHostSpec, Link, Topology
+from repro.vnf.instance import VNFInstance
+from repro.vnf.types import NFType
+
+from tests.test_dataplane_generation import TCAM_MUTATORS, VSWITCH_MUTATORS
+
+CAPACITY_PPS = 40.0  # budget: 4 packets per 0.1 s window
+SPLIT = 0.3  # not a multiple of 2**-16: the edge falls inside a prefix bucket
+CLASSES = {
+    "c0": ("s1", "s2", "s3", "s4"),  # two sub-classes, chain over two hosts
+    "c1": ("s1", "s2", "s3", "s4"),  # first host is remote (tag and pass on)
+    "c2": ("s2", "s3", "s4"),  # first host is the ingress switch itself
+    "c3": ("s2", "s3", "s4"),  # born at a production VM inside host s2
+}
+DETOUR = {"c0": ("s1", "s5", "s4"), "c1": ("s1", "s5", "s4")}
+
+
+def _build():
+    """s1 — s2(host) — s3(host) — s4, plus a detour s1 — s5 — s4."""
+    topo = Topology(
+        "ladder",
+        ["s1", "s2", "s3", "s4", "s5"],
+        [Link("s1", "s2"), Link("s2", "s3"), Link("s3", "s4"),
+         Link("s1", "s5"), Link("s5", "s4")],
+        hosts={"s2": AppleHostSpec(cores=64), "s3": AppleHostSpec(cores=64)},
+    )
+    net = DataPlaneNetwork(topo)
+    for class_id, path in CLASSES.items():
+        net.register_class_path(class_id, path)
+    nf = NFType("m", cores=1, capacity_mbps=1e9, clickos=True,
+                capacity_pps=CAPACITY_PPS)
+    instances = {}
+    for name, switch in [("a", "s2"), ("b", "s3"), ("c", "s2"), ("d", "s3"),
+                         ("e", "s3"), ("f", "s2")]:
+        inst = instances[name] = VNFInstance(name, nf, switch, window=0.1)
+        net.vswitch_at(switch).register_instance(inst)
+    v2, v3 = net.vswitch_at("s2"), net.vswitch_at("s3")
+    v2.install_rule("c0", 0, VSwitchRule(("a",), exit_host_tag="s3"))
+    v3.install_rule("c0", 0, VSwitchRule(("b",), exit_host_tag=FIN))
+    v2.install_rule("c0", 1, VSwitchRule(("c",), exit_host_tag=FIN))
+    v3.install_rule("c1", 0, VSwitchRule(("d", "e"), exit_host_tag=FIN))
+    v2.install_rule("c2", 0, VSwitchRule(("f", "a"), exit_host_tag=FIN))
+    v2.install_rule("c3", 0, VSwitchRule(("c",), exit_host_tag="s3"))
+    v3.install_rule("c3", 0, VSwitchRule(("e",), exit_host_tag=FIN))
+    v2.install_origin_rule("c3", (0.0, 1.0), 0, "s2")
+    s1, s2 = net.switches["s1"], net.switches["s2"]
+    s1.install_classification("c0", (0.0, SPLIT), 0, "s2")
+    s1.install_classification("c0", (SPLIT, 1.0), 1, "s2")
+    s1.install_classification("c1", (0.0, 1.0), 0, "s3")
+    s2.install_classification("c2", (0.0, 1.0), 0, "s2")
+    for name in ("s2", "s3"):
+        net.switches[name].install_host_match()
+    for sw in net.switches.values():
+        sw.install_pass_by()
+    return net, instances
+
+
+# ----------------------------------------------------------------------
+# Events: each is applied to both networks, in the same order
+# ----------------------------------------------------------------------
+#: One state-changing call per mutator of the generation contract, picked
+#: so the walk of some class changes: drops, lost tags (violations), a
+#: moved interval edge, a missing rule (KeyError), a table that misses.
+MUTATIONS = {
+    "install": lambda n, i: n.switches["s3"].table.install(
+        TcamEntry(priority=999, action=Action(ActionKind.DROP), class_id="c1")
+    ),
+    "remove_where": lambda n, i: n.switches["s1"].table.remove_where(
+        lambda e: e.class_id == "c1"
+    ),
+    "remove_by_name": lambda n, i: n.switches["s3"].table.remove_by_name(
+        host_match_entry("s3").name
+    ),
+    "replace": lambda n, i: n.switches["s1"].table.replace(
+        classification_entry("s1", "c0", (0.8, 1.0), 1, "s2")
+    ),
+    "clear": lambda n, i: n.switches["s1"].table.clear(),
+    "register_instance": lambda n, i: n.vswitch_at("s3").register_instance(
+        i["d"], alias="b"
+    ),
+    "deregister_instance": lambda n, i: n.vswitch_at("s2").deregister_instance("f"),
+    "install_rule": lambda n, i: n.vswitch_at("s3").install_rule(
+        "c1", 0, VSwitchRule(("e",), exit_host_tag=FIN)
+    ),
+    "remove_rule": lambda n, i: n.vswitch_at("s2").remove_rule("c0", 1),
+    "clear_rules": lambda n, i: n.vswitch_at("s3").clear_rules(),
+    "install_origin_rule": lambda n, i: n.vswitch_at("s2").install_origin_rule(
+        "c3", (0.0, 0.5), 0, "s3"
+    ),
+    "clear_origin_rules": lambda n, i: n.vswitch_at("s2").clear_origin_rules(),
+}
+
+
+def test_every_mutator_of_the_generation_contract_is_exercised():
+    assert set(MUTATIONS) == set(TCAM_MUTATORS) | set(VSWITCH_MUTATORS)
+
+
+def _edge_hashes(net, class_id):
+    """0, just below 1, and every interval edge with its two neighbours."""
+    out = [0.0, math.nextafter(1.0, 0.0)]
+    for edge in net.class_intervals(class_id).cuts:
+        out += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    return out
+
+
+class _Pair:
+    """The replay network and the reference network, driven in lockstep."""
+
+    def __init__(self, hooked=()):
+        self.replay, self.replay_inst = _build()
+        self.reference, self.reference_inst = _build()
+        self.hook_log = ([], [])
+        self.now = 0.0
+        for name in hooked:
+            self.hook(name)
+
+    def hook(self, name):
+        for inst, log in zip(
+            (self.replay_inst[name], self.reference_inst[name]), self.hook_log
+        ):
+            inst.downstream = lambda size, now, log=log: log.append((name, size, now))
+
+    def both(self, fn):
+        fn(self.replay, self.replay_inst)
+        fn(self.reference, self.reference_inst)
+
+    @staticmethod
+    def _observe(walk, packet, now):
+        try:
+            record = walk(packet, now)
+        except (KeyError, RuntimeError, ValueError) as exc:
+            return ("raised", type(exc).__name__, str(exc), packet.trace,
+                    packet.host_tag, packet.subclass_tag)
+        return (record.delivered, record.dropped_at, packet.trace,
+                packet.host_tag, packet.subclass_tag)
+
+    def packet(self, class_id, h, host_tag=None, subclass_tag=None):
+        """One packet into each network; they must agree on everything."""
+        path = self.replay.class_paths[class_id]
+
+        def make():
+            return Packet(class_id, h, path[0], path[-1],
+                          host_tag=host_tag, subclass_tag=subclass_tag)
+
+        got = self._observe(self.replay.inject, make(), self.now)
+        want = self._observe(self.reference.walk_reference, make(), self.now)
+        assert got == want, (class_id, h, self.now)
+        return got
+
+    def origin(self, h):
+        got = self._observe(
+            self.replay.inject_from_host, Packet("c3", h, "s2", "s4"), self.now
+        )
+        want = self._observe(
+            self.reference.inject_from_host, Packet("c3", h, "s2", "s4"), self.now
+        )
+        assert got == want, ("origin", h, self.now)
+
+    def check_totals(self):
+        got, want = (CounterDelta.capture(n) for n in (self.replay, self.reference))
+        assert got.ledger == want.ledger
+        assert got.vswitches == want.vswitches
+        assert got.instances == want.instances
+        assert {k: v[:3] for k, v in got.switches.items()} == {
+            k: v[:3] for k, v in want.switches.items()
+        }
+        # cache_hits: the replay counts the hops it answered from a plan,
+        # the reference walker scans every time and counts none.
+        assert all(v[3] == 0 for v in want.switches.values())
+        assert all(v[3] <= v[1] for v in got.switches.values())
+        assert self.replay.stats_snapshot() == self.reference.stats_snapshot()
+        assert [tuple(i._recent) for i in self.replay_inst.values()] == [
+            tuple(i._recent) for i in self.reference_inst.values()
+        ]
+        assert [(r.delivered, r.dropped_at) for r in self.replay.recent_records] == [
+            (r.delivered, r.dropped_at) for r in self.reference.recent_records
+        ]
+        assert self.hook_log[0] == self.hook_log[1]
+
+
+# ----------------------------------------------------------------------
+# Property: random interleavings of traffic, faults and mutations
+# ----------------------------------------------------------------------
+_CLASS = st.sampled_from(["c0", "c1", "c2"])
+_INSTANCE = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+_LINK = st.sampled_from([("s1", "s2"), ("s2", "s3"), ("s3", "s4"), ("s5", "s4")])
+_HASH = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
+    st.integers(0, 64).map(lambda k: ("edge", k)),
+)
+_EVENT = st.one_of(
+    st.tuples(st.just("packet"), _CLASS, _HASH),
+    st.tuples(st.just("packet"), _CLASS, _HASH),
+    st.tuples(st.just("burst"), _CLASS, st.integers(5, 12)),
+    st.tuples(st.just("tagged"), _CLASS, _HASH, st.sampled_from(["s2", "s3", FIN])),
+    st.tuples(st.just("origin"), _HASH),
+    st.tuples(st.just("tick"), st.sampled_from([0.001, 0.01, 0.05, 0.2])),
+    st.tuples(st.just("link"), _LINK, st.booleans()),
+    st.tuples(st.just("shutdown"), _INSTANCE),
+    st.tuples(st.just("restart"), _INSTANCE),
+    st.tuples(st.just("degrade"), _INSTANCE, st.sampled_from([0.25, 0.5, 1.0])),
+    st.tuples(st.just("hook"), _INSTANCE),
+    st.tuples(st.just("mutate"), st.sampled_from(sorted(MUTATIONS))),
+    st.tuples(st.just("reregister"), st.sampled_from(sorted(DETOUR)), st.booleans()),
+    st.tuples(st.just("invalidate")),
+    st.tuples(st.just("reset")),
+)
+
+
+def _hash(pair, class_id, h):
+    if isinstance(h, tuple):
+        edges = _edge_hashes(pair.replay, class_id)
+        return edges[h[1] % len(edges)]
+    return h
+
+
+def _apply(pair, event):
+    kind = event[0]
+    if kind == "packet":
+        pair.packet(event[1], _hash(pair, event[1], event[2]))
+    elif kind == "burst":  # far over the window budget: must drop
+        for k in range(event[2]):
+            pair.packet(event[1], (k * 0.137) % 1.0)
+    elif kind == "tagged":  # not at its ingress classification any more
+        pair.packet(event[1], _hash(pair, event[1], event[2]),
+                    host_tag=event[3], subclass_tag=0)
+    elif kind == "origin":
+        pair.origin(_hash(pair, "c3", event[1]))
+    elif kind == "tick":
+        pair.now += event[1]
+    elif kind == "link":
+        pair.both(lambda n, i: n.set_link_failed(*event[1], event[2]))
+    elif kind == "shutdown":  # no epoch move: the replay must see it live
+        pair.both(lambda n, i: i[event[1]].shutdown())
+    elif kind == "restart":
+        pair.both(lambda n, i: setattr(i[event[1]], "running", True))
+    elif kind == "degrade":  # no invalidate_plans() either
+        pair.both(lambda n, i: i[event[1]].degrade(event[2]))
+    elif kind == "hook":
+        pair.hook(event[1])
+    elif kind == "mutate":
+        try:
+            pair.both(MUTATIONS[event[1]])
+        except KeyError:
+            pass  # e.g. a rule naming an instance an earlier event removed
+    elif kind == "reregister":
+        path = DETOUR[event[1]] if event[2] else CLASSES[event[1]]
+        pair.both(lambda n, i: n.register_class_path(event[1], path))
+    elif kind == "invalidate":
+        pair.both(lambda n, i: n.invalidate_plans())
+    elif kind == "reset":
+        pair.both(lambda n, i: n.reset_runtime_state())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_EVENT, min_size=5, max_size=60),
+    st.lists(_INSTANCE, max_size=2, unique=True),
+)
+def test_inject_matches_the_reference_walker(events, hooked):
+    pair = _Pair(hooked)
+    for class_id in ("c0", "c1", "c2"):  # warm every plan before the first event
+        for h in _edge_hashes(pair.replay, class_id):
+            pair.packet(class_id, h)
+    pair.now += 1.0
+    for event in events:
+        _apply(pair, event)
+    pair.check_totals()
+
+
+# ----------------------------------------------------------------------
+# Deterministic corners
+# ----------------------------------------------------------------------
+def _cbr(pair, seconds, load):
+    """Every class at ``load`` × the instance capacity, hashes cycling
+    through the edge set and a fixed stride; returns per-packet outcomes."""
+    gap = 1.0 / (CAPACITY_PPS * load)
+    outcomes = []
+    for k in range(int(seconds / gap)):
+        pair.now = k * gap
+        for class_id in ("c0", "c1", "c2"):
+            edges = _edge_hashes(pair.replay, class_id)
+            h = edges[k % len(edges)] if k % 3 == 0 else (k * 0.137) % 1.0
+            outcomes.append(pair.packet(class_id, h))
+        pair.origin((k * 0.137) % 1.0)
+    return outcomes
+
+
+def test_overload_at_1_6x_drops_identically():
+    pair = _Pair()
+    outcomes = _cbr(pair, seconds=3.0, load=1.6)
+    pair.check_totals()
+    delivered, dropped, violations = pair.replay.stats_snapshot().as_tuple()
+    assert dropped > 0.2 * len(outcomes) and delivered > 0 and violations == 0
+    assert {o[1] for o in outcomes} >= {None, "s2", "s3"}  # every drop site
+
+
+def test_edge_hashes_land_where_the_rules_put_them():
+    pair = _Pair()
+    below, on, above = (
+        pair.packet("c0", h)
+        for h in (math.nextafter(SPLIT, 0.0), SPLIT, math.nextafter(SPLIT, 1.0))
+    )
+    assert below[4] == 0 and on[4] == 1 and above[4] == 1  # sub-class tags
+    assert [name for kind, name in below[2] if kind == "vnf"] == ["a", "b"]
+    assert [name for kind, name in on[2] if kind == "vnf"] == ["c"]
+    assert pair.replay.class_intervals("c0").cuts == [SPLIT]
+
+
+def test_shutdown_and_degrade_are_seen_without_an_epoch_move():
+    pair = _Pair()
+    assert pair.packet("c1", 0.5)[0] is True
+    epoch = pair.replay.rule_epoch
+    pair.both(lambda n, i: i["e"].shutdown())
+    assert pair.packet("c1", 0.5)[:2] == (False, "s3")
+    pair.both(lambda n, i: setattr(i["e"], "running", True))
+    pair.both(lambda n, i: i["d"].degrade(0.25))  # budget 4 → 1 per window
+    pair.now = 10.0
+    assert [pair.packet("c1", 0.5)[0] for _ in range(3)] == [True, False, False]
+    assert pair.replay.rule_epoch == epoch
+    pair.check_totals()
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_the_packet_after_a_mutation_sees_the_new_rules(name):
+    pair = _Pair()
+    before = [pair.packet(c, h) for c in ("c0", "c1", "c2") for h in (0.1, 0.7)]
+    pair.origin(0.1)
+    epoch = pair.replay.rule_epoch
+    pair.both(MUTATIONS[name])
+    assert pair.replay.rule_epoch != epoch
+    pair.now = 5.0
+    after = [pair.packet(c, h) for c in ("c0", "c1", "c2") for h in (0.1, 0.7)]
+    pair.origin(0.1)
+    if name not in ("register_instance", "install_origin_rule", "clear_origin_rules"):
+        assert after != before  # the mutation changes some ingress walk
+    pair.check_totals()
+
+
+def test_reregistered_path_is_walked_by_the_next_packet():
+    pair = _Pair()
+    assert pair.packet("c1", 0.5)[:2] == (True, None)
+    pair.both(lambda n, i: n.register_class_path("c1", DETOUR["c1"]))
+    outcome = pair.packet("c1", 0.5)
+    assert [name for kind, name in outcome[2] if kind == "switch"] == ["s1", "s5", "s4"]
+    assert outcome[3] == "s3"  # still tagged for a host the detour never meets
+    assert pair.replay.stats_snapshot().violations == 1
+    pair.check_totals()
+
+
+def test_downstream_hook_is_called_once_per_admitted_packet():
+    pair = _Pair(hooked=("d",))
+    outcomes = [pair.packet("c1", 0.5) for _ in range(7)]  # budget is 4
+    assert [o[0] for o in outcomes] == [True] * 4 + [False] * 3
+    assert len(pair.hook_log[0]) == 4
+    pair.hook("e")  # attached after the plan was resolved: still called
+    pair.now = 1.0
+    pair.packet("c1", 0.5)
+    assert [name for name, _size, _now in pair.hook_log[0][4:]] == ["d", "e"]
+    pair.check_totals()
+
+
+def test_pretagged_packets_take_the_reference_walker():
+    pair = _Pair()
+    pair.packet("c0", 0.1)  # plan for the interval exists and says: a then b
+    outcome = pair.packet("c0", 0.1, host_tag="s3", subclass_tag=0)
+    assert [name for kind, name in outcome[2] if kind == "vnf"] == ["b"]
+    pair.origin(0.4)
+    pair.check_totals()
+    assert sum(sw.table.cache_hits for sw in pair.replay.switches.values()) == 4
