@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.schedule import FaultEvent, FaultKind
+from repro.core.verify import probe_faults
 from repro.dataplane.packet import Packet
 from repro.sim.kernel import Simulator, Timer
 
@@ -383,11 +384,10 @@ class ProbeLoop:
                 dropped += 1
                 return
             delivered += 1
-            if chain is not None:
-                visited = [v.split("[")[0] for v in packet.vnfs_visited()]
-                if visited != list(chain):
-                    policy += 1
-            if path is not None and tuple(packet.switches_visited()) != path:
+            visited, switches = probe_faults(packet, chain, path)
+            if visited is not None:
+                policy += 1
+            if switches is not None:
                 interference += 1
 
         for cls in deployment.plan.classes:

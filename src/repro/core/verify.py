@@ -1,19 +1,43 @@
-"""Deployment verification: prove the three properties by systematic probing.
+"""Deployment verification: prove the three properties, one probe per hash cell.
 
 Table I's properties are behavioural claims; this module checks them on a
 live deployment the way an operator (or the AP Verifier the paper builds
-on) would — by exhaustively probing the data plane:
+on) would — by exhaustively probing the data plane.  Everything Table III
+does to a packet is piecewise-constant in its flow hash, so the audit
+probes every *piece* rather than sample points:
 
-* for every class and every sub-class, walk probes at the sub-class's
-  hash midpoint and at both interval boundaries — hop by hop through
-  :meth:`DataPlaneNetwork.walk_reference`, never through the network's
-  cache of resolved walks: an audit must not trust the cache it audits
-  (a rule table rewritten behind its generation counter is exactly what
-  the probes are there to catch);
+* per class, cut ``[0, 1)`` at the interior hash-range bounds of every
+  installed TCAM entry the class can match (its own and the
+  ``class_id=None`` wildcards) on every switch of its registered path.
+  The bounds are read from the tables' installed entries in one pass per
+  audit, never from the network's cache of resolved walks: an audit must
+  not trust the cache it audits (a rule table rewritten behind its
+  generation counter is exactly what the probes are there to catch);
+* split each sub-class's ``[lo, hi)`` at the cuts strictly inside it and
+  walk **one** probe per resulting cell hop by hop through
+  :meth:`DataPlaneNetwork.walk_reference`.  A correct deployment has one
+  cell per sub-class; a mis-cut rule anywhere inside a sub-class's range
+  makes a cell of its own and is probed;
 * verify each delivered probe traversed its chain in order
   (**policy enforcement**), on the class's exact routing path
-  (**interference freedom**);
+  (**interference freedom**) — :func:`probe_faults`, which the chaos
+  probe loop shares;
 * audit instance-to-host core accounting (**isolation**).
+
+Why one probe proves its whole cell: every hop's match is a conjunction of
+``lo <= h < hi`` comparisons whose bounds are all cuts, vSwitch dispatch is
+keyed by (class, sub-class tag), and nothing rewrites ``flow_hash`` in
+flight (``tests/test_verify_cells.py`` pins that on a NAT chain).  A VNF
+that did rewrite it would make the cells downstream of its host depend on
+the rewritten value, and the audit would have to re-cut after that hop.
+
+Probes are real packets on a live network: each is stamped ``now=0.0``,
+counts in the delivery ledger and occupies the admission window of every
+instance it crosses.  Audits repeated on one network without
+:meth:`DataPlaneNetwork.reset_runtime_state` in between pile up in those
+windows until probes are dropped (``benchmarks/pipeline/workloads.py``
+resets before every audit for that reason); one probe per cell keeps that
+footprint at a third of what three samples per sub-class left behind.
 
 The result is a structured report rather than a pass/fail, so partial
 deployments and injected faults show up with precise locations.
@@ -21,10 +45,12 @@ deployments and injected faults show up with precise locations.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
+from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import Packet
 from repro.topology.graph import Topology
 
@@ -68,11 +94,59 @@ class VerificationReport:
         )
 
 
-def _probe_hashes(lo: float, hi: float) -> List[float]:
-    """Midpoint plus near-boundary points of a hash interval."""
-    eps = min(1e-6, (hi - lo) / 4) or 1e-9
-    points = [(lo + hi) / 2, lo, max(lo, hi - eps)]
-    return sorted({min(max(p, 0.0), 1.0 - 1e-12) for p in points})
+def _installed_cuts(
+    network: DataPlaneNetwork,
+) -> Tuple[Dict[str, Set[float]], Dict[str, Set[float]]]:
+    """Interior hash-range bounds of the installed entries, in one pass.
+
+    Returns ``(own, wild)``: per class, the bounds of its own entries on
+    the switches of its registered path; per switch, the bounds of the
+    wildcard (``class_id=None``) entries, which cut every class crossing it.
+    """
+    own: Dict[str, Set[float]] = {}
+    wild: Dict[str, Set[float]] = {}
+    paths = network.class_paths
+    for name, switch in network.switches.items():
+        for entry in switch.table.entries():
+            if entry.hash_range is None:
+                continue
+            interior = [b for b in entry.hash_range if 0.0 < b < 1.0]
+            if not interior:
+                continue
+            if entry.class_id is None:
+                wild.setdefault(name, set()).update(interior)
+            elif name in paths.get(entry.class_id, ()):
+                own.setdefault(entry.class_id, set()).update(interior)
+    return own, wild
+
+
+def _cell_probes(lo: float, hi: float, cuts: List[float]) -> Iterator[float]:
+    """One probe hash per cell of ``[lo, hi)`` split at the cuts inside it."""
+    edges = [lo, *cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)], hi]
+    for left, right in zip(edges, edges[1:]):
+        mid = left + (right - left) / 2
+        # A cell a few ulps wide: its midpoint may round onto the right
+        # edge, which belongs to the next cell.
+        yield mid if left <= mid < right else left
+
+
+def probe_faults(
+    packet: Packet, chain: Tuple[str, ...], path: Optional[Tuple[str, ...]]
+) -> Tuple[Optional[List[str]], Optional[List[str]]]:
+    """Chain-order and routing-path checks of one delivered probe.
+
+    Returns ``(visited, switches)``: the VNF types the probe traversed if
+    they are not exactly ``chain`` (a **policy** violation), and the
+    switches it crossed if they are not exactly ``path`` (an
+    **interference** violation; ``path=None`` skips the check).  Each is
+    None when its check passes.
+    """
+    visited = [v.split("[")[0] for v in packet.vnfs_visited()]
+    switches = packet.switches_visited()
+    return (
+        visited if tuple(visited) != chain else None,
+        switches if path is not None and tuple(switches) != path else None,
+    )
 
 
 def verify_deployment(
@@ -87,47 +161,56 @@ def verify_deployment(
             False when probing a deliberately overloaded deployment).
     """
     report = VerificationReport()
-    plan = deployment.plan
+    network = deployment.network
+    own, wild = _installed_cuts(network)
 
-    for cls in plan.classes:
-        for sub in deployment.subclass_plan.subclasses(cls.class_id):
+    for cls in deployment.plan.classes:
+        class_id = cls.class_id
+        chain = cls.chain.names
+        bounds = own.get(class_id, set())
+        if wild:
+            # An unregistered class has no path to cut; its first probe raises.
+            path = network.class_paths.get(class_id, ())
+            bounds = bounds.union(*(wild[s] for s in path if s in wild))
+        cuts = sorted(bounds)
+        for sub in deployment.subclass_plan.subclasses(class_id):
             lo, hi = sub.hash_range
             if hi <= lo:
                 continue
-            for h in _probe_hashes(lo, hi):
+            for h in _cell_probes(lo, hi, cuts):
                 report.probes_sent += 1
                 packet = Packet(
-                    class_id=cls.class_id, flow_hash=h, src=cls.src, dst=cls.dst
+                    class_id=class_id, flow_hash=h, src=cls.src, dst=cls.dst
                 )
-                record = deployment.network.walk_reference(packet)
+                record = network.walk_reference(packet)
                 if not record.delivered:
                     if expect_no_loss:
                         report.violations.append(
                             Violation(
                                 "delivery",
-                                cls.class_id,
+                                class_id,
                                 f"probe at hash {h:.6f} dropped at "
                                 f"{record.dropped_at}",
                             )
                         )
                     continue
                 report.probes_delivered += 1
-                visited = [v.split("[")[0] for v in packet.vnfs_visited()]
-                if visited != list(cls.chain.names):
+                visited, switches = probe_faults(packet, chain, cls.path)
+                if visited is not None:
                     report.violations.append(
                         Violation(
                             "policy",
-                            cls.class_id,
+                            class_id,
                             f"hash {h:.6f}: traversed {visited}, policy "
-                            f"requires {list(cls.chain.names)}",
+                            f"requires {list(chain)}",
                         )
                     )
-                if tuple(packet.switches_visited()) != cls.path:
+                if switches is not None:
                     report.violations.append(
                         Violation(
                             "interference",
-                            cls.class_id,
-                            f"hash {h:.6f}: path {packet.switches_visited()} "
+                            class_id,
+                            f"hash {h:.6f}: path {switches} "
                             f"differs from routing path {list(cls.path)}",
                         )
                     )
