@@ -21,21 +21,26 @@ the plans it was built from, so every chaos invalidation
 (``invalidate_plans``, link failures, rule mutations) and every newly
 registered class retires it automatically.
 
-**Columnar walk** (:class:`_ColumnWalker`).  Within a shard the column of
-``(class_idx, hash, timestamp)`` arrays is grouped by ``(class, interval)``
-via one ``np.searchsorted`` per class — the columnar TCAM walk: each
-distinct group takes its per-hop TCAM hits from the plan cache.  The walker
-then tries to apply whole time-slices in bulk: for every instance
-appearing in the slice it evaluates a vectorised *no-drop* admission
-check (exact sliding-window arithmetic over the instance's merged
-arrival column), and if every instance admits everything, counters are
-bulk-added and windows bulk-extended — numpy instead of the per-packet
-loop.  If anything could drop, the slice is bisected; slices at or below
-:data:`MIN_LEAF` run through the unmodified ``inject_stream``, which is
-exact by definition (and also covers the scalar-fallback plans:
-header-modifying VNF hops, downstream hooks).  Instances that
-fail a check are penalised so subsequent slices skip straight to the
-sequential path instead of re-paying a doomed vector check.
+**Columnar walk** (:class:`_ColumnWalker`).  Every per-packet pass over
+the column of ``(class_idx, hash, timestamp)`` arrays is O(n).  Each packet
+gets one integer ``(class, interval)`` key — class offset plus interval
+index, the index from the exact search of the hash in its class's own small
+cuts array — and one radix sort on that narrow key groups the column: the
+columnar TCAM walk, each distinct group taking its per-hop TCAM hits from
+the plan cache.  With several shards the same keys index a group → shard
+table.  The walker then tries to apply whole time-slices in bulk: for
+every instance appearing in the slice it evaluates a vectorised *no-drop*
+admission check (the sliding-window rule as one shifted comparison over
+the instance's merged arrival column: an arrival is refused iff its
+``floor(budget)``-th predecessor is still inside the window), and if every
+instance admits everything, counters are bulk-added and windows
+bulk-extended — numpy instead of the per-packet loop.  If anything could
+drop, the slice is bisected; slices at or below :data:`MIN_LEAF` run
+through the unmodified ``inject_stream``, which is exact by definition (and
+also covers the scalar-fallback plans: header-modifying VNF hops,
+downstream hooks).  Instances that fail a check are penalised so subsequent
+slices skip straight to the sequential path instead of re-paying a doomed
+vector check.
 
 **Process fan-out** (:class:`ShardedDataPlane`).  Shards can run in
 worker processes: workers are forked once (inheriting the deployed
@@ -227,7 +232,6 @@ class FlowPartition:
         epoch: int,
         nshards: int,
         n_components: int,
-        class_bounds: Dict[str, np.ndarray],
         class_shards: Dict[str, np.ndarray],
         instance_shards: Dict[str, int],
         has_hooks: bool,
@@ -235,20 +239,13 @@ class FlowPartition:
         self.epoch = epoch
         self.nshards = nshards
         self.n_components = n_components
-        self._class_bounds = class_bounds
-        self._class_shards = class_shards
+        #: class_id → shard of each of the class's hash intervals.
+        self.class_shards = class_shards
         #: instance_id → shard, used to keep assignments sticky across
         #: rebuilds (a fault must not migrate an instance's window state
         #: to a different worker replica mid-run).
         self.instance_shards = instance_shards
         self.has_hooks = has_hooks
-
-    def shard_ids_for(self, class_id: str, hashes: np.ndarray) -> np.ndarray:
-        """Shard of every hash in ``hashes`` for one class (vectorised)."""
-        cuts = self._class_bounds[class_id]
-        return self._class_shards[class_id][
-            np.searchsorted(cuts, hashes, side="right")
-        ]
 
 
 def _uf_find(parent: dict, x):
@@ -390,23 +387,20 @@ def build_partition(
         for iid in insts:
             instance_shards[iid] = comp_shard[ci]
 
-    class_bounds: Dict[str, np.ndarray] = {}
     class_shards: Dict[str, np.ndarray] = {}
     ui = 0
     for class_id in class_ids:
-        cuts = network.class_intervals(class_id).cuts
-        class_bounds[class_id] = np.asarray(cuts, dtype=np.float64)
+        width = len(network.class_intervals(class_id).cuts) + 1
         class_shards[class_id] = np.asarray(
-            [comp_shard[ci] for ci in comp_of_unit[ui : ui + len(cuts) + 1]],
+            [comp_shard[ci] for ci in comp_of_unit[ui : ui + width]],
             dtype=np.int64,
         )
-        ui += len(cuts) + 1
+        ui += width
 
     part = FlowPartition(
         epoch=network.rule_epoch,
         nshards=nshards,
         n_components=n_components,
-        class_bounds=class_bounds,
         class_shards=class_shards,
         instance_shards=instance_shards,
         has_hooks=has_hooks,
@@ -418,6 +412,31 @@ def build_partition(
 # ----------------------------------------------------------------------
 # Columnar walker
 # ----------------------------------------------------------------------
+def _narrow_uint(count: int):
+    """Narrowest dtype for ``count`` distinct keys: numpy's stable sort is an
+    O(n) radix sort on 8/16-bit integers (above that, the wide sort)."""
+    if count <= 1 << 8:
+        return np.uint8
+    return np.uint16 if count <= 1 << 16 else np.int64
+
+
+def _merge_positions(group_pos: List[np.ndarray], parts: List[tuple]) -> np.ndarray:
+    """Ascending positions of ``(group, occurrences)`` parts, merged."""
+    pos_parts = [
+        group_pos[g] if k == 1 else np.repeat(group_pos[g], k) for g, k in parts
+    ]
+    if len(pos_parts) == 1:
+        return pos_parts[0]
+    return np.sort(np.concatenate(pos_parts), kind="stable")
+
+
+def _span(pos: np.ndarray, lo: int, hi: int, n: int) -> Tuple[int, int]:
+    """Index range of ascending ``pos`` inside the column slice ``[lo, hi)``."""
+    if lo == 0 and hi == n:
+        return 0, len(pos)  # the whole column: no search
+    return int(pos.searchsorted(lo)), int(pos.searchsorted(hi))
+
+
 class _ColumnWalker:
     """Columnar execution of one shard's packet column on one network.
 
@@ -431,6 +450,43 @@ class _ColumnWalker:
         self.bulk_packets = 0
         self.seq_packets = 0
 
+    def group_keys(
+        self, classes: Sequence[str], cls_idx: np.ndarray, hashes: np.ndarray
+    ) -> Tuple[np.ndarray, List[tuple]]:
+        """One integer ``(class, hash interval)`` key per packet.
+
+        Returns ``(keys, table)`` with ``table[k]`` the ``(class plans,
+        interval)`` pair behind key ``k`` — the key of the network's plan
+        cache.  A key is its class's offset plus the interval index, found
+        by the exact search of the hash in the class's own small cuts
+        array; between adjacent TCAM hash-range boundaries every flow
+        matches the same entry sequence, so there are classes × intervals
+        keys, not one per distinct flow hash.
+        """
+        net = self.net
+        counts = np.bincount(cls_idx, minlength=len(classes))
+        base = np.zeros(len(classes), dtype=np.int64)
+        table: List[tuple] = []
+        cut_classes = []
+        for ci in np.flatnonzero(counts).tolist():
+            cp = net.class_intervals(classes[ci])
+            base[ci] = len(table)
+            table.extend((cp, g) for g in range(len(cp.cuts) + 1))
+            if cp.cuts:
+                cut_classes.append((ci, cp))
+        dtype = _narrow_uint(len(table))
+        keys = base.astype(dtype)[cls_idx]
+        if cut_classes:
+            order = np.argsort(
+                cls_idx.astype(_narrow_uint(len(classes))), kind="stable"
+            )
+            ends = np.cumsum(counts)
+            for ci, cp in cut_classes:
+                cpos = order[ends[ci] - counts[ci] : ends[ci]]
+                ivals = np.searchsorted(cp.cuts, hashes[cpos], side="right")
+                keys[cpos] += ivals.astype(dtype)
+        return keys, table
+
     def run(
         self,
         classes: Sequence[str],
@@ -439,42 +495,33 @@ class _ColumnWalker:
         ts: np.ndarray,
         size_bytes: int,
         collect: bool,
+        keys: np.ndarray,
+        table: List[tuple],
     ) -> Optional[list]:
-        """Walk one time-ordered column; exact ``inject_stream`` semantics."""
+        """Walk one time-ordered column; exact ``inject_stream`` semantics.
+
+        ``keys``/``table``: :meth:`group_keys` of this column or a superset.
+        """
         net = self.net
         n = len(ts)
         if n == 0:
             return [] if collect else None
 
-        # Columnar TCAM walk: one group per (class, hash interval), the
-        # key of the network's plan cache.  Between adjacent TCAM
-        # hash-range boundaries every flow matches the same entry
-        # sequence, so the group count is classes × intervals, not one
-        # group per distinct flow hash.
+        # Columnar TCAM walk: one radix group-by on the key.  The stable
+        # sort keeps time order inside a group; sizes give the boundaries.
         group_pos: List[np.ndarray] = []
         plans: List[_WalkPlan] = []
         fallback_parts = []
-        order = np.argsort(cls_idx, kind="stable")
-        sorted_cls = cls_idx[order]
-        present = np.unique(sorted_cls)
-        cstarts = np.searchsorted(sorted_cls, present)
-        cends = np.searchsorted(sorted_cls, present, side="right")
-        for ci, cs, ce in zip(present.tolist(), cstarts.tolist(),
-                              cends.tolist()):
-            class_id = classes[int(ci)]
-            cpos = order[cs:ce]  # ascending: stable sort keeps time order
-            cp = net.class_intervals(class_id)
-            if cp.cuts:
-                ivals = np.searchsorted(cp.cuts, hashes[cpos], side="right")
-                groups = [(g, cpos[ivals == g]) for g in np.unique(ivals).tolist()]
-            else:
-                groups = [(0, cpos)]  # one sub-class: the column is the group
-            for g, pos in groups:
-                plan = net.interval_plan(cp, g)
-                plans.append(plan)
-                group_pos.append(pos)
-                if plan.fallback:
-                    fallback_parts.append(pos)
+        order = np.argsort(keys, kind="stable")
+        sizes = np.bincount(keys)
+        ends = np.cumsum(sizes).tolist()
+        for k in np.flatnonzero(sizes).tolist():
+            plan = net.interval_plan(*table[k])
+            pos = order[ends[k] - sizes[k] : ends[k]]  # ascending
+            plans.append(plan)
+            group_pos.append(pos)
+            if plan.fallback:
+                fallback_parts.append(pos)
 
         # Per-instance merged arrival columns (positions repeated per
         # occurrence in a plan, kept in global time order).
@@ -490,18 +537,10 @@ class _ColumnWalker:
             for iid, (slot, k) in occ.items():
                 entry = inst_entries.setdefault(iid, [slot, []])
                 entry[1].append((g, k))
-        inst_cols: List[list] = []  # [slot, positions ndarray]
-        for iid, (slot, parts) in inst_entries.items():
-            pos_parts = [
-                group_pos[g] if k == 1 else np.repeat(group_pos[g], k)
-                for g, k in parts
-            ]
-            pos = (
-                pos_parts[0]
-                if len(pos_parts) == 1
-                else np.sort(np.concatenate(pos_parts), kind="stable")
-            )
-            inst_cols.append([iid, slot, pos])
+        inst_cols: List[list] = [  # [iid, slot, positions ndarray]
+            [iid, slot, _merge_positions(group_pos, parts)]
+            for iid, (slot, parts) in inst_entries.items()
+        ]
 
         outcomes: Optional[list] = [None] * n if collect else None
 
@@ -540,8 +579,8 @@ class _ColumnWalker:
         # arrival superset, and admission is monotone under removing
         # arrivals), so walk order cannot change any decision.  The one
         # piece of shared state that does see both sides is such an
-        # instance's sliding window, rebuilt below by an explicit merge
-        # of the sequential survivors and the clean-side arrivals.
+        # instance's sliding window, which ``_bulk_apply`` rebuilds as the
+        # merge of the sequential survivors and the clean-side arrivals.
         dirty_iids = set(culprits)
         dirty_groups: set = set()
         for g, plan in enumerate(plans):
@@ -573,48 +612,16 @@ class _ColumnWalker:
         if not clean_plans:
             return outcomes
         clean_cols: List[list] = []
-        mixed: List[tuple] = []
         for iid, (slot, parts) in inst_entries.items():
-            if iid in dirty_iids:
-                continue
             cparts = [(g, k) for g, k in parts if g not in dirty_groups]
-            if not cparts:
-                continue
-            pos_parts = [
-                group_pos[g] if k == 1 else np.repeat(group_pos[g], k)
-                for g, k in cparts
-            ]
-            pos = (
-                pos_parts[0]
-                if len(pos_parts) == 1
-                else np.sort(np.concatenate(pos_parts), kind="stable")
-            )
-            if len(cparts) != len(parts):
-                mixed.append((slot, pos))
-            else:
-                clean_cols.append([iid, slot, pos])
+            if cparts and iid not in dirty_iids:
+                clean_cols.append(
+                    [iid, slot, _merge_positions(group_pos, cparts)]
+                )
         self._bulk_apply(
             0, n, ts, clean_plans, clean_group_pos, clean_cols,
             size_bytes, outcomes,
         )
-        for slot, pos in mixed:
-            inst, recent, window = slot
-            st = inst.stats
-            cnt = len(pos)
-            st.packets_in += cnt
-            st.packets_processed += cnt
-            st.bytes_processed += size_bytes * cnt
-            # ``recent`` now holds the dirty-side survivors (lazily
-            # trimmed to the last dirty arrival's window, which the last
-            # overall arrival's window can only shrink further), so the
-            # exact final window is the merge of both sides cut at the
-            # latest arrival.
-            merged = np.sort(np.concatenate(
-                [np.asarray(recent, dtype=np.float64), ts[pos]]
-            ))
-            cutoff = float(merged[-1]) - window
-            keep = int(np.searchsorted(merged, cutoff, side="right"))
-            recent[:] = merged[keep:].tolist()
         return outcomes
 
     # -- slice recursion ----------------------------------------------
@@ -626,94 +633,77 @@ class _ColumnWalker:
         if n <= 0:
             return
         penalty = self._penalty
-        has_fallback = bool(len(fallback_pos)) and (
-            np.searchsorted(fallback_pos, hi)
-            > np.searchsorted(fallback_pos, lo)
-        )
-        penalised = []
+        total = len(ts)
+        involved = []
         if penalty:
             for iid, slot, pos in inst_cols:
                 if penalty.get(iid, 0) > 0:
-                    a = np.searchsorted(pos, lo)
-                    b = np.searchsorted(pos, hi)
+                    a, b = _span(pos, lo, hi, total)
                     if b > a:
-                        penalised.append(iid)
-        if has_fallback or penalised:
+                        involved.append(iid)
+        a, b = _span(fallback_pos, lo, hi, total)
+        if b > a or involved:
             # Bulk application is impossible (fallback) or very unlikely
             # (an instance recently failed its check): skip the vector
             # checks and either run the slice exactly or keep splitting
             # to salvage bulk work in the clean half.
-            if n <= SEQ_BYPASS:
-                self._sequential(
-                    lo, hi, ts, hashes, cls_idx, classes, size, outcomes,
-                    penalised,
+            leaf = SEQ_BYPASS
+        else:
+            involved = self._check_bulk(lo, hi, ts, inst_cols)
+            if not involved:
+                self._bulk_apply(
+                    lo, hi, ts, plans, group_pos, inst_cols, size, outcomes
                 )
                 return
-            mid = lo + n // 2
-            self._process(
-                lo, mid, ts, hashes, cls_idx, classes, plans, group_pos,
-                fallback_pos, inst_cols, size, outcomes,
-            )
-            self._process(
-                mid, hi, ts, hashes, cls_idx, classes, plans, group_pos,
-                fallback_pos, inst_cols, size, outcomes,
-            )
-            return
-        culprits = self._check_bulk(lo, hi, ts, inst_cols)
-        if not culprits:
-            self._bulk_apply(
-                lo, hi, ts, plans, group_pos, inst_cols, size, outcomes
-            )
-            return
-        for iid in culprits:
-            penalty[iid] = PENALTY
-        if n <= MIN_LEAF:
+            for iid in involved:
+                penalty[iid] = PENALTY
+            leaf = MIN_LEAF
+        if n <= leaf:
             self._sequential(
-                lo, hi, ts, hashes, cls_idx, classes, size, outcomes, culprits
+                lo, hi, ts, hashes, cls_idx, classes, size, outcomes, involved
             )
             return
         mid = lo + n // 2
-        self._process(
-            lo, mid, ts, hashes, cls_idx, classes, plans, group_pos,
-            fallback_pos, inst_cols, size, outcomes,
-        )
-        self._process(
-            mid, hi, ts, hashes, cls_idx, classes, plans, group_pos,
-            fallback_pos, inst_cols, size, outcomes,
-        )
+        for start, stop in ((lo, mid), (mid, hi)):
+            self._process(
+                start, stop, ts, hashes, cls_idx, classes, plans, group_pos,
+                fallback_pos, inst_cols, size, outcomes,
+            )
 
     def _check_bulk(self, lo, hi, ts, inst_cols) -> List[int]:
         """Vectorised no-drop check; returns instances that could drop.
 
-        For an instance with pre-slice window ``recent`` (sorted), live
-        budget ``B`` and window ``w``, a slice arrival at time ``t_j`` (j-th of
-        the instance's in-slice arrivals) is admitted by the scalar
-        walker iff, with every earlier slice arrival admitted,
-
-            live_old(t_j) + j_within_window + 1 <= B
-
-        where ``live_old`` counts surviving pre-slice entries
-        (``> t_j - w``) and ``j_within_window`` counts in-slice arrivals
-        in ``(t_j - w, t_j)`` before j.  If that holds for all j the
-        whole slice admits (so bulk application is exact); any violation
-        — or a stopped instance — marks the instance as a culprit.
+        The scalar walker refuses an arrival at ``t`` iff, after trimming
+        entries ``<= t - w``, the window already holds ``B = floor(budget)``
+        timestamps (``len + 1 > budget``).  With every earlier slice
+        arrival admitted the window's history is the sorted column
+        ``hist = recent[-B:] ++ sub``, so arrival ``j`` — at ``hist[k + j]``,
+        ``k`` pre-slice entries kept — is refused iff its ``B``-th
+        predecessor is still live: ``hist[k + j - B] > sub[j] - w``, one
+        shifted comparison over the column.  The floats and the strict
+        edge are the trim's own, stale (lazily untrimmed) ``recent``
+        entries fail the comparison like trimmed ones, and an arrival with
+        fewer than ``B`` predecessors admits trivially.  If no arrival is
+        refused the whole slice admits (so bulk application is exact); a
+        refusal, ``B <= 0`` or a stopped instance marks a culprit.
         """
         culprits: List[int] = []
+        n = len(ts)
         for iid, slot, pos in inst_cols:
-            a = np.searchsorted(pos, lo)
-            b = np.searchsorted(pos, hi)
+            a, b = _span(pos, lo, hi, n)
             if b <= a:
                 continue
             inst, recent, window = slot
-            if not inst.running:
+            budget = int(inst._budget)
+            if not inst.running or budget <= 0:
                 culprits.append(iid)
                 continue
             sub = ts[pos[a:b]]
-            cut = sub - window
-            old = np.asarray(recent, dtype=np.float64)
-            old_live = len(old) - np.searchsorted(old, cut, side="right")
-            within = np.arange(b - a) - np.searchsorted(sub, cut, side="right")
-            if np.any(old_live + within + 1 > inst._budget):
+            hist = np.concatenate((recent[-budget:], sub))
+            refusable = len(hist) - budget  # arrivals with B predecessors
+            if refusable > 0 and np.any(
+                hist[:refusable] > sub[b - a - refusable :] - window
+            ):
                 culprits.append(iid)
         return culprits
 
@@ -722,42 +712,44 @@ class _ColumnWalker:
     ) -> None:
         net = self.net
         dirty = net._dirty_plans
+        n = len(ts)
         applied = 0
         for g, pos in enumerate(group_pos):
-            a = np.searchsorted(pos, lo)
-            b = np.searchsorted(pos, hi)
+            a, b = _span(pos, lo, hi, n)
             cnt = b - a
             if not cnt:
                 continue
             plan = plans[g]
             if plan.n == 0:
                 dirty.append(plan)
-            plan.n += int(cnt)
-            applied += int(cnt)
+            plan.n += cnt
+            applied += cnt
             if outcomes is not None:
                 final = plan.final_outcome
                 for p in pos[a:b].tolist():
                     outcomes[p] = final
         self.bulk_packets += applied
         for iid, slot, pos in inst_cols:
-            a = np.searchsorted(pos, lo)
-            b = np.searchsorted(pos, hi)
+            a, b = _span(pos, lo, hi, n)
             m = b - a
             if not m:
                 continue
             inst, recent, window = slot
-            sub = ts[pos[a:b]]
             st = inst.stats
-            st.packets_in += int(m)
-            st.packets_processed += int(m)
-            st.bytes_processed += size * int(m)
+            st.packets_in += m
+            st.packets_processed += m
+            st.bytes_processed += size * m
             # The scalar walker trims lazily per packet; after the last
             # admission the window holds exactly the admitted timestamps
-            # in (last_t - w, last_t], which is what we rebuild here.
-            cutoff = float(sub[-1]) - window
-            keep_from = bisect_right(recent, cutoff)
-            fresh_from = int(np.searchsorted(sub, cutoff, side="right"))
-            recent[:] = recent[keep_from:] + sub[fresh_from:].tolist()
+            # in (last_t - w, last_t], which is what we rebuild here.  A
+            # slice that passed the check leaves at most floor(budget) of
+            # its own arrivals live, so only that tail is read.  ``recent``
+            # precedes it, except after a contamination split, when it
+            # also holds the survivors of the scalar walk of the dirty
+            # groups: the sort merges the two sides.
+            tail = ts[pos[max(a, b - int(inst._budget)) : b]].tolist()
+            live = sorted(recent + tail)
+            recent[:] = live[bisect_right(live, live[-1] - window) :]
 
     def _sequential(
         self, lo, hi, ts, hashes, cls_idx, classes, size, outcomes, involved
@@ -829,7 +821,10 @@ def _worker_main(network: DataPlaneNetwork, conn) -> None:
                     resource_tracker.unregister(shm._name, "shared_memory")
                 except Exception:
                     pass
-            out = walker.run(classes, cls_idx, hashes, ts, size, collect)
+            out = walker.run(
+                classes, cls_idx, hashes, ts, size, collect,
+                *walker.group_keys(classes, cls_idx, hashes),
+            )
             network.flush_counters()
             cur = CounterDelta.capture(network)
             delta = cur.subtract(base)
@@ -964,24 +959,44 @@ class ShardedDataPlane:
         it per packet; ``hashes``/``ts`` are float64 columns.  Timestamps
         must be non-decreasing (as in every walker).  Returns per-packet
         ``(delivered, dropped_at)`` outcomes when ``collect``.
+
+        Raises:
+            ValueError: the columns differ in length, a ``cls_idx`` entry
+                is outside ``classes``, or ``ts`` decreases somewhere.
         """
         started = perf_counter()
         classes = list(classes)
-        part = self._ensure_partition()
         n = len(ts)
+        if not len(cls_idx) == len(hashes) == n:
+            raise ValueError(
+                f"column lengths differ: cls_idx {len(cls_idx)}, "
+                f"hashes {len(hashes)}, ts {n}"
+            )
+        part = self._ensure_partition()
         if n == 0:
             return [] if collect else None
+        if cls_idx.min() < 0 or cls_idx.max() >= len(classes):
+            raise ValueError(
+                f"cls_idx must index the {len(classes)} classes given, got "
+                f"values in [{cls_idx.min()}, {cls_idx.max()}]"
+            )
+        if np.any(ts[1:] < ts[:-1]):
+            raise ValueError("ts must be non-decreasing")
+        walker = self._walker
+        keys, table = walker.group_keys(classes, cls_idx, hashes)
         if part.nshards == 1:
-            out = self._walker.run(
-                classes, cls_idx, hashes, ts, size_bytes, collect
+            out = walker.run(
+                classes, cls_idx, hashes, ts, size_bytes, collect, keys, table
             )
             self._finish_span(started, part, n)
             return out
-        shard_ids = np.empty(n, dtype=np.int64)
-        for ci, cid in enumerate(classes):
-            mask = cls_idx == ci
-            if mask.any():
-                shard_ids[mask] = part.shard_ids_for(cid, hashes[mask])
+        # group → shard, narrow so the per-shard split sorts by radix too
+        shard_of_key = np.fromiter(
+            (part.class_shards[cp.class_id][g] for cp, g in table),
+            dtype=_narrow_uint(part.nshards),
+            count=len(table),
+        )
+        shard_ids = shard_of_key[keys]
         if self._use_processes(part):
             out = self._run_processes(
                 part, classes, cls_idx, hashes, ts, shard_ids,
@@ -993,9 +1008,9 @@ class ShardedDataPlane:
                 sel = np.flatnonzero(shard_ids == s)
                 if not len(sel):
                     continue
-                res = self._walker.run(
+                res = walker.run(
                     classes, cls_idx[sel], hashes[sel], ts[sel],
-                    size_bytes, collect,
+                    size_bytes, collect, keys[sel], table,
                 )
                 if collect:
                     for i, p in enumerate(sel.tolist()):

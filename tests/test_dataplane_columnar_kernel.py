@@ -1,0 +1,401 @@
+"""The columnar kernel against the formulations it replaced.
+
+``_ColumnWalker`` groups a packet column with one radix sort on an integer
+``(class, hash interval)`` key and decides bulk admission with one shifted
+comparison per instance.  The per-class ``searchsorted`` + mask grouping and
+the ``old_live + within + 1 > budget`` admission count it replaced live on
+here as oracles, next to ``VNFInstance.consume`` itself, and two back-to-back
+``inject_columns`` calls are held to scalar ``inject`` on outcomes, every
+counter and every sliding window.  The entry validation of
+``inject_columns`` has its regressions at the end.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.packet import FIN, Packet
+from repro.dataplane.sharded import ShardedDataPlane, _ColumnWalker
+from repro.dataplane.switch import SwitchRuleSet
+from repro.dataplane.vswitch import VSwitchRule
+from repro.topology.graph import AppleHostSpec, Link, Topology
+from repro.vnf.instance import VNFInstance
+from repro.vnf.types import NFType
+from tests.test_dataplane_sharded import _network, _state
+
+BUDGETS = [0.5, 1.0, 4.0, 4.5, 1e8]
+
+
+# ----------------------------------------------------------------------
+# (a) admission: shifted comparison == parent's count == consume()
+# ----------------------------------------------------------------------
+def _instance(window, budget, recent):
+    nf = NFType("m", cores=1, capacity_mbps=1e9, clickos=True, capacity_pps=1.0)
+    inst = VNFInstance("m@s", nf, "s", window=window)
+    inst._budget = budget
+    inst._recent[:] = recent
+    return inst
+
+
+def _count_refuses(recent, sub, window, budget):
+    """The parent commit's ``_check_bulk`` body: two binary searches."""
+    cut = sub - window
+    old = np.asarray(recent, dtype=np.float64)
+    old_live = len(old) - np.searchsorted(old, cut, side="right")
+    within = np.arange(len(sub)) - np.searchsorted(sub, cut, side="right")
+    return bool(np.any(old_live + within + 1 > budget))
+
+
+def _consume_refuses(recent, sub, window, budget):
+    inst = _instance(window, budget, recent)
+    return not all(inst.consume(1500, now=t) for t in sub.tolist())
+
+
+def _kernel_refuses(recent, ts, pos, lo, hi, window, budget):
+    inst = _instance(window, budget, recent)
+    col = [7, (inst, inst._recent, inst.window), np.asarray(pos, dtype=np.int64)]
+    culprits = _ColumnWalker(None)._check_bulk(lo, hi, ts, [col])
+    assert inst._recent == list(recent), "the check must not touch the window"
+    return culprits == [7]
+
+
+@st.composite
+def arrivals(draw):
+    # Times sit on a grid of window / 4, so ties, bursts and an entry at
+    # exactly t - window all occur; with window 0.125 the grid arithmetic is
+    # exact in binary, with 0.1 it is not.
+    window = draw(st.sampled_from([0.125, 0.1]))
+    unit = window / 4
+    start = draw(st.integers(0, 40))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 5, 9]), min_size=1, max_size=40))
+    sub = (start + np.cumsum(gaps)) * unit
+    # Pre-slice window: sorted, not after the first arrival, possibly stale
+    # (a lazy trim leaves entries older than the window in place) and
+    # possibly longer than the budget (a brownout shrank it).
+    back = draw(st.lists(st.integers(0, 12), max_size=8))
+    recent = sorted(float(sub[0]) - b * unit for b in back)
+    if draw(st.booleans()):
+        recent = sorted(recent + [float(sub[0] - window)])
+    return window, recent, sub, draw(st.sampled_from(BUDGETS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(arrivals())
+def test_shifted_check_equals_parent_count_and_consume(case):
+    window, recent, sub, budget = case
+    m = len(sub)
+    expected = _consume_refuses(recent, sub, window, budget)
+    assert _count_refuses(recent, sub, window, budget) == expected
+    assert _kernel_refuses(recent, sub, range(m), 0, m, window, budget) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrivals(), st.data())
+def test_shifted_check_on_a_slice_of_a_shared_column(case, data):
+    # The instance's arrivals are some positions of a longer column (one
+    # of them visited twice); only those inside [lo, hi) count.
+    window, recent, sub, budget = case
+    ts = np.repeat(sub, 2)  # every second packet belongs to someone else
+    pos = list(range(0, len(ts), 2))
+    twice = data.draw(st.integers(0, len(pos) - 1))
+    pos = sorted(pos + [pos[twice]])
+    lo = data.draw(st.integers(0, len(ts) - 1))
+    hi = data.draw(st.integers(lo + 1, len(ts)))
+    inside = ts[[p for p in pos if lo <= p < hi]]
+    got = _kernel_refuses(recent, ts, pos, lo, hi, window, budget)
+    if len(inside) == 0:
+        assert got is False
+    else:
+        # ``recent`` predates sub[0], hence every arrival of the slice.
+        assert got == _consume_refuses(recent, inside, window, budget)
+        assert got == _count_refuses(recent, inside, window, budget)
+
+
+def test_entry_exactly_at_the_window_edge_is_trimmed_not_live():
+    # budget 4, arrivals every window / 4: each arrival's 4th predecessor
+    # sits exactly at t - window, which consume() trims (<=) before counting.
+    sub = np.arange(1, 41) * 0.03125
+    assert not _consume_refuses([], sub, 0.125, 4.0)
+    assert not _kernel_refuses([], sub, range(40), 0, 40, 0.125, 4.0)
+    # One more packet per window and the 5th is refused.
+    assert _consume_refuses([], sub, 0.125 + 1e-9, 4.0)
+    assert _kernel_refuses([], sub, range(40), 0, 40, 0.125 + 1e-9, 4.0)
+
+
+# ----------------------------------------------------------------------
+# (b) grouping: radix group-by on the key == per-class searchsorted + mask
+# ----------------------------------------------------------------------
+class _StubNetwork:
+    """What ``group_keys`` / ``run`` read of a network, with plans that
+    carry their own ``(class, interval)`` as the bulk outcome."""
+
+    def __init__(self, cuts_by_class):
+        self._cp = {
+            cid: SimpleNamespace(class_id=cid, cuts=list(cuts))
+            for cid, cuts in cuts_by_class.items()
+        }
+        self._plans = {}
+        self._dirty_plans = []
+
+    def class_intervals(self, class_id):
+        return self._cp[class_id]
+
+    def interval_plan(self, cp, g):
+        key = (cp.class_id, g)
+        if key not in self._plans:
+            self._plans[key] = SimpleNamespace(
+                fallback=False, vsteps=[], n=0, final_outcome=key
+            )
+        return self._plans[key]
+
+
+def _group_by_masks(net, classes, cls_idx, hashes):
+    """The parent's grouping: one ``searchsorted`` and one mask per class."""
+    expected = [None] * len(cls_idx)
+    for ci, cid in enumerate(classes):
+        where = np.flatnonzero(cls_idx == ci)
+        ivals = np.searchsorted(net.class_intervals(cid).cuts, hashes[where], side="right")
+        for p, g in zip(where.tolist(), ivals.tolist()):
+            expected[p] = (cid, g)
+    return expected
+
+
+def _check_grouping(cuts_by_class, cls_idx, hashes, key_dtype):
+    net = _StubNetwork(cuts_by_class)
+    classes = list(cuts_by_class)
+    walker = _ColumnWalker(net)
+    keys, table = walker.group_keys(classes, cls_idx, hashes)
+    assert keys.dtype == key_dtype
+    ts = np.arange(len(cls_idx), dtype=np.float64)
+    got = walker.run(classes, cls_idx, hashes, ts, 1500, True, keys, table)
+    assert got == _group_by_masks(net, classes, cls_idx, hashes)
+    assert walker.bulk_packets == len(cls_idx)
+    sizes = {}
+    for outcome in got:
+        sizes[outcome] = sizes.get(outcome, 0) + 1
+    assert {k: p.n for k, p in net._plans.items()} == sizes
+
+
+def _hashes(rng, n, cuts):
+    """Uniform hashes salted with every cut, 0.0 and the last float below 1."""
+    special = np.asarray(sorted(cuts) + [0.0, np.nextafter(1.0, 0.0)])
+    hashes = rng.random(n)
+    salted = rng.random(n) < 0.4
+    hashes[salted] = rng.choice(special, size=int(salted.sum()))
+    return hashes
+
+
+@pytest.mark.parametrize(
+    "n_classes, cut_classes, key_dtype",
+    [
+        (1, 0, np.uint8),
+        (1, 1, np.uint8),
+        (255, 0, np.uint8),
+        (256, 0, np.uint8),  # keys 0..255: the last column that fits a byte
+        (256, 1, np.uint16),  # one class cut in two: 257 keys
+        (300, 0, np.uint16),
+        (300, 40, np.uint16),
+    ],
+)
+def test_grouping_matches_per_class_search(n_classes, cut_classes, key_dtype):
+    rng = np.random.default_rng(n_classes * 1000 + cut_classes)
+    pool = [0.25, 0.5, 0.69, 0.9]
+    cuts_by_class = {f"c{k}": [] for k in range(n_classes)}
+    for k in rng.choice(n_classes, size=cut_classes, replace=False).tolist():
+        cuts_by_class[f"c{k}"] = sorted(
+            rng.choice(pool, size=int(rng.integers(1, 4)), replace=False).tolist()
+        )
+    if cut_classes == 1:  # exactly one extra key, so 256 classes make 257
+        cuts_by_class[next(c for c, cuts in cuts_by_class.items() if cuts)] = [0.5]
+    n = 4000
+    cls_idx = rng.integers(0, n_classes, size=n)
+    _check_grouping(cuts_by_class, cls_idx, _hashes(rng, n, pool), key_dtype)
+
+
+def test_grouping_skips_absent_classes_and_unknown_names():
+    # Only classes with packets are looked up: a name the network does not
+    # know is harmless as long as no packet carries it.
+    rng = np.random.default_rng(5)
+    net = _StubNetwork({"a": [0.5], "b": []})
+    cls_idx = rng.choice([0, 2], size=500)
+    hashes = _hashes(rng, 500, [0.5])
+    walker = _ColumnWalker(net)
+    keys, table = walker.group_keys(["a", "ghost", "b"], cls_idx, hashes)
+    assert [(cp.class_id, g) for cp, g in table] == [("a", 0), ("a", 1), ("b", 0)]
+    expected = np.where(cls_idx == 2, 2, (hashes >= 0.5).astype(int))
+    assert keys.tolist() == expected.tolist()
+
+
+def test_wide_key_branch_at_small_n():
+    # More than 65,536 keys: the column falls through to the wide sort.
+    rng = np.random.default_rng(9)
+    fine = np.linspace(0.0, 1.0, 70_002)[1:-1].tolist()
+    cuts_by_class = {"wide": fine, "plain": [], "split": [0.5]}
+    n = 3000
+    cls_idx = rng.integers(0, 3, size=n)
+    hashes = _hashes(rng, n, fine[::7000] + [0.5])
+    _check_grouping(cuts_by_class, cls_idx, hashes, np.int64)
+
+
+# ----------------------------------------------------------------------
+# (c) two columns back to back, no reset == scalar inject
+# ----------------------------------------------------------------------
+def _shared_network():
+    """s1 — s2(host) — s3; ``tight`` is c0's alone, ``shared`` is visited by
+    c0 (after ``tight``) and by c1, c2 is split over two instances of its own.
+
+    Windows are 0.125 s and arrivals below sit on a 1/64 s grid, so window
+    edges are hit exactly.
+    """
+    topo = Topology(
+        "line",
+        ["s1", "s2", "s3"],
+        [Link("s1", "s2"), Link("s2", "s3")],
+        hosts={"s2": AppleHostSpec(cores=64)},
+    )
+    net = DataPlaneNetwork(topo)
+    vsw = net.vswitch_at("s2")
+
+    def instance(name, capacity_pps):
+        nf = NFType(name, cores=1, capacity_mbps=1e9, clickos=True, capacity_pps=capacity_pps)
+        inst = VNFInstance(f"{name}@s2", nf, "s2", window=0.125)
+        vsw.register_instance(inst)
+        return inst
+
+    tight = instance("tight", 32.0)  # budget 4.0
+    shared = instance("shared", 100.0)  # budget 12.5
+    lo_half = instance("lo", 60.0)  # budget 7.5
+    hi_half = instance("hi", 60.0)
+    chains = [
+        ("c0", (0.0, 1.0), 0, (tight, shared)),
+        ("c1", (0.0, 1.0), 0, (shared,)),
+        ("c2", (0.0, 0.5), 0, (lo_half,)),
+        ("c2", (0.5, 1.0), 1, (hi_half,)),
+    ]
+    for cid in ("c0", "c1", "c2"):
+        net.register_class_path(cid, ("s1", "s2", "s3"))
+    classifications = []
+    for cid, rng, tag, chain in chains:
+        vsw.install_rule(
+            cid, tag, VSwitchRule(tuple(i.instance_id for i in chain), exit_host_tag=FIN)
+        )
+        classifications.append((cid, rng, tag, "s2"))
+    SwitchRuleSet(switch="s1", host_match=False, classifications=classifications).apply(
+        net.switches["s1"]
+    )
+    SwitchRuleSet(switch="s2", host_match=True).apply(net.switches["s2"])
+    SwitchRuleSet(switch="s3").apply(net.switches["s3"])
+    return net, [tight, shared, lo_half, hi_half]
+
+
+def _column(start, seconds, per_second):
+    """``(cls_idx, hashes, ts)`` of CBR streams on a 1/64 s grid from ``start``.
+
+    ``per_second[k]`` must divide 64; hashes cycle through both halves.
+    """
+    rows = []
+    for k, rate in enumerate(per_second):
+        step = 64 // rate
+        for j in range(int(seconds * rate)):
+            rows.append((start + j * step / 64.0, k, (j * 0.137) % 1.0))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    ts = np.asarray([r[0] for r in rows])
+    cls_idx = np.asarray([r[1] for r in rows], dtype=np.int64)
+    hashes = np.asarray([r[2] for r in rows])
+    return cls_idx, hashes, ts
+
+
+CLASSES = ["c0", "c1", "c2"]
+#: c0 at 32 pps fills ``tight`` to exactly its budget (the 4th predecessor
+#: of every arrival sits on the window edge); c0 + c1 put 96 pps = 12 per
+#: window on ``shared`` (budget 12.5); c2's 64 pps split unevenly over its
+#: halves, at most 7 per window on one (budget 7.5).
+CALM = (32, 64, 64)
+#: c0 at 64 pps overloads ``tight``: its group turns dirty while c1 keeps
+#: feeding ``shared`` from the clean side (a mixed window).
+HOT = (64, 32, 64)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("second", ["calm", "tie", "hot"])
+def test_back_to_back_columns_equal_scalar_inject(shards, second):
+    first = _column(1.0, 2.0, CALM)
+    # The second column starts one grid step after the first ends: every
+    # window still holds the first column's tail.
+    then = _column(float(first[2][-1]) + 1 / 64, 2.0, HOT if second == "hot" else CALM)
+    if second == "tie":
+        # One c0 packet sent twice: a single arrival over ``tight``'s budget.
+        k = int(np.flatnonzero(then[0] == 0)[40])
+        then = tuple(np.insert(col, k, col[k]) for col in then)
+
+    ref, ref_instances = _shared_network()
+    expected = []
+    for cls_idx, hashes, ts in (first, then):
+        for ci, h, t in zip(cls_idx.tolist(), hashes.tolist(), ts.tolist()):
+            r = ref.inject(Packet(class_id=CLASSES[ci], flow_hash=h, src="s1", dst="s3"), now=t)
+            expected.append((r.delivered, r.dropped_at))
+    expected_state = _state(ref, ref_instances)
+    dropped = expected_state["stats"][1]
+    assert {"calm": dropped == 0, "tie": dropped == 1, "hot": dropped > 50}[second]
+
+    net, instances = _shared_network()
+    got = []
+    with ShardedDataPlane(net, shards=shards, processes=False) as sh:
+        assert sh.nshards == shards
+        got += sh.inject_columns(CLASSES, *first, collect=True)
+        walker = sh._walker
+        # Exactly-full windows must still take the bulk path.
+        assert (walker.bulk_packets, walker.seq_packets) == (len(first[2]), 0)
+        got += sh.inject_columns(CLASSES, *then, collect=True)
+        if second == "calm":
+            assert (walker.bulk_packets, walker.seq_packets) == (len(got), 0)
+        else:
+            assert walker.seq_packets > 0 and walker.bulk_packets > len(first[2])
+    assert got == expected
+    assert _state(net, instances) == expected_state
+
+
+# ----------------------------------------------------------------------
+# Entry validation of inject_columns
+# ----------------------------------------------------------------------
+def _valid_column():
+    net, instances = _network([(0.5, 1e9), (None, 1e9)])
+    cls_idx = np.asarray([0, 1] * 25, dtype=np.int64)
+    hashes = (np.arange(50) * 0.137) % 1.0
+    ts = 1.0 + np.arange(50) / 100.0
+    return net, instances, cls_idx, hashes, ts
+
+
+def test_column_length_mismatch_is_rejected():
+    net, _, cls_idx, hashes, ts = _valid_column()
+    with pytest.raises(ValueError, match="lengths differ"):
+        ShardedDataPlane(net, shards=1).inject_columns(["c0", "c1"], cls_idx, hashes[:-1], ts)
+    assert net.delivery_stats() == (0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_class_index_outside_the_class_list_is_rejected(bad):
+    # -1 used to be walked silently as classes[-1]; under the narrow key
+    # cast it would wrap instead.
+    net, _, cls_idx, hashes, ts = _valid_column()
+    cls_idx[17] = bad
+    with pytest.raises(ValueError, match="cls_idx"):
+        ShardedDataPlane(net, shards=1).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
+    assert net.delivery_stats() == (0, 0, 0)
+
+
+def test_decreasing_timestamps_are_rejected():
+    # Two swapped timestamps used to leave the instance windows unlike the
+    # ones scalar inject builds from the same order; ties stay legal.
+    net, _, cls_idx, hashes, ts = _valid_column()
+    tied = ts.copy()
+    tied[20] = tied[19]
+    ShardedDataPlane(net, shards=1).inject_columns(["c0", "c1"], cls_idx, hashes, tied)
+    assert net.delivery_stats() == (50, 0, 0)
+    ts[[20, 30]] = ts[[30, 20]]
+    with pytest.raises(ValueError, match="non-decreasing"):
+        ShardedDataPlane(net, shards=1).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
+    assert net.delivery_stats() == (50, 0, 0)
