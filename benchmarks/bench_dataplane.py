@@ -1,13 +1,13 @@
-"""Data-plane fast-path benchmark: reference, inject, batched, sharded.
+"""Data-plane fast-path benchmark: reference, inject, batched, columnar.
 
 Acceptance targets of the data-plane fast-path work: on the
 ``packet_replay`` workload (internet2, 4 s of CBR traffic) the batched
 walker (``inject_stream`` driven by :class:`BatchedCBRMux`) sustains at
 least 10x the packets/sec of the hop-by-hop pipeline walk
 (``walk_reference``: a TCAM priority scan at every hop, no cache — the
-baseline the gate has always meant), and the sharded multi-core walker is
-never slower than the batched one (>= 0.95x with its in-process
-fallback on one core; >= 2.5x with 4 shards on hosts with >= 4 cores) —
+baseline the gate has always meant), and the columnar walker
+(``ShardedDataPlane.inject_columns``, one in-process mode) is never slower
+than the batched one (>= 0.95x) —
 all with identical delivery stats: same delivered/dropped counts and zero
 policy violations.
 
@@ -17,7 +17,6 @@ wall-clock; results append to the ``BENCH_dataplane.json`` trajectory at
 the repo root.
 """
 
-import os
 import time
 
 import numpy as np
@@ -124,19 +123,17 @@ def _run_batched(plan, network):
     return sent[0], elapsed, network.stats_snapshot()
 
 
-def _run_sharded(plan, network, shards):
-    """Sharded replay: the merged timeline is built by the same float
-    left-folds the mux performs, then walked column-wise by shard (the
-    timeline build is inside the timed region, mirroring the mux's share
-    of the batched measurement)."""
+def _run_columnar(plan, network):
+    """Columnar replay: the merged timeline is built by the same float
+    left-folds the mux performs, then walked as one column (the timeline
+    build is inside the timed region, mirroring the mux's share of the
+    batched measurement)."""
     sim = Simulator(seed=_SEED)
     network.reset_runtime_state()
     rng = sim.rng.child("packet-replay-phases")
     streams = []
-    weights = {}
     for cls, pps in _classes(plan):
         streams.append((cls.class_id, rng.uniform(0.0, 1.0 / pps), 1.0 / pps))
-        weights[cls.class_id] = pps
     started = time.perf_counter()
     keys, kidx, ts = merge_cbr_timeline(streams, DURATION)
     hashes = np.empty(len(ts))
@@ -145,10 +142,7 @@ def _run_sharded(plan, network, shards):
         m = int(mask.sum())
         if m:
             hashes[mask] = cycling_hashes(m)
-    with ShardedDataPlane(
-        network, shards=shards, class_weights=weights
-    ) as sharded:
-        sharded.inject_columns(keys, kidx, hashes, ts)
+    ShardedDataPlane(network).inject_columns(keys, kidx, hashes, ts)
     elapsed = time.perf_counter() - started
     return len(ts), elapsed, network.stats_snapshot()
 
@@ -221,45 +215,32 @@ def test_sharded_walk_speedup(record_bench_dataplane):
     delivered, dropped, violations = batched_stats.as_tuple()
     assert violations == 0
 
-    sharded_pps = {}
-    for shards in (1, 2, 4, 8):
-        pps, sharded_sent, sharded_stats = _best_pps(
-            lambda: _run_sharded(plan, network, shards)
-        )
-        # Bit-identity across shard counts and vs the batched walk.
-        assert sharded_sent == sent
-        assert sharded_stats == batched_stats
-        sharded_pps[shards] = pps
+    columnar_pps, columnar_sent, columnar_stats = _best_pps(
+        lambda: _run_columnar(plan, network)
+    )
+    # Bit-identity vs the batched walk.
+    assert columnar_sent == sent
+    assert columnar_stats == batched_stats
 
-    best = max(sharded_pps.values())
-    speedup = best / batched_pps
-    cores = os.cpu_count() or 1
+    speedup = columnar_pps / batched_pps
     record_bench_dataplane(
         "dataplane_sharded_replay",
         {
             "topology": "internet2",
             "duration_s": DURATION,
             "repeats": REPEATS,
-            "host_cores": cores,
             "packets": sent,
             "delivered": delivered,
             "dropped": dropped,
             "violations": violations,
             "batched_pps": round(batched_pps, 1),
-            "sharded_pps": {
-                str(k): round(v, 1) for k, v in sorted(sharded_pps.items())
-            },
-            "speedup_sharded_vs_batched": round(speedup, 2),
+            "columnar_pps": round(columnar_pps, 1),
+            "speedup_columnar_vs_batched": round(speedup, 2),
         },
     )
-    # The in-process fallback must never lose to the batched walk by more
-    # than measurement noise; real fan-out must win outright.
+    # The columnar walk must never lose to the batched walk by more than
+    # measurement noise.
     assert speedup >= 0.95, (
-        f"sharded walk only {speedup:.2f}x the batched path "
-        f"({best:.0f} vs {batched_pps:.0f} pps)"
+        f"columnar walk only {speedup:.2f}x the batched path "
+        f"({columnar_pps:.0f} vs {batched_pps:.0f} pps)"
     )
-    if cores >= 4:
-        assert speedup >= 2.5, (
-            f"sharded walk only {speedup:.2f}x the batched path on a "
-            f"{cores}-core host ({best:.0f} vs {batched_pps:.0f} pps)"
-        )

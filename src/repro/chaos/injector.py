@@ -8,13 +8,12 @@ the detector has to notice, and recovery has to react, exactly as in a
 real deployment.
 
 Invalidation contract: a link failure changes which hops are reachable,
-and a VM kill or brownout changes which instances a flow partition may
-treat as independent, so every applied or lifted fault moves the
+and a VM kill or brownout changes which instances a resolved walk may
+visit, so every applied or lifted fault moves the
 network's rule epoch (:meth:`DataPlaneNetwork.invalidate_plans` /
 ``set_link_failed``).  That retires every resolved walk plan and, with
-them, the sharded data plane's flow partition, so the next inject
-re-resolves against the mutated ground truth (sticky shard assignments
-keep surviving instances where they were).  The walkers read an
+them, the columnar data plane's walker and its penalty box, so the next
+inject re-resolves against the mutated ground truth.  The walkers read an
 instance's ``running`` flag and admission budget live, so a fault is
 visible to the very next packet even before the epoch is consulted.
 """

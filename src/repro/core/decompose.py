@@ -82,7 +82,7 @@ def auto_shard_count(
 ) -> int:
     """Shard count from the model size: ~constant d-vars per shard.
 
-    Unlike the data plane's core-bound :func:`repro.parallel.auto_shards`,
+    Unlike a core-bound worker count (:func:`repro.parallel.resolve_jobs`),
     decomposition pays off even on one core — k shards of n/k variables
     cost ~``k·(n/k)^1.5 = n^1.5/√k`` serial — so the count scales with
     the *instance*, capped by the ingress-group count (the partition

@@ -64,7 +64,7 @@ def cycling_hashes(count: int, start: int = 1, step: float = CYCLE_STEP):
 
     The replay experiments derive per-packet flow hashes from a per-class
     packet counter via exactly that scalar expression; the columnar
-    sharded walker needs the same sequence as a float64 array.  For the
+    walker needs the same sequence as a float64 array.  For the
     non-negative products involved, ``numpy.mod`` and Python's ``%``
     both reduce to C ``fmod``, so the array is bit-identical to the
     scalar loop (asserted in tests).

@@ -251,7 +251,7 @@ class DataPlaneNetwork:
         self._epoch.value += 1
 
     def invalidate_plans(self) -> None:
-        """Retire every resolved walk, and the flow partitions built on them.
+        """Retire every resolved walk, and the columnar walker built on them.
 
         For callers that change something no rule table knows about — the
         chaos injector after a VM kill or a brownout.  Counts still

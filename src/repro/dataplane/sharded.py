@@ -1,25 +1,8 @@
-"""Sharded, shared-nothing data plane: columnar walks over flow partitions.
+"""Columnar data plane: whole packet columns walked in numpy, in-process.
 
 The batched walker (:meth:`DataPlaneNetwork.inject_stream`) already
 amortises rule lookups per hash interval but still executes per packet.
-This module adds the next structural step, in three layers:
-
-**Partition** (:func:`build_partition`).  The unit of work is a
-``(class, hash-interval)`` pair — exactly the key of the network's
-resolution cache (:meth:`DataPlaneNetwork.class_intervals`), so the
-interval's :class:`_WalkPlan` names its exact VNF instance set.  Units
-are then joined with a union-find whenever they
-share an instance — an instance's sliding admission window is the one
-piece of order-dependent mutable state in a walk, so two units touching
-the same instance must never run on different shards.  The resulting
-connected components are *shared-nothing*: components are distributed
-across shards (largest weight first, least-loaded shard, deterministic
-tie-breaks) and never split, which is what makes sharded execution
-bit-identical to the global-order walk no matter how shards interleave.
-The partition is valid for one value of the network's rule epoch, like
-the plans it was built from, so every chaos invalidation
-(``invalidate_plans``, link failures, rule mutations) and every newly
-registered class retires it automatically.
+This module adds the next structural step, in two layers:
 
 **Columnar walk** (:class:`_ColumnWalker`).  Every per-packet pass over
 the column of ``(class_idx, hash, timestamp)`` arrays is O(n).  Each packet
@@ -27,8 +10,9 @@ gets one integer ``(class, interval)`` key — class offset plus interval
 index, the index from the exact search of the hash in its class's own small
 cuts array — and one radix sort on that narrow key groups the column: the
 columnar TCAM walk, each distinct group taking its per-hop TCAM hits from
-the plan cache.  With several shards the same keys index a group → shard
-table.  The walker then tries to apply whole time-slices in bulk: for
+the plan cache (:meth:`DataPlaneNetwork.class_intervals`, whose
+:class:`_WalkPlan` names the group's exact VNF instance set).  The walker
+then tries to apply whole time-slices in bulk: for
 every instance appearing in the slice it evaluates a vectorised *no-drop*
 admission check (the sliding-window rule as one shifted comparison over
 the instance's merged arrival column: an arrival is refused iff its
@@ -42,25 +26,20 @@ downstream hooks).  Instances that fail a check are penalised so subsequent
 slices skip straight to the sequential path instead of re-paying a doomed
 vector check.
 
-**Process fan-out** (:class:`ShardedDataPlane`).  Shards can run in
-worker processes: workers are forked once (inheriting the deployed
-network as a copy-on-write replica), per-call timelines travel in a
-:mod:`multiprocessing.shared_memory` block, and each worker returns its
-outcomes plus a :class:`CounterDelta` — a commutative snapshot diff of
-every ledger/switch/vSwitch/instance counter — which the parent merges
-at flush time.  Order of merging is irrelevant because every counter
-update in a walk is ``+=``.  On one core (or when forking is
-unavailable, or inside another worker) execution stays in-process,
-running the shard columns sequentially on the parent network — still
-bit-identical, because shards share no instances.
+**Façade** (:class:`ShardedDataPlane`).  Validates a column at entry,
+walks it once on the network it was given and records the span.  There is
+one execution mode.  Splitting a column over shared-nothing shards — in
+one process or over forked workers — was measured on the one placement we
+have that splits at all and lost to the unsplit walk both ways (DESIGN.md,
+"Columnar data plane"), so the partition and the worker fan-out are gone.
+The façade remembers one ``rule_epoch``: when a chaos invalidation, a link
+failure or a rule mutation moves it, the walker — and with it the penalty
+box, keyed by ``id(instance)`` — is renewed before the next column.
 """
 
 from __future__ import annotations
 
-import pickle
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,13 +47,6 @@ import numpy as np
 
 from repro.dataplane.network import DataPlaneNetwork, _WalkPlan
 from repro.obs import state as _obs
-from repro.parallel import (
-    auto_shards,
-    cpu_count,
-    fork_available,
-    in_worker,
-    mp_context,
-)
 from repro.perf import REGISTRY
 
 #: Bulk slices are bisected down to this size before giving up and
@@ -91,322 +63,6 @@ SEQ_BYPASS = 4 * MIN_LEAF
 #: vector check entirely.  Keeps a steadily-overloaded instance from
 #: charging a failed check at every bisection level.
 PENALTY = 8
-
-
-# ----------------------------------------------------------------------
-# Commutative counter deltas
-# ----------------------------------------------------------------------
-@dataclass
-class CounterDelta:
-    """Every mutable counter of a network, as a snapshot or a diff.
-
-    All fields add elementwise, and every counter update a walk performs
-    is ``+=`` — so deltas from different shards commute: merging them in
-    any order yields the same totals as the global-order walk.
-    ``ledger`` is ``(delivered, dropped, violations)``; ``switches`` maps
-    name to ``(packets_seen, lookups, misses, cache_hits)``; ``vswitches``
-    maps name to ``(packets_in, packets_dropped)``; ``instances`` maps
-    ``(switch, alias)`` to ``(in, processed, dropped, bytes)``.
-    """
-
-    ledger: Tuple[int, int, int] = (0, 0, 0)
-    switches: Dict[str, Tuple[int, int, int, int]] = field(default_factory=dict)
-    vswitches: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    instances: Dict[Tuple[str, str], Tuple[int, int, int, int]] = field(
-        default_factory=dict
-    )
-
-    @staticmethod
-    def capture(network: DataPlaneNetwork) -> "CounterDelta":
-        """Absolute counter snapshot (flushes deferred counts first)."""
-        network.flush_counters()
-        switches = {}
-        for name, sw in network.switches.items():
-            t = sw.table
-            switches[name] = (
-                sw.packets_seen, t.lookup_count, t.miss_count, t.cache_hits
-            )
-        vswitches = {}
-        instances = {}
-        for name, vsw in network.vswitches.items():
-            vswitches[name] = (vsw.packets_in, vsw.packets_dropped)
-            for alias, inst in vsw._instances.items():
-                st = inst.stats
-                instances[(name, alias)] = (
-                    st.packets_in,
-                    st.packets_processed,
-                    st.packets_dropped,
-                    st.bytes_processed,
-                )
-        return CounterDelta(
-            ledger=(
-                network.delivered_count,
-                network.dropped_count,
-                network.violation_count,
-            ),
-            switches=switches,
-            vswitches=vswitches,
-            instances=instances,
-        )
-
-    def subtract(self, base: "CounterDelta") -> "CounterDelta":
-        """This snapshot minus ``base`` (what one shard's run added)."""
-
-        def sub(a, b):
-            return tuple(x - y for x, y in zip(a, b))
-
-        return CounterDelta(
-            ledger=sub(self.ledger, base.ledger),
-            switches={
-                k: sub(v, base.switches.get(k, (0,) * len(v)))
-                for k, v in self.switches.items()
-            },
-            vswitches={
-                k: sub(v, base.vswitches.get(k, (0,) * len(v)))
-                for k, v in self.vswitches.items()
-            },
-            instances={
-                k: sub(v, base.instances.get(k, (0,) * len(v)))
-                for k, v in self.instances.items()
-            },
-        )
-
-    def merge(self, other: "CounterDelta") -> "CounterDelta":
-        """Elementwise sum — commutative and associative by construction."""
-
-        def add_maps(a, b):
-            out = dict(a)
-            for k, v in b.items():
-                prev = out.get(k)
-                out[k] = v if prev is None else tuple(
-                    x + y for x, y in zip(prev, v)
-                )
-            return out
-
-        return CounterDelta(
-            ledger=tuple(x + y for x, y in zip(self.ledger, other.ledger)),
-            switches=add_maps(self.switches, other.switches),
-            vswitches=add_maps(self.vswitches, other.vswitches),
-            instances=add_maps(self.instances, other.instances),
-        )
-
-    def apply_to(self, network: DataPlaneNetwork) -> None:
-        """Add this delta into a live network's counters."""
-        d, dr, v = self.ledger
-        network.delivered_count += d
-        network.dropped_count += dr
-        network.violation_count += v
-        for name, (seen, lookups, misses, hits) in self.switches.items():
-            sw = network.switches[name]
-            sw.packets_seen += seen
-            sw.table.lookup_count += lookups
-            sw.table.miss_count += misses
-            sw.table.cache_hits += hits
-        for name, (pin, pdrop) in self.vswitches.items():
-            vsw = network.vswitches[name]
-            vsw.packets_in += pin
-            vsw.packets_dropped += pdrop
-        for (sw_name, alias), (pin, proc, drop, nbytes) in self.instances.items():
-            inst = network.vswitches[sw_name]._instances.get(alias)
-            if inst is None:
-                continue  # instance torn down since the worker forked
-            st = inst.stats
-            st.packets_in += pin
-            st.packets_processed += proc
-            st.packets_dropped += drop
-            st.bytes_processed += nbytes
-
-
-# ----------------------------------------------------------------------
-# Shared-nothing flow partition
-# ----------------------------------------------------------------------
-class FlowPartition:
-    """An immutable class → hash-interval → shard map.
-
-    Built by :func:`build_partition`; valid for exactly one rule epoch of
-    the network (rule tables + vSwitches + class paths + failure overlay).
-    """
-
-    def __init__(
-        self,
-        epoch: int,
-        nshards: int,
-        n_components: int,
-        class_shards: Dict[str, np.ndarray],
-        instance_shards: Dict[str, int],
-        has_hooks: bool,
-    ) -> None:
-        self.epoch = epoch
-        self.nshards = nshards
-        self.n_components = n_components
-        #: class_id → shard of each of the class's hash intervals.
-        self.class_shards = class_shards
-        #: instance_id → shard, used to keep assignments sticky across
-        #: rebuilds (a fault must not migrate an instance's window state
-        #: to a different worker replica mid-run).
-        self.instance_shards = instance_shards
-        self.has_hooks = has_hooks
-
-
-def _uf_find(parent: dict, x):
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:  # path compression
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _uf_union(parent: dict, a, b) -> None:
-    ra, rb = _uf_find(parent, a), _uf_find(parent, b)
-    if ra != rb:
-        parent[rb] = ra
-
-
-def build_partition(
-    network: DataPlaneNetwork,
-    shards: int = 0,
-    class_weights: Optional[Dict[str, float]] = None,
-    sticky: Optional[Dict[str, int]] = None,
-) -> FlowPartition:
-    """Partition every registered class's hash domain into shards.
-
-    The partitioning rule, in order:
-
-    1. take each class's hash intervals from the network's resolution
-       cache — within one interval all flows take the same walk;
-    2. read the interval's VNF instance set off its walk plan (for
-       scalar-fallback plans the set is over-approximated to every
-       instance hosted along the path, which costs parallelism but never
-       correctness);
-    3. union-find intervals sharing any instance into connected
-       components — the shared-nothing units;
-    4. deal components onto ``shards`` shards, heaviest first (weight =
-       interval width × class rate), least-loaded shard wins, with
-       deterministic tie-breaks; ``sticky`` assignments (from a previous
-       partition of the same network) pin a component to the shard that
-       already holds its instances' window state.
-
-    ``shards == 0`` (or fewer components than shards) clamps to the
-    component count, so requesting more shards than the traffic supports
-    degrades gracefully instead of creating idle workers.
-    """
-    started = perf_counter()
-    class_ids = list(network.class_paths)
-    weights = class_weights or {}
-    sticky = sticky or {}
-
-    parent: dict = {}  # union-find over ("u", unit_idx) and ("i", instance_id)
-    units: List[tuple] = []  # (weight, instance_ids), classes in order
-    has_hooks = False
-    for class_id in class_ids:
-        cp = network.class_intervals(class_id)
-        rate = float(weights.get(class_id, 1.0))
-        for g, (lo, hi) in enumerate(zip(cp.edges[:-1], cp.edges[1:])):
-            plan = network.interval_plan(cp, g)
-            if plan.fallback:
-                # The plan cannot vouch for the interval (header-modifying
-                # VNF upstream, downstream hook): assume it may touch any
-                # instance hosted along the path.
-                instances = [
-                    inst
-                    for sw_name in cp.path
-                    if sw_name in network.vswitches
-                    for inst in network.vswitches[sw_name].instances()
-                ]
-            else:
-                instances = [
-                    slot[0] for slots in plan.vsteps for slot in slots
-                ]
-            inst_ids = {inst.instance_id for inst in instances}
-            if any(inst.downstream is not None for inst in instances):
-                has_hooks = True
-            ui = ("u", len(units))
-            units.append((rate * (hi - lo), inst_ids))
-            parent[ui] = ui
-            for iid in inst_ids:
-                ik = ("i", iid)
-                if ik not in parent:
-                    parent[ik] = ik
-                _uf_union(parent, ui, ik)
-
-    # Connected components, in first-unit order (deterministic).
-    comp_of_unit: List[int] = []
-    comp_index: Dict[tuple, int] = {}
-    comp_weight: List[float] = []
-    comp_instances: List[set] = []
-    for ui in range(len(units)):
-        root = _uf_find(parent, ("u", ui))
-        ci = comp_index.get(root)
-        if ci is None:
-            ci = comp_index[root] = len(comp_weight)
-            comp_weight.append(0.0)
-            comp_instances.append(set())
-        comp_of_unit.append(ci)
-        comp_weight[ci] += units[ui][0]
-        comp_instances[ci] |= units[ui][1]
-
-    n_components = max(1, len(comp_weight))
-    nshards = auto_shards(n_components, shards if shards else "auto")
-    if has_hooks:
-        # Downstream hooks observe per-packet order across the whole
-        # network; only a single shard preserves it.
-        nshards = 1
-
-    # Heaviest component first; least-loaded shard wins; ties go to the
-    # lowest shard index (fully deterministic).
-    comp_shard = [0] * len(comp_weight)
-    order = sorted(
-        range(len(comp_weight)), key=lambda c: (-comp_weight[c], c)
-    )
-    loads = [0.0] * nshards
-    deferred: List[int] = []
-    for ci in order:
-        pinned = {
-            sticky[iid]
-            for iid in comp_instances[ci]
-            if iid in sticky and sticky[iid] < nshards
-        }
-        if pinned:
-            # Components only ever split under faults, so members almost
-            # always agree; a merge conflict picks the lowest shard.
-            s = min(pinned)
-            comp_shard[ci] = s
-            loads[s] += comp_weight[ci]
-        else:
-            deferred.append(ci)
-    heap = [(loads[s], s) for s in range(nshards)]
-    heap.sort()
-    for ci in deferred:
-        load, s = heappop(heap)
-        comp_shard[ci] = s
-        heappush(heap, (load + comp_weight[ci], s))
-
-    instance_shards: Dict[str, int] = {}
-    for ci, insts in enumerate(comp_instances):
-        for iid in insts:
-            instance_shards[iid] = comp_shard[ci]
-
-    class_shards: Dict[str, np.ndarray] = {}
-    ui = 0
-    for class_id in class_ids:
-        width = len(network.class_intervals(class_id).cuts) + 1
-        class_shards[class_id] = np.asarray(
-            [comp_shard[ci] for ci in comp_of_unit[ui : ui + width]],
-            dtype=np.int64,
-        )
-        ui += width
-
-    part = FlowPartition(
-        epoch=network.rule_epoch,
-        nshards=nshards,
-        n_components=n_components,
-        class_shards=class_shards,
-        instance_shards=instance_shards,
-        has_hooks=has_hooks,
-    )
-    REGISTRY.record("dataplane.shard.partition", perf_counter() - started)
-    return part
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +94,7 @@ def _span(pos: np.ndarray, lo: int, hi: int, n: int) -> Tuple[int, int]:
 
 
 class _ColumnWalker:
-    """Columnar execution of one shard's packet column on one network.
+    """Columnar execution of one packet column on one network.
 
     Stateless apart from the per-instance penalty box (which only affects
     *how* a slice is processed, never its outcome).
@@ -500,7 +156,7 @@ class _ColumnWalker:
     ) -> Optional[list]:
         """Walk one time-ordered column; exact ``inject_stream`` semantics.
 
-        ``keys``/``table``: :meth:`group_keys` of this column or a superset.
+        ``keys``/``table``: :meth:`group_keys` of this column.
         """
         net = self.net
         n = len(ts)
@@ -779,144 +435,42 @@ class _ColumnWalker:
 
 
 # ----------------------------------------------------------------------
-# Worker processes
+# Façade
 # ----------------------------------------------------------------------
-def _reset_network(network: DataPlaneNetwork) -> None:
-    """Broadcastable runtime reset (see ShardedDataPlane.apply)."""
-    network.reset_runtime_state()
-
-
-def _worker_main(network: DataPlaneNetwork, conn) -> None:
-    """Shard worker loop: runs forked, owning a replica of ``network``."""
-    from multiprocessing import shared_memory
-
-    walker = _ColumnWalker(network)
-    base = CounterDelta.capture(network)
-    while True:
-        msg = conn.recv()
-        kind = msg[0]
-        if kind == "column":
-            _kind, shm_name, total, lo, hi, classes, size, collect = msg
-            shm = shared_memory.SharedMemory(name=shm_name)
-            try:
-                ts_all = np.ndarray(total, dtype=np.float64, buffer=shm.buf)
-                h_all = np.ndarray(
-                    total, dtype=np.float64, buffer=shm.buf, offset=8 * total
-                )
-                c_all = np.ndarray(
-                    total, dtype=np.int64, buffer=shm.buf, offset=16 * total
-                )
-                ts = np.array(ts_all[lo:hi])
-                hashes = np.array(h_all[lo:hi])
-                cls_idx = np.array(c_all[lo:hi])
-            finally:
-                shm.close()
-                # Python 3.11 registers attached (not just created) segments
-                # with the resource tracker; the parent owns the unlink, so
-                # drop the worker-side registration to avoid bogus leak
-                # warnings at worker exit.
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(shm._name, "shared_memory")
-                except Exception:
-                    pass
-            out = walker.run(
-                classes, cls_idx, hashes, ts, size, collect,
-                *walker.group_keys(classes, cls_idx, hashes),
-            )
-            network.flush_counters()
-            cur = CounterDelta.capture(network)
-            delta = cur.subtract(base)
-            base = cur
-            conn.send(
-                (out, delta, walker.bulk_packets, walker.seq_packets)
-            )
-            walker.bulk_packets = walker.seq_packets = 0
-        elif kind == "apply":
-            fn, args, kwargs = msg[1], msg[2], msg[3]
-            fn(network, *args, **kwargs)
-            walker = _ColumnWalker(network)  # penalties may be stale
-            base = CounterDelta.capture(network)
-            conn.send("ok")
-        elif kind == "stop":
-            conn.send("bye")
-            return
+def _column(name: str, values, dtype=None) -> np.ndarray:
+    """``values`` as a 1-D array (a view when it already is one)."""
+    col = np.asarray(values, dtype=dtype)
+    if col.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D column, got shape {col.shape}")
+    return col
 
 
 class ShardedDataPlane:
-    """Shard-parallel façade over one deployed :class:`DataPlaneNetwork`.
+    """Columnar façade over one deployed :class:`DataPlaneNetwork`.
 
     Args:
         network: the deployed network (rules installed, instances up).
-        shards: requested shard count, or 0/"auto" to derive it from the
-            core count and the partition's component count.
-        processes: ``"auto"`` forks one worker per shard when the host
-            has multiple cores (and forking is possible); ``True`` forces
-            workers, ``False`` keeps everything in-process.  In-process
-            execution runs the shard columns sequentially on the parent
-            network — identical results, no parallel speedup.
-        class_weights: optional class → rate map used to balance shard
-            loads (defaults to uniform).
+        shards, processes, class_weights: accepted and ignored — every
+            value they ever took produced the same outcomes and counters.
+            ROADMAP item 1 (benchmark v2) drops them from
+            ``benchmarks/pipeline``'s call, then from this signature.
 
     The façade preserves the repo's bit-identity discipline: for the same
     item stream, outcomes and every counter equal the scalar and batched
-    walkers', regardless of shard count or execution mode.  Faults follow
-    the normal invalidation protocol — any rule/overlay mutation retires
-    the partition on the next inject; with worker processes, mutations
-    must go through :meth:`apply` so every replica sees them.
+    walkers'.  Faults follow the normal invalidation protocol — mutate
+    ``network`` itself; a moved rule epoch renews the walker on the next
+    inject.
     """
 
+    #: Constant; ROADMAP item 1 drops ``benchmarks/pipeline``'s read, then this.
+    nshards = 1
+
     def __init__(
-        self,
-        network: DataPlaneNetwork,
-        shards=0,
-        processes="auto",
-        class_weights: Optional[Dict[str, float]] = None,
+        self, network: DataPlaneNetwork, shards=1, processes=False, class_weights=None
     ) -> None:
-        if isinstance(shards, str):
-            shards = 0 if shards == "auto" else int(shards)
-        if shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
         self.network = network
-        self.requested_shards = int(shards)
-        self.processes = processes
-        self.class_weights = class_weights
-        self._partition: Optional[FlowPartition] = None
+        self._epoch = network.rule_epoch
         self._walker = _ColumnWalker(network)
-        self._workers: List = []  # (process, parent_conn) pairs
-        self._worker_shards = 0
-
-    # -- partition lifecycle ------------------------------------------
-    def _ensure_partition(self) -> FlowPartition:
-        part = self._partition
-        if part is not None and part.epoch == self.network.rule_epoch:
-            return part
-        sticky = part.instance_shards if part is not None else None
-        part = build_partition(
-            self.network,
-            shards=self.requested_shards,
-            class_weights=self.class_weights,
-            sticky=sticky,
-        )
-        self._partition = part
-        self._walker = _ColumnWalker(self.network)  # penalties may be stale
-        if _obs.REGISTRY.enabled:
-            _obs.metric("dataplane_shard_components").set(part.n_components)
-        return part
-
-    @property
-    def nshards(self) -> int:
-        return self._ensure_partition().nshards
-
-    def _use_processes(self, part: FlowPartition) -> bool:
-        if part.nshards <= 1 or self.processes is False:
-            return False
-        if in_worker() or not fork_available():
-            return False
-        if self.processes == "auto" and cpu_count() < 2:
-            return False
-        return True
 
     # -- injection -----------------------------------------------------
     def inject_stream(
@@ -925,7 +479,7 @@ class ShardedDataPlane:
         size_bytes: int = 1500,
         collect: bool = False,
     ) -> Optional[List[Tuple[bool, Optional[str]]]]:
-        """Drop-in sharded counterpart of ``DataPlaneNetwork.inject_stream``."""
+        """Drop-in columnar counterpart of ``DataPlaneNetwork.inject_stream``."""
         classes: List[str] = []
         index: Dict[str, int] = {}
         n = len(items)
@@ -953,206 +507,80 @@ class ShardedDataPlane:
         size_bytes: int = 1500,
         collect: bool = False,
     ) -> Optional[List[Tuple[bool, Optional[str]]]]:
-        """Walk a time-ordered column of packets, sharded.
+        """Walk a time-ordered column of packets.
 
         ``classes`` lists the distinct class ids; ``cls_idx`` indexes into
-        it per packet; ``hashes``/``ts`` are float64 columns.  Timestamps
-        must be non-decreasing (as in every walker).  Returns per-packet
-        ``(delivered, dropped_at)`` outcomes when ``collect``.
+        it per packet; ``hashes``/``ts`` are float64 columns (arrays or
+        plain sequences).  Timestamps must be non-decreasing (as in every
+        walker).  Returns per-packet ``(delivered, dropped_at)`` outcomes
+        when ``collect``.
 
         Raises:
-            ValueError: the columns differ in length, a ``cls_idx`` entry
-                is outside ``classes``, or ``ts`` decreases somewhere.
+            ValueError: a column is not 1-D, ``cls_idx`` is not of an
+                integer dtype, the columns differ in length, a ``cls_idx``
+                entry is outside ``classes``, a hash is outside ``[0, 1)``
+                (or NaN), or ``ts`` decreases somewhere.  Nothing has been
+                walked or counted when it is raised.
         """
         started = perf_counter()
         classes = list(classes)
+        cls_idx = _column("cls_idx", cls_idx)
+        hashes = _column("hashes", hashes, np.float64)
+        ts = _column("ts", ts, np.float64)
         n = len(ts)
         if not len(cls_idx) == len(hashes) == n:
             raise ValueError(
                 f"column lengths differ: cls_idx {len(cls_idx)}, "
                 f"hashes {len(hashes)}, ts {n}"
             )
-        part = self._ensure_partition()
-        if n == 0:
+        if self._epoch != self.network.rule_epoch:
+            self._epoch = self.network.rule_epoch
+            self._walker = _ColumnWalker(self.network)  # penalties may be stale
+        if n == 0:  # before the dtype check: an empty list coerces to float64
             return [] if collect else None
+        if cls_idx.dtype.kind not in "iu":
+            raise ValueError(
+                f"cls_idx must be an integer column, got dtype {cls_idx.dtype}"
+            )
         if cls_idx.min() < 0 or cls_idx.max() >= len(classes):
             raise ValueError(
                 f"cls_idx must index the {len(classes)} classes given, got "
                 f"values in [{cls_idx.min()}, {cls_idx.max()}]"
             )
+        cls_idx = cls_idx.astype(np.intp, copy=False)  # bincount refuses uint64
+        # Two reductions, not a mask; NaN fails both comparisons.
+        if not (hashes.min() >= 0.0 and hashes.max() < 1.0):
+            raise ValueError(
+                f"flow_hash must be in [0, 1), got values in "
+                f"[{hashes.min()}, {hashes.max()}]"
+            )
         if np.any(ts[1:] < ts[:-1]):
             raise ValueError("ts must be non-decreasing")
         walker = self._walker
-        keys, table = walker.group_keys(classes, cls_idx, hashes)
-        if part.nshards == 1:
-            out = walker.run(
-                classes, cls_idx, hashes, ts, size_bytes, collect, keys, table
-            )
-            self._finish_span(started, part, n)
-            return out
-        # group → shard, narrow so the per-shard split sorts by radix too
-        shard_of_key = np.fromiter(
-            (part.class_shards[cp.class_id][g] for cp, g in table),
-            dtype=_narrow_uint(part.nshards),
-            count=len(table),
+        out = walker.run(
+            classes, cls_idx, hashes, ts, size_bytes, collect,
+            *walker.group_keys(classes, cls_idx, hashes),
         )
-        shard_ids = shard_of_key[keys]
-        if self._use_processes(part):
-            out = self._run_processes(
-                part, classes, cls_idx, hashes, ts, shard_ids,
-                size_bytes, collect,
-            )
-        else:
-            out = [None] * n if collect else None
-            for s in range(part.nshards):
-                sel = np.flatnonzero(shard_ids == s)
-                if not len(sel):
-                    continue
-                res = walker.run(
-                    classes, cls_idx[sel], hashes[sel], ts[sel],
-                    size_bytes, collect, keys[sel], table,
-                )
-                if collect:
-                    for i, p in enumerate(sel.tolist()):
-                        out[p] = res[i]
-        self._finish_span(started, part, n)
-        return out
-
-    def _finish_span(self, started: float, part: FlowPartition, n: int) -> None:
         REGISTRY.record("dataplane.walk.sharded", perf_counter() - started)
         if _obs.REGISTRY.enabled:
-            _obs.metric("dataplane_shard_count").set(part.nshards)
-            w = self._walker
-            if w.bulk_packets:
+            if walker.bulk_packets:
                 _obs.metric("dataplane_shard_bulk_packets_total").inc(
-                    w.bulk_packets
+                    walker.bulk_packets
                 )
-            if w.seq_packets:
+            if walker.seq_packets:
                 _obs.metric("dataplane_shard_sequential_packets_total").inc(
-                    w.seq_packets
+                    walker.seq_packets
                 )
-            w.bulk_packets = w.seq_packets = 0
-
-    # -- process mode --------------------------------------------------
-    def _ensure_workers(self, nshards: int) -> None:
-        if self._workers and self._worker_shards == nshards:
-            return
-        self.close()
-        ctx = mp_context()
-        for _s in range(nshards):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(self.network, child_conn),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._workers.append((proc, parent_conn))
-        self._worker_shards = nshards
-
-    def _run_processes(
-        self, part, classes, cls_idx, hashes, ts, shard_ids, size, collect
-    ):
-        from multiprocessing import shared_memory
-
-        self._ensure_workers(part.nshards)
-        n = len(ts)
-        perm = np.argsort(shard_ids, kind="stable")
-        counts = np.bincount(shard_ids, minlength=part.nshards)
-        offsets = np.zeros(part.nshards + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        shm = shared_memory.SharedMemory(create=True, size=max(1, 24 * n))
-        try:
-            ts_v = np.ndarray(n, dtype=np.float64, buffer=shm.buf)
-            h_v = np.ndarray(n, dtype=np.float64, buffer=shm.buf, offset=8 * n)
-            c_v = np.ndarray(n, dtype=np.int64, buffer=shm.buf, offset=16 * n)
-            ts_v[:] = ts[perm]
-            h_v[:] = hashes[perm]
-            c_v[:] = cls_idx[perm]
-            busy = []
-            for s, (proc, conn) in enumerate(self._workers):
-                lo, hi = int(offsets[s]), int(offsets[s + 1])
-                if hi <= lo:
-                    continue
-                conn.send(
-                    ("column", shm.name, n, lo, hi, classes, size, collect)
-                )
-                busy.append((s, conn, lo, hi))
-            out = [None] * n if collect else None
-            merge_started = perf_counter()
-            bulk = seq = 0
-            for s, conn, lo, hi in busy:
-                res, delta, b, q = conn.recv()
-                delta.apply_to(self.network)
-                bulk += b
-                seq += q
-                if collect and res is not None:
-                    for i, p in enumerate(perm[lo:hi].tolist()):
-                        out[p] = res[i]
-            REGISTRY.record(
-                "dataplane.shard.merge", perf_counter() - merge_started
-            )
-            if _obs.REGISTRY.enabled:
-                _obs.metric("dataplane_shard_merge_seconds").observe(
-                    perf_counter() - merge_started
-                )
-            self._walker.bulk_packets += bulk
-            self._walker.seq_packets += seq
-        finally:
-            shm.close()
-            shm.unlink()
+            walker.bulk_packets = walker.seq_packets = 0
         return out
 
-    def apply(self, fn, *args, **kwargs) -> None:
-        """Apply a mutation to the parent network *and* every worker replica.
-
-        ``fn`` must be a picklable module-level callable taking the
-        network as its first argument (e.g. a chaos fault).  Without
-        workers this is just ``fn(self.network, ...)``; with workers it is
-        the broadcast that keeps replicas converged — a mutation applied
-        to the parent alone would be invisible to forked shards.
-        """
-        pickle.dumps(fn)  # fail fast on closures before touching workers
-        fn(self.network, *args, **kwargs)
-        for _proc, conn in self._workers:
-            conn.send(("apply", fn, args, kwargs))
-        for _proc, conn in self._workers:
-            conn.recv()
-
-    def reset_runtime_state(self) -> None:
-        """Reset runtime counters everywhere (parent + worker replicas)."""
-        self.apply(_reset_network)
-
-    def flush_counters(self) -> None:
-        self.network.flush_counters()
-
-    def stats_snapshot(self):
-        return self.network.stats_snapshot()
-
+    # ``with`` / ``close`` held resources while there were workers; kept
+    # (as no-ops) for ``benchmarks/pipeline`` until ROADMAP item 1.
     def close(self) -> None:
-        """Stop worker processes (no-op without workers)."""
-        for proc, conn in self._workers:
-            try:
-                conn.send(("stop",))
-                conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-            conn.close()
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-        self._workers = []
-        self._worker_shards = 0
+        pass
 
     def __enter__(self) -> "ShardedDataPlane":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+        pass

@@ -77,9 +77,9 @@ _SEEDABLE = {"failure_recovery", "southbound_chaos", "scale_sweep",
 #: event through the data-plane fast path).
 _BATCHABLE = {"packet_replay"}
 
-#: Experiments whose run() accepts a shard count (the sharded multi-core
-#: data plane; bit-identical results at any count).
-_SHARDABLE = {"packet_replay"}
+#: Experiments whose run() accepts columnar=True (the whole timeline as
+#: one column through the columnar data plane; bit-identical results).
+_COLUMNAR = {"packet_replay"}
 
 
 def _jobs_arg(value: str):
@@ -88,24 +88,6 @@ def _jobs_arg(value: str):
         return resolve_jobs(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _shards_arg(value: str):
-    """argparse type for --shards: non-negative int or 'auto'."""
-    token = value.strip().lower()
-    if token == "auto":
-        return "auto"
-    try:
-        shards = int(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shards must be a non-negative integer or 'auto', got {value!r}"
-        ) from None
-    if shards < 0:
-        raise argparse.ArgumentTypeError(
-            f"shards must be a non-negative integer or 'auto', got {value!r}"
-        )
-    return shards
 
 
 def main(argv: List[str] = None) -> int:
@@ -157,14 +139,11 @@ def main(argv: List[str] = None) -> int:
         "(event per packet); results are identical either way",
     )
     parser.add_argument(
-        "--shards",
-        type=_shards_arg,
-        default=0,
-        metavar="N",
-        help="shards for experiments with a sharded data-plane path "
-        f"({', '.join(display_name(n) for n in sorted(_SHARDABLE))}); default 0 (off); 'auto' "
-        "derives the count from cores and flow components; results are "
-        "bit-identical at any count",
+        "--columnar",
+        action="store_true",
+        help="walk the whole packet timeline as one column for experiments "
+        f"with a columnar data-plane path ({', '.join(display_name(n) for n in sorted(_COLUMNAR))}); "
+        "results are bit-identical to the default and to --batch",
     )
     parser.add_argument(
         "--output",
@@ -229,8 +208,8 @@ def main(argv: List[str] = None) -> int:
             kwargs["jobs"] = args.jobs
         if args.batch > 1 and name in _BATCHABLE:
             kwargs["batch"] = args.batch
-        if args.shards and name in _SHARDABLE:
-            kwargs["shards"] = args.shards
+        if args.columnar and name in _COLUMNAR:
+            kwargs["columnar"] = True
         if name in _SEEDABLE:
             kwargs["seed"] = args.seed
         result = runner(**kwargs)
@@ -281,7 +260,7 @@ def main(argv: List[str] = None) -> int:
                 "quick": args.quick,
                 "jobs": args.jobs,
                 "batch": args.batch,
-                "shards": args.shards,
+                "columnar": args.columnar,
                 "experiments": [display_name(n) for n in names],
             },
             metrics=obs.REGISTRY.snapshot(),

@@ -49,7 +49,7 @@ def run(
     overload_factor: float = 1.0,
     quick: bool = False,
     batch: int = 1,
-    shards=0,
+    columnar: bool = False,
 ) -> ExperimentResult:
     """Replay one snapshot at packet level and compare with the fluid model.
 
@@ -63,12 +63,11 @@ def run(
             network's batched walker.  Results are bit-identical — same
             per-packet timestamps, processing order, delivery counts —
             only wall-clock time changes.
-        shards: 0 disables sharding; otherwise the whole merged timeline
-            is precomputed (same floats as the mux) and walked through
-            the sharded data plane with this many shards (``"auto"``
-            derives the count from cores × flow components).  Rows are
+        columnar: precompute the whole merged timeline (same floats as
+            the mux) and walk it as one column through
+            :class:`~repro.dataplane.sharded.ShardedDataPlane`.  Rows are
             bit-identical to the scalar and batched paths; ``batch`` is
-            ignored when sharding.
+            ignored.
     """
     if quick:
         duration = 1.5
@@ -100,12 +99,12 @@ def run(
 
         return consume
 
-    if shards:
-        # Sharded replay: no simulator events at all.  The merged CBR
+    if columnar:
+        # Columnar replay: no simulator events at all.  The merged CBR
         # timeline is built by the same float left-folds the mux performs
         # (merge_cbr_timeline), flow hashes cycle per class exactly as the
         # scalar consumers count them, and the phase RNG is drawn in the
-        # same order — so the packet sequence is identical and the sharded
+        # same order — so the packet sequence is identical and the columnar
         # walker's bit-identity discipline does the rest.
         import numpy as np
 
@@ -116,7 +115,6 @@ def run(
         network = deployment.network
         rng = sim.rng.child("packet-replay-phases")
         streams = []
-        class_pps = {}
         for cls in plan.classes:
             pps = cls.rate_mbps * PPS_PER_MBPS * overload_factor
             if pps <= 0.5:
@@ -125,7 +123,6 @@ def run(
             streams.append(
                 (cls.class_id, rng.uniform(0.0, 1.0 / pps), 1.0 / pps)
             )
-            class_pps[cls.class_id] = pps
         keys, kidx, ts = merge_cbr_timeline(streams, duration)
         hashes = np.empty(len(ts))
         for ci in range(len(keys)):
@@ -134,10 +131,7 @@ def run(
             if m:
                 hashes[mask] = cycling_hashes(m)
         counters["sent"] = len(ts)
-        with ShardedDataPlane(
-            network, shards=shards, class_weights=class_pps
-        ) as sharded:
-            sharded.inject_columns(keys, kidx, hashes, ts)
+        ShardedDataPlane(network).inject_columns(keys, kidx, hashes, ts)
     elif batch > 1:
         # Batched fast path: one mux merges every class's CBR stream in
         # global arrival order, and the network walks each batch through

@@ -84,16 +84,10 @@ CATALOG: Tuple[MetricDef, ...] = (
               buckets=DEFAULT_SIZE_BUCKETS),
     MetricDef("gauge", "dataplane_packets_per_sim_second",
               "Offered packet rate of the most recent replay (sim clock)"),
-    MetricDef("gauge", "dataplane_shard_count",
-              "Effective shard count of the most recent sharded inject"),
-    MetricDef("gauge", "dataplane_shard_components",
-              "Shared-nothing flow components in the current shard partition"),
     MetricDef("counter", "dataplane_shard_bulk_packets_total",
-              "Packets applied by the sharded walker's columnar bulk path"),
+              "Packets applied by the columnar walker's bulk path"),
     MetricDef("counter", "dataplane_shard_sequential_packets_total",
-              "Sharded-walker packets processed on the sequential fallback"),
-    MetricDef("histogram", "dataplane_shard_merge_seconds",
-              "Wall time merging per-shard counter deltas into the parent"),
+              "Columnar walker packets processed on the sequential fallback"),
     # --------------------------------------------------------- controller
     MetricDef("counter", "controller_rule_installs_total",
               "Data-plane rules installed", ("kind",)),

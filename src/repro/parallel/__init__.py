@@ -1,7 +1,7 @@
 """Shared process fan-out: auto-tuned worker counts, spec-only work units.
 
 One tuned code path for every fan-out in the repo (`apple-experiments
---jobs`, `packet_replay --shards`, the Fig. 12 replay bench).  The blanket
+--jobs`, the Fig. 12 replay bench, per-shard placement solves).  The blanket
 ``ProcessPoolExecutor`` this replaces lost badly whenever the pool could
 not pay for itself — ``BENCH_engine.json`` once recorded the Fig. 12
 replay at 0.29x "speedup" with ``--jobs 4`` on a single-core host, all of
@@ -34,7 +34,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, List, Tuple, Union
 
 #: Estimated total serial seconds below which a process pool cannot pay
 #: for its own start-up + serialization cost.  Measured conservatively:
@@ -212,23 +212,3 @@ def parallel_map(
         return [first] + [fn(item) for item in rest]
     workers = min(cpu_count(), len(rest), MAX_AUTO_WORKERS)
     return [first] + _pool_map(fn, rest, workers)
-
-
-def auto_shards(
-    components: Optional[int] = None, requested: Jobs = "auto"
-) -> int:
-    """Shard count for the sharded data plane: cores-bounded, never wasted.
-
-    ``requested`` may be an explicit positive integer (clamped to the
-    component count when known) or ``"auto"``, which picks
-    ``min(cores, components, MAX_AUTO_WORKERS)`` — one shard per core up
-    to the number of shared-nothing flow components actually available.
-    """
-    requested = resolve_jobs(requested)
-    if requested == "auto":
-        n = min(cpu_count(), MAX_AUTO_WORKERS)
-    else:
-        n = requested
-    if components is not None:
-        n = min(n, max(1, components))
-    return max(1, n)

@@ -39,7 +39,7 @@ def merge_cbr_timeline(
     order, an int64 array indexing into ``keys`` per packet, and the
     float64 timestamp array, both sorted in global arrival order.  Both
     the :class:`BatchedCBRMux` (which re-zips them into event batches)
-    and the sharded replay path (which keeps the columns as-is for the
+    and the columnar replay path (which keeps the columns as-is for the
     columnar walker) build their timelines here, which is what makes
     their packet sequences bit-identical.
     """
@@ -307,7 +307,7 @@ class BatchedCBRMux:
     def _build_timeline(self) -> List[Tuple[str, float]]:
         """Merge every stream's finite timestamp sequence up front.
 
-        Delegates to :func:`merge_cbr_timeline` (shared with the sharded
+        Delegates to :func:`merge_cbr_timeline` (shared with the columnar
         replay path, keeping the two bit-identical) and re-zips the
         columns into the ``(key, timestamp)`` batches the event loop
         serves.

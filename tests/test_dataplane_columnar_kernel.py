@@ -319,9 +319,23 @@ CALM = (32, 64, 64)
 HOT = (64, 32, 64)
 
 
+def _scalar_outcomes(net, column):
+    """``column`` through scalar ``inject``, packet by packet."""
+    cls_idx, hashes, ts = column
+    return [
+        (r.delivered, r.dropped_at)
+        for r in (
+            net.inject(Packet(class_id=CLASSES[ci], flow_hash=h, src="s1", dst="s3"), now=t)
+            for ci, h, t in zip(cls_idx.tolist(), hashes.tolist(), ts.tolist())
+        )
+    ]
+
+
 @pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("second", ["calm", "tie", "hot"])
 def test_back_to_back_columns_equal_scalar_inject(shards, second):
+    # ``shards`` / ``processes`` are accepted and ignored (the frozen pipeline
+    # benchmark still passes them): any value is the one in-process walk.
     first = _column(1.0, 2.0, CALM)
     # The second column starts one grid step after the first ends: every
     # window still holds the first column's tail.
@@ -332,30 +346,49 @@ def test_back_to_back_columns_equal_scalar_inject(shards, second):
         then = tuple(np.insert(col, k, col[k]) for col in then)
 
     ref, ref_instances = _shared_network()
-    expected = []
-    for cls_idx, hashes, ts in (first, then):
-        for ci, h, t in zip(cls_idx.tolist(), hashes.tolist(), ts.tolist()):
-            r = ref.inject(Packet(class_id=CLASSES[ci], flow_hash=h, src="s1", dst="s3"), now=t)
-            expected.append((r.delivered, r.dropped_at))
+    expected = _scalar_outcomes(ref, first) + _scalar_outcomes(ref, then)
     expected_state = _state(ref, ref_instances)
     dropped = expected_state["stats"][1]
     assert {"calm": dropped == 0, "tie": dropped == 1, "hot": dropped > 50}[second]
 
     net, instances = _shared_network()
-    got = []
-    with ShardedDataPlane(net, shards=shards, processes=False) as sh:
-        assert sh.nshards == shards
-        got += sh.inject_columns(CLASSES, *first, collect=True)
-        walker = sh._walker
-        # Exactly-full windows must still take the bulk path.
-        assert (walker.bulk_packets, walker.seq_packets) == (len(first[2]), 0)
-        got += sh.inject_columns(CLASSES, *then, collect=True)
-        if second == "calm":
-            assert (walker.bulk_packets, walker.seq_packets) == (len(got), 0)
-        else:
-            assert walker.seq_packets > 0 and walker.bulk_packets > len(first[2])
+    sh = ShardedDataPlane(net, shards=shards, processes=False)
+    assert sh.nshards == 1
+    got = sh.inject_columns(CLASSES, *first, collect=True)
+    walker = sh._walker
+    # Exactly-full windows must still take the bulk path.
+    assert (walker.bulk_packets, walker.seq_packets) == (len(first[2]), 0)
+    got += sh.inject_columns(CLASSES, *then, collect=True)
+    if second == "calm":
+        assert (walker.bulk_packets, walker.seq_packets) == (len(got), 0)
+    else:
+        assert walker.seq_packets > 0 and walker.bulk_packets > len(first[2])
     assert got == expected
     assert _state(net, instances) == expected_state
+
+
+def test_moved_rule_epoch_renews_the_walker_between_columns():
+    # The penalty box is keyed by id(instance), so it must not outlive the
+    # rule epoch it was learned in; outcomes still equal scalar inject.
+    first = _column(1.0, 2.0, HOT)
+    then = _column(float(first[2][-1]) + 1 / 64, 2.0, HOT)
+
+    ref, ref_instances = _shared_network()
+    expected = _scalar_outcomes(ref, first)
+    ref.invalidate_plans()
+    expected += _scalar_outcomes(ref, then)
+
+    net, instances = _shared_network()
+    sh = ShardedDataPlane(net)
+    got = sh.inject_columns(CLASSES, *first, collect=True)
+    walker = sh._walker
+    got += sh.inject_columns(CLASSES, [], [], [], collect=True)
+    assert sh._walker is walker, "same epoch, same walker"
+    net.invalidate_plans()
+    got += sh.inject_columns(CLASSES, *then, collect=True)
+    assert sh._walker is not walker
+    assert got == expected
+    assert _state(net, instances) == _state(ref, ref_instances)
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +405,7 @@ def _valid_column():
 def test_column_length_mismatch_is_rejected():
     net, _, cls_idx, hashes, ts = _valid_column()
     with pytest.raises(ValueError, match="lengths differ"):
-        ShardedDataPlane(net, shards=1).inject_columns(["c0", "c1"], cls_idx, hashes[:-1], ts)
+        ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes[:-1], ts)
     assert net.delivery_stats() == (0, 0, 0)
 
 
@@ -383,7 +416,7 @@ def test_class_index_outside_the_class_list_is_rejected(bad):
     net, _, cls_idx, hashes, ts = _valid_column()
     cls_idx[17] = bad
     with pytest.raises(ValueError, match="cls_idx"):
-        ShardedDataPlane(net, shards=1).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
+        ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
     assert net.delivery_stats() == (0, 0, 0)
 
 
@@ -393,9 +426,58 @@ def test_decreasing_timestamps_are_rejected():
     net, _, cls_idx, hashes, ts = _valid_column()
     tied = ts.copy()
     tied[20] = tied[19]
-    ShardedDataPlane(net, shards=1).inject_columns(["c0", "c1"], cls_idx, hashes, tied)
+    ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, tied)
     assert net.delivery_stats() == (50, 0, 0)
     ts[[20, 30]] = ts[[30, 20]]
     with pytest.raises(ValueError, match="non-decreasing"):
-        ShardedDataPlane(net, shards=1).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
+        ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
     assert net.delivery_stats() == (50, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [1.0, -0.1, 1.5, float("nan")])
+def test_flow_hash_outside_the_unit_interval_is_rejected(bad):
+    # Packet() refuses these; the column used to walk them (1.0 into the
+    # last interval, -0.1 into the first, NaN wherever the search put it).
+    with pytest.raises(ValueError, match=r"flow_hash must be in \[0, 1\)"):
+        Packet(class_id="c0", flow_hash=bad, src="s1", dst="s3")
+    net, _, cls_idx, hashes, ts = _valid_column()
+    hashes[17] = bad
+    with pytest.raises(ValueError, match=r"flow_hash must be in \[0, 1\)"):
+        ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
+    with pytest.raises(ValueError, match=r"flow_hash must be in \[0, 1\)"):
+        ShardedDataPlane(net).inject_stream([("c0", bad, 1.0)], collect=True)
+    assert net.delivery_stats() == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "column, change, names",
+    [
+        ("all", "lists", None),  # plain lists walk like arrays
+        ("cls_idx", np.uint64, None),  # any integer dtype does
+        ("cls_idx", np.float64, "cls_idx"),
+        ("cls_idx", np.bool_, "cls_idx"),
+        ("cls_idx", "2d", "cls_idx"),
+        ("hashes", "2d", "hashes"),
+        ("ts", "2d", "ts"),
+    ],
+)
+def test_columns_are_coerced_once_or_rejected_by_name(column, change, names):
+    # Used to die with AttributeError (lists), numpy's TypeError from inside
+    # bincount (float / uint64 cls_idx) or "object too deep" (2-D).
+    net, _, cls_idx, hashes, ts = _valid_column()
+    cols = {"cls_idx": cls_idx, "hashes": hashes, "ts": ts}
+    if change == "lists":
+        cols = {k: v.tolist() for k, v in cols.items()}
+    elif change == "2d":
+        cols[column] = cols[column].reshape(2, 25)
+    else:
+        cols[column] = cols[column].astype(change)
+    sh = ShardedDataPlane(net)
+    if names is None:
+        out = sh.inject_columns(["c0", "c1"], **cols, collect=True)
+        assert out == [(True, None)] * 50
+        assert net.delivery_stats() == (50, 0, 0)
+    else:
+        with pytest.raises(ValueError, match=names):
+            sh.inject_columns(["c0", "c1"], **cols)
+        assert net.delivery_stats() == (0, 0, 0)

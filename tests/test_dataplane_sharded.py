@@ -1,22 +1,19 @@
-"""Sharded-walk equivalence: the sharded data plane mirrors scalar inject.
+"""Columnar-walk equivalence: ``ShardedDataPlane`` mirrors scalar inject.
 
-The shard layer is only an optimisation: per-packet outcomes, the delivery
-ledger, and every switch/vSwitch/instance counter must be bit-identical to
-driving the same packet sequence through the scalar walker — across shard
-counts, overload drops, mid-run chaos invalidation, and the process-pool
-execution mode.
+The columnar layer is only an optimisation: per-packet outcomes, the
+delivery ledger, and every switch/vSwitch/instance counter must be
+bit-identical to driving the same packet sequence through the scalar
+walker — under overload drops and mid-run chaos invalidation.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import FIN, Packet
-from repro.dataplane.sharded import CounterDelta, ShardedDataPlane, build_partition
+from repro.dataplane.sharded import ShardedDataPlane
 from repro.dataplane.switch import SwitchRuleSet
 from repro.dataplane.vswitch import VSwitchRule
 from repro.experiments import packet_replay
-from repro.parallel import fork_available
 from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFType
@@ -30,8 +27,8 @@ def _network(class_specs):
 
     Each spec is ``(split, capacity_pps)``: ``split`` is ``None`` for a
     single full-range instance, or a hash boundary in (0, 1) giving the
-    class two sub-class instances (so the partitioner sees real hash
-    intervals and boundary buckets).
+    class two sub-class instances (so the walker sees real hash intervals
+    and boundary buckets).
     """
     topo = Topology(
         "line",
@@ -82,9 +79,7 @@ def _items(n_classes, n=240, rate=100.0):
 
 
 def _apply_fault(net, fault):
-    """Apply one chaos event; resolves the target instance from ``net``
-    so it can be broadcast to process-mode replicas (see
-    ``ShardedDataPlane.apply``)."""
+    """Apply one chaos event to ``net``, the way the injector does."""
     instances = list(net.vswitches["s2"]._instances.values())
     kind, idx = fault
     inst = instances[idx % len(instances)]
@@ -102,9 +97,8 @@ def _apply_fault(net, fault):
         inst.running = True
 
 
-def _state(net, instances, recent=True):
-    """Every observable counter; ``recent`` adds the instances' transient
-    sliding windows (worker-local in process mode, so excluded there)."""
+def _state(net, instances):
+    """Every observable counter, and the instances' sliding windows."""
     net.flush_counters()
     return {
         "stats": net.delivery_stats(),
@@ -117,8 +111,7 @@ def _state(net, instances, recent=True):
                 net.vswitches["s2"].packets_dropped),
         "inst": [
             (i.stats.packets_in, i.stats.packets_processed,
-             i.stats.packets_dropped, i.stats.bytes_processed)
-            + ((tuple(i._recent),) if recent else ())
+             i.stats.packets_dropped, i.stats.bytes_processed, tuple(i._recent))
             for i in instances
         ],
     }
@@ -138,23 +131,19 @@ def _run_scalar(class_specs, chunks, faults):
     return outcomes, _state(net, instances)
 
 
-def _run_sharded(class_specs, chunks, faults, shards, processes=False):
+def _run_columnar(class_specs, chunks, faults):
     net, instances = _network(class_specs)
     outcomes = []
-    with ShardedDataPlane(net, shards=shards, processes=processes) as sh:
-        for ci, chunk in enumerate(chunks):
-            for fault in faults.get(ci, ()):
-                if processes:
-                    sh.apply(_apply_fault, fault)
-                else:
-                    _apply_fault(net, fault)
-            outcomes.extend(sh.inject_stream(chunk, collect=True))
-        sh.flush_counters()
+    sh = ShardedDataPlane(net)
+    for ci, chunk in enumerate(chunks):
+        for fault in faults.get(ci, ()):
+            _apply_fault(net, fault)
+        outcomes.extend(sh.inject_stream(chunk, collect=True))
     return outcomes, _state(net, instances)
 
 
 # ----------------------------------------------------------------------
-# Property test: randomized nets, shard counts, and fault schedules
+# Property test: randomized nets and fault schedules
 # ----------------------------------------------------------------------
 @st.composite
 def scenario(draw):
@@ -177,16 +166,15 @@ def scenario(draw):
             ["invalidate", "degrade", "restore", "stop", "restart"]
         ))
         faults.setdefault(at, []).append((kind, draw(st.integers(0, 5))))
-    shards = draw(st.sampled_from([2, 3, 4, 8, "auto"]))
-    return specs, chunks, faults, shards
+    return specs, chunks, faults
 
 
 @settings(max_examples=40, deadline=None)
 @given(scenario())
 def test_sharded_matches_scalar_with_chaos(scn):
-    specs, chunks, faults, shards = scn
+    specs, chunks, faults = scn
     expected_out, expected_state = _run_scalar(specs, chunks, faults)
-    got_out, got_state = _run_sharded(specs, chunks, faults, shards)
+    got_out, got_state = _run_columnar(specs, chunks, faults)
     assert got_out == expected_out
     assert got_state == expected_state
 
@@ -199,107 +187,20 @@ def test_sharded_overload_drops_bit_identical():
     chunks = [_items(2, n=300)]
     expected_out, expected_state = _run_scalar(specs, chunks, {})
     assert expected_state["stats"][1] > 0, "setup must actually drop packets"
-    for shards in (1, 2, 4):
-        got_out, got_state = _run_sharded(specs, chunks, {}, shards)
-        assert got_out == expected_out
-        assert got_state == expected_state
-
-
-def test_partition_is_shared_nothing_and_sticky():
-    net, instances = _network([(0.5, 40.0), (None, 40.0), (0.25, 1e9)])
-    part = build_partition(net, shards=2)
-    assert part.nshards == 2
-    assert part.n_components >= 3  # no class shares an instance
-    # Instances land wholly in one shard: shared-nothing by construction.
-    by_inst = dict(part.instance_shards)
-    assert len(by_inst) == len(instances)
-    # A rebuild with the previous assignment keeps instances where they were.
-    net.invalidate_plans()
-    part2 = build_partition(net, shards=2, sticky=by_inst)
-    assert dict(part2.instance_shards) == by_inst
-
-
-def test_counter_delta_merge_commutes_and_associates():
-    a = CounterDelta(
-        ledger=(5, 1, 0),
-        switches={"s1": (5, 5, 0, 2)},
-        vswitches={"s2": (4, 1)},
-        instances={("s2", "m0"): (4, 3, 1, 4500)},
-    )
-    b = CounterDelta(
-        ledger=(2, 0, 1),
-        switches={"s1": (2, 2, 1, 0), "s3": (2, 2, 0, 0)},
-        instances={("s2", "m0"): (1, 1, 0, 1500),
-                   ("s2", "m1"): (7, 7, 0, 10500)},
-    )
-    c = CounterDelta(ledger=(0, 3, 0), vswitches={"s2": (0, 3)})
-    x = a.merge(b).merge(c)
-    y = c.merge(b.merge(a))
-    z = b.merge(c).merge(a)
-    for other in (y, z):
-        assert x.ledger == other.ledger
-        assert x.switches == other.switches
-        assert x.vswitches == other.vswitches
-        assert x.instances == other.instances
-    # merge then apply equals applying each delta in any order
-    net, _ = _network([(None, 40.0)])
-    x.apply_to(net)
-    assert net.delivery_stats() == (7, 4, 1)
-
-
-def test_counter_delta_capture_subtract_roundtrip():
-    specs = [(None, 40.0)]
-    net, instances = _network(specs)
-    base = CounterDelta.capture(net)
-    for cid, h, t in _items(1, n=120):
-        net.inject(Packet(class_id=cid, flow_hash=h, src="s1", dst="s3"),
-                   now=t)
-    delta = CounterDelta.capture(net).subtract(base)
-    fresh, fresh_inst = _network(specs)
-    delta.apply_to(fresh)
-    assert fresh.delivery_stats() == net.delivery_stats()
-    assert fresh_inst[0].stats.packets_in == instances[0].stats.packets_in
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-def test_sharded_process_mode_bit_identical():
-    specs = [(None, 40.0), (None, 40.0)]
-    items = _items(2, n=300)
-    ref_net, ref_instances = _network(specs)
-    expected_out = []
-    for cid, h, t in items:
-        r = ref_net.inject(
-            Packet(class_id=cid, flow_hash=h, src="s1", dst="s3"), now=t
-        )
-        expected_out.append((r.delivered, r.dropped_at))
-    expected_state = _state(ref_net, ref_instances, recent=False)
-
-    net, instances = _network(specs)
-    with ShardedDataPlane(net, shards=2, processes=True) as sh:
-        part = sh._ensure_partition()
-        assert sh._use_processes(part), "process mode must engage"
-        out = sh.inject_stream(items, collect=True)
-        assert out == expected_out
-        # Persistent workers: a second wave accumulates, a broadcast reset
-        # restores a replayable state everywhere.
-        sh.inject_stream([(c, h, t + 10.0) for c, h, t in items])
-        sh.reset_runtime_state()
-        out2 = sh.inject_stream(items, collect=True)
-        sh.flush_counters()
-    assert out2 == expected_out
-    assert _state(net, instances, recent=False) == expected_state
+    got_out, got_state = _run_columnar(specs, chunks, {})
+    assert got_out == expected_out
+    assert got_state == expected_state
 
 
 def test_packet_replay_sharded_is_bit_identical():
     scalar = packet_replay.run(quick=True)
-    for shards in (2, "auto"):
-        sharded = packet_replay.run(quick=True, shards=shards)
-        assert sharded.rows == scalar.rows
+    columnar = packet_replay.run(quick=True, columnar=True)
+    assert columnar.rows == scalar.rows
 
 
 def test_packet_replay_sharded_matches_scalar_under_overload():
     scalar = packet_replay.run(quick=True, overload_factor=1.6)
-    sharded = packet_replay.run(quick=True, overload_factor=1.6, shards=4)
-    assert sharded.rows == scalar.rows
+    columnar = packet_replay.run(quick=True, overload_factor=1.6, columnar=True)
+    assert columnar.rows == scalar.rows
     dropped = dict((r[0], r[1]) for r in scalar.rows)["dropped"]
     assert dropped > 0

@@ -1,7 +1,7 @@
 """The shared fan-out module: job resolution, spec units, and the tuner.
 
 ``repro.parallel`` is the one code path every fan-out goes through
-(``--jobs``, ``--shards``, the replay bench), so its contract is pinned
+(``--jobs``, the replay bench), so its contract is pinned
 here: validation errors agree everywhere, spec work units behave exactly
 like calling the target, and the auto tuner never fans out when a pool
 cannot pay for itself.
@@ -10,10 +10,7 @@ cannot pay for itself.
 import pytest
 
 from repro.parallel import (
-    MAX_AUTO_WORKERS,
     FnSpec,
-    auto_shards,
-    cpu_count,
     fork_available,
     in_worker,
     parallel_map,
@@ -102,22 +99,7 @@ def test_in_worker_is_false_in_the_main_process():
 
 
 # ----------------------------------------------------------------------
-# auto_shards
-# ----------------------------------------------------------------------
-def test_auto_shards_bounds():
-    assert auto_shards(components=1) == 1
-    assert auto_shards(components=1000, requested="auto") == min(
-        cpu_count(), MAX_AUTO_WORKERS
-    )
-    assert auto_shards(components=2, requested=8) == 2
-    assert auto_shards(components=None, requested=3) == 3
-    assert auto_shards(components=0, requested=8) == 1
-    with pytest.raises(ValueError):
-        auto_shards(components=4, requested=-2)
-
-
-# ----------------------------------------------------------------------
-# Columnar source helpers (shared by the sharded replay path)
+# Columnar source helpers (shared by the columnar replay path)
 # ----------------------------------------------------------------------
 def test_cycling_hashes_match_scalar_counter():
     from repro.dataplane.flowhash import cycling_hashes
