@@ -221,7 +221,7 @@ def assemble_placement_lp(
     col_count = np.concatenate([d_count, q_count])
     indptr = np.zeros(col_count.size + 1, dtype=np.intp)
     np.cumsum(col_count, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.intp)
+    indices = np.empty(indptr[-1], dtype=np.int32)  # the width HiGHS takes
     data = np.empty(indptr[-1], dtype=float)
 
     d_start = indptr[:n_d]
@@ -286,7 +286,7 @@ def assemble_placement_lp(
         lp=LinearProgram(
             name="apple-placement",
             c=is_q.astype(float),
-            indptr=indptr,
+            indptr=indptr.astype(np.int32),
             indices=indices,
             data=data,
             lhs=lhs,

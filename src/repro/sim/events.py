@@ -49,7 +49,13 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects."""
+    """A deterministic priority queue of :class:`Event` objects.
+
+    The heap holds ``(time, priority, seq, event)`` tuples: ``seq`` is
+    unique, so tuple comparison (in C) settles every ordering on the first
+    three fields — the same key ``Event`` itself orders by — and never
+    reaches the event.
+    """
 
     def __init__(self) -> None:
         self._heap: list = []
@@ -69,13 +75,14 @@ class EventQueue:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``; returns the event."""
-        event = Event(time, priority, next(self._counter), callback, args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, args)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event (cancelled ones included)."""
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
     def peek_time(self) -> float:
         """Return the firing time of the earliest non-cancelled event.
@@ -83,11 +90,11 @@ class EventQueue:
         Raises:
             IndexError: if the queue holds no live events.
         """
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             raise IndexError("peek_time on empty EventQueue")
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -8,12 +8,15 @@ and lowered to that form first (:func:`as_lp`).
 
 Two call paths share one semantic contract:
 
-* The *direct* path hands the LinearProgram's CSC arrays straight to
-  scipy's bundled HiGHS wrapper, skipping
-  ``linprog``'s per-call input validation and matrix stacking (which cost
-  more than the dual simplex itself on warm re-solves).  Presolve is off:
-  these models re-solve hundreds of times against one compiled structure,
-  and HiGHS presolve costs more per call than it saves here.
+* The *direct* path keeps one resident HiGHS engine per process (options
+  passed once) and hands it each LinearProgram's CSC arrays by buffer,
+  skipping ``linprog``'s per-call input validation and matrix stacking and
+  the engine set-up (which together cost more than the dual simplex itself
+  on the tenant-sized models that dominate the control loop).  Passing a
+  model discards the previous basis and solution, so the engine carries no
+  history from one solve to the next.  Presolve is off: these models
+  re-solve hundreds of times against one compiled structure, and HiGHS
+  presolve costs more per call than it saves here.
 * The *portable* fallback uses public ``linprog`` with the same options
   when the private wrapper modules are unavailable (scipy layout drift).
 
@@ -36,8 +39,9 @@ try:  # pragma: no cover - exercised implicitly by every solve
     from scipy.optimize._highspy import _core as _highs_core
     from scipy.optimize._highspy._core import HighsModelStatus
 
-    def _build_highs_options():
-        """The options ``linprog(method="highs", presolve=False)`` would set."""
+    def _new_engine():
+        """A HiGHS engine set up as ``linprog(method="highs", presolve=False)``
+        would set it; the one construction site of ``_Highs``."""
         opts = _highs_core.HighsOptions()
         opts.presolve = "off"
         opts.solver = "simplex"
@@ -56,9 +60,16 @@ try:  # pragma: no cover - exercised implicitly by every solve
         opts.simplex_dual_edge_weight_strategy = int(
             _highs_core.simplex_constants.kSimplexEdgeWeightStrategyDantzig
         )
-        return opts
+        highs = _highs_core._Highs()
+        highs.passOptions(opts)
+        return highs
 
-    _HIGHS_OPTIONS = _build_highs_options()
+    #: The resident engine every direct solve runs on.  It holds one model
+    #: at a time and no basis between solves (see :func:`_solve_direct`);
+    #: forked workers inherit a private copy.
+    _ENGINE = _new_engine()
+    _COLWISE = int(_highs_core.MatrixFormat.kColwise)
+    _MINIMIZE = int(_highs_core.ObjSense.kMinimize)
     HAVE_DIRECT_HIGHS = True
 except Exception:  # ImportError, AttributeError on layout drift
     HAVE_DIRECT_HIGHS = False
@@ -135,40 +146,29 @@ def solve_lp(
 def _solve_direct(
     lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, rhs: np.ndarray
 ) -> LPResult:
-    """Hand the CSC arrays straight to the bundled HiGHS solver.
+    """Hand the CSC arrays to the resident HiGHS engine by buffer.
 
-    A ``HighsLp`` is built once per :class:`LinearProgram` and cached on
-    it; each solve refreshes only the vectors that may have moved (matrix
-    values after a rate rewrite, bounds under branching overrides) — tens
-    of microseconds against the several milliseconds scipy's wrapper
-    spends rebuilding the whole object.  A fresh ``Highs`` engine is
-    created per solve, so every solve is a cold dual simplex run:
-    identical inputs give identical (bit-for-bit) solutions regardless of
-    solve history, which the warm-start plan-identity guarantee relies on.
+    ``passModel``'s array overload copies the numpy buffers as they are
+    (``indptr`` / ``indices`` arrive as ``int32``), so a solve pays for no
+    per-element conversion and the :class:`LinearProgram` carries no
+    solver-side object.  ``passModel`` also discards the engine's basis and
+    solution: every solve is a cold dual simplex run, and identical inputs
+    give identical (bit-for-bit) solutions regardless of solve history —
+    which the warm-start plan-identity guarantee relies on and
+    ``tests/test_solver_engine_reuse.py`` pins.  A model HiGHS refuses
+    (NaN or infinite data) raises before ``run()``: the engine may still
+    hold the previous model.
     """
-    hlp = lp._highs_lp
-    if hlp is None:
-        hlp = _highs_core.HighsLp()
-        hlp.num_col_ = lp.c.size
-        hlp.num_row_ = lp.rhs.size
-        hlp.a_matrix_.num_col_ = lp.c.size
-        hlp.a_matrix_.num_row_ = lp.rhs.size
-        hlp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
-        hlp.col_cost_ = lp.c
-        hlp.a_matrix_.start_ = lp.indptr
-        hlp.a_matrix_.index_ = lp.indices
-        lp._highs_lp = hlp
-    # HighsLp fields hold copies, so the mutable vectors are refreshed on
-    # every solve; the structural fields above never change.
-    hlp.a_matrix_.value_ = lp.data
-    hlp.col_lower_ = lb
-    hlp.col_upper_ = ub
-    hlp.row_lower_ = lp.lhs
-    hlp.row_upper_ = rhs
-
-    highs = _highs_core._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    highs.passModel(hlp)
+    n = lp.c.size
+    highs = _ENGINE
+    status = highs.passModel(
+        n, rhs.size, lp.data.size, _COLWISE, _MINIMIZE, 0.0,
+        lp.c, lb, ub, lp.lhs, rhs,
+        lp.indptr, lp.indices, lp.data,
+        np.zeros(n, dtype=np.int32),  # every column continuous
+    )
+    if status == _highs_core.HighsStatus.kError:
+        raise SolverError(f"model {lp.name!r}: solver rejected the model")
     highs.run()
     status = highs.getModelStatus()
     if status == HighsModelStatus.kInfeasible:

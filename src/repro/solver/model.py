@@ -178,8 +178,9 @@ class LinearProgram:
     ``linprog`` fallback, iterative rounding, branch-and-bound), whether it
     came from :meth:`CompiledModel.highs_arrays` or was written directly by
     :func:`repro.core.constraints.assemble_placement_lp`.  ``A`` is the
-    stacked ``[A_ub; A_eq]`` in CSC (``indptr``/``indices``/``data``, row
-    indices ascending inside every column): the first ``n_ub`` rows are
+    stacked ``[A_ub; A_eq]`` in CSC (``indptr``/``indices`` as ``int32``,
+    the width HiGHS takes by buffer, and ``data``; row indices ascending
+    inside every column): the first ``n_ub`` rows are
     inequalities (``lhs = -inf``), the rest equalities (``lhs == rhs``).
     ``data``, ``rhs`` and the bounds may be rewritten in place between
     solves; the sparsity pattern may not.
@@ -198,8 +199,6 @@ class LinearProgram:
     integer_mask: np.ndarray
     #: Column index → display name, called only when an error is raised.
     var_name: Callable[[int], str] = field(repr=False)
-    #: ``HighsLp`` object cached by the direct solve path.
-    _highs_lp: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_variables(self) -> int:
@@ -237,8 +236,7 @@ class CompiledModel:
     ``Model.constraints`` to its row in ``a_ub`` / ``a_eq``, letting callers
     retune right-hand sides (e.g. resource budgets) without recompiling.
     ``row_sign`` records the standardisation sign per constraint (−1 for ≥
-    rows, which are stored negated), so :meth:`set_rhs` can be expressed in
-    the constraint's own orientation.
+    rows, which are stored negated).
     """
 
     c: np.ndarray
@@ -253,10 +251,6 @@ class CompiledModel:
     row_sign: Dict[int, float] = field(default_factory=dict)
     name: str = "model"
     var_names: Optional[List[str]] = None
-    #: Cache of linprog-ready bounds (see :meth:`clamped_bounds`).
-    _clamped: Optional[List[Tuple[float, Optional[float]]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     #: Lazy cache of the solver-native form (see :meth:`highs_arrays`).
     _lp: Optional[LinearProgram] = field(
         default=None, init=False, repr=False, compare=False
@@ -268,8 +262,7 @@ class CompiledModel:
 
         Stacks ``[A_ub; A_eq]`` into one CSC matrix and derives the row
         activity bounds (``(-inf, b_ub]`` rows then ``[b_eq, b_eq]`` rows)
-        and column bound arrays; :meth:`set_rhs` keeps the cached copy in
-        step with later right-hand-side rewrites.
+        and column bound arrays.
         """
         if self._lp is not None:
             return self._lp
@@ -287,8 +280,8 @@ class CompiledModel:
         self._lp = LinearProgram(
             name=self.name,
             c=np.asarray(self.c, dtype=float),
-            indptr=csc.indptr,
-            indices=csc.indices,
+            indptr=csc.indptr.astype(np.int32, copy=False),
+            indices=csc.indices.astype(np.int32, copy=False),
             data=csc.data,
             lhs=np.concatenate([np.full(n_ub, -np.inf), b_eq]),
             rhs=np.concatenate([b_ub, b_eq]),
@@ -299,36 +292,6 @@ class CompiledModel:
             var_name=names.__getitem__ if names is not None else "x[{}]".format,
         )
         return self._lp
-
-    # ------------------------------------------------------------------
-    def clamped_bounds(self) -> List[Tuple[float, Optional[float]]]:
-        """Bounds in linprog form (``inf`` → ``None``), computed once."""
-        if self._clamped is None:
-            self._clamped = [
-                (lb, None if ub == float("inf") else ub) for lb, ub in self.bounds
-            ]
-        return self._clamped
-
-    def set_rhs(self, constraint_index: int, value: float) -> None:
-        """Overwrite a constraint's right-hand side.
-
-        ``value`` is the rhs as written (``linear part ≤/≥/= value``); the
-        standardisation sign for ≥ rows is applied internally.
-        """
-        row = self.ub_row_of.get(constraint_index)
-        if row is not None:
-            self.b_ub[row] = self.row_sign.get(constraint_index, 1.0) * value
-            if self._lp is not None:
-                self._lp.rhs[row] = self.b_ub[row]
-            return
-        row = self.eq_row_of.get(constraint_index)
-        if row is not None:
-            self.b_eq[row] = value
-            if self._lp is not None:
-                self._lp.lhs[self._lp.n_ub + row] = value
-                self._lp.rhs[self._lp.n_ub + row] = value
-            return
-        raise KeyError(f"constraint {constraint_index} not in compiled model")
 
 
 class Model:

@@ -341,12 +341,16 @@ class InstalledView:
 
     Each switch's snapshot is stamped with the generation counters of its
     TCAM table and its vSwitch — the counters every rule mutator bumps
-    (see both classes' docstrings) and ``DataPlaneNetwork`` retires walk
-    plans by.  A switch is re-read only when a stamp moved, and its
-    :class:`SwitchDiff` is recomputed only when it was re-read or its
-    slice of the desired state changed, so a pass over an unchanged
-    network is one integer comparison per table.  A new view is cold: its
-    first pass reads and diffs every switch with the same code.
+    (see both classes' docstrings).  Every such bump also moves the
+    network's ``rule_epoch`` (the counter ``DataPlaneNetwork`` retires walk
+    plans by; ``tests/test_dataplane_generation.py`` and
+    ``tests/test_idle_passes.py`` enforce it), so the view remembers the
+    epoch of its last pass: a pass over an unchanged network is one integer
+    comparison per network.  When the epoch moved, a switch is re-read only
+    where a stamp moved, and its :class:`SwitchDiff` is recomputed only
+    when it was re-read or its slice of the desired state changed.  A new
+    view is cold: its first pass reads and diffs every switch with the same
+    code.
     """
 
     def __init__(self, network: DataPlaneNetwork) -> None:
@@ -358,9 +362,14 @@ class InstalledView:
         ]
         self._desired: Optional[NetworkState] = None
         self._work: List[SwitchDiff] = []
+        self._epoch = -1  # no epoch is negative: cold
 
     def _refresh(self) -> bool:
         """Re-read every switch whose stamp moved; True if any did."""
+        epoch = self.network.rule_epoch
+        if epoch == self._epoch:
+            return False
+        self._epoch = epoch
         moved = False
         installed = self._installed
         for sv in self._switches:

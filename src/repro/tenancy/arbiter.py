@@ -154,13 +154,14 @@ class CapacityArbiter:
         it every tick anyway — defense in depth for the zero
         cross-tenant-violation invariant.
         """
+        used: Dict[str, int] = {}
+        for ledger in (self.steady, self.inflight):
+            for m in ledger.values():
+                for sw, c in m.items():
+                    used[sw] = used.get(sw, 0) + c
         for sw, cap in self.physical.items():
-            used = sum(
-                m.get(sw, 0)
-                for ledger in (self.steady, self.inflight)
-                for m in ledger.values()
-            )
-            if used + self.free.get(sw, 0) != cap or used > cap:
+            u = used.get(sw, 0)
+            if u + self.free.get(sw, 0) != cap or u > cap:
                 return True
         return self.tcam_free < 0
 

@@ -84,6 +84,10 @@ class TenantOrchestrator:
         self.bus.subscribe(self._dispatch)
         self.workers: Dict[str, TenantWorker] = {}
         self._audit_timer: Optional[Timer] = None
+        #: tenant → (plan, its per-switch cores) as last seen by the audit.
+        #: Plans are replaced by ``reconfigure.commit``, never edited, so a
+        #: plan object's cores are computed once, not at every tick.
+        self._plan_cores: Dict[str, tuple] = {}
 
         # Crash tolerance (see repro.resilience): optional write-ahead
         # journal + periodic checkpoints, and a dead flag that freezes
@@ -192,6 +196,7 @@ class TenantOrchestrator:
             ).inc()
 
     def _tenant_down(self, tenant_id: str) -> None:
+        self._plan_cores.pop(tenant_id, None)
         if obs.REGISTRY.enabled:
             obs.metric("tenancy_active_tenants").set(self.active_tenants())
 
@@ -299,10 +304,16 @@ class TenantOrchestrator:
         violated = self.arbiter.oversubscribed()
         if not violated:
             used: Dict[str, int] = {}
-            for worker in self.workers.values():
+            for tenant_id, worker in self.workers.items():
                 if worker.deployment is None:
                     continue
-                for sw, c in worker.deployment.plan.cores_by_switch().items():
+                plan = worker.deployment.plan
+                seen = self._plan_cores.get(tenant_id)
+                if seen is None or seen[0] is not plan:
+                    seen = self._plan_cores[tenant_id] = (
+                        plan, plan.cores_by_switch()
+                    )
+                for sw, c in seen[1].items():
                     used[sw] = used.get(sw, 0) + c
             for sw, c in used.items():
                 if c > self.arbiter.physical.get(sw, 0):

@@ -1,0 +1,231 @@
+"""The periodic passes that cost O(1) when nothing moved still see what moves.
+
+* ``InstalledView`` skips its read-back while ``network.rule_epoch`` stands
+  still, so every rule mutation must move that epoch — checked against a
+  cold view after every step of random mutation sequences — and anti-entropy
+  must still catch an out-of-band wipe at the very next tick.
+* The cross-tenant audit computes a plan's cores once per plan object and
+  sums the arbiter's ledgers sparsely; it stays an oracle only if a bad
+  ledger entry or an oversubscribing plan still accrues violation seconds.
+"""
+
+import dataclasses
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.controller import AppleController
+from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.switch import classification_entry, pass_by_entry
+from repro.dataplane.vswitch import VSwitchRule
+from repro.sim.kernel import Simulator
+from repro.southbound import SouthboundFabric
+from repro.southbound.state import InstalledView
+from repro.tenancy import CreateChain, TenantOrchestrator
+from repro.topology.datasets import internet2
+from repro.topology.graph import AppleHostSpec, Link, Topology
+from repro.traffic.classes import hashed_assignment
+from repro.traffic.gravity import gravity_matrix
+from repro.vnf.chains import STANDARD_CHAINS
+from repro.vnf.instance import VNFInstance
+from repro.vnf.types import DEFAULT_CATALOG
+from tests.test_dataplane_generation import TCAM_MUTATORS, VSWITCH_MUTATORS
+
+FIREWALL = DEFAULT_CATALOG.get("firewall")
+
+
+# ----------------------------------------------------------------------
+# (b) generation moved  =>  rule_epoch moved  =>  the warm view re-reads
+# ----------------------------------------------------------------------
+def _line_network() -> DataPlaneNetwork:
+    topo = Topology(
+        "line",
+        ["s1", "s2", "s3"],
+        [Link("s1", "s2"), Link("s2", "s3")],
+        hosts={"s2": AppleHostSpec(cores=64)},
+    )
+    net = DataPlaneNetwork(topo)
+    for sw in net.switches.values():
+        sw.install_pass_by()
+    return net
+
+
+def _classify(switch: str, k: int):
+    return classification_entry(switch, f"c{k % 3}", (0.0, 1.0), k, "s2")
+
+
+#: Every public mutator, as a call on one switch's table / the vSwitch with
+#: a small integer to vary its arguments.  Some calls change nothing in
+#: some states (removing what is absent); the property only binds when a
+#: generation moved.
+TABLE_OPS = {
+    "install": lambda t, s, k: t.install(_classify(s, k)),
+    "remove_where": lambda t, s, k: t.remove_where(
+        lambda e: e.class_id == f"c{k % 3}"
+    ),
+    "remove_by_name": lambda t, s, k: t.remove_by_name(
+        (pass_by_entry(s) if k % 2 else _classify(s, k)).name
+    ),
+    "replace": lambda t, s, k: t.replace(_classify(s, k % 4)),
+    "clear": lambda t, s, k: t.clear(),
+}
+VSWITCH_OPS = {
+    "register_instance": lambda v, k: v.register_instance(
+        VNFInstance(f"fw{k % 3}", FIREWALL, "s2")
+    ),
+    "deregister_instance": lambda v, k: v.deregister_instance(f"fw{k % 3}"),
+    "install_rule": lambda v, k: v.registered(f"fw{k % 3}")
+    and v.install_rule(f"c{k % 3}", k % 4, VSwitchRule((f"fw{k % 3}",), "FIN")),
+    "remove_rule": lambda v, k: v.remove_rule(f"c{k % 3}", k % 4),
+    "clear_rules": lambda v, k: v.clear_rules(),
+    "install_origin_rule": lambda v, k: v.install_origin_rule(
+        f"c{k % 3}", (0.0, 1.0), k % 4, "s2"
+    ),
+    "clear_origin_rules": lambda v, k: v.clear_origin_rules(),
+}
+
+
+def test_the_op_tables_name_every_public_mutator():
+    # tests/test_dataplane_generation.py classifies every public method of
+    # both classes; a mutator added there must be added here too.
+    assert set(TABLE_OPS) == set(TCAM_MUTATORS)
+    assert set(VSWITCH_OPS) == set(VSWITCH_MUTATORS)
+
+
+def _generations(net: DataPlaneNetwork):
+    return (
+        [sw.table.generation for _s, sw in sorted(net.switches.items())],
+        [v.generation for _s, v in sorted(net.vswitches.items())],
+    )
+
+
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [("table", n) for n in sorted(TABLE_OPS)]
+            + [("vswitch", n) for n in sorted(VSWITCH_OPS)]
+            + [("idle", "")]
+        ),
+        st.sampled_from(["s1", "s2", "s3"]),
+        st.integers(0, 11),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_steps)
+def test_every_generation_move_moves_the_epoch_and_reaches_the_warm_view(steps):
+    net = _line_network()
+    warm = InstalledView(net)
+    warm.state()
+    for (kind, name), switch, k in steps:
+        generations, epoch = _generations(net), net.rule_epoch
+        if kind == "table":
+            TABLE_OPS[name](net.switches[switch].table, switch, k)
+        elif kind == "vswitch":
+            VSWITCH_OPS[name](net.vswitch_at("s2"), k)
+        if _generations(net) != generations:
+            assert net.rule_epoch != epoch, name
+        # What the epoch-gated view reports is what a cold read-back finds.
+        cold = InstalledView(net)
+        assert warm.state() == cold.state(), (kind, name)
+        desired = cold.state()
+        assert warm.diffs(desired) == []
+
+
+# ----------------------------------------------------------------------
+# (b) anti-entropy still polls: an out-of-band wipe is seen at the next tick
+# ----------------------------------------------------------------------
+def _fabric_on_a_deployment():
+    topo = internet2()
+    controller = AppleController(
+        topo, hashed_assignment(STANDARD_CHAINS), min_rate_mbps=1.0
+    )
+    sim = Simulator()
+    deployment = controller.run(gravity_matrix(topo, 8000.0, seed=5), sim=sim)
+    fabric = SouthboundFabric(
+        sim, deployment.network, 5, controller.rule_generator
+    )
+    controller.attach_southbound(fabric)
+    return sim, deployment, fabric
+
+
+def test_out_of_band_wipe_is_repaired_at_the_next_tick():
+    sim, deployment, fabric = _fabric_on_a_deployment()
+    interval = fabric.config.reconcile_interval
+    fabric.start()
+    sim.run(until=6 * interval + 0.01)
+    assert fabric.metrics.reconcile_ticks == 6  # idle ticks are still counted
+    assert fabric.metrics.reconcile_repairs == 0
+    assert sum(fabric.metrics.transactions.values()) == 0
+
+    victim = sorted(deployment.rules.switch_rule_sets)[0]
+    deployment.network.switches[victim].table.clear()
+    assert fabric.drift_count() > 0
+
+    sim.run(until=7 * interval + 0.01)
+    assert fabric.metrics.reconcile_ticks == 7
+    assert fabric.metrics.reconcile_repairs == 1  # launched by that very tick
+    sim.run(until=12 * interval + 0.01)
+    fabric.stop()
+    assert fabric.metrics.reconcile_ticks == 12
+    assert fabric.metrics.transactions["committed"] == 1
+    assert fabric.drift_count() == 0
+
+
+# ----------------------------------------------------------------------
+# (c) the audit is still an oracle
+# ----------------------------------------------------------------------
+HOST_CORES = 64
+
+
+def _two_tenants():
+    topo = internet2(default_host_cores=HOST_CORES)
+    sim = Simulator(seed=0)
+    orch = TenantOrchestrator(topo, sim, seed=0)
+    orch.start()
+    chain = tuple(STANDARD_CHAINS[0])
+    orch.submit(CreateChain("tA", chain_id="web", src="STTL", dst="ATLA",
+                            chain=chain, rate_mbps=200.0))
+    orch.submit(CreateChain("tB", chain_id="db", src="STTL", dst="ATLA",
+                            chain=chain, rate_mbps=150.0), delay=0.5)
+    sim.run(until=5.0)
+    assert orch.convergences == 2 and orch.cross_tenant_violation_seconds == 0
+    assert orch.audit_ticks == 20
+    return sim, orch
+
+
+def test_corrupt_ledger_entry_accrues_violation_seconds():
+    sim, orch = _two_tenants()
+    ledger = orch.arbiter.steady["tA"]
+    host = sorted(ledger)[0]
+    ledger[host] += 1  # the running totals (free) no longer balance
+    sim.run(until=6.0)
+    assert orch.cross_tenant_violation_seconds == 1.0  # four 0.25 s ticks
+    ledger[host] -= 1
+    sim.run(until=7.0)
+    assert orch.cross_tenant_violation_seconds == 1.0
+
+
+def test_oversubscribing_plans_accrue_violation_seconds():
+    sim, orch = _two_tenants()
+    workers = [orch.workers["tA"], orch.workers["tB"]]
+    honest = [w.deployment.plan for w in workers]
+    host = next(iter(honest[0].quantities))[0]
+    # Each tenant alone fits the host; together they do not — and the
+    # arbiter's own ledgers, untouched, still balance.
+    each = HOST_CORES // FIREWALL.cores // 2 + 1
+    for worker, plan in zip(workers, honest):
+        worker.deployment.plan = dataclasses.replace(
+            plan, quantities={(host, "firewall"): each}
+        )
+    assert not orch.arbiter.oversubscribed()
+    sim.run(until=6.0)
+    assert orch.cross_tenant_violation_seconds == 1.0
+    # Back to the plans the audit has already seen: no stale verdict.
+    for worker, plan in zip(workers, honest):
+        worker.deployment.plan = plan
+    sim.run(until=7.0)
+    assert orch.cross_tenant_violation_seconds == 1.0
+    orch.stop()

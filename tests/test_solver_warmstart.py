@@ -213,20 +213,6 @@ def _two_var_model():
     return model, x, y
 
 
-def test_set_rhs_updates_cached_highs_arrays():
-    model, _x, _y = _two_var_model()
-    cm = model.compile()
-    cm.highs_arrays()
-    cm.set_rhs(0, 4.0)   # LE row
-    cm.set_rhs(1, -2.0)  # GE row: sign handled internally
-    fresh = model.compile()
-    fresh.set_rhs(0, 4.0)
-    fresh.set_rhs(1, -2.0)
-    res_cached, res_fresh = solve_lp(model, cm), solve_lp(model, fresh)
-    assert res_cached.objective == res_fresh.objective
-    np.testing.assert_array_equal(res_cached.solution, res_fresh.solution)
-
-
 def test_solve_lp_bound_overrides_match_rebuilt_model():
     model, _x, _y = _two_var_model()
     cm = model.compile()
@@ -265,17 +251,6 @@ def test_compiled_models_do_not_share_row_maps():
     first.row_sign[99] = -1.0
     assert 99 not in second.ub_row_of
     assert 99 not in second.row_sign
-
-
-def test_clamped_bounds_cached_and_inf_mapped():
-    model = Model("bounds")
-    model.add_var("x", lb=1.0)  # ub defaults to +inf
-    model.add_var("y", ub=4.0)
-    model.minimize(LinExpr.total([]) + 0.0)
-    cm = model.compile()
-    clamped = cm.clamped_bounds()
-    assert clamped == [(1.0, None), (0.0, 4.0)]
-    assert cm.clamped_bounds() is clamped  # computed once, reused
 
 
 def test_add_constraints_bulk_and_name_mismatch():
