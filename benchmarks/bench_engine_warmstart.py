@@ -18,16 +18,17 @@ Two acceptance targets of the warm-start/vectorization work:
 
 Both measurements are appended to the ``BENCH_engine.json`` trajectory at
 the repo root via the ``record_bench`` fixture, together with the engine's
-internal perf spans (template build, warm solve, rate update).
+own spans (template build, warm solve, rate update), read off the wall
+track of the traced run.
 """
 
 import os
 import statistics
 import time
 
+from repro import obs
 from repro.experiments import fig12
 from repro.experiments.harness import standard_setup
-from repro.perf import REGISTRY
 
 #: Timing repetitions for the cold/warm comparison (min-of-N).
 REPEATS = 7
@@ -40,29 +41,38 @@ def test_warm_vs_cold_place_geant(record_bench):
 
     # Warm-up solve: first-call scipy/HiGHS overhead is not the engine's.
     controller.engine.place(class_sets[0], cores)
-    REGISTRY.reset()
+    obs.reset()
+    obs.enable(trace=True)
+    try:
+        cold = []
+        for classes in class_sets[1:]:
+            controller.engine.clear_templates()
+            started = time.perf_counter()
+            plan = controller.engine.place(classes, cores)
+            cold.append(time.perf_counter() - started)
+            assert not plan.warm_start
 
-    cold = []
-    for classes in class_sets[1:]:
         controller.engine.clear_templates()
-        started = time.perf_counter()
-        plan = controller.engine.place(classes, cores)
-        cold.append(time.perf_counter() - started)
-        assert not plan.warm_start
+        controller.engine.place(class_sets[0], cores)  # build the template once
+        warm = []
+        for classes in class_sets[1:]:
+            started = time.perf_counter()
+            plan = controller.engine.place(classes, cores)
+            warm.append(time.perf_counter() - started)
+            assert plan.warm_start
+        events = obs.TRACER.to_chrome()["traceEvents"]
+    finally:
+        obs.disable()
+        obs.reset()
 
-    controller.engine.clear_templates()
-    controller.engine.place(class_sets[0], cores)  # build the template once
-    warm = []
-    for classes in class_sets[1:]:
-        started = time.perf_counter()
-        plan = controller.engine.place(classes, cores)
-        warm.append(time.perf_counter() - started)
-        assert plan.warm_start
+    def span_min(name):
+        """Shortest wall-track span of this name, in seconds."""
+        return min(e["dur"] for e in events if e["name"] == name) / 1e6
 
     speedup_min = min(cold) / min(warm)
     speedup_median = statistics.median(cold) / statistics.median(warm)
-    template_build_min = REGISTRY.stats("engine.template_build").min_seconds
-    warm_solve_min = REGISTRY.stats("engine.warm_solve").min_seconds
+    template_build_min = span_min("engine.template_build")
+    warm_solve_min = span_min("engine.warm_solve")
     record_bench(
         "engine_warm_vs_cold_geant",
         {
@@ -75,9 +85,7 @@ def test_warm_vs_cold_place_geant(record_bench):
             "speedup_median": round(speedup_median, 2),
             "template_build_min_s": round(template_build_min, 5),
             "warm_solve_min_s": round(warm_solve_min, 5),
-            "rate_update_min_s": round(
-                REGISTRY.stats("engine.rate_update").min_seconds, 5
-            ),
+            "rate_update_min_s": round(span_min("engine.rate_update"), 5),
         },
     )
     assert template_build_min <= warm_solve_min, (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro import perf
+from repro import obs
 from repro.chaos.metrics import ChaosMetrics
 from repro.chaos.schedule import FaultEvent, FaultKind
 from repro.core.controller import AppleController
@@ -88,7 +88,7 @@ class FaultInjector:
         instance.shutdown()
 
     def _apply(self, event: FaultEvent) -> None:
-        with perf.span("chaos.inject"):
+        with obs.span("chaos.inject", cat="chaos"):
             deployment = self._deployment()
             network = deployment.network
             topo = self.controller.topo

@@ -27,13 +27,13 @@ Pipeline (one reconvergence per detector verdict batch):
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
-from time import perf_counter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro import perf
+from repro import obs
 from repro.chaos.detector import Detection
 from repro.chaos.metrics import ChaosMetrics, ConvergenceRecord
 from repro.core.controller import AppleController
@@ -120,8 +120,8 @@ class RecoveryManager:
 
     # ------------------------------------------------------------------
     def _reconverge(self, trigger: Tuple[str, ...]) -> None:
-        with perf.span("chaos.recovery"):
-            wall0 = perf_counter()
+        with obs.span("chaos.recovery", cat="chaos"):
+            wall0 = time.perf_counter()
             controller, fabric = self.controller, self.fabric
             topo = controller.topo
             failed_links = topo.failed_links
@@ -185,12 +185,12 @@ class RecoveryManager:
                     )
             except PlacementError as exc:
                 record.failed, record.failure_reason = True, str(exc)
-                record.wall_seconds = perf_counter() - wall0
+                record.wall_seconds = time.perf_counter() - wall0
                 self.metrics.convergence(record)
                 return
             record.warm_start = controller.engine.warm_solves > warm_before
             subclass_plan, rules = realize(controller.rule_generator, plan)
-            record.wall_seconds = perf_counter() - wall0
+            record.wall_seconds = time.perf_counter() - wall0
         self.reconvergences += 1
 
         # What is on the wire, not what a (possibly superseded) earlier

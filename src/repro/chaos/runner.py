@@ -18,14 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import obs
 from repro.chaos.detector import DetectorConfig, FailureDetector
-from repro.obs.collectors import (
-    collect_chaos,
-    collect_solver,
-    collect_southbound,
-    trace_chaos_timeline,
-)
+from repro.obs.collectors import collect_chaos, trace_chaos_timeline
 from repro.chaos.injector import FaultInjector
 from repro.chaos.metrics import ChaosMetrics, ProbeLoop
 from repro.chaos.recovery import RecoveryConfig, RecoveryManager
@@ -183,12 +177,8 @@ class ChaosEngine:
         metrics_dict = self.metrics.to_dict()
         metrics_dict["southbound"] = self.southbound.metrics.to_dict()
         wall = self.metrics.wall_clock()
-        if obs.REGISTRY.enabled:
-            collect_chaos(self.metrics)
-            collect_solver(self.controller.engine)
-            collect_southbound(self.southbound.metrics)
-        if obs.TRACER.enabled:
-            trace_chaos_timeline(self.metrics)
+        collect_chaos(self.metrics)
+        trace_chaos_timeline(self.metrics)
         report = verify_deployment(
             self.controller.deployment, self.controller.topo
         )

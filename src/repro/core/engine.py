@@ -36,7 +36,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.core.constraints import PlacementTemplate, assemble_placement_lp
 from repro.core.placement import PlacementPlan
 from repro.solver.branch_bound import solve_branch_bound
@@ -210,14 +210,13 @@ class OptimizationEngine:
                 self._templates.move_to_end(key)
                 warm = True
         if template is None:
-            build_started = time.perf_counter()
-            with obs.span("engine.template_build", cat="solver"):
+            with obs.span(
+                "engine.template_build",
+                cat="solver",
+                histogram="solver_lp_assembly_seconds",
+            ):
                 template = self._build_template(
                     classes, available_cores, available_memory_gb, key
-                )
-            if obs.REGISTRY.enabled:
-                obs.metric("solver_lp_assembly_seconds").observe(
-                    time.perf_counter() - build_started
                 )
             if self.config.warm_start and template.reusable:
                 self._templates[key] = template
@@ -227,13 +226,12 @@ class OptimizationEngine:
             self.warm_solves += 1
         else:
             self.cold_builds += 1
-        rate_started = time.perf_counter()
-        with perf.span("engine.rate_update"):
+        with obs.span(
+            "engine.rate_update",
+            cat="solver",
+            histogram="solver_rate_update_seconds",
+        ):
             template.set_rates(classes)
-        if obs.REGISTRY.enabled:
-            obs.metric("solver_rate_update_seconds").observe(
-                time.perf_counter() - rate_started
-            )
         template.solves += 1
 
         span_name = "engine.warm_solve" if warm else "engine.cold_solve"
@@ -268,7 +266,7 @@ class OptimizationEngine:
                 quantities, distribution = alt[1], alt[2]
                 objective = float(alt[0])
         if self.config.consolidate:
-            with perf.span("engine.consolidate"):
+            with obs.span("engine.consolidate", cat="solver"):
                 self._consolidate_dust(classes, distribution, quantities)
             objective = float(sum(quantities.values()))
         if obs.REGISTRY.enabled:

@@ -57,7 +57,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dataplane.packet import FIN, Packet
@@ -65,7 +64,7 @@ from repro.dataplane.switch import PhysicalSwitch, SwitchDecision
 from repro.dataplane.tcam import ActionKind, RuleEpoch
 from repro.dataplane.vswitch import VSwitch
 from repro.obs import state as _obs
-from repro.perf import REGISTRY
+from repro.obs.collectors import collect_network
 from repro.topology.graph import Topology
 
 
@@ -182,7 +181,6 @@ class DataPlaneNetwork:
 
     MAX_HOPS = 1024  # loop guard; paths are far shorter
     RECENT_RECORDS = 256  # ring-buffer depth of per-packet debug records
-    SPAN_SAMPLE = 64  # record 1 in N per-packet perf spans (power of two)
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
@@ -209,7 +207,10 @@ class DataPlaneNetwork:
         self._class_plans: Dict[str, _ClassPlans] = {}
         self._plans_epoch = 0
         self._dirty_plans: List[_WalkPlan] = []
-        self._span_tick = 0
+        # What obs.collectors.collect_network has already added to the
+        # registry from this network's counters (its _NETWORK_COUNTERS
+        # order); a reset zeroes a counter and its entry here together.
+        self._collected = (0, 0, 0, 0, 0, 0)
         # Failure overlay: packets crossing a failed link are dropped at the
         # upstream switch.
         self.failed_links: set = set()
@@ -297,7 +298,10 @@ class DataPlaneNetwork:
             mid = lo + (hi - lo) / 2
             if not lo <= mid < hi:
                 mid = lo  # degenerate float interval: probe its left edge
-            plan = cp.plans[g] = self._resolve_plan(cp.class_id, cp.path, mid)
+            with _obs.span("dataplane.batch.resolve", cat="dataplane"):
+                plan = cp.plans[g] = self._resolve_plan(
+                    cp.class_id, cp.path, mid
+                )
         return plan
 
     def _resolve_plan(
@@ -309,7 +313,6 @@ class DataPlaneNetwork:
         writes, but against local tag variables instead of a packet and
         without touching any counter.
         """
-        started = perf_counter()
         if len(path) > self.MAX_HOPS + 1:
             raise RuntimeError("hop limit exceeded (loop?)")
         plan = _WalkPlan()
@@ -390,7 +393,6 @@ class DataPlaneNetwork:
         plan.legs.append(
             (tuple(hops), tuple(visits), None, (), (), exit_tags)
         )
-        REGISTRY.record("dataplane.batch.resolve", perf_counter() - started)
         return plan
 
     # ------------------------------------------------------------------
@@ -408,10 +410,6 @@ class DataPlaneNetwork:
         walk that cannot be resolved has a rule bug somewhere along it:
         both take :meth:`walk_reference`, which raises where the bug is.
         """
-        # Per-packet walk spans are sampled (1 in SPAN_SAMPLE packets):
-        # recording every walk would cost a measurable fraction of the walk.
-        tick = self._span_tick = self._span_tick + 1
-        started = 0.0 if tick & (self.SPAN_SAMPLE - 1) else perf_counter()
         if packet.host_tag is not None or packet.subclass_tag is not None:
             return self.walk_reference(packet, now)
         cp = self._class_plans.get(packet.class_id)
@@ -446,11 +444,11 @@ class DataPlaneNetwork:
                     vsw.packets_dropped += 1
                     trace.extend(vnf_visits[:k])
                     packet.host_tag, packet.subclass_tag = tags
-                    return self._record(started, packet, False, vsw.switch)
+                    return self._record(packet, False, vsw.switch)
             trace.extend(vnf_visits)
         packet.host_tag, packet.subclass_tag = tags
         delivered, dropped_at = plan.final_outcome
-        return self._record(started, packet, delivered, dropped_at)
+        return self._record(packet, delivered, dropped_at)
 
     def walk_reference(self, packet: Packet, now: float = 0.0) -> DeliveryRecord:
         """Walk a packet hop by hop through the Table III pipeline.
@@ -480,11 +478,11 @@ class DataPlaneNetwork:
                 if key in failed_links:
                     # The packet black-holes on the dead link; it never
                     # reaches sw_name, so the drop is charged upstream.
-                    return self._record(0.0, packet, False, prev)
+                    return self._record(packet, False, prev)
             decision = self.switches[sw_name].process(packet)
             if decision is SwitchDecision.TO_HOST:
                 if self.vswitch_at(sw_name).process(packet, now) is None:
-                    return self._record(0.0, packet, False, sw_name)
+                    return self._record(packet, False, sw_name)
                 # Packet re-enters the switch from the host; if it is now
                 # tagged for this same switch again that is a rule bug.
                 if packet.host_tag == sw_name:
@@ -492,10 +490,10 @@ class DataPlaneNetwork:
                         f"packet re-tagged for the host it just left ({sw_name})"
                     )
             elif decision is SwitchDecision.DROP:
-                return self._record(0.0, packet, False, sw_name)
+                return self._record(packet, False, sw_name)
             # FORWARD: continue to the next switch on the path.
 
-        return self._record(0.0, packet, True, None)
+        return self._record(packet, True, None)
 
     def inject_from_host(self, packet: Packet, now: float = 0.0) -> DeliveryRecord:
         """Walk a packet that originates at a production VM in an APPLE host.
@@ -511,15 +509,11 @@ class DataPlaneNetwork:
         vsw = self.vswitch_at(packet.src)
         out = vsw.process_origin(packet, now)
         if out is None:
-            return self._record(0.0, packet, False, packet.src)
+            return self._record(packet, False, packet.src)
         return self.walk_reference(packet, now)
 
     def _record(
-        self,
-        started: float,
-        packet: Packet,
-        delivered: bool,
-        dropped_at: Optional[str],
+        self, packet: Packet, delivered: bool, dropped_at: Optional[str]
     ) -> DeliveryRecord:
         record = DeliveryRecord(packet, delivered, dropped_at)
         if delivered:
@@ -529,8 +523,6 @@ class DataPlaneNetwork:
         else:
             self.dropped_count += 1
         self.recent_records.append(record)
-        if started:
-            REGISTRY.record("dataplane.walk.scalar", perf_counter() - started)
         return record
 
     # ------------------------------------------------------------------
@@ -575,67 +567,66 @@ class DataPlaneNetwork:
         reader) applies them — all updates are commutative ``+=``, so the
         deferral is observation-order only.
         """
-        started = perf_counter()
-        if self._plans_epoch != self._epoch.value:
-            self._retire_plans()
-        class_plans = self._class_plans
-        dirty = self._dirty_plans
-        size = size_bytes
-        outcomes: Optional[list] = [] if collect else None
-        for class_id, h, t in items:
-            cp = class_plans.get(class_id)
-            if cp is None:
-                cp = self.class_intervals(class_id)
-            g = bisect_right(cp.cuts, h)
-            plan = cp.plans[g] or self.interval_plan(cp, g)
-            if plan.fallback:
-                packet = Packet(
-                    class_id=class_id,
-                    flow_hash=h,
-                    src=cp.src,
-                    dst=cp.dst,
-                    size_bytes=size,
-                )
-                record = self.inject(packet, now=t)
+        with _obs.span("dataplane.walk.batch", cat="dataplane"):
+            if self._plans_epoch != self._epoch.value:
+                self._retire_plans()
+            class_plans = self._class_plans
+            dirty = self._dirty_plans
+            size = size_bytes
+            outcomes: Optional[list] = [] if collect else None
+            for class_id, h, t in items:
+                cp = class_plans.get(class_id)
+                if cp is None:
+                    cp = self.class_intervals(class_id)
+                g = bisect_right(cp.cuts, h)
+                plan = cp.plans[g] or self.interval_plan(cp, g)
+                if plan.fallback:
+                    packet = Packet(
+                        class_id=class_id,
+                        flow_hash=h,
+                        src=cp.src,
+                        dst=cp.dst,
+                        size_bytes=size,
+                    )
+                    record = self.inject(packet, now=t)
+                    if collect:
+                        outcomes.append((record.delivered, record.dropped_at))
+                    continue
+                if plan.n == 0:
+                    dirty.append(plan)
+                plan.n += 1
+                dropped_step = -1
+                for si, slots in enumerate(plan.vsteps):
+                    ok = True
+                    for inst, recent, window in slots:
+                        if not inst.running:
+                            ok = False
+                            break
+                        st = inst.stats
+                        st.packets_in += 1
+                        cutoff = t - window
+                        if recent and recent[0] <= cutoff:
+                            i = 1
+                            lr = len(recent)
+                            while i < lr and recent[i] <= cutoff:
+                                i += 1
+                            del recent[:i]
+                        if len(recent) + 1 > inst._budget:
+                            st.packets_dropped += 1
+                            ok = False
+                            break
+                        recent.append(t)
+                        st.packets_processed += 1
+                        st.bytes_processed += size
+                    if not ok:
+                        plan.drops[si] += 1
+                        dropped_step = si
+                        break
                 if collect:
-                    outcomes.append((record.delivered, record.dropped_at))
-                continue
-            if plan.n == 0:
-                dirty.append(plan)
-            plan.n += 1
-            dropped_step = -1
-            for si, slots in enumerate(plan.vsteps):
-                ok = True
-                for inst, recent, window in slots:
-                    if not inst.running:
-                        ok = False
-                        break
-                    st = inst.stats
-                    st.packets_in += 1
-                    cutoff = t - window
-                    if recent and recent[0] <= cutoff:
-                        i = 1
-                        lr = len(recent)
-                        while i < lr and recent[i] <= cutoff:
-                            i += 1
-                        del recent[:i]
-                    if len(recent) + 1 > inst._budget:
-                        st.packets_dropped += 1
-                        ok = False
-                        break
-                    recent.append(t)
-                    st.packets_processed += 1
-                    st.bytes_processed += size
-                if not ok:
-                    plan.drops[si] += 1
-                    dropped_step = si
-                    break
-            if collect:
-                if dropped_step >= 0:
-                    outcomes.append(plan.step_outcomes[dropped_step])
-                else:
-                    outcomes.append(plan.final_outcome)
-        REGISTRY.record("dataplane.walk.batch", perf_counter() - started)
+                    if dropped_step >= 0:
+                        outcomes.append(plan.step_outcomes[dropped_step])
+                    else:
+                        outcomes.append(plan.final_outcome)
         if _obs.REGISTRY.enabled:
             _obs.metric("dataplane_batch_packets").observe(len(items))
         return outcomes
@@ -709,14 +700,11 @@ class DataPlaneNetwork:
         The canonical consumer API: every ledger read routes through here,
         so the PR-2 deferred-flush contract holds by construction.  It is
         also the data plane's metrics-collection point: with observability
-        enabled, the ledger and TCAM ground-truth counters are copied into
-        the registry on every snapshot.
+        enabled, what the ledger and TCAM ground-truth counters gained since
+        the last snapshot is added to the registry.
         """
         self._flush_dirty()
-        if _obs.REGISTRY.enabled:
-            from repro.obs.collectors import collect_network
-
-            collect_network(self)
+        collect_network(self)
         return NetworkStats(
             delivered=self.delivered_count,
             dropped=self.dropped_count,
@@ -725,10 +713,11 @@ class DataPlaneNetwork:
 
     def reset_records(self) -> None:
         """Zero the delivery ledger and the recent-record ring."""
-        self._flush_dirty()
+        self.stats_snapshot()  # flush; the registry takes what it has not seen
         self.delivered_count = 0
         self.dropped_count = 0
         self.violation_count = 0
+        self._collected = (0, 0, 0) + self._collected[3:]
         self.recent_records.clear()
 
     def reset_runtime_state(self) -> None:
@@ -746,6 +735,7 @@ class DataPlaneNetwork:
             table.lookup_count = 0
             table.miss_count = 0
             table.cache_hits = 0
+        self._collected = (0, 0, 0, 0, 0, 0)
         for vsw in self.vswitches.values():
             vsw.packets_in = 0
             vsw.packets_dropped = 0

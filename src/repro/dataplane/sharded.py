@@ -40,14 +40,12 @@ box, keyed by ``id(instance)`` — is renewed before the next column.
 from __future__ import annotations
 
 from bisect import bisect_right
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataplane.network import DataPlaneNetwork, _WalkPlan
 from repro.obs import state as _obs
-from repro.perf import REGISTRY
 
 #: Bulk slices are bisected down to this size before giving up and
 #: running the exact per-packet walker on the slice.
@@ -522,7 +520,6 @@ class ShardedDataPlane:
                 (or NaN), or ``ts`` decreases somewhere.  Nothing has been
                 walked or counted when it is raised.
         """
-        started = perf_counter()
         classes = list(classes)
         cls_idx = _column("cls_idx", cls_idx)
         hashes = _column("hashes", hashes, np.float64)
@@ -557,11 +554,11 @@ class ShardedDataPlane:
         if np.any(ts[1:] < ts[:-1]):
             raise ValueError("ts must be non-decreasing")
         walker = self._walker
-        out = walker.run(
-            classes, cls_idx, hashes, ts, size_bytes, collect,
-            *walker.group_keys(classes, cls_idx, hashes),
-        )
-        REGISTRY.record("dataplane.walk.sharded", perf_counter() - started)
+        with _obs.span("dataplane.walk.sharded", cat="dataplane"):
+            out = walker.run(
+                classes, cls_idx, hashes, ts, size_bytes, collect,
+                *walker.group_keys(classes, cls_idx, hashes),
+            )
         if _obs.REGISTRY.enabled:
             if walker.bulk_packets:
                 _obs.metric("dataplane_shard_bulk_packets_total").inc(

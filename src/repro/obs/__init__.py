@@ -7,6 +7,12 @@ instrumented call site and nothing else.  :func:`enable` turns on the
 metrics registry (and optionally the trace ring buffer); the experiment
 CLI does this for ``--trace`` / ``--manifest`` runs.
 
+One feed, one clock: a subsystem updates the registry at the event it
+counts (:mod:`repro.obs.collectors` reads a ledger only where there is no
+such event), and :class:`span` is the only interval timer — no clock read
+while disabled, otherwise one ``perf_counter`` pair for the trace's wall
+track and the catalog histogram it names.
+
 Design contract (the bit-identity guarantee): telemetry only *reads*
 ground truth — simulated timestamps, ledger counters, solver stats —
 and never draws randomness, schedules events, or mutates simulated
@@ -30,13 +36,15 @@ and run-manifest schema.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.obs import catalog as _catalog
-from repro.obs import state as _state
-from repro.obs.metrics import Metric, MetricError, MetricsRegistry
-from repro.obs.trace import Tracer, traced_perf_span, validate_trace
+from repro.obs.metrics import (
+    MAX_SERIES_PER_METRIC,
+    Metric,
+    MetricError,
+    MetricsRegistry,
+)
+from repro.obs.state import REGISTRY, TRACER, metric, span
+from repro.obs.trace import Tracer, validate_trace
 from repro.obs.manifest import (
     build_manifest,
     bench_entry,
@@ -70,10 +78,6 @@ __all__ = [
     "write_json",
 ]
 
-#: Re-exported singletons (see :mod:`repro.obs.state`).
-REGISTRY = _state.REGISTRY
-TRACER = _state.TRACER
-
 
 def enable(trace: bool = False) -> None:
     """Turn on metrics collection (and, optionally, event tracing).
@@ -97,30 +101,8 @@ def enabled() -> bool:
     return REGISTRY.enabled
 
 
-def metric(name: str) -> Metric:
-    """Look up a catalog instrument by name (registering the catalog lazily).
-
-    Raises :class:`MetricError` for names not in the catalog — instruments
-    must be declared in :mod:`repro.obs.catalog`, never ad hoc.
-    """
-    if name not in REGISTRY:
-        _catalog.register_all(REGISTRY)
-    return REGISTRY.get(name)
-
-
-@contextmanager
-def span(name: str, cat: str = "perf") -> Iterator[None]:
-    """Time a block into :mod:`repro.perf` and (when tracing) the trace.
-
-    Drop-in replacement for :func:`repro.perf.span` — the perf registry
-    behaviour is identical; a wall-track trace event is added only when
-    tracing is enabled.
-    """
-    with traced_perf_span(TRACER, name, cat=cat):
-        yield
-
-
 def reset() -> None:
-    """Zero metric values and clear the trace buffer (tests / new runs)."""
+    """Zero metric values, restore the series cap, clear the trace buffer."""
     REGISTRY.reset_values()
+    REGISTRY.max_series = MAX_SERIES_PER_METRIC
     TRACER.clear()

@@ -11,9 +11,10 @@ Conventions (Prometheus-style):
 
 * ``*_total`` — cumulative counters;
 * ``*_seconds`` — durations; histograms use the shared time buckets;
-* collector-fed counters (data plane, chaos) copy ground-truth counters
-  maintained by the subsystem itself, so the hot path never pays for
-  metrics bookkeeping.
+* a counter is incremented at the event it counts; only where there is
+  no event to emit at (the per-packet data plane, run-level chaos /
+  elastic / resilience accounting) does :mod:`repro.obs.collectors` read
+  the subsystem's own ledger at a snapshot point instead.
 """
 
 from __future__ import annotations

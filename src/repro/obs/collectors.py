@@ -1,11 +1,13 @@
-"""Collectors: copy ground-truth subsystem counters into the registry.
+"""Collectors: ledgers with no inline emitter, read into the registry.
 
-The data plane and chaos engine keep their own counters on the hot path
-(ledger counts, TCAM lookup/cache counters, fault records); metrics
-collection *reads* those at natural snapshot points rather than adding
-bookkeeping per packet.  Each collector is a no-op while observability is
-disabled, and reported values reflect the most recently collected
-component (documented in ``docs/OBSERVABILITY.md``).
+A subsystem whose events are rare (solver, southbound, tenancy, rule
+generation, verify) updates the registry at the event, behind the one
+``enabled`` check.  The ones here cannot: the data plane counts per packet
+and must not pay for metrics there, and the chaos / elastic / resilience
+accounting (time to repair, time to absorb, journal shape) is only known
+once the run is over.  Their ledgers are read at a snapshot point —
+``stats_snapshot()`` for a network, finalization for a run — and each
+collector is a no-op while observability is disabled.
 """
 
 from __future__ import annotations
@@ -17,16 +19,29 @@ from repro.obs.state import metric as _metric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.chaos.metrics import ChaosMetrics
-    from repro.core.engine import OptimizationEngine
     from repro.dataplane.network import DataPlaneNetwork
     from repro.elastic.metrics import ElasticMetrics
     from repro.elastic.monitor import UtilizationSnapshot
     from repro.resilience.metrics import ResilienceMetrics
-    from repro.southbound.metrics import SouthboundMetrics
+
+#: The registry counters one network feeds, in the order of its
+#: ``_collected`` baseline: the delivery ledger, then the TCAM counters.
+_NETWORK_COUNTERS = (
+    "dataplane_packets_delivered_total",
+    "dataplane_packets_dropped_total",
+    "dataplane_policy_violations_total",
+    "dataplane_tcam_lookups_total",
+    "dataplane_tcam_misses_total",
+    "dataplane_flow_cache_hits_total",
+)
 
 
 def collect_network(network: "DataPlaneNetwork") -> None:
-    """Data-plane ground truth → registry (ledger, TCAM, plan replays)."""
+    """Data-plane ground truth → registry (ledger, TCAM, plan replays).
+
+    The registry is process-wide and there may be many networks, so each
+    adds what it has counted since it was last collected.
+    """
     if not state.REGISTRY.enabled:
         return
     lookups = misses = hits = hw = 0
@@ -36,26 +51,14 @@ def collect_network(network: "DataPlaneNetwork") -> None:
         misses += table.miss_count
         hits += table.cache_hits
         hw += table.entry_count()
-    _metric("dataplane_tcam_lookups_total").set_total(lookups)
-    _metric("dataplane_tcam_misses_total").set_total(misses)
-    _metric("dataplane_flow_cache_hits_total").set_total(hits)
+    totals = (
+        network.delivered_count, network.dropped_count,
+        network.violation_count, lookups, misses, hits,
+    )
+    for name, total, seen in zip(_NETWORK_COUNTERS, totals, network._collected):
+        _metric(name).inc(total - seen)
+    network._collected = totals
     _metric("dataplane_tcam_hw_entries").set(hw)
-    _metric("dataplane_packets_delivered_total").set_total(
-        network.delivered_count
-    )
-    _metric("dataplane_packets_dropped_total").set_total(network.dropped_count)
-    _metric("dataplane_policy_violations_total").set_total(
-        network.violation_count
-    )
-
-
-def collect_solver(engine: "OptimizationEngine") -> None:
-    """Warm-start telemetry of one engine → registry."""
-    if not state.REGISTRY.enabled:
-        return
-    total = engine.warm_solves + engine.cold_builds
-    if total:
-        _metric("solver_warm_hit_ratio").set(engine.warm_solves / total)
 
 
 def collect_chaos(metrics: "ChaosMetrics") -> None:
@@ -87,42 +90,6 @@ def collect_chaos(metrics: "ChaosMetrics") -> None:
     )
     _metric("chaos_probes_sent_total").inc(metrics.probes_sent)
     _metric("chaos_probes_dropped_total").inc(metrics.probes_dropped)
-
-
-def collect_southbound(metrics: "SouthboundMetrics") -> None:
-    """Southbound fabric ledger → registry.
-
-    The fabric's own :meth:`~repro.southbound.metrics.SouthboundMetrics`
-    hooks already update the registry incrementally while enabled; this
-    collector reconciles the totals at run finalization so a registry
-    enabled *after* the fabric started still reports the full ledger.
-    """
-    if not state.REGISTRY.enabled:
-        return
-    _metric("southbound_messages_total").labels(result="sent").set_total(
-        metrics.messages_sent
-    )
-    _metric("southbound_messages_total").labels(result="lost").set_total(
-        metrics.messages_lost
-    )
-    for status in sorted(metrics.acks):
-        _metric("southbound_messages_total").labels(
-            result=f"ack_{status}"
-        ).set_total(metrics.acks[status])
-    _metric("southbound_messages_total").labels(result="give_up").set_total(
-        metrics.give_ups
-    )
-    _metric("southbound_retries_total").set_total(metrics.retries)
-    _metric("southbound_timeouts_total").set_total(metrics.timeouts)
-    _metric("southbound_circuit_opens_total").set_total(metrics.circuit_opens)
-    for outcome in sorted(metrics.transactions):
-        _metric("southbound_transactions_total").labels(
-            outcome=outcome
-        ).set_total(metrics.transactions[outcome])
-    _metric("southbound_rollback_ops_total").set_total(metrics.rollback_ops)
-    _metric("southbound_reconcile_repairs_total").set_total(
-        metrics.reconcile_repairs
-    )
 
 
 def collect_resilience(metrics: "ResilienceMetrics") -> None:

@@ -93,12 +93,12 @@ class CounterSeries(_Series):
         self.value += amount
 
     def set_total(self, value: float) -> None:
-        """Set the cumulative value from a ground-truth counter.
+        """Overwrite the cumulative value with a ledger's own total.
 
-        Collector-style use: the data plane already maintains its own
-        lookup/ledger counters; collection copies them here rather than
-        double-counting on the hot path.  The reported value is the one
-        from the most recent collection.
+        For a series only one ledger feeds (the simulator's event count, a
+        run's elastic or journal accounting).  Where several instances
+        share a series — data-plane networks — the collector adds each
+        one's increase with :meth:`inc` instead.
         """
         if not self._enabled:
             return

@@ -1,8 +1,8 @@
 """Structured event tracing: a ring buffer exportable as a Chrome trace.
 
 Records simulator-time-stamped spans and events (fault inject, detection,
-recovery convergence, rule push) plus wall-clock spans piggybacked on the
-existing :mod:`repro.perf` span registry, into a bounded ring buffer.
+recovery convergence, rule push) plus the wall-clock intervals measured by
+:class:`repro.obs.span`, into a bounded ring buffer.
 :meth:`Tracer.to_chrome` renders the buffer in the Chrome ``trace_event``
 JSON format, so a run opens directly in Perfetto (https://ui.perfetto.dev)
 or ``chrome://tracing``.
@@ -11,26 +11,22 @@ Two tracks keep the two clocks apart:
 
 * **simulation** (tid 1) — deterministic events stamped with *simulated*
   time.  Bit-identical across same-seed runs; golden-file tested.
-* **wall-clock** (tid 2) — spans measured with ``perf_counter`` relative
-  to the tracer's start (solver calls, rule pushes).  Reported, never
+* **wall-clock** (tid 2) — ``perf_counter`` intervals handed over by
+  :class:`repro.obs.span` (solver calls, data-plane batches, chaos
+  handlers), exported relative to the earliest one.  Reported, never
   compared.
 
-Tracing must never perturb the run: the tracer only *reads* timestamps
-handed to it (simulated time comes from the caller, never from a clock),
-and every record call checks ``enabled`` first, so a disabled tracer
-costs one attribute read.
+Tracing must never perturb the run: the tracer reads no clock, only the
+timestamps handed to it, and every record call checks ``enabled`` first,
+so a disabled tracer costs one attribute read.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional
-
-from repro import perf
+from typing import Any, Deque, Dict, List, Optional
 
 #: Track ids (Chrome ``tid``) of the two clocks.
 SIM_TRACK = 1
@@ -57,13 +53,11 @@ class Tracer:
         self.enabled = False
         self.dropped = 0
         self._events: Deque[dict] = deque(maxlen=capacity)
-        self._wall_t0: Optional[float] = None
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
         self._events.clear()
         self.dropped = 0
-        self._wall_t0 = None
 
     def __len__(self) -> int:
         return len(self._events)
@@ -123,35 +117,16 @@ class Tracer:
     # ------------------------------------------------------------------
     # Wall-clock track (non-deterministic; never part of golden output)
     # ------------------------------------------------------------------
-    def _wall_now(self) -> float:
-        now = time.perf_counter()
-        if self._wall_t0 is None:
-            self._wall_t0 = now
-        return now - self._wall_t0
-
-    @contextmanager
     def wall_span(
-        self,
-        name: str,
-        cat: str = "perf",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> Iterator[None]:
-        """Record a wall-clock span on the wall track."""
+        self, name: str, started: float, ended: float, cat: str = "perf"
+    ) -> None:
+        """An interval between two ``perf_counter`` readings (seconds)."""
         if not self.enabled:
-            yield
             return
-        started = self._wall_now()
-        try:
-            yield
-        finally:
-            event = {
-                "name": name, "cat": cat, "ph": "X", "ts": _us(started),
-                "dur": _us(self._wall_now() - started),
-                "pid": 1, "tid": WALL_TRACK,
-            }
-            if args:
-                event["args"] = args
-            self._push(event)
+        self._push(
+            {"name": name, "cat": cat, "ph": "X", "ts": _us(started),
+             "dur": _us(ended - started), "pid": 1, "tid": WALL_TRACK}
+        )
 
     # ------------------------------------------------------------------
     # Export
@@ -165,7 +140,17 @@ class Tracer:
             }
             for tid, label in sorted(_TRACK_NAMES.items())
         ]
-        events.extend(self._events)
+        # perf_counter's zero is arbitrary: start the wall track at its
+        # earliest interval (an enclosing span is recorded after its children).
+        origin = min(
+            (e["ts"] for e in self._events if e["tid"] == WALL_TRACK),
+            default=0.0,
+        )
+        events.extend(
+            {**e, "ts": round(e["ts"] - origin, 3)}
+            if e["tid"] == WALL_TRACK else e
+            for e in self._events
+        )
         out: Dict[str, Any] = {
             "traceEvents": events,
             "displayTimeUnit": "ms",
@@ -186,23 +171,6 @@ class Tracer:
             json.dumps(self.to_chrome(metadata), indent=2, sort_keys=True)
             + "\n"
         )
-
-
-@contextmanager
-def traced_perf_span(tracer: Tracer, name: str, cat: str = "perf") -> Iterator[None]:
-    """Time a block into the :mod:`repro.perf` registry *and* the tracer.
-
-    This is the bridge that extends the existing perf span registry rather
-    than duplicating it: wall time lands in ``perf.REGISTRY`` (feeding the
-    BENCH trajectories) exactly as before, and — only when tracing is
-    enabled — the same interval is mirrored onto the tracer's wall track.
-    """
-    if not tracer.enabled:
-        with perf.REGISTRY.span(name):
-            yield
-        return
-    with perf.REGISTRY.span(name), tracer.wall_span(name, cat=cat):
-        yield
 
 
 def validate_trace(obj: Any) -> List[str]:

@@ -31,9 +31,9 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Callable, Iterable, List, Tuple, Union
 
 #: Estimated total serial seconds below which a process pool cannot pay
@@ -204,9 +204,9 @@ def parallel_map(
     # Auto: probe the first unit's cost in-process, then decide.
     if cpu_count() < 2:
         return [fn(item) for item in items]
-    started = perf_counter()
+    started = time.perf_counter()
     first = fn(items[0])
-    unit_cost = perf_counter() - started
+    unit_cost = time.perf_counter() - started
     rest = items[1:]
     if len(rest) < 2 or unit_cost * len(rest) < min_fanout_seconds:
         return [first] + [fn(item) for item in rest]

@@ -77,6 +77,19 @@ class SouthboundMetrics:
     max_observed_drift: int = 0
     convergences: List[EpochConvergence] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # The registry is fed at each event below and nowhere else; naming
+        # the labelled series here makes a result that never happened read 0.
+        if obs.REGISTRY.enabled:
+            messages = obs.metric("southbound_messages_total")
+            for result in ["sent", "lost", "give_up"] + [
+                f"ack_{status}" for status in self.acks
+            ]:
+                messages.labels(result=result)
+            transactions = obs.metric("southbound_transactions_total")
+            for outcome in self.transactions:
+                transactions.labels(outcome=outcome)
+
     # ------------------------------------------------------------------
     def record_send(self, attempt: int) -> None:
         if attempt == 1:

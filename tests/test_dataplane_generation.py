@@ -194,7 +194,7 @@ NETWORK_READ_ONLY_CALLS = {
 }
 NETWORK_READ_ONLY = set(NETWORK_READ_ONLY_CALLS) | {
     # constants and plain data attributes, not calls
-    "MAX_HOPS", "RECENT_RECORDS", "SPAN_SAMPLE",
+    "MAX_HOPS", "RECENT_RECORDS",
 }
 
 

@@ -3,14 +3,10 @@
 import json
 from pathlib import Path
 
-from repro import perf
-from repro.obs.trace import (
-    SIM_TRACK,
-    WALL_TRACK,
-    Tracer,
-    traced_perf_span,
-    validate_trace,
-)
+import pytest
+
+from repro import obs
+from repro.obs.trace import SIM_TRACK, WALL_TRACK, Tracer, validate_trace
 
 GOLDEN = Path(__file__).parent / "data" / "trace_golden.json"
 
@@ -62,31 +58,60 @@ def test_ring_buffer_drops_oldest():
 def test_wall_span_uses_wall_track():
     t = Tracer()
     t.enabled = True
-    with t.wall_span("solve", cat="solver"):
+    t.wall_span("inner", 1000.5, 1000.75, cat="solver")
+    t.wall_span("outer", 1000.25, 1001.0, cat="solver")  # recorded at exit
+    inner, outer = _sim_events(t)
+    for ev in (inner, outer):
+        assert ev["tid"] == WALL_TRACK
+        assert ev["ph"] == "X"
+    # The track starts at the earliest interval, whatever perf_counter's zero.
+    assert (outer["ts"], outer["dur"]) == (0.0, 0.75e6)
+    assert (inner["ts"], inner["dur"]) == (0.25e6, 0.25e6)
+
+
+@pytest.fixture
+def obs_off_after():
+    """Leave the process-wide obs state exactly as tier-1 expects it."""
+    obs.disable()
+    obs.reset()
+    yield
+    obs.disable()
+    obs.reset()
+
+
+def _assembly_count():
+    return obs.metric("solver_lp_assembly_seconds").series()[0].count
+
+
+def test_span_off_records_nothing(obs_off_after, monkeypatch):
+    def no_clock():
+        raise AssertionError("obs.span read the clock with obs off")
+
+    monkeypatch.setattr("repro.obs.state._clock", no_clock)
+    with obs.span("obs.test.span", histogram="solver_lp_assembly_seconds"):
         pass
-    (ev,) = _sim_events(t)
+    assert len(obs.TRACER) == 0
+    assert _assembly_count() == 0
+
+
+def test_span_with_metrics_on_feeds_its_histogram(obs_off_after):
+    obs.enable()
+    with obs.span("obs.test.span", histogram="solver_lp_assembly_seconds"):
+        pass
+    with obs.span("obs.test.span"):  # no histogram named: nothing to feed
+        pass
+    assert _assembly_count() == 1
+    assert len(obs.TRACER) == 0
+
+
+def test_span_with_tracing_on_records_one_wall_event(obs_off_after):
+    obs.enable(trace=True)
+    with obs.span("obs.test.span", cat="test"):
+        pass
+    (ev,) = _sim_events(obs.TRACER)
+    assert (ev["name"], ev["cat"], ev["ph"]) == ("obs.test.span", "test", "X")
     assert ev["tid"] == WALL_TRACK
-    assert ev["ph"] == "X"
     assert ev["dur"] >= 0
-
-
-def test_traced_perf_span_feeds_both_registries():
-    t = Tracer()
-    t.enabled = True
-    before = perf.REGISTRY.stats("obs.test.span").count
-    with traced_perf_span(t, "obs.test.span", cat="test"):
-        pass
-    assert perf.REGISTRY.stats("obs.test.span").count == before + 1
-    assert len(t) == 1
-
-
-def test_traced_perf_span_without_tracing_still_feeds_perf():
-    t = Tracer()  # disabled
-    before = perf.REGISTRY.stats("obs.test.span2").count
-    with traced_perf_span(t, "obs.test.span2"):
-        pass
-    assert perf.REGISTRY.stats("obs.test.span2").count == before + 1
-    assert len(t) == 0
 
 
 def test_to_chrome_validates_and_names_threads():
