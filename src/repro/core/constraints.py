@@ -55,11 +55,14 @@ Slot = Tuple[str, str]
 class PlacementTemplate:
     """The structure phase of one placement instance, ready to re-solve.
 
-    Holds the LP and the index arrays for a fixed (class structure, hosts,
-    catalog, config) key.  Rates are the only snapshot-dependent input;
-    :meth:`set_rates` scatters them into the LP's matrix values, so every
-    solver path (LP ceiling, rounding fallback, branch-and-bound) sees the
-    new snapshot without a rebuild.
+    Holds the LP and the index arrays for a fixed (class structure, host
+    set, catalog, config) key.  The data of one instance — the class rates
+    T_c (coefficients of Eq. 5) and the available resources A_v (right-hand
+    side of Eq. 6) — are per-solve inputs: :meth:`set_rates` scatters the
+    rates into the LP's matrix values and :meth:`set_budgets` writes the
+    budgets into its right-hand side, so every solver path (LP ceiling,
+    rounding fallback, branch-and-bound) sees the new snapshot without a
+    rebuild.
     """
 
     key: tuple
@@ -90,6 +93,8 @@ class PlacementTemplate:
     _slot_switch: np.ndarray = field(repr=False)
     _switch_names: List[str] = field(repr=False)
     _core_rows: np.ndarray = field(repr=False)
+    #: Eq. 6 memory rows in the same switch order; None when not modelled.
+    _mem_rows: Optional[np.ndarray] = field(repr=False)
     _q_idx: np.ndarray = field(repr=False)
     solves: int = 0
     _rates: Optional[np.ndarray] = field(default=None, repr=False)
@@ -104,6 +109,19 @@ class PlacementTemplate:
             self.lp.data[self._rate_positions] = rates[self._rate_class_idx]
         # Otherwise the rates were embedded at build time and the template
         # is only valid for them.
+
+    def set_budgets(
+        self,
+        available_cores: Mapping[str, int],
+        available_memory_gb: Optional[Mapping[str, float]],
+    ) -> None:
+        """Rewrite the Eq. 6 right-hand sides (A_v) for this solve."""
+        rhs, names = self.lp.rhs, self._switch_names
+        rhs[self._core_rows] = [float(available_cores.get(sw, 0)) for sw in names]
+        if self._mem_rows is not None:
+            rhs[self._mem_rows] = [
+                float(available_memory_gb.get(sw, 0.0)) for sw in names
+            ]
 
     def slot_loads(self, solution: np.ndarray) -> np.ndarray:
         """L_vn per slot under an LP solution (vectorized Eq. 5 left side)."""
@@ -264,12 +282,7 @@ def assemble_placement_lp(
             np.bincount(entry_col[keep], minlength=col_count.size), out=indptr[1:]
         )
 
-    rhs = np.zeros(n_rows)
-    rhs[core_row0:mem_row0] = [float(available_cores.get(sw, 0)) for sw in switch_names]
-    if with_memory:
-        rhs[mem_row0:n_ub] = [
-            float(available_memory_gb.get(sw, 0.0)) for sw in switch_names
-        ]
+    rhs = np.zeros(n_rows)  # Eq. 6 rows: see set_budgets below
     rhs[n_ub:] = 1.0
     lhs = rhs.copy()
     lhs[:n_ub] = -np.inf
@@ -281,7 +294,7 @@ def assemble_placement_lp(
             return "d[{},{},{}]".format(*d_keys[col])
         return "q[{},{}]".format(*slots[col - n_d])
 
-    return PlacementTemplate(
+    template = PlacementTemplate(
         key=key,
         lp=LinearProgram(
             name="apple-placement",
@@ -313,5 +326,8 @@ def assemble_placement_lp(
         _slot_switch=slot_switch,
         _switch_names=switch_names,
         _core_rows=core_row0 + np.arange(n_sw),
+        _mem_rows=mem_row0 + np.arange(n_sw) if with_memory else None,
         _q_idx=n_d + np.arange(n_slots),
     )
+    template.set_budgets(available_cores, available_memory_gb)
+    return template

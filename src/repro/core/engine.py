@@ -16,15 +16,19 @@ Formulation notes:
 
 Warm-start architecture (the re-solve hot path):
 
-Between traffic snapshots only the class rates T_h change — topology,
-paths, chains, and host sets are identical.  ``place()`` therefore splits
-into a *structure phase* that writes the LP's solver-native arrays
+Between traffic snapshots only the *data* of the instance changes — the
+class rates T_h and, when an arbiter's grant follows the rates, the
+available resources A_v — while topology, paths, chains and the host set
+are identical.  ``place()`` therefore splits into a *structure phase* that
+writes the LP's solver-native arrays
 (:func:`repro.core.constraints.assemble_placement_lp`, cached in a
-:class:`PlacementTemplate` keyed by the class/host/catalog structure) and
-a *per-snapshot phase* that only rewrites the rate coefficients of the
-Eq. 5 capacity rows in place (:meth:`PlacementTemplate.set_rates`) before
-re-solving.  Warm re-solves are bit-identical to cold solves because both
-run the same solve code over the same arrays.
+:class:`PlacementTemplate` keyed by the class structure, the set of hosts
+and the catalog) and a *per-solve phase* that only rewrites the rate
+coefficients of the Eq. 5 capacity rows and the right-hand sides of the
+Eq. 6 budget rows in place (:meth:`PlacementTemplate.set_rates`,
+:meth:`PlacementTemplate.set_budgets`) before re-solving.  Warm re-solves
+are bit-identical to cold solves because both run the same solve code over
+the same arrays.
 """
 
 from __future__ import annotations
@@ -77,12 +81,14 @@ class EngineConfig:
         dust_threshold: a single-instance slot is "dust" when its load is
             below this fraction of one instance's capacity.
         warm_start: reuse cached :class:`PlacementTemplate` structures when
-            consecutive ``place()`` calls share the same class/host
-            structure (snapshot replay, periodic reoptimization).  Warm
-            re-solves produce plans identical to cold solves; disable only
-            to benchmark the cold path.
+            ``place()`` calls share the same classes (ids, paths, chains)
+            and the same set of hosts; rates and core / memory budgets are
+            per-solve data and may differ from call to call (snapshot
+            replay, periodic reoptimization, a tenant's grant moving with
+            its rates).  Warm re-solves produce plans identical to cold
+            solves; disable only to benchmark the cold path.
         template_cache_size: LRU capacity of the engine's template cache
-            (one entry per distinct class/host structure).
+            (one entry per distinct class structure and host set).
     """
 
     solver: str = "rounding"
@@ -167,9 +173,10 @@ class OptimizationEngine:
                 given, Eq. 6 is enforced per resource type (R_n is the
                 (cores, memory) vector of each NF).
             template: an explicit :class:`PlacementTemplate` from
-                :meth:`make_template`; must match this instance's
-                structure.  When omitted and ``config.warm_start`` is on,
-                the engine's internal cache supplies one automatically.
+                :meth:`make_template`; must match this instance's classes
+                and host set (budgets and rates may differ).  When omitted
+                and ``config.warm_start`` is on, the engine's internal
+                cache supplies one automatically.
 
         Raises:
             PlacementError: a class's path has no APPLE host, the model is
@@ -232,6 +239,7 @@ class OptimizationEngine:
             histogram="solver_rate_update_seconds",
         ):
             template.set_rates(classes)
+            template.set_budgets(available_cores, available_memory_gb)
         template.solves += 1
 
         span_name = "engine.warm_solve" if warm else "engine.cold_solve"
@@ -250,8 +258,8 @@ class OptimizationEngine:
                     )
                     quantities = template.quantities(solution)
                 else:
-                    solution, quantities, objective, lp_bound = self._solve_ceiling(
-                        template, available_cores, available_memory_gb
+                    solution, quantities, objective, lp_bound = (
+                        self._solve_ceiling(template)
                     )
         except SolverError as exc:
             raise PlacementError(f"placement infeasible: {exc}") from exc
@@ -392,24 +400,23 @@ class OptimizationEngine:
         available_cores: Mapping[str, int],
         available_memory_gb: Optional[Mapping[str, float]],
     ) -> tuple:
-        """Everything the model structure depends on, except the rates."""
+        """What the model's structure depends on: the classes, the *set* of
+        hosts (switches with free cores) and whether memory is modelled.
+
+        The rates T_c and the budgets A_v are data of one instance — Eq. 5
+        coefficients and Eq. 6 right-hand sides — and stay out of the key;
+        a budget that reaches 0 removes a host and so changes it.
+        """
         class_part = tuple(
             (c.class_id, c.path, tuple(c.chain)) for c in classes
         )
-        cores_part = tuple(sorted(
-            (s, int(v)) for s, v in available_cores.items()
+        hosts_part = tuple(sorted(
+            s for s, free in available_cores.items() if free > 0
         ))
-        mem_part = (
-            None
-            if available_memory_gb is None
-            else tuple(sorted(
-                (s, float(v)) for s, v in available_memory_gb.items()
-            ))
-        )
         return (
             class_part,
-            cores_part,
-            mem_part,
+            hosts_part,
+            available_memory_gb is not None,
             self.config.capacity_headroom,
             id(self.catalog),
         )
@@ -432,12 +439,7 @@ class OptimizationEngine:
         )
 
     # ------------------------------------------------------------------
-    def _solve_ceiling(
-        self,
-        template: PlacementTemplate,
-        available_cores: Mapping[str, int],
-        available_memory_gb: Optional[Mapping[str, float]] = None,
-    ):
+    def _solve_ceiling(self, template: PlacementTemplate):
         """LP relaxation + ceiling rounding with budget-tightening repair.
 
         One LP solve gives the spatial distribution d; the integer counts
@@ -451,18 +453,9 @@ class OptimizationEngine:
         generic iterative rounding.
         """
         program = template.lp
-        switch_names = template._switch_names
-        avail_cores_arr = np.fromiter(
-            (float(available_cores.get(sw, 0)) for sw in switch_names),
-            dtype=float,
-            count=len(switch_names),
-        )
-        if available_memory_gb is not None:
-            avail_mem_arr = np.fromiter(
-                (float(available_memory_gb.get(sw, 0.0)) for sw in switch_names),
-                dtype=float,
-                count=len(switch_names),
-            )
+        n_switches = len(template._switch_names)
+        # This call's A_v, as ``place`` wrote it (fancy indexing copies).
+        avail_cores_arr = program.rhs[template._core_rows]
         budgets = avail_cores_arr.copy()
         banned: List[int] = []  # slot indices whose d vars are forced to zero
         prev_violations: Dict[int, int] = {}
@@ -498,20 +491,21 @@ class OptimizationEngine:
             cores_used = np.bincount(
                 template._slot_switch,
                 weights=template._slot_cores * counts,
-                minlength=len(switch_names),
+                minlength=n_switches,
             )
             over = cores_used - avail_cores_arr
             violations = {
                 int(k): int(over[k]) for k in np.flatnonzero(over > 0)
             }
-            if available_memory_gb is not None and not violations:
+            if template._mem_rows is not None and not violations:
                 # Memory overshoot cannot be repaired by tightening core
                 # budgets; defer to the generic rounding fallback.
                 mem_used = np.bincount(
                     template._slot_switch,
                     weights=template._slot_mem * counts,
-                    minlength=len(switch_names),
+                    minlength=n_switches,
                 )
+                avail_mem_arr = program.rhs[template._mem_rows]
                 if bool(np.any(mem_used > avail_mem_arr + 1e-9)):
                     break
             if not violations:

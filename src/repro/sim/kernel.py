@@ -102,10 +102,13 @@ class Simulator:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the number of events fired.
 
-        When stopped by ``until``, the clock is advanced exactly to
-        ``until`` so back-to-back ``run`` calls tile the timeline.
+        When stopped by ``until`` (nothing left at or before it), the
+        clock is advanced exactly to ``until`` so back-to-back ``run``
+        calls tile the timeline.  When stopped by ``max_events`` the clock
+        stays at the last fired event: earlier events may still be queued.
         """
         fired = 0
+        exhausted = True
         self._running = True
         try:
             while self._queue:
@@ -123,10 +126,11 @@ class Simulator:
                 fired += 1
                 self._fired += 1
                 if max_events is not None and fired >= max_events:
+                    exhausted = False
                     break
         finally:
             self._running = False
-        if until is not None and self.now < until:
+        if exhausted and until is not None and self.now < until:
             self.now = until
         if _obs.REGISTRY.enabled:
             _obs.metric("sim_events_fired_total").set_total(self._fired)

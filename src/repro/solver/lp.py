@@ -185,7 +185,7 @@ def _solve_direct(
         )
     return LPResult(
         status="optimal",
-        objective=float(highs.getInfo().objective_function_value),
+        objective=float(highs.getObjectiveValue()),
         solution=np.asarray(highs.getSolution().col_value, dtype=float),
     )
 

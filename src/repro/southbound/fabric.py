@@ -1,7 +1,8 @@
 """The southbound fabric: desired state, transactions, anti-entropy.
 
-:class:`SouthboundFabric` owns one control channel per physical switch
-and the single *desired* :class:`~repro.southbound.state.NetworkState`.
+:class:`SouthboundFabric` owns the control channels to the physical
+switches (one per switch, built when the switch is first addressed) and
+the single *desired* :class:`~repro.southbound.state.NetworkState`.
 State changes flow through exactly one door:
 
 * :meth:`adopt` — bless the network's current (cold-installed, day-0)
@@ -63,8 +64,29 @@ from repro.vnf.instance import VNFInstance
 EpochCallback = Callable[[Optional[EpochConvergence]], None]
 
 
+class _Channels(dict):
+    """``switch -> ControlChannel``; a missing switch is built on first use."""
+
+    def __init__(self, build: Callable[[str], ControlChannel]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, switch: str) -> ControlChannel:
+        channel = self[switch] = self._build(switch)
+        return channel
+
+
 class SouthboundFabric:
     """Fault-tolerant rule distribution for one data-plane network.
+
+    A switch's control channel (with its agent and RNG) is built the first
+    time the fabric addresses that switch — a transaction message, or
+    :meth:`disconnect` / :meth:`reconnect` — so a fabric pays only for the
+    switches it talks to.  Each channel draws from its own substream
+    ``derive(derive(seed, "chaos.southbound"), "channel.<switch>")``, so
+    what it draws does not depend on when it, or any other channel, was
+    built.  ``channels`` holds the channels that exist; a switch without
+    one has sent nothing, holds no degraded time and cannot be degraded.
 
     Args:
         seed: the *run* seed; all channel randomness lives on
@@ -103,20 +125,12 @@ class SouthboundFabric:
         self.on_degraded: Optional[Callable[[str, float], None]] = None
         self.on_restored: Optional[Callable[[str, float], None]] = None
 
-        base = derive(seed, SOUTHBOUND_STREAM)
-        self.channels: Dict[str, ControlChannel] = {}
-        for s in sorted(network.switches):
-            agent = SwitchAgent(s, network, on_paths_applied=self._paths_applied)
-            self.channels[s] = ControlChannel(
-                sim,
-                agent,
-                self.config,
-                self.chaos,
-                SeededRNG(derive(base, f"channel.{s}")),
-                self.metrics,
-                on_circuit_open=self._circuit_opened,
-                on_circuit_close=self._circuit_closed,
-            )
+        self._channel_seed = derive(seed, SOUTHBOUND_STREAM)
+        #: Set by :meth:`kill`; a channel born afterwards is born dead.
+        self._killed = False
+        #: The channels that exist.  Indexing a switch that has none yet
+        #: builds it, so iteration sees only switches already addressed.
+        self.channels: Dict[str, ControlChannel] = _Channels(self._open_channel)
 
         self.desired: Optional[NetworkState] = None
         self._view = InstalledView(network)
@@ -277,13 +291,15 @@ class SouthboundFabric:
         The switches keep every installed rule and VNF instance — only
         the controller-resident halves die: the reconciler stops, every
         control channel goes dead (already-scheduled deliveries, acks
-        and timeouts become no-ops), and the in-flight transaction is
-        orphaned.  Recovery builds a *new* fabric over the same network
-        and re-adopts this surviving wire state through its reconciler.
+        and timeouts become no-ops; a channel built later is born
+        dead), and the in-flight transaction is orphaned.  Recovery
+        builds a *new* fabric over the same network and re-adopts this
+        surviving wire state through its reconciler.
         """
         if self._reconcile_timer is not None:
             self._reconcile_timer.cancel()
             self._reconcile_timer = None
+        self._killed = True
         for channel in self.channels.values():
             channel.dead = True
         self.current_txn = None
@@ -350,6 +366,25 @@ class SouthboundFabric:
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
+    def _open_channel(self, switch: str) -> ControlChannel:
+        if switch not in self.network.switches:
+            raise KeyError(switch)
+        agent = SwitchAgent(
+            switch, self.network, on_paths_applied=self._paths_applied
+        )
+        channel = ControlChannel(
+            self.sim,
+            agent,
+            self.config,
+            self.chaos,
+            SeededRNG(derive(self._channel_seed, f"channel.{switch}")),
+            self.metrics,
+            on_circuit_open=self._circuit_opened,
+            on_circuit_close=self._circuit_closed,
+        )
+        channel.dead = self._killed
+        return channel
+
     def _launch(self, diffs: List[SwitchDiff]) -> None:
         if not diffs:
             self._note_converged()

@@ -144,3 +144,23 @@ def test_scale_sweep_quick():
     # same seed, same sweep: the experiment is deterministic
     again = scale_sweep.run(quick=True, seed=0)
     assert [r[6] for r in again.rows] == [r[6] for r in result.rows]
+
+
+def test_pinned_quick_seed1_signatures():
+    """The ``--quick --seed 1`` state signatures every change to the
+    control plane has been compared against by hand since the southbound
+    fabric became the only writer.  A plan, an epoch or a ledger entry
+    that moves changes them; a deliberate change updates them here."""
+    from repro.experiments import controller_crash, multi_tenant
+
+    tenants = multi_tenant.run(seed=1, quick=True)
+    assert [(row[0], row[-1]) for row in tenants.rows] == [
+        (8, "572252533493d43d"),
+        (16, "7a0cba55ab055dab"),
+    ]
+    crash = controller_crash.run(seed=1, quick=True)
+    signature = crash.columns.index("Signature")
+    assert [(row[0], row[signature]) for row in crash.rows] == [
+        (name, "7fcdfe243983c31b")
+        for name in ("baseline", "crash#1", "crash#2", "all-crashes")
+    ]

@@ -18,6 +18,36 @@ def test_drain_runs_chunks_in_order():
     assert sim.now == 3.0
 
 
+def test_max_events_stop_keeps_the_clock_behind_pending_events():
+    """Stopped by ``max_events`` with earlier events still queued, ``run``
+    must not jump to ``until``: it did, so a later ``schedule_at`` was
+    refused and the next ``run`` moved the clock backwards."""
+    sim = Simulator()
+    seen = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule_at(t, lambda t=t: seen.append((t, sim.now)))
+    assert sim.run(until=10.0, max_events=1) == 1
+    assert sim.now == 1.0 and sim.pending == 2
+    sim.schedule_at(5.0, lambda: seen.append((5.0, sim.now)))
+    clock = [sim.now]
+    assert sim.run(until=10.0, max_events=2) == 2
+    clock.append(sim.now)
+    assert sim.run(until=10.0) == 1  # the queue drains: tile up to until
+    clock.append(sim.now)
+    assert sim.run(until=12.0) == 0
+    clock.append(sim.now)
+    assert clock == [1.0, 3.0, 10.0, 12.0]
+    assert seen == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (5.0, 5.0)]
+    assert sim.pending == 0
+
+
+def test_until_stop_still_advances_past_a_later_event():
+    sim = Simulator()
+    sim.schedule_at(20.0, lambda: None)
+    assert sim.run(until=10.0, max_events=5) == 0
+    assert sim.now == 10.0 and sim.pending == 1
+
+
 def test_process_exception_propagates():
     sim = Simulator()
 

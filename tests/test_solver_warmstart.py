@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+import repro.core.engine as engine_module
 from repro.core.engine import EngineConfig, OptimizationEngine, PlacementError
 from repro.experiments.harness import ExperimentResult, parallel_map
 from repro.solver.lp import solve_lp
 from repro.solver.model import CompiledModel, LinExpr, Model, Sense
+from repro.solver.rounding import solve_with_rounding
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
 
@@ -101,6 +103,141 @@ def test_single_shot_template_rejected_after_first_solve():
     template.reusable = False  # as if sparsity had been degenerate
     with pytest.raises(PlacementError, match="single-shot"):
         engine.place(_classes([200.0] * 4), CORES, template=template)
+
+
+# ---------------------------------------------------------------------------
+# Budgets are per-solve data like the rates: A_v moves, the template stays.
+# ---------------------------------------------------------------------------
+
+_STEP = st.tuples(
+    st.lists(st.integers(1, 48), min_size=len(LINE), max_size=len(LINE)),
+    st.lists(st.floats(2.0, 24.0), min_size=len(LINE), max_size=len(LINE)),
+    st.lists(
+        st.floats(min_value=0.0, max_value=1500.0),
+        min_size=len(STRUCTURE),
+        max_size=len(STRUCTURE),
+    ),
+)
+
+#: rounding / exact, cores only / cores + memory.  Tight memory is what
+#: sends ``_solve_ceiling`` to the ``solve_with_rounding`` fallback (see
+#: test_budget_moves_reach_the_rounding_fallback); the exact solver runs
+#: under a small node limit to keep the property cheap.
+_VARIANTS = [
+    (EngineConfig(), False),
+    (EngineConfig(), True),
+    (EngineConfig(solver="exact", max_bb_nodes=100), False),
+    (EngineConfig(solver="exact", max_bb_nodes=100), True),
+]
+
+
+def _outcome(engine, classes, cores, memory=None, template=None):
+    """Everything a plan fixes, or the error text when there is none."""
+    try:
+        plan = engine.place(classes, cores, memory, template=template)
+    except PlacementError as exc:
+        return str(exc)
+    return plan.quantities, plan.distribution, plan.objective, plan.lp_bound
+
+
+def _instance(step, with_memory):
+    budgets, memory, rates = step
+    return (
+        _classes(rates),
+        dict(zip(LINE, budgets)),
+        dict(zip(LINE, memory)) if with_memory else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "config,with_memory",
+    _VARIANTS,
+    ids=["rounding", "rounding+memory", "exact", "exact+memory"],
+)
+@given(steps=st.lists(_STEP, min_size=2, max_size=4))
+@settings(max_examples=12, deadline=None)
+def test_budget_and_rate_sequence_equals_a_fresh_engine(config, with_memory, steps):
+    warm = OptimizationEngine(config=config)
+    for step in steps:
+        instance = _instance(step, with_memory)
+        fresh = OptimizationEngine(config=config)
+        assert _outcome(warm, *instance) == _outcome(fresh, *instance)
+    # One structure, however the budgets and rates moved.
+    assert warm.cold_builds == 1 and warm.warm_solves == len(steps) - 1
+
+
+def test_budget_moves_reach_the_rounding_fallback(monkeypatch):
+    """Budgets written into the template are what the generic rounding
+    fallback (which reads the LP's own right-hand side) solves against."""
+    fallbacks = []
+
+    def spy(program):
+        fallbacks.append(program.rhs.copy())
+        return solve_with_rounding(program)
+
+    monkeypatch.setattr(engine_module, "solve_with_rounding", spy)
+    rng = np.random.default_rng(0)
+    warm = OptimizationEngine(config=EngineConfig())
+    seen, outcomes = 0, set()
+    for _ in range(40):
+        step = (
+            [int(b) for b in rng.integers(4, 40, len(LINE))],
+            [float(m) for m in rng.uniform(2.0, 24.0, len(LINE))],
+            [float(r) for r in rng.uniform(0.0, 1500.0, len(STRUCTURE))],
+        )
+        instance = _instance(step, with_memory=True)
+        before = len(fallbacks)
+        got = _outcome(warm, *instance)
+        if len(fallbacks) == before:
+            continue
+        seen += 1
+        outcomes.add(type(got))
+        # The fallback saw this call's budgets, not the template's first.
+        template = next(iter(warm._templates.values()))
+        rhs = fallbacks[-1]
+        assert rhs[template._core_rows].tolist() == [
+            float(instance[1][sw]) for sw in template._switch_names
+        ]
+        assert rhs[template._mem_rows].tolist() == [
+            instance[2][sw] for sw in template._switch_names
+        ]
+        assert got == _outcome(OptimizationEngine(config=EngineConfig()), *instance)
+    assert seen >= 10 and outcomes == {tuple, str}  # plans and refusals both
+    assert warm.cold_builds == 1
+
+
+def test_a_budget_falling_to_zero_rebuilds():
+    engine = OptimizationEngine(config=EngineConfig())
+    classes = _classes([100.0] * 4)
+    engine.place(classes, CORES)
+    engine.place(classes, {**CORES, "s1": 8})
+    engine.place(classes, {**CORES, "s1": 8, "s3": 12})
+    assert (engine.cold_builds, engine.warm_solves) == (1, 2)
+    # s1 stops being a host: fewer d and q columns, another structure.
+    shrunk = engine.place(classes, {**CORES, "s1": 0})
+    assert (engine.cold_builds, engine.warm_solves) == (2, 2)
+    assert not shrunk.warm_start
+    assert all(sw != "s1" for sw, _nf in shrunk.quantities)
+    # ... and leaving s1 out altogether is that same structure.
+    without = engine.place(classes, {s: c for s, c in CORES.items() if s != "s1"})
+    assert without.warm_start and without.quantities == shrunk.quantities
+    assert engine.place(classes, CORES).warm_start  # the first one is still cached
+
+
+def test_explicit_template_takes_other_budgets_not_another_host_set():
+    engine = OptimizationEngine(config=EngineConfig())
+    classes = _classes([400.0, 300.0, 200.0, 100.0])
+    template = engine.make_template(classes, CORES)
+    for cores in (CORES, {**CORES, "s0": 8, "s2": 12}, dict.fromkeys(LINE, 1)):
+        fresh = OptimizationEngine(config=EngineConfig())
+        assert _outcome(engine, classes, cores, template=template) == _outcome(
+            fresh, classes, cores
+        )
+    for other_hosts in ({**CORES, "s2": 0}, {**CORES, "s9": 4}):
+        with pytest.raises(PlacementError, match="template does not match"):
+            engine.place(classes, other_hosts, template=template)
+    with pytest.raises(PlacementError, match="template does not match"):
+        engine.place(classes, CORES, dict.fromkeys(LINE, 64.0), template=template)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,207 @@
+#!/usr/bin/env python
+"""Count what a tenant-churn history makes the control plane do.
+
+Builds seeded platform histories the way the pipeline benchmark's
+``internet2_tenant_churn`` workload does — ``--tenants`` tenants of
+``generate_intents`` churn on ``internet2(default_host_cores=160)``, run to
+70 sim-seconds, history ``k`` seeded ``derive(seed, "pipeline.history.k")``
+— and prints the counts performance issues on that workload quote: LP
+solves per ``place()``, LP assemblies, the warm share, control channels
+built against fabrics x switches and against the switches that were ever
+sent a message, and the seconds the cyclic collector ran inside the
+histories.  The counts are exact and repeat; only the seconds are a
+measurement.  Nothing is imported from ``benchmarks/``, so the tool runs
+unchanged on any commit (for a before / after, run it in both checkouts).
+
+Usage::
+
+    PYTHONPATH=src python tools/churn_counts.py --seed 7 --histories 6
+    PYTHONPATH=src python tools/churn_counts.py --tenants 16 --check
+
+``--check`` exits 1 when a channel was built for a switch that was never
+sent a message (the CI smoke assertion: channels are built on first use).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import sys
+import time
+from collections import Counter
+from contextlib import ExitStack
+from typing import List, Optional
+from unittest import mock
+
+import repro.core.engine as engine_module
+import repro.solver.lp as lp_module
+from repro.core.engine import OptimizationEngine
+from repro.experiments.multi_tenant import generate_intents
+from repro.sim.kernel import Simulator
+from repro.sim.rng import derive
+from repro.southbound.channel import ControlChannel
+from repro.southbound.fabric import SouthboundFabric
+from repro.tenancy import TenantOrchestrator
+from repro.topology.datasets import internet2
+
+HOST_CORES = 160
+HORIZON_SIM_S = 70.0
+
+
+class Counts:
+    """The tallies, and the wrappers that feed them while installed."""
+
+    def __init__(self) -> None:
+        self.solves_per_place: Counter = Counter()
+        self.places = self.warm_places = self.failed_places = 0
+        self.assemblies = 0
+        self.fabrics = self.switch_slots = 0
+        self.channels_built = 0
+        self.channels_messaged = 0
+        self.intents = 0
+        self.gc_seconds = 0.0
+        self.gc_passes: Counter = Counter()
+        self.history_seconds = 0.0
+        self._solves = 0
+        self._gc_started = 0.0
+
+    # -- wrappers ------------------------------------------------------
+    def _wrap(self, stack: ExitStack, owner, name: str, around) -> None:
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            return around(inner, *args, **kwargs)
+
+        stack.enter_context(mock.patch.object(owner, name, wrapper))
+
+    def installed(self) -> ExitStack:
+        stack = ExitStack()
+
+        def solve(inner, *args, **kwargs):
+            self._solves += 1
+            return inner(*args, **kwargs)
+
+        def place(inner, *args, **kwargs):
+            before = self._solves
+            self.places += 1
+            try:
+                plan = inner(*args, **kwargs)
+            except engine_module.PlacementError:
+                self.failed_places += 1
+                raise
+            finally:
+                self.solves_per_place[self._solves - before] += 1
+            self.warm_places += bool(plan.warm_start)
+            return plan
+
+        def assemble(inner, *args, **kwargs):
+            self.assemblies += 1
+            return inner(*args, **kwargs)
+
+        def fabric_init(inner, fabric, sim, network, *args, **kwargs):
+            self.fabrics += 1
+            self.switch_slots += len(network.switches)
+            return inner(fabric, sim, network, *args, **kwargs)
+
+        def channel_init(inner, channel, *args, **kwargs):
+            self.channels_built += 1
+            return inner(channel, *args, **kwargs)
+
+        def channel_send(inner, channel, *args, **kwargs):
+            if "_churn_counted" not in vars(channel):
+                channel._churn_counted = True
+                self.channels_messaged += 1
+            return inner(channel, *args, **kwargs)
+
+        for name in ("_solve_direct", "_solve_linprog"):
+            if hasattr(lp_module, name):
+                self._wrap(stack, lp_module, name, solve)
+        self._wrap(stack, OptimizationEngine, "place", place)
+        self._wrap(stack, engine_module, "assemble_placement_lp", assemble)
+        self._wrap(stack, SouthboundFabric, "__init__", fabric_init)
+        self._wrap(stack, ControlChannel, "__init__", channel_init)
+        self._wrap(stack, ControlChannel, "send", channel_send)
+        gc.callbacks.append(self._on_gc)
+        stack.callback(gc.callbacks.remove, self._on_gc)
+        return stack
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._gc_started = time.perf_counter()
+        else:
+            self.gc_seconds += time.perf_counter() - self._gc_started
+            self.gc_passes[info["generation"]] += 1
+
+
+def run_history(counts: Counts, tenants: int, seed: int) -> None:
+    """One platform history; set-up is outside the counted region."""
+    topo = internet2(default_host_cores=HOST_CORES)
+    sim = Simulator(seed=seed)
+    orch = TenantOrchestrator(topo, sim, seed=seed)
+    intents = generate_intents(tenants, sorted(topo.hosts), seed)
+    counts.intents += len(intents)
+    with counts.installed():
+        started = time.perf_counter()
+        orch.start()
+        for delay, intent in intents:
+            orch.submit(intent, delay=delay)
+        sim.run(until=HORIZON_SIM_S)
+        orch.stop()
+        counts.history_seconds += time.perf_counter() - started
+
+
+def report(counts: Counts, args: argparse.Namespace) -> str:
+    places = counts.places or 1
+    histogram = ", ".join(
+        f"{n}: {k}" for n, k in sorted(counts.solves_per_place.items())
+    )
+    solves = sum(n * k for n, k in counts.solves_per_place.items())
+    passes = ", ".join(
+        f"gen{g}: {k}" for g, k in sorted(counts.gc_passes.items())
+    )
+    lines = [
+        f"histories            {args.histories} x {args.tenants} tenants, "
+        f"seed {args.seed}, {counts.intents} intents",
+        f"place() calls        {counts.places} "
+        f"({counts.failed_places} raised PlacementError)",
+        f"LP solves            {solves} ({solves / places:.2f} per place())",
+        f"solves per place()   {histogram}",
+        f"LP assemblies        {counts.assemblies}",
+        f"warm share           {counts.warm_places / places:.3f} "
+        f"({counts.warm_places} of {counts.places})",
+        f"fabrics x switches   {counts.switch_slots} ({counts.fabrics} fabrics)",
+        f"channels built       {counts.channels_built}",
+        f"channels messaged    {counts.channels_messaged}",
+        f"collector in-history {counts.gc_seconds:.3f} s of "
+        f"{counts.history_seconds:.3f} s ({passes or 'no passes'})",
+    ]
+    return "\n".join(lines)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--tenants", type=int, default=100)
+    parser.add_argument("--histories", type=int, default=1)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="exit 1 if more channels were built than were sent a message",
+    )
+    args = parser.parse_args(argv)
+    counts = Counts()
+    for k in range(args.histories):
+        run_history(counts, args.tenants, derive(args.seed, f"pipeline.history.{k}"))
+    print(report(counts, args))
+    if args.check and counts.channels_built > counts.channels_messaged:
+        print(
+            f"FAIL: {counts.channels_built} channels built, only "
+            f"{counts.channels_messaged} were ever sent a message",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
