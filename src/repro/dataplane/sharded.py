@@ -5,17 +5,23 @@ amortises rule lookups per hash interval but still executes per packet.
 This module adds the next structural step, in two layers:
 
 **Columnar walk** (:class:`_ColumnWalker`).  Every per-packet pass over
-the column of ``(class_idx, hash, timestamp)`` arrays is O(n).  Each packet
-gets one integer ``(class, interval)`` key — class offset plus interval
-index, the index from the exact search of the hash in its class's own small
-cuts array — and one radix sort on that narrow key groups the column: the
-columnar TCAM walk, each distinct group taking its per-hop TCAM hits from
-the plan cache (:meth:`DataPlaneNetwork.class_intervals`, whose
-:class:`_WalkPlan` names the group's exact VNF instance set).  The walker
-then tries to apply whole time-slices in bulk: for
+the column of ``(class_idx, hash, timestamp)`` arrays is O(n).  One radix
+sort on the narrow class column gives every class a contiguous segment, and
+a class whose hash space is cut regroups its own segment by interval — the
+index from the exact search of its hashes in its own small cuts array — so
+the packets of each ``(class, interval)`` group sit side by side in time
+order: the columnar TCAM walk, each distinct group taking its per-hop TCAM
+hits from the plan cache (:meth:`DataPlaneNetwork.class_intervals`, whose
+:class:`_WalkPlan` names the group's exact VNF instance set).  One gather
+of the timestamps through that order leaves each group an ascending
+*timestamp run*, and an instance's arrival column is the stable merge of
+the runs of the groups that visit it; nothing downstream gathers again, and
+packet *positions* are kept only for callers that address packets
+(``collect=True``, the dirty side of a contamination split, the slice
+recursion).  The walker then tries to apply whole time-slices in bulk: for
 every instance appearing in the slice it evaluates a vectorised *no-drop*
 admission check (the sliding-window rule as one shifted comparison over
-the instance's merged arrival column: an arrival is refused iff its
+the instance's arrival column: an arrival is refused iff its
 ``floor(budget)``-th predecessor is still inside the window), and if every
 instance admits everything, counters are bulk-added and windows
 bulk-extended — numpy instead of the per-packet loop.  If anything could
@@ -74,25 +80,47 @@ def _narrow_uint(count: int):
     return np.uint16 if count <= 1 << 16 else np.int64
 
 
-def _merge_positions(group_pos: List[np.ndarray], parts: List[tuple]) -> np.ndarray:
-    """Ascending positions of ``(group, occurrences)`` parts, merged."""
-    pos_parts = [
-        group_pos[g] if k == 1 else np.repeat(group_pos[g], k) for g, k in parts
-    ]
-    if len(pos_parts) == 1:
-        return pos_parts[0]
-    return np.sort(np.concatenate(pos_parts), kind="stable")
+def _merge_runs(runs: List[np.ndarray], parts: List[tuple], int_view: bool) -> np.ndarray:
+    """Stable merge of the ascending runs named by ``(group, occurrences)`` parts.
+
+    The concatenation is a handful of ascending runs, which the stable sort
+    (a timsort above 16 bits) finds and merges without re-sorting inside
+    them.  ``int_view`` sorts float64 runs through their int64 view — the
+    same order for non-negative floats, on cheaper comparisons.
+    """
+    cols = [runs[g] if k == 1 else np.repeat(runs[g], k) for g, k in parts]
+    if len(cols) == 1:
+        return cols[0]
+    col = np.concatenate(cols)
+    (col.view(np.int64) if int_view else col).sort(kind="stable")
+    return col
 
 
-def _span(pos: np.ndarray, lo: int, hi: int, n: int) -> Tuple[int, int]:
-    """Index range of ascending ``pos`` inside the column slice ``[lo, hi)``."""
+def _span(pos: Optional[np.ndarray], size: int, lo: int, hi: int, n: int) -> Tuple[int, int]:
+    """Index range, in an arrival column of ``size`` entries at ascending
+    positions ``pos``, of the column slice ``[lo, hi)``.  ``pos`` is read
+    only for a slice narrower than the column (it may be ``None`` otherwise).
+    """
     if lo == 0 and hi == n:
-        return 0, len(pos)  # the whole column: no search
+        return 0, size  # the whole column: no search
     return int(pos.searchsorted(lo)), int(pos.searchsorted(hi))
 
 
 class _ColumnWalker:
     """Columnar execution of one packet column on one network.
+
+    One radix sort by class, cut classes regrouped by interval inside their
+    own segment, puts every ``(class, interval)`` group's packets side by
+    side in time order (:meth:`_group`); one gather of ``ts`` through that
+    order turns the groups into ascending *timestamp runs*.  An instance's
+    arrival column is the stable merge of the runs of the groups whose
+    plans visit it — timestamps, not positions: the admission check
+    (:meth:`_check_bulk`) and the bulk application (:meth:`_bulk_apply`)
+    read slices of it and never gather.  Positions exist only where a
+    caller needs them: per group for ``collect=True`` and for the dirty
+    side of a contamination split, per instance for the slice recursion
+    (:meth:`_process`, fallback plans), which cuts columns at packet
+    positions.
 
     Stateless apart from the per-instance penalty box (which only affects
     *how* a slice is processed, never its outcome).
@@ -104,42 +132,48 @@ class _ColumnWalker:
         self.bulk_packets = 0
         self.seq_packets = 0
 
-    def group_keys(
+    def _group(
         self, classes: Sequence[str], cls_idx: np.ndarray, hashes: np.ndarray
-    ) -> Tuple[np.ndarray, List[tuple]]:
-        """One integer ``(class, hash interval)`` key per packet.
+    ) -> Tuple[np.ndarray, List[_WalkPlan], List[Tuple[int, int]]]:
+        """The column grouped by ``(class, hash interval)``.
 
-        Returns ``(keys, table)`` with ``table[k]`` the ``(class plans,
-        interval)`` pair behind key ``k`` — the key of the network's plan
-        cache.  A key is its class's offset plus the interval index, found
-        by the exact search of the hash in the class's own small cuts
-        array; between adjacent TCAM hash-range boundaries every flow
-        matches the same entry sequence, so there are classes × intervals
-        keys, not one per distinct flow hash.
+        Returns ``(order, plans, bounds)``: ``order[a:b]`` for ``(a, b) =
+        bounds[g]`` are the ascending positions of group ``g``'s packets and
+        ``plans[g]`` its plan from the network's cache.  Groups come in
+        class order, intervals ascending inside a class, empty ones left
+        out; only classes with packets are looked up.  A stable sort on the
+        class column hands each class one contiguous segment; an uncut
+        class is one group, a cut class regroups its own segment by the
+        exact search of its hashes in its own small cuts array — between
+        adjacent TCAM hash-range boundaries every flow matches the same
+        entry sequence, so there are classes × intervals groups, not one
+        per distinct flow hash.
         """
         net = self.net
-        counts = np.bincount(cls_idx, minlength=len(classes))
-        base = np.zeros(len(classes), dtype=np.int64)
-        table: List[tuple] = []
-        cut_classes = []
-        for ci in np.flatnonzero(counts).tolist():
+        order = np.argsort(cls_idx.astype(_narrow_uint(len(classes))), kind="stable")
+        plans: List[_WalkPlan] = []
+        bounds: List[Tuple[int, int]] = []
+        end = 0
+        for ci, count in enumerate(np.bincount(cls_idx).tolist()):
+            if not count:
+                continue
             cp = net.class_intervals(classes[ci])
-            base[ci] = len(table)
-            table.extend((cp, g) for g in range(len(cp.cuts) + 1))
-            if cp.cuts:
-                cut_classes.append((ci, cp))
-        dtype = _narrow_uint(len(table))
-        keys = base.astype(dtype)[cls_idx]
-        if cut_classes:
-            order = np.argsort(
-                cls_idx.astype(_narrow_uint(len(classes))), kind="stable"
+            start, end = end, end + count
+            if not cp.cuts:
+                plans.append(net.interval_plan(cp, 0))
+                bounds.append((start, end))
+                continue
+            seg = order[start:end]
+            ivals = np.searchsorted(cp.cuts, hashes[seg], side="right").astype(
+                _narrow_uint(len(cp.cuts) + 1)
             )
-            ends = np.cumsum(counts)
-            for ci, cp in cut_classes:
-                cpos = order[ends[ci] - counts[ci] : ends[ci]]
-                ivals = np.searchsorted(cp.cuts, hashes[cpos], side="right")
-                keys[cpos] += ivals.astype(dtype)
-        return keys, table
+            order[start:end] = seg[np.argsort(ivals, kind="stable")]
+            for g, size in enumerate(np.bincount(ivals).tolist()):
+                if size:
+                    plans.append(net.interval_plan(cp, g))
+                    bounds.append((start, start + size))
+                    start += size
+        return order, plans, bounds
 
     def run(
         self,
@@ -149,35 +183,28 @@ class _ColumnWalker:
         ts: np.ndarray,
         size_bytes: int,
         collect: bool,
-        keys: np.ndarray,
-        table: List[tuple],
     ) -> Optional[list]:
-        """Walk one time-ordered column; exact ``inject_stream`` semantics.
-
-        ``keys``/``table``: :meth:`group_keys` of this column.
-        """
-        net = self.net
+        """Walk one time-ordered column; exact ``inject_stream`` semantics."""
         n = len(ts)
         if n == 0:
             return [] if collect else None
 
-        # Columnar TCAM walk: one radix group-by on the key.  The stable
-        # sort keeps time order inside a group; sizes give the boundaries.
-        group_pos: List[np.ndarray] = []
-        plans: List[_WalkPlan] = []
-        fallback_parts = []
-        order = np.argsort(keys, kind="stable")
-        sizes = np.bincount(keys)
-        ends = np.cumsum(sizes).tolist()
-        for k in np.flatnonzero(sizes).tolist():
-            plan = net.interval_plan(*table[k])
-            pos = order[ends[k] - sizes[k] : ends[k]]  # ascending
-            plans.append(plan)
-            group_pos.append(pos)
-            if plan.fallback:
-                fallback_parts.append(pos)
+        # Columnar TCAM walk: one group-by, then one gather that leaves
+        # every group an ascending run of timestamps.
+        order, plans, bounds = self._group(classes, cls_idx, hashes)
+        by_group = ts[order]
+        runs = [by_group[a:b] for a, b in bounds]
+        fallback = any(plan.fallback for plan in plans)
+        # Positions per group (views of the sort order) only for callers
+        # that address packets; otherwise the order, an n-sized column, is
+        # released before the merges below reach their peak.
+        if collect or fallback:
+            group_pos = [order[a:b] for a, b in bounds]
+        else:
+            group_pos = [None] * len(plans)
+        del order
 
-        # Per-instance merged arrival columns (positions repeated per
+        # Per-instance merged arrival columns (a run repeated per
         # occurrence in a plan, kept in global time order).
         inst_entries: Dict[int, list] = {}  # id → [slot, [(group, occ)...]]
         for g, plan in enumerate(plans):
@@ -191,34 +218,44 @@ class _ColumnWalker:
             for iid, (slot, k) in occ.items():
                 entry = inst_entries.setdefault(iid, [slot, []])
                 entry[1].append((g, k))
-        inst_cols: List[list] = [  # [iid, slot, positions ndarray]
-            [iid, slot, _merge_positions(group_pos, parts)]
-            for iid, (slot, parts) in inst_entries.items()
-        ]
-
+        groups = list(zip(plans, runs, group_pos))
         outcomes: Optional[list] = [None] * n if collect else None
-
-        # One full-column no-drop check.  The common case — nothing can
-        # drop, no fallback groups — bulk-applies the whole column in one
-        # pass with no recursion at all.
-        culprits = self._check_bulk(0, n, ts, inst_cols)
-        if not culprits and not fallback_parts:
-            self._bulk_apply(
-                0, n, ts, plans, group_pos, inst_cols, size_bytes, outcomes
-            )
-            return outcomes
 
         # A fallback plan's packets run through the exact scalar walker,
         # which may touch state (header-modified re-steers, downstream
         # hooks) that no static instance column names — so a clean/dirty
         # split cannot be proven safe.  Hand the whole column to the
-        # slice recursion, which serialises around fallback positions.
-        if fallback_parts:
-            fallback_pos = np.sort(np.concatenate(fallback_parts))
+        # slice recursion, which serialises around fallback positions and
+        # cuts every arrival column at packet positions: here, and only
+        # here, an instance's positions are merged (and gathered once).
+        if fallback:
+            inst_cols: List[list] = []  # [iid, slot, timestamps, positions]
+            for iid, (slot, parts) in inst_entries.items():
+                pos = _merge_runs(group_pos, parts, False)
+                inst_cols.append([iid, slot, ts[pos], pos])
+            fallback_pos = np.sort(
+                np.concatenate([pos for plan, _, pos in groups if plan.fallback])
+            )
             self._process(
-                0, n, ts, hashes, cls_idx, classes, plans, group_pos,
+                0, n, ts, hashes, cls_idx, classes, groups,
                 fallback_pos, inst_cols, size_bytes, outcomes,
             )
+            return outcomes
+
+        # From zero up a float64 orders as its int64 view does (a -0.0 ahead
+        # of the +0.0s it equals); a column that starts below merges as floats.
+        int_view = bool(ts[0] >= 0)
+        inst_cols = [
+            [iid, slot, _merge_runs(runs, parts, int_view), None]
+            for iid, (slot, parts) in inst_entries.items()
+        ]
+
+        # One full-column no-drop check.  The common case — nothing can
+        # drop — bulk-applies the whole column in one pass with no
+        # recursion and no positions at all.
+        culprits = self._check_bulk(0, n, n, inst_cols)
+        if not culprits:
+            self._bulk_apply(0, n, n, groups, inst_cols, size_bytes, outcomes)
             return outcomes
 
         # Contamination is local, not transitive.  A culprit (check-
@@ -244,9 +281,12 @@ class _ColumnWalker:
                     break
 
         # Dirty side first: the scalar walk decides the survivors whose
-        # timestamps the mixed-window merge below consumes.
-        dlist = sorted(dirty_groups)
-        dpos = np.sort(np.concatenate([group_pos[g] for g in dlist]))
+        # timestamps the mixed-window merge below consumes.  Its packets
+        # are addressed by position: regroup if the order was released.
+        if not collect:
+            order = self._group(classes, cls_idx, hashes)[0]
+            group_pos = [order[a:b] for a, b in bounds]
+        dpos = np.sort(np.concatenate([group_pos[g] for g in sorted(dirty_groups)]))
         m = len(dpos)
         sub_out: Optional[list] = [None] * m if collect else None
         self._sequential(
@@ -257,30 +297,22 @@ class _ColumnWalker:
             for i, p in enumerate(dpos.tolist()):
                 outcomes[p] = sub_out[i]
 
-        clean_plans = []
-        clean_group_pos = []
-        for g, plan in enumerate(plans):
-            if g not in dirty_groups:
-                clean_plans.append(plan)
-                clean_group_pos.append(group_pos[g])
-        if not clean_plans:
+        clean = [grp for g, grp in enumerate(groups) if g not in dirty_groups]
+        if not clean:
             return outcomes
         clean_cols: List[list] = []
         for iid, (slot, parts) in inst_entries.items():
             cparts = [(g, k) for g, k in parts if g not in dirty_groups]
             if cparts and iid not in dirty_iids:
                 clean_cols.append(
-                    [iid, slot, _merge_positions(group_pos, cparts)]
+                    [iid, slot, _merge_runs(runs, cparts, int_view), None]
                 )
-        self._bulk_apply(
-            0, n, ts, clean_plans, clean_group_pos, clean_cols,
-            size_bytes, outcomes,
-        )
+        self._bulk_apply(0, n, n, clean, clean_cols, size_bytes, outcomes)
         return outcomes
 
     # -- slice recursion ----------------------------------------------
     def _process(
-        self, lo, hi, ts, hashes, cls_idx, classes, plans, group_pos,
+        self, lo, hi, ts, hashes, cls_idx, classes, groups,
         fallback_pos, inst_cols, size, outcomes,
     ) -> None:
         n = hi - lo
@@ -290,12 +322,12 @@ class _ColumnWalker:
         total = len(ts)
         involved = []
         if penalty:
-            for iid, slot, pos in inst_cols:
+            for iid, slot, col, pos in inst_cols:
                 if penalty.get(iid, 0) > 0:
-                    a, b = _span(pos, lo, hi, total)
+                    a, b = _span(pos, len(col), lo, hi, total)
                     if b > a:
                         involved.append(iid)
-        a, b = _span(fallback_pos, lo, hi, total)
+        a, b = _span(fallback_pos, len(fallback_pos), lo, hi, total)
         if b > a or involved:
             # Bulk application is impossible (fallback) or very unlikely
             # (an instance recently failed its check): skip the vector
@@ -303,11 +335,9 @@ class _ColumnWalker:
             # to salvage bulk work in the clean half.
             leaf = SEQ_BYPASS
         else:
-            involved = self._check_bulk(lo, hi, ts, inst_cols)
+            involved = self._check_bulk(lo, hi, total, inst_cols)
             if not involved:
-                self._bulk_apply(
-                    lo, hi, ts, plans, group_pos, inst_cols, size, outcomes
-                )
+                self._bulk_apply(lo, hi, total, groups, inst_cols, size, outcomes)
                 return
             for iid in involved:
                 penalty[iid] = PENALTY
@@ -320,60 +350,61 @@ class _ColumnWalker:
         mid = lo + n // 2
         for start, stop in ((lo, mid), (mid, hi)):
             self._process(
-                start, stop, ts, hashes, cls_idx, classes, plans, group_pos,
+                start, stop, ts, hashes, cls_idx, classes, groups,
                 fallback_pos, inst_cols, size, outcomes,
             )
 
-    def _check_bulk(self, lo, hi, ts, inst_cols) -> List[int]:
+    def _check_bulk(self, lo, hi, n, inst_cols) -> List[int]:
         """Vectorised no-drop check; returns instances that could drop.
 
         The scalar walker refuses an arrival at ``t`` iff, after trimming
         entries ``<= t - w``, the window already holds ``B = floor(budget)``
         timestamps (``len + 1 > budget``).  With every earlier slice
         arrival admitted the window's history is the sorted column
-        ``hist = recent[-B:] ++ sub``, so arrival ``j`` — at ``hist[k + j]``,
-        ``k`` pre-slice entries kept — is refused iff its ``B``-th
-        predecessor is still live: ``hist[k + j - B] > sub[j] - w``, one
-        shifted comparison over the column.  The floats and the strict
-        edge are the trim's own, stale (lazily untrimmed) ``recent``
+        ``recent[-B:] ++ sub``, so an arrival is refused iff its ``B``-th
+        predecessor there is still live, ``predecessor > t - w``: one
+        shifted comparison, run in two parts so the history is never
+        built — arrivals from the ``B``-th on against ``sub`` itself, the
+        first ``B`` against the tail of ``recent``.  The floats and the
+        strict edge are the trim's own, stale (lazily untrimmed) ``recent``
         entries fail the comparison like trimmed ones, and an arrival with
         fewer than ``B`` predecessors admits trivially.  If no arrival is
         refused the whole slice admits (so bulk application is exact); a
         refusal, ``B <= 0`` or a stopped instance marks a culprit.
         """
         culprits: List[int] = []
-        n = len(ts)
-        for iid, slot, pos in inst_cols:
-            a, b = _span(pos, lo, hi, n)
-            if b <= a:
+        for iid, slot, col, pos in inst_cols:
+            a, b = _span(pos, len(col), lo, hi, n)
+            m = b - a
+            if m <= 0:
                 continue
             inst, recent, window = slot
             budget = int(inst._budget)
             if not inst.running or budget <= 0:
                 culprits.append(iid)
                 continue
-            sub = ts[pos[a:b]]
-            hist = np.concatenate((recent[-budget:], sub))
-            refusable = len(hist) - budget  # arrivals with B predecessors
-            if refusable > 0 and np.any(
-                hist[:refusable] > sub[b - a - refusable :] - window
+            sub = col[a:b]
+            if m > budget and np.any(sub[: m - budget] > sub[budget:] - window):
+                culprits.append(iid)
+                continue
+            # Arrival j < B has its B-th predecessor in ``recent`` once
+            # j >= B - len(tail): tail[i] against sub[B - len(tail) + i].
+            tail = recent[-budget:]
+            first = budget - len(tail)
+            if tail and first < m and np.any(
+                np.asarray(tail[: m - first]) > sub[first:budget] - window
             ):
                 culprits.append(iid)
         return culprits
 
-    def _bulk_apply(
-        self, lo, hi, ts, plans, group_pos, inst_cols, size, outcomes
-    ) -> None:
-        net = self.net
-        dirty = net._dirty_plans
-        n = len(ts)
+    def _bulk_apply(self, lo, hi, n, groups, inst_cols, size, outcomes) -> None:
+        dirty = self.net._dirty_plans
         applied = 0
-        for g, pos in enumerate(group_pos):
-            a, b = _span(pos, lo, hi, n)
+        for plan, run, pos in groups:
+            a, b = _span(pos, len(run), lo, hi, n)
             cnt = b - a
-            if not cnt:
+            if cnt <= 0:
                 continue
-            plan = plans[g]
             if plan.n == 0:
                 dirty.append(plan)
             plan.n += cnt
@@ -383,10 +414,10 @@ class _ColumnWalker:
                 for p in pos[a:b].tolist():
                     outcomes[p] = final
         self.bulk_packets += applied
-        for iid, slot, pos in inst_cols:
-            a, b = _span(pos, lo, hi, n)
+        for iid, slot, col, pos in inst_cols:
+            a, b = _span(pos, len(col), lo, hi, n)
             m = b - a
-            if not m:
+            if m <= 0:
                 continue
             inst, recent, window = slot
             st = inst.stats
@@ -401,7 +432,7 @@ class _ColumnWalker:
             # precedes it, except after a contamination split, when it
             # also holds the survivors of the scalar walk of the dirty
             # groups: the sort merges the two sides.
-            tail = ts[pos[max(a, b - int(inst._budget)) : b]].tolist()
+            tail = col[max(a, b - int(inst._budget)) : b].tolist()
             live = sorted(recent + tail)
             recent[:] = live[bisect_right(live, live[-1] - window) :]
 
@@ -509,16 +540,17 @@ class ShardedDataPlane:
 
         ``classes`` lists the distinct class ids; ``cls_idx`` indexes into
         it per packet; ``hashes``/``ts`` are float64 columns (arrays or
-        plain sequences).  Timestamps must be non-decreasing (as in every
-        walker).  Returns per-packet ``(delivered, dropped_at)`` outcomes
+        plain sequences).  Timestamps must be finite and non-decreasing (as
+        in every walker).  Returns per-packet ``(delivered, dropped_at)`` outcomes
         when ``collect``.
 
         Raises:
             ValueError: a column is not 1-D, ``cls_idx`` is not of an
                 integer dtype, the columns differ in length, a ``cls_idx``
                 entry is outside ``classes``, a hash is outside ``[0, 1)``
-                (or NaN), or ``ts`` decreases somewhere.  Nothing has been
-                walked or counted when it is raised.
+                (or NaN), or ``ts`` decreases somewhere or holds a NaN or
+                an infinity.  Nothing has been walked or counted when it
+                is raised.
         """
         classes = list(classes)
         cls_idx = _column("cls_idx", cls_idx)
@@ -551,14 +583,13 @@ class ShardedDataPlane:
                 f"flow_hash must be in [0, 1), got values in "
                 f"[{hashes.min()}, {hashes.max()}]"
             )
-        if np.any(ts[1:] < ts[:-1]):
-            raise ValueError("ts must be non-decreasing")
+        # NaN fails every comparison, so ``>=`` over the pairs leaves only an
+        # infinite first or last timestamp to look for.
+        if not (np.all(ts[1:] >= ts[:-1]) and np.isfinite(ts[0]) and np.isfinite(ts[-1])):
+            raise ValueError("ts must be finite and non-decreasing")
         walker = self._walker
         with _obs.span("dataplane.walk.sharded", cat="dataplane"):
-            out = walker.run(
-                classes, cls_idx, hashes, ts, size_bytes, collect,
-                *walker.group_keys(classes, cls_idx, hashes),
-            )
+            out = walker.run(classes, cls_idx, hashes, ts, size_bytes, collect)
         if _obs.REGISTRY.enabled:
             if walker.bulk_packets:
                 _obs.metric("dataplane_shard_bulk_packets_total").inc(

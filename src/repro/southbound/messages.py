@@ -29,9 +29,11 @@ subclass_id, next_host)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Tuple
 
 from repro.dataplane.flowmod import stable_cookie
+from repro.dataplane.switch import pass_by_entry
 from repro.dataplane.tcam import Action, ActionKind, TcamEntry
 
 #: EntrySpec tuple indices (kept flat for cheap hashing/serialisation).
@@ -59,6 +61,17 @@ def entry_spec(entry: TcamEntry) -> EntrySpec:
         entry.action.subclass_id,
         entry.action.next_host,
     )
+
+
+@cache
+def pass_by_spec(switch: str) -> EntrySpec:
+    """The switch's pass-by entry in canonical form.
+
+    A constant of the switch name that every desired-state render lists for
+    every switch, so it is built once per name (an immutable tuple; the
+    names are the topologies' switches).
+    """
+    return entry_spec(pass_by_entry(switch))
 
 
 def spec_entry(spec: EntrySpec) -> TcamEntry:

@@ -37,12 +37,11 @@ from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.switch import (
     classification_entry,
     host_match_entry,
-    pass_by_entry,
     quarantine_entry,
 )
 from repro.dataplane.tcam import TcamTable
 from repro.dataplane.vswitch import UPLINK, VSwitch
-from repro.southbound.messages import EntrySpec, entry_spec
+from repro.southbound.messages import EntrySpec, entry_spec, pass_by_spec
 from repro.traffic.classes import TrafficClass
 
 #: Gap between consecutive sub-class ID versions of one class.  Far above
@@ -184,7 +183,7 @@ def render_desired(
     """
     state = NetworkState()
     for s in all_switches:
-        spec = entry_spec(pass_by_entry(s))
+        spec = pass_by_spec(s)
         state.tcam[s] = {spec[0]: spec}
     for s in host_switches:
         state.vsw.setdefault(s, {})

@@ -1,12 +1,14 @@
 """The columnar kernel against the formulations it replaced.
 
-``_ColumnWalker`` groups a packet column with one radix sort on an integer
-``(class, hash interval)`` key and decides bulk admission with one shifted
-comparison per instance.  The per-class ``searchsorted`` + mask grouping and
-the ``old_live + within + 1 > budget`` admission count it replaced live on
-here as oracles, next to ``VNFInstance.consume`` itself, and two back-to-back
-``inject_columns`` calls are held to scalar ``inject`` on outcomes, every
-counter and every sliding window.  The entry validation of
+``_ColumnWalker`` groups a packet column with one radix sort by class (cut
+classes regroup their own segment by interval), builds each instance's
+arrival column as the stable merge of its groups' timestamp runs and decides
+bulk admission with one shifted comparison per instance.  The per-class
+``searchsorted`` + mask grouping, the sorted-positions-then-gather arrival
+column and the ``old_live + within + 1 > budget`` admission count it replaced
+live on here as oracles, next to ``VNFInstance.consume`` itself, and two
+back-to-back ``inject_columns`` calls are held to scalar ``inject`` on
+outcomes, every counter and every sliding window.  The entry validation of
 ``inject_columns`` has its regressions at the end.
 """
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import FIN, Packet
-from repro.dataplane.sharded import ShardedDataPlane, _ColumnWalker
+from repro.dataplane.sharded import ShardedDataPlane, _ColumnWalker, _narrow_uint
 from repro.dataplane.switch import SwitchRuleSet
 from repro.dataplane.vswitch import VSwitchRule
 from repro.topology.graph import AppleHostSpec, Link, Topology
@@ -56,8 +58,9 @@ def _consume_refuses(recent, sub, window, budget):
 
 def _kernel_refuses(recent, ts, pos, lo, hi, window, budget):
     inst = _instance(window, budget, recent)
-    col = [7, (inst, inst._recent, inst.window), np.asarray(pos, dtype=np.int64)]
-    culprits = _ColumnWalker(None)._check_bulk(lo, hi, ts, [col])
+    pos = np.asarray(pos, dtype=np.int64)
+    col = [7, (inst, inst._recent, inst.window), ts[pos], pos]
+    culprits = _ColumnWalker(None)._check_bulk(lo, hi, len(ts), [col])
     assert inst._recent == list(recent), "the check must not touch the window"
     return culprits == [7]
 
@@ -129,14 +132,17 @@ def test_entry_exactly_at_the_window_edge_is_trimmed_not_live():
 # (b) grouping: radix group-by on the key == per-class searchsorted + mask
 # ----------------------------------------------------------------------
 class _StubNetwork:
-    """What ``group_keys`` / ``run`` read of a network, with plans that
+    """What ``_group`` / ``run`` read of a network, with plans that
     carry their own ``(class, interval)`` as the bulk outcome."""
 
-    def __init__(self, cuts_by_class):
+    def __init__(self, cuts_by_class, visits=None):
         self._cp = {
             cid: SimpleNamespace(class_id=cid, cuts=list(cuts))
             for cid, cuts in cuts_by_class.items()
         }
+        #: ``(class, interval)`` → the instances its plan visits, one hop each
+        #: (an instance listed twice is visited twice).
+        self._visits = visits or {}
         self._plans = {}
         self._dirty_plans = []
 
@@ -146,8 +152,9 @@ class _StubNetwork:
     def interval_plan(self, cp, g):
         key = (cp.class_id, g)
         if key not in self._plans:
+            vsteps = [((i, i._recent, i.window),) for i in self._visits.get(key, ())]
             self._plans[key] = SimpleNamespace(
-                fallback=False, vsteps=[], n=0, final_outcome=key
+                fallback=False, vsteps=vsteps, n=0, final_outcome=key
             )
         return self._plans[key]
 
@@ -167,10 +174,12 @@ def _check_grouping(cuts_by_class, cls_idx, hashes, key_dtype):
     net = _StubNetwork(cuts_by_class)
     classes = list(cuts_by_class)
     walker = _ColumnWalker(net)
-    keys, table = walker.group_keys(classes, cls_idx, hashes)
-    assert keys.dtype == key_dtype
+    # The sorts run on the narrowest dtype that holds the classes (the class
+    # sort) or one class's intervals (its regrouping); ``key_dtype`` is that
+    # dtype for this case's total group count.
+    assert _narrow_uint(sum(len(c) + 1 for c in cuts_by_class.values())) == key_dtype
     ts = np.arange(len(cls_idx), dtype=np.float64)
-    got = walker.run(classes, cls_idx, hashes, ts, 1500, True, keys, table)
+    got = walker.run(classes, cls_idx, hashes, ts, 1500, True)
     assert got == _group_by_masks(net, classes, cls_idx, hashes)
     assert walker.bulk_packets == len(cls_idx)
     sizes = {}
@@ -222,11 +231,12 @@ def test_grouping_skips_absent_classes_and_unknown_names():
     net = _StubNetwork({"a": [0.5], "b": []})
     cls_idx = rng.choice([0, 2], size=500)
     hashes = _hashes(rng, 500, [0.5])
-    walker = _ColumnWalker(net)
-    keys, table = walker.group_keys(["a", "ghost", "b"], cls_idx, hashes)
-    assert [(cp.class_id, g) for cp, g in table] == [("a", 0), ("a", 1), ("b", 0)]
-    expected = np.where(cls_idx == 2, 2, (hashes >= 0.5).astype(int))
-    assert keys.tolist() == expected.tolist()
+    order, plans, bounds = _ColumnWalker(net)._group(["a", "ghost", "b"], cls_idx, hashes)
+    assert [plan.final_outcome for plan in plans] == [("a", 0), ("a", 1), ("b", 0)]
+    key = np.where(cls_idx == 2, 2, (hashes >= 0.5).astype(int))
+    ends = np.cumsum(np.bincount(key)).tolist()
+    assert bounds == list(zip([0] + ends, ends))
+    assert order.tolist() == np.argsort(key, kind="stable").tolist()
 
 
 def test_wide_key_branch_at_small_n():
@@ -238,6 +248,80 @@ def test_wide_key_branch_at_small_n():
     cls_idx = rng.integers(0, 3, size=n)
     hashes = _hashes(rng, n, fine[::7000] + [0.5])
     _check_grouping(cuts_by_class, cls_idx, hashes, np.int64)
+
+
+# ----------------------------------------------------------------------
+# (b') arrival columns: merged timestamp runs == sorted positions, gathered
+# ----------------------------------------------------------------------
+@st.composite
+def visited_columns(draw):
+    """A small column, a network of cut and uncut classes over it, and for
+    every group the instances its plan visits (some of them twice)."""
+    pool = [0.25, 0.5, 0.9]
+    cuts_by_class = {
+        f"c{k}": sorted(draw(st.sets(st.sampled_from(pool), max_size=2)))
+        for k in range(draw(st.integers(1, 4)))
+    }
+    n = draw(st.integers(1, 60))
+    cls_idx = np.asarray(
+        draw(st.lists(st.integers(0, len(cuts_by_class) - 1), min_size=n, max_size=n))
+    )
+    hashes = np.asarray(
+        draw(st.lists(st.sampled_from(pool + [0.0, 0.1, 0.7]), min_size=n, max_size=n))
+    )
+    # Ties (gap 0), a start below, at or above zero, and zeros of either sign:
+    # the int64 view orders none of the first, and -0.0 before +0.0.
+    start = draw(st.sampled_from([-40, -3, 0, 0, 5]))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 1, 3]), min_size=n, max_size=n))
+    ts = (start + np.cumsum(gaps)) * 0.03125
+    zeros = np.flatnonzero(ts == 0.0)
+    signs = draw(st.lists(st.booleans(), min_size=len(zeros), max_size=len(zeros)))
+    ts[zeros[np.asarray(signs, dtype=bool)]] = -0.0
+    instances = [_instance(0.125, 1e8, []) for _ in range(draw(st.integers(1, 4)))]
+    visits = {
+        (cid, g): [
+            inst
+            for inst in instances
+            for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2])))
+        ]
+        for cid, cuts in cuts_by_class.items()
+        for g in range(len(cuts) + 1)
+    }
+    return cuts_by_class, visits, instances, cls_idx, hashes, ts
+
+
+@settings(max_examples=300, deadline=None)
+@given(visited_columns())
+def test_arrival_column_is_the_sorted_positions_gathered(case):
+    cuts_by_class, visits, instances, cls_idx, hashes, ts = case
+    net = _StubNetwork(cuts_by_class, visits)
+    classes = list(cuts_by_class)
+    walker = _ColumnWalker(net)
+    columns = {}
+    check = walker._check_bulk
+
+    def spy(lo, hi, n, inst_cols):
+        columns.update((iid, col) for iid, slot, col, pos in inst_cols)
+        return check(lo, hi, n, inst_cols)
+
+    walker._check_bulk = spy
+    walker.run(classes, cls_idx, hashes, ts, 1500, False)
+
+    # The parent's formulation: every visit's positions, sorted, then one
+    # gather per instance.
+    group_of = _group_by_masks(net, classes, cls_idx, hashes)
+    for inst in instances:
+        positions = [
+            p for p, key in enumerate(group_of) for i in visits[key] if i is inst
+        ]
+        expected = ts[np.sort(np.asarray(positions, dtype=np.int64))]
+        if len(expected) == 0:
+            assert id(inst) not in columns and inst._recent == []
+            continue
+        assert np.array_equal(columns[id(inst)], expected)
+        assert inst.stats.packets_in == len(expected)
+        live = expected[expected > expected[-1] - inst.window]
+        assert inst._recent == live.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +451,71 @@ def test_back_to_back_columns_equal_scalar_inject(shards, second):
     assert _state(net, instances) == expected_state
 
 
+@pytest.mark.parametrize("collect", [True, False])
+@pytest.mark.parametrize("start", ["negative", "minus-zero"])
+def test_columns_from_below_time_zero_equal_scalar_inject(start, collect):
+    # Timestamp runs merge through their int64 view only from zero up: below
+    # it the view orders backwards, and -0.0 (equal to +0.0) sorts first.
+    if start == "negative":
+        first = _column(-3.0, 2.0, CALM)  # [-3, -1); the second crosses zero
+    else:
+        first = _column(0.0, 2.0, CALM)
+        assert first[2][:3].tolist() == [0.0, 0.0, 0.0]
+        first[2][[0, 2]] = -0.0  # c0 and c2 at -0.0, c1 between them at +0.0
+    then = _column(float(first[2][-1]) + 1 / 64, 2.0, HOT)
+
+    ref, ref_instances = _shared_network()
+    expected = _scalar_outcomes(ref, first) + _scalar_outcomes(ref, then)
+    expected_state = _state(ref, ref_instances)
+    assert expected_state["stats"][1] > 50
+
+    net, instances = _shared_network()
+    sh = ShardedDataPlane(net)
+    got = sh.inject_columns(CLASSES, *first, collect=collect)
+    assert (sh._walker.bulk_packets, sh._walker.seq_packets) == (len(first[2]), 0)
+    then_got = sh.inject_columns(CLASSES, *then, collect=collect)
+    if collect:
+        assert got + then_got == expected
+    else:
+        assert got is None and then_got is None
+    assert _state(net, instances) == expected_state
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_fallback_plan_columns_equal_scalar_inject(collect):
+    # A downstream hook sees each packet in order, so its plan is a scalar
+    # fallback: the column goes through the slice recursion, the one place
+    # that cuts arrival columns at packet positions.  c2 (the hooked plan's
+    # class) is only sent in the first 4 s of a 64 s column, so later slices
+    # are free of it: calm ones apply in bulk, the hot tail bisects.
+    pieces = [_column(1.0, 4.0, CALM), _column(5.0, 40.0, CALM[:2]), _column(45.0, 20.0, HOT[:2])]
+    first = tuple(np.concatenate(cols) for cols in zip(*pieces))
+    then = _column(65.0, 2.0, CALM)
+
+    def hooked_network():
+        net, instances = _shared_network()
+        seen = []
+        instances[2].downstream = lambda size, now: seen.append((size, now))
+        return net, instances, seen
+
+    ref, ref_instances, ref_seen = hooked_network()
+    expected = _scalar_outcomes(ref, first) + _scalar_outcomes(ref, then)
+    expected_state = _state(ref, ref_instances)
+    assert expected_state["stats"][1] > 50
+
+    net, instances, seen = hooked_network()
+    sh = ShardedDataPlane(net)
+    got = sh.inject_columns(CLASSES, *first, collect=collect)
+    walker = sh._walker
+    assert walker.bulk_packets > 2000 and walker.seq_packets > 2000
+    then_got = sh.inject_columns(CLASSES, *then, collect=collect)
+    if collect:
+        assert got + then_got == expected
+    assert walker.bulk_packets + walker.seq_packets == len(first[2]) + len(then[2])
+    assert seen == ref_seen and len(seen) > 100
+    assert _state(net, instances) == expected_state
+
+
 def test_moved_rule_epoch_renews_the_walker_between_columns():
     # The penalty box is keyed by id(instance), so it must not outlive the
     # rule epoch it was learned in; outcomes still equal scalar inject.
@@ -446,6 +595,32 @@ def test_flow_hash_outside_the_unit_interval_is_rejected(bad):
         ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
     with pytest.raises(ValueError, match=r"flow_hash must be in \[0, 1\)"):
         ShardedDataPlane(net).inject_stream([("c0", bad, 1.0)], collect=True)
+    assert net.delivery_stats() == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [(100, float("nan")), (0, float("nan")), (-1, float("nan")),
+     (-1, float("inf")), (0, float("-inf"))],
+)
+def test_non_finite_timestamps_are_rejected(where, bad):
+    # Every comparison with NaN is false, so a NaN used to pass a test for
+    # "somewhere ts decreases", and the column then delivered a packet scalar
+    # inject drops; an infinite tail left empty windows where scalar leaves
+    # (inf,).
+    cls_idx, hashes, ts = _column(1.0, 2.0, CALM)
+    if where == 100:
+        ref, _ = _shared_network()
+        poisoned = ts.copy()
+        poisoned[where] = bad
+        _scalar_outcomes(ref, (cls_idx, hashes, poisoned))
+        assert ref.delivery_stats() == (len(ts) - 1, 1, 0)
+    ts[where] = bad
+    net, _ = _shared_network()
+    with pytest.raises(ValueError, match="ts must be finite"):
+        ShardedDataPlane(net).inject_columns(CLASSES, cls_idx, hashes, ts)
+    with pytest.raises(ValueError, match="ts must be finite"):
+        ShardedDataPlane(net).inject_stream([("c0", 0.5, bad)], collect=True)
     assert net.delivery_stats() == (0, 0, 0)
 
 

@@ -22,7 +22,7 @@ from repro.cloud.opendaylight import RULE_INSTALL_SECONDS
 from repro.core.controller import AppleController
 from repro.core.subclasses import assign_subclasses
 from repro.dataplane.network import DataPlaneNetwork
-from repro.dataplane.switch import host_match_entry
+from repro.dataplane.switch import host_match_entry, pass_by_entry
 from repro.experiments.harness import standard_setup
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRNG, derive
@@ -40,6 +40,7 @@ from repro.southbound.messages import (
     ACK_STALE,
     ControlMessage,
     entry_spec,
+    pass_by_spec,
 )
 from repro.southbound.metrics import SouthboundMetrics
 from repro.southbound.state import SwitchDiff, class_fingerprints, read_installed
@@ -314,6 +315,13 @@ def _fabric(sim, controller, deployment, chaos=None, seed=SEED):
     )
     controller.attach_southbound(fabric)
     return fabric
+
+
+def test_pass_by_spec_is_built_once_per_switch_name():
+    # render_desired lists it for every switch on every render.
+    for name in ("a", "SEAT", "s/1"):
+        assert pass_by_spec(name) == entry_spec(pass_by_entry(name))
+        assert pass_by_spec(name) is pass_by_spec(name)
 
 
 def test_adopt_is_a_noop_on_the_wire():
