@@ -26,10 +26,13 @@ probes every *piece* rather than sample points:
 
 Why one probe proves its whole cell: every hop's match is a conjunction of
 ``lo <= h < hi`` comparisons whose bounds are all cuts, vSwitch dispatch is
-keyed by (class, sub-class tag), and nothing rewrites ``flow_hash`` in
-flight (``tests/test_verify_cells.py`` pins that on a NAT chain).  A VNF
-that did rewrite it would make the cells downstream of its host depend on
-the rewritten value, and the audit would have to re-cut after that hop.
+keyed by (class, sub-class tag), and **nothing rewrites ``flow_hash`` in
+flight** (``tests/test_verify_cells.py`` pins that on a NAT chain).  The
+data plane's cache of resolved walks rests on the same assumption — one
+plan per (class, hash interval), every packet of the interval replayed in
+bulk (``DataPlaneNetwork._resolve_plan``).  A VNF that did rewrite the hash
+would make the cells downstream of its host depend on the rewritten value:
+the audit and the plans would both have to re-cut after that hop.
 
 Probes are real packets on a live network: each is stamped ``now=0.0``,
 counts in the delivery ledger and occupies the admission window of every

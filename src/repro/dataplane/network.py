@@ -21,12 +21,9 @@ for one value of the network's *rule epoch*, an integer that every
 * :meth:`inject` — one packet: ``bisect`` to its interval, then replay the
   plan with the per-packet effects only (trace appends, per-hop counters,
   ``VNFInstance.consume`` called live, tags, a :class:`DeliveryRecord`).
-* :meth:`inject_stream` / :meth:`inject_batch` — many packets: the same
-  plans, admission inlined, switch/ledger counters accumulated on the plan
-  and applied in bulk by :meth:`flush_counters`.  Falls back to
-  :meth:`inject` per packet only where batching itself would change
-  behaviour: an instance with a downstream hook (sees each packet in
-  order), or a hash-dependent match after a header-modifying VNF.
+* :meth:`inject_stream` — many packets: the same plans, admission
+  inlined, switch/ledger counters accumulated on the plan and applied in
+  bulk by :meth:`flush_counters`.
 * the columnar walker of :mod:`repro.dataplane.sharded` — whole columns.
 
 :meth:`walk_reference` is the hop-by-hop Table III pipeline
@@ -54,10 +51,11 @@ per-packet records).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.packet import FIN, Packet
 from repro.dataplane.switch import PhysicalSwitch, SwitchDecision
@@ -123,12 +121,10 @@ class _WalkPlan:
     For the bulk walkers, ``vsteps`` lists per host visit one
     ``(instance, window_list, window_seconds)`` slot per instance, and the
     per-call accumulators ``n`` / ``drops`` let them bulk-update switch and
-    ledger counters once per plan.  ``fallback`` marks a plan they must not
-    batch (see :meth:`DataPlaneNetwork.inject_stream`).
+    ledger counters once per plan.
     """
 
     __slots__ = (
-        "fallback",
         "legs",
         "vsteps",
         "finished",
@@ -139,7 +135,6 @@ class _WalkPlan:
     )
 
     def __init__(self) -> None:
-        self.fallback = False
         self.legs: List[tuple] = []
         self.vsteps: List[tuple] = []
         self.finished = False
@@ -252,7 +247,7 @@ class DataPlaneNetwork:
         self._epoch.value += 1
 
     def invalidate_plans(self) -> None:
-        """Retire every resolved walk, and the columnar walker built on them.
+        """Retire every resolved walk.
 
         For callers that change something no rule table knows about — the
         chaos injector after a VM kill or a brownout.  Counts still
@@ -311,7 +306,11 @@ class DataPlaneNetwork:
 
         The probe performs exactly the reference walk's lookups and tag
         writes, but against local tag variables instead of a packet and
-        without touching any counter.
+        without touching any counter.  Its one ``flow_hash`` stands for the
+        whole interval at every hop on the assumption
+        :mod:`repro.core.verify` states — nothing rewrites it in flight — so
+        a VNF that ever did would have to re-cut both the audit's cells and
+        these plans after its host.
         """
         if len(path) > self.MAX_HOPS + 1:
             raise RuntimeError("hop limit exceeded (loop?)")
@@ -319,7 +318,6 @@ class DataPlaneNetwork:
         hops: List[tuple] = []  # (switch, table, missed) of the leg being built
         host_tag: Optional[str] = None
         subclass_tag: Optional[int] = None
-        modified_headers = False
         visits: List[Tuple[str, str]] = []  # and its trace tuples
         failed_links = self.failed_links
         for hi, sw_name in enumerate(path):
@@ -333,15 +331,6 @@ class DataPlaneNetwork:
                     break
             switch = self.switches[sw_name]
             entry = switch.table.match(class_id, host_tag, flow_hash)
-            if (
-                entry is not None
-                and entry.hash_range is not None
-                and modified_headers
-            ):
-                # A header-modifying VNF ran upstream, so the on-the-wire
-                # hash may no longer equal the probe's: hash-dependent
-                # classification past this point must run per packet.
-                plan.fallback = True
             hops.append((switch, switch.table, entry is None))
             visits.append(("switch", sw_name))
             if entry is None:
@@ -361,12 +350,6 @@ class DataPlaneNetwork:
                 subclass_tag = entry.action.subclass_id
             vsw = self.vswitch_at(sw_name)
             rule, instances = vsw.resolve(class_id, subclass_tag)
-            for inst in instances:
-                if inst.downstream is not None:
-                    # Downstream hooks see each packet, in order.
-                    plan.fallback = True
-                if inst.nf_type.modifies_headers:
-                    modified_headers = True
             visits.append(("vswitch", f"ovs-{sw_name}"))
             plan.legs.append((
                 tuple(hops),
@@ -404,8 +387,8 @@ class DataPlaneNetwork:
         Replays the resolved walk of the packet's (class, hash interval):
         per hop the switch and table counters, per host visit a live
         ``consume`` at each instance (so a stopped or browned-out instance
-        and a downstream hook behave exactly as in the pipeline), then the
-        tags and the trace the pipeline would have left.  A packet that
+        behaves exactly as in the pipeline), then the tags and the trace
+        the pipeline would have left.  A packet that
         arrives already tagged is not at its ingress classification, and a
         walk that cannot be resolved has a rule bug somewhere along it:
         both take :meth:`walk_reference`, which raises where the bug is.
@@ -528,28 +511,6 @@ class DataPlaneNetwork:
     # ------------------------------------------------------------------
     # Many packets
     # ------------------------------------------------------------------
-    def inject_batch(
-        self,
-        class_id: str,
-        flow_hashes: Sequence[float],
-        now: Union[float, Sequence[float]] = 0.0,
-        size_bytes: int = 1500,
-    ) -> List[Tuple[bool, Optional[str]]]:
-        """Walk a batch of same-class packets; returns per-packet outcomes.
-
-        Each outcome is ``(delivered, dropped_at)``, exactly what the
-        scalar walker's :class:`DeliveryRecord` would report for a packet
-        with that flow hash.  ``now`` is either one timestamp for the whole
-        batch or a sequence of per-packet timestamps (must be sorted, as a
-        real arrival stream is).
-        """
-        if isinstance(now, (int, float)):
-            t = float(now)
-            items = [(class_id, h, t) for h in flow_hashes]
-        else:
-            items = [(class_id, h, t) for h, t in zip(flow_hashes, now)]
-        return self.inject_stream(items, size_bytes=size_bytes, collect=True)
-
     def inject_stream(
         self,
         items: Sequence[tuple],
@@ -558,21 +519,44 @@ class DataPlaneNetwork:
     ) -> Optional[List[Tuple[bool, Optional[str]]]]:
         """Walk a time-ordered stream of ``(class_id, hash, now)`` items.
 
-        The workhorse behind :meth:`inject_batch` and the batched CBR
-        sources: items may interleave classes arbitrarily as long as the
-        timestamps are non-decreasing (sliding-window admission trims by
-        time).  Only instance admission runs per packet; everything else is
-        plan-resolved per hash interval, and switch/ledger counter updates
-        accumulate on the plans until :meth:`flush_counters` (or any ledger
-        reader) applies them — all updates are commutative ``+=``, so the
-        deferral is observation-order only.
+        The workhorse behind the batched CBR sources: items may interleave
+        classes arbitrarily as long as the timestamps are non-decreasing
+        (sliding-window admission trims by time).  Only instance admission
+        runs per packet; everything else is plan-resolved per hash
+        interval, and switch/ledger counter updates accumulate on the plans
+        until :meth:`flush_counters` (or any ledger reader) applies them —
+        all updates are commutative ``+=``, so the deferral is
+        observation-order only.  Returns per-packet ``(delivered,
+        dropped_at)`` outcomes when ``collect``.
+
+        Raises:
+            ValueError: a hash is outside ``[0, 1)`` (or NaN), or the
+                timestamps decrease somewhere or hold a NaN or an infinity
+                — what ``Packet`` and ``ShardedDataPlane.inject_columns``
+                refuse too.  Nothing has been walked or counted when it is
+                raised.
         """
+        last = -math.inf
+        for _, h, t in items:
+            if not 0.0 <= h < 1.0:
+                raise ValueError(f"flow_hash must be in [0, 1), got {h}")
+            if not last <= t:  # NaN fails it too
+                raise ValueError("ts must be finite and non-decreasing")
+            last = t
+        # Non-decreasing: only the first and the last can be infinite.
+        if items and not (math.isfinite(items[0][2]) and math.isfinite(last)):
+            raise ValueError("ts must be finite and non-decreasing")
+        return self._walk_stream(items, size_bytes, collect)
+
+    def _walk_stream(
+        self, items: Sequence[tuple], size: int, collect: bool
+    ) -> Optional[List[Tuple[bool, Optional[str]]]]:
+        """:meth:`inject_stream` on items already known to be valid."""
         with _obs.span("dataplane.walk.batch", cat="dataplane"):
             if self._plans_epoch != self._epoch.value:
                 self._retire_plans()
             class_plans = self._class_plans
             dirty = self._dirty_plans
-            size = size_bytes
             outcomes: Optional[list] = [] if collect else None
             for class_id, h, t in items:
                 cp = class_plans.get(class_id)
@@ -580,18 +564,6 @@ class DataPlaneNetwork:
                     cp = self.class_intervals(class_id)
                 g = bisect_right(cp.cuts, h)
                 plan = cp.plans[g] or self.interval_plan(cp, g)
-                if plan.fallback:
-                    packet = Packet(
-                        class_id=class_id,
-                        flow_hash=h,
-                        src=cp.src,
-                        dst=cp.dst,
-                        size_bytes=size,
-                    )
-                    record = self.inject(packet, now=t)
-                    if collect:
-                        outcomes.append((record.delivered, record.dropped_at))
-                    continue
                 if plan.n == 0:
                     dirty.append(plan)
                 plan.n += 1
@@ -635,8 +607,8 @@ class DataPlaneNetwork:
         """Apply deferred batched-walk counts to switch/ledger counters.
 
         Every ledger reader on this class calls it; code inspecting switch
-        or vSwitch counters directly after :meth:`inject_stream` /
-        :meth:`inject_batch` should call it first.
+        or vSwitch counters directly after :meth:`inject_stream` should
+        call it first.
         """
         self._flush_dirty()
 

@@ -15,22 +15,19 @@ hits from the plan cache (:meth:`DataPlaneNetwork.class_intervals`, whose
 :class:`_WalkPlan` names the group's exact VNF instance set).  One gather
 of the timestamps through that order leaves each group an ascending
 *timestamp run*, and an instance's arrival column is the stable merge of
-the runs of the groups that visit it; nothing downstream gathers again, and
+the runs of the groups that visit it; no later stage gathers again, and
 packet *positions* are kept only for callers that address packets
-(``collect=True``, the dirty side of a contamination split, the slice
-recursion).  The walker then tries to apply whole time-slices in bulk: for
-every instance appearing in the slice it evaluates a vectorised *no-drop*
-admission check (the sliding-window rule as one shifted comparison over
-the instance's arrival column: an arrival is refused iff its
-``floor(budget)``-th predecessor is still inside the window), and if every
-instance admits everything, counters are bulk-added and windows
-bulk-extended — numpy instead of the per-packet loop.  If anything could
-drop, the slice is bisected; slices at or below :data:`MIN_LEAF` run
-through the unmodified ``inject_stream``, which is exact by definition (and
-also covers the scalar-fallback plans: header-modifying VNF hops,
-downstream hooks).  Instances that fail a check are penalised so subsequent
-slices skip straight to the sequential path instead of re-paying a doomed
-vector check.
+(``collect=True`` and the dirty side of a contamination split).  The walker
+then evaluates, per instance, one vectorised *no-drop* admission check over
+its whole arrival column (the sliding-window rule as one shifted
+comparison: an arrival is refused iff its ``floor(budget)``-th predecessor
+is still inside the window).  If every instance admits everything, counters
+are bulk-added and windows bulk-extended — numpy instead of the per-packet
+loop.  If some instance could drop, exactly the groups whose plans visit it
+run through the exact per-packet walker and every other group is still
+applied in bulk (the *contamination split*).  Every plan can be applied in
+bulk: a walk is fixed at the ingress switch, and admission is the only
+per-packet effect an instance has.
 
 **Façade** (:class:`ShardedDataPlane`).  Validates a column at entry,
 walks it once on the network it was given and records the span.  There is
@@ -38,9 +35,10 @@ one execution mode.  Splitting a column over shared-nothing shards — in
 one process or over forked workers — was measured on the one placement we
 have that splits at all and lost to the unsplit walk both ways (DESIGN.md,
 "Columnar data plane"), so the partition and the worker fan-out are gone.
-The façade remembers one ``rule_epoch``: when a chaos invalidation, a link
-failure or a rule mutation moves it, the walker — and with it the penalty
-box, keyed by ``id(instance)`` — is renewed before the next column.
+The walker carries nothing from one column to the next but two counters,
+so a chaos invalidation, a link failure or a rule mutation needs nothing
+here: the next column reads the network's plan cache, which follows the
+rule epoch.
 """
 
 from __future__ import annotations
@@ -52,21 +50,6 @@ import numpy as np
 
 from repro.dataplane.network import DataPlaneNetwork, _WalkPlan
 from repro.obs import state as _obs
-
-#: Bulk slices are bisected down to this size before giving up and
-#: running the exact per-packet walker on the slice.
-MIN_LEAF = 256
-
-#: Slices at or below this size go straight to the sequential walker when
-#: they contain a penalised instance or a scalar-fallback plan — skipping
-#: vector checks that are known (or certain) to fail.
-SEQ_BYPASS = 4 * MIN_LEAF
-
-#: Vector-check failures put an instance "in penalty" for this many
-#: sequential slices; while penalised, slices containing it skip the
-#: vector check entirely.  Keeps a steadily-overloaded instance from
-#: charging a failed check at every bisection level.
-PENALTY = 8
 
 
 # ----------------------------------------------------------------------
@@ -96,16 +79,6 @@ def _merge_runs(runs: List[np.ndarray], parts: List[tuple], int_view: bool) -> n
     return col
 
 
-def _span(pos: Optional[np.ndarray], size: int, lo: int, hi: int, n: int) -> Tuple[int, int]:
-    """Index range, in an arrival column of ``size`` entries at ascending
-    positions ``pos``, of the column slice ``[lo, hi)``.  ``pos`` is read
-    only for a slice narrower than the column (it may be ``None`` otherwise).
-    """
-    if lo == 0 and hi == n:
-        return 0, size  # the whole column: no search
-    return int(pos.searchsorted(lo)), int(pos.searchsorted(hi))
-
-
 class _ColumnWalker:
     """Columnar execution of one packet column on one network.
 
@@ -116,19 +89,15 @@ class _ColumnWalker:
     arrival column is the stable merge of the runs of the groups whose
     plans visit it — timestamps, not positions: the admission check
     (:meth:`_check_bulk`) and the bulk application (:meth:`_bulk_apply`)
-    read slices of it and never gather.  Positions exist only where a
-    caller needs them: per group for ``collect=True`` and for the dirty
-    side of a contamination split, per instance for the slice recursion
-    (:meth:`_process`, fallback plans), which cuts columns at packet
-    positions.
+    read whole arrival columns and never gather.  Positions exist only
+    where a caller addresses packets: per group for ``collect=True`` and
+    for the dirty side of a contamination split.
 
-    Stateless apart from the per-instance penalty box (which only affects
-    *how* a slice is processed, never its outcome).
+    Stateless apart from the ``bulk_packets`` / ``seq_packets`` counters.
     """
 
     def __init__(self, network: DataPlaneNetwork) -> None:
         self.net = network
-        self._penalty: Dict[int, int] = {}  # id(instance) → remaining leaves
         self.bulk_packets = 0
         self.seq_packets = 0
 
@@ -194,11 +163,10 @@ class _ColumnWalker:
         order, plans, bounds = self._group(classes, cls_idx, hashes)
         by_group = ts[order]
         runs = [by_group[a:b] for a, b in bounds]
-        fallback = any(plan.fallback for plan in plans)
         # Positions per group (views of the sort order) only for callers
         # that address packets; otherwise the order, an n-sized column, is
         # released before the merges below reach their peak.
-        if collect or fallback:
+        if collect:
             group_pos = [order[a:b] for a, b in bounds]
         else:
             group_pos = [None] * len(plans)
@@ -208,8 +176,6 @@ class _ColumnWalker:
         # occurrence in a plan, kept in global time order).
         inst_entries: Dict[int, list] = {}  # id → [slot, [(group, occ)...]]
         for g, plan in enumerate(plans):
-            if plan.fallback:
-                continue
             occ: Dict[int, list] = {}
             for slots in plan.vsteps:
                 for slot in slots:
@@ -221,41 +187,20 @@ class _ColumnWalker:
         groups = list(zip(plans, runs, group_pos))
         outcomes: Optional[list] = [None] * n if collect else None
 
-        # A fallback plan's packets run through the exact scalar walker,
-        # which may touch state (header-modified re-steers, downstream
-        # hooks) that no static instance column names — so a clean/dirty
-        # split cannot be proven safe.  Hand the whole column to the
-        # slice recursion, which serialises around fallback positions and
-        # cuts every arrival column at packet positions: here, and only
-        # here, an instance's positions are merged (and gathered once).
-        if fallback:
-            inst_cols: List[list] = []  # [iid, slot, timestamps, positions]
-            for iid, (slot, parts) in inst_entries.items():
-                pos = _merge_runs(group_pos, parts, False)
-                inst_cols.append([iid, slot, ts[pos], pos])
-            fallback_pos = np.sort(
-                np.concatenate([pos for plan, _, pos in groups if plan.fallback])
-            )
-            self._process(
-                0, n, ts, hashes, cls_idx, classes, groups,
-                fallback_pos, inst_cols, size_bytes, outcomes,
-            )
-            return outcomes
-
         # From zero up a float64 orders as its int64 view does (a -0.0 ahead
         # of the +0.0s it equals); a column that starts below merges as floats.
         int_view = bool(ts[0] >= 0)
         inst_cols = [
-            [iid, slot, _merge_runs(runs, parts, int_view), None]
+            (iid, slot, _merge_runs(runs, parts, int_view))
             for iid, (slot, parts) in inst_entries.items()
         ]
 
         # One full-column no-drop check.  The common case — nothing can
         # drop — bulk-applies the whole column in one pass with no
-        # recursion and no positions at all.
-        culprits = self._check_bulk(0, n, n, inst_cols)
+        # positions at all.
+        culprits = self._check_bulk(inst_cols)
         if not culprits:
-            self._bulk_apply(0, n, n, groups, inst_cols, size_bytes, outcomes)
+            self._bulk_apply(groups, inst_cols, size_bytes, outcomes)
             return outcomes
 
         # Contamination is local, not transitive.  A culprit (check-
@@ -287,103 +232,56 @@ class _ColumnWalker:
             order = self._group(classes, cls_idx, hashes)[0]
             group_pos = [order[a:b] for a, b in bounds]
         dpos = np.sort(np.concatenate([group_pos[g] for g in sorted(dirty_groups)]))
-        m = len(dpos)
-        sub_out: Optional[list] = [None] * m if collect else None
-        self._sequential(
-            0, m, ts[dpos], hashes[dpos], cls_idx[dpos], classes,
-            size_bytes, sub_out, (),
-        )
+        # The exact per-packet walker, without its entry validation: the
+        # column passed the same checks in ``inject_columns``.
+        items = list(zip(
+            [classes[c] for c in cls_idx[dpos].tolist()],
+            hashes[dpos].tolist(),
+            ts[dpos].tolist(),
+        ))
+        dirty_out = self.net._walk_stream(items, size_bytes, collect)
+        self.seq_packets += len(items)
         if collect:
-            for i, p in enumerate(dpos.tolist()):
-                outcomes[p] = sub_out[i]
+            for p, outcome in zip(dpos.tolist(), dirty_out):
+                outcomes[p] = outcome
 
         clean = [grp for g, grp in enumerate(groups) if g not in dirty_groups]
         if not clean:
             return outcomes
-        clean_cols: List[list] = []
+        clean_cols = []
         for iid, (slot, parts) in inst_entries.items():
             cparts = [(g, k) for g, k in parts if g not in dirty_groups]
             if cparts and iid not in dirty_iids:
-                clean_cols.append(
-                    [iid, slot, _merge_runs(runs, cparts, int_view), None]
-                )
-        self._bulk_apply(0, n, n, clean, clean_cols, size_bytes, outcomes)
+                clean_cols.append((iid, slot, _merge_runs(runs, cparts, int_view)))
+        self._bulk_apply(clean, clean_cols, size_bytes, outcomes)
         return outcomes
 
-    # -- slice recursion ----------------------------------------------
-    def _process(
-        self, lo, hi, ts, hashes, cls_idx, classes, groups,
-        fallback_pos, inst_cols, size, outcomes,
-    ) -> None:
-        n = hi - lo
-        if n <= 0:
-            return
-        penalty = self._penalty
-        total = len(ts)
-        involved = []
-        if penalty:
-            for iid, slot, col, pos in inst_cols:
-                if penalty.get(iid, 0) > 0:
-                    a, b = _span(pos, len(col), lo, hi, total)
-                    if b > a:
-                        involved.append(iid)
-        a, b = _span(fallback_pos, len(fallback_pos), lo, hi, total)
-        if b > a or involved:
-            # Bulk application is impossible (fallback) or very unlikely
-            # (an instance recently failed its check): skip the vector
-            # checks and either run the slice exactly or keep splitting
-            # to salvage bulk work in the clean half.
-            leaf = SEQ_BYPASS
-        else:
-            involved = self._check_bulk(lo, hi, total, inst_cols)
-            if not involved:
-                self._bulk_apply(lo, hi, total, groups, inst_cols, size, outcomes)
-                return
-            for iid in involved:
-                penalty[iid] = PENALTY
-            leaf = MIN_LEAF
-        if n <= leaf:
-            self._sequential(
-                lo, hi, ts, hashes, cls_idx, classes, size, outcomes, involved
-            )
-            return
-        mid = lo + n // 2
-        for start, stop in ((lo, mid), (mid, hi)):
-            self._process(
-                start, stop, ts, hashes, cls_idx, classes, groups,
-                fallback_pos, inst_cols, size, outcomes,
-            )
-
-    def _check_bulk(self, lo, hi, n, inst_cols) -> List[int]:
+    def _check_bulk(self, inst_cols) -> List[int]:
         """Vectorised no-drop check; returns instances that could drop.
 
         The scalar walker refuses an arrival at ``t`` iff, after trimming
         entries ``<= t - w``, the window already holds ``B = floor(budget)``
-        timestamps (``len + 1 > budget``).  With every earlier slice
-        arrival admitted the window's history is the sorted column
-        ``recent[-B:] ++ sub``, so an arrival is refused iff its ``B``-th
-        predecessor there is still live, ``predecessor > t - w``: one
-        shifted comparison, run in two parts so the history is never
+        timestamps (``len + 1 > budget``).  With every earlier arrival of
+        the column ``sub`` admitted the window's history is the sorted
+        column ``recent[-B:] ++ sub``, so an arrival is refused iff its
+        ``B``-th predecessor there is still live, ``predecessor > t - w``:
+        one shifted comparison, run in two parts so the history is never
         built — arrivals from the ``B``-th on against ``sub`` itself, the
         first ``B`` against the tail of ``recent``.  The floats and the
         strict edge are the trim's own, stale (lazily untrimmed) ``recent``
         entries fail the comparison like trimmed ones, and an arrival with
         fewer than ``B`` predecessors admits trivially.  If no arrival is
-        refused the whole slice admits (so bulk application is exact); a
+        refused the whole column admits (so bulk application is exact); a
         refusal, ``B <= 0`` or a stopped instance marks a culprit.
         """
         culprits: List[int] = []
-        for iid, slot, col, pos in inst_cols:
-            a, b = _span(pos, len(col), lo, hi, n)
-            m = b - a
-            if m <= 0:
-                continue
+        for iid, slot, sub in inst_cols:
             inst, recent, window = slot
             budget = int(inst._budget)
             if not inst.running or budget <= 0:
                 culprits.append(iid)
                 continue
-            sub = col[a:b]
+            m = len(sub)
             if m > budget and np.any(sub[: m - budget] > sub[budget:] - window):
                 culprits.append(iid)
                 continue
@@ -397,28 +295,22 @@ class _ColumnWalker:
                 culprits.append(iid)
         return culprits
 
-    def _bulk_apply(self, lo, hi, n, groups, inst_cols, size, outcomes) -> None:
+    def _bulk_apply(self, groups, inst_cols, size, outcomes) -> None:
         dirty = self.net._dirty_plans
         applied = 0
         for plan, run, pos in groups:
-            a, b = _span(pos, len(run), lo, hi, n)
-            cnt = b - a
-            if cnt <= 0:
-                continue
+            cnt = len(run)
             if plan.n == 0:
                 dirty.append(plan)
             plan.n += cnt
             applied += cnt
             if outcomes is not None:
                 final = plan.final_outcome
-                for p in pos[a:b].tolist():
+                for p in pos.tolist():
                     outcomes[p] = final
         self.bulk_packets += applied
-        for iid, slot, col, pos in inst_cols:
-            a, b = _span(pos, len(col), lo, hi, n)
-            m = b - a
-            if m <= 0:
-                continue
+        for iid, slot, col in inst_cols:
+            m = len(col)
             inst, recent, window = slot
             st = inst.stats
             st.packets_in += m
@@ -427,40 +319,14 @@ class _ColumnWalker:
             # The scalar walker trims lazily per packet; after the last
             # admission the window holds exactly the admitted timestamps
             # in (last_t - w, last_t], which is what we rebuild here.  A
-            # slice that passed the check leaves at most floor(budget) of
+            # column that passed the check leaves at most floor(budget) of
             # its own arrivals live, so only that tail is read.  ``recent``
             # precedes it, except after a contamination split, when it
             # also holds the survivors of the scalar walk of the dirty
             # groups: the sort merges the two sides.
-            tail = col[max(a, b - int(inst._budget)) : b].tolist()
+            tail = col[max(0, m - int(inst._budget)) :].tolist()
             live = sorted(recent + tail)
             recent[:] = live[bisect_right(live, live[-1] - window) :]
-
-    def _sequential(
-        self, lo, hi, ts, hashes, cls_idx, classes, size, outcomes, involved
-    ) -> None:
-        """Run one slice through the exact per-packet walker."""
-        items = [
-            (
-                classes[int(cls_idx[p])],
-                float(hashes[p]),
-                float(ts[p]),
-            )
-            for p in range(lo, hi)
-        ]
-        out = self.net.inject_stream(
-            items, size_bytes=size, collect=outcomes is not None
-        )
-        self.seq_packets += len(items)
-        if outcomes is not None:
-            outcomes[lo:hi] = out
-        penalty = self._penalty
-        for iid in involved:
-            left = penalty.get(iid, 0)
-            if left > 1:
-                penalty[iid] = left - 1
-            else:
-                penalty.pop(iid, None)
 
 
 # ----------------------------------------------------------------------
@@ -487,8 +353,7 @@ class ShardedDataPlane:
     The façade preserves the repo's bit-identity discipline: for the same
     item stream, outcomes and every counter equal the scalar and batched
     walkers'.  Faults follow the normal invalidation protocol — mutate
-    ``network`` itself; a moved rule epoch renews the walker on the next
-    inject.
+    ``network`` itself; the next column reads the plans of the new epoch.
     """
 
     #: Constant; ROADMAP item 1 drops ``benchmarks/pipeline``'s read, then this.
@@ -498,7 +363,6 @@ class ShardedDataPlane:
         self, network: DataPlaneNetwork, shards=1, processes=False, class_weights=None
     ) -> None:
         self.network = network
-        self._epoch = network.rule_epoch
         self._walker = _ColumnWalker(network)
 
     # -- injection -----------------------------------------------------
@@ -562,9 +426,6 @@ class ShardedDataPlane:
                 f"column lengths differ: cls_idx {len(cls_idx)}, "
                 f"hashes {len(hashes)}, ts {n}"
             )
-        if self._epoch != self.network.rule_epoch:
-            self._epoch = self.network.rule_epoch
-            self._walker = _ColumnWalker(self.network)  # penalties may be stale
         if n == 0:  # before the dtype check: an empty list coerces to float64
             return [] if collect else None
         if cls_idx.dtype.kind not in "iu":

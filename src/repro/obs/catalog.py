@@ -81,7 +81,7 @@ CATALOG: Tuple[MetricDef, ...] = (
     MetricDef("counter", "dataplane_policy_violations_total",
               "Delivered packets whose chain was incomplete (collected)"),
     MetricDef("histogram", "dataplane_batch_packets",
-              "Packets per inject_stream/inject_batch call",
+              "Packets per inject_stream call",
               buckets=DEFAULT_SIZE_BUCKETS),
     MetricDef("gauge", "dataplane_packets_per_sim_second",
               "Offered packet rate of the most recent replay (sim clock)"),

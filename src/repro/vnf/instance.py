@@ -15,13 +15,11 @@ capacity knee, after which the loss rate soars as 1 − capacity/rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.sim.kernel import Simulator
 from repro.vnf.types import NFType
-
-PacketHook = Callable[[int, float], None]
 
 
 @dataclass
@@ -50,7 +48,10 @@ class VNFInstance:
         switch: the switch whose APPLE host runs this instance.
         sim: optional simulator; required for packet-level operation.
         window: sliding window (seconds) for the packet-level rate limit.
-        downstream: optional hook receiving processed packets.
+
+    Admission is the instance's only per-packet effect — it never touches
+    the packet — so the batched and columnar walkers can replay
+    :meth:`consume` without calling it.
     """
 
     def __init__(
@@ -60,7 +61,6 @@ class VNFInstance:
         switch: str,
         sim: Optional[Simulator] = None,
         window: float = 0.1,
-        downstream: Optional[PacketHook] = None,
     ) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
@@ -69,7 +69,6 @@ class VNFInstance:
         self.switch = switch
         self.sim = sim
         self.window = window
-        self.downstream = downstream
         self.stats = InstanceStats()
         self.running = True
         #: Remaining capacity fraction; < 1 during a brownout.
@@ -77,8 +76,9 @@ class VNFInstance:
         self._recent: List[float] = []  # processed-packet timestamps in window
         # Window budget in packets; NFType is frozen, so only degrade()
         # changes this.  The batched and columnar walkers read
-        # _budget/_recent directly (see DataPlaneNetwork.inject_stream) —
-        # keep their semantics in sync with consume().
+        # _budget/_recent directly instead of calling consume()
+        # (DataPlaneNetwork.inject_stream inlines it, _ColumnWalker checks
+        # and applies whole columns) — keep their semantics in sync with it.
         self._budget: float = float(nf_type.capacity_pps) * window
 
     # ------------------------------------------------------------------
@@ -136,8 +136,6 @@ class VNFInstance:
         recent.append(now)
         stats.packets_processed += 1
         stats.bytes_processed += packet_size
-        if self.downstream is not None:
-            self.downstream(packet_size, now)
         return True
 
     def receive_rate_pps(self, now: Optional[float] = None) -> float:

@@ -1,4 +1,4 @@
-"""Batched-walk equivalence: ``inject_batch`` must mirror scalar ``inject``.
+"""Batched-walk equivalence: ``inject_stream`` must mirror scalar ``inject``.
 
 The batched fast path is only an optimisation: per-packet outcomes, the
 delivery ledger, and every switch/vSwitch/instance counter must be
@@ -85,12 +85,8 @@ def test_batch_matches_scalar_with_overload_drops():
         net, inst = _line_network()
         outcomes = []
         for i in range(0, len(arrivals), batch):
-            chunk = arrivals[i : i + batch]
-            outcomes.extend(
-                net.inject_batch(
-                    "c1", [h for h, _ in chunk], now=[t for _, t in chunk]
-                )
-            )
+            chunk = [("c1", h, t) for h, t in arrivals[i : i + batch]]
+            outcomes.extend(net.inject_stream(chunk, collect=True))
         net.flush_counters()
         assert outcomes == scalar_outcomes
         assert _counters(net, inst) == expected
@@ -98,7 +94,7 @@ def test_batch_matches_scalar_with_overload_drops():
 
 def test_batch_single_timestamp_and_rule_change_invalidation():
     net, inst = _line_network(capacity_pps=1e9)
-    outcomes = net.inject_batch("c1", [0.1, 0.6, 0.9], now=0.0)
+    outcomes = net.inject_stream([("c1", h, 0.0) for h in (0.1, 0.6, 0.9)], collect=True)
     assert outcomes == [(True, None)] * 3
     assert net.delivery_stats() == (3, 0, 0)
 
@@ -108,7 +104,7 @@ def test_batch_single_timestamp_and_rule_change_invalidation():
     net.switches["s1"].table.install(
         TcamEntry(priority=999, action=Action(ActionKind.DROP), class_id="c1")
     )
-    outcomes = net.inject_batch("c1", [0.1, 0.6, 0.9], now=1.0)
+    outcomes = net.inject_stream([("c1", h, 1.0) for h in (0.1, 0.6, 0.9)], collect=True)
     assert outcomes == [(False, "s1")] * 3
     assert net.delivery_stats() == (3, 3, 0)
 

@@ -178,7 +178,6 @@ NETWORK_READ_ONLY_CALLS = {
     "inject_from_host": lambda n: n.inject_from_host(
         Packet("c3", 0.5, "s2", "s3")
     ),
-    "inject_batch": lambda n: n.inject_batch("c1", [0.1, 0.9]),
     "inject_stream": lambda n: n.inject_stream([("c1", 0.3, 0.0)]),
     "flush_counters": lambda n: n.flush_counters(),
     "class_intervals": lambda n: n.class_intervals("c1"),

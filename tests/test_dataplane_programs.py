@@ -6,6 +6,7 @@ no cache in front of it.  Two identically installed networks are driven
 with one event stream — packets, faults, rule mutations — and must agree
 on every packet (outcome, drop site, trace, both tags), on every counter
 (except ``cache_hits``, which only the replay counts) and on the ledger.
+``inject_stream``'s entry validation has its regressions at the end.
 """
 
 import math
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import FIN, Packet
+from repro.dataplane.sharded import ShardedDataPlane
 from repro.dataplane.switch import classification_entry, host_match_entry
 from repro.dataplane.tcam import Action, ActionKind, TcamEntry
 from repro.dataplane.vswitch import VSwitchRule
@@ -31,12 +33,21 @@ CLASSES = {
     "c1": ("s1", "s2", "s3", "s4"),  # first host is remote (tag and pass on)
     "c2": ("s2", "s3", "s4"),  # first host is the ingress switch itself
     "c3": ("s2", "s3", "s4"),  # born at a production VM inside host s2
+    "c4": ("s1", "s2", "s3", "s4"),  # a NAT at s2, then a hash-ranged match
 }
+NAT_SPLIT = 0.6  # s3 drops c4's hashes from here up, after the NAT at s2
 DETOUR = {"c0": ("s1", "s5", "s4"), "c1": ("s1", "s5", "s4")}
 
 
 def _build():
-    """s1 — s2(host) — s3(host) — s4, plus a detour s1 — s5 — s4."""
+    """s1 — s2(host) — s3(host) — s4, plus a detour s1 — s5 — s4.
+
+    c4's chain starts with a NAT (``modifies_headers``) at s2, and s3 then
+    matches c4's packets — tagged for s3 by then — on their hash: the
+    upper part is dropped before the host.  The rule generator never
+    installs a hash-ranged entry for tagged packets; walks must stay exact
+    if one is there.
+    """
     topo = Topology(
         "ladder",
         ["s1", "s2", "s3", "s4", "s5"],
@@ -54,6 +65,10 @@ def _build():
                          ("e", "s3"), ("f", "s2")]:
         inst = instances[name] = VNFInstance(name, nf, switch, window=0.1)
         net.vswitch_at(switch).register_instance(inst)
+    nat = NFType("nat", cores=1, capacity_mbps=1e9, clickos=True,
+                 capacity_pps=CAPACITY_PPS, modifies_headers=True)
+    instances["n"] = VNFInstance("n", nat, "s2", window=0.1)
+    net.vswitch_at("s2").register_instance(instances["n"])
     v2, v3 = net.vswitch_at("s2"), net.vswitch_at("s3")
     v2.install_rule("c0", 0, VSwitchRule(("a",), exit_host_tag="s3"))
     v3.install_rule("c0", 0, VSwitchRule(("b",), exit_host_tag=FIN))
@@ -63,11 +78,18 @@ def _build():
     v2.install_rule("c3", 0, VSwitchRule(("c",), exit_host_tag="s3"))
     v3.install_rule("c3", 0, VSwitchRule(("e",), exit_host_tag=FIN))
     v2.install_origin_rule("c3", (0.0, 1.0), 0, "s2")
+    v2.install_rule("c4", 0, VSwitchRule(("n",), exit_host_tag="s3"))
+    v3.install_rule("c4", 0, VSwitchRule(("e",), exit_host_tag=FIN))
     s1, s2 = net.switches["s1"], net.switches["s2"]
     s1.install_classification("c0", (0.0, SPLIT), 0, "s2")
     s1.install_classification("c0", (SPLIT, 1.0), 1, "s2")
     s1.install_classification("c1", (0.0, 1.0), 0, "s3")
     s2.install_classification("c2", (0.0, 1.0), 0, "s2")
+    s1.install_classification("c4", (0.0, 1.0), 0, "s2")
+    net.switches["s3"].table.install(TcamEntry(
+        priority=999, action=Action(ActionKind.DROP), host_tag_is="s3",
+        class_id="c4", hash_range=(NAT_SPLIT, 1.0), name="s3/drop/c4",
+    ))
     for name in ("s2", "s3"):
         net.switches[name].install_host_match()
     for sw in net.switches.values():
@@ -150,19 +172,10 @@ def _counters(net):
 class _Pair:
     """The replay network and the reference network, driven in lockstep."""
 
-    def __init__(self, hooked=()):
+    def __init__(self):
         self.replay, self.replay_inst = _build()
         self.reference, self.reference_inst = _build()
-        self.hook_log = ([], [])
         self.now = 0.0
-        for name in hooked:
-            self.hook(name)
-
-    def hook(self, name):
-        for inst, log in zip(
-            (self.replay_inst[name], self.reference_inst[name]), self.hook_log
-        ):
-            inst.downstream = lambda size, now, log=log: log.append((name, size, now))
 
     def both(self, fn):
         fn(self.replay, self.replay_inst)
@@ -219,14 +232,13 @@ class _Pair:
         assert [(r.delivered, r.dropped_at) for r in self.replay.recent_records] == [
             (r.delivered, r.dropped_at) for r in self.reference.recent_records
         ]
-        assert self.hook_log[0] == self.hook_log[1]
 
 
 # ----------------------------------------------------------------------
 # Property: random interleavings of traffic, faults and mutations
 # ----------------------------------------------------------------------
-_CLASS = st.sampled_from(["c0", "c1", "c2"])
-_INSTANCE = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+_CLASS = st.sampled_from(["c0", "c1", "c2", "c4"])
+_INSTANCE = st.sampled_from(["a", "b", "c", "d", "e", "f", "n"])
 _LINK = st.sampled_from([("s1", "s2"), ("s2", "s3"), ("s3", "s4"), ("s5", "s4")])
 _HASH = st.one_of(
     st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
@@ -243,7 +255,6 @@ _EVENT = st.one_of(
     st.tuples(st.just("shutdown"), _INSTANCE),
     st.tuples(st.just("restart"), _INSTANCE),
     st.tuples(st.just("degrade"), _INSTANCE, st.sampled_from([0.25, 0.5, 1.0])),
-    st.tuples(st.just("hook"), _INSTANCE),
     st.tuples(st.just("mutate"), st.sampled_from(sorted(MUTATIONS))),
     st.tuples(st.just("reregister"), st.sampled_from(sorted(DETOUR)), st.booleans()),
     st.tuples(st.just("invalidate")),
@@ -280,8 +291,6 @@ def _apply(pair, event):
         pair.both(lambda n, i: setattr(i[event[1]], "running", True))
     elif kind == "degrade":  # no invalidate_plans() either
         pair.both(lambda n, i: i[event[1]].degrade(event[2]))
-    elif kind == "hook":
-        pair.hook(event[1])
     elif kind == "mutate":
         try:
             pair.both(MUTATIONS[event[1]])
@@ -297,13 +306,10 @@ def _apply(pair, event):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(_EVENT, min_size=5, max_size=60),
-    st.lists(_INSTANCE, max_size=2, unique=True),
-)
-def test_inject_matches_the_reference_walker(events, hooked):
-    pair = _Pair(hooked)
-    for class_id in ("c0", "c1", "c2"):  # warm every plan before the first event
+@given(st.lists(_EVENT, min_size=5, max_size=60))
+def test_inject_matches_the_reference_walker(events):
+    pair = _Pair()
+    for class_id in ("c0", "c1", "c2", "c4"):  # warm every plan before the first event
         for h in _edge_hashes(pair.replay, class_id):
             pair.packet(class_id, h)
     pair.now += 1.0
@@ -392,16 +398,47 @@ def test_reregistered_path_is_walked_by_the_next_packet():
     pair.check_totals()
 
 
-def test_downstream_hook_is_called_once_per_admitted_packet():
-    pair = _Pair(hooked=("d",))
-    outcomes = [pair.packet("c1", 0.5) for _ in range(7)]  # budget is 4
-    assert [o[0] for o in outcomes] == [True] * 4 + [False] * 3
-    assert len(pair.hook_log[0]) == 4
-    pair.hook("e")  # attached after the plan was resolved: still called
+def test_hash_ranged_match_after_a_nat_splits_where_the_ingress_cut():
+    # The NAT at s2 leaves flow_hash alone, so s3's match on c4's tagged
+    # packets splits the class at an edge the ingress plan already has.
+    pair = _Pair()
+    below, on = (
+        pair.packet("c4", h) for h in (math.nextafter(NAT_SPLIT, 0.0), NAT_SPLIT)
+    )
+    assert below[:2] == (True, None) and on[:2] == (False, "s3")
+    assert [name for kind, name in below[2] if kind == "vnf"] == ["n", "e"]
+    assert [name for kind, name in on[2] if kind == "vnf"] == ["n"]
+    assert pair.replay.class_intervals("c4").cuts == [NAT_SPLIT]
     pair.now = 1.0
-    pair.packet("c1", 0.5)
-    assert [name for name, _size, _now in pair.hook_log[0][4:]] == ["d", "e"]
+    burst = [pair.packet("c4", (k * 0.137) % 1.0)[:2] for k in range(8)]
+    assert burst == [(True, None)] * 4 + [(False, "s2")] * 4  # the NAT's budget is 4
     pair.check_totals()
+
+
+@pytest.mark.parametrize(
+    "items, pattern",
+    [
+        ([("c1", 1.5, 0.0)], r"flow_hash must be in \[0, 1\)"),
+        ([("c1", math.nan, 0.0)], r"flow_hash must be in \[0, 1\)"),
+        ([("c1", -0.2, 0.0)], r"flow_hash must be in \[0, 1\)"),
+        ([("c1", 0.5, 1.0), ("c1", 0.5, 0.5)], "ts must be finite and non-decreasing"),
+        ([("c1", 0.5, math.nan)], "ts must be finite and non-decreasing"),
+        ([("c1", 0.5, -math.inf), ("c1", 0.5, 0.0)], "ts must be finite"),
+        ([("c1", 0.5, 0.0), ("c1", 0.5, math.inf)], "ts must be finite"),
+    ],
+    ids=["hash-above", "hash-nan", "hash-below", "ts-decreasing", "ts-nan",
+         "ts-minus-inf", "ts-inf"],
+)
+def test_inject_stream_refuses_what_every_other_walker_refuses(items, pattern):
+    # It used to walk each of these and count the packets delivered; Packet()
+    # and inject_columns refused them.
+    net, instances = _build()
+    with pytest.raises(ValueError, match=pattern):
+        net.inject_stream(items, collect=True)
+    with pytest.raises(ValueError, match=pattern):
+        ShardedDataPlane(net).inject_stream(items, collect=True)
+    assert net.delivery_stats() == (0, 0, 0)
+    assert [i.stats.packets_in for i in instances.values()] == [0] * len(instances)
 
 
 def test_pretagged_packets_take_the_reference_walker():

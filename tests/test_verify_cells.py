@@ -318,9 +318,10 @@ def test_no_vnf_rewrites_the_flow_hash(internet2):
     """One probe stands for its whole cell only because the hash a packet
     is classified by at the ingress is the hash every later hop matches
     on.  NAT rewrites headers (``modifies_headers``); it must not touch
-    ``flow_hash``.  If a VNF ever does, ``verify_deployment`` has to re-cut
-    the cells downstream of that VNF's host against the rewritten value
-    (see the module docstring of ``repro.core.verify``)."""
+    ``flow_hash``.  If a VNF ever does, ``verify_deployment`` and the data
+    plane's resolved walks both have to re-cut downstream of that VNF's
+    host against the rewritten value (see the module docstring of
+    ``repro.core.verify``)."""
     _topo, deployment = internet2
     network = deployment.network
     network.reset_runtime_state()

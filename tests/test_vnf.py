@@ -157,14 +157,6 @@ def test_shutdown_drops_everything():
     assert not inst.consume(100, now=0.0)
 
 
-def test_downstream_hook_receives_processed():
-    got = []
-    fast = NFType("m", cores=1, capacity_mbps=1e9, clickos=True, capacity_pps=1e6)
-    inst = VNFInstance("i0", fast, "s1", downstream=lambda s, t: got.append(s))
-    inst.consume(777, now=0.0)
-    assert got == [777]
-
-
 def test_consume_without_clock_raises():
     inst = VNFInstance("i0", FIREWALL, "s1")  # no sim
     with pytest.raises(ValueError):

@@ -112,7 +112,7 @@ class Stages:
             self.ts[order]
             self.seconds["gather"] += time.perf_counter() - started
 
-        def checked(out, walker_, lo, hi, n, inst_cols) -> None:
+        def checked(out, walker_, inst_cols) -> None:
             self.instances = len(inst_cols)
             self.arrivals = sum(len(col[2]) for col in inst_cols)
 
