@@ -12,8 +12,7 @@ files with ``python -m repro.obs.validate BENCH_engine.json``.
 ``record_bench`` targets ``BENCH_engine.json``, ``record_bench_dataplane``
 ``BENCH_dataplane.json``, ``record_bench_chaos`` ``BENCH_chaos.json``,
 ``record_bench_southbound`` ``BENCH_southbound.json``,
-``record_bench_scale`` ``BENCH_scale.json``, ``record_bench_tenancy``
-``BENCH_tenancy.json``, ``record_bench_elastic``
+``record_bench_tenancy`` ``BENCH_tenancy.json``, ``record_bench_elastic``
 ``BENCH_elastic.json``, and ``record_bench_resilience``
 ``BENCH_resilience.json``.
 """
@@ -30,7 +29,6 @@ BENCH_FILE = _ROOT / "BENCH_engine.json"
 BENCH_DATAPLANE_FILE = _ROOT / "BENCH_dataplane.json"
 BENCH_CHAOS_FILE = _ROOT / "BENCH_chaos.json"
 BENCH_SOUTHBOUND_FILE = _ROOT / "BENCH_southbound.json"
-BENCH_SCALE_FILE = _ROOT / "BENCH_scale.json"
 BENCH_TENANCY_FILE = _ROOT / "BENCH_tenancy.json"
 BENCH_ELASTIC_FILE = _ROOT / "BENCH_elastic.json"
 BENCH_RESILIENCE_FILE = _ROOT / "BENCH_resilience.json"
@@ -89,12 +87,6 @@ def record_bench_chaos():
 def record_bench_southbound():
     """Same appender, targeting ``BENCH_southbound.json``."""
     return _appender(BENCH_SOUTHBOUND_FILE)
-
-
-@pytest.fixture(scope="session")
-def record_bench_scale():
-    """Same appender, targeting ``BENCH_scale.json``."""
-    return _appender(BENCH_SCALE_FILE)
 
 
 @pytest.fixture(scope="session")

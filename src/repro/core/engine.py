@@ -306,7 +306,6 @@ class OptimizationEngine:
         self,
         classes: Sequence[TrafficClass],
         available_cores: Mapping[str, int],
-        shards: int = 1,
     ) -> float:
         """Deterministic a-priori estimate of one LP solve's cost.
 
@@ -314,43 +313,19 @@ class OptimizationEngine:
         counts) — deliberately *not* a wall-clock measurement, so a
         deadline decision is a pure function of the problem structure and
         identical across same-seed runs and machines.
-
-        With ``shards > 1`` the estimate models the decomposed solve of
-        :class:`repro.core.decompose.DecomposedEngine`: the same
-        partition is computed and the per-shard costs are *summed* (the
-        serial worst case — still far below the monolithic figure, since
-        the simplex term is superlinear), plus a per-shard coordination
-        overhead.  Estimating a partitioned solve from the monolithic
-        model size would spuriously push deadline callers onto the greedy
-        fallback for instances the shards finish comfortably.
         """
-
-        def model_cost(subset: Sequence[TrafficClass]) -> float:
-            d_count = 0
-            slots = set()
-            for cls in subset:
-                hosts = [
-                    sw for sw in cls.path if available_cores.get(sw, 0) > 0
-                ]
-                for nf in cls.chain:
-                    d_count += len(hosts)
-                    for sw in hosts:
-                        slots.add((sw, nf))
-            n = d_count + len(slots)
-            # Calibrated against the bench_placement corpus: ~1 ms fixed
-            # cost plus a superlinear term for the LP (assembly is
-            # ~linear, the simplex iterations dominate as the model
-            # grows).
-            return 1e-3 + 2e-6 * n * float(max(n, 1)) ** 0.5
-
-        if shards <= 1:
-            return model_cost(classes)
-        from repro.core.decompose import partition_classes
-
-        parts = partition_classes(classes, available_cores, shards)
-        return sum(
-            model_cost([classes[i] for i in idxs]) for idxs in parts
-        ) + 1e-3 * len(parts)
+        d_count = 0
+        slots = set()
+        for cls in classes:
+            hosts = [sw for sw in cls.path if available_cores.get(sw, 0) > 0]
+            for nf in cls.chain:
+                d_count += len(hosts)
+                for sw in hosts:
+                    slots.add((sw, nf))
+        n = d_count + len(slots)
+        # ~1 ms fixed cost plus a superlinear term for the LP (assembly is
+        # ~linear, the simplex iterations dominate as the model grows).
+        return 1e-3 + 2e-6 * n * float(max(n, 1)) ** 0.5
 
     def place_with_deadline(
         self,
@@ -383,6 +358,7 @@ class OptimizationEngine:
                 available_cores,
                 self.catalog,
                 capacity_headroom=self.config.capacity_headroom,
+                available_memory_gb=available_memory_gb,
             )
             self.deadline_fallbacks += 1
             if obs.REGISTRY.enabled:

@@ -11,7 +11,7 @@ across load regimes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import PlacementError
 from repro.core.placement import PlacementPlan
@@ -24,14 +24,16 @@ def greedy_placement(
     available_cores: Mapping[str, int],
     catalog: NFTypeCatalog = DEFAULT_CATALOG,
     capacity_headroom: float = 1.0,
+    available_memory_gb: Optional[Mapping[str, float]] = None,
 ) -> PlacementPlan:
     """First-fit heuristic: whole classes at single path positions.
 
     Classes are processed in descending rate order.  For each chain step
     the heuristic picks the earliest path position (at or after the
     previous step's position, preserving order) where adding the class's
-    load fits within the switch's core budget, preferring slots whose
-    already-placed instances have spare capacity.
+    load fits within the switch's core budget (and memory budget, when
+    given), preferring slots whose already-placed instances have spare
+    capacity.
 
     Raises:
         PlacementError: when some class cannot be placed anywhere.
@@ -40,6 +42,7 @@ def greedy_placement(
         raise PlacementError("capacity_headroom must be in (0, 1]")
     load: Dict[Tuple[str, str], float] = {}  # (switch, nf) -> assigned Mbps
     cores_used: Dict[str, int] = {}
+    memory_used: Dict[str, float] = {}
     distribution: Dict[Tuple[str, int, int], float] = {}
 
     def cap_of(nf_name: str) -> float:
@@ -54,7 +57,13 @@ def greedy_placement(
         added_instances = q_for(slot, extra) - q_for(slot, 0.0)
         added_cores = added_instances * nf.cores
         budget = available_cores.get(switch, 0)
-        return cores_used.get(switch, 0) + added_cores <= budget
+        if cores_used.get(switch, 0) + added_cores > budget:
+            return False
+        if available_memory_gb is None:
+            return True
+        added_memory = added_instances * nf.memory_gb
+        memory = available_memory_gb.get(switch, 0.0)
+        return memory_used.get(switch, 0.0) + added_memory <= memory + 1e-9
 
     for cls in sorted(classes, key=lambda c: (-c.rate_mbps, c.class_id)):
         prev_pos = 0
@@ -78,6 +87,10 @@ def greedy_placement(
                     nf = catalog.get(nf_name)
                     cores_used[switch] = (
                         cores_used.get(switch, 0) + (new_q - old_q) * nf.cores
+                    )
+                    memory_used[switch] = (
+                        memory_used.get(switch, 0.0)
+                        + (new_q - old_q) * nf.memory_gb
                     )
                     distribution[(cls.class_id, i, j)] = 1.0
                     prev_pos = i

@@ -25,7 +25,7 @@ from repro import obs
 from repro.experiments import fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12
 from repro.experiments import controller_crash, failure_recovery, failure_sweep
 from repro.experiments import packet_replay
-from repro.experiments import flash_crowd, multi_tenant, scale_sweep, southbound_chaos
+from repro.experiments import flash_crowd, multi_tenant, southbound_chaos
 from repro.experiments import table1, table4, table5
 from repro.experiments.harness import (
     ExperimentResult,
@@ -41,7 +41,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "failure_sweep": failure_sweep.run,
     "southbound_chaos": southbound_chaos.run,
     "controller_crash": controller_crash.run,
-    "scale_sweep": scale_sweep.run,
     "multi_tenant": multi_tenant.run,
     "flash_crowd": flash_crowd.run,
     "table1": table1.run,
@@ -60,7 +59,7 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 _QUICKABLE = {
     "table5", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
     "fig12", "packet_replay", "failure_recovery", "failure_sweep",
-    "southbound_chaos", "scale_sweep", "multi_tenant", "flash_crowd",
+    "southbound_chaos", "multi_tenant", "flash_crowd",
     "controller_crash",
 }
 
@@ -70,8 +69,8 @@ _JOBSABLE = {"fig12", "table5", "failure_recovery", "failure_sweep",
              "southbound_chaos"}
 
 #: Experiments whose run() accepts a seed (deterministic chaos runs).
-_SEEDABLE = {"failure_recovery", "southbound_chaos", "scale_sweep",
-             "multi_tenant", "flash_crowd", "controller_crash"}
+_SEEDABLE = {"failure_recovery", "southbound_chaos", "multi_tenant",
+             "flash_crowd", "controller_crash"}
 
 #: Experiments whose run() accepts a batch size (packets per simulator
 #: event through the data-plane fast path).

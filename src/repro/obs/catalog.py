@@ -56,14 +56,6 @@ CATALOG: Tuple[MetricDef, ...] = (
               "Traffic classes in the most recent solve"),
     MetricDef("gauge", "solver_instances_planned",
               "VNF instances in the most recent placement plan"),
-    MetricDef("gauge", "solver_shard_count",
-              "Shards of the most recent decomposed solve"),
-    MetricDef("gauge", "solver_shard_rounds",
-              "Capacity-coordination rounds of the most recent decomposed solve"),
-    MetricDef("counter", "solver_shard_reclaimed_cores_total",
-              "Host cores re-granted to infeasible shards by reclaim rounds"),
-    MetricDef("histogram", "solver_shard_solve_seconds",
-              "Wall time of one shard's placement solve"),
     # --------------------------------------------------------- data plane
     MetricDef("counter", "dataplane_tcam_lookups_total",
               "TCAM lookups across all switches (collected)"),

@@ -1,7 +1,7 @@
 """Shared process fan-out: auto-tuned worker counts, spec-only work units.
 
 One tuned code path for every fan-out in the repo (`apple-experiments
---jobs`, the Fig. 12 replay bench, per-shard placement solves).  The blanket
+--jobs`, the Fig. 12 replay bench).  The blanket
 ``ProcessPoolExecutor`` this replaces lost badly whenever the pool could
 not pay for itself — ``BENCH_engine.json`` once recorded the Fig. 12
 replay at 0.29x "speedup" with ``--jobs 4`` on a single-core host, all of
@@ -140,25 +140,6 @@ def in_worker() -> bool:
     return multiprocessing.current_process().name != "MainProcess"
 
 
-@dataclass(frozen=True)
-class _Catching:
-    """Picklable wrapper turning per-item exceptions into return values.
-
-    Lets a fan-out finish every independent work unit even when some
-    fail — ``pool.map`` otherwise cancels the whole map on the first
-    exception, which would turn one infeasible placement shard into a
-    lost round for all of them.
-    """
-
-    fn: Callable
-
-    def __call__(self, item: Any) -> Any:
-        try:
-            return self.fn(item)
-        except Exception as exc:  # noqa: BLE001 - relayed to the caller
-            return exc
-
-
 def _pool_map(fn: Callable, items: List[Any], workers: int) -> List[Any]:
     with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context()) as pool:
         return list(pool.map(fn, items))
@@ -169,7 +150,6 @@ def parallel_map(
     items: Iterable[Any],
     jobs: Jobs = 1,
     min_fanout_seconds: float = MIN_FANOUT_SECONDS,
-    return_exceptions: bool = False,
 ) -> List[Any]:
     """Map ``fn`` over ``items`` serially or across worker processes.
 
@@ -181,20 +161,12 @@ def parallel_map(
     ``min_fanout_seconds`` on a multi-core host — so ``auto`` is never
     slower than serial beyond one timing call.
 
-    With ``return_exceptions=True`` (asyncio-style) an exception raised
-    for one item becomes that item's result instead of aborting the map —
-    identical semantics serial or fanned out, so callers that tolerate
-    partial failure (e.g. per-shard placement solves) can retry just the
-    failed units.
-
     ``fn`` must be picklable for any fanned-out path (a module-level
     function, :func:`functools.partial` of one, or — cheapest — a
     :class:`FnSpec`).  Result order always matches input order.
     """
     items = list(items)
     jobs = resolve_jobs(jobs)
-    if return_exceptions:
-        fn = _Catching(fn)
     if len(items) <= 1 or in_worker():
         return [fn(item) for item in items]
     if jobs != "auto":

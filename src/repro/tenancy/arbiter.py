@@ -8,10 +8,8 @@ the grant (not the physical topology) to the Optimization Engine as its
 ``A_v``.  Because grants are disjoint by construction, per-tenant plans
 compose without interference: no cross-tenant core oversubscription, ever.
 
-Grant sizing reuses the decomposed solver's capacity-splitting machinery
-(PR 7): the closed-form :func:`~repro.core.decompose._demand_weights`
-core-demand proxy seeds the reservation, and
-:func:`~repro.core.decompose._repair_allocation` guarantees a host big
+Grant sizing: the closed-form :func:`demand_weights` core-demand proxy
+seeds the reservation, and :func:`repair_grant` guarantees a host big
 enough for each class's largest NF.  A final chain-sufficiency pass then
 tops the best path host up until one host can hold every instance the
 chain needs at the requested rate — which makes the granted sub-problem
@@ -42,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.core.decompose import _demand_weights, _repair_allocation
 from repro.sim.kernel import Simulator
 from repro.traffic.classes import TrafficClass
 from repro.vnf.types import NFTypeCatalog
@@ -50,6 +47,65 @@ from repro.vnf.types import NFTypeCatalog
 #: Request-time TCAM estimate per traffic class; the actual charge happens
 #: at commit from the generated rule set's real entry counts.
 TCAM_ESTIMATE_PER_CLASS = 4
+
+
+def demand_weights(
+    classes: Sequence[TrafficClass],
+    available_cores: Mapping[str, int],
+    catalog: NFTypeCatalog,
+) -> Dict[str, float]:
+    """Closed-form per-host core-demand proxy of a class set.
+
+    Each class's expected core need (Σ over its chain of cores_n / Cap_n,
+    times its rate) is spread evenly over the hosts on its path — what
+    the LP would do absent capacity pressure, at zero solve cost.
+    """
+    weights: Dict[str, float] = {}
+    for cls in classes:
+        hosts = [sw for sw in cls.path if available_cores.get(sw, 0) > 0]
+        if not hosts:
+            continue
+        per_mbps = sum(
+            catalog.get(nf).cores / catalog.get(nf).capacity_mbps
+            for nf in cls.chain
+        )
+        share = max(cls.rate_mbps, 1e-6) * per_mbps / len(hosts)
+        for sw in hosts:
+            weights[sw] = weights.get(sw, 0.0) + share
+    return weights
+
+
+def repair_grant(
+    grant: Dict[str, int],
+    classes: Sequence[TrafficClass],
+    available_cores: Mapping[str, int],
+    catalog: NFTypeCatalog,
+) -> None:
+    """Guarantee every class a granted host big enough for its largest NF.
+
+    Rounding the demand proxy can leave a class fewer cores on every path
+    host than one IDS instance needs.  This pass tops the biggest path
+    host up from the capacity the grant does not yet hold there (ties by
+    name).  Mutates ``grant`` in place.
+    """
+    for cls in classes:
+        hosts = [sw for sw in cls.path if available_cores.get(sw, 0) > 0]
+        if not hosts:
+            continue
+        need = max(catalog.get(nf).cores for nf in cls.chain)
+        if max((grant.get(sw, 0) for sw in hosts), default=0) >= need:
+            continue
+        for sw in sorted(
+            hosts, key=lambda v: (-int(available_cores.get(v, 0)), v)
+        ):
+            deficit = need - grant.get(sw, 0)
+            pool = int(available_cores.get(sw, 0)) - grant.get(sw, 0)
+            take = min(deficit, max(0, pool))
+            if take > 0:
+                grant[sw] = grant.get(sw, 0) + take
+                deficit -= take
+            if deficit <= 0:
+                break
 
 
 @dataclass
@@ -184,7 +240,7 @@ class CapacityArbiter:
         capacity — or None when the class set can never fit an empty
         network.
 
-        Seeds from the decomposed solver's demand proxy, repairs the
+        Seeds from the :func:`demand_weights` proxy, repairs the
         largest-NF guarantee, then tops up one path host per class until
         it fits the class's whole chain — the feasibility certificate.
 
@@ -197,16 +253,13 @@ class CapacityArbiter:
         reshapes, a grant.
         """
         phys = self.physical
-        shard = [list(range(len(classes)))]
-        weights = _demand_weights(classes, shard, phys, self.catalog)[0]
+        weights = demand_weights(classes, phys, self.catalog)
         need: Dict[str, int] = {}
         for sw, w in sorted(weights.items()):
             if w <= 0:
                 continue
             need[sw] = min(int(phys.get(sw, 0)), int(math.ceil(w - 1e-9)))
-        alloc = [need]
-        _repair_allocation(alloc, classes, shard, phys, self.catalog)
-        need = alloc[0]
+        repair_grant(need, classes, phys, self.catalog)
 
         claimable = dict(need)
         order = sorted(range(len(classes)), key=lambda i: classes[i].class_id)

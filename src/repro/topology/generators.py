@@ -7,28 +7,16 @@ Two families are needed by the paper's evaluation:
 * :func:`isp_like` — a router-level ISP graph with a heavy-tailed degree
   distribution, used to realise Rocketfuel AS-3679 (79 nodes / 147 links)
   since the original Rocketfuel trace files are not redistributable.
-
-Three more realise the hyperscale instances the decomposed placement
-solver targets (ROADMAP item 1) — all pure functions of their parameters
-and seed, so the same call always yields the same :class:`Topology`:
-
-* :func:`fat_tree` — the canonical k-ary fat-tree DC fabric (Al-Fares et
-  al.): 5k²/4 switches, APPLE hosts at the edge layer.
-* :func:`jellyfish` — a random regular graph fabric (Singla et al.), the
-  degree-diverse counterpoint to the fat-tree's rigid structure.
-* :func:`scaled_wan` — :func:`isp_like` scaled up while preserving the
-  Rocketfuel AS-3679 link/node ratio, for WANs beyond the paper's 79
-  nodes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 import networkx as nx
 import numpy as np
 
-from repro.topology.graph import AppleHostSpec, Link, Topology
+from repro.topology.graph import Link, Topology
 
 
 def two_tier_datacenter(
@@ -117,190 +105,3 @@ def isp_like(
     links = [Link(nodes[u], nodes[v], capacity_mbps=link_mbps) for u, v in sorted(g.edges)]
     return Topology(name, nodes, links)
 
-
-def fat_tree(
-    k: int = 4,
-    edge_link_mbps: float = 10_000.0,
-    agg_link_mbps: float = 40_000.0,
-    host_cores: int = 64,
-    host_memory_gb: float = 256.0,
-    name: Optional[str] = None,
-) -> Topology:
-    """The canonical k-ary fat-tree DC fabric (Al-Fares et al., SIGCOMM'08).
-
-    ``(k/2)²`` core switches and ``k`` pods of ``k/2`` aggregation plus
-    ``k/2`` edge switches each — ``5k²/4`` switches and ``k³/2`` links in
-    total (k=4 → 20 switches, k=20 → 500 switches).  Aggregation switch
-    ``a`` of every pod uplinks to cores ``a·k/2 … (a+1)·k/2 - 1``, giving
-    the rearrangeably non-blocking core layer.  APPLE hosts hang off the
-    edge layer only (servers do in a real fat-tree), so placement decides
-    between a class's ingress and egress racks.
-
-    Fully deterministic: no randomness, same ``k`` → identical topology.
-    """
-    if k < 2 or k % 2:
-        raise ValueError("fat-tree arity k must be an even integer >= 2")
-    half = k // 2
-    cores = [f"core{i}" for i in range(half * half)]
-    links: List[Link] = []
-    aggs: List[str] = []
-    edges: List[str] = []
-    for p in range(k):
-        pod_aggs = [f"pod{p}-agg{a}" for a in range(half)]
-        pod_edges = [f"pod{p}-edge{e}" for e in range(half)]
-        aggs.extend(pod_aggs)
-        edges.extend(pod_edges)
-        for a, agg in enumerate(pod_aggs):
-            for c in range(half):
-                links.append(
-                    Link(cores[a * half + c], agg, capacity_mbps=agg_link_mbps)
-                )
-            for edge in pod_edges:
-                links.append(Link(agg, edge, capacity_mbps=edge_link_mbps))
-    hosts = {
-        e: AppleHostSpec(cores=host_cores, memory_gb=host_memory_gb)
-        for e in edges
-    }
-    return Topology(
-        name or f"fat-tree-k{k}", cores + aggs + edges, links, hosts=hosts
-    )
-
-
-def jellyfish(
-    num_switches: int,
-    degree: int = 4,
-    seed: int = 0,
-    link_mbps: float = 40_000.0,
-    host_cores: int = 64,
-    host_memory_gb: float = 256.0,
-    name: Optional[str] = None,
-) -> Topology:
-    """A Jellyfish fabric: random regular graph of ``degree``-port switches.
-
-    Singla et al. (NSDI'12) construction: repeatedly join two random
-    non-adjacent switches with free ports; when no such pair remains but a
-    switch still has ≥ 2 free ports, break a random existing edge and
-    splice the switch in.  A final deterministic pass splices components
-    together in the (rare, small-graph) case the random graph came out
-    disconnected.  Pure function of ``(num_switches, degree, seed)``.
-    """
-    if num_switches < 3:
-        raise ValueError("jellyfish needs at least 3 switches")
-    if not 2 <= degree < num_switches:
-        raise ValueError("degree must be in [2, num_switches)")
-    if num_switches * degree % 2:
-        raise ValueError("num_switches * degree must be even")
-    rng = np.random.default_rng(seed)
-    g = nx.Graph()
-    g.add_nodes_from(range(num_switches))
-    free = np.full(num_switches, degree, dtype=np.int64)
-
-    def open_pairs() -> List[tuple]:
-        nodes = np.flatnonzero(free > 0)
-        return [
-            (int(u), int(v))
-            for i, u in enumerate(nodes)
-            for v in nodes[i + 1 :]
-            if not g.has_edge(int(u), int(v))
-        ]
-
-    def pick_pair() -> Optional[tuple]:
-        """A random linkable pair: rejection-sample, enumerate at the end.
-
-        Sampling keeps construction ~O(E) on large sparse graphs; the
-        exhaustive scan only runs in the endgame when few ports remain.
-        """
-        nodes = np.flatnonzero(free > 0)
-        if len(nodes) >= 2:
-            for _ in range(64):
-                i, j = rng.integers(0, len(nodes), size=2)
-                u, v = int(nodes[i]), int(nodes[j])
-                if u != v and not g.has_edge(u, v):
-                    return (u, v)
-        pairs = open_pairs()
-        if pairs:
-            return pairs[int(rng.integers(0, len(pairs)))]
-        return None
-
-    while True:
-        pair = pick_pair()
-        if pair is not None:
-            u, v = pair
-            g.add_edge(u, v)
-            free[u] -= 1
-            free[v] -= 1
-            continue
-        # No linkable pair left: splice any switch with >= 2 free ports
-        # into a random edge it is not already adjacent to.
-        stuck = [int(u) for u in np.flatnonzero(free >= 2)]
-        spliced = False
-        for u in stuck:
-            candidates = sorted(
-                (x, y) for x, y in g.edges if x != u and y != u
-                and not g.has_edge(u, x) and not g.has_edge(u, y)
-            )
-            if not candidates:
-                continue
-            x, y = candidates[int(rng.integers(0, len(candidates)))]
-            g.remove_edge(x, y)
-            g.add_edge(u, x)
-            g.add_edge(u, y)
-            free[u] -= 2
-            spliced = True
-            break
-        if not spliced:
-            break
-
-    # Deterministic connectivity repair: splice components together by
-    # swapping one edge from each (degree sums are preserved).
-    while not nx.is_connected(g):
-        comps = sorted(nx.connected_components(g), key=lambda c: (len(c), min(c)))
-        a_nodes, b_nodes = comps[0], comps[-1]
-        ax, ay = sorted(e for e in g.edges(a_nodes) if e[0] in a_nodes and e[1] in a_nodes)[0]
-        bx, by = sorted(e for e in g.edges(b_nodes) if e[0] in b_nodes and e[1] in b_nodes)[0]
-        g.remove_edge(ax, ay)
-        g.remove_edge(bx, by)
-        g.add_edge(ax, bx)
-        g.add_edge(ay, by)
-
-    nodes = [f"s{i}" for i in range(num_switches)]
-    links = [
-        Link(nodes[u], nodes[v], capacity_mbps=link_mbps) for u, v in sorted(g.edges)
-    ]
-    hosts = {
-        n: AppleHostSpec(cores=host_cores, memory_gb=host_memory_gb) for n in nodes
-    }
-    return Topology(
-        name or f"jellyfish-{num_switches}x{degree}", nodes, links, hosts=hosts
-    )
-
-
-#: AS-3679's measured link/node ratio (147 links / 79 nodes), preserved by
-#: :func:`scaled_wan` so bigger WANs keep the Rocketfuel sparsity profile.
-AS3679_LINK_NODE_RATIO = 147 / 79
-
-
-def scaled_wan(
-    num_nodes: int,
-    seed: int = 0,
-    link_node_ratio: float = AS3679_LINK_NODE_RATIO,
-    link_mbps: float = 10_000.0,
-    name: Optional[str] = None,
-) -> Topology:
-    """An ISP-like WAN scaled beyond Rocketfuel's 79 nodes.
-
-    Same construction as :func:`isp_like` (random spanning tree +
-    preferential attachment, so the heavy-tailed degree profile survives
-    scaling), with the link count derived from ``link_node_ratio`` —
-    defaulting to AS-3679's measured 147/79.
-    """
-    if num_nodes < 2:
-        raise ValueError("need at least two nodes")
-    num_links = max(num_nodes - 1, int(round(num_nodes * link_node_ratio)))
-    return isp_like(
-        num_nodes,
-        num_links,
-        seed=seed,
-        name=name or f"scaled-wan-{num_nodes}",
-        link_mbps=link_mbps,
-    )

@@ -11,7 +11,7 @@ def test_all_experiments_registered():
         "table1", "table4", "table5",
         "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
         "packet_replay", "failure_recovery", "failure_sweep",
-        "southbound_chaos", "scale_sweep", "multi_tenant", "flash_crowd",
+        "southbound_chaos", "multi_tenant", "flash_crowd",
         "controller_crash",
     }
     assert set(EXPERIMENTS) == expected

@@ -201,3 +201,66 @@ def test_solve_seconds_recorded():
     plan = _place([_cls("c1", "a", "c", LINE, ["nat"], 10.0)], CORES)
     assert plan.solve_seconds > 0
     assert plan.lp_bound <= plan.objective + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Deadline-aware placement
+# ---------------------------------------------------------------------------
+def _deadline_instance():
+    switches = ["s0", "s1", "s2", "s3", "s4"]
+    classes = [
+        _cls(f"c{k}", switches[k % 3], "s4", switches[k % 3 :],
+             ["firewall", "proxy", "nat"], 20.0)
+        for k in range(240)
+    ]
+    return classes, {s: 640 for s in switches}
+
+
+def test_deadline_below_estimate_degrades_to_greedy():
+    classes, cores = _deadline_instance()
+    engine = OptimizationEngine()
+    deadline = engine.estimate_solve_seconds(classes, cores) / 2
+    plan, degraded = engine.place_with_deadline(classes, cores, deadline=deadline)
+    assert degraded
+    assert engine.deadline_fallbacks == 1
+    assert plan.validate(cores) == []
+
+
+def test_deadline_above_estimate_runs_the_solver():
+    classes, cores = _deadline_instance()
+    engine = OptimizationEngine()
+    estimate = engine.estimate_solve_seconds(classes, cores)
+    assert estimate == engine.estimate_solve_seconds(classes, cores)
+    plan, degraded = engine.place_with_deadline(classes, cores, deadline=2 * estimate)
+    assert not degraded
+    assert engine.deadline_fallbacks == 0
+    assert plan.quantities == OptimizationEngine().place(classes, cores).quantities
+
+
+def test_infeasible_instance_raises_on_every_solve_path():
+    """The greedy fallback fails the way ``place()`` does: IDS needs 8
+    cores and no switch has them, so both raise ``PlacementError``."""
+    classes = [_cls("c1", "a", "c", LINE, ["ids"], 5000.0)]
+    cores = {"a": 0, "b": 4, "c": 4}
+    engine = OptimizationEngine()
+    with pytest.raises(PlacementError):
+        engine.place(classes, cores)
+    with pytest.raises(PlacementError):
+        engine.place_with_deadline(classes, cores, deadline=0.0)
+    assert engine.deadline_fallbacks == 0
+
+
+def test_deadline_fallback_respects_the_memory_budget():
+    """The greedy fallback sees the memory budget ``place()`` sees: an IDS
+    (8 GB) does not fit the 2 GB at a or b, so it lands on c."""
+    classes = [_cls("c1", "a", "c", LINE, ["ids"], 100.0)]
+    cores = {s: 16 for s in LINE}
+    memory = {"a": 2.0, "b": 2.0, "c": 16.0}
+    engine = OptimizationEngine()
+    plan, degraded = engine.place_with_deadline(
+        classes, cores, available_memory_gb=memory, deadline=0.0
+    )
+    assert degraded
+    assert plan.quantities == {("c", "ids"): 1}
+    assert plan.validate(cores, available_memory_gb=memory) == []
+    assert engine.place(classes, cores, memory).quantities == plan.quantities

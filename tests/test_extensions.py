@@ -13,6 +13,7 @@ from repro.core.metrics import (
     tcam_usage_cross_product,
     tcam_usage_with_tagging,
 )
+from repro.core.placement import PlacementPlan
 from repro.core.rulegen import RuleGenerator
 from repro.core.subclasses import assign_subclasses
 from repro.dataplane.flowhash import flow_hash, hash_spread, suffix_hash
@@ -100,6 +101,35 @@ def test_nat_last_keeps_multiplexed_ids():
 def test_chain_without_modifier_keeps_multiplexed_ids():
     rules = _rules_for(["firewall", "ids"])
     assert not rules.tag_allocator.global_subclass_ids
+
+
+def _one_subclass_per_class(n):
+    """``n`` NAT → firewall classes sharing one instance of each NF."""
+    classes = [_cls(f"c{k}", 0.1, ["nat", "firewall"]) for k in range(n)]
+    distribution = {(c.class_id, 0, j): 1.0 for c in classes for j in range(2)}
+    plan = PlacementPlan(
+        quantities={("a", "nat"): 1, ("a", "firewall"): 1},
+        distribution=distribution,
+        classes=classes,
+        catalog=DEFAULT_CATALOG,
+        objective=2.0,
+    )
+    return plan, assign_subclasses(plan)
+
+
+def test_global_subclass_ids_stop_at_the_vlan_field():
+    """With a header-modifying NF before the end of the chain, every
+    sub-class in the network needs its own tag: 4,096 fit the 12-bit VLAN
+    field, one more does not.  This is what bounds a deployable instance."""
+    plan, subs = _one_subclass_per_class(4096)
+    assert subs.total_subclasses() == 4096
+    tags = RuleGenerator(DEFAULT_CATALOG).generate(plan.classes, subs).tag_allocator
+    assert tags.global_subclass_ids
+    assert tags.subclass_field.name == "vlan"
+
+    plan, subs = _one_subclass_per_class(4097)
+    with pytest.raises(TagSpaceExhausted, match="4097 global"):
+        RuleGenerator(DEFAULT_CATALOG).generate(plan.classes, subs)
 
 
 # ---------------------------------------------------------------------------

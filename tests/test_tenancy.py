@@ -18,6 +18,7 @@ from repro.tenancy import (
     TenantOrchestrator,
     UpdateRates,
 )
+from repro.tenancy.arbiter import repair_grant
 from repro.tenancy.intents import COMPLETED, FAILED, REJECTED
 from repro.topology.datasets import internet2
 from repro.topology.routing import Router
@@ -199,6 +200,73 @@ def test_arbiter_need_is_independent_of_other_tenants(arb_env):
     other = _make_class(topo, router, "tA/c0", 400.0)
     assert arb.request("tA", [other], resume=lambda g: None)[0] == arb.GRANTED
     assert arb._compute_need([cls]) == baseline
+
+
+def test_repair_grant_tops_up_starved_host():
+    path = ("s0", "s1")
+    classes = [
+        TrafficClass("big", "s0", "s1", path, PolicyChain(["ids"]), 100.0),
+        TrafficClass("small", "s0", "s1", path, PolicyChain(["firewall"]), 100.0),
+    ]
+    cores = {"s0": 0, "s1": 16}
+    # rounding the demand proxy left 2 cores at the only host
+    grant = {"s1": 2}
+    repair_grant(grant, classes, cores, DEFAULT_CATALOG)
+    assert grant == {"s1": DEFAULT_CATALOG.get("ids").cores}
+    # never past the host's capacity
+    grant = {"s1": 2}
+    repair_grant(grant, classes, {"s0": 0, "s1": 6}, DEFAULT_CATALOG)
+    assert grant == {"s1": 6}
+
+
+#: (cores per PoP, capacity headroom, classes as (src, dst, chain, Mbps))
+#: → the reservation ``_compute_need`` returns for them, as literals.  Any
+#: change to the sizing arithmetic or its iteration order moves one of these.
+_MIXED = [
+    ("ATLA-M5", "DNVR", ("firewall", "ids"), 700.0),
+    ("LOSA", "NYCM", ("nat", "firewall", "ids"), 250.0),
+    ("STTL", "HSTN", ("firewall", "proxy"), 1200.0),
+    ("SNVA", "WASH", ("firewall",), 5.0),
+]
+_HEAVY = [
+    ("LOSA", "NYCM", ("firewall", "ids", "proxy"), 900.0),
+    ("LOSA", "NYCM", ("nat", "firewall"), 1800.0),
+    ("CHIN", "HSTN", ("ids",), 40.0),
+]
+_PINNED_NEEDS = [
+    (8, 1.0, [("ATLA", "WASH", ("firewall",), 150.0)], {"ATLA": 4, "WASH": 1}),
+    (8, 1.0, [("ATLA-M5", "DNVR", ("ids",), 100.0)],
+     {"ATLA": 8, "ATLA-M5": 8, "DNVR": 1, "HSTN": 1, "KSCY": 1}),
+    (8, 1.0, _MIXED, None),
+    (24, 1.0, _MIXED,
+     {"ATLA": 8, "ATLA-M5": 20, "DNVR": 6, "HSTN": 7, "KSCY": 6, "LOSA": 14,
+      "NYCM": 1, "SNVA": 4, "STTL": 16, "WASH": 2}),
+    (24, 1.0, _HEAVY,
+     {"ATLA": 8, "CHIN": 8, "HSTN": 12, "IPLS": 1, "LOSA": 24, "NYCM": 7,
+      "WASH": 7}),
+    (64, 0.8, _HEAVY,
+     {"ATLA": 8, "CHIN": 8, "HSTN": 18, "IPLS": 1, "LOSA": 32, "NYCM": 7,
+      "WASH": 7}),
+]
+
+
+@pytest.mark.parametrize("cores, headroom, spec, expected", _PINNED_NEEDS)
+def test_arbiter_need_is_pinned(cores, headroom, spec, expected):
+    topo = internet2(default_host_cores=cores)
+    router = Router(topo)
+    arb = CapacityArbiter(
+        Simulator(seed=0),
+        {s: h.cores for s, h in topo.hosts.items()},
+        tcam_budget=64,
+        catalog=DEFAULT_CATALOG,
+        capacity_headroom=headroom,
+    )
+    classes = [
+        TrafficClass(f"t/c{k}", src, dst, router.path(src, dst),
+                     PolicyChain(chain, DEFAULT_CATALOG), rate)
+        for k, (src, dst, chain, rate) in enumerate(spec)
+    ]
+    assert arb._compute_need(classes) == expected
 
 
 # ----------------------------------------------------------------------
