@@ -5,7 +5,7 @@ each class's host count ``H`` and chain length ``J``, so nothing builds an
 expression tree: one walk over the classes collects host positions and
 chains, and everything else is ``repeat`` / ``cumsum`` / ``unique`` over
 per-class ``(H, J)``, emitting the CSC matrix of a
-:class:`~repro.solver.model.LinearProgram` together with the index arrays a
+:class:`~repro.solver.lp.LinearProgram` together with the index arrays a
 :class:`PlacementTemplate` needs to rewrite rates and read solutions back.
 
 Ordering contract — **do not reorder**: warm-started templates rewrite
@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.solver.model import LinearProgram
+from repro.solver.lp import LinearProgram
 from repro.traffic.classes import TrafficClass
 from repro.vnf.types import NFTypeCatalog
 
@@ -96,7 +96,6 @@ class PlacementTemplate:
     #: Eq. 6 memory rows in the same switch order; None when not modelled.
     _mem_rows: Optional[np.ndarray] = field(repr=False)
     _q_idx: np.ndarray = field(repr=False)
-    solves: int = 0
     _rates: Optional[np.ndarray] = field(default=None, repr=False)
 
     def set_rates(self, classes: Sequence[TrafficClass]) -> None:

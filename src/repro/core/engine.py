@@ -86,9 +86,8 @@ class EngineConfig:
             per-solve data and may differ from call to call (snapshot
             replay, periodic reoptimization, a tenant's grant moving with
             its rates).  Warm re-solves produce plans identical to cold
-            solves; disable only to benchmark the cold path.
-        template_cache_size: LRU capacity of the engine's template cache
-            (one entry per distinct class structure and host set).
+            solves; disable only to benchmark the cold path.  The cache is
+            an LRU of four templates (one per class structure and host set).
     """
 
     solver: str = "rounding"
@@ -99,13 +98,10 @@ class EngineConfig:
     capacity_headroom: float = 1.0
     compare_greedy: bool = False
     warm_start: bool = True
-    template_cache_size: int = 4
 
     def __post_init__(self) -> None:
         if self.solver not in ("rounding", "exact"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.template_cache_size < 1:
-            raise ValueError("template_cache_size must be at least 1")
 
 
 class OptimizationEngine:
@@ -138,30 +134,12 @@ class OptimizationEngine:
         """Drop all cached templates (force cold solves)."""
         self._templates.clear()
 
-    def make_template(
-        self,
-        classes: Sequence[TrafficClass],
-        available_cores: Mapping[str, int],
-        available_memory_gb: Optional[Mapping[str, float]] = None,
-    ) -> PlacementTemplate:
-        """Run only the structure phase; pass the result to :meth:`place`.
-
-        Useful when the caller manages template lifetime itself (e.g. one
-        template per topology in a long replay); :meth:`place` also keeps
-        an internal LRU, so most callers never need this.
-        """
-        classes = [self._clamped(c) for c in classes]
-        self._check_paths(classes, available_cores)
-        key = self._structure_key(classes, available_cores, available_memory_gb)
-        return self._build_template(classes, available_cores, available_memory_gb, key)
-
     # ------------------------------------------------------------------
     def place(
         self,
         classes: Sequence[TrafficClass],
         available_cores: Mapping[str, int],
         available_memory_gb: Optional[Mapping[str, float]] = None,
-        template: Optional[PlacementTemplate] = None,
     ) -> PlacementPlan:
         """Solve the placement problem for ``classes``.
 
@@ -172,16 +150,14 @@ class OptimizationEngine:
             available_memory_gb: optional second dimension of A_v; when
                 given, Eq. 6 is enforced per resource type (R_n is the
                 (cores, memory) vector of each NF).
-            template: an explicit :class:`PlacementTemplate` from
-                :meth:`make_template`; must match this instance's classes
-                and host set (budgets and rates may differ).  When omitted
-                and ``config.warm_start`` is on, the engine's internal
-                cache supplies one automatically.
+
+        With ``config.warm_start`` on, a cached template of the same class
+        structure and host set is re-solved with this call's rates and
+        budgets instead of being rebuilt.
 
         Raises:
-            PlacementError: a class's path has no APPLE host, the model is
-                infeasible (insufficient capacity anywhere), or an explicit
-                template does not match the instance structure.
+            PlacementError: a class's path has no APPLE host, or the model
+                is infeasible (insufficient capacity anywhere).
         """
         started = time.perf_counter()
         classes = [self._clamped(c) for c in classes]
@@ -198,40 +174,31 @@ class OptimizationEngine:
             )
         key = self._structure_key(classes, available_cores, available_memory_gb)
 
-        warm = False
-        if template is not None:
-            if template.key != key:
-                raise PlacementError(
-                    "placement template does not match this instance "
-                    "(classes/hosts/config changed); build a new template"
-                )
-            if template.solves > 0 and not template.reusable:
-                raise PlacementError(
-                    "placement template is single-shot (degenerate sparsity) "
-                    "and was already solved; build a new template"
-                )
-            warm = template.solves > 0
-        elif self.config.warm_start:
-            template = self._templates.get(key)
-            if template is not None:
-                self._templates.move_to_end(key)
-                warm = True
-        if template is None:
+        # Only filled with ``warm_start`` on, and never with a single-shot
+        # template; an LRU of four structures.
+        template = self._templates.get(key)
+        warm = template is not None
+        if warm:
+            self._templates.move_to_end(key)
+            self.warm_solves += 1
+        else:
             with obs.span(
                 "engine.template_build",
                 cat="solver",
                 histogram="solver_lp_assembly_seconds",
             ):
-                template = self._build_template(
-                    classes, available_cores, available_memory_gb, key
+                template = assemble_placement_lp(
+                    classes,
+                    available_cores,
+                    available_memory_gb,
+                    cap=self._cap,
+                    catalog=self.catalog,
+                    key=key,
                 )
             if self.config.warm_start and template.reusable:
                 self._templates[key] = template
-                while len(self._templates) > self.config.template_cache_size:
+                if len(self._templates) > 4:
                     self._templates.popitem(last=False)
-        if warm:
-            self.warm_solves += 1
-        else:
             self.cold_builds += 1
         with obs.span(
             "engine.rate_update",
@@ -240,7 +207,6 @@ class OptimizationEngine:
         ):
             template.set_rates(classes)
             template.set_budgets(available_cores, available_memory_gb)
-        template.solves += 1
 
         span_name = "engine.warm_solve" if warm else "engine.cold_solve"
         try:
@@ -395,23 +361,6 @@ class OptimizationEngine:
             available_memory_gb is not None,
             self.config.capacity_headroom,
             id(self.catalog),
-        )
-
-    def _build_template(
-        self,
-        classes: Sequence[TrafficClass],
-        available_cores: Mapping[str, int],
-        available_memory_gb: Optional[Mapping[str, float]],
-        key: tuple,
-    ) -> PlacementTemplate:
-        """The structure phase: the LP arrays and the template's indices."""
-        return assemble_placement_lp(
-            classes,
-            available_cores,
-            available_memory_gb,
-            cap=self._cap,
-            catalog=self.catalog,
-            key=key,
         )
 
     # ------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Sec. IV-D formulates VNF placement as an ILP (NP-hard via Set Cover) and
 solves it with "LP relaxation, an approximation technique ... by CPLEX".
-This package provides:
+Every solver takes one input form, :class:`LinearProgram` (the CSC arrays
+:func:`repro.core.constraints.assemble_placement_lp` writes):
 
-* :mod:`repro.solver.model` — a declarative, sparse LP/ILP model builder;
-* :mod:`repro.solver.lp` — LP solving via ``scipy.optimize.linprog`` (HiGHS);
+* :mod:`repro.solver.lp` — :class:`LinearProgram` and its LP solve on
+  scipy's HiGHS (a resident engine, or public ``linprog`` as fallback);
 * :mod:`repro.solver.rounding` — LP relaxation + deterministic rounding and
   repair (the production path, mirroring the paper);
 * :mod:`repro.solver.branch_bound` — exact branch-and-bound for small
@@ -13,16 +14,11 @@ This package provides:
 """
 
 from repro.solver.branch_bound import BranchBoundResult, solve_branch_bound
-from repro.solver.lp import LPResult, solve_lp
-from repro.solver.model import Constraint, LinExpr, Model, Sense, Variable
+from repro.solver.lp import LinearProgram, LPResult, solve_lp
 from repro.solver.rounding import RoundingResult, solve_with_rounding
 
 __all__ = [
-    "Model",
-    "Variable",
-    "LinExpr",
-    "Constraint",
-    "Sense",
+    "LinearProgram",
     "solve_lp",
     "LPResult",
     "solve_with_rounding",

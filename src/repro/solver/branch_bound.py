@@ -2,8 +2,10 @@
 
 Practical only for small models (Internet2-scale); the evaluation uses it
 to quantify the optimality gap of the production rounding path (the
-``bench_ablation_solver`` benchmark).  Best-bound node selection, branching
-on the most fractional integer variable.
+``bench_ablation_solver`` benchmark).  Takes a
+:class:`~repro.solver.lp.LinearProgram`; best-bound node selection,
+branching on the most fractional integer variable (the helper rounding
+uses, so both pick the same variable).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.solver.lp import SolverError, as_lp, solve_lp
+from repro.solver.lp import LinearProgram, SolverError, solve_lp
+from repro.solver.rounding import most_fractional
 
 
 @dataclass
@@ -29,34 +32,14 @@ class BranchBoundResult:
     nodes_explored: int
     gap: float  # relative gap between incumbent and best bound
 
-    def value_of(self, var) -> float:
-        if self.solution is None:
-            raise ValueError("no incumbent solution")
-        return float(self.solution[var.index])
-
-
-def _most_fractional(solution: np.ndarray, integer_indices, tol: float) -> Optional[int]:
-    best_idx, best_frac = None, tol
-    for i in integer_indices:
-        frac = abs(solution[i] - round(solution[i]))
-        if frac > best_frac:
-            best_idx, best_frac = i, frac
-    return best_idx
-
 
 def solve_branch_bound(
-    problem,
+    program: LinearProgram,
     max_nodes: int = 2000,
     int_tol: float = 1e-6,
     gap_tol: float = 1e-6,
 ) -> BranchBoundResult:
-    """Minimise ``problem`` respecting integrality of its integer variables.
-
-    Args:
-        problem: a :class:`~repro.solver.model.LinearProgram`, or a
-            :class:`~repro.solver.model.Model` to compile into one.
-    """
-    program = as_lp(problem)
+    """Minimise ``program`` respecting integrality of its integer variables."""
     integer_indices = program.integer_indices
     n = program.num_variables
     counter = itertools.count()
@@ -93,7 +76,7 @@ def solve_branch_bound(
             continue
         nodes += 1
         try_round_up(lp)
-        branch_var = _most_fractional(lp.solution, integer_indices, int_tol)
+        branch_var = most_fractional(lp.solution, integer_indices, int_tol)
         if branch_var is None:
             # Integral solution: candidate incumbent.
             if lp.objective < incumbent_obj:
@@ -122,7 +105,9 @@ def solve_branch_bound(
 
     if incumbent is None:
         return BranchBoundResult("infeasible", math.inf, None, nodes, math.inf)
-    best_bound = min((item[0] for item in heap), default=incumbent_obj)
+    # The incumbent bounds the search too: when every open node's bound is
+    # no better, a node limit hit still leaves the incumbent proven optimal.
+    best_bound = min([incumbent_obj] + [item[0] for item in heap])
     gap = abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
     status = "optimal" if not heap or gap <= gap_tol else "feasible"
     return BranchBoundResult(status, incumbent_obj, incumbent, nodes, gap)

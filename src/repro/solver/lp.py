@@ -1,10 +1,9 @@
-"""LP solving via scipy's HiGHS backend.
+"""The solver-native LP form and its solve via scipy's HiGHS backend.
 
-Solves the continuous relaxation of a
-:class:`~repro.solver.model.LinearProgram` (integrality is ignored here;
-see :mod:`repro.solver.rounding` and :mod:`repro.solver.branch_bound` for
-integer handling).  A :class:`~repro.solver.model.Model` is accepted too
-and lowered to that form first (:func:`as_lp`).
+:class:`LinearProgram` is the one input every solver takes; this module
+solves its continuous relaxation (integrality is ignored here; see
+:mod:`repro.solver.rounding` and :mod:`repro.solver.branch_bound` for
+integer handling).
 
 Two call paths share one semantic contract:
 
@@ -18,7 +17,9 @@ Two call paths share one semantic contract:
   re-solve hundreds of times against one compiled structure, and HiGHS
   presolve costs more per call than it saves here.
 * The *portable* fallback uses public ``linprog`` with the same options
-  when the private wrapper modules are unavailable (scipy layout drift).
+  when the private wrapper modules are unavailable or do not accept the
+  direct path's call (scipy layout drift); a one-variable probe solve at
+  import decides, and a :class:`HighsBindingWarning` says so.
 
 Both paths run the same HiGHS dual simplex on the same matrices, so a
 process gets identical solutions whichever path it resolves to.
@@ -26,14 +27,76 @@ process gets identical solutions whichever path it resolves to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import warnings
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.solver.model import CompiledModel, LinearProgram
+
+class HighsBindingWarning(RuntimeWarning):
+    """scipy's private HiGHS binding is unusable; solves go through ``linprog``."""
+
+
+@dataclass
+class LinearProgram:
+    """``min c·x`` s.t. ``lhs ≤ A x ≤ rhs``, ``lb ≤ x ≤ ub`` — solver-native.
+
+    The one representation every solver path consumes (direct HiGHS, the
+    ``linprog`` fallback, iterative rounding, branch-and-bound); the
+    placement LP is written straight into it by
+    :func:`repro.core.constraints.assemble_placement_lp`.  ``A`` is the
+    stacked ``[A_ub; A_eq]`` in CSC (``indptr``/``indices`` as ``int32``,
+    the width HiGHS takes by buffer, and ``data``; row indices ascending
+    inside every column): the first ``n_ub`` rows are
+    inequalities (``lhs = -inf``), the rest equalities (``lhs == rhs``).
+    ``data``, ``rhs`` and the bounds may be rewritten in place between
+    solves; the sparsity pattern may not.
+    """
+
+    name: str
+    c: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    n_ub: int
+    integer_mask: np.ndarray
+    #: Column index → display name, called only when an error is raised.
+    var_name: Callable[[int], str] = field(repr=False)
+
+    @property
+    def num_variables(self) -> int:
+        return self.c.size
+
+    @property
+    def integer_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.integer_mask)
+
+    def objective_value(self, solution: np.ndarray) -> float:
+        return float(self.c @ solution)
+
+    def row_activity(self, solution: np.ndarray) -> np.ndarray:
+        """``A x`` straight from the CSC arrays."""
+        per_entry = self.data * np.repeat(solution, np.diff(self.indptr))
+        return np.bincount(self.indices, weights=per_entry, minlength=self.rhs.size)
+
+    def is_feasible(self, solution: np.ndarray, tol: float = 1e-6) -> bool:
+        """Rows within ``[lhs − tol, rhs + tol]`` and columns within bounds."""
+        solution = np.asarray(solution, dtype=float)
+        act = self.row_activity(solution)
+        return bool(
+            np.all(act >= self.lhs - tol)
+            and np.all(act <= self.rhs + tol)
+            and np.all(solution >= self.lb - tol)
+            and np.all(solution <= self.ub + tol)
+        )
+
 
 try:  # pragma: no cover - exercised implicitly by every solve
     from scipy.optimize._highspy import _core as _highs_core
@@ -71,8 +134,14 @@ try:  # pragma: no cover - exercised implicitly by every solve
     _COLWISE = int(_highs_core.MatrixFormat.kColwise)
     _MINIMIZE = int(_highs_core.ObjSense.kMinimize)
     HAVE_DIRECT_HIGHS = True
-except Exception:  # ImportError, AttributeError on layout drift
+except Exception as exc:  # ImportError, AttributeError on layout drift
     HAVE_DIRECT_HIGHS = False
+    warnings.warn(
+        HighsBindingWarning(
+            f"scipy's private HiGHS binding did not load ({exc!r}); "
+            "solving through scipy.optimize.linprog"
+        )
+    )
 
 
 class SolverError(RuntimeError):
@@ -87,36 +156,16 @@ class LPResult:
     objective: float
     solution: np.ndarray
 
-    def value_of(self, var) -> float:
-        """Value of a model variable in this solution."""
-        return float(self.solution[var.index])
-
-
-def as_lp(problem, compiled: Optional[CompiledModel] = None) -> LinearProgram:
-    """The :class:`LinearProgram` of ``problem``.
-
-    ``problem`` is either a :class:`LinearProgram` already (the placement
-    assembler's output) or a :class:`Model`, lowered through ``compiled``
-    (or a fresh ``compile()``) and its cached :meth:`highs_arrays`.
-    """
-    if isinstance(problem, LinearProgram):
-        return problem
-    cm = compiled if compiled is not None else problem.compile()
-    return cm.highs_arrays()
-
 
 def solve_lp(
-    problem,
-    compiled: Optional[CompiledModel] = None,
+    lp: LinearProgram,
     extra_upper_bounds: Optional[np.ndarray] = None,
     extra_lower_bounds: Optional[np.ndarray] = None,
     b_ub_override: Optional[np.ndarray] = None,
 ) -> LPResult:
-    """Solve the LP relaxation of ``problem`` (a Model or LinearProgram).
+    """Solve the LP relaxation of ``lp``.
 
     Args:
-        compiled: reuse a pre-compiled model (branch-and-bound recompiles
-            bounds only, not the matrices).
         extra_upper_bounds / extra_lower_bounds: per-variable bound
             overrides (NaN = keep model bound), used for branching.
         b_ub_override: replacement right-hand-side vector for the ≤ rows
@@ -125,7 +174,6 @@ def solve_lp(
     Raises:
         SolverError: if the problem is infeasible or unbounded.
     """
-    lp = as_lp(problem, compiled)
     lb, ub = lp.lb, lp.ub
     if extra_lower_bounds is not None or extra_upper_bounds is not None:
         lb, ub = lb.copy(), ub.copy()
@@ -222,3 +270,38 @@ def _solve_linprog(
     if not res.success:
         raise SolverError(f"model {lp.name!r}: solver failed ({res.message})")
     return LPResult(status="optimal", objective=float(res.fun), solution=res.x)
+
+
+def _probe_direct() -> None:
+    """Solve ``min x`` s.t. ``x = 1`` on the direct path once, at import.
+
+    A scipy whose private binding moved can import cleanly and still refuse
+    the 15-argument ``passModel`` call; finding out here turns that into one
+    :class:`HighsBindingWarning` and the ``linprog`` path, not an exception
+    from the first ``place()``.
+    """
+    global HAVE_DIRECT_HIGHS
+    one = np.ones(1)
+    probe = LinearProgram(
+        name="highs-probe", c=one, indptr=np.array([0, 1], dtype=np.int32),
+        indices=np.zeros(1, dtype=np.int32), data=one, lhs=one, rhs=one,
+        lb=np.zeros(1), ub=np.full(1, 2.0), n_ub=0,
+        integer_mask=np.zeros(1, dtype=bool), var_name="x[{}]".format,
+    )
+    try:
+        answer = _solve_direct(probe, probe.lb, probe.ub, probe.rhs).objective
+        if answer != 1.0:
+            raise SolverError(f"probe answered {answer!r}, not 1.0")
+    except Exception as exc:
+        HAVE_DIRECT_HIGHS = False
+        warnings.warn(
+            HighsBindingWarning(
+                f"scipy's private HiGHS binding failed a probe solve ({exc!r}); "
+                "solving through scipy.optimize.linprog"
+            ),
+            stacklevel=2,
+        )
+
+
+if HAVE_DIRECT_HIGHS:
+    _probe_direct()

@@ -3,7 +3,7 @@
 Sec. IV-D: "We apply LP relaxation, an approximation technique, to reduce
 the complexity."  The scheme here is iterative *round-up-and-resolve*:
 
-1. solve the LP relaxation;
+1. solve the LP relaxation of the :class:`~repro.solver.lp.LinearProgram`;
 2. if every integer variable is integral, done;
 3. otherwise fix the most fractional integer variable to the ceiling of its
    LP value (falling back to the floor if ceiling is infeasible, e.g. when
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.solver.lp import SolverError, as_lp, solve_lp
+from repro.solver.lp import LinearProgram, SolverError, solve_lp
 
 
 @dataclass
@@ -36,9 +36,6 @@ class RoundingResult:
     lp_objective: float  # relaxation bound, for gap reporting
     lp_solves: int
 
-    def value_of(self, var) -> float:
-        return float(self.solution[var.index])
-
     @property
     def integrality_gap(self) -> float:
         """Relative gap between rounded objective and the LP bound."""
@@ -48,21 +45,16 @@ class RoundingResult:
 
 
 def solve_with_rounding(
-    problem,
+    program: LinearProgram,
     int_tol: float = 1e-6,
     max_iterations: Optional[int] = None,
 ) -> RoundingResult:
-    """Solve ``problem`` by LP relaxation + iterative round-up.
-
-    Args:
-        problem: a :class:`~repro.solver.model.LinearProgram`, or a
-            :class:`~repro.solver.model.Model` to compile into one.
+    """Solve ``program`` by LP relaxation + iterative round-up.
 
     Raises:
         SolverError: when even the relaxation is infeasible, or when neither
             rounding direction of some variable admits a feasible completion.
     """
-    program = as_lp(problem)
     n = program.num_variables
     integer_indices = program.integer_indices
     lower = np.full(n, np.nan)
@@ -74,7 +66,7 @@ def solve_with_rounding(
     limit = max_iterations if max_iterations is not None else len(integer_indices) + 1
 
     for _ in range(limit):
-        frac_idx = _pick_fractional(lp.solution, integer_indices, int_tol)
+        frac_idx = most_fractional(lp.solution, integer_indices, int_tol)
         if frac_idx is None:
             snapped = lp.solution.copy()
             snapped[integer_indices] = np.round(snapped[integer_indices])
@@ -104,10 +96,14 @@ def solve_with_rounding(
     raise SolverError(f"model {program.name!r}: rounding did not converge")
 
 
-def _pick_fractional(
+def most_fractional(
     solution: np.ndarray, integer_indices: Sequence[int], tol: float
 ) -> Optional[int]:
-    """Index of the most fractional integer variable, or None if integral."""
+    """Index of the most fractional integer variable, or None if integral.
+
+    Ties go to the first of ``integer_indices``; rounding fixes and
+    branch-and-bound branches on this variable.
+    """
     best, best_frac = None, tol
     for i in integer_indices:
         frac = abs(solution[i] - round(solution[i]))

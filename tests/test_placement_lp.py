@@ -1,11 +1,12 @@
 """The placement LP assembler against an independent expression-tree reference.
 
 :func:`repro.core.constraints.assemble_placement_lp` writes Eq. 1–6 straight
-into CSC arrays.  The reference below is the builder it replaced — one
-``Variable`` per d/q, one ``LinExpr`` per row, lowered through
-``Model.compile().highs_arrays()`` — and shares no code with it.  Every
-array the solver or the template reads must come out equal, because warm
-re-solves, pinned objectives and ``state_signature()`` ride on them.
+into CSC arrays.  The reference below builds the same model the way it was
+first written — one column per d/q, one ``{column: coefficient}`` row per
+constraint, on the test-only builder in ``tests/lp_reference.py`` — and
+shares no code with it.  Every array the solver or the template reads must
+come out equal, because warm re-solves, pinned objectives and
+``state_signature()`` ride on them.
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +21,10 @@ import repro.solver.lp as lp_module
 from repro.core.constraints import assemble_placement_lp
 from repro.core.engine import EngineConfig, OptimizationEngine
 from repro.experiments.harness import standard_setup
-from repro.solver.model import LinExpr, Model
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG
+from tests.lp_reference import Builder
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +34,6 @@ from repro.vnf.types import DEFAULT_CATALOG
 
 @dataclass
 class Bundle:
-    cons: list = field(default_factory=list)
     d_vars: dict = field(default_factory=dict)
     q_vars: dict = field(default_factory=dict)
     slots: list = field(default_factory=list)
@@ -43,83 +43,83 @@ class Bundle:
 
 def add_flow_rows(model, bundle, classes, available_cores):
     """d variables plus Eq. 4 completeness and Eq. 3 ordering rows."""
-    d_vars, cons = bundle.d_vars, bundle.cons
+    d_vars = bundle.d_vars
     for cls_idx, cls in enumerate(classes):
         host_positions = [
             i for i, sw in enumerate(cls.path) if available_cores.get(sw, 0) > 0
         ]
         for j, nf in enumerate(cls.chain):
             for i in host_positions:
-                var = model.add_var(f"d[{cls.class_id},{i},{j}]", lb=0.0, ub=1.0)
+                var = model.var(f"d[{cls.class_id},{i},{j}]", lb=0.0, ub=1.0)
                 d_vars[(cls.class_id, i, j)] = var
                 bundle.load_members.setdefault((cls.path[i], nf), []).append(
                     (cls_idx, var)
                 )
         for j in range(cls.chain_length):
             step_vars = [d_vars[(cls.class_id, i, j)] for i in host_positions]
-            cons.append(LinExpr.total(step_vars).eq(1.0))
+            model.row(dict.fromkeys(step_vars, 1.0), "==", 1.0)
         # Eq. 3 with σ substituted: the cumulative portion of step j-1
         # dominates step j at every prefix of the path.
         for j in range(1, cls.chain_length):
             for stop in range(len(host_positions) - 1):
                 prefix = host_positions[: stop + 1]
-                expr = LinExpr.total(
-                    [(1.0, d_vars[(cls.class_id, i, j - 1)]) for i in prefix]
-                    + [(-1.0, d_vars[(cls.class_id, i, j)]) for i in prefix]
-                )
-                cons.append(expr >= 0.0)
+                row = {d_vars[(cls.class_id, i, j - 1)]: 1.0 for i in prefix}
+                row.update({d_vars[(cls.class_id, i, j)]: -1.0 for i in prefix})
+                model.row(row, ">=", 0.0)
 
 
 def add_instance_vars(model, bundle):
     bundle.slots = sorted(bundle.load_members)
     for switch, nf in bundle.slots:
-        bundle.q_vars[(switch, nf)] = model.add_var(
+        bundle.q_vars[(switch, nf)] = model.var(
             f"q[{switch},{nf}]", lb=0.0, integer=True
         )
 
 
-def add_capacity_rows(bundle, classes, cap):
+def add_capacity_rows(model, bundle, classes, cap):
     """Eq. 5: per-slot load ≤ instances × derated capacity."""
     for switch, nf in bundle.slots:
-        expr = LinExpr.total(
-            [(classes[ci].rate_mbps, var) for ci, var in bundle.load_members[(switch, nf)]]
-        ) - cap(nf) * bundle.q_vars[(switch, nf)]
-        bundle.cap_rows[(switch, nf)] = len(bundle.cons)
-        bundle.cons.append(expr <= 0.0)
+        row = {
+            var: classes[ci].rate_mbps
+            for ci, var in bundle.load_members[(switch, nf)]
+        }
+        row[bundle.q_vars[(switch, nf)]] = -cap(nf)
+        bundle.cap_rows[(switch, nf)] = model.row(row, "<=", 0.0)
 
 
-def add_budget_rows(bundle, budget_of, amount_of):
+def add_budget_rows(model, bundle, budget_of, amount_of):
     """Eq. 6, one dimension: Σ amount_n · q ≤ budget_v per switch."""
-    by_switch: Dict[str, list] = {}
+    by_switch: Dict[str, dict] = {}
     for (switch, nf), q in bundle.q_vars.items():
-        by_switch.setdefault(switch, []).append((float(amount_of(nf)), q))
-    for switch, terms in sorted(by_switch.items()):
-        bundle.cons.append(LinExpr.total(terms) <= float(budget_of(switch)))
+        by_switch.setdefault(switch, {})[q] = float(amount_of(nf))
+    for switch, row in sorted(by_switch.items()):
+        model.row(row, "<=", float(budget_of(switch)))
 
 
 def assemble_placement_model(model, classes, cores, memory, cap, catalog):
     bundle = Bundle()
     add_flow_rows(model, bundle, classes, cores)
     add_instance_vars(model, bundle)
-    add_capacity_rows(bundle, classes, cap)
+    add_capacity_rows(model, bundle, classes, cap)
     add_budget_rows(
-        bundle, lambda sw: cores.get(sw, 0), lambda nf: catalog.get(nf).cores
+        model, bundle, lambda sw: cores.get(sw, 0), lambda nf: catalog.get(nf).cores
     )
     if memory is not None:
         add_budget_rows(
-            bundle, lambda sw: memory.get(sw, 0.0), lambda nf: catalog.get(nf).memory_gb
+            model,
+            bundle,
+            lambda sw: memory.get(sw, 0.0),
+            lambda nf: catalog.get(nf).memory_gb,
         )
-    model.add_constraints(bundle.cons)
-    model.minimize(LinExpr.total(list(bundle.q_vars.values())))
+    model.minimize(dict.fromkeys(bundle.q_vars.values(), 1.0))
     return bundle
 
 
 def reference(classes, cores, memory, cap, catalog):
     """The reference LP and the template indices derived from its bundle."""
-    model = Model("apple-placement")
+    model = Builder("apple-placement")
     bundle = assemble_placement_model(model, classes, cores, memory, cap, catalog)
-    compiled = model.compile()
-    lp = compiled.highs_arrays()
+    lp = model.compile()
 
     def data_position(row, col):
         rows = lp.indices[lp.indptr[col]:lp.indptr[col + 1]]
@@ -130,12 +130,12 @@ def reference(classes, cores, memory, cap, catalog):
     rate_positions, rate_cls = [], []
     reusable = True
     for slot_i, slot in enumerate(bundle.slots):
-        row = compiled.ub_row_of[bundle.cap_rows[slot]]
+        row = model.row_of[bundle.cap_rows[slot]]
         for cls_i, var in bundle.load_members[slot]:
             member_slot.append(slot_i)
-            member_var.append(var.index)
+            member_var.append(var)
             member_cls.append(cls_i)
-            pos = data_position(row, var.index)
+            pos = data_position(row, var)
             if pos is None:
                 reusable = False
             else:
@@ -166,7 +166,7 @@ def reference(classes, cores, memory, cap, catalog):
         slot_mem=[float(catalog.get(nf).memory_gb) for _, nf in bundle.slots],
         slot_switch=[switch_names.index(sw) for sw, _ in bundle.slots],
         switch_names=switch_names,
-        q_idx=[bundle.q_vars[slot].index for slot in bundle.slots],
+        q_idx=[bundle.q_vars[slot] for slot in bundle.slots],
     )
 
 
@@ -180,9 +180,9 @@ def assert_same_as_reference(classes, cores, memory, cap, catalog):
         )
     assert got.lp.n_ub == ref.lp.n_ub
     assert got.lp.name == ref.lp.name
-    assert [got.lp.var_name(k) for k in range(got.lp.num_variables)] == [
-        v.name for v in ref.model.variables
-    ]
+    assert [
+        got.lp.var_name(k) for k in range(got.lp.num_variables)
+    ] == ref.model.names
     assert got.slots == ref.slots
     assert got.reusable == ref.reusable
     assert got._d_keys == ref.d_keys
@@ -285,16 +285,31 @@ def test_assembler_matches_reference_on_random_instances(instance):
     assert got.reusable == all(c.rate_mbps != 0.0 for c in loaded)
 
 
+def _template(engine, classes, cores):
+    """The structure phase ``engine.place`` runs on a cache miss."""
+    classes = [engine._clamped(c) for c in classes]
+    return assemble_placement_lp(classes, cores, None, engine._cap, engine.catalog)
+
+
 def test_zero_rate_class_makes_the_template_single_shot():
     engine = OptimizationEngine(config=EngineConfig(min_class_rate_mbps=0.0))
     classes = [
         TrafficClass("idle", "a", "b", ("a", "b"), PolicyChain(["firewall"]), 0.0),
         TrafficClass("busy", "a", "b", ("a", "b"), PolicyChain(["firewall"]), 50.0),
     ]
-    template = engine.make_template(classes, {"a": 8, "b": 8})
-    assert template.reusable is False
-    assert engine.place(classes, {"a": 8, "b": 8}).total_instances() == 1
+    cores = {"a": 8, "b": 8}
+    assert _template(engine, classes, cores).reusable is False
+    first = engine.place(classes, cores)
+    assert first.total_instances() == 1
     assert not engine._templates  # single-shot templates are never cached
+    # ... so the next call of the same structure builds again, never re-solves.
+    busier = [classes[0], classes[1].with_rate(900.0)]
+    second = engine.place(busier, cores)
+    assert not first.warm_start and not second.warm_start
+    assert (engine.cold_builds, engine.warm_solves) == (2, 0)
+    assert second.quantities == OptimizationEngine(
+        config=EngineConfig(min_class_rate_mbps=0.0)
+    ).place(busier, cores).quantities
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +323,19 @@ def test_rate_rewrite_equals_fresh_build_bit_for_bit():
     class_sets = [controller.build_classes(m) for m in series.snapshots]
     assert len({tuple(c.class_id for c in cs) for cs in class_sets}) == 1
     engine = OptimizationEngine()
-    template = engine.make_template(class_sets[0], cores)
-    for classes in class_sets:
+    template = _template(engine, class_sets[0], cores)
+    for k, classes in enumerate(class_sets):
         clamped = [engine._clamped(c) for c in classes]
         template.set_rates(clamped)
-        fresh = engine.make_template(classes, cores)
+        fresh = _template(engine, classes, cores)
         np.testing.assert_array_equal(template.lp.data, fresh.lp.data)
         rewritten = lp_module.solve_lp(template.lp)
         rebuilt = lp_module.solve_lp(fresh.lp)
         assert rewritten.objective == rebuilt.objective
         np.testing.assert_array_equal(rewritten.solution, rebuilt.solution)
-        warm = engine.place(classes, cores, template=template)
+        # The engine's own cache: built on the first snapshot, then rewritten.
+        warm = engine.place(classes, cores)
+        assert warm.warm_start == (k > 0)
         cold = OptimizationEngine().place(classes, cores)
         assert warm.quantities == cold.quantities
         assert warm.distribution == cold.distribution
@@ -326,7 +343,7 @@ def test_rate_rewrite_equals_fresh_build_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# Array feasibility check == Model.check_feasible.
+# Array feasibility check == the reference's row-by-row check.
 # ---------------------------------------------------------------------------
 
 _FEASIBILITY_CLASSES = [
@@ -356,12 +373,11 @@ def test_array_feasibility_agrees_with_model_check(data):
             for k in range(lp.num_variables)
         ]
     )
-    assert lp.is_feasible(point) == (not ref.model.check_feasible(point))
+    assert lp.is_feasible(point) == (not ref.model.violations(point))
 
 
 def test_array_feasibility_accepts_solved_points_and_rejects_perturbed_ones():
-    engine = OptimizationEngine()
-    template = engine.make_template(_FEASIBILITY_CLASSES, _FEASIBILITY_CORES)
+    template = _template(OptimizationEngine(), _FEASIBILITY_CLASSES, _FEASIBILITY_CORES)
     template.set_rates(_FEASIBILITY_CLASSES)
     solved = lp_module.solve_lp(template.lp).solution
     assert template.lp.is_feasible(solved)

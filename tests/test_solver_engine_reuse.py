@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.constraints import assemble_placement_lp
 from repro.core.engine import EngineConfig, OptimizationEngine
 from repro.experiments.harness import standard_setup
 from repro.parallel import parallel_map
@@ -22,13 +23,13 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import derive
 from repro.solver import lp as lp_module
 from repro.solver.lp import SolverError, solve_lp
-from repro.solver.model import Model
 from repro.tenancy import CapacityArbiter
 from repro.topology.datasets import internet2
 from repro.topology.routing import Router
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import STANDARD_CHAINS
 from repro.vnf.types import DEFAULT_CATALOG
+from tests.lp_reference import Builder
 
 pytestmark = pytest.mark.skipif(
     not lp_module.HAVE_DIRECT_HIGHS, reason="no resident engine without the binding"
@@ -54,15 +55,20 @@ def _on_fresh_engine(lp, kwargs):
         lp_module._ENGINE = resident
 
 
+def _template(engine, classes, cores):
+    """The structure phase ``engine.place`` runs on a cache miss, rates set."""
+    classes = [engine._clamped(c) for c in classes]
+    template = assemble_placement_lp(classes, cores, None, engine._cap, engine.catalog)
+    template.set_rates(classes)
+    return template
+
+
 def _series_lps(topology, snapshots):
     _topo, controller, series = standard_setup(topology, snapshots=snapshots)
     engine = controller.engine
     cores = controller.available_cores()
     for k in range(snapshots):
-        classes = [engine._clamped(c) for c in controller.build_classes(series[k])]
-        template = engine.make_template(classes, cores)
-        template.set_rates(classes)
-        yield template
+        yield _template(engine, controller.build_classes(series[k]), cores)
 
 
 def _tenant_templates(count, seed):
@@ -94,8 +100,7 @@ def _tenant_templates(count, seed):
             )
         status, grant = arbiter.request(f"t{t}", classes, resume=lambda g: None)
         assert status == arbiter.GRANTED
-        template = engine.make_template(classes, grant.cores)
-        template.set_rates(classes)
+        template = _template(engine, classes, grant.cores)
         arbiter.release(f"t{t}")
         yield template
 
@@ -116,17 +121,17 @@ def _repair_steps(template):
 
 def _toy(kind):
     """max x + y under x + y ≤ 8 — or with that row contradicted / x let go."""
-    model = Model(kind)
-    x = model.add_var("x", ub=float("inf") if kind == "unbounded" else 10.0)
-    y = model.add_var("y", ub=10.0)
-    model.minimize(-1.0 * x - 1.0 * y)
+    b = Builder(kind)
+    x = b.var("x", ub=float("inf") if kind == "unbounded" else 10.0)
+    y = b.var("y", ub=10.0)
+    b.minimize({x: -1.0, y: -1.0})
     if kind == "unbounded":
-        model.add_constraint(1.0 * y <= 8.0)
+        b.row({y: 1.0}, "<=", 8.0)
     else:
-        model.add_constraint(1.0 * x + 1.0 * y <= 8.0)
+        b.row({x: 1.0, y: 1.0}, "<=", 8.0)
     if kind == "infeasible":
-        model.add_constraint(1.0 * x + 1.0 * y >= 9.0)
-    return model.compile().highs_arrays()
+        b.row({x: 1.0, y: 1.0}, ">=", 9.0)
+    return b.compile()
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,24 +2,25 @@
 
 The performance work must never change results: a warm re-solve (cached
 :class:`PlacementTemplate`, rate-only coefficient rewrite) has to produce a
-plan *bit-identical* to a cold solve of the same snapshot, the vectorized ``Model.compile`` has to emit exactly the matrices
-of the straightforward per-constraint loop it replaced, and the process
-fan-out has to return the same rows as the serial path.
+plan *bit-identical* to a cold solve of the same snapshot, per-solve bound
+and right-hand-side overrides must leave the program they are applied to
+untouched, and the process fan-out has to return the same rows as the
+serial path.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 import repro.core.engine as engine_module
+from repro.core.constraints import assemble_placement_lp
 from repro.core.engine import EngineConfig, OptimizationEngine, PlacementError
 from repro.experiments.harness import ExperimentResult, parallel_map
 from repro.solver.lp import solve_lp
-from repro.solver.model import CompiledModel, LinExpr, Model, Sense
 from repro.solver.rounding import solve_with_rounding
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
+from tests.lp_reference import Builder
 
 # ---------------------------------------------------------------------------
 # Fixed placement structure: rates vary per example, structure never does.
@@ -88,21 +89,27 @@ def test_warm_start_flag_and_counters():
     assert engine.cold_builds == 2
 
 
-def test_explicit_template_mismatch_raises():
-    engine = OptimizationEngine(config=EngineConfig())
-    template = engine.make_template(_classes([100.0] * 4), CORES)
-    different = _classes([100.0] * 4)[:2]  # fewer classes → new structure
-    with pytest.raises(PlacementError, match="template does not match"):
-        engine.place(different, CORES, template=template)
+def test_single_shot_template_rejected_after_first_solve(monkeypatch):
+    built = []
 
+    def single_shot(*args, **kwargs):
+        template = assemble_placement_lp(*args, **kwargs)
+        template.reusable = False  # as if sparsity had been degenerate
+        built.append(template)
+        return template
 
-def test_single_shot_template_rejected_after_first_solve():
+    monkeypatch.setattr(engine_module, "assemble_placement_lp", single_shot)
     engine = OptimizationEngine(config=EngineConfig())
-    template = engine.make_template(_classes([100.0] * 4), CORES)
-    engine.place(_classes([100.0] * 4), CORES, template=template)
-    template.reusable = False  # as if sparsity had been degenerate
-    with pytest.raises(PlacementError, match="single-shot"):
-        engine.place(_classes([200.0] * 4), CORES, template=template)
+    first = engine.place(_classes([100.0] * 4), CORES)
+    second = engine.place(_classes([200.0] * 4), CORES)
+    # Same structure, but the first template is never solved a second time.
+    assert len(built) == 2 and built[0] is not built[1]
+    assert not first.warm_start and not second.warm_start
+    assert (engine.cold_builds, engine.warm_solves) == (2, 0)
+    monkeypatch.undo()
+    assert _outcome(engine, _classes([200.0] * 4), CORES) == _outcome(
+        OptimizationEngine(config=EngineConfig()), _classes([200.0] * 4), CORES
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +138,10 @@ _VARIANTS = [
 ]
 
 
-def _outcome(engine, classes, cores, memory=None, template=None):
+def _outcome(engine, classes, cores, memory=None):
     """Everything a plan fixes, or the error text when there is none."""
     try:
-        plan = engine.place(classes, cores, memory, template=template)
+        plan = engine.place(classes, cores, memory)
     except PlacementError as exc:
         return str(exc)
     return plan.quantities, plan.distribution, plan.objective, plan.lp_bound
@@ -224,180 +231,46 @@ def test_a_budget_falling_to_zero_rebuilds():
     assert engine.place(classes, CORES).warm_start  # the first one is still cached
 
 
-def test_explicit_template_takes_other_budgets_not_another_host_set():
+def test_cached_template_takes_other_budgets_not_another_host_set():
     engine = OptimizationEngine(config=EngineConfig())
     classes = _classes([400.0, 300.0, 200.0, 100.0])
-    template = engine.make_template(classes, CORES)
     for cores in (CORES, {**CORES, "s0": 8, "s2": 12}, dict.fromkeys(LINE, 1)):
         fresh = OptimizationEngine(config=EngineConfig())
-        assert _outcome(engine, classes, cores, template=template) == _outcome(
-            fresh, classes, cores
-        )
+        assert _outcome(engine, classes, cores) == _outcome(fresh, classes, cores)
+    assert (engine.cold_builds, engine.warm_solves) == (1, 2)
+    # Another host set, or memory modelled, is another structure.
     for other_hosts in ({**CORES, "s2": 0}, {**CORES, "s9": 4}):
-        with pytest.raises(PlacementError, match="template does not match"):
-            engine.place(classes, other_hosts, template=template)
-    with pytest.raises(PlacementError, match="template does not match"):
-        engine.place(classes, CORES, dict.fromkeys(LINE, 64.0), template=template)
+        assert not engine.place(classes, other_hosts).warm_start
+    assert not engine.place(classes, CORES, dict.fromkeys(LINE, 64.0)).warm_start
+    assert (engine.cold_builds, engine.warm_solves) == (4, 2)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized compile vs the reference per-constraint loop.
+# Per-solve overrides leave the program itself untouched.
 # ---------------------------------------------------------------------------
 
 
-def _reference_compile(model):
-    """The pre-vectorization compile: one dense row per constraint."""
-    n = model.num_variables
-    c = np.zeros(n)
-    for idx, coeff in model.objective.coeffs.items():
-        c[idx] = coeff
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    ub_row_of, eq_row_of, row_sign = {}, {}, {}
-    for ci, con in enumerate(model.constraints):
-        row = np.zeros(n)
-        for idx, coeff in con.expr.coeffs.items():
-            row[idx] = coeff
-        if con.sense is Sense.LE:
-            ub_row_of[ci], row_sign[ci] = len(ub_rows), 1.0
-            ub_rows.append(row)
-            ub_rhs.append(-con.expr.constant)
-        elif con.sense is Sense.GE:
-            ub_row_of[ci], row_sign[ci] = len(ub_rows), -1.0
-            ub_rows.append(-row)
-            ub_rhs.append(con.expr.constant)
-        else:
-            eq_row_of[ci], row_sign[ci] = len(eq_rows), 1.0
-            eq_rows.append(row)
-            eq_rhs.append(-con.expr.constant)
-    a_ub = sparse.csr_matrix(np.array(ub_rows)) if ub_rows else None
-    a_eq = sparse.csr_matrix(np.array(eq_rows)) if eq_rows else None
-    return CompiledModel(
-        c,
-        a_ub,
-        np.array(ub_rhs) if ub_rows else None,
-        a_eq,
-        np.array(eq_rhs) if eq_rows else None,
-        [(v.lb, v.ub) for v in model.variables],
-        np.array([v.integer for v in model.variables], dtype=bool),
-        ub_row_of,
-        eq_row_of,
-        row_sign,
-    )
-
-
-@st.composite
-def random_models(draw):
-    """A random small model with every constraint sense and stray zeros."""
-    model = Model("prop")
-    n = draw(st.integers(2, 6))
-    xs = [model.add_var(f"x{i}", ub=draw(st.floats(1.0, 50.0))) for i in range(n)]
-    model.minimize(
-        LinExpr.total(
-            (draw(st.floats(-3.0, 3.0)), x) for x in xs
-        )
-    )
-    for _ in range(draw(st.integers(1, 8))):
-        terms = [
-            (draw(st.sampled_from([0.0, 1.0, -2.0, 0.5])), x)
-            for x in xs
-            if draw(st.booleans())
-        ]
-        expr = LinExpr.total(terms) if terms else LinExpr.of(xs[0])
-        rhs = draw(st.floats(-10.0, 10.0))
-        sense = draw(st.sampled_from(["le", "ge", "eq"]))
-        if sense == "le":
-            model.add_constraint(expr <= rhs)
-        elif sense == "ge":
-            model.add_constraint(expr >= rhs)
-        else:
-            model.add_constraint(expr.eq(rhs))
-    return model
-
-
-@given(random_models())
-@settings(max_examples=50, deadline=None)
-def test_vectorized_compile_matches_reference(model):
-    fast, ref = model.compile(), _reference_compile(model)
-    np.testing.assert_array_equal(fast.c, ref.c)
-    for mat_fast, mat_ref, rhs_fast, rhs_ref in (
-        (fast.a_ub, ref.a_ub, fast.b_ub, ref.b_ub),
-        (fast.a_eq, ref.a_eq, fast.b_eq, ref.b_eq),
-    ):
-        assert (mat_fast is None) == (mat_ref is None)
-        if mat_fast is not None:
-            np.testing.assert_array_equal(mat_fast.toarray(), mat_ref.toarray())
-            np.testing.assert_array_equal(rhs_fast, rhs_ref)
-    assert fast.bounds == ref.bounds
-    np.testing.assert_array_equal(fast.integer_mask, ref.integer_mask)
-    assert fast.ub_row_of == ref.ub_row_of
-    assert fast.eq_row_of == ref.eq_row_of
-    assert fast.row_sign == ref.row_sign
-
-
-# ---------------------------------------------------------------------------
-# In-place rewrites must stay visible through the cached LinearProgram.
-# ---------------------------------------------------------------------------
-
-
-def _two_var_model():
-    model = Model("rewrite")
-    x = model.add_var("x", ub=10.0)
-    y = model.add_var("y", ub=10.0)
-    model.minimize(-1.0 * x - 1.0 * y)
-    model.add_constraint(1.0 * x + 1.0 * y <= 8.0)   # 0: an LE row
-    model.add_constraint(1.0 * x - 1.0 * y >= -6.0)  # 1: a GE row
-    model.add_constraint((1.0 * x + 0.0).eq(3.0) if False else 1.0 * x <= 7.0)
-    return model, x, y
+def _two_var_program(x_ub):
+    """max x + y under x + y ≤ 8, x − y ≥ −6, x ≤ 7 and ``x ≤ x_ub``."""
+    b = Builder("rewrite")
+    x = b.var("x", ub=x_ub)
+    y = b.var("y", ub=10.0)
+    b.minimize({x: -1.0, y: -1.0})
+    b.row({x: 1.0, y: 1.0}, "<=", 8.0)
+    b.row({x: 1.0, y: -1.0}, ">=", -6.0)
+    b.row({x: 1.0}, "<=", 7.0)
+    return b.compile()
 
 
 def test_solve_lp_bound_overrides_match_rebuilt_model():
-    model, _x, _y = _two_var_model()
-    cm = model.compile()
+    program = _two_var_program(10.0)
     extra_ub = np.array([2.0, np.nan])
-    res = solve_lp(model, compiled=cm, extra_upper_bounds=extra_ub)
-
-    tight = Model("tight")
-    tx = tight.add_var("x", ub=2.0)
-    ty = tight.add_var("y", ub=10.0)
-    tight.minimize(-1.0 * tx - 1.0 * ty)
-    tight.add_constraint(1.0 * tx + 1.0 * ty <= 8.0)
-    tight.add_constraint(1.0 * tx - 1.0 * ty >= -6.0)
-    tight.add_constraint(1.0 * tx <= 7.0)
-    expected = solve_lp(tight)
+    res = solve_lp(program, extra_upper_bounds=extra_ub)
+    expected = solve_lp(_two_var_program(2.0))
     assert res.objective == pytest.approx(expected.objective)
-    # Overrides must not corrupt the cached arrays for later solves.
-    clean = solve_lp(model, compiled=cm)
+    # Overrides must not corrupt the program's arrays for later solves.
+    clean = solve_lp(program)
     assert clean.objective == pytest.approx(-8.0)  # x + y <= 8 binds again
-
-
-# ---------------------------------------------------------------------------
-# Small satellites: dict independence, bound caching, bulk registration.
-# ---------------------------------------------------------------------------
-
-
-def test_compiled_models_do_not_share_row_maps():
-    def build():
-        model = Model("indep")
-        x = model.add_var("x", ub=1.0)
-        model.minimize(x)
-        model.add_constraint(1.0 * x <= 1.0)
-        return model.compile()
-
-    first, second = build(), build()
-    first.ub_row_of[99] = 0
-    first.row_sign[99] = -1.0
-    assert 99 not in second.ub_row_of
-    assert 99 not in second.row_sign
-
-
-def test_add_constraints_bulk_and_name_mismatch():
-    model = Model("bulk")
-    x = model.add_var("x", ub=1.0)
-    cons = [1.0 * x <= 1.0, 1.0 * x >= 0.1]
-    model.add_constraints(cons, names=["lo", "hi"])
-    assert [c.name for c in model.constraints] == ["lo", "hi"]
-    with pytest.raises(ValueError, match="length mismatch"):
-        model.add_constraints([1.0 * x <= 0.5], names=["a", "b"])
 
 
 # ---------------------------------------------------------------------------
