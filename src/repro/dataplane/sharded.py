@@ -14,20 +14,21 @@ order: the columnar TCAM walk, each distinct group taking its per-hop TCAM
 hits from the plan cache (:meth:`DataPlaneNetwork.class_intervals`, whose
 :class:`_WalkPlan` names the group's exact VNF instance set).  One gather
 of the timestamps through that order leaves each group an ascending
-*timestamp run*, and an instance's arrival column is the stable merge of
-the runs of the groups that visit it; no later stage gathers again, and
-packet *positions* are kept only for callers that address packets
-(``collect=True`` and the dirty side of a contamination split).  The walker
-then evaluates, per instance, one vectorised *no-drop* admission check over
-its whole arrival column (the sliding-window rule as one shifted
-comparison: an arrival is refused iff its ``floor(budget)``-th predecessor
-is still inside the window).  If every instance admits everything, counters
-are bulk-added and windows bulk-extended — numpy instead of the per-packet
-loop.  If some instance could drop, exactly the groups whose plans visit it
-run through the exact per-packet walker and every other group is still
-applied in bulk (the *contamination split*).  Every plan can be applied in
-bulk: a walk is fixed at the ingress switch, and admission is the only
-per-packet effect an instance has.
+*timestamp run*; no later stage gathers again, and packet *positions* are
+kept only for callers that address packets (``collect=True`` and the dirty
+side of a contamination split).  Admission is first *certified*: if the
+window peaks of an instance's runs (times its visits per packet) plus its
+live ``recent`` entries fit ``floor(budget)``, nothing can be refused.
+Only an instance the bound cannot clear gets an arrival column, the stable
+merge of its runs, and the exact no-drop check (one shifted comparison: an
+arrival is refused iff its ``floor(budget)``-th predecessor is still inside
+the window).  If every instance admits everything, counters are bulk-added
+and windows rebuilt from run tails — numpy instead of the per-packet loop.
+If some instance could drop, exactly the groups whose plans visit it run
+through the exact per-packet walker and every other group is still applied
+in bulk (the *contamination split*).  Every plan can be applied in bulk: a
+walk is fixed at the ingress switch, and admission is the only per-packet
+effect an instance has.
 
 **Façade** (:class:`ShardedDataPlane`).  Validates a column at entry,
 walks it once on the network it was given and records the span.  There is
@@ -43,6 +44,7 @@ rule epoch.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -79,19 +81,32 @@ def _merge_runs(runs: List[np.ndarray], parts: List[tuple], int_view: bool) -> n
     return col
 
 
+def _run_peak(run: np.ndarray, window: float) -> int:
+    """A bound ``c`` on the arrivals of the ascending ``run`` in any
+    ``(t - window, t]``: ``(run[:-c] <= run[c:] - window).all()`` proves it
+    in the scalar trim's own arithmetic, so rounding cannot make it unsound.
+    The search starts at the run's mean rate and steps up by 1, 2, 4, …."""
+    n = len(run)
+    span = float(run[-1] - run[0])
+    c = max(1, math.ceil(n * window / span)) if window < span else n
+    step = 1
+    while c < n and not (run[:-c] <= run[c:] - window).all():
+        c, step = c + step, 2 * step
+    return min(c, n)
+
+
 class _ColumnWalker:
     """Columnar execution of one packet column on one network.
 
     One radix sort by class, cut classes regrouped by interval inside their
     own segment, puts every ``(class, interval)`` group's packets side by
     side in time order (:meth:`_group`); one gather of ``ts`` through that
-    order turns the groups into ascending *timestamp runs*.  An instance's
-    arrival column is the stable merge of the runs of the groups whose
-    plans visit it — timestamps, not positions: the admission check
-    (:meth:`_check_bulk`) and the bulk application (:meth:`_bulk_apply`)
-    read whole arrival columns and never gather.  Positions exist only
-    where a caller addresses packets: per group for ``collect=True`` and
-    for the dirty side of a contamination split.
+    order turns the groups into ascending *timestamp runs*.  :meth:`_certify`
+    clears instances from their runs' window peaks, :meth:`_check_bulk`
+    decides the rest on merged runs and :meth:`_bulk_apply` rebuilds windows
+    from run tails; none gathers.  Positions exist only where a caller
+    addresses packets: per group for ``collect=True`` and for the dirty side
+    of a contamination split.
 
     Stateless apart from the ``bulk_packets`` / ``seq_packets`` counters.
     """
@@ -172,9 +187,8 @@ class _ColumnWalker:
             group_pos = [None] * len(plans)
         del order
 
-        # Per-instance merged arrival columns (a run repeated per
-        # occurrence in a plan, kept in global time order).
-        inst_entries: Dict[int, list] = {}  # id → [slot, [(group, occ)...]]
+        # Each instance's parts: (group, visits per packet) per visiting plan.
+        inst_entries: Dict[int, tuple] = {}  # id → (id, slot, [(group, occ)...])
         for g, plan in enumerate(plans):
             occ: Dict[int, list] = {}
             for slots in plan.vsteps:
@@ -182,25 +196,24 @@ class _ColumnWalker:
                     rec = occ.setdefault(id(slot[0]), [slot, 0])
                     rec[1] += 1
             for iid, (slot, k) in occ.items():
-                entry = inst_entries.setdefault(iid, [slot, []])
-                entry[1].append((g, k))
+                inst_entries.setdefault(iid, (iid, slot, []))[2].append((g, k))
+        entries = list(inst_entries.values())
         groups = list(zip(plans, runs, group_pos))
         outcomes: Optional[list] = [None] * n if collect else None
 
-        # From zero up a float64 orders as its int64 view does (a -0.0 ahead
-        # of the +0.0s it equals); a column that starts below merges as floats.
+        # Only instances the run-peak bound cannot clear get a merged
+        # arrival column and the exact check.  From zero up a float64 orders
+        # as its int64 view does (a -0.0 ahead of the +0.0s it equals); a
+        # column that starts below merges as floats.
         int_view = bool(ts[0] >= 0)
-        inst_cols = [
+        culprits = self._check_bulk([
             (iid, slot, _merge_runs(runs, parts, int_view))
-            for iid, (slot, parts) in inst_entries.items()
-        ]
-
-        # One full-column no-drop check.  The common case — nothing can
-        # drop — bulk-applies the whole column in one pass with no
-        # positions at all.
-        culprits = self._check_bulk(inst_cols)
+            for iid, slot, parts in self._certify(entries, runs)
+        ])
+        # The common case — nothing can drop — bulk-applies the whole
+        # column in one pass with no positions at all.
         if not culprits:
-            self._bulk_apply(groups, inst_cols, size_bytes, outcomes)
+            self._bulk_apply(groups, runs, entries, size_bytes, outcomes)
             return outcomes
 
         # Contamination is local, not transitive.  A culprit (check-
@@ -215,8 +228,8 @@ class _ColumnWalker:
         # arrival superset, and admission is monotone under removing
         # arrivals), so walk order cannot change any decision.  The one
         # piece of shared state that does see both sides is such an
-        # instance's sliding window, which ``_bulk_apply`` rebuilds as the
-        # merge of the sequential survivors and the clean-side arrivals.
+        # instance's sliding window, which ``_bulk_apply`` rebuilds from
+        # the sequential survivors and the clean-side arrivals.
         dirty_iids = set(culprits)
         dirty_groups: set = set()
         for g, plan in enumerate(plans):
@@ -226,7 +239,7 @@ class _ColumnWalker:
                     break
 
         # Dirty side first: the scalar walk decides the survivors whose
-        # timestamps the mixed-window merge below consumes.  Its packets
+        # timestamps the mixed-window rebuild below consumes.  Its packets
         # are addressed by position: regroup if the order was released.
         if not collect:
             order = self._group(classes, cls_idx, hashes)[0]
@@ -248,16 +261,40 @@ class _ColumnWalker:
         clean = [grp for g, grp in enumerate(groups) if g not in dirty_groups]
         if not clean:
             return outcomes
-        clean_cols = []
-        for iid, (slot, parts) in inst_entries.items():
+        clean_entries = []
+        for iid, slot, parts in entries:
             cparts = [(g, k) for g, k in parts if g not in dirty_groups]
             if cparts and iid not in dirty_iids:
-                clean_cols.append((iid, slot, _merge_runs(runs, cparts, int_view)))
-        self._bulk_apply(clean, clean_cols, size_bytes, outcomes)
+                clean_entries.append((iid, slot, cparts))
+        self._bulk_apply(clean, runs, clean_entries, size_bytes, outcomes)
         return outcomes
 
+    def _certify(self, entries, runs) -> list:
+        """The ``(iid, slot, parts)`` entries a run-peak bound cannot clear.
+
+        With every earlier arrival admitted, an instance's window never holds
+        more than ``sum(k * peak)`` of its runs' arrivals (``k`` visits per
+        packet, the arrival itself included) plus the ``recent`` entries newer
+        than its first arrival's ``t - w``.  If that fits ``floor(budget)``
+        no arrival is refused, so :meth:`_check_bulk` would pass; stopped and
+        zero-budget instances are never cleared.
+        """
+        peaks: Dict[tuple, int] = {}
+        left = []
+        for entry in entries:
+            _, (inst, recent, window), parts = entry
+            first = float(min(runs[g][0] for g, _ in parts))
+            bound = len(recent) - bisect_right(recent, first - window)
+            for g, k in parts:
+                if (g, window) not in peaks:
+                    peaks[g, window] = _run_peak(runs[g], window)
+                bound += k * peaks[g, window]
+            if not (inst.running and bound <= int(inst._budget)):  # bound >= 1
+                left.append(entry)
+        return left
+
     def _check_bulk(self, inst_cols) -> List[int]:
-        """Vectorised no-drop check; returns instances that could drop.
+        """Exact no-drop check of what :meth:`_certify` left; returns culprits.
 
         The scalar walker refuses an arrival at ``t`` iff, after trimming
         entries ``<= t - w``, the window already holds ``B = floor(budget)``
@@ -295,7 +332,15 @@ class _ColumnWalker:
                 culprits.append(iid)
         return culprits
 
-    def _bulk_apply(self, groups, inst_cols, size, outcomes) -> None:
+    def _bulk_apply(self, groups, runs, entries, size, outcomes) -> None:
+        """Count every packet of ``groups`` and every arrival of ``entries``
+        as admitted, and rebuild each instance's window from run tails.
+
+        After the last admission at ``T`` the scalar window holds the
+        admitted timestamps in ``(T - w, T]``; with no refusal those are run
+        tails of at most ``floor(budget)`` elements.  After a contamination
+        split ``recent`` also holds the scalar survivors; the sort merges.
+        """
         dirty = self.net._dirty_plans
         applied = 0
         for plan, run, pos in groups:
@@ -309,24 +354,19 @@ class _ColumnWalker:
                 for p in pos.tolist():
                     outcomes[p] = final
         self.bulk_packets += applied
-        for iid, slot, col in inst_cols:
-            m = len(col)
+        for iid, slot, parts in entries:
             inst, recent, window = slot
+            m = sum(k * len(runs[g]) for g, k in parts)
             st = inst.stats
             st.packets_in += m
             st.packets_processed += m
             st.bytes_processed += size * m
-            # The scalar walker trims lazily per packet; after the last
-            # admission the window holds exactly the admitted timestamps
-            # in (last_t - w, last_t], which is what we rebuild here.  A
-            # column that passed the check leaves at most floor(budget) of
-            # its own arrivals live, so only that tail is read.  ``recent``
-            # precedes it, except after a contamination split, when it
-            # also holds the survivors of the scalar walk of the dirty
-            # groups: the sort merges the two sides.
-            tail = col[max(0, m - int(inst._budget)) :].tolist()
-            live = sorted(recent + tail)
-            recent[:] = live[bisect_right(live, live[-1] - window) :]
+            cutoff = float(max([runs[g][-1] for g, _ in parts] + recent[-1:])) - window
+            live = list(recent)
+            for g, k in parts:
+                live += runs[g][np.searchsorted(runs[g], cutoff, "right") :].tolist() * k
+            live.sort()
+            recent[:] = live[bisect_right(live, cutoff) :]
 
 
 # ----------------------------------------------------------------------

@@ -187,7 +187,7 @@ CATALOG: Tuple[MetricDef, ...] = (
               "Simulated seconds the controller was dead"),
     # ---------------------------------------------------------- simulator
     MetricDef("counter", "sim_events_fired_total",
-              "Events executed by the most recent simulator run (collected)"),
+              "Events executed by every simulator run in the process"),
     # -------------------------------------------------------- experiments
     MetricDef("counter", "experiment_runs_total",
               "Experiment invocations through the CLI", ("experiment",)),

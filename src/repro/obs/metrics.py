@@ -95,10 +95,10 @@ class CounterSeries(_Series):
     def set_total(self, value: float) -> None:
         """Overwrite the cumulative value with a ledger's own total.
 
-        For a series only one ledger feeds (the simulator's event count, a
-        run's elastic or journal accounting).  Where several instances
-        share a series — data-plane networks — the collector adds each
-        one's increase with :meth:`inc` instead.
+        For a series only one ledger feeds (a run's elastic or journal
+        accounting).  Where several instances share a series — data-plane
+        networks — the collector adds each one's increase with :meth:`inc`
+        instead.
         """
         if not self._enabled:
             return

@@ -133,7 +133,7 @@ class Simulator:
         if exhausted and until is not None and self.now < until:
             self.now = until
         if _obs.REGISTRY.enabled:
-            _obs.metric("sim_events_fired_total").set_total(self._fired)
+            _obs.metric("sim_events_fired_total").inc(fired)
         return fired
 
     def run_all(self, max_events: int = 10_000_000) -> int:

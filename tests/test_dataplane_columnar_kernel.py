@@ -1,12 +1,13 @@
 """The columnar kernel against the formulations it replaced.
 
 ``_ColumnWalker`` groups a packet column with one radix sort by class (cut
-classes regroup their own segment by interval), builds each instance's
-arrival column as the stable merge of its groups' timestamp runs and decides
-bulk admission with one shifted comparison per instance.  The per-class
+classes regroup their own segment by interval), clears instances by a bound
+on their groups' timestamp runs, and decides the rest with one shifted
+comparison over the stable merge of those runs.  The per-class
 ``searchsorted`` + mask grouping, the sorted-positions-then-gather arrival
 column and the ``old_live + within + 1 > budget`` admission count it replaced
-live on here as oracles, next to ``VNFInstance.consume`` itself, and two
+live on here as oracles, next to ``VNFInstance.consume`` itself; every
+instance the bound clears must pass the exact check; and two
 back-to-back ``inject_columns`` calls are held to scalar ``inject`` on
 outcomes, every counter and every sliding window.  The entry validation of
 ``inject_columns`` has its regressions at the end.
@@ -20,7 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import FIN, Packet
-from repro.dataplane.sharded import ShardedDataPlane, _ColumnWalker, _narrow_uint
+from repro.dataplane.sharded import (
+    ShardedDataPlane,
+    _ColumnWalker,
+    _merge_runs,
+    _narrow_uint,
+)
 from repro.dataplane.switch import SwitchRuleSet
 from repro.dataplane.tcam import Action, ActionKind, TcamEntry
 from repro.dataplane.vswitch import VSwitchRule
@@ -266,20 +272,18 @@ def visited_columns(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(visited_columns())
-def test_arrival_column_is_the_sorted_positions_gathered(case):
+@given(visited_columns(), st.booleans())
+def test_arrival_column_is_the_sorted_positions_gathered(case, merged):
+    # What an instance's arrival column is for — its counters and the window
+    # it leaves — equals the sorted-positions formulation, whether the
+    # run-peak certificate clears the instance (no merged column at all) or
+    # every instance is forced through the merge and the exact check.
     cuts_by_class, visits, instances, cls_idx, hashes, ts = case
     net = _StubNetwork(cuts_by_class, visits)
     classes = list(cuts_by_class)
     walker = _ColumnWalker(net)
-    columns = {}
-    check = walker._check_bulk
-
-    def spy(inst_cols):
-        columns.update((iid, col) for iid, slot, col in inst_cols)
-        return check(inst_cols)
-
-    walker._check_bulk = spy
+    if merged:
+        walker._certify = lambda entries, runs: entries
     walker.run(classes, cls_idx, hashes, ts, 1500, False)
 
     # The parent's formulation: every visit's positions, sorted, then one
@@ -290,13 +294,69 @@ def test_arrival_column_is_the_sorted_positions_gathered(case):
             p for p, key in enumerate(group_of) for i in visits[key] if i is inst
         ]
         expected = ts[np.sort(np.asarray(positions, dtype=np.int64))]
-        if len(expected) == 0:
-            assert id(inst) not in columns and inst._recent == []
-            continue
-        assert np.array_equal(columns[id(inst)], expected)
         assert inst.stats.packets_in == len(expected)
+        if len(expected) == 0:
+            assert inst._recent == []
+            continue
         live = expected[expected > expected[-1] - inst.window]
         assert inst._recent == live.tolist()
+
+
+# ----------------------------------------------------------------------
+# (b'') the run-peak certificate: it clears only what the exact check passes
+# ----------------------------------------------------------------------
+@st.composite
+def certified_cases(draw):
+    """Runs on a dyadic grid of window / 4 (window edges hit exactly, ties
+    within a run), visits per packet, and a ``recent`` with stale entries."""
+    window = 0.125
+    unit = window / 4
+    start = draw(st.integers(0, 40))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        gaps = draw(st.lists(st.sampled_from([0, 1, 1, 2, 4, 9]), min_size=1, max_size=30))
+        runs.append((start + draw(st.integers(0, 8)) + np.cumsum(gaps)) * unit)
+    parts = [(g, draw(st.sampled_from([1, 1, 2, 3]))) for g in range(len(runs))]
+    first = min(float(r[0]) for r in runs)
+    back = draw(st.lists(st.integers(0, 12), max_size=8))
+    recent = sorted(first - b * unit for b in back)
+    budget = draw(st.sampled_from([1.0, 4.0, 6.5, 9.0, 12.0, 20.0, 40.0]))
+    return window, runs, parts, recent, budget
+
+
+@settings(max_examples=500, deadline=None)
+@given(certified_cases())
+def test_certified_instance_passes_the_exact_check(case):
+    window, runs, parts, recent, budget = case
+    inst = _instance(window, budget, recent)
+    entry = (7, (inst, inst._recent, inst.window), parts)
+    walker = _ColumnWalker(None)
+    if walker._certify([entry], runs):
+        return  # not cleared: the exact check decides, as before
+    col = _merge_runs(runs, parts, True)
+    assert walker._check_bulk([(7, entry[1], col)]) == []
+    assert not _consume_refuses(recent, col, window, budget)
+
+
+def test_certificate_fails_near_budget_but_the_column_is_bulk_applied():
+    # Two classes burst four packets each, one second apart, into one
+    # instance of budget 4: each run's peak is 4, so the bound reads 8 > 4,
+    # yet no window ever holds more than 4 arrivals, so the exact check on
+    # the merged column passes and nothing goes down the sequential path.
+    inst = _instance(0.125, 4.0, [])
+    net = _StubNetwork({"a": [], "b": []}, {("a", 0): [inst], ("b", 0): [inst]})
+    burst = np.arange(4) * 0.03125
+    ts = np.concatenate([burst, 1.0 + burst])
+    cls_idx = np.asarray([0] * 4 + [1] * 4)
+    walker = _ColumnWalker(net)
+    merged = []
+    check = walker._check_bulk
+    walker._check_bulk = lambda cols: merged.extend(cols) or check(cols)
+    walker.run(["a", "b"], cls_idx, np.zeros(8), ts, 1500, False)
+    assert [iid for iid, _, _ in merged] == [id(inst)]
+    assert walker.bulk_packets == 8 and walker.seq_packets == 0
+    assert inst.stats.packets_in == 8 and inst.stats.packets_dropped == 0
+    assert inst._recent == (1.0 + burst).tolist()
 
 
 # ----------------------------------------------------------------------

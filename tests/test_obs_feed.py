@@ -19,6 +19,7 @@ from repro.dataplane.packet import Packet
 from repro.dataplane.sharded import ShardedDataPlane
 from repro.experiments import failure_recovery
 from repro.obs.metrics import MAX_SERIES_PER_METRIC
+from repro.sim.kernel import Simulator
 from repro.topology.datasets import internet2
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.gravity import gravity_matrix
@@ -173,6 +174,22 @@ def test_two_networks_add_up_and_a_reset_loses_nothing(obs_off_after):
     assert network.stats_snapshot().delivered == 30
     assert obs.metric("dataplane_packets_delivered_total").value == 90
     assert obs.metric("dataplane_tcam_lookups_total").value == lookups / 40 * 90
+
+
+def test_two_simulators_add_up(obs_off_after):
+    # Each run adds the events it fired: a second simulator in the same
+    # process, with a shorter life than the first, does not move the
+    # counter backwards.
+    obs.enable()
+    first, second = Simulator(seed=1), Simulator(seed=2)
+    for k in range(5):
+        first.schedule(float(k), lambda: None)
+    first.run()
+    second.schedule(0.0, lambda: None)
+    second.run()
+    second.schedule(1.0, lambda: None)
+    second.run()
+    assert obs.metric("sim_events_fired_total").value == 7
 
 
 def test_reset_restores_the_series_cap(obs_off_after):

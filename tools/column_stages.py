@@ -9,22 +9,24 @@ its planned rate with phases drawn from the simulator's
 ``--repeats`` times through ``ShardedDataPlane.inject_columns`` on a reset
 network, and prints the median milliseconds of each stage of
 ``_ColumnWalker.run``: *group* (class sort and per-class interval
-regrouping), *gather* (``ts`` through the sort order), *merge*
-(per-instance timestamp runs), *check* (``_check_bulk``) and *apply*
-(``_bulk_apply``), next to the counts that size them: groups, instances and
-arrivals per packet.  The counts are exact and repeat; the milliseconds are
-a measurement, raw on whatever box this runs on.  The gather is one
-expression inside ``run``, so the tool times its own gather through the
-order the group stage returns (and takes it off the walk it ran inside).
-Nothing is imported from ``benchmarks/``.
+regrouping), *gather* (``ts`` through the sort order), *certify* (the
+run-peak bound, ``_certify``), *merge* (timestamp runs of the instances the
+bound left), *check* (``_check_bulk``) and *apply* (``_bulk_apply``), next
+to the counts that size them: groups, instances, arrivals per packet, and
+the instances and arrivals merged.  The counts are exact and repeat; the
+milliseconds are a measurement, raw on whatever box this runs on.  The
+gather is one expression inside ``run``, so the tool times its own gather
+through the order the group stage returns (and takes it off the walk it ran
+inside).  Nothing is imported from ``benchmarks/``.
 
 Usage::
 
     PYTHONPATH=src python tools/column_stages.py --seed 0
     PYTHONPATH=src python tools/column_stages.py --sim-seconds 3 --repeats 3 --check
 
-``--check`` exits 1 unless every walk left the ledger ``[sent, 0, 0]`` and
-sent no packet down the sequential path (the CI smoke assertion).
+``--check`` exits 1 unless every walk left the ledger ``[sent, 0, 0]``, sent
+no packet down the sequential path and merged exactly the instances the
+certificate left (certified + merged = instances; the CI smoke assertion).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.experiments.packet_replay import PPS_PER_MBPS, scaled_catalog
 from repro.sim.kernel import Simulator
 from repro.sim.sources import merge_cbr_timeline
 
-STAGES = ("group", "gather", "merge", "check", "apply")
+STAGES = ("group", "gather", "certify", "merge", "check", "apply")
 
 
 def build_window(seed: int, sim_s: float):
@@ -87,6 +89,7 @@ class Stages:
         self.ts = ts
         self.seconds: Dict[str, float] = dict.fromkeys(STAGES, 0.0)
         self.groups = self.instances = self.arrivals = 0
+        self.certified = self.merged = self.merged_arrivals = 0
 
     def _timed(self, stack: ExitStack, owner, name: str, stage: str, after=None) -> None:
         inner = getattr(owner, name)
@@ -112,11 +115,17 @@ class Stages:
             self.ts[order]
             self.seconds["gather"] += time.perf_counter() - started
 
+        def certified(out, walker_, entries, runs) -> None:
+            self.instances = len(entries)
+            self.arrivals = sum(k * len(runs[g]) for _, _, parts in entries for g, k in parts)
+            self.certified = len(entries) - len(out)
+
         def checked(out, walker_, inst_cols) -> None:
-            self.instances = len(inst_cols)
-            self.arrivals = sum(len(col[2]) for col in inst_cols)
+            self.merged = len(inst_cols)
+            self.merged_arrivals = sum(len(col[2]) for col in inst_cols)
 
         self._timed(stack, walker, "_group", "group", grouped)
+        self._timed(stack, walker, "_certify", "certify", certified)
         self._timed(stack, sharded, "_merge_runs", "merge")
         self._timed(stack, walker, "_check_bulk", "check", checked)
         self._timed(stack, walker, "_bulk_apply", "apply")
@@ -154,7 +163,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         ledger = list(network.stats_snapshot().as_tuple())
         sequential = plane._walker.seq_packets
         if ledger != [sent, 0, 0] or sequential:
-            failures.append(f"ledger {ledger}, sequential_packets {sequential}")
+            failures.append(
+                f"ledger {ledger}, sequential_packets {sequential} "
+                f"(wanted [{sent}, 0, 0] and 0)"
+            )
+        if stages.certified + stages.merged != stages.instances:
+            failures.append(
+                f"certified {stages.certified} + merged {stages.merged} "
+                f"!= {stages.instances} instances"
+            )
 
     mid = {key: 1e3 * median(w[key] for w in walks) for key in walks[0]}
     lines = [
@@ -162,7 +179,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{sent} packets, {len(window[0])} classes",
         f"groups               {stages.groups}",
         f"instances            {stages.instances}",
+        f"instances certified  {stages.certified}",
+        f"instances merged     {stages.merged}",
         f"arrivals per packet  {stages.arrivals / sent:.3f} ({stages.arrivals})",
+        f"arrivals merged      {stages.merged_arrivals}",
         f"walk                 {mid['walk']:.2f} ms (median of {args.repeats}, "
         f"{sent / mid['walk'] / 1e3:.1f}M packets/s)",
     ]
@@ -172,7 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     lines.append(f"ledger               {ledger}, sequential_packets {sequential}")
     print("\n".join(lines))
     if args.check and failures:
-        print(f"FAIL: {failures[0]} (wanted [{sent}, 0, 0] and 0)", file=sys.stderr)
+        print(f"FAIL: {failures[0]}", file=sys.stderr)
         return 1
     return 0
 
