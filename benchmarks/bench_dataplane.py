@@ -1,20 +1,19 @@
-"""Data-plane fast-path benchmark: reference, inject, batched, columnar.
+"""Data-plane fast-path benchmark: reference, inject, columnar.
 
-Acceptance targets of the data-plane fast-path work: on the
-``packet_replay`` workload (internet2, 4 s of CBR traffic) the batched
-walker (``inject_stream`` driven by :class:`BatchedCBRMux`) sustains at
-least 10x the packets/sec of the hop-by-hop pipeline walk
-(``walk_reference``: a TCAM priority scan at every hop, no cache — the
-baseline the gate has always meant), and the columnar walker
-(``ShardedDataPlane.inject_columns``, one in-process mode) is never slower
-than the batched one (>= 0.95x) —
-all with identical delivery stats: same delivered/dropped counts and zero
-policy violations.
+Acceptance target of the data-plane fast-path work: on the
+``packet_replay`` workload (internet2, 4 s of CBR traffic) the columnar
+walker (``ShardedDataPlane.inject_columns``, the one way to walk many
+packets) sustains at least 10x the packets/sec of the hop-by-hop pipeline
+walk (``walk_reference``: a TCAM priority scan at every hop, no cache — the
+baseline the gate has always meant), with identical delivery stats in all
+three modes: same delivered/dropped counts and zero policy violations.
 
 Every mode replays exactly the same packet sequence: same seed, same
-per-class flow-hash cycle, same CBR timestamps.  Packets/sec is best-of-N
-wall-clock; results append to the ``BENCH_dataplane.json`` trajectory at
-the repo root.
+per-class flow-hash cycle, same CBR timestamps.  The two per-packet modes
+run one simulator event per packet (``CBRSource``); the columnar mode walks
+the merged timeline (``merge_cbr_timeline``) as one column.  Packets/sec is
+best-of-N wall-clock; results append to the ``BENCH_dataplane.json``
+trajectory at the repo root.
 """
 
 import time
@@ -24,30 +23,16 @@ import numpy as np
 from repro.dataplane.flowhash import cycling_hashes
 from repro.dataplane.packet import Packet
 from repro.dataplane.sharded import ShardedDataPlane
-from repro.experiments.harness import standard_setup
-from repro.experiments.packet_replay import PPS_PER_MBPS, scaled_catalog
+from repro.experiments.packet_replay import PPS_PER_MBPS, deploy
 from repro.sim.kernel import Simulator
-from repro.sim.sources import BatchedCBRMux, CBRSource, merge_cbr_timeline
+from repro.sim.sources import CBRSource, merge_cbr_timeline
 
 #: Simulated seconds of CBR traffic per measurement.
 DURATION = 4.0
 #: Wall-clock repetitions per mode (best-of-N packets/sec).
 REPEATS = 4
-#: Packets per simulator event in batched mode.
-BATCH = 256
 
 _SEED = 11
-
-
-def _deploy():
-    """One internet2 deployment shared by every mode (plans differ per run)."""
-    _topo, controller, series = standard_setup("internet2", snapshots=2)
-    controller.catalog = scaled_catalog(controller.catalog)
-    controller.engine.catalog = controller.catalog
-    controller.rule_generator.catalog = controller.catalog
-    plan = controller.compute_placement(series.mean())
-    deployment = controller.deploy(plan, sim=Simulator(seed=_SEED))
-    return plan, deployment.network
 
 
 def _classes(plan):
@@ -92,42 +77,10 @@ def _run_scalar(plan, network, walk):
     return sent[0], elapsed, network.stats_snapshot()
 
 
-def _run_batched(plan, network):
-    """Batched replay: one mux event per BATCH packets, walked through
-    cached per-interval plans by ``inject_stream``."""
-    sim = Simulator(seed=_SEED)
-    network.reset_runtime_state()
-    sent = [0]
-    hash_state = {}
-
-    def on_batch(pairs):
-        items = []
-        append = items.append
-        state = hash_state
-        for cid, t in pairs:
-            k = state[cid] = state[cid] + 1
-            append((cid, (k * 0.137) % 1.0, t))
-        sent[0] += len(items)
-        network.inject_stream(items)
-
-    mux = BatchedCBRMux(sim, on_batch, chunk=BATCH, horizon=DURATION)
-    rng = sim.rng.child("packet-replay-phases")
-    for cls, pps in _classes(plan):
-        hash_state[cls.class_id] = 0
-        mux.add_stream(cls.class_id, pps, rng.uniform(0.0, 1.0 / pps))
-    mux.start()
-    started = time.perf_counter()
-    sim.run(until=DURATION)
-    elapsed = time.perf_counter() - started
-    mux.stop()
-    return sent[0], elapsed, network.stats_snapshot()
-
-
 def _run_columnar(plan, network):
-    """Columnar replay: the merged timeline is built by the same float
-    left-folds the mux performs, then walked as one column (the timeline
-    build is inside the timed region, mirroring the mux's share of the
-    batched measurement)."""
+    """Columnar replay: the merged timeline of the same CBR streams, walked
+    as one column (the timeline build is inside the timed region, as the
+    event loop is inside the per-packet modes')."""
     sim = Simulator(seed=_SEED)
     network.reset_runtime_state()
     rng = sim.rng.child("packet-replay-phases")
@@ -139,9 +92,7 @@ def _run_columnar(plan, network):
     hashes = np.empty(len(ts))
     for ci in range(len(keys)):
         mask = kidx == ci
-        m = int(mask.sum())
-        if m:
-            hashes[mask] = cycling_hashes(m)
+        hashes[mask] = cycling_hashes(int(mask.sum()))
     ShardedDataPlane(network).inject_columns(keys, kidx, hashes, ts)
     elapsed = time.perf_counter() - started
     return len(ts), elapsed, network.stats_snapshot()
@@ -161,86 +112,46 @@ def _best_pps(runner):
     return best, sent, stats
 
 
-def test_batched_walk_speedup(record_bench_dataplane):
-    plan, network = _deploy()
+def test_columnar_walk_speedup(record_bench_dataplane):
+    _, plan, _, deployment = deploy("internet2")
+    network = deployment.network
 
     reference_pps, sent, reference_stats = _best_pps(
         lambda: _run_scalar(plan, network, network.walk_reference)
     )
-    inject_pps, _, inject_stats = _best_pps(
+    inject_pps, inject_sent, inject_stats = _best_pps(
         lambda: _run_scalar(plan, network, network.inject)
     )
-    batched_pps, batched_sent, batched_stats = _best_pps(
-        lambda: _run_batched(plan, network)
+    columnar_pps, columnar_sent, columnar_stats = _best_pps(
+        lambda: _run_columnar(plan, network)
     )
 
     # All three modes must agree packet-for-packet.
-    assert batched_sent == sent
+    assert inject_sent == columnar_sent == sent
     assert inject_stats == reference_stats
-    assert batched_stats == reference_stats
-    delivered, dropped, violations = batched_stats.as_tuple()
+    assert columnar_stats == reference_stats
+    delivered, dropped, violations = columnar_stats.as_tuple()
     assert violations == 0
 
-    speedup = batched_pps / reference_pps
+    speedup = columnar_pps / reference_pps
     record_bench_dataplane(
         "dataplane_packet_replay",
         {
             "topology": "internet2",
             "duration_s": DURATION,
             "repeats": REPEATS,
-            "batch": BATCH,
             "packets": sent,
             "delivered": delivered,
             "dropped": dropped,
             "violations": violations,
             "reference_pps": round(reference_pps, 1),
             "inject_pps": round(inject_pps, 1),
-            "batched_pps": round(batched_pps, 1),
+            "columnar_pps": round(columnar_pps, 1),
             "speedup_inject_vs_reference": round(inject_pps / reference_pps, 2),
-            "speedup_batched_vs_reference": round(speedup, 2),
+            "speedup_columnar_vs_reference": round(speedup, 2),
         },
     )
     assert speedup >= 10.0, (
-        f"batched walk only {speedup:.2f}x faster than the reference walk "
-        f"({batched_pps:.0f} vs {reference_pps:.0f} pps)"
-    )
-
-
-def test_sharded_walk_speedup(record_bench_dataplane):
-    plan, network = _deploy()
-
-    batched_pps, sent, batched_stats = _best_pps(
-        lambda: _run_batched(plan, network)
-    )
-    delivered, dropped, violations = batched_stats.as_tuple()
-    assert violations == 0
-
-    columnar_pps, columnar_sent, columnar_stats = _best_pps(
-        lambda: _run_columnar(plan, network)
-    )
-    # Bit-identity vs the batched walk.
-    assert columnar_sent == sent
-    assert columnar_stats == batched_stats
-
-    speedup = columnar_pps / batched_pps
-    record_bench_dataplane(
-        "dataplane_sharded_replay",
-        {
-            "topology": "internet2",
-            "duration_s": DURATION,
-            "repeats": REPEATS,
-            "packets": sent,
-            "delivered": delivered,
-            "dropped": dropped,
-            "violations": violations,
-            "batched_pps": round(batched_pps, 1),
-            "columnar_pps": round(columnar_pps, 1),
-            "speedup_columnar_vs_batched": round(speedup, 2),
-        },
-    )
-    # The columnar walk must never lose to the batched walk by more than
-    # measurement noise.
-    assert speedup >= 0.95, (
-        f"columnar walk only {speedup:.2f}x the batched path "
-        f"({columnar_pps:.0f} vs {batched_pps:.0f} pps)"
+        f"columnar walk only {speedup:.2f}x faster than the reference walk "
+        f"({columnar_pps:.0f} vs {reference_pps:.0f} pps)"
     )

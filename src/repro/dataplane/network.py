@@ -7,7 +7,7 @@ injected packets, and records delivery outcomes.  Crucially every walker
 forwarding state — so any policy-enforcement behaviour observed emerges
 purely from the tag rules, and interference freedom is structural.
 
-One resolution cache, three walkers on it.  The tagging scheme fixes a
+One resolution cache, two walkers on it.  The tagging scheme fixes a
 packet's whole walk at the ingress switch by two things: its class and the
 hash *interval* its sub-class owns.  So per class the network keeps the
 sorted interval edges (:meth:`DataPlaneNetwork.class_intervals`: the union
@@ -21,10 +21,9 @@ for one value of the network's *rule epoch*, an integer that every
 * :meth:`inject` — one packet: ``bisect`` to its interval, then replay the
   plan with the per-packet effects only (trace appends, per-hop counters,
   ``VNFInstance.consume`` called live, tags, a :class:`DeliveryRecord`).
-* :meth:`inject_stream` — many packets: the same plans, admission
-  inlined, switch/ledger counters accumulated on the plan and applied in
-  bulk by :meth:`flush_counters`.
-* the columnar walker of :mod:`repro.dataplane.sharded` — whole columns.
+* the columnar walker of :mod:`repro.dataplane.sharded` — many packets
+  as one column: the same plans, switch/ledger counters accumulated on the
+  plan and applied in bulk by :meth:`flush_counters`.
 
 :meth:`walk_reference` is the hop-by-hop Table III pipeline
 (``PhysicalSwitch.process`` → ``TcamTable.lookup`` → ``VSwitch.process``)
@@ -36,26 +35,23 @@ interpreted in exactly two places: there and in :meth:`_resolve_plan`.
 
 ``TcamTable.cache_hits`` has one meaning: hop lookups answered from a
 resolved plan, without a priority scan.  :meth:`inject` counts them per
-packet, the batched and columnar walkers in bulk at flush time, the
-reference walker never.
+packet, the columnar walker in bulk at flush time, the reference walker
+never.
 
 Delivery accounting is a counter ledger (delivered/dropped/violations)
 plus a bounded ring of recent :class:`DeliveryRecord` objects for
-debugging.  :meth:`DataPlaneNetwork.stats_snapshot` is the canonical O(1)
-read — it flushes deferred batch counts, feeds the observability
-collectors, and returns a :class:`NetworkStats`; the legacy
-:meth:`DataPlaneNetwork.delivery_stats` tuple is a thin shim over it.
-The batch walker updates only the counters (it never materialises
-per-packet records).
+debugging.  :meth:`DataPlaneNetwork.stats_snapshot` is the one O(1) read
+— it flushes deferred column counts, feeds the observability collectors,
+and returns a :class:`NetworkStats`.  The columnar walker updates only the
+counters (it never materialises per-packet records).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.dataplane.packet import FIN, Packet
 from repro.dataplane.switch import PhysicalSwitch, SwitchDecision
@@ -71,7 +67,7 @@ class NetworkStats:
     """A flushed, point-in-time read of the delivery ledger.
 
     The one sanctioned way to consume delivery counters: constructing it
-    flushes the deferred batched-walk counts first, so readers can never
+    flushes the deferred column counts first, so readers can never
     observe the ledger mid-deferral.
     """
 
@@ -118,10 +114,10 @@ class _WalkPlan:
     ``vswitch=None`` and carries the tags at exit.  The scalar replay
     needs nothing else.
 
-    For the bulk walkers, ``vsteps`` lists per host visit one
+    For the columnar walker, ``vsteps`` lists per host visit one
     ``(instance, window_list, window_seconds)`` slot per instance, and the
-    per-call accumulators ``n`` / ``drops`` let them bulk-update switch and
-    ledger counters once per plan.
+    per-column accumulators ``n`` / ``drops`` let it bulk-update switch
+    and ledger counters once per plan.
     """
 
     __slots__ = (
@@ -509,106 +505,14 @@ class DataPlaneNetwork:
         return record
 
     # ------------------------------------------------------------------
-    # Many packets
+    # Deferred counts of the columnar walker
     # ------------------------------------------------------------------
-    def inject_stream(
-        self,
-        items: Sequence[tuple],
-        size_bytes: int = 1500,
-        collect: bool = False,
-    ) -> Optional[List[Tuple[bool, Optional[str]]]]:
-        """Walk a time-ordered stream of ``(class_id, hash, now)`` items.
-
-        The workhorse behind the batched CBR sources: items may interleave
-        classes arbitrarily as long as the timestamps are non-decreasing
-        (sliding-window admission trims by time).  Only instance admission
-        runs per packet; everything else is plan-resolved per hash
-        interval, and switch/ledger counter updates accumulate on the plans
-        until :meth:`flush_counters` (or any ledger reader) applies them —
-        all updates are commutative ``+=``, so the deferral is
-        observation-order only.  Returns per-packet ``(delivered,
-        dropped_at)`` outcomes when ``collect``.
-
-        Raises:
-            ValueError: a hash is outside ``[0, 1)`` (or NaN), or the
-                timestamps decrease somewhere or hold a NaN or an infinity
-                — what ``Packet`` and ``ShardedDataPlane.inject_columns``
-                refuse too.  Nothing has been walked or counted when it is
-                raised.
-        """
-        last = -math.inf
-        for _, h, t in items:
-            if not 0.0 <= h < 1.0:
-                raise ValueError(f"flow_hash must be in [0, 1), got {h}")
-            if not last <= t:  # NaN fails it too
-                raise ValueError("ts must be finite and non-decreasing")
-            last = t
-        # Non-decreasing: only the first and the last can be infinite.
-        if items and not (math.isfinite(items[0][2]) and math.isfinite(last)):
-            raise ValueError("ts must be finite and non-decreasing")
-        return self._walk_stream(items, size_bytes, collect)
-
-    def _walk_stream(
-        self, items: Sequence[tuple], size: int, collect: bool
-    ) -> Optional[List[Tuple[bool, Optional[str]]]]:
-        """:meth:`inject_stream` on items already known to be valid."""
-        with _obs.span("dataplane.walk.batch", cat="dataplane"):
-            if self._plans_epoch != self._epoch.value:
-                self._retire_plans()
-            class_plans = self._class_plans
-            dirty = self._dirty_plans
-            outcomes: Optional[list] = [] if collect else None
-            for class_id, h, t in items:
-                cp = class_plans.get(class_id)
-                if cp is None:
-                    cp = self.class_intervals(class_id)
-                g = bisect_right(cp.cuts, h)
-                plan = cp.plans[g] or self.interval_plan(cp, g)
-                if plan.n == 0:
-                    dirty.append(plan)
-                plan.n += 1
-                dropped_step = -1
-                for si, slots in enumerate(plan.vsteps):
-                    ok = True
-                    for inst, recent, window in slots:
-                        if not inst.running:
-                            ok = False
-                            break
-                        st = inst.stats
-                        st.packets_in += 1
-                        cutoff = t - window
-                        if recent and recent[0] <= cutoff:
-                            i = 1
-                            lr = len(recent)
-                            while i < lr and recent[i] <= cutoff:
-                                i += 1
-                            del recent[:i]
-                        if len(recent) + 1 > inst._budget:
-                            st.packets_dropped += 1
-                            ok = False
-                            break
-                        recent.append(t)
-                        st.packets_processed += 1
-                        st.bytes_processed += size
-                    if not ok:
-                        plan.drops[si] += 1
-                        dropped_step = si
-                        break
-                if collect:
-                    if dropped_step >= 0:
-                        outcomes.append(plan.step_outcomes[dropped_step])
-                    else:
-                        outcomes.append(plan.final_outcome)
-        if _obs.REGISTRY.enabled:
-            _obs.metric("dataplane_batch_packets").observe(len(items))
-        return outcomes
-
     def flush_counters(self) -> None:
-        """Apply deferred batched-walk counts to switch/ledger counters.
+        """Apply deferred column counts to switch/ledger counters.
 
         Every ledger reader on this class calls it; code inspecting switch
-        or vSwitch counters directly after :meth:`inject_stream` should
-        call it first.
+        or vSwitch counters directly after
+        ``ShardedDataPlane.inject_columns`` should call it first.
         """
         self._flush_dirty()
 
@@ -662,15 +566,11 @@ class DataPlaneNetwork:
     def total_tcam_usage(self) -> int:
         return sum(self.tcam_usage_by_switch().values())
 
-    def delivery_stats(self) -> Tuple[int, int, int]:
-        """(delivered, dropped, policy_violations); O(1) counter reads."""
-        return self.stats_snapshot().as_tuple()
-
     def stats_snapshot(self) -> NetworkStats:
-        """Flush deferred batched-walk counts, then read the ledger.
+        """Flush deferred column counts, then read the ledger.
 
-        The canonical consumer API: every ledger read routes through here,
-        so the PR-2 deferred-flush contract holds by construction.  It is
+        The one consumer API: every ledger read routes through here, so
+        the deferred-flush contract holds by construction.  It is
         also the data plane's metrics-collection point: with observability
         enabled, what the ledger and TCAM ground-truth counters gained since
         the last snapshot is added to the registry.

@@ -1,8 +1,8 @@
 """Columnar data plane: whole packet columns walked in numpy, in-process.
 
-The batched walker (:meth:`DataPlaneNetwork.inject_stream`) already
-amortises rule lookups per hash interval but still executes per packet.
-This module adds the next structural step, in two layers:
+The one way to walk many packets (:meth:`DataPlaneNetwork.inject` walks
+one).  Rule lookups are amortised per hash interval by the network's plan
+cache; this module executes a column against those plans, in two layers:
 
 **Columnar walk** (:class:`_ColumnWalker`).  Every per-packet pass over
 the column of ``(class_idx, hash, timestamp)`` arrays is O(n).  One radix
@@ -25,8 +25,9 @@ arrival is refused iff its ``floor(budget)``-th predecessor is still inside
 the window).  If every instance admits everything, counters are bulk-added
 and windows rebuilt from run tails — numpy instead of the per-packet loop.
 If some instance could drop, exactly the groups whose plans visit it run
-through the exact per-packet walker and every other group is still applied
-in bulk (the *contamination split*).  Every plan can be applied in bulk: a
+through the exact per-packet loop (:meth:`_ColumnWalker._walk_exact`, the
+walker's private fallback) and every other group is still applied in bulk
+(the *contamination split*).  Every plan can be applied in bulk: a
 walk is fixed at the ingress switch, and admission is the only per-packet
 effect an instance has.
 
@@ -168,7 +169,7 @@ class _ColumnWalker:
         size_bytes: int,
         collect: bool,
     ) -> Optional[list]:
-        """Walk one time-ordered column; exact ``inject_stream`` semantics."""
+        """Walk one time-ordered column; exact scalar ``inject`` semantics."""
         n = len(ts)
         if n == 0:
             return [] if collect else None
@@ -238,22 +239,24 @@ class _ColumnWalker:
                     dirty_groups.add(g)
                     break
 
-        # Dirty side first: the scalar walk decides the survivors whose
+        # Dirty side first: the exact walk decides the survivors whose
         # timestamps the mixed-window rebuild below consumes.  Its packets
-        # are addressed by position: regroup if the order was released.
+        # are addressed by position (regroup if the order was released) and
+        # walked in arrival order, each with its group's plan.
         if not collect:
             order = self._group(classes, cls_idx, hashes)[0]
             group_pos = [order[a:b] for a, b in bounds]
-        dpos = np.sort(np.concatenate([group_pos[g] for g in sorted(dirty_groups)]))
-        # The exact per-packet walker, without its entry validation: the
-        # column passed the same checks in ``inject_columns``.
-        items = list(zip(
-            [classes[c] for c in cls_idx[dpos].tolist()],
-            hashes[dpos].tolist(),
+        gs = sorted(dirty_groups)
+        pos = np.concatenate([group_pos[g] for g in gs])
+        which = np.repeat(gs, [len(group_pos[g]) for g in gs])
+        arrival = np.argsort(pos)
+        dpos = pos[arrival]
+        dirty_out = self._walk_exact(
+            [plans[g] for g in which[arrival].tolist()],
             ts[dpos].tolist(),
-        ))
-        dirty_out = self.net._walk_stream(items, size_bytes, collect)
-        self.seq_packets += len(items)
+            size_bytes,
+            collect,
+        )
         if collect:
             for p, outcome in zip(dpos.tolist(), dirty_out):
                 outcomes[p] = outcome
@@ -267,6 +270,58 @@ class _ColumnWalker:
             if cparts and iid not in dirty_iids:
                 clean_entries.append((iid, slot, cparts))
         self._bulk_apply(clean, runs, clean_entries, size_bytes, outcomes)
+        return outcomes
+
+    def _walk_exact(
+        self, plans: List[_WalkPlan], ts: List[float], size: int, collect: bool
+    ) -> Optional[list]:
+        """Walk packets one by one, in arrival order, each on its plan.
+
+        The contamination split's dirty side: instance admission runs per
+        packet, exactly as :meth:`VNFInstance.consume` would (trim the
+        window, refuse past the budget), and switch / ledger counts
+        accumulate on the plans for :meth:`DataPlaneNetwork.flush_counters`.
+        Returns per-packet ``(delivered, dropped_at)`` when ``collect``.
+        """
+        dirty = self.net._dirty_plans
+        outcomes: Optional[list] = [] if collect else None
+        for plan, t in zip(plans, ts):
+            if plan.n == 0:
+                dirty.append(plan)
+            plan.n += 1
+            dropped_step = -1
+            for si, slots in enumerate(plan.vsteps):
+                ok = True
+                for inst, recent, window in slots:
+                    if not inst.running:
+                        ok = False
+                        break
+                    st = inst.stats
+                    st.packets_in += 1
+                    cutoff = t - window
+                    if recent and recent[0] <= cutoff:
+                        i = 1
+                        lr = len(recent)
+                        while i < lr and recent[i] <= cutoff:
+                            i += 1
+                        del recent[:i]
+                    if len(recent) + 1 > inst._budget:
+                        st.packets_dropped += 1
+                        ok = False
+                        break
+                    recent.append(t)
+                    st.packets_processed += 1
+                    st.bytes_processed += size
+                if not ok:
+                    plan.drops[si] += 1
+                    dropped_step = si
+                    break
+            if collect:
+                if dropped_step >= 0:
+                    outcomes.append(plan.step_outcomes[dropped_step])
+                else:
+                    outcomes.append(plan.final_outcome)
+        self.seq_packets += len(ts)
         return outcomes
 
     def _certify(self, entries, runs) -> list:
@@ -391,8 +446,8 @@ class ShardedDataPlane:
             ``benchmarks/pipeline``'s call, then from this signature.
 
     The façade preserves the repo's bit-identity discipline: for the same
-    item stream, outcomes and every counter equal the scalar and batched
-    walkers'.  Faults follow the normal invalidation protocol — mutate
+    packets, outcomes and every counter equal scalar ``inject``'s, one
+    packet at a time.  Faults follow the normal invalidation protocol — mutate
     ``network`` itself; the next column reads the plans of the new epoch.
     """
 
@@ -406,31 +461,6 @@ class ShardedDataPlane:
         self._walker = _ColumnWalker(network)
 
     # -- injection -----------------------------------------------------
-    def inject_stream(
-        self,
-        items: Sequence[tuple],
-        size_bytes: int = 1500,
-        collect: bool = False,
-    ) -> Optional[List[Tuple[bool, Optional[str]]]]:
-        """Drop-in columnar counterpart of ``DataPlaneNetwork.inject_stream``."""
-        classes: List[str] = []
-        index: Dict[str, int] = {}
-        n = len(items)
-        cls_idx = np.empty(n, dtype=np.int64)
-        hashes = np.empty(n, dtype=np.float64)
-        ts = np.empty(n, dtype=np.float64)
-        for i, (cid, h, t) in enumerate(items):
-            ci = index.get(cid)
-            if ci is None:
-                ci = index[cid] = len(classes)
-                classes.append(cid)
-            cls_idx[i] = ci
-            hashes[i] = h
-            ts[i] = t
-        return self.inject_columns(
-            classes, cls_idx, hashes, ts, size_bytes=size_bytes, collect=collect
-        )
-
     def inject_columns(
         self,
         classes: Sequence[str],

@@ -178,7 +178,7 @@ class VSwitch:
         """Rule + instance sequence for a key, without walking a packet.
 
         Raises the same KeyError :meth:`process` would, so resolving a
-        batched walk plan surfaces rule-generation bugs identically.
+        walk plan surfaces rule-generation bugs identically.
         """
         key = (in_port, class_id, subclass_tag)
         rule = self._rules.get(key)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 import time
 from typing import Callable, Dict, List
 
@@ -72,13 +73,12 @@ _JOBSABLE = {"fig12", "table5", "failure_recovery", "failure_sweep",
 _SEEDABLE = {"failure_recovery", "southbound_chaos", "multi_tenant",
              "flash_crowd", "controller_crash"}
 
-#: Experiments whose run() accepts a batch size (packets per simulator
-#: event through the data-plane fast path).
-_BATCHABLE = {"packet_replay"}
 
-#: Experiments whose run() accepts columnar=True (the whole timeline as
-#: one column through the columnar data plane; bit-identical results).
-_COLUMNAR = {"packet_replay"}
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text without splitting a hyphenated experiment name."""
+
+    def _split_lines(self, text, width):
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
 def _jobs_arg(value: str):
@@ -93,6 +93,7 @@ def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="apple-experiments",
         description="Regenerate the APPLE paper's tables and figures.",
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument(
         "experiments",
@@ -127,22 +128,6 @@ def main(argv: List[str] = None) -> int:
         f"({', '.join(display_name(n) for n in sorted(_JOBSABLE))}); default 1 (serial); 'auto' "
         "measures the first row's cost and fans out only when a pool "
         "pays for itself (never slower than serial)",
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        metavar="K",
-        help="packets per simulator event for experiments with a batched "
-        f"data-plane path ({', '.join(display_name(n) for n in sorted(_BATCHABLE))}); default 1 "
-        "(event per packet); results are identical either way",
-    )
-    parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="walk the whole packet timeline as one column for experiments "
-        f"with a columnar data-plane path ({', '.join(display_name(n) for n in sorted(_COLUMNAR))}); "
-        "results are bit-identical to the default and to --batch",
     )
     parser.add_argument(
         "--output",
@@ -205,10 +190,6 @@ def main(argv: List[str] = None) -> int:
             kwargs["quick"] = True
         if args.jobs != 1 and name in _JOBSABLE:
             kwargs["jobs"] = args.jobs
-        if args.batch > 1 and name in _BATCHABLE:
-            kwargs["batch"] = args.batch
-        if args.columnar and name in _COLUMNAR:
-            kwargs["columnar"] = True
         if name in _SEEDABLE:
             kwargs["seed"] = args.seed
         result = runner(**kwargs)
@@ -258,8 +239,6 @@ def main(argv: List[str] = None) -> int:
             config={
                 "quick": args.quick,
                 "jobs": args.jobs,
-                "batch": args.batch,
-                "columnar": args.columnar,
                 "experiments": [display_name(n) for n in names],
             },
             metrics=obs.REGISTRY.snapshot(),

@@ -22,11 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.obs.metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    Metric,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Metric, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -72,9 +68,6 @@ CATALOG: Tuple[MetricDef, ...] = (
               "Packets dropped in the data plane (delivery ledger, collected)"),
     MetricDef("counter", "dataplane_policy_violations_total",
               "Delivered packets whose chain was incomplete (collected)"),
-    MetricDef("histogram", "dataplane_batch_packets",
-              "Packets per inject_stream call",
-              buckets=DEFAULT_SIZE_BUCKETS),
     MetricDef("gauge", "dataplane_packets_per_sim_second",
               "Offered packet rate of the most recent replay (sim clock)"),
     MetricDef("counter", "dataplane_shard_bulk_packets_total",

@@ -4,7 +4,7 @@ A subsystem whose events are rare (solver, southbound, tenancy, rule
 generation, verify) updates the registry at the event, behind the one
 ``enabled`` check.  The ones here cannot: the data plane counts per packet
 and must not pay for metrics there, and the chaos / elastic / resilience
-accounting (time to repair, time to absorb, journal shape) is only known
+accounting (time to repair, time to absorb, journal length) is only known
 once the run is over.  Their ledgers are read at a snapshot point —
 ``stats_snapshot()`` for a network, finalization for a run — and each
 collector is a no-op while observability is disabled.
@@ -95,18 +95,14 @@ def collect_chaos(metrics: "ChaosMetrics") -> None:
 def collect_resilience(metrics: "ResilienceMetrics") -> None:
     """Controller-crash accounting → registry (run finalization).
 
-    Downtime, crash and recovery counters are incremented live by the
-    experiment and ``recover()``; this collector reconciles the
-    journal-shape totals, which only the finished run knows.
+    Crash, recovery, checkpoint and journal-record counters are fed live
+    (by the experiment, ``recover()``, the orchestrator's checkpoint timer
+    and ``Journal.append``); this collector sets only the last journal's
+    length, which only the finished run knows.
     """
     if not state.REGISTRY.enabled:
         return
-    for kind in sorted(metrics.journal_kinds):
-        _metric("resilience_journal_records_total").labels(
-            kind=kind
-        ).set_total(metrics.journal_kinds[kind])
     _metric("resilience_journal_length").set(metrics.journal_length)
-    _metric("resilience_checkpoints_total").set_total(metrics.checkpoints)
 
 
 def collect_elastic(
@@ -115,6 +111,9 @@ def collect_elastic(
     absorb_seconds: Sequence[float] = (),
 ) -> None:
     """Elastic-loop ledger → registry (called at run finalization).
+
+    Each call adds one run's ledger, so the counters read the sum over
+    every run in the process.
 
     Args:
         snapshot: the final control tick's utilization view; exported as
@@ -125,34 +124,21 @@ def collect_elastic(
     """
     if not state.REGISTRY.enabled:
         return
-    _metric("elastic_ticks_total").set_total(metrics.ticks_total)
-    _metric("elastic_scale_actions_total").labels(direction="out").set_total(
-        metrics.scale_out_total
-    )
-    _metric("elastic_scale_actions_total").labels(direction="in").set_total(
-        metrics.scale_in_total
-    )
-    _metric("elastic_resolves_total").labels(warm="true").set_total(
-        metrics.resolves_warm
-    )
-    _metric("elastic_resolves_total").labels(warm="false").set_total(
-        metrics.resolves_cold
-    )
-    _metric("elastic_instances_drained_total").set_total(metrics.drained_total)
-    _metric("elastic_slo_violation_seconds_total").set_total(
+    _metric("elastic_ticks_total").inc(metrics.ticks_total)
+    scale = _metric("elastic_scale_actions_total")
+    scale.labels(direction="out").inc(metrics.scale_out_total)
+    scale.labels(direction="in").inc(metrics.scale_in_total)
+    resolves = _metric("elastic_resolves_total")
+    resolves.labels(warm="true").inc(metrics.resolves_warm)
+    resolves.labels(warm="false").inc(metrics.resolves_cold)
+    _metric("elastic_instances_drained_total").inc(metrics.drained_total)
+    _metric("elastic_slo_violation_seconds_total").inc(
         metrics.slo_violation_seconds
     )
-    admitted = sum(a.admitted for a in metrics.actions)
-    degraded = sum(a.degraded for a in metrics.actions)
-    shed = sum(a.shed for a in metrics.actions)
-    for action, count in (
-        ("admit", admitted),
-        ("degrade", degraded),
-        ("shed", shed),
-    ):
-        _metric("elastic_admission_decisions_total").labels(
-            action=action
-        ).set_total(count)
+    decisions = _metric("elastic_admission_decisions_total")
+    decisions.labels(action="admit").inc(sum(a.admitted for a in metrics.actions))
+    decisions.labels(action="degrade").inc(sum(a.degraded for a in metrics.actions))
+    decisions.labels(action="shed").inc(sum(a.shed for a in metrics.actions))
     if snapshot is not None:
         for nf_name, _, _, util in snapshot.per_nf:
             _metric("elastic_utilization").labels(nf=nf_name).set(util)

@@ -92,22 +92,6 @@ class CounterSeries(_Series):
             )
         self.value += amount
 
-    def set_total(self, value: float) -> None:
-        """Overwrite the cumulative value with a ledger's own total.
-
-        For a series only one ledger feeds (a run's elastic or journal
-        accounting).  Where several instances share a series — data-plane
-        networks — the collector adds each one's increase with :meth:`inc`
-        instead.
-        """
-        if not self._enabled:
-            return
-        if value < 0:
-            raise MetricError(
-                f"counter {self._family.name!r}: negative total {value}"
-            )
-        self.value = float(value)
-
 
 class GaugeSeries(_Series):
     __slots__ = ("value",)
@@ -267,9 +251,6 @@ class Metric:
 
     def set(self, value: float) -> None:
         self._sole().set(value)  # type: ignore[attr-defined]
-
-    def set_total(self, value: float) -> None:
-        self._sole().set_total(value)  # type: ignore[attr-defined]
 
     def observe(self, value: float) -> None:
         self._sole().observe(value)  # type: ignore[attr-defined]

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
+from repro.obs import state as _obs
+
 #: Record kinds, in rough lifecycle order.
 INTENT = "intent"          #: an accepted intent, logged before delivery
 GRANT = "grant"            #: an arbiter admission verdict
@@ -95,6 +97,8 @@ class Journal:
         )
         self.records.append(rec)
         self._persist(rec)
+        if _obs.REGISTRY.enabled:
+            _obs.metric("resilience_journal_records_total").labels(kind=kind).inc()
         return rec
 
     def _persist(self, rec: JournalRecord) -> None:  # pragma: no cover

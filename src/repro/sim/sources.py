@@ -5,20 +5,19 @@ The paper's prototype experiments (Sec. VIII) drive the system with pktgen
 role on the discrete-event kernel: each source emits packet events at a
 configured rate into a ``consume(packet_size_bytes, now)`` callback —
 typically a VNF instance, a data-plane port, or a plain recording sink.
+
+Replaying many finite CBR streams through the data plane needs no events
+at all: :func:`merge_cbr_timeline` computes their merged timeline up front,
+as columns the columnar walker takes whole.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heapreplace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Process, SimulationError, Simulator
 
 Consumer = Callable[[int, float], None]
-#: Batched consumers receive the per-packet timestamps of one chunk.
-BatchConsumer = Callable[[List[float]], None]
-#: Mux consumers receive one chunk of (stream_key, timestamp) pairs.
-MuxConsumer = Callable[[List[Tuple[str, float]]], None]
 
 
 def merge_cbr_timeline(
@@ -37,11 +36,10 @@ def merge_cbr_timeline(
 
     Returns ``(keys, key_idx, ts)``: the stream keys in registration
     order, an int64 array indexing into ``keys`` per packet, and the
-    float64 timestamp array, both sorted in global arrival order.  Both
-    the :class:`BatchedCBRMux` (which re-zips them into event batches)
-    and the columnar replay path (which keeps the columns as-is for the
-    columnar walker) build their timelines here, which is what makes
-    their packet sequences bit-identical.
+    float64 timestamp array, both sorted in global arrival order: exactly
+    the packets, order and timestamps of one :class:`CBRSource` per
+    stream, each started at its ``start`` and run to ``horizon``
+    (``tests/test_sim_sources.py`` holds the two against each other).
     """
     import numpy as np
 
@@ -121,21 +119,6 @@ class CBRSource(_BaseSource):
         rate_pps: packets per second.  May be changed while running via
             :meth:`set_rate`, which is how Fig. 9's 1 → 10 → 1 Kpps rate
             steps are produced.
-        chunk: packets per simulator event.  The default of 1 emits one
-            event per packet (the original behaviour, byte for byte).
-            With ``chunk=K`` the source fires one event per K packets and
-            hands each packet its exact nominal timestamp, so the packets
-            a consumer sees — count, order, and every timestamp float —
-            are identical to the K=1 stream; only the number of simulator
-            events changes.  Rate changes then take effect from the next
-            *chunk* rather than the next packet.
-        batch_consumer: with chunking, receive each chunk's timestamp list
-            in one call instead of per-packet ``consumer`` calls.
-        horizon: stop emitting after this absolute time.  Chunked streams
-            need the cutoff up front: a chunk is scheduled at its *last*
-            packet's time, so without a horizon a chunk straddling the
-            ``sim.run(until=...)`` boundary would either fire late or not
-            at all, while the scalar stream delivers its pre-boundary part.
     """
 
     def __init__(
@@ -145,22 +128,11 @@ class CBRSource(_BaseSource):
         rate_pps: float,
         packet_size: int = 1500,
         name: str = "cbr",
-        chunk: int = 1,
-        batch_consumer: Optional[BatchConsumer] = None,
-        horizon: Optional[float] = None,
     ) -> None:
         super().__init__(sim, consumer, packet_size, name)
         if rate_pps <= 0:
             raise SimulationError(f"rate_pps must be positive, got {rate_pps}")
-        if chunk < 1:
-            raise SimulationError(f"chunk must be >= 1, got {chunk}")
         self.rate_pps = float(rate_pps)
-        self.chunk = int(chunk)
-        self.batch_consumer = batch_consumer
-        self.horizon = horizon
-        self._chunk_active = False
-        self._next_t: Optional[float] = None
-        self._pending = None  # the armed chunk event, cancellable by stop()
 
     def set_rate(self, rate_pps: float) -> None:
         """Change the emission rate; takes effect from the next packet."""
@@ -172,183 +144,6 @@ class CBRSource(_BaseSource):
         while True:
             self._send_one()
             yield 1.0 / self.rate_pps
-
-    # -- chunked mode --------------------------------------------------
-    def start(self) -> None:
-        if self.chunk == 1 and self.batch_consumer is None and self.horizon is None:
-            super().start()
-            return
-        if self._chunk_active:
-            return
-        self._chunk_active = True
-        self._next_t = self.sim.now  # first packet fires at start time
-        self._schedule_chunk()
-
-    def stop(self) -> None:
-        self._chunk_active = False
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-        super().stop()
-
-    @property
-    def running(self) -> bool:
-        return self._chunk_active or super().running
-
-    def _schedule_chunk(self) -> None:
-        """Compute the next chunk's timestamps and arm one event for it.
-
-        Timestamps accumulate by repeated addition (``t += gap``), the
-        same left-fold the event-per-packet stream performs via the
-        simulator clock, so the floats agree bit for bit.
-        """
-        if not self._chunk_active:
-            return
-        gap = 1.0 / self.rate_pps
-        t = self._next_t
-        horizon = self.horizon
-        ts: List[float] = []
-        while len(ts) < self.chunk:
-            if horizon is not None and t > horizon:
-                break
-            ts.append(t)
-            t = t + gap
-        self._next_t = t
-        if not ts:
-            self._chunk_active = False  # horizon exhausted
-            return
-        self._pending = self.sim.schedule_at(ts[-1], self._fire_chunk, (ts,))
-
-    def _fire_chunk(self, ts: List[float]) -> None:
-        self._pending = None
-        self.packets_sent += len(ts)
-        self.bytes_sent += len(ts) * self.packet_size
-        if self.batch_consumer is not None:
-            self.batch_consumer(ts)
-        else:
-            consumer = self.consumer
-            size = self.packet_size
-            for t in ts:
-                consumer(size, t)
-        self._schedule_chunk()
-
-
-class BatchedCBRMux:
-    """Many CBR streams merged into one batched, globally time-ordered feed.
-
-    Chunking each stream separately preserves per-stream timestamps but not
-    the *interleaving* across streams — and when streams share stateful
-    consumers (VNF instances with sliding admission windows), processing
-    order is observable.  The mux instead merges all streams by timestamp
-    and emits one simulator event per ``chunk`` packets of the *global*
-    arrival sequence, so a shared consumer sees exactly the packets, order
-    and timestamps of one event-per-packet ``CBRSource`` per stream.
-
-    Per-stream timestamps accumulate by repeated addition from the start
-    phase, the same float left-fold ``CBRSource`` performs through the
-    simulator clock.  Events are scheduled with ``schedule_at`` at each
-    batch's last timestamp, so no drift accumulates.  Streams whose next
-    packet would land past ``horizon`` are retired; the final partial
-    batch still fires.
-
-    Args:
-        batch_consumer: called with each batch, a list of
-            ``(stream_key, timestamp)`` pairs in global time order.
-        chunk: packets per simulator event.
-        horizon: absolute emission cutoff (inclusive), normally the
-            ``sim.run(until=...)`` bound.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        batch_consumer: MuxConsumer,
-        chunk: int = 256,
-        horizon: Optional[float] = None,
-        name: str = "cbr-mux",
-    ) -> None:
-        if chunk < 1:
-            raise SimulationError(f"chunk must be >= 1, got {chunk}")
-        self.sim = sim
-        self.batch_consumer = batch_consumer
-        self.chunk = int(chunk)
-        self.horizon = horizon
-        self.name = name
-        self.packets_sent = 0
-        self._heap: List[list] = []  # [next_t, order, key, gap]
-        self._started = False
-        self._active = False
-        self._pending = None
-        # With a horizon the whole merged timeline is finite: it is
-        # precomputed at start() and served by slicing.
-        self._timeline: Optional[List[Tuple[str, float]]] = None
-        self._cursor = 0
-
-    def add_stream(self, key: str, rate_pps: float, start: float) -> None:
-        """Register one CBR stream (first packet exactly at ``start``)."""
-        if self._started:
-            raise SimulationError("add_stream after start()")
-        if rate_pps <= 0:
-            raise SimulationError(f"rate_pps must be positive, got {rate_pps}")
-        self._heap.append([start, len(self._heap), key, 1.0 / rate_pps])
-
-    def start(self) -> None:
-        """Arm the first batch event."""
-        if self._started:
-            return
-        self._started = True
-        self._active = True
-        if self.horizon is not None:
-            self._timeline = self._build_timeline()
-        else:
-            heapify(self._heap)
-        self._schedule_batch()
-
-    def _build_timeline(self) -> List[Tuple[str, float]]:
-        """Merge every stream's finite timestamp sequence up front.
-
-        Delegates to :func:`merge_cbr_timeline` (shared with the columnar
-        replay path, keeping the two bit-identical) and re-zips the
-        columns into the ``(key, timestamp)`` batches the event loop
-        serves.
-        """
-        keys, kidx, ts = merge_cbr_timeline(
-            [(key, start, gap) for start, _order, key, gap in self._heap],
-            self.horizon,
-        )
-        return [(keys[i], t) for i, t in zip(kidx.tolist(), ts.tolist())]
-
-    def stop(self) -> None:
-        self._active = False
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-
-    def _schedule_batch(self) -> None:
-        if not self._active:
-            return
-        if self._timeline is not None:
-            batch = self._timeline[self._cursor : self._cursor + self.chunk]
-            self._cursor += len(batch)
-        else:
-            heap = self._heap
-            batch = []
-            while heap and len(batch) < self.chunk:
-                head = heap[0]
-                t = head[0]
-                batch.append((head[2], t))
-                head[0] = t + head[3]
-                heapreplace(heap, head)
-        if not batch:
-            self._active = False
-            return
-        self._pending = self.sim.schedule_at(batch[-1][1], self._fire, (batch,))
-
-    def _fire(self, batch: List[Tuple[str, float]]) -> None:
-        self._pending = None
-        self.packets_sent += len(batch)
-        self.batch_consumer(batch)
-        self._schedule_batch()
 
 
 class PoissonSource(_BaseSource):

@@ -50,8 +50,8 @@ class VNFInstance:
         window: sliding window (seconds) for the packet-level rate limit.
 
     Admission is the instance's only per-packet effect — it never touches
-    the packet — so the batched and columnar walkers can replay
-    :meth:`consume` without calling it.
+    the packet — so the columnar walker can replay :meth:`consume`
+    without calling it.
     """
 
     def __init__(
@@ -75,10 +75,10 @@ class VNFInstance:
         self.degradation = 1.0
         self._recent: List[float] = []  # processed-packet timestamps in window
         # Window budget in packets; NFType is frozen, so only degrade()
-        # changes this.  The batched and columnar walkers read
-        # _budget/_recent directly instead of calling consume()
-        # (DataPlaneNetwork.inject_stream inlines it, _ColumnWalker checks
-        # and applies whole columns) — keep their semantics in sync with it.
+        # changes this.  The columnar walker reads _budget/_recent directly
+        # instead of calling consume() (_ColumnWalker checks and applies
+        # whole columns, and its exact fallback inlines consume) — keep
+        # their semantics in sync with it.
         self._budget: float = float(nf_type.capacity_pps) * window
 
     # ------------------------------------------------------------------

@@ -299,7 +299,7 @@ def test_network_walk_divert_and_deliver():
     assert record.delivered and record.policy_satisfied
     assert record.packet.switches_visited() == ["s1", "s2", "s3"]
     assert record.packet.vnfs_visited() == ["m[0]@s2"]
-    assert net.delivery_stats() == (1, 0, 0)
+    assert net.stats_snapshot().as_tuple() == (1, 0, 0)
 
 
 def test_network_rejects_unknown_class_or_mismatched_endpoints():

@@ -1,18 +1,17 @@
-"""Batched-walk equivalence: ``inject_stream`` must mirror scalar ``inject``.
+"""Chunked-column equivalence: ``inject_columns`` must mirror scalar ``inject``.
 
-The batched fast path is only an optimisation: per-packet outcomes, the
-delivery ledger, and every switch/vSwitch/instance counter must be
-bit-identical to driving the same packet sequence through the scalar
-walker — including drops under overload and across batch sizes.
+Cutting one packet sequence into columns of any size is only an
+optimisation: per-packet outcomes, the delivery ledger, and every
+switch/vSwitch/instance counter must be bit-identical to driving the same
+packets through the scalar walker — including drops under overload, whose
+sliding admission windows span the column boundaries.
 """
-
-import pytest
 
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import FIN, Packet
+from repro.dataplane.sharded import ShardedDataPlane
 from repro.dataplane.switch import SwitchRuleSet
 from repro.dataplane.vswitch import VSwitchRule
-from repro.experiments import packet_replay
 from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFType
@@ -51,8 +50,9 @@ def _arrivals(n=300, rate=100.0):
 
 
 def _counters(net, inst):
+    net.flush_counters()
     return {
-        "stats": net.delivery_stats(),
+        "stats": net.stats_snapshot().as_tuple(),
         "seen": {s: sw.packets_seen for s, sw in net.switches.items()},
         "lookups": {
             s: (sw.table.lookup_count, sw.table.miss_count)
@@ -64,6 +64,7 @@ def _counters(net, inst):
             inst.stats.packets_processed,
             inst.stats.packets_dropped,
             inst.stats.bytes_processed,
+            tuple(inst._recent),
         ),
     }
 
@@ -83,48 +84,13 @@ def test_batch_matches_scalar_with_overload_drops():
 
     for batch in (1, 16, 300):
         net, inst = _line_network()
+        columns = ShardedDataPlane(net)
         outcomes = []
         for i in range(0, len(arrivals), batch):
-            chunk = [("c1", h, t) for h, t in arrivals[i : i + batch]]
-            outcomes.extend(net.inject_stream(chunk, collect=True))
-        net.flush_counters()
+            chunk = arrivals[i : i + batch]
+            outcomes.extend(columns.inject_columns(
+                ["c1"], [0] * len(chunk), [h for h, _ in chunk],
+                [t for _, t in chunk], collect=True,
+            ))
         assert outcomes == scalar_outcomes
         assert _counters(net, inst) == expected
-
-
-def test_batch_single_timestamp_and_rule_change_invalidation():
-    net, inst = _line_network(capacity_pps=1e9)
-    outcomes = net.inject_stream([("c1", h, 0.0) for h in (0.1, 0.6, 0.9)], collect=True)
-    assert outcomes == [(True, None)] * 3
-    assert net.delivery_stats() == (3, 0, 0)
-
-    # Mutating any rule must invalidate cached plans: drop c1 at s1.
-    from repro.dataplane.tcam import Action, ActionKind, TcamEntry
-
-    net.switches["s1"].table.install(
-        TcamEntry(priority=999, action=Action(ActionKind.DROP), class_id="c1")
-    )
-    outcomes = net.inject_stream([("c1", h, 1.0) for h in (0.1, 0.6, 0.9)], collect=True)
-    assert outcomes == [(False, "s1")] * 3
-    assert net.delivery_stats() == (3, 3, 0)
-
-
-@pytest.mark.parametrize("batch", [16, 256])
-def test_packet_replay_batched_is_bit_identical(batch):
-    scalar = packet_replay.run(quick=True)
-    batched = packet_replay.run(quick=True, batch=batch)
-    assert batched.rows == scalar.rows
-
-
-def test_packet_replay_batch_one_takes_scalar_path():
-    scalar = packet_replay.run(quick=True)
-    also_scalar = packet_replay.run(quick=True, batch=1)
-    assert also_scalar.rows == scalar.rows
-
-
-def test_packet_replay_batched_matches_scalar_under_overload():
-    scalar = packet_replay.run(quick=True, overload_factor=1.6)
-    batched = packet_replay.run(quick=True, overload_factor=1.6, batch=64)
-    assert batched.rows == scalar.rows
-    dropped = dict((r[0], r[1]) for r in scalar.rows)["dropped"]
-    assert dropped > 0

@@ -599,7 +599,7 @@ def test_column_length_mismatch_is_rejected():
     net, _, cls_idx, hashes, ts = _valid_column()
     with pytest.raises(ValueError, match="lengths differ"):
         ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes[:-1], ts)
-    assert net.delivery_stats() == (0, 0, 0)
+    assert net.stats_snapshot().as_tuple() == (0, 0, 0)
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
@@ -610,7 +610,7 @@ def test_class_index_outside_the_class_list_is_rejected(bad):
     cls_idx[17] = bad
     with pytest.raises(ValueError, match="cls_idx"):
         ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
-    assert net.delivery_stats() == (0, 0, 0)
+    assert net.stats_snapshot().as_tuple() == (0, 0, 0)
 
 
 def test_decreasing_timestamps_are_rejected():
@@ -620,11 +620,11 @@ def test_decreasing_timestamps_are_rejected():
     tied = ts.copy()
     tied[20] = tied[19]
     ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, tied)
-    assert net.delivery_stats() == (50, 0, 0)
+    assert net.stats_snapshot().as_tuple() == (50, 0, 0)
     ts[[20, 30]] = ts[[30, 20]]
     with pytest.raises(ValueError, match="non-decreasing"):
         ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
-    assert net.delivery_stats() == (50, 0, 0)
+    assert net.stats_snapshot().as_tuple() == (50, 0, 0)
 
 
 @pytest.mark.parametrize("bad", [1.0, -0.1, 1.5, float("nan")])
@@ -633,13 +633,12 @@ def test_flow_hash_outside_the_unit_interval_is_rejected(bad):
     # last interval, -0.1 into the first, NaN wherever the search put it).
     with pytest.raises(ValueError, match=r"flow_hash must be in \[0, 1\)"):
         Packet(class_id="c0", flow_hash=bad, src="s1", dst="s3")
-    net, _, cls_idx, hashes, ts = _valid_column()
+    net, instances, cls_idx, hashes, ts = _valid_column()
     hashes[17] = bad
     with pytest.raises(ValueError, match=r"flow_hash must be in \[0, 1\)"):
         ShardedDataPlane(net).inject_columns(["c0", "c1"], cls_idx, hashes, ts)
-    with pytest.raises(ValueError, match=r"flow_hash must be in \[0, 1\)"):
-        ShardedDataPlane(net).inject_stream([("c0", bad, 1.0)], collect=True)
-    assert net.delivery_stats() == (0, 0, 0)
+    assert net.stats_snapshot().as_tuple() == (0, 0, 0)
+    assert [i.stats.packets_in for i in instances] == [0] * len(instances)
 
 
 @pytest.mark.parametrize(
@@ -658,14 +657,13 @@ def test_non_finite_timestamps_are_rejected(where, bad):
         poisoned = ts.copy()
         poisoned[where] = bad
         _scalar_outcomes(ref, (cls_idx, hashes, poisoned))
-        assert ref.delivery_stats() == (len(ts) - 1, 1, 0)
+        assert ref.stats_snapshot().as_tuple() == (len(ts) - 1, 1, 0)
     ts[where] = bad
-    net, _ = _shared_network()
+    net, instances = _shared_network()
     with pytest.raises(ValueError, match="ts must be finite"):
         ShardedDataPlane(net).inject_columns(CLASSES, cls_idx, hashes, ts)
-    with pytest.raises(ValueError, match="ts must be finite"):
-        ShardedDataPlane(net).inject_stream([("c0", 0.5, bad)], collect=True)
-    assert net.delivery_stats() == (0, 0, 0)
+    assert net.stats_snapshot().as_tuple() == (0, 0, 0)
+    assert [i.stats.packets_in for i in instances] == [0] * len(instances)
 
 
 @pytest.mark.parametrize(
@@ -695,8 +693,8 @@ def test_columns_are_coerced_once_or_rejected_by_name(column, change, names):
     if names is None:
         out = sh.inject_columns(["c0", "c1"], **cols, collect=True)
         assert out == [(True, None)] * 50
-        assert net.delivery_stats() == (50, 0, 0)
+        assert net.stats_snapshot().as_tuple() == (50, 0, 0)
     else:
         with pytest.raises(ValueError, match=names):
             sh.inject_columns(["c0", "c1"], **cols)
-        assert net.delivery_stats() == (0, 0, 0)
+        assert net.stats_snapshot().as_tuple() == (0, 0, 0)

@@ -178,12 +178,10 @@ NETWORK_READ_ONLY_CALLS = {
     "inject_from_host": lambda n: n.inject_from_host(
         Packet("c3", 0.5, "s2", "s3")
     ),
-    "inject_stream": lambda n: n.inject_stream([("c1", 0.3, 0.0)]),
     "flush_counters": lambda n: n.flush_counters(),
     "class_intervals": lambda n: n.class_intervals("c1"),
     "interval_plan": lambda n: n.interval_plan(n.class_intervals("c1"), 0),
     "stats_snapshot": lambda n: n.stats_snapshot(),
-    "delivery_stats": lambda n: n.delivery_stats(),
     "reset_records": lambda n: n.reset_records(),
     "reset_runtime_state": lambda n: n.reset_runtime_state(),
     "tcam_usage_by_switch": lambda n: n.tcam_usage_by_switch(),

@@ -6,7 +6,7 @@ no cache in front of it.  Two identically installed networks are driven
 with one event stream — packets, faults, rule mutations — and must agree
 on every packet (outcome, drop site, trace, both tags), on every counter
 (except ``cache_hits``, which only the replay counts) and on the ledger.
-``inject_stream``'s entry validation has its regressions at the end.
+The column walker's entry validation has its regressions at the end.
 """
 
 import math
@@ -150,7 +150,7 @@ def _counters(net):
     keyed by name so it fits any topology; ``cache_hits`` included)."""
     net.flush_counters()
     return {
-        "stats": net.delivery_stats(),
+        "stats": net.stats_snapshot().as_tuple(),
         "switches": {
             s: (sw.packets_seen, sw.table.lookup_count, sw.table.miss_count,
                 sw.table.cache_hits)
@@ -430,14 +430,16 @@ def test_hash_ranged_match_after_a_nat_splits_where_the_ingress_cut():
          "ts-minus-inf", "ts-inf"],
 )
 def test_inject_stream_refuses_what_every_other_walker_refuses(items, pattern):
-    # It used to walk each of these and count the packets delivered; Packet()
-    # and inject_columns refused them.
+    # A stream of (class, hash, ts) items, given to the column walker as
+    # columns, is refused whole where Packet() refuses one of its packets or
+    # the times run backwards: nothing walked, nothing counted.
     net, instances = _build()
     with pytest.raises(ValueError, match=pattern):
-        net.inject_stream(items, collect=True)
-    with pytest.raises(ValueError, match=pattern):
-        ShardedDataPlane(net).inject_stream(items, collect=True)
-    assert net.delivery_stats() == (0, 0, 0)
+        ShardedDataPlane(net).inject_columns(
+            ["c1"], [0] * len(items), [h for _, h, _ in items],
+            [t for _, _, t in items], collect=True,
+        )
+    assert net.stats_snapshot().as_tuple() == (0, 0, 0)
     assert [i.stats.packets_in for i in instances.values()] == [0] * len(instances)
 
 

@@ -3,7 +3,7 @@
 The columnar layer is only an optimisation: per-packet outcomes, the
 delivery ledger, and every switch/vSwitch/instance counter must be
 bit-identical to driving the same packet sequence through the scalar
-walker — under overload drops and mid-run chaos invalidation.
+walker — under overload drops, mid-run chaos invalidation and rule mutations.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,8 +12,10 @@ from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import FIN, Packet
 from repro.dataplane.sharded import ShardedDataPlane
 from repro.dataplane.switch import SwitchRuleSet
+from repro.dataplane.tcam import Action, ActionKind, TcamEntry
 from repro.dataplane.vswitch import VSwitchRule
 from repro.experiments import packet_replay
+from repro.sim.sources import CBRSource
 from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFType
@@ -95,13 +97,18 @@ def _apply_fault(net, fault):
         inst.shutdown()
     elif kind == "restart":
         inst.running = True
+    elif kind == "drop":  # a rule mutation: drop one class at the ingress
+        cid = sorted(net.class_paths)[idx % len(net.class_paths)]
+        net.switches["s1"].table.install(
+            TcamEntry(priority=999, action=Action(ActionKind.DROP), class_id=cid)
+        )
 
 
 def _state(net, instances):
     """Every observable counter, and the instances' sliding windows."""
     net.flush_counters()
     return {
-        "stats": net.delivery_stats(),
+        "stats": net.stats_snapshot().as_tuple(),
         "seen": {s: sw.packets_seen for s, sw in net.switches.items()},
         "lookups": {
             s: (sw.table.lookup_count, sw.table.miss_count)
@@ -131,6 +138,17 @@ def _run_scalar(class_specs, chunks, faults):
     return outcomes, _state(net, instances)
 
 
+def _columns(items):
+    """``(class_id, hash, ts)`` items as ``inject_columns`` arguments."""
+    classes = sorted({cid for cid, _, _ in items})
+    return (
+        classes,
+        [classes.index(cid) for cid, _, _ in items],
+        [h for _, h, _ in items],
+        [t for _, _, t in items],
+    )
+
+
 def _run_columnar(class_specs, chunks, faults):
     net, instances = _network(class_specs)
     outcomes = []
@@ -138,7 +156,7 @@ def _run_columnar(class_specs, chunks, faults):
     for ci, chunk in enumerate(chunks):
         for fault in faults.get(ci, ()):
             _apply_fault(net, fault)
-        outcomes.extend(sh.inject_stream(chunk, collect=True))
+        outcomes.extend(sh.inject_columns(*_columns(chunk), collect=True))
     return outcomes, _state(net, instances)
 
 
@@ -163,7 +181,7 @@ def scenario(draw):
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(1, len(chunks)))
         kind = draw(st.sampled_from(
-            ["invalidate", "degrade", "restore", "stop", "restart"]
+            ["invalidate", "degrade", "restore", "stop", "restart", "drop"]
         ))
         faults.setdefault(at, []).append((kind, draw(st.integers(0, 5))))
     return specs, chunks, faults
@@ -192,15 +210,76 @@ def test_sharded_overload_drops_bit_identical():
     assert got_state == expected_state
 
 
+def test_single_timestamp_column_and_rule_change_invalidation():
+    # Every packet of a column at one instant, then a DROP installed at the
+    # ingress between two columns: the second column must see the new rule.
+    chunks = [[("c0", h, t) for h in (0.1, 0.6, 0.9)] for t in (0.0, 1.0)]
+    faults = {1: [("drop", 0)]}
+    expected_out, expected_state = _run_scalar([(0.5, 40.0)], chunks, faults)
+    assert expected_out == [(True, None)] * 3 + [(False, "s1")] * 3
+    got_out, got_state = _run_columnar([(0.5, 40.0)], chunks, faults)
+    assert got_out == expected_out
+    assert got_state == expected_state
+
+
+# ----------------------------------------------------------------------
+# packet-replay against its event-per-packet reference
+# ----------------------------------------------------------------------
+def _event_per_packet_replay(quick, overload_factor):
+    """``packet_replay.run``'s traffic, one simulator event per packet.
+
+    One ``CBRSource`` per class started at a phase drawn from the replay's
+    RNG stream, each packet a ``network.inject`` with the class's next
+    cycling hash.  Returns
+    ``(sent, delivered, dropped, violations)``.
+    """
+    _, plan, sim, deployment = packet_replay.deploy("internet2")
+    network = deployment.network
+    sent = [0]
+
+    def consumer(cls):
+        k = [0]
+
+        def consume(size, now):
+            k[0] += 1
+            sent[0] += 1
+            network.inject(
+                Packet(class_id=cls.class_id, flow_hash=(k[0] * 0.137) % 1.0,
+                       src=cls.src, dst=cls.dst),
+                now=now,
+            )
+
+        return consume
+
+    rng = sim.rng.child("packet-replay-phases")
+    sources = []
+    for cls in plan.classes:
+        pps = cls.rate_mbps * packet_replay.PPS_PER_MBPS * overload_factor
+        if pps <= 0.5:
+            continue
+        src = CBRSource(sim, consumer(cls), pps, name=cls.class_id)
+        sim.schedule(rng.uniform(0.0, 1.0 / pps), src.start)
+        sources.append(src)
+    sim.run(until=1.5 if quick else 4.0)
+    for src in sources:
+        src.stop()
+    return (sent[0],) + network.stats_snapshot().as_tuple()
+
+
+def _replay_counts(result):
+    rows = dict((r[0], r[1]) for r in result.rows)
+    return tuple(
+        rows[k] for k in ("packets sent", "delivered", "dropped", "policy violations")
+    )
+
+
 def test_packet_replay_sharded_is_bit_identical():
-    scalar = packet_replay.run(quick=True)
-    columnar = packet_replay.run(quick=True, columnar=True)
-    assert columnar.rows == scalar.rows
+    column = packet_replay.run(quick=True)
+    assert _replay_counts(column) == _event_per_packet_replay(True, 1.0)
 
 
 def test_packet_replay_sharded_matches_scalar_under_overload():
-    scalar = packet_replay.run(quick=True, overload_factor=1.6)
-    columnar = packet_replay.run(quick=True, overload_factor=1.6, columnar=True)
-    assert columnar.rows == scalar.rows
-    dropped = dict((r[0], r[1]) for r in scalar.rows)["dropped"]
-    assert dropped > 0
+    column = packet_replay.run(quick=True, overload_factor=1.6)
+    reference = _event_per_packet_replay(True, 1.6)
+    assert _replay_counts(column) == reference
+    assert reference[2] > 0  # the overload really drops

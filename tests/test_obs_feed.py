@@ -17,7 +17,8 @@ from repro.chaos import ChaosEngine
 from repro.core.controller import AppleController
 from repro.dataplane.packet import Packet
 from repro.dataplane.sharded import ShardedDataPlane
-from repro.experiments import failure_recovery
+from repro.experiments import controller_crash, failure_recovery, flash_crowd
+from repro.obs.collectors import collect_elastic
 from repro.obs.metrics import MAX_SERIES_PER_METRIC
 from repro.sim.kernel import Simulator
 from repro.topology.datasets import internet2
@@ -176,6 +177,52 @@ def test_two_networks_add_up_and_a_reset_loses_nothing(obs_off_after):
     assert obs.metric("dataplane_tcam_lookups_total").value == lookups / 40 * 90
 
 
+def test_elastic_and_resilience_series_add_up_over_runs(
+    obs_off_after, monkeypatch
+):
+    # Run-level collectors add each run's ledger: two elastic histories and
+    # a crash sweep (many journals) in one process read the sums, not the
+    # last run's totals.
+    obs.enable()
+    ledgers = []
+
+    def recorded(em, **kwargs):
+        ledgers.append(em)
+        collect_elastic(em, **kwargs)
+
+    monkeypatch.setattr(flash_crowd, "collect_elastic", recorded)
+    for amplitude in (2.0, 8.0):
+        flash_crowd._flash_row(amplitude, seed=1, quick=True)
+    assert obs.metric("elastic_ticks_total").value == sum(
+        em.ticks_total for em in ledgers
+    ) > max(em.ticks_total for em in ledgers)
+    assert _series("elastic_resolves_total")[("true",)] == sum(
+        em.resolves_warm for em in ledgers
+    )
+    assert obs.metric("elastic_instances_drained_total").value == sum(
+        em.drained_total for em in ledgers
+    )
+
+    journals = []
+    run_once = controller_crash.run_once
+
+    def journaled(*args, **kwargs):
+        out = run_once(*args, **kwargs)
+        journals.append(out.journal)
+        return out
+
+    monkeypatch.setattr(controller_crash, "run_once", journaled)
+    controller_crash.run(seed=1, quick=True)
+    kinds = Counter()
+    for journal in journals:
+        kinds.update(journal.kind_counts())
+    assert len(journals) > 2 and kinds["checkpoint"] > 0
+    assert _series("resilience_journal_records_total") == {
+        (k,): float(v) for k, v in kinds.items()
+    }
+    assert obs.metric("resilience_checkpoints_total").value == kinds["checkpoint"]
+
+
 def test_two_simulators_add_up(obs_off_after):
     # Each run adds the events it fired: a second simulator in the same
     # process, with a shorter life than the first, does not move the
@@ -212,16 +259,15 @@ def test_no_span_reads_the_clock_with_obs_off(obs_off_after, monkeypatch):
     packets = _packets(classes, 8)
     for packet in packets:
         assert network.inject(packet).delivered
-    items = [(p.class_id, p.flow_hash, 0.0) for p in packets]
-    network.inject_stream(items)
     ids = [c.class_id for c in classes]
-    ShardedDataPlane(network).inject_columns(
+    column = (
         ids,
         np.array([ids.index(p.class_id) for p in packets]),
         np.array([p.flow_hash for p in packets]),
         np.zeros(len(packets)),
     )
-    assert network.stats_snapshot().delivered == 3 * len(packets)
+    ShardedDataPlane(network).inject_columns(*column)
+    assert network.stats_snapshot().delivered == 2 * len(packets)
 
     row = failure_recovery._recovery_row("internet2", seed=7, quick=True)
     assert row[-1] == "OK"
@@ -229,4 +275,4 @@ def test_no_span_reads_the_clock_with_obs_off(obs_off_after, monkeypatch):
     # The same paths do read it once observability is on.
     obs.enable()
     with pytest.raises(AssertionError, match="read the clock"):
-        network.inject_stream(items)
+        ShardedDataPlane(network).inject_columns(*column)

@@ -28,8 +28,7 @@ def manifest():
         ],
         argv=["failure-recovery", "--seed", "7", "--trace"],
         seed=7,
-        config={"quick": True, "jobs": 1, "batch": 1,
-                "experiments": ["failure-recovery"]},
+        config={"quick": True, "jobs": 1, "experiments": ["failure-recovery"]},
         metrics={},
         wall_seconds=0.41,
         trace_file="trace.json",

@@ -67,15 +67,6 @@ def test_counter_inc_and_negative_rejected(reg):
         c.inc(-1)
 
 
-def test_counter_set_total_for_collectors(reg):
-    c = reg.counter("c_total", "h")
-    c.set_total(41)
-    c.set_total(44)
-    assert c.value == 44.0
-    with pytest.raises(MetricError):
-        c.set_total(-1)
-
-
 def test_gauge_set_inc_dec(reg):
     g = reg.gauge("g", "h")
     g.set(10)
@@ -155,7 +146,6 @@ def test_disabled_registry_is_noop():
     g = r.gauge("g", "h")
     h = r.histogram("h_seconds", "h")
     c.inc(5)
-    c.set_total(9)
     g.set(3)
     h.observe(1.0)
     assert c.value == 0.0

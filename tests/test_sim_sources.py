@@ -4,11 +4,11 @@ import pytest
 
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.sources import (
-    BatchedCBRMux,
     CBRSource,
     OnOffSource,
     PoissonSource,
     RateMeter,
+    merge_cbr_timeline,
 )
 
 
@@ -101,122 +101,43 @@ def test_rate_meter_tracks_rate():
     assert meter.rate_pps() == 0.0  # window drained
 
 
-def test_cbr_chunked_timestamps_identical_to_scalar():
-    def run(chunk, horizon):
-        sim = Simulator()
-        received, consume = _sink()
-        src = CBRSource(
-            sim, consume, rate_pps=317.0, chunk=chunk, horizon=horizon
-        )
-        src.start()
-        sim.run(until=1.0)
-        src.stop()
-        return received
-
-    scalar = run(1, None)
-    for chunk in (7, 64, 1000):
-        assert run(chunk, 1.0) == scalar  # count, order, every float
-
-
-def test_cbr_chunked_batch_consumer_and_horizon():
-    sim = Simulator()
-    batches = []
-    src = CBRSource(
-        sim,
-        lambda s, t: None,
-        rate_pps=100.0,
-        chunk=16,
-        batch_consumer=batches.append,
-        horizon=0.25,
-    )
-    src.start()
-    sim.run(until=1.0)
-    ts = [t for b in batches for t in b]
-    # 0, 0.01, ... up to the horizon (the 26th accumulated float lands just
-    # past 0.25); the final partial chunk still fires.
-    assert len(ts) == 25
-    assert ts == sorted(ts) and ts[-1] <= 0.25
-    assert src.packets_sent == 25
-    assert not src.running  # horizon exhausted
-
-
-def test_cbr_chunked_stop_cancels_pending_chunk():
-    sim = Simulator()
-    received, consume = _sink()
-    src = CBRSource(sim, consume, rate_pps=100.0, chunk=32, horizon=10.0)
-    src.start()
-    sim.run(until=0.095)
-    src.stop()
-    count = len(received)
-    sim.run(until=2.0)
-    assert len(received) == count  # the armed chunk never fires
-
-
-def test_mux_matches_per_stream_scalar_sources():
-    starts = {"a": 0.003, "b": 0.0007, "c": 0.011}
-    rates = {"a": 211.0, "b": 97.0, "c": 311.0}
+def test_merged_timeline_matches_per_stream_scalar_sources():
+    # merge_cbr_timeline stands in for one event-per-packet CBRSource per
+    # stream: the link packet-replay's bit-identity rests on.  "d" ties "a"
+    # at every packet (same start, same rate), so registration order must
+    # break the ties; "late" starts past the horizon and sends nothing.
+    horizon = 1.0
+    streams = [
+        ("a", 0.003, 211.0),
+        ("b", 0.0007, 97.0),
+        ("c", 0.011, 311.0),
+        ("d", 0.003, 211.0),
+        ("late", 1.2, 50.0),
+    ]
 
     sim = Simulator()
     scalar = []
     sources = []
-    for key in starts:
+    for key, start, rate in streams:
         def consume(size, now, key=key):
             scalar.append((key, now))
-        src = CBRSource(sim, consume, rates[key], name=key)
-        sim.schedule(starts[key], src.start)
+        src = CBRSource(sim, consume, rate, name=key)
+        sim.schedule(start, src.start)
         sources.append(src)
-    sim.run(until=1.0)
+    sim.run(until=horizon)
     for src in sources:
         src.stop()
 
-    for chunk in (64, 5000):
-        sim = Simulator()
-        merged = []
-        mux = BatchedCBRMux(sim, merged.extend, chunk=chunk, horizon=1.0)
-        for key in starts:
-            mux.add_stream(key, rates[key], starts[key])
-        mux.start()
-        sim.run(until=1.0)
-        mux.stop()
-        assert merged == scalar  # keys, interleaving, every timestamp float
-
-    # Heap mode (no horizon): a batch straddling the run boundary fires
-    # late, so run past the boundary and compare the pre-boundary prefix.
-    sim = Simulator()
-    merged = []
-    mux = BatchedCBRMux(sim, merged.extend, chunk=64)
-    for key in starts:
-        mux.add_stream(key, rates[key], starts[key])
-    mux.start()
-    sim.run(until=1.5)
-    mux.stop()
-    assert [p for p in merged if p[1] <= 1.0] == scalar
-
-
-def test_mux_rejects_bad_usage():
-    sim = Simulator()
-    mux = BatchedCBRMux(sim, lambda b: None, chunk=4, horizon=1.0)
-    with pytest.raises(SimulationError):
-        mux.add_stream("x", 0.0, 0.0)
-    mux.add_stream("x", 10.0, 0.0)
-    mux.start()
-    with pytest.raises(SimulationError):
-        mux.add_stream("late", 10.0, 0.0)
-    with pytest.raises(SimulationError):
-        BatchedCBRMux(sim, lambda b: None, chunk=0)
-
-
-def test_mux_stop_cancels_pending_batch():
-    sim = Simulator()
-    merged = []
-    mux = BatchedCBRMux(sim, merged.extend, chunk=50, horizon=10.0)
-    mux.add_stream("a", 100.0, 0.0)
-    mux.start()
-    sim.run(until=0.2)
-    mux.stop()
-    count = len(merged)
-    sim.run(until=5.0)
-    assert len(merged) == count
+    keys, kidx, ts = merge_cbr_timeline(
+        [(key, start, 1.0 / rate) for key, start, rate in streams], horizon
+    )
+    assert keys == [key for key, _, _ in streams]
+    merged = [(keys[i], t) for i, t in zip(kidx.tolist(), ts.tolist())]
+    assert merged == scalar  # keys, tie order, every timestamp float
+    assert {key for key, _ in scalar} == {"a", "b", "c", "d"}
+    # Not vacuous: every "a" packet is tied by the "d" packet right after it.
+    tied = [p for p, q in zip(scalar, scalar[1:]) if q == ("d", p[1])]
+    assert tied == [p for p in scalar if p[0] == "a"]
 
 
 def test_rate_meter_forwards_downstream():
