@@ -18,12 +18,13 @@ for one value of the network's *rule epoch*, an integer that every
 ``TcamTable``/``VSwitch`` mutator, :meth:`register_class_path`,
 :meth:`set_link_failed` and :meth:`invalidate_plans` moves.
 
-* :meth:`inject` — one packet: ``bisect`` to its interval, then replay the
-  plan with the per-packet effects only (trace appends, per-hop counters,
-  ``VNFInstance.consume`` called live, tags, a :class:`DeliveryRecord`).
-* the columnar walker of :mod:`repro.dataplane.sharded` — many packets
-  as one column: the same plans, switch/ledger counters accumulated on the
-  plan and applied in bulk by :meth:`flush_counters`.
+:meth:`inject` walks one packet, the columnar walker of
+:mod:`repro.dataplane.sharded` many.  Both count a packet on its plan only
+(``n``, and ``drops[i]`` when host visit ``i`` refused it); the flush turns
+that into per-hop switch, table (``cache_hits`` too) and vSwitch counters
+and the ledger, and every reader flushes first (:meth:`stats_snapshot`,
+:meth:`flush_counters`, an epoch move, :meth:`reset_runtime_state`).  Both
+admit through :func:`_admit`, the one sliding-window loop over plans.
 
 :meth:`walk_reference` is the hop-by-hop Table III pipeline
 (``PhysicalSwitch.process`` → ``TcamTable.lookup`` → ``VSwitch.process``)
@@ -33,17 +34,12 @@ arrive already tagged take it (:meth:`inject_from_host`), and the
 equivalence suites compare every other walker against it.  The pipeline is
 interpreted in exactly two places: there and in :meth:`_resolve_plan`.
 
-``TcamTable.cache_hits`` has one meaning: hop lookups answered from a
-resolved plan, without a priority scan.  :meth:`inject` counts them per
-packet, the columnar walker in bulk at flush time, the reference walker
-never.
-
 Delivery accounting is a counter ledger (delivered/dropped/violations)
 plus a bounded ring of recent :class:`DeliveryRecord` objects for
 debugging.  :meth:`DataPlaneNetwork.stats_snapshot` is the one O(1) read
-— it flushes deferred column counts, feeds the observability collectors,
-and returns a :class:`NetworkStats`.  The columnar walker updates only the
-counters (it never materialises per-packet records).
+— it flushes deferred plan counts, feeds the observability collectors,
+and returns a :class:`NetworkStats`.  :meth:`inject` appends a record per
+packet; the columnar walker never materialises per-packet records.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ class NetworkStats:
     """A flushed, point-in-time read of the delivery ledger.
 
     The one sanctioned way to consume delivery counters: constructing it
-    flushes the deferred column counts first, so readers can never
+    flushes the deferred plan counts first, so readers can never
     observe the ledger mid-deferral.
     """
 
@@ -105,39 +101,66 @@ class DeliveryRecord:
 class _WalkPlan:
     """The resolved walk of one (class, hash interval) through the pipeline.
 
-    ``legs`` cuts the walk at each host visit into
-    ``(hops, visits, vswitch, instances, vnf_visits, tags)``: the hops up
-    to and including the diverting switch as ``(switch, table,
-    lookup_missed)``, their pre-built trace tuples, the instances by
-    reference, the trace tuples of a full traversal and the packet's
-    ``(host_tag, subclass_tag)`` while inside the host.  The last leg has
-    ``vswitch=None`` and carries the tags at exit.  The scalar replay
-    needs nothing else.
-
-    For the columnar walker, ``vsteps`` lists per host visit one
-    ``(instance, window_list, window_seconds)`` slot per instance, and the
-    per-column accumulators ``n`` / ``drops`` let it bulk-update switch
-    and ledger counters once per plan.
+    ``legs`` cuts the walk at each host visit into ``(hops, vswitch)``, the
+    hops as ``(switch, table, lookup_missed)``; the last leg has
+    ``vswitch=None``.  ``vsteps`` lists the instance visits in walk order as
+    ``(visit, k, (instance, window_list, window_seconds))``.  A packet every
+    instance admits leaves ``trace``, ``exit_tags`` and ``final_outcome``;
+    one refused at ``(visit, k)`` leaves ``drop_ends[visit]`` = ``(outcome,
+    tags inside the host, trace prefixes)``, ``prefixes[k]`` its trace.
+    Deferred counts: ``n`` packets since the last flush, ``drops[visit]``
+    of them refused at that host visit.
     """
 
-    __slots__ = (
-        "legs",
-        "vsteps",
-        "finished",
-        "step_outcomes",
-        "final_outcome",
-        "n",
-        "drops",
-    )
+    __slots__ = ("legs", "vsteps", "finished", "trace", "exit_tags",
+                 "final_outcome", "drop_ends", "n", "drops")
 
     def __init__(self) -> None:
         self.legs: List[tuple] = []
         self.vsteps: List[tuple] = []
         self.finished = False
-        self.step_outcomes: List[tuple] = []
+        self.trace: tuple = ()
+        self.exit_tags: tuple = (None, None)
         self.final_outcome: tuple = (True, None)
+        self.drop_ends: List[tuple] = []
         self.n = 0
         self.drops: List[int] = []
+
+
+def _admit(plan: _WalkPlan, t: float, size: int) -> Optional[Tuple[int, int]]:
+    """Count one packet arriving at ``t`` on ``plan`` and admit it.
+
+    Each instance in walk order does what :meth:`VNFInstance.consume` does.
+    Returns None, or the refusing ``(visit, k)`` (counted in
+    ``plan.drops``).  The caller registers the plan as dirty first.
+    """
+    plan.n += 1
+    for visit, k, (inst, recent, window) in plan.vsteps:
+        if not inst.running:
+            plan.drops[visit] += 1
+            return visit, k
+        st = inst.stats
+        st.packets_in += 1
+        cutoff = t - window
+        if recent and recent[0] <= cutoff:
+            i = 1
+            lr = len(recent)
+            while i < lr and recent[i] <= cutoff:
+                i += 1
+            del recent[:i]
+        if len(recent) + 1 > inst._budget:
+            st.packets_dropped += 1
+            plan.drops[visit] += 1
+            return visit, k
+        recent.append(t)
+        st.packets_processed += 1
+        st.bytes_processed += size
+    return None
+
+
+def _check_now(now: float) -> None:
+    if now - now != 0.0:  # NaN or an infinity: no window could trim it
+        raise ValueError(f"now must be finite, got {now}")
 
 
 class _ClassPlans:
@@ -289,7 +312,7 @@ class DataPlaneNetwork:
             mid = lo + (hi - lo) / 2
             if not lo <= mid < hi:
                 mid = lo  # degenerate float interval: probe its left edge
-            with _obs.span("dataplane.batch.resolve", cat="dataplane"):
+            with _obs.span("dataplane.plan.resolve", cat="dataplane"):
                 plan = cp.plans[g] = self._resolve_plan(
                     cp.class_id, cp.path, mid
                 )
@@ -312,9 +335,9 @@ class DataPlaneNetwork:
             raise RuntimeError("hop limit exceeded (loop?)")
         plan = _WalkPlan()
         hops: List[tuple] = []  # (switch, table, missed) of the leg being built
+        trace: List[Tuple[str, str]] = []
         host_tag: Optional[str] = None
         subclass_tag: Optional[int] = None
-        visits: List[Tuple[str, str]] = []  # and its trace tuples
         failed_links = self.failed_links
         for hi, sw_name in enumerate(path):
             if failed_links and hi:
@@ -328,7 +351,7 @@ class DataPlaneNetwork:
             switch = self.switches[sw_name]
             entry = switch.table.match(class_id, host_tag, flow_hash)
             hops.append((switch, switch.table, entry is None))
-            visits.append(("switch", sw_name))
+            trace.append(("switch", sw_name))
             if entry is None:
                 continue  # no rules: behave as pass-by
             kind = entry.action.kind
@@ -346,20 +369,18 @@ class DataPlaneNetwork:
                 subclass_tag = entry.action.subclass_id
             vsw = self.vswitch_at(sw_name)
             rule, instances = vsw.resolve(class_id, subclass_tag)
-            visits.append(("vswitch", f"ovs-{sw_name}"))
-            plan.legs.append((
-                tuple(hops),
-                tuple(visits),
-                vsw,
-                instances,
-                tuple(("vnf", iid) for iid in rule.instance_ids),
-                (host_tag, subclass_tag),
-            ))
-            hops, visits = [], []
-            plan.vsteps.append(
-                tuple((inst, inst._recent, inst.window) for inst in instances)
+            trace.append(("vswitch", f"ovs-{sw_name}"))
+            visit = len(plan.drop_ends)
+            plan.legs.append((tuple(hops), vsw))
+            hops = []
+            prefixes = []
+            for k, (iid, inst) in enumerate(zip(rule.instance_ids, instances)):
+                plan.vsteps.append((visit, k, (inst, inst._recent, inst.window)))
+                prefixes.append(tuple(trace))
+                trace.append(("vnf", iid))
+            plan.drop_ends.append(
+                ((False, sw_name), (host_tag, subclass_tag), tuple(prefixes))
             )
-            plan.step_outcomes.append((False, sw_name))
             plan.drops.append(0)
             host_tag = rule.exit_host_tag
             if host_tag == sw_name:
@@ -368,10 +389,9 @@ class DataPlaneNetwork:
                 )
         else:
             plan.finished = host_tag == FIN
-        exit_tags = (host_tag, subclass_tag)
-        plan.legs.append(
-            (tuple(hops), tuple(visits), None, (), (), exit_tags)
-        )
+        plan.legs.append((tuple(hops), None))
+        plan.trace = tuple(trace)
+        plan.exit_tags = (host_tag, subclass_tag)
         return plan
 
     # ------------------------------------------------------------------
@@ -381,14 +401,18 @@ class DataPlaneNetwork:
         """Walk a packet from its ingress to its egress switch.
 
         Replays the resolved walk of the packet's (class, hash interval):
-        per hop the switch and table counters, per host visit a live
-        ``consume`` at each instance (so a stopped or browned-out instance
-        behaves exactly as in the pipeline), then the tags and the trace
-        the pipeline would have left.  A packet that
-        arrives already tagged is not at its ingress classification, and a
-        walk that cannot be resolved has a rule bug somewhere along it:
-        both take :meth:`walk_reference`, which raises where the bug is.
+        :func:`_admit` runs each instance's admission live (so a stopped or
+        browned-out instance behaves exactly as in the pipeline) and counts
+        the packet on the plan, then the packet gets the trace and tags the
+        pipeline would have left.  Switch, table, vSwitch and ledger
+        counters follow at the next flush.  A packet that arrives already
+        tagged is not at its ingress classification, and a walk that cannot
+        be resolved has a rule bug somewhere along it: both take
+        :meth:`walk_reference`, which raises where the bug is.  All three
+        walkers raise ``ValueError`` on a NaN or infinite ``now``, before
+        anything is counted.
         """
+        _check_now(now)
         if packet.host_tag is not None or packet.subclass_tag is not None:
             return self.walk_reference(packet, now)
         cp = self._class_plans.get(packet.class_id)
@@ -405,29 +429,21 @@ class DataPlaneNetwork:
                 plan = self.interval_plan(cp, g)
             except (KeyError, RuntimeError):
                 return self.walk_reference(packet, now)
-        trace = packet.trace
-        size = packet.size_bytes
-        for hops, visits, vsw, instances, vnf_visits, tags in plan.legs:
-            for switch, table, missed in hops:
-                switch.packets_seen += 1
-                table.lookup_count += 1
-                table.cache_hits += 1
-                if missed:
-                    table.miss_count += 1
-            trace.extend(visits)
-            if vsw is None:
-                break
-            vsw.packets_in += 1
-            for k, inst in enumerate(instances):
-                if not inst.consume(size, now):
-                    vsw.packets_dropped += 1
-                    trace.extend(vnf_visits[:k])
-                    packet.host_tag, packet.subclass_tag = tags
-                    return self._record(packet, False, vsw.switch)
-            trace.extend(vnf_visits)
-        packet.host_tag, packet.subclass_tag = tags
-        delivered, dropped_at = plan.final_outcome
-        return self._record(packet, delivered, dropped_at)
+        if not plan.n:
+            self._dirty_plans.append(plan)
+        refused = _admit(plan, now, packet.size_bytes)
+        if refused is None:
+            packet.trace.extend(plan.trace)
+            packet.host_tag, packet.subclass_tag = plan.exit_tags
+            delivered, dropped_at = plan.final_outcome
+        else:
+            visit, k = refused
+            (delivered, dropped_at), tags, prefixes = plan.drop_ends[visit]
+            packet.trace.extend(prefixes[k])
+            packet.host_tag, packet.subclass_tag = tags
+        record = DeliveryRecord(packet, delivered, dropped_at)
+        self.recent_records.append(record)
+        return record
 
     def walk_reference(self, packet: Packet, now: float = 0.0) -> DeliveryRecord:
         """Walk a packet hop by hop through the Table III pipeline.
@@ -435,8 +451,10 @@ class DataPlaneNetwork:
         The walk follows the registered class path.  At each switch the
         pipeline runs; a TO_HOST decision hands the packet to the local
         vSwitch (which may drop it on overload), after which forwarding
-        resumes along the path.  Nothing here reads the resolution cache.
+        resumes along the path.  Nothing here reads the resolution cache,
+        and every counter is written as the packet goes.
         """
+        _check_now(now)
         path = self.class_paths.get(packet.class_id)
         if path is None:
             raise KeyError(f"class {packet.class_id!r} has no registered path")
@@ -483,6 +501,7 @@ class DataPlaneNetwork:
         path — it reaches the first switch already tagged, which is not
         the ingress state the resolved plans describe.
         """
+        _check_now(now)
         if packet.class_id not in self.class_paths:
             raise KeyError(f"class {packet.class_id!r} has no registered path")
         vsw = self.vswitch_at(packet.src)
@@ -505,13 +524,13 @@ class DataPlaneNetwork:
         return record
 
     # ------------------------------------------------------------------
-    # Deferred counts of the columnar walker
+    # Deferred plan counts
     # ------------------------------------------------------------------
     def flush_counters(self) -> None:
-        """Apply deferred column counts to switch/ledger counters.
+        """Apply deferred plan counts to switch/vSwitch/ledger counters.
 
         Every ledger reader on this class calls it; code inspecting switch
-        or vSwitch counters directly after
+        or vSwitch counters directly after :meth:`inject` or
         ``ShardedDataPlane.inject_columns`` should call it first.
         """
         self._flush_dirty()
@@ -531,7 +550,7 @@ class DataPlaneNetwork:
             n = plan.n
             alive = n
             drops = plan.drops
-            for k, (hops, _visits, vsw, *_replay) in enumerate(plan.legs):
+            for k, (hops, vsw) in enumerate(plan.legs):
                 for sw, table, was_miss in hops:
                     sw.packets_seen += alive
                     table.lookup_count += alive

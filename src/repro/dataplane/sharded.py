@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataplane.network import DataPlaneNetwork, _WalkPlan
+from repro.dataplane.network import DataPlaneNetwork, _admit, _WalkPlan
 from repro.obs import state as _obs
 
 
@@ -192,10 +192,9 @@ class _ColumnWalker:
         inst_entries: Dict[int, tuple] = {}  # id → (id, slot, [(group, occ)...])
         for g, plan in enumerate(plans):
             occ: Dict[int, list] = {}
-            for slots in plan.vsteps:
-                for slot in slots:
-                    rec = occ.setdefault(id(slot[0]), [slot, 0])
-                    rec[1] += 1
+            for _, _, slot in plan.vsteps:
+                rec = occ.setdefault(id(slot[0]), [slot, 0])
+                rec[1] += 1
             for iid, (slot, k) in occ.items():
                 inst_entries.setdefault(iid, (iid, slot, []))[2].append((g, k))
         entries = list(inst_entries.values())
@@ -234,10 +233,8 @@ class _ColumnWalker:
         dirty_iids = set(culprits)
         dirty_groups: set = set()
         for g, plan in enumerate(plans):
-            for slots in plan.vsteps:
-                if any(id(slot[0]) in dirty_iids for slot in slots):
-                    dirty_groups.add(g)
-                    break
+            if any(id(slot[0]) in dirty_iids for _, _, slot in plan.vsteps):
+                dirty_groups.add(g)
 
         # Dirty side first: the exact walk decides the survivors whose
         # timestamps the mixed-window rebuild below consumes.  Its packets
@@ -277,50 +274,23 @@ class _ColumnWalker:
     ) -> Optional[list]:
         """Walk packets one by one, in arrival order, each on its plan.
 
-        The contamination split's dirty side: instance admission runs per
-        packet, exactly as :meth:`VNFInstance.consume` would (trim the
-        window, refuse past the budget), and switch / ledger counts
-        accumulate on the plans for :meth:`DataPlaneNetwork.flush_counters`.
-        Returns per-packet ``(delivered, dropped_at)`` when ``collect``.
+        The contamination split's dirty side: each packet takes the
+        network's one admission step, :func:`_admit` (the same one scalar
+        ``inject`` takes), whose counts wait on the plans for
+        :meth:`DataPlaneNetwork.flush_counters`.  Returns per-packet
+        ``(delivered, dropped_at)`` when ``collect``.
         """
         dirty = self.net._dirty_plans
         outcomes: Optional[list] = [] if collect else None
         for plan, t in zip(plans, ts):
-            if plan.n == 0:
+            if not plan.n:
                 dirty.append(plan)
-            plan.n += 1
-            dropped_step = -1
-            for si, slots in enumerate(plan.vsteps):
-                ok = True
-                for inst, recent, window in slots:
-                    if not inst.running:
-                        ok = False
-                        break
-                    st = inst.stats
-                    st.packets_in += 1
-                    cutoff = t - window
-                    if recent and recent[0] <= cutoff:
-                        i = 1
-                        lr = len(recent)
-                        while i < lr and recent[i] <= cutoff:
-                            i += 1
-                        del recent[:i]
-                    if len(recent) + 1 > inst._budget:
-                        st.packets_dropped += 1
-                        ok = False
-                        break
-                    recent.append(t)
-                    st.packets_processed += 1
-                    st.bytes_processed += size
-                if not ok:
-                    plan.drops[si] += 1
-                    dropped_step = si
-                    break
+            refused = _admit(plan, t, size)
             if collect:
-                if dropped_step >= 0:
-                    outcomes.append(plan.step_outcomes[dropped_step])
-                else:
-                    outcomes.append(plan.final_outcome)
+                outcomes.append(
+                    plan.final_outcome if refused is None
+                    else plan.drop_ends[refused[0]][0]
+                )
         self.seq_packets += len(ts)
         return outcomes
 
@@ -486,6 +456,8 @@ class ShardedDataPlane:
                 an infinity.  Nothing has been walked or counted when it
                 is raised.
         """
+        if size_bytes <= 0:  # Packet's own rule
+            raise ValueError("size_bytes must be positive")
         classes = list(classes)
         cls_idx = _column("cls_idx", cls_idx)
         hashes = _column("hashes", hashes, np.float64)

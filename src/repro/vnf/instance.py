@@ -75,10 +75,10 @@ class VNFInstance:
         self.degradation = 1.0
         self._recent: List[float] = []  # processed-packet timestamps in window
         # Window budget in packets; NFType is frozen, so only degrade()
-        # changes this.  The columnar walker reads _budget/_recent directly
-        # instead of calling consume() (_ColumnWalker checks and applies
-        # whole columns, and its exact fallback inlines consume) — keep
-        # their semantics in sync with it.
+        # changes this.  The plan walkers read _budget/_recent directly
+        # instead of calling consume() (dataplane.network._admit replays it
+        # per packet, _ColumnWalker checks and applies whole columns) —
+        # keep their semantics in sync with it.
         self._budget: float = float(nf_type.capacity_pps) * window
 
     # ------------------------------------------------------------------

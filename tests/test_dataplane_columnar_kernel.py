@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.network import DataPlaneNetwork, _admit, _WalkPlan
 from repro.dataplane.packet import FIN, Packet
 from repro.dataplane.sharded import (
     ShardedDataPlane,
@@ -91,6 +91,67 @@ def arrivals(draw):
     return window, recent, sub, draw(st.sampled_from(BUDGETS))
 
 
+_ADMIT_EVENT = st.one_of(
+    st.tuples(st.just("packet"), st.sampled_from([0.0, 0.0, 0.001, 0.02, 0.05, 0.1, 0.3])),
+    st.tuples(st.just("stop"), st.integers(0, 3)),
+    st.tuples(st.just("start"), st.integers(0, 3)),
+    st.tuples(st.just("degrade"), st.integers(0, 3), st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from([10.0, 40.0, 75.0]),
+                       st.sampled_from([0.05, 0.1, 0.125])), min_size=4, max_size=4),
+    st.lists(_ADMIT_EVENT, max_size=80),
+)
+def test_admit_agrees_with_consume(visits, specs, events):
+    # The plan step every plan walker shares against VNFInstance.consume
+    # itself, at each instance in walk order up to the first refusal, under
+    # stops, restarts and brownouts that no epoch move announces.
+    def make():
+        return [
+            VNFInstance(f"i{k}", NFType("m", cores=1, capacity_mbps=1e9, clickos=True,
+                                        capacity_pps=cap), "s", window=window)
+            for k, (cap, window) in enumerate(specs)
+        ]
+
+    ours, theirs = make(), make()
+    plan = _WalkPlan()
+    plan.vsteps = [
+        (v, k, (ours[i], ours[i]._recent, ours[i].window))
+        for v, step in enumerate(visits)
+        for k, i in enumerate(step)
+    ]
+    plan.drops = [0] * len(visits)
+    drops = [0] * len(visits)
+    t, sent = 0.0, 0
+    for event in events:
+        if event[0] == "packet":
+            t += event[1]
+            sent += 1
+            want = next(
+                ((v, k) for v, step in enumerate(visits) for k, i in enumerate(step)
+                 if not theirs[i].consume(1500, t)),
+                None,
+            )
+            assert _admit(plan, t, 1500) == want
+            if want is not None:
+                drops[want[0]] += 1
+        else:
+            for side in (ours, theirs):
+                inst = side[event[1]]
+                if event[0] == "stop":
+                    inst.shutdown()
+                elif event[0] == "start":
+                    inst.running = True
+                else:
+                    inst.degrade(event[2])
+        assert [(i.stats, i._recent) for i in ours] == [(i.stats, i._recent) for i in theirs]
+    assert (plan.n, plan.drops) == (sent, drops)
+
+
 @settings(max_examples=400, deadline=None)
 @given(arrivals())
 def test_shifted_check_equals_parent_count_and_consume(case):
@@ -135,7 +196,10 @@ class _StubNetwork:
     def interval_plan(self, cp, g):
         key = (cp.class_id, g)
         if key not in self._plans:
-            vsteps = [((i, i._recent, i.window),) for i in self._visits.get(key, ())]
+            vsteps = [
+                (v, 0, (i, i._recent, i.window))
+                for v, i in enumerate(self._visits.get(key, ()))
+            ]
             self._plans[key] = SimpleNamespace(vsteps=vsteps, n=0, final_outcome=key)
         return self._plans[key]
 
@@ -649,15 +713,16 @@ def test_flow_hash_outside_the_unit_interval_is_rejected(bad):
 def test_non_finite_timestamps_are_rejected(where, bad):
     # Every comparison with NaN is false, so a NaN used to pass a test for
     # "somewhere ts decreases", and the column then delivered a packet scalar
-    # inject drops; an infinite tail left empty windows where scalar leaves
-    # (inf,).
+    # inject dropped; an infinite tail left empty windows where scalar left
+    # (inf,).  Scalar inject now refuses the same timestamp, before counting.
     cls_idx, hashes, ts = _column(1.0, 2.0, CALM)
     if where == 100:
         ref, _ = _shared_network()
         poisoned = ts.copy()
         poisoned[where] = bad
-        _scalar_outcomes(ref, (cls_idx, hashes, poisoned))
-        assert ref.stats_snapshot().as_tuple() == (len(ts) - 1, 1, 0)
+        with pytest.raises(ValueError, match="now must be finite"):
+            _scalar_outcomes(ref, (cls_idx, hashes, poisoned))
+        assert ref.stats_snapshot().as_tuple() == (where, 0, 0)
     ts[where] = bad
     net, instances = _shared_network()
     with pytest.raises(ValueError, match="ts must be finite"):

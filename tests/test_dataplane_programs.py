@@ -416,20 +416,23 @@ def test_hash_ranged_match_after_a_nat_splits_where_the_ingress_cut():
 
 
 @pytest.mark.parametrize(
-    "items, pattern",
+    "items, size, pattern",
     [
-        ([("c1", 1.5, 0.0)], r"flow_hash must be in \[0, 1\)"),
-        ([("c1", math.nan, 0.0)], r"flow_hash must be in \[0, 1\)"),
-        ([("c1", -0.2, 0.0)], r"flow_hash must be in \[0, 1\)"),
-        ([("c1", 0.5, 1.0), ("c1", 0.5, 0.5)], "ts must be finite and non-decreasing"),
-        ([("c1", 0.5, math.nan)], "ts must be finite and non-decreasing"),
-        ([("c1", 0.5, -math.inf), ("c1", 0.5, 0.0)], "ts must be finite"),
-        ([("c1", 0.5, 0.0), ("c1", 0.5, math.inf)], "ts must be finite"),
+        ([("c1", 1.5, 0.0)], 1500, r"flow_hash must be in \[0, 1\)"),
+        ([("c1", math.nan, 0.0)], 1500, r"flow_hash must be in \[0, 1\)"),
+        ([("c1", -0.2, 0.0)], 1500, r"flow_hash must be in \[0, 1\)"),
+        ([("c1", 0.5, 1.0), ("c1", 0.5, 0.5)], 1500,
+         "ts must be finite and non-decreasing"),
+        ([("c1", 0.5, math.nan)], 1500, "ts must be finite and non-decreasing"),
+        ([("c1", 0.5, -math.inf), ("c1", 0.5, 0.0)], 1500, "ts must be finite"),
+        ([("c1", 0.5, 0.0), ("c1", 0.5, math.inf)], 1500, "ts must be finite"),
+        ([("c1", 0.5, 0.0)], -1500, "size_bytes must be positive"),
+        ([("c1", 0.5, 0.0)], 0, "size_bytes must be positive"),
     ],
     ids=["hash-above", "hash-nan", "hash-below", "ts-decreasing", "ts-nan",
-         "ts-minus-inf", "ts-inf"],
+         "ts-minus-inf", "ts-inf", "size-negative", "size-zero"],
 )
-def test_inject_stream_refuses_what_every_other_walker_refuses(items, pattern):
+def test_inject_stream_refuses_what_every_other_walker_refuses(items, size, pattern):
     # A stream of (class, hash, ts) items, given to the column walker as
     # columns, is refused whole where Packet() refuses one of its packets or
     # the times run backwards: nothing walked, nothing counted.
@@ -437,10 +440,126 @@ def test_inject_stream_refuses_what_every_other_walker_refuses(items, pattern):
     with pytest.raises(ValueError, match=pattern):
         ShardedDataPlane(net).inject_columns(
             ["c1"], [0] * len(items), [h for _, h, _ in items],
-            [t for _, _, t in items], collect=True,
+            [t for _, _, t in items], size_bytes=size, collect=True,
         )
     assert net.stats_snapshot().as_tuple() == (0, 0, 0)
-    assert [i.stats.packets_in for i in instances.values()] == [0] * len(instances)
+    assert [(i.stats.packets_in, i.stats.bytes_processed)
+            for i in instances.values()] == [(0, 0)] * len(instances)
+
+
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("walker", ["inject", "walk_reference", "inject_from_host"])
+def test_a_non_finite_now_is_refused_before_anything_is_counted(walker, now):
+    # One NaN used to sit in an instance window for good: no cutoff compares
+    # true against it, so the window never trimmed and the instance refused
+    # nearly every later packet until a reset.
+    net, _ = _build()
+    class_id = "c3" if walker == "inject_from_host" else "c1"
+    path = CLASSES[class_id]
+    walk = getattr(net, walker)
+    with pytest.raises(ValueError, match="now must be finite"):
+        walk(Packet(class_id, 0.5, path[0], path[-1]), now)
+    assert _counters(net) == _counters(_build()[0])
+    stream = [
+        walk(Packet(class_id, (k * 0.137) % 1.0, path[0], path[-1]), 1.0 + k / 20)
+        for k in range(40)
+    ]
+    assert all(r.delivered for r in stream)
+
+
+def _raw(net):
+    """Every counter as it stands, unflushed (``cache_hits`` aside)."""
+    return {
+        "ledger": (net.delivered_count, net.dropped_count, net.violation_count),
+        "switches": {
+            s: (sw.packets_seen, sw.table.lookup_count, sw.table.miss_count)
+            for s, sw in net.switches.items()
+        },
+        "vsw": {s: (v.packets_in, v.packets_dropped) for s, v in net.vswitches.items()},
+        "inst": {
+            (s, alias): (i.stats, tuple(i._recent))
+            for s, vsw in net.vswitches.items()
+            for alias, i in vsw._instances.items()
+        },
+    }
+
+
+def test_deferred_inject_counts_equal_a_reference_only_twin():
+    # inject counts a packet on its plan only; the per-hop counters and the
+    # ledger are written by the flush.  Every reader must still see what a
+    # network that walked the same packets hop by hop shows: after an epoch
+    # move (the next walker flushes the retired plans), after
+    # flush_counters(), in stats_snapshot() and across reset_runtime_state().
+    net, _ = _build()
+    twin, _ = _build()
+    plane = ShardedDataPlane(net)
+    classes = ["c0", "c1", "c2", "c4"]
+    records = []  # the twin's records of what net walked one packet at a time
+    probe_lookups = dict.fromkeys(net.switches, 0)
+
+    def packet(class_id, h):
+        path = CLASSES[class_id]
+        return Packet(class_id, h, path[0], path[-1])
+
+    def observed(r):
+        p = r.packet
+        return (r.delivered, r.dropped_at, p.trace, p.host_tag, p.subclass_tag)
+
+    def burst(now, probes=False):  # ten per class in one instant: budget is 4
+        for k in range(10):
+            for class_id in classes:
+                h = (k * 0.137) % 1.0
+                if probes and k % 3 == 0:
+                    before = {s: sw.table.lookup_count for s, sw in net.switches.items()}
+                    got = net.walk_reference(packet(class_id, h), now)
+                    for s, sw in net.switches.items():
+                        probe_lookups[s] += sw.table.lookup_count - before[s]
+                else:
+                    got = net.inject(packet(class_id, h), now)
+                want = twin.walk_reference(packet(class_id, h), now)
+                assert observed(got) == observed(want)
+                records.append(want)
+
+    burst(0.0)
+    assert net.dropped_count == 0 < twin.dropped_count  # deferred so far
+    moves = [
+        lambda n: n.switches["s3"].table.install(
+            TcamEntry(priority=999, action=Action(ActionKind.DROP), class_id="c1")
+        ),
+        lambda n: n.set_link_failed("s3", "s4", True),
+        lambda n: n.set_link_failed("s3", "s4", False),
+        lambda n: n.invalidate_plans(),
+    ]
+    for step, move in enumerate(moves, start=1):
+        move(net)
+        move(twin)
+        net.class_intervals("c0")  # the next walker retires the old plans
+        assert _raw(net) == _raw(twin)
+        burst(float(step))
+    now = float(len(moves) + 1)
+    items = [(classes.index(c), (k * 0.137) % 1.0) for k in range(10) for c in classes]
+    plane.inject_columns(classes, [c for c, _ in items], [h for _, h in items],
+                         [now] * len(items))
+    for c, h in items:
+        twin.walk_reference(packet(classes[c], h), now)
+    burst(now + 0.05, probes=True)
+    net.flush_counters()
+    assert _raw(net) == _raw(twin)
+    burst(now + 1.0, probes=True)
+    assert net.stats_snapshot() == twin.stats_snapshot()
+    assert _raw(net) == _raw(twin)
+    assert [observed(r) for r in net.recent_records] == [
+        observed(r) for r in records[-net.RECENT_RECORDS:]
+    ]
+    for s, sw in net.switches.items():  # every hop not probed came from a plan
+        assert sw.table.cache_hits + probe_lookups[s] == sw.table.lookup_count
+        assert twin.switches[s].table.cache_hits == 0
+    burst(now + 2.0)
+    net.reset_runtime_state()
+    twin.reset_runtime_state()
+    net.flush_counters()
+    assert _raw(net) == _raw(twin)
 
 
 def test_pretagged_packets_take_the_reference_walker():
