@@ -19,7 +19,7 @@ from repro.chaos.metrics import (
     ProbeTick,
     fault_id,
 )
-from repro.chaos.recovery import RecoveryConfig, RecoveryManager
+from repro.chaos.recovery import RecoveryManager
 from repro.chaos.runner import ChaosEngine, ChaosRunResult
 from repro.chaos.schedule import (
     CHAOS_STREAM,
@@ -49,7 +49,6 @@ __all__ = [
     "PRIORITY_QUARANTINE",
     "ProbeLoop",
     "ProbeTick",
-    "RecoveryConfig",
     "RecoveryManager",
     "fault_id",
     "generate_schedule",

@@ -74,8 +74,6 @@ class ConvergenceRecord:
     #: A later reconvergence replaced this epoch before it converged; the
     #: push counters and verify fields stay unset, ``time`` is when.
     superseded: bool = False
-    #: The placement came from the greedy deadline fallback, not the LP.
-    degraded_solver: bool = False
     #: Retransmissions spent pushing this convergence.
     channel_retries: int = 0
     #: Push -> zero drift everywhere (None when failed or superseded).
@@ -271,7 +269,6 @@ class ChaosMetrics:
                     "verify_ok": c.verify_ok,
                     "failed": c.failed,
                     "failure_reason": c.failure_reason,
-                    "degraded_solver": c.degraded_solver,
                     "channel_retries": c.channel_retries,
                     "convergence_latency": r6(c.convergence_latency),
                     # Present only when set: runs without a superseded

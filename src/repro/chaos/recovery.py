@@ -28,8 +28,8 @@ Pipeline (one reconvergence per detector verdict batch):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, List, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -52,16 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.southbound.fabric import SouthboundFabric
 
 
-@dataclass
-class RecoveryConfig:
-    """Reaction-path tunables."""
-
-    #: Give up on the LP placement and fall back to the greedy first-fit
-    #: placer when the (deterministic) solve-time estimate exceeds this
-    #: many seconds.  ``None`` disables the deadline.
-    solver_deadline: Optional[float] = None
-
-
 class RecoveryManager:
     """Drives re-placement and rule pushes on detector verdicts.
 
@@ -74,7 +64,6 @@ class RecoveryManager:
         metrics: event-plane recorder.
         fabric: the southbound fabric that owns the deployment's network;
             every commit is an acked transactional push through it.
-        config: reaction tunables.
     """
 
     def __init__(
@@ -83,7 +72,6 @@ class RecoveryManager:
         controller: AppleController,
         metrics: ChaosMetrics,
         fabric: "SouthboundFabric",
-        config: Optional[RecoveryConfig] = None,
     ) -> None:
         if controller.deployment is None:
             raise RuntimeError("recovery needs a deployed placement")
@@ -91,7 +79,6 @@ class RecoveryManager:
         self.controller = controller
         self.metrics = metrics
         self.fabric = fabric
-        self.config = config or RecoveryConfig()
         #: The routing application's original input: classes at full rate
         #: on their primary paths.  Recovery always re-derives from this,
         #: so lifted faults converge back to the primary placement.
@@ -165,14 +152,7 @@ class RecoveryManager:
             warm_before = controller.engine.warm_solves
             try:
                 if new_classes:
-                    plan, record.degraded_solver = (
-                        controller.engine.place_with_deadline(
-                            new_classes,
-                            cores,
-                            memory,
-                            deadline=self.config.solver_deadline,
-                        )
-                    )
+                    plan = controller.engine.place(new_classes, cores, memory)
                 else:
                     # Everything stranded: nothing to place, but the commit
                     # must still run so the stranded classes get quarantined.
@@ -234,6 +214,5 @@ class RecoveryManager:
             rules,
             stranded={c.class_id: c.src for c in stranded},
             instances=surviving,
-            degraded_solver=record.degraded_solver,
             on_done=done,
         )

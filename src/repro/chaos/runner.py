@@ -22,7 +22,7 @@ from repro.chaos.detector import DetectorConfig, FailureDetector
 from repro.obs.collectors import collect_chaos, trace_chaos_timeline
 from repro.chaos.injector import FaultInjector
 from repro.chaos.metrics import ChaosMetrics, ProbeLoop
-from repro.chaos.recovery import RecoveryConfig, RecoveryManager
+from repro.chaos.recovery import RecoveryManager
 from repro.chaos.schedule import FaultSchedule
 from repro.core.controller import AppleController
 from repro.core.verify import verify_deployment
@@ -78,7 +78,6 @@ class ChaosEngine:
             empty schedule attached must leave the run bit-identical to a
             plain run, the no-op regression).
         detector_config: detection-latency model.
-        recovery_config: reaction-path tunables.
         probe_interval: traffic-plane sampling cadence (seconds).
         southbound: a configured
             :class:`~repro.southbound.fabric.SouthboundFabric` over the
@@ -98,7 +97,6 @@ class ChaosEngine:
         controller: AppleController,
         schedule: FaultSchedule,
         detector_config: Optional[DetectorConfig] = None,
-        recovery_config: Optional[RecoveryConfig] = None,
         probe_interval: float = 0.25,
         southbound: Optional[SouthboundFabric] = None,
         southbound_schedule: Optional[FaultSchedule] = None,
@@ -119,9 +117,7 @@ class ChaosEngine:
         self.southbound_schedule = southbound_schedule
         self.metrics = ChaosMetrics()
         self.metrics.probe_interval = probe_interval
-        self.recovery = RecoveryManager(
-            sim, controller, self.metrics, southbound, recovery_config
-        )
+        self.recovery = RecoveryManager(sim, controller, self.metrics, southbound)
         self.detector = FailureDetector(
             sim, controller, detector_config, on_detect=self.recovery.on_detections
         )

@@ -12,7 +12,8 @@
   converged epoch (``realize`` / ``bootstrap`` / ``commit``);
 * :mod:`repro.core.controller` — the central controller wiring everything;
 * :mod:`repro.core.baselines` — the ingress strawman, the no-tagging TCAM
-  scheme, a greedy placement heuristic, and Table I's framework comparison.
+  scheme, the greedy placement ablation baseline, and Table I's framework
+  comparison.
 """
 
 from repro.core.baselines import (

@@ -54,9 +54,19 @@ class PlacementError(RuntimeError):
     """Raised when no feasible placement exists (e.g. no host on a path)."""
 
 
+#: A single-instance slot is "dust" when its load is below this fraction
+#: of one instance's capacity; the consolidation pass tries to empty it.
+DUST_THRESHOLD = 0.6
+
+
 @dataclass
 class EngineConfig:
     """Tunables of the Optimization Engine.
+
+    ``place()`` is the one way to a plan: LP relaxation + ceiling rounding
+    (or branch-and-bound), then the dust-consolidation pass, re-solving a
+    cached template when the class structure and host set repeat
+    (``OptimizationEngine.clear_templates()`` forces cold solves).
 
     Attributes:
         solver: ``"rounding"`` (LP relaxation + round-up, the paper's path)
@@ -65,43 +75,25 @@ class EngineConfig:
             so even near-idle classes receive (shared) instances — APPLE
             provisions proactively for potential flows (Sec. I).
         max_bb_nodes: node limit for the exact solver.
-        consolidate: run the dust-consolidation pass after rounding, which
-            evacuates lightly loaded instances into other instances' spare
-            capacity (order-preserving) to shrink the integrality gap.
         capacity_headroom: fraction of each instance's capacity the engine
-            may plan onto (Eq. 5 uses headroom x Cap_n).  Below 1.0 the
-            placement keeps slack for traffic dynamics, mirroring the
-            paper's practice of setting the overload threshold below the
-            measured loss knee.
-        compare_greedy: also run the first-fit greedy heuristic and keep
-            whichever plan uses fewer instances.  Neither heuristic
-            dominates: LP rounding wins under fragmentation, greedy under
-            low utilisation.  Off by default so results match the paper's
-            pure LP-relaxation methodology.
-        dust_threshold: a single-instance slot is "dust" when its load is
-            below this fraction of one instance's capacity.
-        warm_start: reuse cached :class:`PlacementTemplate` structures when
-            ``place()`` calls share the same classes (ids, paths, chains)
-            and the same set of hosts; rates and core / memory budgets are
-            per-solve data and may differ from call to call (snapshot
-            replay, periodic reoptimization, a tenant's grant moving with
-            its rates).  Warm re-solves produce plans identical to cold
-            solves; disable only to benchmark the cold path.  The cache is
-            an LRU of four templates (one per class structure and host set).
+            may plan onto (Eq. 5 uses headroom x Cap_n), in (0, 1].  Below
+            1.0 the placement keeps slack for traffic dynamics, mirroring
+            the paper's practice of setting the overload threshold below
+            the measured loss knee.
     """
 
     solver: str = "rounding"
     min_class_rate_mbps: float = 1e-3
     max_bb_nodes: int = 2000
-    consolidate: bool = True
-    dust_threshold: float = 0.6
     capacity_headroom: float = 1.0
-    compare_greedy: bool = False
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.solver not in ("rounding", "exact"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if not 0 < self.capacity_headroom <= 1:
+            raise ValueError(
+                f"capacity_headroom must be in (0, 1], got {self.capacity_headroom!r}"
+            )
 
 
 class OptimizationEngine:
@@ -126,8 +118,6 @@ class OptimizationEngine:
         #: Telemetry: structure builds vs warm template reuses.
         self.cold_builds = 0
         self.warm_solves = 0
-        #: Placements degraded to the greedy placer by a solve deadline.
-        self.deadline_fallbacks = 0
 
     # ------------------------------------------------------------------
     def clear_templates(self) -> None:
@@ -151,9 +141,9 @@ class OptimizationEngine:
                 given, Eq. 6 is enforced per resource type (R_n is the
                 (cores, memory) vector of each NF).
 
-        With ``config.warm_start`` on, a cached template of the same class
-        structure and host set is re-solved with this call's rates and
-        budgets instead of being rebuilt.
+        A cached template of the same class structure and host set is
+        re-solved with this call's rates and budgets instead of being
+        rebuilt.
 
         Raises:
             PlacementError: a class's path has no APPLE host, or the model
@@ -174,8 +164,7 @@ class OptimizationEngine:
             )
         key = self._structure_key(classes, available_cores, available_memory_gb)
 
-        # Only filled with ``warm_start`` on, and never with a single-shot
-        # template; an LRU of four structures.
+        # Never filled with a single-shot template; an LRU of four structures.
         template = self._templates.get(key)
         warm = template is not None
         if warm:
@@ -195,7 +184,7 @@ class OptimizationEngine:
                     catalog=self.catalog,
                     key=key,
                 )
-            if self.config.warm_start and template.reusable:
+            if template.reusable:
                 self._templates[key] = template
                 if len(self._templates) > 4:
                     self._templates.popitem(last=False)
@@ -219,30 +208,18 @@ class OptimizationEngine:
                         raise PlacementError(
                             "exact solver found no feasible placement"
                         )
-                    solution, objective, lp_bound = (
-                        bb.solution, bb.objective, bb.objective,
-                    )
+                    solution, lp_bound = bb.solution, bb.objective
                     quantities = template.quantities(solution)
                 else:
-                    solution, quantities, objective, lp_bound = (
+                    solution, quantities, _, lp_bound = (
                         self._solve_ceiling(template)
                     )
         except SolverError as exc:
             raise PlacementError(f"placement infeasible: {exc}") from exc
         distribution = self._extract_distribution(classes, template, solution)
-        if (
-            self.config.compare_greedy
-            and self.config.solver == "rounding"
-            and available_memory_gb is None
-        ):
-            alt = self._try_greedy(classes, available_cores)
-            if alt is not None and alt[0] < sum(quantities.values()):
-                quantities, distribution = alt[1], alt[2]
-                objective = float(alt[0])
-        if self.config.consolidate:
-            with obs.span("engine.consolidate", cat="solver"):
-                self._consolidate_dust(classes, distribution, quantities)
-            objective = float(sum(quantities.values()))
+        with obs.span("engine.consolidate", cat="solver"):
+            self._consolidate_dust(classes, distribution, quantities)
+        objective = sum(quantities.values())
         if obs.REGISTRY.enabled:
             mode = "warm" if warm else "cold"
             obs.metric("solver_solves_total").labels(mode=mode).inc()
@@ -250,9 +227,7 @@ class OptimizationEngine:
                 time.perf_counter() - started
             )
             obs.metric("solver_classes").set(len(classes))
-            obs.metric("solver_instances_planned").set(
-                sum(quantities.values())
-            )
+            obs.metric("solver_instances_planned").set(objective)
             obs.metric("solver_warm_hit_ratio").set(
                 self.warm_solves / (self.warm_solves + self.cold_builds)
             )
@@ -265,74 +240,6 @@ class OptimizationEngine:
             lp_bound=float(lp_bound),
             solve_seconds=time.perf_counter() - started,
             warm_start=warm,
-        )
-
-    # ------------------------------------------------------------------
-    def estimate_solve_seconds(
-        self,
-        classes: Sequence[TrafficClass],
-        available_cores: Mapping[str, int],
-    ) -> float:
-        """Deterministic a-priori estimate of one LP solve's cost.
-
-        A calibrated function of the model size (d and q variable
-        counts) — deliberately *not* a wall-clock measurement, so a
-        deadline decision is a pure function of the problem structure and
-        identical across same-seed runs and machines.
-        """
-        d_count = 0
-        slots = set()
-        for cls in classes:
-            hosts = [sw for sw in cls.path if available_cores.get(sw, 0) > 0]
-            for nf in cls.chain:
-                d_count += len(hosts)
-                for sw in hosts:
-                    slots.add((sw, nf))
-        n = d_count + len(slots)
-        # ~1 ms fixed cost plus a superlinear term for the LP (assembly is
-        # ~linear, the simplex iterations dominate as the model grows).
-        return 1e-3 + 2e-6 * n * float(max(n, 1)) ** 0.5
-
-    def place_with_deadline(
-        self,
-        classes: Sequence[TrafficClass],
-        available_cores: Mapping[str, int],
-        available_memory_gb: Optional[Mapping[str, float]] = None,
-        deadline: Optional[float] = None,
-    ) -> Tuple[PlacementPlan, bool]:
-        """Graceful degradation wrapper around :meth:`place`.
-
-        When the deterministic solve-time estimate exceeds ``deadline``,
-        fall back to the greedy first-fit placer (a complete, feasible,
-        merely less efficient placement) instead of risking a late LP
-        answer.  Returns ``(plan, degraded)``.
-
-        Raises:
-            PlacementError: as :meth:`place`; the greedy fallback raises
-                it too when some class fits nowhere.
-        """
-        if (
-            deadline is not None
-            and self.estimate_solve_seconds(classes, available_cores) > deadline
-        ):
-            from repro.core.greedy import greedy_placement
-
-            clamped = [self._clamped(c) for c in classes]
-            self._check_paths(clamped, available_cores)
-            plan = greedy_placement(
-                clamped,
-                available_cores,
-                self.catalog,
-                capacity_headroom=self.config.capacity_headroom,
-                available_memory_gb=available_memory_gb,
-            )
-            self.deadline_fallbacks += 1
-            if obs.REGISTRY.enabled:
-                obs.metric("solver_deadline_fallbacks_total").inc()
-            return plan, True
-        return (
-            self.place(classes, available_cores, available_memory_gb),
-            False,
         )
 
     # ------------------------------------------------------------------
@@ -476,7 +383,7 @@ class OptimizationEngine:
 
         LP degeneracy spreads small portions across many slots; after
         ceiling those slivers each pin a whole instance.  This pass takes
-        every single-instance slot whose load is below the dust threshold
+        every single-instance slot whose load is below ``DUST_THRESHOLD``
         and tries to move *all* of its portions onto other slots of the
         same NF on each class's path, checking spare capacity and the
         ordering constraint (Eq. 3) before committing.  Mutates
@@ -510,7 +417,7 @@ class OptimizationEngine:
                     for slot, q in quantities.items()
                     if q == 1
                     and loads.get(slot, 0.0)
-                    < self.config.dust_threshold * self._cap(slot[1])
+                    < DUST_THRESHOLD * self._cap(slot[1])
                 ),
                 key=lambda s: loads.get(s, 0.0),
             )
@@ -621,21 +528,6 @@ class OptimizationEngine:
                 if cum_cur > cum_prev + tol:
                     return False
         return True
-
-    def _try_greedy(self, classes, available_cores):
-        """Run the greedy heuristic; returns (objective, q, d) or None."""
-        from repro.core.greedy import greedy_placement
-
-        try:
-            plan = greedy_placement(
-                classes,
-                available_cores,
-                self.catalog,
-                capacity_headroom=self.config.capacity_headroom,
-            )
-        except PlacementError:
-            return None
-        return plan.total_instances(), dict(plan.quantities), dict(plan.distribution)
 
     def _cap(self, nf_name: str) -> float:
         """Plannable capacity of one instance (headroom-derated Cap_n)."""

@@ -109,6 +109,11 @@ class OnlinePlacer:
 
         path_len = cls.path_length
         chain_len = cls.chain_length
+        if not chain_len:
+            # Nothing to place: the class rides its path untouched.
+            decision = OnlineDecision(cls.class_id, (), ())
+            self._admitted[cls.class_id] = (cls, decision)
+            return decision
         # cost[j][i]: minimal new-instance cores to serve steps 0..j with
         # step j at position i.  parent[j][i]: best predecessor position.
         cost = [[_INF] * path_len for _ in range(chain_len)]

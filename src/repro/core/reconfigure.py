@@ -99,14 +99,13 @@ def commit(
     on_done: Callable[[Outcome], None],
     stranded: Optional[Dict[str, str]] = None,
     instances: Optional[Dict[str, VNFInstance]] = None,
-    degraded_solver: bool = False,
 ) -> None:
     """Open one epoch on the fabric; ``on_done`` fires exactly once.
 
     Until then the caller's current deployment keeps describing the state
     actually serving traffic — the make-before-break transaction leaves
-    no partial-install window in between.  ``stranded``, ``instances``
-    and ``degraded_solver`` are passed to ``push_desired`` unchanged.
+    no partial-install window in between.  ``stranded`` and ``instances``
+    are passed to ``push_desired`` unchanged.
     """
 
     def settled(conv: Optional["EpochConvergence"]) -> None:
@@ -125,5 +124,4 @@ def commit(
         stranded=stranded,
         instances=instances,
         on_converged=settled,
-        degraded_solver=degraded_solver,
     )

@@ -121,8 +121,6 @@ CATALOG: Tuple[MetricDef, ...] = (
               "Anti-entropy passes that repaired desired-state drift"),
     MetricDef("histogram", "southbound_convergence_seconds",
               "Desired-state push -> every switch at zero drift"),
-    MetricDef("counter", "solver_deadline_fallbacks_total",
-              "Placements degraded to the greedy placer by the deadline"),
     # ------------------------------------------------------------ tenancy
     MetricDef("counter", "tenancy_intents_total",
               "Tenant intents reaching a terminal state",

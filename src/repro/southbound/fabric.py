@@ -149,7 +149,6 @@ class SouthboundFabric:
         #: The open epoch's committer; cleared when it has been told how
         #: the epoch ended (converged / superseded).
         self._on_converged: Optional[EpochCallback] = None
-        self._degraded_solver = False
         self._reconcile_timer: Optional[Timer] = None
 
     # ------------------------------------------------------------------
@@ -191,7 +190,6 @@ class SouthboundFabric:
         stranded: Optional[Dict[str, str]] = None,
         instances: Optional[Dict[str, VNFInstance]] = None,
         on_converged: Optional[EpochCallback] = None,
-        degraded_solver: bool = False,
     ) -> int:
         """Open a new desired-state epoch and start pushing toward it.
 
@@ -248,7 +246,6 @@ class SouthboundFabric:
         self.epoch += 1
         self.desired_since = self.sim.now
         self._on_converged = on_converged
-        self._degraded_solver = degraded_solver
         diffs = self._diffs()
         vsw_kinds = ("vsw_put", "vsw_del", "origin_sync")
         self.last_push = {
@@ -430,7 +427,6 @@ class SouthboundFabric:
             epoch=self.epoch,
             pushed_at=self.desired_since,
             converged_at=self.sim.now,
-            degraded_solver=self._degraded_solver,
         )
         self.metrics.record_convergence(record)
         callback, self._on_converged = self._on_converged, None

@@ -38,7 +38,6 @@ class EpochConvergence:
     epoch: int
     pushed_at: float
     converged_at: float
-    degraded_solver: bool = False
 
     @property
     def latency(self) -> float:
@@ -50,7 +49,6 @@ class EpochConvergence:
             "pushed_at": round(self.pushed_at, 9),
             "converged_at": round(self.converged_at, 9),
             "latency": round(self.latency, 9),
-            "degraded_solver": self.degraded_solver,
         }
 
 

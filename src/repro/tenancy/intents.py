@@ -16,6 +16,7 @@ arbiter's admission queue — the intent is parked, not lost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -84,9 +85,10 @@ class CreateChain(Intent):
             raise IntentValidationError(
                 f"CreateChain {self.chain_id!r}: empty policy chain"
             )
-        if self.rate_mbps <= 0:
+        if not 0 < self.rate_mbps < math.inf:
             raise IntentValidationError(
-                f"CreateChain {self.chain_id!r}: rate must be positive"
+                f"CreateChain {self.chain_id!r}: rate must be positive and "
+                f"finite, got {self.rate_mbps!r}"
             )
         from repro.elastic.slo import SLO_CLASSES
 
@@ -111,9 +113,10 @@ class UpdateRates(Intent):
         for chain_id, rate in self.rates:
             if not chain_id:
                 raise IntentValidationError("UpdateRates with an empty chain_id")
-            if rate <= 0:
+            if not 0 < rate < math.inf:
                 raise IntentValidationError(
-                    f"UpdateRates {chain_id!r}: rate must be positive"
+                    f"UpdateRates {chain_id!r}: rate must be positive and "
+                    f"finite, got {rate!r}"
                 )
 
 

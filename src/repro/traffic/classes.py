@@ -11,6 +11,7 @@ chains.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 from dataclasses import dataclass, field
@@ -47,8 +48,11 @@ class TrafficClass:
     def __post_init__(self) -> None:
         if not self.path or self.path[0] != self.src or self.path[-1] != self.dst:
             raise ValueError(f"path of class {self.class_id} must run src → dst")
-        if self.rate_mbps < 0:
-            raise ValueError("rate_mbps must be non-negative")
+        if not 0 <= self.rate_mbps < math.inf:
+            raise ValueError(
+                f"rate_mbps of class {self.class_id} must be finite and "
+                f"non-negative, got {self.rate_mbps!r}"
+            )
         if not 0 < self.share <= 1:
             raise ValueError("share must be in (0, 1]")
 

@@ -29,6 +29,8 @@ class TrafficMatrix:
         n = len(self.nodes)
         if arr.shape != (n, n):
             raise ValueError(f"expected {(n, n)} matrix, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("demands must be finite")
         if (arr < 0).any():
             raise ValueError("demands must be non-negative")
         if np.diagonal(arr).any():

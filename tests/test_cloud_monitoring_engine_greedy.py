@@ -1,18 +1,11 @@
-"""Tests for the resource monitor and the engine's compare_greedy path."""
+"""Tests for the resource monitor."""
 
 import pytest
 
 from repro.cloud.monitoring import ResourceMonitor
 from repro.cloud.orchestrator import ResourceOrchestrator
-from repro.core.engine import EngineConfig, OptimizationEngine
-from repro.core.greedy import greedy_placement
 from repro.sim.kernel import Simulator
-from repro.topology.datasets import internet2
 from repro.topology.graph import AppleHostSpec, Link, Topology
-from repro.topology.routing import Router
-from repro.traffic.classes import ClassBuilder, hashed_assignment
-from repro.traffic.gravity import gravity_matrix
-from repro.vnf.chains import STANDARD_CHAINS
 from repro.vnf.types import FIREWALL, NAT
 
 
@@ -71,52 +64,3 @@ def test_monitor_validation():
     fresh = ResourceMonitor(sim, orch)
     with pytest.raises(ValueError):
         fresh.min_free_cores()
-
-
-# ---------------------------------------------------------------------------
-# compare_greedy
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def workload():
-    topo = internet2()
-    router = Router(topo)
-    builder = ClassBuilder(
-        router, hashed_assignment(STANDARD_CHAINS), min_rate_mbps=1.0
-    )
-    classes = builder.build(gravity_matrix(topo, 8000.0, seed=0))
-    return classes, {s: 64 for s in topo.switches}
-
-
-def test_compare_greedy_never_worse(workload):
-    classes, cores = workload
-    plain = OptimizationEngine(
-        config=EngineConfig(compare_greedy=False)
-    ).place(classes, cores)
-    best = OptimizationEngine(
-        config=EngineConfig(compare_greedy=True)
-    ).place(classes, cores)
-    assert best.total_instances() <= plain.total_instances()
-    assert not best.validate(cores)
-
-
-def test_compare_greedy_beats_or_ties_greedy(workload):
-    classes, cores = workload
-    greedy = greedy_placement(classes, cores)
-    best = OptimizationEngine(
-        config=EngineConfig(compare_greedy=True)
-    ).place(classes, cores)
-    # Consolidation may improve on raw greedy; never worse than it.
-    assert best.total_instances() <= greedy.total_instances()
-
-
-def test_greedy_headroom():
-    from repro.traffic.classes import TrafficClass
-    from repro.vnf.chains import PolicyChain
-
-    cls = TrafficClass(
-        "c", "a", "b", ("a", "b"), PolicyChain(["firewall"]), 600.0
-    )
-    tight = greedy_placement([cls], {"a": 64, "b": 64}, capacity_headroom=1.0)
-    slack = greedy_placement([cls], {"a": 64, "b": 64}, capacity_headroom=0.5)
-    assert tight.total_instances() == 1
-    assert slack.total_instances() == 2  # 600 > 0.5 * 900

@@ -1,7 +1,10 @@
 """Tests for the Optimization Engine against the paper's constraints."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.constraints import assemble_placement_lp
 from repro.core.engine import EngineConfig, OptimizationEngine, PlacementError
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
@@ -172,13 +175,25 @@ def test_bad_solver_name_rejected():
 
 
 def test_consolidation_reduces_or_preserves():
+    """Consolidating the un-consolidated ceiling plan never adds an
+    instance, and is exactly what ``place()`` returns."""
     classes = [
         _cls(f"c{k}", "a", "c", LINE, ["firewall"], 30.0) for k in range(6)
     ]
-    with_c = _place(classes, CORES, consolidate=True)
-    without = _place(classes, CORES, consolidate=False)
-    assert with_c.total_instances() <= without.total_instances()
-    assert not with_c.validate(CORES)
+    engine = OptimizationEngine()
+    template = assemble_placement_lp(
+        classes, CORES, None, engine._cap, engine.catalog
+    )
+    template.set_rates(classes)
+    template.set_budgets(CORES, None)
+    solution, quantities, _, _ = engine._solve_ceiling(template)
+    distribution = engine._extract_distribution(classes, template, solution)
+    before = sum(quantities.values())
+    engine._consolidate_dust(classes, distribution, quantities)
+    assert sum(quantities.values()) <= before
+    plan = engine.place(classes, CORES)
+    assert plan.quantities == quantities and plan.distribution == distribution
+    assert not plan.validate(CORES)
 
 
 def test_consolidation_moves_into_a_slot_already_holding_the_portion():
@@ -203,64 +218,25 @@ def test_solve_seconds_recorded():
     assert plan.lp_bound <= plan.objective + 1e-9
 
 
-# ---------------------------------------------------------------------------
-# Deadline-aware placement
-# ---------------------------------------------------------------------------
-def _deadline_instance():
-    switches = ["s0", "s1", "s2", "s3", "s4"]
-    classes = [
-        _cls(f"c{k}", switches[k % 3], "s4", switches[k % 3 :],
-             ["firewall", "proxy", "nat"], 20.0)
-        for k in range(240)
-    ]
-    return classes, {s: 640 for s in switches}
-
-
-def test_deadline_below_estimate_degrades_to_greedy():
-    classes, cores = _deadline_instance()
-    engine = OptimizationEngine()
-    deadline = engine.estimate_solve_seconds(classes, cores) / 2
-    plan, degraded = engine.place_with_deadline(classes, cores, deadline=deadline)
-    assert degraded
-    assert engine.deadline_fallbacks == 1
-    assert plan.validate(cores) == []
-
-
-def test_deadline_above_estimate_runs_the_solver():
-    classes, cores = _deadline_instance()
-    engine = OptimizationEngine()
-    estimate = engine.estimate_solve_seconds(classes, cores)
-    assert estimate == engine.estimate_solve_seconds(classes, cores)
-    plan, degraded = engine.place_with_deadline(classes, cores, deadline=2 * estimate)
-    assert not degraded
-    assert engine.deadline_fallbacks == 0
-    assert plan.quantities == OptimizationEngine().place(classes, cores).quantities
-
-
 def test_infeasible_instance_raises_on_every_solve_path():
-    """The greedy fallback fails the way ``place()`` does: IDS needs 8
-    cores and no switch has them, so both raise ``PlacementError``."""
+    """IDS needs 8 cores and no switch has them, so rounding and
+    branch-and-bound both raise ``PlacementError``."""
     classes = [_cls("c1", "a", "c", LINE, ["ids"], 5000.0)]
     cores = {"a": 0, "b": 4, "c": 4}
-    engine = OptimizationEngine()
-    with pytest.raises(PlacementError):
-        engine.place(classes, cores)
-    with pytest.raises(PlacementError):
-        engine.place_with_deadline(classes, cores, deadline=0.0)
-    assert engine.deadline_fallbacks == 0
+    for solver in ("rounding", "exact"):
+        with pytest.raises(PlacementError):
+            _place(classes, cores, solver=solver)
 
 
-def test_deadline_fallback_respects_the_memory_budget():
-    """The greedy fallback sees the memory budget ``place()`` sees: an IDS
-    (8 GB) does not fit the 2 GB at a or b, so it lands on c."""
-    classes = [_cls("c1", "a", "c", LINE, ["ids"], 100.0)]
-    cores = {s: 16 for s in LINE}
-    memory = {"a": 2.0, "b": 2.0, "c": 16.0}
-    engine = OptimizationEngine()
-    plan, degraded = engine.place_with_deadline(
-        classes, cores, available_memory_gb=memory, deadline=0.0
-    )
-    assert degraded
-    assert plan.quantities == {("c", "ids"): 1}
-    assert plan.validate(cores, available_memory_gb=memory) == []
-    assert engine.place(classes, cores, memory).quantities == plan.quantities
+def test_engine_config_has_only_the_four_knobs():
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "solver", "min_class_rate_mbps", "max_bb_nodes", "capacity_headroom",
+    ]
+
+
+@pytest.mark.parametrize(
+    "headroom", [1.5, 0.0, -0.5, float("nan"), float("inf")]
+)
+def test_capacity_headroom_outside_unit_interval_rejected(headroom):
+    with pytest.raises(ValueError, match="capacity_headroom"):
+        EngineConfig(capacity_headroom=headroom)

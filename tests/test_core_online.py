@@ -112,3 +112,16 @@ def test_combined_steps_on_one_switch_checked():
     placer = OnlinePlacer({"a": 8})
     with pytest.raises(OnlinePlacementError):
         placer.admit(_cls("c1", 100.0, path=("a",), chain=("firewall", "ids")))
+
+
+def test_chainless_class_admitted_without_instances():
+    """A class with an empty chain places nothing, as in ``place()``."""
+    placer = OnlinePlacer(CORES)
+    decision = placer.admit(_cls("c0", 100.0, chain=()))
+    assert decision.positions == () and decision.new_instances == ()
+    assert placer.quantities == {} and placer.loads == {}
+    assert placer.admitted_classes() == ["c0"]
+    assert placer.to_plan().distribution == {}
+    placer.release("c0")
+    assert placer.admitted_classes() == []
+    assert placer.loads == {}

@@ -53,6 +53,15 @@ def test_intent_validation_rejects_malformed():
                     chain=("firewall",), rate_mbps=0.0),
         UpdateRates("t", rates=()),
         UpdateRates("t", rates=(("c", -5.0),)),
+        *(
+            intent
+            for rate in (float("nan"), float("inf"))
+            for intent in (
+                CreateChain("t", chain_id="c", src="a", dst="b",
+                            chain=("firewall",), rate_mbps=rate),
+                UpdateRates("t", rates=(("c", 10.0), ("d", rate))),
+            )
+        ),
         ScaleChain("t", chain_id="c", factor=0.0),
         DeleteChain("t", chain_id=""),
     ]

@@ -42,8 +42,11 @@ def test_class_indices_match_paper_functions():
 def test_class_validation():
     with pytest.raises(ValueError):
         TrafficClass("c", "a", "c", ("b", "c"), _chain("nat"), 1.0)  # src mismatch
-    with pytest.raises(ValueError):
-        TrafficClass("c", "a", "b", ("a", "b"), _chain("nat"), -1.0)
+    for rate in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TrafficClass("c", "a", "b", ("a", "b"), _chain("nat"), rate)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TrafficClass("c", "a", "b", ("a", "b"), _chain("nat"), 1.0).with_rate(rate)
     with pytest.raises(ValueError):
         TrafficClass("c", "a", "b", ("a", "b"), _chain("nat"), 1.0, share=0.0)
 

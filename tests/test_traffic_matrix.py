@@ -24,6 +24,9 @@ def test_rejects_bad_shapes_and_values():
         _tm([[0, -1, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
         _tm([[1, 0, 0], [0, 0, 0], [0, 0, 0]])  # nonzero diagonal
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            _tm([[0, value, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def test_pairs_filters_by_min_rate():
