@@ -17,15 +17,28 @@ from repro.vnf.types import NFTypeCatalog
 
 @dataclass(frozen=True)
 class InstanceRef:
-    """A logical instance slot: the k-th instance of NF ``nf`` at ``switch``."""
+    """A logical instance slot: the k-th instance of NF ``nf`` at ``switch``.
+
+    ``key`` (``"nf[index]@switch"``) names the slot in rules and instance
+    maps.
+    """
 
     switch: str
     nf: str
     index: int
 
-    @property
-    def key(self) -> str:
-        return f"{self.nf}[{self.index}]@{self.switch}"
+    def __post_init__(self) -> None:
+        # Refs key dicts and name rules once per sub-class: the key string
+        # and the hash are computed once, here, not on every access.
+        object.__setattr__(self, "key", f"{self.nf}[{self.index}]@{self.switch}")
+        object.__setattr__(self, "_hash", hash((self.switch, self.nf, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # The cached hash is per process: rebuild it on unpickling.
+        return (InstanceRef, (self.switch, self.nf, self.index))
 
     def __repr__(self) -> str:
         return f"InstanceRef({self.key})"
@@ -95,13 +108,15 @@ class PlacementPlan:
     def load_by_slot(self) -> Dict[Tuple[str, str], float]:
         """Offered load (Mbps) per (switch, nf) under the plan's classes."""
         load: Dict[Tuple[str, str], float] = {}
-        class_by_id = {c.class_id: c for c in self.classes}
+        class_by_id = {
+            c.class_id: (c.path, c.chain.names, c.rate_mbps) for c in self.classes
+        }
         for (cid, i, j), frac in self.distribution.items():
             if frac <= 0:
                 continue
-            cls = class_by_id[cid]
-            key = (cls.path[i], cls.chain[j])
-            load[key] = load.get(key, 0.0) + cls.rate_mbps * frac
+            path, chain, rate = class_by_id[cid]
+            key = (path[i], chain[j])
+            load[key] = load.get(key, 0.0) + rate * frac
         return load
 
     def memory_by_switch(self) -> Dict[str, float]:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.placement import InstanceRef
 from repro.core.subclasses import Subclass, SubclassPlan
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import FIN
@@ -115,6 +114,12 @@ class RuleGenerator:
                 rule_sets[switch] = SwitchRuleSet(switch=switch)
             return rule_sets[switch]
 
+        def rules_at(switch: str) -> List[Tuple[str, int, VSwitchRule]]:
+            found = vswitch_rules.get(switch)
+            if found is None:
+                found = vswitch_rules[switch] = []
+            return found
+
         for switch in hosts_in_use:
             rule_set(switch).host_match = True
 
@@ -122,34 +127,33 @@ class RuleGenerator:
             cls = class_by_id.get(class_id)
             if cls is None:
                 raise KeyError(f"sub-class plan references unknown class {class_id!r}")
+            classifications = None
             for sub in subclass_plan.subclasses(class_id):
-                groups = _group_by_switch(sub.instance_seq)
-                if not groups:
+                seq = sub.instance_seq
+                if not seq:
                     continue
-                first_host = groups[0][0]
-                if class_id in host_originated:
-                    # Classification in the source host's vSwitch (Fig. 3).
-                    origin_rules.setdefault(cls.src, []).append(
-                        (class_id, sub.hash_range, sub.sub_id, first_host)
-                    )
-                else:
-                    # Ingress classification (Table III rows 2-3).
-                    rule_set(cls.src).classifications.append(
-                        (class_id, sub.hash_range, sub.sub_id, first_host)
-                    )
-                # vSwitch rules per visited host.
-                for g, (switch, refs) in enumerate(groups):
-                    next_tag = groups[g + 1][0] if g + 1 < len(groups) else FIN
-                    vswitch_rules.setdefault(switch, []).append(
-                        (
-                            class_id,
-                            sub.sub_id,
-                            VSwitchRule(
-                                instance_ids=tuple(r.key for r in refs),
-                                exit_host_tag=next_tag,
-                            ),
+                sub_id = sub.sub_id
+                host = seq[0].switch
+                if classifications is None:
+                    if class_id in host_originated:
+                        # Classification in the source host's vSwitch (Fig. 3).
+                        classifications = origin_rules.setdefault(cls.src, [])
+                    else:
+                        # Ingress classification (Table III rows 2-3).
+                        classifications = rule_set(cls.src).classifications
+                classifications.append((class_id, sub.hash_range, sub_id, host))
+                # vSwitch rules per visited host: the run of consecutive
+                # chain steps at one switch, then the next host's tag.
+                keys = []
+                for ref in seq:
+                    if ref.switch != host:
+                        rules_at(host).append(
+                            (class_id, sub_id, VSwitchRule(tuple(keys), ref.switch))
                         )
-                    )
+                        host = ref.switch
+                        keys = []
+                    keys.append(ref.key)
+                rules_at(host).append((class_id, sub_id, VSwitchRule(tuple(keys), FIN)))
 
         return GeneratedRules(
             switch_rule_sets=rule_sets,
@@ -179,12 +183,15 @@ class RuleGenerator:
             The full instance map keyed by ref key.
         """
         inst_map: Dict[str, VNFInstance] = dict(instances or {})
-        needed: Dict[str, List[str]] = {}
+        # Per switch, in first-use order, each key the rules reference once.
+        referenced: Dict[str, None] = {}
         for rule_list in rules.vswitch_rules.values():
             for _, _, rule in rule_list:
                 for key in rule.instance_ids:
-                    switch = key.rsplit("@", 1)[1]
-                    needed.setdefault(switch, []).append(key)
+                    referenced[key] = None
+        needed: Dict[str, Dict[str, None]] = {}
+        for key in referenced:
+            needed.setdefault(key.rsplit("@", 1)[1], {})[key] = None
         for switch, keys in needed.items():
             vsw = network.vswitch_at(switch)
             for key in keys:
@@ -260,21 +267,3 @@ class RuleGenerator:
             ).inc(sum(len(v) for v in rules.origin_rules.values()))
 
         return inst_map
-
-
-def _group_by_switch(
-    seq: Tuple[InstanceRef, ...],
-) -> List[Tuple[str, List[InstanceRef]]]:
-    """Group consecutive chain steps handled at the same switch.
-
-    The sequence's switches are non-decreasing along the path (guaranteed
-    by the sub-class construction), so each switch appears in exactly one
-    contiguous group.
-    """
-    groups: List[Tuple[str, List[InstanceRef]]] = []
-    for ref in seq:
-        if groups and groups[-1][0] == ref.switch:
-            groups[-1][1].append(ref)
-        else:
-            groups.append((ref.switch, [ref]))
-    return groups

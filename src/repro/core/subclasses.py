@@ -20,8 +20,9 @@ each VNF instance" (Sec. IV-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, List, Tuple
 
 from repro.core.placement import InstanceRef, PlacementPlan
 from repro.traffic.classes import TrafficClass
@@ -97,36 +98,50 @@ class _SlotAllocator:
     """Splits a (switch, NF) slot's load across its q instances.
 
     Instances are filled in order, each up to its fair-share target; the
-    caller receives (mass, instance) pieces.
+    caller receives (mass, instance) pieces.  A portion of zero mass (a
+    zero-rate class) is one piece on the first instance and consumes
+    nothing.  ``_step_pieces`` takes a mass the current instance has room
+    for itself, without calling :meth:`take`.
     """
+
+    __slots__ = ("refs", "remaining", "cursor")
 
     def __init__(self, refs: List[InstanceRef], total_load: float) -> None:
         self.refs = refs
         target = total_load / len(refs) if refs else 0.0
         self.remaining = [target] * len(refs)
-        self._cursor = 0
+        self.cursor = 0
 
     def take(self, mass: float) -> List[Tuple[float, InstanceRef]]:
+        if mass == 0.0:
+            return [(0.0, self.refs[0])]
         pieces: List[Tuple[float, InstanceRef]] = []
         left = mass
+        remaining = self.remaining
         while left > _EPS:
-            if self._cursor >= len(self.refs):
+            if self.cursor >= len(self.refs):
                 # Numerical slack: dump the residue on the last instance.
                 pieces.append((left, self.refs[-1]))
                 break
-            avail = self.remaining[self._cursor]
+            avail = remaining[self.cursor]
             if avail <= _EPS:
-                self._cursor += 1
+                self.cursor += 1
                 continue
             bite = min(left, avail)
-            self.remaining[self._cursor] -= bite
-            pieces.append((bite, self.refs[self._cursor]))
+            remaining[self.cursor] -= bite
+            pieces.append((bite, self.refs[self.cursor]))
             left -= bite
         return pieces
 
 
 def assign_subclasses(plan: PlacementPlan) -> SubclassPlan:
     """Realise a placement plan as concrete sub-classes.
+
+    The plan's portions above the dust threshold are grouped per (class,
+    chain step) in one pass over ``plan.distribution``; each class then
+    takes its pieces from the slot allocators in (class id, chain step,
+    path position) order, so the allocators see the same sequence of takes
+    whatever order the distribution is stored in.
 
     Raises:
         SubclassAssignmentError: the distribution references a (switch, NF)
@@ -142,53 +157,94 @@ def assign_subclasses(plan: PlacementPlan) -> SubclassPlan:
         for refs in [refs_by_slot.get(slot, [])]
         if refs
     }
+    # d_{h,j}^i above the dust threshold, per (class, chain step).
+    portions: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
+    for (class_id, i, j), frac in plan.distribution.items():
+        if frac <= _EPS:
+            continue
+        found = portions.get((class_id, j))
+        if found is None:
+            portions[class_id, j] = [(i, frac)]
+        else:
+            found.append((i, frac))
 
     by_class: Dict[str, List[Subclass]] = {}
     instance_load: Dict[InstanceRef, float] = {}
+    load_get = instance_load.get
 
-    for cls in sorted(plan.classes, key=lambda c: c.class_id):
-        pieces_per_step = _pieces_for_class(cls, plan, allocators)
-        subs = _merge_steps(cls, pieces_per_step)
-        by_class[cls.class_id] = subs
+    for cls in sorted(plan.classes, key=attrgetter("class_id")):
+        class_id = cls.class_id
+        subs = _overlay(class_id, _step_pieces(cls, portions, allocators))
+        by_class[class_id] = subs
+        rate = cls.rate_mbps
+        path = cls.path
+        pos = dict(zip(path, range(len(path))))
         for sub in subs:
+            lo, hi = sub.hash_range
+            load = (hi - lo) * rate
+            last = -1
             for ref in sub.instance_seq:
-                instance_load[ref] = (
-                    instance_load.get(ref, 0.0) + sub.weight * cls.rate_mbps
-                )
-        _check_order(cls, subs)
+                instance_load[ref] = load_get(ref, 0.0) + load
+                # Switches must be non-decreasing along the path.
+                at = pos[ref.switch]
+                if at < last:
+                    raise SubclassAssignmentError(
+                        f"class {class_id!r} sub-class {sub.sub_id}: instance "
+                        f"sequence {sub.switches()} violates path order"
+                    )
+                last = at
 
     return SubclassPlan(by_class=by_class, instance_load=instance_load)
 
 
-def _pieces_for_class(
+def _step_pieces(
     cls: TrafficClass,
-    plan: PlacementPlan,
+    portions: Dict[Tuple[str, int], List[Tuple[int, float]]],
     allocators: Dict[Tuple[str, str], _SlotAllocator],
 ) -> List[List[Tuple[float, float, InstanceRef]]]:
-    """Per chain step: (hash_lo, hash_hi, instance) pieces covering [0, 1)."""
+    """Per chain step: (hash_lo, hash_hi, instance) pieces covering [0, 1).
+
+    Each step takes its portions in path order from the slot allocators.
+    """
+    class_id = cls.class_id
+    path = cls.path
+    path_length = len(path)
+    rate = cls.rate_mbps
     steps: List[List[Tuple[float, float, InstanceRef]]] = []
-    for j, nf in enumerate(cls.chain):
+    for j, nf in enumerate(cls.chain.names):
+        found = portions.get((class_id, j), ())
+        if len(found) > 1:
+            found.sort()
         pieces: List[Tuple[float, float, InstanceRef]] = []
         cursor = 0.0
-        for i in range(cls.path_length):
-            frac = plan.portion(cls.class_id, i, j)
-            if frac <= _EPS:
+        for i, frac in found:
+            if not 0 <= i < path_length:
                 continue
-            slot = (cls.path[i], nf)
+            slot = (path[i], nf)
             allocator = allocators.get(slot)
             if allocator is None:
                 raise SubclassAssignmentError(
-                    f"class {cls.class_id!r}: distribution uses slot {slot} "
+                    f"class {class_id!r}: distribution uses slot {slot} "
                     "but no instance is placed there"
                 )
-            mass = frac * cls.rate_mbps
+            mass = frac * rate
+            remaining = allocator.remaining
+            at = allocator.cursor
+            if at < len(remaining) and _EPS < mass <= remaining[at]:
+                # The current instance has room for all of it: one bite
+                # (``take``'s first bite, its width as the loop below has it).
+                remaining[at] -= mass
+                width = (mass / mass) * frac
+                pieces.append((cursor, min(cursor + width, 1.0), allocator.refs[at]))
+                cursor += width
+                continue
             for bite, ref in allocator.take(mass):
                 width = (bite / mass) * frac if mass > 0 else frac
                 pieces.append((cursor, min(cursor + width, 1.0), ref))
                 cursor += width
         if not pieces:
             raise SubclassAssignmentError(
-                f"class {cls.class_id!r}: chain step {j} has no portions"
+                f"class {class_id!r}: chain step {j} has no portions"
             )
         # Snap the tail to exactly 1.0 (floating-point dust).
         lo, _, ref = pieces[-1]
@@ -197,11 +253,21 @@ def _pieces_for_class(
     return steps
 
 
-def _merge_steps(
-    cls: TrafficClass,
+def _overlay(
+    class_id: str,
     steps: List[List[Tuple[float, float, InstanceRef]]],
 ) -> List[Subclass]:
-    """Overlay every step's partition of [0, 1) into final sub-classes."""
+    """Overlay every step's partition of [0, 1) into final sub-classes.
+
+    The cuts are every piece's bounds; each cell between consecutive cuts
+    wider than the dust threshold is a sub-class, served at each step by
+    the piece holding the cell's midpoint.  A step of one piece spans
+    ``[0, 1)`` and adds no cut, so a class whose every step is one piece
+    is one sub-class.
+    """
+    if sum(map(len, steps)) == len(steps):  # every step is one piece
+        seq = tuple([pieces[0][2] for pieces in steps])
+        return [Subclass(class_id, 0, (0.0, 1.0), seq)]
     bounds = {0.0, 1.0}
     for pieces in steps:
         for lo, hi, _ in pieces:
@@ -214,14 +280,7 @@ def _merge_steps(
             continue
         mid = (lo + hi) / 2.0
         seq = tuple(_piece_at(pieces, mid) for pieces in steps)
-        subs.append(
-            Subclass(
-                class_id=cls.class_id,
-                sub_id=len(subs),
-                hash_range=(lo, hi),
-                instance_seq=seq,
-            )
-        )
+        subs.append(Subclass(class_id, len(subs), (lo, hi), seq))
     return subs
 
 
@@ -234,15 +293,3 @@ def _piece_at(
     # point sits in floating-point dust between pieces; take the nearest.
     best = min(pieces, key=lambda p: min(abs(p[0] - point), abs(p[1] - point)))
     return best[2]
-
-
-def _check_order(cls: TrafficClass, subs: List[Subclass]) -> None:
-    """Every sub-class's switches must be non-decreasing along the path."""
-    pos = {sw: i for i, sw in enumerate(cls.path)}
-    for sub in subs:
-        indices = [pos[sw] for sw in sub.switches()]
-        if any(b < a for a, b in zip(indices, indices[1:])):
-            raise SubclassAssignmentError(
-                f"class {cls.class_id!r} sub-class {sub.sub_id}: instance "
-                f"sequence {sub.switches()} violates path order"
-            )

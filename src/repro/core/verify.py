@@ -30,7 +30,7 @@ keyed by (class, sub-class tag), and **nothing rewrites ``flow_hash`` in
 flight** (``tests/test_verify_cells.py`` pins that on a NAT chain).  The
 data plane's cache of resolved walks rests on the same assumption — one
 plan per (class, hash interval), every packet of the interval replayed in
-bulk (``DataPlaneNetwork._resolve_plan``).  A VNF that did rewrite the hash
+bulk (:mod:`repro.dataplane.network`).  A VNF that did rewrite the hash
 would make the cells downstream of its host depend on the rewritten value:
 the audit and the plans would both have to re-cut after that hop.
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.dataplane.network import DataPlaneNetwork
@@ -123,14 +123,18 @@ def _installed_cuts(
     return own, wild
 
 
-def _cell_probes(lo: float, hi: float, cuts: List[float]) -> Iterator[float]:
+def _cell_probes(lo: float, hi: float, cuts: List[float]) -> List[float]:
     """One probe hash per cell of ``[lo, hi)`` split at the cuts inside it."""
-    edges = [lo, *cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)], hi]
-    for left, right in zip(edges, edges[1:]):
+    probes = []
+    left = lo
+    inside = cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)] if cuts else ()
+    for right in (*inside, hi):
         mid = left + (right - left) / 2
         # A cell a few ulps wide: its midpoint may round onto the right
         # edge, which belongs to the next cell.
-        yield mid if left <= mid < right else left
+        probes.append(mid if left <= mid < right else left)
+        left = right
+    return probes
 
 
 def probe_faults(
@@ -144,8 +148,13 @@ def probe_faults(
     **interference** violation; ``path=None`` skips the check).  Each is
     None when its check passes.
     """
-    visited = [v.split("[")[0] for v in packet.vnfs_visited()]
-    switches = packet.switches_visited()
+    visited: List[str] = []
+    switches: List[str] = []
+    for kind, name in packet.trace:
+        if kind == "switch":
+            switches.append(name)
+        elif kind == "vnf":
+            visited.append(name.split("[")[0])
     return (
         visited if tuple(visited) != chain else None,
         switches if path is not None and tuple(switches) != path else None,
@@ -164,31 +173,34 @@ def verify_deployment(
             False when probing a deliberately overloaded deployment).
     """
     report = VerificationReport()
+    violations = report.violations
     network = deployment.network
+    walk = network.walk_reference
+    subclasses = deployment.subclass_plan.subclasses
     own, wild = _installed_cuts(network)
+    sent = delivered = 0
 
     for cls in deployment.plan.classes:
         class_id = cls.class_id
         chain = cls.chain.names
-        bounds = own.get(class_id, set())
+        src, dst, path = cls.src, cls.dst, cls.path
+        bounds = own.get(class_id, ())
         if wild:
             # An unregistered class has no path to cut; its first probe raises.
-            path = network.class_paths.get(class_id, ())
-            bounds = bounds.union(*(wild[s] for s in path if s in wild))
+            registered = network.class_paths.get(class_id, ())
+            bounds = set(bounds).union(*(wild[s] for s in registered if s in wild))
         cuts = sorted(bounds)
-        for sub in deployment.subclass_plan.subclasses(class_id):
+        for sub in subclasses(class_id):
             lo, hi = sub.hash_range
             if hi <= lo:
                 continue
             for h in _cell_probes(lo, hi, cuts):
-                report.probes_sent += 1
-                packet = Packet(
-                    class_id=class_id, flow_hash=h, src=cls.src, dst=cls.dst
-                )
-                record = network.walk_reference(packet)
+                sent += 1
+                packet = Packet(class_id, h, src, dst)
+                record = walk(packet)
                 if not record.delivered:
                     if expect_no_loss:
-                        report.violations.append(
+                        violations.append(
                             Violation(
                                 "delivery",
                                 class_id,
@@ -197,10 +209,10 @@ def verify_deployment(
                             )
                         )
                     continue
-                report.probes_delivered += 1
-                visited, switches = probe_faults(packet, chain, cls.path)
+                delivered += 1
+                visited, switches = probe_faults(packet, chain, path)
                 if visited is not None:
-                    report.violations.append(
+                    violations.append(
                         Violation(
                             "policy",
                             class_id,
@@ -209,14 +221,16 @@ def verify_deployment(
                         )
                     )
                 if switches is not None:
-                    report.violations.append(
+                    violations.append(
                         Violation(
                             "interference",
                             class_id,
                             f"hash {h:.6f}: path {switches} "
-                            f"differs from routing path {list(cls.path)}",
+                            f"differs from routing path {list(path)}",
                         )
                     )
+    report.probes_sent = sent
+    report.probes_delivered = delivered
 
     # Isolation: distinct instance objects, host budgets respected.
     cores_used: Dict[str, int] = {}

@@ -57,6 +57,9 @@ from repro.obs import state as _obs
 from repro.obs.collectors import collect_network
 from repro.topology.graph import Topology
 
+_TO_HOST = SwitchDecision.TO_HOST
+_DROP = SwitchDecision.DROP
+
 
 @dataclass(frozen=True)
 class NetworkStats:
@@ -239,8 +242,9 @@ class DataPlaneNetwork:
         """Declare the routing path of a class (set by other applications)."""
         if len(path) < 1:
             raise ValueError("path must contain at least one switch")
+        switches = self.switches
         for s in path:
-            if s not in self.switches:
+            if s not in switches:
                 raise KeyError(f"path references unknown switch {s!r}")
         self.class_paths[class_id] = tuple(path)
         self._epoch.value += 1
@@ -464,11 +468,11 @@ class DataPlaneNetwork:
             )
 
         failed_links = self.failed_links
-        hops = 0
+        switches = self.switches
+        max_hops = self.MAX_HOPS
         for i, sw_name in enumerate(path):
-            if hops > self.MAX_HOPS:
+            if i > max_hops:
                 raise RuntimeError("hop limit exceeded (loop?)")
-            hops += 1
             if failed_links and i:
                 prev = path[i - 1]
                 key = (prev, sw_name) if prev <= sw_name else (sw_name, prev)
@@ -476,8 +480,8 @@ class DataPlaneNetwork:
                     # The packet black-holes on the dead link; it never
                     # reaches sw_name, so the drop is charged upstream.
                     return self._record(packet, False, prev)
-            decision = self.switches[sw_name].process(packet)
-            if decision is SwitchDecision.TO_HOST:
+            decision = switches[sw_name].process(packet)
+            if decision is _TO_HOST:
                 if self.vswitch_at(sw_name).process(packet, now) is None:
                     return self._record(packet, False, sw_name)
                 # Packet re-enters the switch from the host; if it is now
@@ -486,7 +490,7 @@ class DataPlaneNetwork:
                     raise RuntimeError(
                         f"packet re-tagged for the host it just left ({sw_name})"
                     )
-            elif decision is SwitchDecision.DROP:
+            elif decision is _DROP:
                 return self._record(packet, False, sw_name)
             # FORWARD: continue to the next switch on the path.
 

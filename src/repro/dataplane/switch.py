@@ -59,23 +59,19 @@ def classification_entry(
     first_host: str,
 ) -> TcamEntry:
     """Ingress classification entry for one sub-class (Table III rows 2–3)."""
+    # One per sub-class on every install: positional arguments, the
+    # cheaper call (fields as in Action and TcamEntry).
     if first_host == switch_name:
-        action = Action(
-            ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST, subclass_id=subclass_id
-        )
+        action = Action(_TAG_SUBCLASS_AND_FORWARD_TO_HOST, subclass_id)
     else:
-        action = Action(
-            ActionKind.TAG_SUBCLASS_AND_HOST,
-            subclass_id=subclass_id,
-            next_host=first_host,
-        )
+        action = Action(_TAG_SUBCLASS_AND_HOST, subclass_id, first_host)
     return TcamEntry(
-        priority=PRIORITY_CLASSIFICATION,
-        action=action,
-        host_tag_is="EMPTY",
-        class_id=class_id,
-        hash_range=hash_range,
-        name=f"{switch_name}/classify/{class_id}#{subclass_id}",
+        PRIORITY_CLASSIFICATION,
+        action,
+        "EMPTY",
+        class_id,
+        hash_range,
+        f"{switch_name}/classify/{class_id}#{subclass_id}",
     )
 
 
@@ -95,6 +91,16 @@ class SwitchDecision(enum.Enum):
     TO_HOST = "to-host"
     FORWARD = "forward"
     DROP = "drop"
+
+
+# Enum members are class-attribute lookups; the per-hop pipeline reads these.
+_TO_HOST = SwitchDecision.TO_HOST
+_FORWARD = SwitchDecision.FORWARD
+_DROP = SwitchDecision.DROP
+_FORWARD_TO_HOST = ActionKind.FORWARD_TO_HOST
+_TAG_SUBCLASS_AND_FORWARD_TO_HOST = ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST
+_TAG_SUBCLASS_AND_HOST = ActionKind.TAG_SUBCLASS_AND_HOST
+_GOTO_NEXT_TABLE = ActionKind.GOTO_NEXT_TABLE
 
 
 class PhysicalSwitch:
@@ -151,24 +157,25 @@ class PhysicalSwitch:
         self.packets_seen += 1
         if count_port is not None:
             self.port_counters[count_port] = self.port_counters.get(count_port, 0) + 1
-        packet.visit("switch", self.name)
+        packet.trace.append(("switch", self.name))
         entry = self.table.lookup(packet)
         if entry is None:
             # No rules at all: behave as pass-by (other applications route).
-            return SwitchDecision.FORWARD
+            return _FORWARD
         action = entry.action
-        if action.kind is ActionKind.FORWARD_TO_HOST:
-            return SwitchDecision.TO_HOST
-        if action.kind is ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST:
+        kind = action.kind
+        if kind is _GOTO_NEXT_TABLE:
+            return _FORWARD
+        if kind is _FORWARD_TO_HOST:
+            return _TO_HOST
+        if kind is _TAG_SUBCLASS_AND_FORWARD_TO_HOST:
             packet.subclass_tag = action.subclass_id
-            return SwitchDecision.TO_HOST
-        if action.kind is ActionKind.TAG_SUBCLASS_AND_HOST:
+            return _TO_HOST
+        if kind is _TAG_SUBCLASS_AND_HOST:
             packet.subclass_tag = action.subclass_id
             packet.host_tag = action.next_host
-            return SwitchDecision.FORWARD
-        if action.kind is ActionKind.GOTO_NEXT_TABLE:
-            return SwitchDecision.FORWARD
-        return SwitchDecision.DROP
+            return _FORWARD
+        return _DROP
 
     def tcam_usage(self) -> int:
         """Hardware TCAM slots consumed by APPLE rules at this switch."""

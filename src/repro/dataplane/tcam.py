@@ -11,13 +11,14 @@ cost: a classification entry whose hash range needs k prefix rules counts
 as k TCAM entries (Sec. V-A's prefix method).
 
 Lookup path: :meth:`TcamTable.match` is a priority scan, nothing else.
-A class-id index (entries keyed by their exact ``class_id`` plus the
-wildcard list, rebuilt lazily when :attr:`TcamTable.generation` moves)
-narrows the scan to entries that could possibly match, merged in priority
-order; ``_scan_all`` keeps the plain linear scan as the property tests'
-reference.  There is no per-table flow cache: what makes repeated lookups
-cheap is one level up, where :class:`~repro.dataplane.network.DataPlaneNetwork`
-resolves a whole walk once per (class, hash interval) and replays it —
+A class-id index (per exact ``class_id``, that class's entries and the
+wildcard ones in priority order, plus the wildcard list for every other
+class; rebuilt lazily when :attr:`TcamTable.generation` moves) narrows the
+scan to entries that could possibly match; ``_scan_all`` keeps the plain
+linear scan as the property tests' reference.  There is no per-table flow
+cache: what makes repeated lookups cheap is one level up, where
+:class:`~repro.dataplane.network.DataPlaneNetwork` resolves a whole walk
+once per (class, hash interval) and replays it —
 :meth:`TcamTable.hash_boundaries` supplies the interval edges, and
 :attr:`TcamTable.cache_hits` counts the hop lookups such a replay answered
 without any scan here.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.classify.split import range_to_cidr_count
@@ -103,23 +104,30 @@ class TcamEntry:
                 return False
         return True
 
-    @cached_property
+    @property
     def hardware_entries(self) -> int:
-        """TCAM slots this logical entry occupies (prefix expansion).
+        """TCAM slots this logical entry occupies (prefix expansion)."""
+        return _hardware_entries(self.hash_range)
 
-        Computed once per entry: experiments read it per snapshot via
-        :meth:`TcamTable.entry_count`, and the prefix expansion
-        (`range_to_cidr_count`) is by far the most expensive part.
-        """
-        if self.hash_range is None:
-            return 1
-        lo, hi = self.hash_range
-        size = 1 << self.HASH_BITS
-        start = int(round(lo * size))
-        stop = int(round(hi * size)) - 1
-        if stop < start:
-            return 1
-        return range_to_cidr_count(start, stop, bits=self.HASH_BITS)
+
+@lru_cache(maxsize=1024)
+def _hardware_entries(hash_range: Optional[Tuple[float, float]]) -> int:
+    """Prefix rules realising ``[lo, hi)`` at :attr:`TcamEntry.HASH_BITS`.
+
+    Memoised per range, not per entry: an install of a plan builds a fresh
+    entry for every sub-class, most of them over the same few ranges
+    (``(0.0, 1.0)`` above all), and the prefix expansion
+    (`range_to_cidr_count`) is by far the most expensive part.
+    """
+    if hash_range is None:
+        return 1
+    lo, hi = hash_range
+    size = 1 << TcamEntry.HASH_BITS
+    start = int(round(lo * size))
+    stop = int(round(hi * size)) - 1
+    if stop < start:
+        return 1
+    return range_to_cidr_count(start, stop, bits=TcamEntry.HASH_BITS)
 
 
 class RuleEpoch:
@@ -169,8 +177,8 @@ class TcamTable:
         self._hw_count = 0
         # Scan index, rebuilt lazily per generation.
         self._index_generation = -1
-        self._by_class: Dict[str, List[Tuple[int, TcamEntry]]] = {}
-        self._wildcard: List[Tuple[int, TcamEntry]] = []
+        self._by_class: Dict[str, List[TcamEntry]] = {}
+        self._wildcard: List[TcamEntry] = []
 
     # ------------------------------------------------------------------
     @property
@@ -194,7 +202,7 @@ class TcamTable:
         idx = bisect_right(self._prio_keys, key)
         self._prio_keys.insert(idx, key)
         self._entries.insert(idx, entry)
-        self._hw_count += entry.hardware_entries
+        self._hw_count += _hardware_entries(entry.hash_range)
         self._moved()
 
     def remove_where(self, predicate) -> int:
@@ -254,25 +262,21 @@ class TcamTable:
     ) -> Optional[TcamEntry]:
         """Like :meth:`lookup` on raw fields, without the hit/miss counters.
 
-        Merges the class's index list with the wildcard list.  Both carry
-        each entry's position in the full priority order, so the merge
-        visits candidates in exactly the order :meth:`_scan_all` would.
+        Scans the class's index list: every entry the class can match, in
+        the order :meth:`_scan_all` would visit them.
         """
         if self._index_generation != self._generation:
             self._rebuild_index()
         tag = host_tag if host_tag is not None else "EMPTY"
-        a = self._by_class.get(class_id, ()) if class_id is not None else ()
-        b = self._wildcard
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la or j < lb:
-            if j >= lb or (i < la and a[i][0] < b[j][0]):
-                e = a[i][1]
-                i += 1
-            else:
-                e = b[j][1]
-                j += 1
-            if e.matches_fields(class_id, tag, flow_hash):
+        # No wildcard is keyed by None, so class_id=None scans the wildcards.
+        # The class test of TcamEntry.matches_fields holds by construction;
+        # the tag and hash-range tests follow, inlined.
+        for e in self._by_class.get(class_id, self._wildcard):
+            want = e.host_tag_is
+            if want is not None and want != tag:
+                continue
+            hash_range = e.hash_range
+            if hash_range is None or hash_range[0] <= flow_hash < hash_range[1]:
                 return e
         return None
 
@@ -289,12 +293,11 @@ class TcamTable:
         if self._index_generation != self._generation:
             self._rebuild_index()
         bounds = set()
-        for candidates in (self._by_class.get(class_id, ()), self._wildcard):
-            for _pos, e in candidates:
-                if e.hash_range is not None:
-                    for b in e.hash_range:
-                        if 0.0 < b < 1.0:
-                            bounds.add(b)
+        for e in self._by_class.get(class_id, self._wildcard):
+            if e.hash_range is not None:
+                for b in e.hash_range:
+                    if 0.0 < b < 1.0:
+                        bounds.add(b)
         return sorted(bounds)
 
     def _scan_all(
@@ -307,13 +310,19 @@ class TcamTable:
         return None
 
     def _rebuild_index(self) -> None:
-        by_class: Dict[str, List[Tuple[int, TcamEntry]]] = {}
-        wildcard: List[Tuple[int, TcamEntry]] = []
-        for pos, e in enumerate(self._entries):
+        by_class: Dict[str, List[TcamEntry]] = {}
+        wildcard: List[TcamEntry] = []
+        for e in self._entries:
             if e.class_id is None:
-                wildcard.append((pos, e))
+                # A wildcard follows everything already listed, in every list.
+                wildcard.append(e)
+                for candidates in by_class.values():
+                    candidates.append(e)
             else:
-                by_class.setdefault(e.class_id, []).append((pos, e))
+                candidates = by_class.get(e.class_id)
+                if candidates is None:
+                    by_class[e.class_id] = candidates = list(wildcard)
+                candidates.append(e)
         self._by_class = by_class
         self._wildcard = wildcard
         self._index_generation = self._generation

@@ -54,6 +54,8 @@ class VSwitch:
 
     def __init__(self, switch: str, epoch: Optional[RuleEpoch] = None) -> None:
         self.switch = switch
+        #: The trace name of this vSwitch (what a visit records).
+        self._port_name = f"ovs-{switch}"
         self._rules: Dict[Tuple[str, str, Optional[int]], VSwitchRule] = {}
         self._instances: Dict[str, VNFInstance] = {}
         # Classification for packets originating at production VMs inside
@@ -108,8 +110,9 @@ class VSwitch:
         in_port: str = UPLINK,
     ) -> None:
         """Install/replace the rule for one (port, class, sub-class) key."""
+        instances = self._instances
         for iid in rule.instance_ids:
-            if iid not in self._instances:
+            if iid not in instances:
                 raise KeyError(
                     f"vSwitch at {self.switch!r}: unknown instance {iid!r}"
                 )
@@ -152,7 +155,8 @@ class VSwitch:
                 a rule-generation bug, surfaced loudly.
         """
         self.packets_in += 1
-        packet.visit("vswitch", f"ovs-{self.switch}")
+        trace = packet.trace
+        trace.append(("vswitch", self._port_name))
         key = (in_port, packet.class_id, packet.subclass_tag)
         rule = self._rules.get(key)
         if rule is None:
@@ -160,12 +164,13 @@ class VSwitch:
                 f"vSwitch at {self.switch!r}: no rule for {key!r} "
                 f"(installed: {sorted(self._rules)})"
             )
+        instances = self._instances
+        size = packet.size_bytes
         for iid in rule.instance_ids:
-            instance = self._instances[iid]
-            if not instance.consume(packet.size_bytes, now):
+            if not instances[iid].consume(size, now):
                 self.packets_dropped += 1
                 return None
-            packet.visit("vnf", iid)
+            trace.append(("vnf", iid))
         packet.host_tag = rule.exit_host_tag
         return packet
 
@@ -248,7 +253,7 @@ class VSwitch:
                 packet.subclass_tag = sub_id
                 if first_host == self.switch:
                     return self.process(packet, now)
-                packet.visit("vswitch", f"ovs-{self.switch}")
+                packet.visit("vswitch", self._port_name)
                 packet.host_tag = first_host
                 return packet
         raise KeyError(
