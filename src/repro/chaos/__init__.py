@@ -9,7 +9,7 @@ downtime/violation accounting in :mod:`repro.chaos.metrics` and one-stop
 wiring in :mod:`repro.chaos.runner`.
 """
 
-from repro.chaos.detector import Detection, DetectorConfig, FailureDetector
+from repro.chaos.detector import Detection, FailureDetector
 from repro.chaos.injector import FaultInjector
 from repro.chaos.metrics import (
     ChaosMetrics,
@@ -39,7 +39,6 @@ __all__ = [
     "ChaosRunResult",
     "ConvergenceRecord",
     "Detection",
-    "DetectorConfig",
     "FailureDetector",
     "FaultEvent",
     "FaultInjector",

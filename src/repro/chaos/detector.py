@@ -2,20 +2,20 @@
 
 The detector models the orchestrator's monitoring plane (Fig. 1's
 "monitors the available resource on APPLE hosts and reports"): every
-``heartbeat_interval`` seconds each monitored entity — VNF VM, APPLE
+:data:`HEARTBEAT_INTERVAL` seconds each monitored entity — VNF VM, APPLE
 host, link — is expected to report.  A dead VM, crashed host, or downed
-link reports nothing; after ``miss_threshold`` consecutive silent ticks
-the entity is declared failed (once), giving the configurable
-detection-latency model
+link reports nothing; after :data:`MISS_THRESHOLD` consecutive silent
+ticks the entity is declared failed (once), giving the detection-latency
+model
 
-    detection latency ≈ heartbeat_interval × miss_threshold
+    detection latency ≈ HEARTBEAT_INTERVAL × MISS_THRESHOLD
 
 Health thresholds ride on the same heartbeats: a VM whose reported
-effective capacity drops below ``degraded_capacity_ratio`` × nominal for
-``miss_threshold`` consecutive reports is declared degraded (a brownout).
-Link recovery (a flap lifting) is detected symmetrically when a suspect
-link resumes beating, so the controller can converge back onto primary
-paths.
+effective capacity drops below :data:`DEGRADED_CAPACITY_RATIO` × nominal
+for :data:`MISS_THRESHOLD` consecutive reports is declared degraded (a
+brownout).  Link recovery (a flap lifting) is detected symmetrically when
+a suspect link resumes beating, so the controller can converge back onto
+primary paths.
 
 The suspicion book-keeping is :class:`repro.cloud.monitoring.LivenessTracker`.
 """
@@ -32,20 +32,13 @@ from repro.sim.kernel import Simulator, Timer
 from repro.topology.graph import Topology
 
 
-@dataclass
-class DetectorConfig:
-    """The detection-latency model's knobs."""
-
-    heartbeat_interval: float = 0.5
-    miss_threshold: int = 2
-    #: A VM reporting less than this fraction of nominal capacity is
-    #: (after miss_threshold consecutive reports) declared degraded.
-    degraded_capacity_ratio: float = 0.9
-
-    @property
-    def detection_latency(self) -> float:
-        """The model's nominal latency from fault to declaration."""
-        return self.heartbeat_interval * self.miss_threshold
+#: Seconds between heartbeat rounds.
+HEARTBEAT_INTERVAL = 0.5
+#: Consecutive silent (or unhealthy) reports before a verdict.
+MISS_THRESHOLD = 2
+#: A VM reporting less than this fraction of nominal capacity is (after
+#: MISS_THRESHOLD consecutive reports) declared degraded.
+DEGRADED_CAPACITY_RATIO = 0.9
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,6 @@ class FailureDetector:
     Args:
         sim: shared simulator (heartbeats ride on its clock).
         controller: monitored deployment + topology ground truth.
-        config: latency model.
         on_detect: callback receiving each tick's fresh detections
             (recovery's entry point).
     """
@@ -72,24 +64,21 @@ class FailureDetector:
         self,
         sim: Simulator,
         controller: AppleController,
-        config: Optional[DetectorConfig] = None,
         on_detect: Optional[Callable[[List[Detection]], None]] = None,
     ) -> None:
         self.sim = sim
         self.controller = controller
-        self.config = config or DetectorConfig()
         self.on_detect = on_detect
-        threshold = self.config.miss_threshold
-        self._instances = LivenessTracker(threshold)
-        self._hosts = LivenessTracker(threshold)
-        self._links = LivenessTracker(threshold)
-        self._health = LivenessTracker(threshold)
+        self._instances = LivenessTracker(MISS_THRESHOLD)
+        self._hosts = LivenessTracker(MISS_THRESHOLD)
+        self._links = LivenessTracker(MISS_THRESHOLD)
+        self._health = LivenessTracker(MISS_THRESHOLD)
         self.detections: List[Detection] = []
         self._timer: Optional[Timer] = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self._timer = self.sim.every(self.config.heartbeat_interval, self.tick)
+        self._timer = self.sim.every(HEARTBEAT_INTERVAL, self.tick)
 
     def stop(self) -> None:
         if self._timer is not None:
@@ -112,8 +101,7 @@ class FailureDetector:
                     self._instances.beat(key, now)
                     # The heartbeat carries a capacity self-report.
                     nominal = inst.nf_type.capacity_mbps
-                    ratio = self.config.degraded_capacity_ratio
-                    if inst.effective_capacity_mbps < ratio * nominal:
+                    if inst.effective_capacity_mbps < DEGRADED_CAPACITY_RATIO * nominal:
                         if self._health.miss(key):
                             found.append(Detection(now, "brownout", key))
                     else:

@@ -27,6 +27,10 @@ from repro.core.verify import probe_faults
 from repro.dataplane.packet import Packet
 from repro.sim.kernel import Simulator, Timer
 
+#: Probe cadence (sim seconds): one downtime / policy-violation-seconds
+#: granule per tick.
+PROBE_INTERVAL = 0.25
+
 
 @dataclass
 class FaultRecord:
@@ -107,7 +111,6 @@ class ChaosMetrics:
         self.timeline: List[Tuple[float, str, str]] = []
         self.convergences: List[ConvergenceRecord] = []
         self.ticks: List[ProbeTick] = []
-        self.probe_interval: float = 0.0
 
     # ------------------------------------------------------------------
     # Event plane
@@ -188,12 +191,12 @@ class ChaosMetrics:
     @property
     def downtime_seconds(self) -> float:
         """Probe intervals during which at least one probe black-holed."""
-        return self.probe_interval * sum(1 for t in self.ticks if t.dropped)
+        return PROBE_INTERVAL * sum(1 for t in self.ticks if t.dropped)
 
     @property
     def policy_violation_seconds(self) -> float:
         """Intervals during which delivered probes violated policy/path."""
-        return self.probe_interval * sum(
+        return PROBE_INTERVAL * sum(
             1
             for t in self.ticks
             if t.policy_violations or t.interference_violations
@@ -331,15 +334,11 @@ class ProbeLoop:
         self,
         sim: Simulator,
         deployment_fn: Callable[[], "object"],
-        interval: float = 0.25,
         on_tick: Optional[Callable[[ProbeTick], None]] = None,
         expected_path_fn: Optional[Callable[[str], Optional[tuple]]] = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("probe interval must be positive")
         self.sim = sim
         self.deployment_fn = deployment_fn
-        self.interval = interval
         self.on_tick = on_tick
         #: Oracle for the path a class is *currently* routed on.  With a
         #: southbound fabric attached, rule pushes are asynchronous: the
@@ -358,7 +357,7 @@ class ProbeLoop:
             (c.class_id, c.src, c.dst, tuple(c.chain.names))
             for c in deployment.plan.classes
         ]
-        self._timer = self.sim.every(self.interval, self.tick)
+        self._timer = self.sim.every(PROBE_INTERVAL, self.tick)
 
     def stop(self) -> None:
         if self._timer is not None:

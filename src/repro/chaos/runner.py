@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.chaos.detector import DetectorConfig, FailureDetector
+from repro.chaos.detector import FailureDetector
 from repro.obs.collectors import collect_chaos, trace_chaos_timeline
 from repro.chaos.injector import FaultInjector
 from repro.chaos.metrics import ChaosMetrics, ProbeLoop
@@ -77,8 +77,6 @@ class ChaosEngine:
         schedule: the deterministic fault schedule (may be empty — an
             empty schedule attached must leave the run bit-identical to a
             plain run, the no-op regression).
-        detector_config: detection-latency model.
-        probe_interval: traffic-plane sampling cadence (seconds).
         southbound: a configured
             :class:`~repro.southbound.fabric.SouthboundFabric` over the
             deployment's network (lossy channels, ``drain_retired``, …);
@@ -96,8 +94,6 @@ class ChaosEngine:
         sim: Simulator,
         controller: AppleController,
         schedule: FaultSchedule,
-        detector_config: Optional[DetectorConfig] = None,
-        probe_interval: float = 0.25,
         southbound: Optional[SouthboundFabric] = None,
         southbound_schedule: Optional[FaultSchedule] = None,
     ) -> None:
@@ -116,10 +112,9 @@ class ChaosEngine:
         self.southbound = southbound
         self.southbound_schedule = southbound_schedule
         self.metrics = ChaosMetrics()
-        self.metrics.probe_interval = probe_interval
         self.recovery = RecoveryManager(sim, controller, self.metrics, southbound)
         self.detector = FailureDetector(
-            sim, controller, detector_config, on_detect=self.recovery.on_detections
+            sim, controller, on_detect=self.recovery.on_detections
         )
         # One injector, both schedules: data-plane faults first, then the
         # control-plane disconnects (arming order breaks same-time ties).
@@ -137,7 +132,6 @@ class ChaosEngine:
         self.probes = ProbeLoop(
             sim,
             lambda: controller.deployment,
-            interval=probe_interval,
             on_tick=self.metrics.record_tick,
             expected_path_fn=southbound.active_path,
         )

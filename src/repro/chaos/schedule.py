@@ -18,7 +18,8 @@ Fault taxonomy (Sec. "Failure model" of DESIGN.md):
   recovery typically re-places the same slot and restarts the VM.
 * ``BROWNOUT`` — partial degradation: a VM keeps running at
   ``severity`` × nominal capacity for ``duration`` (unless the operator
-  replaces it first).
+  replaces it first); both are drawn from :data:`BROWNOUT_SEVERITY` /
+  :data:`BROWNOUT_DURATION`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.sim.rng import SeededRNG, derive
+from repro.sim.rng import SeededRNG, check_count, check_span, derive
 from repro.topology.graph import Topology
 
 #: Label of the chaos substream (satellite: RNG stream hygiene).
@@ -42,6 +43,13 @@ CONTROLLER_STREAM = "chaos.controller"
 
 #: Separator inside link targets ("u|v", canonically ordered).
 LINK_SEP = "|"
+
+#: Brownout duration range (seconds).
+BROWNOUT_DURATION = (8.0, 20.0)
+#: Remaining-capacity fraction range for brownouts.
+BROWNOUT_SEVERITY = (0.2, 0.6)
+#: Per-crash controller downtime range (seconds until recovery runs).
+CONTROLLER_DOWNTIME = (0.5, 2.0)
 
 
 class FaultKind(enum.Enum):
@@ -110,7 +118,10 @@ class FaultEvent:
 
 @dataclass
 class ChaosConfig:
-    """Knobs of schedule generation (counts per fault kind + timing)."""
+    """Knobs of schedule generation (counts per fault kind + timing).
+
+    Validated on construction: a ``ValueError`` names the bad field.
+    """
 
     link_flaps: int = 1
     host_crashes: int = 1
@@ -119,9 +130,12 @@ class ChaosConfig:
     #: Faults are injected at uniform times inside this window (seconds).
     window: Tuple[float, float] = (5.0, 45.0)
     flap_duration: Tuple[float, float] = (8.0, 20.0)
-    brownout_duration: Tuple[float, float] = (8.0, 20.0)
-    #: Remaining-capacity fraction range for brownouts.
-    brownout_severity: Tuple[float, float] = (0.2, 0.6)
+
+    def __post_init__(self) -> None:
+        for name in ("link_flaps", "host_crashes", "vnf_crashes", "brownouts"):
+            check_count(name, getattr(self, name))
+        check_span("window", self.window)
+        check_span("flap_duration", self.flap_duration)
 
     def total_faults(self) -> int:
         return (
@@ -207,8 +221,6 @@ def generate_schedule(
     """
     rng = SeededRNG(derive(seed, CHAOS_STREAM))
     lo, hi = config.window
-    if hi < lo:
-        raise ValueError("chaos window end precedes its start")
 
     events: List[FaultEvent] = []
 
@@ -247,8 +259,8 @@ def generate_schedule(
         stamp(
             FaultKind.BROWNOUT,
             target,
-            duration=rng.uniform(*config.brownout_duration),
-            severity=rng.uniform(*config.brownout_severity),
+            duration=rng.uniform(*BROWNOUT_DURATION),
+            severity=rng.uniform(*BROWNOUT_SEVERITY),
         )
 
     events.sort(key=lambda ev: (ev.time, ev.kind.value, ev.target))
@@ -260,17 +272,20 @@ def generate_schedule(
 # ---------------------------------------------------------------------------
 @dataclass
 class ControllerCrashConfig:
-    """Knobs of controller-crash schedule generation.
+    """Knobs of controller-crash schedule generation (validated).
 
     Attributes:
         crashes: how many times the controller dies during the run.
-        window: crash times are drawn uniformly inside this window.
-        downtime: per-crash downtime range (seconds until recovery runs).
+        window: crash times are drawn uniformly inside this window; each
+            crash's downtime from :data:`CONTROLLER_DOWNTIME`.
     """
 
     crashes: int = 2
     window: Tuple[float, float] = (8.0, 34.0)
-    downtime: Tuple[float, float] = (0.5, 2.0)
+
+    def __post_init__(self) -> None:
+        check_count("crashes", self.crashes)
+        check_span("window", self.window)
 
 
 def generate_controller_crashes(
@@ -286,13 +301,11 @@ def generate_controller_crashes(
     """
     rng = SeededRNG(derive(seed, CONTROLLER_STREAM))
     lo, hi = config.window
-    if hi < lo:
-        raise ValueError("controller-crash window end precedes its start")
     events: List[FaultEvent] = []
     busy_until = float("-inf")
     for _ in range(config.crashes):
         t = float(rng.uniform(lo, hi))
-        d = float(rng.uniform(*config.downtime))
+        d = float(rng.uniform(*CONTROLLER_DOWNTIME))
         if t < busy_until + 1.0:
             t = busy_until + 1.0
         busy_until = t + d

@@ -21,8 +21,8 @@ from repro.sim.kernel import Simulator
 
 #: Installing forwarding rules via the ODL REST API (Sec. VIII-D), seconds.
 #: THE single source of the 70 ms install latency: the southbound
-#: channel's healthy round trip (`repro.southbound.config.ChannelConfig`)
-#: defaults to this — change it here and every consumer follows.
+#: channel's healthy round trip (`repro.southbound.config.INSTALL_LATENCY`)
+#: is this — change it here and every consumer follows.
 RULE_INSTALL_SECONDS = 0.070
 #: Neutron → ODL REST notification latency (Step 2), seconds.
 NEUTRON_NOTIFY_SECONDS = 0.8

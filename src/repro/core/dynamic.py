@@ -107,29 +107,31 @@ class OverloadDetector:
 # ---------------------------------------------------------------------------
 # Fluid-level handler (Fig. 12)
 # ---------------------------------------------------------------------------
+#: Utilisation above which an instance is overloaded (the paper sets the
+#: threshold below the true loss knee, so the handler reacts slightly
+#: before packets drop).
+OVERLOAD_UTIL = 0.95
+#: A diverged class rolls back once every instance of its *base* layout
+#: would sit below this utilisation — the hysteresis mirroring the
+#: paper's 8.5 Kpps up / 4 Kpps down.
+ROLLBACK_UTIL = 0.8
+#: Reaction delay when the relieving instance is a full VM instead of
+#: ClickOS (OpenStack boot + configuration), seconds.
+SLOW_NF_DELAY = 6.2
+
+
 @dataclass
 class FailoverConfig:
-    """Tunables of the fluid fast-failover model.
+    """Settings of the fluid fast-failover model.
 
     Attributes:
         enabled: disable to get the "without fast failover" baseline.
         detection_delay: seconds from overload onset to rules taking effect
             (counter poll + 70 ms rule install + 30 ms ClickOS reconfigure).
-        overload_util: utilisation above which an instance is overloaded
-            (the paper sets the threshold below the true loss knee, so the
-            default reacts slightly before packets drop).
-        rollback_util: a diverged class rolls back once every instance of
-            its *base* layout would sit below this utilisation — the
-            hysteresis mirroring the paper's 8.5 Kpps up / 4 Kpps down.
-        slow_nf_delay: reaction delay when the relieving instance is a full
-            VM instead of ClickOS (OpenStack boot + configuration).
     """
 
     enabled: bool = True
     detection_delay: float = 0.6
-    overload_util: float = 0.95
-    rollback_util: float = 0.8
-    slow_nf_delay: float = 6.2
 
 
 @dataclass
@@ -289,9 +291,12 @@ class DynamicHandler:
         return self.catalog.get(ref.nf).capacity_mbps
 
     def _overloaded(self, loads: Dict[InstanceRef, float]) -> List[InstanceRef]:
-        thr = self.config.overload_util
         return sorted(
-            (r for r, load in loads.items() if load > thr * self._capacity(r)),
+            (
+                r
+                for r, load in loads.items()
+                if load > OVERLOAD_UTIL * self._capacity(r)
+            ),
             key=lambda r: r.key,
         )
 
@@ -359,7 +364,7 @@ class DynamicHandler:
                         for ref in new_st.seq:
                             loads[ref] = loads.get(ref, 0.0) + freed * rate
                         if slow:
-                            delay = max(delay, self.config.slow_nf_delay)
+                            delay = max(delay, SLOW_NF_DELAY)
                     else:
                         st.weight += freed  # no resources: loss persists
                         for ref in st.seq:
@@ -383,7 +388,7 @@ class DynamicHandler:
                 load = loads.get(ref, 0.0) + freed * rate
                 util = load / self._capacity(ref)
                 candidate_util = max(candidate_util, util)
-                if util > self.config.overload_util:
+                if util > OVERLOAD_UTIL:
                     ok = False
                     break
             if ok and candidate_util < best_util:
@@ -476,7 +481,6 @@ class DynamicHandler:
                     base_loads[ref] = (
                         base_loads.get(ref, 0.0) + rate * st.base_weight
                     )
-        thr = self.config.rollback_util
         for cid, subs in self._state.items():
             diverged = any(st.is_extra for st in subs) or any(
                 abs(st.weight - st.base_weight) > 1e-12
@@ -489,7 +493,7 @@ class DynamicHandler:
                 ref for st in subs if not st.is_extra for ref in st.seq
             }
             safe = all(
-                base_loads.get(ref, 0.0) <= thr * self._capacity(ref)
+                base_loads.get(ref, 0.0) <= ROLLBACK_UTIL * self._capacity(ref)
                 for ref in base_refs
             )
             if not safe:

@@ -34,7 +34,7 @@ from repro.elastic.hysteresis import (
     HysteresisState,
     decide,
 )
-from repro.elastic.loop import ElasticConfig, ElasticController
+from repro.elastic.loop import ElasticController
 from repro.elastic.metrics import ElasticMetrics, ElasticTick, ScaleAction
 from repro.elastic.monitor import UtilizationSnapshot, utilization_snapshot
 from repro.elastic.slo import (
@@ -58,7 +58,6 @@ __all__ = [
     "HysteresisConfig",
     "HysteresisState",
     "decide",
-    "ElasticConfig",
     "ElasticController",
     "ElasticMetrics",
     "ElasticTick",

@@ -24,17 +24,16 @@ chain partially — which is how a run that sheds under a flash crowd
 still reports **zero policy-violation-seconds**.
 
 Determinism: offered load is a pure function of (seed, time); the
-decision core is pure in (config, snapshot); placement is the seeded
-warm-start engine.  Reruns with the same seed are bit-identical, and a
-disabled loop (``ElasticConfig(enabled=False)``) never arms its timer,
-leaving existing scenarios byte-for-byte unchanged.
+decision core is pure in (:data:`HYSTERESIS`, snapshot); placement is the
+seeded warm-start engine.  Reruns with the same seed are bit-identical,
+and a loop that is never started arms no timer, leaving existing
+scenarios byte-for-byte unchanged.
 """
 
 from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Set
 
 from repro.core.controller import AppleController
@@ -56,24 +55,14 @@ from repro.southbound.fabric import SouthboundFabric
 from repro.traffic.classes import TrafficClass
 
 
-@dataclass
-class ElasticConfig:
-    """Knobs for the scaling loop.
-
-    Attributes:
-        enabled: when False the loop never arms its timer — existing
-            scenarios replay bit-identically.
-        interval: seconds between control ticks.
-        hysteresis: watermark/dwell configuration.
-        slo_ceiling: utilization above which a tick counts toward
-            ``slo_violation_seconds`` (1.0 = demand exceeded the
-            planned, headroom-derated capacity).
-    """
-
-    enabled: bool = True
-    interval: float = 0.5
-    hysteresis: HysteresisConfig = field(default_factory=HysteresisConfig)
-    slo_ceiling: float = 1.0
+#: Watermarks and dwell of the scaling decision (see
+#: :mod:`repro.elastic.hysteresis` for why these values cannot flap).
+HYSTERESIS = HysteresisConfig()
+#: Seconds between control ticks.
+TICK_INTERVAL = 0.5
+#: Utilization above which a tick counts toward ``slo_violation_seconds``
+#: (1.0 = demand exceeded the planned, headroom-derated capacity).
+SLO_CEILING = 1.0
 
 
 class ElasticController:
@@ -91,7 +80,6 @@ class ElasticController:
             id`` (baseline × flash-crowd multiplier).
         slo_map: SLO class per class id; absent ids get
             :data:`~repro.elastic.slo.DEFAULT_SLO`.
-        config: loop configuration.
     """
 
     def __init__(
@@ -101,7 +89,6 @@ class ElasticController:
         fabric: SouthboundFabric,
         offered_fn: Callable[[float], Mapping[str, float]],
         slo_map: Optional[Mapping[str, SLOClass]] = None,
-        config: Optional[ElasticConfig] = None,
     ) -> None:
         if controller.deployment is None:
             raise ValueError("controller has no deployment to scale")
@@ -109,7 +96,6 @@ class ElasticController:
         self.controller = controller
         self.fabric = fabric
         self.offered_fn = offered_fn
-        self.config = config or ElasticConfig()
         self.catalog = controller.catalog
         self.headroom = controller.engine.config.capacity_headroom
         #: The full class population at baseline rates — admission
@@ -128,7 +114,7 @@ class ElasticController:
         self.state = HysteresisState()
         self.shed_ids: Set[str] = set()
         self.degraded_caps: Dict[str, float] = {}
-        self.metrics = ElasticMetrics(self.config.interval)
+        self.metrics = ElasticMetrics(TICK_INTERVAL)
         self._pending: Optional[ScaleAction] = None
         self._timer: Optional[Timer] = None
         #: Optional write-ahead journal (repro.resilience): every scale
@@ -177,9 +163,9 @@ class ElasticController:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Arm the periodic control tick (no-op when disabled)."""
-        if self.config.enabled and self._timer is None:
-            self._timer = self.sim.every(self.config.interval, self._tick)
+        """Arm the periodic control tick."""
+        if self._timer is None:
+            self._timer = self.sim.every(TICK_INTERVAL, self._tick)
 
     def stop(self) -> None:
         if self._timer is not None:
@@ -218,7 +204,7 @@ class ElasticController:
         action = "busy" if busy else HOLD
         if not busy:
             action, self.state = decide(
-                self.config.hysteresis, self.state, snap.max_utilization
+                HYSTERESIS, self.state, snap.max_utilization
             )
             if action != HOLD:
                 self._act(action, offered, snap)
@@ -229,7 +215,7 @@ class ElasticController:
                 offered_mbps=snap.offered_mbps,
                 action=action,
                 in_flight=busy or action != HOLD,
-                slo_violated=snap.max_utilization > self.config.slo_ceiling,
+                slo_violated=snap.max_utilization > SLO_CEILING,
             )
         )
 
@@ -246,7 +232,7 @@ class ElasticController:
         remains the authoritative oracle (a ``PlacementError`` bumps
         ``extra_shed`` and re-runs the oracle).
         """
-        target = self.config.hysteresis.target_utilization
+        target = HYSTERESIS.target_utilization
         demand: Dict[str, float] = {}
         for cid, rate in admitted.items():
             if rate <= 0:
@@ -271,7 +257,7 @@ class ElasticController:
         snap: UtilizationSnapshot,
     ) -> None:
         engine = self.controller.engine
-        target = self.config.hysteresis.target_utilization
+        target = HYSTERESIS.target_utilization
         extra = 0
         while True:
             admission = admission_control(

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.chaos.metrics import PROBE_INTERVAL
 from repro.chaos.schedule import (
     ControllerCrashConfig,
     FaultEvent,
@@ -56,8 +57,6 @@ QUICK_SCALE = (5, 3, 2)
 HORIZON = 45.0
 #: Checkpoint cadence for every run in this experiment (sim seconds).
 CHECKPOINT_INTERVAL = 4.0
-#: Probe cadence (sim seconds) — one PV-second granule per tick.
-PROBE_INTERVAL = 0.25
 #: Flash-crowd burst: gold CreateChains land inside this window, on
 #: their own substream so the base churn schedule stays untouched.
 BURST_WINDOW = (16.0, 19.0)

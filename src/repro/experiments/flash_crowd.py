@@ -24,11 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.chaos import ChaosEngine, FaultSchedule
 from repro.core.engine import EngineConfig
-from repro.elastic import (
-    ElasticConfig,
-    ElasticController,
-    assign_slo_classes,
-)
+from repro.elastic import ElasticController, assign_slo_classes
+from repro.elastic.loop import HYSTERESIS
 from repro.experiments.harness import (
     ExperimentResult,
     REPLAY_HEADROOM,
@@ -97,21 +94,20 @@ def _flash_row(
             for cid, rate in baseline.items()
         }
 
-    config = ElasticConfig(enabled=enabled)
     elastic = ElasticController(
         sim,
         controller,
         fabric,
         offered,
         slo_map=assign_slo_classes(sorted(baseline)),
-        config=config,
     )
-    elastic.start()
+    if enabled:
+        elastic.start()
     result = chaos.run(until=QUICK_HORIZON if quick else FULL_HORIZON)
     elastic.stop()
 
     em = elastic.metrics
-    high = config.hysteresis.high_watermark
+    high = HYSTERESIS.high_watermark
     absorb = em.time_to_absorb(schedule.windows(), high)
     absorb_max = max((a for a in absorb if a is not None), default=0.0)
     unabsorbed = sum(1 for a in absorb if a is None)

@@ -48,12 +48,12 @@ from repro.resilience.journal import COMMIT, INTENT, RECOVERY, Journal
 from repro.sim.kernel import Simulator
 from repro.tenancy.arbiter import Grant
 from repro.tenancy.intents import IntentRecord, intent_from_payload
-from repro.tenancy.orchestrator import DEFAULT_TCAM_BUDGET, TenantOrchestrator
+from repro.tenancy.orchestrator import TenantOrchestrator
 from repro.tenancy.worker import TenantWorker
 from repro.topology.graph import Topology
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
-from repro.vnf.types import DEFAULT_CATALOG, NFTypeCatalog
+from repro.vnf.types import DEFAULT_CATALOG
 
 #: Checkpoint payload used when the journal has no CHECKPOINT yet
 #: (a crash before the first cadence tick replays the whole journal).
@@ -134,7 +134,7 @@ def _restore_worker(
             src=src,
             dst=dst,
             path=orch.router.path(src, dst),
-            chain=PolicyChain(tuple(nf_names), orch.catalog),
+            chain=PolicyChain(tuple(nf_names), DEFAULT_CATALOG),
             rate_mbps=rate,
         )
     classes = [target[k] for k in sorted(target)]
@@ -185,12 +185,6 @@ def recover(
     *,
     seed: int,
     harvest: Optional[Dict[str, tuple]] = None,
-    catalog: NFTypeCatalog = DEFAULT_CATALOG,
-    engine_config=None,
-    channel_config=None,
-    tcam_budget: int = DEFAULT_TCAM_BUDGET,
-    audit_interval: float = 0.25,
-    admission_timeout: float = 8.0,
     checkpoint_interval: Optional[float] = None,
 ) -> Tuple[TenantOrchestrator, RecoveryReport]:
     """Rebuild an orchestrator from its journal (see module docstring).
@@ -214,17 +208,7 @@ def recover(
     checkpoint = journal.last_checkpoint()
     ckpt = checkpoint.payload if checkpoint is not None else _EMPTY_CHECKPOINT
 
-    orch = TenantOrchestrator(
-        topo,
-        sim,
-        seed=seed,
-        catalog=catalog,
-        engine_config=engine_config,
-        channel_config=channel_config,
-        tcam_budget=tcam_budget,
-        audit_interval=audit_interval,
-        admission_timeout=admission_timeout,
-    )
+    orch = TenantOrchestrator(topo, sim, seed=seed)
 
     # -- run accounting ------------------------------------------------
     orch.outcomes = dict(ckpt["outcomes"])
@@ -299,7 +283,7 @@ def recover(
     for record in to_replay:
         orch.bus.redeliver(record)
 
-    orch.start(audit_interval)
+    orch.start()
     if checkpoint_interval is not None:
         orch.attach_journal(journal, checkpoint_interval)
     else:

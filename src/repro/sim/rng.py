@@ -8,8 +8,10 @@ decouples component randomness from the order components are created in.
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +28,30 @@ def derive(seed: int, label: str) -> int:
     """
     mix = zlib.crc32(label.encode("utf-8"))
     return (int(seed) * 1_000_003 + mix) & 0x7FFFFFFF
+
+
+def check_count(name: str, value: int) -> None:
+    """Reject a draw count that is not a non-negative integer.
+
+    The ``ValueError`` names the field, so a hostile config fails where it
+    is built instead of being silently ignored by the generator.
+    """
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def check_span(name: str, span: Tuple[float, float]) -> None:
+    """Reject a ``(low, high)`` range a generator draws uniformly from.
+
+    Both ends must be finite and non-negative, and ``low <= high``; the
+    ``ValueError`` names the field (numpy would otherwise raise an
+    ``OverflowError`` or ``high - low < 0`` from inside the draw).
+    """
+    lo, hi = span
+    if not (0.0 <= lo < math.inf and 0.0 <= hi < math.inf):
+        raise ValueError(f"{name} must be finite and non-negative, got {span!r}")
+    if hi < lo:
+        raise ValueError(f"{name} end precedes its start: {span!r}")
 
 
 class SeededRNG:

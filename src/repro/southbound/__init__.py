@@ -7,11 +7,7 @@ See DESIGN.md, "Control-plane failure model".
 """
 
 from repro.southbound.channel import ControlChannel, SwitchAgent
-from repro.southbound.config import (
-    SOUTHBOUND_STREAM,
-    ChannelConfig,
-    SouthboundChaosConfig,
-)
+from repro.southbound.config import SOUTHBOUND_STREAM, SouthboundChaosConfig
 from repro.southbound.fabric import SouthboundFabric
 from repro.southbound.faults import generate_southbound_schedule
 from repro.southbound.messages import Ack, ControlMessage
@@ -27,7 +23,6 @@ from repro.southbound.transaction import Transaction
 
 __all__ = [
     "Ack",
-    "ChannelConfig",
     "ControlChannel",
     "ControlMessage",
     "EpochConvergence",

@@ -28,7 +28,17 @@ from repro.dataplane.tcam import TcamEntry
 from repro.dataplane.vswitch import VSwitchRule
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRNG
-from repro.southbound.config import ChannelConfig, SouthboundChaosConfig
+from repro.southbound.config import (
+    APPLY_FRACTION,
+    CIRCUIT_PROBE_INTERVAL,
+    CIRCUIT_THRESHOLD,
+    INSTALL_LATENCY,
+    JITTER_FRAC,
+    MAX_ATTEMPTS,
+    MAX_INFLIGHT,
+    SouthboundChaosConfig,
+    rto,
+)
 from repro.southbound.messages import (
     ACK_APPLIED,
     ACK_DUPLICATE,
@@ -39,7 +49,7 @@ from repro.southbound.messages import (
 )
 from repro.southbound.metrics import SouthboundMetrics
 
-#: Result handed to a sender whose message exhausted ``max_attempts``.
+#: Result handed to a sender whose message exhausted ``MAX_ATTEMPTS``.
 RESULT_FAILED = "failed"
 
 
@@ -159,7 +169,6 @@ class ControlChannel:
         self,
         sim: Simulator,
         agent: SwitchAgent,
-        config: ChannelConfig,
         chaos: SouthboundChaosConfig,
         rng: SeededRNG,
         metrics: SouthboundMetrics,
@@ -168,7 +177,6 @@ class ControlChannel:
     ) -> None:
         self.sim = sim
         self.agent = agent
-        self.config = config
         self.chaos = chaos
         self.rng = rng
         self.metrics = metrics
@@ -196,7 +204,7 @@ class ControlChannel:
     # ------------------------------------------------------------------
     def send(self, msg: ControlMessage, on_result: Callable[[str], None]) -> None:
         """Queue a message; ``on_result`` fires exactly once with the ack
-        status (or :data:`RESULT_FAILED` after ``max_attempts``)."""
+        status (or :data:`RESULT_FAILED` after ``MAX_ATTEMPTS``)."""
         self._queue.append(_Pending(msg=msg, on_result=on_result))
         self._pump()
 
@@ -216,7 +224,7 @@ class ControlChannel:
 
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        while self._queue and len(self._inflight) < self.config.max_inflight:
+        while self._queue and len(self._inflight) < MAX_INFLIGHT:
             pending = self._queue.popleft()
             self._inflight[pending.msg.cookie] = pending
             self._attempt(pending)
@@ -233,20 +241,17 @@ class ControlChannel:
         extra_back = self.rng.exponential(self.chaos.extra_delay_mean)
         u_jitter = self.rng.uniform()
 
-        cfg = self.config
         self.metrics.record_send(attempt)
         if self.disconnected or u_loss_fwd < self.chaos.loss_rate:
             self.metrics.record_loss()
         else:
-            forward = cfg.install_latency * cfg.apply_fraction + extra_fwd
-            back = cfg.install_latency * (1.0 - cfg.apply_fraction) + extra_back
+            forward = INSTALL_LATENCY * APPLY_FRACTION + extra_fwd
+            back = INSTALL_LATENCY * (1.0 - APPLY_FRACTION) + extra_back
             lost_back = u_loss_back < self.chaos.loss_rate
             self.sim.schedule(
                 forward, self._deliver, args=(pending, lost_back, back)
             )
-        timeout = cfg.rto(attempt) * (
-            1.0 + cfg.jitter_frac * (2.0 * u_jitter - 1.0)
-        )
+        timeout = rto(attempt) * (1.0 + JITTER_FRAC * (2.0 * u_jitter - 1.0))
         pending.timeout_event = self.sim.schedule(
             timeout, self._on_timeout, args=(pending, attempt)
         )
@@ -291,10 +296,10 @@ class ControlChannel:
         self.consecutive_timeouts += 1
         if (
             not self.circuit_open
-            and self.consecutive_timeouts >= self.config.circuit_threshold
+            and self.consecutive_timeouts >= CIRCUIT_THRESHOLD
         ):
             self._open_circuit()
-        if pending.attempts >= self.config.max_attempts:
+        if pending.attempts >= MAX_ATTEMPTS:
             pending.done = True
             self._inflight.pop(pending.msg.cookie, None)
             self.metrics.record_give_up()
@@ -303,9 +308,7 @@ class ControlChannel:
             return
         if self.circuit_open:
             # Degraded: probe at a slow cadence instead of tight backoff.
-            self.sim.schedule(
-                self.config.circuit_probe_interval, self._attempt, args=(pending,)
-            )
+            self.sim.schedule(CIRCUIT_PROBE_INTERVAL, self._attempt, args=(pending,))
         else:
             self._attempt(pending)
 

@@ -1,19 +1,21 @@
-"""Southbound channel tunables: latency, retries, chaos knobs.
+"""Southbound channel constants and the control-plane fault model.
 
-Single source of truth for install latency (satellite of ISSUE 5): the
-channel's healthy round-trip time defaults to
-:data:`repro.cloud.opendaylight.RULE_INSTALL_SECONDS` — the paper's
-measured 70 ms REST rule install — so the OpenDaylight facade and the
-southbound fabric (which every recovery, scale and tenant commit rides)
-attribute the same number instead of each hard-coding its own.
+Single source of truth for install latency: the channel's healthy
+round-trip time is :data:`repro.cloud.opendaylight.RULE_INSTALL_SECONDS`
+— the paper's measured 70 ms REST rule install — so the OpenDaylight
+facade and the southbound fabric (which every recovery, scale and tenant
+commit rides) attribute the same number instead of each hard-coding its
+own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 from repro.cloud.opendaylight import RULE_INSTALL_SECONDS
+from repro.sim.rng import check_count, check_span
 
 #: Label of the southbound chaos substream.  Derived independently of
 #: ``chaos.schedule`` so enabling control-plane chaos never perturbs an
@@ -21,53 +23,42 @@ from repro.cloud.opendaylight import RULE_INSTALL_SECONDS
 SOUTHBOUND_STREAM = "chaos.southbound"
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Per-switch control-channel behaviour (controller side).
+# Per-switch control-channel behaviour (controller side).
 
-    Attributes:
-        install_latency: healthy request→apply→ack round trip for one
-            control message.  Defaults to the paper's measured 70 ms rule
-            install; the forward (request) leg takes
-            ``apply_fraction`` × this, the ack leg the rest.
-        apply_fraction: fraction of the round trip spent before the switch
-            applies the ops.
-        retry_timeout: retransmission timeout of the first attempt.
-        backoff_factor: multiplicative backoff per retry.
-        max_backoff: cap on the retransmission timeout.
-        jitter_frac: deterministic jitter: each attempt's timeout is
-            scaled by ``1 ± jitter_frac`` drawn from the switch's seeded
-            substream.
-        max_attempts: attempts before a message (and its transaction
-            phase) is declared failed.
-        max_inflight: bounded in-flight window per switch; excess messages
-            queue FIFO.
-        circuit_threshold: consecutive timeouts before the breaker opens
-            and the switch is marked degraded.
-        circuit_probe_interval: while open, one probe retransmission per
-            interval; the first ack closes the breaker.
-        reconcile_interval: anti-entropy cadence of the fabric's
-            desired-state reconciler.
-    """
+#: Healthy request→apply→ack round trip of one control message: the
+#: paper's measured 70 ms rule install.  The forward (request) leg takes
+#: ``APPLY_FRACTION`` × this, the ack leg the rest.
+INSTALL_LATENCY = RULE_INSTALL_SECONDS
+#: Fraction of the round trip spent before the switch applies the ops.
+APPLY_FRACTION = 0.5
+#: Retransmission timeout of the first attempt (seconds).
+RETRY_TIMEOUT = 0.25
+#: Multiplicative backoff per retry.
+BACKOFF_FACTOR = 2.0
+#: Cap on the retransmission timeout (seconds).
+MAX_BACKOFF = 2.0
+#: Deterministic jitter: each attempt's timeout is scaled by
+#: ``1 ± JITTER_FRAC`` drawn from the switch's seeded substream.
+JITTER_FRAC = 0.25
+#: Attempts before a message (and its transaction phase) is declared
+#: failed.
+MAX_ATTEMPTS = 8
+#: Bounded in-flight window per switch; excess messages queue FIFO.
+MAX_INFLIGHT = 2
+#: Consecutive timeouts before the breaker opens and the switch is
+#: marked degraded.
+CIRCUIT_THRESHOLD = 3
+#: While the breaker is open, one probe retransmission per interval
+#: (seconds); the first ack closes it.
+CIRCUIT_PROBE_INTERVAL = 1.0
+#: Anti-entropy cadence of the fabric's desired-state reconciler
+#: (seconds).
+RECONCILE_INTERVAL = 0.5
 
-    install_latency: float = RULE_INSTALL_SECONDS
-    apply_fraction: float = 0.5
-    retry_timeout: float = 0.25
-    backoff_factor: float = 2.0
-    max_backoff: float = 2.0
-    jitter_frac: float = 0.25
-    max_attempts: int = 8
-    max_inflight: int = 2
-    circuit_threshold: int = 3
-    circuit_probe_interval: float = 1.0
-    reconcile_interval: float = 0.5
 
-    def rto(self, attempt: int) -> float:
-        """Unjittered retransmission timeout of ``attempt`` (1-based)."""
-        return min(
-            self.retry_timeout * self.backoff_factor ** (attempt - 1),
-            self.max_backoff,
-        )
+def rto(attempt: int) -> float:
+    """Unjittered retransmission timeout of ``attempt`` (1-based)."""
+    return min(RETRY_TIMEOUT * BACKOFF_FACTOR ** (attempt - 1), MAX_BACKOFF)
 
 
 @dataclass(frozen=True)
@@ -91,6 +82,18 @@ class SouthboundChaosConfig:
     window: Tuple[float, float] = (5.0, 25.0)
     #: Disconnect duration range (seconds).
     disconnect_duration: Tuple[float, float] = (2.0, 6.0)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate!r}")
+        if not 0.0 <= self.extra_delay_mean < math.inf:
+            raise ValueError(
+                "extra_delay_mean must be finite and non-negative, "
+                f"got {self.extra_delay_mean!r}"
+            )
+        check_count("disconnects", self.disconnects)
+        check_span("window", self.window)
+        check_span("disconnect_duration", self.disconnect_duration)
 
     def enabled(self) -> bool:
         """Whether any fault injection is configured at all."""

@@ -38,8 +38,8 @@ from repro.sim.kernel import Simulator, Timer
 from repro.sim.rng import SeededRNG, derive
 from repro.southbound.channel import ControlChannel, SwitchAgent
 from repro.southbound.config import (
+    RECONCILE_INTERVAL,
     SOUTHBOUND_STREAM,
-    ChannelConfig,
     SouthboundChaosConfig,
 )
 from repro.southbound.metrics import (
@@ -104,7 +104,6 @@ class SouthboundFabric:
         network: DataPlaneNetwork,
         seed: int,
         rulegen: RuleGenerator,
-        config: Optional[ChannelConfig] = None,
         chaos: Optional[SouthboundChaosConfig] = None,
         drain_retired: bool = False,
     ) -> None:
@@ -118,7 +117,6 @@ class SouthboundFabric:
         self.drain_retired = drain_retired
         self.drained_total = 0
         self._retiring: List[str] = []
-        self.config = config or ChannelConfig()
         self.chaos = chaos or SouthboundChaosConfig()
         self.metrics = SouthboundMetrics()
         #: Degradation hooks for the chaos layer (set by ChaosEngine).
@@ -268,7 +266,7 @@ class SouthboundFabric:
         """Arm the periodic reconciler."""
         if self._reconcile_timer is None:
             self._reconcile_timer = self.sim.every(
-                self.config.reconcile_interval, self._reconcile
+                RECONCILE_INTERVAL, self._reconcile
             )
 
     def stop(self) -> None:
@@ -372,7 +370,6 @@ class SouthboundFabric:
         channel = ControlChannel(
             self.sim,
             agent,
-            self.config,
             self.chaos,
             SeededRNG(derive(self._channel_seed, f"channel.{switch}")),
             self.metrics,

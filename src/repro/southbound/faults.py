@@ -32,8 +32,6 @@ def generate_southbound_schedule(
     """
     rng = SeededRNG(derive(seed, SOUTHBOUND_STREAM))
     lo, hi = config.window
-    if hi < lo:
-        raise ValueError("southbound chaos window end precedes its start")
 
     events: List[FaultEvent] = []
     pool = sorted(set(switches))

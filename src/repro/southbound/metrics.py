@@ -63,7 +63,7 @@ class SouthboundMetrics:
         default_factory=lambda: {"applied": 0, "duplicate": 0, "stale": 0}
     )
     timeouts: int = 0
-    give_ups: int = 0  # messages failed after max_attempts
+    give_ups: int = 0  # messages failed after MAX_ATTEMPTS
     circuit_opens: int = 0
     degraded_seconds: float = 0.0  # total circuit-open time across switches
     transactions: Dict[str, int] = field(

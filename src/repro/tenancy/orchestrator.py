@@ -24,17 +24,19 @@ from repro.core.engine import EngineConfig
 from repro.resilience.checkpoint import capture
 from repro.resilience.journal import CHECKPOINT, COMMIT, EPOCH, GRANT, SHUTDOWN
 from repro.sim.kernel import Simulator, Timer
-from repro.southbound.config import ChannelConfig
 from repro.tenancy.arbiter import CapacityArbiter
 from repro.tenancy.bus import IntentBus
 from repro.tenancy.intents import COMPLETED, Intent, IntentRecord
 from repro.tenancy.worker import TenantWorker
 from repro.topology.graph import Topology
 from repro.topology.routing import Router
-from repro.vnf.types import DEFAULT_CATALOG, NFTypeCatalog
+from repro.vnf.types import DEFAULT_CATALOG
 
-#: Default shared classification-TCAM budget across all tenants.
+#: Shared classification-TCAM budget across all tenants.
 DEFAULT_TCAM_BUDGET = 100_000
+#: Cross-tenant isolation audit period (sim seconds); a tick in
+#: violation accrues this much cross-tenant policy-violation-seconds.
+AUDIT_INTERVAL = 0.25
 
 
 class TenantOrchestrator:
@@ -47,10 +49,9 @@ class TenantOrchestrator:
         seed: run seed; all tenancy randomness lives on derived
             substreams (``tenancy.*``), so tenant workloads never perturb
             each other's draws.
-        tcam_budget: shared classification-entry budget.
-        audit_interval: cross-tenant isolation audit period (sim s).
-        admission_timeout: how long (sim s) a capacity-starved intent may
-            wait parked at the arbiter before being rejected.
+
+    Tenants plan with the default NF catalog and engine configuration
+    and share :data:`DEFAULT_TCAM_BUDGET`.
     """
 
     def __init__(
@@ -58,27 +59,17 @@ class TenantOrchestrator:
         topo: Topology,
         sim: Simulator,
         seed: int = 0,
-        catalog: NFTypeCatalog = DEFAULT_CATALOG,
-        engine_config: Optional[EngineConfig] = None,
-        channel_config: Optional[ChannelConfig] = None,
-        tcam_budget: int = DEFAULT_TCAM_BUDGET,
-        audit_interval: float = 0.25,
-        admission_timeout: float = 8.0,
     ) -> None:
         self.topo = topo
         self.sim = sim
         self.seed = seed
-        self.catalog = catalog
-        self.engine_config = engine_config or EngineConfig()
-        self.channel_config = channel_config or ChannelConfig()
         self.router = Router(topo)
         self.arbiter = CapacityArbiter(
             sim,
             {s: spec.cores for s, spec in topo.hosts.items()},
-            tcam_budget,
-            catalog,
-            capacity_headroom=self.engine_config.capacity_headroom,
-            admission_timeout=admission_timeout,
+            DEFAULT_TCAM_BUDGET,
+            DEFAULT_CATALOG,
+            capacity_headroom=EngineConfig().capacity_headroom,
         )
         self.bus = IntentBus(sim, seed=seed)
         self.bus.subscribe(self._dispatch)
@@ -203,11 +194,10 @@ class TenantOrchestrator:
     # ------------------------------------------------------------------
     # Cross-tenant isolation audit
     # ------------------------------------------------------------------
-    def start(self, audit_interval: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Arm the periodic cross-tenant audit."""
-        interval = audit_interval or 0.25
         if self._audit_timer is None:
-            self._audit_timer = self.sim.every(interval, self._audit, (interval,))
+            self._audit_timer = self.sim.every(AUDIT_INTERVAL, self._audit)
 
     def stop(self) -> None:
         """Stop periodic work; with a journal attached, drain losslessly.
@@ -298,7 +288,7 @@ class TenantOrchestrator:
         self.arbiter.dead = True
         return self._sever()
 
-    def _audit(self, interval: float) -> None:
+    def _audit(self) -> None:
         """One isolation tick: ledgers balanced, physical budgets hold."""
         self.audit_ticks += 1
         violated = self.arbiter.oversubscribed()
@@ -320,11 +310,11 @@ class TenantOrchestrator:
                     violated = True
                     break
         if violated:
-            self.cross_tenant_violation_seconds += interval
+            self.cross_tenant_violation_seconds += AUDIT_INTERVAL
             if obs.REGISTRY.enabled:
                 obs.metric(
                     "tenancy_cross_tenant_violation_seconds_total"
-                ).inc(interval)
+                ).inc(AUDIT_INTERVAL)
 
     # ------------------------------------------------------------------
     # Reporting

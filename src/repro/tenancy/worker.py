@@ -54,6 +54,7 @@ from repro.tenancy.intents import (
 )
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
+from repro.vnf.types import DEFAULT_CATALOG
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import cycle guard
     from repro.tenancy.orchestrator import TenantOrchestrator
@@ -72,8 +73,8 @@ class TenantWorker:
         self.slo = DEFAULT_SLO
         self.queue: List[IntentRecord] = []
         self.current: Optional[IntentRecord] = None
-        self.engine = OptimizationEngine(orch.catalog, orch.engine_config)
-        self.rulegen = RuleGenerator(orch.catalog)
+        self.engine = OptimizationEngine(DEFAULT_CATALOG)
+        self.rulegen = RuleGenerator(DEFAULT_CATALOG)
         self.fabric: Optional[SouthboundFabric] = None
         self.deployment: Optional[Deployment] = None
         self.ops_completed = 0
@@ -155,7 +156,7 @@ class TenantWorker:
                 dst=intent.dst,
                 path=self.orch.router.path(intent.src, intent.dst),
                 # PolicyChain raises KeyError on unknown NF types.
-                chain=PolicyChain(intent.chain, self.orch.catalog),
+                chain=PolicyChain(intent.chain, DEFAULT_CATALOG),
                 rate_mbps=intent.rate_mbps,
             )
             slo = SLO_CLASSES[intent.slo]
@@ -254,7 +255,6 @@ class TenantWorker:
             network,
             seed=derive(self.orch.seed, f"tenancy.sb.{self.tenant_id}"),
             rulegen=self.rulegen,
-            config=self.orch.channel_config,
         )
 
     def _converged(

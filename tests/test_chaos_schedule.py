@@ -5,6 +5,7 @@ import pytest
 
 from repro.chaos.schedule import (
     ChaosConfig,
+    ControllerCrashConfig,
     FaultKind,
     FaultSchedule,
     _flappable_links,
@@ -122,3 +123,25 @@ def test_generation_does_not_touch_other_streams():
     _schedule(seed=3)
     rng2 = SeededRNG(derive(3, "traffic.mvr"))
     assert before == [rng2.uniform() for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: ChaosConfig(link_flaps=-1), "link_flaps"),
+        (lambda: ChaosConfig(brownouts=1.5), "brownouts"),
+        (lambda: ChaosConfig(window=(float("nan"), 10.0)), "window"),
+        (lambda: ChaosConfig(window=(20.0, 10.0)), "window"),
+        (lambda: ChaosConfig(flap_duration=(4.0, 3.0)), "flap_duration"),
+        (lambda: ChaosConfig(flap_duration=(-1.0, 3.0)), "flap_duration"),
+        (lambda: ControllerCrashConfig(crashes=-1), "crashes"),
+        (lambda: ControllerCrashConfig(window=(5.0, float("inf"))), "window"),
+        (lambda: ControllerCrashConfig(window=(10.0, 5.0)), "window"),
+    ],
+)
+def test_hostile_config_is_rejected_naming_the_field(make, field):
+    # A negative count used to be ignored by the generator; a NaN or
+    # inverted range used to surface as numpy's OverflowError or
+    # "high - low < 0" from inside the draw.
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        make()

@@ -9,7 +9,6 @@ from repro.elastic import (
     ADMIT,
     DEGRADE,
     SHED,
-    ElasticConfig,
     ElasticController,
     HOLD,
     SCALE_IN,
@@ -262,16 +261,11 @@ def _baseline_run(with_disabled_elastic: bool):
     controller.attach_southbound(fabric)
     engine = ChaosEngine(sim, controller, FaultSchedule.empty(0), southbound=fabric)
     if with_disabled_elastic:
-        elastic = ElasticController(
-            sim,
-            controller,
-            fabric,
-            lambda now: {},
-            config=ElasticConfig(enabled=False),
-        )
-        elastic.start()
-        assert elastic.metrics.ticks_total == 0
+        # Disabled = built but never started: no timer, no tick.
+        elastic = ElasticController(sim, controller, fabric, lambda now: {})
     result = engine.run(until=6.0)
+    if with_disabled_elastic:
+        assert elastic.metrics.ticks_total == 0
     return result.signature(), fabric.state_signature()
 
 

@@ -19,6 +19,7 @@ from repro.dataplane.switch import classification_entry, pass_by_entry
 from repro.dataplane.vswitch import VSwitchRule
 from repro.sim.kernel import Simulator
 from repro.southbound import SouthboundFabric
+from repro.southbound.config import RECONCILE_INTERVAL
 from repro.southbound.state import InstalledView
 from repro.tenancy import CreateChain, TenantOrchestrator
 from repro.topology.datasets import internet2
@@ -153,7 +154,7 @@ def _fabric_on_a_deployment():
 
 def test_out_of_band_wipe_is_repaired_at_the_next_tick():
     sim, deployment, fabric = _fabric_on_a_deployment()
-    interval = fabric.config.reconcile_interval
+    interval = RECONCILE_INTERVAL
     fabric.start()
     sim.run(until=6 * interval + 0.01)
     assert fabric.metrics.reconcile_ticks == 6  # idle ticks are still counted

@@ -5,12 +5,13 @@ import json
 import pytest
 
 from repro.chaos.schedule import (
+    CONTROLLER_DOWNTIME,
     ControllerCrashConfig,
     FaultKind,
     generate_controller_crashes,
 )
 from repro.core.engine import EngineConfig
-from repro.elastic import ElasticConfig, ElasticController
+from repro.elastic import ElasticController
 from repro.elastic.hysteresis import HysteresisState
 from repro.experiments.controller_crash import run_once
 from repro.experiments.harness import (
@@ -325,20 +326,14 @@ def test_elastic_checkpoint_state_round_trips():
         sim, deployment.network, 0, controller.rule_generator
     )
     controller.attach_southbound(fabric)
-    loop = ElasticController(
-        sim, controller, fabric, lambda now: {},
-        config=ElasticConfig(enabled=False),
-    )
+    loop = ElasticController(sim, controller, fabric, lambda now: {})
     loop.state = HysteresisState(above=3, below=1)
     loop.shed_ids = {"z", "a"}
     loop.degraded_caps = {"a": 0.5}
     snap = json.loads(json.dumps(loop.checkpoint_state()))  # JSON-safe
     assert snap["shed_ids"] == ["a", "z"]
 
-    other = ElasticController(
-        sim, controller, fabric, lambda now: {},
-        config=ElasticConfig(enabled=False),
-    )
+    other = ElasticController(sim, controller, fabric, lambda now: {})
     other.restore_state(snap)
     assert other.state.above == 3 and other.state.below == 1
     assert other.shed_ids == {"a", "z"}
@@ -361,7 +356,7 @@ def test_controller_crash_schedule_is_deterministic():
     for ev in a:
         assert ev.kind is FaultKind.CONTROLLER_CRASH
         assert ev.target == "controller"
-        lo, hi = config.downtime
+        lo, hi = CONTROLLER_DOWNTIME
         assert lo <= ev.duration <= hi
 
 

@@ -27,13 +27,19 @@ from repro.experiments.harness import standard_setup
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRNG, derive
 from repro.southbound import (
-    ChannelConfig,
     SouthboundChaosConfig,
     SouthboundFabric,
     generate_southbound_schedule,
 )
 from repro.southbound.channel import RESULT_FAILED, ControlChannel, SwitchAgent
-from repro.southbound.config import SOUTHBOUND_STREAM
+from repro.southbound.config import (
+    INSTALL_LATENCY,
+    MAX_ATTEMPTS,
+    MAX_BACKOFF,
+    MAX_INFLIGHT,
+    SOUTHBOUND_STREAM,
+    rto,
+)
 from repro.southbound.messages import (
     ACK_APPLIED,
     ACK_DUPLICATE,
@@ -67,13 +73,12 @@ def _tiny_network() -> DataPlaneNetwork:
     return DataPlaneNetwork(topo)
 
 
-def _channel(sim, network, chaos=None, config=None):
+def _channel(sim, network, chaos=None):
     metrics = SouthboundMetrics()
     agent = SwitchAgent("a", network)
     channel = ControlChannel(
         sim,
         agent,
-        config or ChannelConfig(),
         chaos or SouthboundChaosConfig(),
         SeededRNG(derive(derive(SEED, SOUTHBOUND_STREAM), "channel.a")),
         metrics,
@@ -88,7 +93,7 @@ def _msg(epoch=1, txn_id=1, phase="add"):
 
 def test_install_latency_single_source():
     # Satellite: the paper's measured 70 ms lives in exactly one place.
-    assert ChannelConfig().install_latency == RULE_INSTALL_SECONDS
+    assert INSTALL_LATENCY == RULE_INSTALL_SECONDS
     # Recovery has no install delay of its own any more: over a loss-free
     # channel every convergence takes a whole number of acked round trips
     # (one per non-empty make-before-break phase) at exactly that latency.
@@ -132,13 +137,33 @@ def test_epoch_fencing_rejects_stale_messages():
     assert agent.ops_applied == 1
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        # NaN used to read as enabled() == False and run loss-free.
+        ({"loss_rate": float("nan")}, "loss_rate"),
+        ({"loss_rate": 1.5}, "loss_rate"),
+        # Negative: enabled() == False, yet every attempt would hit
+        # numpy's "scale < 0" inside a simulator callback.
+        ({"extra_delay_mean": -1.0}, "extra_delay_mean"),
+        ({"extra_delay_mean": float("inf")}, "extra_delay_mean"),
+        ({"disconnects": -1}, "disconnects"),
+        ({"window": (float("nan"), 25.0)}, "window"),
+        ({"window": (25.0, 5.0)}, "window"),
+        ({"disconnect_duration": (6.0, 2.0)}, "disconnect_duration"),
+    ],
+)
+def test_hostile_southbound_chaos_config_is_rejected(kwargs, field):
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        SouthboundChaosConfig(**kwargs)
+
+
 def test_backoff_schedule_is_exponential_and_capped():
-    cfg = ChannelConfig()
-    assert cfg.rto(1) == pytest.approx(0.25)
-    assert cfg.rto(2) == pytest.approx(0.5)
-    assert cfg.rto(3) == pytest.approx(1.0)
-    # ...and every later attempt is capped at max_backoff.
-    assert cfg.rto(6) == cfg.max_backoff
+    assert rto(1) == pytest.approx(0.25)
+    assert rto(2) == pytest.approx(0.5)
+    assert rto(3) == pytest.approx(1.0)
+    # ...and every later attempt is capped at MAX_BACKOFF.
+    assert rto(6) == MAX_BACKOFF
 
 
 def test_total_loss_retries_then_gives_up_and_opens_circuit():
@@ -150,12 +175,11 @@ def test_total_loss_retries_then_gives_up_and_opens_circuit():
     results = []
     channel.send(_msg(), results.append)
     sim.run(until=60.0)
-    cfg = channel.config
     assert results == [RESULT_FAILED]
     assert agent.ops_applied == 0
     assert metrics.messages_sent == 1
-    assert metrics.retries == cfg.max_attempts - 1
-    assert metrics.timeouts == cfg.max_attempts
+    assert metrics.retries == MAX_ATTEMPTS - 1
+    assert metrics.timeouts == MAX_ATTEMPTS
     assert metrics.give_ups == 1
     # The breaker opened after circuit_threshold consecutive timeouts.
     assert metrics.circuit_opens == 1
@@ -187,7 +211,7 @@ def test_inflight_window_queues_excess_messages():
     done = []
     for txn in range(1, 6):
         channel.send(_msg(txn_id=txn), lambda s, t=txn: done.append(t))
-    assert len(channel._inflight) == channel.config.max_inflight
+    assert len(channel._inflight) == MAX_INFLIGHT
     sim.run(until=2.0)
     assert done == [1, 2, 3, 4, 5]  # FIFO drain, all applied
     assert agent.ops_applied == 5
