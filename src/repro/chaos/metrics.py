@@ -322,8 +322,9 @@ class ProbeLoop:
     Every tick injects one probe at each sub-class's hash midpoint (plus a
     midpoint probe for baseline classes the current placement no longer
     carries, so black-holed traffic of stranded classes stays visible) and
-    scores the three Table I properties exactly like
-    :func:`repro.core.verify.verify_deployment` does.
+    scores each delivered probe with :func:`repro.core.verify.probe_faults`:
+    the chain-order and routing-path tests
+    :func:`repro.core.verify.verify_deployment` applies to every cell.
 
     The loop is deliberately independent of the chaos engine: a plain run
     (no chaos attached) drives the identical loop, which is what the

@@ -157,9 +157,9 @@ class ChaosEngine:
     def finalize(self) -> ChaosRunResult:
         """Stop timers, snapshot metrics, run the final verification.
 
-        The deterministic metrics dict is snapshotted *before* the final
-        verification probes pollute the delivery ledger, then the ledger
-        itself is read last so the reported stats include every probe.
+        The final verification reads the installed tables and sends no
+        packet, so the ledger read last holds exactly the run's own
+        traffic (the probe loop's included).
         """
         self.detector.stop()
         self.probes.stop()

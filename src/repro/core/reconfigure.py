@@ -104,7 +104,11 @@ def commit(
 
     Until then the caller's current deployment keeps describing the state
     actually serving traffic — the make-before-break transaction leaves
-    no partial-install window in between.  ``stranded`` and ``instances``
+    no partial-install window in between.  The converged epoch is audited
+    by :func:`verify_deployment`, which reads the installed tables and
+    sends no packet: auditing every epoch leaves the live network's
+    ledger and admission windows alone, and a broken rule comes back as
+    a violation in the report rather than an exception.  ``stranded`` and ``instances``
     are passed to ``push_desired`` unchanged.
     """
 

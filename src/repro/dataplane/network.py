@@ -28,11 +28,11 @@ admit through :func:`_admit`, the one sliding-window loop over plans.
 
 :meth:`walk_reference` is the hop-by-hop Table III pipeline
 (``PhysicalSwitch.process`` → ``TcamTable.lookup`` → ``VSwitch.process``)
-with no cache in front of it.  ``verify_deployment`` walks its probes
-through it (an audit must not trust the cache it audits), packets that
-arrive already tagged take it (:meth:`inject_from_host`), and the
-equivalence suites compare every other walker against it.  The pipeline is
-interpreted in exactly two places: there and in :meth:`_resolve_plan`.
+with no cache in front of it.  Packets that arrive already tagged take it
+(:meth:`inject_from_host`), and the equivalence suites compare every other
+walker against it.  The data plane interprets the pipeline in exactly two
+places: there and in :meth:`_resolve_plan`.  ``verify_deployment`` sends
+no packet: it reads the installed tables as data with code of its own.
 
 Delivery accounting is a counter ledger (delivered/dropped/violations)
 plus a bounded ring of recent :class:`DeliveryRecord` objects for

@@ -82,8 +82,8 @@ CATALOG: Tuple[MetricDef, ...] = (
     MetricDef("counter", "controller_verify_calls_total",
               "verify_deployment audits", ("result",)),
     MetricDef("counter", "controller_verify_probes_total",
-              "Reference walks of verify_deployment audits, one per "
-              "installed hash cell"),
+              "Cells of verify_deployment audits, one per installed hash "
+              "cell; no packet is sent"),
     # -------------------------------------------------------------- chaos
     MetricDef("counter", "chaos_faults_injected_total",
               "Faults applied by the chaos injector", ("kind",)),

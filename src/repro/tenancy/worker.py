@@ -8,7 +8,8 @@ tenant's capacity grant:
 
     target class set → arbiter grant → Optimization Engine solve →
     sub-class assignment → Rule Generator → southbound commit →
-    verify at convergence
+    verify at convergence (the installed tables read as data; no packet
+    enters the tenant's network)
 
 The worker's Optimization Engine is tenant-private, so warm-start
 templates cache per-blueprint structure: rate-only day-2 ops

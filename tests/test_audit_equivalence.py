@@ -1,15 +1,17 @@
-"""The audit against its first-written copy: same report, same counters.
+"""The audit against its first-written copy: same report, nothing touched.
 
-``verify_deployment`` walks its probes hop by hop through the installed
-tables.  ``tests/audit_reference.py`` keeps the audit and walk as they
-were first written.  Each case here builds twin deployments of one plan,
-breaks both the same way (or not at all), audits one with the program and
-the other with the copy, and requires everything a probe can touch to
-come out identical: the report (violation kinds, classes, detail strings,
-probes sent and delivered), every switch's ``packets_seen``, every table's
+``verify_deployment`` reads the installed tables as data and sends no
+packet.  ``tests/audit_reference.py`` keeps the packet audit and walk as
+they were first written.  Each case here builds twin deployments of one
+plan, breaks both the same way (or not at all), audits one with the
+program and the other, from a freshly reset runtime, with the copy, and
+requires the reports to be identical (violation kinds, classes, detail
+strings, probes sent and delivered).  The program's audit must touch
+nothing a packet can: every switch's ``packets_seen``, every table's
 ``lookup_count`` / ``miss_count``, every vSwitch's ``packets_in`` /
-``packets_dropped``, every instance's stats and admission window, and the
-network's delivery ledger.
+``packets_dropped``, every instance's stats and admission window, the
+network's delivery ledger and its rule epoch are exactly as they were
+before the audit.
 """
 
 import math
@@ -77,16 +79,19 @@ def _state(deployment):
     return switches, vswitches, instances, records, ledger, network.rule_epoch
 
 
-def _assert_twins_agree(program, reference, topo, audits=1, expect_no_loss=True):
-    """Audit both twins ``audits`` times; returns the program's reports
-    (the last one alone when ``audits`` is 1)."""
+def _assert_twins_agree(program, reference, topo, audits=1):
+    """Audit both twins ``audits`` times, the reference from a freshly
+    reset runtime each time; returns the program's reports (the last one
+    alone when ``audits`` is 1)."""
+    untouched = _state(program)
     reports = []
     for _ in range(audits):
-        ours = verify_deployment(program, topo, expect_no_loss=expect_no_loss)
-        theirs = reference_verify(reference, topo, expect_no_loss=expect_no_loss)
+        ours = verify_deployment(program, topo)
+        reference.network.reset_runtime_state()
+        theirs = reference_verify(reference, topo)
         assert _report(ours) == _report(theirs)
         reports.append(ours)
-    assert _state(program) == _state(reference)
+    assert _state(program) == untouched
     return reports if audits > 1 else reports[0]
 
 
@@ -120,19 +125,20 @@ def test_internet2_audits_identically():
 
 
 def test_browned_out_instances_refuse_the_same_probes():
-    """Probes are real packets stamped ``now=0``: with every instance's
-    window cut to two packets, repeated audits fill the windows and the
-    instances refuse probes, identically on both twins."""
+    """An instance browned out below one packet per window refuses every
+    probe: the program reads the budget, the reference's packets meet it.
+    Repeated audits report the same refusals, since the program's audit
+    leaves no packet in any window."""
     topo, controller, plan = internet2_plan()
     program, reference = _twins(topo, controller, plan)
     for deployment in (program, reference):
-        for inst in deployment.instances.values():
-            inst.degrade(2.0 / (inst.nf_type.capacity_pps * inst.window))
+        for _key, inst in sorted(deployment.instances.items())[::2]:
+            inst.degrade(0.5 / (inst.nf_type.capacity_pps * inst.window))
     reports = _assert_twins_agree(program, reference, topo, audits=3)
     refused = [r.probes_sent - r.probes_delivered for r in reports]
-    assert 0 < refused[0] < refused[-1]
-    assert sum(refused) == sum(
-        vsw.packets_dropped for vsw in program.network.vswitches.values()
+    assert 0 < refused[0] == refused[-1] < reports[0].probes_sent
+    assert refused[-1] == sum(
+        vsw.packets_dropped for vsw in reference.network.vswitches.values()
     )
 
 
@@ -224,11 +230,21 @@ def test_sliver_sabotage_audits_identically(case):
 
 
 def test_lossy_audit_reports_identically():
-    """``expect_no_loss=False``: dropped probes are not violations."""
+    """Every dropped cell is a delivery violation; the reference's
+    ``expect_no_loss=False`` report is the program's without them."""
     topo, program, reference = _twin_deploys("internet2")
     for deployment in (program, reference):
         classes = deployment.plan.classes
         _sabotage(deployment, classes[3], "drop", 0.2)
-    report = _assert_twins_agree(program, reference, topo, expect_no_loss=False)
-    assert report.ok
+    report = _assert_twins_agree(program, reference, topo)
     assert report.probes_delivered < report.probes_sent
+    assert report.by_kind() == {
+        "delivery": report.probes_sent - report.probes_delivered
+    }
+    reference.network.reset_runtime_state()
+    lossy = reference_verify(reference, topo, expect_no_loss=False)
+    assert lossy.ok
+    assert (lossy.probes_sent, lossy.probes_delivered) == (
+        report.probes_sent,
+        report.probes_delivered,
+    )

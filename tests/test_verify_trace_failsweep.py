@@ -42,20 +42,24 @@ def test_verifier_passes_clean_deployment(deployed):
 def test_verifier_catches_sabotaged_rules(deployed):
     topo, controller = deployed
     deployment = controller.deployment
-    # Sabotage: clear one vSwitch's rules so its packets blackhole loudly.
+    # Sabotage: clear one class's rules at one vSwitch.
     victim = next(iter(deployment.rules.vswitch_rules))
     vsw = deployment.network.vswitches[victim]
     saved = dict(vsw._rules)
-    vsw._rules = {
-        k: r for k, r in saved.items() if k[1] != sorted(saved)[0][1]
-    }
+    cleared = sorted(saved)[0][1]
+    vsw._rules = {k: r for k, r in saved.items() if k[1] != cleared}
     try:
-        with pytest.raises(KeyError):
-            # The walker surfaces missing rules as loud KeyErrors — a
-            # rule-generation bug, not silent packet loss.
-            verify_deployment(deployment, topo)
+        # A missing rule is a delivery violation naming the vSwitch and
+        # the key, reported rather than raised.
+        report = verify_deployment(deployment, topo)
     finally:
         vsw._rules = saved
+    assert not report.ok
+    missing = [
+        v for v in report.violations if f"vSwitch at {victim}: no rule for" in v.detail
+    ]
+    assert missing and {v.kind for v in missing} == {"delivery"}
+    assert {v.class_id for v in missing} == {cleared}
 
 
 def test_verifier_flags_core_oversubscription(deployed):
