@@ -2,9 +2,10 @@
 
 The shape of the Optimization Engine's model is a closed-form function of
 each class's host count ``H`` and chain length ``J``, so nothing builds an
-expression tree: one walk over the classes collects host positions and
-chains, and everything else is ``repeat`` / ``cumsum`` / ``unique`` over
-per-class ``(H, J)``, emitting the CSC matrix of a
+expression tree and nothing loops over classes in Python: the paths, laid
+end to end, give the host positions, each distinct chain is ranked once,
+and everything else is ``repeat`` / ``cumsum`` / ``bincount`` over per-class
+``(H, J)``, emitting the CSC matrix of a
 :class:`~repro.solver.lp.LinearProgram` together with the index arrays a
 :class:`PlacementTemplate` needs to rewrite rates and read solutions back.
 
@@ -39,7 +40,11 @@ checks all of this against an independent expression-tree reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+)
 
 import numpy as np
 
@@ -49,6 +54,11 @@ from repro.vnf.types import NFTypeCatalog
 
 #: (switch, NF) pair — one potential instance slot.
 Slot = Tuple[str, str]
+
+_CLASS_ID = attrgetter("class_id")
+_PATH = attrgetter("path")
+_CHAIN = attrgetter("chain.names")
+_RATE = attrgetter("rate_mbps")
 
 
 @dataclass
@@ -72,9 +82,13 @@ class PlacementTemplate:
     #: False when a rate was exactly zero at build time and so fell out of
     #: the sparsity pattern; such templates are single-shot.
     reusable: bool
-    #: d variable keys ``(class_id, path position, chain step)``; d variable
-    #: ``k`` is column ``k``.
-    _d_keys: List[Tuple[str, int, int]] = field(repr=False)
+    #: Class ids in class order, and each d variable's class (an index into
+    #: them), path position and chain step: d variable ``k`` (column ``k``)
+    #: is keyed ``(class_id, path position, chain step)``; see :meth:`d_keys`.
+    _class_ids: np.ndarray = field(repr=False)
+    _d_cls: np.ndarray = field(repr=False)
+    _d_pos: np.ndarray = field(repr=False)
+    _d_step: np.ndarray = field(repr=False)
     #: Renormalisation group (one per class × chain step) of each d var.
     _d_group: np.ndarray = field(repr=False)
     _n_groups: int = field(repr=False)
@@ -96,14 +110,21 @@ class PlacementTemplate:
     #: Eq. 6 memory rows in the same switch order; None when not modelled.
     _mem_rows: Optional[np.ndarray] = field(repr=False)
     _q_idx: np.ndarray = field(repr=False)
-    _rates: Optional[np.ndarray] = field(default=None, repr=False)
+    #: This solve's rate of each slot member's class (set by set_rates).
+    _member_rates: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def d_keys(self, columns: np.ndarray) -> Iterator[Tuple[str, int, int]]:
+        """The ``(class_id, path position, chain step)`` keys of d columns."""
+        return zip(
+            self._class_ids[self._d_cls[columns]].tolist(),
+            self._d_pos[columns].tolist(),
+            self._d_step[columns].tolist(),
+        )
 
     def set_rates(self, classes: Sequence[TrafficClass]) -> None:
         """Rewrite the Eq. 5 rate coefficients for a new snapshot."""
-        rates = np.fromiter(
-            (c.rate_mbps for c in classes), dtype=float, count=len(classes)
-        )
-        self._rates = rates
+        rates = np.array(list(map(_RATE, classes)), dtype=float)
+        self._member_rates = rates[self._member_class_idx]
         if self.reusable:
             self.lp.data[self._rate_positions] = rates[self._rate_class_idx]
         # Otherwise the rates were embedded at build time and the template
@@ -124,9 +145,7 @@ class PlacementTemplate:
 
     def slot_loads(self, solution: np.ndarray) -> np.ndarray:
         """L_vn per slot under an LP solution (vectorized Eq. 5 left side)."""
-        weights = (
-            self._rates[self._member_class_idx] * solution[self._member_var_idx]
-        )
+        weights = self._member_rates * solution[self._member_var_idx]
         return np.bincount(
             self._member_slot_idx, weights=weights, minlength=len(self.slots)
         )
@@ -139,13 +158,21 @@ class PlacementTemplate:
 
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Exclusive prefix sum: where each owner's run of items begins."""
-    return np.cumsum(counts) - counts
+    return counts.cumsum() - counts
+
+
+def _unique_inverse(codes: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for codes in ``[0, bound)``,
+    without the sort."""
+    present = np.zeros(bound, dtype=bool)
+    present[codes] = True
+    return present.nonzero()[0], (present.cumsum() - 1)[codes]
 
 
 def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(owner, offset)`` of each item when owner ``k`` holds ``counts[k]``."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    offset = np.arange(owner.size) - np.repeat(_starts(counts), counts)
+    owner = np.arange(counts.size).repeat(counts)
+    offset = np.arange(owner.size) - _starts(counts)[owner]
     return owner, offset
 
 
@@ -160,30 +187,36 @@ def assemble_placement_lp(
     """Assemble Eq. 1–6 for ``classes`` in the order the module pins."""
     hosts = sorted(sw for sw, free in available_cores.items() if free > 0)
     host_rank = {sw: r for r, sw in enumerate(hosts)}
-    nf_names = sorted({nf for cls in classes for nf in cls.chain})
+    class_ids = list(map(_CLASS_ID, classes))
+    paths = list(map(_PATH, classes))
+    chains = list(map(_CHAIN, classes))
+    # Each distinct chain once: where its NF ranks start in ``chain_nf``.
+    chain_at = {names: 0 for names in chains}
+    nf_names = sorted({nf for names in chain_at for nf in names})
     nf_rank = {nf: r for r, nf in enumerate(nf_names)}
+    chain_nf: List[int] = []
+    for names in chain_at:
+        chain_at[names] = len(chain_nf)
+        chain_nf.extend(nf_rank[nf] for nf in names)
 
-    # The one walk over the classes: host positions and chains, interned.
-    class_ids, n_hosts, n_steps = [], [], []
-    host_pos: List[int] = []
-    host_sw: List[int] = []
-    step_nf: List[int] = []
-    for cls in classes:
-        chain = [nf_rank[nf] for nf in cls.chain]
-        path = cls.path
-        here = [i for i, sw in enumerate(path) if sw in host_rank] if chain else []
-        class_ids.append(cls.class_id)
-        n_hosts.append(len(here))
-        n_steps.append(len(chain))
-        host_pos.extend(here)
-        host_sw.extend([host_rank[path[i]] for i in here])
-        step_nf.extend(chain)
-    H = np.asarray(n_hosts, dtype=np.intp)
-    J = np.asarray(n_steps, dtype=np.intp)
-    host_pos_arr = np.asarray(host_pos, dtype=np.intp)
-    host_sw_arr = np.asarray(host_sw, dtype=np.intp)
-    step_nf_arr = np.asarray(step_nf, dtype=np.intp)
-    rates = np.fromiter((c.rate_mbps for c in classes), dtype=float, count=len(classes))
+    # Host positions, from every path laid end to end: a path position is a
+    # host position when its switch is a host and its class has a chain.
+    n_classes = len(classes)
+    J = np.fromiter(map(len, chains), dtype=np.intp, count=n_classes)
+    path_cls, path_off = _ragged(
+        np.fromiter(map(len, paths), dtype=np.intp, count=n_classes)
+    )
+    rank = np.fromiter(
+        map(host_rank.get, chain.from_iterable(paths), repeat(-1)),
+        dtype=np.intp,
+        count=path_cls.size,
+    )
+    at_host = (rank >= 0) & (J > 0)[path_cls]
+    H = np.bincount(path_cls[at_host], minlength=n_classes)
+    host_pos_arr = path_off[at_host]
+    host_sw_arr = rank[at_host]
+    chain0 = np.fromiter(map(chain_at.__getitem__, chains), np.intp, n_classes)
+    rates = np.array(list(map(_RATE, classes)), dtype=float)
 
     # d columns: class c, step j, host position k (path position i).
     d_cls, within = _ragged(H * J)
@@ -192,25 +225,19 @@ def assemble_placement_lp(
     d_j, d_k = np.divmod(within, d_H)
     d_host = _starts(H)[d_cls] + d_k
     d_group = _starts(J)[d_cls] + d_j
-    d_keys = list(
-        zip(
-            np.asarray(class_ids, dtype=object)[d_cls].tolist(),
-            host_pos_arr[d_host].tolist(),
-            d_j.tolist(),
-        )
-    )
 
     # q columns: the sorted slots some d variable loads.
     n_nf = max(len(nf_names), 1)
-    slot_codes, d_slot = np.unique(
-        host_sw_arr[d_host] * n_nf + step_nf_arr[d_group], return_inverse=True
+    d_nf = np.asarray(chain_nf, dtype=np.intp)[chain0[d_cls] + d_j]
+    slot_codes, d_slot = _unique_inverse(
+        host_sw_arr[d_host] * n_nf + d_nf, len(hosts) * n_nf
     )
     slot_sw_rank, slot_nf = np.divmod(slot_codes, n_nf)
     n_slots = slot_codes.size
     slots = [
         (hosts[s], nf_names[n]) for s, n in zip(slot_sw_rank.tolist(), slot_nf.tolist())
     ]
-    owning, slot_switch = np.unique(slot_sw_rank, return_inverse=True)
+    owning, slot_switch = _unique_inverse(slot_sw_rank, len(hosts))
     switch_names = [hosts[s] for s in owning.tolist()]
     n_sw = len(switch_names)
     nf_types = [catalog.get(nf) for nf in nf_names]
@@ -267,7 +294,10 @@ def assemble_placement_lp(
         data[q_start + 2] = slot_mem
 
     # Slot members in (slot, column) order, and where their rates sit.
-    members = np.argsort(d_slot, kind="stable")
+    # (A stable sort of keys this small is a radix sort.)
+    members = np.argsort(
+        d_slot.astype(np.min_scalar_type(n_slots)), kind="stable"
+    )
     member_cls = d_cls[members]
     stored = rates[member_cls] != 0.0
     rate_positions = rate_at[members][stored]
@@ -287,10 +317,13 @@ def assemble_placement_lp(
     lhs[:n_ub] = -np.inf
     n = n_d + n_slots
     is_q = np.arange(n) >= n_d
+    d_pos = host_pos_arr[d_host]
 
     def var_name(col: int) -> str:
+        # Reads the arrays, not the template: the template holds the LP,
+        # which holds this function, and a cycle would outlive the cache.
         if col < n_d:
-            return "d[{},{},{}]".format(*d_keys[col])
+            return f"d[{class_ids[d_cls[col]]},{d_pos[col]},{d_j[col]}]"
         return "q[{},{}]".format(*slots[col - n_d])
 
     template = PlacementTemplate(
@@ -311,7 +344,10 @@ def assemble_placement_lp(
         ),
         slots=slots,
         reusable=bool(stored.all()),
-        _d_keys=d_keys,
+        _class_ids=np.asarray(class_ids, dtype=object),
+        _d_cls=d_cls,
+        _d_pos=d_pos,
+        _d_step=d_j,
         _d_group=d_group,
         _n_groups=int(J.sum()),
         _member_slot_idx=d_slot[members],

@@ -1,8 +1,11 @@
 """The Optimization Engine: traffic-aware VNF placement (Sec. IV).
 
-Builds the ILP of Eq. 1–8 over traffic classes and solves it by LP
-relaxation + iterative rounding (the paper's CPLEX-with-LP-relaxation
-production path) or exactly by branch-and-bound for small instances.
+Builds the ILP of Eq. 1–8 over traffic classes and solves it through its
+LP relaxation (the paper's CPLEX-with-LP-relaxation production path):
+ceiling rounding of the LP's slot loads with budget repair re-solves
+(``_solve_ceiling``), iterative rounding only as the fallback when repair
+does not converge, or exactly by branch-and-bound for small instances.
+A dust-consolidation pass then empties lightly loaded single instances.
 
 Formulation notes:
 
@@ -33,10 +36,12 @@ the same arrays.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -73,8 +78,9 @@ class EngineConfig:
             or ``"exact"`` (branch-and-bound, small instances only).
         min_class_rate_mbps: classes below this rate are clamped up to it,
             so even near-idle classes receive (shared) instances — APPLE
-            provisions proactively for potential flows (Sec. I).
-        max_bb_nodes: node limit for the exact solver.
+            provisions proactively for potential flows (Sec. I).  Finite
+            and non-negative.
+        max_bb_nodes: node limit for the exact solver, at least 1.
         capacity_headroom: fraction of each instance's capacity the engine
             may plan onto (Eq. 5 uses headroom x Cap_n), in (0, 1].  Below
             1.0 the placement keeps slack for traffic dynamics, mirroring
@@ -93,6 +99,15 @@ class EngineConfig:
         if not 0 < self.capacity_headroom <= 1:
             raise ValueError(
                 f"capacity_headroom must be in (0, 1], got {self.capacity_headroom!r}"
+            )
+        if not 0 <= self.min_class_rate_mbps < math.inf:
+            raise ValueError(
+                "min_class_rate_mbps must be finite and non-negative, "
+                f"got {self.min_class_rate_mbps!r}"
+            )
+        if not self.max_bb_nodes >= 1:
+            raise ValueError(
+                f"max_bb_nodes must be at least 1, got {self.max_bb_nodes!r}"
             )
 
 
@@ -146,13 +161,16 @@ class OptimizationEngine:
         rebuilt.
 
         Raises:
+            ValueError: a core or memory budget is NaN or negative.
             PlacementError: a class's path has no APPLE host, or the model
                 is infeasible (insufficient capacity anywhere).
         """
         started = time.perf_counter()
-        classes = [self._clamped(c) for c in classes]
-        self._check_paths(classes, available_cores)
-        if not any(c.chain_length for c in classes):
+        hosts = self._hosts(available_cores, available_memory_gb)
+        classes = self._clamped(classes)
+        structure = tuple(map(_STRUCTURE, classes))
+        self._check_paths(structure, hosts)
+        if not any(names for _, _, names in structure):
             # No chain step anywhere: no variables, nothing to solve.
             return PlacementPlan(
                 quantities={},
@@ -162,7 +180,7 @@ class OptimizationEngine:
                 objective=0.0,
                 solve_seconds=time.perf_counter() - started,
             )
-        key = self._structure_key(classes, available_cores, available_memory_gb)
+        key = self._structure_key(structure, hosts, available_memory_gb)
 
         # Never filled with a single-shot template; an LRU of four structures.
         template = self._templates.get(key)
@@ -243,28 +261,42 @@ class OptimizationEngine:
         )
 
     # ------------------------------------------------------------------
-    def _structure_key(
-        self,
-        classes: Sequence[TrafficClass],
+    @staticmethod
+    def _hosts(
         available_cores: Mapping[str, int],
         available_memory_gb: Optional[Mapping[str, float]],
+    ) -> Set[str]:
+        """The switches with free cores; a NaN or negative budget is refused
+        (``free > 0`` would quietly read a NaN as "no host here")."""
+        for dimension, budgets in (
+            ("cores", available_cores),
+            ("memory_gb", available_memory_gb or {}),
+        ):
+            for switch, free in budgets.items():
+                if not free >= 0:
+                    raise ValueError(
+                        f"available {dimension} of switch {switch!r} must be "
+                        f"a non-negative number, got {free!r}"
+                    )
+        return {switch for switch, free in available_cores.items() if free > 0}
+
+    def _structure_key(
+        self,
+        structure: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...],
+        hosts: Set[str],
+        available_memory_gb: Optional[Mapping[str, float]],
     ) -> tuple:
-        """What the model's structure depends on: the classes, the *set* of
-        hosts (switches with free cores) and whether memory is modelled.
+        """What the model's structure depends on: each class's
+        ``(class_id, path, chain names)``, the *set* of hosts (switches
+        with free cores) and whether memory is modelled.
 
         The rates T_c and the budgets A_v are data of one instance — Eq. 5
         coefficients and Eq. 6 right-hand sides — and stay out of the key;
         a budget that reaches 0 removes a host and so changes it.
         """
-        class_part = tuple(
-            (c.class_id, c.path, tuple(c.chain)) for c in classes
-        )
-        hosts_part = tuple(sorted(
-            s for s, free in available_cores.items() if free > 0
-        ))
         return (
-            class_part,
-            hosts_part,
+            structure,
+            tuple(sorted(hosts)),
             available_memory_gb is not None,
             self.config.capacity_headroom,
             id(self.catalog),
@@ -286,15 +318,17 @@ class OptimizationEngine:
         """
         program = template.lp
         n_switches = len(template._switch_names)
+        core_rows = template._core_rows
         # This call's A_v, as ``place`` wrote it (fancy indexing copies).
-        avail_cores_arr = program.rhs[template._core_rows]
+        avail_cores_arr = program.rhs[core_rows]
         budgets = avail_cores_arr.copy()
+        # The ≤ right-hand sides once a budget is tightened; until then the
+        # LP's own.
+        b_ub: Optional[np.ndarray] = None
         banned: List[int] = []  # slot indices whose d vars are forced to zero
         prev_violations: Dict[int, int] = {}
         lp_bound: Optional[float] = None
         for _ in range(8):
-            b_ub = program.rhs[: program.n_ub].copy()
-            b_ub[template._core_rows] = budgets
             extra_ub = None
             if banned:
                 extra_ub = np.full(program.num_variables, np.nan)
@@ -313,13 +347,11 @@ class OptimizationEngine:
             # Vectorized ceiling: q = max(1, ceil(L / Cap)) on active slots,
             # then per-switch resource sums via one bincount each.
             active = loads > 1e-12
-            counts = np.zeros(len(template.slots), dtype=np.int64)
-            counts[active] = np.maximum(
-                np.ceil(
-                    loads[active] / template._slot_cap[active] - 1e-9
-                ).astype(np.int64),
-                1,
-            )
+            counts = np.where(
+                active,
+                np.maximum(np.ceil(loads / template._slot_cap - 1e-9), 1.0),
+                0.0,
+            ).astype(np.int64)
             cores_used = np.bincount(
                 template._slot_switch,
                 weights=template._slot_cores * counts,
@@ -327,7 +359,7 @@ class OptimizationEngine:
             )
             over = cores_used - avail_cores_arr
             violations = {
-                int(k): int(over[k]) for k in np.flatnonzero(over > 0)
+                int(k): int(over[k]) for k in (over > 0).nonzero()[0]
             }
             if template._mem_rows is not None and not violations:
                 # Memory overshoot cannot be repaired by tightening core
@@ -341,12 +373,13 @@ class OptimizationEngine:
                 if bool(np.any(mem_used > avail_mem_arr + 1e-9)):
                     break
             if not violations:
-                solution = lp.solution.copy()
+                solution = lp.solution  # this solve's own array
                 solution[template._q_idx] = counts
-                quantities = {
-                    template.slots[k]: int(counts[k])
-                    for k in np.flatnonzero(active)
-                }
+                kept = active.nonzero()[0].tolist()
+                slots = template.slots
+                quantities = dict(
+                    zip([slots[k] for k in kept], counts[kept].tolist())
+                )
                 objective = float(counts.sum())
                 return solution, quantities, objective, lp_bound
             for sw, overshoot in violations.items():
@@ -367,6 +400,9 @@ class OptimizationEngine:
                     if lightest is not None:
                         banned.append(lightest[1])
                 budgets[sw] = max(0.0, budgets[sw] - float(overshoot))
+            if b_ub is None:
+                b_ub = program.rhs[: program.n_ub].copy()
+            b_ub[core_rows] = budgets
             prev_violations = violations
 
         res = solve_with_rounding(program)
@@ -390,167 +426,185 @@ class OptimizationEngine:
         ``distribution`` and ``quantities`` in place.
 
         Evacuating one slot frees spare that may unlock the next, so the
-        pass cascades until a fixed point.  The load/portion indices are
-        built once and maintained incrementally across rounds, and a slot
-        whose evacuation failed is skipped until some commit has changed
-        the global state (an attempt is a pure function of that state, so
-        retrying it unchanged would fail identically).
+        pass cascades, lightest slot first, for up to four rounds until a
+        round commits nothing.  A slot whose evacuation failed is retried
+        only once a commit has changed something that could make it
+        succeed (below); retried unchanged, it would fail identically.
         """
-        class_by_id = {c.class_id: c for c in classes}
-        loads: Dict[Tuple[str, str], float] = {}
-        portions: Dict[Tuple[str, str], List[Tuple[str, int, int]]] = {}
-        for (cid, i, j), frac in distribution.items():
-            cls = class_by_id[cid]
-            slot = (cls.path[i], cls.chain[j])
-            loads[slot] = loads.get(slot, 0.0) + frac * cls.rate_mbps
-            portions.setdefault(slot, []).append((cid, i, j))
+        by_id = {c.class_id: c for c in classes}
+        #: class id -> (rate, path, chain names, the class's keys so far)
+        facts: Dict[str, tuple] = {}
+        #: slot -> [load, the portions it holds], portions in
+        #: ``distribution`` order
+        held: Dict[Tuple[str, str], list] = {}
+        current = None
+        for key, frac in distribution.items():
+            cid, i, j = key
+            if cid != current:  # the distribution comes class by class
+                current = cid
+                known = facts.get(cid)
+                if known is None:
+                    cls = by_id[cid]
+                    known = facts[cid] = (
+                        cls.rate_mbps, cls.path, cls.chain.names, []
+                    )
+                rate, path, names, class_keys = known
+            class_keys.append(key)
+            slot = (path[i], names[j])
+            entry = held.get(slot)
+            if entry is None:
+                held[slot] = [0.0 + frac * rate, [key]]
+            else:
+                entry[0] = entry[0] + frac * rate
+                entry[1].append(key)
+        cap = {nf: self._cap(nf) for nf in {nf for _, nf in quantities}}
 
-        def spare(slot: Tuple[str, str]) -> float:
-            return self._cap(slot[1]) * quantities.get(slot, 0) - loads.get(slot, 0.0)
+        def load(slot: Tuple[str, str]) -> float:
+            entry = held.get(slot)
+            return 0.0 if entry is None else entry[0]
 
-        version = 0
-        failed_at: Dict[Tuple[str, str], int] = {}
+        #: Per class, built on first use and kept in step with
+        #: ``distribution``: ``grids[cid][j][i]`` is d[cid, i, j] (0.0 when
+        #: absent).
+        grids: Dict[str, List[List[float]]] = {}
+
+        def grid(cid: str) -> List[List[float]]:
+            rows = grids.get(cid)
+            if rows is None:
+                _, path, names, class_keys = facts[cid]
+                rows = grids[cid] = [[0.0] * len(path) for _ in names]
+                for key in class_keys:
+                    rows[key[2]][key[1]] = distribution.get(key, 0.0)
+            return rows
+
+        def target(slot, cid, i, j, mass, pending):
+            """A path position whose slot of the same NF can take
+            d[cid, i, j]'s ``mass`` (with the moves staged in ``pending``)
+            and keep Eq. 3's order valid, with that slot; else None."""
+            _, path, names, _ = facts[cid]
+            nf = names[j]
+            per_instance = cap[nf]
+            rows = None
+            for ti, sw in enumerate(path):
+                if ti == i:
+                    continue
+                tslot = (sw, nf)
+                if tslot == slot:
+                    continue
+                q = quantities.get(tslot, 0)
+                if q <= 0:
+                    continue
+                spare = per_instance * q - load(tslot)
+                if spare - pending.get(tslot, 0.0) < mass - 1e-9:
+                    continue
+                if rows is None:
+                    rows = grid(cid)
+                if _order_ok_after_move(rows, i, ti, j):
+                    return ti, tslot
+            return None
+
+        # A failed slot stays failed until a commit changes what could
+        # turn its attempt: the slot itself (its portions), a slot its
+        # staged moves took, or a class whose portion it examined (the
+        # order check).  Nothing else can: counts only fall and loads
+        # only rise, so a slot too full or gone stays so, and with the
+        # same staged moves the same portion fails again.
+        failed: Set[Tuple[str, str]] = set()
+        slot_watchers: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
+        class_watchers: Dict[str, List[Tuple[str, str]]] = {}
         for _round in range(4):
             dust = sorted(
                 (
                     slot
                     for slot, q in quantities.items()
-                    if q == 1
-                    and loads.get(slot, 0.0)
-                    < DUST_THRESHOLD * self._cap(slot[1])
+                    if q == 1 and load(slot) < DUST_THRESHOLD * cap[slot[1]]
                 ),
-                key=lambda s: loads.get(s, 0.0),
+                key=load,
             )
-            start_version = version
+            committed = False
             for slot in dust:
-                if failed_at.get(slot) == version:
+                if slot in failed:
                     continue
-                moves: List[Tuple[Tuple[str, int, int], Tuple[str, int, int]]] = []
+                moves: List[tuple] = []
+                examined: List[str] = []
                 pending: Dict[Tuple[str, str], float] = {}
                 ok = True
-                for (cid, i, j) in portions.get(slot, []):
-                    cls = class_by_id[cid]
-                    frac = distribution.get((cid, i, j), 0.0)
+                for key in held[slot][1] if slot in held else ():
+                    frac = distribution.get(key, 0.0)
                     if frac <= 0:
                         continue
-                    mass = frac * cls.rate_mbps
-                    target = self._find_target(
-                        cls, i, j, slot, mass, quantities, spare, pending, distribution
-                    )
-                    if target is None:
+                    cid, i, j = key
+                    examined.append(cid)
+                    mass = frac * facts[cid][0]
+                    found = target(slot, cid, i, j, mass, pending)
+                    if found is None:
                         ok = False
                         break
-                    moves.append(((cid, i, j), (cid, target, j)))
-                    tslot = (cls.path[target], cls.chain[j])
-                    pending[tslot] = pending.get(tslot, 0.0) + mass
+                    moves.append((key, *found))
+                    pending[found[1]] = pending.get(found[1], 0.0) + mass
                 if not ok or not moves:
-                    failed_at[slot] = version
+                    failed.add(slot)
+                    for watched in (slot, *pending):
+                        slot_watchers.setdefault(watched, []).append(slot)
+                    for cid in examined:
+                        class_watchers.setdefault(cid, []).append(slot)
                     continue
                 # Commit: shift fractions, update loads, drop the instance.
-                for (cid, i, j), (_, ti, _) in moves:
-                    cls = class_by_id[cid]
+                for (cid, i, j), ti, tslot in moves:
                     frac = distribution.pop((cid, i, j))
-                    tslot = (cls.path[ti], cls.chain[j])
-                    if (cid, ti, j) not in distribution:
+                    moved = (cid, ti, j)
+                    entry = held.get(tslot)
+                    if entry is None:
+                        entry = held[tslot] = [0.0, []]
+                    if moved not in distribution:
                         # A portion the slot already holds is listed once:
                         # listed twice, a later evacuation stages it twice.
-                        portions.setdefault(tslot, []).append((cid, ti, j))
-                    distribution[(cid, ti, j)] = (
-                        distribution.get((cid, ti, j), 0.0) + frac
-                    )
-                    loads[tslot] = loads.get(tslot, 0.0) + frac * cls.rate_mbps
-                loads.pop(slot, None)
-                portions.pop(slot, None)
+                        entry[1].append(moved)
+                        facts[cid][3].append(moved)
+                    total = distribution[moved] = distribution.get(moved, 0.0) + frac
+                    entry[0] = entry[0] + frac * facts[cid][0]
+                    rows = grids.get(cid)
+                    if rows is not None:
+                        rows[j][i] = 0.0
+                        rows[j][ti] = total
+                held.pop(slot, None)
                 del quantities[slot]
-                version += 1
-            if version == start_version:
+                committed = True
+                for changed in (slot, *(tslot for _, _, tslot in moves)):
+                    failed.difference_update(slot_watchers.pop(changed, ()))
+                for (cid, _i, _j), _ti, _tslot in moves:
+                    failed.difference_update(class_watchers.pop(cid, ()))
+            if not committed:
                 break
-
-    def _find_target(
-        self,
-        cls: TrafficClass,
-        i: int,
-        j: int,
-        slot: Tuple[str, str],
-        mass: float,
-        quantities: Dict[Tuple[str, str], int],
-        spare,
-        pending: Dict[Tuple[str, str], float],
-        distribution: Dict[Tuple[str, int, int], float],
-    ) -> Optional[int]:
-        """A path position that can absorb (cls, step j)'s portion at ``i``.
-
-        The candidate must host instances of the same NF with enough spare
-        capacity (accounting for moves staged in ``pending``) and moving
-        the portion there must keep Eq. 3's ordering valid for the class.
-        """
-        nf = cls.chain[j]
-        for ti in range(cls.path_length):
-            if ti == i:
-                continue
-            tslot = (cls.path[ti], nf)
-            if tslot == slot or quantities.get(tslot, 0) <= 0:
-                continue
-            if spare(tslot) - pending.get(tslot, 0.0) < mass - 1e-9:
-                continue
-            if self._order_ok_after_move(cls, distribution, i, ti, j):
-                return ti
-        return None
-
-    @staticmethod
-    def _order_ok_after_move(
-        cls: TrafficClass,
-        distribution: Dict[Tuple[str, int, int], float],
-        i: int,
-        ti: int,
-        j: int,
-        tol: float = 1e-9,
-    ) -> bool:
-        """Would moving d[cls, i, j] to position ti keep Eq. 3 valid?"""
-        frac = distribution.get((cls.class_id, i, j), 0.0)
-
-        def portion(jj: int, ii: int) -> float:
-            v = distribution.get((cls.class_id, ii, jj), 0.0)
-            if jj == j:
-                if ii == i:
-                    v = 0.0
-                if ii == ti:
-                    v += frac
-            return v
-
-        for jj in (j, j + 1):
-            if jj < 1 or jj >= cls.chain_length:
-                continue
-            cum_prev = cum_cur = 0.0
-            for ii in range(cls.path_length):
-                cum_prev += portion(jj - 1, ii)
-                cum_cur += portion(jj, ii)
-                if cum_cur > cum_prev + tol:
-                    return False
-        return True
 
     def _cap(self, nf_name: str) -> float:
         """Plannable capacity of one instance (headroom-derated Cap_n)."""
         return self.catalog.get(nf_name).capacity_mbps * self.config.capacity_headroom
 
-    def _clamped(self, cls: TrafficClass) -> TrafficClass:
+    def _clamped(self, classes: Sequence[TrafficClass]) -> List[TrafficClass]:
+        """``classes`` with every rate below the configured floor raised to it."""
         floor = self.config.min_class_rate_mbps
-        if cls.rate_mbps < floor:
-            return cls.with_rate(floor)
-        return cls
+        return [c if c.rate_mbps >= floor else c.with_rate(floor) for c in classes]
 
     @staticmethod
     def _check_paths(
-        classes: Sequence[TrafficClass], available_cores: Mapping[str, int]
+        structure: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...],
+        hosts: Set[str],
     ) -> None:
+        """Class ids are unique and every path crosses a host; the first
+        offender in class order is the one reported."""
+        ids = set(map(itemgetter(0), structure))
+        paths = map(itemgetter(1), structure)
+        if len(ids) == len(structure) and not any(map(hosts.isdisjoint, paths)):
+            return
         seen = set()
-        for cls in classes:
-            if cls.class_id in seen:
-                raise PlacementError(f"duplicate class id {cls.class_id!r}")
-            seen.add(cls.class_id)
-            if not any(available_cores.get(sw, 0) > 0 for sw in cls.path):
+        for class_id, path, _ in structure:
+            if class_id in seen:
+                raise PlacementError(f"duplicate class id {class_id!r}")
+            seen.add(class_id)
+            if hosts.isdisjoint(path):
                 raise PlacementError(
-                    f"class {cls.class_id!r}: no APPLE host on its path {cls.path}"
+                    f"class {class_id!r}: no APPLE host on its path {path}"
                 )
 
     @staticmethod
@@ -564,17 +618,42 @@ class OptimizationEngine:
 
         Fully vectorized: per-(class, step) sums come from one ``bincount``
         over the precomputed renormalisation groups, and only surviving
-        (> ``eps``) entries are materialised into the result dict.
+        (> ``eps``) entries get a key and a place in the result dict.
         """
-        values = np.asarray(solution)[: len(template._d_keys)]
+        group = template._d_group
+        values = np.asarray(solution)[: group.size]
         keep = values > eps
         vals = np.where(keep, values, 0.0)
-        totals = np.bincount(
-            template._d_group, weights=vals, minlength=template._n_groups
-        )
-        group_total = totals[template._d_group]
-        norm = np.divide(
-            vals, group_total, out=vals, where=group_total > 0
-        )
-        d_keys = template._d_keys
-        return {d_keys[k]: float(norm[k]) for k in np.flatnonzero(keep)}
+        totals = np.bincount(group, weights=vals, minlength=template._n_groups)
+        group_total = totals[group]
+        norm = np.divide(vals, group_total, out=vals, where=group_total > 0)
+        kept = keep.nonzero()[0]
+        return dict(zip(template.d_keys(kept), norm[kept].tolist()))
+
+
+#: A class's structure as the template key holds it.
+_STRUCTURE = attrgetter("class_id", "path", "chain.names")
+
+
+def _order_ok_after_move(
+    rows: List[List[float]], i: int, ti: int, j: int, tol: float = 1e-9
+) -> bool:
+    """Would moving step ``j``'s portion at path position ``i`` to ``ti``
+    keep Eq. 3 valid?  ``rows[j][i]`` is the class's d[i, j]."""
+    moved = rows[j][:]
+    moved[ti] += moved[i]
+    moved[i] = 0.0
+    if j >= 1 and not _dominated(rows[j - 1], moved, tol):
+        return False
+    return j + 1 >= len(rows) or _dominated(moved, rows[j + 1], tol)
+
+
+def _dominated(prev: List[float], cur: List[float], tol: float) -> bool:
+    """Every prefix sum of ``cur`` is at most ``prev``'s, within ``tol``."""
+    cum_prev = cum_cur = 0.0
+    for a, b in zip(prev, cur):
+        cum_prev += a
+        cum_cur += b
+        if cum_cur > cum_prev + tol:
+            return False
+    return True

@@ -234,7 +234,7 @@ def _solve_direct(
     return LPResult(
         status="optimal",
         objective=float(highs.getObjectiveValue()),
-        solution=np.asarray(highs.getSolution().col_value, dtype=float),
+        solution=np.fromiter(highs.getSolution().col_value, dtype=float, count=n),
     )
 
 

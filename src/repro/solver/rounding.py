@@ -1,4 +1,8 @@
-"""LP relaxation with iterative rounding — the paper's production path.
+"""LP relaxation with iterative rounding — the placement engine's fallback.
+
+The engine's main path is ceiling rounding of the LP's slot loads with
+budget repair (``OptimizationEngine._solve_ceiling``); this loop runs only
+when that repair does not converge.
 
 Sec. IV-D: "We apply LP relaxation, an approximation technique, to reduce
 the complexity."  The scheme here is iterative *round-up-and-resolve*:

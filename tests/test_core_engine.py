@@ -240,3 +240,48 @@ def test_engine_config_has_only_the_four_knobs():
 def test_capacity_headroom_outside_unit_interval_rejected(headroom):
     with pytest.raises(ValueError, match="capacity_headroom"):
         EngineConfig(capacity_headroom=headroom)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+def test_class_rate_floor_must_be_finite_and_non_negative(rate):
+    """A NaN floor used to switch clamping off silently, and an infinite
+    one failed later naming a class's ``rate_mbps``."""
+    with pytest.raises(ValueError, match="min_class_rate_mbps"):
+        EngineConfig(min_class_rate_mbps=rate)
+
+
+@pytest.mark.parametrize("nodes", [0, -3])
+def test_branch_and_bound_node_limit_must_be_positive(nodes):
+    with pytest.raises(ValueError, match="max_bb_nodes"):
+        EngineConfig(solver="exact", max_bb_nodes=nodes)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
+def test_hostile_core_budget_is_refused_naming_the_switch(budget):
+    """A NaN core budget used to drop the host silently, a negative one to
+    read as "infeasible"."""
+    classes = [_cls("c1", "a", "c", LINE, ["firewall"], 100.0)]
+    cores = {"a": 64, "b": budget, "c": 64}
+    for solver in ("rounding", "exact"):
+        with pytest.raises(ValueError, match=r"cores of switch 'b'"):
+            _place(classes, cores, solver=solver)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -2.0])
+def test_hostile_memory_budget_is_refused_naming_the_switch(budget):
+    """NaN memory used to surface as ``PlacementError("placement
+    infeasible: ... solver rejected the model")``, which a tenant worker
+    counts as a failed intent; negative memory read as "infeasible"."""
+    classes = [_cls("c1", "a", "c", LINE, ["firewall"], 100.0)]
+    memory = {"a": 64.0, "b": 64.0, "c": budget}
+    with pytest.raises(ValueError, match=r"memory_gb of switch 'c'"):
+        OptimizationEngine().place(classes, CORES, available_memory_gb=memory)
+
+
+def test_zero_budgets_are_not_hostile():
+    """0 cores is "no host here" and 0 GB of memory a full switch, as before."""
+    classes = [_cls("c1", "a", "c", LINE, ["firewall"], 100.0)]
+    plan = OptimizationEngine().place(
+        classes, {"a": 0, "b": 64, "c": 64}, available_memory_gb={"a": 0.0, "b": 64.0, "c": 64.0}
+    )
+    assert plan.total_instances() == 1 and plan.quantity("a", "firewall") == 0

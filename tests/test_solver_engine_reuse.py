@@ -57,7 +57,7 @@ def _on_fresh_engine(lp, kwargs):
 
 def _template(engine, classes, cores):
     """The structure phase ``engine.place`` runs on a cache miss, rates set."""
-    classes = [engine._clamped(c) for c in classes]
+    classes = engine._clamped(classes)
     template = assemble_placement_lp(classes, cores, None, engine._cap, engine.catalog)
     template.set_rates(classes)
     return template

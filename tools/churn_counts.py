@@ -6,12 +6,15 @@ Builds seeded platform histories the way the pipeline benchmark's
 ``generate_intents`` churn on ``internet2(default_host_cores=160)``, run to
 70 sim-seconds, history ``k`` seeded ``derive(seed, "pipeline.history.k")``
 — and prints the counts performance issues on that workload quote: LP
-solves per ``place()``, LP assemblies, the warm share, control channels
-built against fabrics x switches and against the switches that were ever
-sent a message, and the seconds the cyclic collector ran inside the
-histories.  The counts are exact and repeat; only the seconds are a
-measurement.  Nothing is imported from ``benchmarks/``, so the tool runs
-unchanged on any commit (for a before / after, run it in both checkouts).
+solves per ``place()``, LP assemblies, the warm share, the instances dust
+consolidation removed, the summed objective and a digest of every plan,
+control channels built against fabrics x switches and against the switches
+that were ever sent a message, and the seconds the cyclic collector ran
+inside the histories.  The counts are exact and repeat; only the seconds
+are a measurement.  Nothing is imported from ``benchmarks/``, so the tool
+runs unchanged on any commit (for a before / after, run it in both
+checkouts).  :class:`Counts` is also the counter
+``tests/test_work_counts.py`` pins placement work with.
 
 Usage::
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import sys
 import time
 from collections import Counter
@@ -49,12 +53,23 @@ HORIZON_SIM_S = 70.0
 
 
 class Counts:
-    """The tallies, and the wrappers that feed them while installed."""
+    """The tallies, and the wrappers that feed them while installed.
+
+    Every ``OptimizationEngine.place()`` call is counted whoever makes it:
+    its LP solves, whether it re-solved a cached template, a
+    ``PlacementError``, the instances ``_consolidate_dust`` removed from
+    its ceiling plan, its objective, and (in :attr:`plans`) its
+    ``distribution`` items and ``quantities`` in order, or the error's
+    message.
+    """
 
     def __init__(self) -> None:
         self.solves_per_place: Counter = Counter()
         self.places = self.warm_places = self.failed_places = 0
         self.assemblies = 0
+        self.consolidated = 0
+        self.objective = 0.0
+        self.plans = hashlib.sha256()
         self.fabrics = self.switch_slots = 0
         self.channels_built = 0
         self.channels_messaged = 0
@@ -86,17 +101,26 @@ class Counts:
             self.places += 1
             try:
                 plan = inner(*args, **kwargs)
-            except engine_module.PlacementError:
+            except engine_module.PlacementError as exc:
                 self.failed_places += 1
+                self.plans.update(repr(str(exc)).encode())
                 raise
             finally:
                 self.solves_per_place[self._solves - before] += 1
             self.warm_places += bool(plan.warm_start)
+            self.objective += plan.objective
+            self.plans.update(repr(list(plan.distribution.items())).encode())
+            self.plans.update(repr(list(plan.quantities.items())).encode())
             return plan
 
         def assemble(inner, *args, **kwargs):
             self.assemblies += 1
             return inner(*args, **kwargs)
+
+        def consolidate(inner, engine, classes, distribution, quantities):
+            before = sum(quantities.values())
+            inner(engine, classes, distribution, quantities)
+            self.consolidated += before - sum(quantities.values())
 
         def fabric_init(inner, fabric, sim, network, *args, **kwargs):
             self.fabrics += 1
@@ -118,6 +142,7 @@ class Counts:
                 self._wrap(stack, lp_module, name, solve)
         self._wrap(stack, OptimizationEngine, "place", place)
         self._wrap(stack, engine_module, "assemble_placement_lp", assemble)
+        self._wrap(stack, OptimizationEngine, "_consolidate_dust", consolidate)
         self._wrap(stack, SouthboundFabric, "__init__", fabric_init)
         self._wrap(stack, ControlChannel, "__init__", channel_init)
         self._wrap(stack, ControlChannel, "send", channel_send)
@@ -169,6 +194,9 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"LP assemblies        {counts.assemblies}",
         f"warm share           {counts.warm_places / places:.3f} "
         f"({counts.warm_places} of {counts.places})",
+        f"consolidated away    {counts.consolidated} instances",
+        f"objective (sum)      {counts.objective:g}",
+        f"plan digest          {counts.plans.hexdigest()[:16]}",
         f"fabrics x switches   {counts.switch_slots} ({counts.fabrics} fabrics)",
         f"channels built       {counts.channels_built}",
         f"channels messaged    {counts.channels_messaged}",
