@@ -10,7 +10,6 @@ journal in integration tests.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,18 +26,6 @@ if TYPE_CHECKING:  # avoid a dataplane -> core import cycle at runtime
 
 APPLE_TABLE = 0
 NEXT_TABLE = 1  # other applications' rules (routing, ACLs)
-
-
-def stable_cookie(*parts) -> str:
-    """Content-addressed flow-mod cookie: stable across processes and runs.
-
-    Python's builtin ``hash()`` is salted per process, so idempotency
-    cookies (the southbound channel's duplicate suppressors) hash the
-    canonical ``repr`` of their parts instead.  Parts must be built from
-    ints/floats/strings/tuples so ``repr`` is deterministic.
-    """
-    blob = repr(parts).encode("utf-8")
-    return hashlib.sha1(blob).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

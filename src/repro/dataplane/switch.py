@@ -75,6 +75,36 @@ def classification_entry(
     )
 
 
+def classification_spec(
+    switch_name: str,
+    class_id: str,
+    hash_range: tuple,
+    subclass_id: int,
+    first_host: str,
+) -> tuple:
+    """:func:`classification_entry`'s :attr:`TcamEntry.spec`, no entry built.
+
+    A desired-state render lists one per sub-class on every push; the cold
+    install keeps building entries directly, so an installed entry carries
+    no spec until one is read (``tests/test_southbound_differential.py``
+    holds the two equal through the render).
+    """
+    if first_host == switch_name:
+        kind, next_host = _TAG_AND_FORWARD_VALUE, None
+    else:
+        kind, next_host = _TAG_AND_TAG_HOST_VALUE, first_host
+    return (
+        f"{switch_name}/classify/{class_id}#{subclass_id}",
+        PRIORITY_CLASSIFICATION,
+        "EMPTY",
+        class_id,
+        tuple(hash_range),
+        kind,
+        subclass_id,
+        next_host,
+    )
+
+
 def quarantine_entry(switch_name: str, class_id: str) -> TcamEntry:
     """Ingress DROP for a stranded class (its traffic must never leak)."""
     return TcamEntry(
@@ -101,6 +131,8 @@ _FORWARD_TO_HOST = ActionKind.FORWARD_TO_HOST
 _TAG_SUBCLASS_AND_FORWARD_TO_HOST = ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST
 _TAG_SUBCLASS_AND_HOST = ActionKind.TAG_SUBCLASS_AND_HOST
 _GOTO_NEXT_TABLE = ActionKind.GOTO_NEXT_TABLE
+_TAG_AND_FORWARD_VALUE = _TAG_SUBCLASS_AND_FORWARD_TO_HOST.value
+_TAG_AND_TAG_HOST_VALUE = _TAG_SUBCLASS_AND_HOST.value
 
 
 class PhysicalSwitch:

@@ -27,6 +27,11 @@ Every table of one network shares a :class:`RuleEpoch`: each mutator moves
 the table's own ``generation`` (what the southbound reconciler watches)
 *and* the shared epoch (what retires the network's resolved walks), so
 "did any rule anywhere change" is one integer comparison.
+
+An entry's canonical 8-tuple (:attr:`TcamEntry.spec`, the southbound wire
+form) is computed once per entry, and an entry built from a spec
+(:meth:`TcamEntry.from_spec`) keeps that very tuple, so reading a table
+back and comparing it with the specs it was written from is cheap.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.classify.split import range_to_cidr_count
 from repro.dataplane.packet import Packet
@@ -109,6 +114,48 @@ class TcamEntry:
         """TCAM slots this logical entry occupies (prefix expansion)."""
         return _hardware_entries(self.hash_range)
 
+    @cached_property
+    def spec(self) -> tuple:
+        """The canonical tuple ``(name, priority, host_tag_is, class_id,
+        hash_range, action kind value, subclass_id, next_host)``.
+
+        Computed on first use and kept (match fields never change once an
+        entry exists); equal entries have equal specs.
+        """
+        action = self.action
+        return (
+            self.name,
+            self.priority,
+            self.host_tag_is,
+            self.class_id,
+            None if self.hash_range is None else tuple(self.hash_range),
+            action.kind.value,
+            action.subclass_id,
+            action.next_host,
+        )
+
+    @staticmethod
+    def from_spec(spec: tuple) -> "TcamEntry":
+        """The entry whose :attr:`spec` is ``spec`` (that very tuple)."""
+        name, priority, host_tag_is, class_id, hash_range, kind, sub_id, nxt = spec
+        if hash_range is not None and type(hash_range) is not tuple:
+            hash_range = tuple(hash_range)
+            spec = (name, priority, host_tag_is, class_id, hash_range, kind, sub_id, nxt)
+        entry = TcamEntry(
+            priority,
+            Action(_ACTION_KINDS[kind], sub_id, nxt),
+            host_tag_is,
+            class_id,
+            hash_range,
+            name,
+        )
+        entry.__dict__["spec"] = spec
+        return entry
+
+
+#: Action kind by its value (the spec's action field).
+_ACTION_KINDS = {kind.value: kind for kind in ActionKind}
+
 
 @lru_cache(maxsize=1024)
 def _hardware_entries(hash_range: Optional[Tuple[float, float]]) -> int:
@@ -149,8 +196,9 @@ class TcamTable:
 
     Generation contract: every method that changes the installed entries
     (:meth:`install`, :meth:`remove_where`, :meth:`remove_by_name`,
-    :meth:`replace`, :meth:`clear`) moves :attr:`generation` and the
-    shared ``epoch``, and nothing else may change them.  The network's
+    :meth:`replace`, :meth:`sync_prefix`, :meth:`clear`) moves
+    :attr:`generation` and the shared ``epoch``, and nothing else may
+    change them.  The network's
     walk plans and the southbound fabric's installed-state view trust an
     unmoved counter to mean unchanged entries
     (``tests/test_dataplane_generation.py`` enforces it).
@@ -238,6 +286,38 @@ class TcamTable:
         """
         self.remove_where(lambda e: e.name == entry.name)
         self.install(entry)
+
+    def sync_prefix(self, prefix: str, specs: Sequence[tuple]) -> None:
+        """Make the entries named ``prefix...`` exactly ``specs``, one move.
+
+        The result, entry order included, is what removing every such entry
+        and then installing ``TcamEntry.from_spec(spec)`` for each spec in
+        order gives; an installed entry whose spec is unchanged is kept
+        instead of rebuilt.  :attr:`generation` moves once, if the entry
+        list changed.
+        """
+        kept: List[TcamEntry] = []
+        old: Dict[str, TcamEntry] = {}
+        for e in self._entries:
+            if e.name.startswith(prefix):
+                old[e.name] = e
+            else:
+                kept.append(e)
+        new = []
+        for spec in specs:
+            e = old.get(spec[0])
+            if e is None or e.spec != spec:
+                e = TcamEntry.from_spec(spec)
+            new.append(e)
+        # Stable sort: kept entries first within a priority, then the new
+        # ones in spec order -- the order one bisect insert per spec gives.
+        entries = sorted(kept + new, key=lambda e: -e.priority)
+        if entries == self._entries:
+            return
+        self._entries = entries
+        self._prio_keys = [-e.priority for e in entries]
+        self._hw_count = sum(_hardware_entries(e.hash_range) for e in entries)
+        self._moved()
 
     def entry_by_name(self, name: str) -> Optional[TcamEntry]:
         """The installed entry called ``name`` (None when absent)."""

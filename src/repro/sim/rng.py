@@ -72,6 +72,10 @@ class SeededRNG:
     # Distribution helpers (delegate to numpy)
     # ------------------------------------------------------------------
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        if low == 0.0 and high == 1.0:
+            # numpy's uniform(0, 1) is 0.0 + 1.0 * random(): the same double
+            # from the same draw, without the argument broadcasting.
+            return self._gen.random()
         return float(self._gen.uniform(low, high))
 
     def exponential(self, mean: float) -> float:

@@ -3,8 +3,13 @@
 One :class:`SwitchAgent` + :class:`ControlChannel` pair exists per
 physical switch.  The agent is the switch-resident half: it applies op
 bundles to the switch's TCAM and its host's vSwitch, exactly once per
-cookie, rejecting superseded epochs.  The channel is the controller-
-resident half: it delivers messages through a seeded loss/delay model,
+cookie (the message's identity, see :mod:`repro.southbound.messages`),
+rejecting superseded epochs.  Ops arrive checked (a
+:class:`ControlMessage` with a malformed op cannot be built), so a bundle
+is applied whole; a ``classify_sync`` is one table mutation
+(:meth:`~repro.dataplane.tcam.TcamTable.sync_prefix`) that keeps every
+classification entry whose spec did not change.  The channel is the
+controller-resident half: it delivers messages through a seeded loss/delay model,
 retransmits on timeout with exponential backoff and deterministic
 jitter, bounds the in-flight window, and opens a circuit breaker after
 consecutive timeouts (the switch is then *degraded*: probed at a slow
@@ -45,12 +50,14 @@ from repro.southbound.messages import (
     ACK_STALE,
     Ack,
     ControlMessage,
-    spec_entry,
 )
 from repro.southbound.metrics import SouthboundMetrics
 
 #: Result handed to a sender whose message exhausted ``MAX_ATTEMPTS``.
 RESULT_FAILED = "failed"
+
+#: Op kinds applied to the switch's host vSwitch.
+_VSWITCH_OPS = frozenset({"vsw_put", "vsw_del", "origin_sync"})
 
 
 class SwitchAgent:
@@ -74,6 +81,7 @@ class SwitchAgent:
         self.current_epoch = -1
         self.applied_cookies: set = set()
         self.ops_applied = 0
+        self._classify_prefix = f"{switch}/classify/"
 
     def receive(self, msg: ControlMessage) -> Ack:
         """Apply a message exactly once; returns the ack to send back."""
@@ -86,55 +94,44 @@ class SwitchAgent:
             self.applied_cookies.clear()
         if msg.cookie in self.applied_cookies:
             return Ack(msg.cookie, ACK_DUPLICATE)
+        network = self.network
+        table = network.switches[self.switch].table
+        vsw = None
         for op in msg.ops:
-            self._apply(op)
+            kind = op[0]
+            if vsw is None and kind in _VSWITCH_OPS:
+                vsw = network.vswitch_at(self.switch)
+            if kind == "vsw_put":
+                try:
+                    vsw.install_rule(op[1], op[2], VSwitchRule(tuple(op[3]), op[4]))
+                except KeyError:
+                    # An instance died between desired-state render and
+                    # apply (e.g. a VNF crash raced the repair).  Skip: the
+                    # drift stays visible to the reconciler, and recovery's
+                    # next push stops referencing the dead instance.
+                    continue
+            elif kind == "vsw_del":
+                vsw.remove_rule(op[1], op[2])
+            elif kind == "classify_sync":
+                # The atomic swap: all classification entries of this switch
+                # and the registered paths of the classes ingressing here
+                # change in one sim event (an OpenFlow bundle in miniature).
+                table.sync_prefix(self._classify_prefix, op[1])
+                self._register_paths(op[2])
+            elif kind == "tcam_put":
+                table.replace(TcamEntry.from_spec(op[1]))
+            elif kind == "tcam_del":
+                table.remove_by_name(op[1])
+            else:  # "origin_sync": a ControlMessage holds no other kind
+                vsw.clear_origin_rules()
+                for class_id, hash_range, sub_id, first_host in op[1]:
+                    vsw.install_origin_rule(
+                        class_id, tuple(hash_range), sub_id, first_host
+                    )
+                self._register_paths(op[2])
+            self.ops_applied += 1
         self.applied_cookies.add(msg.cookie)
         return Ack(msg.cookie, ACK_APPLIED)
-
-    # ------------------------------------------------------------------
-    def _apply(self, op: tuple) -> None:
-        kind = op[0]
-        table = self.network.switches[self.switch].table
-        if kind == "tcam_put":
-            table.replace(spec_entry(op[1]))
-        elif kind == "tcam_del":
-            table.remove_by_name(op[1])
-        elif kind == "classify_sync":
-            # The atomic swap: all classification entries of this switch
-            # and the registered paths of the classes ingressing here
-            # change in one sim event (an OpenFlow bundle in miniature).
-            _, specs, paths = op
-            prefix = f"{self.switch}/classify/"
-            table.remove_where(lambda e: e.name.startswith(prefix))
-            for spec in specs:
-                table.install(spec_entry(spec))
-            self._register_paths(paths)
-        elif kind == "vsw_put":
-            _, class_id, sub_id, instance_ids, exit_tag = op
-            vsw = self.network.vswitch_at(self.switch)
-            if any(vsw.registered(iid) is None for iid in instance_ids):
-                # Instance died between desired-state render and apply
-                # (e.g. a VNF crash raced the repair).  Skip: the drift
-                # stays visible to the reconciler, and recovery's next
-                # push stops referencing the dead instance.
-                return
-            vsw.install_rule(
-                class_id, sub_id, VSwitchRule(tuple(instance_ids), exit_tag)
-            )
-        elif kind == "vsw_del":
-            self.network.vswitch_at(self.switch).remove_rule(op[1], op[2])
-        elif kind == "origin_sync":
-            _, rows, paths = op
-            vsw = self.network.vswitch_at(self.switch)
-            vsw.clear_origin_rules()
-            for class_id, hash_range, sub_id, first_host in rows:
-                vsw.install_origin_rule(
-                    class_id, tuple(hash_range), sub_id, first_host
-                )
-            self._register_paths(paths)
-        else:
-            raise ValueError(f"unknown southbound op kind {kind!r}")
-        self.ops_applied += 1
 
     def _register_paths(self, paths: tuple) -> None:
         for class_id, path in paths:

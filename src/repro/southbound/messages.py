@@ -1,9 +1,7 @@
 """Southbound wire format: ops, messages, acks, idempotency cookies.
 
 Everything on the channel is built from plain tuples of
-ints/floats/strings so messages hash deterministically
-(:func:`repro.dataplane.flowmod.stable_cookie`) and canonical state
-snapshots compare with ``==``.
+ints/floats/strings, so canonical state snapshots compare with ``==``.
 
 Op vocabulary (first element of each op tuple):
 
@@ -17,11 +15,19 @@ Op vocabulary (first element of each op tuple):
 * ``("vsw_put", class_id, sub_id, instance_ids, exit_tag)`` — one
   vSwitch rule.
 * ``("vsw_del", class_id, sub_id)`` — remove one vSwitch rule.
-* ``("origin_sync", origin_tuples)`` — replace the vSwitch's origin
-  classification table wholesale.
+* ``("origin_sync", rows, paths)`` — replace the vSwitch's origin
+  classification table wholesale with ``rows`` and register ``paths``
+  as ``classify_sync`` does.
+
+A message's cookie is its identity, ``"epoch:txn_id:switch:phase"``: a
+transaction sends one message per switch per phase and every repair pass
+gets a new transaction ID, so no two messages of one fabric share a
+cookie, while every retransmission of a message carries its cookie.
+Building a :class:`ControlMessage` checks every op's kind and arity, so a
+malformed bundle is refused before it is sent, never half applied.
 
 ``EntrySpec`` is the canonical 8-tuple form of a
-:class:`~repro.dataplane.tcam.TcamEntry`:
+:class:`~repro.dataplane.tcam.TcamEntry` (:attr:`TcamEntry.spec`):
 ``(name, priority, host_tag_is, class_id, hash_range, action_kind,
 subclass_id, next_host)``.
 """
@@ -32,9 +38,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional, Tuple
 
-from repro.dataplane.flowmod import stable_cookie
-from repro.dataplane.switch import pass_by_entry
-from repro.dataplane.tcam import Action, ActionKind, TcamEntry
+from repro.dataplane.switch import host_match_entry, pass_by_entry
 
 #: EntrySpec tuple indices (kept flat for cheap hashing/serialisation).
 EntrySpec = Tuple[
@@ -48,19 +52,15 @@ EntrySpec = Tuple[
     Optional[str],  # next_host
 ]
 
-
-def entry_spec(entry: TcamEntry) -> EntrySpec:
-    """Canonical tuple form of a TCAM entry (order-independent compare)."""
-    return (
-        entry.name,
-        entry.priority,
-        entry.host_tag_is,
-        entry.class_id,
-        None if entry.hash_range is None else tuple(entry.hash_range),
-        entry.action.kind.value,
-        entry.action.subclass_id,
-        entry.action.next_host,
-    )
+#: Op kind -> length of its tuple (the kind included).
+OP_ARITY = {
+    "tcam_put": 2,
+    "tcam_del": 2,
+    "classify_sync": 3,
+    "vsw_put": 5,
+    "vsw_del": 3,
+    "origin_sync": 3,
+}
 
 
 @cache
@@ -71,20 +71,13 @@ def pass_by_spec(switch: str) -> EntrySpec:
     every switch, so it is built once per name (an immutable tuple; the
     names are the topologies' switches).
     """
-    return entry_spec(pass_by_entry(switch))
+    return pass_by_entry(switch).spec
 
 
-def spec_entry(spec: EntrySpec) -> TcamEntry:
-    """Rebuild a TCAM entry from its canonical tuple."""
-    name, priority, host_tag_is, class_id, hash_range, kind, sub_id, nxt = spec
-    return TcamEntry(
-        priority=priority,
-        action=Action(ActionKind(kind), subclass_id=sub_id, next_host=nxt),
-        host_tag_is=host_tag_is,
-        class_id=class_id,
-        hash_range=None if hash_range is None else tuple(hash_range),
-        name=name,
-    )
+@cache
+def host_match_spec(switch: str) -> EntrySpec:
+    """The switch's host-match entry in canonical form (built once per name)."""
+    return host_match_entry(switch).spec
 
 
 #: Ack statuses the agent can return.
@@ -115,9 +108,10 @@ class ControlMessage:
         phase: transaction phase label ("add" | "swap" | "del" |
             "rollback") — informational.
         ops: the op tuples, applied in order within one sim event.
-        cookie: content hash of (epoch, txn_id, switch, phase, ops);
-            retransmissions carry the same cookie, so the agent applies a
-            message exactly once no matter how often it arrives.
+        cookie: ``"epoch:txn_id:switch:phase"``, which names one message
+            of a fabric (see the module docstring); retransmissions carry
+            the same cookie, so the agent applies a message exactly once no
+            matter how often it arrives.
     """
 
     switch: str
@@ -127,16 +121,32 @@ class ControlMessage:
     ops: Tuple[tuple, ...]
     cookie: str = field(default="")
 
+    def __post_init__(self) -> None:
+        """Check every op, so no bundle can be refused half applied.
+
+        Raises:
+            ValueError: an op of unknown kind or wrong length, named by its
+                index and kind; nothing has been sent or applied.
+        """
+        arity = OP_ARITY.get
+        for index, op in enumerate(self.ops):
+            if not op or arity(op[0]) != len(op):
+                kind = op[0] if op else None
+                raise ValueError(
+                    f"southbound op {index} to {self.switch!r} is malformed: "
+                    f"kind {kind!r} with {len(op)} fields"
+                )
+
     @staticmethod
     def make(
         switch: str, epoch: int, txn_id: int, phase: str, ops: Tuple[tuple, ...]
     ) -> "ControlMessage":
-        cookie = stable_cookie(epoch, txn_id, switch, phase, ops)
+        """The message, its cookie named from its identity (ops checked)."""
         return ControlMessage(
             switch=switch,
             epoch=epoch,
             txn_id=txn_id,
             phase=phase,
             ops=tuple(ops),
-            cookie=cookie,
+            cookie=f"{epoch}:{txn_id}:{switch}:{phase}",
         )

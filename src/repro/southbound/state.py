@@ -8,7 +8,14 @@ stranded classes), *installed* state is read back from the live
 difference becomes phased op lists (adds → classification swap →
 deletes) for the make-before-break transaction.  Read-back and diff are
 kept per switch by :class:`InstalledView` and redone only where the
-switch's generation counters or its desired rules moved.
+switch's generation counters moved or a new desired state arrived.
+
+An epoch costs what it changes: the render builds spec tuples directly (no
+TCAM entry per row), a read-back takes each entry's cached
+:attr:`~repro.dataplane.tcam.TcamEntry.spec` (the very tuple it was
+installed from), and a switch whose installed rules equal the desired ones
+(a dict compare that mostly meets identical tuples) is in sync without
+running :func:`diff_switch`.
 
 Sub-class ID versioning (the make-before-break enabler)
 -------------------------------------------------------
@@ -34,14 +41,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.rulegen import GeneratedRules
 from repro.dataplane.network import DataPlaneNetwork
-from repro.dataplane.switch import (
-    classification_entry,
-    host_match_entry,
-    quarantine_entry,
-)
+from repro.dataplane.switch import classification_spec, quarantine_entry
 from repro.dataplane.tcam import TcamTable
 from repro.dataplane.vswitch import UPLINK, VSwitch
-from repro.southbound.messages import EntrySpec, entry_spec, pass_by_spec
+from repro.southbound.messages import EntrySpec, host_match_spec, pass_by_spec
 from repro.traffic.classes import TrafficClass
 
 #: Gap between consecutive sub-class ID versions of one class.  Far above
@@ -57,6 +60,10 @@ def versioned(sub_id: int, version: int) -> int:
 
 def _classify_prefix(switch: str) -> str:
     return f"{switch}/classify/"
+
+
+#: What a state lists for a switch it holds no rules of (never mutated).
+_NO_RULES: dict = {}
 
 
 @dataclass
@@ -83,7 +90,8 @@ class NetworkState:
     )
     origin: Dict[str, Tuple[tuple, ...]] = field(default_factory=dict)
     paths: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    _ingress: Optional[Dict[str, tuple]] = field(
+    #: (the ``paths`` dict it indexes, ingress switch -> rows).
+    _ingress: Optional[Tuple[dict, Dict[str, tuple]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -92,24 +100,34 @@ class NetworkState:
 
         A class's path is registered at its ingress switch's sync, so path
         and classification change in the same atomic apply.  The ingress
-        index is built on first use; ``paths`` must not change afterwards.
+        index is built on first use and again whenever ``paths`` has been
+        reassigned (it must not be mutated in place).
         """
-        if self._ingress is None:
+        cached = self._ingress
+        if cached is None or cached[0] is not self.paths:
             index: Dict[str, list] = {}
             for class_id, path in sorted(self.paths.items()):
                 if path:
                     index.setdefault(path[0], []).append((class_id, tuple(path)))
-            self._ingress = {s: tuple(rows) for s, rows in index.items()}
-        return self._ingress.get(switch, ())
+            ingress = {s: tuple(rows) for s, rows in index.items()}
+            cached = self._ingress = (self.paths, ingress)
+        return cached[1].get(switch, ())
 
-    def same_at(self, switch: str, other: "NetworkState") -> bool:
-        """Whether both states hold the same rules and ingress paths at ``switch``."""
-        return (
-            self.tcam.get(switch) == other.tcam.get(switch)
-            and self.vsw.get(switch) == other.vsw.get(switch)
-            and self.origin.get(switch) == other.origin.get(switch)
-            and self.paths_at(switch) == other.paths_at(switch)
-        )
+    def in_sync_at(self, switch: str, desired: "NetworkState") -> bool:
+        """Whether ``switch`` holds exactly ``desired``'s rules there.
+
+        True exactly when :func:`diff_switch` would come back empty (a
+        switch a state does not list holds no rules; paths are not rules).
+        """
+        for mine, theirs, empty in (
+            (self.tcam, desired.tcam, _NO_RULES),
+            (self.vsw, desired.vsw, _NO_RULES),
+            (self.origin, desired.origin, ()),
+        ):
+            have, want = mine.get(switch, empty), theirs.get(switch, empty)
+            if have is not want and have != want:
+                return False
+        return True
 
     def signature_payload(self) -> dict:
         """JSON-ready canonical form (tests compare state signatures)."""
@@ -140,26 +158,37 @@ def class_fingerprints(
     update into add-new → swap → delete-old.  One pass over ``rules``
     serves every class.
     """
-    classes = list(classes)
-    parts: Dict[str, Tuple[list, list, list]] = {
-        c.class_id: ([], [], []) for c in classes
-    }
+    # Per-class lists exist only for classes with rows of that kind: every
+    # list and tuple here is one more object for the cyclic collector.
+    rows: Dict[str, list] = {}
+    vsw: Dict[str, list] = {}
+    origin: Dict[str, list] = {}
     for switch, rs in sorted(rules.switch_rule_sets.items()):
         for row in rs.classifications:
-            if row[0] in parts:
-                parts[row[0]][0].append((switch, row))
+            found = rows.get(row[0])
+            if found is None:
+                rows[row[0]] = [(switch, row)]
+            else:
+                found.append((switch, row))
     for switch, lst in sorted(rules.vswitch_rules.items()):
         for class_id, sub_id, rule in lst:
-            if class_id in parts:
-                parts[class_id][1].append(
-                    (switch, sub_id, tuple(rule.instance_ids), rule.exit_host_tag)
-                )
+            part = (switch, sub_id, tuple(rule.instance_ids), rule.exit_host_tag)
+            found = vsw.get(class_id)
+            if found is None:
+                vsw[class_id] = [part]
+            else:
+                found.append(part)
     for switch, lst in sorted(rules.origin_rules.items()):
         for row in lst:
-            if row[0] in parts:
-                parts[row[0]][2].append((switch, row))
+            origin.setdefault(row[0], []).append((switch, row))
     return {
-        c.class_id: (*map(tuple, parts[c.class_id]), tuple(c.path)) for c in classes
+        c.class_id: (
+            tuple(rows.get(c.class_id, ())),
+            tuple(vsw.get(c.class_id, ())),
+            tuple(origin.get(c.class_id, ())),
+            tuple(c.path),
+        )
+        for c in classes
     }
 
 
@@ -189,31 +218,27 @@ def render_desired(
         state.vsw.setdefault(s, {})
         state.origin.setdefault(s, ())
 
+    version = versions.get  # inlined versioned(): one call per rule adds up
     for s, rs in rules.switch_rule_sets.items():
         table = state.tcam.setdefault(s, {})
         if rs.host_match:
-            spec = entry_spec(host_match_entry(s))
+            spec = host_match_spec(s)
             table[spec[0]] = spec
         for class_id, hash_range, sub_id, first_host in rs.classifications:
-            vsub = versioned(sub_id, versions.get(class_id, 0))
-            spec = entry_spec(
-                classification_entry(s, class_id, hash_range, vsub, first_host)
-            )
+            vsub = sub_id + version(class_id, 0) * VERSION_STRIDE
+            spec = classification_spec(s, class_id, hash_range, vsub, first_host)
             table[spec[0]] = spec
 
     for class_id, src in stranded.items():
         table = state.tcam.setdefault(src, {})
-        spec = entry_spec(quarantine_entry(src, class_id))
+        spec = quarantine_entry(src, class_id).spec
         table[spec[0]] = spec
 
     for s, lst in rules.vswitch_rules.items():
         table = state.vsw.setdefault(s, {})
         for class_id, sub_id, rule in lst:
-            vsub = versioned(sub_id, versions.get(class_id, 0))
-            table[(class_id, vsub)] = (
-                tuple(rule.instance_ids),
-                rule.exit_host_tag,
-            )
+            vsub = sub_id + version(class_id, 0) * VERSION_STRIDE
+            table[(class_id, vsub)] = (tuple(rule.instance_ids), rule.exit_host_tag)
 
     for s, lst in rules.origin_rules.items():
         rows = []
@@ -227,12 +252,39 @@ def render_desired(
     return state
 
 
-def _read_vswitch(vsw: VSwitch) -> Tuple[dict, Tuple[tuple, ...]]:
-    table: Dict[Tuple[str, int], Tuple[Tuple[str, ...], str]] = {}
+def _read_table(table: TcamTable) -> Dict[str, EntrySpec]:
+    return {e.name: e.spec for e in table.entries()}
+
+
+def _vswitch_in_sync(
+    vsw: VSwitch, want: Mapping[Tuple[str, int], tuple], want_origin: tuple
+) -> bool:
+    """True only if :func:`_read_vswitch` would return ``(want, want_origin)``.
+
+    Compares the vSwitch's rules with ``want`` in place, copying none.  A
+    rule whose ``instance_ids`` is not a tuple reads as a mismatch (the
+    read-back then decides).
+    """
+    count = 0
+    get = want.get
     for (in_port, class_id, sub_id), rule in vsw.installed_rules().items():
         if in_port != UPLINK or sub_id is None:
             continue
-        table[(class_id, sub_id)] = (tuple(rule.instance_ids), rule.exit_host_tag)
+        have = get((class_id, sub_id))
+        if have is None or have[0] != rule.instance_ids or have[1] != rule.exit_host_tag:
+            return False
+        count += 1
+    return count == len(want) and tuple(want_origin) == tuple(
+        (cid, tuple(hr), sid, fh) for cid, hr, sid, fh in vsw.installed_origin_rules()
+    )
+
+
+def _read_vswitch(vsw: VSwitch) -> Tuple[dict, Tuple[tuple, ...]]:
+    table = {
+        (class_id, sub_id): (tuple(rule.instance_ids), rule.exit_host_tag)
+        for (in_port, class_id, sub_id), rule in vsw.installed_rules().items()
+        if in_port == UPLINK and sub_id is not None
+    }
     origin = tuple(
         (cid, tuple(hr), sid, fh) for cid, hr, sid, fh in vsw.installed_origin_rules()
     )
@@ -277,10 +329,14 @@ def diff_switch(s: str, installed: NetworkState, desired: NetworkState) -> Switc
     inst = installed.tcam.get(s, {})
     want = desired.tcam.get(s, {})
 
-    inst_classify = {n: v for n, v in inst.items() if n.startswith(prefix)}
-    want_classify = {n: v for n, v in want.items() if n.startswith(prefix)}
-    inst_other = {n: v for n, v in inst.items() if n not in inst_classify}
-    want_other = {n: v for n, v in want.items() if n not in want_classify}
+    inst_classify: Dict[str, EntrySpec] = {}
+    inst_other: Dict[str, EntrySpec] = {}
+    for name, spec in inst.items():
+        (inst_classify if name.startswith(prefix) else inst_other)[name] = spec
+    want_classify: Dict[str, EntrySpec] = {}
+    want_other: Dict[str, EntrySpec] = {}
+    for name, spec in want.items():
+        (want_classify if name.startswith(prefix) else want_other)[name] = spec
 
     for name in sorted(want_other):
         if name not in inst_other:
@@ -293,27 +349,33 @@ def diff_switch(s: str, installed: NetworkState, desired: NetworkState) -> Switc
         if name not in want_other:
             diff.dels.append(("tcam_del", name))
 
-    if set(inst_classify.items()) != set(want_classify.items()):
+    if inst_classify != want_classify:
         diff.swap.append(
             (
                 "classify_sync",
-                tuple(want_classify[n] for n in sorted(want_classify)),
+                tuple([want_classify[n] for n in sorted(want_classify)]),
                 desired.paths_at(s),
             )
         )
 
     inst_vsw = installed.vsw.get(s, {})
     want_vsw = desired.vsw.get(s, {})
-    for key in sorted(want_vsw):
-        if key not in inst_vsw:
-            ids, tag = want_vsw[key]
-            diff.adds.append(("vsw_put", key[0], key[1], ids, tag))
-        elif inst_vsw[key] != want_vsw[key]:
-            ids, tag = want_vsw[key]
-            diff.swap.append(("vsw_put", key[0], key[1], ids, tag))
-    for key in sorted(inst_vsw):
-        if key not in want_vsw:
-            diff.dels.append(("vsw_del", key[0], key[1]))
+    have = inst_vsw.get
+    added, changed = [], []
+    for key, value in want_vsw.items():
+        old = have(key)
+        if old is None:
+            added.append(key)
+        elif old != value:
+            changed.append(key)
+    for key in sorted(added):
+        ids, tag = want_vsw[key]
+        diff.adds.append(("vsw_put", key[0], key[1], ids, tag))
+    for key in sorted(changed):
+        ids, tag = want_vsw[key]
+        diff.swap.append(("vsw_put", key[0], key[1], ids, tag))
+    for key in sorted([key for key in inst_vsw if key not in want_vsw]):
+        diff.dels.append(("vsw_del", key[0], key[1]))
 
     inst_origin = installed.origin.get(s, ())
     want_origin = desired.origin.get(s, ())
@@ -347,7 +409,12 @@ class InstalledView:
     epoch of its last pass: a pass over an unchanged network is one integer
     comparison per network.  When the epoch moved, a switch is re-read only
     where a stamp moved, and its :class:`SwitchDiff` is recomputed only
-    when it was re-read or its slice of the desired state changed.  A new
+    when it was re-read or a new desired state arrived; a switch in sync
+    (:meth:`NetworkState.in_sync_at`) gets an empty diff without
+    :func:`diff_switch`.  A re-read slice that equals the desired one is
+    kept as the desired state's own (equal, never mutated) dict, and a
+    vSwitch is compared with it in place (:func:`_vswitch_in_sync`) before
+    any copy is made, so a converged epoch copies no vSwitch rule.  A new
     view is cold: its first pass reads and diffs every switch with the same
     code.
     """
@@ -363,7 +430,7 @@ class InstalledView:
         self._work: List[SwitchDiff] = []
         self._epoch = -1  # no epoch is negative: cold
 
-    def _refresh(self) -> bool:
+    def _refresh(self, desired: Optional[NetworkState]) -> bool:
         """Re-read every switch whose stamp moved; True if any did."""
         epoch = self.network.rule_epoch
         if epoch == self._epoch:
@@ -372,17 +439,24 @@ class InstalledView:
         moved = False
         installed = self._installed
         for sv in self._switches:
+            s = sv.name
             gen = sv.table.generation
             if gen != sv.tcam_gen:
-                installed.tcam[sv.name] = {
-                    e.name: entry_spec(e) for e in sv.table.entries()
-                }
+                got = _read_table(sv.table)
+                want = None if desired is None else desired.tcam.get(s)
+                installed.tcam[s] = want if got == want else got
                 sv.tcam_gen = gen
                 sv.diff = None
                 moved = True
             vsw = sv.vswitch
             if vsw is not None and vsw.generation != sv.vsw_gen:
-                installed.vsw[sv.name], installed.origin[sv.name] = _read_vswitch(vsw)
+                if desired is not None and _vswitch_in_sync(
+                    vsw, desired.vsw.get(s, _NO_RULES), desired.origin.get(s, ())
+                ):
+                    installed.vsw[s] = desired.vsw.get(s, _NO_RULES)
+                    installed.origin[s] = desired.origin.get(s, ())
+                else:
+                    installed.vsw[s], installed.origin[s] = _read_vswitch(vsw)
                 sv.vsw_gen = vsw.generation
                 sv.diff = None
                 moved = True
@@ -390,24 +464,27 @@ class InstalledView:
 
     def state(self) -> NetworkState:
         """The current installed state (shared with the view: do not mutate)."""
-        self._refresh()
+        self._refresh(self._desired)
         self._installed.paths = dict(self.network.class_paths)
         return self._installed
 
     def diffs(self, desired: NetworkState) -> List[SwitchDiff]:
         """Per-switch phased diffs (only switches with work), sorted by name."""
-        stale = self._refresh()
-        old = self._desired
-        if desired is not old:
+        stale = self._refresh(desired)
+        if desired is not self._desired:
             for sv in self._switches:
-                if old is None or not old.same_at(sv.name, desired):
-                    sv.diff = None
+                sv.diff = None
             self._desired = desired
             stale = True
         if stale:
+            installed = self._installed
             for sv in self._switches:
                 if sv.diff is None:
-                    sv.diff = diff_switch(sv.name, self._installed, desired)
+                    sv.diff = (
+                        SwitchDiff(sv.name)
+                        if installed.in_sync_at(sv.name, desired)
+                        else diff_switch(sv.name, installed, desired)
+                    )
             self._work = [sv.diff for sv in self._switches if not sv.diff.empty]
         return self._work
 

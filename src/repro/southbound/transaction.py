@@ -157,4 +157,7 @@ class Transaction:
             return
         self._finished = True
         self.outcome = outcome
-        self.on_done(outcome, self.rollback_ops)
+        # Dropped once called: a callback that refers back to this
+        # transaction would keep the pair alive until the cyclic collector ran.
+        on_done, self.on_done = self.on_done, None
+        on_done(outcome, self.rollback_ops)

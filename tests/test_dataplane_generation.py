@@ -64,6 +64,9 @@ TCAM_MUTATORS = {
     "remove_where": lambda t: t.remove_where(lambda e: e.class_id == "c1"),
     "remove_by_name": lambda t: t.remove_by_name(pass_by_entry("s1").name),
     "replace": lambda t: t.replace(_classify("c1", 7)),
+    "sync_prefix": lambda t: t.sync_prefix(
+        "s1/classify/", (_classify("c1", 1).spec, _classify("c3", 3).spec)
+    ),
     "clear": lambda t: t.clear(),
 }
 TCAM_READ_ONLY = {

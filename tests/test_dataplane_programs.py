@@ -116,6 +116,13 @@ MUTATIONS = {
     "replace": lambda n, i: n.switches["s1"].table.replace(
         classification_entry("s1", "c0", (0.8, 1.0), 1, "s2")
     ),
+    "sync_prefix": lambda n, i: n.switches["s1"].table.sync_prefix(
+        "s1/classify/",
+        (
+            classification_entry("s1", "c0", (0.0, 0.8), 1, "s2").spec,
+            classification_entry("s1", "c1", (0.0, 1.0), 0, "s3").spec,
+        ),
+    ),
     "clear": lambda n, i: n.switches["s1"].table.clear(),
     "register_instance": lambda n, i: n.vswitch_at("s3").register_instance(
         i["d"], alias="b"

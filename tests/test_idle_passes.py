@@ -67,6 +67,9 @@ TABLE_OPS = {
         (pass_by_entry(s) if k % 2 else _classify(s, k)).name
     ),
     "replace": lambda t, s, k: t.replace(_classify(s, k % 4)),
+    "sync_prefix": lambda t, s, k: t.sync_prefix(
+        f"{s}/classify/", tuple(_classify(s, j).spec for j in range(k % 4))
+    ),
     "clear": lambda t, s, k: t.clear(),
 }
 VSWITCH_OPS = {

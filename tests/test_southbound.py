@@ -45,11 +45,15 @@ from repro.southbound.messages import (
     ACK_DUPLICATE,
     ACK_STALE,
     ControlMessage,
-    entry_spec,
     pass_by_spec,
 )
 from repro.southbound.metrics import SouthboundMetrics
-from repro.southbound.state import SwitchDiff, class_fingerprints, read_installed
+from repro.southbound.state import (
+    InstalledView,
+    SwitchDiff,
+    class_fingerprints,
+    read_installed,
+)
 from repro.southbound.transaction import Transaction
 from repro.topology.datasets import internet2
 from repro.topology.graph import AppleHostSpec, Link, Topology
@@ -87,7 +91,7 @@ def _channel(sim, network, chaos=None):
 
 
 def _msg(epoch=1, txn_id=1, phase="add"):
-    spec = entry_spec(host_match_entry("a"))
+    spec = host_match_entry("a").spec
     return ControlMessage.make("a", epoch, txn_id, phase, (("tcam_put", spec),))
 
 
@@ -135,6 +139,53 @@ def test_epoch_fencing_rejects_stale_messages():
     # the newer desired state.
     assert agent.receive(_msg(epoch=1, txn_id=9)).status == ACK_STALE
     assert agent.ops_applied == 1
+
+
+def test_malformed_bundle_is_refused_before_anything_is_sent():
+    # Regression: the agent used to apply ops one by one and raise on an
+    # unknown kind inside the delivery event, after the earlier ops were
+    # installed and without recording the cookie: a half-applied bundle.
+    spec = host_match_entry("a").spec
+    with pytest.raises(ValueError, match=r"op 1 to 'a'.*'bogus'"):
+        ControlMessage.make("a", 1, 1, "add", (("tcam_put", spec), ("bogus", 1)))
+    with pytest.raises(ValueError, match=r"op 0 to 'a'.*'vsw_del' with 2 fields"):
+        ControlMessage.make("a", 1, 1, "del", (("vsw_del", "c0"),))
+    with pytest.raises(ValueError, match=r"op 0 to 'a'.*None"):
+        ControlMessage.make("a", 1, 1, "del", ((),))
+    network = _tiny_network()
+    assert read_installed(network).tcam["a"] == {}
+
+
+def test_cookies_name_each_message_of_a_fabric_once():
+    sent = []
+    send = ControlChannel.send
+
+    def record(channel, msg, on_result):
+        sent.append(msg)
+        return send(channel, msg, on_result)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ControlChannel, "send", record)
+        result, fabric = _southbound_chaos_run()
+    assert fabric.metrics.retries > 0  # retransmissions happened
+    cookies = [m.cookie for m in sent]
+    assert len(set(cookies)) == len(cookies)
+    for m in sent:
+        assert m.cookie == f"{m.epoch}:{m.txn_id}:{m.switch}:{m.phase}"
+
+
+def test_installed_paths_at_follows_a_reregistered_path():
+    # Regression: ``InstalledView.state()`` reassigned ``paths`` on its
+    # shared state but kept the ingress index built from the old ones.
+    topo = Topology("line", ["s1", "s2", "s3"], [Link("s1", "s2"), Link("s2", "s3")])
+    network = DataPlaneNetwork(topo)
+    view = InstalledView(network)
+    network.register_class_path("c0", ("s1", "s2"))
+    assert view.state().paths_at("s1") == (("c0", ("s1", "s2")),)
+    network.register_class_path("c0", ("s1", "s2", "s3"))
+    state = view.state()
+    assert state.paths["c0"] == ("s1", "s2", "s3")
+    assert state.paths_at("s1") == (("c0", ("s1", "s2", "s3")),)
 
 
 @pytest.mark.parametrize(
@@ -344,7 +395,7 @@ def _fabric(sim, controller, deployment, chaos=None, seed=SEED):
 def test_pass_by_spec_is_built_once_per_switch_name():
     # render_desired lists it for every switch on every render.
     for name in ("a", "SEAT", "s/1"):
-        assert pass_by_spec(name) == entry_spec(pass_by_entry(name))
+        assert pass_by_spec(name) == pass_by_entry(name).spec
         assert pass_by_spec(name) is pass_by_spec(name)
 
 

@@ -26,12 +26,12 @@ from repro.dataplane.switch import quarantine_entry
 from repro.dataplane.vswitch import UPLINK
 from repro.sim.kernel import Simulator
 from repro.southbound import SouthboundChaosConfig, SouthboundFabric
-from repro.southbound.messages import entry_spec
 from repro.southbound.state import read_installed
 from repro.topology.datasets import internet2
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.gravity import gravity_matrix
 from repro.vnf.chains import STANDARD_CHAINS
+from tests.southbound_reference import entry_spec
 
 #: Ample quiescence.  A message that exhausts all 8 attempts burns
 #: ~15 s of backoff, its phase rolls back (drift deliberately regresses),

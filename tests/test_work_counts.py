@@ -1,4 +1,6 @@
-"""The work placement costs, pinned: same plans, same solves, less time.
+"""The work placement and the southbound fabric cost, pinned.
+
+Same plans, same solves, same wire work, less time.
 
 Two seeded inputs go through ``OptimizationEngine.place()`` by public calls
 with ``tools/churn_counts.py``'s :class:`Counts` installed (the one
@@ -16,13 +18,39 @@ the histogram of LP solves per call, LP assemblies, template re-solves,
 objective and a digest of every plan's ``distribution`` items and
 ``quantities`` in order (or the error's message).  A change that makes
 placement faster must leave every number here exactly as it is.
+
+The southbound fabric is pinned on the 24-epoch seed-0 GEANT
+reconfiguration series (``tests/deploy_series.py::GeantReconfigSeries``:
+the benchmark's ``geant_reconfig_loop``, warm-up epoch included) and on the
+same churn history.  The wire work must not move: messages, retries, acks
+by status, ops sent by ``(phase, kind)``, switches each push touched, class
+versions bumped, simulator events, a digest of the series' (objective,
+convergence sim-seconds) and of the final ``state_signature()`` — the
+same two digests as the benchmark's ``deterministic`` block.  The work a
+faster epoch removed is pinned at its new value; at commit 6cf467e,
+before the epoch was rewritten, the series read:
+
+* ``TcamEntry`` objects built: 26,616 (one per classification row in every
+  render, one per spec in every ``classify_sync``), now 6,725 (one per spec
+  that changed);
+* bytes fed to ``hashlib.sha1`` for cookies: 3,043,841, now 0 (a cookie is
+  the message's identity);
+* switch read-backs: 1,348 (every TCAM and vSwitch a message touched, read
+  back after every commit), now 778 (a converged vSwitch is compared in
+  place);
+* ``diff_switch`` calls: 1,150 (every switch, at the push and after the
+  commit), now 575 (a switch in sync needs none).
 """
 
 import sys
 from pathlib import Path
 
+import hashlib
+from functools import lru_cache
+
 from repro.experiments.harness import standard_setup
 from repro.sim.rng import derive
+from tests.deploy_series import GEANT_SNAPSHOTS, GeantReconfigSeries
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
@@ -49,6 +77,44 @@ PINNED_CHURN = {
     "objective": 148.0,
     "plans": "e81c06b83dee44ec",
 }
+
+
+PINNED_GEANT_RECONFIG = {
+    "messages": 1693,
+    "retries": 0,
+    "acks": {"applied": 1693},
+    "ops": {
+        ("add", "tcam_put"): 11,
+        ("add", "vsw_put"): 10310,
+        ("del", "tcam_del"): 11,
+        ("del", "vsw_del"): 10300,
+        ("swap", "classify_sync"): 575,
+    },
+    "switches_touched": 575,
+    "version_bumps": 6341,
+    "sim_events": 3386,
+    "first_pass": "3719ab816696a26c",
+    "state": "d1cd665ca81acf22",
+}
+
+REMOVED_GEANT_RECONFIG = {
+    "entries_built": 6725,
+    "sha1_bytes": 0,
+    "read_backs": 778,
+    "diff_switch_calls": 575,
+}
+
+PINNED_CHURN_SOUTHBOUND = {
+    "channels_built": 16,
+    "messages": 43,
+    "retries": 0,
+    "reconcile_ticks": 1779,
+}
+
+
+def _digest(*parts) -> str:
+    """The benchmark's digest (``benchmarks/pipeline/workloads.py``)."""
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
 def _pinned(counts: "churn_counts.Counts") -> dict:
@@ -80,10 +146,32 @@ def geant_counts() -> dict:
     return _pinned(counts)
 
 
-def churn_counts_16() -> dict:
+@lru_cache(maxsize=1)
+def _churn_history_16() -> "churn_counts.Counts":
     counts = churn_counts.Counts()
     churn_counts.run_history(counts, 16, derive(0, "pipeline.history.0"))
-    return _pinned(counts)
+    return counts
+
+
+def churn_counts_16() -> dict:
+    return _pinned(_churn_history_16())
+
+
+@lru_cache(maxsize=1)
+def geant_reconfig_counts() -> "churn_counts.Counts":
+    """The series through ``Counts``; the digests ride on the object."""
+    series = GeantReconfigSeries(seed=0)
+    counts = churn_counts.Counts()
+    first_pass = []
+    with counts.installed():
+        for unit in range(-1, GEANT_SNAPSHOTS):  # the warm-up, then one pass
+            plan, convergence, report = series.epoch()
+            assert report.ok, report.summary()
+            if unit >= 0:
+                first_pass.append((plan.objective, convergence.latency))
+        counts.first_pass = _digest(first_pass)
+        counts.state = _digest(series.fabric.state_signature())
+    return counts
 
 
 def test_geant_placement_work_is_pinned():
@@ -92,3 +180,32 @@ def test_geant_placement_work_is_pinned():
 
 def test_churn_placement_work_is_pinned():
     assert churn_counts_16() == PINNED_CHURN
+
+
+def test_geant_reconfiguration_wire_work_is_pinned():
+    counts = geant_reconfig_counts()
+    assert {
+        "messages": counts.messages,
+        "retries": counts.retries,
+        "acks": dict(sorted(counts.acks.items())),
+        "ops": dict(sorted(counts.ops.items())),
+        "switches_touched": counts.switches_touched,
+        "version_bumps": counts.version_bumps,
+        "sim_events": counts.sim_events,
+        "first_pass": counts.first_pass,
+        "state": counts.state,
+    } == PINNED_GEANT_RECONFIG
+
+
+def test_geant_reconfiguration_removed_work_stays_removed():
+    counts = geant_reconfig_counts()
+    assert {
+        name: getattr(counts, name) for name in REMOVED_GEANT_RECONFIG
+    } == REMOVED_GEANT_RECONFIG
+
+
+def test_churn_southbound_work_is_pinned():
+    counts = _churn_history_16()
+    assert {
+        name: getattr(counts, name) for name in PINNED_CHURN_SOUTHBOUND
+    } == PINNED_CHURN_SOUTHBOUND

@@ -9,12 +9,13 @@ Builds seeded platform histories the way the pipeline benchmark's
 solves per ``place()``, LP assemblies, the warm share, the instances dust
 consolidation removed, the summed objective and a digest of every plan,
 control channels built against fabrics x switches and against the switches
-that were ever sent a message, and the seconds the cyclic collector ran
-inside the histories.  The counts are exact and repeat; only the seconds
-are a measurement.  Nothing is imported from ``benchmarks/``, so the tool
-runs unchanged on any commit (for a before / after, run it in both
-checkouts).  :class:`Counts` is also the counter
-``tests/test_work_counts.py`` pins placement work with.
+that were ever sent a message, southbound messages, retries and reconciler
+ticks, and the seconds the cyclic collector ran inside the histories.  The
+counts are exact and repeat; only the seconds are a measurement.  Nothing
+is imported from ``benchmarks/``, so the tool runs unchanged on any commit
+(for a before / after, run it in both checkouts).  :class:`Counts` is also
+the counter ``tests/test_work_counts.py`` pins placement and southbound
+work with.
 
 Usage::
 
@@ -39,12 +40,15 @@ from unittest import mock
 
 import repro.core.engine as engine_module
 import repro.solver.lp as lp_module
+import repro.southbound.state as state_module
 from repro.core.engine import OptimizationEngine
+from repro.dataplane.tcam import TcamEntry
 from repro.experiments.multi_tenant import generate_intents
 from repro.sim.kernel import Simulator
 from repro.sim.rng import derive
 from repro.southbound.channel import ControlChannel
 from repro.southbound.fabric import SouthboundFabric
+from repro.southbound.metrics import SouthboundMetrics
 from repro.tenancy import TenantOrchestrator
 from repro.topology.datasets import internet2
 
@@ -61,6 +65,15 @@ class Counts:
     its ceiling plan, its objective, and (in :attr:`plans`) its
     ``distribution`` items and ``quantities`` in order, or the error's
     message.
+
+    Southbound work is counted the same way, for every fabric: messages
+    (first sends) and retries, acks by status, ops sent by ``(phase,
+    kind)``, the switches each ``push_desired`` touched and the class
+    versions it bumped, simulator events fired, reconciler ticks, and four
+    counts of work a faster epoch removes — ``TcamEntry`` objects built,
+    bytes fed to ``hashlib.sha1`` (the old content-hash cookies), switch
+    read-backs (``state._read_table`` / ``state._read_vswitch`` calls) and
+    ``state.diff_switch`` calls.
     """
 
     def __init__(self) -> None:
@@ -73,6 +86,16 @@ class Counts:
         self.fabrics = self.switch_slots = 0
         self.channels_built = 0
         self.channels_messaged = 0
+        self.messages = self.retries = 0
+        self.acks: Counter = Counter()
+        self.ops: Counter = Counter()
+        self.switches_touched = self.version_bumps = 0
+        self.sim_events = 0
+        self.reconcile_ticks = 0
+        self.entries_built = 0
+        self.sha1_bytes = 0
+        self.read_backs = 0
+        self.diff_switch_calls = 0
         self.intents = 0
         self.gc_seconds = 0.0
         self.gc_passes: Counter = Counter()
@@ -131,11 +154,56 @@ class Counts:
             self.channels_built += 1
             return inner(channel, *args, **kwargs)
 
-        def channel_send(inner, channel, *args, **kwargs):
+        def channel_send(inner, channel, msg, *args, **kwargs):
             if "_churn_counted" not in vars(channel):
                 channel._churn_counted = True
                 self.channels_messaged += 1
-            return inner(channel, *args, **kwargs)
+            for op in msg.ops:
+                self.ops[(msg.phase, op[0])] += 1
+            return inner(channel, msg, *args, **kwargs)
+
+        def record_send(inner, metrics, attempt):
+            if attempt == 1:
+                self.messages += 1
+            else:
+                self.retries += 1
+            return inner(metrics, attempt)
+
+        def record_ack(inner, metrics, status):
+            self.acks[status] += 1
+            return inner(metrics, status)
+
+        def record_reconcile(inner, *args, **kwargs):
+            self.reconcile_ticks += 1
+            return inner(*args, **kwargs)
+
+        def push_desired(inner, fabric, *args, **kwargs):
+            before = sum(fabric.versions.values())
+            epoch = inner(fabric, *args, **kwargs)
+            self.version_bumps += sum(fabric.versions.values()) - before
+            self.switches_touched += fabric.last_push["switches"]
+            return epoch
+
+        def sim_run(inner, *args, **kwargs):
+            fired = inner(*args, **kwargs)
+            self.sim_events += fired
+            return fired
+
+        def entry_init(inner, *args, **kwargs):
+            self.entries_built += 1
+            return inner(*args, **kwargs)
+
+        def sha1(inner, data=b"", *args, **kwargs):
+            self.sha1_bytes += len(data)
+            return inner(data, *args, **kwargs)
+
+        def read_back(inner, *args, **kwargs):
+            self.read_backs += 1
+            return inner(*args, **kwargs)
+
+        def diff_switch(inner, *args, **kwargs):
+            self.diff_switch_calls += 1
+            return inner(*args, **kwargs)
 
         for name in ("_solve_direct", "_solve_linprog"):
             if hasattr(lp_module, name):
@@ -146,6 +214,17 @@ class Counts:
         self._wrap(stack, SouthboundFabric, "__init__", fabric_init)
         self._wrap(stack, ControlChannel, "__init__", channel_init)
         self._wrap(stack, ControlChannel, "send", channel_send)
+        self._wrap(stack, SouthboundMetrics, "record_send", record_send)
+        self._wrap(stack, SouthboundMetrics, "record_ack", record_ack)
+        self._wrap(stack, SouthboundMetrics, "record_reconcile", record_reconcile)
+        self._wrap(stack, SouthboundFabric, "push_desired", push_desired)
+        self._wrap(stack, Simulator, "run", sim_run)
+        self._wrap(stack, TcamEntry, "__init__", entry_init)
+        self._wrap(stack, hashlib, "sha1", sha1)
+        for name in ("_read_table", "_read_vswitch"):
+            if hasattr(state_module, name):
+                self._wrap(stack, state_module, name, read_back)
+        self._wrap(stack, state_module, "diff_switch", diff_switch)
         gc.callbacks.append(self._on_gc)
         stack.callback(gc.callbacks.remove, self._on_gc)
         return stack
@@ -200,6 +279,8 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"fabrics x switches   {counts.switch_slots} ({counts.fabrics} fabrics)",
         f"channels built       {counts.channels_built}",
         f"channels messaged    {counts.channels_messaged}",
+        f"southbound messages  {counts.messages} "
+        f"({counts.retries} retries, {counts.reconcile_ticks} reconcile ticks)",
         f"collector in-history {counts.gc_seconds:.3f} s of "
         f"{counts.history_seconds:.3f} s ({passes or 'no passes'})",
     ]
