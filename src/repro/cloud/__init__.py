@@ -6,14 +6,14 @@ is 3.9–4.6 s (mean 4.2 s), dominated by Steps 1–5 of networking
 orchestration, while reconfiguring an existing ClickOS VM takes only 30 ms
 and installing forwarding rules 70 ms.  This package reproduces that whole
 pipeline as discrete-event components with those latencies, plus the
-Resource Orchestrator middleware APPLE adds between control plane and VMs.
+Resource Orchestrator middleware APPLE adds between control plane and VMs
+and the heartbeat liveness book-keeping the chaos failure detector uses.
 """
 
 from repro.cloud.host import AppleHost, HostResourceError
 from repro.cloud.hypervisor import VM, VmState, XenHypervisor
 from repro.cloud.opendaylight import OpenDaylight
 from repro.cloud.openstack import BootTimeline, OpenStack
-from repro.cloud.monitoring import ResourceMonitor, ResourceSnapshot
 from repro.cloud.orchestrator import LaunchRequest, ResourceOrchestrator
 
 __all__ = [
@@ -27,6 +27,4 @@ __all__ = [
     "BootTimeline",
     "ResourceOrchestrator",
     "LaunchRequest",
-    "ResourceMonitor",
-    "ResourceSnapshot",
 ]

@@ -1,33 +1,15 @@
-"""Resource monitoring: the Orchestrator's reporting duty (Fig. 1).
+"""Liveness monitoring: the Orchestrator's failure-suspicion book-keeping.
 
 "[The Resource Orchestrator] monitors the available resource on APPLE
-hosts and reports this information to the Optimization Engine."  The
-monitor polls host state on the simulation clock and keeps a bounded
-history of A_v snapshots, so the engine (and operators) can read both the
-current and recent resource picture — and tests can assert on how resource
-availability evolved through a rollout.
+hosts" (Fig. 1).  This module keeps the missed-heartbeat state the chaos
+failure detector (:mod:`repro.chaos.detector`) runs on; the engine reads
+free cores from :meth:`repro.core.controller.AppleController.available_cores`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-from repro.cloud.orchestrator import ResourceOrchestrator
-from repro.sim.kernel import Simulator, Timer
-
-
-@dataclass(frozen=True)
-class ResourceSnapshot:
-    """A_v at one instant."""
-
-    time: float
-    free_cores: Dict[str, int]
-    instance_count: int
-
-    @property
-    def total_free(self) -> int:
-        return sum(self.free_cores.values())
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -84,77 +66,3 @@ class LivenessTracker:
     def is_suspect(self, entity: str) -> bool:
         state = self._states.get(entity)
         return bool(state and state.reported)
-
-
-class ResourceMonitor:
-    """Polls the orchestrator's hosts periodically.
-
-    Args:
-        sim: shared simulator.
-        orchestrator: the hosts to watch.
-        interval: polling period in seconds.
-        history_limit: snapshots retained (oldest evicted first).
-        on_snapshot: optional callback per snapshot (e.g. to feed the
-            Optimization Engine's next periodic run).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        orchestrator: ResourceOrchestrator,
-        interval: float = 5.0,
-        history_limit: int = 1000,
-        on_snapshot: Optional[Callable[[ResourceSnapshot], None]] = None,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if history_limit < 1:
-            raise ValueError("history_limit must be at least 1")
-        self.sim = sim
-        self.orchestrator = orchestrator
-        self.interval = interval
-        self.history_limit = history_limit
-        self.on_snapshot = on_snapshot
-        self.history: List[ResourceSnapshot] = []
-        self._timer: Optional[Timer] = None
-
-    # ------------------------------------------------------------------
-    def start(self, immediately: bool = True) -> None:
-        self._timer = self.sim.every(
-            self.interval, self.poll, start_delay=0.0 if immediately else None
-        )
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def poll(self) -> ResourceSnapshot:
-        """Take one snapshot now (also called by the timer)."""
-        snap = ResourceSnapshot(
-            time=self.sim.now,
-            free_cores=self.orchestrator.available_resources(),
-            instance_count=len(self.orchestrator.all_instances()),
-        )
-        self.history.append(snap)
-        if len(self.history) > self.history_limit:
-            del self.history[: len(self.history) - self.history_limit]
-        if self.on_snapshot is not None:
-            self.on_snapshot(snap)
-        return snap
-
-    # ------------------------------------------------------------------
-    @property
-    def latest(self) -> Optional[ResourceSnapshot]:
-        return self.history[-1] if self.history else None
-
-    def min_free_cores(self) -> int:
-        """The tightest total-free-cores point seen so far."""
-        if not self.history:
-            raise ValueError("no snapshots recorded")
-        return min(s.total_free for s in self.history)
-
-    def report_for_engine(self) -> Dict[str, int]:
-        """The A_v map the Optimization Engine consumes (latest poll)."""
-        snap = self.latest or self.poll()
-        return dict(snap.free_cores)

@@ -1,7 +1,7 @@
 """APPLE core: the paper's primary contribution.
 
 * :mod:`repro.core.engine` — the Optimization Engine (ILP of Eq. 1–8,
-  solved by LP relaxation + rounding);
+  solved by LP relaxation + rounding), whose ``place()`` is the only planner;
 * :mod:`repro.core.placement` — placement-plan result types;
 * :mod:`repro.core.subclasses` — sub-class assignment from the spatial
   distribution d (Sec. V-A, monotone-coupling construction);
@@ -32,9 +32,6 @@ from repro.core.metrics import (
     tcam_usage_with_tagging,
     tcam_usage_without_tagging,
 )
-from repro.core.online import OnlineDecision, OnlinePlacementError, OnlinePlacer
-from repro.core.periodic import PeriodicReoptimizer, ReoptimizationReport
-from repro.core.provisioning import OrchestratedProvisioner, ProvisioningResult
 from repro.core.verify import verify_deployment, VerificationReport
 from repro.core.placement import InstanceRef, PlacementPlan
 from repro.core.rulegen import GeneratedRules, RuleGenerator
@@ -63,13 +60,6 @@ __all__ = [
     "tcam_usage_cross_product",
     "cross_product_penalty",
     "loss_over_time",
-    "OnlinePlacer",
-    "OnlineDecision",
-    "OnlinePlacementError",
-    "PeriodicReoptimizer",
-    "ReoptimizationReport",
-    "OrchestratedProvisioner",
-    "ProvisioningResult",
     "verify_deployment",
     "VerificationReport",
 ]

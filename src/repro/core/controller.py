@@ -135,7 +135,7 @@ class AppleController:
         The initial install goes through the cold path (:meth:`deploy`);
         the fabric blesses the result as its desired epoch 0 — a no-op on
         the wire — and every later rule change (recovery reconvergences,
-        scale actions, periodic re-optimization, reconciler repairs) then
+        elastic scale actions, reconciler repairs) then
         flows through acked, transactional southbound pushes.
         """
         if self.deployment is None:

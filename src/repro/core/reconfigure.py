@@ -3,9 +3,9 @@
 The paper has exactly one way for a placement to become forwarding
 state — Optimization Engine → sub-classes → Rule Generator → switches
 (Fig. 1, Sec. V–VI).  Every driver that computes a new plan (chaos
-recovery, the elastic loop, tenant workers, periodic re-optimization,
-orchestrated provisioning, crash recovery) goes through the three
-functions here and differs only in its trigger and in what it records:
+recovery, the elastic loop, tenant workers, crash recovery) goes through
+the three functions here and differs only in its trigger and in what it
+records:
 
 * :func:`realize` — plan → (sub-class plan, generated rules);
 * :func:`bootstrap` — day 0: the one cold install onto a fresh, empty

@@ -3,9 +3,10 @@
 Implements Sec. V-B's flow-tagging scheme end to end: the two tag fields
 (host ID and sub-class ID) carried in unused header bits, the physical
 switch pipeline of Table III / Fig. 2, the vSwitch
-``<IncomePort, class, sub-class>`` pipeline inside APPLE hosts, and a
-packet walker that executes installed rules so tests can verify policy
-enforcement and interference freedom packet by packet.
+``<IncomePort, class, sub-class>`` pipeline inside APPLE hosts, and the
+packet walkers that execute installed rules.  Rules live as
+:class:`TcamEntry` / :class:`VSwitchRule` objects; nothing renders them
+as OpenFlow text.
 """
 
 from repro.dataplane.packet import FIN, Packet
@@ -14,7 +15,6 @@ from repro.dataplane.tagging import TagAllocator, TagFieldSpec, TAG_FIELDS
 from repro.dataplane.switch import PhysicalSwitch, SwitchRuleSet
 from repro.dataplane.vswitch import VSwitch, VSwitchRule
 from repro.dataplane.flowhash import flow_hash, suffix_hash
-from repro.dataplane.flowmod import compile_switch_rules, compile_vswitch_rules, FlowMod
 from repro.dataplane.network import DataPlaneNetwork, DeliveryRecord
 
 __all__ = [
@@ -35,7 +35,4 @@ __all__ = [
     "DeliveryRecord",
     "flow_hash",
     "suffix_hash",
-    "FlowMod",
-    "compile_switch_rules",
-    "compile_vswitch_rules",
 ]

@@ -1,5 +1,6 @@
 """The repo's Markdown cross-references stay unbroken (tools/check_links.py)."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -47,3 +48,43 @@ def test_repo_docs_have_no_broken_links(capsys):
 def test_docs_linked_from_readme(doc):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     assert f"docs/{doc}" in readme, f"README.md must link docs/{doc}"
+
+
+def _layout_modules(design: str) -> set:
+    """Module paths named in DESIGN.md's ``src/repro/`` layout tree.
+
+    A line indented six spaces starts an entry: ``pkg/  a, b (note), c``
+    names ``pkg/a.py`` ...; a bare ``name`` is a top-level ``name.py``.
+    Deeper-indented lines continue the last package's list.
+    """
+    lines = design.split("## Repository layout", 1)[1].splitlines()
+    start = lines.index("    src/repro/") + 1
+    found, package = set(), None
+    for line in lines[start:]:
+        if not line.startswith("      "):
+            break
+        body = line.strip()
+        if not line.startswith("       "):
+            head, _, body = body.partition(" ")
+            if not head.endswith("/"):
+                found.add(f"{head}.py")
+                package = None
+                continue
+            package = head
+        body = re.sub(r"\([^)]*\)", "", body)
+        found.update(f"{package}{n.strip()}.py" for n in body.split(",") if n.strip())
+    return found
+
+
+def test_design_layout_tree_matches_src():
+    """DESIGN.md's layout names exactly the modules under src/repro/."""
+    root = Path(__file__).parent.parent
+    listed = _layout_modules((root / "DESIGN.md").read_text())
+    src = root / "src" / "repro"
+    actual = {
+        p.relative_to(src).as_posix()
+        for p in src.rglob("*.py")
+        if p.name != "__init__.py"
+    }
+    assert sorted(listed - actual) == [], "DESIGN.md names modules that do not exist"
+    assert sorted(actual - listed) == [], "modules missing from DESIGN.md's tree"

@@ -1,11 +1,9 @@
-"""System-level property tests: online placer and dynamic-handler invariants.
+"""System-level property tests: dynamic-handler invariants.
 
-These drive the stateful components with random inputs and assert the
-invariants the rest of the system depends on:
-
-* the online placer's state always describes a valid placement;
-* the dynamic handler conserves cores and keeps every class's sub-class
-  weights a partition of unity, no matter how rates fluctuate.
+These drive the fluid Dynamic Handler with random classes and rate
+sequences and assert the invariants the rest of the system depends on:
+it conserves cores, keeps every class's sub-class weights a partition of
+unity no matter how rates fluctuate, and failover never adds loss.
 """
 
 import numpy as np
@@ -13,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dynamic import DynamicHandler, FailoverConfig
 from repro.core.engine import OptimizationEngine
-from repro.core.online import OnlinePlacementError, OnlinePlacer
 from repro.core.subclasses import assign_subclasses
 from repro.traffic.classes import TrafficClass
 from repro.traffic.replay import ClassRateTimeline
@@ -43,51 +40,6 @@ def random_classes(draw, prefix="c", max_classes=5):
             )
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Online placer
-# ---------------------------------------------------------------------------
-@given(random_classes())
-@settings(max_examples=40, deadline=None)
-def test_online_state_always_valid(classes):
-    placer = OnlinePlacer(CORES)
-    admitted = []
-    for cls in classes:
-        try:
-            placer.admit(cls)
-            admitted.append(cls)
-        except OnlinePlacementError:
-            continue
-        # Invariants after every admission:
-        plan = placer.to_plan()
-        assert plan.validate(CORES) == []
-        for slot, load in placer.loads.items():
-            cap = DEFAULT_CATALOG.get(slot[1]).capacity_mbps
-            assert load <= cap * placer.quantities.get(slot, 0) + 1e-6
-        for sw in SWITCHES:
-            assert placer.free_cores(sw) >= 0
-
-
-@given(random_classes(), st.data())
-@settings(max_examples=30, deadline=None)
-def test_online_release_restores_loads(classes, data):
-    placer = OnlinePlacer(CORES)
-    admitted = []
-    for cls in classes:
-        try:
-            placer.admit(cls)
-            admitted.append(cls.class_id)
-        except OnlinePlacementError:
-            pass
-    if not admitted:
-        return
-    victim = data.draw(st.sampled_from(admitted))
-    before = sum(placer.loads.values())
-    placer.release(victim)
-    after = sum(placer.loads.values())
-    assert after <= before
-    assert victim not in placer.admitted_classes()
 
 
 # ---------------------------------------------------------------------------
