@@ -134,11 +134,6 @@ class ChaosMetrics:
             rec.lifted_at = now
         self.note(now, "lift", f"{event.kind.value} {event.target}")
 
-    def fault_detected(self, event_id: str, now: float) -> None:
-        rec = self.faults.get(event_id)
-        if rec is not None and rec.detected_at is None:
-            rec.detected_at = now
-
     def detection(self, kind: str, target: str, now: float) -> None:
         """A detector verdict; matched to the open fault on ``target``."""
         self.note(now, "detect", f"{kind} {target}")

@@ -2,10 +2,13 @@
 
 The paper has exactly one way for a placement to become forwarding
 state — Optimization Engine → sub-classes → Rule Generator → switches
-(Fig. 1, Sec. V–VI).  Every driver that computes a new plan (chaos
-recovery, the elastic loop, tenant workers, crash recovery) goes through
-the three functions here and differs only in its trigger and in what it
-records:
+(Fig. 1, Sec. V–VI).  Every driver that computes a new plan goes
+through the three functions here and differs only in its trigger and in
+what it records.  There are two such drivers after day 0: the
+single-controller re-plan step (``AppleController.push``, which chaos
+recovery and the elastic loop trigger) and each tenant's
+``TenantWorker``.  Crash recovery's rebuild uses :func:`realize` and
+:func:`bootstrap`, then re-adopts the harvested network.
 
 * :func:`realize` — plan → (sub-class plan, generated rules);
 * :func:`bootstrap` — day 0: the one cold install onto a fresh, empty

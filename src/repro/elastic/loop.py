@@ -1,19 +1,18 @@
-"""The elastic control loop: observe → decide → re-place → push → drain.
+"""The elastic control loop: observe → decide → admit → re-plan.
 
 :class:`ElasticController` is the executive around the pure decision
 core.  Each tick it reads offered load (a seeded pure function of sim
 time), computes a :class:`~repro.elastic.monitor.UtilizationSnapshot`
 against the *deployed* plan, and feeds the bottleneck utilization
 through the hysteresis bands.  An action re-runs admission control over
-the full offered demand, warm-start re-places the admitted classes at
-``offered / target_utilization`` (so post-action utilization lands in
-the hysteresis dead band), and commits the new rules through the one
-commit step (:func:`repro.core.reconfigure.commit`) — a make-before-break
-epoch on the southbound fabric.  At epoch convergence the fabric drains
-instances the new plan no longer references, the controller's
-deployment is swapped and ``verify_deployment`` has audited the result,
-exactly like the chaos recovery path.  If another committer (a recovery
-reconvergence) replaces the epoch first, the action is recorded as
+the full offered demand and hands the verdict — shed ids, and planning
+rates ``offered / target_utilization`` (so post-action utilization lands
+in the dead band) — to the controller's one re-plan step
+(:meth:`~repro.core.controller.AppleController.desired_classes` →
+``place_live`` → ``push``), the one chaos recovery runs: the failure view
+applies to every push, and the verdict is adopted only when its epoch
+converges.  If a recovery push replaces the epoch first, it re-plans
+under the previous converged verdict, the action is recorded as
 *superseded* and the next tick re-decides from the live utilization.
 
 Shed flows go through the same ingress-quarantine mechanism chaos
@@ -34,12 +33,12 @@ from __future__ import annotations
 
 import math
 
-from typing import Callable, Dict, Mapping, Optional, Set
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.controller import AppleController
 from repro.core.engine import PlacementError
 from repro.core.placement import PlacementPlan, diff_plans
-from repro.core.reconfigure import Outcome, commit, realize
+from repro.core.reconfigure import Outcome
 from repro.elastic.admission import admission_control
 from repro.elastic.hysteresis import (
     HOLD,
@@ -52,7 +51,6 @@ from repro.elastic.monitor import UtilizationSnapshot, utilization_snapshot
 from repro.elastic.slo import DEFAULT_SLO, SLOClass
 from repro.sim.kernel import Simulator, Timer
 from repro.southbound.fabric import SouthboundFabric
-from repro.traffic.classes import TrafficClass
 
 
 #: Watermarks and dwell of the scaling decision (see
@@ -70,12 +68,11 @@ class ElasticController:
 
     Args:
         sim: the shared simulator (also driving the fabric and chaos).
-        controller: the APPLE controller owning the deployment; its
-            engine provides warm-start re-placement, its rule generator
-            the new rule set.
-        fabric: the southbound fabric (constructed with
-            ``drain_retired=True`` so scale-in actually retires
-            instances at convergence).
+        controller: the APPLE controller owning the deployment; its one
+            re-plan step places and commits each verdict.
+        fabric: the southbound fabric attached to ``controller``
+            (constructed with ``drain_retired=True`` so scale-in
+            actually retires instances at convergence).
         offered_fn: pure function ``sim time -> offered Mbps per class
             id`` (baseline × flash-crowd multiplier).
         slo_map: SLO class per class id; absent ids get
@@ -92,67 +89,29 @@ class ElasticController:
     ) -> None:
         if controller.deployment is None:
             raise ValueError("controller has no deployment to scale")
+        if controller.southbound is not fabric:
+            raise ValueError("attach the fabric to the controller first")
         self.sim = sim
         self.controller = controller
         self.fabric = fabric
         self.offered_fn = offered_fn
         self.catalog = controller.catalog
         self.headroom = controller.engine.config.capacity_headroom
-        #: The full class population at baseline rates — admission
-        #: always re-decides over this set, so shed flows are
-        #: re-admitted as soon as capacity allows.
-        self.base: Dict[str, TrafficClass] = {
-            c.class_id: c for c in controller.deployment.plan.classes
-        }
         self.slo_map: Dict[str, SLOClass] = {
-            cid: (slo_map or {}).get(cid, DEFAULT_SLO) for cid in self.base
+            cid: (slo_map or {}).get(cid, DEFAULT_SLO) for cid in controller.day0
         }
-        self.available_cores = controller.available_cores()
-        self.available_memory = controller.available_memory_gb()
-        self.total_cores = sum(self.available_cores.values())
 
         self.state = HysteresisState()
-        self.shed_ids: Set[str] = set()
+        #: Rate caps of the degraded classes in the last converged verdict.
         self.degraded_caps: Dict[str, float] = {}
         self.metrics = ElasticMetrics(TICK_INTERVAL)
         self._pending: Optional[ScaleAction] = None
         self._timer: Optional[Timer] = None
-        #: Optional write-ahead journal (repro.resilience): every scale
-        #: decision is logged before its epoch opens.
-        self.journal = None
 
-    # ------------------------------------------------------------------
-    # Crash tolerance (see repro.resilience)
-    # ------------------------------------------------------------------
-    def attach_journal(self, journal) -> None:
-        self.journal = journal
-
-    def checkpoint_state(self) -> dict:
-        """The loop's control state for a resilience checkpoint."""
-        return {
-            "hysteresis": {"above": self.state.above, "below": self.state.below},
-            "shed_ids": sorted(self.shed_ids),
-            "degraded_caps": {
-                cid: self.degraded_caps[cid] for cid in sorted(self.degraded_caps)
-            },
-            "pending": self._pending is not None,
-        }
-
-    def restore_state(self, snap: dict) -> None:
-        """Adopt a checkpointed control state after recovery.
-
-        A pending (mid-push) action is dropped, not resumed: its epoch
-        never converged, so the deployed plan — re-read from the
-        controller — is still the pre-action one, and the next tick
-        re-decides from the same utilization signal.
-        """
-        self.state = HysteresisState(
-            above=int(snap["hysteresis"]["above"]),
-            below=int(snap["hysteresis"]["below"]),
-        )
-        self.shed_ids = set(snap["shed_ids"])
-        self.degraded_caps = dict(snap["degraded_caps"])
-        self._pending = None
+    @property
+    def shed_ids(self) -> Tuple[str, ...]:
+        """Shed class ids of the last converged verdict (the controller's)."""
+        return self.controller.shed_ids
 
     @property
     def plan(self) -> PlacementPlan:
@@ -182,8 +141,9 @@ class ElasticController:
         their admitted rate.
         """
         load: Dict[str, float] = {}
-        for cid in self.base:
-            if cid in self.shed_ids:
+        shed = set(self.shed_ids)
+        for cid in self.controller.day0:
+            if cid in shed:
                 continue
             rate = float(offered.get(cid, 0.0))
             cap = self.degraded_caps.get(cid)
@@ -228,24 +188,25 @@ class ElasticController:
         Aggregates demand per NF type and charges ``ceil(demand /
         effective capacity)`` instances — it ignores per-switch packing,
         so it under-estimates the exact ILP's need.  That is the right
-        direction: admission sheds minimally, and ``engine.place``
-        remains the authoritative oracle (a ``PlacementError`` bumps
-        ``extra_shed`` and re-runs the oracle).
+        direction: admission sheds minimally, and the controller's
+        ``place_live`` remains the authoritative oracle (a
+        ``PlacementError`` bumps ``extra_shed`` and re-runs the oracle).
         """
         target = HYSTERESIS.target_utilization
+        day0 = self.controller.day0
         demand: Dict[str, float] = {}
         for cid, rate in admitted.items():
             if rate <= 0:
                 continue
             planning = rate / target
-            for nf_name in self.base[cid].chain:
+            for nf_name in day0[cid].chain:
                 demand[nf_name] = demand.get(nf_name, 0.0) + planning
         need = 0
         for nf_name, nf_demand in demand.items():
             spec = self.catalog.get(nf_name)
             cap = spec.capacity_mbps * self.headroom
             need += max(1, math.ceil(nf_demand / cap - 1e-9)) * spec.cores
-        return need <= self.total_cores
+        return need <= sum(self.controller.available_cores().values())
 
     # ------------------------------------------------------------------
     # Action execution
@@ -256,89 +217,57 @@ class ElasticController:
         offered: Mapping[str, float],
         snap: UtilizationSnapshot,
     ) -> None:
-        engine = self.controller.engine
+        controller = self.controller
         target = HYSTERESIS.target_utilization
         extra = 0
         while True:
             admission = admission_control(
-                sorted(self.base),
+                sorted(controller.day0),
                 offered,
                 self.slo_map,
                 self._fits,
                 extra_shed=extra,
             )
-            planning = {
+            rates = {
                 cid: rate / target
                 for cid, rate in admission.admitted_rates().items()
             }
-            if not planning:
+            if not rates:
                 self.metrics.placement_failures += 1
                 return
-            plan_classes = [
-                self.base[cid].with_rate(planning[cid]) for cid in sorted(planning)
-            ]
-            warm_before = engine.warm_solves
+            shed = admission.shed_ids()
+            classes, stranded, _ = controller.desired_classes(shed, rates)
             try:
-                plan = engine.place(
-                    plan_classes,
-                    self.available_cores,
-                    available_memory_gb=self.available_memory,
-                )
+                plan = controller.place_live(classes)
                 break
             except PlacementError:
                 # The exact ILP overruled the fluid bound: shed the next
                 # victim (same canonical order) and try again.
                 self.metrics.placement_failures += 1
                 extra += 1
-                if extra > len(self.base):
+                if extra > len(controller.day0):
                     return
 
-        warm = engine.warm_solves > warm_before
-        if warm:
+        if plan.warm_start:
             self.metrics.resolves_warm += 1
         else:
             self.metrics.resolves_cold += 1
-
-        subclass_plan, rules = realize(self.controller.rule_generator, plan)
         delta = diff_plans(self.plan, plan)
-        shed = admission.shed_ids()
-        stranded = {cid: self.base[cid].src for cid in shed}
         admitted_n, degraded_n, shed_n = admission.counts()
         action = ScaleAction(
             time=round(self.sim.now, 6),
             direction=direction,
             trigger_utilization=round(snap.max_utilization, 6),
-            classes=len(plan_classes),
+            classes=len(classes),
             admitted=admitted_n,
             degraded=degraded_n,
             shed=shed_n,
             planned_instances=plan.total_instances(),
             planned_cores=plan.total_cores(),
-            warm=warm,
+            warm=plan.warm_start,
             added=len(delta.added),
             retired=len(delta.retired),
         )
-        if self.journal is not None:
-            # Write-ahead: the decision is journaled before the epoch it
-            # drives ever opens on the fabric.
-            from repro.resilience.journal import SCALE
-
-            self.journal.append(
-                SCALE,
-                {
-                    "time": action.time,
-                    "direction": action.direction,
-                    "trigger_utilization": action.trigger_utilization,
-                    "classes": action.classes,
-                    "admitted": action.admitted,
-                    "degraded": action.degraded,
-                    "shed": action.shed,
-                    "planned_instances": action.planned_instances,
-                    "planned_cores": action.planned_cores,
-                    "warm": action.warm,
-                },
-                time=self.sim.now,
-            )
         self._pending = action
         drained_before = self.fabric.drained_total
 
@@ -347,20 +276,11 @@ class ElasticController:
             if outcome.superseded:
                 self.metrics.superseded.append(action)
                 return
-            self.shed_ids = set(shed)
             self.degraded_caps = admission.degraded_caps()
-            self.controller.deployment = outcome.deployment
             action.epoch = outcome.convergence.epoch
             action.converged_at = round(outcome.convergence.converged_at, 6)
             action.drained = self.fabric.drained_total - drained_before
             action.verify_ok = outcome.report.ok
             self.metrics.record_action(action)
 
-        commit(
-            self.fabric,
-            plan,
-            subclass_plan,
-            rules,
-            stranded=stranded,
-            on_done=done,
-        )
+        controller.push(plan, stranded, done, shed, rates)

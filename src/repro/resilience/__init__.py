@@ -1,15 +1,14 @@
 """Control-plane crash tolerance: journal, checkpoints, recovery.
 
-The orchestrator stack (tenancy bus/arbiter/workers, the elastic loop,
-each tenant's southbound fabric) is the single stateful authority for
+The orchestrator stack (tenancy bus/arbiter/workers, each tenant's
+southbound fabric) is the single stateful authority for
 interference-free enforcement — and until this package existed, killing
 it lost everything.  Three pieces fix that:
 
 * :mod:`repro.resilience.journal` — a write-ahead intent journal:
-  every accepted intent, arbiter grant, elastic scale decision and
-  southbound epoch event is appended *before* it takes effect, with
-  seeded-deterministic record IDs, on an in-memory or on-disk (JSONL)
-  backend.  Both are fsync-free: durability is modelled, not bought.
+  every accepted intent, arbiter grant and southbound epoch event is
+  appended *before* it takes effect, with seeded-deterministic record
+  IDs, on an in-memory or on-disk (JSONL) backend.  Both are fsync-free: durability is modelled, not bought.
 * :mod:`repro.resilience.checkpoint` — periodic snapshots of the
   orchestrator / arbiter / per-tenant desired state, written into the
   journal as ordinary records, so recovery replays only the suffix.
@@ -33,7 +32,6 @@ from repro.resilience.journal import (
     GRANT,
     INTENT,
     RECOVERY,
-    SCALE,
     SHUTDOWN,
     FileJournal,
     JournalRecord,
@@ -45,7 +43,6 @@ __all__ = [
     "INTENT",
     "COMMIT",
     "GRANT",
-    "SCALE",
     "EPOCH",
     "CHECKPOINT",
     "SHUTDOWN",

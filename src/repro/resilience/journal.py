@@ -2,8 +2,8 @@
 
 Every state-changing decision of the control plane is appended here
 *before* it takes effect (classic WAL discipline): accepted intents,
-arbiter admission verdicts, intent commits, elastic scale decisions,
-southbound epoch opens/convergences, periodic checkpoints, graceful
+arbiter admission verdicts, intent commits, southbound epoch
+opens/convergences, periodic checkpoints, graceful
 shutdowns and recoveries.  A crash at any point leaves a prefix of the
 journal on, um, disk; recovery restores the last ``CHECKPOINT`` record
 and replays the ``INTENT`` suffix (see :mod:`repro.resilience.recovery`).
@@ -39,13 +39,12 @@ from repro.obs import state as _obs
 INTENT = "intent"          #: an accepted intent, logged before delivery
 GRANT = "grant"            #: an arbiter admission verdict
 COMMIT = "commit"          #: an intent reaching a terminal state
-SCALE = "scale"            #: an elastic-loop scale decision, pre-push
 EPOCH = "epoch"            #: a southbound epoch opened or converged
 CHECKPOINT = "checkpoint"  #: a full desired-state snapshot (inline)
 SHUTDOWN = "shutdown"      #: a graceful stop (undelivered seqs listed)
 RECOVERY = "recovery"      #: a crash recovery completed
 
-KINDS = (INTENT, GRANT, COMMIT, SCALE, EPOCH, CHECKPOINT, SHUTDOWN, RECOVERY)
+KINDS = (INTENT, GRANT, COMMIT, EPOCH, CHECKPOINT, SHUTDOWN, RECOVERY)
 
 #: Header line of the on-disk backend.
 FILE_SCHEMA = "apple-wal/v1"

@@ -11,8 +11,8 @@ from repro.chaos import (
     ProbeLoop,
     generate_schedule,
 )
-from repro.chaos.recovery import _QUARANTINE_PREFIX
 from repro.core.controller import AppleController
+from repro.dataplane.switch import QUARANTINE_PREFIX
 from repro.sim.kernel import Simulator
 from repro.topology.datasets import internet2
 from repro.topology.graph import AppleHostSpec, Link, Topology
@@ -171,7 +171,7 @@ def test_all_stranded_classes_are_quarantined_not_leaked():
     assert m["policy_violation_seconds"] == 0
     ingress = deployment.network.switches["a"]
     assert any(
-        e.name.startswith(_QUARANTINE_PREFIX) for e in ingress.table.entries()
+        e.name.startswith(QUARANTINE_PREFIX) for e in ingress.table.entries()
     )
     # Post-crash probes of the stranded class black-hole.
     last_tick = m["ticks"][-1]

@@ -146,3 +146,24 @@ def test_pinned_quick_seed1_signatures():
         (name, "7fcdfe243983c31b")
         for name in ("baseline", "crash#1", "crash#2", "all-crashes")
     ]
+
+
+def test_pinned_quick_seed1_single_controller_tables():
+    """The single-controller stack's ``--quick --seed 1`` tables: chaos
+    recovery (``failure-recovery``, ``southbound-chaos``) and the elastic
+    loop (``flash-crowd`` signatures), each re-planning through the
+    controller's one step.  A deliberate change updates them here."""
+    from repro.experiments import failure_recovery, flash_crowd, southbound_chaos
+
+    assert failure_recovery.run(seed=1, quick=True).rows == [
+        ["internet2", 2, 2, 0.646015, 0.751016, 0.891515, 1.25, 22, 0.0, 3, 866,
+         2, 0, 0, "OK"]
+    ]
+    assert southbound_chaos.run(seed=1, quick=True).rows == [
+        ["0%", 72, 0, 0, 0, 0, 2, 0, 0, 3, 0.222228, 1.25, 0.0, 0, "OK"],
+        ["10%", 72, 12, 12, 12, 0, 2, 0, 0, 3, 0.772704, 2.0, 0.0, 0, "OK"],
+    ]
+    assert [
+        flash_crowd._flash_row(amplitude, seed=1, quick=True)[1]
+        for amplitude in (2.0, 8.0)
+    ] == ["a92afcca64e047f4", "d79d77c025ed1829"]

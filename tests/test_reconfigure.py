@@ -5,8 +5,14 @@
 * an elastic scale-out superseded by a recovery push leaves ``busy``,
   re-decides, later scales in, and the run stays clean;
 * single writer: across a chaos + elastic + tenancy history, no rule
-  table of a live network moves outside a ``SwitchAgent`` apply.
+  table of a live network moves outside a ``SwitchAgent`` apply;
+* composition: with recovery and the elastic loop both armed, an epoch
+  converged after every open fault was detected keeps routing around
+  failed links, names only running instances and keeps the converged
+  verdict's shed classes out.
 """
+
+import pytest
 
 from repro.chaos import (
     ChaosConfig,
@@ -83,6 +89,17 @@ def test_back_to_back_commits_superseded_then_converged():
     assert second.deployment.instances == fabric.instances
     assert second.report.ok, second.report.summary()
     assert fabric.converged and fabric.drift_count() == 0
+
+
+#: A link flap, a VNF crash and a brownout inside the flash crowd.
+_SINGLE_WRITER_FAULTS = ChaosConfig(
+    link_flaps=1,
+    host_crashes=0,
+    vnf_crashes=1,
+    brownouts=1,
+    window=(3.0, 10.0),
+    flap_duration=(4.0, 7.0),
+)
 
 
 def _flash_scenario(seed=0, amplitude=2.0, faults=None, sb_chaos=None):
@@ -165,6 +182,57 @@ def test_elastic_scale_out_superseded_by_recovery_push_recovers():
     assert fabric.converged and fabric.drift_count() == 0
 
 
+@pytest.mark.parametrize("seed, amplitude", [(0, 2.0), (5, 8.0)])
+def test_recovery_and_elastic_pushes_compose(seed, amplitude):
+    # Both triggers armed on one controller.  Once every open fault has
+    # been detected, a converged epoch pushed after the last detection
+    # must reflect all of it *and* the converged admission verdict —
+    # whichever trigger pushed it.
+    sim, chaos, elastic, fabric = _flash_scenario(
+        seed, amplitude, faults=_SINGLE_WRITER_FAULTS
+    )
+    controller = chaos.controller
+    bad = {"path": [], "dead instance": [], "shed": []}
+    evaluated = []
+
+    def check():
+        if not fabric.converged:
+            return
+        for rec in chaos.metrics.faults.values():
+            if rec.applied_at is None or rec.lifted_at is not None:
+                continue
+            if rec.detected_at is None or fabric.desired_since < rec.detected_at:
+                return
+        now = sim.now
+        evaluated.append(now)
+        deployment = controller.deployment
+        failed = controller.topo.failed_links
+        if any(
+            Topology.link_key(a, b) in failed
+            for cls in deployment.plan.classes
+            for a, b in zip(cls.path, cls.path[1:])
+        ):
+            bad["path"].append(now)
+        if any(
+            vsw.registered(iid) is None or not vsw.registered(iid).running
+            for vsw in deployment.network.vswitches.values()
+            for rule in vsw.installed_rules().values()
+            for iid in rule.instance_ids
+        ):
+            bad["dead instance"].append(now)
+        live = {cls.class_id for cls in deployment.plan.classes}
+        if live & set(elastic.shed_ids):
+            bad["shed"].append(now)
+
+    sim.every(0.25, check)
+    result = chaos.run(until=QUICK_HORIZON + 10.0)
+    elastic.stop()
+    assert bad == {"path": [], "dead instance": [], "shed": []}
+    assert len(evaluated) >= 60
+    assert result.metrics["policy_violation_seconds"] == 0
+    assert result.final_verify_ok
+
+
 # ----------------------------------------------------------------------
 # Single writer (the oracle below shares no code with repro.core.reconfigure:
 # it only reads the PR-12 generation counters)
@@ -234,17 +302,9 @@ def test_southbound_fabric_is_the_only_writer_of_a_live_network(monkeypatch):
 
     # Chaos + elastic on one network: a VNF crash and a link flap under a
     # flash crowd, over a lossy control channel.
-    faults = ChaosConfig(
-        link_flaps=1,
-        host_crashes=0,
-        vnf_crashes=1,
-        brownouts=1,
-        window=(3.0, 10.0),
-        flap_duration=(4.0, 7.0),
-    )
     sim, chaos, elastic, fabric = _flash_scenario(
         seed=1,
-        faults=faults,
+        faults=_SINGLE_WRITER_FAULTS,
         sb_chaos=SouthboundChaosConfig(loss_rate=0.1, extra_delay_mean=0.01),
     )
     sim.every(0.05, lambda: ledger.check_all("between sim events"))

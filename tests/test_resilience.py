@@ -10,15 +10,7 @@ from repro.chaos.schedule import (
     FaultKind,
     generate_controller_crashes,
 )
-from repro.core.engine import EngineConfig
-from repro.elastic import ElasticController
-from repro.elastic.hysteresis import HysteresisState
 from repro.experiments.controller_crash import run_once
-from repro.experiments.harness import (
-    REPLAY_HEADROOM,
-    TOPOLOGY_DEMAND_MBPS,
-    standard_setup,
-)
 from repro.resilience import (
     CHECKPOINT,
     COMMIT,
@@ -31,7 +23,6 @@ from repro.resilience import (
 from repro.resilience.checkpoint import capture
 from repro.resilience.journal import KINDS, record_id
 from repro.sim.kernel import Simulator
-from repro.southbound import SouthboundFabric
 from repro.tenancy import (
     CreateChain,
     DeleteChain,
@@ -307,39 +298,6 @@ def test_graceful_shutdown_then_recover_is_lossless():
     recovered.stop()
     assert recovered.waiting_intents() == 0
     assert recovered.state_signature() == _baseline_signature()
-
-
-# ---------------------------------------------------------------------------
-# Elastic-loop control state
-# ---------------------------------------------------------------------------
-def test_elastic_checkpoint_state_round_trips():
-    topo, controller, series = standard_setup(
-        "internet2",
-        snapshots=1,
-        seed=0,
-        demand_mbps=TOPOLOGY_DEMAND_MBPS["internet2"],
-        engine_config=EngineConfig(capacity_headroom=REPLAY_HEADROOM),
-    )
-    sim = Simulator()
-    deployment = controller.run(series.snapshots[0], sim=sim)
-    fabric = SouthboundFabric(
-        sim, deployment.network, 0, controller.rule_generator
-    )
-    controller.attach_southbound(fabric)
-    loop = ElasticController(sim, controller, fabric, lambda now: {})
-    loop.state = HysteresisState(above=3, below=1)
-    loop.shed_ids = {"z", "a"}
-    loop.degraded_caps = {"a": 0.5}
-    snap = json.loads(json.dumps(loop.checkpoint_state()))  # JSON-safe
-    assert snap["shed_ids"] == ["a", "z"]
-
-    other = ElasticController(sim, controller, fabric, lambda now: {})
-    other.restore_state(snap)
-    assert other.state.above == 3 and other.state.below == 1
-    assert other.shed_ids == {"a", "z"}
-    assert other.degraded_caps == {"a": 0.5}
-    assert other._pending is None
-    assert other.checkpoint_state() == loop.checkpoint_state()
 
 
 # ---------------------------------------------------------------------------
