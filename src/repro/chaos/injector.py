@@ -140,7 +140,7 @@ class FaultInjector:
             # Restore only if the degraded VM is still the one in service —
             # recovery may have replaced it with a fresh instance already.
             if target is not None and current is target and target.running:
-                target.restore_full()
+                target.degrade(1.0)
                 network.invalidate_plans()
         elif event.kind is FaultKind.SWITCH_DISCONNECT:
             self.fabric.reconnect(event.target)

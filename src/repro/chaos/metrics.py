@@ -18,7 +18,6 @@ across same-seed runs (the acceptance criterion).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -305,11 +304,6 @@ class ChaosMetrics:
                 sum(c.wall_seconds for c in self.convergences), 6
             ),
         }
-
-    def signature(self) -> str:
-        """Canonical JSON of the deterministic export."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 class ProbeLoop:
     """Fixed-cadence synthetic probes scoring the live data plane.

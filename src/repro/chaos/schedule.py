@@ -107,15 +107,6 @@ class FaultEvent:
         u, v = self.target.split(LINK_SEP)
         return u, v
 
-    def describe(self) -> str:
-        extra = ""
-        if self.duration is not None:
-            extra = f" for {self.duration:.3f}s"
-        if self.kind is FaultKind.BROWNOUT:
-            extra += f" at {self.severity:.2f}x capacity"
-        return f"t={self.time:.3f}s {self.kind.value} {self.target}{extra}"
-
-
 @dataclass
 class ChaosConfig:
     """Knobs of schedule generation (counts per fault kind + timing).
@@ -136,12 +127,6 @@ class ChaosConfig:
             check_count(name, getattr(self, name))
         check_span("window", self.window)
         check_span("flap_duration", self.flap_duration)
-
-    def total_faults(self) -> int:
-        return (
-            self.link_flaps + self.host_crashes + self.vnf_crashes + self.brownouts
-        )
-
 
 @dataclass(frozen=True)
 class FaultSchedule:

@@ -34,10 +34,6 @@ class AtomicPredicates:
     atoms: List[Predicate]
     labels: List[FrozenSet[int]]
 
-    def atoms_of(self, predicate_index: int) -> List[Predicate]:
-        """The atoms composing input predicate ``predicate_index``."""
-        return [self.atoms[i] for i in sorted(self.labels[predicate_index])]
-
     def atom_of_header(self, header: Dict[str, int]) -> int:
         """Index of the (unique) atom containing a concrete header."""
         for i, atom in enumerate(self.atoms):

@@ -192,15 +192,8 @@ class Predicate:
         """Semantic equality via symmetric difference emptiness."""
         return self.subtract(other).is_empty() and other.subtract(self).is_empty()
 
-    def is_subset(self, other: "Predicate") -> bool:
-        return self.subtract(other).is_empty()
-
     def overlaps(self, other: "Predicate") -> bool:
         return not self.intersect(other).is_empty()
-
-    @property
-    def num_cubes(self) -> int:
-        return len(self.cubes)
 
     def __repr__(self) -> str:
         return f"Predicate(cubes={len(self.cubes)}, volume={self.volume()})"

@@ -89,28 +89,3 @@ class MatchRule:
                 dst_port=self.dst_port,
             )
         )
-
-    def tcam_entries(self) -> int:
-        """TCAM entries to express this rule.
-
-        Prefixes and exact protocol are single-entry; an arbitrary port
-        range expands into its minimal prefix cover.
-        """
-        if self.dst_port is None:
-            return 1
-        lo, hi = self.dst_port
-        from repro.classify.split import range_to_cidr_count
-
-        return range_to_cidr_count(lo, hi, bits=16)
-
-    def describe(self) -> str:
-        parts = []
-        if self.src:
-            parts.append(f"src={self.src}")
-        if self.dst:
-            parts.append(f"dst={self.dst}")
-        if self.proto:
-            parts.append(f"proto={self.proto}")
-        if self.dst_port:
-            parts.append(f"dst_port={self.dst_port[0]}-{self.dst_port[1]}")
-        return "MatchRule(" + ", ".join(parts or ["*"]) + ")"

@@ -10,7 +10,7 @@ never shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFType
@@ -71,19 +71,6 @@ class AppleHost:
             )
         self._allocations[instance.instance_id] = need
         self.instances[instance.instance_id] = instance
-
-    def release(self, instance_id: str) -> VNFInstance:
-        """Free the instance's cores; returns the removed instance."""
-        if instance_id not in self._allocations:
-            raise KeyError(f"instance {instance_id!r} not on host {self.host_id!r}")
-        del self._allocations[instance_id]
-        instance = self.instances.pop(instance_id)
-        instance.shutdown()
-        return instance
-
-    def instances_of(self, nf_name: str) -> List[VNFInstance]:
-        """Running instances of one NF type, in registration order."""
-        return [i for i in self.instances.values() if i.nf_type.name == nf_name]
 
     def __repr__(self) -> str:
         return (

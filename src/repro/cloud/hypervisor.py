@@ -113,13 +113,3 @@ class XenHypervisor:
             on_running(vm)
 
         self.sim.schedule(boot_time, finish)
-
-    def destroy(self, vm_id: str) -> None:
-        """Tear down a domain immediately (xl destroy)."""
-        vm = self.domains.get(vm_id)
-        if vm is None:
-            raise KeyError(f"unknown domain {vm_id!r}")
-        vm.state = VmState.DESTROYED
-
-    def running_domains(self) -> Dict[str, VM]:
-        return {k: v for k, v in self.domains.items() if v.state is VmState.RUNNING}

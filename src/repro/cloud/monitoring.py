@@ -59,10 +59,6 @@ class LivenessTracker:
             return True
         return False
 
-    def forget(self, entity: str) -> None:
-        """Stop tracking an entity (e.g. its slot left the placement)."""
-        self._states.pop(entity, None)
-
     def is_suspect(self, entity: str) -> bool:
         state = self._states.get(entity)
         return bool(state and state.reported)

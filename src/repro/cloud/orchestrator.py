@@ -102,18 +102,6 @@ class ResourceOrchestrator:
         except KeyError:
             raise KeyError(f"no APPLE host at switch {switch!r}") from None
 
-    def instances_at(self, switch: str, nf_name: Optional[str] = None) -> List[VNFInstance]:
-        host = self.host_at(switch)
-        if nf_name is None:
-            return list(host.instances.values())
-        return host.instances_of(nf_name)
-
-    def all_instances(self) -> List[VNFInstance]:
-        out: List[VNFInstance] = []
-        for host in self.hosts.values():
-            out.extend(host.instances.values())
-        return out
-
     # ------------------------------------------------------------------
     # Launch paths
     # ------------------------------------------------------------------
@@ -234,16 +222,3 @@ class ResourceOrchestrator:
     def spare_count(self, switch: str) -> int:
         """Idle pre-booted ClickOS VMs at a switch's host."""
         return len(self._spares.get(switch, []))
-
-    def add_spares(self, switch: str, count: int) -> None:
-        """Pre-boot more spare ClickOS VMs (warm pool for fast failover)."""
-        for _ in range(count):
-            self._preboot_spare(switch)
-
-    def terminate_instance(self, instance: VNFInstance) -> None:
-        """Release an instance's cores and stop it.
-
-        Used when fast-failover instances are "cancelled to save hardware
-        resources" after overload subsides (Sec. VI).
-        """
-        self.host_at(instance.switch).release(instance.instance_id)

@@ -25,10 +25,6 @@ from repro.core.controller import AppleController, UnknownClassError
 from repro.core.dynamic import DynamicHandler, FailoverEvent
 from repro.core.engine import EngineConfig, OptimizationEngine
 from repro.core.metrics import (
-    cross_product_penalty,
-    loss_over_time,
-    plan_core_usage,
-    tcam_usage_cross_product,
     tcam_usage_with_tagging,
     tcam_usage_without_tagging,
 )
@@ -54,12 +50,8 @@ __all__ = [
     "ingress_placement",
     "greedy_placement",
     "FRAMEWORK_COMPARISON",
-    "plan_core_usage",
     "tcam_usage_with_tagging",
     "tcam_usage_without_tagging",
-    "tcam_usage_cross_product",
-    "cross_product_penalty",
-    "loss_over_time",
     "verify_deployment",
     "VerificationReport",
 ]

@@ -267,10 +267,6 @@ class DynamicHandler:
             FailoverEvent(0.0, "failure", f"{ref.key} marked failed")
         )
 
-    def recover_instance(self, ref: InstanceRef) -> None:
-        """Clear a previously injected failure."""
-        self._failed.discard(ref)
-
     # ------------------------------------------------------------------
     # Load / loss computation
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Evaluation metrics: TCAM accounting, core usage, loss replay helpers.
+"""Evaluation metrics: TCAM accounting and free-core budgets.
 
 The TCAM accounting here is analytic (rule counting), matching how Fig. 10
 is computed: the *with-tagging* scheme installs classification rules only
@@ -90,56 +90,6 @@ def tcam_usage_without_tagging(
     return usage
 
 
-def tcam_usage_cross_product(
-    topo: Topology,
-    classes: Sequence[TrafficClass],
-    subclass_plan: SubclassPlan,
-    other_app_rules: int = 16,
-) -> Dict[str, int]:
-    """Per-switch TCAM slots when flow-table pipelining is unsupported.
-
-    Sec. V-B: with pipelining, APPLE's table and the next table (routing,
-    ACLs, traffic engineering) cost |APPLE| + |other| per switch; without
-    it "the semantics can still be retained by the cross-product of the
-    two tables, but the TCAM consumption would increase" —
-    (|APPLE| + 1) × |other|, the +1 being the pass-by row that pairs
-    non-APPLE traffic with every next-table rule.
-
-    Args:
-        other_app_rules: rules other control applications hold per switch.
-    """
-    if other_app_rules < 1:
-        raise ValueError("other_app_rules must be at least 1")
-    pipelined = tcam_usage_with_tagging(topo, classes, subclass_plan)
-    return {
-        sw: (pipelined.get(sw, 0) + 1) * other_app_rules
-        for sw in topo.switches
-    }
-
-
-def cross_product_penalty(
-    topo: Topology,
-    classes: Sequence[TrafficClass],
-    subclass_plan: SubclassPlan,
-    other_app_rules: int = 16,
-) -> float:
-    """Total TCAM of the cross-product layout over the pipelined layout.
-
-    The pipelined total counts both tables (|APPLE| + 1 pass-by + |other|
-    per switch); the penalty grows with APPLE's rule count — negligible on
-    pass-through switches, large at ingress switches holding many
-    classification rules.
-    """
-    pipelined = tcam_usage_with_tagging(topo, classes, subclass_plan)
-    crossed = tcam_usage_cross_product(
-        topo, classes, subclass_plan, other_app_rules
-    )
-    base = sum(
-        pipelined.get(sw, 0) + 1 + other_app_rules for sw in topo.switches
-    )
-    return sum(crossed.values()) / base if base else float("inf")
-
-
 def tcam_reduction_ratio(
     topo: Topology,
     classes: Sequence[TrafficClass],
@@ -154,11 +104,6 @@ def tcam_reduction_ratio(
     return without / with_tag if with_tag > 0 else float("inf")
 
 
-def plan_core_usage(plan: PlacementPlan) -> int:
-    """CPU cores consumed by a plan's instances (Fig. 11's metric)."""
-    return plan.total_cores()
-
-
 def free_cores_after(
     plan: PlacementPlan, available_cores: Mapping[str, int]
 ) -> Dict[str, int]:
@@ -170,12 +115,3 @@ def free_cores_after(
     return {
         sw: int(avail) - used.get(sw, 0) for sw, avail in available_cores.items()
     }
-
-
-def loss_over_time(timeline, handler) -> "LossTimeline":
-    """Replay ``timeline`` through a configured DynamicHandler.
-
-    Thin convenience wrapper so experiments read declaratively; see
-    :class:`repro.core.dynamic.DynamicHandler`.
-    """
-    return handler.replay(timeline)

@@ -214,10 +214,6 @@ class PlanDelta:
     retired: Tuple[str, ...]
     core_delta: int
 
-    @property
-    def is_noop(self) -> bool:
-        return not self.added and not self.retired
-
 
 def diff_plans(old: PlacementPlan, new: PlacementPlan) -> PlanDelta:
     """Slot-level diff ``old -> new``, keyed by :attr:`InstanceRef.key`.

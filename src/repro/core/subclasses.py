@@ -90,9 +90,6 @@ class SubclassPlan:
     def total_subclasses(self) -> int:
         return sum(len(v) for v in self.by_class.values())
 
-    def all_instances(self) -> List[InstanceRef]:
-        return sorted(self.instance_load, key=lambda r: r.key)
-
 
 class _SlotAllocator:
     """Splits a (switch, NF) slot's load across its q instances.

@@ -14,7 +14,7 @@ from repro.dataplane.tcam import Action, ActionKind, TcamEntry, TcamTable
 from repro.dataplane.tagging import TagAllocator, TagFieldSpec, TAG_FIELDS
 from repro.dataplane.switch import PhysicalSwitch, SwitchRuleSet
 from repro.dataplane.vswitch import VSwitch, VSwitchRule
-from repro.dataplane.flowhash import flow_hash, suffix_hash
+from repro.dataplane.flowhash import suffix_hash
 from repro.dataplane.network import DataPlaneNetwork, DeliveryRecord
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "VSwitchRule",
     "DataPlaneNetwork",
     "DeliveryRecord",
-    "flow_hash",
     "suffix_hash",
 ]

@@ -1,39 +1,15 @@
-"""Consistent flow hashing: map concrete 5-tuples onto the hash domain.
+"""Flow hashes on the hash domain [0, 1).
 
 Sec. V-A's first sub-class realisation assumes "flows are uniformly hashed
-to [0, 1)".  This module provides that hash for concrete packet headers, so
-experiments can drive the data plane with realistic 5-tuples instead of
-synthetic ``flow_hash`` values, and tests can check that the hash-range and
-prefix realisations of a sub-class agree.
+to [0, 1)".  The replay workloads drive the data plane with a cycling
+per-class hash sequence (:func:`cycling_hashes`); :func:`suffix_hash` is
+the source-suffix hash of the prefix realisation, so tests can check that
+the hash-range and prefix realisations of a sub-class agree.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, Iterable, Tuple
-
-#: Header fields participating in the flow hash, in canonical order.
-FLOW_KEY_FIELDS: Tuple[str, ...] = (
-    "src_ip",
-    "dst_ip",
-    "proto",
-    "src_port",
-    "dst_port",
-)
-
-_DOMAIN = 1 << 64
-
-
-def flow_hash(header: Dict[str, int]) -> float:
-    """Uniform hash of a header's flow key into [0, 1).
-
-    Deterministic across processes (blake2b-based, not the salted
-    :func:`hash`), stable under missing fields (treated as 0) and
-    insensitive to dict order; well-mixed even for sequential keys.
-    """
-    key = "|".join(str(int(header.get(f, 0))) for f in FLOW_KEY_FIELDS)
-    digest = hashlib.blake2b(key.encode("ascii"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / _DOMAIN
+from typing import Dict
 
 
 def suffix_hash(header: Dict[str, int], class_prefix_len: int = 24) -> float:
@@ -73,11 +49,3 @@ def cycling_hashes(count: int, start: int = 1, step: float = CYCLE_STEP):
 
     k = np.arange(start, start + count, dtype=np.float64)
     return np.mod(k * step, 1.0)
-
-
-def hash_spread(headers: Iterable[Dict[str, int]], buckets: int = 10) -> list:
-    """Histogram of flow hashes (uniformity check used in tests)."""
-    counts = [0] * buckets
-    for h in headers:
-        counts[min(int(flow_hash(h) * buckets), buckets - 1)] += 1
-    return counts

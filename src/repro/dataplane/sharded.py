@@ -505,11 +505,8 @@ class ShardedDataPlane:
             walker.bulk_packets = walker.seq_packets = 0
         return out
 
-    # ``with`` / ``close`` held resources while there were workers; kept
-    # (as no-ops) for ``benchmarks/pipeline`` until ROADMAP item 1.
-    def close(self) -> None:
-        pass
-
+    # ``with`` held resources while there were workers; kept (as a no-op)
+    # for ``benchmarks/pipeline`` until ROADMAP item 1.
     def __enter__(self) -> "ShardedDataPlane":
         return self
 

@@ -319,13 +319,6 @@ class TcamTable:
         self._hw_count = sum(_hardware_entries(e.hash_range) for e in entries)
         self._moved()
 
-    def entry_by_name(self, name: str) -> Optional[TcamEntry]:
-        """The installed entry called ``name`` (None when absent)."""
-        for e in self._entries:
-            if e.name == name:
-                return e
-        return None
-
     def lookup(self, packet: Packet) -> Optional[TcamEntry]:
         """First (highest-priority) matching entry, or None on miss."""
         self.lookup_count += 1

@@ -139,10 +139,6 @@ class VSwitch:
         self._rules.clear()
         self._moved()
 
-    @property
-    def rule_count(self) -> int:
-        return len(self._rules)
-
     # ------------------------------------------------------------------
     def process(self, packet: Packet, now: float, in_port: str = UPLINK) -> Optional[Packet]:
         """Walk the packet through its local instance sequence.

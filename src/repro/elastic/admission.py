@@ -40,16 +40,6 @@ class AdmissionDecision:
     offered_mbps: float
     admitted_mbps: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "class_id": self.class_id,
-            "action": self.action,
-            "slo": self.slo,
-            "offered_mbps": round(self.offered_mbps, 6),
-            "admitted_mbps": round(self.admitted_mbps, 6),
-        }
-
-
 @dataclass(frozen=True)
 class AdmissionPlan:
     """All per-class verdicts for one admission run (sorted by class id)."""

@@ -38,13 +38,6 @@ class UtilizationSnapshot:
     max_utilization: float
     offered_mbps: float
 
-    def utilization(self, nf_name: str) -> float:
-        for name, _, _, util in self.per_nf:
-            if name == nf_name:
-                return util
-        return 0.0
-
-
 def utilization_snapshot(
     time: float,
     plan: PlacementPlan,

@@ -29,6 +29,7 @@ from repro.experiments.harness import (
     parallel_map,
     standard_setup,
 )
+from repro.parallel import Jobs
 from repro.sim.kernel import Simulator
 
 #: Injection window and run horizon (full scale).  The horizon leaves room
@@ -99,7 +100,7 @@ def run(
     topologies: Sequence[str] = ("internet2", "geant"),
     seed: int = 0,
     quick: bool = False,
-    jobs: int = 1,
+    jobs: Jobs = 1,
 ) -> ExperimentResult:
     """Chaos run per topology: inject, detect, recover, verify.
 
@@ -112,14 +113,9 @@ def run(
     """
     if quick:
         topologies = ("internet2",)
-    if jobs > 1 and len(topologies) > 1:
-        rows: List[list] = parallel_map(
-            partial(_recovery_row, seed=seed, quick=quick),
-            topologies,
-            jobs=jobs,
-        )
-    else:
-        rows = [_recovery_row(t, seed=seed, quick=quick) for t in topologies]
+    rows: List[list] = parallel_map(
+        partial(_recovery_row, seed=seed, quick=quick), topologies, jobs=jobs
+    )
     return ExperimentResult(
         experiment="failure-recovery",
         description=f"live fault injection → detection → recovery (seed {seed})",

@@ -20,6 +20,7 @@ from repro.experiments.harness import (
     parallel_map,
     standard_setup,
 )
+from repro.parallel import Jobs
 from repro.traffic.replay import replay_series
 
 
@@ -43,13 +44,10 @@ def _sweep_setup(topology: str, snapshots: int):
     return controller, timeline, victims_by_load
 
 
-def _failure_row(k: int, state=None, topology: str = "", snapshots: int = 0) -> list:
-    """One sweep row.  ``state`` reuses a shared setup on the serial path;
-    worker processes pass ``state=None`` and rebuild it (deterministic, so
-    every worker sees the identical deployment and victim order)."""
-    controller, timeline, victims_by_load = (
-        state if state is not None else _sweep_setup(topology, snapshots)
-    )
+def _failure_row(k: int, topology: str, snapshots: int) -> list:
+    """One sweep row on its own (deterministic) setup: every row sees the
+    identical deployment and victim order, in-process or in a worker."""
+    controller, timeline, victims_by_load = _sweep_setup(topology, snapshots)
     losses = {}
     extras = 0.0
     for enabled in (False, True):
@@ -75,27 +73,23 @@ def run(
     failures: Sequence[int] = (0, 1, 2, 4, 8),
     snapshots: int = 20,
     quick: bool = False,
-    jobs: int = 1,
+    jobs: Jobs = 1,
 ) -> ExperimentResult:
     """Replay a short timeline with k concurrently failed instances.
 
     Args:
-        jobs: worker processes (one failure count per worker).  Workers
-            rebuild the deterministic setup instead of pickling it; the
-            serial path builds it once and shares it across rows.
+        jobs: worker processes (one failure count per worker), or
+            ``"auto"``.  Every row rebuilds the deterministic setup
+            instead of pickling it.
     """
     if quick:
         failures = (0, 2)
         snapshots = 8
-    if jobs > 1 and len(failures) > 1:
-        rows: List[list] = parallel_map(
-            partial(_failure_row, topology=topology, snapshots=snapshots),
-            failures,
-            jobs=jobs,
-        )
-    else:
-        state = _sweep_setup(topology, snapshots)
-        rows = [_failure_row(k, state=state) for k in failures]
+    rows: List[list] = parallel_map(
+        partial(_failure_row, topology=topology, snapshots=snapshots),
+        failures,
+        jobs=jobs,
+    )
     return ExperimentResult(
         experiment="failure-sweep",
         description=f"loss vs concurrent instance crashes ({topology})",

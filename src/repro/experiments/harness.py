@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -122,11 +121,6 @@ def _fmt(v: Any) -> str:
     if isinstance(v, float):
         return f"{v:.4g}"
     return str(v)
-
-
-def default_jobs() -> int:
-    """A conservative worker count for experiment fan-out."""
-    return max(1, min(4, (os.cpu_count() or 1) - 1))
 
 
 def parallel_map(

@@ -29,6 +29,7 @@ from repro.experiments.harness import (
     parallel_map,
     standard_setup,
 )
+from repro.parallel import Jobs
 from repro.sim.kernel import Simulator
 from repro.southbound import (
     SouthboundChaosConfig,
@@ -139,7 +140,7 @@ def run(
     loss_rates: Optional[Sequence[float]] = None,
     seed: int = 0,
     quick: bool = False,
-    jobs: int = 1,
+    jobs: Jobs = 1,
 ) -> ExperimentResult:
     """Loss-rate sweep of the resilient southbound channel.
 
@@ -156,12 +157,9 @@ def run(
         if loss_rates is not None
         else (QUICK_LOSS_SWEEP if quick else FULL_LOSS_SWEEP)
     )
-    if jobs > 1 and len(sweep) > 1:
-        rows: List[list] = parallel_map(
-            partial(_southbound_row, seed=seed, quick=quick), sweep, jobs=jobs
-        )
-    else:
-        rows = [_southbound_row(l, seed=seed, quick=quick) for l in sweep]
+    rows: List[list] = parallel_map(
+        partial(_southbound_row, seed=seed, quick=quick), sweep, jobs=jobs
+    )
     return ExperimentResult(
         experiment="southbound-chaos",
         description=(

@@ -64,7 +64,6 @@ __all__ = [
     "Tracer",
     "enable",
     "disable",
-    "enabled",
     "metric",
     "span",
     "reset",
@@ -95,10 +94,6 @@ def disable() -> None:
     """Turn all collection off again (values are kept until :func:`reset`)."""
     REGISTRY.enabled = False
     TRACER.enabled = False
-
-
-def enabled() -> bool:
-    return REGISTRY.enabled
 
 
 def reset() -> None:

@@ -20,7 +20,7 @@ Conventions (Prometheus-style):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import Metric, MetricsRegistry
 
@@ -204,6 +204,3 @@ def register_all(registry: MetricsRegistry) -> Dict[str, Metric]:
             )
     return out
 
-
-def catalog_names() -> Sequence[str]:
-    return sorted(d.name for d in CATALOG)

@@ -104,14 +104,6 @@ class GaugeSeries(_Series):
         if self._enabled:
             self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        if self._enabled:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        if self._enabled:
-            self.value -= amount
-
 
 class HistogramSeries(_Series):
     __slots__ = ("bucket_counts", "sum", "count")
@@ -245,9 +237,6 @@ class Metric:
 
     def inc(self, amount: float = 1.0) -> None:
         self._sole().inc(amount)  # type: ignore[attr-defined]
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._sole().dec(amount)  # type: ignore[attr-defined]
 
     def set(self, value: float) -> None:
         self._sole().set(value)  # type: ignore[attr-defined]

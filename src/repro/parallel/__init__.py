@@ -131,10 +131,6 @@ def mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def in_worker() -> bool:
     """True inside a pool worker (nested fan-out must stay in-process)."""
     return multiprocessing.current_process().name != "MainProcess"

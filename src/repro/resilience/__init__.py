@@ -21,8 +21,8 @@ it lost everything.  Three pieces fix that:
 
 ``recovery`` is imported lazily (it pulls in the tenancy stack, which
 itself journals through this package).  :mod:`repro.resilience.metrics`
-mirrors :class:`repro.chaos.metrics.ChaosMetrics`: a deterministic
-export plus a separate ``wall_clock()`` side channel.
+holds one :class:`RecoveryEvent` per recovery and the run's crash,
+checkpoint and journal-shape counts.
 """
 
 from repro.resilience.journal import (

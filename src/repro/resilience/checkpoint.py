@@ -33,18 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tenancy.worker import TenantWorker
 
 
-def empty_snapshot(slo_name: str = "silver") -> dict:
-    """The settled snapshot of a tenant with no live deployment."""
-    return {
-        "slo": slo_name,
-        "ops_completed": 0,
-        "chains": [],
-        "versions": {},
-        "epoch": -1,
-        "converged_epoch": -1,
-    }
-
-
 def settled_snapshot(worker: "TenantWorker") -> dict:
     """Snapshot one worker's committed state at an op boundary.
 
@@ -78,8 +66,15 @@ def capture(orch: "TenantOrchestrator") -> dict:
     workers: Dict[str, dict] = {}
     for tenant_id, worker in sorted(orch.workers.items()):
         settled = getattr(worker, "_settled", None)
-        if settled is None:
-            settled = empty_snapshot(worker.slo.name)
+        if settled is None:  # no live deployment yet
+            settled = {
+                "slo": worker.slo.name,
+                "ops_completed": 0,
+                "chains": [],
+                "versions": {},
+                "epoch": -1,
+                "converged_epoch": -1,
+            }
         workers[tenant_id] = settled
     return {
         "time": orch.sim.now,

@@ -1,17 +1,12 @@
 """Resilience metrics: crashes, recoveries, journal growth, downtime.
 
-Mirrors the :class:`repro.chaos.metrics.ChaosMetrics` split: everything
-in :meth:`ResilienceMetrics.to_dict` is a pure function of the seed (so
-it participates in bit-identity regressions via :meth:`signature`),
-while host wall-clock timings — recovery latency as actually measured —
-live behind the separate :meth:`wall_clock` side channel and never touch
-the deterministic export.
+One :class:`RecoveryEvent` per ``recover()`` (its sim-time downtime and
+the host wall-clock seconds the recovery took) and the run's crash,
+checkpoint and journal-shape counts in :class:`ResilienceMetrics`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -35,25 +30,6 @@ class RecoveryEvent:
     def downtime(self) -> float:
         return self.recovered_at - self.crash_time
 
-    def to_dict(self) -> dict:
-        return {
-            "crash_time": round(self.crash_time, 6),
-            "recovered_at": round(self.recovered_at, 6),
-            "checkpoint_time": round(self.checkpoint_time, 6),
-            "downtime": round(self.downtime, 6),
-            "journal_records": self.journal_records,
-            "replayed": self.replayed,
-            "skipped": self.skipped,
-            "tenants_restored": self.tenants_restored,
-            "tenants_rebuilt": self.tenants_rebuilt,
-            "caught_up_at": (
-                round(self.caught_up_at, 6)
-                if self.caught_up_at is not None
-                else None
-            ),
-        }
-
-
 @dataclass
 class ResilienceMetrics:
     """Aggregated controller-crash metrics for one run."""
@@ -75,45 +51,3 @@ class ResilienceMetrics:
         self.journal_length = len(journal)
         self.journal_kinds = dict(sorted(journal.kind_counts().items()))
         self.checkpoints = self.journal_kinds.get("checkpoint", 0)
-
-    # ------------------------------------------------------------------
-    @property
-    def downtime_seconds(self) -> float:
-        return sum(ev.downtime for ev in self.recoveries)
-
-    @property
-    def intents_replayed(self) -> int:
-        return sum(ev.replayed for ev in self.recoveries)
-
-    @property
-    def intents_skipped(self) -> int:
-        return sum(ev.skipped for ev in self.recoveries)
-
-    def to_dict(self) -> dict:
-        """Deterministic export — no wall-clock values in here."""
-        return {
-            "crashes": self.crashes,
-            "recoveries": len(self.recoveries),
-            "checkpoints": self.checkpoints,
-            "journal_length": self.journal_length,
-            "journal_kinds": dict(self.journal_kinds),
-            "downtime_seconds": round(self.downtime_seconds, 6),
-            "intents_replayed": self.intents_replayed,
-            "intents_skipped": self.intents_skipped,
-            "events": [ev.to_dict() for ev in self.recoveries],
-        }
-
-    def wall_clock(self) -> dict:
-        """Host-timing side channel, kept out of the deterministic dict."""
-        return {
-            "recovery_wall_seconds": [
-                round(ev.wall_seconds, 6) for ev in self.recoveries
-            ],
-            "recovery_wall_total": round(
-                sum(ev.wall_seconds for ev in self.recoveries), 6
-            ),
-        }
-
-    def signature(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha1(payload.encode()).hexdigest()[:16]

@@ -3,7 +3,7 @@
 The original APPLE prototype runs on a physical testbed (OpenStack + Xen +
 Open vSwitch).  This package provides the timing substrate that stands in for
 that testbed: a deterministic event queue, generator-based processes,
-periodic timers, packet sources (CBR / Poisson / on-off) and a flow-level TCP
+periodic timers, a CBR packet source and a flow-level TCP
 transfer model used by the Fig. 8 experiment.
 
 Typical usage::
@@ -18,7 +18,7 @@ Typical usage::
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Process, Simulator, Timer
 from repro.sim.rng import SeededRNG
-from repro.sim.sources import CBRSource, OnOffSource, PoissonSource
+from repro.sim.sources import CBRSource
 from repro.sim.tcp import TcpTransfer, TcpTransferResult
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "Timer",
     "SeededRNG",
     "CBRSource",
-    "PoissonSource",
-    "OnOffSource",
     "TcpTransfer",
     "TcpTransferResult",
 ]

@@ -11,7 +11,7 @@ three styles of simulation code used across the repository:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional, Tuple
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.obs import state as _obs
 from repro.sim.events import Event, EventQueue
@@ -141,11 +141,6 @@ class Simulator:
         return self.run(until=None, max_events=max_events)
 
     @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled shells)."""
-        return len(self._queue)
-
-    @property
     def events_fired(self) -> int:
         """Total number of events fired over the simulator's lifetime."""
         return self._fired
@@ -171,11 +166,6 @@ class Process:
         self._gen = generator
         self._alive = True
         self._next_event: Optional[Event] = None
-
-    @property
-    def alive(self) -> bool:
-        """Whether the generator has not yet finished or been interrupted."""
-        return self._alive
 
     def interrupt(self) -> None:
         """Stop the process; its pending wakeup is cancelled."""
@@ -223,11 +213,6 @@ class Timer:
         self._active = False
         self.fire_count = 0
 
-    @property
-    def active(self) -> bool:
-        """Whether the timer will fire again."""
-        return self._active
-
     def start(self, first_delay: Optional[float] = None) -> None:
         """Arm the timer; first firing after ``first_delay`` (default: interval)."""
         self._active = True
@@ -248,9 +233,3 @@ class Timer:
         self._callback(*self._args)
         if self._active:
             self._event = self._sim.schedule(self.interval, self._tick)
-
-
-def drain(sim: Simulator, chunks: Iterable[float]) -> None:
-    """Run the simulator through consecutive time chunks (test helper)."""
-    for horizon in chunks:
-        sim.run(until=horizon)

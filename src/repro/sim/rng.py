@@ -81,12 +81,6 @@ class SeededRNG:
     def exponential(self, mean: float) -> float:
         return float(self._gen.exponential(mean))
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        return float(self._gen.normal(mean, std))
-
-    def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
-        return float(self._gen.lognormal(mean, sigma))
-
     def integer(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high)``."""
         return int(self._gen.integers(low, high))
@@ -97,15 +91,3 @@ class SeededRNG:
         if size is None:
             return items[int(idx)]
         return [items[int(i)] for i in idx]
-
-    def shuffle(self, items: list) -> None:
-        self._gen.shuffle(items)
-
-    def array(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        """Uniform array — used by traffic-matrix synthesis."""
-        return self._gen.uniform(low, high, size=shape)
-
-    @property
-    def numpy(self) -> np.random.Generator:
-        """The underlying numpy generator for vectorised sampling."""
-        return self._gen

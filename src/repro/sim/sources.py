@@ -67,52 +67,7 @@ def merge_cbr_timeline(
     return keys, kidx[order], ts[order]
 
 
-class _BaseSource:
-    """Shared machinery: start/stop, emitted-packet accounting, rate changes."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        consumer: Consumer,
-        packet_size: int = 1500,
-        name: str = "source",
-    ) -> None:
-        if packet_size <= 0:
-            raise SimulationError(f"packet_size must be positive, got {packet_size}")
-        self.sim = sim
-        self.consumer = consumer
-        self.packet_size = packet_size
-        self.name = name
-        self.packets_sent = 0
-        self.bytes_sent = 0
-        self._proc: Optional[Process] = None
-
-    def start(self) -> None:
-        """Begin emitting packets."""
-        if self._proc is not None and self._proc.alive:
-            return
-        self._proc = self.sim.process(self._emit())
-
-    def stop(self) -> None:
-        """Stop emitting packets."""
-        if self._proc is not None:
-            self._proc.interrupt()
-            self._proc = None
-
-    @property
-    def running(self) -> bool:
-        return self._proc is not None and self._proc.alive
-
-    def _send_one(self) -> None:
-        self.packets_sent += 1
-        self.bytes_sent += self.packet_size
-        self.consumer(self.packet_size, self.sim.now)
-
-    def _emit(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class CBRSource(_BaseSource):
+class CBRSource:
     """Constant-bit-rate source (the pktgen stand-in).
 
     Args:
@@ -129,10 +84,30 @@ class CBRSource(_BaseSource):
         packet_size: int = 1500,
         name: str = "cbr",
     ) -> None:
-        super().__init__(sim, consumer, packet_size, name)
+        if packet_size <= 0:
+            raise SimulationError(f"packet_size must be positive, got {packet_size}")
         if rate_pps <= 0:
             raise SimulationError(f"rate_pps must be positive, got {rate_pps}")
+        self.sim = sim
+        self.consumer = consumer
+        self.packet_size = packet_size
+        self.name = name
         self.rate_pps = float(rate_pps)
+        self.packets_sent = 0
+        self.bytes_sent = 0
+        self._proc: Optional[Process] = None
+
+    def start(self) -> None:
+        """Begin emitting packets."""
+        if self._proc is not None:  # already emitting
+            return
+        self._proc = self.sim.process(self._emit())
+
+    def stop(self) -> None:
+        """Stop emitting packets."""
+        if self._proc is not None:
+            self._proc.interrupt()
+            self._proc = None
 
     def set_rate(self, rate_pps: float) -> None:
         """Change the emission rate; takes effect from the next packet."""
@@ -142,66 +117,10 @@ class CBRSource(_BaseSource):
 
     def _emit(self):
         while True:
-            self._send_one()
+            self.packets_sent += 1
+            self.bytes_sent += self.packet_size
+            self.consumer(self.packet_size, self.sim.now)
             yield 1.0 / self.rate_pps
-
-
-class PoissonSource(_BaseSource):
-    """Poisson arrivals with a given mean rate (memoryless gaps)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        consumer: Consumer,
-        rate_pps: float,
-        packet_size: int = 1500,
-        name: str = "poisson",
-    ) -> None:
-        super().__init__(sim, consumer, packet_size, name)
-        if rate_pps <= 0:
-            raise SimulationError(f"rate_pps must be positive, got {rate_pps}")
-        self.rate_pps = float(rate_pps)
-        self._rng = sim.rng.child(f"poisson:{name}")
-
-    def _emit(self):
-        while True:
-            yield self._rng.exponential(1.0 / self.rate_pps)
-            self._send_one()
-
-
-class OnOffSource(_BaseSource):
-    """Bursty on/off source: CBR during ON, silent during OFF.
-
-    ON/OFF durations are exponential.  Used to mimic the "fiercely changed
-    traffic" the fast-failover evaluation (Fig. 12) stresses.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        consumer: Consumer,
-        rate_pps: float,
-        mean_on: float = 1.0,
-        mean_off: float = 1.0,
-        packet_size: int = 1500,
-        name: str = "onoff",
-    ) -> None:
-        super().__init__(sim, consumer, packet_size, name)
-        if rate_pps <= 0 or mean_on <= 0 or mean_off <= 0:
-            raise SimulationError("rate_pps, mean_on, mean_off must be positive")
-        self.rate_pps = float(rate_pps)
-        self.mean_on = float(mean_on)
-        self.mean_off = float(mean_off)
-        self._rng = sim.rng.child(f"onoff:{name}")
-
-    def _emit(self):
-        gap = 1.0 / self.rate_pps
-        while True:
-            on_end = self.sim.now + self._rng.exponential(self.mean_on)
-            while self.sim.now < on_end:
-                self._send_one()
-                yield gap
-            yield self._rng.exponential(self.mean_off)
 
 
 class RateMeter:

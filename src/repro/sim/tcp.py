@@ -36,14 +36,6 @@ class TcpTransferResult:
         """Seconds from start to completion."""
         return self.finish_time - self.start_time
 
-    @property
-    def goodput_bps(self) -> float:
-        """Application-level goodput in bits/second."""
-        if self.duration <= 0:
-            return float("inf")
-        return self.bytes_total * 8.0 / self.duration
-
-
 class TcpTransfer:
     """A single TCP file transfer over a (possibly failing) path.
 
@@ -111,10 +103,6 @@ class TcpTransfer:
             raise SimulationError(f"transfer {self.name!r} already started")
         self._start = self.sim.now
         self.sim.process(self._run())
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None
 
     # ------------------------------------------------------------------
     def _run(self):

@@ -40,14 +40,6 @@ class RoundingResult:
     lp_objective: float  # relaxation bound, for gap reporting
     lp_solves: int
 
-    @property
-    def integrality_gap(self) -> float:
-        """Relative gap between rounded objective and the LP bound."""
-        if self.lp_objective == 0:
-            return 0.0
-        return (self.objective - self.lp_objective) / abs(self.lp_objective)
-
-
 def solve_with_rounding(
     program: LinearProgram,
     int_tol: float = 1e-6,

@@ -194,10 +194,6 @@ class ControlChannel:
     def switch(self) -> str:
         return self.agent.switch
 
-    @property
-    def degraded(self) -> bool:
-        return self.circuit_open
-
     # ------------------------------------------------------------------
     def send(self, msg: ControlMessage, on_result: Callable[[str], None]) -> None:
         """Queue a message; ``on_result`` fires exactly once with the ack

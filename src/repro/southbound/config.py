@@ -94,11 +94,3 @@ class SouthboundChaosConfig:
         check_count("disconnects", self.disconnects)
         check_span("window", self.window)
         check_span("disconnect_duration", self.disconnect_duration)
-
-    def enabled(self) -> bool:
-        """Whether any fault injection is configured at all."""
-        return (
-            self.loss_rate > 0
-            or self.extra_delay_mean > 0
-            or self.disconnects > 0
-        )

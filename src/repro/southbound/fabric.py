@@ -462,9 +462,6 @@ class SouthboundFabric:
         """Total op count separating installed from desired state."""
         return sum(d.op_count() for d in self._diffs())
 
-    def degraded_switches(self) -> List[str]:
-        return sorted(s for s, c in self.channels.items() if c.degraded)
-
     def active_path(self, class_id: str) -> Optional[tuple]:
         """The routing path currently live for a class (probe oracle)."""
         return self.active_paths.get(class_id)

@@ -11,7 +11,7 @@ simulation, so enabling it cannot perturb these numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import obs
 
@@ -148,12 +148,6 @@ class SouthboundMetrics:
             (m.labels(**labels) if labels else m).inc()
 
     # ------------------------------------------------------------------
-    @property
-    def convergence_latency_mean(self) -> Optional[float]:
-        if not self.convergences:
-            return None
-        return sum(c.latency for c in self.convergences) / len(self.convergences)
-
     def to_dict(self) -> dict:
         return {
             "messages_sent": self.messages_sent,

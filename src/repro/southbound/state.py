@@ -53,11 +53,6 @@ from repro.traffic.classes import TrafficClass
 VERSION_STRIDE = 1_000_000
 
 
-def versioned(sub_id: int, version: int) -> int:
-    """The wire sub-class ID of ``sub_id`` at ``version``."""
-    return sub_id + version * VERSION_STRIDE
-
-
 def _classify_prefix(switch: str) -> str:
     return f"{switch}/classify/"
 
@@ -218,7 +213,7 @@ def render_desired(
         state.vsw.setdefault(s, {})
         state.origin.setdefault(s, ())
 
-    version = versions.get  # inlined versioned(): one call per rule adds up
+    version = versions.get
     for s, rs in rules.switch_rule_sets.items():
         table = state.tcam.setdefault(s, {})
         if rs.host_match:
@@ -243,7 +238,7 @@ def render_desired(
     for s, lst in rules.origin_rules.items():
         rows = []
         for class_id, hash_range, sub_id, first_host in lst:
-            vsub = versioned(sub_id, versions.get(class_id, 0))
+            vsub = sub_id + version(class_id, 0) * VERSION_STRIDE
             rows.append((class_id, tuple(hash_range), vsub, first_host))
         state.origin[s] = tuple(rows)
 

@@ -115,10 +115,6 @@ class Grant:
     tenant_id: str
     cores: Dict[str, int] = field(default_factory=dict)
 
-    def total_cores(self) -> int:
-        return sum(self.cores.values())
-
-
 @dataclass
 class _Pending:
     """A queued admission request (priority, then FIFO-preference)."""

@@ -181,20 +181,6 @@ class IntentRecord:
             return None
         return self.completed_at - self.submitted_at
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "tenant": self.intent.tenant_id,
-            "kind": self.intent.kind,
-            "status": self.status,
-            "submitted_at": round(self.submitted_at, 9),
-            "completed_at": (
-                None if self.completed_at is None else round(self.completed_at, 9)
-            ),
-            "detail": self.detail,
-        }
-
-
 # ----------------------------------------------------------------------
 # Journal codec
 # ----------------------------------------------------------------------

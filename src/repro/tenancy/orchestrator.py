@@ -275,19 +275,6 @@ class TenantOrchestrator:
                 harvest[tenant_id] = (fabric.network, dict(fabric.instances))
         return harvest
 
-    def shutdown(self) -> Dict[str, tuple]:
-        """Graceful quiesce: journal the drain, then release the wire.
-
-        Unlike :meth:`crash` this runs :meth:`stop` first, so the final
-        checkpoint + ``SHUTDOWN`` record land in the journal before the
-        control plane goes dark.  Returns the same live-wire harvest as
-        :meth:`crash` so a follow-up recovery is lossless.
-        """
-        self.stop()
-        self.dead = True
-        self.arbiter.dead = True
-        return self._sever()
-
     def _audit(self) -> None:
         """One isolation tick: ledgers balanced, physical budgets hold."""
         self.audit_ticks += 1

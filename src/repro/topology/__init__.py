@@ -19,7 +19,6 @@ from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.topology.routing import (
     all_shortest_paths,
     ecmp_paths,
-    path_links,
     Router,
     shortest_path,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "shortest_path",
     "all_shortest_paths",
     "ecmp_paths",
-    "path_links",
     "internet2",
     "geant",
     "univ1",

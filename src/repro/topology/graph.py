@@ -10,7 +10,7 @@ that switch (the paper assumes 64 cores per APPLE host).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -23,9 +23,6 @@ class Link:
     v: str
     capacity_mbps: float = 10_000.0
     weight: float = 1.0
-
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.u, self.v)
 
 
 @dataclass
@@ -43,10 +40,6 @@ class AppleHostSpec:
     cores: int = 64
     memory_gb: float = 256.0
     host_count: int = 1
-
-    def resource_vector(self) -> Tuple[float, ...]:
-        """The A_v vector of Sec. IV-C: (cores, memory_gb)."""
-        return (float(self.cores), float(self.memory_gb))
 
 
 class Topology:
@@ -123,9 +116,6 @@ class Topology:
     def num_links(self) -> int:
         return self.graph.number_of_edges()
 
-    def neighbors(self, switch: str) -> List[str]:
-        return list(self.graph.neighbors(switch))
-
     def degree(self, switch: str) -> int:
         return int(self.graph.degree[switch])
 
@@ -136,23 +126,6 @@ class Topology:
         """Cores available at the APPLE host(s) attached to ``switch`` (0 if none)."""
         spec = self.hosts.get(switch)
         return spec.cores if spec else 0
-
-    def host_memory_gb(self, switch: str) -> float:
-        """Memory available at the APPLE host(s) at ``switch`` (0 if none)."""
-        spec = self.hosts.get(switch)
-        return spec.memory_gb if spec else 0.0
-
-    def switch_index(self) -> Dict[str, int]:
-        """Stable switch → index mapping used by traffic matrices."""
-        return {s: i for i, s in enumerate(self.graph.nodes)}
-
-    def iter_switch_pairs(self) -> Iterator[Tuple[str, str]]:
-        """All ordered (src, dst) pairs with src != dst."""
-        nodes = self.switches
-        for src in nodes:
-            for dst in nodes:
-                if src != dst:
-                    yield (src, dst)
 
     # ------------------------------------------------------------------
     # Failure overlay (chaos engine)
@@ -185,15 +158,8 @@ class Topology:
             raise KeyError(f"no APPLE host at switch {switch!r}")
         self._failed_hosts.add(switch)
 
-    def restore_host(self, switch: str) -> None:
-        self._failed_hosts.discard(switch)
-
     def host_failed(self, switch: str) -> bool:
         return switch in self._failed_hosts
-
-    @property
-    def failed_hosts(self) -> set:
-        return set(self._failed_hosts)
 
     def surviving(self) -> "Topology":
         """A new :class:`Topology` of only the live links and hosts.
@@ -208,18 +174,6 @@ class Topology:
             s: spec for s, spec in self.hosts.items() if s not in self._failed_hosts
         }
         return Topology(self.name, self.switches, live_links, hosts=live_hosts)
-
-    def restrict_hosts(self, switches: Iterable[str], cores: int = 64) -> None:
-        """Attach APPLE hosts only at the given switches (others get none).
-
-        Used by the UNIV1 experiments where compute concentrates at a few
-        switches, forcing the Optimization Engine towards ingress placement.
-        """
-        allowed = set(switches)
-        unknown = allowed - set(self.graph.nodes)
-        if unknown:
-            raise ValueError(f"unknown switches: {sorted(unknown)}")
-        self.hosts = {s: AppleHostSpec(cores=cores) for s in allowed}
 
     def __repr__(self) -> str:
         return (

@@ -9,7 +9,7 @@ what "the path" of a class is.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -47,11 +47,6 @@ def ecmp_paths(
     return paths
 
 
-def path_links(path: Sequence[str]) -> List[Tuple[str, str]]:
-    """The (u, v) hops of a switch path."""
-    return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
 class Router:
     """Caching single-path or ECMP router over a topology.
 
@@ -85,9 +80,3 @@ class Router:
         """The deterministic primary path for (src, dst)."""
         return self.paths(src, dst)[0]
 
-    def path_length(self, src: str, dst: str) -> int:
-        """Hop count (switches minus one) of the primary path."""
-        return len(self.path(src, dst)) - 1
-
-    def clear_cache(self) -> None:
-        self._cache.clear()

@@ -12,9 +12,7 @@ from repro.traffic.classes import ClassBuilder, TrafficClass
 from repro.traffic.diurnal import DiurnalModel, synthesize_series
 from repro.traffic.gravity import gravity_matrix, node_weights
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
-from repro.traffic.io import load_matrix_json, load_series, save_matrix_json, save_series
 from repro.traffic.replay import ClassRateTimeline, replay_series
-from repro.traffic.trace import aggregate_to_classes, Flow, generate_flows
 
 __all__ = [
     "TrafficMatrix",
@@ -27,11 +25,4 @@ __all__ = [
     "ClassBuilder",
     "ClassRateTimeline",
     "replay_series",
-    "save_series",
-    "load_series",
-    "save_matrix_json",
-    "load_matrix_json",
-    "Flow",
-    "generate_flows",
-    "aggregate_to_classes",
 ]

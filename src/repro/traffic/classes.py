@@ -66,14 +66,6 @@ class TrafficClass:
         """|C_h|: the number of NFs on the policy chain."""
         return len(self.chain)
 
-    def switch_index(self, switch: str) -> int:
-        """i(P, h, v): 0-based index of ``switch`` on the path."""
-        return self.path.index(switch)
-
-    def nf_index(self, nf_name: str) -> int:
-        """i(C, h, n): 0-based index of NF ``nf_name`` on the chain."""
-        return self.chain.index(nf_name)
-
     def with_rate(self, rate_mbps: float) -> "TrafficClass":
         """A copy of this class with a different rate (snapshot replay)."""
         return TrafficClass(
@@ -134,33 +126,6 @@ class ClassBuilder:
                     )
                 )
         return classes
-
-    def rebuild_rates(
-        self, classes: Sequence[TrafficClass], matrix: TrafficMatrix
-    ) -> List[TrafficClass]:
-        """Same class structure, rates re-read from a new snapshot.
-
-        Replay keeps the class set fixed (paths and chains don't change
-        between snapshots) and only updates T_h.
-        """
-        return [
-            c.with_rate(matrix.rate(c.src, c.dst) * c.share) for c in classes
-        ]
-
-
-def uniform_assignment(
-    chains: Sequence[PolicyChain],
-) -> PolicyAssignment:
-    """Every pair splits its traffic uniformly across ``chains``."""
-    if not chains:
-        raise ValueError("need at least one chain")
-    share = 1.0 / len(chains)
-    fixed = [(c, share) for c in chains]
-
-    def assign(src: str, dst: str) -> Sequence[Tuple[PolicyChain, float]]:
-        return fixed
-
-    return assign
 
 
 def hashed_assignment(

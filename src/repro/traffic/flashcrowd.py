@@ -125,10 +125,6 @@ class FlashCrowdSchedule:
         """(start, end) spans of every spike, in schedule order."""
         return tuple((e.start, e.end) for e in self.events)
 
-    def horizon(self) -> float:
-        """Time by which every spike has fully decayed (0.0 if none)."""
-        return max((e.end for e in self.events), default=0.0)
-
     def signature(self) -> str:
         """Content hash of the canonical JSON form (rerun identity)."""
         payload = {
@@ -137,11 +133,6 @@ class FlashCrowdSchedule:
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    @classmethod
-    def empty(cls, seed: int = 0) -> "FlashCrowdSchedule":
-        """A schedule with no spikes (baseline load forever)."""
-        return cls(seed=seed, events=())
 
 
 def generate_flash_crowd(
@@ -158,7 +149,7 @@ def generate_flash_crowd(
     rng = SeededRNG(derive(seed, FLASH_STREAM))
     pool = sorted(set(class_ids))
     if not pool:
-        return FlashCrowdSchedule.empty(seed)
+        return FlashCrowdSchedule(seed=seed, events=())
     count = max(1, min(len(pool), math.ceil(config.target_fraction * len(pool))))
 
     events: List[SpikeEvent] = []

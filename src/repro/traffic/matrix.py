@@ -9,7 +9,7 @@ snapshots for Internet2/GEANT, 1-second snapshots for UNIV1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,12 +63,6 @@ class TrafficMatrix:
                 if r > min_rate:
                     yield (self.nodes[i], self.nodes[j], r)
 
-    def scaled(self, factor: float) -> "TrafficMatrix":
-        """A new matrix with every demand multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return TrafficMatrix(self.nodes, self._demands * factor)
-
     def __repr__(self) -> str:
         return f"TrafficMatrix(n={len(self.nodes)}, total={self.total():.1f} Mbps)"
 
@@ -114,25 +108,6 @@ class TrafficMatrixSeries:
         stacked = np.stack([s.array for s in self.snapshots])
         return TrafficMatrix(self.nodes, stacked.mean(axis=0))
 
-    def peak(self) -> TrafficMatrix:
-        """Element-wise max over snapshots (used for over-provision ablation)."""
-        if not self.snapshots:
-            raise ValueError("empty series has no peak")
-        stacked = np.stack([s.array for s in self.snapshots])
-        return TrafficMatrix(self.nodes, stacked.max(axis=0))
-
     def times(self) -> List[float]:
         """Replay timestamps of each snapshot."""
         return [i * self.interval for i in range(len(self.snapshots))]
-
-    def slice(self, start: int, stop: Optional[int] = None) -> "TrafficMatrixSeries":
-        """A sub-series covering snapshots ``[start:stop]``."""
-        return TrafficMatrixSeries(self.nodes, self.snapshots[start:stop], self.interval)
-
-
-def series_from_arrays(
-    nodes: Sequence[str], arrays: Iterable[np.ndarray], interval: float = 300.0
-) -> TrafficMatrixSeries:
-    """Build a series from raw numpy snapshots."""
-    snaps = [TrafficMatrix(nodes, a) for a in arrays]
-    return TrafficMatrixSeries(tuple(nodes), snaps, interval)

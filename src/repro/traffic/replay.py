@@ -9,7 +9,7 @@ load as snapshots advance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -35,27 +35,6 @@ class ClassRateTimeline:
         expected = (len(self.times), len(self.classes))
         if self.rates.shape != expected:
             raise ValueError(f"rates shape {self.rates.shape} != {expected}")
-
-    def snapshot_classes(self, snapshot: int) -> List[TrafficClass]:
-        """Class list with rates as of snapshot index ``snapshot``."""
-        row = self.rates[snapshot]
-        return [c.with_rate(float(r)) for c, r in zip(self.classes, row)]
-
-    def iter_snapshots(self) -> Iterator[Tuple[float, List[TrafficClass]]]:
-        """Yield (time, classes-with-rates) per snapshot, in order."""
-        for k, t in enumerate(self.times):
-            yield t, self.snapshot_classes(k)
-
-    @property
-    def num_snapshots(self) -> int:
-        return len(self.times)
-
-    def class_rate_series(self, class_id: str) -> np.ndarray:
-        """Rate-over-time vector of one class."""
-        for j, c in enumerate(self.classes):
-            if c.class_id == class_id:
-                return self.rates[:, j].copy()
-        raise KeyError(f"unknown class {class_id!r}")
 
 
 def replay_series(

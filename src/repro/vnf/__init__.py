@@ -3,10 +3,10 @@
 Implements Table IV's VNF datasheets (firewall, proxy, NAT, IDS), the
 rate-driven capacity/loss model of Fig. 6 (loss depends on packet *rate*,
 not size), the ClickOS lightweight-VM distinction (30 ms boot/reconfigure),
-and the policy-chain synthesis of Sec. IX-A.
+and the standard policy chains of Sec. IX-A.
 """
 
-from repro.vnf.chains import ChainGenerator, PolicyChain, STANDARD_CHAINS
+from repro.vnf.chains import PolicyChain, STANDARD_CHAINS
 from repro.vnf.clickos import ClickOSConfig, ClickOSImage, PASSIVE_MONITOR
 from repro.vnf.instance import InstanceStats, VNFInstance
 from repro.vnf.types import (
@@ -33,6 +33,5 @@ __all__ = [
     "ClickOSConfig",
     "PASSIVE_MONITOR",
     "PolicyChain",
-    "ChainGenerator",
     "STANDARD_CHAINS",
 ]

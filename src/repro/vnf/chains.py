@@ -1,4 +1,4 @@
-"""Policy chains (service chains) and their synthesis.
+"""Policy chains (service chains) and the standard chain set.
 
 A policy chain C_h is an ordered NF sequence every flow of a class must
 traverse (e.g. firewall → IDS → proxy for http traffic).  Sec. IX-A: "Due
@@ -10,9 +10,7 @@ NFs: firewall, proxy, NAT and IDS."
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.vnf.types import DEFAULT_CATALOG, NFType, NFTypeCatalog
 
@@ -60,26 +58,10 @@ class PolicyChain:
     def names(self) -> Tuple[str, ...]:
         return self._names
 
-    def index(self, nf_name: str) -> int:
-        """i(C, h, n): position of ``nf_name`` in this chain (0-based)."""
-        return self._names.index(nf_name)
-
     def nf_types(self) -> List[NFType]:
         """The datasheet objects in chain order."""
         return [self._catalog.get(n) for n in self._names]
 
-    def successor(self, nf_name: str) -> Optional[str]:
-        """The NF after ``nf_name``, or None if it is last."""
-        i = self.index(nf_name)
-        return self._names[i + 1] if i + 1 < len(self._names) else None
-
-    def total_cores(self) -> int:
-        """Cores for one instance of every NF in the chain."""
-        return sum(t.cores for t in self.nf_types())
-
-    def min_capacity_mbps(self) -> float:
-        """The chain's bottleneck single-instance capacity."""
-        return min(t.capacity_mbps for t in self.nf_types())
 
 
 #: Representative chains from the SFC data-center use cases [12] and the
@@ -91,41 +73,3 @@ STANDARD_CHAINS: Tuple[PolicyChain, ...] = (
     PolicyChain(["firewall", "ids", "proxy"]),
     PolicyChain(["nat", "firewall", "ids"]),
 )
-
-
-class ChainGenerator:
-    """Deterministic random chain synthesis over a catalog.
-
-    Args:
-        catalog: NF types to draw from.
-        min_len / max_len: chain length bounds (inclusive).
-        seed: RNG seed.
-    """
-
-    def __init__(
-        self,
-        catalog: NFTypeCatalog = DEFAULT_CATALOG,
-        min_len: int = 1,
-        max_len: int = 4,
-        seed: int = 0,
-    ) -> None:
-        if not 1 <= min_len <= max_len <= len(catalog):
-            raise ValueError(
-                f"need 1 <= min_len <= max_len <= {len(catalog)}; "
-                f"got ({min_len}, {max_len})"
-            )
-        self.catalog = catalog
-        self.min_len = min_len
-        self.max_len = max_len
-        self._rng = np.random.default_rng(seed)
-
-    def generate(self) -> PolicyChain:
-        """One random chain: distinct NFs in a random order."""
-        names = self.catalog.names
-        length = int(self._rng.integers(self.min_len, self.max_len + 1))
-        picked = self._rng.choice(len(names), size=length, replace=False)
-        return PolicyChain([names[int(i)] for i in picked], self.catalog)
-
-    def generate_many(self, count: int) -> List[PolicyChain]:
-        """``count`` chains (duplicates possible, as in real policy sets)."""
-        return [self.generate() for _ in range(count)]

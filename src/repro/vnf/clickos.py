@@ -34,10 +34,6 @@ class ClickOSConfig:
     elements: str = ""
     parameters: Tuple[Tuple[str, str], ...] = ()
 
-    def describe(self) -> str:
-        params = ", ".join(f"{k}={v}" for k, v in self.parameters)
-        return f"{self.role}({params})" if params else self.role
-
 
 #: The passive-monitor configuration used by the prototype experiments
 #: (Fig. 6, Fig. 9): counts packets, forwards everything.
@@ -76,10 +72,6 @@ class ClickOSImage:
         self.config = config
         self.reconfigure_count = 0
 
-    @property
-    def configured(self) -> bool:
-        return self.config is not None
-
     def reconfigure(self, config: ClickOSConfig) -> float:
         """Swap the active configuration; returns the time cost in seconds."""
         self.config = config
@@ -87,5 +79,5 @@ class ClickOSImage:
         return CLICKOS_RECONFIGURE_SECONDS
 
     def __repr__(self) -> str:
-        desc = self.config.describe() if self.config else "unconfigured"
+        desc = self.config.role if self.config else "unconfigured"
         return f"ClickOSImage({self.image_id!r}, {desc})"

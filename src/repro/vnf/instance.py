@@ -5,12 +5,10 @@ related to the packet receiving rate, but not the packet size" (Fig. 6):
 a ClickOS passive monitor drops nothing until the receiving rate passes its
 capacity knee, after which the loss rate soars as 1 − capacity/rate.
 
-:class:`VNFInstance` supports both views:
-
-* fluid — :meth:`offered_load_loss` maps an offered rate to a loss ratio
-  (used by the trace-replay simulation of Fig. 12);
-* packet-level — :meth:`consume` admits/drops individual packets against a
-  sliding-window rate limit (used by the Fig. 6 / Fig. 9 experiments).
+:class:`VNFInstance` is the packet-level view: :meth:`consume` admits /
+drops individual packets against a sliding-window rate limit (used by the
+Fig. 6 / Fig. 9 experiments).  The fluid view of Fig. 12 lives in
+:class:`repro.core.dynamic.DynamicHandler`.
 """
 
 from __future__ import annotations
@@ -82,27 +80,6 @@ class VNFInstance:
         self._budget: float = float(nf_type.capacity_pps) * window
 
     # ------------------------------------------------------------------
-    # Fluid model
-    # ------------------------------------------------------------------
-    def offered_load_loss(self, offered_mbps: float) -> float:
-        """Loss ratio when carrying ``offered_mbps`` of traffic.
-
-        Zero below capacity; 1 − capacity/offered above it — the Fig. 6
-        knee, independent of packet size.
-        """
-        if offered_mbps <= self.nf_type.capacity_mbps:
-            return 0.0
-        return 1.0 - self.nf_type.capacity_mbps / offered_mbps
-
-    def utilization(self, offered_mbps: float) -> float:
-        """Offered load over capacity (may exceed 1 when overloaded)."""
-        return offered_mbps / self.nf_type.capacity_mbps
-
-    def is_overloaded(self, offered_mbps: float, threshold: float = 1.0) -> bool:
-        """Whether offered load exceeds ``threshold`` × capacity."""
-        return self.utilization(offered_mbps) > threshold
-
-    # ------------------------------------------------------------------
     # Packet-level model
     # ------------------------------------------------------------------
     def consume(self, packet_size: int, now: Optional[float] = None) -> bool:
@@ -121,7 +98,7 @@ class VNFInstance:
             now = self.sim.now
         stats = self.stats
         stats.packets_in += 1
-        # _trim(now), inlined: this is every packet walker's inner loop.
+        # Trim the window: this is every packet walker's inner loop.
         recent = self._recent
         cutoff = now - self.window
         if recent and recent[0] <= cutoff:
@@ -137,14 +114,6 @@ class VNFInstance:
         stats.packets_processed += 1
         stats.bytes_processed += packet_size
         return True
-
-    def receive_rate_pps(self, now: Optional[float] = None) -> float:
-        """Processed-packet rate over the sliding window."""
-        if now is None and self.sim is not None:
-            now = self.sim.now
-        if now is not None:
-            self._trim(now)
-        return len(self._recent) / self.window
 
     def shutdown(self) -> None:
         """Stop the instance; further packets are dropped."""
@@ -165,10 +134,6 @@ class VNFInstance:
         self.degradation = factor
         self._budget = float(self.nf_type.capacity_pps) * self.window * factor
 
-    def restore_full(self) -> None:
-        """End a brownout: back to nominal capacity."""
-        self.degrade(1.0)
-
     @property
     def effective_capacity_mbps(self) -> float:
         """Nominal capacity scaled by the current degradation (0 if down)."""
@@ -184,15 +149,6 @@ class VNFInstance:
         """
         self.stats = InstanceStats()
         self._recent.clear()
-
-    def _trim(self, now: float) -> None:
-        cutoff = now - self.window
-        recent = self._recent
-        i = 0
-        while i < len(recent) and recent[i] <= cutoff:
-            i += 1
-        if i:
-            del recent[:i]
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,7 @@ derived from the prototype's measured 8.5 Kpps monitor knee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,6 @@ class NFType:
             raise ValueError(f"{self.name}: capacities must be positive")
         if self.memory_gb <= 0:
             raise ValueError(f"{self.name}: memory_gb must be positive")
-
-    def resource_vector(self) -> Tuple[float, ...]:
-        """R_n as a vector: (cores, memory_gb)."""
-        return (float(self.cores), float(self.memory_gb))
 
     def instances_for(self, rate_mbps: float) -> int:
         """Minimum instance count to carry ``rate_mbps`` (ceil division)."""
@@ -99,14 +95,6 @@ class NFTypeCatalog:
             raise KeyError(
                 f"unknown NF type {name!r}; known: {sorted(self._types)}"
             ) from None
-
-    @property
-    def names(self) -> List[str]:
-        return list(self._types)
-
-    def clickos_types(self) -> List[NFType]:
-        """Types that can be fast-failover targets."""
-        return [t for t in self._types.values() if t.clickos]
 
 
 #: The Table IV catalog used throughout the evaluation.

@@ -65,7 +65,7 @@ def test_smoke_recovery_interference_free():
     result = _chaos_run()
     m = result.metrics
 
-    assert result.faults_injected == SMOKE_CONFIG.total_faults()
+    assert result.faults_injected == SMOKE_CONFIG.link_flaps + SMOKE_CONFIG.vnf_crashes
     assert result.faults_detected == result.faults_injected
     assert result.reconvergences >= result.faults_injected
 

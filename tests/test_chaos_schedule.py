@@ -51,7 +51,7 @@ def test_counts_match_config():
     assert by_kind[FaultKind.HOST_CRASH] == 1
     assert by_kind[FaultKind.VNF_CRASH] == 1
     assert by_kind[FaultKind.BROWNOUT] == 1
-    assert len(schedule) == config.total_faults()
+    assert len(schedule) == 2 + 1 + 1 + 1
 
 
 def test_no_bridge_ever_flapped():

@@ -50,7 +50,7 @@ def test_labels_reconstruct_inputs():
     ap = compute_atomic_predicates(SPACE, inputs)
     for idx, original in enumerate(inputs):
         rebuilt = Predicate.nothing(SPACE)
-        for atom in ap.atoms_of(idx):
+        for atom in (ap.atoms[i] for i in sorted(ap.labels[idx])):
             rebuilt = rebuilt.union(atom)
         assert rebuilt.equals(original)
 
@@ -92,7 +92,7 @@ def test_atomic_predicates_always_partition(inputs):
     assert ap.verify_partition()
     for idx, original in enumerate(inputs):
         rebuilt = Predicate.nothing(SPACE)
-        for atom in ap.atoms_of(idx):
+        for atom in (ap.atoms[i] for i in sorted(ap.labels[idx])):
             rebuilt = rebuilt.union(atom)
         assert rebuilt.equals(original)
 

@@ -119,8 +119,8 @@ def test_complement_partitions_space():
 def test_subtract_and_subset():
     big = pred(x=(0, 11))
     small = pred(x=(4, 7))
-    assert small.is_subset(big)
-    assert not big.is_subset(small)
+    assert small.subtract(big).is_empty()
+    assert not big.subtract(small).is_empty()
     assert big.subtract(small).volume() == big.volume() - small.volume()
 
 

@@ -53,10 +53,6 @@ def test_prefix_cube_fields():
 def test_match_rule_predicate_and_entries():
     rule = MatchRule(src="10.1.0.0/16", proto="udp")
     assert rule.to_predicate().volume() > 0
-    assert rule.tcam_entries() == 1
-    ranged = MatchRule(dst_port=(1024, 65535))
-    assert ranged.tcam_entries() > 1  # port range expands
-    assert "src=10.1.0.0/16" in MatchRule(src="10.1.0.0/16").describe()
 
 
 # ---------------------------------------------------------------------------

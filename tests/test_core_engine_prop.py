@@ -9,7 +9,7 @@ from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG
 
 SWITCHES = ["s0", "s1", "s2", "s3", "s4"]
-NFS = DEFAULT_CATALOG.names
+NFS = [t.name for t in DEFAULT_CATALOG]
 
 
 @st.composite

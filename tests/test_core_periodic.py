@@ -7,6 +7,7 @@ from repro.core.placement import diff_plans
 from repro.topology.datasets import internet2
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.diurnal import synthesize_series
+from repro.traffic.matrix import TrafficMatrix
 from repro.vnf.chains import STANDARD_CHAINS
 
 
@@ -23,7 +24,8 @@ def setup():
 def test_diff_plans_directions(setup):
     controller, series = setup
     plan_a = controller.compute_placement(series[0])
-    plan_b = controller.compute_placement(series[0].scaled(3.0))
+    tripled = TrafficMatrix(series[0].nodes, series[0].array * 3.0)
+    plan_b = controller.compute_placement(tripled)
     forward = diff_plans(plan_a, plan_b)
     assert len(forward.added) > 0  # 3x demand needs more instances
     assert forward.core_delta > 0

@@ -265,7 +265,7 @@ def test_vswitch_rejects_foreign_instance():
 def test_vswitch_deregister_drops_stale_rules():
     vsw, fw, ids = _vswitch_with_chain()
     vsw.deregister_instance("fw[0]@s1")
-    assert vsw.rule_count == 0
+    assert not vsw.installed_rules()
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def _apply_fault(net, fault):
         inst.degrade(0.5)
         net.invalidate_plans()
     elif kind == "restore":
-        inst.restore_full()
+        inst.degrade(1.0)
         net.invalidate_plans()
     elif kind == "stop":
         inst.shutdown()

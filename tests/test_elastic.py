@@ -4,7 +4,7 @@ import pytest
 
 from repro.chaos import ChaosEngine, FaultSchedule
 from repro.core.engine import EngineConfig
-from repro.core.placement import PlacementPlan, diff_plans
+from repro.core.placement import PlacementPlan, PlanDelta, diff_plans
 from repro.elastic import (
     ADMIT,
     DEGRADE,
@@ -100,7 +100,7 @@ def test_utilization_snapshot_math():
     )
     # firewall: 900 demand over 2 * 900 capacity = 0.5
     assert snap.max_utilization == pytest.approx(0.5)
-    assert snap.utilization("firewall") == pytest.approx(0.5)
+    assert dict((n, u) for n, _, _, u in snap.per_nf)["firewall"] == pytest.approx(0.5)
     assert snap.offered_mbps == pytest.approx(900.0)
     # Headroom derates capacity: same demand, 0.5 headroom => util 1.0.
     snap2 = utilization_snapshot(
@@ -216,7 +216,7 @@ def test_diff_plans_reports_slot_delta():
     assert delta.added == ("nat[0]@B",)
     # -1 firewall (4 cores) + 1 nat (2 cores)
     assert delta.core_delta == -2
-    assert diff_plans(old, old).is_noop
+    assert diff_plans(old, old) == PlanDelta(added=(), retired=(), core_delta=0)
 
 
 # ----------------------------------------------------------------------

@@ -167,3 +167,16 @@ def test_pinned_quick_seed1_single_controller_tables():
         flash_crowd._flash_row(amplitude, seed=1, quick=True)[1]
         for amplitude in (2.0, 8.0)
     ] == ["a92afcca64e047f4", "d79d77c025ed1829"]
+
+
+@pytest.mark.parametrize("name", ["failure_recovery", "southbound_chaos", "failure_sweep"])
+def test_jobs_auto_rows_equal_serial_rows(name):
+    """``--jobs auto`` (the CLI help documents it) lets the tuner decide;
+    it must run, and give the serial rows."""
+    import importlib
+
+    run = importlib.import_module(f"repro.experiments.{name}").run
+    kwargs = {} if name == "failure_sweep" else {"seed": 1}
+    assert run(quick=True, jobs="auto", **kwargs).rows == run(
+        quick=True, jobs=1, **kwargs
+    ).rows

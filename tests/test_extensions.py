@@ -1,24 +1,18 @@
 """Tests for the Sec. X / discussion extensions.
 
-Covers: flow hashing from concrete headers, global sub-class IDs for
-header-modifying chains, cross-product TCAM accounting, and the memory
-dimension of the resource vector.
+Covers: the source-suffix hash of prefix sub-classes, global sub-class IDs
+for header-modifying chains, and the memory dimension of the resource
+vector.
 """
 
 import pytest
 
 from repro.core.engine import OptimizationEngine, PlacementError
-from repro.core.metrics import (
-    cross_product_penalty,
-    tcam_usage_cross_product,
-    tcam_usage_with_tagging,
-)
 from repro.core.placement import PlacementPlan
 from repro.core.rulegen import RuleGenerator
 from repro.core.subclasses import assign_subclasses
-from repro.dataplane.flowhash import flow_hash, hash_spread, suffix_hash
+from repro.dataplane.flowhash import suffix_hash
 from repro.dataplane.tagging import TagAllocator, TagSpaceExhausted
-from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG, NAT
@@ -33,24 +27,6 @@ def _cls(cid, rate, chain, path=("a", "b", "c")):
 # ---------------------------------------------------------------------------
 # Flow hashing
 # ---------------------------------------------------------------------------
-def test_flow_hash_deterministic_and_bounded():
-    h = {"src_ip": 167837953, "dst_ip": 167838209, "proto": 6, "dst_port": 80}
-    a = flow_hash(h)
-    assert a == flow_hash(dict(reversed(list(h.items()))))  # order-insensitive
-    assert 0.0 <= a < 1.0
-
-
-def test_flow_hash_roughly_uniform():
-    headers = [
-        {"src_ip": s, "dst_ip": 42, "src_port": p}
-        for s in range(100)
-        for p in range(20)
-    ]
-    counts = hash_spread(headers, buckets=10)
-    assert min(counts) > 0.5 * (sum(counts) / 10)
-    assert max(counts) < 1.5 * (sum(counts) / 10)
-
-
 def test_suffix_hash_matches_prefix_split():
     # 10.1.1.128 has suffix 128/256 = 0.5 within its /24 — the paper's
     # <10.1.1.128/25> sub-class is exactly suffix_hash in [0.5, 1).
@@ -133,49 +109,6 @@ def test_global_subclass_ids_stop_at_the_vlan_field():
 
 
 # ---------------------------------------------------------------------------
-# Cross-product TCAM (switches without pipelining)
-# ---------------------------------------------------------------------------
-@pytest.fixture
-def small_deploy():
-    topo = Topology("line", ["a", "b", "c"], [Link("a", "b"), Link("b", "c")])
-    cls = _cls("c1", 400.0, ["firewall"])
-    plan = OptimizationEngine().place([cls], {"a": 64, "b": 64, "c": 64})
-    return topo, plan, assign_subclasses(plan)
-
-
-def test_cross_product_multiplies_usage(small_deploy):
-    topo, plan, sub_plan = small_deploy
-    pipelined = tcam_usage_with_tagging(topo, plan.classes, sub_plan)
-    crossed = tcam_usage_cross_product(
-        topo, plan.classes, sub_plan, other_app_rules=16
-    )
-    for sw in topo.switches:
-        assert crossed[sw] == (pipelined.get(sw, 0) + 1) * 16
-    with pytest.raises(ValueError):
-        tcam_usage_cross_product(topo, plan.classes, sub_plan, other_app_rules=0)
-
-
-def test_cross_product_penalty_grows_with_rule_count():
-    """Negligible for a single class, large for a realistic rule load."""
-    from repro.topology.datasets import internet2
-    from repro.topology.routing import Router
-    from repro.traffic.classes import ClassBuilder, hashed_assignment
-    from repro.traffic.gravity import gravity_matrix
-    from repro.vnf.chains import STANDARD_CHAINS
-
-    topo = internet2()
-    router = Router(topo)
-    builder = ClassBuilder(
-        router, hashed_assignment(STANDARD_CHAINS), min_rate_mbps=1.0
-    )
-    classes = builder.build(gravity_matrix(topo, 8000.0, seed=0))
-    plan = OptimizationEngine().place(classes, {s: 64 for s in topo.switches})
-    sub_plan = assign_subclasses(plan)
-    penalty = cross_product_penalty(topo, plan.classes, sub_plan)
-    assert penalty > 2.0  # the Sec. V-B "consumption would increase" claim
-
-
-# ---------------------------------------------------------------------------
 # Memory resource dimension
 # ---------------------------------------------------------------------------
 def test_memory_constraint_blocks_placement():
@@ -222,9 +155,3 @@ def test_validate_reports_memory_violations():
         {"a": 64, "b": 64, "c": 64}, available_memory_gb={"a": 0, "b": 0, "c": 0}
     )
     assert any("GB placed" in p for p in problems)
-
-
-def test_host_spec_resource_vector():
-    spec = AppleHostSpec(cores=64, memory_gb=128.0)
-    assert spec.resource_vector() == (64.0, 128.0)
-    assert DEFAULT_CATALOG.get("ids").resource_vector() == (8.0, 8.0)

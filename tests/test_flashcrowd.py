@@ -69,8 +69,7 @@ def test_targets_respect_fraction_and_pool():
 
 
 def test_empty_schedule():
-    sched = FlashCrowdSchedule.empty(seed=9)
+    sched = FlashCrowdSchedule(seed=9, events=())
     assert sched.multiplier("anything", 100.0) == 1.0
-    assert sched.horizon() == 0.0
     assert sched.windows() == ()
     assert generate_flash_crowd([], FlashCrowdConfig(), seed=9) == sched

@@ -7,6 +7,7 @@ replay with fast failover → re-placement for the peak — asserting the
 cross-layer consistency properties at each seam.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.controller import AppleController
@@ -17,6 +18,7 @@ from repro.sim.kernel import Simulator
 from repro.topology.datasets import geant
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.diurnal import synthesize_series
+from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.replay import replay_series
 from repro.vnf.chains import STANDARD_CHAINS
 
@@ -63,7 +65,9 @@ def test_full_pipeline(scenario):
     # 5. Re-placement for the peak matrix converges to a feasible,
     #    larger plan.
     peak_plan = controller.engine.place(
-        controller.class_builder.build(series.peak()),
+        controller.class_builder.build(
+            TrafficMatrix(series.nodes, np.max([s.array for s in series], axis=0))
+        ),
         controller.available_cores(),
     )
     assert peak_plan.total_instances() >= plan.total_instances()

@@ -18,7 +18,7 @@ from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG
 
 SWITCHES = ("s0", "s1", "s2", "s3")
-NFS = DEFAULT_CATALOG.names
+NFS = [t.name for t in DEFAULT_CATALOG]
 CORES = {s: 64 for s in SWITCHES}
 
 

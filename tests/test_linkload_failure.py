@@ -1,75 +1,30 @@
-"""Tests for link-load accounting and instance-failure injection."""
-
-import numpy as np
-import pytest
+"""Tests for link-level interference freedom and instance-failure injection."""
 
 from repro.core.controller import AppleController
 from repro.core.dynamic import FailoverConfig
-from repro.core.placement import InstanceRef
-from repro.topology.datasets import internet2, univ1
-from repro.topology.graph import Link, Topology
-from repro.topology.linkload import link_loads, link_utilisation, max_utilisation
-from repro.topology.routing import Router
+from repro.topology.datasets import internet2
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.gravity import gravity_matrix
-from repro.traffic.matrix import TrafficMatrix
 from repro.vnf.chains import STANDARD_CHAINS
 
 
 # ---------------------------------------------------------------------------
-# Link loads
+# Interference freedom
 # ---------------------------------------------------------------------------
-def _line():
-    return Topology("line", ["a", "b", "c"], [Link("a", "b"), Link("b", "c")])
-
-
-def test_link_loads_simple_path():
-    topo = _line()
-    router = Router(topo)
-    tm = TrafficMatrix(["a", "b", "c"], [[0, 0, 30], [0, 0, 0], [0, 0, 0]])
-    loads = link_loads(topo, router, tm)
-    assert loads[("a", "b")] == pytest.approx(30.0)
-    assert loads[("b", "c")] == pytest.approx(30.0)
-
-
-def test_ecmp_splits_load():
-    topo = Topology(
-        "sq",
-        ["a", "b", "c", "d"],
-        [Link("a", "b"), Link("b", "d"), Link("a", "c"), Link("c", "d")],
-    )
-    router = Router(topo, ecmp=True)
-    tm = TrafficMatrix(
-        ["a", "b", "c", "d"],
-        [[0, 0, 0, 100], [0] * 4, [0] * 4, [0] * 4],
-    )
-    loads = link_loads(topo, router, tm)
-    assert loads[("a", "b")] == pytest.approx(50.0)
-    assert loads[("a", "c")] == pytest.approx(50.0)
-
-
-def test_utilisation_and_hottest_link():
-    topo = _line()
-    router = Router(topo)
-    tm = TrafficMatrix(["a", "b", "c"], [[0, 0, 5000], [0, 0, 0], [0, 3000, 0]])
-    utils = link_utilisation(topo, router, tm)
-    assert utils[("a", "b")] == pytest.approx(0.5)  # 5000 / 10000
-    hottest, value = max_utilisation(topo, router, tm)
-    assert hottest == ("b", "c")
-    assert value == pytest.approx(0.8)
-
-
 def test_interference_freedom_at_link_level():
-    """APPLE deployment leaves link loads exactly as routing computed."""
+    """APPLE deployment leaves every path exactly as routing computed."""
     topo = internet2()
     controller = AppleController(
         topo, hashed_assignment(STANDARD_CHAINS), min_rate_mbps=1.0
     )
     matrix = gravity_matrix(topo, 8000.0, seed=0)
-    before = link_loads(topo, controller.router, matrix)
-    controller.run(matrix)  # full deployment
-    after = link_loads(topo, controller.router, matrix)
-    assert before == after  # placement touched no path
+    pairs = [(a, b) for a in topo.switches for b in topo.switches if a != b]
+    routes_before = {pair: controller.router.path(*pair) for pair in pairs}
+    paths_before = {c.class_id: c.path for c in controller.class_builder.build(matrix)}
+    deployment = controller.run(matrix)  # full deployment
+    paths_after = {c.class_id: c.path for c in deployment.plan.classes}
+    assert paths_after == paths_before  # placement touched no path
+    assert {pair: controller.router.path(*pair) for pair in pairs} == routes_before
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +66,3 @@ def test_failover_routes_around_failure():
     assert loss_with < loss_without
     # A replacement instance was created for the victim.
     assert any(e.kind == "new-instance" for e in with_fo.events)
-
-
-def test_recover_instance_clears_failure():
-    controller, timeline, plan = _replay_setup()
-    pristine = controller.make_dynamic_handler(FailoverConfig(enabled=False))
-    recovered = controller.make_dynamic_handler(FailoverConfig(enabled=False))
-    victim = plan.instance_refs()[0]
-    recovered.fail_instance(victim)
-    recovered.recover_instance(victim)
-    # After recovery the loss matches a handler that never saw the fault
-    # (any residue is ordinary traffic fluctuation, present in both).
-    assert recovered.replay(timeline).loss == pristine.replay(timeline).loss

@@ -8,7 +8,7 @@ labels — and the doc must not list metrics that no longer exist.
 import re
 from pathlib import Path
 
-from repro.obs.catalog import CATALOG, catalog_names, register_all
+from repro.obs.catalog import CATALOG, register_all
 from repro.obs.metrics import MetricsRegistry
 
 DOC = Path(__file__).parent.parent / "docs" / "OBSERVABILITY.md"
@@ -17,6 +17,10 @@ ROW_RE = re.compile(
     r"^\| `(?P<name>[a-z][a-z0-9_]*)` \| (?P<type>counter|gauge|histogram)"
     r"(?: \([a-z ]+\))? \| (?P<labels>[^|]+) \|"
 )
+
+
+def _catalog_names():
+    return sorted(d.name for d in CATALOG)
 
 
 def _documented_rows():
@@ -36,7 +40,7 @@ def test_doc_exists_and_has_rows():
 
 def test_every_catalog_metric_is_documented():
     documented = _documented_rows()
-    missing = [n for n in catalog_names() if n not in documented]
+    missing = [n for n in _catalog_names() if n not in documented]
     assert not missing, (
         f"metrics registered in repro/obs/catalog.py but absent from "
         f"docs/OBSERVABILITY.md: {missing}"
@@ -45,7 +49,7 @@ def test_every_catalog_metric_is_documented():
 
 def test_no_stale_documented_metrics():
     documented = _documented_rows()
-    stale = [n for n in documented if n not in catalog_names()]
+    stale = [n for n in documented if n not in _catalog_names()]
     assert not stale, (
         f"metrics documented in docs/OBSERVABILITY.md but no longer in "
         f"repro/obs/catalog.py: {stale}"
@@ -66,4 +70,4 @@ def test_registry_contents_equal_catalog():
     """enable() registers exactly the catalog — nothing ad hoc."""
     reg = MetricsRegistry()
     register_all(reg)
-    assert reg.names() == list(catalog_names())
+    assert reg.names() == list(_catalog_names())

@@ -67,14 +67,6 @@ def test_counter_inc_and_negative_rejected(reg):
         c.inc(-1)
 
 
-def test_gauge_set_inc_dec(reg):
-    g = reg.gauge("g", "h")
-    g.set(10)
-    g.inc(5)
-    g.dec(2)
-    assert g.value == 13.0
-
-
 def test_labeled_series_positional_and_kw(reg):
     c = reg.counter("c_total", "h", ("mode",))
     c.labels("warm").inc()

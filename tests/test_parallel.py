@@ -7,11 +7,12 @@ like calling the target, and the auto tuner never fans out when a pool
 cannot pay for itself.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.parallel import (
     FnSpec,
-    fork_available,
     in_worker,
     parallel_map,
     resolve_jobs,
@@ -81,7 +82,10 @@ def test_parallel_map_auto_short_work_stays_serial():
     assert parallel_map(_double, items, jobs="auto") == [2 * x for x in items]
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork start method",
+)
 def test_parallel_map_pool_matches_serial():
     items = list(range(12))
     expected = [_double(x, offset=3) for x in items]

@@ -64,7 +64,8 @@ def test_back_to_back_commits_superseded_then_converged():
 
     outcomes = {"first": [], "second": []}
     plans = [
-        controller.compute_placement(matrix.scaled(factor)) for factor in (2.0, 3.0)
+        controller.compute_placement(TrafficMatrix(matrix.nodes, matrix.array * factor))
+        for factor in (2.0, 3.0)
     ]
     for name, plan in zip(("first", "second"), plans):
         commit(

@@ -286,7 +286,9 @@ def test_graceful_shutdown_then_recover_is_lossless():
     """stop() journals the drain: a pending intent survives stop→start."""
     topo, sim, orch, journal = _small_world()
     sim.run(until=7.0)  # the t=9 UpdateRates is still pending
-    harvest = orch.shutdown()
+    orch.stop()  # graceful quiesce: journal the drain, then release the wire
+    orch.dead = orch.arbiter.dead = True
+    harvest = orch._sever()
     drains = journal.of_kind(SHUTDOWN)
     assert len(drains) == 1
     assert drains[0].payload["pending_seqs"] == [2]

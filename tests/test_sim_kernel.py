@@ -93,7 +93,7 @@ def test_process_interrupt_stops_it():
     p = sim.process(proc())
     sim.run(until=3.5)
     p.interrupt()
-    assert not p.alive
+    assert not p._alive
     sim.run(until=10.0)
     assert ticks == [1.0, 2.0, 3.0]
 
@@ -122,7 +122,7 @@ def test_timer_cancel():
     timer = sim.every(1.0, lambda: ticks.append(sim.now))
     sim.run(until=2.5)
     timer.cancel()
-    assert not timer.active
+    assert not timer._active
     sim.run(until=10.0)
     assert ticks == [1.0, 2.0]
     assert timer.fire_count == 2
@@ -156,5 +156,5 @@ def test_reset_clears_state():
     sim.run_all()
     sim.reset()
     assert sim.now == 0.0
-    assert sim.pending == 0
+    assert len(sim._queue) == 0
     assert sim.events_fired == 0

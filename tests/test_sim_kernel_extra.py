@@ -5,17 +5,7 @@ import pytest
 from repro.cloud.opendaylight import OpenDaylight
 from repro.cloud.openstack import OpenStack
 from repro.cloud.hypervisor import XenHypervisor
-from repro.sim.kernel import drain, SimulationError, Simulator
-
-
-def test_drain_runs_chunks_in_order():
-    sim = Simulator()
-    seen = []
-    for t in (0.5, 1.5, 2.5):
-        sim.schedule(t, lambda t=t: seen.append(t))
-    drain(sim, [1.0, 2.0, 3.0])
-    assert seen == [0.5, 1.5, 2.5]
-    assert sim.now == 3.0
+from repro.sim.kernel import SimulationError, Simulator
 
 
 def test_max_events_stop_keeps_the_clock_behind_pending_events():
@@ -27,7 +17,7 @@ def test_max_events_stop_keeps_the_clock_behind_pending_events():
     for t in (1.0, 2.0, 3.0):
         sim.schedule_at(t, lambda t=t: seen.append((t, sim.now)))
     assert sim.run(until=10.0, max_events=1) == 1
-    assert sim.now == 1.0 and sim.pending == 2
+    assert sim.now == 1.0 and len(sim._queue) == 2
     sim.schedule_at(5.0, lambda: seen.append((5.0, sim.now)))
     clock = [sim.now]
     assert sim.run(until=10.0, max_events=2) == 2
@@ -38,14 +28,14 @@ def test_max_events_stop_keeps_the_clock_behind_pending_events():
     clock.append(sim.now)
     assert clock == [1.0, 3.0, 10.0, 12.0]
     assert seen == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (5.0, 5.0)]
-    assert sim.pending == 0
+    assert len(sim._queue) == 0
 
 
 def test_until_stop_still_advances_past_a_later_event():
     sim = Simulator()
     sim.schedule_at(20.0, lambda: None)
     assert sim.run(until=10.0, max_events=5) == 0
-    assert sim.now == 10.0 and sim.pending == 1
+    assert sim.now == 10.0 and len(sim._queue) == 1
 
 
 def test_process_exception_propagates():

@@ -66,20 +66,6 @@ def test_choice_without_replacement_unique():
     assert sorted(picked) == list(range(10))
 
 
-def test_shuffle_permutes_in_place():
-    rng = SeededRNG(3)
-    items = list(range(20))
-    rng.shuffle(items)
-    assert sorted(items) == list(range(20))
-
-
-def test_array_shape_and_range():
-    rng = SeededRNG(0)
-    arr = rng.array((4, 5), low=2.0, high=3.0)
-    assert arr.shape == (4, 5)
-    assert ((arr >= 2.0) & (arr < 3.0)).all()
-
-
 def test_derive_is_stable_and_label_keyed():
     from repro.sim.rng import derive
 

@@ -234,7 +234,7 @@ def test_total_loss_retries_then_gives_up_and_opens_circuit():
     assert metrics.give_ups == 1
     # The breaker opened after circuit_threshold consecutive timeouts.
     assert metrics.circuit_opens == 1
-    assert channel.degraded
+    assert channel.circuit_open
 
 
 def test_disconnect_recovers_via_retries_and_closes_circuit():
@@ -246,12 +246,12 @@ def test_disconnect_recovers_via_retries_and_closes_circuit():
     channel.send(_msg(), results.append)
     # Long enough for the circuit to open (3 consecutive timeouts).
     sim.run(until=3.0)
-    assert channel.degraded and agent.ops_applied == 0
+    assert channel.circuit_open and agent.ops_applied == 0
     channel.reconnect()
     sim.run(until=10.0)
     assert results == [ACK_APPLIED]
     assert agent.ops_applied == 1
-    assert not channel.degraded  # first ack closed the breaker
+    assert not channel.circuit_open  # first ack closed the breaker
     assert metrics.degraded_seconds > 0
 
 

@@ -63,7 +63,8 @@ def _pushed_run(eager: bool):
     fabric.start()
     outcomes = []
     for k, factor in enumerate((2.0, 3.0, 0.5)):
-        plan = controller.compute_placement(matrix.scaled(factor))
+        scaled = TrafficMatrix(matrix.nodes, matrix.array * factor)
+        plan = controller.compute_placement(scaled)
         commit(
             fabric,
             plan,
@@ -93,6 +94,11 @@ def test_on_demand_channels_equal_channels_built_up_front():
     assert sorted(lazy.channels) == sorted(s for s, n in eager_ops.items() if n)
 
 
+def _degraded(fabric):
+    """Switches whose channel has its circuit breaker open."""
+    return sorted(s for s, c in fabric.channels.items() if c.circuit_open)
+
+
 def test_a_fabric_that_only_adopts_builds_no_channel():
     _controller, _matrix, sim, fabric = _world()
     fabric.start()
@@ -100,7 +106,7 @@ def test_a_fabric_that_only_adopts_builds_no_channel():
     fabric.stop()
     assert fabric.converged and fabric.metrics.messages_sent == 0
     assert len(fabric.channels) == 0
-    assert fabric.degraded_switches() == []
+    assert _degraded(fabric) == []
     assert fabric.metrics.degraded_seconds == 0.0
 
 
@@ -118,16 +124,16 @@ def test_kill_before_first_use_leaves_the_channel_dead_when_born():
     )
     sim.run(until=30.0)
     assert results == [] and channel.agent.ops_applied == 0
-    assert fabric.metrics.messages_sent == 0 and sim.pending == 0
+    assert fabric.metrics.messages_sent == 0 and len(sim._queue) == 0
 
 
 def test_fault_hooks_on_a_never_messaged_switch():
     _controller, _matrix, sim, fabric = _world()
     silent = sorted(fabric.network.switches)[0]
-    assert fabric.degraded_switches() == []
+    assert _degraded(fabric) == []
     fabric.disconnect(silent)
     assert fabric.channels[silent].disconnected
-    assert fabric.degraded_switches() == []  # degraded needs timeouts, not a cut
+    assert _degraded(fabric) == []  # degraded needs timeouts, not a cut
     fabric.reconnect(silent)
     assert not fabric.channels[silent].disconnected
     # A cut switch that is then addressed loses every leg until reconnected.
@@ -138,10 +144,10 @@ def test_fault_hooks_on_a_never_messaged_switch():
         results.append,
     )
     sim.run(until=3.0)
-    assert results == [] and fabric.degraded_switches() == [silent]
+    assert results == [] and _degraded(fabric) == [silent]
     fabric.reconnect(silent)
     sim.run(until=30.0)
-    assert results == ["applied"] and fabric.degraded_switches() == []
+    assert results == ["applied"] and _degraded(fabric) == []
     fabric.stop()
     assert fabric.metrics.degraded_seconds > 0.0
 

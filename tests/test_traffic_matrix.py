@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.traffic.matrix import series_from_arrays, TrafficMatrix, TrafficMatrixSeries
+from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
 
 def _tm(values):
@@ -35,19 +35,11 @@ def test_pairs_filters_by_min_rate():
     assert len(list(tm.pairs())) == 2
 
 
-def test_scaled():
-    tm = _tm([[0, 1, 2], [3, 0, 4], [5, 6, 0]])
-    assert tm.scaled(2.0).total() == 42
-    with pytest.raises(ValueError):
-        tm.scaled(-1.0)
-
-
 def test_series_mean_and_peak():
     s1 = _tm([[0, 2, 0], [0, 0, 0], [0, 0, 0]])
     s2 = _tm([[0, 4, 0], [0, 0, 0], [0, 0, 0]])
     series = TrafficMatrixSeries(("a", "b", "c"), [s1, s2], interval=10.0)
     assert series.mean().rate("a", "b") == 3.0
-    assert series.peak().rate("a", "b") == 4.0
     assert series.times() == [0.0, 10.0]
     assert len(series) == 2
     assert series[1].rate("a", "b") == 4.0
@@ -60,24 +52,7 @@ def test_series_node_consistency_enforced():
         TrafficMatrixSeries(("a", "b", "c"), [s1, s2])
 
 
-def test_series_slice():
-    snaps = [_tm(np.full((3, 3), i) - np.diag([i] * 3)) for i in range(5)]
-    series = TrafficMatrixSeries(("a", "b", "c"), snaps, interval=1.0)
-    sub = series.slice(1, 3)
-    assert len(sub) == 2
-    assert sub[0].rate("a", "b") == 1.0
-
-
 def test_empty_series_mean_raises():
     series = TrafficMatrixSeries(("a", "b", "c"), [], interval=1.0)
     with pytest.raises(ValueError):
         series.mean()
-    with pytest.raises(ValueError):
-        series.peak()
-
-
-def test_series_from_arrays():
-    arrays = [np.zeros((3, 3)), np.ones((3, 3)) - np.eye(3)]
-    series = series_from_arrays(["a", "b", "c"], arrays, interval=5.0)
-    assert len(series) == 2
-    assert series.interval == 5.0

@@ -1,4 +1,4 @@
-"""Tests for gravity-model and diurnal traffic synthesis, and matrix I/O."""
+"""Tests for gravity-model and diurnal traffic synthesis."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,6 @@ from repro.traffic.diurnal import (
     synthesize_series,
 )
 from repro.traffic.gravity import gravity_matrix, node_weights
-from repro.traffic.io import (
-    load_matrix_json,
-    load_series,
-    save_matrix_json,
-    save_series,
-)
 
 
 def test_gravity_total_normalised():
@@ -127,37 +121,3 @@ def test_smoothing_needs_enough_demands():
     )
     with pytest.raises(ValueError):
         aggregate_smoothing_ratio(series, group_size=50)
-
-
-def test_series_npz_roundtrip(tmp_path):
-    topo = internet2()
-    series = synthesize_series(topo, 2000.0, snapshots=5, interval=30.0, seed=4)
-    path = tmp_path / "series.npz"
-    save_series(series, path)
-    loaded = load_series(path)
-    assert loaded.nodes == series.nodes
-    assert loaded.interval == series.interval
-    assert len(loaded) == len(series)
-    for a, b in zip(series, loaded):
-        assert np.allclose(a.array, b.array)
-
-
-def test_matrix_json_roundtrip(tmp_path):
-    topo = internet2()
-    series = synthesize_series(topo, 500.0, snapshots=1, seed=0)
-    path = tmp_path / "tm.json"
-    save_matrix_json(series[0], path)
-    loaded = load_matrix_json(path)
-    assert loaded.nodes == series[0].nodes
-    assert np.allclose(loaded.array, series[0].array)
-
-
-def test_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"something": 1}')
-    with pytest.raises(ValueError):
-        load_matrix_json(bad)
-    badnpz = tmp_path / "bad.npz"
-    np.savez(badnpz, nodes=np.array(["a"], dtype=object))
-    with pytest.raises(ValueError):
-        load_series(badnpz)

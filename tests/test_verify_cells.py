@@ -122,9 +122,8 @@ def _retag_to_shorter_chain(deployment, cls, sub, hash_range):
     vSwitch rule skips the last instance and declares the chain done."""
     network = deployment.network
     ingress = cls.path[0]
-    entry = network.switches[ingress].table.entry_by_name(
-        f"{ingress}/classify/{cls.class_id}#{sub.sub_id}"
-    )
+    name = f"{ingress}/classify/{cls.class_id}#{sub.sub_id}"
+    entry = next(e for e in network.switches[ingress].table.entries() if e.name == name)
     first_host = entry.action.next_host or ingress
     vsw = network.vswitches[first_host]
     rule = vsw.installed_rules()[(UPLINK, cls.class_id, sub.sub_id)]

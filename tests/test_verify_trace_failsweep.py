@@ -1,4 +1,4 @@
-"""Tests for the deployment verifier, flow traces, and failure sweep."""
+"""Tests for the deployment verifier and the failure sweep."""
 
 import pytest
 
@@ -6,14 +6,8 @@ from repro.core.controller import AppleController
 from repro.core.verify import verify_deployment
 from repro.experiments import failure_sweep
 from repro.topology.datasets import internet2
-from repro.topology.routing import Router
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.gravity import gravity_matrix
-from repro.traffic.trace import (
-    active_flows,
-    aggregate_to_classes,
-    generate_flows,
-)
 from repro.vnf.chains import STANDARD_CHAINS
 
 
@@ -69,41 +63,6 @@ def test_verifier_flags_core_oversubscription(deployed):
     report = verify_deployment(deployment, shrunk)
     assert not report.ok
     assert report.by_kind().get("isolation", 0) > 0
-
-
-# ---------------------------------------------------------------------------
-# Flow traces
-# ---------------------------------------------------------------------------
-def test_generate_flows_matches_matrix_rate():
-    topo = internet2()
-    matrix = gravity_matrix(topo, 5000.0, seed=1)
-    flows = generate_flows(matrix, duration=200.0, seed=1)
-    assert flows
-    # Average carried rate across the horizon tracks the matrix total.
-    carried = sum(f.rate_mbps * f.duration for f in flows) / 200.0
-    assert 0.5 * matrix.total() < carried < 2.0 * matrix.total()
-    assert flows == sorted(flows, key=lambda f: f.start)
-
-
-def test_aggregation_collapses_flows():
-    topo = internet2()
-    router = Router(topo)
-    matrix = gravity_matrix(topo, 5000.0, seed=1)
-    flows = generate_flows(matrix, duration=200.0, seed=1)
-    classes, live = aggregate_to_classes(
-        flows, router, hashed_assignment(STANDARD_CHAINS), at=100.0
-    )
-    assert live > len(classes)  # the Sec. IV-A input-size reduction
-    total_class_rate = sum(c.rate_mbps for c in classes)
-    total_flow_rate = sum(f.rate_mbps for f in active_flows(flows, 100.0))
-    assert total_class_rate == pytest.approx(total_flow_rate, rel=1e-9)
-
-
-def test_generate_flows_validation():
-    topo = internet2()
-    matrix = gravity_matrix(topo, 100.0, seed=0)
-    with pytest.raises(ValueError):
-        generate_flows(matrix, duration=0.0)
 
 
 # ---------------------------------------------------------------------------
