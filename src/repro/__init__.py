@@ -29,7 +29,6 @@ from repro.core import (
     PlacementPlan,
     RuleGenerator,
     assign_subclasses,
-    greedy_placement,
     ingress_placement,
 )
 from repro.sim import Simulator
@@ -48,7 +47,6 @@ __all__ = [
     "RuleGenerator",
     "assign_subclasses",
     "ingress_placement",
-    "greedy_placement",
     "Simulator",
     "Topology",
     "internet2",

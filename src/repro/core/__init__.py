@@ -11,16 +11,11 @@
 * :mod:`repro.core.reconfigure` — the one commit step from a plan to a
   converged epoch (``realize`` / ``bootstrap`` / ``commit``);
 * :mod:`repro.core.controller` — the central controller wiring everything;
-* :mod:`repro.core.baselines` — the ingress strawman, the no-tagging TCAM
-  scheme, the greedy placement ablation baseline, and Table I's framework
-  comparison.
+* :mod:`repro.core.baselines` — the ingress strawman and Table I's
+  framework comparison.
 """
 
-from repro.core.baselines import (
-    FRAMEWORK_COMPARISON,
-    greedy_placement,
-    ingress_placement,
-)
+from repro.core.baselines import FRAMEWORK_COMPARISON, ingress_placement
 from repro.core.controller import AppleController, UnknownClassError
 from repro.core.dynamic import DynamicHandler, FailoverEvent
 from repro.core.engine import EngineConfig, OptimizationEngine
@@ -48,7 +43,6 @@ __all__ = [
     "AppleController",
     "UnknownClassError",
     "ingress_placement",
-    "greedy_placement",
     "FRAMEWORK_COMPARISON",
     "tcam_usage_with_tagging",
     "tcam_usage_without_tagging",

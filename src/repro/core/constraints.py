@@ -70,9 +70,8 @@ class PlacementTemplate:
     T_c (coefficients of Eq. 5) and the available resources A_v (right-hand
     side of Eq. 6) — are per-solve inputs: :meth:`set_rates` scatters the
     rates into the LP's matrix values and :meth:`set_budgets` writes the
-    budgets into its right-hand side, so every solver path (LP ceiling,
-    rounding fallback, branch-and-bound) sees the new snapshot without a
-    rebuild.
+    budgets into its right-hand side, so both solver paths (LP ceiling,
+    rounding fallback) see the new snapshot without a rebuild.
     """
 
     key: tuple

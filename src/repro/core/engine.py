@@ -4,8 +4,8 @@ Builds the ILP of Eq. 1–8 over traffic classes and solves it through its
 LP relaxation (the paper's CPLEX-with-LP-relaxation production path):
 ceiling rounding of the LP's slot loads with budget repair re-solves
 (``_solve_ceiling``), iterative rounding only as the fallback when repair
-does not converge, or exactly by branch-and-bound for small instances.
-A dust-consolidation pass then empties lightly loaded single instances.
+does not converge.  A dust-consolidation pass then empties lightly loaded
+single instances.
 
 Formulation notes:
 
@@ -48,7 +48,6 @@ import numpy as np
 from repro import obs
 from repro.core.constraints import PlacementTemplate, assemble_placement_lp
 from repro.core.placement import PlacementPlan
-from repro.solver.branch_bound import solve_branch_bound
 from repro.solver.lp import solve_lp, SolverError
 from repro.solver.rounding import solve_with_rounding
 from repro.traffic.classes import TrafficClass
@@ -68,19 +67,16 @@ DUST_THRESHOLD = 0.6
 class EngineConfig:
     """Tunables of the Optimization Engine.
 
-    ``place()`` is the one way to a plan: LP relaxation + ceiling rounding
-    (or branch-and-bound), then the dust-consolidation pass, re-solving a
-    cached template when the class structure and host set repeat
+    ``place()`` is the one way to a plan: LP relaxation + ceiling rounding,
+    then the dust-consolidation pass, re-solving a cached template when the
+    class structure and host set repeat
     (``OptimizationEngine.clear_templates()`` forces cold solves).
 
     Attributes:
-        solver: ``"rounding"`` (LP relaxation + round-up, the paper's path)
-            or ``"exact"`` (branch-and-bound, small instances only).
         min_class_rate_mbps: classes below this rate are clamped up to it,
             so even near-idle classes receive (shared) instances — APPLE
             provisions proactively for potential flows (Sec. I).  Finite
             and non-negative.
-        max_bb_nodes: node limit for the exact solver, at least 1.
         capacity_headroom: fraction of each instance's capacity the engine
             may plan onto (Eq. 5 uses headroom x Cap_n), in (0, 1].  Below
             1.0 the placement keeps slack for traffic dynamics, mirroring
@@ -88,14 +84,10 @@ class EngineConfig:
             the measured loss knee.
     """
 
-    solver: str = "rounding"
     min_class_rate_mbps: float = 1e-3
-    max_bb_nodes: int = 2000
     capacity_headroom: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.solver not in ("rounding", "exact"):
-            raise ValueError(f"unknown solver {self.solver!r}")
         if not 0 < self.capacity_headroom <= 1:
             raise ValueError(
                 f"capacity_headroom must be in (0, 1], got {self.capacity_headroom!r}"
@@ -104,10 +96,6 @@ class EngineConfig:
             raise ValueError(
                 "min_class_rate_mbps must be finite and non-negative, "
                 f"got {self.min_class_rate_mbps!r}"
-            )
-        if not self.max_bb_nodes >= 1:
-            raise ValueError(
-                f"max_bb_nodes must be at least 1, got {self.max_bb_nodes!r}"
             )
 
 
@@ -218,20 +206,7 @@ class OptimizationEngine:
         span_name = "engine.warm_solve" if warm else "engine.cold_solve"
         try:
             with obs.span(span_name, cat="solver"):
-                if self.config.solver == "exact":
-                    bb = solve_branch_bound(
-                        template.lp, max_nodes=self.config.max_bb_nodes
-                    )
-                    if bb.solution is None:
-                        raise PlacementError(
-                            "exact solver found no feasible placement"
-                        )
-                    solution, lp_bound = bb.solution, bb.objective
-                    quantities = template.quantities(solution)
-                else:
-                    solution, quantities, _, lp_bound = (
-                        self._solve_ceiling(template)
-                    )
+                solution, quantities, _, lp_bound = self._solve_ceiling(template)
         except SolverError as exc:
             raise PlacementError(f"placement infeasible: {exc}") from exc
         distribution = self._extract_distribution(classes, template, solution)

@@ -214,17 +214,12 @@ class RuleGenerator:
         network: DataPlaneNetwork,
         classes: Sequence[TrafficClass],
         sim: Optional[Simulator] = None,
-        instances: Optional[Dict[str, VNFInstance]] = None,
     ) -> Dict[str, VNFInstance]:
-        """Cold-install generated rules onto an empty data-plane network.
+        """Cold-install generated rules onto an empty data-plane network,
+        creating every instance they reference.
 
         The day-0 path only (:func:`repro.core.reconfigure.bootstrap`):
         every later change to a live network is a southbound epoch.
-
-        Args:
-            instances: existing instances keyed by
-                :attr:`InstanceRef.key`; missing ones are created (pure
-                data-plane simulations skip the orchestrator).
 
         Returns:
             The full instance map keyed by ref key.
@@ -232,9 +227,7 @@ class RuleGenerator:
         for cls in classes:
             network.register_class_path(cls.class_id, cls.path)
 
-        inst_map = self.materialize_instances(
-            rules, network, sim=sim, instances=instances
-        )
+        inst_map = self.materialize_instances(rules, network, sim=sim)
 
         for switch, rule_list in rules.vswitch_rules.items():
             vsw = network.vswitch_at(switch)

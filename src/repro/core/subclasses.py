@@ -202,6 +202,9 @@ def _step_pieces(
     """Per chain step: (hash_lo, hash_hi, instance) pieces covering [0, 1).
 
     Each step takes its portions in path order from the slot allocators.
+    A step whose every portion is too small for an allocator to cut (mass
+    at most ``_EPS``: a class placed at a near-zero rate) keeps each
+    portion's width on its slot's current instance, consuming nothing.
     """
     class_id = cls.class_id
     path = cls.path
@@ -239,6 +242,13 @@ def _step_pieces(
                 width = (bite / mass) * frac if mass > 0 else frac
                 pieces.append((cursor, min(cursor + width, 1.0), ref))
                 cursor += width
+        if not pieces:
+            for i, frac in found:
+                if 0 <= i < path_length:
+                    allocator = allocators[path[i], nf]
+                    ref = allocator.refs[min(allocator.cursor, len(allocator.refs) - 1)]
+                    pieces.append((cursor, min(cursor + frac, 1.0), ref))
+                    cursor += frac
         if not pieces:
             raise SubclassAssignmentError(
                 f"class {class_id!r}: chain step {j} has no portions"

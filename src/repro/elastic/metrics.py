@@ -3,8 +3,8 @@
 Everything here is deterministic plain data — ticks are recorded in sim
 time, ``to_dict`` rounds and sorts, and ``signature`` hashes the
 canonical JSON form so two runs with the same seed can be compared bit
-for bit (the flash-crowd experiment's rerun check and the
-``BENCH_elastic.json`` trajectory both ride on it).
+for bit (the flash-crowd experiment's rerun check and
+``tests/test_elastic.py``'s full-scale rerun both ride on it).
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ proves the three crash-tolerance invariants:
 The whole crash schedule lives on ``derive(seed, "chaos.controller")``
 (see :func:`repro.chaos.schedule.generate_controller_crashes`), so
 enabling crashes never perturbs the intent schedule — which is exactly
-why the signatures can be compared at all.  The benchmark twin
-(``benchmarks/bench_resilience.py``) reuses :func:`run_once` to record
-recovery cost vs journal length and checkpoint interval into
-``BENCH_resilience.json``.
+why the signatures can be compared at all.  ``tests/test_resilience.py``
+reuses :func:`run_once` to recover from crashes under several checkpoint
+intervals and journal lengths.
 """
 
 from __future__ import annotations

@@ -47,10 +47,8 @@ from repro.obs.state import REGISTRY, TRACER, metric, span
 from repro.obs.trace import Tracer, validate_trace
 from repro.obs.manifest import (
     build_manifest,
-    bench_entry,
     git_sha,
     machine_info,
-    validate_bench_entry,
     validate_manifest,
     write_json,
 )
@@ -68,10 +66,8 @@ __all__ = [
     "span",
     "reset",
     "build_manifest",
-    "bench_entry",
     "git_sha",
     "machine_info",
-    "validate_bench_entry",
     "validate_manifest",
     "validate_trace",
     "write_json",

@@ -3,10 +3,9 @@
 A manifest makes a run reproducible and diffable: it records *what* ran
 (experiments, seed, config, CLI argv), *where* (git sha, machine), *how
 long* (wall seconds), and *what came out* (per-experiment metric
-snapshots plus the full metrics-registry snapshot).  ``BENCH_*.json``
-trajectory entries are built on the same helpers
-(:func:`git_sha` / :func:`machine_info` / :func:`bench_entry`), so every
-JSON artifact the repo emits shares one provenance schema.
+snapshots plus the full metrics-registry snapshot).  The pipeline
+benchmark stamps its reports with the same provenance helpers
+(:func:`git_sha` / :func:`machine_info`).
 
 Validation is hand-rolled (no jsonschema dependency): the schema is the
 code in :func:`validate_manifest`, mirrored in prose in
@@ -23,9 +22,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-#: Schema tags embedded in (and checked on) every emitted artifact.
+#: Schema tag embedded in (and checked on) every run manifest.
 RUN_SCHEMA = "apple-run/v1"
-BENCH_SCHEMA = "apple-bench/v1"
 
 _ROOT = Path(__file__).resolve().parents[3]
 
@@ -135,42 +133,6 @@ def validate_manifest(obj: Any) -> List[str]:
                 errors.append(f"{where}: missing elapsed_seconds")
             if not isinstance(e.get("rows"), int):
                 errors.append(f"{where}: missing rows")
-    return errors
-
-
-# ----------------------------------------------------------------------
-# BENCH_*.json trajectory entries (unified on the same provenance helpers)
-# ----------------------------------------------------------------------
-def bench_entry(name: str, metrics: dict) -> dict:
-    """One unified-schema entry for a ``BENCH_*.json`` trajectory file."""
-    return {
-        "schema": BENCH_SCHEMA,
-        "bench": name,
-        "unix_time": round(time.time(), 1),
-        "git_sha": git_sha(),
-        "machine": machine_info(),
-        "metrics": dict(metrics),
-    }
-
-
-def validate_bench_entry(obj: Any) -> List[str]:
-    """Structural validation of one BENCH trajectory entry."""
-    errors: List[str] = []
-    if not isinstance(obj, dict):
-        return ["bench entry must be a JSON object"]
-    for key, types in (
-        ("bench", str),
-        ("unix_time", (int, float)),
-        ("git_sha", str),
-        ("machine", dict),
-        ("metrics", dict),
-    ):
-        if not isinstance(obj.get(key), types):
-            errors.append(f"missing or mistyped field {key!r}")
-    # ``schema`` was introduced after the first trajectory entries were
-    # recorded; absent means pre-unification, present must match.
-    if "schema" in obj and obj["schema"] != BENCH_SCHEMA:
-        errors.append(f"schema must be {BENCH_SCHEMA!r} when present")
     return errors
 
 

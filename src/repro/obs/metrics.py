@@ -16,7 +16,7 @@ instrumented call site.
 Export formats:
 
 * :meth:`MetricsRegistry.snapshot` — a deterministic nested dict, embedded
-  into run manifests (``run.json``) and ``BENCH_*.json`` entries;
+  into run manifests (``run.json``);
 * :meth:`MetricsRegistry.to_prometheus` — the Prometheus text exposition
   format, for eyeballing or scraping a dumped file.
 """

@@ -2,12 +2,12 @@
 
 Usage::
 
-    python -m repro.obs.validate run.json trace.json BENCH_engine.json
+    python -m repro.obs.validate run.json trace.json
 
 The artifact kind is sniffed from content (``schema`` tag / shape): run
-manifests, Chrome trace JSON, and BENCH trajectory files are all
-recognised.  Exit status 0 when every file validates, 1 otherwise — CI's
-docs job runs this over the smoke run's outputs.
+manifests and Chrome trace JSON are recognised.  Exit status 0 when
+every file validates, 1 otherwise — CI's docs job runs this over the
+smoke run's outputs.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ import json
 import sys
 from typing import Any, List, Tuple
 
-from repro.obs.manifest import (
-    RUN_SCHEMA,
-    validate_bench_entry,
-    validate_manifest,
-)
+from repro.obs.manifest import RUN_SCHEMA, validate_manifest
 from repro.obs.trace import validate_trace
 
 
@@ -30,13 +26,6 @@ def classify_and_validate(obj: Any) -> Tuple[str, List[str]]:
         return "chrome-trace", validate_trace(obj)
     if isinstance(obj, dict) and obj.get("schema") == RUN_SCHEMA:
         return "run-manifest", validate_manifest(obj)
-    if isinstance(obj, list):  # BENCH trajectory: a list of entries
-        errors: List[str] = []
-        if not obj:
-            errors.append("empty trajectory")
-        for i, entry in enumerate(obj):
-            errors.extend(f"[{i}] {e}" for e in validate_bench_entry(entry))
-        return "bench-trajectory", errors
     return "unknown", ["unrecognised artifact (no schema tag / traceEvents)"]
 
 

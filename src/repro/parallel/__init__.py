@@ -1,11 +1,10 @@
 """Shared process fan-out: auto-tuned worker counts, spec-only work units.
 
 One tuned code path for every fan-out in the repo (`apple-experiments
---jobs`, the Fig. 12 replay bench).  The blanket
-``ProcessPoolExecutor`` this replaces lost badly whenever the pool could
-not pay for itself — ``BENCH_engine.json`` once recorded the Fig. 12
-replay at 0.29x "speedup" with ``--jobs 4`` on a single-core host, all of
-it pickling and process-start overhead.  Two mechanisms fix that:
+--jobs`).  The blanket ``ProcessPoolExecutor`` this replaces lost badly
+whenever the pool could not pay for itself — the Fig. 12 replay once ran
+at 0.29x "speedup" with ``--jobs 4`` on a single-core host, all of it
+pickling and process-start overhead.  Two mechanisms fix that:
 
 * **Auto-tuning** (``jobs="auto"``): the first work unit runs in-process
   and is timed.  Fan-out engages only when the measured unit cost times

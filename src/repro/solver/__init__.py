@@ -8,12 +8,12 @@ Every solver takes one input form, :class:`LinearProgram` (the CSC arrays
 * :mod:`repro.solver.lp` — :class:`LinearProgram` and its LP solve on
   scipy's HiGHS (a resident engine, or public ``linprog`` as fallback);
 * :mod:`repro.solver.rounding` — LP relaxation + deterministic rounding and
-  repair (the production path, mirroring the paper);
-* :mod:`repro.solver.branch_bound` — exact branch-and-bound for small
-  instances (used to validate rounding quality in the ablation bench).
+  repair (the production path, mirroring the paper).
+
+Exact integer optima are a test oracle only: ``tests/lp_reference.py``
+solves a :class:`LinearProgram` as a MIP with ``scipy.optimize.milp``.
 """
 
-from repro.solver.branch_bound import BranchBoundResult, solve_branch_bound
 from repro.solver.lp import LinearProgram, LPResult, solve_lp
 from repro.solver.rounding import RoundingResult, solve_with_rounding
 
@@ -23,6 +23,4 @@ __all__ = [
     "LPResult",
     "solve_with_rounding",
     "RoundingResult",
-    "solve_branch_bound",
-    "BranchBoundResult",
 ]

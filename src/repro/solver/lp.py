@@ -2,8 +2,7 @@
 
 :class:`LinearProgram` is the one input every solver takes; this module
 solves its continuous relaxation (integrality is ignored here; see
-:mod:`repro.solver.rounding` and :mod:`repro.solver.branch_bound` for
-integer handling).
+:mod:`repro.solver.rounding` for integer handling).
 
 Two call paths share one semantic contract:
 
@@ -45,7 +44,7 @@ class LinearProgram:
     """``min c·x`` s.t. ``lhs ≤ A x ≤ rhs``, ``lb ≤ x ≤ ub`` — solver-native.
 
     The one representation every solver path consumes (direct HiGHS, the
-    ``linprog`` fallback, iterative rounding, branch-and-bound); the
+    ``linprog`` fallback, iterative rounding); the
     placement LP is written straight into it by
     :func:`repro.core.constraints.assemble_placement_lp`.  ``A`` is the
     stacked ``[A_ub; A_eq]`` in CSC (``indptr``/``indices`` as ``int32``,
@@ -167,7 +166,7 @@ def solve_lp(
 
     Args:
         extra_upper_bounds / extra_lower_bounds: per-variable bound
-            overrides (NaN = keep model bound), used for branching.
+            overrides (NaN = keep model bound), used to fix variables.
         b_ub_override: replacement right-hand-side vector for the ≤ rows
             (e.g. tightened resource budgets); matrices are reused.
 

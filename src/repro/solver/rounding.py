@@ -97,8 +97,8 @@ def most_fractional(
 ) -> Optional[int]:
     """Index of the most fractional integer variable, or None if integral.
 
-    Ties go to the first of ``integer_indices``; rounding fixes and
-    branch-and-bound branches on this variable.
+    Ties go to the first of ``integer_indices``; rounding fixes this
+    variable.
     """
     best, best_frac = None, tol
     for i in integer_indices:

@@ -119,7 +119,8 @@ def aggregate_smoothing_ratio(series: TrafficMatrixSeries, group_size: int = 8) 
 
     Demonstrates the Sec. IV-A claim that class aggregation smooths traffic:
     returns CV(aggregate of ``group_size`` entries) / mean CV(entry), which
-    is < 1 under power-law MVR.  Used by the aggregation ablation bench.
+    is < 1 under power-law MVR (``tests/test_paper_claims.py`` holds it below
+    0.9 on Internet2).
     """
     stacked = np.stack([s.array for s in series.snapshots])  # (T, N, N)
     t, n, _ = stacked.shape

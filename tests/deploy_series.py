@@ -5,7 +5,8 @@ GEANT setup with its 24-snapshot diurnal series, each snapshot's classes
 placed cold (the benchmark's ``geant_cold_deploy`` inputs), and one
 Internet2 plan of the series mean.  :class:`GeantReconfigSeries` drives
 the same series as a reconfiguration loop, as the benchmark's
-``geant_reconfig_loop`` drives it.
+``geant_reconfig_loop`` drives it.  :func:`chaos_deployment` is the fresh
+Internet2 deployment the chaos experiments start from.
 """
 
 from __future__ import annotations
@@ -14,11 +15,16 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from repro.core.controller import AppleController
+from repro.core.engine import EngineConfig
 from repro.core.placement import PlacementPlan
 from repro.core.reconfigure import Deployment
 from repro.core.subclasses import assign_subclasses
 from repro.core.verify import verify_deployment
-from repro.experiments.harness import standard_setup
+from repro.experiments.harness import (
+    REPLAY_HEADROOM,
+    TOPOLOGY_DEMAND_MBPS,
+    standard_setup,
+)
 from repro.sim.kernel import Simulator
 from repro.southbound import SouthboundFabric
 from repro.topology.graph import Topology
@@ -42,6 +48,22 @@ def geant_cold_plans() -> Tuple[Topology, AppleController, List[PlacementPlan]]:
             controller.engine.place(classes, cores, available_memory_gb=memory)
         )
     return topo, controller, plans
+
+
+def chaos_deployment(seed: int):
+    """``(topo, controller, sim, deployment)``: the standard Internet2 setup
+    at its replay demand and headroom, deployed on a fresh simulator, as
+    the ``failure-recovery`` and ``southbound-chaos`` experiments deploy it."""
+    topo, controller, series = standard_setup(
+        "internet2",
+        snapshots=1,
+        seed=seed,
+        demand_mbps=TOPOLOGY_DEMAND_MBPS["internet2"],
+        engine_config=EngineConfig(capacity_headroom=REPLAY_HEADROOM),
+    )
+    sim = Simulator()
+    deployment = controller.run(series.snapshots[0], sim=sim)
+    return topo, controller, sim, deployment
 
 
 @lru_cache(maxsize=1)

@@ -7,7 +7,8 @@ assembler's oracle (``tests/test_placement_lp.py``): it shares no code with
 written and only lowered at :meth:`Builder.compile`, through
 ``scipy.sparse``, to the :class:`~repro.solver.lp.LinearProgram` the solvers
 take: ``<=`` rows as they are, ``>=`` rows negated into ``<=`` rows, then
-``==`` rows, exact-zero coefficients dropped.
+``==`` rows, exact-zero coefficients dropped.  :func:`solve_milp` is the
+exact-optimum oracle: HiGHS MIP on a compiled program, integrality and all.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Dict, List
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.solver.lp import LinearProgram
 
@@ -127,3 +129,21 @@ class Builder:
             integer_mask=np.asarray(self.integer, dtype=bool),
             var_name=self.names.__getitem__,
         )
+
+
+def solve_milp(lp: LinearProgram):
+    """``(objective, solution)`` of ``lp``'s exact integer optimum
+    (``scipy.optimize.milp``), or ``None`` when it has no integer point."""
+    a = sparse.csc_matrix(
+        (lp.data, lp.indices, lp.indptr), shape=(len(lp.rhs), len(lp.c))
+    )
+    res = milp(
+        lp.c,
+        constraints=LinearConstraint(a, lp.lhs, lp.rhs),
+        bounds=Bounds(lp.lb, lp.ub),
+        integrality=lp.integer_mask.astype(int),
+    )
+    if res.status == 2:  # infeasible
+        return None
+    assert res.success, res.message
+    return res.fun, res.x

@@ -20,6 +20,7 @@ from repro.traffic.classes import hashed_assignment
 from repro.traffic.gravity import gravity_matrix
 from repro.traffic.matrix import TrafficMatrix
 from repro.vnf.chains import STANDARD_CHAINS
+from tests.deploy_series import chaos_deployment
 
 SEED = 5
 HORIZON = 16.0
@@ -45,8 +46,8 @@ def _deployed(seed=SEED):
     return topo, controller, sim, deployment
 
 
-def _chaos_run(seed=SEED, config=SMOKE_CONFIG, until=HORIZON):
-    topo, controller, sim, deployment = _deployed(seed)
+def _chaos_run(seed=SEED, config=SMOKE_CONFIG, until=HORIZON, deployed=_deployed):
+    topo, controller, sim, deployment = deployed(seed)
     schedule = generate_schedule(
         topo,
         config,
@@ -87,6 +88,29 @@ def test_smoke_recovery_interference_free():
     # Faults do black-hole traffic until recovery converges.
     assert m["probes_dropped"] > 0
     assert m["downtime_seconds"] > 0
+
+
+def test_standard_setup_seed3_run_recovers_interference_free():
+    """The ``failure-recovery`` experiment's deployment, seed 3: one link
+    flap and one VNF crash, each detected and repaired without a policy
+    violation."""
+    config = ChaosConfig(
+        link_flaps=1,
+        host_crashes=0,
+        vnf_crashes=1,
+        brownouts=0,
+        window=(3.0, 10.0),
+        flap_duration=(4.0, 7.0),
+    )
+    result = _chaos_run(
+        seed=3, config=config, until=22.0, deployed=chaos_deployment
+    )
+    m = result.metrics
+    assert result.faults_detected == result.faults_injected
+    assert all(c["verify_ok"] for c in m["convergences"])
+    assert result.final_policy_violations == 0
+    assert result.final_interference_violations == 0
+    assert m["policy_violation_seconds"] == 0
 
 
 def test_same_seed_bit_identical_run():

@@ -20,10 +20,9 @@ _HYSTERESIS = "the pure input of decide(); property tests sweep it"
 
 #: (config, field) -> why the field stays settable with no src/ setter.
 ALLOWED: Dict[Tuple[str, str], str] = {
-    ("EngineConfig", "solver"): "the solver ablation and tests pick the backend",
     ("EngineConfig", "min_class_rate_mbps"): "tests move the class-rate floor",
-    ("EngineConfig", "max_bb_nodes"): "benchmarks bound branch and bound",
-    ("FailoverConfig", "detection_delay"): "the failover ablation sweeps it",
+    ("FailoverConfig", "detection_delay"): "tests/test_core_dynamic.py::"
+    "test_detection_delay_scales_loss compares a fast and a slow reaction",
     ("ControllerCrashConfig", "window"): "tests pack crashes to check spacing",
     ("ClickOSConfig", "parameters"): "per-deployment role parameters",
     ("HysteresisConfig", "high_watermark"): _HYSTERESIS,

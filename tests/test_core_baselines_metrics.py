@@ -1,13 +1,9 @@
-"""Tests for baselines (ingress, greedy) and TCAM/core metrics."""
+"""Tests for baselines (ingress) and TCAM/core metrics."""
 
 import pytest
 
-from repro.core.baselines import (
-    FRAMEWORK_COMPARISON,
-    greedy_placement,
-    ingress_placement,
-)
-from repro.core.engine import OptimizationEngine, PlacementError
+from repro.core.baselines import FRAMEWORK_COMPARISON, ingress_placement
+from repro.core.engine import OptimizationEngine
 from repro.core.metrics import (
     free_cores_after,
     hash_range_entries,
@@ -16,11 +12,8 @@ from repro.core.metrics import (
     tcam_usage_without_tagging,
 )
 from repro.core.subclasses import assign_subclasses
-from repro.topology.datasets import internet2
-from repro.topology.routing import Router
-from repro.traffic.classes import ClassBuilder, hashed_assignment, TrafficClass
-from repro.traffic.gravity import gravity_matrix
-from repro.vnf.chains import PolicyChain, STANDARD_CHAINS
+from repro.traffic.classes import TrafficClass
+from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG
 
 
@@ -63,45 +56,6 @@ def test_ingress_places_everything_at_src():
     assert set(sw for sw, _ in plan.quantities) == {"a"}
     assert plan.quantity("a", "nat") == 1
     assert plan.quantity("a", "ids") == 2  # 700 / 600 → 2
-
-
-# ---------------------------------------------------------------------------
-# Greedy heuristic
-# ---------------------------------------------------------------------------
-def test_greedy_valid_and_order_preserving():
-    classes = [
-        _cls("c1", "a", "c", ("a", "b", "c"), ["nat", "firewall"], 500.0),
-        _cls("c2", "a", "c", ("a", "b", "c"), ["firewall"], 400.0),
-    ]
-    cores = {"a": 64, "b": 64, "c": 64}
-    plan = greedy_placement(classes, cores)
-    assert not plan.validate(cores)
-
-
-def test_greedy_respects_core_budget():
-    classes = [_cls("c1", "a", "b", ("a", "b"), ["ids"], 100.0)]
-    with pytest.raises(PlacementError):
-        greedy_placement(classes, {"a": 4, "b": 4})  # ids needs 8
-
-
-def test_greedy_and_engine_in_same_band():
-    """Both heuristics sit above the LP bound and within ~30% of each other.
-
-    Neither dominates universally: LP rounding wins when load fragments
-    across classes; first-fit greedy can win at low utilisation where the
-    LP's spatial spreading costs ceil dust.
-    """
-    topo = internet2()
-    router = Router(topo)
-    builder = ClassBuilder(router, hashed_assignment(STANDARD_CHAINS), min_rate_mbps=1.0)
-    classes = builder.build(gravity_matrix(topo, 8000.0, seed=0))[:50]
-    cores = {s: 64 for s in topo.switches}
-    greedy = greedy_placement(classes, cores)
-    engine = OptimizationEngine().place(classes, cores)
-    assert engine.total_instances() >= engine.lp_bound - 1e-6
-    assert greedy.total_instances() >= engine.lp_bound - 1e-6
-    assert engine.total_instances() <= 1.3 * greedy.total_instances()
-    assert greedy.total_instances() <= 1.3 * engine.total_instances()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.core.engine import EngineConfig, OptimizationEngine, PlacementError
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG
+from tests.lp_reference import solve_milp
 
 
 def _cls(cid, src, dst, path, chain, rate):
@@ -125,33 +126,37 @@ def test_capacity_headroom_scales_instances():
 
 
 def test_exact_solver_small_instance():
+    """The rounded plan sits between the LP bound and the exact ILP optimum
+    (HiGHS MIP on the same program)."""
     classes = [
         _cls("c1", "a", "c", LINE, ["firewall", "ids"], 400.0),
         _cls("c2", "a", "c", LINE, ["firewall"], 300.0),
     ]
-    exact = _place(classes, CORES, solver="exact")
-    rounded = _place(classes, CORES, solver="rounding")
-    assert not exact.validate(CORES)
-    assert exact.total_instances() <= rounded.total_instances()
+    engine = OptimizationEngine()
+    template = assemble_placement_lp(classes, CORES, None, engine._cap, engine.catalog)
+    template.set_rates(classes)
+    template.set_budgets(CORES, None)
+    optimum, _solution = solve_milp(template.lp)
+    rounded = engine.place(classes, CORES)
+    assert not rounded.validate(CORES)
+    assert rounded.lp_bound <= optimum + 1e-9
+    assert optimum <= rounded.total_instances() + 1e-9
 
 
 @pytest.mark.parametrize(
-    "classes, solver",
+    "classes",
     [
-        ([], "rounding"),
-        ([], "exact"),
-        ([_cls("c1", "a", "c", LINE, [], 100.0), _cls("c2", "a", "b", "ab", [], 5.0)],
-         "rounding"),
+        [],
+        [_cls("c1", "a", "c", LINE, [], 100.0), _cls("c2", "a", "b", "ab", [], 5.0)],
     ],
-    ids=["no-classes", "no-classes-exact", "all-chains-empty"],
+    ids=["no-classes", "all-chains-empty"],
 )
-def test_placement_without_variables_is_an_empty_plan(classes, solver, monkeypatch):
+def test_placement_without_variables_is_an_empty_plan(classes, monkeypatch):
     def no_solver(*_args, **_kwargs):
         raise AssertionError("an instance without variables reached the solver")
 
     monkeypatch.setattr("repro.core.engine.solve_lp", no_solver)
-    monkeypatch.setattr("repro.core.engine.solve_branch_bound", no_solver)
-    plan = _place(classes, CORES, solver=solver)
+    plan = _place(classes, CORES)
     assert plan.total_instances() == 0
     assert plan.quantities == {} and plan.distribution == {}
     assert plan.objective == 0.0
@@ -167,11 +172,6 @@ def test_empty_chain_class_adds_nothing_to_a_mixed_instance():
     assert mixed.quantities == alone.quantities
     assert mixed.distribution == alone.distribution
     assert not mixed.validate(CORES)
-
-
-def test_bad_solver_name_rejected():
-    with pytest.raises(ValueError):
-        EngineConfig(solver="magic")
 
 
 def test_consolidation_reduces_or_preserves():
@@ -219,18 +219,16 @@ def test_solve_seconds_recorded():
 
 
 def test_infeasible_instance_raises_on_every_solve_path():
-    """IDS needs 8 cores and no switch has them, so rounding and
-    branch-and-bound both raise ``PlacementError``."""
+    """IDS needs 8 cores and no switch has them: ``PlacementError``."""
     classes = [_cls("c1", "a", "c", LINE, ["ids"], 5000.0)]
     cores = {"a": 0, "b": 4, "c": 4}
-    for solver in ("rounding", "exact"):
-        with pytest.raises(PlacementError):
-            _place(classes, cores, solver=solver)
+    with pytest.raises(PlacementError):
+        _place(classes, cores)
 
 
-def test_engine_config_has_only_the_four_knobs():
+def test_engine_config_has_only_the_two_knobs():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-        "solver", "min_class_rate_mbps", "max_bb_nodes", "capacity_headroom",
+        "min_class_rate_mbps", "capacity_headroom",
     ]
 
 
@@ -250,21 +248,14 @@ def test_class_rate_floor_must_be_finite_and_non_negative(rate):
         EngineConfig(min_class_rate_mbps=rate)
 
 
-@pytest.mark.parametrize("nodes", [0, -3])
-def test_branch_and_bound_node_limit_must_be_positive(nodes):
-    with pytest.raises(ValueError, match="max_bb_nodes"):
-        EngineConfig(solver="exact", max_bb_nodes=nodes)
-
-
 @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
 def test_hostile_core_budget_is_refused_naming_the_switch(budget):
     """A NaN core budget used to drop the host silently, a negative one to
     read as "infeasible"."""
     classes = [_cls("c1", "a", "c", LINE, ["firewall"], 100.0)]
     cores = {"a": 64, "b": budget, "c": 64}
-    for solver in ("rounding", "exact"):
-        with pytest.raises(ValueError, match=r"cores of switch 'b'"):
-            _place(classes, cores, solver=solver)
+    with pytest.raises(ValueError, match=r"cores of switch 'b'"):
+        _place(classes, cores)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -2.0])

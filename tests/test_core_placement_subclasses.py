@@ -150,6 +150,24 @@ def test_monotone_coupling_produces_ordered_sequences():
         assert indices == sorted(indices)
 
 
+def test_near_zero_rate_class_keeps_its_whole_hash_domain():
+    """A class placed at 1e-10 Mbps (possible with ``min_class_rate_mbps=0``)
+    is below the allocator's cut threshold at every portion; each portion
+    keeps its width on its slot's instance instead of the step failing
+    with "chain step 0 has no portions"."""
+    tiny = _cls("tiny", 1e-10, chain=("firewall", "nat"))
+    plan = _plan(
+        {("a", "firewall"): 1, ("b", "firewall"): 1, ("c", "nat"): 1},
+        {("tiny", 0, 0): 0.25, ("tiny", 1, 0): 0.75, ("tiny", 2, 1): 1.0},
+        [tiny],
+    )
+    subs = assign_subclasses(plan).by_class["tiny"]
+    assert [(s.hash_range, s.switches()) for s in subs] == [
+        ((0.0, 0.25), ("a", "c")),
+        ((0.25, 1.0), ("b", "c")),
+    ]
+
+
 def test_missing_instance_for_distribution_raises():
     cls = _cls("c1", 100.0)
     plan = _plan({}, {("c1", 1, 0): 1.0}, [cls])

@@ -106,11 +106,11 @@ def test_installed_network_enforces_policy(deployed):
         assert p.switches_visited() == ["a", "b", "c"]
 
 
-def test_install_reuses_supplied_instances(deployed):
-    plan, sub_plan, rules, _, instances = deployed
+def test_materialize_reuses_supplied_instances(deployed):
+    _plan, _sub_plan, rules, _, instances = deployed
     gen = RuleGenerator(DEFAULT_CATALOG)
     network2 = DataPlaneNetwork(_topo())
-    instances2 = gen.install(rules, network2, plan.classes, instances=instances)
+    instances2 = gen.materialize_instances(rules, network2, instances=instances)
     for key in instances:
         assert instances2[key] is instances[key]
 

@@ -225,16 +225,18 @@ def test_single_timestamp_column_and_rule_change_invalidation():
 # ----------------------------------------------------------------------
 # packet-replay against its event-per-packet reference
 # ----------------------------------------------------------------------
-def _event_per_packet_replay(quick, overload_factor):
+def _event_per_packet_replay(quick, overload_factor, walk="inject"):
     """``packet_replay.run``'s traffic, one simulator event per packet.
 
     One ``CBRSource`` per class started at a phase drawn from the replay's
-    RNG stream, each packet a ``network.inject`` with the class's next
-    cycling hash.  Returns
+    RNG stream, each packet handed to the network's ``walk`` method
+    (``inject``, or the uncached hop-by-hop ``walk_reference``) with the
+    class's next cycling hash.  Returns
     ``(sent, delivered, dropped, violations)``.
     """
     _, plan, sim, deployment = packet_replay.deploy("internet2")
     network = deployment.network
+    step = getattr(network, walk)
     sent = [0]
 
     def consumer(cls):
@@ -243,7 +245,7 @@ def _event_per_packet_replay(quick, overload_factor):
         def consume(size, now):
             k[0] += 1
             sent[0] += 1
-            network.inject(
+            step(
                 Packet(class_id=cls.class_id, flow_hash=(k[0] * 0.137) % 1.0,
                        src=cls.src, dst=cls.dst),
                 now=now,
@@ -276,6 +278,16 @@ def _replay_counts(result):
 def test_packet_replay_sharded_is_bit_identical():
     column = packet_replay.run(quick=True)
     assert _replay_counts(column) == _event_per_packet_replay(True, 1.0)
+
+
+def test_reference_walk_inject_and_columns_agree_on_the_replay():
+    """The replay's full 4 s of Internet2 traffic: the uncached hop-by-hop
+    walk, per-packet ``inject`` and one column agree packet for packet,
+    with no policy violation."""
+    column = _replay_counts(packet_replay.run())
+    assert _event_per_packet_replay(False, 1.0, walk="walk_reference") == column
+    assert _event_per_packet_replay(False, 1.0) == column
+    assert column[3] == 0
 
 
 def test_packet_replay_sharded_matches_scalar_under_overload():

@@ -22,7 +22,7 @@ from repro.elastic import (
     utilization_snapshot,
 )
 from repro.elastic.slo import BRONZE, GOLD, SILVER, SLO_CLASSES
-from repro.experiments.flash_crowd import _flash_row
+from repro.experiments.flash_crowd import FULL_AMPLITUDES, _flash_row
 from repro.experiments.harness import (
     REPLAY_HEADROOM,
     TOPOLOGY_DEMAND_MBPS,
@@ -242,6 +242,25 @@ def test_flash_crowd_high_amplitude_sheds_not_violates():
     assert shed > 0  # capacity exhaustion engaged the admission oracle
     assert pv_seconds == 0.0  # shed flows are quarantined, never misrouted
     assert verify == "OK"
+
+
+@pytest.mark.parametrize("amplitude", FULL_AMPLITUDES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_scale_flash_crowd_stays_interference_free(seed, amplitude):
+    """Every cell of the 3 seeds x 3 amplitudes grid: shedding quarantines
+    (zero policy-violation-seconds), every spike is absorbed, no drift,
+    every epoch convergence verified."""
+    row, _ = _flash_row(amplitude, seed=seed)
+    absorb, pv_seconds, drift, verify = row[9], row[-3], row[-2], row[-1]
+    assert pv_seconds == 0.0
+    assert absorb != "unbounded"
+    assert drift == 0
+    assert verify == "OK"
+
+
+def test_full_scale_flash_crowd_reruns_bit_identically():
+    _, sig = _flash_row(FULL_AMPLITUDES[-1], seed=0)
+    assert _flash_row(FULL_AMPLITUDES[-1], seed=0)[1] == sig
 
 
 def _baseline_run(with_disabled_elastic: bool):

@@ -1,19 +1,10 @@
-"""Sanity tests for every experiment module (quick-scale)."""
+"""Experiment plumbing: result formatting, the standard setup, pinned
+signatures and ``--jobs`` fan-out.  The paper's claims, one test per
+figure or table, are in ``tests/test_paper_claims.py``."""
 
 import pytest
 
-from repro.experiments import (
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    table1,
-    table4,
-    table5,
-)
+from repro.experiments import fig12
 from repro.experiments.harness import ExperimentResult, standard_setup
 
 
@@ -44,88 +35,6 @@ def test_standard_setup_univ1_edge_only():
     for src, dst, _ in series.mean().pairs(min_rate=1e-6):
         assert src.startswith("edge") and dst.startswith("edge")
     assert controller.router.ecmp  # data center uses multipath
-
-
-def test_table1_rows():
-    result = table1.run()
-    assert len(result.rows) == 8
-
-
-def test_table4_matches_catalog():
-    result = table4.run()
-    assert len(result.rows) == 4
-
-
-def test_table5_quick():
-    result = table5.run(quick=True)
-    assert {r[0] for r in result.rows} == {"internet2", "geant", "univ1"}
-    for row in result.rows:
-        assert row[4] > 0  # measured time
-        assert row[6] > 0  # instances
-
-
-def test_fig6_knee_and_size_independence():
-    result = fig6.run(quick=True)
-    below = [r for r in result.rows if r[0] <= 8.0]
-    above = [r for r in result.rows if r[0] >= 10.0]
-    assert all(r[1] == 0 for r in below)
-    assert all(r[1] > 0 for r in above)
-    for r in result.rows:
-        assert abs(r[1] - r[2]) < 0.02  # 64B vs 1500B
-
-
-def test_fig7_boot_band():
-    result = fig7.run(quick=True)
-    per_run = [r for r in result.rows if isinstance(r[0], int)]
-    assert all(3.7 <= r[1] <= 4.8 for r in per_run)
-
-
-def test_fig8_scenarios():
-    result = fig8.run(quick=True)
-    assert {r[0] for r in result.rows} == {
-        "no-failover", "wait-5s", "reconfigure", "naive",
-    }
-
-
-def test_fig9_zero_loss():
-    result = fig9.run()
-    loss = next(r[2] for r in result.rows if r[1] == "total packet loss")
-    assert loss == 0
-
-
-def test_fig10_quick():
-    result = fig10.run(topologies=("internet2",), quick=True)
-    assert result.rows[0][3] > 2.0  # median reduction well above 1
-
-
-def test_fig11_quick():
-    result = fig11.run(topologies=("internet2",), quick=True)
-    assert result.rows[0][3] > 1.5
-
-
-def test_fig12_quick():
-    result = fig12.run(topologies=("internet2",), quick=True)
-    row = result.rows[0]
-    assert row[3] <= row[1]  # failover mean loss <= baseline
-
-
-def test_fig5_breakdown_quick():
-    from repro.experiments import fig5
-
-    result = fig5.run(quick=True)
-    rows = {r[0]: r[1] for r in result.rows}
-    assert 3.8 <= rows["end-to-end boot (mean)"] <= 4.7
-    assert rows["fast path (reconfigure spare), measured"] <= 0.05
-
-
-def test_packet_replay_quick():
-    from repro.experiments import packet_replay
-
-    result = packet_replay.run(quick=True)
-    rows = {r[0]: r[1] for r in result.rows}
-    assert rows["policy violations"] == 0
-    assert rows["delivered"] > 0
-    assert rows["measured loss"] < 0.1
 
 
 def test_pinned_quick_seed1_signatures():
@@ -180,3 +89,9 @@ def test_jobs_auto_rows_equal_serial_rows(name):
     assert run(quick=True, jobs="auto", **kwargs).rows == run(
         quick=True, jobs=1, **kwargs
     ).rows
+
+
+def test_fig12_jobs_auto_rows_equal_serial_rows():
+    """Full-scale Fig. 12 (three topologies, 120 snapshots): the tuner's
+    fan-out gives the serial rows in the serial order."""
+    assert fig12.run(jobs="auto").rows == fig12.run(jobs=1).rows

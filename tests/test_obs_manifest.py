@@ -1,4 +1,4 @@
-"""Tests for run manifests, BENCH entries, and the validation CLI."""
+"""Tests for run manifests and the validation CLI."""
 
 import json
 
@@ -6,13 +6,10 @@ import pytest
 
 from repro import obs
 from repro.obs.manifest import (
-    BENCH_SCHEMA,
     RUN_SCHEMA,
-    bench_entry,
     build_manifest,
     git_sha,
     machine_info,
-    validate_bench_entry,
     validate_manifest,
     write_json,
 )
@@ -60,17 +57,6 @@ def test_validate_manifest_catches_problems(manifest):
     assert any("experiments[0]" in e for e in errors)
 
 
-def test_bench_entry_unified_schema():
-    entry = bench_entry("engine_warm", {"solves": 10, "seconds": 0.5})
-    assert entry["schema"] == BENCH_SCHEMA
-    assert validate_bench_entry(entry) == []
-    # Pre-unification entries (no schema tag) stay valid.
-    legacy = {k: v for k, v in entry.items() if k != "schema"}
-    assert validate_bench_entry(legacy) == []
-    legacy["schema"] = "wrong"
-    assert validate_bench_entry(legacy) != []
-
-
 def test_git_sha_and_machine_info_shapes():
     sha = git_sha()
     assert isinstance(sha, str) and sha
@@ -81,11 +67,9 @@ def test_git_sha_and_machine_info_shapes():
 def test_classify_and_validate_sniffing(manifest):
     assert classify_and_validate(manifest)[0] == "run-manifest"
     assert classify_and_validate({"traceEvents": []})[0] == "chrome-trace"
-    entry = bench_entry("x", {})
-    kind, errors = classify_and_validate([entry])
-    assert (kind, errors) == ("bench-trajectory", [])
-    kind, errors = classify_and_validate({"what": "ever"})
-    assert kind == "unknown" and errors
+    for other in ({"what": "ever"}, [{"bench": "x"}]):
+        kind, errors = classify_and_validate(other)
+        assert kind == "unknown" and errors
 
 
 def test_validate_cli(tmp_path, manifest, capsys):

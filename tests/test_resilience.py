@@ -219,6 +219,31 @@ def test_crash_recovery_is_exactly_once():
     assert out.signature == base.signature
 
 
+def _assert_recovered(out, base):
+    assert out.signature == base.signature
+    assert out.downtime_pv_seconds == 0
+    assert len(out.recoveries) == 1
+
+
+@pytest.mark.parametrize("interval", [2.0, 8.0, 24.0])
+def test_crash_recovers_under_every_checkpoint_cadence(interval):
+    """One mid-churn crash (t = 18 s, seed 0) recovers to the never-crashed
+    state whether the restored checkpoint is fresh or old."""
+    base = run_once(5, 2, 0, checkpoint_interval=interval)
+    out = run_once(
+        5, 2, 0, events=(_crash_event(18.0),), checkpoint_interval=interval
+    )
+    _assert_recovered(out, base)
+
+
+def test_crash_recovers_however_long_the_journal():
+    """Crashes later in the history (t = 12, 22, 32 s, seed 0) process a
+    longer journal and still recover to the never-crashed state."""
+    base = run_once(5, 2, 0)
+    for t in (12.0, 22.0, 32.0):
+        _assert_recovered(run_once(5, 2, 0, events=(_crash_event(t),)), base)
+
+
 def _small_world(seed=SEED):
     topo = internet2(default_host_cores=192)
     sim = Simulator(seed=seed)

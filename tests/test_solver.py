@@ -1,4 +1,4 @@
-"""Tests for the LP/ILP layer: LP, rounding, branch & bound, the HiGHS probe.
+"""Tests for the LP/ILP layer: LP, rounding, the HiGHS probe.
 
 Every program is written with the test-only builder in ``lp_reference``
 and handed to the solvers as the one form they take, a ``LinearProgram``.
@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import repro.solver.lp as lp_module
-from repro.solver.branch_bound import solve_branch_bound
 from repro.solver.lp import HighsBindingWarning, SolverError, solve_lp
 from repro.solver.rounding import most_fractional, solve_with_rounding
-from tests.lp_reference import Builder
+from tests.lp_reference import Builder, solve_milp
 
 
 # ---------------------------------------------------------------------------
@@ -157,53 +156,26 @@ def test_rounding_matches_ceil_cover():
     assert res.lp_objective == pytest.approx(2.5 + 1.2)
 
 
-def test_branch_bound_matches_ceil_cover():
+def test_milp_oracle_matches_ceil_cover():
     lp, _qs = _covering_model()
-    res = solve_branch_bound(lp)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(5.0)
-    assert res.gap <= 1e-6
+    objective, solution = solve_milp(lp)
+    assert objective == pytest.approx(5.0)
+    assert solution.tolist() == [3.0, 2.0]
 
 
-def test_branch_bound_beats_naive_rounding_on_knapsack():
+def test_rounding_is_no_better_than_the_optimum_on_knapsack():
     # min q1 + q2 s.t. 3 q1 + 2 q2 >= 4; LP gives 4/3, ILP optimum is 2
-    # (q1=0,q2=2 or q1=2,q2=0 infeasible... q1=1,q2=1 = 5 >= 4 → obj 2).
+    # (q1=1, q2=1 = 5 >= 4 → obj 2).
     b = Builder()
     q1 = b.var("q1", integer=True)
     q2 = b.var("q2", integer=True)
     b.row({q1: 3.0, q2: 2.0}, ">=", 4.0)
     b.minimize({q1: 1.0, q2: 1.0})
     lp = b.compile()
-    bb = solve_branch_bound(lp)
-    assert bb.objective == pytest.approx(2.0)
+    optimum, _solution = solve_milp(lp)
+    assert optimum == pytest.approx(2.0)
     rnd = solve_with_rounding(lp)
-    assert rnd.objective >= bb.objective - 1e-9
-
-
-def test_branch_bound_infeasible():
-    b = Builder()
-    q = b.var("q", integer=True, ub=1)
-    b.row({q: 1.0}, ">=", 2.0)
-    b.minimize({q: 1.0})
-    res = solve_branch_bound(b.compile())
-    assert res.status == "infeasible"
-
-
-def test_branch_bound_node_limit_after_the_proof_is_still_optimal():
-    # min x + 2y s.t. x + y >= 1, 3y >= 2: the LP bound is 5/3 and the
-    # optimum 2 at (0, 1).  The second node finds it; the node left open is
-    # bounded by 7/3, so the limit stops a search that has nothing left to
-    # find, and the incumbent is proven optimal with no gap.
-    b = Builder()
-    x = b.var("x", integer=True)
-    y = b.var("y", integer=True)
-    b.row({x: 1.0, y: 1.0}, ">=", 1.0)
-    b.row({y: 3.0}, ">=", 2.0)
-    b.minimize({x: 1.0, y: 2.0})
-    res = solve_branch_bound(b.compile(), max_nodes=2)
-    assert res.nodes_explored == 2
-    assert (res.status, res.objective, res.gap) == ("optimal", 2.0, 0.0)
-    assert res.solution.tolist() == [0.0, 1.0]
+    assert rnd.objective >= optimum - 1e-9
 
 
 def test_rounding_integral_lp_shortcuts():

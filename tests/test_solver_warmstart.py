@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import repro.core.engine as engine_module
 from repro.core.constraints import assemble_placement_lp
 from repro.core.engine import EngineConfig, OptimizationEngine, PlacementError
-from repro.experiments.harness import ExperimentResult, parallel_map
+from repro.experiments.harness import ExperimentResult, parallel_map, standard_setup
 from repro.solver.lp import solve_lp
 from repro.solver.rounding import solve_with_rounding
 from repro.traffic.classes import TrafficClass
@@ -89,6 +89,23 @@ def test_warm_start_flag_and_counters():
     assert engine.cold_builds == 2
 
 
+def test_geant_snapshots_solve_cold_after_clearing_and_warm_after():
+    """Eight GEANT snapshots: every ``place()`` after ``clear_templates()``
+    builds the LP, every repeat of the structure re-solves the template."""
+    _topo, controller, series = standard_setup("geant", snapshots=8)
+    engine = controller.engine
+    cores = controller.available_cores()
+    class_sets = [controller.build_classes(m) for m in series.snapshots]
+    engine.place(class_sets[0], cores)
+    for classes in class_sets[1:]:
+        engine.clear_templates()
+        assert not engine.place(classes, cores).warm_start
+    engine.clear_templates()
+    engine.place(class_sets[0], cores)
+    for classes in class_sets[1:]:
+        assert engine.place(classes, cores).warm_start
+
+
 def test_single_shot_template_rejected_after_first_solve(monkeypatch):
     built = []
 
@@ -126,16 +143,10 @@ _STEP = st.tuples(
     ),
 )
 
-#: rounding / exact, cores only / cores + memory.  Tight memory is what
-#: sends ``_solve_ceiling`` to the ``solve_with_rounding`` fallback (see
-#: test_budget_moves_reach_the_rounding_fallback); the exact solver runs
-#: under a small node limit to keep the property cheap.
-_VARIANTS = [
-    (EngineConfig(), False),
-    (EngineConfig(), True),
-    (EngineConfig(solver="exact", max_bb_nodes=100), False),
-    (EngineConfig(solver="exact", max_bb_nodes=100), True),
-]
+#: Cores only / cores + memory.  Tight memory is what sends
+#: ``_solve_ceiling`` to the ``solve_with_rounding`` fallback (see
+#: test_budget_moves_reach_the_rounding_fallback).
+_VARIANTS = [(EngineConfig(), False), (EngineConfig(), True)]
 
 
 def _outcome(engine, classes, cores, memory=None):
@@ -159,7 +170,7 @@ def _instance(step, with_memory):
 @pytest.mark.parametrize(
     "config,with_memory",
     _VARIANTS,
-    ids=["rounding", "rounding+memory", "exact", "exact+memory"],
+    ids=["rounding", "rounding+memory"],
 )
 @given(steps=st.lists(_STEP, min_size=2, max_size=4))
 @settings(max_examples=12, deadline=None)

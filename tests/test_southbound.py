@@ -60,6 +60,7 @@ from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.gravity import gravity_matrix
 from repro.vnf.chains import STANDARD_CHAINS
+from tests.deploy_series import chaos_deployment
 
 SEED = 7
 
@@ -481,8 +482,8 @@ _DP_CHAOS = ChaosConfig(
 )
 
 
-def _southbound_chaos_run(seed=1, sb_chaos=_SB_CHAOS, until=24.0):
-    topo, controller, sim, deployment = _deployed(seed)
+def _southbound_chaos_run(seed=1, sb_chaos=_SB_CHAOS, until=24.0, deployed=_deployed):
+    topo, controller, sim, deployment = deployed(seed)
     fabric = _fabric(sim, controller, deployment, chaos=sb_chaos, seed=seed)
     schedule = generate_schedule(
         topo,
@@ -520,6 +521,16 @@ def test_southbound_chaos_holds_the_acceptance_bar():
     sb = result.metrics["southbound"]
     assert sb["messages_lost"] > 0
     assert result.southbound_signature is not None
+    assert result.metrics["policy_violation_seconds"] == 0
+    assert result.final_verify_ok
+    assert fabric.drift_count() == 0
+    assert fabric.converged
+
+
+def test_standard_setup_lossy_run_holds_the_acceptance_bar():
+    """The same bar on the experiment's own deployment (seed 1)."""
+    result, fabric = _southbound_chaos_run(deployed=chaos_deployment)
+    assert result.metrics["southbound"]["messages_lost"] > 0
     assert result.metrics["policy_violation_seconds"] == 0
     assert result.final_verify_ok
     assert fabric.drift_count() == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.controller import AppleController, UnknownClassError
 from repro.experiments.harness import normalize_name
-from repro.experiments.multi_tenant import generate_intents
+from repro.experiments.multi_tenant import _build_and_run, generate_intents
 from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.rng import derive
@@ -398,6 +398,23 @@ def test_history_that_crashed_dust_consolidation_runs_clean():
     assert (m["intents"], m["waiting"], m["drift"]) == (339, 0, 0)
     assert m["completed"] + m["rejected"] + m["failed"] == 339
     assert m["verify_failed"] == 0
+
+
+@pytest.mark.parametrize("tenants", [25, 50, 100, 200])
+def test_platform_history_keeps_tenants_isolated(tenants):
+    """Whole seed-0 histories up to 200 tenants: no cross-tenant policy
+    violation, every convergence verified, no drift, every intent
+    terminal."""
+    m = _build_and_run(tenants, 0).metrics_summary()
+    assert m["cross_tenant_violation_seconds"] == 0
+    assert m["verify_failed"] == 0
+    assert m["drift"] == 0
+    assert m["waiting"] == 0
+
+
+def test_same_seed_histories_are_bit_identical():
+    first = _build_and_run(50, 0).state_signature()
+    assert _build_and_run(50, 0).state_signature() == first
 
 
 def test_metrics_registry_configurable_series_cap():

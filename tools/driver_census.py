@@ -18,7 +18,7 @@ The drivers are exactly :func:`drivers`: ``apple-experiments --quick
 links and AS-3679 are reached only there); every ``examples/*.py``;
 ``benchmarks/pipeline/run.py --workload W --seed 1 --seconds 2 --trace
 0|1`` for every workload; and ``python -m repro.obs.validate`` over the
-traced run's artifacts and ``BENCH_engine.json``.  A driver that exits
+traced run's artifacts.  A driver that exits
 non-zero stops the census (exit 2): a crashed driver reaches less.
 
 Dunder protocol methods (``__repr__``, ``__eq__``, ``__reduce__``, ...)
@@ -63,12 +63,9 @@ _SAFETY = "safety: "
 _ORACLE = "test oracle: "
 _REFERENCE = _ORACLE + "the reference interpreter, "
 _ISOLATION = "test-isolation hook: "
-_LEGACY = "legacy-bench-only, ROADMAP item 7 decides: "
-_SPLIT = _LEGACY + "benchmarks/bench_ablation_subclass.py (the prefix sub-class method)"
-_EXACT = (
-    "ROADMAP item 12(b): the exact solver behind EngineConfig(solver='exact'), "
-    "until scipy.optimize.milp replaces it"
-)
+_CLAIM = "paper claim: tests/test_paper_claims.py::"
+_SMOOTHING = _CLAIM + "test_sec4a_aggregation_shrinks_the_model_and_smooths_traffic"
+_SPLIT = _CLAIM + "test_sec5a_prefix_subclasses_inflate_rules_hashing_does_not"
 _WAL = _SAFETY + "FileJournal is the durable WAL (tests/test_resilience.py)"
 _ROLLBACK = _SAFETY + "the fault path of an epoch; ROADMAP item 10(a) drives it"
 _FEASIBLE = _SAFETY + "the feasibility check of every solver test; ROADMAP item 12 uses it"
@@ -98,7 +95,7 @@ ALLOWED: Dict[str, str] = {
     "repro.resilience.journal:FileJournal.load": _WAL,
     "repro.southbound.metrics:SouthboundMetrics.record_give_up": _SAFETY
     + "counts a channel that exhausts its retries",
-    # Test oracles: the reference interpreter (bench_dataplane.py imports it too).
+    # Test oracles: the reference interpreter.
     "repro.dataplane.network:DataPlaneNetwork.walk_reference": _PROGRAMS,
     "repro.dataplane.network:DataPlaneNetwork.inject_from_host": _REFERENCE
     + "tests/test_dataplane.py",
@@ -145,15 +142,9 @@ ALLOWED: Dict[str, str] = {
     + "tests/test_obs_metrics.py",
     "repro.sim.kernel:Simulator.reset": _ISOLATION + "tests/test_sim_kernel.py",
     "repro.sim.events:EventQueue.clear": _ISOLATION + "tests/test_sim_events.py",
-    # Legacy benches (ROADMAP item 7).
-    "repro.core.baselines:greedy_placement": _LEGACY
-    + "benchmarks/bench_ablation_solver.py",
-    "repro.core.baselines:greedy_placement.<locals>.q_for": _LEGACY
-    + "benchmarks/bench_ablation_solver.py",
-    "repro.traffic.diurnal:aggregate_smoothing_ratio": _LEGACY
-    + "benchmarks/bench_ablation_aggregation.py",
-    "repro.traffic.diurnal:aggregate_smoothing_ratio.<locals>.cv": _LEGACY
-    + "benchmarks/bench_ablation_aggregation.py",
+    # Paper claims that no experiment prints.
+    "repro.traffic.diurnal:aggregate_smoothing_ratio": _SMOOTHING,
+    "repro.traffic.diurnal:aggregate_smoothing_ratio.<locals>.cv": _SMOOTHING,
     "repro.classify.split:fraction_to_prefixes": _SPLIT,
     "repro.classify.rules:format_prefix": _SPLIT,
     "repro.classify.split:SubclassSplit.from_weights": _SPLIT,
@@ -162,12 +153,9 @@ ALLOWED: Dict[str, str] = {
     "repro.classify.split:SubclassSplit.weight": _SPLIT,
     "repro.classify.split:SubclassSplit.prefixes": _SPLIT,
     "repro.classify.split:SubclassSplit.total_prefix_rules": _SPLIT,
-    "repro.classify.split:SubclassSplit.subclass_of_hash": _SPLIT,
-    "repro.obs.manifest:bench_entry": _LEGACY
-    + "every benchmarks/bench_*.py trajectory entry",
-    # ROADMAP item 12(b).
-    "repro.solver.branch_bound:solve_branch_bound": _EXACT,
-    "repro.solver.branch_bound:solve_branch_bound.<locals>.try_round_up": _EXACT,
+    "repro.classify.split:SubclassSplit.subclass_of_hash": _ORACLE
+    + "the hash side tests/test_prefix_hash_agreement.py holds a split's "
+    "prefixes to",
     # Not a census driver.
     "repro.experiments.cli:_HelpFormatter._split_lines": "the CLI's --help "
     "rendering, which no driver asks for "
@@ -336,8 +324,7 @@ def run_drivers(work: Path) -> Set[Tuple[str, int]]:
         results = list(pool.map(run, drivers()))
     results.append(run((
         "repro.obs.validate",
-        [sys.executable, "-m", "repro.obs.validate", "run.json", "trace.json",
-         str(ROOT / "BENCH_engine.json")],
+        [sys.executable, "-m", "repro.obs.validate", "run.json", "trace.json"],
     )))
     failed = [(label, done) for label, done in results if done.returncode != 0]
     for label, done in failed:
