@@ -201,15 +201,15 @@ class DataPlaneNetwork:
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
-        # The rule epoch: every table and vSwitch of this network, and the
-        # failure overlay below, move it when they change.
-        self._epoch = RuleEpoch()
+        #: The rule epoch: every table and vSwitch of this network, and the
+        #: failure overlay below, move it when they change.
+        self.epoch = RuleEpoch()
         self.switches: Dict[str, PhysicalSwitch] = {
-            s: PhysicalSwitch(s, has_host=s in topo.hosts, epoch=self._epoch)
+            s: PhysicalSwitch(s, has_host=s in topo.hosts, epoch=self.epoch)
             for s in topo.switches
         }
         self.vswitches: Dict[str, VSwitch] = {
-            s: VSwitch(s, epoch=self._epoch) for s in topo.hosts
+            s: VSwitch(s, epoch=self.epoch) for s in topo.hosts
         }
         self.class_paths: Dict[str, Tuple[str, ...]] = {}
         # Delivery ledger: O(1) counters + a bounded ring of recent records.
@@ -236,7 +236,7 @@ class DataPlaneNetwork:
     @property
     def rule_epoch(self) -> int:
         """Moves whenever anything a resolved walk depends on changes."""
-        return self._epoch.value
+        return self.epoch.value
 
     def register_class_path(self, class_id: str, path: Tuple[str, ...]) -> None:
         """Declare the routing path of a class (set by other applications)."""
@@ -247,7 +247,7 @@ class DataPlaneNetwork:
             if s not in switches:
                 raise KeyError(f"path references unknown switch {s!r}")
         self.class_paths[class_id] = tuple(path)
-        self._epoch.value += 1
+        self.epoch.move()
 
     def vswitch_at(self, switch: str) -> VSwitch:
         try:
@@ -267,7 +267,7 @@ class DataPlaneNetwork:
             self.failed_links.add(key)
         else:
             self.failed_links.discard(key)
-        self._epoch.value += 1
+        self.epoch.move()
 
     def invalidate_plans(self) -> None:
         """Retire every resolved walk.
@@ -276,7 +276,7 @@ class DataPlaneNetwork:
         chaos injector after a VM kill or a brownout.  Counts still
         deferred on the old plans flush when the next walker notices.
         """
-        self._epoch.value += 1
+        self.epoch.move()
 
     # ------------------------------------------------------------------
     # The resolution cache
@@ -284,7 +284,7 @@ class DataPlaneNetwork:
     def _retire_plans(self) -> None:
         self._flush_dirty()  # pending counts reference the old plans
         self._class_plans.clear()
-        self._plans_epoch = self._epoch.value
+        self._plans_epoch = self.epoch.value
 
     def class_intervals(self, class_id: str) -> _ClassPlans:
         """The class's hash-interval edges and the plans resolved so far.
@@ -293,7 +293,7 @@ class DataPlaneNetwork:
         of hash-range boundaries installed along the class's path, so that
         within one interval every flow matches the same entry at every hop.
         """
-        if self._plans_epoch != self._epoch.value:
+        if self._plans_epoch != self.epoch.value:
             self._retire_plans()
         cp = self._class_plans.get(class_id)
         if cp is None:
@@ -420,7 +420,7 @@ class DataPlaneNetwork:
         if packet.host_tag is not None or packet.subclass_tag is not None:
             return self.walk_reference(packet, now)
         cp = self._class_plans.get(packet.class_id)
-        if cp is None or self._plans_epoch != self._epoch.value:
+        if cp is None or self._plans_epoch != self.epoch.value:
             cp = self.class_intervals(packet.class_id)
         if cp.src != packet.src or cp.dst != packet.dst:
             raise ValueError(

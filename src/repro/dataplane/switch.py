@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Dict, List, Optional
 
 from repro.dataplane.packet import Packet
@@ -32,8 +33,14 @@ PRIORITY_QUARANTINE = (PRIORITY_CLASSIFICATION + PRIORITY_PASS_BY) // 2
 QUARANTINE_PREFIX = "quarantine/"
 
 
+@cache
 def pass_by_entry(switch_name: str) -> TcamEntry:
-    """The lowest-priority catch-all sending packets to the next table."""
+    """The lowest-priority catch-all sending packets to the next table.
+
+    One shared entry per switch name: an installed entry is immutable (see
+    :class:`~repro.dataplane.tcam.TcamEntry`), and every network of a
+    topology — one per tenant — installs the same catch-all at each switch.
+    """
     return TcamEntry(
         priority=PRIORITY_PASS_BY,
         action=Action(ActionKind.GOTO_NEXT_TABLE),
@@ -41,8 +48,12 @@ def pass_by_entry(switch_name: str) -> TcamEntry:
     )
 
 
+@cache
 def host_match_entry(switch_name: str) -> TcamEntry:
-    """Host-match rule: packets tagged for this switch's host divert in."""
+    """Host-match rule: packets tagged for this switch's host divert in.
+
+    Shared per switch name, like :func:`pass_by_entry`.
+    """
     return TcamEntry(
         priority=PRIORITY_HOST_MATCH,
         action=Action(ActionKind.FORWARD_TO_HOST),

@@ -37,10 +37,9 @@ back and comparing it with the specs it was written from is cheap.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.classify.split import range_to_cidr_count
 from repro.dataplane.packet import Packet
@@ -78,8 +77,9 @@ class TcamEntry:
             :attr:`hardware_entries` prefix rules.
 
     Match fields are treated as immutable once the entry is installed in a
-    table (the scan index and the hardware-entry count rely on it); install
-    a fresh entry instead of mutating one in place.
+    table (the scan index and the hardware-entry count rely on it, and the
+    static entries are shared between tables); install a fresh entry
+    instead of mutating one in place.
     """
 
     priority: int
@@ -180,15 +180,27 @@ def _hardware_entries(hash_range: Optional[Tuple[float, float]]) -> int:
 class RuleEpoch:
     """A counter shared by every rule table of one network.
 
-    Anything that holds rule state bumps ``value`` when that state
+    Anything that holds rule state calls :meth:`move` when that state
     changes; anything that caches a function of rule state compares one
-    integer to learn whether it is still valid.
+    integer (``value``) to learn whether it is still valid.  Whatever must
+    *act* on a change subscribes to :attr:`listeners` instead of polling:
+    a southbound fabric at rest listens until it is woken (see
+    :class:`~repro.southbound.fabric.SouthboundFabric`).  Only mutators
+    pay for the hook; a lookup reads ``value`` and nothing else.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "listeners")
 
     def __init__(self) -> None:
         self.value = 0
+        #: Called, in order, after every move (replaced, never mutated).
+        self.listeners: Tuple[Callable[[], None], ...] = ()
+
+    def move(self) -> None:
+        """Record one change of rule state and tell the listeners."""
+        self.value += 1
+        for listener in self.listeners:
+            listener()
 
 
 class TcamTable:
@@ -203,6 +215,13 @@ class TcamTable:
     unmoved counter to mean unchanged entries
     (``tests/test_dataplane_generation.py`` enforces it).
 
+    A table lives as long as its network (a tenant's, for the tenant's
+    lifetime), so it holds only what it uses: the entry list (one entry
+    object may sit in many tables — :func:`~repro.dataplane.switch.pass_by_entry`
+    and :func:`~repro.dataplane.switch.host_match_entry` are shared per
+    switch name), no parallel priority keys, and no wildcard list before
+    its first lookup.
+
     Args:
         epoch: the network-wide rule epoch this table reports mutations
             to; a table built on its own gets a private one.
@@ -211,8 +230,6 @@ class TcamTable:
     def __init__(self, name: str = "table0", epoch: Optional[RuleEpoch] = None) -> None:
         self.name = name
         self._entries: List[TcamEntry] = []
-        #: Parallel list of ``-priority`` keys for O(log n) ordered insert.
-        self._prio_keys: List[int] = []
         self.lookup_count = 0
         self.miss_count = 0
         #: Hop lookups answered without a priority scan: a walker that
@@ -223,10 +240,11 @@ class TcamTable:
         self._generation = 0
         self._epoch = epoch if epoch is not None else RuleEpoch()
         self._hw_count = 0
-        # Scan index, rebuilt lazily per generation.
+        # Scan index, rebuilt lazily per generation (no wildcard list
+        # before the first lookup).
         self._index_generation = -1
         self._by_class: Dict[str, List[TcamEntry]] = {}
-        self._wildcard: List[TcamEntry] = []
+        self._wildcard: Sequence[TcamEntry] = ()
 
     # ------------------------------------------------------------------
     @property
@@ -236,20 +254,29 @@ class TcamTable:
 
     def _moved(self) -> None:
         self._generation += 1
-        self._epoch.value += 1
+        self._epoch.move()
 
     def install(self, entry: TcamEntry) -> None:
         """Insert keeping priority order (higher priority matched first).
 
-        Uses a bisect insert on a parallel priority-key list, so bulk rule
-        installation costs O(n log n) comparisons total instead of a full
-        re-sort per insert.  Equal priorities keep insertion order (the
-        same tie-break the previous stable sort produced).
+        Equal priorities keep insertion order (the tie-break a stable sort
+        gives).  An entry of no higher priority than the last one is
+        appended — a rule set installs in priority order, so a cold
+        install never searches; any other entry is placed by bisection.
         """
-        key = -entry.priority
-        idx = bisect_right(self._prio_keys, key)
-        self._prio_keys.insert(idx, key)
-        self._entries.insert(idx, entry)
+        entries = self._entries
+        priority = entry.priority
+        if not entries or entries[-1].priority >= priority:
+            entries.append(entry)
+        else:
+            lo, hi = 0, len(entries) - 1  # the first entry of lower priority
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if entries[mid].priority < priority:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            entries.insert(lo, entry)
         self._hw_count += _hardware_entries(entry.hash_range)
         self._moved()
 
@@ -259,14 +286,12 @@ class TcamTable:
         removed = len(self._entries) - len(kept)
         if removed:
             self._entries = kept
-            self._prio_keys = [-e.priority for e in kept]
             self._hw_count = sum(e.hardware_entries for e in kept)
             self._moved()
         return removed
 
     def clear(self) -> None:
         self._entries.clear()
-        self._prio_keys.clear()
         self._hw_count = 0
         self._moved()
 
@@ -315,7 +340,6 @@ class TcamTable:
         if entries == self._entries:
             return
         self._entries = entries
-        self._prio_keys = [-e.priority for e in entries]
         self._hw_count = sum(_hardware_entries(e.hash_range) for e in entries)
         self._moved()
 

@@ -61,8 +61,9 @@ class VSwitch:
         # Classification for packets originating at production VMs inside
         # this host (Fig. 3's ip3 -> ip4 scenario): the vSwitch tags them,
         # since "the packets from the ports connect to production VMs are
-        # not tagged yet".  Entries: (class_id, hash_range, sub_id, first_host).
-        self._origin_rules: List[Tuple[str, Tuple[float, float], int, str]] = []
+        # not tagged yet".  Entries: (class_id, hash_range, sub_id, first_host);
+        # a tuple, replaced on change (most vSwitches never hold one).
+        self._origin_rules: Tuple[Tuple[str, Tuple[float, float], int, str], ...] = ()
         self.packets_in = 0
         self.packets_dropped = 0
         #: Bumped (with the shared epoch) whenever rules or the instance set
@@ -72,7 +73,7 @@ class VSwitch:
 
     def _moved(self) -> None:
         self.generation += 1
-        self._epoch.value += 1
+        self._epoch.move()
 
     # ------------------------------------------------------------------
     def register_instance(
@@ -217,11 +218,11 @@ class VSwitch:
         first_host: str,
     ) -> None:
         """Classification for packets born at a production VM in this host."""
-        self._origin_rules.append((class_id, hash_range, sub_id, first_host))
+        self._origin_rules += ((class_id, hash_range, sub_id, first_host),)
         self._moved()
 
     def clear_origin_rules(self) -> None:
-        self._origin_rules.clear()
+        self._origin_rules = ()
         self._moved()
 
     @property

@@ -73,12 +73,22 @@ class EventQueue:
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
         priority: int = 0,
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``; returns the event."""
-        seq = next(self._counter)
+        """Schedule ``callback(*args)`` at absolute ``time``; returns the event.
+
+        ``seq`` is a number taken earlier with :meth:`reserve`; by default
+        the event takes the next one.
+        """
+        if seq is None:
+            seq = next(self._counter)
         event = Event(time, priority, seq, callback, args)
         heapq.heappush(self._heap, (time, priority, seq, event))
         return event
+
+    def reserve(self) -> int:
+        """Take the next sequence number without scheduling anything."""
+        return next(self._counter)
 
     def pop(self) -> Event:
         """Remove and return the earliest event (cancelled ones included)."""

@@ -7,10 +7,19 @@ three styles of simulation code used across the repository:
 * generator *processes* that ``yield`` delays, in the style of SimPy, and
 * periodic :class:`Timer` objects (used e.g. by the Dynamic Handler to poll
   Open vSwitch packet counters every interval).
+
+A periodic timer with nothing to do can *park* (:meth:`Timer.park`): it
+schedules nothing, but keeps its place.  The simulator tracks the ticks it
+would have fired — each at the same accumulated time, and each taking the
+sequence number its reschedule would have taken — so every other event
+fires in exactly the order it would with the timer ticking, and
+:meth:`Timer.resume` re-arms it at the very tick (time, tie-break and
+all) it would have fired next.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.obs import state as _obs
@@ -40,6 +49,8 @@ class Simulator:
         self._queue = EventQueue()
         self._running = False
         self._fired = 0
+        #: Parked timers' next ticks, a heap of ``(time, priority, seq, timer)``.
+        self._parked: list = []
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -109,6 +120,7 @@ class Simulator:
         """
         fired = 0
         exhausted = True
+        parked = self._parked
         self._running = True
         try:
             while self._queue:
@@ -121,6 +133,8 @@ class Simulator:
                 event = self._queue.pop()
                 if event.cancelled:
                     continue
+                if parked and parked[0][0] <= event.time:
+                    self._pass_parked((event.time, event.priority, event.seq))
                 self.now = event.time
                 event.fire()
                 fired += 1
@@ -130,8 +144,11 @@ class Simulator:
                     break
         finally:
             self._running = False
-        if exhausted and until is not None and self.now < until:
-            self.now = until
+        if exhausted and until is not None:
+            if parked:
+                self._pass_parked((until, _LAST, _LAST))
+            if self.now < until:
+                self.now = until
         if _obs.REGISTRY.enabled:
             _obs.metric("sim_events_fired_total").inc(fired)
         return fired
@@ -148,8 +165,43 @@ class Simulator:
     def reset(self) -> None:
         """Drop pending events and rewind the clock to zero."""
         self._queue.clear()
+        for _time, _priority, _seq, timer in self._parked:
+            timer._parked = False  # dropped, like every pending event
+        self._parked.clear()
         self.now = 0.0
         self._fired = 0
+
+    # ------------------------------------------------------------------
+    # Parked timers
+    # ------------------------------------------------------------------
+    def _park(self, timer: "Timer") -> None:
+        """Take over ``timer``'s reschedule: its next tick, not scheduled."""
+        heapq.heappush(
+            self._parked,
+            (self.now + timer.interval, 0, self._queue.reserve(), timer),
+        )
+
+    def _pass_parked(self, key: tuple) -> None:
+        """Count every parked tick ordered before ``key`` as fired.
+
+        Each one reserves the sequence number of the reschedule it stands
+        for, in firing order, so the numbering stays that of ticking timers.
+        """
+        parked, reserve, replace = self._parked, self._queue.reserve, heapq.heapreplace
+        while parked and parked[0] < key:
+            time, _priority, _seq, timer = parked[0]
+            timer.skipped += 1
+            replace(parked, (time + timer.interval, 0, reserve(), timer))
+
+    def _unpark(self, timer: "Timer") -> tuple:
+        """Remove a parked timer's next tick and return it."""
+        parked = self._parked
+        index = next(i for i, entry in enumerate(parked) if entry[3] is timer)
+        entry = parked[index]
+        parked[index] = parked[-1]
+        parked.pop()
+        heapq.heapify(parked)
+        return entry
 
 
 class Process:
@@ -189,11 +241,21 @@ class Process:
         self._next_event = self._sim.schedule(delay, self._step)
 
 
+#: Sorts after any priority or sequence number (``run(until=)``'s bound).
+_LAST = float("inf")
+
+
 class Timer:
     """A periodic timer built on the event queue.
 
     Used by polling components (overload detection polls vSwitch counters,
-    the Optimization Engine re-runs each period).  Cancelling is O(1).
+    the Optimization Engine re-runs each period).  Cancelling an armed
+    timer is O(1).
+
+    A timer whose callback finds nothing to do can :meth:`park` (the
+    southbound reconciler at rest does): from then on it schedules nothing,
+    the simulator counts the ticks it skips in :attr:`skipped`, and
+    :meth:`resume` arms it at the tick it would have fired next.
     """
 
     def __init__(
@@ -211,7 +273,10 @@ class Timer:
         self._args = args
         self._event: Optional[Event] = None
         self._active = False
+        self._parking = self._parked = False
         self.fire_count = 0
+        #: Ticks that passed while parked (the owner may take and reset it).
+        self.skipped = 0
 
     def start(self, first_delay: Optional[float] = None) -> None:
         """Arm the timer; first firing after ``first_delay`` (default: interval)."""
@@ -220,16 +285,37 @@ class Timer:
         self._event = self._sim.schedule(delay, self._tick)
 
     def cancel(self) -> None:
-        """Disarm the timer."""
-        self._active = False
+        """Disarm the timer (parked or not)."""
+        self._active = self._parking = False
+        if self._parked:
+            self._parked = False
+            self._sim._unpark(self)
         if self._event is not None:
             self._event.cancel()
             self._event = None
+
+    def park(self) -> None:
+        """Called from the callback: stop firing after it, keep the place."""
+        self._parking = True
+
+    def resume(self) -> None:
+        """Arm a parked timer at the tick it would have fired next."""
+        self._parking = False
+        if self._parked:
+            self._parked = False
+            time, priority, seq, _timer = self._sim._unpark(self)
+            self._event = self._sim._queue.push(
+                time, self._tick, priority=priority, seq=seq
+            )
 
     def _tick(self) -> None:
         if not self._active:
             return
         self.fire_count += 1
         self._callback(*self._args)
-        if self._active:
+        if self._parking:
+            self._parking, self._parked = False, True
+            self._event = None
+            self._sim._park(self)
+        elif self._active:
             self._event = self._sim.schedule(self.interval, self._tick)

@@ -17,7 +17,9 @@ State changes flow through exactly one door:
   against desired and repairing drift with fresh transactions (same
   epoch, new transaction IDs), regardless of *why* the drift exists:
   lost rollbacks, partial deletes, failed swaps, or a vSwitch shedding
-  rules when a VM died.
+  rules when a VM died.  A fabric at rest *parks* it (see
+  :class:`SouthboundFabric`): no tick is scheduled until something that
+  can make drift happens.
 
 An epoch *converges* when a diff comes back empty; the fabric records
 the convergence latency and fires the epoch's ``on_converged`` callback
@@ -69,9 +71,11 @@ class _Channels(dict):
 
     def __init__(self, build: Callable[[str], ControlChannel]) -> None:
         super().__init__()
-        self._build = build
+        self._build: Optional[Callable[[str], ControlChannel]] = build
 
     def __missing__(self, switch: str) -> ControlChannel:
+        if self._build is None:  # dropped by SouthboundFabric.stop()
+            raise KeyError(f"{switch}: the fabric is stopped")
         channel = self[switch] = self._build(switch)
         return channel
 
@@ -87,6 +91,28 @@ class SouthboundFabric:
     what it draws does not depend on when it, or any other channel, was
     built.  ``channels`` holds the channels that exist; a switch without
     one has sent nothing, holds no degraded time and cannot be degraded.
+
+    **A fabric at rest schedules nothing.**  The reconciler ticks every
+    :data:`RECONCILE_INTERVAL` from :meth:`start`.  A tick that finds zero
+    drift, no open transaction and the epoch already converged *parks*
+    it: no further tick is scheduled, and the fabric listens on the
+    network's :class:`~repro.dataplane.tcam.RuleEpoch` instead.  Only these
+    can make a later tick find work, and each one wakes it:
+
+    * :meth:`push_desired`, :meth:`adopt` and :meth:`restore` (a new
+      desired state), and a transaction's end;
+    * :meth:`disconnect` / :meth:`reconnect`;
+    * any move of the network's rule epoch — every rule mutation moves it,
+      so a chaos wipe or drift written behind the fabric's back is seen.
+
+    The parked :class:`~repro.sim.kernel.Timer` keeps its place: a woken
+    reconciler ticks next at the very tick it would have fired next had it
+    kept ticking — the same accumulated float time, and the same order
+    against any other event at that instant — so repairs land when, and
+    measure what, an always-ticking reconciler's would.  The idle ticks
+    skipped at rest are added to ``metrics.reconcile_ticks`` before anything
+    reads them (:attr:`metrics`, so :meth:`state_signature`, and
+    :meth:`stop`), so every signature is what ticking would have given.
 
     Args:
         seed: the *run* seed; all channel randomness lives on
@@ -118,7 +144,7 @@ class SouthboundFabric:
         self.drained_total = 0
         self._retiring: List[str] = []
         self.chaos = chaos or SouthboundChaosConfig()
-        self.metrics = SouthboundMetrics()
+        self._metrics = SouthboundMetrics()
         #: Degradation hooks for the chaos layer (set by ChaosEngine).
         self.on_degraded: Optional[Callable[[str, float], None]] = None
         self.on_restored: Optional[Callable[[str, float], None]] = None
@@ -148,6 +174,13 @@ class SouthboundFabric:
         #: the epoch ended (converged / superseded).
         self._on_converged: Optional[EpochCallback] = None
         self._reconcile_timer: Optional[Timer] = None
+        self._parked = False
+
+    @property
+    def metrics(self) -> SouthboundMetrics:
+        """The fabric's counters, idle ticks skipped at rest included."""
+        self._count_idle_ticks()
+        return self._metrics
 
     # ------------------------------------------------------------------
     # Desired-state lifecycle
@@ -165,6 +198,7 @@ class SouthboundFabric:
         result, so by construction epoch 0 is already converged
         (``drift_count() == 0``).
         """
+        self._wake()
         self.instances = dict(instances or {})
         self._fingerprints = class_fingerprints(rules, classes)
         self.versions = {}
@@ -206,6 +240,7 @@ class SouthboundFabric:
         Returns:
             The new epoch number.
         """
+        self._wake()
         superseded, self._on_converged = self._on_converged, None
         if superseded is not None:
             superseded(None)
@@ -263,19 +298,60 @@ class SouthboundFabric:
     # Reconciliation (anti-entropy)
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Arm the periodic reconciler."""
+        """Arm the periodic reconciler (first tick one interval from now)."""
         if self._reconcile_timer is None:
             self._reconcile_timer = self.sim.every(
                 RECONCILE_INTERVAL, self._reconcile
             )
 
     def stop(self) -> None:
-        """Disarm the reconciler and settle degraded-time accounting."""
-        if self._reconcile_timer is not None:
-            self._reconcile_timer.cancel()
-            self._reconcile_timer = None
+        """Disarm the reconciler and settle degraded-time accounting.
+
+        A stopped fabric is done with its channels: it takes back the
+        callbacks they hold into it (and builds no new one), so a torn-down
+        tenant's fabric, view and network are freed as soon as their owner
+        lets go of them, not left for a full pass of the cyclic collector.
+        """
+        self._disarm()
         for channel in self.channels.values():
             channel.finalize(self.sim.now)
+            channel.on_circuit_open = channel.on_circuit_close = None
+            channel.agent.on_paths_applied = None
+        self.channels._build = None
+
+    def _disarm(self) -> None:
+        timer = self._reconcile_timer
+        if timer is not None:
+            self._count_idle_ticks()
+            self._unlisten()
+            timer.cancel()
+            self._reconcile_timer = None
+
+    def _park(self) -> None:
+        """At rest: skip ticks until :meth:`_wake` (called from a tick)."""
+        self._reconcile_timer.park()
+        self._parked = True
+        epoch = self.network.epoch
+        epoch.listeners = (*epoch.listeners, self._wake)
+
+    def _unlisten(self) -> None:
+        if self._parked:
+            self._parked = False
+            epoch = self.network.epoch
+            epoch.listeners = tuple(f for f in epoch.listeners if f != self._wake)
+
+    def _count_idle_ticks(self) -> None:
+        """Move the ticks skipped at rest so far into the metrics."""
+        timer = self._reconcile_timer
+        if timer is not None and timer.skipped:
+            self._metrics.reconcile_ticks += timer.skipped  # each an idle tick
+            timer.skipped = 0
+
+    def _wake(self) -> None:
+        """Something that can make drift happened: tick again."""
+        if self._parked:
+            self._unlisten()
+            self._reconcile_timer.resume()
 
     # ------------------------------------------------------------------
     # Crash tolerance (see repro.resilience)
@@ -291,9 +367,7 @@ class SouthboundFabric:
         builds a *new* fabric over the same network and re-adopts this
         surviving wire state through its reconciler.
         """
-        if self._reconcile_timer is not None:
-            self._reconcile_timer.cancel()
-            self._reconcile_timer = None
+        self._disarm()
         self._killed = True
         for channel in self.channels.values():
             channel.dead = True
@@ -323,6 +397,7 @@ class SouthboundFabric:
         empty cookie sets, so a restored epoch >= 0 is always accepted —
         the recovery analogue of a Kafka-style generation reset.
         """
+        self._wake()
         self.instances = self.rulegen.materialize_instances(
             rules, self.network, sim=self.sim, instances=dict(instances)
         )
@@ -349,13 +424,16 @@ class SouthboundFabric:
         if self.current_txn is not None:
             # A transaction owns the wire; measuring is fine, repairing
             # would race it.
-            self.metrics.record_reconcile(drift, repaired=False)
+            self._metrics.record_reconcile(drift, repaired=False)
             return
         if drift == 0:
-            self.metrics.record_reconcile(0, repaired=False)
-            self._note_converged()
+            self._metrics.record_reconcile(0, repaired=False)
+            if self.converged:
+                self._park()  # at rest: nothing to do until a wake
+            else:
+                self._note_converged()
             return
-        self.metrics.record_reconcile(drift, repaired=True)
+        self._metrics.record_reconcile(drift, repaired=True)
         self._launch(diffs)
 
     # ------------------------------------------------------------------
@@ -372,7 +450,7 @@ class SouthboundFabric:
             agent,
             self.chaos,
             SeededRNG(derive(self._channel_seed, f"channel.{switch}")),
-            self.metrics,
+            self._metrics,
             on_circuit_open=self._circuit_opened,
             on_circuit_close=self._circuit_closed,
         )
@@ -399,7 +477,8 @@ class SouthboundFabric:
         txn.start()
 
     def _txn_done(self, txn: Transaction, outcome: str, rollback_ops: int) -> None:
-        self.metrics.record_transaction(outcome, rollback_ops)
+        self._wake()
+        self._metrics.record_transaction(outcome, rollback_ops)
         if self.current_txn is txn:
             self.current_txn = None
         if outcome == TXN_COMMITTED and txn.epoch == self.epoch:
@@ -425,7 +504,7 @@ class SouthboundFabric:
             pushed_at=self.desired_since,
             converged_at=self.sim.now,
         )
-        self.metrics.record_convergence(record)
+        self._metrics.record_convergence(record)
         callback, self._on_converged = self._on_converged, None
         if callback is not None:
             callback(record)
@@ -434,9 +513,11 @@ class SouthboundFabric:
     # Fault hooks (chaos injector)
     # ------------------------------------------------------------------
     def disconnect(self, switch: str) -> None:
+        self._wake()
         self.channels[switch].disconnect()
 
     def reconnect(self, switch: str) -> None:
+        self._wake()
         self.channels[switch].reconnect()
 
     def _circuit_opened(self, switch: str, now: float) -> None:

@@ -35,7 +35,6 @@ subclass_id, next_host)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Optional, Tuple
 
 from repro.dataplane.switch import host_match_entry, pass_by_entry
@@ -63,18 +62,15 @@ OP_ARITY = {
 }
 
 
-@cache
 def pass_by_spec(switch: str) -> EntrySpec:
     """The switch's pass-by entry in canonical form.
 
     A constant of the switch name that every desired-state render lists for
-    every switch, so it is built once per name (an immutable tuple; the
-    names are the topologies' switches).
+    every switch: the shared entry's own spec, built once per name.
     """
     return pass_by_entry(switch).spec
 
 
-@cache
 def host_match_spec(switch: str) -> EntrySpec:
     """The switch's host-match entry in canonical form (built once per name)."""
     return host_match_entry(switch).spec

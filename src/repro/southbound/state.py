@@ -303,6 +303,11 @@ class SwitchDiff:
         return len(self.adds) + len(self.swap) + len(self.dels)
 
 
+#: The diff of every switch in sync (shared, immutable: no switch name and
+#: no op lists to fill; an empty diff is never sent).
+IN_SYNC = SwitchDiff("", (), (), ())
+
+
 def diff_switch(s: str, installed: NetworkState, desired: NetworkState) -> SwitchDiff:
     """The phased diff of one switch (possibly empty).
 
@@ -405,13 +410,18 @@ class InstalledView:
     comparison per network.  When the epoch moved, a switch is re-read only
     where a stamp moved, and its :class:`SwitchDiff` is recomputed only
     when it was re-read or a new desired state arrived; a switch in sync
-    (:meth:`NetworkState.in_sync_at`) gets an empty diff without
+    (:meth:`NetworkState.in_sync_at`) gets the empty diff without
     :func:`diff_switch`.  A re-read slice that equals the desired one is
     kept as the desired state's own (equal, never mutated) dict, and a
     vSwitch is compared with it in place (:func:`_vswitch_in_sync`) before
     any copy is made, so a converged epoch copies no vSwitch rule.  A new
     view is cold: its first pass reads and diffs every switch with the same
     code.
+
+    A switch in sync holds the one shared :data:`IN_SYNC` diff, not a
+    fresh empty :class:`SwitchDiff`: a view lives as long as its fabric, so
+    every object it keeps outlives the young generations of the cyclic
+    collector.
     """
 
     def __init__(self, network: DataPlaneNetwork) -> None:
@@ -476,7 +486,7 @@ class InstalledView:
             for sv in self._switches:
                 if sv.diff is None:
                     sv.diff = (
-                        SwitchDiff(sv.name)
+                        IN_SYNC
                         if installed.in_sync_at(sv.name, desired)
                         else diff_switch(sv.name, installed, desired)
                     )

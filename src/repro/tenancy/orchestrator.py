@@ -17,6 +17,8 @@ report as zero.
 from __future__ import annotations
 
 import hashlib
+import weakref
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro import obs
@@ -37,6 +39,13 @@ DEFAULT_TCAM_BUDGET = 100_000
 #: Cross-tenant isolation audit period (sim seconds); a tick in
 #: violation accrues this much cross-tenant policy-violation-seconds.
 AUDIT_INTERVAL = 0.25
+
+
+def _deliver(orchestrator: "weakref.ref[TenantOrchestrator]", record: IntentRecord) -> None:
+    """The bus's subscriber; a platform nothing holds any more takes nothing."""
+    orch = orchestrator()
+    if orch is not None:
+        orch._dispatch(record)
 
 
 class TenantOrchestrator:
@@ -72,7 +81,8 @@ class TenantOrchestrator:
             capacity_headroom=EngineConfig().capacity_headroom,
         )
         self.bus = IntentBus(sim, seed=seed)
-        self.bus.subscribe(self._dispatch)
+        # Subscribed weakly, as workers refer back (see TenantWorker.orch).
+        self.bus.subscribe(partial(_deliver, weakref.ref(self)))
         self.workers: Dict[str, TenantWorker] = {}
         self._audit_timer: Optional[Timer] = None
         #: tenant → (plan, its per-switch cores) as last seen by the audit.
@@ -202,9 +212,11 @@ class TenantOrchestrator:
     def stop(self) -> None:
         """Stop periodic work; with a journal attached, drain losslessly.
 
-        The final checkpoint plus the ``SHUTDOWN`` record (listing every
-        still-pending seq) make stop→start lossless: recovery restores
-        the checkpoint and redelivers exactly the pending suffix.
+        Periodic work is the audit, the checkpoint timer and every live
+        tenant fabric's reconciler.  The final checkpoint plus the
+        ``SHUTDOWN`` record (listing every still-pending seq) make
+        stop→start lossless: recovery restores the checkpoint and
+        redelivers exactly the pending suffix.
         """
         if self._audit_timer is not None:
             self._audit_timer.cancel()
@@ -212,6 +224,9 @@ class TenantOrchestrator:
         if self._checkpoint_timer is not None:
             self._checkpoint_timer.cancel()
             self._checkpoint_timer = None
+        for worker in self.workers.values():
+            if worker.fabric is not None:
+                worker.fabric.stop()
         if self.journal is not None:
             self._checkpoint()
             self.journal.append(

@@ -27,6 +27,7 @@ serialized (which is also why a tenant's epoch is never superseded).
 from __future__ import annotations
 
 import json
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.controller import UnknownClassError
@@ -66,7 +67,9 @@ class TenantWorker:
 
     def __init__(self, tenant_id: str, orch: "TenantOrchestrator") -> None:
         self.tenant_id = tenant_id
-        self.orch = orch
+        #: Weak: the orchestrator owns its workers, so a strong reference
+        #: back would leave every finished platform to the cyclic collector.
+        self.orch = weakref.proxy(orch)
         #: chain_id → desired TrafficClass (the committed blueprint).
         self.chains: Dict[str, TrafficClass] = {}
         #: Best SLO class seen across this tenant's CreateChain intents;

@@ -4,20 +4,29 @@
   still, so every rule mutation must move that epoch — checked against a
   cold view after every step of random mutation sequences — and anti-entropy
   must still catch an out-of-band wipe at the very next tick.
+* A fabric at rest parks its reconciler and schedules nothing; a wipe
+  behind its back wakes it, and the repair starts at the tick (time and
+  same-instant order) an always-ticking reconciler would have repaired at.
+  A stopped orchestrator leaves no tenant fabric armed.
 * The cross-tenant audit computes a plan's cores once per plan object and
   sums the arbiter's ledgers sparsely; it stays an oracle only if a bad
   ledger entry or an oversubscribing plan still accrues violation seconds.
 """
 
 import dataclasses
+import gc
+import weakref
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import AppleController
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.switch import classification_entry, pass_by_entry
 from repro.dataplane.vswitch import VSwitchRule
+from repro.experiments.multi_tenant import generate_intents
 from repro.sim.kernel import Simulator
+from repro.sim.rng import derive
 from repro.southbound import SouthboundFabric
 from repro.southbound.config import RECONCILE_INTERVAL
 from repro.southbound.state import InstalledView
@@ -178,6 +187,110 @@ def test_out_of_band_wipe_is_repaired_at_the_next_tick():
     assert fabric.drift_count() == 0
 
 
+def _grid(start: float, ticks: int) -> list:
+    """Reconcile tick times: the same accumulated sums a ticking timer makes."""
+    times = [start]
+    for _ in range(ticks):
+        times.append(times[-1] + RECONCILE_INTERVAL)
+    return times
+
+
+def _wipe(deployment) -> None:
+    victim = sorted(deployment.rules.switch_rule_sets)[0]
+    deployment.network.switches[victim].table.clear()
+
+
+def _repair_times(fabric, sim) -> list:
+    launched = []
+    launch = fabric._launch
+
+    def record(diffs):
+        launched.append(sim.now)
+        launch(diffs)
+
+    fabric._launch = record
+    return launched
+
+
+@pytest.mark.parametrize(
+    "how, repaired_at",
+    [
+        # Mid-interval: the next tick.
+        ("event between ticks", 6),
+        # At a tick's instant, scheduled before that tick was: it fires
+        # first, so that very tick sees the wipe.
+        ("event armed at set-up", 5),
+        ("timer started before the fabric", 5),
+        # At a tick's instant, scheduled after it (the chaos detector's
+        # heartbeat is such a timer): the tick fires first and sees nothing.
+        ("timer started after the fabric", 6),
+    ],
+)
+def test_wipe_behind_a_parked_fabric_is_repaired_on_its_tick(how, repaired_at):
+    sim, deployment, fabric = _fabric_on_a_deployment()
+    grid = _grid(sim.now, 12)
+    launched = _repair_times(fabric, sim)
+    ticks = []
+
+    def wipe_at_fifth_tick():
+        ticks.append(sim.now)
+        if len(ticks) == 5:
+            _wipe(deployment)
+
+    if how == "event between ticks":
+        sim.schedule_at((grid[5] + grid[6]) / 2, _wipe, args=(deployment,))
+    elif how == "event armed at set-up":
+        sim.schedule_at(grid[5], _wipe, args=(deployment,))
+    elif how == "timer started before the fabric":
+        sim.every(RECONCILE_INTERVAL, wipe_at_fifth_tick)
+    fabric.start()
+    if how == "timer started after the fabric":
+        sim.every(RECONCILE_INTERVAL, wipe_at_fifth_tick)
+
+    sim.run(until=grid[1])  # the first tick finds the fabric at rest
+    assert fabric.metrics.reconcile_ticks == 1
+    sim.run(until=grid[repaired_at] - RECONCILE_INTERVAL / 4)
+    assert launched == []
+    sim.run(until=grid[12])
+    assert launched == [grid[repaired_at]]
+    assert fabric.metrics.reconcile_repairs == 1
+    assert fabric.metrics.reconcile_ticks == 12  # skipped ticks still count
+    assert fabric.drift_count() == 0
+
+
+def test_a_fabric_at_rest_schedules_nothing():
+    sim, _deployment, fabric = _fabric_on_a_deployment()
+    grid = _grid(sim.now, 40)
+    fabric.start()
+    assert sim.run(until=grid[1]) == 1  # the tick that parks the reconciler
+    assert sim.run(until=grid[40]) == 0
+    assert fabric.metrics.reconcile_ticks == 40
+
+
+def _churn_history():
+    """The 16-tenant history ``tests/test_work_counts.py`` pins, stopped."""
+    seed = derive(0, "pipeline.history.0")
+    topo = internet2(default_host_cores=160)
+    sim = Simulator(seed=seed)
+    orch = TenantOrchestrator(topo, sim, seed=seed)
+    orch.start()
+    for delay, intent in generate_intents(16, sorted(topo.hosts), seed):
+        orch.submit(intent, delay=delay)
+    sim.run(until=70.0)
+    orch.stop()
+    return sim, orch
+
+
+def test_stopped_orchestrator_leaves_no_fabric_armed():
+    sim, orch = _churn_history()
+    live = [w for _t, w in sorted(orch.workers.items()) if w.fabric is not None]
+    assert live
+    # A stopped reconciler neither ticks nor wakes: drift written now stays.
+    _wipe(live[0].deployment)
+    assert sim.run(until=sim.now + 10) == 0
+    assert live[0].fabric.drift_count() > 0
+
+
 # ----------------------------------------------------------------------
 # (c) the audit is still an oracle
 # ----------------------------------------------------------------------
@@ -233,3 +346,19 @@ def test_oversubscribing_plans_accrue_violation_seconds():
     sim.run(until=7.0)
     assert orch.cross_tenant_violation_seconds == 1.0
     orch.stop()
+
+
+def test_a_finished_platform_is_freed_without_the_collector():
+    # Workers and the bus refer back to the orchestrator weakly, and a
+    # stopped fabric takes back its channels' callbacks, so nothing of a
+    # stopped platform is left for the cyclic collector once it is dropped.
+    gc.collect()
+    gc.disable()
+    try:
+        sim, orch = _churn_history()
+        fabric = next(w.fabric for _t, w in sorted(orch.workers.items()) if w.fabric)
+        platform, tenant = weakref.ref(orch), weakref.ref(fabric)
+        del sim, orch, fabric
+        assert platform() is None and tenant() is None
+    finally:
+        gc.enable()

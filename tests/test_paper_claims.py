@@ -10,6 +10,9 @@ to be widened to make a change pass.  Every experiment runs at
 horizon.  Wall-clock predicates (Table V) keep generous slack.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.classify.split import SubclassSplit
@@ -35,6 +38,10 @@ from repro.experiments.harness import REPLAY_HEADROOM, standard_setup
 from repro.traffic.classes import TrafficClass
 from repro.traffic.diurnal import aggregate_smoothing_ratio
 from repro.traffic.replay import replay_series
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
+
+import churn_counts  # noqa: E402
 
 
 def test_table1_only_apple_has_every_property():
@@ -172,12 +179,30 @@ def test_fig10_tagging_reduces_tcam_at_least_4x():
 
 
 def test_fig11_core_usage_against_the_ingress_strawman():
-    reductions = {r[0]: r[3] for r in fig11.run(quick=True).rows}
+    counts = churn_counts.Counts()
+    with counts.installed():
+        rows = fig11.run(quick=True).rows
+    reductions = {r[0]: r[3] for r in rows}
     # Paper shape: ~4x on Internet2, ~2.5x on GEANT, small gap on UNIV1.
     assert 3.0 <= reductions["internet2"] <= 5.5
     assert 2.0 <= reductions["geant"] <= 3.5
     assert reductions["univ1"] < reductions["geant"]
     assert reductions["univ1"] < reductions["internet2"]
+    # The work, counted on the same run: one place() per matrix, two per
+    # topology.  One GEANT place() gives up on ceiling repair and falls back
+    # to solve_with_rounding, which makes 91 of the run's 113 LP solves
+    # (ROADMAP items 3 and 12 are to remove that fallback).
+    assert {
+        "places": counts.places,
+        "solves_per_place": dict(sorted(counts.solves_per_place.items())),
+        "fallbacks": counts.fallbacks,
+        "fallback_solves": counts.fallback_solves,
+    } == {
+        "places": 6,
+        "solves_per_place": {1: 2, 3: 1, 4: 1, 5: 1, 99: 1},
+        "fallbacks": 1,
+        "fallback_solves": 91,
+    }
 
 
 def test_fig12_failover_loss_and_extra_cores():

@@ -1,6 +1,7 @@
 """Unit tests for the simulator kernel: clock, processes, timers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.kernel import Process, SimulationError, Simulator, Timer
 
@@ -158,3 +159,88 @@ def test_reset_clears_state():
     assert sim.now == 0.0
     assert len(sim._queue) == 0
     assert sim.events_fired == 0
+
+
+# ----------------------------------------------------------------------
+# Parked timers: the same run as a timer that keeps ticking
+# ----------------------------------------------------------------------
+def _run_with_a_lazy_timer(park, pokes, pokers, horizon, split):
+    """One scripted run; the timer's callback works only after a poke.
+
+    ``pokes`` are one-shot events armed before the timer starts; each of
+    ``pokers`` is ``(started_before_the_timer, interval, every)``, a
+    periodic timer poking on every ``every``-th tick.  With ``park``, an
+    idle tick parks the timer and a poke resumes it.  Returns the trace of
+    every poke and every working tick, and the ticks counted.
+    """
+    sim = Simulator()
+    trace, dirty, box = [], [False], []
+
+    def poke(label):
+        trace.append((label, sim.now))
+        dirty[0] = True
+        if park:
+            box[0].resume()
+
+    def tick():
+        if dirty[0]:
+            dirty[0] = False
+            trace.append(("work", sim.now))
+        elif park:
+            box[0].park()
+
+    def poker(label, every):
+        count = [0]
+
+        def fire():
+            count[0] += 1
+            if count[0] % every == 0:
+                poke(label)
+
+        return fire
+
+    for k, at in enumerate(pokes):
+        sim.schedule_at(at, poke, args=(f"poke{k}",))
+    for k, (before, interval, every) in enumerate(pokers):
+        if before:
+            sim.every(interval, poker(f"poker{k}", every))
+    box.append(sim.every(0.5, tick))
+    for k, (before, interval, every) in enumerate(pokers):
+        if not before:
+            sim.every(interval, poker(f"poker{k}", every))
+    sim.run(until=split)
+    ticks_at_split = box[0].fire_count + box[0].skipped
+    sim.run(until=horizon)
+    return trace, ticks_at_split, box[0].fire_count + box[0].skipped
+
+
+_TIMES = st.one_of(
+    st.integers(0, 20).map(lambda k: 0.5 * k),  # on the timer's grid
+    st.floats(0.0, 10.0, allow_nan=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pokes=st.lists(_TIMES, max_size=6),
+    pokers=st.lists(
+        st.tuples(st.booleans(), st.sampled_from([0.25, 0.5, 1.0]), st.integers(1, 6)),
+        max_size=3,
+    ),
+    split=_TIMES,
+)
+def test_a_parked_timer_keeps_the_order_of_a_ticking_one(pokes, pokers, split):
+    ticking = _run_with_a_lazy_timer(False, pokes, pokers, 10.0, split)
+    parked = _run_with_a_lazy_timer(True, pokes, pokers, 10.0, split)
+    assert parked == ticking
+
+
+def test_a_parked_timer_schedules_nothing():
+    sim = Simulator()
+    timer = sim.every(0.5, lambda: timer.park())
+    assert sim.run(until=100.0) == 1
+    assert (timer.fire_count, timer.skipped) == (1, 199)
+    timer.resume()
+    assert sim.run(until=100.5) == 1  # the 201st tick, where it would be
+    timer.cancel()
+    assert sim.run(until=200.0) == 0

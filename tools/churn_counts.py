@@ -10,8 +10,11 @@ solves per ``place()``, LP assemblies, the warm share, the instances dust
 consolidation removed, the summed objective and a digest of every plan,
 control channels built against fabrics x switches and against the switches
 that were ever sent a message, southbound messages, retries and reconciler
-ticks, and the seconds the cyclic collector ran inside the histories.  The
-counts are exact and repeat; only the seconds are a measurement.  Nothing
+ticks, simulator events, reconcile diff evaluations, ``SwitchDiff`` and
+``TcamEntry`` objects built, the seconds the cyclic collector ran inside
+the histories and its promotion census (objects that survived a
+generation-1 pass into the old generation, by type).  The counts are exact
+and repeat; the seconds and the census are measurements.  Nothing
 is imported from ``benchmarks/``, so the tool runs unchanged on any commit
 (for a before / after, run it in both checkouts).  :class:`Counts` is also
 the counter ``tests/test_work_counts.py`` pins placement and southbound
@@ -23,7 +26,9 @@ Usage::
     PYTHONPATH=src python tools/churn_counts.py --tenants 16 --check
 
 ``--check`` exits 1 when a channel was built for a switch that was never
-sent a message (the CI smoke assertion: channels are built on first use).
+sent a message (channels are built on first use), or when, at the horizon,
+a converged fabric with no open transaction still holds an armed reconcile
+event (a fabric at rest schedules nothing).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import gc
 import hashlib
 import sys
 import time
+import weakref
 from collections import Counter
 from contextlib import ExitStack
 from typing import List, Optional
@@ -64,21 +70,31 @@ class Counts:
     ``PlacementError``, the instances ``_consolidate_dust`` removed from
     its ceiling plan, its objective, and (in :attr:`plans`) its
     ``distribution`` items and ``quantities`` in order, or the error's
-    message.
+    message; and the calls that fell back to ``solve_with_rounding``, with
+    the LP solves made inside them.
 
     Southbound work is counted the same way, for every fabric: messages
     (first sends) and retries, acks by status, ops sent by ``(phase,
     kind)``, the switches each ``push_desired`` touched and the class
-    versions it bumped, simulator events fired, reconciler ticks, and four
-    counts of work a faster epoch removes — ``TcamEntry`` objects built,
-    bytes fed to ``hashlib.sha1`` (the old content-hash cookies), switch
-    read-backs (``state._read_table`` / ``state._read_vswitch`` calls) and
-    ``state.diff_switch`` calls.
+    versions it bumped, simulator events fired, reconciler ticks (read from
+    the fabrics' own metrics, the number their signatures carry), reconcile
+    diff evaluations (``_reconcile`` calls that reach the diff), and five
+    counts of work a faster epoch removes — ``TcamEntry`` and ``SwitchDiff``
+    objects built, bytes fed to ``hashlib.sha1`` (the old content-hash
+    cookies), switch read-backs (``state._read_table`` /
+    ``state._read_vswitch`` calls) and ``state.diff_switch`` calls.
+
+    While installed, the cyclic collector is timed.  With ``census``, at
+    each generation-1 pass the objects it promotes (gen 0 + gen 1 before
+    the pass, minus those it collected) are also counted by type: the
+    survivors are the tail of the old generation right after the pass.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, census: bool = False) -> None:
+        self.census = census
         self.solves_per_place: Counter = Counter()
         self.places = self.warm_places = self.failed_places = 0
+        self.fallbacks = self.fallback_solves = 0
         self.assemblies = 0
         self.consolidated = 0
         self.objective = 0.0
@@ -91,17 +107,40 @@ class Counts:
         self.ops: Counter = Counter()
         self.switches_touched = self.version_bumps = 0
         self.sim_events = 0
-        self.reconcile_ticks = 0
+        self.reconcile_evaluations = 0
         self.entries_built = 0
+        self.switch_diffs_built = 0
         self.sha1_bytes = 0
         self.read_backs = 0
         self.diff_switch_calls = 0
         self.intents = 0
         self.gc_seconds = 0.0
         self.gc_passes: Counter = Counter()
+        self.promoted = 0
+        self.promoted_types: Counter = Counter()
         self.history_seconds = 0.0
+        self.armed_at_rest = 0
         self._solves = 0
         self._gc_started = 0.0
+        self._young = 0
+        #: (weak reference to a fabric, its metrics), every fabric built.
+        self._fabrics: list = []
+
+    @property
+    def reconcile_ticks(self) -> int:
+        """Reconcile ticks summed over every fabric's metrics.
+
+        A live fabric is read through ``fabric.metrics`` (which accounts
+        for the ticks it skipped at rest); a collected one through the
+        metrics it left, settled when it was stopped.
+        """
+        total = 0
+        for ref, metrics in self._fabrics:
+            fabric = ref()
+            if fabric is not None:
+                metrics = fabric.metrics
+            total += metrics.reconcile_ticks
+        return total
 
     # -- wrappers ------------------------------------------------------
     def _wrap(self, stack: ExitStack, owner, name: str, around) -> None:
@@ -136,6 +175,14 @@ class Counts:
             self.plans.update(repr(list(plan.quantities.items())).encode())
             return plan
 
+        def rounding(inner, *args, **kwargs):
+            before = self._solves
+            self.fallbacks += 1
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                self.fallback_solves += self._solves - before
+
         def assemble(inner, *args, **kwargs):
             self.assemblies += 1
             return inner(*args, **kwargs)
@@ -148,7 +195,8 @@ class Counts:
         def fabric_init(inner, fabric, sim, network, *args, **kwargs):
             self.fabrics += 1
             self.switch_slots += len(network.switches)
-            return inner(fabric, sim, network, *args, **kwargs)
+            inner(fabric, sim, network, *args, **kwargs)
+            self._fabrics.append((weakref.ref(fabric), fabric.metrics))
 
         def channel_init(inner, channel, *args, **kwargs):
             self.channels_built += 1
@@ -173,9 +221,10 @@ class Counts:
             self.acks[status] += 1
             return inner(metrics, status)
 
-        def record_reconcile(inner, *args, **kwargs):
-            self.reconcile_ticks += 1
-            return inner(*args, **kwargs)
+        def reconcile(inner, fabric, *args, **kwargs):
+            if fabric.desired is not None:
+                self.reconcile_evaluations += 1
+            return inner(fabric, *args, **kwargs)
 
         def push_desired(inner, fabric, *args, **kwargs):
             before = sum(fabric.versions.values())
@@ -191,6 +240,10 @@ class Counts:
 
         def entry_init(inner, *args, **kwargs):
             self.entries_built += 1
+            return inner(*args, **kwargs)
+
+        def diff_init(inner, *args, **kwargs):
+            self.switch_diffs_built += 1
             return inner(*args, **kwargs)
 
         def sha1(inner, data=b"", *args, **kwargs):
@@ -210,16 +263,18 @@ class Counts:
                 self._wrap(stack, lp_module, name, solve)
         self._wrap(stack, OptimizationEngine, "place", place)
         self._wrap(stack, engine_module, "assemble_placement_lp", assemble)
+        self._wrap(stack, engine_module, "solve_with_rounding", rounding)
         self._wrap(stack, OptimizationEngine, "_consolidate_dust", consolidate)
         self._wrap(stack, SouthboundFabric, "__init__", fabric_init)
         self._wrap(stack, ControlChannel, "__init__", channel_init)
         self._wrap(stack, ControlChannel, "send", channel_send)
         self._wrap(stack, SouthboundMetrics, "record_send", record_send)
         self._wrap(stack, SouthboundMetrics, "record_ack", record_ack)
-        self._wrap(stack, SouthboundMetrics, "record_reconcile", record_reconcile)
+        self._wrap(stack, SouthboundFabric, "_reconcile", reconcile)
         self._wrap(stack, SouthboundFabric, "push_desired", push_desired)
         self._wrap(stack, Simulator, "run", sim_run)
         self._wrap(stack, TcamEntry, "__init__", entry_init)
+        self._wrap(stack, state_module.SwitchDiff, "__init__", diff_init)
         self._wrap(stack, hashlib, "sha1", sha1)
         for name in ("_read_table", "_read_vswitch"):
             if hasattr(state_module, name):
@@ -230,11 +285,22 @@ class Counts:
         return stack
 
     def _on_gc(self, phase: str, info: dict) -> None:
+        generation = info["generation"]
+        census = self.census and generation == 1
         if phase == "start":
+            if census:
+                self._young = len(gc.get_objects(0)) + len(gc.get_objects(1))
             self._gc_started = time.perf_counter()
-        else:
-            self.gc_seconds += time.perf_counter() - self._gc_started
-            self.gc_passes[info["generation"]] += 1
+            return
+        self.gc_seconds += time.perf_counter() - self._gc_started
+        self.gc_passes[generation] += 1
+        if census:
+            promoted = self._young - info["collected"]
+            self.promoted += promoted
+            if promoted > 0:
+                self.promoted_types.update(
+                    type(o).__name__ for o in gc.get_objects(2)[-promoted:]
+                )
 
 
 def run_history(counts: Counts, tenants: int, seed: int) -> None:
@@ -250,8 +316,27 @@ def run_history(counts: Counts, tenants: int, seed: int) -> None:
         for delay, intent in intents:
             orch.submit(intent, delay=delay)
         sim.run(until=HORIZON_SIM_S)
+        counts.armed_at_rest += sum(
+            1 for fabric in live_fabrics(orch) if armed_at_rest(fabric)
+        )
         orch.stop()
         counts.history_seconds += time.perf_counter() - started
+
+
+def live_fabrics(orch: TenantOrchestrator) -> list:
+    return [w.fabric for _t, w in sorted(orch.workers.items()) if w.fabric]
+
+
+def armed_at_rest(fabric: SouthboundFabric) -> bool:
+    """A converged fabric with no open transaction and a tick scheduled.
+
+    Read from the fabric's private reconciler state.  At the horizon of a
+    churn history every tenant has been quiet for tens of seconds, so such
+    a fabric would be ticking for nothing.
+    """
+    timer = fabric._reconcile_timer
+    armed = timer is not None and not getattr(fabric, "_parked", False)
+    return armed and fabric.converged and fabric.current_txn is None
 
 
 def report(counts: Counts, args: argparse.Namespace) -> str:
@@ -263,6 +348,10 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
     passes = ", ".join(
         f"gen{g}: {k}" for g, k in sorted(counts.gc_passes.items())
     )
+    per = max(args.histories, 1)
+    census = ", ".join(
+        f"{name} {k / per:,.0f}" for name, k in counts.promoted_types.most_common(8)
+    )
     lines = [
         f"histories            {args.histories} x {args.tenants} tenants, "
         f"seed {args.seed}, {counts.intents} intents",
@@ -270,6 +359,8 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"({counts.failed_places} raised PlacementError)",
         f"LP solves            {solves} ({solves / places:.2f} per place())",
         f"solves per place()   {histogram}",
+        f"rounding fallbacks   {counts.fallbacks} "
+        f"({counts.fallback_solves} LP solves inside)",
         f"LP assemblies        {counts.assemblies}",
         f"warm share           {counts.warm_places / places:.3f} "
         f"({counts.warm_places} of {counts.places})",
@@ -281,8 +372,15 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"channels messaged    {counts.channels_messaged}",
         f"southbound messages  {counts.messages} "
         f"({counts.retries} retries, {counts.reconcile_ticks} reconcile ticks)",
+        f"sim events           {counts.sim_events}",
+        f"reconcile diff evals {counts.reconcile_evaluations}",
+        f"objects built        {counts.switch_diffs_built} SwitchDiff, "
+        f"{counts.entries_built} TcamEntry",
+        f"armed at rest        {counts.armed_at_rest} fabrics at the horizon",
         f"collector in-history {counts.gc_seconds:.3f} s of "
         f"{counts.history_seconds:.3f} s ({passes or 'no passes'})",
+        f"promoted per history {counts.promoted / per:,.0f} "
+        f"({census or 'no generation-1 pass'})",
     ]
     return "\n".join(lines)
 
@@ -295,19 +393,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 if more channels were built than were sent a message",
+        help="exit 1 if more channels were built than were sent a message, "
+        "or a fabric at rest still ticks at the horizon",
     )
     args = parser.parse_args(argv)
-    counts = Counts()
+    counts = Counts(census=True)
     for k in range(args.histories):
         run_history(counts, args.tenants, derive(args.seed, f"pipeline.history.{k}"))
     print(report(counts, args))
-    if args.check and counts.channels_built > counts.channels_messaged:
-        print(
-            f"FAIL: {counts.channels_built} channels built, only "
-            f"{counts.channels_messaged} were ever sent a message",
-            file=sys.stderr,
+    failures = []
+    if counts.channels_built > counts.channels_messaged:
+        failures.append(
+            f"{counts.channels_built} channels built, only "
+            f"{counts.channels_messaged} were ever sent a message"
         )
+    if counts.armed_at_rest:
+        failures.append(
+            f"{counts.armed_at_rest} converged fabrics with no open "
+            "transaction still hold an armed reconcile event at the horizon"
+        )
+    if args.check and failures:
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     return 0
 
