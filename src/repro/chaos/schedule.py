@@ -29,8 +29,6 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.sim.rng import SeededRNG, check_count, check_span, derive
 from repro.topology.graph import Topology
 
@@ -169,7 +167,7 @@ def _flappable_links(topo: Topology) -> List[str]:
     the severed classes, so recovery could never converge.  Chaos tools
     avoid partitioning for the same reason; so does the generator.
     """
-    bridges = {Topology.link_key(u, v) for u, v in nx.bridges(topo.graph)}
+    bridges = topo.bridges()
     out = []
     for link in topo.links:
         key = Topology.link_key(link.u, link.v)

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.core.dynamic import DynamicHandler, FailoverConfig
 from repro.core.engine import EngineConfig, OptimizationEngine
 from repro.core.metrics import free_cores_after
@@ -28,7 +26,7 @@ from repro.dataplane.network import DeliveryRecord
 from repro.dataplane.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.topology.graph import Topology
-from repro.topology.routing import Router
+from repro.topology.routing import NoPath, Router
 from repro.traffic.classes import ClassBuilder, PolicyAssignment, TrafficClass
 from repro.traffic.matrix import TrafficMatrix
 from repro.vnf.instance import VNFInstance
@@ -216,7 +214,7 @@ class AppleController:
                     router = Router(topo.surviving(), ecmp=self.router.ecmp)
                 try:
                     path = tuple(router.path(cls.src, cls.dst))
-                except nx.NetworkXNoPath:
+                except NoPath:
                     stranded[cid] = cls.src
                     continue
             if not any(cores.get(s, 0) > 0 for s in path):

@@ -202,9 +202,9 @@ def _step_pieces(
     """Per chain step: (hash_lo, hash_hi, instance) pieces covering [0, 1).
 
     Each step takes its portions in path order from the slot allocators.
-    A step whose every portion is too small for an allocator to cut (mass
-    at most ``_EPS``: a class placed at a near-zero rate) keeps each
-    portion's width on its slot's current instance, consuming nothing.
+    A portion too small for an allocator to cut (0 < mass ≤ ``_EPS``: a
+    sliver of a split, or a class placed at a near-zero rate) keeps its
+    width on its slot's current instance, consuming nothing.
     """
     class_id = cls.class_id
     path = cls.path
@@ -230,6 +230,11 @@ def _step_pieces(
             mass = frac * rate
             remaining = allocator.remaining
             at = allocator.cursor
+            if 0.0 < mass <= _EPS:
+                ref = allocator.refs[min(at, len(remaining) - 1)]
+                pieces.append((cursor, min(cursor + frac, 1.0), ref))
+                cursor += frac
+                continue
             if at < len(remaining) and _EPS < mass <= remaining[at]:
                 # The current instance has room for all of it: one bite
                 # (``take``'s first bite, its width as the loop below has it).
@@ -242,13 +247,6 @@ def _step_pieces(
                 width = (bite / mass) * frac if mass > 0 else frac
                 pieces.append((cursor, min(cursor + width, 1.0), ref))
                 cursor += width
-        if not pieces:
-            for i, frac in found:
-                if 0 <= i < path_length:
-                    allocator = allocators[path[i], nf]
-                    ref = allocator.refs[min(allocator.cursor, len(allocator.refs) - 1)]
-                    pieces.append((cursor, min(cursor + frac, 1.0), ref))
-                    cursor += frac
         if not pieces:
             raise SubclassAssignmentError(
                 f"class {class_id!r}: chain step {j} has no portions"

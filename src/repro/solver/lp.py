@@ -22,17 +22,25 @@ Two call paths share one semantic contract:
 
 Both paths run the same HiGHS dual simplex on the same matrices, so a
 process gets identical solutions whichever path it resolves to.
+
+The direct path loads only scipy's compiled HiGHS module, from its file
+(:func:`_load_highs_core`): importing it by name would first run
+``scipy/optimize/__init__``, which pulls in ``scipy.sparse``,
+``scipy.linalg`` and the rest of the optimizers, none of which the direct
+path calls.  ``scipy.optimize`` is imported only by the fallback.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 
 class HighsBindingWarning(RuntimeWarning):
@@ -97,9 +105,46 @@ class LinearProgram:
         )
 
 
+#: The canonical name of scipy's compiled HiGHS module.
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """scipy's compiled HiGHS module, loaded from its file.
+
+    ``importlib.util.find_spec("scipy")`` locates the package without
+    importing it.  The module is registered under its canonical name, so a
+    process that imports ``scipy.optimize`` before or after this one shares
+    one module object (and its pybind11 types).
+
+    Raises:
+        ImportError: scipy or the extension file is missing.
+    """
+    loaded = sys.modules.get(_HIGHS_CORE)
+    if loaded is not None:
+        return loaded
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    folder = os.path.join(
+        scipy_spec.submodule_search_locations[0], "optimize", "_highspy"
+    )
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no compiled HiGHS module in {folder}")
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_CORE] = module
+    return module
+
+
 try:  # pragma: no cover - exercised implicitly by every solve
-    from scipy.optimize._highspy import _core as _highs_core
-    from scipy.optimize._highspy._core import HighsModelStatus
+    _highs_core = _load_highs_core()
+    HighsModelStatus = _highs_core.HighsModelStatus
 
     def _new_engine():
         """A HiGHS engine set up as ``linprog(method="highs", presolve=False)``
@@ -245,6 +290,9 @@ def _solve_linprog(
     ``A_ub`` / ``A_eq`` are row slices of the same CSC the direct path
     hands over, re-sliced per solve because ``data`` is rewritten in place.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n_ub = lp.n_ub
     a = sparse.csc_matrix(
         (lp.data, lp.indices, lp.indptr), shape=(lp.rhs.size, lp.c.size)

@@ -19,6 +19,7 @@ from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.topology.routing import (
     all_shortest_paths,
     ecmp_paths,
+    NoPath,
     Router,
     shortest_path,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "Link",
     "AppleHostSpec",
     "Router",
+    "NoPath",
     "shortest_path",
     "all_shortest_paths",
     "ecmp_paths",

@@ -11,9 +11,8 @@ Two families are needed by the paper's evaluation:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.topology.graph import Link, Topology
@@ -80,8 +79,13 @@ def isp_like(
         )
     rng = np.random.default_rng(seed)
     nodes = [f"r{i}" for i in range(num_nodes)]
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
+    edges: Set[Tuple[int, int]] = set()  # (lower index, higher index)
+    degree = [0] * num_nodes
+
+    def join(u: int, v: int) -> None:
+        edges.add((min(u, v), max(u, v)))
+        degree[u] += 1
+        degree[v] += 1
 
     # Random spanning tree via randomized Prim.
     in_tree = [0]
@@ -89,19 +93,19 @@ def isp_like(
     rng.shuffle(out_tree)
     for nxt in out_tree:
         anchor = in_tree[int(rng.integers(0, len(in_tree)))]
-        g.add_edge(anchor, nxt)
+        join(anchor, nxt)
         in_tree.append(nxt)
 
     # Preferential attachment for the remaining edges.
-    while g.number_of_edges() < num_links:
-        degrees = np.array([g.degree[i] + 1 for i in range(num_nodes)], dtype=float)
+    while len(edges) < num_links:
+        degrees = np.array([d + 1 for d in degree], dtype=float)
         probs = degrees / degrees.sum()
         u = int(rng.choice(num_nodes, p=probs))
         v = int(rng.choice(num_nodes, p=probs))
-        if u == v or g.has_edge(u, v):
+        if u == v or (min(u, v), max(u, v)) in edges:
             continue
-        g.add_edge(u, v)
+        join(u, v)
 
-    links = [Link(nodes[u], nodes[v], capacity_mbps=link_mbps) for u, v in sorted(g.edges)]
+    links = [Link(nodes[u], nodes[v], capacity_mbps=link_mbps) for u, v in sorted(edges)]
     return Topology(name, nodes, links)
 

@@ -9,10 +9,8 @@ that switch (the paper assumes 64 cores per APPLE host).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,10 @@ class AppleHostSpec:
 class Topology:
     """A named network topology of SDN switches and links.
 
-    The class wraps a :class:`networkx.Graph` and adds APPLE-specific
-    state: which switches have APPLE hosts and how much compute each offers.
+    The class keeps its own adjacency (switch → neighbour → link weight,
+    both levels in construction order, so every walk over it is the same
+    in every process) and adds APPLE-specific state: which switches have
+    APPLE hosts and how much compute each offers.
 
     Args:
         name: dataset name (``internet2``, ``geant``, ...).
@@ -65,30 +65,28 @@ class Topology:
         hosts: Optional[Dict[str, AppleHostSpec]] = None,
     ) -> None:
         self.name = name
-        self.graph = nx.Graph()
-        for s in switches:
-            self.graph.add_node(s)
+        adj: Dict[str, Dict[str, float]] = {s: {} for s in switches}
+        self._adj = adj
         self._links: List[Link] = []
         for link in links:
-            if link.u not in self.graph or link.v not in self.graph:
+            if link.u not in adj or link.v not in adj:
                 raise ValueError(f"link {link} references unknown switch")
             if link.u == link.v:
                 raise ValueError(f"self-loop link at {link.u}")
-            if self.graph.has_edge(link.u, link.v):
+            if link.v in adj[link.u]:
                 raise ValueError(f"duplicate link {link.u}-{link.v}")
-            self.graph.add_edge(
-                link.u, link.v, capacity_mbps=link.capacity_mbps, weight=link.weight
-            )
+            if not link.weight > 0.0:
+                raise ValueError(f"link {link.u}-{link.v} has weight {link.weight}")
+            adj[link.u][link.v] = link.weight
+            adj[link.v][link.u] = link.weight
             self._links.append(link)
         if hosts is not None:
-            unknown = set(hosts) - set(self.graph.nodes)
+            unknown = set(hosts) - set(adj)
             if unknown:
                 raise ValueError(f"hosts reference unknown switches: {sorted(unknown)}")
             self.hosts: Dict[str, AppleHostSpec] = dict(hosts)
         else:
-            self.hosts = {
-                s: AppleHostSpec(cores=default_host_cores) for s in self.graph.nodes
-            }
+            self.hosts = {s: AppleHostSpec(cores=default_host_cores) for s in adj}
         # Failure overlay (chaos engine): the physical structure above stays
         # immutable; faults mark links/hosts failed and recovery routes
         # around them via :meth:`surviving`.
@@ -101,7 +99,7 @@ class Topology:
     @property
     def switches(self) -> List[str]:
         """Switch identifiers in insertion order."""
-        return list(self.graph.nodes)
+        return list(self._adj)
 
     @property
     def links(self) -> List[Link]:
@@ -110,17 +108,68 @@ class Topology:
 
     @property
     def num_switches(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def num_links(self) -> int:
-        return self.graph.number_of_edges()
+        return len(self._links)
 
     def degree(self, switch: str) -> int:
-        return int(self.graph.degree[switch])
+        return len(self._adj[switch])
+
+    def neighbors(self, switch: str) -> Dict[str, float]:
+        """Neighbour → link weight, in link order (read-only by contract)."""
+        return self._adj[switch]
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
+        """Every switch reachable from the first (breadth-first search).
+
+        Raises:
+            ValueError: the topology has no switch.
+        """
+        adj = self._adj
+        if not adj:
+            raise ValueError(f"topology {self.name!r} has no switch")
+        start = next(iter(adj))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for u in adj[frontier.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+        return len(seen) == len(adj)
+
+    def bridges(self) -> Set[Tuple[str, str]]:
+        """Links whose removal disconnects their endpoints, as
+        :meth:`link_key` pairs (Tarjan's low-link depth-first search)."""
+        adj = self._adj
+        order: Dict[str, int] = {}
+        low: Dict[str, int] = {}
+        found: Set[Tuple[str, str]] = set()
+        for root in adj:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            stack = [(root, None, iter(adj[root]))]
+            while stack:
+                v, parent, rest = stack[-1]
+                for u in rest:
+                    if u == parent:
+                        continue  # the tree link itself (no parallel links)
+                    if u in order:
+                        low[v] = min(low[v], order[u])
+                    else:
+                        order[u] = low[u] = len(order)
+                        stack.append((u, v, iter(adj[u])))
+                        break
+                else:
+                    stack.pop()
+                    if parent is not None:
+                        low[parent] = min(low[parent], low[v])
+                        if low[v] > order[parent]:
+                            found.add(self.link_key(parent, v))
+        return found
 
     def host_cores(self, switch: str) -> int:
         """Cores available at the APPLE host(s) attached to ``switch`` (0 if none)."""
@@ -137,7 +186,7 @@ class Topology:
 
     def fail_link(self, u: str, v: str) -> None:
         """Mark a link failed (the physical graph is left untouched)."""
-        if not self.graph.has_edge(u, v):
+        if v not in self._adj.get(u, ()):
             raise KeyError(f"no link {u}-{v} in topology {self.name!r}")
         self._failed_links.add(self.link_key(u, v))
 

@@ -9,27 +9,80 @@ what "the path" of a class is.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.topology.graph import Topology
 
 
-def shortest_path(topo: Topology, src: str, dst: str) -> Tuple[str, ...]:
-    """Deterministic shortest path (ties broken lexicographically).
+class NoPath(LookupError):
+    """No path joins the two switches (a partitioned topology)."""
 
-    Dijkstra's tie-breaking in networkx depends on insertion order; for
-    reproducibility we select the lexicographically smallest among all
-    shortest paths.
+
+def _predecessors(topo: Topology, src: str) -> Dict[str, List[str]]:
+    """Dijkstra from ``src``: every reached switch → the neighbours it is
+    reached from at its least distance (the shortest-path DAG).
+
+    A distance is the popped distance plus the link weight, and a
+    candidate improves on ``<`` and ties on ``==``: the arithmetic of the
+    graph library ``tests/test_topology.py`` holds this to, so weights that
+    are not whole numbers tie the same way.
     """
-    paths = sorted(nx.all_shortest_paths(topo.graph, src, dst, weight="weight"))
-    return tuple(paths[0])
+    dist: Dict[str, float] = {}
+    tentative: Dict[str, float] = {src: 0}
+    pred: Dict[str, List[str]] = {src: []}
+    tiebreak = count()
+    fringe = [(0, next(tiebreak), src)]
+    while fringe:
+        d, _, v = heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = d
+        for u, weight in topo.neighbors(v).items():
+            vu = d + weight
+            if u in dist:
+                if vu == dist[u]:
+                    pred[u].append(v)
+            elif u not in tentative or vu < tentative[u]:
+                tentative[u] = vu
+                heappush(fringe, (vu, next(tiebreak), u))
+                pred[u] = [v]
+            elif vu == tentative[u]:
+                pred[u].append(v)
+    return pred
 
 
 def all_shortest_paths(topo: Topology, src: str, dst: str) -> List[Tuple[str, ...]]:
-    """All equal-cost shortest paths, sorted for determinism."""
-    return [tuple(p) for p in sorted(nx.all_shortest_paths(topo.graph, src, dst, weight="weight"))]
+    """All equal-cost shortest paths, sorted for determinism.
+
+    Raises:
+        NoPath: ``dst`` is not reachable from ``src``.
+    """
+    pred = _predecessors(topo, src)
+    if dst not in pred:
+        raise NoPath(f"no path from {src!r} to {dst!r} in topology {topo.name!r}")
+    paths: List[Tuple[str, ...]] = []
+    suffix = [dst]
+
+    def extend(node: str) -> None:
+        if node == src:
+            paths.append(tuple(reversed(suffix)))
+        for prev in pred[node]:
+            if prev not in suffix:  # a weight lost to rounding may tie back
+                suffix.append(prev)
+                extend(prev)
+                suffix.pop()
+
+    extend(dst)
+    paths.sort()
+    return paths
+
+
+def shortest_path(topo: Topology, src: str, dst: str) -> Tuple[str, ...]:
+    """Deterministic shortest path: the lexicographically smallest of
+    :func:`all_shortest_paths`."""
+    return all_shortest_paths(topo, src, dst)[0]
 
 
 def ecmp_paths(

@@ -7,10 +7,12 @@ replaced — one ``plan.portion`` lookup per (path position, chain step),
 the cut-set overlay run for every class — shares no code with it, and is
 compared against it bit for bit (``tests/test_subclass_differential.py``).
 
-One change from the original, matching the program: a portion of zero
+Two changes from the original, matching the program: a portion of zero
 mass (a zero-rate class) gets its full width on the slot's first instance,
 where the original allocator handed back no piece and the class failed
-with "chain step has no portions".
+with "chain step has no portions"; and a sliver (0 < mass ≤ ``EPS``) keeps
+its full width on the slot's current instance, where the original dropped
+it and the step's last piece took its width.
 """
 
 from __future__ import annotations
@@ -116,6 +118,12 @@ def pieces_for_class(
                     "but no instance is placed there"
                 )
             mass = frac * cls.rate_mbps
+            if 0.0 < mass <= EPS:
+                RULES["sliver"] += 1
+                ref = allocator.refs[min(allocator._cursor, len(allocator.refs) - 1)]
+                pieces.append((cursor, min(cursor + frac, 1.0), ref))
+                cursor += frac
+                continue
             for bite, ref in allocator.take(mass):
                 width = (bite / mass) * frac if mass > 0 else frac
                 pieces.append((cursor, min(cursor + width, 1.0), ref))

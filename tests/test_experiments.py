@@ -57,12 +57,103 @@ def test_pinned_quick_seed1_signatures():
     ]
 
 
-def test_pinned_quick_seed1_single_controller_tables():
+def _transactions(committed):
+    return {
+        "committed": committed, "committed_partial": 0, "failed": 0,
+        "rolled_back": 0, "superseded": 0,
+    }
+
+
+#: ``result.metrics["southbound"]`` of each chaos run the test below makes,
+#: in run order.  No table column reads ``max_observed_drift`` or the
+#: convergence instants; a tick on the wrong side of a same-instant push
+#: moves them.
+_CHAOS_SOUTHBOUND = [
+    # failure-recovery
+    {
+        "acks": {"applied": 72, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
+        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 0,
+        "messages_lost": 0, "messages_sent": 72, "reconcile_repairs": 0,
+        "reconcile_ticks": 44, "retries": 0, "rollback_ops": 0, "timeouts": 0,
+        "transactions": _transactions(committed=2),
+        "convergences": [
+            {"converged_at": 9.0, "epoch": 1, "latency": 0.0, "pushed_at": 9.0},
+            {"converged_at": 10.71, "epoch": 2, "latency": 0.21, "pushed_at": 10.5},
+            {"converged_at": 16.21, "epoch": 3, "latency": 0.21, "pushed_at": 16.0},
+        ],
+    },
+    # southbound-chaos 0%
+    {
+        "acks": {"applied": 72, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
+        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 0,
+        "messages_lost": 0, "messages_sent": 72, "reconcile_repairs": 0,
+        "reconcile_ticks": 48, "retries": 0, "rollback_ops": 0, "timeouts": 0,
+        "transactions": _transactions(committed=2),
+        "convergences": [
+            {"converged_at": 9.0, "epoch": 1, "latency": 0.0, "pushed_at": 9.0},
+            {"converged_at": 10.841807441, "epoch": 2, "latency": 0.341807441, "pushed_at": 10.5},
+            {"converged_at": 16.324877477, "epoch": 3, "latency": 0.324877477, "pushed_at": 16.0},
+        ],
+    },
+    # southbound-chaos 10%
+    {
+        "acks": {"applied": 63, "duplicate": 9, "stale": 0}, "circuit_opens": 0,
+        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 225,
+        "messages_lost": 12, "messages_sent": 72, "reconcile_repairs": 0,
+        "reconcile_ticks": 48, "retries": 12, "rollback_ops": 0, "timeouts": 12,
+        "transactions": _transactions(committed=2),
+        "convergences": [
+            {"converged_at": 9.0, "epoch": 1, "latency": 0.0, "pushed_at": 9.0},
+            {"converged_at": 11.976244962, "epoch": 2, "latency": 1.476244962, "pushed_at": 10.5},
+            {"converged_at": 16.841867302, "epoch": 3, "latency": 0.841867302, "pushed_at": 16.0},
+        ],
+    },
+    # flash-crowd 2x
+    {
+        "acks": {"applied": 70, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
+        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 500,
+        "messages_lost": 0, "messages_sent": 70, "reconcile_repairs": 0,
+        "reconcile_ticks": 40, "retries": 0, "rollback_ops": 0, "timeouts": 0,
+        "transactions": _transactions(committed=2),
+        "convergences": [
+            {"converged_at": 7.21, "epoch": 1, "latency": 0.21, "pushed_at": 7.0},
+            {"converged_at": 15.21, "epoch": 2, "latency": 0.21, "pushed_at": 15.0},
+        ],
+    },
+    # flash-crowd 8x
+    {
+        "acks": {"applied": 108, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
+        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 554,
+        "messages_lost": 0, "messages_sent": 108, "reconcile_repairs": 0,
+        "reconcile_ticks": 40, "retries": 0, "rollback_ops": 0, "timeouts": 0,
+        "transactions": _transactions(committed=3),
+        "convergences": [
+            {"converged_at": 6.71, "epoch": 1, "latency": 0.21, "pushed_at": 6.5},
+            {"converged_at": 8.21, "epoch": 2, "latency": 0.21, "pushed_at": 8.0},
+            {"converged_at": 14.21, "epoch": 3, "latency": 0.21, "pushed_at": 14.0},
+        ],
+    },
+]
+
+
+def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     """The single-controller stack's ``--quick --seed 1`` tables: chaos
     recovery (``failure-recovery``, ``southbound-chaos``) and the elastic
     loop (``flash-crowd`` signatures), each re-planning through the
-    controller's one step.  A deliberate change updates them here."""
+    controller's one step; and every run's southbound metrics dict, read
+    from the same runs.  A deliberate change updates them here."""
+    from repro.chaos.runner import ChaosEngine
     from repro.experiments import failure_recovery, flash_crowd, southbound_chaos
+
+    southbound = []
+    finalize = ChaosEngine.finalize
+
+    def recording_finalize(engine):
+        result = finalize(engine)
+        southbound.append(result.metrics["southbound"])
+        return result
+
+    monkeypatch.setattr(ChaosEngine, "finalize", recording_finalize)
 
     assert failure_recovery.run(seed=1, quick=True).rows == [
         ["internet2", 2, 2, 0.646015, 0.751016, 0.891515, 1.25, 22, 0.0, 3, 866,
@@ -76,6 +167,7 @@ def test_pinned_quick_seed1_single_controller_tables():
         flash_crowd._flash_row(amplitude, seed=1, quick=True)[1]
         for amplitude in (2.0, 8.0)
     ] == ["a92afcca64e047f4", "d79d77c025ed1829"]
+    assert southbound == _CHAOS_SOUTHBOUND
 
 
 @pytest.mark.parametrize("name", ["failure_recovery", "southbound_chaos", "failure_sweep"])

@@ -1,0 +1,105 @@
+"""What a process loads: the start-up pin and the HiGHS loader's guards.
+
+Each test starts a fresh interpreter, because what matters is what an
+import pulls in before the first solve, and the test process itself has
+long since imported scipy.optimize and networkx (the oracles).
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Modules the program does not call on its solve path: the scipy
+#: subpackages ``scipy.optimize/__init__`` drags in, and the graph library
+#: the tests use as an oracle.
+HEAVY = ("networkx", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+
+
+def _run(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _workload_imports():
+    """The ``repro`` modules ``benchmarks/pipeline/workloads.py`` imports."""
+    tree = ast.parse((ROOT / "benchmarks/pipeline/workloads.py").read_text())
+    return sorted(
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module
+        and node.module.split(".")[0] == "repro"
+    )
+
+
+def test_the_pipeline_modules_load_no_heavy_module():
+    modules = _workload_imports()
+    assert "repro.core.engine" in modules and "repro.tenancy" in modules
+    out = _run(
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "import repro.solver.lp as lp\n"
+        f"print([m for m in {HEAVY!r} if m in sys.modules], lp.HAVE_DIRECT_HIGHS)\n"
+    )
+    assert out.split() == ["[]", "True"]
+
+
+_SOLVE = """
+import numpy as np
+from repro.solver.lp import LinearProgram, solve_lp
+one = np.ones(2)
+lp = LinearProgram(
+    name="two", c=one, indptr=np.array([0, 1, 2], dtype=np.int32),
+    indices=np.zeros(2, dtype=np.int32), data=one, lhs=np.full(1, 3.0),
+    rhs=np.full(1, 3.0), lb=np.zeros(2), ub=np.full(2, 2.0), n_ub=0,
+    integer_mask=np.zeros(2, dtype=bool), var_name="x[{}]".format,
+)
+print(solve_lp(lp).objective)
+"""
+
+
+def test_a_hidden_extension_falls_back_to_linprog():
+    """No extension file where the loader looks: one HighsBindingWarning at
+    import, and every solve goes through public ``linprog``."""
+    out = _run(
+        "import importlib.machinery, sys, warnings\n"
+        "importlib.machinery.EXTENSION_SUFFIXES = ['.hidden']\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    import repro.solver.lp as lp\n"
+        "print([type(w.message).__name__ for w in caught], lp.HAVE_DIRECT_HIGHS,\n"
+        "      'scipy.optimize._highspy._core' in sys.modules)\n"
+        + _SOLVE
+    )
+    assert out.split() == ["['HighsBindingWarning']", "False", "False", "3.0"]
+
+
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["repro-first", "scipy-first"])
+def test_scipy_optimize_shares_the_loaded_module(scipy_first):
+    """``scipy.optimize`` imported before or after ``repro`` finds one
+    ``_highspy._core`` module, and its ``milp`` and the program's direct
+    path both solve."""
+    repro_import = "import repro.solver.lp as lp\n"
+    scipy_import = "import scipy.optimize\n"
+    out = _run(
+        "import sys\n"
+        + (scipy_import + repro_import if scipy_first else repro_import + scipy_import)
+        + "from scipy.optimize._highspy import _core\n"
+        "from scipy.optimize import Bounds, milp\n"
+        "print(_core is lp._highs_core is sys.modules['scipy.optimize._highspy._core'],\n"
+        "      lp.HAVE_DIRECT_HIGHS,\n"
+        "      milp(c=[1.0], integrality=[1], bounds=Bounds([0.5], [2.0])).fun)\n"
+        + _SOLVE
+    )
+    assert out.split() == ["True", "True", "1.0", "3.0"]

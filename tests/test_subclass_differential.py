@@ -178,6 +178,14 @@ def _two_position_plan(rates, fractions, quantities):
                 {("s0", "firewall"): 2, ("s1", "firewall"): 1},
             ),
         ),
+        (
+            "sliver",
+            _two_position_plan(
+                [1e-3, 50.0],
+                [1e-7, 0.5],
+                {("s0", "firewall"): 2, ("s1", "firewall"): 1},
+            ),
+        ),
     ],
 )
 def test_each_allocator_rule_is_reached_and_matches(rule, plan):
@@ -186,6 +194,23 @@ def test_each_allocator_rule_is_reached_and_matches(rule, plan):
     before = RULES[rule]
     _assert_same(plan)
     assert RULES[rule] > before
+
+
+def test_a_sliver_next_to_a_larger_portion_keeps_its_width():
+    """A portion of 0 < mass ≤ 1e-9 Mbps (here 1e-7 of a 1e-3 Mbps class)
+    sharing its chain step with a larger one used to get no piece: the
+    allocator cannot cut it, and the tail snap handed its width to the
+    step's last piece.  It now keeps its width on its slot's current
+    instance, so the sub-classes' widths equal the plan's distribution."""
+    plan = _two_position_plan(
+        [1e-3], [1e-7], {("s0", "firewall"): 1, ("s1", "firewall"): 1}
+    )
+    subs = assign_subclasses(plan).subclasses("c0")
+    assert [(s.hash_range, s.instance_seq) for s in subs] == [
+        ((0.0, 1e-7), (InstanceRef("s0", "firewall", 0),)),
+        ((1e-7, 1.0), (InstanceRef("s1", "firewall", 0),)),
+    ]
+    _assert_same(plan)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,62 @@
-"""Tests for the topology model, routing, datasets, and generators."""
+"""Tests for the topology model, routing, datasets, and generators.
+
+networkx is the oracle of the in-tree graph code (adjacency, Dijkstra,
+connectivity, bridges); it is a test dependency only.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.topology.datasets import as3679, geant, internet2, load_topology, univ1
+from repro.topology.datasets import (
+    as3679,
+    geant,
+    internet2,
+    load_topology,
+    TOPOLOGY_LOADERS,
+    univ1,
+)
 from repro.topology.generators import isp_like, two_tier_datacenter
 from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.topology.routing import (
     all_shortest_paths,
     ecmp_paths,
+    NoPath,
     Router,
     shortest_path,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _oracle(topo):
+    """The networkx graph of ``topo``, built from its switches and links."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.switches)
+    for link in topo.links:
+        graph.add_edge(link.u, link.v, weight=link.weight)
+    return graph
+
+
+def _oracle_paths(graph, src, dst):
+    """networkx's sorted all-shortest-paths, or ``None`` for no path."""
+    try:
+        paths = nx.all_shortest_paths(graph, src, dst, weight="weight")
+        return [tuple(p) for p in sorted(paths)]
+    except nx.NetworkXNoPath:
+        return None
+
+
+def _paths_or_none(topo, src, dst):
+    try:
+        return all_shortest_paths(topo, src, dst)
+    except NoPath:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +83,16 @@ def test_topology_rejects_bad_links():
         Topology("x", ["a", "b"], [Link("a", "a")])  # self loop
     with pytest.raises(ValueError):
         Topology("x", ["a", "b"], [Link("a", "b"), Link("b", "a")])  # duplicate
+    with pytest.raises(ValueError):
+        Topology("x", ["a", "b"], [Link("a", "b", weight=0.0)])
+    with pytest.raises(ValueError):
+        Topology("x", ["a", "b"], [Link("a", "b", weight=float("nan"))])
+
+
+def test_neighbors_in_link_order():
+    topo = _triangle()
+    assert topo.neighbors("a") == {"b": 1.0, "c": 1.0}
+    assert list(topo.neighbors("c")) == ["b", "a"]
 
 
 def test_default_hosts_everywhere():
@@ -107,6 +162,101 @@ def test_weighted_shortest_path():
     assert shortest_path(topo, "a", "b") == ("a", "c", "b")
 
 
+def test_no_path_across_a_partition():
+    topo = Topology("split", ["a", "b", "c"], [Link("a", "b")])
+    assert not topo.is_connected()
+    with pytest.raises(NoPath):
+        shortest_path(topo, "a", "c")
+    with pytest.raises(KeyError):
+        shortest_path(topo, "zz", "a")
+
+
+def test_bridges_of_a_barbell():
+    # Two triangles joined by a two-link chain: both chain links are bridges.
+    def triangle(x, y, z):
+        return [Link(x, y), Link(y, z), Link(x, z)]
+
+    topo = Topology(
+        "barbell",
+        list("abcmdef"),
+        triangle("a", "b", "c") + [Link("c", "m"), Link("m", "d")] + triangle("d", "e", "f"),
+    )
+    assert topo.bridges() == {("c", "m"), ("d", "m")}
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [load_topology(name) for name in TOPOLOGY_LOADERS]
+    + [isp_like(40, 80, seed=seed) for seed in range(5)],
+    ids=lambda topo: f"{topo.name}-{topo.num_links}",
+)
+def test_every_route_equals_networkx(topo):
+    """Every ordered pair routes to networkx's sorted all-shortest-paths;
+    the bridges and connectivity agree too."""
+    graph = _oracle(topo)
+    for src in topo.switches:
+        for dst in topo.switches:
+            assert all_shortest_paths(topo, src, dst) == _oracle_paths(graph, src, dst)
+    assert topo.bridges() == {Topology.link_key(u, v) for u, v in nx.bridges(graph)}
+    assert topo.is_connected()
+
+
+#: Weights whose float sums tie or miss by an ulp (0.1 + 0.2 != 0.3), and
+#: whole numbers.
+_WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1 / 3])
+
+
+@st.composite
+def _graphs(draw):
+    """Up to 9 switches, some isolated, with trees hanging off cycles."""
+    n = draw(st.integers(1, 9))
+    names = draw(st.permutations([f"s{i}" for i in range(n)]))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    links = [Link(a, b, weight=draw(_WEIGHTS)) for a, b in chosen]
+    return Topology("h", names, links)
+
+
+@settings(max_examples=200, deadline=None)
+@given(topo=_graphs())
+def test_random_graphs_agree_with_networkx(topo):
+    graph = _oracle(topo)
+    assert topo.is_connected() == nx.is_connected(graph)
+    assert topo.bridges() == {Topology.link_key(u, v) for u, v in nx.bridges(graph)}
+    for src in topo.switches:
+        for dst in topo.switches:
+            assert _paths_or_none(topo, src, dst) == _oracle_paths(graph, src, dst)
+
+
+_PRINT_ROUTES = """
+from repro.topology import TOPOLOGY_LOADERS, all_shortest_paths, load_topology
+for name in TOPOLOGY_LOADERS:
+    topo = load_topology(name)
+    print(name, sorted(topo.bridges()))
+    for src in topo.switches:
+        for dst in topo.switches:
+            print(src, dst, all_shortest_paths(topo, src, dst))
+"""
+
+
+def test_routes_are_equal_across_hash_seeds():
+    """Every dataset's routes, printed by two processes with different
+    string hashing, are byte-equal: no route depends on set order."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        outputs.append(
+            subprocess.run(
+                [sys.executable, "-c", _PRINT_ROUTES],
+                env=env, capture_output=True, check=True,
+            ).stdout
+        )
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == sum(
+        1 + load_topology(name).num_switches ** 2 for name in TOPOLOGY_LOADERS
+    )
+
+
 # ---------------------------------------------------------------------------
 # Datasets (the paper's Sec. IX-A footprints)
 # ---------------------------------------------------------------------------
@@ -134,12 +284,12 @@ def test_univ1_two_tier_structure():
     edges = [s for s in topo.switches if s.startswith("edge")]
     assert len(cores) == 2 and len(edges) == 21
     for e in edges:
-        assert set(topo.graph.neighbors(e)) == set(cores)
+        assert set(topo.neighbors(e)) == set(cores)
 
 
 def test_as3679_deterministic():
     a, b = as3679(), as3679()
-    assert set(a.graph.edges) == set(b.graph.edges)
+    assert a.links == b.links
 
 
 def test_as3679_heavy_tailed_degrees():
