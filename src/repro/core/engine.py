@@ -20,9 +20,8 @@ Formulation notes:
 Warm-start architecture (the re-solve hot path):
 
 Between traffic snapshots only the *data* of the instance changes — the
-class rates T_h and, when an arbiter's grant follows the rates, the
-available resources A_v — while topology, paths, chains and the host set
-are identical.  ``place()`` therefore splits into a *structure phase* that
+class rates T_h and, when hosts lose capacity, the available resources
+A_v — while topology, paths, chains and the host set are identical.  ``place()`` therefore splits into a *structure phase* that
 writes the LP's solver-native arrays
 (:func:`repro.core.constraints.assemble_placement_lp`, cached in a
 :class:`PlacementTemplate` keyed by the class structure, the set of hosts

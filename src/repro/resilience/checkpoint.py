@@ -8,9 +8,10 @@ payload is everything recovery needs *besides* the intent suffix:
 * run accounting (outcomes, latencies, verify counters, audit ticks,
   cross-tenant PV-seconds) so recovered summaries match a crash-free run;
 * the arbiter's *settled* ledgers — ``steady`` holdings, charged TCAM,
-  and the observability counters.  In-flight reservations are
+  and the granted / queued / rejected counters.  In-flight charges are
   deliberately absent: an op that hadn't converged by the checkpoint
-  re-executes from its journaled intent, re-requesting its grant;
+  re-executes from its journaled intent, re-solving its plan and
+  re-requesting its charge;
 * one *settled snapshot* per tenant worker: the committed blueprint
   (chain endpoints, NF sequences, exact unrounded rates), the SLO class,
   and the southbound fabric's version vector + epoch counters.
@@ -98,7 +99,6 @@ def capture(orch: "TenantOrchestrator") -> dict:
             "granted_total": arb.granted_total,
             "queued_total": arb.queued_total,
             "rejected_total": arb.rejected_total,
-            "trims_total": arb.trims_total,
         },
         "workers": workers,
     }

@@ -7,9 +7,10 @@
    settled ledgers (free pool recomputed as physical − Σ steady), and
    one worker per checkpointed tenant.  A tenant's blueprint (chains,
    exact rates, SLO) deterministically regenerates its placement plan,
-   sub-class assignment and rule set: the engine and rule generator are
-   pure functions of (classes, grant, catalog), so the rebuilt desired
-   state is bit-identical to what the dead controller held.
+   sub-class assignment and rule set: the worker plans on the physical
+   pool, and the engine and rule generator are pure functions of
+   (classes, physical topology, catalog), so the rebuilt desired state is
+   bit-identical to what the dead controller held.
 2. **Re-adopt the live data plane.**  A crash leaves installed rules and
    running VNF instances on the switches (``crash()`` harvests them).
    Each tenant gets a *fresh* southbound fabric over that surviving
@@ -17,7 +18,10 @@
    version vector, and the anti-entropy reconciler repairs only the
    installed-vs-desired diff — never a blind reinstall — so an epoch the
    dead controller had half-pushed is phase-safely rolled back to the
-   checkpoint and then rolled forward by replay.  Without a harvest
+   checkpoint and then rolled forward by replay.  Harvested instances
+   the restored rules no longer reference keep running until the
+   tenant's next push, which retires them at its convergence (tenant
+   fabrics drain what an epoch stops referencing).  Without a harvest
    (e.g. property tests that only keep the journal) the wire is rebuilt
    from the regenerated rules first — the one deliberate exception to
    the no-blind-reinstall rule, and it applies only when no live switch
@@ -41,12 +45,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.core.reconfigure import Deployment, bootstrap, realize
+from repro.core.reconfigure import Deployment, bootstrap
 from repro.elastic.slo import SLO_CLASSES
 from repro.resilience.checkpoint import settled_snapshot
 from repro.resilience.journal import COMMIT, INTENT, RECOVERY, Journal
 from repro.sim.kernel import Simulator
-from repro.tenancy.arbiter import Grant
 from repro.tenancy.intents import IntentRecord, intent_from_payload
 from repro.tenancy.orchestrator import TenantOrchestrator
 from repro.tenancy.worker import TenantWorker
@@ -74,7 +77,6 @@ _EMPTY_CHECKPOINT = {
         "granted_total": 0,
         "queued_total": 0,
         "rejected_total": 0,
-        "trims_total": 0,
     },
     "workers": {},
 }
@@ -137,16 +139,10 @@ def _restore_worker(
             chain=PolicyChain(tuple(nf_names), DEFAULT_CATALOG),
             rate_mbps=rate,
         )
-    classes = [target[k] for k in sorted(target)]
-    # The grant sizing and the engine are pure in (classes, physical,
-    # catalog): this re-solve reproduces the pre-crash plan bit for bit.
-    need = orch.arbiter._compute_need(classes)
-    if need is None:
-        raise RuntimeError(
-            f"recovery: checkpointed blueprint of {tenant_id!r} no longer fits"
-        )
-    plan = worker.engine.place(classes, need)
-    subclass_plan, rules = realize(worker.rulegen, plan)
+    # The same call the worker makes: the plan is a pure function of
+    # (classes, physical topology, catalog), so this re-solve reproduces
+    # the pre-crash plan bit for bit.
+    plan, subclass_plan, rules = worker.solve(target)
 
     harvested = harvest.get(tenant_id) if harvest else None
     if harvested is not None:
@@ -232,15 +228,11 @@ def recover(
     for m in arb.steady.values():
         for sw, c in m.items():
             arb.free[sw] = arb.free.get(sw, 0) - c
-    # In-flight reservations are *not* restored: any op that was mid
-    # flight re-executes from its journaled intent and re-requests.
-    arb.grants = {
-        t: Grant(t, dict(m)) for t, m in sorted(arb.steady.items())
-    }
+    # In-flight charges are *not* restored: any op that was mid flight
+    # re-executes from its journaled intent and re-requests.
     arb.granted_total = int(ckpt["arbiter"]["granted_total"])
     arb.queued_total = int(ckpt["arbiter"]["queued_total"])
     arb.rejected_total = int(ckpt["arbiter"]["rejected_total"])
-    arb.trims_total = int(ckpt["arbiter"]["trims_total"])
 
     # -- tenant workers + southbound re-adoption -----------------------
     tenants_restored = 0

@@ -10,15 +10,15 @@ budgets so tenants can never interfere with each other's deployments.
 * :mod:`repro.tenancy.intents` — the typed intent API
   (``CreateChain`` / ``UpdateRates`` / ``ScaleChain`` / ``DeleteChain``);
 * :mod:`repro.tenancy.bus` — validated, deterministic sim-time delivery;
-* :mod:`repro.tenancy.arbiter` — shared-capacity grants, FIFO admission
-  queue, trim-to-usage accounting;
+* :mod:`repro.tenancy.arbiter` — charges each tenant's plan against the
+  shared pool, priority/FIFO admission queue, two-phase settlement;
 * :mod:`repro.tenancy.worker` — the per-tenant lifecycle worker driving
-  solve → sub-classes → tagging → southbound commit;
+  solve → sub-classes → tagging → capacity charge → southbound commit;
 * :mod:`repro.tenancy.orchestrator` — the façade wiring bus, arbiter and
   workers over one topology, plus the cross-tenant isolation audit.
 """
 
-from repro.tenancy.arbiter import CapacityArbiter, Grant
+from repro.tenancy.arbiter import CapacityArbiter
 from repro.tenancy.bus import IntentBus
 from repro.tenancy.intents import (
     CreateChain,
@@ -34,7 +34,6 @@ from repro.tenancy.worker import TenantWorker
 
 __all__ = [
     "CapacityArbiter",
-    "Grant",
     "IntentBus",
     "Intent",
     "CreateChain",

@@ -3,8 +3,9 @@
 One orchestrator owns one topology and one simulator.  Tenants appear on
 first intent, disappear on their last ``DeleteChain``; in between their
 lifecycle workers run concurrently on the shared timeline — independent
-tenants' southbound epochs overlap, while the capacity arbiter keeps
-their reservations disjoint.
+tenants' southbound epochs overlap.  Each worker plans on the whole
+physical substrate and the capacity arbiter charges the plan it installs
+against one shared pool, so the union of the tenants' plans always fits.
 
 A periodic *cross-tenant audit* (the interference-free invariant at the
 platform level) checks every tick that (a) the arbiter's ledger balances,
@@ -22,7 +23,6 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.core.engine import EngineConfig
 from repro.resilience.checkpoint import capture
 from repro.resilience.journal import CHECKPOINT, COMMIT, EPOCH, GRANT, SHUTDOWN
 from repro.sim.kernel import Simulator, Timer
@@ -32,7 +32,6 @@ from repro.tenancy.intents import COMPLETED, Intent, IntentRecord
 from repro.tenancy.worker import TenantWorker
 from repro.topology.graph import Topology
 from repro.topology.routing import Router
-from repro.vnf.types import DEFAULT_CATALOG
 
 #: Shared classification-TCAM budget across all tenants.
 DEFAULT_TCAM_BUDGET = 100_000
@@ -59,8 +58,8 @@ class TenantOrchestrator:
             substreams (``tenancy.*``), so tenant workloads never perturb
             each other's draws.
 
-    Tenants plan with the default NF catalog and engine configuration
-    and share :data:`DEFAULT_TCAM_BUDGET`.
+    Tenants plan with the default NF catalog and engine configuration on
+    the hosts' physical cores, and share :data:`DEFAULT_TCAM_BUDGET`.
     """
 
     def __init__(
@@ -77,8 +76,6 @@ class TenantOrchestrator:
             sim,
             {s: spec.cores for s, spec in topo.hosts.items()},
             DEFAULT_TCAM_BUDGET,
-            DEFAULT_CATALOG,
-            capacity_headroom=EngineConfig().capacity_headroom,
         )
         self.bus = IntentBus(sim, seed=seed)
         # Subscribed weakly, as workers refer back (see TenantWorker.orch).
@@ -169,7 +166,8 @@ class TenantOrchestrator:
     def _note_grant(self, tenant_id: str, status: str) -> None:
         if self.journal is not None:
             # Write-ahead relative to the op's effects: the worker calls
-            # this before it solves / commits against the grant.
+            # this after it has solved and realised its plan, before any
+            # of it is installed.
             self.journal.append(
                 GRANT, {"tenant": tenant_id, "status": status}, time=self.sim.now
             )
@@ -349,10 +347,6 @@ class TenantOrchestrator:
                     self.workers[t].signature() for t in sorted(self.workers)
                 ),
                 tuple(sorted(self.arbiter.free.items())),
-                tuple(
-                    (t, tuple(sorted(g.cores.items())))
-                    for t, g in sorted(self.arbiter.grants.items())
-                ),
                 tuple(
                     (t, tuple(sorted(m.items())))
                     for t, m in sorted(self.arbiter.steady.items())

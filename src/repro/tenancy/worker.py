@@ -3,13 +3,18 @@
 Each tenant's policy chains form a *blueprint*; its worker owns the only
 mutable copy and processes intents strictly one at a time (FIFO, one
 in-flight operation per tenant — the ePEM blueprint-LCM pattern ROADMAP
-item 3 names).  An operation runs the full APPLE pipeline against the
-tenant's capacity grant:
+item 3 names).  An operation runs the full APPLE pipeline, planning on
+the whole physical substrate and reserving what the plan installs:
 
-    target class set → arbiter grant → Optimization Engine solve →
-    sub-class assignment → Rule Generator → southbound commit →
-    verify at convergence (the installed tables read as data; no packet
-    enters the tenant's network)
+    target class set → Optimization Engine solve on the physical pool →
+    sub-class assignment → Rule Generator → arbiter charge of the plan's
+    cores and classification entries → southbound commit → verify at
+    convergence (the installed tables read as data; no packet enters the
+    tenant's network)
+
+The plan is a pure function of (classes, topology, catalog), so crash
+recovery's re-solve rebuilds it bit for bit.  A request that must wait for
+capacity keeps its realised plan; nothing is solved twice.
 
 The worker's Optimization Engine is tenant-private, so warm-start
 templates cache per-blueprint structure: rate-only day-2 ops
@@ -32,15 +37,16 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.controller import UnknownClassError
 from repro.core.engine import OptimizationEngine, PlacementError
+from repro.core.placement import PlacementPlan
 from repro.core.reconfigure import Deployment, bootstrap, commit, realize
-from repro.core.rulegen import RuleGenerator
+from repro.core.rulegen import GeneratedRules, RuleGenerator
+from repro.core.subclasses import SubclassPlan
 from repro.core.verify import VerificationReport, verify_deployment
 from repro.dataplane.network import DataPlaneNetwork
 from repro.elastic.slo import DEFAULT_SLO, SLO_CLASSES
 from repro.resilience.checkpoint import settled_snapshot
 from repro.sim.rng import derive
 from repro.southbound.fabric import SouthboundFabric
-from repro.tenancy.arbiter import Grant
 from repro.tenancy.intents import (
     COMPLETED,
     FAILED,
@@ -117,30 +123,49 @@ class TenantWorker:
         if target is None:  # DeleteChain removed the last chain
             self._teardown(record)
             return
-        status, grant = self.orch.arbiter.request(
+        try:
+            plan, subclass_plan, rules = self.solve(target)
+        except PlacementError as exc:
+            # No plan fits even the empty substrate: the capacity refusal.
+            self._finish(record, REJECTED, f"placement infeasible: {exc}")
+            return
+        realised = (target, plan, subclass_plan, rules)
+        status = self.orch.arbiter.request(
             self.tenant_id,
-            [target[k] for k in sorted(target)],
-            resume=lambda g, r=record, t=target: self._resume(r, t, g),
+            plan.cores_by_switch(),
+            rules.classification_rule_count(),
+            resume=lambda granted, r=record: self._resume(r, realised, granted),
             priority=self.slo.priority,
         )
         self.orch._note_grant(self.tenant_id, status)
         if status == self.orch.arbiter.REJECTED:
-            self._finish(record, REJECTED, "exceeds physical capacity")
+            self._finish(record, REJECTED, "exceeds the shared TCAM budget")
         elif status == self.orch.arbiter.QUEUED:
             record.status = WAITING
         else:
-            self._execute(record, target, grant)
+            self._commit(record, *realised)
 
-    def _resume(
-        self, record: IntentRecord, target, grant: Optional[Grant]
-    ) -> None:
+    def solve(
+        self, target: Dict[str, TrafficClass]
+    ) -> Tuple[PlacementPlan, SubclassPlan, GeneratedRules]:
+        """Place and realise a blueprint on the whole physical pool.
+
+        A pure function of (classes, topology, catalog): recovery calls it
+        to rebuild the plan a tenant had installed before a crash.
+        """
+        plan = self.engine.place(
+            [target[k] for k in sorted(target)], self.orch.arbiter.physical
+        )
+        return (plan, *realize(self.rulegen, plan))
+
+    def _resume(self, record: IntentRecord, realised: tuple, granted: bool) -> None:
         if self.orch.dead:  # resumption raced a controller crash
             return
-        if grant is None:  # admission timeout: capacity never freed up
+        if not granted:  # admission timeout: capacity never freed up
             self._finish(record, REJECTED, "capacity admission timed out")
             return
         record.status = IN_PROGRESS
-        self._execute(record, target, grant)
+        self._commit(record, *realised)
 
     # ------------------------------------------------------------------
     def _target_classes(
@@ -198,29 +223,15 @@ class TenantWorker:
             raise UnknownClassError(self._class_id(chain_id)) from None
 
     # ------------------------------------------------------------------
-    def _execute(
+    def _commit(
         self,
         record: IntentRecord,
         target: Dict[str, TrafficClass],
-        grant: Grant,
+        plan: PlacementPlan,
+        subclass_plan: SubclassPlan,
+        rules: GeneratedRules,
     ) -> None:
-        """Solve → sub-classes → rules → commit within one grant."""
-        classes = [target[k] for k in sorted(target)]
-        try:
-            plan = self.engine.place(classes, grant.cores)
-        except PlacementError as exc:
-            self.orch.arbiter.restore(self.tenant_id)
-            self._finish(record, FAILED, f"placement infeasible: {exc}")
-            return
-        subclass_plan, rules = realize(self.rulegen, plan)
-        tcam_entries = rules.classification_rule_count()
-        if not self.orch.arbiter.commit(
-            self.tenant_id, plan.cores_by_switch(), tcam_entries
-        ):
-            self.orch.arbiter.restore(self.tenant_id)
-            self._finish(record, REJECTED, "shared TCAM budget exhausted")
-            return
-
+        """Install a realised plan the arbiter has charged."""
         self.chains = dict(target)
         if self.fabric is None:
             # Day 0: cold install, adopted as the fabric's epoch 0.
@@ -253,12 +264,18 @@ class TenantWorker:
             )
 
     def new_fabric(self, network: DataPlaneNetwork) -> SouthboundFabric:
-        """This tenant's private fabric over ``network`` (seeded per tenant)."""
+        """This tenant's private fabric over ``network`` (seeded per tenant).
+
+        It drains the instances an epoch stops referencing once that epoch
+        has converged, so a tenant's running VMs are the ones its charged
+        plan uses.
+        """
         return SouthboundFabric(
             self.orch.sim,
             network,
             seed=derive(self.orch.seed, f"tenancy.sb.{self.tenant_id}"),
             rulegen=self.rulegen,
+            drain_retired=True,
         )
 
     def _converged(

@@ -16,13 +16,7 @@ from repro.topology.datasets import (
 )
 from repro.topology.generators import isp_like, two_tier_datacenter
 from repro.topology.graph import AppleHostSpec, Link, Topology
-from repro.topology.routing import (
-    all_shortest_paths,
-    ecmp_paths,
-    NoPath,
-    Router,
-    shortest_path,
-)
+from repro.topology.routing import all_shortest_paths, NoPath, Router
 
 __all__ = [
     "Topology",
@@ -30,9 +24,7 @@ __all__ = [
     "AppleHostSpec",
     "Router",
     "NoPath",
-    "shortest_path",
     "all_shortest_paths",
-    "ecmp_paths",
     "internet2",
     "geant",
     "univ1",

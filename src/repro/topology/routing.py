@@ -3,8 +3,8 @@
 Interference freedom (property 2 of the paper) means APPLE takes forwarding
 paths as *input* — computed here by shortest-path or ECMP routing — and
 never changes them.  The :class:`Router` caches deterministic paths per
-(src, dst) so the Optimization Engine, data plane, and tests all agree on
-what "the path" of a class is.
+(src, dst) — and one shortest-path DAG per source — so the Optimization
+Engine, data plane, and tests all agree on what "the path" of a class is.
 """
 
 from __future__ import annotations
@@ -53,13 +53,24 @@ def _predecessors(topo: Topology, src: str) -> Dict[str, List[str]]:
     return pred
 
 
-def all_shortest_paths(topo: Topology, src: str, dst: str) -> List[Tuple[str, ...]]:
+def all_shortest_paths(
+    topo: Topology,
+    src: str,
+    dst: str,
+    pred: Optional[Dict[str, List[str]]] = None,
+) -> List[Tuple[str, ...]]:
     """All equal-cost shortest paths, sorted for determinism.
+
+    ``pred`` is ``src``'s shortest-path DAG when the caller already holds
+    it (:class:`Router` keeps one per source); otherwise it is computed.
+    The first path is the deterministic shortest path, the first ``k`` the
+    ECMP set.
 
     Raises:
         NoPath: ``dst`` is not reachable from ``src``.
     """
-    pred = _predecessors(topo, src)
+    if pred is None:
+        pred = _predecessors(topo, src)
     if dst not in pred:
         raise NoPath(f"no path from {src!r} to {dst!r} in topology {topo.name!r}")
     paths: List[Tuple[str, ...]] = []
@@ -79,35 +90,21 @@ def all_shortest_paths(topo: Topology, src: str, dst: str) -> List[Tuple[str, ..
     return paths
 
 
-def shortest_path(topo: Topology, src: str, dst: str) -> Tuple[str, ...]:
-    """Deterministic shortest path: the lexicographically smallest of
-    :func:`all_shortest_paths`."""
-    return all_shortest_paths(topo, src, dst)[0]
-
-
-def ecmp_paths(
-    topo: Topology, src: str, dst: str, max_paths: Optional[int] = None
-) -> List[Tuple[str, ...]]:
-    """Equal-cost multipath set, optionally truncated to ``max_paths``.
-
-    Data-center topologies (UNIV1) exploit multipath heavily — the reason
-    Fig. 10 shows the biggest TCAM savings there: without tagging, sub-class
-    classification rules must appear on *every* ECMP path.
-    """
-    paths = all_shortest_paths(topo, src, dst)
-    if max_paths is not None:
-        paths = paths[:max_paths]
-    return paths
-
-
 class Router:
     """Caching single-path or ECMP router over a topology.
+
+    One Dijkstra per source: the first path asked from a switch keeps its
+    shortest-path DAG, and every later destination from it is read off
+    that DAG.
 
     Args:
         topo: the topology to route over.
         ecmp: when True, :meth:`paths` returns the full equal-cost set and
             :meth:`path` the deterministic first one; when False both use the
-            single deterministic shortest path.
+            single deterministic shortest path.  Data-center topologies
+            (UNIV1) use multipath heavily, which is why Fig. 10 shows the
+            biggest TCAM savings there: without tagging, sub-class
+            classification rules must appear on every ECMP path.
         max_ecmp: cap on returned ECMP paths.
     """
 
@@ -116,6 +113,8 @@ class Router:
         self.ecmp = ecmp
         self.max_ecmp = max_ecmp
         self._cache: Dict[Tuple[str, str], List[Tuple[str, ...]]] = {}
+        #: source → its shortest-path DAG (see :func:`_predecessors`).
+        self._dags: Dict[str, Dict[str, List[str]]] = {}
 
     def paths(self, src: str, dst: str) -> List[Tuple[str, ...]]:
         """All paths routing would use for (src, dst)."""
@@ -123,13 +122,14 @@ class Router:
         if key not in self._cache:
             if src == dst:
                 self._cache[key] = [(src,)]
-            elif self.ecmp:
-                self._cache[key] = ecmp_paths(self.topo, src, dst, self.max_ecmp)
             else:
-                self._cache[key] = [shortest_path(self.topo, src, dst)]
+                pred = self._dags.get(src)
+                if pred is None:
+                    pred = self._dags[src] = _predecessors(self.topo, src)
+                paths = all_shortest_paths(self.topo, src, dst, pred)
+                self._cache[key] = paths[: self.max_ecmp if self.ecmp else 1]
         return self._cache[key]
 
     def path(self, src: str, dst: str) -> Tuple[str, ...]:
         """The deterministic primary path for (src, dst)."""
         return self.paths(src, dst)[0]
-

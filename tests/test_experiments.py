@@ -46,13 +46,13 @@ def test_pinned_quick_seed1_signatures():
 
     tenants = multi_tenant.run(seed=1, quick=True)
     assert [(row[0], row[-1]) for row in tenants.rows] == [
-        (8, "572252533493d43d"),
-        (16, "7a0cba55ab055dab"),
+        (8, "bcb13ebb0b5f6288"),
+        (16, "871706056561d504"),
     ]
     crash = controller_crash.run(seed=1, quick=True)
     signature = crash.columns.index("Signature")
     assert [(row[0], row[signature]) for row in crash.rows] == [
-        (name, "7fcdfe243983c31b")
+        (name, "592d4aeef946fa95")
         for name in ("baseline", "crash#1", "crash#2", "all-crashes")
     ]
 

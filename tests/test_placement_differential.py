@@ -105,7 +105,7 @@ def test_every_placement_of_a_churn_history():
         churn_counts.run_history(
             churn_counts.Counts(), 16, derive(0, "pipeline.history.0")
         )
-    assert len(calls) == 50
+    assert len(calls) == 55
     _same_plans(calls)
 
 

@@ -1,6 +1,9 @@
 """Crash tolerance: journal, checkpoint/restore, deterministic recovery."""
 
 import json
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.resilience import (
     recover,
 )
 from repro.resilience.checkpoint import capture
-from repro.resilience.journal import KINDS, record_id
+from repro.resilience.journal import EPOCH, KINDS, record_id
 from repro.sim.kernel import Simulator
 from repro.tenancy import (
     CreateChain,
@@ -33,6 +36,10 @@ from repro.tenancy import (
 from repro.tenancy.bus import IntentBus
 from repro.tenancy.intents import intent_from_payload, intent_to_payload
 from repro.topology.datasets import internet2
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
+
+import churn_counts  # noqa: E402
 
 SEED = 3
 
@@ -242,6 +249,42 @@ def test_crash_recovers_however_long_the_journal():
     base = run_once(5, 2, 0)
     for t in (12.0, 22.0, 32.0):
         _assert_recovered(run_once(5, 2, 0, events=(_crash_event(t),)), base)
+
+
+def test_mid_epoch_crash_leaves_running_instances_charged():
+    """A crash while a push is on the wire harvests both epochs' instances.
+    Recovery re-adopts them, and the first push after the restore retires
+    the ones its rules no longer reference: at the horizon each host's
+    running-instance cores equal the arbiter's steady charge and fit it."""
+    base = run_once(5, 2, 0)
+    pushed_at = next(
+        rec.time for rec in base.journal.of_kind(EPOCH)
+        if rec.payload["event"] == "push" and rec.time > 10.0
+    )
+    seen = {}
+    crash, stop = TenantOrchestrator.crash, TenantOrchestrator.stop
+
+    def crash_and_look(orch):
+        seen["open"] = [
+            t for t, w in sorted(orch.workers.items())
+            if w.fabric is not None and w.fabric.epoch > w.fabric.converged_epoch
+        ]
+        return crash(orch)
+
+    def look_and_stop(orch):
+        if not orch.dead:
+            seen["running"] = churn_counts.running_cores(orch)
+            seen["steady"] = churn_counts.steady_cores(orch)
+            seen["physical"] = orch.arbiter.physical
+        return stop(orch)
+
+    with mock.patch.object(TenantOrchestrator, "crash", crash_and_look), \
+            mock.patch.object(TenantOrchestrator, "stop", look_and_stop):
+        out = run_once(5, 2, 0, events=(_crash_event(pushed_at + 0.01),))
+    assert seen["open"], "the crash did not land while an epoch was open"
+    _assert_recovered(out, base)
+    assert seen["running"] == seen["steady"]
+    assert all(c <= seen["physical"][h] for h, c in seen["running"].items())
 
 
 def _small_world(seed=SEED):

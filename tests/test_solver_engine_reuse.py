@@ -19,11 +19,9 @@ from repro.core.constraints import assemble_placement_lp
 from repro.core.engine import EngineConfig, OptimizationEngine
 from repro.experiments.harness import standard_setup
 from repro.parallel import parallel_map
-from repro.sim.kernel import Simulator
 from repro.sim.rng import derive
 from repro.solver import lp as lp_module
 from repro.solver.lp import SolverError, solve_lp
-from repro.tenancy import CapacityArbiter
 from repro.topology.datasets import internet2
 from repro.topology.routing import Router
 from repro.traffic.classes import TrafficClass
@@ -72,15 +70,11 @@ def _series_lps(topology, snapshots):
 
 
 def _tenant_templates(count, seed):
-    """Placements the size a churn tenant submits: 1–3 chains in one grant."""
+    """Placements the size a churn tenant submits: 1–3 chains, each path
+    host given a seeded core budget between 4 and 32 (tight enough that the
+    ceiling repair has budgets to trip on)."""
     topo = internet2(default_host_cores=160)
     router = Router(topo)
-    arbiter = CapacityArbiter(
-        Simulator(seed=0),
-        {s: spec.cores for s, spec in topo.hosts.items()},
-        tcam_budget=100_000,
-        catalog=DEFAULT_CATALOG,
-    )
     engine = OptimizationEngine(DEFAULT_CATALOG, EngineConfig())
     rng = np.random.default_rng(derive(seed, "tests.engine_reuse.tenants"))
     pops = sorted(topo.hosts)
@@ -98,11 +92,9 @@ def _tenant_templates(count, seed):
                     rate_mbps=float(rng.uniform(20.0, 900.0)),
                 )
             )
-        status, grant = arbiter.request(f"t{t}", classes, resume=lambda g: None)
-        assert status == arbiter.GRANTED
-        template = _template(engine, classes, grant.cores)
-        arbiter.release(f"t{t}")
-        yield template
+        hosts = sorted({sw for cls in classes for sw in cls.path if sw in topo.hosts})
+        cores = {sw: int(rng.integers(4, 33)) for sw in hosts}
+        yield _template(engine, classes, cores)
 
 
 def _repair_steps(template):

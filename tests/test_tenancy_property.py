@@ -1,34 +1,51 @@
 """Property tests: tenant isolation under arbitrary intent interleavings.
 
-Two properties the tenancy subsystem is built around:
+Four properties the tenancy subsystem is built around:
 
 * **Interleaving independence** — with ample capacity, each tenant's
   final deployment (blueprint, southbound state signature, placement
   quantities) is a function of *its own* intent sequence only.  Hypothesis
   draws cross-tenant interleavings (per-tenant FIFO order preserved — the
   bus guarantees that much) and every interleaving must end in the same
-  per-tenant signatures as the canonical order.  This holds because the
-  arbiter's need computation is a pure function of (classes, physical
-  topology): contention can delay a grant but never reshape it.
+  per-tenant signatures as the canonical order.  This holds because each
+  tenant's plan is a pure function of (classes, physical topology,
+  catalog): contention can delay the arbiter's charge but never reshape
+  the plan.
 
 * **Same-seed bit-identity** — one seed is one platform history; two
   full runs produce identical platform state signatures.
+
+* **A plan that fits the substrate is admitted** — any class set the
+  engine places on the physical pool is granted at once by an empty
+  arbiter.
+
+* **The ledgers balance** — after any sequence of requests, settlements,
+  releases and admission timeouts, ``steady + inflight + free ==
+  physical`` on every switch and ``oversubscribed()`` is False.
 """
 
 from functools import lru_cache
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from repro.core.engine import OptimizationEngine, PlacementError
+from repro.core.reconfigure import realize
+from repro.core.rulegen import RuleGenerator
 from repro.sim.kernel import Simulator
 from repro.tenancy import (
+    CapacityArbiter,
     CreateChain,
     DeleteChain,
     ScaleChain,
     TenantOrchestrator,
     UpdateRates,
 )
+from repro.tenancy.orchestrator import DEFAULT_TCAM_BUDGET
 from repro.topology.datasets import internet2
+from repro.topology.routing import Router
+from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import STANDARD_CHAINS
+from repro.vnf.types import DEFAULT_CATALOG
 
 HORIZON = 40.0
 
@@ -105,3 +122,115 @@ def test_same_seed_platform_history_bit_identical(seed):
         return orch.state_signature()
 
     assert run() == run()
+
+
+# ----------------------------------------------------------------------
+# The arbiter admits every plan that fits, and its ledgers balance
+# ----------------------------------------------------------------------
+_TOPO = internet2(default_host_cores=16)  # tight: some class sets do not fit
+_ROUTER = Router(_TOPO)
+_POPS = sorted(_TOPO.hosts)
+_ENGINE = OptimizationEngine()
+_RULEGEN = RuleGenerator(DEFAULT_CATALOG)
+
+class_specs = st.lists(
+    st.tuples(
+        st.sampled_from(_POPS),
+        st.sampled_from(_POPS),
+        st.integers(0, len(STANDARD_CHAINS) - 1),
+        st.sampled_from([5.0, 80.0, 300.0, 900.0, 2500.0]),
+    ).filter(lambda spec: spec[0] != spec[1]),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(specs=class_specs)
+@settings(max_examples=40, deadline=None)
+def test_every_plan_that_fits_the_substrate_is_granted(specs):
+    classes = [
+        TrafficClass(
+            f"t/c{k}", src, dst, _ROUTER.path(src, dst), STANDARD_CHAINS[chain], rate
+        )
+        for k, (src, dst, chain, rate) in enumerate(specs)
+    ]
+    arbiter = CapacityArbiter(
+        Simulator(seed=0),
+        {s: h.cores for s, h in _TOPO.hosts.items()},
+        DEFAULT_TCAM_BUDGET,
+    )
+    try:
+        plan = _ENGINE.place(classes, arbiter.physical)
+    except PlacementError:
+        event("refused by the engine")  # the arbiter is never asked
+        return
+    event("placed")
+    _subclasses, rules = realize(_RULEGEN, plan)
+    status = arbiter.request(
+        "t", plan.cores_by_switch(), rules.classification_rule_count(), resume=None
+    )
+    assert status == arbiter.GRANTED
+    assert not arbiter.oversubscribed()
+
+
+_PHYSICAL = {"s0": 8, "s1": 6, "s2": 4}
+_TENANTS = ("tA", "tB", "tC")
+
+arbiter_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("request"),
+            st.sampled_from(_TENANTS),
+            st.dictionaries(st.sampled_from(sorted(_PHYSICAL)), st.integers(0, 9)),
+            st.integers(0, 70),
+            st.integers(0, 2),
+        ),
+        st.tuples(st.sampled_from(["settle", "release"]), st.sampled_from(_TENANTS)),
+        st.tuples(st.just("advance"), st.floats(0.0, 6.0)),
+    ),
+    max_size=40,
+)
+
+
+@given(ops=arbiter_ops)
+@settings(max_examples=60, deadline=None)
+def test_ledgers_balance_after_any_sequence(ops):
+    """Ops follow the worker's protocol: a tenant requests only when it has
+    no op charged or parked, settles only a charged op, and tears down only
+    when nothing of it is parked."""
+    sim = Simulator(seed=0)
+    arbiter = CapacityArbiter(sim, _PHYSICAL, tcam_budget=64, admission_timeout=5.0)
+    state = {t: "idle" for t in _TENANTS}
+
+    def resume(tenant, granted):
+        state[tenant] = "charged" if granted else "idle"
+
+    for op in ops:
+        kind = op[0]
+        if kind == "request" and state[op[1]] == "idle":
+            _, tenant, need, tcam, priority = op
+            status = arbiter.request(
+                tenant, need, tcam, resume=lambda ok, t=tenant: resume(t, ok),
+                priority=priority,
+            )
+            state[tenant] = {
+                arbiter.GRANTED: "charged", arbiter.QUEUED: "parked",
+                arbiter.REJECTED: "idle",
+            }[status]
+        elif kind == "settle" and state[op[1]] == "charged":
+            arbiter.settle(op[1])
+            state[op[1]] = "idle"
+        elif kind == "release" and state[op[1]] != "parked":
+            arbiter.release(op[1])
+            state[op[1]] = "idle"
+        elif kind == "advance":
+            sim.run(until=sim.now + op[1])
+        assert not arbiter.oversubscribed()
+        for sw, cap in _PHYSICAL.items():
+            charged = sum(
+                m.get(sw, 0)
+                for ledger in (arbiter.steady, arbiter.inflight)
+                for m in ledger.values()
+            )
+            assert charged + arbiter.free[sw] == cap
+        assert 0 <= arbiter.tcam_free <= arbiter.tcam_budget

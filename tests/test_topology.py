@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -23,13 +24,8 @@ from repro.topology.datasets import (
 )
 from repro.topology.generators import isp_like, two_tier_datacenter
 from repro.topology.graph import AppleHostSpec, Link, Topology
-from repro.topology.routing import (
-    all_shortest_paths,
-    ecmp_paths,
-    NoPath,
-    Router,
-    shortest_path,
-)
+from repro.topology import routing
+from repro.topology.routing import all_shortest_paths, NoPath, Router
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,7 +118,7 @@ def _square():
 
 def test_shortest_path_deterministic_tie_break():
     topo = _square()
-    assert shortest_path(topo, "a", "d") == ("a", "b", "d")  # lexicographic
+    assert Router(topo).path("a", "d") == ("a", "b", "d")  # lexicographic
 
 
 def test_all_shortest_paths():
@@ -133,7 +129,7 @@ def test_all_shortest_paths():
 
 def test_ecmp_paths_truncation():
     topo = _square()
-    assert len(ecmp_paths(topo, "a", "d", max_paths=1)) == 1
+    assert Router(topo, ecmp=True, max_ecmp=1).paths("a", "d") == [("a", "b", "d")]
 
 
 def test_router_caching_and_modes():
@@ -159,16 +155,17 @@ def test_weighted_shortest_path():
         ["a", "b", "c"],
         [Link("a", "b", weight=10.0), Link("a", "c", weight=1.0), Link("c", "b", weight=1.0)],
     )
-    assert shortest_path(topo, "a", "b") == ("a", "c", "b")
+    assert Router(topo).path("a", "b") == ("a", "c", "b")
 
 
 def test_no_path_across_a_partition():
     topo = Topology("split", ["a", "b", "c"], [Link("a", "b")])
     assert not topo.is_connected()
+    router = Router(topo)
     with pytest.raises(NoPath):
-        shortest_path(topo, "a", "c")
+        router.path("a", "c")
     with pytest.raises(KeyError):
-        shortest_path(topo, "zz", "a")
+        router.path("zz", "a")
 
 
 def test_bridges_of_a_barbell():
@@ -199,6 +196,33 @@ def test_every_route_equals_networkx(topo):
             assert all_shortest_paths(topo, src, dst) == _oracle_paths(graph, src, dst)
     assert topo.bridges() == {Topology.link_key(u, v) for u, v in nx.bridges(graph)}
     assert topo.is_connected()
+
+
+@pytest.mark.parametrize("ecmp", [False, True])
+@pytest.mark.parametrize("name", ["geant", "as3679"])
+def test_router_runs_one_dijkstra_per_source(name, ecmp):
+    """Routing every ordered pair runs Dijkstra once per source, in the
+    order the sources are first asked for, and reads the same sorted paths
+    networkx finds (the first one, or the first ``max_ecmp``)."""
+    topo = load_topology(name)
+    graph = _oracle(topo)
+    sources = []
+    dijkstra = routing._predecessors
+
+    def counted(topo, src):
+        sources.append(src)
+        return dijkstra(topo, src)
+
+    router = Router(topo, ecmp=ecmp)
+    with mock.patch.object(routing, "_predecessors", counted):
+        for src in topo.switches:
+            for dst in topo.switches:
+                expected = _oracle_paths(graph, src, dst)
+                assert router.paths(src, dst) == expected[: 4 if ecmp else 1]
+        for src in topo.switches:  # all cached now
+            for dst in topo.switches:
+                router.paths(src, dst)
+    assert sources == list(topo.switches)
 
 
 #: Weights whose float sums tie or miss by an ulp (0.1 + 0.2 != 0.3), and

@@ -58,8 +58,25 @@ A fabric at rest now parks its reconciler (no tick is scheduled until a
 push, a transaction end, a (dis)connect or a rule mutation wakes it), an
 in-sync switch shares one empty diff and the static entries are shared per
 switch name.  ``reconcile_ticks`` — read from the fabrics' own metrics, the
-number their signatures carry — stays 1,779: the ticks a parked reconciler
+number their signatures carry — stayed 1,779: the ticks a parked reconciler
 skips are counted as the idle ticks they would have been.
+
+At commit 7f70cf4 each tenant op solved inside a grant sized by a separate
+estimate, and the history read 50 ``place()`` calls, 3 of them refused
+(``PlacementError`` inside the grant), 138 LP solves, 20 warm; 16 channels,
+43 messages, 1,779 reconcile ticks; 464 simulator events, 40 reconcile diff
+evaluations, 22 ``SwitchDiff`` and 64 ``TcamEntry`` objects.  A tenant now
+plans on the whole physical pool and the arbiter charges that plan, so:
+
+* every blueprint places, in one LP solve each (no budget for the ceiling
+  repair to trip on), and the 3 refused creates complete — with them the 4
+  later intents on their chains, which were tenant-scoped misses, and one
+  more re-plan: 55 calls, 57 of 58 intents completed instead of 50;
+* plans re-solved on the full host set move instances between hosts more
+  often than plans confined to a grant did (at 7f70cf4, 16 of 31 pushes
+  touched no switch; now 5 of 39), so the wire work grows: 60 channels,
+  171 messages, 1,893 reconcile ticks, 730 events, 50 diff evaluations,
+  128 ``SwitchDiff`` and 128 ``TcamEntry`` objects.
 """
 
 import sys
@@ -89,14 +106,14 @@ PINNED_GEANT = {
 }
 
 PINNED_CHURN = {
-    "places": 50,
-    "solves_per_place": {1: 1, 2: 22, 3: 19, 4: 4, 5: 4},
-    "assemblies": 30,
-    "warm_places": 20,
-    "failed_places": 3,
-    "consolidated": 1,
-    "objective": 148.0,
-    "plans": "e81c06b83dee44ec",
+    "places": 55,
+    "solves_per_place": {1: 55},
+    "assemblies": 32,
+    "warm_places": 23,
+    "failed_places": 0,
+    "consolidated": 6,
+    "objective": 178.0,
+    "plans": "edac8d6c885dc777",
 }
 
 
@@ -126,17 +143,17 @@ REMOVED_GEANT_RECONFIG = {
 }
 
 PINNED_CHURN_SOUTHBOUND = {
-    "channels_built": 16,
-    "messages": 43,
+    "channels_built": 60,
+    "messages": 171,
     "retries": 0,
-    "reconcile_ticks": 1779,
+    "reconcile_ticks": 1893,
 }
 
 PINNED_CHURN_IDLE = {
-    "sim_events": 464,
-    "reconcile_evaluations": 40,
-    "switch_diffs_built": 22,
-    "entries_built": 64,
+    "sim_events": 730,
+    "reconcile_evaluations": 50,
+    "switch_diffs_built": 128,
+    "entries_built": 128,
 }
 
 
@@ -213,6 +230,16 @@ def test_geant_placement_work_is_pinned():
 
 def test_churn_placement_work_is_pinned():
     assert churn_counts_16() == PINNED_CHURN
+
+
+def test_churn_tenants_solve_once_and_are_never_refused():
+    """A tenant plans on the whole physical pool, which every blueprint of
+    the history fits: one LP solve per ``place()`` and no ``PlacementError``
+    (the certificate-sized grants it replaced refused 3 of 50 calls here
+    and averaged 2.76 solves per call)."""
+    counts = _churn_history_16()
+    assert counts.failed_places == 0
+    assert dict(counts.solves_per_place) == {1: counts.places}
 
 
 def test_geant_reconfiguration_wire_work_is_pinned():

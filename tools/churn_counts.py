@@ -26,9 +26,14 @@ Usage::
     PYTHONPATH=src python tools/churn_counts.py --tenants 16 --check
 
 ``--check`` exits 1 when a channel was built for a switch that was never
-sent a message (channels are built on first use), or when, at the horizon,
-a converged fabric with no open transaction still holds an armed reconcile
-event (a fabric at rest schedules nothing).
+sent a message (channels are built on first use); when, at the horizon, a
+converged fabric with no open transaction still holds an armed reconcile
+event (a fabric at rest schedules nothing); when any ``place()`` raised
+``PlacementError`` (a tenant plans on the whole physical pool, which the
+churn's blueprints always fit); or when, at the horizon, the VNF instances
+running in the live tenant fabrics hold, on some host, other than the
+cores the arbiter charges there as ``steady`` (an instance a re-plan
+retired and nobody drained), or more than the host has.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import time
 import weakref
 from collections import Counter
 from contextlib import ExitStack
-from typing import List, Optional
+from typing import Dict, List, Optional
 from unittest import mock
 
 import repro.core.engine as engine_module
@@ -120,6 +125,11 @@ class Counts:
         self.promoted_types: Counter = Counter()
         self.history_seconds = 0.0
         self.armed_at_rest = 0
+        #: Hosts, summed over histories, whose running-instance cores at
+        #: the horizon differ from the arbiter's ``steady`` charge there /
+        #: exceed the host's physical cores.
+        self.uncharged_hosts = 0
+        self.overfull_hosts = 0
         self._solves = 0
         self._gc_started = 0.0
         self._young = 0
@@ -319,12 +329,38 @@ def run_history(counts: Counts, tenants: int, seed: int) -> None:
         counts.armed_at_rest += sum(
             1 for fabric in live_fabrics(orch) if armed_at_rest(fabric)
         )
+        running, steady = running_cores(orch), steady_cores(orch)
+        counts.uncharged_hosts += sum(
+            running.get(h, 0) != steady.get(h, 0) for h in {*running, *steady}
+        )
+        counts.overfull_hosts += sum(
+            c > orch.arbiter.physical.get(h, 0) for h, c in running.items()
+        )
         orch.stop()
         counts.history_seconds += time.perf_counter() - started
 
 
 def live_fabrics(orch: TenantOrchestrator) -> list:
     return [w.fabric for _t, w in sorted(orch.workers.items()) if w.fabric]
+
+
+def running_cores(orch: TenantOrchestrator) -> Dict[str, int]:
+    """Cores per host of the VNF instances running in live tenant fabrics."""
+    cores: Dict[str, int] = {}
+    for fabric in live_fabrics(orch):
+        for inst in fabric.instances.values():
+            if inst.running:
+                cores[inst.switch] = cores.get(inst.switch, 0) + inst.nf_type.cores
+    return cores
+
+
+def steady_cores(orch: TenantOrchestrator) -> Dict[str, int]:
+    """Cores per host the arbiter charges as settled (``steady``)."""
+    cores: Dict[str, int] = {}
+    for ledger in orch.arbiter.steady.values():
+        for host, c in ledger.items():
+            cores[host] = cores.get(host, 0) + c
+    return cores
 
 
 def armed_at_rest(fabric: SouthboundFabric) -> bool:
@@ -377,6 +413,8 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"objects built        {counts.switch_diffs_built} SwitchDiff, "
         f"{counts.entries_built} TcamEntry",
         f"armed at rest        {counts.armed_at_rest} fabrics at the horizon",
+        f"running != steady    {counts.uncharged_hosts} host-histories "
+        f"({counts.overfull_hosts} above physical)",
         f"collector in-history {counts.gc_seconds:.3f} s of "
         f"{counts.history_seconds:.3f} s ({passes or 'no passes'})",
         f"promoted per history {counts.promoted / per:,.0f} "
@@ -394,7 +432,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check",
         action="store_true",
         help="exit 1 if more channels were built than were sent a message, "
-        "or a fabric at rest still ticks at the horizon",
+        "a fabric at rest still ticks at the horizon, a place() raised "
+        "PlacementError, or running instances hold other cores than the "
+        "arbiter charges",
     )
     args = parser.parse_args(argv)
     counts = Counts(census=True)
@@ -411,6 +451,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         failures.append(
             f"{counts.armed_at_rest} converged fabrics with no open "
             "transaction still hold an armed reconcile event at the horizon"
+        )
+    if counts.failed_places:
+        failures.append(f"{counts.failed_places} place() calls raised PlacementError")
+    if counts.uncharged_hosts or counts.overfull_hosts:
+        failures.append(
+            f"at the horizon, running instances hold other cores than the "
+            f"arbiter's steady charge on {counts.uncharged_hosts} "
+            f"host-histories ({counts.overfull_hosts} above physical)"
         )
     if args.check and failures:
         for failure in failures:
