@@ -4,8 +4,8 @@ The failure-study subsystem (DESIGN.md, "Failure model & recovery"):
 seeded declarative fault schedules (:mod:`repro.chaos.schedule`) are
 applied to a live simulation (:mod:`repro.chaos.injector`), noticed by a
 heartbeat detector (:mod:`repro.chaos.detector`), and repaired by the
-controller's interference-free re-plan step, which
-:mod:`repro.chaos.recovery` triggers, with
+tenant worker that owns the deployment, through the re-plan intents
+:mod:`repro.chaos.recovery` submits, with
 downtime/violation accounting in :mod:`repro.chaos.metrics` and one-stop
 wiring in :mod:`repro.chaos.runner`.
 """

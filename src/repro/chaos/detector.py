@@ -23,13 +23,15 @@ The suspicion book-keeping is :class:`repro.cloud.monitoring.LivenessTracker`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.chaos.schedule import LINK_SEP
 from repro.cloud.monitoring import LivenessTracker
-from repro.core.controller import AppleController
-from repro.sim.kernel import Simulator, Timer
+from repro.sim.kernel import Timer
 from repro.topology.graph import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.tenancy.worker import TenantWorker
 
 
 #: Seconds between heartbeat rounds.
@@ -54,20 +56,19 @@ class FailureDetector:
     """Periodic heartbeat scan over the live deployment.
 
     Args:
-        sim: shared simulator (heartbeats ride on its clock).
-        controller: monitored deployment + topology ground truth.
+        worker: the tenant worker owning the monitored deployment; its
+            orchestrator's topology is the ground truth.
         on_detect: callback receiving each tick's fresh detections
             (recovery's entry point).
     """
 
     def __init__(
         self,
-        sim: Simulator,
-        controller: AppleController,
+        worker: "TenantWorker",
         on_detect: Optional[Callable[[List[Detection]], None]] = None,
     ) -> None:
-        self.sim = sim
-        self.controller = controller
+        self.sim = worker.orch.sim
+        self.worker = worker
         self.on_detect = on_detect
         self._instances = LivenessTracker(MISS_THRESHOLD)
         self._hosts = LivenessTracker(MISS_THRESHOLD)
@@ -89,26 +90,24 @@ class FailureDetector:
     def tick(self) -> List[Detection]:
         """One heartbeat round; returns (and dispatches) fresh detections."""
         now = self.sim.now
-        topo = self.controller.topo
-        deployment = self.controller.deployment
+        topo = self.worker.orch.topo
+        deployment = self.worker.deployment
         found: List[Detection] = []
 
-        if deployment is not None:
-            for key in sorted(deployment.instances):
-                inst = deployment.instances[key]
-                alive = inst.running and not topo.host_failed(inst.switch)
-                if alive:
-                    self._instances.beat(key, now)
-                    # The heartbeat carries a capacity self-report.
-                    nominal = inst.nf_type.capacity_mbps
-                    if inst.effective_capacity_mbps < DEGRADED_CAPACITY_RATIO * nominal:
-                        if self._health.miss(key):
-                            found.append(Detection(now, "brownout", key))
-                    else:
-                        self._health.beat(key, now)
+        for key in sorted(deployment.instances):
+            inst = deployment.instances[key]
+            alive = inst.running and not topo.host_failed(inst.switch)
+            if alive:
+                self._instances.beat(key, now)
+                # The heartbeat carries a capacity self-report.
+                nominal = inst.nf_type.capacity_mbps
+                if inst.effective_capacity_mbps < DEGRADED_CAPACITY_RATIO * nominal:
+                    if self._health.miss(key):
+                        found.append(Detection(now, "brownout", key))
                 else:
-                    if self._instances.miss(key):
-                        found.append(Detection(now, "instance", key))
+                    self._health.beat(key, now)
+            elif self._instances.miss(key):
+                found.append(Detection(now, "instance", key))
 
         for switch in sorted(topo.hosts):
             if topo.host_failed(switch):

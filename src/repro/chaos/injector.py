@@ -3,7 +3,7 @@
 Each :class:`~repro.chaos.schedule.FaultEvent` becomes one (or, for
 self-lifting faults, two) sim-kernel events.  Applying a fault mutates the
 *ground truth* only — the topology failure overlay, the data-plane failed
-link set, and the affected VNF instances — never the controller's view;
+link set, and the affected VNF instances — never the tenant worker's view;
 the detector has to notice, and recovery has to react, exactly as in a
 real deployment.
 
@@ -20,50 +20,41 @@ visible to the very next packet even before the epoch is consulted.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro import obs
 from repro.chaos.metrics import ChaosMetrics
 from repro.chaos.schedule import FaultEvent, FaultKind
-from repro.core.controller import AppleController
-from repro.sim.kernel import Simulator
 from repro.vnf.instance import VNFInstance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.southbound.fabric import SouthboundFabric
+    from repro.tenancy.worker import TenantWorker
 
 
 class FaultInjector:
     """Arms a :class:`FaultSchedule` on a simulator and applies its faults.
 
     Args:
-        sim: the shared simulator.
-        controller: the live controller (its ``deployment`` and ``topo``
-            are the ground truth being broken).
+        worker: the tenant worker owning the live deployment (its
+            ``deployment`` and its orchestrator's ``topo`` are the ground
+            truth being broken; ``SWITCH_DISCONNECT`` events sever a
+            switch's control channel on its fabric, not its data plane).
         schedule: what to break, when — a :class:`FaultSchedule`, or any
             sequence of fault events (the chaos engine concatenates its
             data-plane and control-plane schedules).
         metrics: event-plane recorder.
-        fabric: the control-plane fabric; ``SWITCH_DISCONNECT`` events
-            sever that switch's control channel on it, not its data plane.
-        on_fault: optional hook per applied fault (tests use it).
     """
 
     def __init__(
         self,
-        sim: Simulator,
-        controller: AppleController,
+        worker: "TenantWorker",
         schedule: Sequence[FaultEvent],
         metrics: ChaosMetrics,
-        fabric: "SouthboundFabric",
-        on_fault: Optional[Callable[[FaultEvent], None]] = None,
     ) -> None:
-        self.sim = sim
-        self.controller = controller
+        self.sim = worker.orch.sim
+        self.worker = worker
         self.schedule = schedule
         self.metrics = metrics
-        self.fabric = fabric
-        self.on_fault = on_fault
         self.applied: List[FaultEvent] = []
         #: Brownout target objects, so a lift never restores a replacement.
         self._browned: Dict[str, VNFInstance] = {}
@@ -78,20 +69,11 @@ class FaultInjector:
         return len(self.schedule)
 
     # ------------------------------------------------------------------
-    def _deployment(self):
-        deployment = self.controller.deployment
-        if deployment is None:
-            raise RuntimeError("fault injection needs a deployed placement")
-        return deployment
-
-    def _kill_instance(self, instance: VNFInstance) -> None:
-        instance.shutdown()
-
     def _apply(self, event: FaultEvent) -> None:
         with obs.span("chaos.inject", cat="chaos"):
-            deployment = self._deployment()
+            deployment = self.worker.deployment
             network = deployment.network
-            topo = self.controller.topo
+            topo = self.worker.orch.topo
             if event.kind is FaultKind.LINK_FLAP:
                 u, v = event.link_endpoints()
                 topo.fail_link(u, v)
@@ -102,12 +84,12 @@ class FaultInjector:
                 for inst in network.vswitch_at(event.target).instances():
                     if id(inst) not in seen:
                         seen.add(id(inst))
-                        self._kill_instance(inst)
+                        inst.shutdown()
                 network.invalidate_plans()
             elif event.kind is FaultKind.VNF_CRASH:
                 inst = deployment.instances.get(event.target)
                 if inst is not None and inst.running:
-                    self._kill_instance(inst)
+                    inst.shutdown()
                     network.invalidate_plans()
             elif event.kind is FaultKind.BROWNOUT:
                 inst = deployment.instances.get(event.target)
@@ -120,16 +102,14 @@ class FaultInjector:
                 # every southbound leg to/from this switch is lost until
                 # the lift.  No plan invalidation — the data plane is
                 # untouched by construction.
-                self.fabric.disconnect(event.target)
+                self.worker.fabric.disconnect(event.target)
             self.applied.append(event)
             self.metrics.fault_applied(event, self.sim.now)
-            if self.on_fault is not None:
-                self.on_fault(event)
 
     def _lift(self, event: FaultEvent) -> None:
-        deployment = self._deployment()
+        deployment = self.worker.deployment
         network = deployment.network
-        topo = self.controller.topo
+        topo = self.worker.orch.topo
         if event.kind is FaultKind.LINK_FLAP:
             u, v = event.link_endpoints()
             topo.restore_link(u, v)
@@ -143,5 +123,5 @@ class FaultInjector:
                 target.degrade(1.0)
                 network.invalidate_plans()
         elif event.kind is FaultKind.SWITCH_DISCONNECT:
-            self.fabric.reconnect(event.target)
+            self.worker.fabric.reconnect(event.target)
         self.metrics.fault_lifted(event, self.sim.now)

@@ -10,9 +10,7 @@ Two measurement planes:
   at a fixed cadence and scores delivery/policy/interference per tick;
   downtime and policy-violation-seconds integrate those ticks.
 
-Everything deterministic lives in :meth:`ChaosMetrics.to_dict`; wall-clock
-measurements (solver time, rule-push time) are reported separately via
-:meth:`ChaosMetrics.wall_clock` so the deterministic part is bit-identical
+Everything lives in :meth:`ChaosMetrics.to_dict`, which is bit-identical
 across same-seed runs (the acceptance criterion).
 """
 
@@ -58,7 +56,7 @@ class FaultRecord:
 
 @dataclass
 class ConvergenceRecord:
-    """One controller reaction: re-placement + rule push (+ verify)."""
+    """One recovery re-plan: re-placement + rule push (+ verify)."""
 
     time: float
     trigger: Tuple[str, ...]
@@ -74,15 +72,10 @@ class ConvergenceRecord:
     verify_ok: Optional[bool] = None
     failed: bool = False
     failure_reason: str = ""
-    #: A later reconvergence replaced this epoch before it converged; the
-    #: push counters and verify fields stay unset, ``time`` is when.
-    superseded: bool = False
     #: Retransmissions spent pushing this convergence.
     channel_retries: int = 0
-    #: Push -> zero drift everywhere (None when failed or superseded).
+    #: Push -> zero drift everywhere (None when failed).
     convergence_latency: Optional[float] = None
-    #: Wall-clock solver+push cost; excluded from the deterministic dict.
-    wall_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -165,12 +158,12 @@ class ChaosMetrics:
         self.convergences.append(record)
         self.note(
             record.time,
-            "superseded" if record.superseded else "recover",
+            "recover",
             f"classes={record.classes} rerouted={record.rerouted} "
             f"stranded={record.stranded} warm={record.warm_start} "
             f"flow_mods={record.flow_mods}",
         )
-        if record.failed or record.superseded:
+        if record.failed:
             return
         for rec in self.faults.values():
             if rec.detected_at is not None and rec.repaired_at is None:
@@ -268,9 +261,6 @@ class ChaosMetrics:
                     "failure_reason": c.failure_reason,
                     "channel_retries": c.channel_retries,
                     "convergence_latency": r6(c.convergence_latency),
-                    # Present only when set: runs without a superseded
-                    # epoch keep their pre-existing signatures.
-                    **({"superseded": True} if c.superseded else {}),
                 }
                 for c in self.convergences
             ],
@@ -294,16 +284,6 @@ class ChaosMetrics:
             "max_time_to_repair": r6(self.max_time_to_repair()),
         }
 
-    def wall_clock(self) -> dict:
-        """Non-deterministic wall-clock costs (reported, never compared)."""
-        return {
-            "convergence_wall_seconds": [
-                round(c.wall_seconds, 6) for c in self.convergences
-            ],
-            "total_convergence_wall_seconds": round(
-                sum(c.wall_seconds for c in self.convergences), 6
-            ),
-        }
 
 class ProbeLoop:
     """Fixed-cadence synthetic probes scoring the live data plane.

@@ -1,16 +1,18 @@
 """The chaos engine: schedule + injector + detector + recovery, one run.
 
-:class:`ChaosEngine` wires the whole failure study onto one simulator:
+:class:`ChaosEngine` adopts the controller's day-0 deployment (engine,
+rule generator, plan and wire) as the one tenant of a
+:class:`~repro.tenancy.orchestrator.TenantOrchestrator`, so every re-plan
+is an intent on its bus, charged by its arbiter and audited by its
+isolation audit, and wires the failure study onto one simulator:
 
 * the **injector** arms the deterministic fault schedule,
-* the **detector** heartbeat-scans the deployment,
-* the **recovery manager** reconverges on each verdict batch,
+* the **detector** heartbeat-scans the worker's deployment,
+* the **recovery manager** submits one re-plan per verdict batch,
 * the **probe loop** scores the data plane at a fixed cadence.
 
-:meth:`ChaosEngine.run` drives the simulation and returns a
-:class:`ChaosRunResult` whose ``metrics`` dict is bit-identical across
-same-seed runs; wall-clock costs and the final verification report ride
-alongside, outside the deterministic part.
+:meth:`ChaosEngine.run` returns a :class:`ChaosRunResult` whose
+``metrics`` dict is bit-identical across same-seed runs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from repro.dataplane.network import NetworkStats
 from repro.sim.kernel import Simulator
 from repro.southbound.fabric import SouthboundFabric
 
+#: The one tenant of a chaos run (class ids keep the controller's names).
+TENANT = "apple"
+
 
 @dataclass
 class ChaosRunResult:
@@ -41,14 +46,15 @@ class ChaosRunResult:
     reconvergences: int
     #: Deterministic metrics export (bit-identical across same-seed runs).
     metrics: dict
-    #: Wall-clock convergence costs (reported, never compared).
-    wall_clock: dict
     schedule_signature: str
     final_verify_ok: bool
     final_verify_summary: str
     final_policy_violations: int
     final_interference_violations: int
     network_stats: NetworkStats
+    #: The orchestrator's isolation audit (running instances charged and
+    #: within the hosts); must be 0.
+    cross_tenant_violation_seconds: float
     #: Signature of the control-plane fault schedule (``None`` when the
     #: run had none).
     southbound_signature: Optional[str] = None
@@ -73,18 +79,18 @@ class ChaosEngine:
     Args:
         sim: the shared simulator (traffic, heartbeats and faults all ride
             on its clock).
-        controller: a controller with a live deployment.
+        controller: a controller with a day-0 deployment; its engine, rule
+            generator and deployment are adopted, not rebuilt (warm
+            templates carry over), and it plans nothing after day 0.
         schedule: the deterministic fault schedule (may be empty — an
-            empty schedule attached must leave the run bit-identical to a
-            plain run, the no-op regression).
-        southbound: a configured
-            :class:`~repro.southbound.fabric.SouthboundFabric` over the
-            deployment's network (lossy channels, ``drain_retired``, …);
-            left out, the engine builds the default loss-free one and has
-            it adopt the deployment as epoch 0.  Recovery commits flow
-            through it, its reconciler runs for the whole study,
-            circuit-breaker events feed the detection timeline, and the
-            probe loop scores interference against its live (acked) paths.
+            empty schedule must leave the run bit-identical to a plain
+            run, the no-op regression).
+        southbound: a configured fabric over the deployment's network
+            (lossy channels, …) that drains what an epoch retires
+            (``drain_retired=True``); left out, the worker's default
+            loss-free one.  Its circuit-breaker events feed the detection
+            timeline, and the probe loop scores interference against its
+            live (acked) paths.
         southbound_schedule: control-plane fault schedule (switch
             disconnects), injected alongside ``schedule``.
     """
@@ -97,33 +103,49 @@ class ChaosEngine:
         southbound: Optional[SouthboundFabric] = None,
         southbound_schedule: Optional[FaultSchedule] = None,
     ) -> None:
+        # Here, not at the top: repro.southbound imports repro.chaos first.
+        from repro.tenancy.orchestrator import TenantOrchestrator
+        from repro.tenancy.worker import TenantWorker
+
+        deployment = controller.deployment
+        self.orch = TenantOrchestrator(controller.topo, sim, seed=schedule.seed)
+        worker = self.worker = TenantWorker(TENANT, self.orch)
+        self.orch.workers[TENANT] = worker
+        worker.engine = controller.engine
+        worker.rulegen = controller.rule_generator
         if southbound is None:
-            southbound = SouthboundFabric(
-                sim,
-                controller.deployment.network,
-                schedule.seed,
-                controller.rule_generator,
+            southbound = worker.new_fabric(deployment.network)
+        elif not southbound.drain_retired:
+            raise ValueError(
+                "a tenant fabric drains what an epoch retires: "
+                "build it with drain_retired=True"
             )
-        if southbound.desired is None:
-            controller.attach_southbound(southbound)
+        plan, rules = deployment.plan, deployment.rules
+        # Chain ids that sort in day-0 order: the worker re-plans in that
+        # order, so the controller's warm templates carry over.
+        worker.adopt(
+            {f"{k:06d}": c for k, c in enumerate(plan.classes)},
+            (plan, deployment.subclass_plan, rules),
+            southbound,
+            deployment.instances,
+        )
+        # The day-0 plan, charged as an epoch granted and settled.
+        cores = plan.cores_by_switch()
+        self.orch.arbiter.request(
+            TENANT, cores, rules.classification_rule_count(), resume=None
+        )
+        self.orch.arbiter.settle(TENANT, cores)
         self.sim = sim
-        self.controller = controller
         self.schedule = schedule
         self.southbound = southbound
         self.southbound_schedule = southbound_schedule
         self.metrics = ChaosMetrics()
-        self.recovery = RecoveryManager(sim, controller, self.metrics, southbound)
-        self.detector = FailureDetector(
-            sim, controller, on_detect=self.recovery.on_detections
-        )
+        self.recovery = RecoveryManager(worker, self.metrics)
+        self.detector = FailureDetector(worker, self.recovery.on_detections)
         # One injector, both schedules: data-plane faults first, then the
         # control-plane disconnects (arming order breaks same-time ties).
         self.injector = FaultInjector(
-            sim,
-            controller,
-            (*schedule, *(southbound_schedule or ())),
-            self.metrics,
-            southbound,
+            worker, (*schedule, *(southbound_schedule or ())), self.metrics
         )
         southbound.on_degraded = (
             lambda sw, now: self.metrics.detection("southbound", sw, now)
@@ -131,7 +153,7 @@ class ChaosEngine:
         southbound.on_restored = lambda sw, now: self.metrics.repair(sw, now)
         self.probes = ProbeLoop(
             sim,
-            lambda: controller.deployment,
+            lambda: worker.deployment,
             on_tick=self.metrics.record_tick,
             expected_path_fn=southbound.active_path,
         )
@@ -144,9 +166,9 @@ class ChaosEngine:
             return
         self._started = True
         self.injector.arm()
-        self.southbound.start()
         self.detector.start()
         self.probes.start()
+        self.orch.start()
 
     def run(self, until: float) -> ChaosRunResult:
         """Drive the simulation to ``until`` and finalize."""
@@ -163,33 +185,33 @@ class ChaosEngine:
         """
         self.detector.stop()
         self.probes.stop()
-        self.southbound.stop()
+        self.orch.stop()
         metrics_dict = self.metrics.to_dict()
         metrics_dict["southbound"] = self.southbound.metrics.to_dict()
-        wall = self.metrics.wall_clock()
         collect_chaos(self.metrics)
         trace_chaos_timeline(self.metrics)
-        report = verify_deployment(
-            self.controller.deployment, self.controller.topo
-        )
+        deployment = self.worker.deployment
+        report = verify_deployment(deployment, self.orch.topo)
         policy = sum(1 for v in report.violations if v.kind == "policy")
         interference = sum(
             1 for v in report.violations if v.kind == "interference"
         )
-        stats = self.controller.deployment.network.stats_snapshot()
+        stats = deployment.network.stats_snapshot()
         return ChaosRunResult(
             seed=self.schedule.seed,
             faults_injected=len(self.injector.applied),
             faults_detected=self.metrics.detected_count(),
             reconvergences=self.recovery.reconvergences,
             metrics=metrics_dict,
-            wall_clock=wall,
             schedule_signature=self.schedule.signature(),
             final_verify_ok=report.ok,
             final_verify_summary=report.summary(),
             final_policy_violations=policy,
             final_interference_violations=interference,
             network_stats=stats,
+            cross_tenant_violation_seconds=(
+                self.orch.cross_tenant_violation_seconds
+            ),
             southbound_signature=(
                 self.southbound_schedule.signature()
                 if self.southbound_schedule is not None

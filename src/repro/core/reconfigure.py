@@ -2,20 +2,20 @@
 
 The paper has exactly one way for a placement to become forwarding
 state — Optimization Engine → sub-classes → Rule Generator → switches
-(Fig. 1, Sec. V–VI).  Every driver that computes a new plan goes
-through the three functions here and differs only in its trigger and in
-what it records.  There are two such drivers after day 0: the
-single-controller re-plan step (``AppleController.push``, which chaos
-recovery and the elastic loop trigger) and each tenant's
-``TenantWorker``.  Crash recovery's rebuild uses :func:`realize` and
-:func:`bootstrap`, then re-adopts the harvested network.
+(Fig. 1, Sec. V–VI).  There is one driver that computes a new plan
+after day 0 and goes through the three functions here: each tenant's
+``TenantWorker``.  Chaos recovery and the elastic loop submit intents to
+it; crash recovery's rebuild uses :func:`realize` and :func:`bootstrap`,
+then re-adopts the harvested network through the worker.
 
 * :func:`realize` — plan → (sub-class plan, generated rules);
 * :func:`bootstrap` — day 0: the one cold install onto a fresh, empty
   network (the state a southbound fabric then ``adopt``s as epoch 0);
 * :func:`commit` — every later change: one ``push_desired`` on the
-  southbound fabric, with **exactly one** :class:`Outcome` per epoch —
-  *converged* or *superseded* by a later push.
+  southbound fabric, with **exactly one** :class:`Outcome` per epoch, at
+  its convergence.  A worker's ops are serialized, so an epoch is never
+  superseded: committing while an epoch is open is an
+  :class:`EpochOpenError`.
 
 After epoch 0 nothing here (or in any caller) touches a switch: the only
 writer of a live network is a ``SwitchAgent`` applying an acked message.
@@ -51,24 +51,20 @@ class Deployment:
     instances: Dict[str, VNFInstance]
 
 
+class EpochOpenError(RuntimeError):
+    """A commit on a fabric whose previous epoch has not converged."""
+
+
 @dataclass(frozen=True)
 class Outcome:
-    """How one committed epoch ended.
+    """A converged epoch: ``deployment`` is what now serves traffic
+    (instances as the fabric holds them, drained ones gone),
+    ``convergence`` the fabric's record (``None`` for a day-0 install),
+    ``report`` the post-convergence audit."""
 
-    Converged: ``deployment`` is what now serves traffic (instances as
-    the fabric holds them, drained ones gone), ``convergence`` the
-    fabric's record, ``report`` the post-convergence audit.  Superseded
-    (a later push replaced the epoch before it converged): all three are
-    ``None`` and nothing of the committed plan may be assumed live.
-    """
-
-    deployment: Optional[Deployment] = None
-    convergence: Optional["EpochConvergence"] = None
-    report: Optional[VerificationReport] = None
-
-    @property
-    def superseded(self) -> bool:
-        return self.deployment is None
+    deployment: Deployment
+    convergence: Optional["EpochConvergence"]
+    report: VerificationReport
 
 
 def realize(
@@ -103,7 +99,7 @@ def commit(
     stranded: Optional[Dict[str, str]] = None,
     instances: Optional[Dict[str, VNFInstance]] = None,
 ) -> None:
-    """Open one epoch on the fabric; ``on_done`` fires exactly once.
+    """Open one epoch on the fabric; ``on_done`` fires once, at convergence.
 
     Until then the caller's current deployment keeps describing the state
     actually serving traffic — the make-before-break transaction leaves
@@ -113,12 +109,16 @@ def commit(
     ledger and admission windows alone, and a broken rule comes back as
     a violation in the report rather than an exception.  ``stranded`` and ``instances``
     are passed to ``push_desired`` unchanged.
-    """
 
-    def settled(conv: Optional["EpochConvergence"]) -> None:
-        if conv is None:
-            on_done(Outcome())
-            return
+    Raises:
+        EpochOpenError: the fabric's previous epoch is still open.
+    """
+    if fabric.converged_epoch < fabric.epoch:
+        raise EpochOpenError(
+            f"epoch {fabric.epoch} has not converged; commits are serialized"
+        )
+
+    def settled(conv: "EpochConvergence") -> None:
         deployment = Deployment(
             plan, subclass_plan, rules, fabric.network, dict(fabric.instances)
         )

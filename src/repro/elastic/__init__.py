@@ -4,8 +4,9 @@ The package treats orchestration as a continuous loop (Bari et al.): a
 seeded, pure decision core — utilization snapshots, hysteresis bands, a
 cheapest-first admission oracle (Sallam et al.'s SFC-constrained
 max-flow, greedy form) — wrapped by :class:`ElasticController`, which
-hands each verdict to the controller's one re-plan step: a warm-start
-re-placement pushed make-before-break through the southbound fabric.
+submits each verdict as a re-plan intent to the tenant worker owning the
+deployment: a warm-start re-placement pushed make-before-break through
+the southbound fabric.
 
 Module map:
 

@@ -5,39 +5,33 @@ core.  Each tick it reads offered load (a seeded pure function of sim
 time), computes a :class:`~repro.elastic.monitor.UtilizationSnapshot`
 against the *deployed* plan, and feeds the bottleneck utilization
 through the hysteresis bands.  An action re-runs admission control over
-the full offered demand and hands the verdict — shed ids, and planning
+the full offered demand and submits the verdict — shed ids, and planning
 rates ``offered / target_utilization`` (so post-action utilization lands
-in the dead band) — to the controller's one re-plan step
-(:meth:`~repro.core.controller.AppleController.desired_classes` →
-``place_live`` → ``push``), the one chaos recovery runs: the failure view
-applies to every push, and the verdict is adopted only when its epoch
-converges.  If a recovery push replaces the epoch first, it re-plans
-under the previous converged verdict, the action is recorded as
-*superseded* and the next tick re-decides from the live utilization.
+in the dead band) — as one :class:`~repro.tenancy.intents.Replan` intent
+to the tenant worker owning the deployment, which chaos recovery's
+intents also reach: the failure view applies to every re-plan, the
+verdict is adopted only when its epoch converges, and an action waits
+behind an open recovery epoch instead of replacing it.  A verdict the
+exact ILP refuses sheds the next victim and is submitted again at once.
 
-Shed flows go through the same ingress-quarantine mechanism chaos
-recovery uses for stranded classes: their rules are withdrawn and a
-DROP guards their ingress, so probes against them black-hole (counted
-as downtime by the chaos probe loop) instead of traversing a policy
-chain partially — which is how a run that sheds under a flash crowd
-still reports **zero policy-violation-seconds**.
+Shed flows go through the ingress quarantine chaos recovery uses for
+stranded classes: their rules are withdrawn and a DROP guards their
+ingress, so probes against them black-hole instead of traversing a policy
+chain partially — which is how a run that sheds under a flash crowd still
+reports **zero policy-violation-seconds**.
 
 Determinism: offered load is a pure function of (seed, time); the
 decision core is pure in (:data:`HYSTERESIS`, snapshot); placement is the
-seeded warm-start engine.  Reruns with the same seed are bit-identical,
-and a loop that is never started arms no timer, leaving existing
-scenarios byte-for-byte unchanged.
+seeded warm-start engine.  A loop that is never started arms no timer.
 """
 
 from __future__ import annotations
 
 import math
 
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional
 
-from repro.core.controller import AppleController
-from repro.core.engine import PlacementError
-from repro.core.placement import PlacementPlan, diff_plans
+from repro.core.placement import diff_plans
 from repro.core.reconfigure import Outcome
 from repro.elastic.admission import admission_control
 from repro.elastic.hysteresis import (
@@ -49,8 +43,11 @@ from repro.elastic.hysteresis import (
 from repro.elastic.metrics import ElasticMetrics, ElasticTick, ScaleAction
 from repro.elastic.monitor import UtilizationSnapshot, utilization_snapshot
 from repro.elastic.slo import DEFAULT_SLO, SLOClass
-from repro.sim.kernel import Simulator, Timer
-from repro.southbound.fabric import SouthboundFabric
+from repro.sim.kernel import Timer
+from repro.tenancy.intents import IntentRecord, Replan
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.tenancy.worker import TenantWorker
 
 
 #: Watermarks and dwell of the scaling decision (see
@@ -67,12 +64,9 @@ class ElasticController:
     """SLO-driven scale-out/in + admission control over one deployment.
 
     Args:
-        sim: the shared simulator (also driving the fabric and chaos).
-        controller: the APPLE controller owning the deployment; its one
-            re-plan step places and commits each verdict.
-        fabric: the southbound fabric attached to ``controller``
-            (constructed with ``drain_retired=True`` so scale-in
-            actually retires instances at convergence).
+        worker: the tenant worker owning the deployment (on the chaos
+            stack, ``ChaosEngine.worker``); it places and commits each
+            verdict, and its fabric drains what scale-in retires.
         offered_fn: pure function ``sim time -> offered Mbps per class
             id`` (baseline × flash-crowd multiplier).
         slo_map: SLO class per class id; absent ids get
@@ -81,24 +75,19 @@ class ElasticController:
 
     def __init__(
         self,
-        sim: Simulator,
-        controller: AppleController,
-        fabric: SouthboundFabric,
+        worker: "TenantWorker",
         offered_fn: Callable[[float], Mapping[str, float]],
         slo_map: Optional[Mapping[str, SLOClass]] = None,
     ) -> None:
-        if controller.deployment is None:
-            raise ValueError("controller has no deployment to scale")
-        if controller.southbound is not fabric:
-            raise ValueError("attach the fabric to the controller first")
-        self.sim = sim
-        self.controller = controller
-        self.fabric = fabric
+        self.worker = worker
+        self.sim = worker.orch.sim
         self.offered_fn = offered_fn
-        self.catalog = controller.catalog
-        self.headroom = controller.engine.config.capacity_headroom
+        self.catalog = worker.engine.catalog
+        self.headroom = worker.engine.config.capacity_headroom
+        #: The blueprint's chains (NF names) by class id.
+        self.chains = {c.class_id: tuple(c.chain.names) for c in worker.chains.values()}
         self.slo_map: Dict[str, SLOClass] = {
-            cid: (slo_map or {}).get(cid, DEFAULT_SLO) for cid in controller.day0
+            cid: (slo_map or {}).get(cid, DEFAULT_SLO) for cid in self.chains
         }
 
         self.state = HysteresisState()
@@ -106,17 +95,14 @@ class ElasticController:
         self.degraded_caps: Dict[str, float] = {}
         self.metrics = ElasticMetrics(TICK_INTERVAL)
         self._pending: Optional[ScaleAction] = None
+        #: The action in flight: (direction, offered, snapshot, victims
+        #: shed beyond the fluid bound, its admission verdict).
+        self._attempt: Optional[tuple] = None
+        self._drained_before = 0
+        #: ``_fits`` verdicts of the action in flight, by admitted rates:
+        #: its re-submissions walk the same admitted vectors again.
+        self._fitted: Dict[tuple, bool] = {}
         self._timer: Optional[Timer] = None
-
-    @property
-    def shed_ids(self) -> Tuple[str, ...]:
-        """Shed class ids of the last converged verdict (the controller's)."""
-        return self.controller.shed_ids
-
-    @property
-    def plan(self) -> PlacementPlan:
-        """The deployed plan — whoever committed it (this loop or recovery)."""
-        return self.controller.deployment.plan
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -141,8 +127,8 @@ class ElasticController:
         their admitted rate.
         """
         load: Dict[str, float] = {}
-        shed = set(self.shed_ids)
-        for cid in self.controller.day0:
+        shed = set(self.worker.shed)  # the last converged verdict
+        for cid in self.chains:
             if cid in shed:
                 continue
             rate = float(offered.get(cid, 0.0))
@@ -155,12 +141,9 @@ class ElasticController:
         offered = self.offered_fn(now)
         load = self.admitted_load(offered)
         snap = utilization_snapshot(
-            now, self.plan, load, self.catalog, self.headroom
+            now, self.worker.deployment.plan, load, self.catalog, self.headroom
         )
-        busy = (
-            self._pending is not None
-            or self.fabric.converged_epoch < self.fabric.epoch
-        )
+        busy = self._pending is not None or self.worker.queue_depth() > 0
         action = "busy" if busy else HOLD
         if not busy:
             action, self.state = decide(
@@ -188,25 +171,27 @@ class ElasticController:
         Aggregates demand per NF type and charges ``ceil(demand /
         effective capacity)`` instances — it ignores per-switch packing,
         so it under-estimates the exact ILP's need.  That is the right
-        direction: admission sheds minimally, and the controller's
-        ``place_live`` remains the authoritative oracle (a
-        ``PlacementError`` bumps ``extra_shed`` and re-runs the oracle).
+        direction: admission sheds minimally, and the worker's placement
+        remains the authoritative oracle (a refused verdict is submitted
+        again with ``extra_shed`` bumped).
         """
-        target = HYSTERESIS.target_utilization
-        day0 = self.controller.day0
-        demand: Dict[str, float] = {}
-        for cid, rate in admitted.items():
-            if rate <= 0:
-                continue
-            planning = rate / target
-            for nf_name in day0[cid].chain:
-                demand[nf_name] = demand.get(nf_name, 0.0) + planning
-        need = 0
-        for nf_name, nf_demand in demand.items():
-            spec = self.catalog.get(nf_name)
-            cap = spec.capacity_mbps * self.headroom
-            need += max(1, math.ceil(nf_demand / cap - 1e-9)) * spec.cores
-        return need <= sum(self.controller.available_cores().values())
+        key = tuple(admitted.values())
+        if key not in self._fitted:
+            target = HYSTERESIS.target_utilization
+            demand: Dict[str, float] = {}
+            for cid, rate in admitted.items():
+                if rate <= 0:
+                    continue
+                planning = rate / target
+                for nf_name in self.chains[cid]:
+                    demand[nf_name] = demand.get(nf_name, 0.0) + planning
+            need = 0
+            for nf_name, nf_demand in demand.items():
+                spec = self.catalog.get(nf_name)
+                cap = spec.capacity_mbps * self.headroom
+                need += max(1, math.ceil(nf_demand / cap - 1e-9)) * spec.cores
+            self._fitted[key] = need <= sum(self.worker.live_cores().values())
+        return self._fitted[key]
 
     # ------------------------------------------------------------------
     # Action execution
@@ -216,71 +201,80 @@ class ElasticController:
         direction: str,
         offered: Mapping[str, float],
         snap: UtilizationSnapshot,
+        extra: int = 0,
     ) -> None:
-        controller = self.controller
         target = HYSTERESIS.target_utilization
-        extra = 0
-        while True:
-            admission = admission_control(
-                sorted(controller.day0),
-                offered,
-                self.slo_map,
-                self._fits,
-                extra_shed=extra,
+        if not extra:
+            self._fitted = {}
+        admission = admission_control(
+            sorted(self.chains),
+            offered,
+            self.slo_map,
+            self._fits,
+            extra_shed=extra,
+        )
+        rates = {
+            cid: rate / target for cid, rate in admission.admitted_rates().items()
+        }
+        if not rates:
+            self.metrics.placement_failures += 1
+            self._pending = None
+            return
+        admitted_n, degraded_n, shed_n = admission.counts()
+        self._pending = ScaleAction(
+            time=round(self.sim.now, 6),
+            direction=direction,
+            trigger_utilization=round(snap.max_utilization, 6),
+            admitted=admitted_n,
+            degraded=degraded_n,
+            shed=shed_n,
+        )
+        self._attempt = (direction, offered, snap, extra, admission)
+        record = self.worker.orch.submit(
+            Replan(
+                self.worker.tenant_id,
+                shed=admission.shed_ids(),
+                rates=tuple(sorted(rates.items())),
             )
-            rates = {
-                cid: rate / target
-                for cid, rate in admission.admitted_rates().items()
-            }
-            if not rates:
-                self.metrics.placement_failures += 1
-                return
-            shed = admission.shed_ids()
-            classes, stranded, _ = controller.desired_classes(shed, rates)
-            try:
-                plan = controller.place_live(classes)
-                break
-            except PlacementError:
-                # The exact ILP overruled the fluid bound: shed the next
-                # victim (same canonical order) and try again.
-                self.metrics.placement_failures += 1
-                extra += 1
-                if extra > len(controller.day0):
-                    return
+        )
+        record.observer = self
 
+    # ------------------------------------------------------------------
+    # Worker observer
+    # ------------------------------------------------------------------
+    def solved(self, record: IntentRecord, view: tuple, plan, kept) -> None:
+        if plan is None:
+            return
         if plan.warm_start:
             self.metrics.resolves_warm += 1
         else:
             self.metrics.resolves_cold += 1
-        delta = diff_plans(self.plan, plan)
-        admitted_n, degraded_n, shed_n = admission.counts()
-        action = ScaleAction(
-            time=round(self.sim.now, 6),
-            direction=direction,
-            trigger_utilization=round(snap.max_utilization, 6),
-            classes=len(classes),
-            admitted=admitted_n,
-            degraded=degraded_n,
-            shed=shed_n,
-            planned_instances=plan.total_instances(),
-            planned_cores=plan.total_cores(),
-            warm=plan.warm_start,
-            added=len(delta.added),
-            retired=len(delta.retired),
-        )
-        self._pending = action
-        drained_before = self.fabric.drained_total
+        delta = diff_plans(self.worker.deployment.plan, plan)
+        action = self._pending
+        action.classes = len(view[0])
+        action.planned_instances = plan.total_instances()
+        action.planned_cores = plan.total_cores()
+        action.warm = plan.warm_start
+        action.added = len(delta.added)
+        action.retired = len(delta.retired)
+        self._drained_before = self.worker.fabric.drained_total
 
-        def done(outcome: Outcome) -> None:
-            self._pending = None
-            if outcome.superseded:
-                self.metrics.superseded.append(action)
-                return
-            self.degraded_caps = admission.degraded_caps()
-            action.epoch = outcome.convergence.epoch
-            action.converged_at = round(outcome.convergence.converged_at, 6)
-            action.drained = self.fabric.drained_total - drained_before
-            action.verify_ok = outcome.report.ok
-            self.metrics.record_action(action)
-
-        controller.push(plan, stranded, done, shed, rates)
+    def finished(self, record: IntentRecord, outcome: Optional[Outcome]) -> None:
+        direction, offered, snap, extra, admission = self._attempt
+        if outcome is None:
+            self.metrics.placement_failures += 1
+            # The exact ILP overruled the fluid bound, or the plan cannot be
+            # made before it breaks: shed the next victim (same canonical
+            # order) and submit again at once.
+            if extra < len(self.chains):
+                self._act(direction, offered, snap, extra + 1)
+            else:
+                self._pending = None
+            return
+        action, self._pending = self._pending, None
+        self.degraded_caps = admission.degraded_caps()
+        action.epoch = outcome.convergence.epoch
+        action.converged_at = round(outcome.convergence.converged_at, 6)
+        action.drained = self.worker.fabric.drained_total - self._drained_before
+        action.verify_ok = outcome.report.ok
+        self.metrics.record_action(action)

@@ -47,13 +47,14 @@ class ScaleAction:
     time: float
     direction: str
     trigger_utilization: float
-    classes: int
     admitted: int
     degraded: int
     shed: int
-    planned_instances: int
-    planned_cores: int
-    warm: bool
+    #: Filled in when the worker has solved the verdict.
+    classes: int = 0
+    planned_instances: int = 0
+    planned_cores: int = 0
+    warm: bool = False
     added: int = 0
     retired: int = 0
     epoch: Optional[int] = None
@@ -91,9 +92,6 @@ class ElasticMetrics:
         self.interval = interval
         self.ticks: List[ElasticTick] = []
         self.actions: List[ScaleAction] = []
-        #: Decisions whose epoch another committer replaced before it
-        #: converged; none of their effects ever went live.
-        self.superseded: List[ScaleAction] = []
         self.scale_out_total = 0
         self.scale_in_total = 0
         self.resolves_warm = 0
@@ -173,7 +171,7 @@ class ElasticMetrics:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        return {
             "interval": self.interval,
             "ticks_total": self.ticks_total,
             "scale_out_total": self.scale_out_total,
@@ -190,9 +188,6 @@ class ElasticMetrics:
             ),
             "actions": [a.to_dict() for a in self.actions],
         }
-        if self.superseded:  # key absent otherwise: such runs keep their signatures
-            out["superseded"] = [a.to_dict() for a in self.superseded]
-        return out
 
     def signature(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -34,7 +34,6 @@ from repro.experiments.harness import (
 )
 from repro.obs.collectors import collect_elastic
 from repro.sim.kernel import Simulator
-from repro.southbound import SouthboundFabric
 from repro.traffic.flashcrowd import FlashCrowdConfig, generate_flash_crowd
 
 #: Peak spike multipliers swept.  The top amplitude is sized to outrun
@@ -79,14 +78,8 @@ def _flash_row(
     schedule = generate_flash_crowd(
         sorted(baseline), _flash_config(amplitude, quick), seed
     )
-    fabric = SouthboundFabric(
-        sim,
-        deployment.network,
-        seed,
-        controller.rule_generator,
-        drain_retired=True,
-    )
-    chaos = ChaosEngine(sim, controller, FaultSchedule.empty(seed), southbound=fabric)
+    # The worker's default fabric: loss-free, draining what scale-in retires.
+    chaos = ChaosEngine(sim, controller, FaultSchedule.empty(seed))
 
     def offered(now: float) -> dict:
         return {
@@ -95,9 +88,7 @@ def _flash_row(
         }
 
     elastic = ElasticController(
-        sim,
-        controller,
-        fabric,
+        chaos.worker,
         offered,
         slo_map=assign_slo_classes(sorted(baseline)),
     )
@@ -130,7 +121,7 @@ def _flash_row(
         round(absorb_max, 2) if not unabsorbed else "unbounded",
         result.metrics["downtime_seconds"],
         result.metrics["policy_violation_seconds"],
-        fabric.drift_count(),
+        chaos.southbound.drift_count(),
         "OK" if verify_ok else "FAIL",
     ]
     return row, signature

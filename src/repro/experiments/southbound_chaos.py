@@ -91,6 +91,7 @@ def _southbound_row(loss_rate: float, seed: int = 0, quick: bool = False) -> lis
         seed,
         controller.rule_generator,
         chaos=_southbound_config(loss_rate, quick),
+        drain_retired=True,
     )
     schedule = generate_schedule(
         topo,

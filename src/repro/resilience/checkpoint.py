@@ -14,7 +14,9 @@ payload is everything recovery needs *besides* the intent suffix:
   re-requesting its charge;
 * one *settled snapshot* per tenant worker: the committed blueprint
   (chain endpoints, NF sequences, exact unrounded rates), the SLO class,
-  and the southbound fabric's version vector + epoch counters.
+  the lowered core budgets its plan was solved on (only when the worker
+  lowered them; see ``TenantWorker._place``), and the southbound fabric's
+  version vector + epoch counters.
 
 Worker snapshots are taken at convergence (``_converged``) and teardown,
 i.e. only at op boundaries — a checkpoint never sees a half-built
@@ -52,6 +54,8 @@ def settled_snapshot(worker: "TenantWorker") -> dict:
         "epoch": -1,
         "converged_epoch": -1,
     }
+    if worker.budgets is not None:
+        snap["budgets"] = dict(sorted(worker.budgets.items()))
     if worker.fabric is not None:
         snap["versions"] = {
             cid: int(v) for cid, v in worker.fabric.versions.items()

@@ -7,9 +7,10 @@
    settled ledgers (free pool recomputed as physical − Σ steady), and
    one worker per checkpointed tenant.  A tenant's blueprint (chains,
    exact rates, SLO) deterministically regenerates its placement plan,
-   sub-class assignment and rule set: the worker plans on the physical
-   pool, and the engine and rule generator are pure functions of
-   (classes, physical topology, catalog), so the rebuilt desired state is
+   sub-class assignment and rule set: the worker plans on the live hosts
+   (or the checkpointed lowered budgets), and the engine and rule
+   generator are pure functions of (classes, topology, budgets, catalog),
+   so the rebuilt desired state is
    bit-identical to what the dead controller held.
 2. **Re-adopt the live data plane.**  A crash leaves installed rules and
    running VNF instances on the switches (``crash()`` harvests them).
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.core.reconfigure import Deployment, bootstrap
+from repro.core.reconfigure import bootstrap
 from repro.elastic.slo import SLO_CLASSES
 from repro.resilience.checkpoint import settled_snapshot
 from repro.resilience.journal import COMMIT, INTENT, RECOVERY, Journal
@@ -139,10 +140,11 @@ def _restore_worker(
             chain=PolicyChain(tuple(nf_names), DEFAULT_CATALOG),
             rate_mbps=rate,
         )
-    # The same call the worker makes: the plan is a pure function of
+    # The same calls the worker makes: the plan is a pure function of
     # (classes, physical topology, catalog), so this re-solve reproduces
     # the pre-crash plan bit for bit.
-    plan, subclass_plan, rules = worker.solve(target)
+    worker.budgets = snap.get("budgets")
+    realised = worker.solve(worker.view(target)[0], worker.budgets)
 
     harvested = harvest.get(tenant_id) if harvest else None
     if harvested is not None:
@@ -151,26 +153,17 @@ def _restore_worker(
         # No surviving wire to adopt: rebuild base (version-0) rules and
         # let the reconciler transition them to the checkpointed
         # versions.  The documented exception to never-blind-reinstall.
-        rebuilt = bootstrap(
-            worker.rulegen, orch.topo, plan, subclass_plan, rules, sim=orch.sim
-        )
+        rebuilt = bootstrap(worker.rulegen, orch.topo, *realised, sim=orch.sim)
         network, instances = rebuilt.network, rebuilt.instances
-    fabric = worker.new_fabric(network)
-    fabric.restore(
-        rules,
-        plan.classes,
+    worker.adopt(
+        target,
+        realised,
+        worker.new_fabric(network),
         instances,
         snap["versions"],
         snap["epoch"],
         snap["converged_epoch"],
     )
-    fabric.start()
-    worker.chains = target
-    worker.fabric = fabric
-    worker.deployment = Deployment(
-        plan, subclass_plan, rules, network, dict(fabric.instances)
-    )
-    worker._settled = settled_snapshot(worker)
     return harvested is not None
 
 
@@ -217,17 +210,11 @@ def recover(
 
     # -- arbiter ledgers -----------------------------------------------
     arb = orch.arbiter
-    arb.steady = {
-        t: {sw: int(c) for sw, c in m.items()}
-        for t, m in ckpt["arbiter"]["steady"].items()
-    }
-    arb.tcam_used = {
-        t: int(v) for t, v in ckpt["arbiter"]["tcam_used"].items()
-    }
-    arb.free = dict(arb.physical)
-    for m in arb.steady.values():
-        for sw, c in m.items():
-            arb.free[sw] = arb.free.get(sw, 0) - c
+    steady = ckpt["arbiter"]["steady"]
+    for t, entries in ckpt["arbiter"]["tcam_used"].items():
+        # Each settled holding, charged as an epoch granted and settled.
+        arb.request(t, steady.get(t, {}), entries, resume=None)
+        arb.settle(t, steady.get(t, {}))
     # In-flight charges are *not* restored: any op that was mid flight
     # re-executes from its journaled intent and re-requests.
     arb.granted_total = int(ckpt["arbiter"]["granted_total"])

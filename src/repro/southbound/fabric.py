@@ -24,9 +24,9 @@ State changes flow through exactly one door:
 An epoch *converges* when a diff comes back empty; the fabric records
 the convergence latency and fires the epoch's ``on_converged`` callback
 exactly once — with the convergence record, or with ``None`` if a later
-:meth:`push_desired` replaced the epoch before it got there
-(:func:`repro.core.reconfigure.commit` hangs the deployment swap and
-verification off it).
+:meth:`push_desired` replaced the epoch before it got there.
+:func:`repro.core.reconfigure.commit` hangs the deployment swap and
+verification off it, and never pushes over an open epoch.
 """
 
 from __future__ import annotations
@@ -191,29 +191,10 @@ class SouthboundFabric:
         classes: Sequence[TrafficClass],
         instances: Optional[Dict[str, VNFInstance]] = None,
     ) -> None:
-        """Bless the cold-installed day-0 state as desired epoch 0.
-
-        The initial deployment is the one cold install
-        (:func:`repro.core.reconfigure.bootstrap`); the fabric adopts the
-        result, so by construction epoch 0 is already converged
-        (``drift_count() == 0``).
-        """
-        self._wake()
-        self.instances = dict(instances or {})
-        self._fingerprints = class_fingerprints(rules, classes)
-        self.versions = {}
-        self.desired = render_desired(
-            sorted(self.network.switches),
-            sorted(self.network.vswitches),
-            rules,
-            classes,
-            {},
-            self.versions,
-        )
-        self.active_paths = {c.class_id: tuple(c.path) for c in classes}
-        self.epoch = 0
-        self.converged_epoch = 0
-        self.desired_since = self.sim.now
+        """Bless the cold-installed day-0 state (:func:`repro.core.reconfigure
+        .bootstrap`) as desired epoch 0, converged by construction: a
+        :meth:`restore` with no versions at epoch 0."""
+        self.restore(rules, classes, dict(instances or {}), {}, 0, 0)
 
     def push_desired(
         self,

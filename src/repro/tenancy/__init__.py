@@ -7,11 +7,11 @@ queue), day-0/day-2 operations arrive as typed intents on a sim-time
 message bus, and a capacity arbiter owns the shared host-core and TCAM
 budgets so tenants can never interfere with each other's deployments.
 
-* :mod:`repro.tenancy.intents` — the typed intent API
-  (``CreateChain`` / ``UpdateRates`` / ``ScaleChain`` / ``DeleteChain``);
+* :mod:`repro.tenancy.intents` — the typed intent API (``CreateChain`` /
+  ``UpdateRates`` / ``ScaleChain`` / ``DeleteChain`` / ``Replan``);
 * :mod:`repro.tenancy.bus` — validated, deterministic sim-time delivery;
-* :mod:`repro.tenancy.arbiter` — charges each tenant's plan against the
-  shared pool, priority/FIFO admission queue, two-phase settlement;
+* :mod:`repro.tenancy.arbiter` — delta grants against the shared pool,
+  priority/FIFO admission queue, two-phase settlement;
 * :mod:`repro.tenancy.worker` — the per-tenant lifecycle worker driving
   solve → sub-classes → tagging → capacity charge → southbound commit;
 * :mod:`repro.tenancy.orchestrator` — the façade wiring bus, arbiter and
@@ -26,6 +26,7 @@ from repro.tenancy.intents import (
     Intent,
     IntentRecord,
     IntentValidationError,
+    Replan,
     ScaleChain,
     UpdateRates,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "UpdateRates",
     "ScaleChain",
     "DeleteChain",
+    "Replan",
     "IntentRecord",
     "IntentValidationError",
     "TenantOrchestrator",

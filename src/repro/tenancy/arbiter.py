@@ -1,30 +1,31 @@
 """The capacity arbiter: one owner for shared host-core and TCAM budgets.
 
-Every tenant plans on the whole substrate: its worker solves Eq. 1–8 with
-A_v set to the hosts' physical cores (Sec. IV-D) and realises the plan's
-rules.  Only then does it ask the arbiter for exactly what that plan
-installs — ``plan.cores_by_switch()`` plus the rendered classification
-entry count — and nothing reaches the wire before the request is granted.
-Grants are charged against one free pool, so the union of the tenants'
-plans always fits the physical hosts: no cross-tenant core or TCAM
-oversubscription, ever.
+Every tenant plans on the live substrate (its worker solves Eq. 1–8 with
+A_v set to the live hosts' cores and memory, Sec. IV-D) and realises the
+plan's rules.  Only then does it ask the arbiter for what the epoch adds
+— a *delta grant*: per switch, the cores of the plan's instance slots
+that are not among the running instances the epoch keeps — plus the
+rendered classification entry count; nothing reaches the wire before the
+request is granted.  Grants come from one free pool, so the tenants'
+running instances always fit the physical hosts.
 
 Settlement is two-phase because commits are make-before-break: while a
-tenant's new epoch is being pushed, its *old* deployment still occupies
-cores and TCAM on the wire.  The ledger therefore charges ``steady`` (the
-live deployment) and ``inflight`` (the op being installed) at once, and
-only ``settle`` — at convergence, when the old epoch is gone — releases the
-previous deployment's share.  A tenant's own cores are never claimable for
-its next op, which is exactly the headroom make-before-break costs.
+tenant's new epoch is being pushed, its old deployment still occupies the
+wire.  The ledger charges ``steady`` (the live plan's cores) and
+``inflight`` (what the op creates) at once, and only ``settle`` — at
+convergence, when the retired instances are drained — makes ``steady``
+the new plan's ``cores_by_switch()`` and returns the rest.  A kept
+instance is charged once, so a recovery that reuses its surviving
+instances pays only for their replacements.  On every switch ``steady +
+inflight + free == physical``.
 
 A request larger than a physical host or the whole TCAM budget could never
 be admitted and is rejected at once.  One that only exceeds what is free
 right now parks on an admission queue, scanned in priority-then-FIFO order
-on every release — parked requests never block others, which matters
-because the ops that *release* capacity (deletes, scale-downs) would
-otherwise deadlock behind a starving head.  A bounded admission wait
-(``admission_timeout``) converts genuine capacity exhaustion into a
-deterministic rejection instead of an unbounded stall.
+on every release — parked requests never block others, so the ops that
+*release* capacity never deadlock behind a starving head.  A bounded
+admission wait (``admission_timeout``) turns genuine capacity exhaustion
+into a deterministic rejection.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class _Pending:
 
 
 class CapacityArbiter:
-    """Charges each tenant's plan against shared host/TCAM capacity.
+    """Charges each tenant's epochs against shared host/TCAM capacity.
 
     Args:
         sim: queued-request resumptions are scheduled here (delay 0), so
@@ -76,9 +77,9 @@ class CapacityArbiter:
         self.free: Dict[str, int] = dict(self.physical)
         self.tcam_budget = int(tcam_budget)
         self.admission_timeout = admission_timeout
-        #: Live (converged) per-tenant usage — held until settle().
+        #: The cores of each tenant's converged plan — held until settle().
         self.steady: Dict[str, Dict[str, int]] = {}
-        #: The plan of the op currently being installed.
+        #: The instances the op currently being installed creates.
         self.inflight: Dict[str, Dict[str, int]] = {}
         self.tcam_used: Dict[str, int] = {}
         self.inflight_tcam: Dict[str, int] = {}
@@ -144,8 +145,8 @@ class CapacityArbiter:
         resume: Callable[[bool], None],
         priority: int = 0,
     ) -> str:
-        """Reserve what one realised plan installs: cores per switch and
-        classification entries.
+        """Reserve what one realised epoch adds: the cores, per switch, of
+        the instances it creates, and its classification entries.
 
         ``priority`` orders the parked queue (higher first; equal
         priorities keep arrival order), letting gold-SLO tenants drain
@@ -191,10 +192,10 @@ class CapacityArbiter:
     ) -> bool:
         """Charge a request iff the free pool covers it.
 
-        The tenant's own steady cores and entries are *not* claimable —
-        the live deployment keeps occupying them through the
-        make-before-break push — so the whole request must come from the
-        free pool.
+        The request holds only what the epoch creates; the instances it
+        keeps stay charged in ``steady`` and the ones it retires keep
+        occupying their cores through the make-before-break push, so the
+        whole request must come from the free pool.
         """
         for sw, c in need.items():
             if c > self.free.get(sw, 0):
@@ -211,15 +212,20 @@ class CapacityArbiter:
     # ------------------------------------------------------------------
     # Settlement
     # ------------------------------------------------------------------
-    def settle(self, tenant_id: str) -> None:
-        """The new epoch converged: release the previous deployment.
+    def settle(self, tenant_id: str, cores: Mapping[str, int]) -> None:
+        """The new epoch converged: ``cores`` (its plan's
+        ``cores_by_switch()``) becomes the tenant's steady holding.
 
-        The old plan's cores and TCAM entries are finally off the wire;
-        the in-flight charge becomes the tenant's steady holding.
+        The retired instances are drained and the previous epoch's TCAM
+        entries are off the wire: what the old plan and the in-flight
+        charge held beyond the new plan goes back to the pool.
         """
-        for sw, c in self.steady.pop(tenant_id, {}).items():
-            self.free[sw] += c
-        new_steady = self.inflight.pop(tenant_id, {})
+        held = self.steady.pop(tenant_id, {})
+        for sw, c in self.inflight.pop(tenant_id, {}).items():
+            held[sw] = held.get(sw, 0) + c
+        new_steady = {sw: int(c) for sw, c in cores.items() if c > 0}
+        for sw in {*held, *new_steady}:
+            self.free[sw] += held.get(sw, 0) - new_steady.get(sw, 0)
         if new_steady:
             self.steady[tenant_id] = new_steady
         if tenant_id in self.inflight_tcam:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 class IntentValidationError(ValueError):
@@ -153,6 +153,33 @@ class DeleteChain(Intent):
             raise IntentValidationError("DeleteChain without a chain_id")
 
 
+@dataclass(frozen=True)
+class Replan(Intent):
+    """Day-2: re-plan the blueprint on the live substrate as it is now —
+    a failure detector's verdict batch, or an elastic scale action.
+
+    ``shed`` / ``rates`` is a candidate admission verdict (class ids to
+    quarantine, planning Mbps per class id), adopted when the epoch
+    converges; ``shed=None`` keeps the last converged verdict.
+    """
+
+    shed: Optional[Tuple[str, ...]] = None
+    rates: Tuple[Tuple[str, float], ...] = ()
+
+    kind = "replan"
+
+    def validate(self) -> None:
+        super().validate()
+        if self.shed is None and self.rates:
+            raise IntentValidationError("Replan rates without a shed verdict")
+        for class_id, rate in self.rates:
+            if not 0 < rate < math.inf:
+                raise IntentValidationError(
+                    f"Replan {class_id!r}: rate must be positive and "
+                    f"finite, got {rate!r}"
+                )
+
+
 @dataclass
 class IntentRecord:
     """Mutable lifecycle envelope around one submitted intent."""
@@ -169,6 +196,8 @@ class IntentRecord:
     #: Journal replay after a controller crash skips any record whose
     #: cookie already reached a terminal state — exactly-once effects.
     cookie: str = ""
+    #: Told how the op went (see :mod:`repro.tenancy.worker`); not journaled.
+    observer: Optional[Any] = field(default=None, repr=False, compare=False)
 
     @property
     def terminal(self) -> bool:
@@ -207,6 +236,9 @@ def intent_to_payload(intent: Intent) -> Dict[str, object]:
         payload.update(chain_id=intent.chain_id, factor=intent.factor)
     elif isinstance(intent, DeleteChain):
         payload["chain_id"] = intent.chain_id
+    elif isinstance(intent, Replan):
+        payload["shed"] = None if intent.shed is None else list(intent.shed)
+        payload["rates"] = [[cid, rate] for cid, rate in intent.rates]
     else:
         raise IntentValidationError(f"cannot encode intent {intent!r}")
     return payload
@@ -239,4 +271,8 @@ def intent_from_payload(payload: Dict[str, object]) -> Intent:
         )
     if kind == DeleteChain.kind:
         return DeleteChain(tenant_id=tenant, chain_id=payload["chain_id"])
+    if kind == Replan.kind:
+        shed = payload["shed"]
+        rates = tuple((cid, rate) for cid, rate in payload["rates"])
+        return Replan(tenant, None if shed is None else tuple(shed), rates)
     raise IntentValidationError(f"cannot decode intent kind {kind!r}")

@@ -3,16 +3,17 @@
 One orchestrator owns one topology and one simulator.  Tenants appear on
 first intent, disappear on their last ``DeleteChain``; in between their
 lifecycle workers run concurrently on the shared timeline — independent
-tenants' southbound epochs overlap.  Each worker plans on the whole
-physical substrate and the capacity arbiter charges the plan it installs
-against one shared pool, so the union of the tenants' plans always fits.
+tenants' southbound epochs overlap.  Each worker plans on the live
+substrate and the capacity arbiter charges what each epoch creates
+against one shared pool (the chaos stack is a one-tenant orchestrator).
 
-A periodic *cross-tenant audit* (the interference-free invariant at the
-platform level) checks every tick that (a) the arbiter's ledger balances,
-(b) the sum of every tenant's *actual* deployed cores fits the physical
-hosts, and (c) the shared TCAM budget holds.  Any tick in violation
-accrues cross-tenant policy-violation-seconds — the number every run must
-report as zero.
+A periodic *cross-tenant audit* checks every tick that (a) the arbiter's
+ledger balances and the TCAM budget holds, (b) on every host the cores of
+the VNF instances running in the tenants' fabrics fit the host, and (c)
+no tenant runs more cores than the arbiter charges it (``steady +
+inflight``: the oracle of the delta grants).  Any tick in
+violation accrues cross-tenant policy-violation-seconds — the number
+every run must report as zero.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ class TenantOrchestrator:
         self.bus.subscribe(partial(_deliver, weakref.ref(self)))
         self.workers: Dict[str, TenantWorker] = {}
         self._audit_timer: Optional[Timer] = None
-        #: tenant → (plan, its per-switch cores) as last seen by the audit.
-        #: Plans are replaced by ``reconfigure.commit``, never edited, so a
-        #: plan object's cores are computed once, not at every tick.
-        self._plan_cores: Dict[str, tuple] = {}
 
         # Crash tolerance (see repro.resilience): optional write-ahead
         # journal + periodic checkpoints, and a dead flag that freezes
@@ -195,7 +192,6 @@ class TenantOrchestrator:
             ).inc()
 
     def _tenant_down(self, tenant_id: str) -> None:
-        self._plan_cores.pop(tenant_id, None)
         if obs.REGISTRY.enabled:
             obs.metric("tenancy_active_tenants").set(self.active_tenants())
 
@@ -289,26 +285,31 @@ class TenantOrchestrator:
         return harvest
 
     def _audit(self) -> None:
-        """One isolation tick: ledgers balanced, physical budgets hold."""
+        """One isolation tick: ledgers balanced, running instances charged
+        and within the physical hosts."""
         self.audit_ticks += 1
-        violated = self.arbiter.oversubscribed()
+        arbiter = self.arbiter
+        violated = arbiter.oversubscribed()
         if not violated:
-            used: Dict[str, int] = {}
+            charged = {t: sum(m.values()) for t, m in arbiter.steady.items()}
+            for t, m in arbiter.inflight.items():
+                charged[t] = charged.get(t, 0) + sum(m.values())
+            running: Dict[str, int] = {}
+            so_far = running.get
             for tenant_id, worker in self.workers.items():
-                if worker.deployment is None:
+                if worker.fabric is None:
                     continue
-                plan = worker.deployment.plan
-                seen = self._plan_cores.get(tenant_id)
-                if seen is None or seen[0] is not plan:
-                    seen = self._plan_cores[tenant_id] = (
-                        plan, plan.cores_by_switch()
-                    )
-                for sw, c in seen[1].items():
-                    used[sw] = used.get(sw, 0) + c
-            for sw, c in used.items():
-                if c > self.arbiter.physical.get(sw, 0):
-                    violated = True
-                    break
+                mine = 0
+                for inst in worker.fabric.instances.values():
+                    if inst.running:
+                        switch, cores = inst.switch, inst.nf_type.cores
+                        mine += cores
+                        running[switch] = so_far(switch, 0) + cores
+                violated = violated or mine > charged.get(tenant_id, 0)
+            physical = arbiter.physical
+            violated = violated or any(
+                c > physical.get(sw, 0) for sw, c in running.items()
+            )
         if violated:
             self.cross_tenant_violation_seconds += AUDIT_INTERVAL
             if obs.REGISTRY.enabled:

@@ -2,46 +2,50 @@
 
 Each tenant's policy chains form a *blueprint*; its worker owns the only
 mutable copy and processes intents strictly one at a time (FIFO, one
-in-flight operation per tenant — the ePEM blueprint-LCM pattern ROADMAP
-item 3 names).  An operation runs the full APPLE pipeline, planning on
-the whole physical substrate and reserving what the plan installs:
+in-flight operation per tenant — the ePEM blueprint-LCM pattern).  After
+day 0 the worker is the only code that places, realises, reserves and
+commits, on every live stack (the chaos engine adopts a controller's
+day-0 deployment as a one-tenant orchestrator, through :meth:`adopt`, the
+step crash recovery re-adopts a harvested wire with).  An operation runs
+the full APPLE pipeline:
 
-    target class set → Optimization Engine solve on the physical pool →
-    sub-class assignment → Rule Generator → arbiter charge of the plan's
-    cores and classification entries → southbound commit → verify at
-    convergence (the installed tables read as data; no packet enters the
-    tenant's network)
+    target blueprint → failure view + admission verdict (:meth:`view`) →
+    Optimization Engine solve on the live hosts' cores and memory →
+    sub-class assignment → Rule Generator → arbiter charge of what the
+    epoch creates (a delta grant) and of its classification entries →
+    southbound commit keeping the running instances → verify at
+    convergence (the installed tables read as data)
 
 The plan is a pure function of (classes, topology, catalog), so crash
 recovery's re-solve rebuilds it bit for bit.  A request that must wait for
-capacity keeps its realised plan; nothing is solved twice.
+capacity keeps its realised plan.  A :class:`~repro.tenancy.intents.Replan`
+re-plans the blueprint as the live substrate and its candidate verdict
+leave it.  An intent record's ``observer``, when set, is told
+``solved(record, view, plan or None, kept)`` after the solve and
+``finished(record, outcome or None)`` when the op is terminal.
 
-The worker's Optimization Engine is tenant-private, so warm-start
-templates cache per-blueprint structure: rate-only day-2 ops
-(``UpdateRates`` / ``ScaleChain``) re-solve through the Eq. 5 rate
-rewrite, not a fresh model build.
-
-Commits ride each tenant's own southbound fabric (PR 5) through
-:mod:`repro.core.reconfigure`: the day-0 deployment is ``bootstrap``ped
-and *adopted* as epoch 0; every later change is one ``commit`` — a
-make-before-break transactional push — so independent tenants' epochs
-overlap freely on the shared timeline while each tenant's own ops stay
-serialized (which is also why a tenant's epoch is never superseded).
+The worker's Optimization Engine is tenant-private (the adopted
+controller's on the chaos stack), so warm-start templates cache
+per-blueprint structure: rate-only ops re-solve through the Eq. 5 rate
+rewrite.  Every change after day 0 is one :func:`~repro.core.reconfigure
+.commit` on the tenant's own fabric; a tenant's ops are serialized, so no
+epoch is ever superseded.
 """
 
 from __future__ import annotations
 
 import json
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.controller import UnknownClassError
 from repro.core.engine import OptimizationEngine, PlacementError
 from repro.core.placement import PlacementPlan
-from repro.core.reconfigure import Deployment, bootstrap, commit, realize
+from repro.core.reconfigure import Deployment, Outcome, bootstrap, commit, realize
 from repro.core.rulegen import GeneratedRules, RuleGenerator
 from repro.core.subclasses import SubclassPlan
-from repro.core.verify import VerificationReport, verify_deployment
+from repro.core.verify import verify_deployment
 from repro.dataplane.network import DataPlaneNetwork
 from repro.elastic.slo import DEFAULT_SLO, SLO_CLASSES
 from repro.resilience.checkpoint import settled_snapshot
@@ -57,15 +61,22 @@ from repro.tenancy.intents import (
     DeleteChain,
     IntentRecord,
     IntentValidationError,
+    Replan,
     ScaleChain,
     UpdateRates,
 )
+from repro.topology.graph import Topology
+from repro.topology.routing import NoPath, Router
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
+from repro.vnf.instance import VNFInstance
 from repro.vnf.types import DEFAULT_CATALOG
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import cycle guard
     from repro.tenancy.orchestrator import TenantOrchestrator
+
+#: Solves of one op whose make-before-break peak overflows a host.
+MAX_RESOLVES = 8
 
 
 class TenantWorker:
@@ -87,6 +98,15 @@ class TenantWorker:
         self.rulegen = RuleGenerator(DEFAULT_CATALOG)
         self.fabric: Optional[SouthboundFabric] = None
         self.deployment: Optional[Deployment] = None
+        #: The last converged admission verdict: shed class ids (in
+        #: admission order) and planning Mbps per class id.
+        self.shed: Tuple[str, ...] = ()
+        self.rates: Dict[str, float] = {}
+        #: The core budgets the installed plan was solved on, when they
+        #: were lowered (see :meth:`_place`); ``None``: the live hosts.
+        self.budgets: Optional[Dict[str, int]] = None
+        #: The op in flight: (target, verdict, budgets, stranded, kept, realised).
+        self._op: Optional[tuple] = None
         self.ops_completed = 0
         #: Last op-boundary snapshot (checkpoint source; see
         #: repro.resilience.checkpoint).  Never mid-operation state.
@@ -112,8 +132,9 @@ class TenantWorker:
     def _start(self, record: IntentRecord) -> None:
         record.started_at = self.orch.sim.now
         record.status = IN_PROGRESS
+        intent = record.intent
         try:
-            target = self._target_classes(record.intent)
+            target = self._target_classes(intent)
         except UnknownClassError as exc:
             self._finish(record, FAILED, f"tenant-scoped miss: {exc}")
             return
@@ -123,18 +144,33 @@ class TenantWorker:
         if target is None:  # DeleteChain removed the last chain
             self._teardown(record)
             return
+        if isinstance(intent, Replan) and intent.shed is not None:
+            verdict = (tuple(intent.shed), dict(intent.rates))
+        else:
+            verdict = (self.shed, self.rates)
+        view = self.view(target, *verdict)
+        failed = self.orch.topo.host_failed
+        kept = {
+            key: inst
+            for key, inst in (self.fabric.instances if self.fabric else {}).items()
+            if inst.running and not failed(inst.switch)
+        }
         try:
-            plan, subclass_plan, rules = self.solve(target)
+            budgets, realised, need = self._place(view[0], kept)
         except PlacementError as exc:
             # No plan fits even the empty substrate: the capacity refusal.
-            self._finish(record, REJECTED, f"placement infeasible: {exc}")
+            realised, refusal = None, f"placement infeasible: {exc}"
+        if record.observer is not None:
+            record.observer.solved(record, view, realised and realised[0], kept)
+        if realised is None:
+            self._finish(record, REJECTED, refusal)
             return
-        realised = (target, plan, subclass_plan, rules)
+        self._op = (target, verdict, budgets, view[1], kept, realised)
         status = self.orch.arbiter.request(
             self.tenant_id,
-            plan.cores_by_switch(),
-            rules.classification_rule_count(),
-            resume=lambda granted, r=record: self._resume(r, realised, granted),
+            need,
+            realised[2].classification_rule_count(),
+            resume=lambda granted, r=record: self._resume(r, granted),
             priority=self.slo.priority,
         )
         self.orch._note_grant(self.tenant_id, status)
@@ -143,29 +179,151 @@ class TenantWorker:
         elif status == self.orch.arbiter.QUEUED:
             record.status = WAITING
         else:
-            self._commit(record, *realised)
+            self._commit(record)
+
+    def _place(
+        self, classes: Sequence[TrafficClass], kept: Dict[str, VNFInstance]
+    ) -> Tuple[Optional[Dict[str, int]], tuple, Dict[str, int]]:
+        """``(budgets, realised, need)``: solve on the live hosts, and
+        re-solve while the epoch cannot be made before it breaks.
+
+        The old epoch keeps its cores until the new one converges, so where
+        the tenant's holding plus what the epoch creates (``need``) exceeds
+        a host the request could only be granted after its own settle: the
+        plan is re-solved with those hosts' budgets lowered by the excess,
+        up to :data:`MAX_RESOLVES` times, or refused (``PlacementError``).
+        """
+        realised = self.solve(classes)
+        arbiter = self.orch.arbiter
+        held = arbiter.steady.get(self.tenant_id, {})
+        budgets = None
+        for _ in range(MAX_RESOLVES):
+            need = self._created_cores(realised[0], kept)
+            over = {
+                sw: held.get(sw, 0) + c - arbiter.physical[sw]
+                for sw, c in need.items()
+                if held.get(sw, 0) + c > arbiter.physical[sw]
+            }
+            if not over:
+                return budgets, realised, need
+            budgets = budgets or self.live_cores()
+            planned = realised[0].cores_by_switch()
+            for sw, excess in over.items():
+                budgets[sw] = max(0, planned[sw] - excess)
+            try:
+                realised = self.solve(classes, budgets)
+            except PlacementError as exc:
+                raise PlacementError(
+                    f"make-before-break on {sorted(over)}: {exc}"
+                ) from exc
+        raise PlacementError(f"make-before-break on {sorted(over)}")
+
+    def view(
+        self,
+        target: Dict[str, TrafficClass],
+        shed: Sequence[str] = (),
+        rates: Optional[Dict[str, float]] = None,
+    ) -> Tuple[List[TrafficClass], Dict[str, str], int]:
+        """``(classes, stranded, rerouted)``: the blueprint as the failure
+        view and an admission verdict leave it, in chain-id order.
+
+        A shed class is quarantined (``stranded``: class id -> ingress);
+        any other takes its verdict rate, is re-routed over the surviving
+        topology when its path crosses a failed link, and is quarantined
+        when no path survives or no live APPLE host is on it.
+        """
+        topo = self.orch.topo
+        failed_links = topo.failed_links
+        physical, failed = self.orch.arbiter.physical, topo.host_failed
+        rates = rates or {}
+        classes: List[TrafficClass] = []
+        stranded: Dict[str, str] = {}
+        rerouted = 0
+        router = None
+        for key in sorted(target):
+            cls = target[key]
+            if cls.class_id in shed:
+                stranded[cls.class_id] = cls.src
+                continue
+            if cls.class_id in rates:
+                cls = cls.with_rate(rates[cls.class_id])
+            path = cls.path
+            if failed_links and any(
+                Topology.link_key(a, b) in failed_links
+                for a, b in zip(path, path[1:])
+            ):
+                router = router or Router(topo.surviving(), ecmp=self.orch.router.ecmp)
+                try:
+                    path = tuple(router.path(cls.src, cls.dst))
+                except NoPath:
+                    path = ()
+            if not any(s in physical and not failed(s) for s in path):
+                stranded[cls.class_id] = cls.src
+                continue
+            if path != cls.path:
+                rerouted += 1
+                cls = replace(cls, path=path)
+            classes.append(cls)
+        return classes, stranded, rerouted
+
+    def live_cores(self) -> Dict[str, int]:
+        """A_v (core dimension): the physical pool on the live hosts."""
+        failed = self.orch.topo.host_failed
+        return {s: c for s, c in self.orch.arbiter.physical.items() if not failed(s)}
 
     def solve(
-        self, target: Dict[str, TrafficClass]
+        self,
+        classes: Sequence[TrafficClass],
+        budgets: Optional[Dict[str, int]] = None,
     ) -> Tuple[PlacementPlan, SubclassPlan, GeneratedRules]:
-        """Place and realise a blueprint on the whole physical pool.
+        """Place and realise classes on the live hosts' cores and memory
+        (``budgets`` replaces the cores; no class is an empty plan).
 
-        A pure function of (classes, topology, catalog): recovery calls it
-        to rebuild the plan a tenant had installed before a crash.
+        A pure function of (classes, topology and its failures, budgets,
+        catalog): recovery calls it to rebuild a pre-crash plan.
         """
-        plan = self.engine.place(
-            [target[k] for k in sorted(target)], self.orch.arbiter.physical
-        )
+        if classes:
+            cores = self.live_cores() if budgets is None else budgets
+            hosts = self.orch.topo.hosts
+            plan = self.engine.place(
+                classes, cores, {s: hosts[s].memory_gb for s in cores}
+            )
+        else:
+            plan = PlacementPlan({}, {}, [], self.engine.catalog, 0.0)
         return (plan, *realize(self.rulegen, plan))
 
-    def _resume(self, record: IntentRecord, realised: tuple, granted: bool) -> None:
+    def _created_cores(
+        self, plan: PlacementPlan, kept: Dict[str, VNFInstance]
+    ) -> Dict[str, int]:
+        """Cores per switch the epoch adds to the tenant's holding.
+
+        A slot is kept (charged in ``steady`` already) when the installed
+        plan has it and a running instance holds it; every other slot of
+        the plan is created.  A switch is charged its created slots' cores
+        less those of the installed plan's slots no running instance
+        holds: a dead VM's cores are its replacement's.
+        """
+        old = self.deployment.plan.quantities if self.deployment else {}
+        need: Dict[str, int] = {}
+        for slot in {**old, **plan.quantities}:
+            switch, nf = slot
+            held, wanted = old.get(slot, 0), plan.quantities.get(slot, 0)
+            up = [
+                k < held and f"{nf}[{k}]@{switch}" in kept
+                for k in range(max(held, wanted))
+            ]
+            delta = up[:wanted].count(False) - up[:held].count(False)
+            need[switch] = need.get(switch, 0) + delta * plan.catalog.get(nf).cores
+        return {sw: c for sw, c in need.items() if c > 0}
+
+    def _resume(self, record: IntentRecord, granted: bool) -> None:
         if self.orch.dead:  # resumption raced a controller crash
             return
         if not granted:  # admission timeout: capacity never freed up
             self._finish(record, REJECTED, "capacity admission timed out")
             return
         record.status = IN_PROGRESS
-        self._commit(record, *realised)
+        self._commit(record)
 
     # ------------------------------------------------------------------
     def _target_classes(
@@ -205,7 +363,7 @@ class TenantWorker:
             del target[intent.chain_id]
             if not target:
                 return None
-        else:
+        elif not isinstance(intent, Replan):
             raise IntentValidationError(f"unknown intent kind {intent!r}")
         return target
 
@@ -223,53 +381,64 @@ class TenantWorker:
             raise UnknownClassError(self._class_id(chain_id)) from None
 
     # ------------------------------------------------------------------
-    def _commit(
-        self,
-        record: IntentRecord,
-        target: Dict[str, TrafficClass],
-        plan: PlacementPlan,
-        subclass_plan: SubclassPlan,
-        rules: GeneratedRules,
-    ) -> None:
-        """Install a realised plan the arbiter has charged."""
+    def _commit(self, record: IntentRecord) -> None:
+        """Install the realised plan of the op the arbiter has charged."""
+        target, _verdict, _budgets, stranded, kept, realised = self._op
         self.chains = dict(target)
         if self.fabric is None:
             # Day 0: cold install, adopted as the fabric's epoch 0.
             deployment = bootstrap(
-                self.rulegen,
-                self.orch.topo,
-                plan,
-                subclass_plan,
-                rules,
-                sim=self.orch.sim,
+                self.rulegen, self.orch.topo, *realised, sim=self.orch.sim
             )
-            self.fabric = self.new_fabric(deployment.network)
-            self.fabric.adopt(rules, plan.classes, deployment.instances)
-            self.fabric.start()
-            self._converged(
-                record, deployment, verify_deployment(deployment, self.orch.topo)
+            self.adopt(
+                target,
+                realised,
+                self.new_fabric(deployment.network),
+                deployment.instances,
             )
+            report = verify_deployment(self.deployment, self.orch.topo)
+            self._converged(record, Outcome(self.deployment, None, report))
         else:
             # Write-ahead: the epoch this push will open is journaled
             # before any rule hits the wire.
             self.orch._journal_epoch(self.tenant_id, self.fabric.epoch + 1, "push")
             commit(
                 self.fabric,
-                plan,
-                subclass_plan,
-                rules,
-                on_done=lambda out, r=record: self._converged(
-                    r, out.deployment, out.report
-                ),
+                *realised,
+                stranded=stranded,
+                instances=kept,
+                on_done=lambda out, r=record: self._converged(r, out),
             )
 
-    def new_fabric(self, network: DataPlaneNetwork) -> SouthboundFabric:
-        """This tenant's private fabric over ``network`` (seeded per tenant).
+    def adopt(
+        self,
+        target: Dict[str, TrafficClass],
+        realised: Tuple[PlacementPlan, SubclassPlan, GeneratedRules],
+        fabric: SouthboundFabric,
+        instances: Dict[str, VNFInstance],
+        versions: Optional[Dict[str, int]] = None,
+        epoch: int = 0,
+        converged_epoch: int = 0,
+    ) -> None:
+        """Take over a deployment already on the wire: ``fabric`` restores
+        ``realised`` as its desired state (epoch 0 for a day-0 install; the
+        checkpointed versions and epochs after a controller crash) and
+        starts reconciling; the blueprint becomes ``target``."""
+        plan, subclass_plan, rules = realised
+        fabric.restore(
+            rules, plan.classes, instances, versions or {}, epoch, converged_epoch
+        )
+        fabric.start()
+        self.chains = dict(target)
+        self.fabric = fabric
+        self.deployment = Deployment(
+            plan, subclass_plan, rules, fabric.network, dict(fabric.instances)
+        )
+        self._settled = settled_snapshot(self)
 
-        It drains the instances an epoch stops referencing once that epoch
-        has converged, so a tenant's running VMs are the ones its charged
-        plan uses.
-        """
+    def new_fabric(self, network: DataPlaneNetwork) -> SouthboundFabric:
+        """This tenant's private fabric over ``network`` (seeded per tenant),
+        draining what an epoch stops referencing once it has converged."""
         return SouthboundFabric(
             self.orch.sim,
             network,
@@ -278,39 +447,49 @@ class TenantWorker:
             drain_retired=True,
         )
 
-    def _converged(
-        self,
-        record: IntentRecord,
-        deployment: Deployment,
-        report: VerificationReport,
-    ) -> None:
+    def _converged(self, record: IntentRecord, outcome: Outcome) -> None:
         """The epoch reached zero drift and was audited: admit the next op."""
-        # The old epoch is off the wire — release its share of the pool.
-        self.orch.arbiter.settle(self.tenant_id)
-        self.deployment = deployment
+        _target, (self.shed, self.rates), self.budgets, *_ = self._op
+        self.deployment = outcome.deployment
+        # The retired instances are drained: the plan is the holding now.
+        self.orch.arbiter.settle(
+            self.tenant_id, self.deployment.plan.cores_by_switch()
+        )
         self._settled = settled_snapshot(self)
         self.orch._journal_epoch(
             self.tenant_id, self.fabric.converged_epoch, "converged"
         )
+        report = outcome.report
         self.orch._note_verify(self.tenant_id, report)
         if report.ok:
-            self._finish(record, COMPLETED)
+            self._finish(record, COMPLETED, outcome=outcome)
         else:
-            self._finish(record, FAILED, f"verify: {report.summary()}")
+            self._finish(
+                record, FAILED, f"verify: {report.summary()}", outcome=outcome
+            )
 
     def _teardown(self, record: IntentRecord) -> None:
         """The last chain was deleted: release everything the tenant holds."""
         if self.fabric is not None:
             self.fabric.stop()
+            for inst in self.fabric.instances.values():
+                inst.shutdown()  # their cores go back to the pool
         self.chains = {}
         self.deployment = None
+        self.budgets = None
         self.fabric = None
         self.orch.arbiter.release(self.tenant_id)
         self.orch._tenant_down(self.tenant_id)
         self._settled = settled_snapshot(self)
         self._finish(record, COMPLETED)
 
-    def _finish(self, record: IntentRecord, status: str, detail: str = "") -> None:
+    def _finish(
+        self,
+        record: IntentRecord,
+        status: str,
+        detail: str = "",
+        outcome: Optional[Outcome] = None,
+    ) -> None:
         record.status = status
         record.detail = detail
         record.completed_at = self.orch.sim.now
@@ -321,6 +500,8 @@ class TenantWorker:
             # increment ago — keep the op counter boundary-consistent.
             self._settled["ops_completed"] = self.ops_completed
         self.orch._intent_done(record)
+        if record.observer is not None:
+            record.observer.finished(record, outcome)
         self.current = None
         self._next()
 

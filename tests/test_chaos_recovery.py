@@ -216,7 +216,7 @@ def test_vnf_crash_replacement_reuses_slot():
     result = engine.run(until=8.0)
 
     assert not victim.running
-    replacement = controller.deployment.instances[victim_key]
+    replacement = engine.worker.deployment.instances[victim_key]
     assert replacement is not victim
     assert replacement.running
     assert replacement.switch == victim.switch

@@ -275,13 +275,12 @@ def _baseline_run(with_disabled_elastic: bool):
     sim = Simulator()
     deployment = controller.run(series.snapshots[0], sim=sim)
     fabric = SouthboundFabric(
-        sim, deployment.network, 0, controller.rule_generator
+        sim, deployment.network, 0, controller.rule_generator, drain_retired=True
     )
-    controller.attach_southbound(fabric)
     engine = ChaosEngine(sim, controller, FaultSchedule.empty(0), southbound=fabric)
     if with_disabled_elastic:
         # Disabled = built but never started: no timer, no tick.
-        elastic = ElasticController(sim, controller, fabric, lambda now: {})
+        elastic = ElasticController(engine.worker, lambda now: {})
     result = engine.run(until=6.0)
     if with_disabled_elastic:
         assert elastic.metrics.ticks_total == 0

@@ -46,13 +46,13 @@ def test_pinned_quick_seed1_signatures():
 
     tenants = multi_tenant.run(seed=1, quick=True)
     assert [(row[0], row[-1]) for row in tenants.rows] == [
-        (8, "bcb13ebb0b5f6288"),
-        (16, "871706056561d504"),
+        (8, "914c8d7386e003ba"),
+        (16, "2f854a307bdb5e37"),
     ]
     crash = controller_crash.run(seed=1, quick=True)
     signature = crash.columns.index("Signature")
     assert [(row[0], row[signature]) for row in crash.rows] == [
-        (name, "592d4aeef946fa95")
+        (name, "f5cc3d053f05fd5c")
         for name in ("baseline", "crash#1", "crash#2", "all-crashes")
     ]
 
@@ -111,7 +111,7 @@ _CHAOS_SOUTHBOUND = [
     # flash-crowd 2x
     {
         "acks": {"applied": 70, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
-        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 500,
+        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 0,
         "messages_lost": 0, "messages_sent": 70, "reconcile_repairs": 0,
         "reconcile_ticks": 40, "retries": 0, "rollback_ops": 0, "timeouts": 0,
         "transactions": _transactions(committed=2),
@@ -122,14 +122,14 @@ _CHAOS_SOUTHBOUND = [
     },
     # flash-crowd 8x
     {
-        "acks": {"applied": 108, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
-        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 554,
-        "messages_lost": 0, "messages_sent": 108, "reconcile_repairs": 0,
+        "acks": {"applied": 107, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
+        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 0,
+        "messages_lost": 0, "messages_sent": 107, "reconcile_repairs": 0,
         "reconcile_ticks": 40, "retries": 0, "rollback_ops": 0, "timeouts": 0,
         "transactions": _transactions(committed=3),
         "convergences": [
             {"converged_at": 6.71, "epoch": 1, "latency": 0.21, "pushed_at": 6.5},
-            {"converged_at": 8.21, "epoch": 2, "latency": 0.21, "pushed_at": 8.0},
+            {"converged_at": 11.21, "epoch": 2, "latency": 0.21, "pushed_at": 11.0},
             {"converged_at": 14.21, "epoch": 3, "latency": 0.21, "pushed_at": 14.0},
         ],
     },
@@ -137,11 +137,12 @@ _CHAOS_SOUTHBOUND = [
 
 
 def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
-    """The single-controller stack's ``--quick --seed 1`` tables: chaos
-    recovery (``failure-recovery``, ``southbound-chaos``) and the elastic
-    loop (``flash-crowd`` signatures), each re-planning through the
-    controller's one step; and every run's southbound metrics dict, read
-    from the same runs.  A deliberate change updates them here."""
+    """The chaos stack's ``--quick --seed 1`` tables: chaos recovery
+    (``failure-recovery``, ``southbound-chaos``) and the elastic loop
+    (``flash-crowd`` signatures), each re-planning through the tenant
+    worker that adopted the controller's day-0 deployment; and every run's
+    southbound metrics dict, read from the same runs.  A deliberate change
+    updates them here."""
     from repro.chaos.runner import ChaosEngine
     from repro.experiments import failure_recovery, flash_crowd, southbound_chaos
 
@@ -151,22 +152,24 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     def recording_finalize(engine):
         result = finalize(engine)
         southbound.append(result.metrics["southbound"])
+        # The one-tenant orchestrator's isolation audit ran all along.
+        assert result.cross_tenant_violation_seconds == 0
         return result
 
     monkeypatch.setattr(ChaosEngine, "finalize", recording_finalize)
 
     assert failure_recovery.run(seed=1, quick=True).rows == [
-        ["internet2", 2, 2, 0.646015, 0.751016, 0.891515, 1.25, 22, 0.0, 3, 866,
+        ["internet2", 2, 2, 0.646015, 0.751016, 0.891515, 1.5, 27, 0.0, 3, 866,
          2, 0, 0, "OK"]
     ]
     assert southbound_chaos.run(seed=1, quick=True).rows == [
-        ["0%", 72, 0, 0, 0, 0, 2, 0, 0, 3, 0.222228, 1.25, 0.0, 0, "OK"],
-        ["10%", 72, 12, 12, 12, 0, 2, 0, 0, 3, 0.772704, 2.0, 0.0, 0, "OK"],
+        ["0%", 72, 0, 0, 0, 0, 2, 0, 0, 3, 0.222228, 1.5, 0.0, 0, "OK"],
+        ["10%", 72, 12, 12, 12, 0, 2, 0, 0, 3, 0.772704, 2.25, 0.0, 0, "OK"],
     ]
     assert [
         flash_crowd._flash_row(amplitude, seed=1, quick=True)[1]
         for amplitude in (2.0, 8.0)
-    ] == ["a92afcca64e047f4", "d79d77c025ed1829"]
+    ] == ["0e4b7f52db4bdb6d", "f35619f81cddf1aa"]
     assert southbound == _CHAOS_SOUTHBOUND
 
 

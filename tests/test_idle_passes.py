@@ -8,12 +8,12 @@
   behind its back wakes it, and the repair starts at the tick (time and
   same-instant order) an always-ticking reconciler would have repaired at.
   A stopped orchestrator leaves no tenant fabric armed.
-* The cross-tenant audit computes a plan's cores once per plan object and
-  sums the arbiter's ledgers sparsely; it stays an oracle only if a bad
-  ledger entry or an oversubscribing plan still accrues violation seconds.
+* The cross-tenant audit sums the cores of the running VNF instances on
+  every tick; it stays an oracle only if a bad ledger entry, or an
+  instance left running past its plan (beyond its tenant's charge, or on
+  a full host), still accrues violation seconds.
 """
 
-import dataclasses
 import gc
 import weakref
 
@@ -325,24 +325,26 @@ def test_corrupt_ledger_entry_accrues_violation_seconds():
     assert orch.cross_tenant_violation_seconds == 1.0
 
 
-def test_oversubscribing_plans_accrue_violation_seconds():
+@pytest.mark.parametrize("overfill", [False, True], ids=["charge", "host"])
+def test_instance_running_past_its_plan_accrues_violation_seconds(overfill):
+    # VMs no plan of tA's uses keep running on one of its hosts: one of
+    # them already exceeds what the arbiter charges tA there; enough of
+    # them exceed the physical host.  The ledgers, untouched, still
+    # balance, and the plans still fit — only the running instances show.
     sim, orch = _two_tenants()
-    workers = [orch.workers["tA"], orch.workers["tB"]]
-    honest = [w.deployment.plan for w in workers]
-    host = next(iter(honest[0].quantities))[0]
-    # Each tenant alone fits the host; together they do not — and the
-    # arbiter's own ledgers, untouched, still balance.
-    each = HOST_CORES // FIREWALL.cores // 2 + 1
-    for worker, plan in zip(workers, honest):
-        worker.deployment.plan = dataclasses.replace(
-            plan, quantities={(host, "firewall"): each}
-        )
+    worker = orch.workers["tA"]
+    host = sorted(worker.deployment.plan.cores_by_switch())[0]
+    count = HOST_CORES // FIREWALL.cores + 1 if overfill else 1
+    leftovers = []
+    for k in range(count):
+        key = f"firewall[{100 + k}]@{host}"
+        leftovers.append(VNFInstance(key, FIREWALL, host))
+        worker.fabric.instances[key] = leftovers[-1]
     assert not orch.arbiter.oversubscribed()
     sim.run(until=6.0)
-    assert orch.cross_tenant_violation_seconds == 1.0
-    # Back to the plans the audit has already seen: no stale verdict.
-    for worker, plan in zip(workers, honest):
-        worker.deployment.plan = plan
+    assert orch.cross_tenant_violation_seconds == 1.0  # four 0.25 s ticks
+    for inst in leftovers:  # drained at last: no stale verdict
+        inst.shutdown()
     sim.run(until=7.0)
     assert orch.cross_tenant_violation_seconds == 1.0
     orch.stop()

@@ -135,7 +135,7 @@ def test_registry_equals_sum_of_ledgers_over_two_chaos_rows(
         sum(m.downtime_seconds for m in chaos)
     )
 
-    networks = [e.controller.deployment.network for e in engines]
+    networks = [e.worker.deployment.network for e in engines]
     tables = [sw.table for n in networks for sw in n.switches.values()]
     for name, total in (
         ("dataplane_packets_delivered_total",

@@ -1,9 +1,9 @@
-"""The one commit step: exactly one outcome per epoch, for every committer.
+"""The one commit step: exactly one outcome per epoch, one committer.
 
-* two back-to-back ``commit``s on one fabric deliver *superseded* then
-  *converged*, each exactly once;
-* an elastic scale-out superseded by a recovery push leaves ``busy``,
-  re-decides, later scales in, and the run stays clean;
+* a ``commit`` while the fabric's epoch is open is refused
+  (:class:`EpochOpenError`); the open epoch converges exactly once;
+* a recovery verdict landing inside an open elastic epoch waits for it on
+  the tenant worker's queue: both epochs converge, each on record once;
 * single writer: across a chaos + elastic + tenancy history, no rule
   table of a live network moves outside a ``SwitchAgent`` apply;
 * composition: with recovery and the elastic loop both armed, an epoch
@@ -24,7 +24,7 @@ from repro.chaos import (
 )
 from repro.core.controller import AppleController
 from repro.core.engine import EngineConfig
-from repro.core.reconfigure import commit, realize
+from repro.core.reconfigure import EpochOpenError, commit, realize
 from repro.dataplane.vswitch import VSwitch
 from repro.elastic import ElasticController, assign_slo_classes
 from repro.experiments.flash_crowd import QUICK_HORIZON, TOPOLOGY, _flash_config
@@ -47,7 +47,7 @@ from repro.traffic.matrix import TrafficMatrix
 from repro.vnf.chains import STANDARD_CHAINS
 
 
-def test_back_to_back_commits_superseded_then_converged():
+def test_commit_on_an_open_epoch_is_refused():
     topo = internet2()
     controller = AppleController(
         topo, hashed_assignment(STANDARD_CHAINS), min_rate_mbps=1.0
@@ -55,8 +55,6 @@ def test_back_to_back_commits_superseded_then_converged():
     matrix = gravity_matrix(topo, 8000.0, seed=7)
     sim = Simulator()
     deployment = controller.run(matrix, sim=sim)
-    # drain_retired: instances the superseded epoch booted and the final
-    # plan does not use must go, or verify's isolation audit counts them.
     fabric = SouthboundFabric(
         sim, deployment.network, 7, controller.rule_generator, drain_retired=True
     )
@@ -67,28 +65,31 @@ def test_back_to_back_commits_superseded_then_converged():
         controller.compute_placement(TrafficMatrix(matrix.nodes, matrix.array * factor))
         for factor in (2.0, 3.0)
     ]
-    for name, plan in zip(("first", "second"), plans):
+    commit(
+        fabric,
+        plans[0],
+        *realize(controller.rule_generator, plans[0]),
+        on_done=outcomes["first"].append,
+    )
+    # Ops are serialized: a second commit while epoch 1 is open is refused.
+    with pytest.raises(EpochOpenError):
         commit(
             fabric,
-            plan,
-            *realize(controller.rule_generator, plan),
-            on_done=outcomes[name].append,
+            plans[1],
+            *realize(controller.rule_generator, plans[1]),
+            on_done=outcomes["second"].append,
         )
-    # The second push told the first committer at once; nothing converged yet.
-    assert fabric.epoch == 2
-    assert [o.superseded for o in outcomes["first"]] == [True]
-    assert outcomes["second"] == []
+    assert fabric.epoch == 1 and outcomes == {"first": [], "second": []}
 
     fabric.start()
     sim.run(until=10.0)
     fabric.stop()
-    (first,), (second,) = outcomes["first"], outcomes["second"]
-    assert (first.deployment, first.convergence, first.report) == (None,) * 3
-    assert not second.superseded
-    assert second.convergence.epoch == 2
-    assert second.deployment.plan is plans[1]
-    assert second.deployment.instances == fabric.instances
-    assert second.report.ok, second.report.summary()
+    (first,) = outcomes["first"]
+    assert outcomes["second"] == []
+    assert first.convergence.epoch == 1
+    assert first.deployment.plan is plans[0]
+    assert first.deployment.instances == fabric.instances
+    assert first.report.ok, first.report.summary()
     assert fabric.converged and fabric.drift_count() == 0
 
 
@@ -139,9 +140,7 @@ def _flash_scenario(seed=0, amplitude=2.0, faults=None, sb_chaos=None):
     )
     chaos = ChaosEngine(sim, controller, schedule, southbound=fabric)
     elastic = ElasticController(
-        sim,
-        controller,
-        fabric,
+        chaos.worker,
         lambda now: {
             cid: rate * spikes.multiplier(cid, now) for cid, rate in baseline.items()
         },
@@ -151,34 +150,32 @@ def _flash_scenario(seed=0, amplitude=2.0, faults=None, sb_chaos=None):
     return sim, chaos, elastic, fabric
 
 
-def test_elastic_scale_out_superseded_by_recovery_push_recovers():
+def test_recovery_waits_behind_an_open_elastic_epoch():
     # Dry run: when does the autoscaler open its first scale-out epoch?
     _sim, chaos, elastic, _fabric = _flash_scenario()
     chaos.run(until=QUICK_HORIZON)
     first = elastic.metrics.actions[0]
-    assert first.direction == "scale_out"
+    assert first.direction == "scale_out" and first.converged_at > first.time
 
-    # Same run, with a recovery reconvergence landing 10 ms into that epoch.
+    # Same run, with a recovery verdict batch landing 10 ms into that epoch.
     sim, chaos, elastic, fabric = _flash_scenario()
     sim.schedule_at(first.time + 0.01, chaos.recovery.on_detections, args=([],))
     result = chaos.run(until=QUICK_HORIZON)
     elastic.stop()
     em = elastic.metrics
 
-    # The scale-out was told it lost the wire — once — and not counted.
-    assert [a.time for a in em.superseded] == [first.time]
-    assert em.superseded[0].epoch is None and em.superseded[0].verify_ok is None
-    assert elastic._pending is None
-    # The loop left ``busy``, re-decided, and later scaled back in.
-    busy = [t for t in em.ticks if t.action == "busy"]
-    assert len(busy) < len(em.ticks) // 2
+    # The scale-out converged as in the dry run, and is counted once...
+    assert em.actions[0].to_dict() == first.to_dict()
     assert em.scale_out_total >= 1 and em.scale_in_total >= 1
     assert all(a.verify_ok for a in em.actions)
-    # Recovery's own epoch converged and is on record, once.
-    assert result.reconvergences == len(result.metrics["convergences"]) == 1
-    assert result.metrics["convergences"][0]["verify_ok"]
+    # ...and recovery's epoch waited for it on the worker's queue, then
+    # converged and is on record, once.
+    (record,) = result.metrics["convergences"]
+    assert result.reconvergences == 1
+    assert record["verify_ok"] and record["time"] > first.converged_at
     # And the run stayed clean.
     assert result.metrics["policy_violation_seconds"] == 0
+    assert result.cross_tenant_violation_seconds == 0
     assert result.final_verify_ok
     assert fabric.converged and fabric.drift_count() == 0
 
@@ -192,7 +189,7 @@ def test_recovery_and_elastic_pushes_compose(seed, amplitude):
     sim, chaos, elastic, fabric = _flash_scenario(
         seed, amplitude, faults=_SINGLE_WRITER_FAULTS
     )
-    controller = chaos.controller
+    worker = chaos.worker
     bad = {"path": [], "dead instance": [], "shed": []}
     evaluated = []
 
@@ -206,8 +203,8 @@ def test_recovery_and_elastic_pushes_compose(seed, amplitude):
                 return
         now = sim.now
         evaluated.append(now)
-        deployment = controller.deployment
-        failed = controller.topo.failed_links
+        deployment = worker.deployment
+        failed = chaos.orch.topo.failed_links
         if any(
             Topology.link_key(a, b) in failed
             for cls in deployment.plan.classes
@@ -222,7 +219,7 @@ def test_recovery_and_elastic_pushes_compose(seed, amplitude):
         ):
             bad["dead instance"].append(now)
         live = {cls.class_id for cls in deployment.plan.classes}
-        if live & set(elastic.shed_ids):
+        if live & set(worker.shed):
             bad["shed"].append(now)
 
     sim.every(0.25, check)
@@ -231,6 +228,7 @@ def test_recovery_and_elastic_pushes_compose(seed, amplitude):
     assert bad == {"path": [], "dead instance": [], "shed": []}
     assert len(evaluated) >= 60
     assert result.metrics["policy_violation_seconds"] == 0
+    assert result.cross_tenant_violation_seconds == 0
     assert result.final_verify_ok
 
 
@@ -242,7 +240,7 @@ class _GenerationLedger:
     """Every watched network's generation counters, as last left by an apply.
 
     A network is watched from the moment a fabric takes it over (``adopt``
-    = epoch 0).  From then on its TCAM generations may move only inside
+    / ``restore`` = epoch 0).  From then on its TCAM generations may move only inside
     ``SwitchAgent.receive``; a vSwitch generation may additionally move by
     exactly one per VM port attach (``register_instance`` is the
     hypervisor booting an instance, not a rule write).
@@ -254,12 +252,12 @@ class _GenerationLedger:
         self.violations = []
         ledger = self
 
-        adopt = SouthboundFabric.adopt
+        restore = SouthboundFabric.restore
         receive = SwitchAgent.receive
         register = VSwitch.register_instance
 
-        def watched_adopt(fabric, *args, **kwargs):
-            adopt(fabric, *args, **kwargs)
+        def watched_restore(fabric, *args, **kwargs):
+            restore(fabric, *args, **kwargs)
             ledger.snapshot(fabric.network)
 
         def watched_receive(agent, msg):
@@ -275,7 +273,7 @@ class _GenerationLedger:
                 if id(vsw) in vsw_gens:
                     vsw_gens[id(vsw)] += 1
 
-        monkeypatch.setattr(SouthboundFabric, "adopt", watched_adopt)
+        monkeypatch.setattr(SouthboundFabric, "restore", watched_restore)
         monkeypatch.setattr(SwitchAgent, "receive", watched_receive)
         monkeypatch.setattr(VSwitch, "register_instance", watched_register)
 

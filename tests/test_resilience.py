@@ -29,6 +29,7 @@ from repro.sim.kernel import Simulator
 from repro.tenancy import (
     CreateChain,
     DeleteChain,
+    Replan,
     ScaleChain,
     TenantOrchestrator,
     UpdateRates,
@@ -126,6 +127,9 @@ def test_intent_payload_round_trips_every_kind():
         UpdateRates("t0", rates=(("c0", 250.5), ("c1", 80.25))),
         ScaleChain("t0", chain_id="c0", factor=1.5),
         DeleteChain("t0", chain_id="c0"),
+        Replan("t0"),
+        Replan("t0", shed=(), rates=(("t0/c0", 40.125),)),
+        Replan("t0", shed=("t0/c1",), rates=(("t0/c0", 40.125),)),
     ]
     for intent in intents:
         clone = intent_from_payload(intent_to_payload(intent))

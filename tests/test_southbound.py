@@ -17,7 +17,13 @@ Four layers of coverage, bottom up:
 
 import pytest
 
-from repro.chaos import ChaosConfig, ChaosEngine, FaultKind, generate_schedule
+from repro.chaos import (
+    ChaosConfig,
+    ChaosEngine,
+    FaultKind,
+    FaultSchedule,
+    generate_schedule,
+)
 from repro.cloud.opendaylight import RULE_INSTALL_SECONDS
 from repro.core.controller import AppleController
 from repro.core.subclasses import assign_subclasses
@@ -382,12 +388,15 @@ def _deployed(seed=SEED):
 
 
 def _fabric(sim, controller, deployment, chaos=None, seed=SEED):
+    # Draining: a chaos run's tenant worker retires what an epoch stops
+    # referencing.
     fabric = SouthboundFabric(
         sim,
         deployment.network,
         seed,
         controller.rule_generator,
         chaos=chaos,
+        drain_retired=True,
     )
     controller.attach_southbound(fabric)
     return fabric
@@ -576,9 +585,9 @@ def test_southbound_schedule_rides_an_independent_substream():
 
 
 def test_fabricless_engine_runs_on_the_default_fabric():
-    # No fabric handed in: the engine builds the loss-free default over
-    # the deployment's network and adopts it as epoch 0 — the same run,
-    # bit for bit, as handing that fabric in.
+    # No fabric handed in: the engine builds the tenant worker's loss-free
+    # default over the deployment's network and adopts it as epoch 0 — the
+    # same run, bit for bit, as handing an equivalent fabric in.
     def run(explicit):
         topo, controller, sim, deployment = _deployed()
         schedule = generate_schedule(
@@ -594,9 +603,9 @@ def test_fabricless_engine_runs_on_the_default_fabric():
 
     engine, result = run(explicit=False)
     fabric = engine.southbound
-    assert engine.controller.southbound is fabric
-    assert fabric.network is engine.controller.deployment.network
-    assert fabric.chaos == SouthboundChaosConfig() and not fabric.drain_retired
+    assert engine.worker.fabric is fabric
+    assert fabric.network is engine.worker.deployment.network
+    assert fabric.chaos == SouthboundChaosConfig() and fabric.drain_retired
     assert result.reconvergences == len(result.metrics["convergences"]) > 0
     assert fabric.converged and fabric.drift_count() == 0
     # Every recovery push went over the wire, none was lost.
@@ -608,18 +617,31 @@ def test_fabricless_engine_runs_on_the_default_fabric():
     assert result.signature() == run(explicit=True)[1].signature()
 
 
+def test_a_chaos_fabric_must_drain_what_an_epoch_retires():
+    _topo, controller, sim, deployment = _deployed()
+    fabric = SouthboundFabric(
+        sim, deployment.network, SEED, controller.rule_generator
+    )
+    with pytest.raises(ValueError, match="drain_retired"):
+        ChaosEngine(sim, controller, FaultSchedule.empty(SEED), southbound=fabric)
+
+
 def test_every_reconvergence_leaves_exactly_one_record():
-    # Seed 2 supersedes two of its three recovery epochs (a later verdict
-    # batch pushes before the earlier epoch converged over the lossy
-    # channel); each is on record once, flagged, and repairs nothing.
+    # Seed 2's later verdict batches land while the link-flap epoch is still
+    # open over the lossy channel.  The worker serializes them: each waits
+    # for the open epoch, then converges, and is on record once.  The first
+    # epoch was planned before the VNF crash and converges naming the dead
+    # VM (verify reports its undelivered cells); the queued re-plan then
+    # replaces it.
     result, fabric = _southbound_chaos_run(seed=2)
     records = result.metrics["convergences"]
     assert result.reconvergences == len(records) == 3
-    assert [c.get("superseded", False) for c in records] == [True, True, False]
-    for c in records[:2]:
-        assert c["convergence_latency"] is None and c["verify_ok"] is None
-    assert records[-1]["verify_ok"]
+    assert [c["verify_ok"] for c in records] == [False, True, True]
+    assert "delivery" in records[0]["verify_summary"]
+    assert all(c["convergence_latency"] is not None for c in records)
+    assert [c["time"] for c in records] == sorted(c["time"] for c in records)
     assert result.metrics["policy_violation_seconds"] == 0
+    assert result.cross_tenant_violation_seconds == 0
     assert result.final_verify_ok and fabric.drift_count() == 0
 
 

@@ -1,11 +1,13 @@
 """Tests for the multi-tenant intent orchestrator (repro.tenancy)."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
 import pytest
 
 from repro.core.controller import AppleController, UnknownClassError
+from repro.core.reconfigure import realize
 from repro.experiments.harness import normalize_name
 from repro.experiments.multi_tenant import _build_and_run, generate_intents
 from repro.obs.metrics import MetricError, MetricsRegistry
@@ -17,6 +19,7 @@ from repro.tenancy import (
     DeleteChain,
     IntentBus,
     IntentValidationError,
+    Replan,
     ScaleChain,
     TenantOrchestrator,
     UpdateRates,
@@ -26,6 +29,7 @@ from repro.topology.datasets import internet2
 from repro.traffic.classes import hashed_assignment
 from repro.traffic.gravity import gravity_matrix
 from repro.vnf.chains import STANDARD_CHAINS
+from repro.vnf.types import DEFAULT_CATALOG
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
@@ -68,6 +72,9 @@ def test_intent_validation_rejects_malformed():
         ),
         ScaleChain("t", chain_id="c", factor=0.0),
         DeleteChain("t", chain_id=""),
+        Replan(""),
+        Replan("t", rates=(("t/c", 10.0),)),  # rates without a verdict
+        Replan("t", shed=(), rates=(("t/c", float("nan")),)),
     ]
     for intent in cases:
         with pytest.raises(IntentValidationError):
@@ -133,18 +140,28 @@ def test_arbiter_grant_settle_release(arb_env):
     assert arb.inflight_tcam["tA"] == 10 and arb.tcam_free == 54
     assert arb.free == {"s0": 5, "s1": 8} and _balanced(arb)
 
-    arb.settle("tA")
+    arb.settle("tA", {"s0": 3})
     assert arb.steady["tA"] == {"s0": 3} and "tA" not in arb.inflight
     assert arb.tcam_used["tA"] == 10 and arb.tcam_free == 54
 
-    # Make-before-break: the next op is charged beside the live one...
+    # Make-before-break: what the next op creates is charged beside the
+    # live plan...
     assert arb.request("tA", {"s1": 4}, 12, resume=None) == arb.GRANTED
     assert arb.free == {"s0": 5, "s1": 4} and arb.tcam_free == 42
     assert _balanced(arb)
-    # ...and settle releases the old epoch's share.
-    arb.settle("tA")
+    # ...and settle makes the new plan the holding: it kept nothing on s0.
+    arb.settle("tA", {"s1": 4})
     assert arb.steady["tA"] == {"s1": 4} and arb.free == {"s0": 8, "s1": 4}
     assert arb.tcam_free == 52 and arb.granted_total == 2
+
+    # A delta epoch: the plan keeps its 4 cores on s1 and creates 2 on s0;
+    # only the 2 are requested, and settle charges the whole new plan.
+    assert arb.request("tA", {"s0": 2}, 12, resume=None) == arb.GRANTED
+    assert arb.free == {"s0": 6, "s1": 4} and _balanced(arb)
+    arb.settle("tA", {"s0": 2, "s1": 4})
+    assert arb.steady["tA"] == {"s0": 2, "s1": 4}
+    assert arb.free == {"s0": 6, "s1": 4} and _balanced(arb)
+    assert arb.granted_total == 3
 
     arb.release("tA")
     assert arb.free == arb.physical and arb.tcam_free == arb.tcam_budget
@@ -154,7 +171,7 @@ def test_arbiter_grant_settle_release(arb_env):
 def test_arbiter_queues_then_resumes_on_release(arb_env):
     sim, arb = arb_env
     assert arb.request("tA", {"s0": 8}, 4, resume=None) == arb.GRANTED
-    arb.settle("tA")
+    arb.settle("tA", {"s0": 8})
 
     got = []
     assert arb.request("tB", {"s0": 2, "s1": 2}, 4, resume=got.append) == arb.QUEUED
@@ -233,7 +250,7 @@ def test_arbiter_tcam_budget_enforced_at_commit(arb_env):
 def test_arbiter_tcam_above_free_parks_like_cores(arb_env):
     sim, arb = arb_env
     assert arb.request("tA", {"s0": 1}, 40, resume=None) == arb.GRANTED
-    arb.settle("tA")
+    arb.settle("tA", {"s0": 1})
     got = []
     # 30 entries fit the budget of 64 but not the 24 free: park.
     assert arb.request("tB", {"s1": 1}, 30, resume=got.append) == arb.QUEUED
@@ -243,6 +260,81 @@ def test_arbiter_tcam_above_free_parks_like_cores(arb_env):
     sim.run(until=1.0)
     assert got == [True] and arb.inflight_tcam == {"tB": 30}
     assert [p.tenant_id for p in arb.queue] == ["tA"]
+
+
+def test_recovery_replan_is_charged_only_the_instance_it_creates():
+    """A re-plan that keeps every running instance but the one a host crash
+    killed is charged exactly its replacement's cores; settle then holds
+    the whole new plan, and the audit sees every running core charged."""
+    topo = internet2(default_host_cores=64)
+    sim = Simulator(seed=0)
+    orch = TenantOrchestrator(topo, sim, seed=0)
+    orch.start()
+    for k, (src, dst) in enumerate(
+        [("STTL", "ATLA"), ("LOSA", "NYCM"), ("CHIN", "HSTN")]
+    ):
+        orch.submit(CreateChain("t", chain_id=f"c{k}", src=src, dst=dst,
+                                chain=tuple(STANDARD_CHAINS[k]), rate_mbps=300.0))
+    sim.run(until=5.0)
+    worker = orch.workers["t"]
+    old = worker.deployment.plan
+    assert sorted(worker.fabric.instances) == [
+        "firewall[0]@DNVR", "firewall[0]@HSTN", "ids[0]@DNVR", "nat[0]@ATLA",
+        "proxy[0]@HSTN",
+    ]
+    # ATLA dies with its one instance; the re-plan moves that NAT one hop
+    # up t/c2's path (CHIN, IPLS, ATLA, HSTN), to IPLS, and keeps the other
+    # four where they run.
+    topo.fail_host("ATLA")
+    worker.fabric.instances["nat[0]@ATLA"].shutdown()
+    quantities = {k: v for k, v in old.quantities.items() if k[0] != "ATLA"}
+    quantities[("IPLS", "nat")] = 1
+    distribution = dict(old.distribution)
+    distribution[("t/c2", 1, 0)] = distribution.pop(("t/c2", 2, 0))
+    plan = dataclasses.replace(
+        old, quantities=quantities, distribution=distribution
+    )
+    worker.solve = lambda classes, budgets=None: (
+        plan, *realize(worker.rulegen, plan)
+    )
+    requests = []
+    request = orch.arbiter.request
+
+    def recorded(tenant_id, need, *args, **kwargs):
+        requests.append(dict(need))
+        return request(tenant_id, need, *args, **kwargs)
+
+    orch.arbiter.request = recorded
+    record = orch.submit(Replan("t"))
+    sim.run(until=10.0)
+    nat = DEFAULT_CATALOG.get("nat").cores
+    assert requests == [{"IPLS": nat}]
+    assert record.status == COMPLETED
+    assert orch.arbiter.steady["t"] == plan.cores_by_switch()
+    assert sorted(worker.fabric.instances) == [
+        "firewall[0]@DNVR", "firewall[0]@HSTN", "ids[0]@DNVR", "nat[0]@IPLS",
+        "proxy[0]@HSTN",
+    ]
+    assert orch.cross_tenant_violation_seconds == 0
+    assert not orch.arbiter.oversubscribed()
+
+
+def test_teardown_shuts_the_tenant_vms_down():
+    """The last DeleteChain returns the tenant's cores to the pool, so its
+    VMs must stop too: none may keep running uncharged."""
+    sim = Simulator(seed=0)
+    orch = TenantOrchestrator(internet2(default_host_cores=64), sim, seed=0)
+    orch.start()
+    orch.submit(CreateChain("t", chain_id="c", src="STTL", dst="ATLA",
+                            chain=tuple(STANDARD_CHAINS[0]), rate_mbps=300.0))
+    sim.run(until=2.0)
+    vms = list(orch.workers["t"].fabric.instances.values())
+    assert vms and all(vm.running for vm in vms)
+    orch.submit(DeleteChain("t", chain_id="c"))
+    sim.run(until=4.0)
+    orch.stop()
+    assert orch.workers["t"].fabric is None and "t" not in orch.arbiter.steady
+    assert not any(vm.running for vm in vms)
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,11 @@ Four properties the tenancy subsystem is built around:
   engine places on the physical pool is granted at once by an empty
   arbiter.
 
-* **The ledgers balance** — after any sequence of requests, settlements,
-  releases and admission timeouts, ``steady + inflight + free ==
-  physical`` on every switch and ``oversubscribed()`` is False.
+* **The ledgers balance** — after any sequence of delta requests (what an
+  epoch creates beyond the cores it keeps of the tenant's holding),
+  settlements of the whole new plan, releases and admission timeouts,
+  ``steady + inflight + free == physical`` on every switch and
+  ``oversubscribed()`` is False.
 """
 
 from functools import lru_cache
@@ -184,6 +186,9 @@ arbiter_ops = st.lists(
             st.dictionaries(st.sampled_from(sorted(_PHYSICAL)), st.integers(0, 9)),
             st.integers(0, 70),
             st.integers(0, 2),
+            # Cores of the holding the epoch keeps, per switch (capped at
+            # what the tenant holds there).
+            st.dictionaries(st.sampled_from(sorted(_PHYSICAL)), st.integers(0, 9)),
         ),
         st.tuples(st.sampled_from(["settle", "release"]), st.sampled_from(_TENANTS)),
         st.tuples(st.just("advance"), st.floats(0.0, 6.0)),
@@ -196,11 +201,13 @@ arbiter_ops = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_ledgers_balance_after_any_sequence(ops):
     """Ops follow the worker's protocol: a tenant requests only when it has
-    no op charged or parked, settles only a charged op, and tears down only
-    when nothing of it is parked."""
+    no op charged or parked, asking for what its new plan creates beyond
+    the cores it keeps of its holding; it settles only a charged op, with
+    that whole plan, and tears down only when nothing of it is parked."""
     sim = Simulator(seed=0)
     arbiter = CapacityArbiter(sim, _PHYSICAL, tcam_budget=64, admission_timeout=5.0)
     state = {t: "idle" for t in _TENANTS}
+    plans = {}
 
     def resume(tenant, granted):
         state[tenant] = "charged" if granted else "idle"
@@ -208,7 +215,13 @@ def test_ledgers_balance_after_any_sequence(ops):
     for op in ops:
         kind = op[0]
         if kind == "request" and state[op[1]] == "idle":
-            _, tenant, need, tcam, priority = op
+            _, tenant, need, tcam, priority, keep = op
+            held = arbiter.steady.get(tenant, {})
+            plan = {
+                sw: need.get(sw, 0) + min(keep.get(sw, 0), held.get(sw, 0))
+                for sw in _PHYSICAL
+            }
+            plans[tenant] = plan
             status = arbiter.request(
                 tenant, need, tcam, resume=lambda ok, t=tenant: resume(t, ok),
                 priority=priority,
@@ -218,7 +231,7 @@ def test_ledgers_balance_after_any_sequence(ops):
                 arbiter.REJECTED: "idle",
             }[status]
         elif kind == "settle" and state[op[1]] == "charged":
-            arbiter.settle(op[1])
+            arbiter.settle(op[1], plans[op[1]])
             state[op[1]] = "idle"
         elif kind == "release" and state[op[1]] != "parked":
             arbiter.release(op[1])

@@ -77,6 +77,17 @@ plans on the whole physical pool and the arbiter charges that plan, so:
   touched no switch; now 5 of 39), so the wire work grows: 60 channels,
   171 messages, 1,893 reconcile ticks, 730 events, 50 diff evaluations,
   128 ``SwitchDiff`` and 128 ``TcamEntry`` objects.
+
+A tenant now places on the live hosts' cores *and memory* (Eq. 6 per
+resource type, as the controller's day-0 placement always did), and the
+arbiter charges delta grants.  On this history no grant ever waited, so
+every move below is the memory rows' (the same numbers come from the
+commit before with only the memory budgets added): the same 55 calls,
+solves, assemblies and warm re-solves, but other vertices — 9 instances
+consolidated away (was 6), objective 180 (178), plan digest
+27667a8b339d0051 — and with them 59 channels (60), 156 messages (171),
+699 events (730), 49 diff evaluations (50), 107 ``SwitchDiff`` (128) and
+116 ``TcamEntry`` (128) objects; 1,893 reconcile ticks unchanged.
 """
 
 import sys
@@ -85,10 +96,18 @@ from pathlib import Path
 import hashlib
 from functools import lru_cache
 
+from repro.core.constraints import assemble_placement_lp
+from repro.core.engine import OptimizationEngine
 from repro.dataplane.switch import host_match_entry, pass_by_entry
 from repro.experiments.harness import standard_setup
-from repro.sim.rng import derive
+from repro.sim.rng import SeededRNG, derive
+from repro.topology.datasets import internet2
+from repro.topology.routing import Router
+from repro.traffic.classes import TrafficClass
+from repro.vnf.chains import STANDARD_CHAINS
+from repro.vnf.types import DEFAULT_CATALOG
 from tests.deploy_series import GEANT_SNAPSHOTS, GeantReconfigSeries
+from tests.lp_reference import solve_milp
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
@@ -111,9 +130,9 @@ PINNED_CHURN = {
     "assemblies": 32,
     "warm_places": 23,
     "failed_places": 0,
-    "consolidated": 6,
-    "objective": 178.0,
-    "plans": "edac8d6c885dc777",
+    "consolidated": 9,
+    "objective": 180.0,
+    "plans": "27667a8b339d0051",
 }
 
 
@@ -143,18 +162,33 @@ REMOVED_GEANT_RECONFIG = {
 }
 
 PINNED_CHURN_SOUTHBOUND = {
-    "channels_built": 60,
-    "messages": 171,
+    "channels_built": 59,
+    "messages": 156,
     "retries": 0,
     "reconcile_ticks": 1893,
 }
 
 PINNED_CHURN_IDLE = {
-    "sim_events": 730,
-    "reconcile_evaluations": 50,
-    "switch_diffs_built": 128,
-    "entries_built": 128,
+    "sim_events": 699,
+    "reconcile_evaluations": 49,
+    "switch_diffs_built": 107,
+    "entries_built": 116,
 }
+
+
+#: ``place()``'s rounded instance count against the exact integer optimum
+#: of its own model (Eq. 1–6 with integral q, ``tests/lp_reference.py::
+#: solve_milp``), per small seeded Internet2 instance (2–8 classes), as
+#: (classes, rounding, optimum).  The engine rounds the LP relaxation up,
+#: so the gap is what that costs (ROADMAP item 12(a)).
+PINNED_ROUNDING_GAP = [
+    (6, 41, 37), (4, 18, 16), (8, 51, 47), (5, 34, 31), (3, 23, 21),
+    (8, 54, 50), (7, 69, 61), (3, 19, 19), (4, 21, 21), (7, 36, 33),
+    (7, 35, 30), (4, 34, 30), (7, 34, 29), (3, 25, 23), (3, 10, 9),
+    (2, 25, 24), (4, 36, 34), (2, 14, 13), (3, 22, 21), (5, 24, 22),
+    (7, 54, 49), (3, 15, 15), (2, 19, 19), (7, 54, 53),
+]
+ROUNDING_GAP_INSTANCES = 24
 
 
 def _digest(*parts) -> str:
@@ -276,3 +310,43 @@ def test_churn_idle_work_is_pinned():
     assert {
         name: getattr(counts, name) for name in PINNED_CHURN_IDLE
     } == PINNED_CHURN_IDLE
+
+
+def rounding_gaps() -> list:
+    """(classes, rounded instances, MIP optimum) per seeded instance."""
+    topo = internet2()
+    router = Router(topo)
+    hosts = sorted(topo.hosts)
+    cores = {s: h.cores for s, h in topo.hosts.items()}
+    memory = {s: h.memory_gb for s, h in topo.hosts.items()}
+    out = []
+    for seed in range(ROUNDING_GAP_INSTANCES):
+        rng = SeededRNG(derive(seed, "tests.placement_gap"))
+        classes = []
+        for k in range(rng.integer(2, 9)):
+            src, dst = rng.choice(hosts, size=2, replace=False)
+            chain = STANDARD_CHAINS[rng.integer(0, len(STANDARD_CHAINS))]
+            rate = rng.uniform(200.0, 4000.0)
+            classes.append(
+                TrafficClass(f"c{k}", src, dst, router.path(src, dst), chain, rate)
+            )
+        engine = OptimizationEngine(DEFAULT_CATALOG)
+        plan = engine.place(classes, cores, memory)
+        # The same model, assembled and written as place() writes it.
+        clamped = engine._clamped(classes)
+        template = assemble_placement_lp(
+            clamped, cores, memory, cap=engine._cap, catalog=engine.catalog
+        )
+        template.set_rates(clamped)
+        template.set_budgets(cores, memory)
+        optimum, solution = solve_milp(template.lp)
+        assert template.lp.is_feasible(solution)
+        assert plan.lp_bound <= optimum + 1e-6 <= plan.objective + 2e-6
+        out.append((len(classes), int(plan.objective), int(round(optimum))))
+    return out
+
+
+def test_rounding_gap_against_the_mip_optimum_is_pinned():
+    gaps = rounding_gaps()
+    assert gaps == PINNED_ROUNDING_GAP
+    assert sum(rounded - optimum for _n, rounded, optimum in gaps) == 60

@@ -8,8 +8,9 @@ Builds seeded platform histories the way the pipeline benchmark's
 — and prints the counts performance issues on that workload quote: LP
 solves per ``place()``, LP assemblies, the warm share, the instances dust
 consolidation removed, the summed objective and a digest of every plan,
-control channels built against fabrics x switches and against the switches
-that were ever sent a message, southbound messages, retries and reconciler
+the cores the arbiter's requests charged against the cores of the plans
+they were made for, control channels built against fabrics x switches and
+against the switches that were ever sent a message, southbound messages, retries and reconciler
 ticks, simulator events, reconcile diff evaluations, ``SwitchDiff`` and
 ``TcamEntry`` objects built, the seconds the cyclic collector ran inside
 the histories and its promotion census (objects that survived a
@@ -60,7 +61,7 @@ from repro.sim.rng import derive
 from repro.southbound.channel import ControlChannel
 from repro.southbound.fabric import SouthboundFabric
 from repro.southbound.metrics import SouthboundMetrics
-from repro.tenancy import TenantOrchestrator
+from repro.tenancy import CapacityArbiter, TenantOrchestrator, TenantWorker
 from repro.topology.datasets import internet2
 
 HOST_CORES = 160
@@ -130,6 +131,10 @@ class Counts:
         #: exceed the host's physical cores.
         self.uncharged_hosts = 0
         self.overfull_hosts = 0
+        #: Arbiter requests, the cores they charged, and the cores of the
+        #: whole plans they were made for (a tenant's last solved plan).
+        self.requests = self.charged_cores = self.plan_cores = 0
+        self._last_plan_cores: Dict[str, int] = {}
         self._solves = 0
         self._gc_started = 0.0
         self._young = 0
@@ -268,6 +273,17 @@ class Counts:
             self.diff_switch_calls += 1
             return inner(*args, **kwargs)
 
+        def worker_solve(inner, worker, *args, **kwargs):
+            realised = inner(worker, *args, **kwargs)
+            self._last_plan_cores[worker.tenant_id] = realised[0].total_cores()
+            return realised
+
+        def request(inner, arbiter, tenant_id, need, *args, **kwargs):
+            self.requests += 1
+            self.charged_cores += sum(c for c in need.values() if c > 0)
+            self.plan_cores += self._last_plan_cores.get(tenant_id, 0)
+            return inner(arbiter, tenant_id, need, *args, **kwargs)
+
         for name in ("_solve_direct", "_solve_linprog"):
             if hasattr(lp_module, name):
                 self._wrap(stack, lp_module, name, solve)
@@ -290,6 +306,8 @@ class Counts:
             if hasattr(state_module, name):
                 self._wrap(stack, state_module, name, read_back)
         self._wrap(stack, state_module, "diff_switch", diff_switch)
+        self._wrap(stack, TenantWorker, "solve", worker_solve)
+        self._wrap(stack, CapacityArbiter, "request", request)
         gc.callbacks.append(self._on_gc)
         stack.callback(gc.callbacks.remove, self._on_gc)
         return stack
@@ -403,6 +421,8 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"consolidated away    {counts.consolidated} instances",
         f"objective (sum)      {counts.objective:g}",
         f"plan digest          {counts.plans.hexdigest()[:16]}",
+        f"cores charged        {counts.charged_cores} of {counts.plan_cores} "
+        f"plan cores ({counts.requests} arbiter requests)",
         f"fabrics x switches   {counts.switch_slots} ({counts.fabrics} fabrics)",
         f"channels built       {counts.channels_built}",
         f"channels messaged    {counts.channels_messaged}",

@@ -87,9 +87,6 @@ ALLOWED: Dict[str, str] = {
     + "the only LP path on a scipy without the private HiGHS binding",
     "repro.solver.lp:LinearProgram.is_feasible": _FEASIBLE,
     "repro.solver.lp:LinearProgram.row_activity": _FEASIBLE,
-    "repro.core.constraints:assemble_placement_lp.<locals>.var_name": _SAFETY
-    + "names the slot in a rounding failure "
-    "(tests/test_extensions.py::test_infeasible_rounding_names_the_slot)",
     "repro.resilience.journal:FileJournal.__init__": _WAL,
     "repro.resilience.journal:FileJournal._persist": _WAL,
     "repro.resilience.journal:FileJournal.load": _WAL,
