@@ -15,7 +15,7 @@ from repro.traffic.classes import TrafficClass
 from repro.vnf.types import NFTypeCatalog
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceRef:
     """A logical instance slot: the k-th instance of NF ``nf`` at ``switch``.
 
@@ -26,6 +26,8 @@ class InstanceRef:
     switch: str
     nf: str
     index: int
+    key: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Refs key dicts and name rules once per sub-class: the key string

@@ -30,7 +30,7 @@ from repro.traffic.classes import TrafficClass
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subclass:
     """One sub-class: a hash interval mapped to a fixed instance sequence.
 

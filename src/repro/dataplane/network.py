@@ -87,7 +87,7 @@ class NetworkStats:
         return (self.delivered, self.dropped, self.violations)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryRecord:
     """Outcome of one injected packet."""
 
@@ -339,7 +339,7 @@ class DataPlaneNetwork:
             raise RuntimeError("hop limit exceeded (loop?)")
         plan = _WalkPlan()
         hops: List[tuple] = []  # (switch, table, missed) of the leg being built
-        trace: List[Tuple[str, str]] = []
+        visited: List[Tuple[str, str]] = []
         host_tag: Optional[str] = None
         subclass_tag: Optional[int] = None
         failed_links = self.failed_links
@@ -355,7 +355,7 @@ class DataPlaneNetwork:
             switch = self.switches[sw_name]
             entry = switch.table.match(class_id, host_tag, flow_hash)
             hops.append((switch, switch.table, entry is None))
-            trace.append(("switch", sw_name))
+            visited.append(("switch", sw_name))
             if entry is None:
                 continue  # no rules: behave as pass-by
             kind = entry.action.kind
@@ -373,15 +373,15 @@ class DataPlaneNetwork:
                 subclass_tag = entry.action.subclass_id
             vsw = self.vswitch_at(sw_name)
             rule, instances = vsw.resolve(class_id, subclass_tag)
-            trace.append(("vswitch", f"ovs-{sw_name}"))
+            visited.append(("vswitch", f"ovs-{sw_name}"))
             visit = len(plan.drop_ends)
             plan.legs.append((tuple(hops), vsw))
             hops = []
             prefixes = []
             for k, (iid, inst) in enumerate(zip(rule.instance_ids, instances)):
                 plan.vsteps.append((visit, k, (inst, inst._recent, inst.window)))
-                prefixes.append(tuple(trace))
-                trace.append(("vnf", iid))
+                prefixes.append(tuple(visited))
+                visited.append(("vnf", iid))
             plan.drop_ends.append(
                 ((False, sw_name), (host_tag, subclass_tag), tuple(prefixes))
             )
@@ -394,7 +394,7 @@ class DataPlaneNetwork:
         else:
             plan.finished = host_tag == FIN
         plan.legs.append((tuple(hops), None))
-        plan.trace = tuple(trace)
+        plan.trace = tuple(visited)
         plan.exit_tags = (host_tag, subclass_tag)
         return plan
 
@@ -408,7 +408,8 @@ class DataPlaneNetwork:
         :func:`_admit` runs each instance's admission live (so a stopped or
         browned-out instance behaves exactly as in the pipeline) and counts
         the packet on the plan, then the packet gets the trace and tags the
-        pipeline would have left.  Switch, table, vSwitch and ledger
+        pipeline would have left (the trace is the plan's own tuple, not a
+        copy).  Switch, table, vSwitch and ledger
         counters follow at the next flush.  A packet that arrives already
         tagged is not at its ingress classification, and a walk that cannot
         be resolved has a rule bug somewhere along it: both take
@@ -437,14 +438,16 @@ class DataPlaneNetwork:
             self._dirty_plans.append(plan)
         refused = _admit(plan, now, packet.size_bytes)
         if refused is None:
-            packet.trace.extend(plan.trace)
+            trace = plan.trace
             packet.host_tag, packet.subclass_tag = plan.exit_tags
             delivered, dropped_at = plan.final_outcome
         else:
             visit, k = refused
             (delivered, dropped_at), tags, prefixes = plan.drop_ends[visit]
-            packet.trace.extend(prefixes[k])
+            trace = prefixes[k]
             packet.host_tag, packet.subclass_tag = tags
+        # The plan's own tuple, shared by every packet of the interval.
+        packet.trace = packet.trace + trace if packet.trace else trace
         record = DeliveryRecord(packet, delivered, dropped_at)
         self.recent_records.append(record)
         return record

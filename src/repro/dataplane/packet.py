@@ -10,13 +10,18 @@ Functional classification in the simulator matches on ``class_id`` and
 accounted separately through :mod:`repro.classify`); tags behave exactly as
 in the paper — sub-class IDs are set once at the ingress switch, host IDs
 rewritten as the packet progresses along its chain.
+
+A packet is one slotted object with no container of its own: its trace is
+an immutable tuple, and a packet that replays a resolved walk holds that
+walk's own tuple (``_WalkPlan.trace``, or the prefix a drop ends at), so
+every packet of one hash interval shares a single trace object.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: Host-ID tag value meaning "all required VNF instances traversed".
 FIN = "FIN"
@@ -24,7 +29,7 @@ FIN = "FIN"
 _packet_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One packet in flight.
 
@@ -36,8 +41,9 @@ class Packet:
         size_bytes: packet length (loss is rate-driven, size is accounting).
         host_tag: the host-ID tag field (None = empty, FIN = done).
         subclass_tag: the sub-class-ID tag field (None until tagged).
-        header: optional concrete 5-tuple values for classifier tests.
-        trace: visited elements as ("switch"|"vnf"|"vswitch", name) pairs.
+        trace: visited elements as ("switch"|"vnf"|"vswitch", name) pairs,
+            an immutable tuple: :meth:`visit` rebinds it, and a packet that
+            replays a resolved walk shares that walk's tuple.
     """
 
     class_id: str
@@ -47,8 +53,7 @@ class Packet:
     size_bytes: int = 1500
     host_tag: Optional[str] = None
     subclass_tag: Optional[int] = None
-    header: Dict[str, int] = field(default_factory=dict)
-    trace: List[Tuple[str, str]] = field(default_factory=list)
+    trace: Tuple[Tuple[str, str], ...] = ()
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
@@ -70,7 +75,7 @@ class Packet:
 
     def visit(self, kind: str, name: str) -> None:
         """Record a hop in the trace (switch, vswitch or vnf)."""
-        self.trace.append((kind, name))
+        self.trace += ((kind, name),)
 
     def switches_visited(self) -> List[str]:
         """Physical switches in visit order (interference-freedom check)."""

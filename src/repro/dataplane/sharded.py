@@ -412,7 +412,7 @@ class ShardedDataPlane:
         network: the deployed network (rules installed, instances up).
         shards, processes, class_weights: accepted and ignored — every
             value they ever took produced the same outcomes and counters.
-            ROADMAP item 1 (benchmark v2) drops them from
+            ROADMAP item 11 (benchmark v2) drops them from
             ``benchmarks/pipeline``'s call, then from this signature.
 
     The façade preserves the repo's bit-identity discipline: for the same
@@ -421,7 +421,8 @@ class ShardedDataPlane:
     ``network`` itself; the next column reads the plans of the new epoch.
     """
 
-    #: Constant; ROADMAP item 1 drops ``benchmarks/pipeline``'s read, then this.
+    #: Constant; ROADMAP item 11 (benchmark v2) drops ``benchmarks/pipeline``'s
+    #: read, then this.
     nshards = 1
 
     def __init__(
@@ -506,7 +507,7 @@ class ShardedDataPlane:
         return out
 
     # ``with`` held resources while there were workers; kept (as a no-op)
-    # for ``benchmarks/pipeline`` until ROADMAP item 1.
+    # for ``benchmarks/pipeline`` until ROADMAP item 11 (benchmark v2).
     def __enter__(self) -> "ShardedDataPlane":
         return self
 

@@ -200,7 +200,7 @@ class PhysicalSwitch:
         self.packets_seen += 1
         if count_port is not None:
             self.port_counters[count_port] = self.port_counters.get(count_port, 0) + 1
-        packet.trace.append(("switch", self.name))
+        packet.visit("switch", self.name)
         entry = self.table.lookup(packet)
         if entry is None:
             # No rules at all: behave as pass-by (other applications route).

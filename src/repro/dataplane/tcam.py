@@ -29,16 +29,17 @@ the table's own ``generation`` (what the southbound reconciler watches)
 "did any rule anywhere change" is one integer comparison.
 
 An entry's canonical 8-tuple (:attr:`TcamEntry.spec`, the southbound wire
-form) is computed once per entry, and an entry built from a spec
-(:meth:`TcamEntry.from_spec`) keeps that very tuple, so reading a table
-back and comparing it with the specs it was written from is cheap.
+form) is computed once per entry and kept in a slot, and an entry built
+from a spec (:meth:`TcamEntry.from_spec`) keeps that very tuple, so reading
+a table back and comparing it with the specs it was written from is cheap.
+Entries and actions are slotted: no instance ``__dict__``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.classify.split import range_to_cidr_count
@@ -55,7 +56,7 @@ class ActionKind(enum.Enum):
     DROP = "drop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """A TCAM action with its tag parameters."""
 
@@ -64,7 +65,7 @@ class Action:
     next_host: Optional[str] = None  # host-ID tag value to write (may be FIN)
 
 
-@dataclass
+@dataclass(slots=True)
 class TcamEntry:
     """One prioritised TCAM entry.
 
@@ -88,6 +89,7 @@ class TcamEntry:
     class_id: Optional[str] = None
     hash_range: Optional[Tuple[float, float]] = None
     name: str = ""
+    _spec: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     HASH_BITS = 16  # resolution at which hash ranges map onto prefix rules
 
@@ -114,7 +116,7 @@ class TcamEntry:
         """TCAM slots this logical entry occupies (prefix expansion)."""
         return _hardware_entries(self.hash_range)
 
-    @cached_property
+    @property
     def spec(self) -> tuple:
         """The canonical tuple ``(name, priority, host_tag_is, class_id,
         hash_range, action kind value, subclass_id, next_host)``.
@@ -122,17 +124,20 @@ class TcamEntry:
         Computed on first use and kept (match fields never change once an
         entry exists); equal entries have equal specs.
         """
-        action = self.action
-        return (
-            self.name,
-            self.priority,
-            self.host_tag_is,
-            self.class_id,
-            None if self.hash_range is None else tuple(self.hash_range),
-            action.kind.value,
-            action.subclass_id,
-            action.next_host,
-        )
+        spec = self._spec
+        if spec is None:
+            action = self.action
+            spec = self._spec = (
+                self.name,
+                self.priority,
+                self.host_tag_is,
+                self.class_id,
+                None if self.hash_range is None else tuple(self.hash_range),
+                action.kind.value,
+                action.subclass_id,
+                action.next_host,
+            )
+        return spec
 
     @staticmethod
     def from_spec(spec: tuple) -> "TcamEntry":
@@ -149,7 +154,7 @@ class TcamEntry:
             hash_range,
             name,
         )
-        entry.__dict__["spec"] = spec
+        entry._spec = spec
         return entry
 
 

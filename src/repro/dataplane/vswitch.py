@@ -152,8 +152,7 @@ class VSwitch:
                 a rule-generation bug, surfaced loudly.
         """
         self.packets_in += 1
-        trace = packet.trace
-        trace.append(("vswitch", self._port_name))
+        packet.visit("vswitch", self._port_name)
         key = (in_port, packet.class_id, packet.subclass_tag)
         rule = self._rules.get(key)
         if rule is None:
@@ -167,7 +166,7 @@ class VSwitch:
             if not instances[iid].consume(size, now):
                 self.packets_dropped += 1
                 return None
-            trace.append(("vnf", iid))
+            packet.visit("vnf", iid)
         packet.host_tag = rule.exit_host_tag
         return packet
 

@@ -286,7 +286,7 @@ def _read_vswitch(vsw: VSwitch) -> Tuple[dict, Tuple[tuple, ...]]:
     return table, origin
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchDiff:
     """Phased op lists reconciling one switch toward desired state."""
 

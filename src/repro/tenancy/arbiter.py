@@ -31,7 +31,7 @@ into a deterministic rejection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.sim.kernel import Simulator
 
@@ -111,23 +111,30 @@ class CapacityArbiter:
             for m in ledger.values()
         )
 
-    def oversubscribed(self) -> bool:
-        """True when any ledger invariant is broken (audit hook).
+    def charges(self) -> Optional[Dict[str, int]]:
+        """Cores charged per tenant (steady + in-flight), or None when any
+        ledger invariant is broken (audit hook).
 
-        By construction this never happens; the cross-tenant audit calls
-        it every tick anyway — defense in depth for the zero
-        cross-tenant-violation invariant.
+        One pass over both ledgers gives the per-switch sums the invariants
+        are checked on and the per-tenant charge the audit compares running
+        instances with.  By construction the invariants always hold; the
+        cross-tenant audit calls this every tick anyway — defense in depth
+        for the zero cross-tenant-violation invariant.
         """
         used: Dict[str, int] = {}
+        charged: Dict[str, int] = {}
         for ledger in (self.steady, self.inflight):
-            for m in ledger.values():
+            for tenant_id, m in ledger.items():
+                total = 0
                 for sw, c in m.items():
                     used[sw] = used.get(sw, 0) + c
+                    total += c
+                charged[tenant_id] = charged.get(tenant_id, 0) + total
         for sw, cap in self.physical.items():
             u = used.get(sw, 0)
             if u + self.free.get(sw, 0) != cap or u > cap:
-                return True
-        return self.tcam_free < 0
+                return None
+        return None if self.tcam_free < 0 else charged
 
     # ------------------------------------------------------------------
     # Admission

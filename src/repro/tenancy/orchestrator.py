@@ -289,11 +289,9 @@ class TenantOrchestrator:
         and within the physical hosts."""
         self.audit_ticks += 1
         arbiter = self.arbiter
-        violated = arbiter.oversubscribed()
+        charged = arbiter.charges()
+        violated = charged is None
         if not violated:
-            charged = {t: sum(m.values()) for t, m in arbiter.steady.items()}
-            for t, m in arbiter.inflight.items():
-                charged[t] = charged.get(t, 0) + sum(m.values())
             running: Dict[str, int] = {}
             so_far = running.get
             for tenant_id, worker in self.workers.items():

@@ -42,7 +42,7 @@ def switch_process(network: DataPlaneNetwork, name: str, packet: Packet) -> str:
     """Table III at one switch: "to-host", "forward" or "drop"."""
     switch = network.switches[name]
     switch.packets_seen += 1
-    packet.trace.append(("switch", name))
+    packet.visit("switch", name)
     table = switch.table
     table.lookup_count += 1
     tag = packet.host_tag if packet.host_tag is not None else "EMPTY"
@@ -75,7 +75,7 @@ def vswitch_process(
     """The host's instance sequence; False when an instance refuses."""
     vsw = network.vswitches[name]
     vsw.packets_in += 1
-    packet.trace.append(("vswitch", f"ovs-{name}"))
+    packet.visit("vswitch", f"ovs-{name}")
     key = ("uplink", packet.class_id, packet.subclass_tag)
     rule = vsw.installed_rules().get(key)
     if rule is None:
@@ -84,7 +84,7 @@ def vswitch_process(
         if not vsw._instances[iid].consume(packet.size_bytes, now):
             vsw.packets_dropped += 1
             return False
-        packet.trace.append(("vnf", iid))
+        packet.visit("vnf", iid)
     packet.host_tag = rule.exit_host_tag
     return True
 

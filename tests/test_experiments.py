@@ -2,6 +2,8 @@
 signatures and ``--jobs`` fan-out.  The paper's claims, one test per
 figure or table, are in ``tests/test_paper_claims.py``."""
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments import fig12
@@ -135,16 +137,57 @@ _CHAOS_SOUTHBOUND = [
     },
 ]
 
+#: Per ``flash-crowd --quick --seed 1`` amplitude (2x, 8x), the elastic
+#: shedding chain: verdicts the elastic loop submitted (``_act`` calls),
+#: verdicts the worker refused (each one re-submitted with one more class
+#: shed), tenant ops that placed (``TenantWorker._place``) and the
+#: ``place()`` calls they made (``TenantWorker.solve``, make-before-break
+#: re-solves included).  At 8x the hosts are near full, a re-solve has no
+#: tie to the running instances, and most epochs cannot be made before
+#: they break (ROADMAP item 12(c)).
+_FLASH_CHAIN = [
+    {"verdicts": 2, "refused": 0, "placing ops": 2, "place() calls": 4},
+    {"verdicts": 296, "refused": 290, "placing ops": 293, "place() calls": 521},
+]
+
 
 def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     """The chaos stack's ``--quick --seed 1`` tables: chaos recovery
     (``failure-recovery``, ``southbound-chaos``) and the elastic loop
     (``flash-crowd`` signatures), each re-planning through the tenant
-    worker that adopted the controller's day-0 deployment; and every run's
-    southbound metrics dict, read from the same runs.  A deliberate change
-    updates them here."""
+    worker that adopted the controller's day-0 deployment; every run's
+    southbound metrics dict, read from the same runs; and per flash-crowd
+    amplitude the length of the elastic shedding chain (see
+    ``_FLASH_CHAIN``).  A deliberate change updates them here."""
     from repro.chaos.runner import ChaosEngine
+    from repro.elastic.loop import ElasticController
     from repro.experiments import failure_recovery, flash_crowd, southbound_chaos
+    from repro.tenancy.worker import TenantWorker
+
+    chain = Counter()
+    act, finished = ElasticController._act, ElasticController.finished
+    place, solve = TenantWorker._place, TenantWorker.solve
+
+    def counting_act(elastic, *args, **kwargs):
+        chain["verdicts"] += 1
+        return act(elastic, *args, **kwargs)
+
+    def counting_finished(elastic, record, outcome):
+        chain["refused"] += outcome is None
+        return finished(elastic, record, outcome)
+
+    def counting_place(worker, *args, **kwargs):
+        chain["placing ops"] += 1
+        return place(worker, *args, **kwargs)
+
+    def counting_solve(worker, *args, **kwargs):
+        chain["place() calls"] += 1
+        return solve(worker, *args, **kwargs)
+
+    monkeypatch.setattr(ElasticController, "_act", counting_act)
+    monkeypatch.setattr(ElasticController, "finished", counting_finished)
+    monkeypatch.setattr(TenantWorker, "_place", counting_place)
+    monkeypatch.setattr(TenantWorker, "solve", counting_solve)
 
     southbound = []
     finalize = ChaosEngine.finalize
@@ -166,10 +209,13 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
         ["0%", 72, 0, 0, 0, 0, 2, 0, 0, 3, 0.222228, 1.5, 0.0, 0, "OK"],
         ["10%", 72, 12, 12, 12, 0, 2, 0, 0, 3, 0.772704, 2.25, 0.0, 0, "OK"],
     ]
-    assert [
-        flash_crowd._flash_row(amplitude, seed=1, quick=True)[1]
-        for amplitude in (2.0, 8.0)
-    ] == ["0e4b7f52db4bdb6d", "f35619f81cddf1aa"]
+    signatures, chains = [], []
+    for amplitude in (2.0, 8.0):
+        chain.clear()
+        signatures.append(flash_crowd._flash_row(amplitude, seed=1, quick=True)[1])
+        chains.append(dict(chain))
+    assert signatures == ["0e4b7f52db4bdb6d", "f35619f81cddf1aa"]
+    assert chains == _FLASH_CHAIN
     assert southbound == _CHAOS_SOUTHBOUND
 
 

@@ -88,6 +88,15 @@ consolidated away (was 6), objective 180 (178), plan digest
 27667a8b339d0051 — and with them 59 channels (60), 156 messages (171),
 699 events (730), 49 diff evaluations (50), 107 ``SwitchDiff`` (128) and
 116 ``TcamEntry`` (128) objects; 1,893 reconcile ticks unchanged.
+
+The data plane's walk work is pinned on ``tools/column_stages.py``'s seed-0
+Internet2 window (2 sim-seconds, 10,861 packets), walked at the planned
+rates and at 1.6 times them (the same packets, timestamps divided): by
+``inject`` one packet at a time — plan resolutions and TCAM lookups — and
+by the columnar walker — bulk and sequential packets, instances certified
+by the run-peak bound and merged, and the arrivals merged.  A packet's
+trace became the walk plan's shared tuple (no per-packet copy) with every
+number here unchanged.
 """
 
 import sys
@@ -95,9 +104,13 @@ from pathlib import Path
 
 import hashlib
 from functools import lru_cache
+from unittest import mock
 
+import repro.dataplane.sharded as sharded
 from repro.core.constraints import assemble_placement_lp
 from repro.core.engine import OptimizationEngine
+from repro.dataplane.network import DataPlaneNetwork
+from repro.dataplane.packet import Packet
 from repro.dataplane.switch import host_match_entry, pass_by_entry
 from repro.experiments.harness import standard_setup
 from repro.sim.rng import SeededRNG, derive
@@ -112,6 +125,7 @@ from tests.lp_reference import solve_milp
 sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
 import churn_counts  # noqa: E402
+import column_stages  # noqa: E402
 
 PINNED_GEANT = {
     "places": 48,
@@ -174,6 +188,40 @@ PINNED_CHURN_IDLE = {
     "switch_diffs_built": 107,
     "entries_built": 116,
 }
+
+PINNED_DATAPLANE = {
+    "sent": 10861,
+    "scalar planned": {
+        "plan resolutions": 150,
+        "tcam lookups": 37939,
+        "ledger": [10861, 0, 0],
+    },
+    "scalar overload": {
+        "plan resolutions": 0,
+        "tcam lookups": 36404,
+        "ledger": [9612, 1249, 0],
+    },
+    "columnar planned": {
+        "bulk packets": 10861,
+        "sequential packets": 0,
+        "instances": 62,
+        "instances certified": 60,
+        "instances merged": 2,
+        "arrivals merged": 1186,
+        "ledger": [10861, 0, 0],
+    },
+    "columnar overload": {
+        "bulk packets": 1689,
+        "sequential packets": 9172,
+        "instances": 62,
+        "instances certified": 27,
+        "instances merged": 35,
+        "arrivals merged": 17705,
+        "ledger": [9612, 1249, 0],
+    },
+}
+DATAPLANE_SIM_S = 2.0
+OVERLOAD = 1.6
 
 
 #: ``place()``'s rounded instance count against the exact integer optimum
@@ -310,6 +358,63 @@ def test_churn_idle_work_is_pinned():
     assert {
         name: getattr(counts, name) for name in PINNED_CHURN_IDLE
     } == PINNED_CHURN_IDLE
+
+
+def dataplane_counts() -> dict:
+    """Scalar then columnar walks of ``tools/column_stages.py``'s window.
+
+    The seed-0 window (``DATAPLANE_SIM_S`` sim-seconds of Internet2 CBR
+    traffic at the planned rates), and the same packets at ``OVERLOAD``
+    times the rates (timestamps divided), go through ``inject`` one packet
+    at a time, starting on the freshly deployed network, then through
+    ``ShardedDataPlane.inject_columns`` with ``column_stages.Stages``
+    installed, on the plans the scalar walks resolved.
+    """
+    network, window = column_stages.build_window(0, DATAPLANE_SIM_S)
+    classes, cls_idx, hashes, ts = window
+    windows = {"planned": window, "overload": (classes, cls_idx, hashes, ts / OVERLOAD)}
+    ends = {c: (network.class_paths[c][0], network.class_paths[c][-1]) for c in classes}
+    tables = [sw.table for sw in network.switches.values()]
+    resolve = DataPlaneNetwork._resolve_plan
+    out = {"sent": len(ts)}
+    for name, (keys, kidx, hs, times) in windows.items():
+        network.reset_runtime_state()
+        resolved = []
+
+        def counted(net, *args):
+            resolved.append(args)
+            return resolve(net, *args)
+
+        with mock.patch.object(DataPlaneNetwork, "_resolve_plan", counted):
+            for ci, h, now in zip(kidx.tolist(), hs.tolist(), times.tolist()):
+                src, dst = ends[keys[ci]]
+                network.inject(Packet(keys[ci], h, src, dst), now=now)
+        ledger = list(network.stats_snapshot().as_tuple())  # flushes the counters
+        out[f"scalar {name}"] = {
+            "plan resolutions": len(resolved),
+            "tcam lookups": sum(table.lookup_count for table in tables),
+            "ledger": ledger,
+        }
+    for name, columns in windows.items():
+        network.reset_runtime_state()
+        plane = sharded.ShardedDataPlane(network)
+        stages = column_stages.Stages(columns[3])
+        with stages.installed():
+            plane.inject_columns(*columns)
+        out[f"columnar {name}"] = {
+            "bulk packets": plane._walker.bulk_packets,
+            "sequential packets": plane._walker.seq_packets,
+            "instances": stages.instances,
+            "instances certified": stages.certified,
+            "instances merged": stages.merged,
+            "arrivals merged": stages.merged_arrivals,
+            "ledger": list(network.stats_snapshot().as_tuple()),
+        }
+    return out
+
+
+def test_dataplane_walk_work_is_pinned():
+    assert dataplane_counts() == PINNED_DATAPLANE
 
 
 def rounding_gaps() -> list:
