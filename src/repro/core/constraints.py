@@ -4,10 +4,17 @@ The shape of the Optimization Engine's model is a closed-form function of
 each class's host count ``H`` and chain length ``J``, so nothing builds an
 expression tree and nothing loops over classes in Python: the paths, laid
 end to end, give the host positions, each distinct chain is ranked once,
-and everything else is ``repeat`` / ``cumsum`` / ``bincount`` over per-class
-``(H, J)``, emitting the CSC matrix of a
+and everything else is a few numpy passes over the (class, chain step)
+groups — one expansion of the groups into d columns, one of the columns'
+runs of order rows (each run written twice: ``+1`` in its column, ``−1``
+in the column of the step before), every other entry scattered to its
+place — emitting the CSC matrix of a
 :class:`~repro.solver.lp.LinearProgram` together with the index arrays a
 :class:`PlacementTemplate` needs to rewrite rates and read solutions back.
+The fixed cost of a call is its number of numpy calls, so tenant-sized
+models (a few dozen columns) pay for few of them; no step loops over
+columns or entries in Python, so GEANT-sized ones (4.5k columns) pay for
+none.
 
 Ordering contract — **do not reorder**: warm-started templates rewrite
 coefficients by position (:meth:`PlacementTemplate.set_rates`) and the
@@ -39,6 +46,7 @@ checks all of this against an independent expression-tree reference.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
@@ -61,7 +69,7 @@ _CHAIN = attrgetter("chain.names")
 _RATE = attrgetter("rate_mbps")
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacementTemplate:
     """The structure phase of one placement instance, ready to re-solve.
 
@@ -98,19 +106,35 @@ class PlacementTemplate:
     #: Position in ``lp.data`` of each stored Eq. 5 rate, and its class.
     _rate_positions: np.ndarray = field(repr=False)
     _rate_class_idx: np.ndarray = field(repr=False)
-    # Per-slot datasheet arrays (aligned with ``slots``) and the switches
-    # owning a slot; switch ``k``'s Eq. 6 core row is ``_core_rows[k]``.
+    # Per slot (aligned with ``slots``): Cap_n, and the switch owning it in
+    # the order of the switches' Eq. 6 rows.
     _slot_cap: np.ndarray = field(repr=False)
-    _slot_cores: np.ndarray = field(repr=False)
-    _slot_mem: np.ndarray = field(repr=False)
     _slot_switch: np.ndarray = field(repr=False)
     _switch_names: List[str] = field(repr=False)
-    _core_rows: np.ndarray = field(repr=False)
-    #: Eq. 6 memory rows in the same switch order; None when not modelled.
-    _mem_rows: Optional[np.ndarray] = field(repr=False)
-    _q_idx: np.ndarray = field(repr=False)
-    #: This solve's rate of each slot member's class (set by set_rates).
-    _member_rates: Optional[np.ndarray] = field(default=None, repr=False)
+    #: This solve's rate of each slot member's class (the build's, then
+    #: set_rates').
+    _member_rates: np.ndarray = field(repr=False)
+    #: The Eq. 6 rows (cores, then memory when modelled): their slice of
+    #: the rows, the bin of each slot's use in them, the use per instance
+    #: (``_use[0]`` cores_n, ``_use[1]`` memory_n, slot by slot) and the
+    #: slack a row's use may exceed its budget by (0 for cores, 1e-9 GB for
+    #: memory).
+    _budget_rows: slice = field(repr=False)
+    _use_bins: np.ndarray = field(repr=False)
+    _use: np.ndarray = field(repr=False)
+    _use_slack: np.ndarray = field(repr=False)
+
+    @property
+    def _core_rows(self) -> np.ndarray:
+        """Switch ``k``'s Eq. 6 core row is ``_core_rows[k]`` (its memory
+        row, when modelled, comes ``len(_switch_names)`` rows later)."""
+        first = self._budget_rows.start
+        return np.arange(first, first + len(self._switch_names))
+
+    @property
+    def _q_idx(self) -> np.ndarray:
+        """q variable ``k`` is column ``_q_idx[k]``."""
+        return np.arange(self._d_group.size, self.lp.num_variables)
 
     def d_keys(self, columns: np.ndarray) -> Iterator[Tuple[str, int, int]]:
         """The ``(class_id, path position, chain step)`` keys of d columns."""
@@ -122,7 +146,7 @@ class PlacementTemplate:
 
     def set_rates(self, classes: Sequence[TrafficClass]) -> None:
         """Rewrite the Eq. 5 rate coefficients for a new snapshot."""
-        rates = np.array(list(map(_RATE, classes)), dtype=float)
+        rates = np.fromiter(map(_RATE, classes), float, len(classes))
         self._member_rates = rates[self._member_class_idx]
         if self.reusable:
             self.lp.data[self._rate_positions] = rates[self._rate_class_idx]
@@ -135,12 +159,11 @@ class PlacementTemplate:
         available_memory_gb: Optional[Mapping[str, float]],
     ) -> None:
         """Rewrite the Eq. 6 right-hand sides (A_v) for this solve."""
-        rhs, names = self.lp.rhs, self._switch_names
-        rhs[self._core_rows] = [float(available_cores.get(sw, 0)) for sw in names]
-        if self._mem_rows is not None:
-            rhs[self._mem_rows] = [
-                float(available_memory_gb.get(sw, 0.0)) for sw in names
-            ]
+        names = self._switch_names
+        budgets = list(map(available_cores.get, names, repeat(0)))
+        if len(self._use) == 2:  # memory is modelled
+            budgets += map(available_memory_gb.get, names, repeat(0.0))
+        self.lp.rhs[self._budget_rows] = budgets
 
     def slot_loads(self, solution: np.ndarray) -> np.ndarray:
         """L_vn per slot under an LP solution (vectorized Eq. 5 left side)."""
@@ -155,24 +178,25 @@ class PlacementTemplate:
         return {self.slots[k]: int(counts[k]) for k in np.flatnonzero(counts > 0)}
 
 
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum: where each owner's run of items begins."""
-    return counts.cumsum() - counts
+#: A q column's objective coefficient, lower and upper bound.
+_Q_COLUMN = np.array([[1.0], [0.0], [np.inf]])
+#: Integer operands as numpy scalars: a Python int costs numpy a
+#: conversion on every call.
+_ZERO, _ONE = np.intp(0), np.intp(1)
+
+
+def _cumsum(counts: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sum of an ``intp`` array (the ufunc directly: the
+    ``cumsum`` method's dispatch costs more than the sum on tiny arrays)."""
+    return np.add.accumulate(counts)
 
 
 def _unique_inverse(codes: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
     """``np.unique(codes, return_inverse=True)`` for codes in ``[0, bound)``,
     without the sort."""
-    present = np.zeros(bound, dtype=bool)
-    present[codes] = True
-    return present.nonzero()[0], (present.cumsum() - 1)[codes]
-
-
-def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(owner, offset)`` of each item when owner ``k`` holds ``counts[k]``."""
-    owner = np.arange(counts.size).repeat(counts)
-    offset = np.arange(owner.size) - _starts(counts)[owner]
-    return owner, offset
+    present = np.zeros(bound, dtype=np.intp)
+    present[codes] = 1
+    return present.nonzero()[0], (_cumsum(present) - _ONE)[codes]
 
 
 def assemble_placement_lp(
@@ -184,184 +208,226 @@ def assemble_placement_lp(
     key: tuple = (),
 ) -> PlacementTemplate:
     """Assemble Eq. 1–6 for ``classes`` in the order the module pins."""
-    hosts = sorted(sw for sw, free in available_cores.items() if free > 0)
-    host_rank = {sw: r for r, sw in enumerate(hosts)}
+    hosts = sorted([sw for sw, free in available_cores.items() if free > 0])
     class_ids = list(map(_CLASS_ID, classes))
     paths = list(map(_PATH, classes))
     chains = list(map(_CHAIN, classes))
-    # Each distinct chain once: where its NF ranks start in ``chain_nf``.
-    chain_at = {names: 0 for names in chains}
+    # Each distinct chain once: where its NF ranks (less one) start in
+    # ``chain_nf``.
+    chain_at = dict.fromkeys(chains, 0)
     nf_names = sorted({nf for names in chain_at for nf in names})
-    nf_rank = {nf: r for r, nf in enumerate(nf_names)}
+    nf_rank = dict(zip(nf_names, range(-1, len(nf_names) - 1)))
     chain_nf: List[int] = []
     for names in chain_at:
         chain_at[names] = len(chain_nf)
-        chain_nf.extend(nf_rank[nf] for nf in names)
+        chain_nf.extend(map(nf_rank.__getitem__, names))
+    n_classes, n_hosts, n_nf = len(classes), len(hosts), max(len(nf_names), 1)
+    # A slot's code is ``host rank * n_nf + NF rank``: a host switch maps to
+    # its first code + 1 (so the NF rank - 1 completes it), any other to 0.
+    host_code = defaultdict(int, zip(hosts, range(1, n_hosts * n_nf + 1, n_nf)))
 
-    # Host positions, from every path laid end to end: a path position is a
-    # host position when its switch is a host and its class has a chain.
-    n_classes = len(classes)
-    J = np.fromiter(map(len, chains), dtype=np.intp, count=n_classes)
-    path_cls, path_off = _ragged(
-        np.fromiter(map(len, paths), dtype=np.intp, count=n_classes)
-    )
-    rank = np.fromiter(
-        map(host_rank.get, chain.from_iterable(paths), repeat(-1)),
+    # Host positions, from every path laid end to end: the path positions
+    # whose switch is a host.  (A class without a chain owns no d column,
+    # so its host positions are never read.)
+    path_len = np.fromiter(map(len, paths), np.intp, n_classes)
+    path_end = _cumsum(path_len)
+    code = np.fromiter(
+        map(host_code.__getitem__, chain.from_iterable(paths)),
         dtype=np.intp,
-        count=path_cls.size,
+        count=path_end[-1] if n_classes else 0,
     )
-    at_host = (rank >= 0) & (J > 0)[path_cls]
-    H = np.bincount(path_cls[at_host], minlength=n_classes)
-    host_pos_arr = path_off[at_host]
-    host_sw_arr = rank[at_host]
-    chain0 = np.fromiter(map(chain_at.__getitem__, chains), np.intp, n_classes)
-    rates = np.array(list(map(_RATE, classes)), dtype=float)
+    at_host = code.nonzero()[0]
+    h_cls = path_end.searchsorted(at_host, "right")
+    H = np.bincount(h_cls, minlength=n_classes)
+    h_pos = at_host - (path_end - path_len)[h_cls]
+    h_code = code[at_host]
 
-    # d columns: class c, step j, host position k (path position i).
-    d_cls, within = _ragged(H * J)
-    n_d = d_cls.size
-    d_H = H[d_cls]
-    d_j, d_k = np.divmod(within, d_H)
-    d_host = _starts(H)[d_cls] + d_k
-    d_group = _starts(J)[d_cls] + d_j
+    # Groups, one per (class, chain step), class-major: group g's Eq. 4 row
+    # is row ``n_ub + g``, and past its class's first step it owns the
+    # H - 1 order rows of its step, from row ``g_row0[g]`` on.
+    J = np.fromiter(map(len, chains), np.intp, n_classes)
+    g_cls = np.arange(n_classes).repeat(J)
+    n_groups = g_cls.size
+    g_j = np.arange(n_groups) - (_cumsum(J) - J)[g_cls]
+    chain0 = np.fromiter(map(chain_at.__getitem__, chains), np.intp, n_classes)
+    g_nf = np.array(chain_nf, dtype=np.intp)[chain0[g_cls] + g_j]
+    g_H = H[g_cls]
+    # A step's d columns hold a run of its own step's order rows past the
+    # first step, and one of the next step's before the last.
+    g_own = np.minimum(g_j, _ONE)
+    g_runs = g_own.copy()
+    g_runs[:-1] += g_own[1:]
+    g_last = np.maximum(g_H - _ONE, _ZERO)  # the last stop, H - 2, plus one
+    g_rows = g_last * g_own
+    g_end = _cumsum(g_rows)
+    g_row0 = g_end - g_rows
+    n_order = g_end[-1] if n_groups else _ZERO
+
+    # d columns: group g (class c, step j), then host position k.
+    d_group = np.arange(n_groups).repeat(g_H)
+    n_d = d_group.size
+    col = np.arange(n_d)
+    d_k = col - (_cumsum(g_H) - g_H)[d_group]
+    d_host = d_k + (_cumsum(H) - H)[g_cls][d_group]
+    d_cls = g_cls[d_group]
 
     # q columns: the sorted slots some d variable loads.
-    n_nf = max(len(nf_names), 1)
-    d_nf = np.asarray(chain_nf, dtype=np.intp)[chain0[d_cls] + d_j]
     slot_codes, d_slot = _unique_inverse(
-        host_sw_arr[d_host] * n_nf + d_nf, len(hosts) * n_nf
+        h_code[d_host] + g_nf[d_group], n_hosts * n_nf
     )
     slot_sw_rank, slot_nf = np.divmod(slot_codes, n_nf)
     n_slots = slot_codes.size
-    slots = [
-        (hosts[s], nf_names[n]) for s, n in zip(slot_sw_rank.tolist(), slot_nf.tolist())
-    ]
-    owning, slot_switch = _unique_inverse(slot_sw_rank, len(hosts))
-    switch_names = [hosts[s] for s in owning.tolist()]
+    slot_sw_list = slot_sw_rank.tolist()
+    slots = list(
+        zip(
+            map(hosts.__getitem__, slot_sw_list),
+            map(nf_names.__getitem__, slot_nf.tolist()),
+        )
+    )
+    # The switches owning a slot, in order; switch ``k``'s Eq. 6 rows are
+    # ``core_row0 + k`` and ``mem_row0 + k``.
+    owning = dict.fromkeys(slot_sw_list)
+    switch_names = list(map(hosts.__getitem__, owning))
     n_sw = len(switch_names)
-    nf_types = [catalog.get(nf) for nf in nf_names]
-    slot_cap = np.asarray([cap(nf) for nf in nf_names], dtype=float)[slot_nf]
-    slot_cores = np.asarray([float(t.cores) for t in nf_types])[slot_nf]
-    slot_mem = np.asarray([float(t.memory_gb) for t in nf_types])[slot_nf]
+    owning.update(zip(owning, range(n_sw)))
+    slot_switch = np.fromiter(map(owning.__getitem__, slot_sw_list), np.intp, n_slots)
+    # Per slot: −Cap_n, cores_n, memory_n (a q column's coefficients).
+    sheet = np.fromiter(
+        chain.from_iterable(
+            (-cap(nf), nf_type.cores, nf_type.memory_gb)
+            for nf, nf_type in zip(nf_names, map(catalog.get, nf_names))
+        ),
+        dtype=float,
+        count=3 * len(nf_names),
+    ).reshape(-1, 3)[slot_nf]
     with_memory = available_memory_gb is not None
 
     # Row layout.
-    order_per_class = np.maximum(J - 1, 0) * np.maximum(H - 1, 0)
-    n_order = int(order_per_class.sum())
     cap_row0 = n_order
     core_row0 = cap_row0 + n_slots
     mem_row0 = core_row0 + n_sw
     n_ub = mem_row0 + (n_sw if with_memory else 0)
-    n_rows = n_ub + int(J.sum())
+    n_rows = int(n_ub) + n_groups
 
-    # Entries of each d column, rows ascending: order rows of its own step
-    # (+1), order rows of the next step (−1), its Eq. 5 row, its Eq. 4 row.
-    stops = d_H - 1 - d_k
-    n_own = np.where(d_j >= 1, stops, 0)
-    n_next = np.where(d_j + 1 < J[d_cls], stops, 0)
-    d_count = n_own + n_next + 2
-    q_count = np.full(n_slots, 3 if with_memory else 2, dtype=np.intp)
-    col_count = np.concatenate([d_count, q_count])
-    indptr = np.zeros(col_count.size + 1, dtype=np.intp)
-    np.cumsum(col_count, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)  # the width HiGHS takes
-    data = np.empty(indptr[-1], dtype=float)
+    # Entries of each d column, rows ascending: +1 in its step's order rows
+    # for stops k..H-2 (``n_own`` of them; none at step 0), −1 in the same
+    # stops of the next step (the rows column (c, j+1, k), H columns on,
+    # holds +1 in), its Eq. 5 row, its Eq. 4 row.  A q column holds its
+    # Eq. 5 row, its Eq. 6 core row and, when modelled, its memory row.
+    n_cols = n_d + n_slots
+    width = 3 if with_memory else 2
+    stops = g_last[d_group] - d_k
+    n_own = stops * g_own[d_group]
+    counts = np.empty(n_cols, dtype=np.intp)
+    counts[:n_d] = 2
+    counts[n_d:] = width
+    counts[:n_d] += stops * g_runs[d_group]
+    indptr = np.zeros(n_cols + 1, dtype=np.int32)  # the width HiGHS takes
+    indptr[1:] = _cumsum(counts)
+    n_entries = int(indptr[-1])
+    indices = np.empty(n_entries, dtype=np.int32)
+    data = np.ones(n_entries)  # the +1 order and Eq. 4 coefficients
 
-    d_start = indptr[:n_d]
-    own_row0 = _starts(order_per_class)[d_cls] + (d_j - 1) * (d_H - 1) + d_k
-    col, off = _ragged(n_own)
-    at = d_start[col] + off
-    indices[at] = own_row0[col] + off
-    data[at] = 1.0
-    col, off = _ragged(n_next)
-    at = d_start[col] + n_own[col] + off
-    indices[at] = own_row0[col] + (d_H[col] - 1) + off
+    # The order entries: one run of rows per column past its class's first
+    # step, written twice (+1 in the column, −1 in the one H before it).
+    owner = col.repeat(n_own)
+    entry = np.arange(owner.size)
+    shift = _cumsum(n_own) - n_own
+    start = indptr[:n_d]
+    prev = col - g_H[d_group]
+    rows = (g_row0[d_group] + d_k - shift)[owner] + entry
+    indices[(start - shift)[owner] + entry] = rows
+    at = (start[prev] + n_own[prev] - shift)[owner] + entry
+    indices[at] = rows
     data[at] = -1.0
-    rate_at = d_start + n_own + n_next
-    indices[rate_at] = cap_row0 + d_slot
+    eq_at = indptr[1 : n_d + 1] - _ONE
+    indices[eq_at] = d_group + n_ub
+    rate_at = eq_at - _ONE
+    indices[rate_at] = d_slot + cap_row0
+    rates = np.fromiter(map(_RATE, classes), float, n_classes)
     data[rate_at] = rates[d_cls]
-    indices[rate_at + 1] = n_ub + d_group
-    data[rate_at + 1] = 1.0
-
-    q_start = indptr[n_d:-1]
-    indices[q_start] = cap_row0 + np.arange(n_slots)
-    data[q_start] = -slot_cap
-    indices[q_start + 1] = core_row0 + slot_switch
-    data[q_start + 1] = slot_cores
+    q_indices = indices[indptr[n_d] :].reshape(n_slots, width)
+    q_indices[:, 0] = np.arange(cap_row0, core_row0)
+    q_indices[:, 1] = slot_switch + core_row0
     if with_memory:
-        indices[q_start + 2] = mem_row0 + slot_switch
-        data[q_start + 2] = slot_mem
+        q_indices[:, 2] = slot_switch + mem_row0
+    data[indptr[n_d] :].reshape(n_slots, width)[:] = sheet[:, :width]
 
     # Slot members in (slot, column) order, and where their rates sit.
     # (A stable sort of keys this small is a radix sort.)
-    members = np.argsort(
-        d_slot.astype(np.min_scalar_type(n_slots)), kind="stable"
-    )
+    members = d_slot.astype(np.min_scalar_type(n_slots)).argsort(kind="stable")
     member_cls = d_cls[members]
-    stored = rates[member_cls] != 0.0
+    member_rates = rates[member_cls]
+    stored = member_rates != 0.0
     rate_positions = rate_at[members][stored]
 
-    keep = data != 0.0
-    if not keep.all():
-        entry_col = np.repeat(np.arange(col_count.size), col_count)
-        rate_positions = np.cumsum(keep)[rate_positions] - 1
+    # Exact-zero coefficients (a zero rate, a zero datasheet entry) are
+    # dropped from the pattern; every other entry is ±1.
+    reusable = bool(stored.all())
+    if not (reusable and sheet[:, :width].all()):
+        keep = data != 0.0
+        entry_col = np.arange(n_cols).repeat(counts)
+        rate_positions = keep.cumsum()[rate_positions] - 1
         indices, data = indices[keep], data[keep]
-        np.cumsum(
-            np.bincount(entry_col[keep], minlength=col_count.size), out=indptr[1:]
-        )
+        indptr[1:] = np.bincount(entry_col[keep], minlength=n_cols).cumsum()
 
-    rhs = np.zeros(n_rows)  # Eq. 6 rows: see set_budgets below
-    rhs[n_ub:] = 1.0
-    lhs = rhs.copy()
-    lhs[:n_ub] = -np.inf
-    n = n_d + n_slots
-    is_q = np.arange(n) >= n_d
-    d_pos = host_pos_arr[d_host]
+    # Per column: objective, bounds; per row: sides (the Eq. 6 right-hand
+    # sides are the budgets, see set_budgets below).
+    columns = np.zeros((3, n_cols))
+    columns[:, n_d:] = _Q_COLUMN
+    columns[2, :n_d] = 1.0
+    sides = np.zeros((2, n_rows))
+    sides[:, n_ub:] = 1.0
+    sides[0, :n_ub] = -np.inf
+    d_pos = h_pos[d_host]
+    d_step = g_j[d_group]
 
     def var_name(col: int) -> str:
         # Reads the arrays, not the template: the template holds the LP,
         # which holds this function, and a cycle would outlive the cache.
         if col < n_d:
-            return f"d[{class_ids[d_cls[col]]},{d_pos[col]},{d_j[col]}]"
+            return f"d[{class_ids[d_cls[col]]},{d_pos[col]},{d_step[col]}]"
         return "q[{},{}]".format(*slots[col - n_d])
 
+    use_slack = np.zeros(n_ub - core_row0)
+    use_slack[n_sw:] = 1e-9
     template = PlacementTemplate(
         key=key,
         lp=LinearProgram(
             name="apple-placement",
-            c=is_q.astype(float),
-            indptr=indptr.astype(np.int32),
+            c=columns[0],
+            indptr=indptr,
             indices=indices,
             data=data,
-            lhs=lhs,
-            rhs=rhs,
-            lb=np.zeros(n),
-            ub=np.where(is_q, np.inf, 1.0),
-            n_ub=n_ub,
-            integer_mask=is_q,
+            lhs=sides[0],
+            rhs=sides[1],
+            lb=columns[1],
+            ub=columns[2],
+            n_ub=int(n_ub),
+            integer_mask=columns[0] != 0.0,
             var_name=var_name,
         ),
         slots=slots,
-        reusable=bool(stored.all()),
-        _class_ids=np.asarray(class_ids, dtype=object),
+        reusable=reusable,
+        _class_ids=np.array(class_ids, dtype=object),
         _d_cls=d_cls,
         _d_pos=d_pos,
-        _d_step=d_j,
+        _d_step=d_step,
         _d_group=d_group,
-        _n_groups=int(J.sum()),
+        _n_groups=n_groups,
         _member_slot_idx=d_slot[members],
         _member_var_idx=members,
         _member_class_idx=member_cls,
         _rate_positions=rate_positions,
         _rate_class_idx=member_cls[stored],
-        _slot_cap=slot_cap,
-        _slot_cores=slot_cores,
-        _slot_mem=slot_mem,
+        _slot_cap=-sheet[:, 0],
         _slot_switch=slot_switch,
         _switch_names=switch_names,
-        _core_rows=core_row0 + np.arange(n_sw),
-        _mem_rows=mem_row0 + np.arange(n_sw) if with_memory else None,
-        _q_idx=n_d + np.arange(n_slots),
+        _member_rates=member_rates,
+        _budget_rows=slice(int(core_row0), int(n_ub)),
+        _use_bins=np.concatenate((slot_switch, slot_switch + n_sw))[: (width - 1) * n_slots],
+        _use=sheet[:, 1:width].T.copy(),
+        _use_slack=use_slack,
     )
     template.set_budgets(available_cores, available_memory_gb)
     return template

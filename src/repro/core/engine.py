@@ -39,7 +39,8 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter, le
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -157,7 +158,7 @@ class OptimizationEngine:
         classes = self._clamped(classes)
         structure = tuple(map(_STRUCTURE, classes))
         self._check_paths(structure, hosts)
-        if not any(names for _, _, names in structure):
+        if not any(map(_CHAIN_NAMES, structure)):
             # No chain step anywhere: no variables, nothing to solve.
             return PlacementPlan(
                 quantities={},
@@ -175,7 +176,15 @@ class OptimizationEngine:
         if warm:
             self._templates.move_to_end(key)
             self.warm_solves += 1
+            with obs.span(
+                "engine.rate_update",
+                cat="solver",
+                histogram="solver_rate_update_seconds",
+            ):
+                template.set_rates(classes)
+                template.set_budgets(available_cores, available_memory_gb)
         else:
+            # Built with this call's rates and budgets.
             with obs.span(
                 "engine.template_build",
                 cat="solver",
@@ -194,13 +203,6 @@ class OptimizationEngine:
                 if len(self._templates) > 4:
                     self._templates.popitem(last=False)
             self.cold_builds += 1
-        with obs.span(
-            "engine.rate_update",
-            cat="solver",
-            histogram="solver_rate_update_seconds",
-        ):
-            template.set_rates(classes)
-            template.set_budgets(available_cores, available_memory_gb)
 
         span_name = "engine.warm_solve" if warm else "engine.cold_solve"
         try:
@@ -226,7 +228,7 @@ class OptimizationEngine:
         return PlacementPlan(
             quantities=quantities,
             distribution=distribution,
-            classes=list(classes),
+            classes=classes,
             catalog=self.catalog,
             objective=float(objective),
             lp_bound=float(lp_bound),
@@ -242,16 +244,20 @@ class OptimizationEngine:
     ) -> Set[str]:
         """The switches with free cores; a NaN or negative budget is refused
         (``free > 0`` would quietly read a NaN as "no host here")."""
-        for dimension, budgets in (
-            ("cores", available_cores),
-            ("memory_gb", available_memory_gb or {}),
+        if not all(map(le, repeat(0), available_cores.values())) or (
+            available_memory_gb is not None
+            and not all(map(le, repeat(0), available_memory_gb.values()))
         ):
-            for switch, free in budgets.items():
-                if not free >= 0:
-                    raise ValueError(
-                        f"available {dimension} of switch {switch!r} must be "
-                        f"a non-negative number, got {free!r}"
-                    )
+            for dimension, budgets in (
+                ("cores", available_cores),
+                ("memory_gb", available_memory_gb or {}),
+            ):
+                for switch, free in budgets.items():
+                    if not free >= 0:
+                        raise ValueError(
+                            f"available {dimension} of switch {switch!r} must "
+                            f"be a non-negative number, got {free!r}"
+                        )
         return {switch for switch, free in available_cores.items() if free > 0}
 
     def _structure_key(
@@ -288,14 +294,15 @@ class OptimizationEngine:
         by the round-up.  When a switch overshoots, its budget in the LP is
         tightened by the overshoot and the LP re-solved — this converges in
         a couple of iterations in practice.  If repair fails, fall back to
-        generic iterative rounding.
+        generic iterative rounding.  The caller reads the d part of the
+        returned solution (``_extract_distribution``).
         """
         program = template.lp
+        # This call's A_v, as ``place`` wrote it: what each Eq. 6 row's use
+        # may reach (memory within 1e-9 GB).
+        limit = program.rhs[template._budget_rows] + template._use_slack
         n_switches = len(template._switch_names)
-        core_rows = template._core_rows
-        # This call's A_v, as ``place`` wrote it (fancy indexing copies).
-        avail_cores_arr = program.rhs[core_rows]
-        budgets = avail_cores_arr.copy()
+        budgets = limit[:n_switches].copy()
         # The ≤ right-hand sides once a budget is tightened; until then the
         # LP's own.
         b_ub: Optional[np.ndarray] = None
@@ -319,43 +326,31 @@ class OptimizationEngine:
 
             loads = template.slot_loads(lp.solution)
             # Vectorized ceiling: q = max(1, ceil(L / Cap)) on active slots,
-            # then per-switch resource sums via one bincount each.
-            active = loads > 1e-12
-            counts = np.where(
-                active,
-                np.maximum(np.ceil(loads / template._slot_cap - 1e-9), 1.0),
-                0.0,
-            ).astype(np.int64)
-            cores_used = np.bincount(
-                template._slot_switch,
-                weights=template._slot_cores * counts,
-                minlength=n_switches,
+            # then the cores (and memory) each switch uses, one bincount.
+            active = loads > _ACTIVE_LOAD
+            ceiled = loads / template._slot_cap
+            ceiled -= _CEIL_SLACK
+            np.ceil(ceiled, out=ceiled)
+            np.maximum(ceiled, _ONE, out=ceiled)
+            ceiled = ceiled * active  # 0 on an inactive slot
+            used = np.bincount(
+                template._use_bins,
+                weights=(template._use * ceiled).ravel(),
+                minlength=limit.size,
             )
-            over = cores_used - avail_cores_arr
-            violations = {
-                int(k): int(over[k]) for k in (over > 0).nonzero()[0]
-            }
-            if template._mem_rows is not None and not violations:
+            over_rows = (used > limit).nonzero()[0].tolist()
+            if not over_rows:
+                held = ceiled.astype(np.int64).tolist()
+                quantities = dict(compress(zip(template.slots, held), held))
+                return lp.solution, quantities, float(sum(held)), lp_bound
+            if over_rows[0] >= n_switches:
                 # Memory overshoot cannot be repaired by tightening core
                 # budgets; defer to the generic rounding fallback.
-                mem_used = np.bincount(
-                    template._slot_switch,
-                    weights=template._slot_mem * counts,
-                    minlength=n_switches,
-                )
-                avail_mem_arr = program.rhs[template._mem_rows]
-                if bool(np.any(mem_used > avail_mem_arr + 1e-9)):
-                    break
-            if not violations:
-                solution = lp.solution  # this solve's own array
-                solution[template._q_idx] = counts
-                kept = active.nonzero()[0].tolist()
-                slots = template.slots
-                quantities = dict(
-                    zip([slots[k] for k in kept], counts[kept].tolist())
-                )
-                objective = float(counts.sum())
-                return solution, quantities, objective, lp_bound
+                break
+            over = used - limit
+            violations = {
+                k: int(over[k]) for k in over_rows if k < n_switches
+            }
             for sw, overshoot in violations.items():
                 if prev_violations.get(sw, 0) == overshoot:
                     # Budget tightening had no effect: the overshoot comes
@@ -376,7 +371,7 @@ class OptimizationEngine:
                 budgets[sw] = max(0.0, budgets[sw] - float(overshoot))
             if b_ub is None:
                 b_ub = program.rhs[: program.n_ub].copy()
-            b_ub[core_rows] = budgets
+            b_ub[template._core_rows] = budgets
             prev_violations = violations
 
         res = solve_with_rounding(program)
@@ -590,23 +585,32 @@ class OptimizationEngine:
     ) -> Dict[Tuple[str, int, int], float]:
         """Read d values, drop numeric dust, renormalise each chain step.
 
-        Fully vectorized: per-(class, step) sums come from one ``bincount``
-        over the precomputed renormalisation groups, and only surviving
-        (> ``eps``) entries get a key and a place in the result dict.
+        Fully vectorized over the surviving (> ``eps``) entries: their
+        per-(class, step) sums come from one ``bincount`` over the
+        renormalisation groups (the dropped entries would add only zeros),
+        and only they get a key and a place in the result dict.
         """
         group = template._d_group
-        values = np.asarray(solution)[: group.size]
-        keep = values > eps
-        vals = np.where(keep, values, 0.0)
-        totals = np.bincount(group, weights=vals, minlength=template._n_groups)
-        group_total = totals[group]
-        norm = np.divide(vals, group_total, out=vals, where=group_total > 0)
-        kept = keep.nonzero()[0]
-        return dict(zip(template.d_keys(kept), norm[kept].tolist()))
+        values = solution[: group.size]
+        kept = (values > eps).nonzero()[0]
+        kept_values = values[kept]
+        kept_group = group[kept]
+        totals = np.bincount(
+            kept_group, weights=kept_values, minlength=template._n_groups
+        )
+        norm = kept_values / totals[kept_group]
+        return dict(zip(template.d_keys(kept), norm.tolist()))
 
 
-#: A class's structure as the template key holds it.
+#: The ceiling rounding's constants as numpy scalars (a Python float costs
+#: numpy a conversion on every call): a slot is active above
+#: ``_ACTIVE_LOAD`` Mbps, and q = max(1, ceil(L / Cap - ``_CEIL_SLACK``)).
+_ACTIVE_LOAD, _CEIL_SLACK = np.float64(1e-12), np.float64(1e-9)
+_ONE = np.float64(1.0)
+
+#: A class's structure as the template key holds it, and its chain.
 _STRUCTURE = attrgetter("class_id", "path", "chain.names")
+_CHAIN_NAMES = itemgetter(2)
 
 
 def _order_ok_after_move(

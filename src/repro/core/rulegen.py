@@ -92,9 +92,9 @@ class RuleGenerator:
         # invalidates downstream 5-tuple classification, so sub-class IDs
         # must be network-global instead of multiplexed per class.
         needs_global = any(
-            any(nf.modifies_headers for nf in cls.chain.nf_types()[:-1])
+            nf.modifies_headers
             for cls in classes
-            if cls.chain_length > 0
+            for nf in cls.chain.nf_types()[:-1]
         )
         if needs_global:
             tags.reserve_global_subclass_ids(
@@ -105,14 +105,12 @@ class RuleGenerator:
                 max(1, subclass_plan.max_subclasses_per_class())
             )
 
-        rule_sets: Dict[str, SwitchRuleSet] = {}
+        rule_sets: Dict[str, SwitchRuleSet] = {
+            switch: SwitchRuleSet(switch=switch, host_match=True)
+            for switch in hosts_in_use
+        }
         vswitch_rules: Dict[str, List[Tuple[str, int, VSwitchRule]]] = {}
         origin_rules: Dict[str, List[Tuple[str, Tuple[float, float], int, str]]] = {}
-
-        def rule_set(switch: str) -> SwitchRuleSet:
-            if switch not in rule_sets:
-                rule_sets[switch] = SwitchRuleSet(switch=switch)
-            return rule_sets[switch]
 
         def rules_at(switch: str) -> List[Tuple[str, int, VSwitchRule]]:
             found = vswitch_rules.get(switch)
@@ -120,15 +118,13 @@ class RuleGenerator:
                 found = vswitch_rules[switch] = []
             return found
 
-        for switch in hosts_in_use:
-            rule_set(switch).host_match = True
-
-        for class_id in sorted(subclass_plan.by_class):
+        by_class = subclass_plan.by_class
+        for class_id in sorted(by_class):
             cls = class_by_id.get(class_id)
             if cls is None:
                 raise KeyError(f"sub-class plan references unknown class {class_id!r}")
             classifications = None
-            for sub in subclass_plan.subclasses(class_id):
+            for sub in by_class[class_id]:
                 seq = sub.instance_seq
                 if not seq:
                     continue
@@ -140,7 +136,10 @@ class RuleGenerator:
                         classifications = origin_rules.setdefault(cls.src, [])
                     else:
                         # Ingress classification (Table III rows 2-3).
-                        classifications = rule_set(cls.src).classifications
+                        ingress = rule_sets.get(cls.src)
+                        if ingress is None:
+                            ingress = rule_sets[cls.src] = SwitchRuleSet(switch=cls.src)
+                        classifications = ingress.classifications
                 classifications.append((class_id, sub.hash_range, sub_id, host))
                 # vSwitch rules per visited host: the run of consecutive
                 # chain steps at one switch, then the next host's tag.

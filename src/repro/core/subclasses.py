@@ -145,18 +145,18 @@ def assign_subclasses(plan: PlacementPlan) -> SubclassPlan:
             pair with no placed instance, or produces a sequence violating
             path order (would indicate an engine bug).
     """
-    refs_by_slot: Dict[Tuple[str, str], List[InstanceRef]] = {}
-    for ref in plan.instance_refs():
-        refs_by_slot.setdefault((ref.switch, ref.nf), []).append(ref)
-    allocators: Dict[Tuple[str, str], _SlotAllocator] = {
-        slot: _SlotAllocator(refs, load)
-        for slot, load in plan.load_by_slot().items()
-        for refs in [refs_by_slot.get(slot, [])]
-        if refs
-    }
-    # d_{h,j}^i above the dust threshold, per (class, chain step).
+    # One pass over the distribution: each slot's offered load (as
+    # ``plan.load_by_slot()`` sums it) and, per (class, chain step), the
+    # portions d_{h,j}^i above the dust threshold.
+    facts = {c.class_id: (c.path, c.chain.names, c.rate_mbps) for c in plan.classes}
+    loads: Dict[Tuple[str, str], float] = {}
     portions: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
     for (class_id, i, j), frac in plan.distribution.items():
+        if frac <= 0:
+            continue
+        path, chain, rate = facts[class_id]
+        slot = (path[i], chain[j])
+        loads[slot] = loads.get(slot, 0.0) + rate * frac
         if frac <= _EPS:
             continue
         found = portions.get((class_id, j))
@@ -164,6 +164,15 @@ def assign_subclasses(plan: PlacementPlan) -> SubclassPlan:
             portions[class_id, j] = [(i, frac)]
         else:
             found.append((i, frac))
+    quantities = plan.quantities
+    allocators: Dict[Tuple[str, str], _SlotAllocator] = {
+        slot: _SlotAllocator(
+            [InstanceRef(slot[0], slot[1], k) for k in range(count)], load
+        )
+        for slot, load in loads.items()
+        for count in [quantities.get(slot, 0)]
+        if count > 0
+    }
 
     by_class: Dict[str, List[Subclass]] = {}
     instance_load: Dict[InstanceRef, float] = {}

@@ -425,7 +425,8 @@ class DataPlaneNetwork:
             cp = self.class_intervals(packet.class_id)
         if cp.src != packet.src or cp.dst != packet.dst:
             raise ValueError(
-                f"packet {packet.packet_id} src/dst disagree with class path"
+                f"packet of class {packet.class_id!r} at flow hash "
+                f"{packet.flow_hash!r}: src/dst disagree with class path"
             )
         g = bisect_right(cp.cuts, packet.flow_hash)
         plan = cp.plans[g]
@@ -467,7 +468,8 @@ class DataPlaneNetwork:
             raise KeyError(f"class {packet.class_id!r} has no registered path")
         if path[0] != packet.src or path[-1] != packet.dst:
             raise ValueError(
-                f"packet {packet.packet_id} src/dst disagree with class path"
+                f"packet of class {packet.class_id!r} at flow hash "
+                f"{packet.flow_hash!r}: src/dst disagree with class path"
             )
 
         failed_links = self.failed_links

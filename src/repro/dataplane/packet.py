@@ -14,19 +14,18 @@ rewritten as the packet progresses along its chain.
 A packet is one slotted object with no container of its own: its trace is
 an immutable tuple, and a packet that replays a resolved walk holds that
 walk's own tuple (``_WalkPlan.trace``, or the prefix a drop ends at), so
-every packet of one hash interval shares a single trace object.
+every packet of one hash interval shares a single trace object.  A packet
+carries no serial number: its fields are all it is, so what a packet
+prints does not depend on what ran before it.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 #: Host-ID tag value meaning "all required VNF instances traversed".
 FIN = "FIN"
-
-_packet_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -54,7 +53,6 @@ class Packet:
     host_tag: Optional[str] = None
     subclass_tag: Optional[int] = None
     trace: Tuple[Tuple[str, str], ...] = ()
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.flow_hash < 1.0:

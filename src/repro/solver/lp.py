@@ -115,30 +115,40 @@ def _load_highs_core():
     ``importlib.util.find_spec("scipy")`` locates the package without
     importing it.  The module is registered under its canonical name, so a
     process that imports ``scipy.optimize`` before or after this one shares
-    one module object (and its pybind11 types).
+    one module object (and its pybind11 types): ``from
+    scipy.optimize._highspy import _core`` returns it either way.
+
+    When the ``scipy.optimize._highspy`` package is already imported, the
+    module is also bound on it as ``_core``, so attribute access reaches
+    it.  A *later* ``import scipy.optimize`` leaves that attribute unbound:
+    the import system binds a child on its parent only when it loads the
+    child itself, and it finds this one in ``sys.modules`` already.
 
     Raises:
         ImportError: scipy or the extension file is missing.
     """
-    loaded = sys.modules.get(_HIGHS_CORE)
-    if loaded is not None:
-        return loaded
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None or not scipy_spec.submodule_search_locations:
-        raise ImportError("scipy is not installed")
-    folder = os.path.join(
-        scipy_spec.submodule_search_locations[0], "optimize", "_highspy"
-    )
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_core" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise ImportError(f"no compiled HiGHS module in {folder}")
-    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_HIGHS_CORE] = module
+    module = sys.modules.get(_HIGHS_CORE)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None or not scipy_spec.submodule_search_locations:
+            raise ImportError("scipy is not installed")
+        folder = os.path.join(
+            scipy_spec.submodule_search_locations[0], "optimize", "_highspy"
+        )
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_core" + suffix)
+            if os.path.isfile(path):
+                break
+        else:
+            raise ImportError(f"no compiled HiGHS module in {folder}")
+        spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_HIGHS_CORE] = module
+    package, _, name = _HIGHS_CORE.rpartition(".")
+    parent = sys.modules.get(package)
+    if parent is not None and getattr(parent, name, None) is not module:
+        setattr(parent, name, module)
     return module
 
 
@@ -177,6 +187,7 @@ try:  # pragma: no cover - exercised implicitly by every solve
     _ENGINE = _new_engine()
     _COLWISE = int(_highs_core.MatrixFormat.kColwise)
     _MINIMIZE = int(_highs_core.ObjSense.kMinimize)
+    _OPTIMAL = HighsModelStatus.kOptimal
     HAVE_DIRECT_HIGHS = True
 except Exception as exc:  # ImportError, AttributeError on layout drift
     HAVE_DIRECT_HIGHS = False
@@ -263,14 +274,14 @@ def _solve_direct(
         raise SolverError(f"model {lp.name!r}: solver rejected the model")
     highs.run()
     status = highs.getModelStatus()
-    if status == HighsModelStatus.kInfeasible:
-        raise SolverError(f"model {lp.name!r}: infeasible")
-    if status in (
-        HighsModelStatus.kUnbounded,
-        HighsModelStatus.kUnboundedOrInfeasible,
-    ):
-        raise SolverError(f"model {lp.name!r}: unbounded")
-    if status != HighsModelStatus.kOptimal:
+    if status != _OPTIMAL:
+        if status == HighsModelStatus.kInfeasible:
+            raise SolverError(f"model {lp.name!r}: infeasible")
+        if status in (
+            HighsModelStatus.kUnbounded,
+            HighsModelStatus.kUnboundedOrInfeasible,
+        ):
+            raise SolverError(f"model {lp.name!r}: unbounded")
         raise SolverError(
             f"model {lp.name!r}: solver failed "
             f"({highs.modelStatusToString(status)})"

@@ -121,18 +121,28 @@ class CapacityArbiter:
         cross-tenant audit calls this every tick anyway — defense in depth
         for the zero cross-tenant-violation invariant.
         """
-        used: Dict[str, int] = {}
+        physical = self.physical
+        used = dict.fromkeys(physical, 0)
         charged: Dict[str, int] = {}
-        for ledger in (self.steady, self.inflight):
-            for tenant_id, m in ledger.items():
+        try:
+            for tenant_id, m in self.steady.items():
                 total = 0
                 for sw, c in m.items():
-                    used[sw] = used.get(sw, 0) + c
+                    used[sw] += c
                     total += c
-                charged[tenant_id] = charged.get(tenant_id, 0) + total
-        for sw, cap in self.physical.items():
-            u = used.get(sw, 0)
-            if u + self.free.get(sw, 0) != cap or u > cap:
+                charged[tenant_id] = total
+            for tenant_id, m in self.inflight.items():
+                total = charged.get(tenant_id, 0)
+                for sw, c in m.items():
+                    used[sw] += c
+                    total += c
+                charged[tenant_id] = total
+        except KeyError:  # a charge on a switch with no physical pool
+            return None
+        free = self.free
+        for sw, cap in physical.items():
+            u = used[sw]
+            if u > cap or u + free.get(sw, 0) != cap:
                 return None
         return None if self.tcam_free < 0 else charged
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from functools import partial
+from operator import gt
 from typing import Dict, List, Optional
 
 from repro import obs
@@ -292,22 +293,24 @@ class TenantOrchestrator:
         charged = arbiter.charges()
         violated = charged is None
         if not violated:
-            running: Dict[str, int] = {}
-            so_far = running.get
-            for tenant_id, worker in self.workers.items():
-                if worker.fabric is None:
-                    continue
-                mine = 0
-                for inst in worker.fabric.instances.values():
-                    if inst.running:
-                        switch, cores = inst.switch, inst.nf_type.cores
-                        mine += cores
-                        running[switch] = so_far(switch, 0) + cores
-                violated = violated or mine > charged.get(tenant_id, 0)
             physical = arbiter.physical
-            violated = violated or any(
-                c > physical.get(sw, 0) for sw, c in running.items()
-            )
+            running = dict.fromkeys(physical, 0)
+            try:
+                for tenant_id, worker in self.workers.items():
+                    fabric = worker.fabric
+                    if fabric is None:
+                        continue
+                    mine = 0
+                    for inst in fabric.instances.values():
+                        if inst.running:
+                            cores = inst.nf_type.cores
+                            mine += cores
+                            running[inst.switch] += cores
+                    if mine > charged.get(tenant_id, 0):
+                        violated = True
+            except KeyError:  # an instance running on a switch with no pool
+                violated = True
+            violated = violated or any(map(gt, running.values(), physical.values()))
         if violated:
             self.cross_tenant_violation_seconds += AUDIT_INTERVAL
             if obs.REGISTRY.enabled:

@@ -234,7 +234,7 @@ class TenantWorker:
         """
         topo = self.orch.topo
         failed_links = topo.failed_links
-        physical, failed = self.orch.arbiter.physical, topo.host_failed
+        live = self.live_cores().keys()
         rates = rates or {}
         classes: List[TrafficClass] = []
         stranded: Dict[str, str] = {}
@@ -242,11 +242,12 @@ class TenantWorker:
         router = None
         for key in sorted(target):
             cls = target[key]
-            if cls.class_id in shed:
-                stranded[cls.class_id] = cls.src
+            class_id = cls.class_id
+            if class_id in shed:
+                stranded[class_id] = cls.src
                 continue
-            if cls.class_id in rates:
-                cls = cls.with_rate(rates[cls.class_id])
+            if class_id in rates:
+                cls = cls.with_rate(rates[class_id])
             path = cls.path
             if failed_links and any(
                 Topology.link_key(a, b) in failed_links
@@ -257,8 +258,8 @@ class TenantWorker:
                     path = tuple(router.path(cls.src, cls.dst))
                 except NoPath:
                     path = ()
-            if not any(s in physical and not failed(s) for s in path):
-                stranded[cls.class_id] = cls.src
+            if live.isdisjoint(path):
+                stranded[class_id] = cls.src
                 continue
             if path != cls.path:
                 rerouted += 1
@@ -304,16 +305,21 @@ class TenantWorker:
         holds: a dead VM's cores are its replacement's.
         """
         old = self.deployment.plan.quantities if self.deployment else {}
+        new = plan.quantities
+        cores = plan.catalog.get
         need: Dict[str, int] = {}
-        for slot in {**old, **plan.quantities}:
+        for slot in {**old, **new}:
             switch, nf = slot
-            held, wanted = old.get(slot, 0), plan.quantities.get(slot, 0)
-            up = [
-                k < held and f"{nf}[{k}]@{switch}" in kept
-                for k in range(max(held, wanted))
-            ]
-            delta = up[:wanted].count(False) - up[:held].count(False)
-            need[switch] = need.get(switch, 0) + delta * plan.catalog.get(nf).cores
+            held, wanted = old.get(slot, 0), new.get(slot, 0)
+            # Instances 0..held-1 are the installed plan's: those beyond
+            # ``wanted`` retire (a dead one frees nothing), the rest are
+            # kept or replaced; instances past ``held`` are all created.
+            delta = wanted - held
+            if delta < 0:
+                delta = -sum(
+                    f"{nf}[{k}]@{switch}" not in kept for k in range(wanted, held)
+                )
+            need[switch] = need.get(switch, 0) + delta * cores(nf).cores
         return {sw: c for sw, c in need.items() if c > 0}
 
     def _resume(self, record: IntentRecord, granted: bool) -> None:

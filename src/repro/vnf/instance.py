@@ -52,6 +52,21 @@ class VNFInstance:
     without calling it.
     """
 
+    # Slotted: the isolation audit reads every running instance's state on
+    # every tick, and the packet walkers its window on every admission.
+    __slots__ = (
+        "instance_id",
+        "nf_type",
+        "switch",
+        "sim",
+        "window",
+        "stats",
+        "running",
+        "degradation",
+        "_recent",
+        "_budget",
+    )
+
     def __init__(
         self,
         instance_id: str,

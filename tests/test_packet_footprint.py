@@ -12,7 +12,9 @@ differ between Python versions.
 
 import dataclasses
 import gc
+import os
 import pickle
+import subprocess
 import sys
 from bisect import bisect_right
 from functools import lru_cache
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.placement import InstanceRef
 from repro.core.subclasses import Subclass
 from repro.dataplane.network import DeliveryRecord
@@ -65,6 +68,29 @@ def test_a_packet_has_no_dict_and_no_header():
     packet.visit("vnf", "fw[0]@s1")
     assert packet.trace == (("switch", "s1"), ("vnf", "fw[0]@s1"))
     assert packet.switches_visited() == ["s1"]
+
+
+def test_a_packet_carries_no_serial_number():
+    """No per-packet counter: a packet is its fields, so the first packet of
+    one process and a packet built after 300 others in another print the
+    same."""
+    assert "packet_id" not in {f.name for f in dataclasses.fields(Packet)}
+    assert "packet_id" not in Packet.__slots__
+    script = (
+        "from repro.dataplane.packet import Packet\n"
+        "[Packet('c0', 0.5, 's0', 's2') for _ in range({before})]\n"
+        "print(repr(Packet('c1', 0.25, 's1', 's3')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    printed = [
+        subprocess.run(
+            [sys.executable, "-c", script.format(before=before)],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        for before in (0, 300)
+    ]
+    assert printed[0] == printed[1]
+    assert printed[0].startswith("Packet(class_id='c1'")
 
 
 def test_packets_of_one_interval_share_the_plans_trace_object():

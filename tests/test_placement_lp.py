@@ -21,6 +21,8 @@ import repro.solver.lp as lp_module
 from repro.core.constraints import assemble_placement_lp
 from repro.core.engine import EngineConfig, OptimizationEngine
 from repro.experiments.harness import standard_setup
+from repro.topology.datasets import internet2
+from repro.topology.routing import Router
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG
@@ -196,8 +198,7 @@ def assert_same_as_reference(classes, cores, memory, cap, catalog):
         ("_rate_positions", ref.rate_positions),
         ("_rate_class_idx", ref.rate_cls),
         ("_slot_cap", ref.slot_cap),
-        ("_slot_cores", ref.slot_cores),
-        ("_slot_mem", ref.slot_mem),
+        ("_use", [ref.slot_cores, ref.slot_mem][: 1 if memory is None else 2]),
         ("_slot_switch", ref.slot_switch),
         ("_q_idx", ref.q_idx),
     ):
@@ -283,6 +284,62 @@ def test_assembler_matches_reference_on_random_instances(instance):
     got, _ref = assert_same_as_reference(classes, cores, memory, cap, STUB_CATALOG)
     loaded = [c for c in classes if c.chain_length]
     assert got.reusable == all(c.rate_mbps != 0.0 for c in loaded)
+
+
+# ---------------------------------------------------------------------------
+# (c) Tenant-sized models on Internet2: one to three classes, single-host
+#     paths and single-NF chains, chains sharing NFs and classes sharing
+#     slots, memory rows or none, zero rates.
+# ---------------------------------------------------------------------------
+
+_INTERNET2 = internet2()
+_ROUTER = Router(_INTERNET2)
+#: Chains a tenant draws from: one-NF chains, and chains sharing NFs.
+TENANT_CHAINS = (
+    ("firewall",),
+    ("ids",),
+    ("firewall", "ids"),
+    ("nat", "firewall"),
+    ("firewall", "ids", "proxy"),
+)
+
+
+@st.composite
+def tenant_instances(draw):
+    switches = sorted(_INTERNET2.switches)
+    classes = []
+    for k in range(draw(st.integers(1, 3))):
+        src = draw(st.sampled_from(switches))
+        dst = draw(st.sampled_from([s for s in switches if s != src]))
+        chain = draw(st.sampled_from(TENANT_CHAINS))
+        rate = draw(st.sampled_from([0.0, 1.0, 37.5, 900.0]))
+        path = tuple(_ROUTER.path(src, dst))
+        classes.append(
+            TrafficClass(f"t/{k}", src, dst, path, PolicyChain(chain), rate)
+        )
+    # Hosts on the classes' paths: often one per path (H = 1), and paths
+    # that cross a common host share its slots.
+    on_paths = sorted({s for cls in classes for s in cls.path})
+    hosts = set(draw(st.lists(st.sampled_from(on_paths), min_size=1, max_size=3)))
+    for cls in classes:
+        if hosts.isdisjoint(cls.path):
+            hosts.add(draw(st.sampled_from(cls.path)))
+    cores = {s: draw(st.integers(1, 64)) if s in hosts else 0 for s in switches}
+    memory = None
+    if draw(st.booleans()):
+        memory = {s: float(draw(st.integers(0, 64))) for s in sorted(hosts)}
+    return classes, cores, memory
+
+
+@given(tenant_instances())
+@settings(max_examples=120, deadline=None)
+def test_assembler_matches_reference_on_tenant_models(instance):
+    classes, cores, memory = instance
+    got, _ref = assert_same_as_reference(
+        classes, cores, memory, _default_cap, DEFAULT_CATALOG
+    )
+    # A zero rate drops its Eq. 5 entries: the template is single-shot.
+    assert got.reusable == all(c.rate_mbps != 0.0 for c in classes)
 
 
 def _template(engine, classes, cores):

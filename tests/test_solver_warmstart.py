@@ -216,7 +216,7 @@ def test_budget_moves_reach_the_rounding_fallback(monkeypatch):
         assert rhs[template._core_rows].tolist() == [
             float(instance[1][sw]) for sw in template._switch_names
         ]
-        assert rhs[template._mem_rows].tolist() == [
+        assert rhs[template._core_rows + len(template._switch_names)].tolist() == [
             instance[2][sw] for sw in template._switch_names
         ]
         assert got == _outcome(OptimizationEngine(config=EngineConfig()), *instance)

@@ -103,3 +103,23 @@ def test_scipy_optimize_shares_the_loaded_module(scipy_first):
         + _SOLVE
     )
     assert out.split() == ["True", "True", "1.0", "3.0"]
+
+
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["repro-first", "scipy-first"])
+def test_the_highspy_package_gets_the_core_attribute(scipy_first):
+    """``scipy.optimize._highspy._core`` as an attribute: bound by the
+    import system when scipy loads the module, and by the loader when it
+    finds the package imported.  Loaded first by ``repro``, the module is
+    one a later ``import scipy.optimize`` finds in ``sys.modules`` and does
+    not bind (the loader's docstring says why); the loader binds it the
+    next time it runs."""
+    repro_import = "import repro.solver.lp as lp\n"
+    scipy_import = "import scipy.optimize\n"
+    out = _run(
+        "import sys\n"
+        + (scipy_import + repro_import if scipy_first else repro_import + scipy_import)
+        + "package = sys.modules['scipy.optimize._highspy']\n"
+        "before = getattr(package, '_core', None) is lp._highs_core\n"
+        "print(before, lp._load_highs_core() is package._core is lp._highs_core)\n"
+    )
+    assert out.split() == [str(scipy_first), "True"]

@@ -89,6 +89,13 @@ consolidated away (was 6), objective 180 (178), plan digest
 699 events (730), 49 diff evaluations (50), 107 ``SwitchDiff`` (128) and
 116 ``TcamEntry`` (128) objects; 1,893 reconcile ticks unchanged.
 
+The isolation audit stays a poll, whatever it costs per tick: on the same
+churn history it ticks 280 times (every 0.25 sim-s to the 70 s horizon),
+and across those ticks it reads 7,018 arbiter ledger entries and meets
+12,730 running instances — every entry of ``steady`` and ``inflight`` and
+every running instance of a live tenant fabric, on every tick (the counter
+also checks each tick against what the ledgers and fabrics held).
+
 The data plane's walk work is pinned on ``tools/column_stages.py``'s seed-0
 Internet2 window (2 sim-seconds, 10,861 packets), walked at the planned
 rates and at 1.6 times them (the same packets, timestamps divided): by
@@ -187,6 +194,13 @@ PINNED_CHURN_IDLE = {
     "reconcile_evaluations": 49,
     "switch_diffs_built": 107,
     "entries_built": 116,
+}
+
+PINNED_CHURN_AUDIT = {
+    "audit_ticks": 280,
+    "ledger_entries_read": 7018,
+    "running_instances_summed": 12730,
+    "audit_misses": 0,
 }
 
 PINNED_DATAPLANE = {
@@ -351,6 +365,13 @@ def test_churn_southbound_work_is_pinned():
     assert {
         name: getattr(counts, name) for name in PINNED_CHURN_SOUTHBOUND
     } == PINNED_CHURN_SOUTHBOUND
+
+
+def test_churn_audit_reads_are_pinned():
+    counts = _churn_history_16()
+    assert {
+        name: getattr(counts, name) for name in PINNED_CHURN_AUDIT
+    } == PINNED_CHURN_AUDIT
 
 
 def test_churn_idle_work_is_pinned():

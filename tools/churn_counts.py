@@ -12,9 +12,11 @@ the cores the arbiter's requests charged against the cores of the plans
 they were made for, control channels built against fabrics x switches and
 against the switches that were ever sent a message, southbound messages, retries and reconciler
 ticks, simulator events, reconcile diff evaluations, ``SwitchDiff`` and
-``TcamEntry`` objects built, the seconds the cyclic collector ran inside
-the histories and its promotion census (objects that survived a
-generation-1 pass into the old generation, by type).  The counts are exact
+``TcamEntry`` objects built, what the isolation audit read (its ticks, the
+arbiter ledger entries and the running VNF instances it summed), the
+seconds the cyclic collector ran inside the histories and its promotion
+census (objects that survived a generation-1 pass into the old generation,
+by type).  The counts are exact
 and repeat; the seconds and the census are measurements.  Nothing
 is imported from ``benchmarks/``, so the tool runs unchanged on any commit
 (for a before / after, run it in both checkouts).  :class:`Counts` is also
@@ -34,7 +36,9 @@ event (a fabric at rest schedules nothing); when any ``place()`` raised
 churn's blueprints always fit); or when, at the horizon, the VNF instances
 running in the live tenant fabrics hold, on some host, other than the
 cores the arbiter charges there as ``steady`` (an instance a re-plan
-retired and nobody drained), or more than the host has.
+retired and nobody drained), or more than the host has; or when an audit
+tick read fewer ledger entries or running instances than the arbiter and
+the live fabrics held at that tick (the audit is a poll of all of them).
 """
 
 from __future__ import annotations
@@ -90,6 +94,13 @@ class Counts:
     cookies), switch read-backs (``state._read_table`` /
     ``state._read_vswitch`` calls) and ``state.diff_switch`` calls.
 
+    The isolation audit (``TenantOrchestrator._audit``) is counted by what
+    it reads: during each tick the arbiter's ``steady`` and ``inflight``
+    ledgers and every live fabric's ``instances`` are swapped for counting
+    copies, so the tick's ledger entries read (through ``items()`` /
+    ``values()``) and running instances met (through ``values()``) are
+    tallied, and compared with what the ledgers and fabrics held.
+
     While installed, the cyclic collector is timed.  With ``census``, at
     each generation-1 pass the objects it promotes (gen 0 + gen 1 before
     the pass, minus those it collected) are also counted by type: the
@@ -120,6 +131,12 @@ class Counts:
         self.read_backs = 0
         self.diff_switch_calls = 0
         self.intents = 0
+        #: Audit ticks, the ledger entries and running instances they read,
+        #: and the ticks that read fewer of either than there were.
+        self.audit_ticks = 0
+        self.ledger_entries_read = 0
+        self.running_instances_summed = 0
+        self.audit_misses = 0
         self.gc_seconds = 0.0
         self.gc_passes: Counter = Counter()
         self.promoted = 0
@@ -278,6 +295,33 @@ class Counts:
             self._last_plan_cores[worker.tenant_id] = realised[0].total_cores()
             return realised
 
+        def audit(inner, orch, *args, **kwargs):
+            arbiter = orch.arbiter
+            ledgers = arbiter.steady, arbiter.inflight
+            fabrics = [w.fabric for w in orch.workers.values() if w.fabric]
+            held = [fabric.instances for fabric in fabrics]
+            entries = sum(len(m) for ledger in ledgers for m in ledger.values())
+            running = sum(
+                inst.running for instances in held for inst in instances.values()
+            )
+            before = self.ledger_entries_read, self.running_instances_summed
+            arbiter.steady, arbiter.inflight = (
+                {t: _CountedLedger(self, m) for t, m in ledger.items()}
+                for ledger in ledgers
+            )
+            for fabric, instances in zip(fabrics, held):
+                fabric.instances = _CountedInstances(self, instances)
+            try:
+                return inner(orch, *args, **kwargs)
+            finally:
+                arbiter.steady, arbiter.inflight = ledgers
+                for fabric, instances in zip(fabrics, held):
+                    fabric.instances = instances
+                self.audit_ticks += 1
+                read = self.ledger_entries_read - before[0]
+                summed = self.running_instances_summed - before[1]
+                self.audit_misses += read < entries or summed < running
+
         def request(inner, arbiter, tenant_id, need, *args, **kwargs):
             self.requests += 1
             self.charged_cores += sum(c for c in need.values() if c > 0)
@@ -308,6 +352,7 @@ class Counts:
         self._wrap(stack, state_module, "diff_switch", diff_switch)
         self._wrap(stack, TenantWorker, "solve", worker_solve)
         self._wrap(stack, CapacityArbiter, "request", request)
+        self._wrap(stack, TenantOrchestrator, "_audit", audit)
         gc.callbacks.append(self._on_gc)
         stack.callback(gc.callbacks.remove, self._on_gc)
         return stack
@@ -329,6 +374,37 @@ class Counts:
                 self.promoted_types.update(
                     type(o).__name__ for o in gc.get_objects(2)[-promoted:]
                 )
+
+
+class _CountedLedger(dict):
+    """One tenant's ledger (switch -> cores), counting the entries read."""
+
+    def __init__(self, counts: Counts, ledger: Dict[str, int]) -> None:
+        super().__init__(ledger)
+        self._counts = counts
+
+    def items(self):
+        for item in super().items():
+            self._counts.ledger_entries_read += 1
+            yield item
+
+    def values(self):
+        for value in super().values():
+            self._counts.ledger_entries_read += 1
+            yield value
+
+
+class _CountedInstances(dict):
+    """A fabric's instance map, counting the running instances read."""
+
+    def __init__(self, counts: Counts, instances: Dict[str, object]) -> None:
+        super().__init__(instances)
+        self._counts = counts
+
+    def values(self):
+        for inst in super().values():
+            self._counts.running_instances_summed += inst.running
+            yield inst
 
 
 def run_history(counts: Counts, tenants: int, seed: int) -> None:
@@ -432,6 +508,10 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"reconcile diff evals {counts.reconcile_evaluations}",
         f"objects built        {counts.switch_diffs_built} SwitchDiff, "
         f"{counts.entries_built} TcamEntry",
+        f"audit reads          {counts.audit_ticks} ticks, "
+        f"{counts.ledger_entries_read} ledger entries, "
+        f"{counts.running_instances_summed} running instances "
+        f"({counts.audit_misses} ticks read less than there was)",
         f"armed at rest        {counts.armed_at_rest} fabrics at the horizon",
         f"running != steady    {counts.uncharged_hosts} host-histories "
         f"({counts.overfull_hosts} above physical)",
@@ -453,8 +533,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="exit 1 if more channels were built than were sent a message, "
         "a fabric at rest still ticks at the horizon, a place() raised "
-        "PlacementError, or running instances hold other cores than the "
-        "arbiter charges",
+        "PlacementError, running instances hold other cores than the "
+        "arbiter charges, or an audit tick read fewer ledger entries or "
+        "running instances than there were",
     )
     args = parser.parse_args(argv)
     counts = Counts(census=True)
@@ -479,6 +560,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"at the horizon, running instances hold other cores than the "
             f"arbiter's steady charge on {counts.uncharged_hosts} "
             f"host-histories ({counts.overfull_hosts} above physical)"
+        )
+    if counts.audit_misses:
+        failures.append(
+            f"{counts.audit_misses} audit ticks read fewer ledger entries or "
+            "running instances than the arbiter and the live fabrics held"
         )
     if args.check and failures:
         for failure in failures:
