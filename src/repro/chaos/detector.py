@@ -65,7 +65,7 @@ class FailureDetector:
     def __init__(
         self,
         worker: "TenantWorker",
-        on_detect: Optional[Callable[[List[Detection]], None]] = None,
+        on_detect: Callable[[List[Detection]], None],
     ) -> None:
         self.sim = worker.orch.sim
         self.worker = worker
@@ -130,6 +130,5 @@ class FailureDetector:
 
         if found:
             self.detections.extend(found)
-            if self.on_detect is not None:
-                self.on_detect(found)
+            self.on_detect(found)
         return found

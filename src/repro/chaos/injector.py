@@ -40,8 +40,8 @@ class FaultInjector:
             truth being broken; ``SWITCH_DISCONNECT`` events sever a
             switch's control channel on its fabric, not its data plane).
         schedule: what to break, when — a :class:`FaultSchedule`, or any
-            sequence of fault events (the chaos engine concatenates its
-            data-plane and control-plane schedules).
+            sequence of fault events (the scenario runner concatenates
+            its data-plane and control-plane schedules).
         metrics: event-plane recorder.
     """
 

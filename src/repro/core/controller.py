@@ -6,9 +6,9 @@ placement, sub-classes realise it, the Rule Generator installs data-plane
 rules, and the Dynamic Handler watches for overload.  Examples and
 integration tests drive the system through this façade.  The controller
 computes and installs the day-0 deployment; after day 0 a live stack is
-owned by a :class:`~repro.tenancy.worker.TenantWorker` (the chaos engine
-adopts the controller's engine, rule generator and deployment into a
-one-tenant orchestrator), which is the only code that re-plans.
+owned by a :class:`~repro.tenancy.worker.TenantWorker` (the scenario
+runner adopts the controller's engine, rule generator and deployment into
+a one-tenant orchestrator), which is the only code that re-plans.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Elastic VNF autoscaling + flash-crowd admission control (ROADMAP item 4).
+"""Elastic VNF autoscaling + flash-crowd admission control.
 
 The package treats orchestration as a continuous loop (Bari et al.): a
 seeded, pure decision core — utilization snapshots, hysteresis bands, a

@@ -64,8 +64,8 @@ class ElasticController:
     """SLO-driven scale-out/in + admission control over one deployment.
 
     Args:
-        worker: the tenant worker owning the deployment (on the chaos
-            stack, ``ChaosEngine.worker``); it places and commits each
+        worker: the tenant worker owning the deployment (in a played
+            scenario, ``World.worker``); it places and commits each
             verdict, and its fabric drains what scale-in retires.
         offered_fn: pure function ``sim time -> offered Mbps per class
             id`` (baseline × flash-crowd multiplier).

@@ -139,9 +139,9 @@ class ElasticMetrics:
         """Per spike window: seconds from spike start until the loop was
         back under the high watermark with no push in flight.
 
-        A window whose load never breached the watermark absorbed
-        instantly (0.0); a window still overloaded at the last tick
-        never absorbed (None — the report surfaces it as unbounded).
+        A window whose load never breached the watermark inside it
+        absorbed instantly (0.0); a window still overloaded at the last
+        tick never absorbed (None — the report surfaces it as unbounded).
         """
         out: List[Optional[float]] = []
         for start, end in windows:
@@ -149,7 +149,8 @@ class ElasticMetrics:
                 (
                     t
                     for t in self.ticks
-                    if t.time >= start and t.max_utilization > high_watermark
+                    if start <= t.time <= end
+                    and t.max_utilization > high_watermark
                 ),
                 None,
             )

@@ -10,10 +10,10 @@ proves the three crash-tolerance invariants:
   run that never crashed (checkpoint restore + exactly-once replay +
   anti-entropy re-adoption reconstruct the same platform history);
 * **zero PV-seconds during downtime** — the data plane keeps forwarding
-  on installed rules while the controller is dead; a fixed-cadence probe
-  loop (one probe per sub-class hash midpoint) scores VNF-traversal
-  order every tick and must see zero policy-violation-seconds, crashed
-  or not;
+  on installed rules while the controller is dead; the probe loop (one
+  probe per sub-class hash midpoint of every tenant) scores chain order
+  and the live path every tick and must see zero
+  policy-violation-seconds, crashed or not;
 * **bounded recovery** — downtime is the injected fault duration, and
   catch-up (every pre-crash intent terminal again, zero southbound
   drift) lands within the run horizon.
@@ -22,31 +22,27 @@ The whole crash schedule lives on ``derive(seed, "chaos.controller")``
 (see :func:`repro.chaos.schedule.generate_controller_crashes`), so
 enabling crashes never perturbs the intent schedule — which is exactly
 why the signatures can be compared at all.  ``tests/test_resilience.py``
-reuses :func:`run_once` to recover from crashes under several checkpoint
+plays :func:`history` to recover from crashes under several checkpoint
 intervals and journal lengths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
-from repro import obs
-from repro.chaos.metrics import PROBE_INTERVAL
 from repro.chaos.schedule import (
     ControllerCrashConfig,
     FaultEvent,
     generate_controller_crashes,
 )
-from repro.dataplane.packet import Packet
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.multi_tenant import generate_intents
-from repro.obs.collectors import collect_resilience
-from repro.resilience import MemoryJournal, RecoveryEvent, ResilienceMetrics, recover
-from repro.sim.kernel import Simulator
+from repro.experiments.scenario import RunResult, Scenario, play
 from repro.sim.rng import SeededRNG, derive
-from repro.tenancy import CreateChain, TenantOrchestrator
+from repro.tenancy import CreateChain, Intent
 from repro.topology.datasets import internet2
+from repro.topology.graph import Topology
 from repro.vnf.chains import STANDARD_CHAINS
 
 #: (tenants, burst creates, controller crashes) per mode.
@@ -60,8 +56,6 @@ CHECKPOINT_INTERVAL = 4.0
 #: their own substream so the base churn schedule stays untouched.
 BURST_WINDOW = (16.0, 19.0)
 BURST_STREAM = "resilience.burst"
-#: Catch-up monitor cadence after each recovery.
-CATCHUP_POLL = 0.1
 TOPOLOGY = "internet2"
 
 
@@ -105,228 +99,49 @@ def generate_burst(
     return out
 
 
-class TenantProbes:
-    """Fixed-cadence data-plane probes across every tenant deployment.
-
-    Each tick injects one probe at every sub-class hash midpoint of every
-    converged tenant deployment and scores VNF-traversal order against
-    the tenant's policy chain (the :class:`repro.chaos.metrics.ProbeLoop`
-    idiom, widened to the multi-tenant orchestrator).  A tick with any
-    out-of-order traversal accrues one probe interval of
-    policy-violation-seconds; ticks inside a controller-downtime window
-    accrue into ``downtime_pv_seconds`` as well — the number the crash
-    experiment must report as zero.
-
-    ``holder["orch"]`` indirection lets recovery swap in the rebuilt
-    orchestrator without re-arming the timer (probe cadence is part of
-    the deterministic timeline).
-    """
-
-    def __init__(
-        self, sim: Simulator, holder: Dict[str, TenantOrchestrator]
-    ) -> None:
-        self.sim = sim
-        self.holder = holder
-        self.down = False
-        self.ticks = 0
-        self.sent = 0
-        self.delivered = 0
-        self.pv_seconds = 0.0
-        self.downtime_pv_seconds = 0.0
-        self._timer = None
-
-    def start(self) -> None:
-        self._timer = self.sim.every(PROBE_INTERVAL, self.tick)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def tick(self) -> None:
-        now = self.sim.now
-        self.ticks += 1
-        violations = 0
-        orch = self.holder["orch"]
-        for tenant_id in sorted(orch.workers):
-            worker = orch.workers[tenant_id]
-            deployment = worker.deployment
-            if deployment is None:
-                continue
-            for cls in deployment.plan.classes:
-                if cls.class_id.split("/", 1)[1] not in worker.chains:
-                    # Delete in flight: the class left the committed
-                    # blueprint before the teardown push started, so its
-                    # traffic legitimately rides default forwarding.
-                    continue
-                for sub in deployment.subclass_plan.subclasses(cls.class_id):
-                    lo, hi = sub.hash_range
-                    if hi <= lo:
-                        continue
-                    self.sent += 1
-                    packet = Packet(
-                        class_id=cls.class_id,
-                        flow_hash=(lo + hi) / 2.0,
-                        src=cls.src,
-                        dst=cls.dst,
-                    )
-                    record = deployment.network.inject(packet, now=now)
-                    if not record.delivered:
-                        # Mid-transition or torn down: black holes are a
-                        # liveness cost, never a policy violation.
-                        continue
-                    self.delivered += 1
-                    visited = [v.split("[")[0] for v in packet.vnfs_visited()]
-                    if visited != list(cls.chain.names):
-                        violations += 1
-        if violations:
-            self.pv_seconds += PROBE_INTERVAL
-            if self.down:
-                self.downtime_pv_seconds += PROBE_INTERVAL
-
-
-@dataclass
-class RunOutcome:
-    """One full platform history, crashed or not."""
-
-    signature: str
-    journal_signature: str
-    summary: Dict[str, float]
-    pv_seconds: float
-    downtime_pv_seconds: float
-    probes_sent: int
-    probes_delivered: int
-    recoveries: List[RecoveryEvent] = field(default_factory=list)
-    journal: Optional[MemoryJournal] = None
-
-
-def run_once(
-    tenants: int,
-    burst: int,
-    seed: int,
-    events: Sequence[FaultEvent] = (),
-    checkpoint_interval: float = CHECKPOINT_INTERVAL,
-    horizon: float = HORIZON,
-    metrics: Optional[ResilienceMetrics] = None,
-) -> RunOutcome:
-    """One journaled run, with controller crashes at ``events`` times.
-
-    Every crash kills the controller (``orch.crash()``), leaves the data
-    plane forwarding for the event's ``duration``, then recovers a fresh
-    orchestrator from the journal — re-adopting the harvested wire state
-    through the anti-entropy reconciler — and swaps it in.  A per-crash
-    catch-up monitor records when every pre-crash intent is terminal
-    again with zero southbound drift.
-    """
+def churn_and_burst(
+    tenants: int, burst: int, seed: int
+) -> Tuple[Topology, List[Tuple[float, Intent]]]:
+    """Internet2 with cores to spare, the seeded churn, then the burst."""
     topo = internet2(default_host_cores=_host_cores(tenants + burst))
-    sim = Simulator(seed=seed)
-    orch = TenantOrchestrator(topo, sim, seed=seed)
-    journal = MemoryJournal(seed=seed)
-    orch.attach_journal(journal, checkpoint_interval=checkpoint_interval)
-    if obs.REGISTRY.enabled:
-        obs.REGISTRY.max_series = max(
-            obs.REGISTRY.max_series, tenants + burst + 64
-        )
-    orch.start()
     pops = sorted(topo.hosts)
-    for delay, intent in generate_intents(tenants, pops, seed):
-        orch.submit(intent, delay=delay)
-    for delay, intent in generate_burst(burst, pops, seed):
-        orch.submit(intent, delay=delay)
-
-    holder: Dict[str, TenantOrchestrator] = {"orch": orch}
-    probes = TenantProbes(sim, holder)
-    probes.start()
-    recoveries: List[RecoveryEvent] = []
-
-    def monitor_catchup(event: RecoveryEvent) -> None:
-        state: Dict[str, object] = {"timer": None}
-
-        def poll() -> None:
-            current = holder["orch"]
-            pending = any(
-                not r.terminal
-                for r in current.bus.records
-                if r.submitted_at <= event.crash_time
-            )
-            if pending or current.total_drift() != 0:
-                return
-            event.caught_up_at = sim.now
-            if state["timer"] is not None:
-                state["timer"].cancel()
-
-        state["timer"] = sim.every(CATCHUP_POLL, poll)
-
-    def crash(ev: FaultEvent) -> None:
-        crash_time = sim.now
-        harvest = holder["orch"].crash()
-        probes.down = True
-        if metrics is not None:
-            metrics.record_crash()
-        if obs.REGISTRY.enabled:
-            obs.metric("resilience_crashes_total").inc()
-            obs.metric("resilience_downtime_seconds_total").inc(ev.duration)
-
-        def come_back() -> None:
-            recovered, report = recover(
-                journal,
-                topo,
-                sim,
-                seed=seed,
-                harvest=harvest,
-                checkpoint_interval=checkpoint_interval,
-            )
-            holder["orch"] = recovered
-            probes.down = False
-            event = RecoveryEvent(
-                crash_time=crash_time,
-                recovered_at=sim.now,
-                checkpoint_time=report.checkpoint_time,
-                journal_records=report.journal_records,
-                replayed=report.replayed,
-                skipped=report.skipped,
-                tenants_restored=report.tenants_restored,
-                tenants_rebuilt=report.tenants_rebuilt,
-                wall_seconds=report.wall_seconds,
-            )
-            recoveries.append(event)
-            if metrics is not None:
-                metrics.record_recovery(event)
-            monitor_catchup(event)
-
-        sim.schedule(ev.duration, come_back)
-
-    for ev in sorted(events, key=lambda e: e.time):
-        sim.schedule(ev.time, crash, args=(ev,))
-
-    sim.run(until=horizon)
-    final = holder["orch"]
-    final.stop()
-    probes.stop()
-    if metrics is not None:
-        metrics.snapshot_journal(journal)
-    return RunOutcome(
-        signature=final.state_signature(),
-        journal_signature=journal.signature(),
-        summary=final.metrics_summary(),
-        pv_seconds=round(probes.pv_seconds, 9),
-        downtime_pv_seconds=round(probes.downtime_pv_seconds, 9),
-        probes_sent=probes.sent,
-        probes_delivered=probes.delivered,
-        recoveries=recoveries,
-        journal=journal,
+    return topo, generate_intents(tenants, pops, seed) + generate_burst(
+        burst, pops, seed
     )
 
 
-def _row(label, out: RunOutcome, base: Optional[RunOutcome]) -> list:
+def history(
+    tenants: int,
+    burst: int,
+    crashes: Sequence[FaultEvent] = (),
+    checkpoint_interval: float = CHECKPOINT_INTERVAL,
+) -> Scenario:
+    """One journaled history, with controller crashes at ``crashes``.
+
+    Every crash kills the controller, leaves the data plane forwarding for
+    the event's ``duration``, then recovers a fresh orchestrator from the
+    journal (re-adopting the harvested wire through the anti-entropy
+    reconciler) and swaps it in; a catch-up monitor records when every
+    pre-crash intent is terminal again with zero southbound drift.
+    """
+    return Scenario(
+        horizon=HORIZON,
+        intents=partial(churn_and_burst, tenants, burst),
+        crashes=tuple(crashes),
+        checkpoint_interval=checkpoint_interval,
+    )
+
+
+def _row(label, out: RunResult, base: Optional[RunResult]) -> list:
     if out.recoveries:
         crash_ts = "+".join(f"{ev.crash_time:.2f}" for ev in out.recoveries)
         down = round(sum(ev.downtime for ev in out.recoveries), 3)
         ckpt_age = round(
-            max(ev.crash_time - ev.checkpoint_time for ev in out.recoveries), 3
+            max(ev.crash_time - ev.report.checkpoint_time for ev in out.recoveries),
+            3,
         )
-        replayed = sum(ev.replayed for ev in out.recoveries)
-        skipped = sum(ev.skipped for ev in out.recoveries)
+        replayed = sum(ev.report.replayed for ev in out.recoveries)
+        skipped = sum(ev.report.skipped for ev in out.recoveries)
         catchups = [
             ev.caught_up_at - ev.crash_time
             for ev in out.recoveries
@@ -337,14 +152,14 @@ def _row(label, out: RunOutcome, base: Optional[RunOutcome]) -> list:
             if len(catchups) == len(out.recoveries)
             else "never"
         )
-        journal_len = out.recoveries[-1].journal_records
+        journal_len = out.recoveries[-1].report.journal_records
     else:
         crash_ts, down, ckpt_age, replayed, skipped, catchup = (
             "-", 0.0, "-", 0, 0, "-",
         )
         journal_len = len(out.journal) if out.journal is not None else 0
     match = "ref" if base is None else (
-        "yes" if out.signature == base.signature else "NO"
+        "yes" if out.state_signature == base.state_signature else "NO"
     )
     return [
         label,
@@ -357,9 +172,9 @@ def _row(label, out: RunOutcome, base: Optional[RunOutcome]) -> list:
         catchup,
         int(out.summary["completed"]),
         int(out.summary["failed"]),
-        out.pv_seconds,
+        out.metrics["policy_violation_seconds"],
         out.downtime_pv_seconds,
-        out.signature,
+        out.state_signature,
         match,
     ]
 
@@ -377,9 +192,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
     schedule = generate_controller_crashes(
         ControllerCrashConfig(crashes=crashes), seed
     )
-    metrics = ResilienceMetrics()
-
-    base = run_once(tenants, burst, seed)
+    base = play(history(tenants, burst), seed)
     if base.summary["queued_grants"] != 0:
         raise RuntimeError(
             "controller-crash baseline is capacity-starved "
@@ -388,41 +201,36 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
         )
     rows = [_row("baseline", base, None)]
 
-    outcomes: List[RunOutcome] = []
+    outcomes: List[RunResult] = []
     for i, ev in enumerate(schedule):
-        out = run_once(tenants, burst, seed, events=(ev,), metrics=metrics)
+        out = play(history(tenants, burst, (ev,)), seed)
         outcomes.append(out)
         rows.append(_row(f"crash#{i + 1}", out, base))
-        if out.signature != base.signature:
+        if out.state_signature != base.state_signature:
             raise RuntimeError(
                 f"recovery diverged at crash t={ev.time}: "
-                f"{out.signature} != {base.signature}"
+                f"{out.state_signature} != {base.state_signature}"
             )
         if out.downtime_pv_seconds != 0.0:
             raise RuntimeError(
                 f"policy violations during downtime at crash t={ev.time}: "
                 f"{out.downtime_pv_seconds}s"
             )
-    combined = run_once(
-        tenants, burst, seed, events=tuple(schedule), metrics=metrics
-    )
+    combined = play(history(tenants, burst, schedule.events), seed)
     rows.append(_row("all-crashes", combined, base))
-    if combined.signature != base.signature:
+    if combined.state_signature != base.state_signature:
         raise RuntimeError(
             "recovery diverged with the full crash schedule: "
-            f"{combined.signature} != {base.signature}"
+            f"{combined.state_signature} != {base.state_signature}"
         )
 
     # Determinism check: rerun the first crashed row; state AND journal
     # signatures must both reproduce bit for bit.
-    rerun = run_once(tenants, burst, seed, events=(schedule.events[0],))
+    rerun = play(history(tenants, burst, schedule.events[:1]), seed)
     identical = (
-        rerun.signature == outcomes[0].signature
-        and rerun.journal_signature == outcomes[0].journal_signature
+        rerun.state_signature == outcomes[0].state_signature
+        and rerun.journal.signature() == outcomes[0].journal.signature()
     )
-
-    if obs.REGISTRY.enabled:
-        collect_resilience(metrics)
 
     return ExperimentResult(
         experiment="controller-crash",

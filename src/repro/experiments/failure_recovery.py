@@ -20,17 +20,10 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Sequence
 
-from repro.chaos import ChaosConfig, ChaosEngine, generate_schedule
-from repro.core.engine import EngineConfig
-from repro.experiments.harness import (
-    ExperimentResult,
-    REPLAY_HEADROOM,
-    TOPOLOGY_DEMAND_MBPS,
-    parallel_map,
-    standard_setup,
-)
+from repro.chaos import ChaosConfig
+from repro.experiments.harness import ExperimentResult, parallel_map
+from repro.experiments.scenario import Scenario, play, replay_day0
 from repro.parallel import Jobs
-from repro.sim.kernel import Simulator
 
 #: Injection window and run horizon (full scale).  The horizon leaves room
 #: for the longest flap (window end + max flap duration) to lift, be
@@ -41,9 +34,10 @@ QUICK_WINDOW = (3.0, 10.0)
 QUICK_HORIZON = 22.0
 
 
-def _chaos_config(quick: bool) -> ChaosConfig:
+def _scenario(topology: str, quick: bool) -> Scenario:
+    """The topology's day 0 under the fault mix (two faults when quick)."""
     if quick:
-        return ChaosConfig(
+        faults = ChaosConfig(
             link_flaps=1,
             host_crashes=0,
             vnf_crashes=1,
@@ -51,29 +45,18 @@ def _chaos_config(quick: bool) -> ChaosConfig:
             window=QUICK_WINDOW,
             flap_duration=(4.0, 7.0),
         )
-    return ChaosConfig(window=FULL_WINDOW)
+    else:
+        faults = ChaosConfig(window=FULL_WINDOW)
+    return Scenario(
+        horizon=QUICK_HORIZON if quick else FULL_HORIZON,
+        day0=partial(replay_day0, topology),
+        faults=faults,
+    )
 
 
 def _recovery_row(topology: str, seed: int = 0, quick: bool = False) -> list:
     """One chaos run on one topology; deterministic in (topology, seed)."""
-    topo, controller, series = standard_setup(
-        topology,
-        snapshots=1,
-        seed=seed,
-        demand_mbps=TOPOLOGY_DEMAND_MBPS[topology],
-        engine_config=EngineConfig(capacity_headroom=REPLAY_HEADROOM),
-    )
-    sim = Simulator()
-    deployment = controller.run(series.snapshots[0], sim=sim)
-    schedule = generate_schedule(
-        topo,
-        _chaos_config(quick),
-        seed,
-        instance_keys=sorted(deployment.instances),
-        hosts_in_use=deployment.rules.hosts_in_use,
-    )
-    engine = ChaosEngine(sim, controller, schedule)
-    result = engine.run(until=QUICK_HORIZON if quick else FULL_HORIZON)
+    result = play(_scenario(topology, quick), seed)
     m = result.metrics
     flow_mods = sum(c["flow_mods"] for c in m["convergences"])
     warm = sum(1 for c in m["convergences"] if c["warm_start"])

@@ -6,35 +6,26 @@ loop scales out as the spike ramps, sheds or rate-degrades the cheapest
 flows when even a full scale-out cannot absorb the peak, drains retired
 instances after the spike decays, and re-admits shed flows — all
 through the southbound fabric's make-before-break pushes, with the
-chaos engine's probe loop auditing policy and interference the whole
-time.
+probe loop auditing policy and interference the whole time.
 
-The acceptance bar (ROADMAP item 4): **zero policy-violation-seconds at
-every amplitude** — shedding goes through ingress quarantine, so an
-overloaded run degrades availability (drops at the ingress DROP),
-never correctness — plus bounded time-to-absorb and bit-identical
-reruns per (seed, amplitude).
+The acceptance bar: **zero policy-violation-seconds at every
+amplitude** — shedding goes through ingress quarantine, so an overloaded
+run degrades availability (drops at the ingress DROP), never correctness
+— plus bounded time-to-absorb and bit-identical reruns per (seed,
+amplitude).
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import partial
+from typing import List, Tuple
 
-from typing import List, Optional, Sequence, Tuple
-
-from repro.chaos import ChaosEngine, FaultSchedule
-from repro.core.engine import EngineConfig
-from repro.elastic import ElasticController, assign_slo_classes
 from repro.elastic.loop import HYSTERESIS
-from repro.experiments.harness import (
-    ExperimentResult,
-    REPLAY_HEADROOM,
-    TOPOLOGY_DEMAND_MBPS,
-    standard_setup,
-)
+from repro.experiments.harness import ExperimentResult
+from repro.experiments.scenario import Scenario, World, replay_day0
 from repro.obs.collectors import collect_elastic
-from repro.sim.kernel import Simulator
-from repro.traffic.flashcrowd import FlashCrowdConfig, generate_flash_crowd
+from repro.traffic.flashcrowd import FlashCrowdConfig
 
 #: Peak spike multipliers swept.  The top amplitude is sized to outrun
 #: every possible scale-out on the quick-replay capacity, forcing the
@@ -46,58 +37,34 @@ QUICK_HORIZON = 20.0
 TOPOLOGY = "internet2"
 
 
-def _flash_config(amplitude: float, quick: bool) -> FlashCrowdConfig:
-    return FlashCrowdConfig(
-        spikes=1 if quick else 2,
-        amplitude=(amplitude, amplitude),
-        window=(3.0, 6.0) if quick else (4.0, 10.0),
-        ramp=(1.0, 2.0),
-        hold=(3.0, 5.0),
-        decay=(1.0, 2.0),
-        target_fraction=0.4,
+def _scenario(amplitude: float, quick: bool) -> Scenario:
+    """The day 0 under spikes of peak ``amplitude`` (one spike when quick).
+
+    No fault: the worker's default fabric, loss-free, drains what
+    scale-in retires."""
+    return Scenario(
+        horizon=QUICK_HORIZON if quick else FULL_HORIZON,
+        day0=partial(replay_day0, TOPOLOGY),
+        flash=FlashCrowdConfig(
+            spikes=1 if quick else 2,
+            amplitude=(amplitude, amplitude),
+            window=(3.0, 6.0) if quick else (4.0, 10.0),
+            ramp=(1.0, 2.0),
+            hold=(3.0, 5.0),
+            decay=(1.0, 2.0),
+            target_fraction=0.4,
+        ),
     )
 
 
 def _flash_row(
-    amplitude: float,
-    seed: int = 0,
-    quick: bool = False,
-    enabled: bool = True,
+    amplitude: float, seed: int = 0, quick: bool = False
 ) -> Tuple[list, str]:
     """One flash-crowd run; returns (table row, rerun signature)."""
-    topo, controller, series = standard_setup(
-        TOPOLOGY,
-        snapshots=1,
-        seed=seed,
-        demand_mbps=TOPOLOGY_DEMAND_MBPS[TOPOLOGY],
-        engine_config=EngineConfig(capacity_headroom=REPLAY_HEADROOM),
-    )
-    sim = Simulator()
-    deployment = controller.run(series.snapshots[0], sim=sim)
-    baseline = {c.class_id: c.rate_mbps for c in deployment.plan.classes}
-    schedule = generate_flash_crowd(
-        sorted(baseline), _flash_config(amplitude, quick), seed
-    )
-    # The worker's default fabric: loss-free, draining what scale-in retires.
-    chaos = ChaosEngine(sim, controller, FaultSchedule.empty(seed))
-
-    def offered(now: float) -> dict:
-        return {
-            cid: rate * schedule.multiplier(cid, now)
-            for cid, rate in baseline.items()
-        }
-
-    elastic = ElasticController(
-        chaos.worker,
-        offered,
-        slo_map=assign_slo_classes(sorted(baseline)),
-    )
-    if enabled:
-        elastic.start()
-    result = chaos.run(until=QUICK_HORIZON if quick else FULL_HORIZON)
-    elastic.stop()
-
-    em = elastic.metrics
+    world = World(_scenario(amplitude, quick), seed)
+    result = world.play()
+    schedule = world.spikes
+    em = world.elastic.metrics
     high = HYSTERESIS.high_watermark
     absorb = em.time_to_absorb(schedule.windows(), high)
     absorb_max = max((a for a in absorb if a is not None), default=0.0)
@@ -121,31 +88,22 @@ def _flash_row(
         round(absorb_max, 2) if not unabsorbed else "unbounded",
         result.metrics["downtime_seconds"],
         result.metrics["policy_violation_seconds"],
-        chaos.southbound.drift_count(),
+        int(result.summary["drift"]),
         "OK" if verify_ok else "FAIL",
     ]
     return row, signature
 
 
-def run(
-    amplitudes: Optional[Sequence[float]] = None,
-    seed: int = 0,
-    quick: bool = False,
-) -> ExperimentResult:
+def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
     """Spike-amplitude sweep of the elastic loop.
 
     Args:
-        amplitudes: explicit sweep override (peak multipliers ≥ 1).
         seed: run seed; the spike schedule, placement and every scaling
             decision derive from it, so rows rerun bit-identically (the
             first amplitude is rerun and compared to prove it).
         quick: smoke scale — one spike, two amplitudes, short horizon.
     """
-    sweep = (
-        tuple(amplitudes)
-        if amplitudes is not None
-        else (QUICK_AMPLITUDES if quick else FULL_AMPLITUDES)
-    )
+    sweep = QUICK_AMPLITUDES if quick else FULL_AMPLITUDES
     rows: List[list] = []
     signatures: List[str] = []
     for amplitude in sweep:

@@ -18,24 +18,13 @@ by the end of the run.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.chaos import ChaosConfig, ChaosEngine, generate_schedule
-from repro.core.engine import EngineConfig
-from repro.experiments.harness import (
-    ExperimentResult,
-    REPLAY_HEADROOM,
-    TOPOLOGY_DEMAND_MBPS,
-    parallel_map,
-    standard_setup,
-)
+from repro.chaos import ChaosConfig
+from repro.experiments.harness import ExperimentResult, parallel_map
+from repro.experiments.scenario import Scenario, play, replay_day0
 from repro.parallel import Jobs
-from repro.sim.kernel import Simulator
-from repro.southbound import (
-    SouthboundChaosConfig,
-    SouthboundFabric,
-    generate_southbound_schedule,
-)
+from repro.southbound import SouthboundChaosConfig
 
 #: Control-message loss rates swept (fraction of legs dropped).
 FULL_LOSS_SWEEP = (0.0, 0.05, 0.1, 0.2)
@@ -52,65 +41,34 @@ QUICK_HORIZON = 24.0
 TOPOLOGY = "internet2"
 
 
-def _data_plane_config(quick: bool) -> ChaosConfig:
-    """A small data-plane schedule so recovery must push real deltas."""
-    return ChaosConfig(
-        link_flaps=1,
-        host_crashes=0,
-        vnf_crashes=1,
-        brownouts=0,
-        window=QUICK_WINDOW if quick else FULL_WINDOW,
-        flap_duration=(4.0, 7.0),
-    )
-
-
-def _southbound_config(loss_rate: float, quick: bool) -> SouthboundChaosConfig:
-    return SouthboundChaosConfig(
-        loss_rate=loss_rate,
-        extra_delay_mean=0.01,
-        disconnects=2,
-        window=QUICK_WINDOW if quick else FULL_WINDOW,
-        disconnect_duration=(1.5, 4.0),
+def _scenario(loss_rate: float, quick: bool) -> Scenario:
+    """A small data-plane schedule, so recovery must push real deltas, and
+    two switch disconnects on a channel losing ``loss_rate`` of its legs."""
+    window = QUICK_WINDOW if quick else FULL_WINDOW
+    return Scenario(
+        horizon=QUICK_HORIZON if quick else FULL_HORIZON,
+        day0=partial(replay_day0, TOPOLOGY),
+        faults=ChaosConfig(
+            link_flaps=1,
+            host_crashes=0,
+            vnf_crashes=1,
+            brownouts=0,
+            window=window,
+            flap_duration=(4.0, 7.0),
+        ),
+        loss=SouthboundChaosConfig(
+            loss_rate=loss_rate,
+            extra_delay_mean=0.01,
+            disconnects=2,
+            window=window,
+            disconnect_duration=(1.5, 4.0),
+        ),
     )
 
 
 def _southbound_row(loss_rate: float, seed: int = 0, quick: bool = False) -> list:
     """One chaos run at one loss rate; deterministic in (loss, seed)."""
-    topo, controller, series = standard_setup(
-        TOPOLOGY,
-        snapshots=1,
-        seed=seed,
-        demand_mbps=TOPOLOGY_DEMAND_MBPS[TOPOLOGY],
-        engine_config=EngineConfig(capacity_headroom=REPLAY_HEADROOM),
-    )
-    sim = Simulator()
-    deployment = controller.run(series.snapshots[0], sim=sim)
-    fabric = SouthboundFabric(
-        sim,
-        deployment.network,
-        seed,
-        controller.rule_generator,
-        chaos=_southbound_config(loss_rate, quick),
-        drain_retired=True,
-    )
-    schedule = generate_schedule(
-        topo,
-        _data_plane_config(quick),
-        seed,
-        instance_keys=sorted(deployment.instances),
-        hosts_in_use=deployment.rules.hosts_in_use,
-    )
-    sb_schedule = generate_southbound_schedule(
-        sorted(deployment.network.switches), fabric.chaos, seed
-    )
-    engine = ChaosEngine(
-        sim,
-        controller,
-        schedule,
-        southbound=fabric,
-        southbound_schedule=sb_schedule,
-    )
-    result = engine.run(until=QUICK_HORIZON if quick else FULL_HORIZON)
+    result = play(_scenario(loss_rate, quick), seed)
     sb = result.metrics["southbound"]
     convergences = sb["convergences"]
     mean_latency = (
@@ -132,32 +90,22 @@ def _southbound_row(loss_rate: float, seed: int = 0, quick: bool = False) -> lis
         mean_latency,
         result.metrics["downtime_seconds"],
         result.metrics["policy_violation_seconds"],
-        fabric.drift_count(),
+        int(result.summary["drift"]),
         "OK" if result.final_verify_ok else "FAIL",
     ]
 
 
-def run(
-    loss_rates: Optional[Sequence[float]] = None,
-    seed: int = 0,
-    quick: bool = False,
-    jobs: Jobs = 1,
-) -> ExperimentResult:
+def run(seed: int = 0, quick: bool = False, jobs: Jobs = 1) -> ExperimentResult:
     """Loss-rate sweep of the resilient southbound channel.
 
     Args:
-        loss_rates: explicit sweep override (fractions in [0, 1)).
         seed: run seed; channel draws, disconnect schedule, data-plane
             faults and traffic all ride independent derived substreams,
             so every row is bit-identical for a fixed seed.
         quick: smoke scale — two loss rates, shorter horizon.
         jobs: worker processes (one loss rate per worker).
     """
-    sweep = (
-        tuple(loss_rates)
-        if loss_rates is not None
-        else (QUICK_LOSS_SWEEP if quick else FULL_LOSS_SWEEP)
-    )
+    sweep = QUICK_LOSS_SWEEP if quick else FULL_LOSS_SWEEP
     rows: List[list] = parallel_map(
         partial(_southbound_row, seed=seed, quick=quick), sweep, jobs=jobs
     )

@@ -101,9 +101,9 @@ CATALOG: Tuple[MetricDef, ...] = (
     MetricDef("counter", "chaos_policy_violation_seconds_total",
               "Probe intervals with a policy/interference violation"),
     MetricDef("counter", "chaos_probes_sent_total",
-              "Probes injected by the chaos probe loop"),
+              "Probes injected by the probe loop"),
     MetricDef("counter", "chaos_probes_dropped_total",
-              "Chaos probes that black-holed"),
+              "Probes that black-holed"),
     # --------------------------------------------------------- southbound
     MetricDef("counter", "southbound_messages_total",
               "Southbound control messages by terminal result", ("result",)),

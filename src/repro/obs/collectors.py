@@ -3,9 +3,9 @@
 A subsystem whose events are rare (solver, southbound, tenancy, rule
 generation, verify) updates the registry at the event, behind the one
 ``enabled`` check.  The ones here cannot: the data plane counts per packet
-and must not pay for metrics there, and the chaos / elastic / resilience
-accounting (time to repair, time to absorb, journal length) is only known
-once the run is over.  Their ledgers are read at a snapshot point —
+and must not pay for metrics there, and the chaos / elastic accounting (time
+to repair, probe tallies, time to absorb) is only known once the run is
+over.  Their ledgers are read at a snapshot point —
 ``stats_snapshot()`` for a network, finalization for a run — and each
 collector is a no-op while observability is disabled.
 """
@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.dataplane.network import DataPlaneNetwork
     from repro.elastic.metrics import ElasticMetrics
     from repro.elastic.monitor import UtilizationSnapshot
-    from repro.resilience.metrics import ResilienceMetrics
+    from repro.experiments.scenario import ProbeLoop, ProbeTick
 
 #: The registry counters one network feeds, in the order of its
 #: ``_collected`` baseline: the delivery ledger, then the TCAM counters.
@@ -61,12 +61,12 @@ def collect_network(network: "DataPlaneNetwork") -> None:
     _metric("dataplane_tcam_hw_entries").set(hw)
 
 
-def collect_chaos(metrics: "ChaosMetrics") -> None:
-    """Chaos-run accounting → registry (TTR, PV-seconds, probe counts).
+def collect_chaos(metrics: "ChaosMetrics", probes: "ProbeLoop") -> None:
+    """Live-run accounting → registry (TTR, PV-seconds, probe counts).
 
     Called once at run finalization; all values derive from the
-    deterministic event/traffic planes, so a traced run collects exactly
-    what an untraced run would have measured.
+    deterministic event plane and the probe loop's tallies, so a traced
+    run collects exactly what an untraced run would have measured.
     """
     if not state.REGISTRY.enabled:
         return
@@ -84,25 +84,12 @@ def collect_chaos(metrics: "ChaosMetrics") -> None:
     for conv in metrics.convergences:
         warm = "true" if conv.warm_start else "false"
         _metric("chaos_reconvergences_total").labels(warm=warm).inc()
-    _metric("chaos_downtime_seconds_total").inc(metrics.downtime_seconds)
+    _metric("chaos_downtime_seconds_total").inc(probes.downtime_seconds)
     _metric("chaos_policy_violation_seconds_total").inc(
-        metrics.policy_violation_seconds
+        probes.policy_violation_seconds
     )
-    _metric("chaos_probes_sent_total").inc(metrics.probes_sent)
-    _metric("chaos_probes_dropped_total").inc(metrics.probes_dropped)
-
-
-def collect_resilience(metrics: "ResilienceMetrics") -> None:
-    """Controller-crash accounting → registry (run finalization).
-
-    Crash, recovery, checkpoint and journal-record counters are fed live
-    (by the experiment, ``recover()``, the orchestrator's checkpoint timer
-    and ``Journal.append``); this collector sets only the last journal's
-    length, which only the finished run knows.
-    """
-    if not state.REGISTRY.enabled:
-        return
-    _metric("resilience_journal_length").set(metrics.journal_length)
+    _metric("chaos_probes_sent_total").inc(probes.probes_sent)
+    _metric("chaos_probes_dropped_total").inc(probes.probes_dropped)
 
 
 def collect_elastic(
@@ -146,11 +133,14 @@ def collect_elastic(
         _metric("elastic_time_to_absorb_seconds").observe(sample)
 
 
-def trace_chaos_timeline(metrics: "ChaosMetrics") -> None:
-    """Render a finished chaos run's deterministic timeline into the trace.
+def trace_chaos_timeline(
+    metrics: "ChaosMetrics", ticks: Sequence["ProbeTick"]
+) -> None:
+    """Render a finished live run's deterministic timeline into the trace.
 
     Faults become spans (applied → repaired/lifted) on the simulation
-    track; detections and convergences become instants.  Everything is
+    track; detections and convergences become instants, probe ticks with
+    a violation counters.  Everything is
     derived from the already-recorded deterministic timeline, so tracing
     cannot perturb the run it describes.
     """
@@ -196,7 +186,7 @@ def trace_chaos_timeline(metrics: "ChaosMetrics") -> None:
                 "failed": conv.failed,
             },
         )
-    for tick in metrics.ticks:
+    for tick in ticks:
         if tick.dropped or tick.policy_violations or tick.interference_violations:
             tracer.counter(
                 "probe.violations",

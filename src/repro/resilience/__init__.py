@@ -20,9 +20,7 @@ it lost everything.  Three pieces fix that:
   forward.
 
 ``recovery`` is imported lazily (it pulls in the tenancy stack, which
-itself journals through this package).  :mod:`repro.resilience.metrics`
-holds one :class:`RecoveryEvent` per recovery and the run's crash,
-checkpoint and journal-shape counts.
+itself journals through this package).
 """
 
 from repro.resilience.journal import (
@@ -37,7 +35,6 @@ from repro.resilience.journal import (
     JournalRecord,
     MemoryJournal,
 )
-from repro.resilience.metrics import RecoveryEvent, ResilienceMetrics
 
 __all__ = [
     "INTENT",
@@ -50,8 +47,6 @@ __all__ = [
     "JournalRecord",
     "MemoryJournal",
     "FileJournal",
-    "ResilienceMetrics",
-    "RecoveryEvent",
     "recover",
     "RecoveryReport",
 ]

@@ -31,7 +31,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.obs import state as _obs
 
@@ -112,12 +112,6 @@ class Journal:
 
     def of_kind(self, kind: str) -> List[JournalRecord]:
         return [r for r in self.records if r.kind == kind]
-
-    def kind_counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for rec in self.records:
-            out[rec.kind] = out.get(rec.kind, 0) + 1
-        return out
 
     def last_checkpoint(self) -> Optional[JournalRecord]:
         """The most recent ``CHECKPOINT`` record, or None."""

@@ -145,7 +145,7 @@ class SouthboundFabric:
         self._retiring: List[str] = []
         self.chaos = chaos or SouthboundChaosConfig()
         self._metrics = SouthboundMetrics()
-        #: Degradation hooks for the chaos layer (set by ChaosEngine).
+        #: Degradation hooks for the chaos layer (set by the scenario runner).
         self.on_degraded: Optional[Callable[[str, float], None]] = None
         self.on_restored: Optional[Callable[[str, float], None]] = None
 

@@ -4,7 +4,7 @@ Each tenant's policy chains form a *blueprint*; its worker owns the only
 mutable copy and processes intents strictly one at a time (FIFO, one
 in-flight operation per tenant — the ePEM blueprint-LCM pattern).  After
 day 0 the worker is the only code that places, realises, reserves and
-commits, on every live stack (the chaos engine adopts a controller's
+commits, on every live stack (the scenario runner adopts a controller's
 day-0 deployment as a one-tenant orchestrator, through :meth:`adopt`, the
 step crash recovery re-adopts a harvested wire with).  An operation runs
 the full APPLE pipeline:
@@ -25,7 +25,7 @@ leave it.  An intent record's ``observer``, when set, is told
 ``finished(record, outcome or None)`` when the op is terminal.
 
 The worker's Optimization Engine is tenant-private (the adopted
-controller's on the chaos stack), so warm-start templates cache
+controller's on a controller day-0 stack), so warm-start templates cache
 per-blueprint structure: rate-only ops re-solve through the Eq. 5 rate
 rewrite.  Every change after day 0 is one :func:`~repro.core.reconfigure
 .commit` on the tenant's own fabric; a tenant's ops are serialized, so no

@@ -1,6 +1,6 @@
 """Flash-crowd traffic schedules — DDoS-shaped spikes on seeded substreams.
 
-ROADMAP item 4 layers load dynamics on the chaos engine: where
+A flash crowd layers load dynamics on a live run: where
 :mod:`repro.chaos.schedule` perturbs the *infrastructure*, a
 :class:`FlashCrowdSchedule` perturbs the *offered traffic*.  Each
 :class:`SpikeEvent` is a trapezoid — a linear ramp to ``amplitude``×

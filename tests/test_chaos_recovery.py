@@ -1,18 +1,13 @@
 """End-to-end chaos runs: detection, recovery, determinism, no-op identity."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.chaos import (
-    ChaosConfig,
-    ChaosEngine,
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    ProbeLoop,
-    generate_schedule,
-)
+from repro.chaos import ChaosConfig, FaultEvent, FaultKind, FaultSchedule
 from repro.core.controller import AppleController
 from repro.dataplane.switch import QUARANTINE_PREFIX
+from repro.experiments.scenario import ProbeLoop, Scenario, World, play
 from repro.sim.kernel import Simulator
 from repro.topology.datasets import internet2
 from repro.topology.graph import AppleHostSpec, Link, Topology
@@ -46,17 +41,12 @@ def _deployed(seed=SEED):
     return topo, controller, sim, deployment
 
 
+def _day0(deployed=_deployed):
+    return lambda seed: deployed(seed)[1:3]
+
+
 def _chaos_run(seed=SEED, config=SMOKE_CONFIG, until=HORIZON, deployed=_deployed):
-    topo, controller, sim, deployment = deployed(seed)
-    schedule = generate_schedule(
-        topo,
-        config,
-        seed,
-        instance_keys=sorted(deployment.instances),
-        hosts_in_use=deployment.rules.hosts_in_use,
-    )
-    engine = ChaosEngine(sim, controller, schedule)
-    return engine.run(until=until)
+    return play(Scenario(until, day0=_day0(deployed), faults=config), seed)
 
 
 # ----------------------------------------------------------------------
@@ -129,33 +119,54 @@ def test_different_seed_differs():
 
 
 # ----------------------------------------------------------------------
-# S1 regression: an armed-but-empty chaos engine is a perfect no-op
+# S1 regression: an armed-but-empty scenario is a perfect no-op
 # ----------------------------------------------------------------------
 def test_empty_schedule_bit_identical_to_plain_run():
     until = 8.0
 
-    # Plain run: probe loop only, no chaos machinery attached.
+    # Plain run: the controller's day 0 with the probe loop only — no
+    # orchestrator, worker, fabric or arbiter adopts it.
     _topo, controller, sim, deployment = _deployed()
-    loop = ProbeLoop(sim, lambda: controller.deployment)
+    plan = deployment.plan
+    worker = SimpleNamespace(
+        deployment=deployment,
+        chains={f"{k:06d}": c for k, c in enumerate(plan.classes)},
+        fabric=SimpleNamespace(active_path=lambda class_id: None),
+    )
+    plain = SimpleNamespace(
+        sim=sim, orch=SimpleNamespace(workers={"apple": worker})
+    )
+    loop = ProbeLoop(plain)
     loop.start()
     sim.run(until=until)
     loop.stop()
-    plain_ticks = list(loop.ticks)
     plain_stats = deployment.network.stats_snapshot()
 
-    # Same setup with the full engine armed on an empty schedule.
-    _topo, controller, sim, deployment = _deployed()
-    engine = ChaosEngine(sim, controller, FaultSchedule.empty(SEED))
-    engine.start()
-    sim.run(until=until)
-    chaos_ticks = list(engine.probes.ticks)
-    chaos_stats = deployment.network.stats_snapshot()
+    # The same day 0 adopted, with injector, detector, recovery and audit
+    # armed on an empty schedule.
+    armed = World(Scenario(until, day0=_day0()), SEED)
+    result = armed.play()
 
-    assert chaos_ticks == plain_ticks
-    assert chaos_stats == plain_stats
-    assert engine.metrics.faults == {}
-    assert engine.metrics.convergences == []
-    assert engine.detector.detections == []
+    assert loop.ticks and armed.probes.ticks == loop.ticks
+    assert result.network_stats == plain_stats
+    assert armed.chaos.faults == {}
+    assert armed.chaos.convergences == []
+    assert armed.detector.detections == []
+
+
+def test_scenario_rejects_what_it_cannot_play():
+    day0, crash = _day0(), (FaultEvent(time=2.0, kind=FaultKind.CONTROLLER_CRASH,
+                                       target="controller", duration=1.0),)
+    intents = lambda seed: (internet2(), [])  # noqa: E731
+    for kwargs in (
+        {},
+        {"day0": day0, "intents": intents},
+        {"intents": intents, "faults": SMOKE_CONFIG},
+        {"day0": day0, "crashes": crash, "checkpoint_interval": 1.0},
+        {"intents": intents, "crashes": crash},
+    ):
+        with pytest.raises(ValueError):
+            Scenario(8.0, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +195,8 @@ def test_all_stranded_classes_are_quarantined_not_leaked():
         seed=0,
         events=(FaultEvent(time=2.0, kind=FaultKind.HOST_CRASH, target="b"),),
     )
-    engine = ChaosEngine(sim, controller, schedule)
-    result = engine.run(until=8.0)
+    scenario = Scenario(8.0, day0=lambda seed: (controller, sim), faults=schedule)
+    result = play(scenario)
     m = result.metrics
 
     # The convergence stranded every class and placed none.
@@ -212,11 +223,13 @@ def test_vnf_crash_replacement_reuses_slot():
         seed=0,
         events=(FaultEvent(time=2.0, kind=FaultKind.VNF_CRASH, target=victim_key),),
     )
-    engine = ChaosEngine(sim, controller, schedule)
-    result = engine.run(until=8.0)
+    world = World(
+        Scenario(8.0, day0=lambda seed: (controller, sim), faults=schedule)
+    )
+    result = world.play()
 
     assert not victim.running
-    replacement = engine.worker.deployment.instances[victim_key]
+    replacement = world.worker.deployment.instances[victim_key]
     assert replacement is not victim
     assert replacement.running
     assert replacement.switch == victim.switch

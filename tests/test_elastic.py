@@ -1,8 +1,9 @@
 """Tests for the elastic scaling loop: units + end-to-end flash crowd."""
 
+from functools import partial
+
 import pytest
 
-from repro.chaos import ChaosEngine, FaultSchedule
 from repro.core.engine import EngineConfig
 from repro.core.placement import PlacementPlan, PlanDelta, diff_plans
 from repro.elastic import (
@@ -10,6 +11,8 @@ from repro.elastic import (
     DEGRADE,
     SHED,
     ElasticController,
+    ElasticMetrics,
+    ElasticTick,
     HOLD,
     SCALE_IN,
     SCALE_OUT,
@@ -23,13 +26,14 @@ from repro.elastic import (
 )
 from repro.elastic.slo import BRONZE, GOLD, SILVER, SLO_CLASSES
 from repro.experiments.flash_crowd import FULL_AMPLITUDES, _flash_row
+from repro.experiments.scenario import Scenario, World, replay_day0
 from repro.experiments.harness import (
     REPLAY_HEADROOM,
     TOPOLOGY_DEMAND_MBPS,
     standard_setup,
 )
 from repro.sim.kernel import Simulator
-from repro.southbound import SouthboundFabric
+from repro.southbound import SouthboundChaosConfig, SouthboundFabric
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG
@@ -220,6 +224,27 @@ def test_diff_plans_reports_slot_delta():
 
 
 # ----------------------------------------------------------------------
+# Time to absorb
+# ----------------------------------------------------------------------
+def test_time_to_absorb_reads_each_window_only():
+    # The first window never breaches the watermark; the overload at t=5
+    # belongs to the second window and is charged there alone.
+    metrics = ElasticMetrics(0.5)
+    for time, util, in_flight in (
+        (1.0, 0.5, False),
+        (2.0, 0.6, False),
+        (5.0, 0.95, True),
+        (6.0, 0.9, True),
+        (7.0, 0.5, False),
+    ):
+        metrics.record_tick(ElasticTick(time, util, 0.0, "hold", in_flight, False))
+    assert metrics.time_to_absorb([(0.0, 3.0), (4.0, 8.0)], 0.8) == [0.0, 3.0]
+    assert metrics.time_to_absorb([(4.0, 8.0)], 0.95) == [0.0]
+    # Never back under the watermark: never absorbed.
+    assert metrics.time_to_absorb([(0.0, 3.0)], 0.4) == [None]
+
+
+# ----------------------------------------------------------------------
 # End to end: the flash-crowd scenario
 # ----------------------------------------------------------------------
 def test_flash_crowd_quick_row_scales_and_stays_clean():
@@ -265,26 +290,18 @@ def test_full_scale_flash_crowd_reruns_bit_identically():
 
 def _baseline_run(with_disabled_elastic: bool):
     """A plain southbound run, optionally with a disabled elastic loop."""
-    topo, controller, series = standard_setup(
-        "internet2",
-        snapshots=1,
-        seed=0,
-        demand_mbps=TOPOLOGY_DEMAND_MBPS["internet2"],
-        engine_config=EngineConfig(capacity_headroom=REPLAY_HEADROOM),
+    world = World(
+        Scenario(
+            6.0, day0=partial(replay_day0, "internet2"), loss=SouthboundChaosConfig()
+        )
     )
-    sim = Simulator()
-    deployment = controller.run(series.snapshots[0], sim=sim)
-    fabric = SouthboundFabric(
-        sim, deployment.network, 0, controller.rule_generator, drain_retired=True
-    )
-    engine = ChaosEngine(sim, controller, FaultSchedule.empty(0), southbound=fabric)
     if with_disabled_elastic:
         # Disabled = built but never started: no timer, no tick.
-        elastic = ElasticController(engine.worker, lambda now: {})
-    result = engine.run(until=6.0)
+        elastic = ElasticController(world.worker, lambda now: {})
+    result = world.play()
     if with_disabled_elastic:
         assert elastic.metrics.ticks_total == 0
-    return result.signature(), fabric.state_signature()
+    return result.signature(), world.fabric.state_signature()
 
 
 def test_disabled_loop_reproduces_baseline_bit_identically():

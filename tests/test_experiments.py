@@ -159,9 +159,9 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     southbound metrics dict, read from the same runs; and per flash-crowd
     amplitude the length of the elastic shedding chain (see
     ``_FLASH_CHAIN``).  A deliberate change updates them here."""
-    from repro.chaos.runner import ChaosEngine
     from repro.elastic.loop import ElasticController
     from repro.experiments import failure_recovery, flash_crowd, southbound_chaos
+    from repro.experiments.scenario import World
     from repro.tenancy.worker import TenantWorker
 
     chain = Counter()
@@ -190,16 +190,16 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     monkeypatch.setattr(TenantWorker, "solve", counting_solve)
 
     southbound = []
-    finalize = ChaosEngine.finalize
+    finish = World.finish
 
-    def recording_finalize(engine):
-        result = finalize(engine)
+    def recording_finish(world):
+        result = finish(world)
         southbound.append(result.metrics["southbound"])
         # The one-tenant orchestrator's isolation audit ran all along.
-        assert result.cross_tenant_violation_seconds == 0
+        assert result.summary["cross_tenant_violation_seconds"] == 0
         return result
 
-    monkeypatch.setattr(ChaosEngine, "finalize", recording_finalize)
+    monkeypatch.setattr(World, "finish", recording_finish)
 
     assert failure_recovery.run(seed=1, quick=True).rows == [
         ["internet2", 2, 2, 0.646015, 0.751016, 0.891515, 1.5, 27, 0.0, 3, 866,

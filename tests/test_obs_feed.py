@@ -1,7 +1,8 @@
 """The registry is fed once per event and ``obs.span`` is the only clock.
 
-A ledger (``SouthboundMetrics``, ``ChaosMetrics``, a network's delivery and
-TCAM counters) belongs to one fabric / run / network; the registry is
+A ledger (``SouthboundMetrics``, ``ChaosMetrics`` and the probe loop's
+tallies, a network's delivery and TCAM counters) belongs to one fabric /
+run / network; the registry is
 process-wide.  Whatever a process ran, every ledger-backed counter must
 read the *sum* over the ledgers — not the last one collected — and with
 observability off no instrumented path may read the span clock at all.
@@ -13,11 +14,16 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.chaos import ChaosEngine
 from repro.core.controller import AppleController
 from repro.dataplane.packet import Packet
 from repro.dataplane.sharded import ShardedDataPlane
-from repro.experiments import controller_crash, failure_recovery, flash_crowd
+from repro.experiments import (
+    controller_crash,
+    failure_recovery,
+    flash_crowd,
+    multi_tenant,
+)
+from repro.experiments.scenario import World
 from repro.obs.collectors import collect_elastic
 from repro.obs.metrics import MAX_SERIES_PER_METRIC
 from repro.sim.kernel import Simulator
@@ -69,19 +75,19 @@ def test_registry_equals_sum_of_ledgers_over_two_chaos_rows(
     obs_off_after, monkeypatch
 ):
     engines = []
+    finish = World.finish
 
-    class Recorded(ChaosEngine):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            engines.append(self)
+    def recorded(world):
+        engines.append(world)
+        return finish(world)
 
-    monkeypatch.setattr(failure_recovery, "ChaosEngine", Recorded)
+    monkeypatch.setattr(World, "finish", recorded)
     obs.enable()
     for topology in ("internet2", "geant"):
         failure_recovery._recovery_row(topology, seed=7, quick=True)
     assert len(engines) == 2
 
-    southbound = [e.southbound.metrics for e in engines]
+    southbound = [e.fabric.metrics for e in engines]
     assert all(sb.messages_sent for sb in southbound)  # not vacuous
     messages = Counter()
     transactions = Counter()
@@ -110,7 +116,7 @@ def test_registry_equals_sum_of_ledgers_over_two_chaos_rows(
         sum(len(sb.convergences) for sb in southbound)
     )
 
-    chaos = [e.metrics for e in engines]
+    chaos = [e.chaos for e in engines]
     kinds = Counter(rec.kind for m in chaos for rec in m.faults.values())
     assert _series("chaos_faults_injected_total") == {
         (k,): float(v) for k, v in kinds.items()
@@ -125,14 +131,15 @@ def test_registry_equals_sum_of_ledgers_over_two_chaos_rows(
     assert obs.metric("chaos_faults_detected_total").value == sum(
         m.detected_count() for m in chaos
     )
+    probes = [e.probes for e in engines]
     assert obs.metric("chaos_probes_sent_total").value == sum(
-        m.probes_sent for m in chaos
+        p.probes_sent for p in probes
     )
     assert obs.metric("chaos_probes_dropped_total").value == sum(
-        m.probes_dropped for m in chaos
+        p.probes_dropped for p in probes
     )
     assert obs.metric("chaos_downtime_seconds_total").value == pytest.approx(
-        sum(m.downtime_seconds for m in chaos)
+        sum(p.downtime_seconds for p in probes)
     )
 
     networks = [e.worker.deployment.network for e in engines]
@@ -150,6 +157,32 @@ def test_registry_equals_sum_of_ledgers_over_two_chaos_rows(
     ):
         assert obs.metric(name).value == total, name
     assert all(n.delivered_count for n in networks)
+
+
+def test_registry_equals_the_probe_loop_over_a_multi_tenant_run(obs_off_after):
+    # The one probe loop feeds the chaos_* traffic-plane families on every
+    # played scenario, seeded tenant intents included.
+    obs.enable()
+    world = World(multi_tenant.history(3), 0)
+    result = world.play()
+    probes = world.probes
+    assert probes.probes_sent  # not vacuous
+    assert obs.metric("chaos_probes_sent_total").value == probes.probes_sent
+    assert obs.metric("chaos_probes_dropped_total").value == probes.probes_dropped
+    assert obs.metric("chaos_downtime_seconds_total").value == pytest.approx(
+        probes.downtime_seconds
+    )
+    assert obs.metric(
+        "chaos_policy_violation_seconds_total"
+    ).value == pytest.approx(probes.policy_violation_seconds)
+    # No fault schedule: the event-plane families stay empty.
+    assert _series("chaos_faults_injected_total") == {}
+    assert obs.metric("chaos_faults_detected_total").value == 0
+    # Every delivered packet of the run is a probe, and each tenant's
+    # network ledger adds up to the registry's.
+    assert obs.metric("dataplane_packets_delivered_total").value == (
+        result.network_stats.delivered
+    ) == sum(t.delivered for t in probes.ticks)
 
 
 def test_two_networks_add_up_and_a_reset_loses_nothing(obs_off_after):
@@ -204,23 +237,25 @@ def test_elastic_and_resilience_series_add_up_over_runs(
     )
 
     journals = []
-    run_once = controller_crash.run_once
+    play = controller_crash.play
 
     def journaled(*args, **kwargs):
-        out = run_once(*args, **kwargs)
+        out = play(*args, **kwargs)
         journals.append(out.journal)
         return out
 
-    monkeypatch.setattr(controller_crash, "run_once", journaled)
+    monkeypatch.setattr(controller_crash, "play", journaled)
     controller_crash.run(seed=1, quick=True)
     kinds = Counter()
     for journal in journals:
-        kinds.update(journal.kind_counts())
+        kinds.update(rec.kind for rec in journal)
     assert len(journals) > 2 and kinds["checkpoint"] > 0
     assert _series("resilience_journal_records_total") == {
         (k,): float(v) for k, v in kinds.items()
     }
     assert obs.metric("resilience_checkpoints_total").value == kinds["checkpoint"]
+    # A gauge: the journal of the run that ended last.
+    assert obs.metric("resilience_journal_length").value == len(journals[-1])
 
 
 def test_two_simulators_add_up(obs_off_after):

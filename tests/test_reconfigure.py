@@ -12,28 +12,17 @@
   verdict's shed classes out.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.chaos import (
-    ChaosConfig,
-    ChaosEngine,
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    generate_schedule,
-)
+from repro.chaos import ChaosConfig, FaultEvent, FaultKind, FaultSchedule
 from repro.core.controller import AppleController
-from repro.core.engine import EngineConfig
 from repro.core.reconfigure import EpochOpenError, commit, realize
 from repro.dataplane.vswitch import VSwitch
-from repro.elastic import ElasticController, assign_slo_classes
-from repro.experiments.flash_crowd import QUICK_HORIZON, TOPOLOGY, _flash_config
-from repro.experiments.harness import (
-    REPLAY_HEADROOM,
-    TOPOLOGY_DEMAND_MBPS,
-    standard_setup,
-)
+from repro.experiments.flash_crowd import QUICK_HORIZON, _scenario
 from repro.experiments.multi_tenant import generate_intents
+from repro.experiments.scenario import Scenario, World
 from repro.sim.kernel import Simulator
 from repro.southbound import SouthboundChaosConfig, SouthboundFabric
 from repro.southbound.channel import SwitchAgent
@@ -41,7 +30,6 @@ from repro.tenancy import TenantOrchestrator
 from repro.topology.datasets import internet2
 from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.traffic.classes import hashed_assignment
-from repro.traffic.flashcrowd import generate_flash_crowd
 from repro.traffic.gravity import gravity_matrix
 from repro.traffic.matrix import TrafficMatrix
 from repro.vnf.chains import STANDARD_CHAINS
@@ -104,65 +92,33 @@ _SINGLE_WRITER_FAULTS = ChaosConfig(
 )
 
 
-def _flash_scenario(seed=0, amplitude=2.0, faults=None, sb_chaos=None):
-    """The quick flash-crowd row, with the moving parts handed back."""
-    topo, controller, series = standard_setup(
-        TOPOLOGY,
-        snapshots=1,
-        seed=seed,
-        demand_mbps=TOPOLOGY_DEMAND_MBPS[TOPOLOGY],
-        engine_config=EngineConfig(capacity_headroom=REPLAY_HEADROOM),
+def _flash_scenario(
+    seed=0, amplitude=2.0, faults=None, sb_chaos=None, horizon=QUICK_HORIZON
+):
+    """The quick flash-crowd row's world, on a fabric with ``sb_chaos``."""
+    scenario = replace(
+        _scenario(amplitude, quick=True),
+        horizon=horizon,
+        faults=faults,
+        loss=sb_chaos or SouthboundChaosConfig(),
     )
-    sim = Simulator()
-    deployment = controller.run(series.snapshots[0], sim=sim)
-    baseline = {c.class_id: c.rate_mbps for c in deployment.plan.classes}
-    spikes = generate_flash_crowd(
-        sorted(baseline), _flash_config(amplitude, quick=True), seed
-    )
-    fabric = SouthboundFabric(
-        sim,
-        deployment.network,
-        seed,
-        controller.rule_generator,
-        chaos=sb_chaos,
-        drain_retired=True,
-    )
-    schedule = (
-        generate_schedule(
-            topo,
-            faults,
-            seed,
-            instance_keys=sorted(deployment.instances),
-            hosts_in_use=deployment.rules.hosts_in_use,
-        )
-        if faults is not None
-        else FaultSchedule.empty(seed)
-    )
-    chaos = ChaosEngine(sim, controller, schedule, southbound=fabric)
-    elastic = ElasticController(
-        chaos.worker,
-        lambda now: {
-            cid: rate * spikes.multiplier(cid, now) for cid, rate in baseline.items()
-        },
-        slo_map=assign_slo_classes(sorted(baseline)),
-    )
-    elastic.start()
-    return sim, chaos, elastic, fabric
+    return World(scenario, seed)
 
 
 def test_recovery_waits_behind_an_open_elastic_epoch():
     # Dry run: when does the autoscaler open its first scale-out epoch?
-    _sim, chaos, elastic, _fabric = _flash_scenario()
-    chaos.run(until=QUICK_HORIZON)
-    first = elastic.metrics.actions[0]
+    world = _flash_scenario()
+    world.play()
+    first = world.elastic.metrics.actions[0]
     assert first.direction == "scale_out" and first.converged_at > first.time
 
     # Same run, with a recovery verdict batch landing 10 ms into that epoch.
-    sim, chaos, elastic, fabric = _flash_scenario()
-    sim.schedule_at(first.time + 0.01, chaos.recovery.on_detections, args=([],))
-    result = chaos.run(until=QUICK_HORIZON)
-    elastic.stop()
-    em = elastic.metrics
+    world = _flash_scenario()
+    world.sim.schedule_at(
+        first.time + 0.01, world.recovery.on_detections, args=([],)
+    )
+    result = world.play()
+    em, fabric = world.elastic.metrics, world.fabric
 
     # The scale-out converged as in the dry run, and is counted once...
     assert em.actions[0].to_dict() == first.to_dict()
@@ -175,7 +131,7 @@ def test_recovery_waits_behind_an_open_elastic_epoch():
     assert record["verify_ok"] and record["time"] > first.converged_at
     # And the run stayed clean.
     assert result.metrics["policy_violation_seconds"] == 0
-    assert result.cross_tenant_violation_seconds == 0
+    assert result.summary["cross_tenant_violation_seconds"] == 0
     assert result.final_verify_ok
     assert fabric.converged and fabric.drift_count() == 0
 
@@ -186,17 +142,17 @@ def test_recovery_and_elastic_pushes_compose(seed, amplitude):
     # been detected, a converged epoch pushed after the last detection
     # must reflect all of it *and* the converged admission verdict —
     # whichever trigger pushed it.
-    sim, chaos, elastic, fabric = _flash_scenario(
-        seed, amplitude, faults=_SINGLE_WRITER_FAULTS
+    world = _flash_scenario(
+        seed, amplitude, faults=_SINGLE_WRITER_FAULTS, horizon=QUICK_HORIZON + 10.0
     )
-    worker = chaos.worker
+    sim, worker, fabric = world.sim, world.worker, world.fabric
     bad = {"path": [], "dead instance": [], "shed": []}
     evaluated = []
 
     def check():
         if not fabric.converged:
             return
-        for rec in chaos.metrics.faults.values():
+        for rec in world.chaos.faults.values():
             if rec.applied_at is None or rec.lifted_at is not None:
                 continue
             if rec.detected_at is None or fabric.desired_since < rec.detected_at:
@@ -204,7 +160,7 @@ def test_recovery_and_elastic_pushes_compose(seed, amplitude):
         now = sim.now
         evaluated.append(now)
         deployment = worker.deployment
-        failed = chaos.orch.topo.failed_links
+        failed = world.orch.topo.failed_links
         if any(
             Topology.link_key(a, b) in failed
             for cls in deployment.plan.classes
@@ -223,12 +179,11 @@ def test_recovery_and_elastic_pushes_compose(seed, amplitude):
             bad["shed"].append(now)
 
     sim.every(0.25, check)
-    result = chaos.run(until=QUICK_HORIZON + 10.0)
-    elastic.stop()
+    result = world.play()
     assert bad == {"path": [], "dead instance": [], "shed": []}
     assert len(evaluated) >= 60
     assert result.metrics["policy_violation_seconds"] == 0
-    assert result.cross_tenant_violation_seconds == 0
+    assert result.summary["cross_tenant_violation_seconds"] == 0
     assert result.final_verify_ok
 
 
@@ -301,23 +256,23 @@ def test_southbound_fabric_is_the_only_writer_of_a_live_network(monkeypatch):
 
     # Chaos + elastic on one network: a VNF crash and a link flap under a
     # flash crowd, over a lossy control channel.
-    sim, chaos, elastic, fabric = _flash_scenario(
+    world = _flash_scenario(
         seed=1,
         faults=_SINGLE_WRITER_FAULTS,
         sb_chaos=SouthboundChaosConfig(loss_rate=0.1, extra_delay_mean=0.01),
+        horizon=QUICK_HORIZON + 10.0,
     )
-    sim.every(0.05, lambda: ledger.check_all("between sim events"))
-    result = chaos.run(until=QUICK_HORIZON + 10.0)
-    elastic.stop()
+    world.sim.every(0.05, lambda: ledger.check_all("between sim events"))
+    result = world.play()
     ledger.check_all("end of chaos + elastic history")
-    assert result.reconvergences >= 2 and elastic.metrics.actions
-    assert fabric.metrics.messages_lost > 0
+    assert result.reconvergences >= 2 and world.elastic.metrics.actions
+    assert world.fabric.metrics.messages_lost > 0
     assert result.metrics["policy_violation_seconds"] == 0
     chaos_applies = ledger.applies
     assert chaos_applies > 0
 
-    # Fabric-less ChaosEngine on a ring whose only APPLE host dies: the
-    # default fabric carries recovery, quarantine DROPs included.
+    # A ring whose only APPLE host dies, no loss configured: the default
+    # fabric carries recovery, quarantine DROPs included.
     topo = Topology(
         "ring",
         ["a", "b", "c", "d"],
@@ -331,10 +286,16 @@ def test_southbound_fabric_is_the_only_writer_of_a_live_network(monkeypatch):
         sim=sim,
     )
     crash = FaultEvent(time=2.0, kind=FaultKind.HOST_CRASH, target="b")
-    engine = ChaosEngine(sim, controller, FaultSchedule(seed=0, events=(crash,)))
+    world = World(
+        Scenario(
+            8.0,
+            day0=lambda seed: (controller, sim),
+            faults=FaultSchedule(seed=0, events=(crash,)),
+        )
+    )
     assert id(deployment.network) in ledger.expected  # adopted => watched
     sim.every(0.05, lambda: ledger.check_all("between default-fabric sim events"))
-    result = engine.run(until=8.0)
+    result = world.play()
     ledger.check_all("end of default-fabric history")
     assert any(c["stranded"] for c in result.metrics["convergences"])
     assert ledger.applies > chaos_applies
@@ -361,7 +322,7 @@ def test_southbound_fabric_is_the_only_writer_of_a_live_network(monkeypatch):
 def test_generation_ledger_catches_a_direct_write(monkeypatch):
     # The oracle is not vacuous: a write behind the fabric's back shows up.
     ledger = _GenerationLedger(monkeypatch)
-    sim, chaos, _elastic, fabric = _flash_scenario()
+    fabric = _flash_scenario().fabric
     victim = sorted(fabric.network.switches)[0]
     fabric.network.switches[victim].install_pass_by()
     ledger.check_all("after a direct write")

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,8 @@ from repro.chaos.schedule import (
     FaultKind,
     generate_controller_crashes,
 )
-from repro.experiments.controller_crash import run_once
+from repro.experiments.controller_crash import history
+from repro.experiments.scenario import play
 from repro.resilience import (
     CHECKPOINT,
     COMMIT,
@@ -55,7 +57,7 @@ def test_journal_append_derives_seeded_ids():
     assert a.index == 0 and b.index == 1
     assert a.record_id == record_id(7, 0, INTENT)
     assert b.record_id == record_id(7, 1, COMMIT)
-    assert journal.kind_counts() == {INTENT: 1, COMMIT: 1}
+    assert Counter(rec.kind for rec in journal) == {INTENT: 1, COMMIT: 1}
     assert journal.of_kind(COMMIT) == [b]
 
 
@@ -171,7 +173,7 @@ def test_bus_journals_intent_before_delivery():
 # Checkpoint capture
 # ---------------------------------------------------------------------------
 def test_checkpoint_capture_shape():
-    out = run_once(2, 0, SEED)
+    out = play(history(2, 0), SEED)
     journal = out.journal
     checkpoints = journal.of_kind(CHECKPOINT)
     assert checkpoints, "periodic checkpoints never fired"
@@ -200,9 +202,9 @@ def _crash_event(t, downtime=1.0):
 
 
 def test_crash_recovery_matches_never_crashed_run():
-    base = run_once(3, 0, SEED)
-    out = run_once(3, 0, SEED, events=(_crash_event(6.5),))
-    assert out.signature == base.signature
+    base = play(history(3, 0), SEED)
+    out = play(history(3, 0, (_crash_event(6.5),)), SEED)
+    assert out.state_signature == base.state_signature
     # Intent latencies are the one legitimate difference: a replayed
     # intent's submit→converged span includes the outage.  Everything
     # else in the summary must match exactly.
@@ -211,7 +213,7 @@ def test_crash_recovery_matches_never_crashed_run():
         k: v for k, v in base.summary.items() if k not in drop
     }
     assert out.downtime_pv_seconds == 0
-    assert out.pv_seconds == 0
+    assert out.metrics["policy_violation_seconds"] == 0
     assert len(out.recoveries) == 1
     assert out.recoveries[0].caught_up_at is not None
 
@@ -219,19 +221,20 @@ def test_crash_recovery_matches_never_crashed_run():
 def test_crash_recovery_is_exactly_once():
     """An intent committed after the checkpoint re-executes; one committed
     before it never double-applies — terminal outcome counts match."""
-    base = run_once(3, 0, SEED)
+    base = play(history(3, 0), SEED)
     # Crash late enough that some intents are terminal both before and
     # after the restored checkpoint.
-    out = run_once(3, 0, SEED, events=(_crash_event(14.0),))
-    assert out.recoveries[0].skipped > 0, "no intent was terminal at checkpoint"
-    assert out.recoveries[0].replayed > 0, "nothing was replayed"
+    out = play(history(3, 0, (_crash_event(14.0),)), SEED)
+    report = out.recoveries[0].report
+    assert report.skipped > 0, "no intent was terminal at checkpoint"
+    assert report.replayed > 0, "nothing was replayed"
     assert out.summary["completed"] == base.summary["completed"]
     assert out.summary["failed"] == base.summary["failed"]
-    assert out.signature == base.signature
+    assert out.state_signature == base.state_signature
 
 
 def _assert_recovered(out, base):
-    assert out.signature == base.signature
+    assert out.state_signature == base.state_signature
     assert out.downtime_pv_seconds == 0
     assert len(out.recoveries) == 1
 
@@ -240,19 +243,17 @@ def _assert_recovered(out, base):
 def test_crash_recovers_under_every_checkpoint_cadence(interval):
     """One mid-churn crash (t = 18 s, seed 0) recovers to the never-crashed
     state whether the restored checkpoint is fresh or old."""
-    base = run_once(5, 2, 0, checkpoint_interval=interval)
-    out = run_once(
-        5, 2, 0, events=(_crash_event(18.0),), checkpoint_interval=interval
-    )
+    base = play(history(5, 2, checkpoint_interval=interval), 0)
+    out = play(history(5, 2, (_crash_event(18.0),), interval), 0)
     _assert_recovered(out, base)
 
 
 def test_crash_recovers_however_long_the_journal():
     """Crashes later in the history (t = 12, 22, 32 s, seed 0) process a
     longer journal and still recover to the never-crashed state."""
-    base = run_once(5, 2, 0)
+    base = play(history(5, 2), 0)
     for t in (12.0, 22.0, 32.0):
-        _assert_recovered(run_once(5, 2, 0, events=(_crash_event(t),)), base)
+        _assert_recovered(play(history(5, 2, (_crash_event(t),)), 0), base)
 
 
 def test_mid_epoch_crash_leaves_running_instances_charged():
@@ -260,7 +261,7 @@ def test_mid_epoch_crash_leaves_running_instances_charged():
     Recovery re-adopts them, and the first push after the restore retires
     the ones its rules no longer reference: at the horizon each host's
     running-instance cores equal the arbiter's steady charge and fit it."""
-    base = run_once(5, 2, 0)
+    base = play(history(5, 2), 0)
     pushed_at = next(
         rec.time for rec in base.journal.of_kind(EPOCH)
         if rec.payload["event"] == "push" and rec.time > 10.0
@@ -284,7 +285,7 @@ def test_mid_epoch_crash_leaves_running_instances_charged():
 
     with mock.patch.object(TenantOrchestrator, "crash", crash_and_look), \
             mock.patch.object(TenantOrchestrator, "stop", look_and_stop):
-        out = run_once(5, 2, 0, events=(_crash_event(pushed_at + 0.01),))
+        out = play(history(5, 2, (_crash_event(pushed_at + 0.01),)), 0)
     assert seen["open"], "the crash did not land while an epoch was open"
     _assert_recovered(out, base)
     assert seen["running"] == seen["steady"]

@@ -13,7 +13,8 @@ boundary.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chaos.schedule import FaultEvent, FaultKind
-from repro.experiments.controller_crash import run_once
+from repro.experiments.controller_crash import history
+from repro.experiments.scenario import play
 
 TENANTS = 2
 BURST = 0
@@ -31,7 +32,7 @@ def _reference():
     """The never-crashed run + the distinct journal-growth times."""
     global _BASE, _CRASH_TIMES
     if _BASE is None:
-        _BASE = run_once(TENANTS, BURST, SEED)
+        _BASE = play(history(TENANTS, BURST), SEED)
         times = sorted({rec.time for rec in _BASE.journal})
         # Crashing after the horizon is meaningless; keep room to recover.
         _CRASH_TIMES = tuple(t + EPS for t in times if t + DOWNTIME < 40.0)
@@ -49,15 +50,14 @@ def _crash_at(t: float) -> FaultEvent:
 
 def _assert_recovers_bit_identically(t: float) -> None:
     base, _ = _reference()
-    out = run_once(TENANTS, BURST, SEED, events=(_crash_at(t),))
+    out = play(history(TENANTS, BURST, (_crash_at(t),)), SEED)
     assert len(out.recoveries) == 1, f"crash at t={t} never recovered"
-    assert out.signature == base.signature, (
-        f"crash at t={t}: recovered signature {out.signature} != "
-        f"never-crashed {base.signature}"
+    assert out.state_signature == base.state_signature, (
+        f"crash at t={t}: recovered signature {out.state_signature} != "
+        f"never-crashed {base.state_signature}"
     )
-    assert out.pv_seconds == 0, (
-        f"crash at t={t}: {out.pv_seconds} policy-violation-seconds"
-    )
+    pv = out.metrics["policy_violation_seconds"]
+    assert pv == 0, f"crash at t={t}: {pv} policy-violation-seconds"
     assert out.downtime_pv_seconds == 0
     assert out.summary["cross_tenant_violation_seconds"] == 0
     assert out.summary["drift"] == 0

@@ -17,19 +17,14 @@ Four layers of coverage, bottom up:
 
 import pytest
 
-from repro.chaos import (
-    ChaosConfig,
-    ChaosEngine,
-    FaultKind,
-    FaultSchedule,
-    generate_schedule,
-)
+from repro.chaos import ChaosConfig, FaultKind, FaultSchedule, generate_schedule
 from repro.cloud.opendaylight import RULE_INSTALL_SECONDS
 from repro.core.controller import AppleController
 from repro.core.subclasses import assign_subclasses
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.switch import host_match_entry, pass_by_entry
 from repro.experiments.harness import standard_setup
+from repro.experiments.scenario import Scenario, World
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRNG, derive
 from repro.southbound import (
@@ -492,27 +487,16 @@ _DP_CHAOS = ChaosConfig(
 
 
 def _southbound_chaos_run(seed=1, sb_chaos=_SB_CHAOS, until=24.0, deployed=_deployed):
-    topo, controller, sim, deployment = deployed(seed)
-    fabric = _fabric(sim, controller, deployment, chaos=sb_chaos, seed=seed)
-    schedule = generate_schedule(
-        topo,
-        _DP_CHAOS,
+    world = World(
+        Scenario(
+            until,
+            day0=lambda seed: deployed(seed)[1:3],
+            faults=_DP_CHAOS,
+            loss=sb_chaos,
+        ),
         seed,
-        instance_keys=sorted(deployment.instances),
-        hosts_in_use=deployment.rules.hosts_in_use,
     )
-    sb_schedule = generate_southbound_schedule(
-        sorted(deployment.network.switches), fabric.chaos, seed
-    )
-    engine = ChaosEngine(
-        sim,
-        controller,
-        schedule,
-        southbound=fabric,
-        southbound_schedule=sb_schedule,
-    )
-    result = engine.run(until=until)
-    return result, fabric
+    return world.play(), world.fabric
 
 
 def test_same_seed_southbound_runs_bit_identical():
@@ -585,26 +569,25 @@ def test_southbound_schedule_rides_an_independent_substream():
 
 
 def test_fabricless_engine_runs_on_the_default_fabric():
-    # No fabric handed in: the engine builds the tenant worker's loss-free
+    # No loss configured: the world builds the tenant worker's loss-free
     # default over the deployment's network and adopts it as epoch 0 — the
-    # same run, bit for bit, as handing an equivalent fabric in.
-    def run(explicit):
-        topo, controller, sim, deployment = _deployed()
-        schedule = generate_schedule(
-            topo,
-            _DP_CHAOS,
+    # same run, bit for bit, as one on an equivalent loss-free config.
+    def run(loss):
+        world = World(
+            Scenario(
+                12.0,
+                day0=lambda seed: _deployed(seed)[1:3],
+                faults=_DP_CHAOS,
+                loss=loss,
+            ),
             SEED,
-            instance_keys=sorted(deployment.instances),
-            hosts_in_use=deployment.rules.hosts_in_use,
         )
-        fabric = _fabric(sim, controller, deployment) if explicit else None
-        engine = ChaosEngine(sim, controller, schedule, southbound=fabric)
-        return engine, engine.run(until=12.0)
+        return world, world.play()
 
-    engine, result = run(explicit=False)
-    fabric = engine.southbound
-    assert engine.worker.fabric is fabric
-    assert fabric.network is engine.worker.deployment.network
+    world, result = run(loss=None)
+    fabric = world.fabric
+    assert world.worker.fabric is fabric
+    assert fabric.network is world.worker.deployment.network
     assert fabric.chaos == SouthboundChaosConfig() and fabric.drain_retired
     assert result.reconvergences == len(result.metrics["convergences"]) > 0
     assert fabric.converged and fabric.drift_count() == 0
@@ -614,16 +597,20 @@ def test_fabricless_engine_runs_on_the_default_fabric():
     # No control-plane fault schedule: the signature carries none.
     assert result.southbound_signature is None
     assert "southbound_schedule" not in result.signature()
-    assert result.signature() == run(explicit=True)[1].signature()
+    explicit = run(loss=SouthboundChaosConfig())[1]
+    assert explicit.southbound_signature == FaultSchedule.empty(SEED).signature()
+    assert result.metrics == explicit.metrics
+    assert result.network_stats == explicit.network_stats
 
 
 def test_a_chaos_fabric_must_drain_what_an_epoch_retires():
-    _topo, controller, sim, deployment = _deployed()
-    fabric = SouthboundFabric(
-        sim, deployment.network, SEED, controller.rule_generator
-    )
-    with pytest.raises(ValueError, match="drain_retired"):
-        ChaosEngine(sim, controller, FaultSchedule.empty(SEED), southbound=fabric)
+    # Whatever the loss, the adopted tenant's fabric drains what an epoch
+    # stops referencing: the worker retires it.
+    for loss in (None, _SB_CHAOS):
+        scenario = Scenario(
+            1.0, day0=lambda seed: _deployed(seed)[1:3], loss=loss
+        )
+        assert World(scenario, SEED).fabric.drain_retired
 
 
 def test_every_reconvergence_leaves_exactly_one_record():
@@ -641,7 +628,7 @@ def test_every_reconvergence_leaves_exactly_one_record():
     assert all(c["convergence_latency"] is not None for c in records)
     assert [c["time"] for c in records] == sorted(c["time"] for c in records)
     assert result.metrics["policy_violation_seconds"] == 0
-    assert result.cross_tenant_violation_seconds == 0
+    assert result.summary["cross_tenant_violation_seconds"] == 0
     assert result.final_verify_ok and fabric.drift_count() == 0
 
 

@@ -9,7 +9,8 @@ import pytest
 from repro.core.controller import AppleController, UnknownClassError
 from repro.core.reconfigure import realize
 from repro.experiments.harness import normalize_name
-from repro.experiments.multi_tenant import _build_and_run, generate_intents
+from repro.experiments.multi_tenant import generate_intents, history
+from repro.experiments.scenario import World, play
 from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.rng import derive
@@ -465,9 +466,11 @@ def test_history_that_crashed_dust_consolidation_runs_clean():
 @pytest.mark.parametrize("tenants", [25, 50, 100, 200])
 def test_platform_history_keeps_tenants_isolated(tenants):
     """Whole seed-0 histories up to 200 tenants: no cross-tenant policy
-    violation, every convergence verified, no drift, every intent
-    terminal."""
-    m = _build_and_run(tenants, 0).metrics_summary()
+    violation, no probe off its chain or path, every convergence verified,
+    no drift, every intent terminal."""
+    result = play(history(tenants), 0)
+    m = result.summary
+    assert result.metrics["policy_violation_seconds"] == 0
     assert m["cross_tenant_violation_seconds"] == 0
     assert m["verify_failed"] == 0
     assert m["drift"] == 0
@@ -486,7 +489,9 @@ def test_running_instances_are_what_the_arbiter_charges():
     """A re-plan's retired instances are drained once its epoch converges:
     at the horizon of the quick 16-tenant row and of three seed-1
     100-tenant churn histories, no VM runs that no charge covers."""
-    _assert_running_is_charged(_build_and_run(16, 1))
+    world = World(history(16), 1)
+    world.play()
+    _assert_running_is_charged(world.orch)
     counts = churn_counts.Counts()
     for k in range(3):
         churn_counts.run_history(counts, 100, derive(1, f"pipeline.history.{k}"))
@@ -495,8 +500,8 @@ def test_running_instances_are_what_the_arbiter_charges():
 
 
 def test_same_seed_histories_are_bit_identical():
-    first = _build_and_run(50, 0).state_signature()
-    assert _build_and_run(50, 0).state_signature() == first
+    first = play(history(50), 0).state_signature
+    assert play(history(50), 0).state_signature == first
 
 
 def test_metrics_registry_configurable_series_cap():

@@ -12,10 +12,11 @@ The three Table I properties, checked over randomly seeded deployments:
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.chaos import ChaosEngine, FaultEvent, FaultKind, FaultSchedule
+from repro.chaos import FaultEvent, FaultKind, FaultSchedule
 from repro.core.controller import AppleController
 from repro.core.verify import verify_deployment
 from repro.dataplane.packet import Packet
+from repro.experiments.scenario import Scenario, play
 from repro.sim.kernel import Simulator
 from repro.topology.datasets import internet2
 from repro.traffic.classes import hashed_assignment
@@ -84,11 +85,12 @@ def test_verify_still_clean_after_crash_and_recovery(seed, victim):
         seed=seed,
         events=(FaultEvent(time=1.0, kind=FaultKind.VNF_CRASH, target=target),),
     )
-    engine = ChaosEngine(sim, controller, schedule)
-    result = engine.run(until=4.0)
+    result = play(
+        Scenario(4.0, day0=lambda _seed: (controller, sim), faults=schedule), seed
+    )
     assert result.faults_detected == 1
     assert all(c["verify_ok"] for c in result.metrics["convergences"])
-    report = verify_deployment(controller.deployment, topo)
-    assert report.ok, report.summary()
-    assert not [v for v in report.violations if v.kind == "policy"]
-    assert not [v for v in report.violations if v.kind == "interference"]
+    # The final audit of the re-placed deployment the worker holds.
+    assert result.final_verify_ok
+    assert result.final_policy_violations == 0
+    assert result.final_interference_violations == 0
