@@ -23,20 +23,31 @@ repo's warm==cold and pinned-signature tests fix every solve bit for bit.
 * Columns: d variables class-major, then chain step, then host position
   (d exists only at path positions whose switch has an APPLE host),
   followed by the integer q variables in ``sorted((switch, nf))`` slot
-  order (only slots some class can use).
+  order (only slots some class can use), then, when the model has an
+  incumbent, one u variable per slot in the same order.
 * Rows: Eq. 3 order rows, stored negated as ``≤`` with σ substituted away
   (class-major, step ``1..J-1``, stop ``0..H-2``: the cumulative portion of
   step ``j-1`` dominates step ``j`` at every prefix of the hosts; none
   when ``H = 1`` or ``J = 1``); Eq. 5 capacity rows in slot order; Eq. 6
   core rows in sorted order of the switches that own a slot; Eq. 6 memory
-  rows likewise when memory is modelled; then the Eq. 4 completeness
-  equalities (class-major, step).
+  rows likewise when memory is modelled; with an incumbent, one
+  make-before-break link row ``q − u ≤ 0`` per slot; then the Eq. 4
+  completeness equalities (class-major, step).
 * Entries: row indices ascending inside every column — a d column
   ``(c, j, k)`` holds ``+1`` in the order rows of step ``j`` for stops
   ``k..H-2``, ``−1`` in those of step ``j+1``, its class rate in its slot's
   Eq. 5 row and ``1`` in its Eq. 4 row; a q column holds ``−Cap_n``,
-  ``cores_n`` and (when modelled) ``mem_n``.  Exact-zero coefficients are
-  dropped; a dropped rate makes the template single-shot.
+  ``cores_n`` and (when modelled) ``mem_n``; with an incumbent its
+  ``cores_n`` moves to its u column, which also holds ``−1`` in the link
+  row where q holds ``+1``.  Exact-zero coefficients are dropped; a
+  dropped rate makes the template single-shot.
+
+Make-before-break: the incumbent's instances (q_old, the installed plan's)
+keep their cores until the new epoch converges, so u = max(q, q_old) (the
+link row, u's lower bound q_old) replaces q in the Eq. 6 core rows; an
+incumbent slot outside the model is taken off its switch's right-hand
+side.  ε · Σ cores_n · u with ε = 1 / (1 + Σ_v A_v) (below one instance)
+breaks ties in Σ q toward the running instances.
 
 A class with an empty chain contributes no columns and no rows.  Every
 class is assumed to have at least one host on its path (the engine's
@@ -123,6 +134,8 @@ class PlacementTemplate:
     _use_bins: np.ndarray = field(repr=False)
     _use: np.ndarray = field(repr=False)
     _use_slack: np.ndarray = field(repr=False)
+    #: q_old per slot (this solve's incumbent), or None: no u columns.
+    _held: Optional[np.ndarray] = field(repr=False)
 
     @property
     def _core_rows(self) -> np.ndarray:
@@ -134,7 +147,12 @@ class PlacementTemplate:
     @property
     def _q_idx(self) -> np.ndarray:
         """q variable ``k`` is column ``_q_idx[k]``."""
-        return np.arange(self._d_group.size, self.lp.num_variables)
+        return np.arange(self._d_group.size, self._d_group.size + len(self.slots))
+
+    @property
+    def _u_idx(self) -> np.ndarray:
+        """u variable ``k`` (with an incumbent) is column ``_u_idx[k]``."""
+        return np.arange(self._d_group.size + len(self.slots), self.lp.num_variables)
 
     def d_keys(self, columns: np.ndarray) -> Iterator[Tuple[str, int, int]]:
         """The ``(class_id, path position, chain step)`` keys of d columns."""
@@ -164,6 +182,26 @@ class PlacementTemplate:
         if len(self._use) == 2:  # memory is modelled
             budgets += map(available_memory_gb.get, names, repeat(0.0))
         self.lp.rhs[self._budget_rows] = budgets
+
+    def set_incumbent(
+        self, incumbent: Mapping[Slot, int], catalog: NFTypeCatalog
+    ) -> None:
+        """Write q_old (u's lower bounds), ε (u's costs) and the held cores
+        of incumbent slots outside the model (off the Eq. 6 core rows'
+        right-hand sides) for this solve; after :meth:`set_budgets`."""
+        held = np.fromiter(map(incumbent.get, self.slots, repeat(0)), float)
+        self._held = held
+        rows = self._core_rows
+        at = dict(zip(self._switch_names, rows.tolist()))
+        modelled = set(self.slots)
+        rhs = self.lp.rhs
+        for slot, count in incumbent.items():
+            row = at.get(slot[0])
+            if row is not None and slot not in modelled:
+                rhs[row] -= count * catalog.get(slot[1]).cores
+        u = self._u_idx
+        self.lp.lb[u] = held
+        self.lp.c[u] = self._use[0] / (1.0 + rhs[rows].sum())
 
     def slot_loads(self, solution: np.ndarray) -> np.ndarray:
         """L_vn per slot under an LP solution (vectorized Eq. 5 left side)."""
@@ -206,8 +244,10 @@ def assemble_placement_lp(
     cap: Callable[[str], float],
     catalog: NFTypeCatalog,
     key: tuple = (),
+    incumbent: Optional[Mapping[Slot, int]] = None,
 ) -> PlacementTemplate:
-    """Assemble Eq. 1–6 for ``classes`` in the order the module pins."""
+    """Assemble Eq. 1–6 for ``classes`` in the order the module pins, with
+    the make-before-break block when ``incumbent`` (q_old) is non-empty."""
     hosts = sorted([sw for sw, free in available_cores.items() if free > 0])
     class_ids = list(map(_CLASS_ID, classes))
     paths = list(map(_PATH, classes))
@@ -302,25 +342,30 @@ def assemble_placement_lp(
     ).reshape(-1, 3)[slot_nf]
     with_memory = available_memory_gb is not None
 
+    n_u = n_slots if incumbent else 0
+
     # Row layout.
     cap_row0 = n_order
     core_row0 = cap_row0 + n_slots
     mem_row0 = core_row0 + n_sw
-    n_ub = mem_row0 + (n_sw if with_memory else 0)
+    link_row0 = mem_row0 + (n_sw if with_memory else 0)
+    n_ub = link_row0 + n_u
     n_rows = int(n_ub) + n_groups
 
     # Entries of each d column, rows ascending: +1 in its step's order rows
     # for stops k..H-2 (``n_own`` of them; none at step 0), −1 in the same
     # stops of the next step (the rows column (c, j+1, k), H columns on,
     # holds +1 in), its Eq. 5 row, its Eq. 4 row.  A q column holds its
-    # Eq. 5 row, its Eq. 6 core row and, when modelled, its memory row.
-    n_cols = n_d + n_slots
+    # Eq. 5 row, its Eq. 6 core row and, when modelled, its memory row (with
+    # an incumbent, its link row in place of the core row, which u holds).
+    n_cols = n_d + n_slots + n_u
     width = 3 if with_memory else 2
     stops = g_last[d_group] - d_k
     n_own = stops * g_own[d_group]
     counts = np.empty(n_cols, dtype=np.intp)
     counts[:n_d] = 2
     counts[n_d:] = width
+    counts[n_d + n_slots :] = 2
     counts[:n_d] += stops * g_runs[d_group]
     indptr = np.zeros(n_cols + 1, dtype=np.int32)  # the width HiGHS takes
     indptr[1:] = _cumsum(counts)
@@ -346,12 +391,22 @@ def assemble_placement_lp(
     indices[rate_at] = d_slot + cap_row0
     rates = np.fromiter(map(_RATE, classes), float, n_classes)
     data[rate_at] = rates[d_cls]
-    q_indices = indices[indptr[n_d] :].reshape(n_slots, width)
-    q_indices[:, 0] = np.arange(cap_row0, core_row0)
-    q_indices[:, 1] = slot_switch + core_row0
+    q_rows = [np.arange(cap_row0, core_row0), slot_switch + core_row0]
+    q_data = list(sheet[:, :width].T)
     if with_memory:
-        q_indices[:, 2] = slot_switch + mem_row0
-    data[indptr[n_d] :].reshape(n_slots, width)[:] = sheet[:, :width]
+        q_rows.append(slot_switch + mem_row0)
+    if incumbent:
+        links = np.arange(link_row0, n_ub)
+        ones = np.ones(n_slots)
+        u_rows, u_data = [q_rows.pop(1), links], [q_data.pop(1), -ones]
+        q_rows.append(links)
+        q_data.append(ones)
+        u_at = slice(indptr[n_d + n_slots], None)
+        indices[u_at].reshape(n_slots, 2)[:] = np.array(u_rows).T
+        data[u_at].reshape(n_slots, 2)[:] = np.array(u_data).T
+    q_at = slice(indptr[n_d], indptr[n_d + n_slots])
+    indices[q_at].reshape(n_slots, width)[:] = np.array(q_rows).T
+    data[q_at].reshape(n_slots, width)[:] = np.array(q_data).T
 
     # Slot members in (slot, column) order, and where their rates sit.
     # (A stable sort of keys this small is a radix sort.)
@@ -372,10 +427,12 @@ def assemble_placement_lp(
         indptr[1:] = np.bincount(entry_col[keep], minlength=n_cols).cumsum()
 
     # Per column: objective, bounds; per row: sides (the Eq. 6 right-hand
-    # sides are the budgets, see set_budgets below).
+    # sides are the budgets, see set_budgets below; u's ε costs and lower
+    # bounds are set_incumbent's, so the integer mask is the q columns).
     columns = np.zeros((3, n_cols))
-    columns[:, n_d:] = _Q_COLUMN
+    columns[:, n_d : n_d + n_slots] = _Q_COLUMN
     columns[2, :n_d] = 1.0
+    columns[2, n_d + n_slots :] = np.inf
     sides = np.zeros((2, n_rows))
     sides[:, n_ub:] = 1.0
     sides[0, :n_ub] = -np.inf
@@ -387,9 +444,10 @@ def assemble_placement_lp(
         # which holds this function, and a cycle would outlive the cache.
         if col < n_d:
             return f"d[{class_ids[d_cls[col]]},{d_pos[col]},{d_step[col]}]"
-        return "q[{},{}]".format(*slots[col - n_d])
+        kind = "q" if col < n_d + n_slots else "u"
+        return "{}[{},{}]".format(kind, *slots[(col - n_d) % n_slots])
 
-    use_slack = np.zeros(n_ub - core_row0)
+    use_slack = np.zeros(link_row0 - core_row0)
     use_slack[n_sw:] = 1e-9
     template = PlacementTemplate(
         key=key,
@@ -424,10 +482,13 @@ def assemble_placement_lp(
         _slot_switch=slot_switch,
         _switch_names=switch_names,
         _member_rates=member_rates,
-        _budget_rows=slice(int(core_row0), int(n_ub)),
+        _budget_rows=slice(int(core_row0), int(link_row0)),
         _use_bins=np.concatenate((slot_switch, slot_switch + n_sw))[: (width - 1) * n_slots],
         _use=sheet[:, 1:width].T.copy(),
         _use_slack=use_slack,
+        _held=None,
     )
     template.set_budgets(available_cores, available_memory_gb)
+    if incumbent:
+        template.set_incumbent(incumbent, catalog)
     return template

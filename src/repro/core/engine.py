@@ -133,6 +133,7 @@ class OptimizationEngine:
         classes: Sequence[TrafficClass],
         available_cores: Mapping[str, int],
         available_memory_gb: Optional[Mapping[str, float]] = None,
+        incumbent: Optional[Mapping[Tuple[str, str], int]] = None,
     ) -> PlacementPlan:
         """Solve the placement problem for ``classes``.
 
@@ -143,6 +144,9 @@ class OptimizationEngine:
             available_memory_gb: optional second dimension of A_v; when
                 given, Eq. 6 is enforced per resource type (R_n is the
                 (cores, memory) vector of each NF).
+            incumbent: q_old, the installed plan's instances per slot:
+                make-before-break rows and a tie-break toward them
+                (:mod:`repro.core.constraints`); None or empty: day 0.
 
         A cached template of the same class structure and host set is
         re-solved with this call's rates and budgets instead of being
@@ -168,7 +172,7 @@ class OptimizationEngine:
                 objective=0.0,
                 solve_seconds=time.perf_counter() - started,
             )
-        key = self._structure_key(structure, hosts, available_memory_gb)
+        key = self._structure_key(structure, hosts, available_memory_gb, incumbent)
 
         # Never filled with a single-shot template; an LRU of four structures.
         template = self._templates.get(key)
@@ -183,6 +187,8 @@ class OptimizationEngine:
             ):
                 template.set_rates(classes)
                 template.set_budgets(available_cores, available_memory_gb)
+                if incumbent:
+                    template.set_incumbent(incumbent, self.catalog)
         else:
             # Built with this call's rates and budgets.
             with obs.span(
@@ -197,6 +203,7 @@ class OptimizationEngine:
                     cap=self._cap,
                     catalog=self.catalog,
                     key=key,
+                    incumbent=incumbent,
                 )
             if template.reusable:
                 self._templates[key] = template
@@ -265,14 +272,17 @@ class OptimizationEngine:
         structure: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...],
         hosts: Set[str],
         available_memory_gb: Optional[Mapping[str, float]],
+        incumbent: Optional[Mapping[Tuple[str, str], int]],
     ) -> tuple:
         """What the model's structure depends on: each class's
         ``(class_id, path, chain names)``, the *set* of hosts (switches
-        with free cores) and whether memory is modelled.
+        with free cores), whether memory is modelled and whether there is
+        an incumbent (the u block).
 
-        The rates T_c and the budgets A_v are data of one instance — Eq. 5
-        coefficients and Eq. 6 right-hand sides — and stay out of the key;
-        a budget that reaches 0 removes a host and so changes it.
+        The rates T_c, the budgets A_v and q_old are data of one instance —
+        Eq. 5 coefficients, Eq. 6 right-hand sides, u's lower bounds — and
+        stay out of the key; a budget that reaches 0 removes a host and so
+        changes it.
         """
         return (
             structure,
@@ -280,6 +290,7 @@ class OptimizationEngine:
             available_memory_gb is not None,
             self.config.capacity_headroom,
             id(self.catalog),
+            bool(incumbent),
         )
 
     # ------------------------------------------------------------------
@@ -291,7 +302,8 @@ class OptimizationEngine:
         LP assigned (tighter than ceiling the fractional q).  Because the
         LP enforces L_vn ≤ Cap_n · q_lp, the d values remain feasible under
         these counts; only the per-switch core budget (Eq. 6) can be broken
-        by the round-up.  When a switch overshoots, its budget in the LP is
+        by the round-up (with an incumbent, on max(ceil, q_old)).  When a
+        switch overshoots, its budget in the LP is
         tightened by the overshoot and the LP re-solved — this converges in
         a couple of iterations in practice.  If repair fails, fall back to
         generic iterative rounding.  The caller reads the d part of the
@@ -323,6 +335,9 @@ class OptimizationEngine:
             )
             if lp_bound is None:
                 lp_bound = lp.objective
+                if template._held is not None:  # Eq. 1 alone, less the ε term
+                    u = template._u_idx
+                    lp_bound -= float(program.c[u] @ lp.solution[u])
 
             loads = template.slot_loads(lp.solution)
             # Vectorized ceiling: q = max(1, ceil(L / Cap)) on active slots,
@@ -333,10 +348,12 @@ class OptimizationEngine:
             np.ceil(ceiled, out=ceiled)
             np.maximum(ceiled, _ONE, out=ceiled)
             ceiled = ceiled * active  # 0 on an inactive slot
+            weights = template._use * ceiled
+            if template._held is not None:
+                # Make-before-break: a host holds max(q, q_old) instances.
+                weights[0] = template._use[0] * np.maximum(ceiled, template._held)
             used = np.bincount(
-                template._use_bins,
-                weights=(template._use * ceiled).ravel(),
-                minlength=limit.size,
+                template._use_bins, weights=weights.ravel(), minlength=limit.size
             )
             over_rows = (used > limit).nonzero()[0].tolist()
             if not over_rows:

@@ -149,8 +149,6 @@ CATALOG: Tuple[MetricDef, ...] = (
               "Re-placements run by scale actions", ("warm",)),
     MetricDef("counter", "elastic_instances_drained_total",
               "Retired instances shut down at epoch convergence"),
-    MetricDef("gauge", "elastic_utilization",
-              "Per-NF utilization at the final control tick", ("nf",)),
     MetricDef("counter", "elastic_slo_violation_seconds_total",
               "Sim seconds the bottleneck NF exceeded the SLO ceiling"),
     MetricDef("counter", "elastic_admission_decisions_total",

@@ -12,7 +12,7 @@ collector is a no-op while observability is disabled.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.obs import state
 from repro.obs.state import metric as _metric
@@ -21,7 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.chaos.metrics import ChaosMetrics
     from repro.dataplane.network import DataPlaneNetwork
     from repro.elastic.metrics import ElasticMetrics
-    from repro.elastic.monitor import UtilizationSnapshot
     from repro.experiments.scenario import ProbeLoop, ProbeTick
 
 #: The registry counters one network feeds, in the order of its
@@ -94,7 +93,6 @@ def collect_chaos(metrics: "ChaosMetrics", probes: "ProbeLoop") -> None:
 
 def collect_elastic(
     metrics: "ElasticMetrics",
-    snapshot: Optional["UtilizationSnapshot"] = None,
     absorb_seconds: Sequence[float] = (),
 ) -> None:
     """Elastic-loop ledger → registry (called at run finalization).
@@ -103,8 +101,6 @@ def collect_elastic(
     every run in the process.
 
     Args:
-        snapshot: the final control tick's utilization view; exported as
-            the ``elastic_utilization`` gauge per NF.
         absorb_seconds: per-spike time-to-absorb samples (unabsorbed
             spikes are the caller's problem to report — ``None`` entries
             must be filtered out before calling).
@@ -126,9 +122,6 @@ def collect_elastic(
     decisions.labels(action="admit").inc(sum(a.admitted for a in metrics.actions))
     decisions.labels(action="degrade").inc(sum(a.degraded for a in metrics.actions))
     decisions.labels(action="shed").inc(sum(a.shed for a in metrics.actions))
-    if snapshot is not None:
-        for nf_name, _, _, util in snapshot.per_nf:
-            _metric("elastic_utilization").labels(nf=nf_name).set(util)
     for sample in absorb_seconds:
         _metric("elastic_time_to_absorb_seconds").observe(sample)
 

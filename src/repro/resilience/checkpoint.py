@@ -14,9 +14,9 @@ payload is everything recovery needs *besides* the intent suffix:
   re-requesting its charge;
 * one *settled snapshot* per tenant worker: the committed blueprint
   (chain endpoints, NF sequences, exact unrounded rates), the SLO class,
-  the lowered core budgets its plan was solved on (only when the worker
-  lowered them; see ``TenantWorker._place``), and the southbound fabric's
-  version vector + epoch counters.
+  the make-before-break incumbent its plan was solved against (the
+  previous plan's per-slot counts, only when there was one), and the
+  southbound fabric's version vector + epoch counters.
 
 Worker snapshots are taken at convergence (``_converged``) and teardown,
 i.e. only at op boundaries — a checkpoint never sees a half-built
@@ -54,8 +54,10 @@ def settled_snapshot(worker: "TenantWorker") -> dict:
         "epoch": -1,
         "converged_epoch": -1,
     }
-    if worker.budgets is not None:
-        snap["budgets"] = dict(sorted(worker.budgets.items()))
+    if worker.incumbent:
+        snap["incumbent"] = [
+            [sw, nf, int(n)] for (sw, nf), n in sorted(worker.incumbent.items())
+        ]
     if worker.fabric is not None:
         snap["versions"] = {
             cid: int(v) for cid, v in worker.fabric.versions.items()
@@ -68,19 +70,11 @@ def settled_snapshot(worker: "TenantWorker") -> dict:
 def capture(orch: "TenantOrchestrator") -> dict:
     """Capture the full checkpoint payload for one orchestrator."""
     arb = orch.arbiter
-    workers: Dict[str, dict] = {}
-    for tenant_id, worker in sorted(orch.workers.items()):
-        settled = getattr(worker, "_settled", None)
-        if settled is None:  # no live deployment yet
-            settled = {
-                "slo": worker.slo.name,
-                "ops_completed": 0,
-                "chains": [],
-                "versions": {},
-                "epoch": -1,
-                "converged_epoch": -1,
-            }
-        workers[tenant_id] = settled
+    workers: Dict[str, dict] = {
+        # No op boundary yet: no chain committed, no fabric, no op completed.
+        tenant_id: worker._settled or settled_snapshot(worker)
+        for tenant_id, worker in sorted(orch.workers.items())
+    }
     return {
         "time": orch.sim.now,
         "seq": orch.bus._seq,

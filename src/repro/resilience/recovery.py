@@ -8,10 +8,10 @@
    one worker per checkpointed tenant.  A tenant's blueprint (chains,
    exact rates, SLO) deterministically regenerates its placement plan,
    sub-class assignment and rule set: the worker plans on the live hosts
-   (or the checkpointed lowered budgets), and the engine and rule
-   generator are pure functions of (classes, topology, budgets, catalog),
-   so the rebuilt desired state is
-   bit-identical to what the dead controller held.
+   against the checkpointed make-before-break incumbent (the counts the
+   plan was solved against), and the engine and rule generator are pure
+   functions of (classes, topology, incumbent, catalog), so the rebuilt
+   desired state is bit-identical to what the dead controller held.
 2. **Re-adopt the live data plane.**  A crash leaves installed rules and
    running VNF instances on the switches (``crash()`` harvests them).
    Each tenant gets a *fresh* southbound fabric over that surviving
@@ -48,7 +48,7 @@ from typing import Dict, Optional, Tuple
 from repro import obs
 from repro.core.reconfigure import bootstrap
 from repro.elastic.slo import SLO_CLASSES
-from repro.resilience.checkpoint import settled_snapshot
+from repro.resilience.checkpoint import capture, settled_snapshot
 from repro.resilience.journal import COMMIT, INTENT, RECOVERY, Journal
 from repro.sim.kernel import Simulator
 from repro.tenancy.intents import IntentRecord, intent_from_payload
@@ -58,30 +58,6 @@ from repro.topology.graph import Topology
 from repro.traffic.classes import TrafficClass
 from repro.vnf.chains import PolicyChain
 from repro.vnf.types import DEFAULT_CATALOG
-
-#: Checkpoint payload used when the journal has no CHECKPOINT yet
-#: (a crash before the first cadence tick replays the whole journal).
-_EMPTY_CHECKPOINT = {
-    "time": 0.0,
-    "seq": 0,
-    "terminal_cookies": [],
-    "outcomes": {},
-    "latencies": [],
-    "verify_ok": 0,
-    "verify_failed": 0,
-    "convergences": 0,
-    "audit_ticks": 0,
-    "xt_pv": 0.0,
-    "arbiter": {
-        "steady": {},
-        "tcam_used": {},
-        "granted_total": 0,
-        "queued_total": 0,
-        "rejected_total": 0,
-    },
-    "workers": {},
-}
-
 
 @dataclass
 class RecoveryReport:
@@ -141,10 +117,10 @@ def _restore_worker(
             rate_mbps=rate,
         )
     # The same calls the worker makes: the plan is a pure function of
-    # (classes, physical topology, catalog), so this re-solve reproduces
-    # the pre-crash plan bit for bit.
-    worker.budgets = snap.get("budgets")
-    realised = worker.solve(worker.view(target)[0], worker.budgets)
+    # (classes, physical topology, incumbent, catalog), so this re-solve
+    # reproduces the pre-crash plan bit for bit.
+    worker.incumbent = {(sw, nf): n for sw, nf, n in snap.get("incumbent", ())}
+    realised = worker.solve(worker.view(target)[0], worker.incumbent)
 
     harvested = harvest.get(tenant_id) if harvest else None
     if harvested is not None:
@@ -194,10 +170,11 @@ def recover(
         replay suffix is already scheduled on ``sim``.
     """
     wall_start = _time.perf_counter()
-    checkpoint = journal.last_checkpoint()
-    ckpt = checkpoint.payload if checkpoint is not None else _EMPTY_CHECKPOINT
-
     orch = TenantOrchestrator(topo, sim, seed=seed)
+    checkpoint = journal.last_checkpoint()
+    # No checkpoint yet (a crash before the first cadence tick): restore the
+    # fresh orchestrator's own empty state and replay the whole journal.
+    ckpt = checkpoint.payload if checkpoint else {**capture(orch), "time": 0.0}
 
     # -- run accounting ------------------------------------------------
     orch.outcomes = dict(ckpt["outcomes"])

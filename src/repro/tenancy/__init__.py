@@ -5,7 +5,7 @@ it into a shared platform.  Each tenant's policy chains are a *blueprint*
 owned by a serialized lifecycle worker (one in-flight op per tenant, FIFO
 queue), day-0/day-2 operations arrive as typed intents on a sim-time
 message bus, and a capacity arbiter owns the shared host-core and TCAM
-budgets so tenants can never interfere with each other's deployments.
+pools so tenants can never interfere with each other's deployments.
 
 * :mod:`repro.tenancy.intents` — the typed intent API (``CreateChain`` /
   ``UpdateRates`` / ``ScaleChain`` / ``DeleteChain`` / ``Replan``);

@@ -1,4 +1,4 @@
-"""The capacity arbiter: one owner for shared host-core and TCAM budgets.
+"""The capacity arbiter: one owner for the shared host-core and TCAM pools.
 
 Every tenant plans on the live substrate (its worker solves Eq. 1–8 with
 A_v set to the live hosts' cores and memory, Sec. IV-D) and realises the

@@ -10,19 +10,21 @@ step crash recovery re-adopts a harvested wire with).  An operation runs
 the full APPLE pipeline:
 
     target blueprint → failure view + admission verdict (:meth:`view`) →
-    Optimization Engine solve on the live hosts' cores and memory →
+    Optimization Engine solve on the live hosts' cores and memory, the
+    installed plan as its make-before-break incumbent →
     sub-class assignment → Rule Generator → arbiter charge of what the
     epoch creates (a delta grant) and of its classification entries →
     southbound commit keeping the running instances → verify at
     convergence (the installed tables read as data)
 
-The plan is a pure function of (classes, topology, catalog), so crash
-recovery's re-solve rebuilds it bit for bit.  A request that must wait for
-capacity keeps its realised plan.  A :class:`~repro.tenancy.intents.Replan`
-re-plans the blueprint as the live substrate and its candidate verdict
-leave it.  An intent record's ``observer``, when set, is told
-``solved(record, view, plan or None, kept)`` after the solve and
-``finished(record, outcome or None)`` when the op is terminal.
+The plan is a pure function of (classes, topology, incumbent, catalog),
+so crash recovery's re-solve rebuilds it bit for bit.  A request that
+must wait for capacity keeps its realised plan.  A
+:class:`~repro.tenancy.intents.Replan` re-plans the blueprint as the live
+substrate and its candidate verdict leave it.  An intent record's
+``observer``, when set, is told ``solved(record, view, plan or None,
+kept)`` after the solve and ``finished(record, outcome or None)`` when
+the op is terminal.
 
 The worker's Optimization Engine is tenant-private (the adopted
 controller's on a controller day-0 stack), so warm-start templates cache
@@ -75,9 +77,6 @@ from repro.vnf.types import DEFAULT_CATALOG
 if TYPE_CHECKING:  # pragma: no cover - type-only import cycle guard
     from repro.tenancy.orchestrator import TenantOrchestrator
 
-#: Solves of one op whose make-before-break peak overflows a host.
-MAX_RESOLVES = 8
-
 
 class TenantWorker:
     """Serialized lifecycle executor for one tenant's blueprint."""
@@ -102,10 +101,10 @@ class TenantWorker:
         #: admission order) and planning Mbps per class id.
         self.shed: Tuple[str, ...] = ()
         self.rates: Dict[str, float] = {}
-        #: The core budgets the installed plan was solved on, when they
-        #: were lowered (see :meth:`_place`); ``None``: the live hosts.
-        self.budgets: Optional[Dict[str, int]] = None
-        #: The op in flight: (target, verdict, budgets, stranded, kept, realised).
+        #: The incumbent (per-slot counts) the installed plan was solved
+        #: against; empty: none.
+        self.incumbent: Dict[Tuple[str, str], int] = {}
+        #: The op in flight: (target, verdict, incumbent, stranded, kept, realised).
         self._op: Optional[tuple] = None
         self.ops_completed = 0
         #: Last op-boundary snapshot (checkpoint source; see
@@ -155,20 +154,22 @@ class TenantWorker:
             for key, inst in (self.fabric.instances if self.fabric else {}).items()
             if inst.running and not failed(inst.switch)
         }
+        incumbent = self.deployment.plan.quantities if self.deployment else {}
         try:
-            budgets, realised, need = self._place(view[0], kept)
+            realised = self.solve(view[0], incumbent)
         except PlacementError as exc:
-            # No plan fits even the empty substrate: the capacity refusal.
-            realised, refusal = None, f"placement infeasible: {exc}"
+            # No plan fits the live pool beside the tenant's holding.
+            mbb = "make-before-break: " if incumbent else ""
+            realised, refusal = None, f"placement infeasible: {mbb}{exc}"
         if record.observer is not None:
             record.observer.solved(record, view, realised and realised[0], kept)
         if realised is None:
             self._finish(record, REJECTED, refusal)
             return
-        self._op = (target, verdict, budgets, view[1], kept, realised)
+        self._op = (target, verdict, incumbent, view[1], kept, realised)
         status = self.orch.arbiter.request(
             self.tenant_id,
-            need,
+            _created_cores(realised[0], incumbent),
             realised[2].classification_rule_count(),
             resume=lambda granted, r=record: self._resume(r, granted),
             priority=self.slo.priority,
@@ -180,43 +181,6 @@ class TenantWorker:
             record.status = WAITING
         else:
             self._commit(record)
-
-    def _place(
-        self, classes: Sequence[TrafficClass], kept: Dict[str, VNFInstance]
-    ) -> Tuple[Optional[Dict[str, int]], tuple, Dict[str, int]]:
-        """``(budgets, realised, need)``: solve on the live hosts, and
-        re-solve while the epoch cannot be made before it breaks.
-
-        The old epoch keeps its cores until the new one converges, so where
-        the tenant's holding plus what the epoch creates (``need``) exceeds
-        a host the request could only be granted after its own settle: the
-        plan is re-solved with those hosts' budgets lowered by the excess,
-        up to :data:`MAX_RESOLVES` times, or refused (``PlacementError``).
-        """
-        realised = self.solve(classes)
-        arbiter = self.orch.arbiter
-        held = arbiter.steady.get(self.tenant_id, {})
-        budgets = None
-        for _ in range(MAX_RESOLVES):
-            need = self._created_cores(realised[0], kept)
-            over = {
-                sw: held.get(sw, 0) + c - arbiter.physical[sw]
-                for sw, c in need.items()
-                if held.get(sw, 0) + c > arbiter.physical[sw]
-            }
-            if not over:
-                return budgets, realised, need
-            budgets = budgets or self.live_cores()
-            planned = realised[0].cores_by_switch()
-            for sw, excess in over.items():
-                budgets[sw] = max(0, planned[sw] - excess)
-            try:
-                realised = self.solve(classes, budgets)
-            except PlacementError as exc:
-                raise PlacementError(
-                    f"make-before-break on {sorted(over)}: {exc}"
-                ) from exc
-        raise PlacementError(f"make-before-break on {sorted(over)}")
 
     def view(
         self,
@@ -275,52 +239,27 @@ class TenantWorker:
     def solve(
         self,
         classes: Sequence[TrafficClass],
-        budgets: Optional[Dict[str, int]] = None,
+        incumbent: Dict[Tuple[str, str], int],
     ) -> Tuple[PlacementPlan, SubclassPlan, GeneratedRules]:
-        """Place and realise classes on the live hosts' cores and memory
-        (``budgets`` replaces the cores; no class is an empty plan).
+        """Place and realise classes on the live hosts' cores and memory,
+        making the epoch before it breaks ``incumbent``, the installed
+        plan's counts (no class is an empty plan).
 
-        A pure function of (classes, topology and its failures, budgets,
+        A pure function of (classes, topology and its failures, incumbent,
         catalog): recovery calls it to rebuild a pre-crash plan.
         """
         if classes:
-            cores = self.live_cores() if budgets is None else budgets
+            cores = self.live_cores()
             hosts = self.orch.topo.hosts
             plan = self.engine.place(
-                classes, cores, {s: hosts[s].memory_gb for s in cores}
+                classes,
+                cores,
+                {s: hosts[s].memory_gb for s in cores},
+                incumbent,
             )
         else:
             plan = PlacementPlan({}, {}, [], self.engine.catalog, 0.0)
         return (plan, *realize(self.rulegen, plan))
-
-    def _created_cores(
-        self, plan: PlacementPlan, kept: Dict[str, VNFInstance]
-    ) -> Dict[str, int]:
-        """Cores per switch the epoch adds to the tenant's holding.
-
-        A slot is kept (charged in ``steady`` already) when the installed
-        plan has it and a running instance holds it; every other slot of
-        the plan is created.  A switch is charged its created slots' cores
-        less those of the installed plan's slots no running instance
-        holds: a dead VM's cores are its replacement's.
-        """
-        old = self.deployment.plan.quantities if self.deployment else {}
-        new = plan.quantities
-        cores = plan.catalog.get
-        need: Dict[str, int] = {}
-        for slot in {**old, **new}:
-            switch, nf = slot
-            held, wanted = old.get(slot, 0), new.get(slot, 0)
-            # Instances 0..held-1 are the installed plan's: those beyond
-            # ``wanted`` retire (a dead one frees nothing), the rest are
-            # kept or replaced; instances past ``held`` are all created.
-            delta = wanted - held
-            if delta < 0:
-                delta = -sum(
-                    f"{nf}[{k}]@{switch}" not in kept for k in range(wanted, held)
-                )
-            need[switch] = need.get(switch, 0) + delta * cores(nf).cores
-        return {sw: c for sw, c in need.items() if c > 0}
 
     def _resume(self, record: IntentRecord, granted: bool) -> None:
         if self.orch.dead:  # resumption raced a controller crash
@@ -389,7 +328,7 @@ class TenantWorker:
     # ------------------------------------------------------------------
     def _commit(self, record: IntentRecord) -> None:
         """Install the realised plan of the op the arbiter has charged."""
-        target, _verdict, _budgets, stranded, kept, realised = self._op
+        target, _verdict, _incumbent, stranded, kept, realised = self._op
         self.chains = dict(target)
         if self.fabric is None:
             # Day 0: cold install, adopted as the fabric's epoch 0.
@@ -455,7 +394,7 @@ class TenantWorker:
 
     def _converged(self, record: IntentRecord, outcome: Outcome) -> None:
         """The epoch reached zero drift and was audited: admit the next op."""
-        _target, (self.shed, self.rates), self.budgets, *_ = self._op
+        _target, (self.shed, self.rates), self.incumbent, *_ = self._op
         self.deployment = outcome.deployment
         # The retired instances are drained: the plan is the holding now.
         self.orch.arbiter.settle(
@@ -482,7 +421,7 @@ class TenantWorker:
                 inst.shutdown()  # their cores go back to the pool
         self.chains = {}
         self.deployment = None
-        self.budgets = None
+        self.incumbent = {}
         self.fabric = None
         self.orch.arbiter.release(self.tenant_id)
         self.orch._tenant_down(self.tenant_id)
@@ -537,3 +476,19 @@ class TenantWorker:
             else tuple(sorted(self.deployment.plan.quantities.items()))
         )
         return (self.tenant_id, chains, fabric_sig, plan_sig)
+
+
+def _created_cores(
+    plan: PlacementPlan, incumbent: Dict[Tuple[str, str], int]
+) -> Dict[str, int]:
+    """Cores per switch the epoch adds to the tenant's holding (its delta
+    grant): Σ cores · max(0, q − q_old), the make-before-break rows'
+    definition; a retired instance, running or dead, frees its cores at
+    settle."""
+    cores = plan.catalog.get
+    need: Dict[str, int] = {}
+    for slot, count in plan.quantities.items():
+        created = count - incumbent.get(slot, 0)
+        if created > 0:
+            need[slot[0]] = need.get(slot[0], 0) + created * cores(slot[1]).cores
+    return need

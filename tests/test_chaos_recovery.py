@@ -234,5 +234,12 @@ def test_vnf_crash_replacement_reuses_slot():
     assert replacement.running
     assert replacement.switch == victim.switch
     assert result.final_verify_ok
-    # Same structure, same surviving hosts: the re-solve warm-starts.
-    assert any(c["warm_start"] for c in result.metrics["convergences"])
+    # The re-solve is the first with an incumbent (the day-0 plan's counts),
+    # so it builds the make-before-break template, and it creates no
+    # instance beyond the day-0 plan's.
+    assert [c["warm_start"] for c in result.metrics["convergences"]] == [False]
+    day0 = deployment.plan.quantities
+    assert all(
+        n <= day0.get(slot, 0)
+        for slot, n in world.worker.deployment.plan.quantities.items()
+    )

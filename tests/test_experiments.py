@@ -43,18 +43,20 @@ def test_pinned_quick_seed1_signatures():
     """The ``--quick --seed 1`` state signatures every change to the
     control plane has been compared against by hand since the southbound
     fabric became the only writer.  A plan, an epoch or a ledger entry
-    that moves changes them; a deliberate change updates them here."""
+    that moves changes them; a deliberate change updates them here (last:
+    re-plans solved against the installed plan, make-before-break in the
+    placement model)."""
     from repro.experiments import controller_crash, multi_tenant
 
     tenants = multi_tenant.run(seed=1, quick=True)
     assert [(row[0], row[-1]) for row in tenants.rows] == [
-        (8, "914c8d7386e003ba"),
-        (16, "2f854a307bdb5e37"),
+        (8, "e899374b49a1e8f2"),
+        (16, "ca946429135e91bb"),
     ]
     crash = controller_crash.run(seed=1, quick=True)
     signature = crash.columns.index("Signature")
     assert [(row[0], row[signature]) for row in crash.rows] == [
-        (name, "f5cc3d053f05fd5c")
+        (name, "ac0ed349dfeade13")
         for name in ("baseline", "crash#1", "crash#2", "all-crashes")
     ]
 
@@ -69,69 +71,73 @@ def _transactions(committed):
 #: ``result.metrics["southbound"]`` of each chaos run the test below makes,
 #: in run order.  No table column reads ``max_observed_drift`` or the
 #: convergence instants; a tick on the wrong side of a same-instant push
-#: moves them.
+#: moves them.  Since make-before-break became a row of the placement
+#: model, the first re-plan after day 0 is solved against the day-0 plan
+#: and consolidates it (failure-recovery: 61 → 54 instances at 9.0 s,
+#: then 52), so epoch 1 is a real push where it was a no-op: 108
+#: messages, not 72; in the southbound-chaos runs that push meets the
+#: disconnected switch (lost messages, a circuit open at 0 % loss too).
 _CHAOS_SOUTHBOUND = [
     # failure-recovery
     {
-        "acks": {"applied": 72, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
+        "acks": {"applied": 108, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
         "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 0,
-        "messages_lost": 0, "messages_sent": 72, "reconcile_repairs": 0,
+        "messages_lost": 0, "messages_sent": 108, "reconcile_repairs": 0,
         "reconcile_ticks": 44, "retries": 0, "rollback_ops": 0, "timeouts": 0,
-        "transactions": _transactions(committed=2),
+        "transactions": _transactions(committed=3),
         "convergences": [
-            {"converged_at": 9.0, "epoch": 1, "latency": 0.0, "pushed_at": 9.0},
+            {"converged_at": 9.21, "epoch": 1, "latency": 0.21, "pushed_at": 9.0},
             {"converged_at": 10.71, "epoch": 2, "latency": 0.21, "pushed_at": 10.5},
             {"converged_at": 16.21, "epoch": 3, "latency": 0.21, "pushed_at": 16.0},
         ],
     },
     # southbound-chaos 0%
     {
-        "acks": {"applied": 72, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
-        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 0,
-        "messages_lost": 0, "messages_sent": 72, "reconcile_repairs": 0,
-        "reconcile_ticks": 48, "retries": 0, "rollback_ops": 0, "timeouts": 0,
-        "transactions": _transactions(committed=2),
+        "acks": {"applied": 108, "duplicate": 0, "stale": 0}, "circuit_opens": 1,
+        "degraded_seconds": 1.073406489, "give_ups": 0, "max_observed_drift": 259,
+        "messages_lost": 5, "messages_sent": 108, "reconcile_repairs": 0,
+        "reconcile_ticks": 48, "retries": 5, "rollback_ops": 0, "timeouts": 5,
+        "transactions": _transactions(committed=3),
         "convergences": [
-            {"converged_at": 9.0, "epoch": 1, "latency": 0.0, "pushed_at": 9.0},
-            {"converged_at": 10.841807441, "epoch": 2, "latency": 0.341807441, "pushed_at": 10.5},
-            {"converged_at": 16.324877477, "epoch": 3, "latency": 0.324877477, "pushed_at": 16.0},
+            {"converged_at": 12.183425596, "epoch": 1, "latency": 3.183425596, "pushed_at": 9.0},
+            {"converged_at": 12.508303073, "epoch": 2, "latency": 0.324877477, "pushed_at": 12.183425596},
+            {"converged_at": 16.41074787, "epoch": 3, "latency": 0.41074787, "pushed_at": 16.0},
         ],
     },
     # southbound-chaos 10%
     {
-        "acks": {"applied": 63, "duplicate": 9, "stale": 0}, "circuit_opens": 0,
-        "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 225,
-        "messages_lost": 12, "messages_sent": 72, "reconcile_repairs": 0,
-        "reconcile_ticks": 48, "retries": 12, "rollback_ops": 0, "timeouts": 12,
-        "transactions": _transactions(committed=2),
+        "acks": {"applied": 95, "duplicate": 13, "stale": 0}, "circuit_opens": 1,
+        "degraded_seconds": 1.073406489, "give_ups": 0, "max_observed_drift": 259,
+        "messages_lost": 25, "messages_sent": 108, "reconcile_repairs": 0,
+        "reconcile_ticks": 48, "retries": 25, "rollback_ops": 0, "timeouts": 25,
+        "transactions": _transactions(committed=3),
         "convergences": [
-            {"converged_at": 9.0, "epoch": 1, "latency": 0.0, "pushed_at": 9.0},
-            {"converged_at": 11.976244962, "epoch": 2, "latency": 1.476244962, "pushed_at": 10.5},
-            {"converged_at": 16.841867302, "epoch": 3, "latency": 0.841867302, "pushed_at": 16.0},
+            {"converged_at": 12.695002712, "epoch": 1, "latency": 3.695002712, "pushed_at": 9.0},
+            {"converged_at": 13.536870014, "epoch": 2, "latency": 0.841867302, "pushed_at": 12.695002712},
+            {"converged_at": 17.584787927, "epoch": 3, "latency": 1.584787927, "pushed_at": 16.0},
         ],
     },
     # flash-crowd 2x
     {
-        "acks": {"applied": 70, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
+        "acks": {"applied": 36, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
         "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 0,
-        "messages_lost": 0, "messages_sent": 70, "reconcile_repairs": 0,
+        "messages_lost": 0, "messages_sent": 36, "reconcile_repairs": 0,
         "reconcile_ticks": 40, "retries": 0, "rollback_ops": 0, "timeouts": 0,
-        "transactions": _transactions(committed=2),
+        "transactions": _transactions(committed=1),
         "convergences": [
             {"converged_at": 7.21, "epoch": 1, "latency": 0.21, "pushed_at": 7.0},
-            {"converged_at": 15.21, "epoch": 2, "latency": 0.21, "pushed_at": 15.0},
         ],
     },
     # flash-crowd 8x
     {
-        "acks": {"applied": 107, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
+        "acks": {"applied": 108, "duplicate": 0, "stale": 0}, "circuit_opens": 0,
         "degraded_seconds": 0.0, "give_ups": 0, "max_observed_drift": 0,
-        "messages_lost": 0, "messages_sent": 107, "reconcile_repairs": 0,
+        "messages_lost": 0, "messages_sent": 108, "reconcile_repairs": 0,
         "reconcile_ticks": 40, "retries": 0, "rollback_ops": 0, "timeouts": 0,
         "transactions": _transactions(committed=3),
         "convergences": [
             {"converged_at": 6.71, "epoch": 1, "latency": 0.21, "pushed_at": 6.5},
-            {"converged_at": 11.21, "epoch": 2, "latency": 0.21, "pushed_at": 11.0},
+            {"converged_at": 8.21, "epoch": 2, "latency": 0.21, "pushed_at": 8.0},
             {"converged_at": 14.21, "epoch": 3, "latency": 0.21, "pushed_at": 14.0},
         ],
     },
@@ -140,14 +146,16 @@ _CHAOS_SOUTHBOUND = [
 #: Per ``flash-crowd --quick --seed 1`` amplitude (2x, 8x), the elastic
 #: shedding chain: verdicts the elastic loop submitted (``_act`` calls),
 #: verdicts the worker refused (each one re-submitted with one more class
-#: shed), tenant ops that placed (``TenantWorker._place``) and the
-#: ``place()`` calls they made (``TenantWorker.solve``, make-before-break
-#: re-solves included).  At 8x the hosts are near full, a re-solve has no
-#: tie to the running instances, and most epochs cannot be made before
-#: they break (ROADMAP item 12(c)).
+#: shed), tenant ops that placed (``TenantWorker.solve``) and the
+#: ``OptimizationEngine.place()`` calls they made: one each, since
+#: make-before-break is a row of the model, not a re-solve loop.  The
+#: chains were 2 / 0 / 2 / 4 and 296 / 290 / 293 / 521 while the worker
+#: re-solved with lowered budgets: a re-plan solved against the running
+#: instances fits beside them far more often (the 49 refusals left at 8x
+#: are models the live pool cannot hold beside the incumbent).
 _FLASH_CHAIN = [
-    {"verdicts": 2, "refused": 0, "placing ops": 2, "place() calls": 4},
-    {"verdicts": 296, "refused": 290, "placing ops": 293, "place() calls": 521},
+    {"verdicts": 1, "refused": 0, "placing ops": 1, "place() calls": 1},
+    {"verdicts": 52, "refused": 49, "placing ops": 52, "place() calls": 52},
 ]
 
 
@@ -159,6 +167,7 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     southbound metrics dict, read from the same runs; and per flash-crowd
     amplitude the length of the elastic shedding chain (see
     ``_FLASH_CHAIN``).  A deliberate change updates them here."""
+    from repro.core.engine import OptimizationEngine
     from repro.elastic.loop import ElasticController
     from repro.experiments import failure_recovery, flash_crowd, southbound_chaos
     from repro.experiments.scenario import World
@@ -166,7 +175,8 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
 
     chain = Counter()
     act, finished = ElasticController._act, ElasticController.finished
-    place, solve = TenantWorker._place, TenantWorker.solve
+    solve, place = TenantWorker.solve, OptimizationEngine.place
+    solving = []
 
     def counting_act(elastic, *args, **kwargs):
         chain["verdicts"] += 1
@@ -176,18 +186,22 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
         chain["refused"] += outcome is None
         return finished(elastic, record, outcome)
 
-    def counting_place(worker, *args, **kwargs):
-        chain["placing ops"] += 1
-        return place(worker, *args, **kwargs)
-
     def counting_solve(worker, *args, **kwargs):
-        chain["place() calls"] += 1
-        return solve(worker, *args, **kwargs)
+        chain["placing ops"] += 1
+        solving.append(True)
+        try:
+            return solve(worker, *args, **kwargs)
+        finally:
+            solving.pop()
+
+    def counting_place(engine, *args, **kwargs):
+        chain["place() calls"] += bool(solving)
+        return place(engine, *args, **kwargs)
 
     monkeypatch.setattr(ElasticController, "_act", counting_act)
     monkeypatch.setattr(ElasticController, "finished", counting_finished)
-    monkeypatch.setattr(TenantWorker, "_place", counting_place)
     monkeypatch.setattr(TenantWorker, "solve", counting_solve)
+    monkeypatch.setattr(OptimizationEngine, "place", counting_place)
 
     southbound = []
     finish = World.finish
@@ -202,19 +216,19 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     monkeypatch.setattr(World, "finish", recording_finish)
 
     assert failure_recovery.run(seed=1, quick=True).rows == [
-        ["internet2", 2, 2, 0.646015, 0.751016, 0.891515, 1.5, 27, 0.0, 3, 866,
-         2, 0, 0, "OK"]
+        ["internet2", 2, 2, 0.646015, 0.856016, 0.891515, 1.5, 27, 0.0, 3, 1283,
+         1, 0, 0, "OK"]
     ]
     assert southbound_chaos.run(seed=1, quick=True).rows == [
-        ["0%", 72, 0, 0, 0, 0, 2, 0, 0, 3, 0.222228, 1.5, 0.0, 0, "OK"],
-        ["10%", 72, 12, 12, 12, 0, 2, 0, 0, 3, 0.772704, 2.25, 0.0, 0, "OK"],
+        ["0%", 108, 5, 5, 5, 1, 3, 0, 0, 3, 1.30635, 3.25, 0.0, 0, "OK"],
+        ["10%", 108, 25, 25, 25, 1, 3, 0, 0, 3, 2.040553, 3.75, 0.0, 0, "OK"],
     ]
     signatures, chains = [], []
     for amplitude in (2.0, 8.0):
         chain.clear()
         signatures.append(flash_crowd._flash_row(amplitude, seed=1, quick=True)[1])
         chains.append(dict(chain))
-    assert signatures == ["0e4b7f52db4bdb6d", "f35619f81cddf1aa"]
+    assert signatures == ["2cb9a5447d49d5b1", "b7c91e758d199390"]
     assert chains == _FLASH_CHAIN
     assert southbound == _CHAOS_SOUTHBOUND
 

@@ -45,9 +45,9 @@ def _bits(distribution, quantities):
     )
 
 
-def _outcome(engine, classes, cores, memory):
+def _outcome(engine, classes, cores, memory, incumbent=None):
     try:
-        plan = engine.place(classes, cores, available_memory_gb=memory)
+        plan = engine.place(classes, cores, memory, incumbent)
     except PlacementError as exc:
         return "PlacementError", str(exc)
     return (
@@ -59,15 +59,14 @@ def _outcome(engine, classes, cores, memory):
 
 
 def _same_plans(calls, cold=True):
-    """Place every ``(classes, cores, memory)`` with both engines."""
+    """Place every ``(classes, cores, memory[, incumbent])`` with both
+    engines."""
     program, reference = OptimizationEngine(), ReferenceEngine()
-    for classes, cores, memory in calls:
+    for call in calls:
         if cold:
             program.clear_templates()
             reference.clear_templates()
-        assert _outcome(program, classes, cores, memory) == _outcome(
-            reference, classes, cores, memory
-        )
+        assert _outcome(program, *call) == _outcome(reference, *call)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -95,11 +94,16 @@ def test_every_placement_of_a_churn_history():
     calls = []
     place = OptimizationEngine.place
 
-    def record(engine, classes, cores, memory=None):
+    def record(engine, classes, cores, memory=None, incumbent=None):
         calls.append(
-            (list(classes), dict(cores), None if memory is None else dict(memory))
+            (
+                list(classes),
+                dict(cores),
+                None if memory is None else dict(memory),
+                dict(incumbent or {}),
+            )
         )
-        return place(engine, classes, cores, memory)
+        return place(engine, classes, cores, memory, incumbent)
 
     with mock.patch.object(OptimizationEngine, "place", record):
         churn_counts.run_history(

@@ -120,9 +120,12 @@ def test_recovery_waits_behind_an_open_elastic_epoch():
     result = world.play()
     em, fabric = world.elastic.metrics, world.fabric
 
-    # The scale-out converged as in the dry run, and is counted once...
+    # The scale-out converged as in the dry run, and is counted once (the
+    # recovery epoch re-plans against the scale-out's instances and keeps
+    # them, so the hottest one stays at 0.459, above the 0.45 low
+    # watermark, and no scale-in follows before the horizon)...
     assert em.actions[0].to_dict() == first.to_dict()
-    assert em.scale_out_total >= 1 and em.scale_in_total >= 1
+    assert em.scale_out_total == 1 and em.scale_in_total == 0
     assert all(a.verify_ok for a in em.actions)
     # ...and recovery's epoch waited for it on the worker's queue, then
     # converged and is on record, once.

@@ -183,10 +183,14 @@ def test_checkpoint_capture_shape():
     all_cookies = {r.payload["cookie"] for r in journal.of_kind(INTENT)}
     assert set(snap["terminal_cookies"]) <= all_cookies
     for worker_snap in snap["workers"].values():
-        assert set(worker_snap) == {
+        # "incumbent": the per-slot counts the settled plan was solved
+        # against, present only when it was solved against one.
+        assert set(worker_snap) - {"incumbent"} == {
             "slo", "ops_completed", "chains", "versions", "epoch",
             "converged_epoch",
         }
+        for sw, nf, count in worker_snap.get("incumbent", ()):
+            assert isinstance(sw, str) and isinstance(nf, str) and count > 0
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +260,28 @@ def test_crash_recovers_however_long_the_journal():
         _assert_recovered(play(history(5, 2, (_crash_event(t),)), 0), base)
 
 
+def _open_push_after(journal, t):
+    """The time of the first push after ``t`` whose epoch converges later
+    (a push that changes nothing on the wire converges at once)."""
+    converged = {
+        (rec.payload["tenant"], rec.payload["epoch"]): rec.time
+        for rec in journal.of_kind(EPOCH)
+        if rec.payload["event"] == "converged"
+    }
+    return next(
+        rec.time for rec in journal.of_kind(EPOCH)
+        if rec.payload["event"] == "push" and rec.time > t
+        and converged[rec.payload["tenant"], rec.payload["epoch"]] > rec.time
+    )
+
+
 def test_mid_epoch_crash_leaves_running_instances_charged():
     """A crash while a push is on the wire harvests both epochs' instances.
     Recovery re-adopts them, and the first push after the restore retires
     the ones its rules no longer reference: at the horizon each host's
     running-instance cores equal the arbiter's steady charge and fit it."""
     base = play(history(5, 2), 0)
-    pushed_at = next(
-        rec.time for rec in base.journal.of_kind(EPOCH)
-        if rec.payload["event"] == "push" and rec.time > 10.0
-    )
+    pushed_at = _open_push_after(base.journal, 10.0)
     seen = {}
     crash, stop = TenantOrchestrator.crash, TenantOrchestrator.stop
 
@@ -290,6 +306,63 @@ def test_mid_epoch_crash_leaves_running_instances_charged():
     _assert_recovered(out, base)
     assert seen["running"] == seen["steady"]
     assert all(c <= seen["physical"][h] for h, c in seen["running"].items())
+
+
+def test_mid_epoch_crash_rebuilds_plans_against_the_checkpointed_incumbent():
+    """A crash after a re-plan's push opens and before it converges: the
+    checkpoint carries, per tenant, the make-before-break incumbent (q_old)
+    its settled plan was solved against, recovery re-solves each plan with
+    exactly the q_old and plan the live run had, and the recovered end
+    state equals the never-crashed run's."""
+    from repro.resilience import recovery
+    from repro.tenancy.worker import TenantWorker
+
+    base = play(history(5, 2), 0)
+    pushed_at = _open_push_after(base.journal, 10.0)
+    live, rebuilt, seen = [], [], {}
+    solve, restore = TenantWorker.solve, recovery._restore_worker
+    crash = TenantOrchestrator.crash
+
+    def recorded(worker, classes, incumbent):
+        realised = solve(worker, classes, incumbent)
+        into = rebuilt if seen.get("restoring") else live
+        into.append(
+            (worker.tenant_id, sorted(incumbent.items()),
+             sorted(realised[0].quantities.items()))
+        )
+        return realised
+
+    def restoring(*args, **kwargs):
+        seen["restoring"] = True
+        try:
+            return restore(*args, **kwargs)
+        finally:
+            seen["restoring"] = False
+
+    def crash_and_look(orch):
+        seen["open"] = [
+            t for t, w in sorted(orch.workers.items())
+            if w.fabric is not None and w.fabric.epoch > w.fabric.converged_epoch
+        ]
+        seen["checkpoint"] = orch.journal.last_checkpoint().payload
+        return crash(orch)
+
+    with mock.patch.object(TenantWorker, "solve", recorded), \
+            mock.patch.object(recovery, "_restore_worker", restoring), \
+            mock.patch.object(TenantOrchestrator, "crash", crash_and_look):
+        out = play(history(5, 2, (_crash_event(pushed_at + 0.01),)), 0)
+    assert seen["open"], "the crash did not land while an epoch was open"
+    _assert_recovered(out, base)
+    snaps = seen["checkpoint"]["workers"]
+    assert any("incumbent" in snap for snap in snaps.values())
+    assert rebuilt, "recovery rebuilt no plan"
+    for tenant_id, incumbent, quantities in rebuilt:
+        checkpointed = [
+            ((sw, nf), n) for sw, nf, n in snaps[tenant_id].get("incumbent", ())
+        ]
+        assert incumbent == checkpointed
+        # The live run solved this very plan against this very q_old.
+        assert (tenant_id, incumbent, quantities) in live
 
 
 def _small_world(seed=SEED):

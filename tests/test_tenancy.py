@@ -280,22 +280,22 @@ def test_recovery_replan_is_charged_only_the_instance_it_creates():
     worker = orch.workers["t"]
     old = worker.deployment.plan
     assert sorted(worker.fabric.instances) == [
-        "firewall[0]@DNVR", "firewall[0]@HSTN", "ids[0]@DNVR", "nat[0]@ATLA",
-        "proxy[0]@HSTN",
+        "firewall[0]@ATLA", "firewall[0]@KSCY", "ids[0]@HSTN", "nat[0]@CHIN",
+        "proxy[0]@ATLA",
     ]
-    # ATLA dies with its one instance; the re-plan moves that NAT one hop
-    # up t/c2's path (CHIN, IPLS, ATLA, HSTN), to IPLS, and keeps the other
-    # four where they run.
-    topo.fail_host("ATLA")
-    worker.fabric.instances["nat[0]@ATLA"].shutdown()
-    quantities = {k: v for k, v in old.quantities.items() if k[0] != "ATLA"}
+    # CHIN dies with its one instance; the re-plan moves that NAT one hop
+    # down t/c2's path (CHIN, IPLS, ATLA, HSTN), to IPLS, and keeps the
+    # other four where they run.
+    topo.fail_host("CHIN")
+    worker.fabric.instances["nat[0]@CHIN"].shutdown()
+    quantities = {k: v for k, v in old.quantities.items() if k[0] != "CHIN"}
     quantities[("IPLS", "nat")] = 1
     distribution = dict(old.distribution)
-    distribution[("t/c2", 1, 0)] = distribution.pop(("t/c2", 2, 0))
+    distribution[("t/c2", 1, 0)] = distribution.pop(("t/c2", 0, 0))
     plan = dataclasses.replace(
         old, quantities=quantities, distribution=distribution
     )
-    worker.solve = lambda classes, budgets=None: (
+    worker.solve = lambda classes, incumbent: (
         plan, *realize(worker.rulegen, plan)
     )
     requests = []
@@ -313,8 +313,8 @@ def test_recovery_replan_is_charged_only_the_instance_it_creates():
     assert record.status == COMPLETED
     assert orch.arbiter.steady["t"] == plan.cores_by_switch()
     assert sorted(worker.fabric.instances) == [
-        "firewall[0]@DNVR", "firewall[0]@HSTN", "ids[0]@DNVR", "nat[0]@IPLS",
-        "proxy[0]@HSTN",
+        "firewall[0]@ATLA", "firewall[0]@KSCY", "ids[0]@HSTN", "nat[0]@IPLS",
+        "proxy[0]@ATLA",
     ]
     assert orch.cross_tenant_violation_seconds == 0
     assert orch.arbiter.charges() is not None

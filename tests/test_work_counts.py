@@ -89,10 +89,23 @@ consolidated away (was 6), objective 180 (178), plan digest
 699 events (730), 49 diff evaluations (50), 107 ``SwitchDiff`` (128) and
 116 ``TcamEntry`` (128) objects; 1,893 reconcile ticks unchanged.
 
+Make-before-break is now a row of the placement model: every op of a
+tenant with an installed plan solves against it (q_old as u ≥ q columns'
+lower bounds, ties in Σq broken toward the running instances).  The 55
+calls stay one solve each, but the first op with an incumbent builds the
+make-before-break template (36 assemblies, was 32; 19 warm, was 23), and
+re-plans keep their instances: 5 instances consolidated away (9),
+objective 176 (180), plan digest 94ca48f0468e1d87; 35 channels (59), 90
+messages (156), 566 events (699), 48 diff evaluations (49), 63
+``SwitchDiff`` (107) and 86 ``TcamEntry`` (116) objects; 1,893 reconcile
+ticks unchanged.  The audit reads 7,273 ledger entries (7,018) and meets
+12,418 running instances (12,730): the plans and the epochs' delta
+grants differ, the 280 ticks do not.
+
 The isolation audit stays a poll, whatever it costs per tick: on the same
 churn history it ticks 280 times (every 0.25 sim-s to the 70 s horizon),
-and across those ticks it reads 7,018 arbiter ledger entries and meets
-12,730 running instances — every entry of ``steady`` and ``inflight`` and
+and across those ticks it reads 7,273 arbiter ledger entries and meets
+12,418 running instances — every entry of ``steady`` and ``inflight`` and
 every running instance of a live tenant fabric, on every tick (the counter
 also checks each tick against what the ledgers and fabrics held).
 
@@ -148,12 +161,12 @@ PINNED_GEANT = {
 PINNED_CHURN = {
     "places": 55,
     "solves_per_place": {1: 55},
-    "assemblies": 32,
-    "warm_places": 23,
+    "assemblies": 36,
+    "warm_places": 19,
     "failed_places": 0,
-    "consolidated": 9,
-    "objective": 180.0,
-    "plans": "27667a8b339d0051",
+    "consolidated": 5,
+    "objective": 176.0,
+    "plans": "94ca48f0468e1d87",
 }
 
 
@@ -183,23 +196,23 @@ REMOVED_GEANT_RECONFIG = {
 }
 
 PINNED_CHURN_SOUTHBOUND = {
-    "channels_built": 59,
-    "messages": 156,
+    "channels_built": 35,
+    "messages": 90,
     "retries": 0,
     "reconcile_ticks": 1893,
 }
 
 PINNED_CHURN_IDLE = {
-    "sim_events": 699,
-    "reconcile_evaluations": 49,
-    "switch_diffs_built": 107,
-    "entries_built": 116,
+    "sim_events": 566,
+    "reconcile_evaluations": 48,
+    "switch_diffs_built": 63,
+    "entries_built": 86,
 }
 
 PINNED_CHURN_AUDIT = {
     "audit_ticks": 280,
-    "ledger_entries_read": 7018,
-    "running_instances_summed": 12730,
+    "ledger_entries_read": 7273,
+    "running_instances_summed": 12418,
     "audit_misses": 0,
 }
 
@@ -476,3 +489,21 @@ def test_rounding_gap_against_the_mip_optimum_is_pinned():
     gaps = rounding_gaps()
     assert gaps == PINNED_ROUNDING_GAP
     assert sum(rounded - optimum for _n, rounded, optimum in gaps) == 60
+
+
+def test_table5_internet2_mip_optimum_is_pinned():
+    """Table V's Internet2 model (132 classes, the engine's own cold
+    template on the mean matrix, as ``experiments/table5.py`` places it):
+    the exact integer optimum of Eq. 1–6 is 37 instances, while ``place()``
+    rounds the LP relaxation to 55 (ROADMAP item 12).  UNIV1's 56 takes
+    ≈ 29 s to prove and is not pinned in tier 1."""
+    _topo, controller, series = standard_setup("internet2", snapshots=4)
+    classes = controller.build_classes(series.mean())
+    cores = controller.available_cores()
+    engine = controller.engine
+    plan = engine.place(classes, cores)
+    (template,) = engine._templates.values()
+    optimum, solution = solve_milp(template.lp)
+    assert template.lp.is_feasible(solution)
+    assert len(classes) == 132
+    assert (round(optimum), plan.total_instances()) == (37, 55)
