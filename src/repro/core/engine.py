@@ -154,15 +154,15 @@ class OptimizationEngine:
 
         Raises:
             ValueError: a core or memory budget is NaN or negative.
-            PlacementError: a class's path has no APPLE host, or the model
-                is infeasible (insufficient capacity anywhere).
+            PlacementError: a class's path has no APPLE host, the LP
+                relaxation is infeasible, or rounding found no integer plan
+                (the message names which).
         """
         started = time.perf_counter()
-        hosts = self._hosts(available_cores, available_memory_gb)
-        classes = self._clamped(classes)
-        structure = tuple(map(_STRUCTURE, classes))
-        self._check_paths(structure, hosts)
-        if not any(map(_CHAIN_NAMES, structure)):
+        classes, template, warm = self._template(
+            classes, available_cores, available_memory_gb, incumbent
+        )
+        if template is None:
             # No chain step anywhere: no variables, nothing to solve.
             return PlacementPlan(
                 quantities={},
@@ -172,6 +172,77 @@ class OptimizationEngine:
                 objective=0.0,
                 solve_seconds=time.perf_counter() - started,
             )
+
+        span_name = "engine.warm_solve" if warm else "engine.cold_solve"
+        try:
+            with obs.span(span_name, cat="solver"):
+                solution, quantities, _, lp_bound = self._solve_ceiling(template)
+        except SolverError as exc:
+            raise PlacementError(f"placement infeasible: {exc}") from exc
+        distribution = self._extract_distribution(classes, template, solution)
+        with obs.span("engine.consolidate", cat="solver"):
+            self._consolidate_dust(classes, distribution, quantities)
+        objective = sum(quantities.values())
+        if obs.REGISTRY.enabled:
+            mode = "warm" if warm else "cold"
+            obs.metric("solver_solves_total").labels(mode=mode).inc()
+            obs.metric("solver_solve_seconds").labels(mode=mode).observe(
+                time.perf_counter() - started
+            )
+            obs.metric("solver_classes").set(len(classes))
+            obs.metric("solver_instances_planned").set(objective)
+            obs.metric("solver_warm_hit_ratio").set(
+                self.warm_solves / (self.warm_solves + self.cold_builds)
+            )
+        return PlacementPlan(
+            quantities=quantities,
+            distribution=distribution,
+            classes=classes,
+            catalog=self.catalog,
+            objective=float(objective),
+            lp_bound=float(lp_bound),
+            solve_seconds=time.perf_counter() - started,
+            warm_start=warm,
+        )
+
+    def relaxation_feasible(
+        self,
+        classes: Sequence[TrafficClass],
+        available_cores: Mapping[str, int],
+        available_memory_gb: Optional[Mapping[str, float]] = None,
+        incumbent: Optional[Mapping[Tuple[str, str], int]] = None,
+    ) -> bool:
+        """Whether the LP relaxation of the model :meth:`place` would solve
+        has a feasible point: one LP solve on ``place()``'s own template, no
+        rounding.  False proves that ``place`` refuses; True does not prove
+        that it places."""
+        template = self._template(
+            classes, available_cores, available_memory_gb, incumbent
+        )[1]
+        if template is None:
+            return True
+        try:
+            solve_lp(template.lp)
+        except SolverError:
+            return False
+        return True
+
+    def _template(
+        self,
+        classes: Sequence[TrafficClass],
+        available_cores: Mapping[str, int],
+        available_memory_gb: Optional[Mapping[str, float]],
+        incumbent: Optional[Mapping[Tuple[str, str], int]],
+    ) -> Tuple[List[TrafficClass], Optional[PlacementTemplate], bool]:
+        """``(clamped classes, template, warm)``: the model of one call with
+        its data written in, reused from the cache (warm) or built; None
+        when no class has a chain step."""
+        hosts = self._hosts(available_cores, available_memory_gb)
+        classes = self._clamped(classes)
+        structure = tuple(map(_STRUCTURE, classes))
+        self._check_paths(structure, hosts)
+        if not any(map(_CHAIN_NAMES, structure)):
+            return classes, None, False
         key = self._structure_key(structure, hosts, available_memory_gb, incumbent)
 
         # Never filled with a single-shot template; an LRU of four structures.
@@ -210,38 +281,7 @@ class OptimizationEngine:
                 if len(self._templates) > 4:
                     self._templates.popitem(last=False)
             self.cold_builds += 1
-
-        span_name = "engine.warm_solve" if warm else "engine.cold_solve"
-        try:
-            with obs.span(span_name, cat="solver"):
-                solution, quantities, _, lp_bound = self._solve_ceiling(template)
-        except SolverError as exc:
-            raise PlacementError(f"placement infeasible: {exc}") from exc
-        distribution = self._extract_distribution(classes, template, solution)
-        with obs.span("engine.consolidate", cat="solver"):
-            self._consolidate_dust(classes, distribution, quantities)
-        objective = sum(quantities.values())
-        if obs.REGISTRY.enabled:
-            mode = "warm" if warm else "cold"
-            obs.metric("solver_solves_total").labels(mode=mode).inc()
-            obs.metric("solver_solve_seconds").labels(mode=mode).observe(
-                time.perf_counter() - started
-            )
-            obs.metric("solver_classes").set(len(classes))
-            obs.metric("solver_instances_planned").set(objective)
-            obs.metric("solver_warm_hit_ratio").set(
-                self.warm_solves / (self.warm_solves + self.cold_builds)
-            )
-        return PlacementPlan(
-            quantities=quantities,
-            distribution=distribution,
-            classes=classes,
-            catalog=self.catalog,
-            objective=float(objective),
-            lp_bound=float(lp_bound),
-            solve_seconds=time.perf_counter() - started,
-            warm_start=warm,
-        )
+        return classes, template, warm
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -305,9 +345,12 @@ class OptimizationEngine:
         by the round-up (with an incumbent, on max(ceil, q_old)).  When a
         switch overshoots, its budget in the LP is
         tightened by the overshoot and the LP re-solved — this converges in
-        a couple of iterations in practice.  If repair fails, fall back to
-        generic iterative rounding.  The caller reads the d part of the
-        returned solution (``_extract_distribution``).
+        a couple of iterations in practice.  If repair runs out of
+        iterations or meets a memory overshoot, fall back to generic
+        iterative rounding.  The caller reads the d part of the returned
+        solution (``_extract_distribution``).  An LP without a feasible
+        point is a "relaxation infeasible" or "rounding repair gave up"
+        ``PlacementError``.
         """
         program = template.lp
         # This call's A_v, as ``place`` wrote it: what each Eq. 6 row's use
@@ -330,9 +373,14 @@ class OptimizationEngine:
                         np.isin(template._member_slot_idx, banned)
                     ]
                 ] = 0.0
-            lp = solve_lp(
-                program, b_ub_override=b_ub, extra_upper_bounds=extra_ub
-            )
+            try:
+                lp = solve_lp(
+                    program, b_ub_override=b_ub, extra_upper_bounds=extra_ub
+                )
+            except SolverError as exc:
+                repair = lp_bound is not None  # the relaxation was feasible
+                cause = "rounding repair gave up" if repair else "relaxation infeasible"
+                raise PlacementError(f"{cause}: {exc}") from exc
             if lp_bound is None:
                 lp_bound = lp.objective
                 if template._held is not None:  # Eq. 1 alone, less the ε term

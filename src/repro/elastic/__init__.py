@@ -13,20 +13,12 @@ Module map:
 - :mod:`repro.elastic.slo` — per-tenant SLO classes (weight = shed cost).
 - :mod:`repro.elastic.monitor` — pure per-NF utilization snapshots.
 - :mod:`repro.elastic.hysteresis` — dwell-counted scale-out/in bands.
-- :mod:`repro.elastic.admission` — cheapest-first degrade/shed oracle.
+- :mod:`repro.elastic.admission` — cheapest-first verdicts and their search.
 - :mod:`repro.elastic.metrics` — tick/action ledger + time-to-absorb.
 - :mod:`repro.elastic.loop` — the controller that ties them together.
 """
 
-from repro.elastic.admission import (
-    ADMIT,
-    DEGRADE,
-    SHED,
-    AdmissionDecision,
-    AdmissionPlan,
-    admission_control,
-    shed_order,
-)
+from repro.elastic.admission import Candidates, admit, shed_order
 from repro.elastic.hysteresis import (
     HOLD,
     SCALE_IN,
@@ -46,12 +38,8 @@ from repro.elastic.slo import (
 )
 
 __all__ = [
-    "ADMIT",
-    "DEGRADE",
-    "SHED",
-    "AdmissionDecision",
-    "AdmissionPlan",
-    "admission_control",
+    "Candidates",
+    "admit",
     "shed_order",
     "HOLD",
     "SCALE_IN",

@@ -1,75 +1,31 @@
-"""Cheapest-first admission control — the capacity-exhaustion oracle.
+"""Cheapest-first admission control — the verdicts an overload may adopt.
 
 When a flash crowd outruns every possible scale-out, the loop must shed
 load rather than violate policy.  This is the greedy form of Sallam et
 al.'s SFC-constrained max-flow admission: flows are ranked by shed cost
-``(SLO weight, offered rate, class id)`` ascending, and the oracle walks
-that order — first rate-degrading a victim to its SLO's ``degrade_floor``,
-then shedding it entirely — until the injected ``feasible`` callback
-accepts the admitted rate vector.  A victim is fully shed before the
-next (more expensive) victim is touched, so shedding is *strictly*
-cheapest-first (pinned by the hypothesis test).
+``(SLO weight, offered rate, class id)`` ascending (:func:`shed_order`),
+and the candidate verdicts walk that order — state 0 admits everything,
+then each victim in turn is first rate-degraded to its SLO's
+``degrade_floor`` (when the floor is below 1) and then shed entirely.  A
+victim is fully shed before the next (more expensive) victim is touched,
+so shedding is *strictly* cheapest-first (pinned by the hypothesis test).
 
-``admission_control`` is a pure function of its arguments; the
-feasibility callback is the only coupling to the placement model.  The
-loop passes a closed-form chain-core bound as ``feasible`` and keeps
-``engine.place`` as the authoritative oracle: on a ``PlacementError``
-it re-runs the oracle with ``extra_shed`` bumped, which sheds the next
-victims in the same canonical order.
+The sequence travels in compact form inside one
+:class:`~repro.tenancy.intents.Replan` — the planning rates plus each
+victim's id and degrade floor — and the tenant worker picks the verdict
+with :func:`admit`, asking the placement model itself: ``place()`` on
+state 0; when that refuses, a bisection of the rest on the model's LP
+relaxation (exactly monotone along the sequence: shedding only removes
+demand); then ``place()`` again from the smallest relaxation-feasible
+state on, fully shedding the current victim after each refusal.  An
+overload costs one intent and O(log n) relaxation solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.elastic.slo import DEFAULT_SLO, SLOClass
-
-ADMIT = "admit"
-DEGRADE = "degrade"
-SHED = "shed"
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """The oracle's verdict for one traffic class."""
-
-    class_id: str
-    action: str
-    slo: str
-    offered_mbps: float
-    admitted_mbps: float
-
-@dataclass(frozen=True)
-class AdmissionPlan:
-    """All per-class verdicts for one admission run (sorted by class id)."""
-
-    decisions: Tuple[AdmissionDecision, ...]
-    feasible: bool
-
-    def admitted_rates(self) -> Dict[str, float]:
-        """Admitted Mbps per class (shed classes excluded)."""
-        return {
-            d.class_id: d.admitted_mbps
-            for d in self.decisions
-            if d.action != SHED and d.admitted_mbps > 0
-        }
-
-    def shed_ids(self) -> Tuple[str, ...]:
-        return tuple(d.class_id for d in self.decisions if d.action == SHED)
-
-    def degraded_caps(self) -> Dict[str, float]:
-        """Rate caps (admitted Mbps) for degraded classes."""
-        return {
-            d.class_id: d.admitted_mbps for d in self.decisions if d.action == DEGRADE
-        }
-
-    def counts(self) -> Tuple[int, int, int]:
-        """(admitted, degraded, shed) class counts."""
-        admitted = sum(1 for d in self.decisions if d.action == ADMIT)
-        degraded = sum(1 for d in self.decisions if d.action == DEGRADE)
-        shed = sum(1 for d in self.decisions if d.action == SHED)
-        return admitted, degraded, shed
 
 
 def shed_order(
@@ -91,64 +47,86 @@ def shed_order(
     return sorted(class_ids, key=cost)
 
 
-def admission_control(
-    class_ids: Sequence[str],
-    offered: Mapping[str, float],
-    slo_map: Mapping[str, SLOClass],
-    feasible: Callable[[Mapping[str, float]], bool],
-    extra_shed: int = 0,
-) -> AdmissionPlan:
-    """Run the oracle: admit everything the capacity model can carry.
+class Candidates:
+    """The cheapest-first verdicts of one overload, indexed from 0: each
+    is ``(shed class ids, planning Mbps per admitted class id)``.
+
+    State 0 admits every class at ``rates``; then, for each victim in
+    order, a degrade state (its rate × floor, when the floor is below 1)
+    and a shed state.  A state that would shed every class admits nothing
+    and is not a verdict, so it is left out.
 
     Args:
-        class_ids: the candidate population.
-        offered: offered Mbps per class id.
-        slo_map: SLO class per class id (``DEFAULT_SLO`` when absent).
-        feasible: accepts an admitted-rate vector iff capacity suffices.
-        extra_shed: after feasibility is reached, fully shed this many
-            additional victims in canonical order — the loop's escape
-            hatch when the closed-form bound said "fits" but the exact
-            placement ILP disagreed.
+        rates: planning Mbps per class id (state 0).
+        victims: ``(class id, degrade floor)`` in shed order; ids are
+            distinct and among ``rates``.
     """
-    order = shed_order(class_ids, offered, slo_map)
-    admitted: Dict[str, float] = {
-        cid: max(0.0, float(offered.get(cid, 0.0))) for cid in class_ids
-    }
-    actions: Dict[str, str] = {cid: ADMIT for cid in class_ids}
 
-    idx = 0
-    reached = feasible(admitted)
-    while not reached and idx < len(order):
-        cid = order[idx]
-        slo = slo_map.get(cid, DEFAULT_SLO)
-        if slo.degrade_floor < 1.0 and admitted[cid] > 0:
-            admitted[cid] = admitted[cid] * slo.degrade_floor
-            actions[cid] = DEGRADE
-            if feasible(admitted):
-                reached = True
-                break
-        admitted[cid] = 0.0
-        actions[cid] = SHED
-        idx += 1
-        reached = feasible(admitted)
+    def __init__(
+        self, rates: Mapping[str, float], victims: Sequence[Tuple[str, float]]
+    ) -> None:
+        self.rates = dict(rates)
+        self.victims = tuple(victims)
+        #: Per state: (victims shed, whether the next victim is degraded).
+        self._states: List[Tuple[int, bool]] = [(0, False)]
+        for i, (_, floor) in enumerate(self.victims):
+            self._states += [(i, True)] * (floor < 1.0) + [(i + 1, False)]
+        if len(self.victims) == len(self.rates):
+            self._states.pop()  # sheds everything
 
-    remaining = extra_shed
-    while remaining > 0 and idx < len(order):
-        cid = order[idx]
-        if actions[cid] != SHED:
-            admitted[cid] = 0.0
-            actions[cid] = SHED
-            remaining -= 1
-        idx += 1
+    def __len__(self) -> int:
+        return len(self._states)
 
-    decisions = tuple(
-        AdmissionDecision(
-            class_id=cid,
-            action=actions[cid],
-            slo=slo_map.get(cid, DEFAULT_SLO).name,
-            offered_mbps=max(0.0, float(offered.get(cid, 0.0))),
-            admitted_mbps=admitted[cid],
+    def __getitem__(self, k: int) -> Tuple[Tuple[str, ...], Dict[str, float]]:
+        shed_n, degraded = self._states[k]
+        shed = tuple(cid for cid, _ in self.victims[:shed_n])
+        rates = dict(self.rates)
+        for cid in shed:
+            del rates[cid]
+        if degraded:
+            cid, floor = self.victims[shed_n]
+            rates[cid] = rates[cid] * floor
+        return shed, rates
+
+    def shed_next(self, k: int) -> int:
+        """The state that fully sheds state ``k``'s current victim: the one
+        it degrades, else the next one (``len(self)`` past the last)."""
+        shed = (self._states[k][0] + 1, False)
+        return next(
+            (j for j in range(k + 1, len(self)) if self._states[j] == shed),
+            len(self),
         )
-        for cid in sorted(class_ids)
-    )
-    return AdmissionPlan(decisions=decisions, feasible=reached)
+
+
+def admit(
+    candidates: Candidates,
+    relaxed: Callable[[int], bool],
+    fits: Callable[[int], bool],
+) -> Optional[int]:
+    """The index of the first candidate the placement model accepts, or
+    None when only shedding everything would fit.
+
+    ``fits(k)`` places state ``k`` for real (``place()``; it is not
+    monotone along the sequence); ``relaxed(k)`` says whether state
+    ``k``'s LP relaxation is feasible, which is monotone — once true, true
+    for every later state — and is necessary for ``fits``.  State 0 is
+    placed first; after a refusal, states ``1 … len - 1`` are bisected on
+    ``relaxed`` (at most ⌈log2 len⌉ probes) and ``fits`` confirms from the
+    smallest relaxation-feasible state on, each refusal fully shedding the
+    current victim (:meth:`Candidates.shed_next`).
+    """
+    if fits(0):
+        return 0
+    lo, hi = 1, len(candidates)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if relaxed(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    k = lo
+    while k < len(candidates):
+        if fits(k):
+            return k
+        k = candidates.shed_next(k)
+    return None

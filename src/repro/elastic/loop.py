@@ -4,15 +4,15 @@
 core.  Each tick it reads offered load (a seeded pure function of sim
 time), computes a :class:`~repro.elastic.monitor.UtilizationSnapshot`
 against the *deployed* plan, and feeds the bottleneck utilization
-through the hysteresis bands.  An action re-runs admission control over
-the full offered demand and submits the verdict — shed ids, and planning
-rates ``offered / target_utilization`` (so post-action utilization lands
-in the dead band) — as one :class:`~repro.tenancy.intents.Replan` intent
-to the tenant worker owning the deployment, which chaos recovery's
-intents also reach: the failure view applies to every re-plan, the
-verdict is adopted only when its epoch converges, and an action waits
-behind an open recovery epoch instead of replacing it.  A verdict the
-exact ILP refuses sheds the next victim and is submitted again at once.
+through the hysteresis bands.  An action submits the cheapest-first
+candidate verdicts — planning rates ``offered / target_utilization`` (so
+post-action utilization lands in the dead band), each victim's id and
+degrade floor — as one :class:`~repro.tenancy.intents.Replan` intent to
+the tenant worker owning the deployment, which chaos recovery's intents
+also reach: it adopts the first verdict that places
+(:func:`~repro.elastic.admission.admit`) when its epoch converges, under
+the failure view, behind any open recovery epoch.  A refusal means only
+shedding every class would fit; the loop counts it and waits.
 
 Shed flows go through the ingress quarantine chaos recovery uses for
 stranded classes: their rules are withdrawn and a DROP guards their
@@ -27,13 +27,11 @@ seeded warm-start engine.  A loop that is never started arms no timer.
 
 from __future__ import annotations
 
-import math
-
 from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional
 
 from repro.core.placement import diff_plans
 from repro.core.reconfigure import Outcome
-from repro.elastic.admission import admission_control
+from repro.elastic.admission import shed_order
 from repro.elastic.hysteresis import (
     HOLD,
     HysteresisConfig,
@@ -84,10 +82,10 @@ class ElasticController:
         self.offered_fn = offered_fn
         self.catalog = worker.engine.catalog
         self.headroom = worker.engine.config.capacity_headroom
-        #: The blueprint's chains (NF names) by class id.
-        self.chains = {c.class_id: tuple(c.chain.names) for c in worker.chains.values()}
+        #: SLO class per class id of the blueprint (in chain-id order).
         self.slo_map: Dict[str, SLOClass] = {
-            cid: (slo_map or {}).get(cid, DEFAULT_SLO) for cid in self.chains
+            c.class_id: (slo_map or {}).get(c.class_id, DEFAULT_SLO)
+            for c in worker.chains.values()
         }
 
         self.state = HysteresisState()
@@ -95,13 +93,7 @@ class ElasticController:
         self.degraded_caps: Dict[str, float] = {}
         self.metrics = ElasticMetrics(TICK_INTERVAL)
         self._pending: Optional[ScaleAction] = None
-        #: The action in flight: (direction, offered, snapshot, victims
-        #: shed beyond the fluid bound, its admission verdict).
-        self._attempt: Optional[tuple] = None
         self._drained_before = 0
-        #: ``_fits`` verdicts of the action in flight, by admitted rates:
-        #: its re-submissions walk the same admitted vectors again.
-        self._fitted: Dict[tuple, bool] = {}
         self._timer: Optional[Timer] = None
 
     # ------------------------------------------------------------------
@@ -128,7 +120,7 @@ class ElasticController:
         """
         load: Dict[str, float] = {}
         shed = set(self.worker.shed)  # the last converged verdict
-        for cid in self.chains:
+        for cid in self.slo_map:
             if cid in shed:
                 continue
             rate = float(offered.get(cid, 0.0))
@@ -163,78 +155,29 @@ class ElasticController:
         )
 
     # ------------------------------------------------------------------
-    # Feasibility (the closed-form bound the oracle consults)
-    # ------------------------------------------------------------------
-    def _fits(self, admitted: Mapping[str, float]) -> bool:
-        """Fluid lower bound on the cores a re-placement would need.
-
-        Aggregates demand per NF type and charges ``ceil(demand /
-        effective capacity)`` instances — it ignores per-switch packing,
-        so it under-estimates the exact ILP's need.  That is the right
-        direction: admission sheds minimally, and the worker's placement
-        remains the authoritative oracle (a refused verdict is submitted
-        again with ``extra_shed`` bumped).
-        """
-        key = tuple(admitted.values())
-        if key not in self._fitted:
-            target = HYSTERESIS.target_utilization
-            demand: Dict[str, float] = {}
-            for cid, rate in admitted.items():
-                if rate <= 0:
-                    continue
-                planning = rate / target
-                for nf_name in self.chains[cid]:
-                    demand[nf_name] = demand.get(nf_name, 0.0) + planning
-            need = 0
-            for nf_name, nf_demand in demand.items():
-                spec = self.catalog.get(nf_name)
-                cap = spec.capacity_mbps * self.headroom
-                need += max(1, math.ceil(nf_demand / cap - 1e-9)) * spec.cores
-            self._fitted[key] = need <= sum(self.worker.live_cores().values())
-        return self._fitted[key]
-
-    # ------------------------------------------------------------------
     # Action execution
     # ------------------------------------------------------------------
     def _act(
-        self,
-        direction: str,
-        offered: Mapping[str, float],
-        snap: UtilizationSnapshot,
-        extra: int = 0,
+        self, direction: str, offered: Mapping[str, float], snap: UtilizationSnapshot
     ) -> None:
         target = HYSTERESIS.target_utilization
-        if not extra:
-            self._fitted = {}
-        admission = admission_control(
-            sorted(self.chains),
-            offered,
-            self.slo_map,
-            self._fits,
-            extra_shed=extra,
-        )
         rates = {
-            cid: rate / target for cid, rate in admission.admitted_rates().items()
+            cid: offered[cid] / target
+            for cid in sorted(self.slo_map)
+            if offered.get(cid, 0.0) > 0
         }
         if not rates:
             self.metrics.placement_failures += 1
-            self._pending = None
             return
-        admitted_n, degraded_n, shed_n = admission.counts()
         self._pending = ScaleAction(
-            time=round(self.sim.now, 6),
-            direction=direction,
-            trigger_utilization=round(snap.max_utilization, 6),
-            admitted=admitted_n,
-            degraded=degraded_n,
-            shed=shed_n,
+            round(self.sim.now, 6), direction, round(snap.max_utilization, 6)
         )
-        self._attempt = (direction, offered, snap, extra, admission)
+        order = shed_order(rates, offered, self.slo_map)
         record = self.worker.orch.submit(
             Replan(
                 self.worker.tenant_id,
-                shed=admission.shed_ids(),
-                rates=tuple(sorted(rates.items())),
+                tuple(rates.items()),
+                tuple((cid, self.slo_map[cid].degrade_floor) for cid in order),
             )
         )
         record.observer = self
@@ -260,19 +203,23 @@ class ElasticController:
         self._drained_before = self.worker.fabric.drained_total
 
     def finished(self, record: IntentRecord, outcome: Optional[Outcome]) -> None:
-        direction, offered, snap, extra, admission = self._attempt
-        if outcome is None:
-            self.metrics.placement_failures += 1
-            # The exact ILP overruled the fluid bound, or the plan cannot be
-            # made before it breaks: shed the next victim (same canonical
-            # order) and submit again at once.
-            if extra < len(self.chains):
-                self._act(direction, offered, snap, extra + 1)
-            else:
-                self._pending = None
-            return
         action, self._pending = self._pending, None
-        self.degraded_caps = admission.degraded_caps()
+        if outcome is None:
+            # Nothing but shedding every class fits the live pool.
+            self.metrics.placement_failures += 1
+            return
+        # The verdict the worker adopted at convergence: a degraded class's
+        # planning rate is below offered / target at the action's instant.
+        rates, offered = self.worker.rates, self.offered_fn(record.submitted_at)
+        target = HYSTERESIS.target_utilization
+        self.degraded_caps = {
+            cid: offered[cid] * slo.degrade_floor
+            for cid, slo in self.slo_map.items()
+            if cid in rates and rates[cid] < offered[cid] / target
+        }
+        action.shed = len(self.worker.shed)
+        action.degraded = len(self.degraded_caps)
+        action.admitted = len(self.slo_map) - action.shed - action.degraded
         action.epoch = outcome.convergence.epoch
         action.converged_at = round(outcome.convergence.converged_at, 6)
         action.drained = self.worker.fabric.drained_total - self._drained_before

@@ -47,9 +47,10 @@ class ScaleAction:
     time: float
     direction: str
     trigger_utilization: float
-    admitted: int
-    degraded: int
-    shed: int
+    #: Filled in when the verdict the worker adopted has converged.
+    admitted: int = 0
+    degraded: int = 0
+    shed: int = 0
     #: Filled in when the worker has solved the verdict.
     classes: int = 0
     planned_instances: int = 0

@@ -25,6 +25,13 @@ class IntentValidationError(ValueError):
     """An intent that is malformed on its face (bad rate, empty chain...)."""
 
 
+def _check_rate(what: str, rate: float) -> None:
+    if not 0 < rate < math.inf:
+        raise IntentValidationError(
+            f"{what}: rate must be positive and finite, got {rate!r}"
+        )
+
+
 #: Terminal + transient states of an intent record.
 ACCEPTED = "accepted"
 WAITING = "waiting"
@@ -85,11 +92,7 @@ class CreateChain(Intent):
             raise IntentValidationError(
                 f"CreateChain {self.chain_id!r}: empty policy chain"
             )
-        if not 0 < self.rate_mbps < math.inf:
-            raise IntentValidationError(
-                f"CreateChain {self.chain_id!r}: rate must be positive and "
-                f"finite, got {self.rate_mbps!r}"
-            )
+        _check_rate(f"CreateChain {self.chain_id!r}", self.rate_mbps)
         from repro.elastic.slo import SLO_CLASSES
 
         if self.slo not in SLO_CLASSES:
@@ -113,11 +116,7 @@ class UpdateRates(Intent):
         for chain_id, rate in self.rates:
             if not chain_id:
                 raise IntentValidationError("UpdateRates with an empty chain_id")
-            if not 0 < rate < math.inf:
-                raise IntentValidationError(
-                    f"UpdateRates {chain_id!r}: rate must be positive and "
-                    f"finite, got {rate!r}"
-                )
+            _check_rate(f"UpdateRates {chain_id!r}", rate)
 
 
 @dataclass(frozen=True)
@@ -158,25 +157,35 @@ class Replan(Intent):
     """Day-2: re-plan the blueprint on the live substrate as it is now —
     a failure detector's verdict batch, or an elastic scale action.
 
-    ``shed`` / ``rates`` is a candidate admission verdict (class ids to
-    quarantine, planning Mbps per class id), adopted when the epoch
-    converges; ``shed=None`` keeps the last converged verdict.
+    ``rates`` / ``victims`` are the cheapest-first candidate verdicts of an
+    elastic action (:class:`~repro.elastic.admission.Candidates`: planning
+    Mbps per class id, then ``(class id, degrade floor)`` per victim in shed
+    order); the worker adopts the first one that places
+    (:func:`~repro.elastic.admission.admit`) when its epoch converges.  No
+    ``rates`` keeps the last converged verdict.
     """
 
-    shed: Optional[Tuple[str, ...]] = None
     rates: Tuple[Tuple[str, float], ...] = ()
+    victims: Tuple[Tuple[str, float], ...] = ()
 
     kind = "replan"
 
     def validate(self) -> None:
         super().validate()
-        if self.shed is None and self.rates:
-            raise IntentValidationError("Replan rates without a shed verdict")
+        if self.victims and not self.rates:
+            raise IntentValidationError("Replan victims without rates")
         for class_id, rate in self.rates:
-            if not 0 < rate < math.inf:
+            _check_rate(f"Replan {class_id!r}", rate)
+        unlisted = dict(self.rates)
+        for class_id, floor in self.victims:
+            if unlisted.pop(class_id, None) is None:
                 raise IntentValidationError(
-                    f"Replan {class_id!r}: rate must be positive and "
-                    f"finite, got {rate!r}"
+                    f"Replan victim {class_id!r}: unknown or listed twice"
+                )
+            if not 0 < floor <= 1:
+                raise IntentValidationError(
+                    f"Replan victim {class_id!r}: floor must be in (0, 1], "
+                    f"got {floor!r}"
                 )
 
 
@@ -237,8 +246,8 @@ def intent_to_payload(intent: Intent) -> Dict[str, object]:
     elif isinstance(intent, DeleteChain):
         payload["chain_id"] = intent.chain_id
     elif isinstance(intent, Replan):
-        payload["shed"] = None if intent.shed is None else list(intent.shed)
         payload["rates"] = [[cid, rate] for cid, rate in intent.rates]
+        payload["victims"] = [[cid, floor] for cid, floor in intent.victims]
     else:
         raise IntentValidationError(f"cannot encode intent {intent!r}")
     return payload
@@ -272,7 +281,9 @@ def intent_from_payload(payload: Dict[str, object]) -> Intent:
     if kind == DeleteChain.kind:
         return DeleteChain(tenant_id=tenant, chain_id=payload["chain_id"])
     if kind == Replan.kind:
-        shed = payload["shed"]
-        rates = tuple((cid, rate) for cid, rate in payload["rates"])
-        return Replan(tenant, None if shed is None else tuple(shed), rates)
+        return Replan(
+            tenant,
+            rates=tuple((cid, rate) for cid, rate in payload["rates"]),
+            victims=tuple((cid, floor) for cid, floor in payload["victims"]),
+        )
     raise IntentValidationError(f"cannot decode intent kind {kind!r}")

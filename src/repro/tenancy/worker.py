@@ -21,7 +21,8 @@ The plan is a pure function of (classes, topology, incumbent, catalog),
 so crash recovery's re-solve rebuilds it bit for bit.  A request that
 must wait for capacity keeps its realised plan.  A
 :class:`~repro.tenancy.intents.Replan` re-plans the blueprint as the live
-substrate and its candidate verdict leave it.  An intent record's
+substrate leaves it, under the first of its candidate verdicts that
+places (else the converged one).  An intent record's
 ``observer``, when set, is told ``solved(record, view, plan or None,
 kept)`` after the solve and ``finished(record, outcome or None)`` when
 the op is terminal.
@@ -49,6 +50,7 @@ from repro.core.rulegen import GeneratedRules, RuleGenerator
 from repro.core.subclasses import SubclassPlan
 from repro.core.verify import verify_deployment
 from repro.dataplane.network import DataPlaneNetwork
+from repro.elastic.admission import Candidates, admit
 from repro.elastic.slo import DEFAULT_SLO, SLO_CLASSES
 from repro.resilience.checkpoint import settled_snapshot
 from repro.sim.rng import derive
@@ -143,11 +145,6 @@ class TenantWorker:
         if target is None:  # DeleteChain removed the last chain
             self._teardown(record)
             return
-        if isinstance(intent, Replan) and intent.shed is not None:
-            verdict = (tuple(intent.shed), dict(intent.rates))
-        else:
-            verdict = (self.shed, self.rates)
-        view = self.view(target, *verdict)
         failed = self.orch.topo.host_failed
         kept = {
             key: inst
@@ -155,12 +152,7 @@ class TenantWorker:
             if inst.running and not failed(inst.switch)
         }
         incumbent = self.deployment.plan.quantities if self.deployment else {}
-        try:
-            realised = self.solve(view[0], incumbent)
-        except PlacementError as exc:
-            # No plan fits the live pool beside the tenant's holding.
-            mbb = "make-before-break: " if incumbent else ""
-            realised, refusal = None, f"placement infeasible: {mbb}{exc}"
+        verdict, view, realised, refusal = self._admit(intent, target, incumbent)
         if record.observer is not None:
             record.observer.solved(record, view, realised and realised[0], kept)
         if realised is None:
@@ -181,6 +173,41 @@ class TenantWorker:
             record.status = WAITING
         else:
             self._commit(record)
+
+    def _admit(
+        self,
+        intent,
+        target: Dict[str, TrafficClass],
+        incumbent: Dict[Tuple[str, str], int],
+    ) -> tuple:
+        """``(verdict, view, realised, refusal)`` of the first verdict that
+        places beside ``incumbent`` — of a ``Replan``'s candidates, searched
+        by :func:`~repro.elastic.admission.admit`, else the converged one;
+        when none does, the last tried with None and the refusal."""
+        tried: list = []
+
+        def fits(verdict) -> bool:
+            view = self.view(target, *verdict)
+            try:
+                tried[:] = verdict, view, self.solve(view[0], incumbent), ""
+            except PlacementError as exc:
+                # No plan fits the live pool beside the tenant's holding.
+                mbb = "make-before-break: " if incumbent else ""
+                tried[:] = verdict, view, None, f"placement infeasible: {mbb}{exc}"
+            return tried[2] is not None
+
+        if isinstance(intent, Replan) and intent.rates:
+            candidates = Candidates(intent.rates, intent.victims)
+            pool = self._pool()
+
+            def relaxed(k: int) -> bool:
+                classes = self.view(target, *candidates[k])[0]
+                return self.engine.relaxation_feasible(classes, *pool, incumbent)
+
+            admit(candidates, relaxed, lambda k: fits(candidates[k]))
+        else:
+            fits((self.shed, self.rates))
+        return tuple(tried)
 
     def view(
         self,
@@ -236,6 +263,12 @@ class TenantWorker:
         failed = self.orch.topo.host_failed
         return {s: c for s, c in self.orch.arbiter.physical.items() if not failed(s)}
 
+    def _pool(self) -> Tuple[Dict[str, int], Dict[str, float]]:
+        """The live hosts' cores and memory, the budgets every solve has."""
+        cores = self.live_cores()
+        hosts = self.orch.topo.hosts
+        return cores, {s: hosts[s].memory_gb for s in cores}
+
     def solve(
         self,
         classes: Sequence[TrafficClass],
@@ -249,14 +282,7 @@ class TenantWorker:
         catalog): recovery calls it to rebuild a pre-crash plan.
         """
         if classes:
-            cores = self.live_cores()
-            hosts = self.orch.topo.hosts
-            plan = self.engine.place(
-                classes,
-                cores,
-                {s: hosts[s].memory_gb for s in cores},
-                incumbent,
-            )
+            plan = self.engine.place(classes, *self._pool(), incumbent)
         else:
             plan = PlacementPlan({}, {}, [], self.engine.catalog, 0.0)
         return (plan, *realize(self.rulegen, plan))

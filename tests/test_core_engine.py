@@ -89,10 +89,13 @@ def test_duplicate_class_ids_rejected():
 
 
 def test_infeasible_resources_raise():
-    # IDS needs 8 cores; only 4 available anywhere.
+    # IDS needs 8 cores; only 4 available anywhere.  A fraction of one IDS
+    # fits the relaxation, so it is the rounding repair that refuses.
     classes = [_cls("c1", "a", "c", LINE, ["ids"], 10.0)]
-    with pytest.raises(PlacementError):
-        _place(classes, {"a": 4, "b": 4, "c": 4})
+    cores = {"a": 4, "b": 4, "c": 4}
+    with pytest.raises(PlacementError, match="^rounding repair gave up: "):
+        _place(classes, cores)
+    assert OptimizationEngine().relaxation_feasible(classes, cores)
 
 
 def test_resource_constraint_respected():
@@ -222,8 +225,9 @@ def test_infeasible_instance_raises_on_every_solve_path():
     """IDS needs 8 cores and no switch has them: ``PlacementError``."""
     classes = [_cls("c1", "a", "c", LINE, ["ids"], 5000.0)]
     cores = {"a": 0, "b": 4, "c": 4}
-    with pytest.raises(PlacementError):
+    with pytest.raises(PlacementError, match="^relaxation infeasible: "):
         _place(classes, cores)
+    assert not OptimizationEngine().relaxation_feasible(classes, cores)
 
 
 def test_engine_config_has_only_the_two_knobs():

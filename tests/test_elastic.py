@@ -7,9 +7,7 @@ import pytest
 from repro.core.engine import EngineConfig
 from repro.core.placement import PlacementPlan, PlanDelta, diff_plans
 from repro.elastic import (
-    ADMIT,
-    DEGRADE,
-    SHED,
+    Candidates,
     ElasticController,
     ElasticMetrics,
     ElasticTick,
@@ -18,7 +16,7 @@ from repro.elastic import (
     SCALE_OUT,
     HysteresisConfig,
     HysteresisState,
-    admission_control,
+    admit,
     assign_slo_classes,
     decide,
     shed_order,
@@ -141,51 +139,55 @@ def test_shed_order_is_weight_then_rate_then_id():
     assert order == ["cheap2", "cheap", "mid", "gold"]
 
 
+def _candidates(offered, slo):
+    """The loop's candidate sequence, planning at the offered rates."""
+    order = shed_order(sorted(offered), offered, slo)
+    return Candidates(offered, [(cid, slo[cid].degrade_floor) for cid in order])
+
+
+def _adopted(offered, slo, budget):
+    """The verdict :func:`admit` picks when capacity is ``budget`` Mbps,
+    the relaxation and ``place()`` both being the sum rule."""
+    candidates = _candidates(offered, slo)
+
+    def fits(k):
+        return sum(candidates[k][1].values()) <= budget
+
+    k = admit(candidates, fits, fits)
+    return None if k is None else candidates[k]
+
+
 def test_admission_admits_everything_when_feasible():
-    plan = admission_control(
-        ["a", "b"], {"a": 5.0, "b": 5.0}, {}, lambda r: True
-    )
-    assert plan.feasible
-    assert all(d.action == ADMIT for d in plan.decisions)
-    assert plan.admitted_rates() == {"a": 5.0, "b": 5.0}
+    offered = {"a": 5.0, "b": 5.0}
+    assert _adopted(offered, {"a": GOLD, "b": SILVER}, 10.0) == ((), offered)
 
 
 def test_admission_degrades_before_shedding():
     # Capacity 8: bronze victim degraded to 2.5 (floor 0.25) fits.
     offered = {"keep": 5.0, "victim": 10.0}
     slo = {"keep": GOLD, "victim": BRONZE}
-    plan = admission_control(
-        sorted(offered), offered, slo, lambda r: sum(r.values()) <= 8.0
-    )
-    assert plan.feasible
-    verdicts = {d.class_id: d.action for d in plan.decisions}
-    assert verdicts == {"keep": ADMIT, "victim": DEGRADE}
-    assert plan.degraded_caps() == {"victim": 2.5}
+    assert _adopted(offered, slo, 8.0) == ((), {"keep": 5.0, "victim": 2.5})
 
 
 def test_admission_sheds_cheapest_first_and_fully():
     offered = {"g": 6.0, "s": 6.0, "b": 6.0}
     slo = {"g": GOLD, "s": SILVER, "b": BRONZE}
-    plan = admission_control(
-        sorted(offered), offered, slo, lambda r: sum(r.values()) <= 9.0
-    )
-    verdicts = {d.class_id: d.action for d in plan.decisions}
     # Bronze is shed outright (its degrade to 1.5 still leaves 13.5);
     # silver's degrade to 3.0 lands exactly at the budget.
-    assert verdicts["b"] == SHED
-    assert verdicts["s"] == DEGRADE
-    assert verdicts["g"] == ADMIT
-    assert plan.shed_ids() == ("b",)
+    assert _adopted(offered, slo, 9.0) == (("b",), {"g": 6.0, "s": 3.0})
+    # Shedding every class is not a verdict.
+    assert _adopted(offered, slo, 1.0) is None
 
 
-def test_admission_extra_shed_extends_in_order():
-    offered = {"g": 1.0, "s": 1.0, "b": 1.0}
+def test_candidates_after_a_refusal_shed_the_current_victim():
+    offered = {"g": 6.0, "s": 6.0, "b": 6.0}
     slo = {"g": GOLD, "s": SILVER, "b": BRONZE}
-    plan = admission_control(
-        sorted(offered), offered, slo, lambda r: True, extra_shed=2
-    )
-    verdicts = {d.class_id: d.action for d in plan.decisions}
-    assert verdicts == {"b": SHED, "s": SHED, "g": ADMIT}
+    candidates = _candidates(offered, slo)
+    # admit-all, b degraded, b shed, s degraded, s shed (g only: not gold's
+    # degrade, which its floor of 1 rules out, nor the all-shed state).
+    assert len(candidates) == 5
+    assert [candidates.shed_next(k) for k in range(1, 5)] == [2, 4, 4, 5]
+    assert candidates[4] == (("b", "s"), {"g": 6.0})
 
 
 def test_assign_slo_classes_is_order_independent():

@@ -10,11 +10,15 @@ Two invariants the paper's operators care about:
    a prefix of ``shed_order``: if a class was shed, every cheaper class
    (lower SLO weight, then lower offered rate, then class id) was shed
    too, and at most one class — the next one in order — is degraded.
+   The bisection that picks the verdict adopts what a linear walk over
+   the same monotone relaxation would, in O(log n) relaxation probes.
 """
+
+import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.elastic.admission import DEGRADE, SHED, admission_control, shed_order
+from repro.elastic.admission import Candidates, admit, shed_order
 from repro.elastic.hysteresis import (
     HOLD,
     SCALE_IN,
@@ -71,34 +75,91 @@ def test_no_flap_under_target_replanning(config, loads):
     assert last_action in (None, SCALE_OUT, SCALE_IN)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    rates=st.lists(
-        st.floats(min_value=0.5, max_value=100.0), min_size=1, max_size=8
-    ),
-    slo_names=st.lists(st.sampled_from(sorted(SLO_CLASSES)), min_size=8, max_size=8),
-    budget_fraction=st.floats(min_value=0.0, max_value=1.2),
-)
-def test_shedding_is_strictly_cheapest_first(rates, slo_names, budget_fraction):
-    offered = {f"c{i}": r for i, r in enumerate(rates)}
-    slo = {cid: SLO_CLASSES[slo_names[i]] for i, cid in enumerate(offered)}
-    budget = budget_fraction * sum(offered.values())
-    plan = admission_control(
-        sorted(offered),
-        offered,
-        slo,
-        lambda admitted: sum(admitted.values()) <= budget,
+def linear_admit(candidates, relaxed, fits):
+    """Reference for :func:`admit`: the smallest relaxation-feasible state
+    found by a linear scan instead of a bisection."""
+    if fits(0):
+        return 0
+    k = next(
+        (k for k in range(1, len(candidates)) if relaxed(k)), len(candidates)
     )
+    while k < len(candidates):
+        if fits(k):
+            return k
+        k = candidates.shed_next(k)
+    return None
+
+
+def _assert_cheapest_first(candidates, offered, slo, k):
+    """State ``k``'s shed set is a prefix of the canonical victim order,
+    with at most one degraded class: the next victim."""
     order = shed_order(sorted(offered), offered, slo)
-    verdicts = {d.class_id: d.action for d in plan.decisions}
-    shed = [cid for cid in order if verdicts[cid] == SHED]
-    degraded = [cid for cid in order if verdicts[cid] == DEGRADE]
-    # Shed set is a prefix of the canonical victim order.
-    assert shed == order[: len(shed)]
-    # At most one degraded class, and it is the next victim in order.
+    shed, rates = candidates[k]
+    degraded = [cid for cid in order if cid in rates and rates[cid] < offered[cid]]
+    assert list(shed) == order[: len(shed)]
     assert len(degraded) <= 1
     if degraded:
         assert order.index(degraded[0]) == len(shed)
-    # A feasible plan really is feasible under the oracle's own bound.
-    if plan.feasible:
-        assert sum(plan.admitted_rates().values()) <= budget + 1e-9
+    assert rates  # shedding every class is never a verdict
+
+
+_RATES = st.lists(st.floats(min_value=0.5, max_value=100.0), min_size=1, max_size=8)
+_SLOS = st.lists(st.sampled_from(sorted(SLO_CLASSES)), min_size=8, max_size=8)
+
+
+def _candidates(rates, slo_names):
+    offered = {f"c{i}": r for i, r in enumerate(rates)}
+    slo = {cid: SLO_CLASSES[slo_names[i]] for i, cid in enumerate(offered)}
+    order = shed_order(sorted(offered), offered, slo)
+    victims = [(cid, slo[cid].degrade_floor) for cid in order]
+    return offered, slo, Candidates(offered, victims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rates=_RATES, slo_names=_SLOS, budget_fraction=st.floats(0.0, 1.2))
+def test_shedding_is_strictly_cheapest_first(rates, slo_names, budget_fraction):
+    offered, slo, candidates = _candidates(rates, slo_names)
+    budget = budget_fraction * sum(offered.values())
+
+    def feasible(k):
+        return sum(candidates[k][1].values()) <= budget
+
+    k = admit(candidates, feasible, feasible)
+    if k is None:
+        # Nothing but shedding every class fits.
+        assert not any(map(feasible, range(len(candidates))))
+        return
+    _assert_cheapest_first(candidates, offered, slo, k)
+    # The adopted verdict really is feasible, and the first one that is.
+    assert feasible(k)
+    assert not any(map(feasible, range(k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rates=_RATES, slo_names=_SLOS)
+def test_admit_bisects_the_relaxation_like_a_linear_walk(data, rates, slo_names):
+    """A monotone relaxation (infeasible below a threshold state) and a
+    ``fits`` that accepts any subset of the relaxation-feasible states:
+    the bisection adopts what a linear walk does, probing the relaxation
+    at most ⌈log2 n⌉ + 1 times, cheapest-first."""
+    offered, slo, candidates = _candidates(rates, slo_names)
+    n = len(candidates)
+    threshold = data.draw(st.integers(0, n), label="threshold")
+    placeable = data.draw(
+        st.sets(st.integers(threshold, max(threshold, n - 1))), label="placeable"
+    )
+    probes = []
+
+    def relaxed(k):
+        probes.append(k)
+        return k >= threshold
+
+    def fits(k):
+        assert k == 0 or k >= threshold  # confirms are relaxation-feasible
+        return k in placeable
+
+    k = admit(candidates, relaxed, fits)
+    assert k == linear_admit(candidates, lambda k: k >= threshold, fits)
+    assert len(probes) <= math.ceil(math.log2(n)) + 1 if n > 1 else not probes
+    if k is not None:
+        _assert_cheapest_first(candidates, offered, slo, k)

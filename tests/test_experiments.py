@@ -144,18 +144,24 @@ _CHAOS_SOUTHBOUND = [
 ]
 
 #: Per ``flash-crowd --quick --seed 1`` amplitude (2x, 8x), the elastic
-#: shedding chain: verdicts the elastic loop submitted (``_act`` calls),
-#: verdicts the worker refused (each one re-submitted with one more class
-#: shed), tenant ops that placed (``TenantWorker.solve``) and the
-#: ``OptimizationEngine.place()`` calls they made: one each, since
-#: make-before-break is a row of the model, not a re-solve loop.  The
-#: chains were 2 / 0 / 2 / 4 and 296 / 290 / 293 / 521 while the worker
-#: re-solved with lowered budgets: a re-plan solved against the running
-#: instances fits beside them far more often (the 49 refusals left at 8x
-#: are models the live pool cannot hold beside the incumbent).
+#: admission chain: verdicts the elastic loop submitted (``_act`` calls),
+#: verdicts the worker refused, ``OptimizationEngine.place()`` calls the
+#: worker made, and per overload (an op whose admit-all state ``place()``
+#: refused) the LP relaxation probes of the bisection, the ``place()``
+#: calls (admit-all, the first confirm, then one per refused confirm) and
+#: the confirms refused although their relaxation is feasible (each one a
+#: "rounding repair gave up" refusal).  The chain was 52 / 49 / 52 at 8x
+#: while each refusal came back as a new verdict with one more class shed;
+#: the worker now asks the model's relaxation inside one op.
 _FLASH_CHAIN = [
-    {"verdicts": 1, "refused": 0, "placing ops": 1, "place() calls": 1},
-    {"verdicts": 52, "refused": 49, "placing ops": 52, "place() calls": 52},
+    {"verdicts": 1, "refused": 0, "place() calls": 1, "overloads": []},
+    {
+        "verdicts": 3, "refused": 0, "place() calls": 45,
+        "overloads": [
+            {"probes": 8, "place() calls": 36, "repair refusals": 34},
+            {"probes": 8, "place() calls": 8, "repair refusals": 6},
+        ],
+    },
 ]
 
 
@@ -165,9 +171,9 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     (``flash-crowd`` signatures), each re-planning through the tenant
     worker that adopted the controller's day-0 deployment; every run's
     southbound metrics dict, read from the same runs; and per flash-crowd
-    amplitude the length of the elastic shedding chain (see
-    ``_FLASH_CHAIN``).  A deliberate change updates them here."""
-    from repro.core.engine import OptimizationEngine
+    amplitude the elastic admission chain (see ``_FLASH_CHAIN``).  A
+    deliberate change updates them here."""
+    from repro.core.engine import OptimizationEngine, PlacementError
     from repro.elastic.loop import ElasticController
     from repro.experiments import failure_recovery, flash_crowd, southbound_chaos
     from repro.experiments.scenario import World
@@ -175,8 +181,10 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
 
     chain = Counter()
     act, finished = ElasticController._act, ElasticController.finished
-    solve, place = TenantWorker.solve, OptimizationEngine.place
-    solving = []
+    admit, place = TenantWorker._admit, OptimizationEngine.place
+    relaxed = OptimizationEngine.relaxation_feasible
+    ops = []  # per worker op: [probes, place() calls, refusal reasons]
+    in_op = []  # the op being admitted, if any
 
     def counting_act(elastic, *args, **kwargs):
         chain["verdicts"] += 1
@@ -186,22 +194,51 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
         chain["refused"] += outcome is None
         return finished(elastic, record, outcome)
 
-    def counting_solve(worker, *args, **kwargs):
-        chain["placing ops"] += 1
-        solving.append(True)
+    def counting_admit(worker, *args, **kwargs):
+        ops.append([0, 0, []])
+        in_op.append(ops[-1])
         try:
-            return solve(worker, *args, **kwargs)
+            return admit(worker, *args, **kwargs)
         finally:
-            solving.pop()
+            in_op.pop()
 
     def counting_place(engine, *args, **kwargs):
-        chain["place() calls"] += bool(solving)
-        return place(engine, *args, **kwargs)
+        for op in in_op:
+            op[1] += 1
+        try:
+            return place(engine, *args, **kwargs)
+        except PlacementError as exc:
+            for op in in_op:
+                op[2].append(str(exc))
+            raise
+
+    def counting_relaxed(engine, *args, **kwargs):
+        in_op[-1][0] += 1
+        return relaxed(engine, *args, **kwargs)
 
     monkeypatch.setattr(ElasticController, "_act", counting_act)
     monkeypatch.setattr(ElasticController, "finished", counting_finished)
-    monkeypatch.setattr(TenantWorker, "solve", counting_solve)
+    monkeypatch.setattr(TenantWorker, "_admit", counting_admit)
     monkeypatch.setattr(OptimizationEngine, "place", counting_place)
+    monkeypatch.setattr(OptimizationEngine, "relaxation_feasible", counting_relaxed)
+
+    def admission_chain():
+        overloads = []
+        for probes, calls, reasons in ops:
+            if not probes:
+                continue
+            # The admit-all state's refusal is not a confirm.
+            confirms = reasons[1:]
+            assert all(r.startswith("rounding repair gave up") for r in confirms)
+            overloads.append(
+                {"probes": probes, "place() calls": calls,
+                 "repair refusals": len(confirms)}
+            )
+        return dict(
+            chain,
+            **{"place() calls": sum(op[1] for op in ops),
+               "overloads": overloads},
+        )
 
     southbound = []
     finish = World.finish
@@ -226,9 +263,11 @@ def test_pinned_quick_seed1_single_controller_tables(monkeypatch):
     signatures, chains = [], []
     for amplitude in (2.0, 8.0):
         chain.clear()
+        ops.clear()
         signatures.append(flash_crowd._flash_row(amplitude, seed=1, quick=True)[1])
-        chains.append(dict(chain))
-    assert signatures == ["2cb9a5447d49d5b1", "b7c91e758d199390"]
+        chains.append(admission_chain())
+    # 8x: placement_failures 49 -> 0 (one verdict per overload).
+    assert signatures == ["2cb9a5447d49d5b1", "57719d8e9389b021"]
     assert chains == _FLASH_CHAIN
     assert southbound == _CHAOS_SOUTHBOUND
 

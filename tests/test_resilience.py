@@ -130,8 +130,12 @@ def test_intent_payload_round_trips_every_kind():
         ScaleChain("t0", chain_id="c0", factor=1.5),
         DeleteChain("t0", chain_id="c0"),
         Replan("t0"),
-        Replan("t0", shed=(), rates=(("t0/c0", 40.125),)),
-        Replan("t0", shed=("t0/c1",), rates=(("t0/c0", 40.125),)),
+        Replan("t0", rates=(("t0/c0", 40.125),)),
+        Replan(
+            "t0",
+            rates=(("t0/c0", 40.125), ("t0/c1", 12.5)),
+            victims=(("t0/c1", 0.25), ("t0/c0", 1.0)),
+        ),
     ]
     for intent in intents:
         clone = intent_from_payload(intent_to_payload(intent))

@@ -74,8 +74,15 @@ def test_intent_validation_rejects_malformed():
         ScaleChain("t", chain_id="c", factor=0.0),
         DeleteChain("t", chain_id=""),
         Replan(""),
-        Replan("t", rates=(("t/c", 10.0),)),  # rates without a verdict
-        Replan("t", shed=(), rates=(("t/c", float("nan")),)),
+        Replan("t", victims=(("t/c", 0.5),)),  # victims without rates
+        Replan("t", rates=(("t/c", float("nan")),)),
+        Replan("t", rates=(("t/c", 0.0),)),
+        Replan("t", rates=(("t/c", 10.0),), victims=(("t/d", 0.5),)),
+        Replan("t", rates=(("t/c", 10.0),), victims=(("t/c", 0.5),) * 2),
+        *(
+            Replan("t", rates=(("t/c", 10.0),), victims=(("t/c", floor),))
+            for floor in (0.0, 1.5, -0.25, float("nan"))
+        ),
     ]
     for intent in cases:
         with pytest.raises(IntentValidationError):
