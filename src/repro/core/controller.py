@@ -136,10 +136,11 @@ class AppleController:
     def attach_southbound(self, fabric: "SouthboundFabric") -> None:
         """Adopt the current deployment into a southbound fabric.
 
-        The initial install goes through the cold path (:meth:`deploy`);
-        the fabric blesses the result as its desired epoch 0 — a no-op on
-        the wire — and every later rule change then flows through acked,
-        transactional southbound pushes.
+        Day 0 (:meth:`deploy`) wrote the rendered rules through the
+        southbound applier directly, with no message; the fabric blesses
+        that rendered state as its desired epoch 0 — a no-op on the wire —
+        and every later rule change then flows through acked, transactional
+        southbound pushes to the same applier.
         """
         if self.deployment is None:
             raise RuntimeError("deploy a placement before attaching southbound")

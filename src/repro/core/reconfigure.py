@@ -9,7 +9,7 @@ it; crash recovery's rebuild uses :func:`realize` and :func:`bootstrap`,
 then re-adopts the harvested network through the worker.
 
 * :func:`realize` — plan → (sub-class plan, generated rules);
-* :func:`bootstrap` — day 0: the one cold install onto a fresh, empty
+* :func:`bootstrap` — day 0: the rules written onto a fresh, empty
   network (the state a southbound fabric then ``adopt``s as epoch 0);
 * :func:`commit` — every later change: one ``push_desired`` on the
   southbound fabric, with **exactly one** :class:`Outcome` per epoch, at
@@ -17,8 +17,9 @@ then re-adopts the harvested network through the worker.
   superseded: committing while an epoch is open is an
   :class:`EpochOpenError`.
 
-After epoch 0 nothing here (or in any caller) touches a switch: the only
-writer of a live network is a ``SwitchAgent`` applying an acked message.
+After epoch 0 nothing here (or in any caller) touches a switch: the one
+rule writer, :func:`repro.southbound.channel.apply_ops`, is reached only by
+a ``SwitchAgent`` applying an acked message.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def bootstrap(
     rules: GeneratedRules,
     sim: Optional[Simulator] = None,
 ) -> Deployment:
-    """Day 0: cold-install realised rules onto a fresh data plane."""
+    """Day 0: write realised rules onto a fresh data plane."""
     network = DataPlaneNetwork(topo)
     instances = rulegen.install(rules, network, plan.classes, sim=sim)
     return Deployment(plan, subclass_plan, rules, network, instances)

@@ -11,17 +11,15 @@ produces:
   through the consecutive local instances of their sequence, then tagging
   the next host ID (or FIN).
 
-:meth:`RuleGenerator.install` applies everything to a
-:class:`~repro.dataplane.network.DataPlaneNetwork`, creating concrete
-:class:`~repro.vnf.instance.VNFInstance` objects for the plan's logical
-instance slots when the caller does not supply its own (e.g. orchestrator-
-launched) instances.
+The rows are data: :func:`repro.southbound.state.render_desired` lays
+them out as entries and :func:`repro.southbound.channel.apply_ops` writes
+them, at day 0 (:meth:`RuleGenerator.install`) as in every later epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.subclasses import Subclass, SubclassPlan
@@ -34,6 +32,9 @@ from repro.sim.kernel import Simulator
 from repro.traffic.classes import TrafficClass
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFTypeCatalog
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.southbound.state import NetworkState
 
 
 @dataclass
@@ -49,6 +50,9 @@ class GeneratedRules:
     origin_rules: Dict[str, List[Tuple[str, Tuple[float, float], int, str]]] = field(
         default_factory=dict
     )
+    #: The state (no versions) :meth:`RuleGenerator.install` rendered and
+    #: wrote: a fabric adopting the day-0 network takes it, not a re-render.
+    day0_state: Optional["NetworkState"] = field(default=None, repr=False, compare=False)
 
     def classification_rule_count(self) -> int:
         """Logical classification rules across all switches (ingress only)."""
@@ -56,7 +60,7 @@ class GeneratedRules:
 
 
 class RuleGenerator:
-    """Computes and installs data-plane rules for a sub-class plan.
+    """Computes data-plane rules for a sub-class plan, and installs day 0.
 
     Args:
         catalog: NF datasheets (to materialise instances at install time).
@@ -214,37 +218,30 @@ class RuleGenerator:
         classes: Sequence[TrafficClass],
         sim: Optional[Simulator] = None,
     ) -> Dict[str, VNFInstance]:
-        """Cold-install generated rules onto an empty data-plane network,
-        creating every instance they reference.
-
-        The day-0 path only (:func:`repro.core.reconfigure.bootstrap`):
-        every later change to a live network is a southbound epoch.
+        """Day 0 (:func:`repro.core.reconfigure.bootstrap`): register the
+        class paths, create every instance the rules reference, render the
+        desired state with no versions (kept as ``rules.day0_state``) and
+        write each switch's whole slice with the southbound applier: no
+        diff, no message, no sim time.
 
         Returns:
             The full instance map keyed by ref key.
         """
+        # Imported here: the southbound package renders GeneratedRules.
+        from repro.southbound.channel import apply_ops
+        from repro.southbound.state import render_desired, slice_ops
+
         for cls in classes:
             network.register_class_path(cls.class_id, cls.path)
 
         inst_map = self.materialize_instances(rules, network, sim=sim)
 
-        for switch, rule_list in rules.vswitch_rules.items():
-            vsw = network.vswitch_at(switch)
-            for class_id, sub_id, rule in rule_list:
-                vsw.install_rule(class_id, sub_id, rule)
-
-        for switch, origin_list in rules.origin_rules.items():
-            vsw = network.vswitch_at(switch)
-            for class_id, hash_range, sub_id, first_host in origin_list:
-                vsw.install_origin_rule(class_id, hash_range, sub_id, first_host)
-
-        for switch_name, sw in network.switches.items():
-            rule_set = rules.switch_rule_sets.get(switch_name)
-            if rule_set is not None:
-                rule_set.apply(sw)
-            else:
-                sw.table.clear()
-                sw.install_pass_by()
+        switches = sorted(network.switches)
+        state = rules.day0_state = render_desired(
+            switches, sorted(network.vswitches), rules, classes, {}, {}
+        )
+        for switch in switches:
+            apply_ops(network, switch, slice_ops(state, switch))
 
         if obs.REGISTRY.enabled:
             obs.metric("controller_installs_total").inc()

@@ -205,7 +205,7 @@ class DataPlaneNetwork:
         #: failure overlay below, move it when they change.
         self.epoch = RuleEpoch()
         self.switches: Dict[str, PhysicalSwitch] = {
-            s: PhysicalSwitch(s, has_host=s in topo.hosts, epoch=self.epoch)
+            s: PhysicalSwitch(s, epoch=self.epoch)
             for s in topo.switches
         }
         self.vswitches: Dict[str, VSwitch] = {

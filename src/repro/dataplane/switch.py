@@ -7,6 +7,11 @@ either divert it into the local host or tag the next host ID and pass it
 on); otherwise pass through to the next table, where the rules of other
 applications (routing, traffic engineering) forward it unchanged —
 interference freedom in action.
+
+A switch's APPLE table is written only from entry specs, by the southbound
+applier (:func:`repro.southbound.channel.apply_ops`), at day 0 and on
+every push alike; this module holds the pipeline, the Table III
+priorities and the spec of a classification row.
 """
 
 from __future__ import annotations
@@ -39,13 +44,14 @@ def pass_by_entry(switch_name: str) -> TcamEntry:
 
     One shared entry per switch name: an installed entry is immutable (see
     :class:`~repro.dataplane.tcam.TcamEntry`), and every network of a
-    topology — one per tenant — installs the same catch-all at each switch.
+    topology — one per tenant — installs the same catch-all at each switch
+    (:meth:`TcamEntry.from_spec` of its spec returns this object).
     """
     return TcamEntry(
         priority=PRIORITY_PASS_BY,
         action=Action(ActionKind.GOTO_NEXT_TABLE),
         name=f"{switch_name}/pass-by",
-    )
+    ).share()
 
 
 @cache
@@ -59,31 +65,7 @@ def host_match_entry(switch_name: str) -> TcamEntry:
         action=Action(ActionKind.FORWARD_TO_HOST),
         host_tag_is=switch_name,
         name=f"{switch_name}/host-match",
-    )
-
-
-def classification_entry(
-    switch_name: str,
-    class_id: str,
-    hash_range: tuple,
-    subclass_id: int,
-    first_host: str,
-) -> TcamEntry:
-    """Ingress classification entry for one sub-class (Table III rows 2–3)."""
-    # One per sub-class on every install: positional arguments, the
-    # cheaper call (fields as in Action and TcamEntry).
-    if first_host == switch_name:
-        action = Action(_TAG_SUBCLASS_AND_FORWARD_TO_HOST, subclass_id)
-    else:
-        action = Action(_TAG_SUBCLASS_AND_HOST, subclass_id, first_host)
-    return TcamEntry(
-        PRIORITY_CLASSIFICATION,
-        action,
-        "EMPTY",
-        class_id,
-        hash_range,
-        f"{switch_name}/classify/{class_id}#{subclass_id}",
-    )
+    ).share()
 
 
 def classification_spec(
@@ -93,12 +75,14 @@ def classification_spec(
     subclass_id: int,
     first_host: str,
 ) -> tuple:
-    """:func:`classification_entry`'s :attr:`TcamEntry.spec`, no entry built.
+    """Ingress classification of one sub-class (Table III rows 2–3), as the
+    :attr:`~repro.dataplane.tcam.TcamEntry.spec` it is written from.
 
-    A desired-state render lists one per sub-class on every push; the cold
-    install keeps building entries directly, so an installed entry carries
-    no spec until one is read (``tests/test_southbound_differential.py``
-    holds the two equal through the render).
+    If the first processing host is local, the entry tags the sub-class and
+    diverts the packet immediately; otherwise it also tags the next host ID
+    and passes the packet to the routing table.  A desired-state render
+    lists one per sub-class; the entry itself is built only where the spec
+    is applied (:meth:`TcamEntry.from_spec`), at day 0 and on every push.
     """
     if first_host == switch_name:
         kind, next_host = _TAG_AND_FORWARD_VALUE, None
@@ -151,48 +135,14 @@ class PhysicalSwitch:
 
     Args:
         name: switch identifier (matches the topology node).
-        has_host: whether an APPLE host hangs off this switch.
         epoch: the network-wide rule epoch the table reports mutations to.
     """
 
-    def __init__(
-        self, name: str, has_host: bool = True, epoch: Optional[RuleEpoch] = None
-    ) -> None:
+    def __init__(self, name: str, epoch: Optional[RuleEpoch] = None) -> None:
         self.name = name
-        self.has_host = has_host
         self.table = TcamTable(name=f"{name}/table0", epoch=epoch)
         self.port_counters: Dict[str, int] = {}
         self.packets_seen = 0
-
-    # ------------------------------------------------------------------
-    def install_pass_by(self) -> None:
-        """The lowest-priority catch-all sending packets to the next table."""
-        self.table.install(pass_by_entry(self.name))
-
-    def install_host_match(self) -> None:
-        """Host-match rule: packets tagged for this switch's host divert in."""
-        if not self.has_host:
-            raise ValueError(f"switch {self.name!r} has no APPLE host")
-        self.table.install(host_match_entry(self.name))
-
-    def install_classification(
-        self,
-        class_id: str,
-        hash_range: tuple,
-        subclass_id: int,
-        first_host: str,
-    ) -> None:
-        """Ingress classification for one sub-class (Table III rows 2–3).
-
-        If the first processing host is local, the entry tags the sub-class
-        and diverts the packet immediately; otherwise it also tags the next
-        host ID and passes the packet to the routing table.
-        """
-        self.table.install(
-            classification_entry(
-                self.name, class_id, hash_range, subclass_id, first_host
-            )
-        )
 
     # ------------------------------------------------------------------
     def process(self, packet: Packet, count_port: Optional[str] = None) -> SwitchDecision:
@@ -227,25 +177,14 @@ class PhysicalSwitch:
 
 @dataclass
 class SwitchRuleSet:
-    """Declarative rules for one switch, installable in one shot.
+    """The Rule Generator's Table III rows for one switch (data only).
 
-    Produced by the Rule Generator; applying it replaces the switch's APPLE
-    table contents (rule updates are atomic per switch in the prototype).
+    Whether the switch's host is in use (host match) and the ingress
+    classification rows; :func:`repro.southbound.state.render_desired`
+    turns them into the entry specs a switch is written from.
     """
 
     switch: str
     host_match: bool = False
     classifications: List[tuple] = field(default_factory=list)
     # each: (class_id, hash_range, subclass_id, first_host)
-
-    def apply(self, switch: PhysicalSwitch) -> None:
-        if switch.name != self.switch:
-            raise ValueError(
-                f"rule set for {self.switch!r} applied to {switch.name!r}"
-            )
-        switch.table.clear()
-        if self.host_match:
-            switch.install_host_match()
-        for class_id, hash_range, subclass_id, first_host in self.classifications:
-            switch.install_classification(class_id, hash_range, subclass_id, first_host)
-        switch.install_pass_by()

@@ -32,6 +32,7 @@ An entry's canonical 8-tuple (:attr:`TcamEntry.spec`, the southbound wire
 form) is computed once per entry and kept in a slot, and an entry built
 from a spec (:meth:`TcamEntry.from_spec`) keeps that very tuple, so reading
 a table back and comparing it with the specs it was written from is cheap.
+A spec of a :meth:`shared <TcamEntry.share>` entry gives back that object.
 Entries and actions are slotted: no instance ``__dict__``.
 """
 
@@ -141,11 +142,14 @@ class TcamEntry:
 
     @staticmethod
     def from_spec(spec: tuple) -> "TcamEntry":
-        """The entry whose :attr:`spec` is ``spec`` (that very tuple)."""
+        """The entry whose :attr:`spec` is ``spec`` (that very tuple), or the
+        one :meth:`shared <share>` entry with that spec."""
         name, priority, host_tag_is, class_id, hash_range, kind, sub_id, nxt = spec
         if hash_range is not None and type(hash_range) is not tuple:
             hash_range = tuple(hash_range)
             spec = (name, priority, host_tag_is, class_id, hash_range, kind, sub_id, nxt)
+        elif class_id is None and spec in _SHARED:  # (shared entries match no class)
+            return _SHARED[spec]
         entry = TcamEntry(
             priority,
             Action(_ACTION_KINDS[kind], sub_id, nxt),
@@ -157,9 +161,18 @@ class TcamEntry:
         entry._spec = spec
         return entry
 
+    def share(self) -> "TcamEntry":
+        """Make this entry, which matches no class, the one :meth:`from_spec`
+        returns for its spec: one object in every table that holds it."""
+        _SHARED[self.spec] = self
+        return self
+
 
 #: Action kind by its value (the spec's action field).
 _ACTION_KINDS = {kind.value: kind for kind in ActionKind}
+
+#: Shared entries by spec (:meth:`TcamEntry.share`).
+_SHARED: Dict[tuple, TcamEntry] = {}
 
 
 @lru_cache(maxsize=1024)

@@ -1,9 +1,11 @@
-"""The per-switch control channel: agent, loss model, retry machinery.
+"""The per-switch control channel: rule writer, agent, loss model, retries.
 
-One :class:`SwitchAgent` + :class:`ControlChannel` pair exists per
+:func:`apply_ops` is the one writer of APPLE rules, at day 0 (straight
+from the rendered state) and inside every acked message after it.  One
+:class:`SwitchAgent` + :class:`ControlChannel` pair exists per
 physical switch.  The agent is the switch-resident half: it applies op
-bundles to the switch's TCAM and its host's vSwitch, exactly once per
-cookie (the message's identity, see :mod:`repro.southbound.messages`),
+bundles exactly once per cookie (the message's identity, see
+:mod:`repro.southbound.messages`),
 rejecting superseded epochs.  Ops arrive checked (a
 :class:`ControlMessage` with a malformed op cannot be built), so a bundle
 is applied whole; a ``classify_sync`` is one table mutation
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Sequence
 
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.tcam import TcamEntry
@@ -58,10 +60,63 @@ RESULT_FAILED = "failed"
 
 #: Op kinds applied to the switch's host vSwitch.
 _VSWITCH_OPS = frozenset({"vsw_put", "vsw_del", "origin_sync"})
+#: Op kinds that carry the paths of the classes they reclassify.
+_SYNC_OPS = frozenset({"classify_sync", "origin_sync"})
+
+
+def apply_ops(
+    network: DataPlaneNetwork,
+    switch: str,
+    ops: Sequence[tuple],
+    on_paths: Optional[Callable[[tuple], None]] = None,
+) -> int:
+    """Apply well-formed ``ops`` in order to ``switch``'s TCAM table and
+    host vSwitch; a sync op registers the paths it carries where they
+    changed and hands them to ``on_paths``.  Returns the ops applied (a
+    ``vsw_put`` naming an instance the vSwitch lacks is skipped)."""
+    table = network.switches[switch].table
+    vsw = None
+    applied = 0
+    for op in ops:
+        kind = op[0]
+        if vsw is None and kind in _VSWITCH_OPS:
+            vsw = network.vswitch_at(switch)
+        if kind == "vsw_put":
+            try:
+                vsw.install_rule(op[1], op[2], VSwitchRule(tuple(op[3]), op[4]))
+            except KeyError:
+                # An instance died between desired-state render and apply
+                # (e.g. a VNF crash raced the repair).  Skip: the drift
+                # stays visible to the reconciler, and recovery's next push
+                # stops referencing the dead instance.
+                continue
+        elif kind == "vsw_del":
+            vsw.remove_rule(op[1], op[2])
+        elif kind == "classify_sync":
+            # The atomic swap: all classification entries of this switch
+            # and the registered paths of the classes ingressing here
+            # change in one sim event (an OpenFlow bundle in miniature).
+            table.sync_prefix(f"{switch}/classify/", op[1])
+        elif kind == "tcam_put":
+            table.replace(TcamEntry.from_spec(op[1]))
+        elif kind == "tcam_del":
+            table.remove_by_name(op[1])
+        else:  # "origin_sync": no other kind is well formed
+            vsw.clear_origin_rules()
+            for class_id, hash_range, sub_id, first_host in op[1]:
+                vsw.install_origin_rule(class_id, tuple(hash_range), sub_id, first_host)
+        if kind in _SYNC_OPS:
+            for class_id, path in op[2]:
+                if network.class_paths.get(class_id) != tuple(path):
+                    network.register_class_path(class_id, path)
+            if on_paths is not None and op[2]:
+                on_paths(op[2])
+        applied += 1
+    return applied
 
 
 class SwitchAgent:
-    """Switch-resident op applier with idempotency + epoch fencing.
+    """Switch-resident message receiver with idempotency + epoch fencing.
 
     Args:
         on_paths_applied: called with the ``paths`` tuple of an applied
@@ -81,7 +136,6 @@ class SwitchAgent:
         self.current_epoch = -1
         self.applied_cookies: set = set()
         self.ops_applied = 0
-        self._classify_prefix = f"{switch}/classify/"
 
     def receive(self, msg: ControlMessage) -> Ack:
         """Apply a message exactly once; returns the ack to send back."""
@@ -94,51 +148,11 @@ class SwitchAgent:
             self.applied_cookies.clear()
         if msg.cookie in self.applied_cookies:
             return Ack(msg.cookie, ACK_DUPLICATE)
-        network = self.network
-        table = network.switches[self.switch].table
-        vsw = None
-        for op in msg.ops:
-            kind = op[0]
-            if vsw is None and kind in _VSWITCH_OPS:
-                vsw = network.vswitch_at(self.switch)
-            if kind == "vsw_put":
-                try:
-                    vsw.install_rule(op[1], op[2], VSwitchRule(tuple(op[3]), op[4]))
-                except KeyError:
-                    # An instance died between desired-state render and
-                    # apply (e.g. a VNF crash raced the repair).  Skip: the
-                    # drift stays visible to the reconciler, and recovery's
-                    # next push stops referencing the dead instance.
-                    continue
-            elif kind == "vsw_del":
-                vsw.remove_rule(op[1], op[2])
-            elif kind == "classify_sync":
-                # The atomic swap: all classification entries of this switch
-                # and the registered paths of the classes ingressing here
-                # change in one sim event (an OpenFlow bundle in miniature).
-                table.sync_prefix(self._classify_prefix, op[1])
-                self._register_paths(op[2])
-            elif kind == "tcam_put":
-                table.replace(TcamEntry.from_spec(op[1]))
-            elif kind == "tcam_del":
-                table.remove_by_name(op[1])
-            else:  # "origin_sync": a ControlMessage holds no other kind
-                vsw.clear_origin_rules()
-                for class_id, hash_range, sub_id, first_host in op[1]:
-                    vsw.install_origin_rule(
-                        class_id, tuple(hash_range), sub_id, first_host
-                    )
-                self._register_paths(op[2])
-            self.ops_applied += 1
+        self.ops_applied += apply_ops(
+            self.network, self.switch, msg.ops, self.on_paths_applied
+        )
         self.applied_cookies.add(msg.cookie)
         return Ack(msg.cookie, ACK_APPLIED)
-
-    def _register_paths(self, paths: tuple) -> None:
-        for class_id, path in paths:
-            if self.network.class_paths.get(class_id) != tuple(path):
-                self.network.register_class_path(class_id, path)
-        if self.on_paths_applied is not None and paths:
-            self.on_paths_applied(paths)
 
 
 @dataclass

@@ -5,9 +5,9 @@ switches (one per switch, built when the switch is first addressed) and
 the single *desired* :class:`~repro.southbound.state.NetworkState`.
 State changes flow through exactly one door:
 
-* :meth:`adopt` — bless the network's current (cold-installed, day-0)
-  state as desired epoch 0 without pushing anything, so enabling the
-  fabric on an already-deployed network is a no-op on the wire.
+* :meth:`adopt` — bless the network's day-0 state as desired epoch 0
+  without pushing anything, so enabling the fabric on an
+  already-deployed network is a no-op on the wire.
 * :meth:`push_desired` — render a new desired state from fresh
   :class:`~repro.core.rulegen.GeneratedRules` (bumping per-class
   versions where content changed), open a new epoch, and drive a
@@ -191,9 +191,9 @@ class SouthboundFabric:
         classes: Sequence[TrafficClass],
         instances: Optional[Dict[str, VNFInstance]] = None,
     ) -> None:
-        """Bless the cold-installed day-0 state (:func:`repro.core.reconfigure
-        .bootstrap`) as desired epoch 0, converged by construction: a
-        :meth:`restore` with no versions at epoch 0."""
+        """Bless the day-0 state (:func:`repro.core.reconfigure.bootstrap`)
+        as desired epoch 0, converged by construction: a :meth:`restore`
+        with no versions at epoch 0."""
         self.restore(rules, classes, dict(instances or {}), {}, 0, 0)
 
     def push_desired(
@@ -374,9 +374,11 @@ class SouthboundFabric:
         never-crashed run).  Nothing is pushed here; the periodic
         reconciler diffs the surviving installed state against this
         desired state and repairs only the drift — never a blind
-        reinstall.  Fresh :class:`SwitchAgent`s start at epoch -1 with
-        empty cookie sets, so a restored epoch >= 0 is always accepted —
-        the recovery analogue of a Kafka-style generation reset.
+        reinstall (with no versions, the state day 0 rendered,
+        ``rules.day0_state``, is taken as is).  Fresh
+        :class:`SwitchAgent`s start at epoch -1 with empty cookie sets, so a
+        restored epoch >= 0 is always accepted — the recovery analogue of a
+        Kafka-style generation reset.
         """
         self._wake()
         self.instances = self.rulegen.materialize_instances(
@@ -384,14 +386,16 @@ class SouthboundFabric:
         )
         self._fingerprints = class_fingerprints(rules, classes)
         self.versions = {cid: int(v) for cid, v in versions.items()}
-        self.desired = render_desired(
-            sorted(self.network.switches),
-            sorted(self.network.vswitches),
-            rules,
-            classes,
-            {},
-            self.versions,
-        )
+        self.desired = rules.day0_state
+        if self.desired is None or self.versions:
+            self.desired = render_desired(
+                sorted(self.network.switches),
+                sorted(self.network.vswitches),
+                rules,
+                classes,
+                {},
+                self.versions,
+            )
         self.active_paths = {c.class_id: tuple(c.path) for c in classes}
         self.epoch = int(epoch)
         self.converged_epoch = int(converged_epoch)

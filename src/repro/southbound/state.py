@@ -1,7 +1,11 @@
 """Desired vs installed data-plane state: rendering, reading, diffing.
 
-The fabric's reconciler and its transactional installer share one
-diff engine: *desired* state is rendered from
+:func:`render_desired` is the one layout of Table III: every rule is
+rendered here as a spec and written by
+:func:`~repro.southbound.channel.apply_ops`, at day 0 a whole slice at a
+time (:func:`slice_ops`).  After that, the fabric's
+reconciler and its transactional installer share one diff engine:
+*desired* state is rendered from
 :class:`~repro.core.rulegen.GeneratedRules` (plus quarantine entries for
 stranded classes), *installed* state is read back from the live
 :class:`~repro.dataplane.network.DataPlaneNetwork`, and the per-switch
@@ -245,6 +249,22 @@ def render_desired(
     for cls in classes:
         state.paths[cls.class_id] = tuple(cls.path)
     return state
+
+
+def slice_ops(state: NetworkState, s: str) -> List[tuple]:
+    """Ops writing ``state``'s slice at ``s`` onto a switch holding none of
+    it (day 0: no diff): puts, then one ``classify_sync`` in render order.
+    Paths ride no op: day 0 registers them first."""
+    prefix = _classify_prefix(s)
+    specs = state.tcam.get(s, _NO_RULES).values()
+    ops = [("tcam_put", spec) for spec in specs if not spec[0].startswith(prefix)]
+    classify = tuple([spec for spec in specs if spec[0].startswith(prefix)])
+    ops.append(("classify_sync", classify, ()))
+    for (class_id, sub_id), (ids, tag) in state.vsw.get(s, _NO_RULES).items():
+        ops.append(("vsw_put", class_id, sub_id, ids, tag))
+    if state.origin.get(s):
+        ops.append(("origin_sync", state.origin[s], ()))
+    return ops
 
 
 def _read_table(table: TcamTable) -> Dict[str, EntrySpec]:

@@ -357,7 +357,7 @@ class TenantWorker:
         target, _verdict, _incumbent, stranded, kept, realised = self._op
         self.chains = dict(target)
         if self.fabric is None:
-            # Day 0: cold install, adopted as the fabric's epoch 0.
+            # Day 0: written through the applier, adopted as epoch 0.
             deployment = bootstrap(
                 self.rulegen, self.orch.topo, *realised, sim=self.orch.sim
             )

@@ -8,6 +8,10 @@ module keeps the code it replaced verbatim, so
 
 * :func:`entry_spec` / :func:`spec_entry` — the canonical 8-tuple of a TCAM
   entry, recomputed from the entry's fields on every call;
+* :func:`pass_by_entry`, :func:`host_match_entry` and
+  :func:`classification_entry` — the Table III entries, encoded here
+  independently of the program (which writes its entries only from
+  ``render_desired``'s specs);
 * :func:`class_fingerprints` and :func:`render_desired` — desired state
   rendered by building a :class:`TcamEntry` per classification row and
   turning it back into a spec;
@@ -30,12 +34,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.rulegen import GeneratedRules
 from repro.dataplane.network import DataPlaneNetwork
-from repro.dataplane.switch import (
-    classification_entry,
-    host_match_entry,
-    pass_by_entry,
-    quarantine_entry,
-)
+from repro.dataplane.switch import quarantine_entry
 from repro.dataplane.tcam import Action, ActionKind, TcamEntry
 from repro.dataplane.vswitch import UPLINK, VSwitch, VSwitchRule
 from repro.southbound.messages import ACK_APPLIED, ACK_DUPLICATE, ACK_STALE
@@ -67,6 +66,44 @@ def spec_entry(spec: tuple) -> TcamEntry:
         class_id=class_id,
         hash_range=None if hash_range is None else tuple(hash_range),
         name=name,
+    )
+
+
+def pass_by_entry(switch: str) -> TcamEntry:
+    """Table III's catch-all: everything else goes to the next table."""
+    return TcamEntry(
+        priority=100,
+        action=Action(ActionKind.GOTO_NEXT_TABLE),
+        name=f"{switch}/pass-by",
+    )
+
+
+def host_match_entry(switch: str) -> TcamEntry:
+    """Table III's host match: packets tagged for this host divert in."""
+    return TcamEntry(
+        priority=300,
+        action=Action(ActionKind.FORWARD_TO_HOST),
+        host_tag_is=switch,
+        name=f"{switch}/host-match",
+    )
+
+
+def classification_entry(
+    switch: str, class_id: str, hash_range: tuple, sub_id: int, first_host: str
+) -> TcamEntry:
+    """Table III's ingress classification of one sub-class: tag it, then
+    divert to the local host or tag the first host and pass on."""
+    if first_host == switch:
+        action = Action(ActionKind.TAG_SUBCLASS_AND_FORWARD_TO_HOST, sub_id)
+    else:
+        action = Action(ActionKind.TAG_SUBCLASS_AND_HOST, sub_id, first_host)
+    return TcamEntry(
+        priority=200,
+        action=action,
+        host_tag_is="EMPTY",
+        class_id=class_id,
+        hash_range=hash_range,
+        name=f"{switch}/classify/{class_id}#{sub_id}",
     )
 
 

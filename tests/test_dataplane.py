@@ -12,6 +12,8 @@ from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import FIREWALL, IDS, NFType
 
+from tests.rule_tables import write_rule_sets
+
 
 def _packet(class_id="c1", h=0.3, src="s1", dst="s3", **kw):
     return Packet(class_id=class_id, flow_hash=h, src=src, dst=dst, **kw)
@@ -138,7 +140,6 @@ def test_unassigned_lookups_raise():
 # Physical switch (Table III semantics)
 # ---------------------------------------------------------------------------
 def _switch_with_rules():
-    sw = PhysicalSwitch("s1", has_host=True)
     rules = SwitchRuleSet(
         switch="s1",
         host_match=True,
@@ -147,8 +148,9 @@ def _switch_with_rules():
             ("c1", (0.5, 1.0), 1, "s2"),  # first host downstream → tag+pass
         ],
     )
-    rules.apply(sw)
-    return sw
+    net = _line_network()
+    write_rule_sets(net, [rules])
+    return net.switches["s1"]
 
 
 def test_classification_local_host_diverts():
@@ -182,20 +184,8 @@ def test_pass_by_for_other_traffic():
 
 
 def test_empty_table_behaves_as_pass_by():
-    sw = PhysicalSwitch("s9", has_host=False)
+    sw = PhysicalSwitch("s9")
     assert sw.process(_packet()) is SwitchDecision.FORWARD
-
-
-def test_host_match_requires_host():
-    sw = PhysicalSwitch("s9", has_host=False)
-    with pytest.raises(ValueError):
-        sw.install_host_match()
-
-
-def test_ruleset_switch_name_checked():
-    sw = PhysicalSwitch("s1")
-    with pytest.raises(ValueError):
-        SwitchRuleSet(switch="s2").apply(sw)
 
 
 def test_tcam_usage_counts_hardware_entries():
@@ -289,11 +279,11 @@ def test_network_walk_divert_and_deliver():
     vsw = net.vswitch_at("s2")
     vsw.register_instance(inst)
     vsw.install_rule("c1", 0, VSwitchRule(("m[0]@s2",), exit_host_tag=FIN))
-    SwitchRuleSet(
-        switch="s1", host_match=False, classifications=[("c1", (0.0, 1.0), 0, "s2")]
-    ).apply(net.switches["s1"])
-    SwitchRuleSet(switch="s2", host_match=True).apply(net.switches["s2"])
-    SwitchRuleSet(switch="s3").apply(net.switches["s3"])
+    write_rule_sets(net, [
+        SwitchRuleSet("s1", classifications=[("c1", (0.0, 1.0), 0, "s2")]),
+        SwitchRuleSet("s2", host_match=True),
+        SwitchRuleSet("s3"),
+    ])
 
     record = net.inject(_packet())
     assert record.delivered and record.policy_satisfied

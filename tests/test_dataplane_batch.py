@@ -16,6 +16,8 @@ from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFType
 
+from tests.rule_tables import write_rule_sets
+
 
 def _line_network(capacity_pps=40.0):
     """s1 — s2(host) — s3 with one monitor instance diverting class c1.
@@ -36,11 +38,11 @@ def _line_network(capacity_pps=40.0):
     vsw = net.vswitch_at("s2")
     vsw.register_instance(inst)
     vsw.install_rule("c1", 0, VSwitchRule(("m[0]@s2",), exit_host_tag=FIN))
-    SwitchRuleSet(
-        switch="s1", host_match=False, classifications=[("c1", (0.0, 1.0), 0, "s2")]
-    ).apply(net.switches["s1"])
-    SwitchRuleSet(switch="s2", host_match=True).apply(net.switches["s2"])
-    SwitchRuleSet(switch="s3").apply(net.switches["s3"])
+    write_rule_sets(net, [
+        SwitchRuleSet("s1", classifications=[("c1", (0.0, 1.0), 0, "s2")]),
+        SwitchRuleSet("s2", host_match=True),
+        SwitchRuleSet("s3"),
+    ])
     return net, inst
 
 

@@ -33,6 +33,7 @@ from repro.dataplane.vswitch import VSwitchRule
 from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFType
+from tests.rule_tables import classify_entry, write_rule_sets
 from tests.test_dataplane_sharded import _network, _state
 
 BUDGETS = [0.5, 1.0, 4.0, 4.5, 1e8]
@@ -466,11 +467,11 @@ def _shared_network():
             cid, tag, VSwitchRule(tuple(i.instance_id for i in chain), exit_host_tag=FIN)
         )
         classifications.append((cid, rng, tag, "s2"))
-    SwitchRuleSet(switch="s1", host_match=False, classifications=classifications).apply(
-        net.switches["s1"]
-    )
-    SwitchRuleSet(switch="s2", host_match=True).apply(net.switches["s2"])
-    SwitchRuleSet(switch="s3").apply(net.switches["s3"])
+    write_rule_sets(net, [
+        SwitchRuleSet("s1", classifications=classifications),
+        SwitchRuleSet("s2", host_match=True),
+        SwitchRuleSet("s3"),
+    ])
     return net, [tight, shared, lo_half, hi_half]
 
 
@@ -592,7 +593,7 @@ def _nat_network():
     vsw.register_instance(nat)
     vsw.install_rule("c3", 0, VSwitchRule(("nat@s2",), exit_host_tag=FIN))
     net.register_class_path("c3", ("s1", "s2", "s3"))
-    net.switches["s1"].install_classification("c3", (0.0, 1.0), 0, "s2")
+    net.switches["s1"].table.install(classify_entry("s1", "c3", (0.0, 1.0), 0, "s2"))
     net.switches["s3"].table.install(TcamEntry(
         priority=999, action=Action(ActionKind.DROP), host_tag_is=FIN,
         class_id="c3", hash_range=(0.5, 1.0), name="s3/drop/c3",

@@ -15,7 +15,7 @@ import pytest
 from repro.core.verify import verify_deployment
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import Packet
-from repro.dataplane.switch import classification_entry, pass_by_entry
+from repro.dataplane.switch import SwitchRuleSet, pass_by_entry
 from repro.dataplane.tcam import RuleEpoch, TcamTable
 from repro.dataplane.vswitch import VSwitch, VSwitchRule
 from repro.experiments.harness import standard_setup
@@ -24,11 +24,13 @@ from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import DEFAULT_CATALOG
 
+from tests.rule_tables import classify_entry, write_rule_sets
+
 FIREWALL = DEFAULT_CATALOG.get("firewall")
 
 
 def _classify(class_id: str, sub_id: int):
-    return classification_entry("s1", class_id, (0.0, 1.0), sub_id, "s1")
+    return classify_entry("s1", class_id, (0.0, 1.0), sub_id, "s1")
 
 
 def _table(epoch=None) -> TcamTable:
@@ -157,10 +159,11 @@ def _network() -> DataPlaneNetwork:
     net.register_class_path("c3", ("s2", "s3"))
     vsw.install_rule("c3", 1, VSwitchRule(("fw",), "FIN"))
     vsw.install_origin_rule("c3", (0.0, 1.0), 1, "s2")
-    net.switches["s1"].install_classification("c1", (0.0, 1.0), 1, "s2")
-    net.switches["s2"].install_host_match()
-    for sw in net.switches.values():
-        sw.install_pass_by()
+    write_rule_sets(net, [
+        SwitchRuleSet("s1", classifications=[("c1", (0.0, 1.0), 1, "s2")]),
+        SwitchRuleSet("s2", host_match=True),
+        SwitchRuleSet("s3"),
+    ])
     return net
 
 

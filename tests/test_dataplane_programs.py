@@ -17,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 from repro.dataplane.network import DataPlaneNetwork
 from repro.dataplane.packet import FIN, Packet
 from repro.dataplane.sharded import ShardedDataPlane
-from repro.dataplane.switch import classification_entry, host_match_entry
+from repro.dataplane.switch import SwitchRuleSet, classification_spec, host_match_entry
 from repro.dataplane.tcam import Action, ActionKind, TcamEntry
 from repro.dataplane.vswitch import VSwitchRule
 from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFType
 
+from tests.rule_tables import classify_entry, write_rule_sets
 from tests.test_dataplane_generation import TCAM_MUTATORS, VSWITCH_MUTATORS
 
 CAPACITY_PPS = 40.0  # budget: 4 packets per 0.1 s window
@@ -80,20 +81,24 @@ def _build():
     v2.install_origin_rule("c3", (0.0, 1.0), 0, "s2")
     v2.install_rule("c4", 0, VSwitchRule(("n",), exit_host_tag="s3"))
     v3.install_rule("c4", 0, VSwitchRule(("e",), exit_host_tag=FIN))
-    s1, s2 = net.switches["s1"], net.switches["s2"]
-    s1.install_classification("c0", (0.0, SPLIT), 0, "s2")
-    s1.install_classification("c0", (SPLIT, 1.0), 1, "s2")
-    s1.install_classification("c1", (0.0, 1.0), 0, "s3")
-    s2.install_classification("c2", (0.0, 1.0), 0, "s2")
-    s1.install_classification("c4", (0.0, 1.0), 0, "s2")
+    write_rule_sets(net, [
+        SwitchRuleSet("s1", classifications=[
+            ("c0", (0.0, SPLIT), 0, "s2"),
+            ("c0", (SPLIT, 1.0), 1, "s2"),
+            ("c1", (0.0, 1.0), 0, "s3"),
+            ("c4", (0.0, 1.0), 0, "s2"),
+        ]),
+        SwitchRuleSet("s2", host_match=True, classifications=[
+            ("c2", (0.0, 1.0), 0, "s2"),
+        ]),
+        SwitchRuleSet("s3", host_match=True),
+        SwitchRuleSet("s4"),
+        SwitchRuleSet("s5"),
+    ])
     net.switches["s3"].table.install(TcamEntry(
         priority=999, action=Action(ActionKind.DROP), host_tag_is="s3",
         class_id="c4", hash_range=(NAT_SPLIT, 1.0), name="s3/drop/c4",
     ))
-    for name in ("s2", "s3"):
-        net.switches[name].install_host_match()
-    for sw in net.switches.values():
-        sw.install_pass_by()
     return net, instances
 
 
@@ -114,13 +119,13 @@ MUTATIONS = {
         host_match_entry("s3").name
     ),
     "replace": lambda n, i: n.switches["s1"].table.replace(
-        classification_entry("s1", "c0", (0.8, 1.0), 1, "s2")
+        classify_entry("s1", "c0", (0.8, 1.0), 1, "s2")
     ),
     "sync_prefix": lambda n, i: n.switches["s1"].table.sync_prefix(
         "s1/classify/",
         (
-            classification_entry("s1", "c0", (0.0, 0.8), 1, "s2").spec,
-            classification_entry("s1", "c1", (0.0, 1.0), 0, "s3").spec,
+            classification_spec("s1", "c0", (0.0, 0.8), 1, "s2"),
+            classification_spec("s1", "c1", (0.0, 1.0), 0, "s3"),
         ),
     ),
     "clear": lambda n, i: n.switches["s1"].table.clear(),

@@ -20,6 +20,8 @@ from repro.topology.graph import AppleHostSpec, Link, Topology
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import NFType
 
+from tests.rule_tables import write_rule_sets
+
 
 # ----------------------------------------------------------------------
 # Network builder
@@ -61,11 +63,11 @@ def _network(class_specs):
                                                    exit_host_tag=FIN))
             classifications.append((cid, rng, tag, "s2"))
             instances.append(inst)
-    SwitchRuleSet(
-        switch="s1", host_match=False, classifications=classifications
-    ).apply(net.switches["s1"])
-    SwitchRuleSet(switch="s2", host_match=True).apply(net.switches["s2"])
-    SwitchRuleSet(switch="s3").apply(net.switches["s3"])
+    write_rule_sets(net, [
+        SwitchRuleSet("s1", classifications=classifications),
+        SwitchRuleSet("s2", host_match=True),
+        SwitchRuleSet("s3"),
+    ])
     return net, instances
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import AppleController
 from repro.dataplane.network import DataPlaneNetwork
-from repro.dataplane.switch import classification_entry, pass_by_entry
+from repro.dataplane.switch import SwitchRuleSet, pass_by_entry
 from repro.dataplane.vswitch import VSwitchRule
 from repro.experiments.multi_tenant import generate_intents
 from repro.sim.kernel import Simulator
@@ -38,6 +38,7 @@ from repro.traffic.gravity import gravity_matrix
 from repro.vnf.chains import STANDARD_CHAINS
 from repro.vnf.instance import VNFInstance
 from repro.vnf.types import DEFAULT_CATALOG
+from tests.rule_tables import classify_entry, write_rule_sets
 from tests.test_dataplane_generation import TCAM_MUTATORS, VSWITCH_MUTATORS
 
 FIREWALL = DEFAULT_CATALOG.get("firewall")
@@ -54,13 +55,12 @@ def _line_network() -> DataPlaneNetwork:
         hosts={"s2": AppleHostSpec(cores=64)},
     )
     net = DataPlaneNetwork(topo)
-    for sw in net.switches.values():
-        sw.install_pass_by()
+    write_rule_sets(net, [SwitchRuleSet(s) for s in net.switches])
     return net
 
 
 def _classify(switch: str, k: int):
-    return classification_entry(switch, f"c{k % 3}", (0.0, 1.0), k, "s2")
+    return classify_entry(switch, f"c{k % 3}", (0.0, 1.0), k, "s2")
 
 
 #: Every public mutator, as a call on one switch's table / the vSwitch with

@@ -19,6 +19,7 @@ import pytest
 from repro.chaos import ChaosConfig, FaultEvent, FaultKind, FaultSchedule
 from repro.core.controller import AppleController
 from repro.core.reconfigure import EpochOpenError, commit, realize
+from repro.dataplane.switch import pass_by_entry
 from repro.dataplane.vswitch import VSwitch
 from repro.experiments.flash_crowd import QUICK_HORIZON, _scenario
 from repro.experiments.multi_tenant import generate_intents
@@ -327,6 +328,6 @@ def test_generation_ledger_catches_a_direct_write(monkeypatch):
     ledger = _GenerationLedger(monkeypatch)
     fabric = _flash_scenario().fabric
     victim = sorted(fabric.network.switches)[0]
-    fabric.network.switches[victim].install_pass_by()
+    fabric.network.switches[victim].table.install(pass_by_entry(victim))
     ledger.check_all("after a direct write")
     assert ledger.violations == ["after a direct write"]

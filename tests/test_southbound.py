@@ -15,6 +15,9 @@ Four layers of coverage, bottom up:
   data-plane fault schedule (independent substreams).
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.chaos import ChaosConfig, FaultKind, FaultSchedule, generate_schedule
@@ -62,6 +65,8 @@ from repro.traffic.classes import hashed_assignment
 from repro.traffic.gravity import gravity_matrix
 from repro.vnf.chains import STANDARD_CHAINS
 from tests.deploy_series import chaos_deployment
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
 SEED = 7
 
@@ -413,6 +418,46 @@ def test_adopt_is_a_noop_on_the_wire():
     # The probe oracle starts from the plan's registered paths.
     for cls in deployment.plan.classes:
         assert fabric.active_path(cls.class_id) == tuple(cls.path)
+
+
+def _assert_day0_converged(fabric: SouthboundFabric) -> None:
+    """Installed == the desired state the fabric adopted, with no drift."""
+    assert fabric.desired is not None
+    assert read_installed(fabric.network) == fabric.desired
+    assert fabric.drift_count() == 0
+
+
+@pytest.mark.parametrize("name", ["internet2", "geant"])
+def test_controller_day0_is_already_converged(name):
+    # Day 0 writes the rendered state through the applier; the fabric
+    # adopts that very state, rendered once.
+    _topo, controller, series = standard_setup(name, snapshots=1, seed=SEED)
+    sim = Simulator(seed=SEED)
+    deployment = controller.run(series.snapshots[0], sim=sim)
+    fabric = SouthboundFabric(sim, deployment.network, SEED, controller.rule_generator)
+    controller.attach_southbound(fabric)
+    assert fabric.desired is deployment.rules.day0_state
+    _assert_day0_converged(fabric)
+
+
+def test_every_tenant_day0_of_a_churn_history_is_already_converged(monkeypatch):
+    import churn_counts  # tools/
+    from repro.tenancy import TenantWorker
+
+    adopted = []
+    inner = TenantWorker.adopt
+
+    def adopt(worker, target, realised, fabric, *args, **kwargs):
+        inner(worker, target, realised, fabric, *args, **kwargs)
+        if fabric.epoch == 0:
+            assert fabric.desired is realised[2].day0_state
+            _assert_day0_converged(fabric)
+            adopted.append(worker.tenant_id)
+
+    monkeypatch.setattr(TenantWorker, "adopt", adopt)
+    counts = churn_counts.Counts()
+    churn_counts.run_history(counts, 16, derive(0, "pipeline.history.0"))
+    assert len(adopted) == counts.day0s == counts.day0_renders == 16
 
 
 def test_reconciler_repairs_injected_drift():

@@ -338,3 +338,23 @@ def test_no_vnf_rewrites_the_flow_hash(internet2):
             assert packet.flow_hash == h
             walked += 1
     assert walked
+
+
+def test_a_tcam_entry_rewritten_behind_the_counter_after_a_warm_audit(internet2):
+    """The TCAM twin of ``_shorten_rule_behind_the_counter``: an audit has
+    read every table, then one classification entry is narrowed to the
+    lower half of its hash range with no generation counter moved.  The
+    next audit trusts no counter (``repro.core.verify``): the upper half,
+    now unclassified, passes by every instance of its chain."""
+    topo, deployment = internet2
+    network = deployment.network
+    assert verify_deployment(deployment, topo).ok
+    cls, sub = _victim(deployment)
+    table = network.switches[cls.path[0]].table
+    stamps = table.generation, network.rule_epoch
+    name = f"{cls.path[0]}/classify/{cls.class_id}#{sub.sub_id}"
+    k = next(k for k, e in enumerate(table._entries) if e.name == name)
+    lo, hi = table._entries[k].hash_range
+    table._entries[k] = replace(table._entries[k], hash_range=(lo, (lo + hi) / 2))
+    assert (table.generation, network.rule_epoch) == stamps
+    assert ("policy", cls.class_id) in _found(verify_deployment(deployment, topo))

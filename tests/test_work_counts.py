@@ -102,6 +102,14 @@ ticks unchanged.  The audit reads 7,273 ledger entries (7,018) and meets
 12,418 running instances (12,730): the plans and the epochs' delta
 grants differ, the 280 ticks do not.
 
+Day 0 is now written through the southbound applier, from the one render
+that the fabric then adopts (16 day 0s, 16 renders outside a push: one
+each), and an entry the applier writes from the spec of a shared static
+entry is that shared object.  So the host-match entries a push puts for
+newly used hosts are no longer built: 74 ``TcamEntry`` objects (86) here,
+and 6,714 (6,725) on the GEANT reconfiguration series, whose 11 add-phase
+``tcam_put`` ops are such host matches.  Every other count is unchanged.
+
 The isolation audit stays a poll, whatever it costs per tick: on the same
 churn history it ticks 280 times (every 0.25 sim-s to the 70 s horizon),
 and across those ticks it reads 7,273 arbiter ledger entries and meets
@@ -189,7 +197,7 @@ PINNED_GEANT_RECONFIG = {
 }
 
 REMOVED_GEANT_RECONFIG = {
-    "entries_built": 6725,
+    "entries_built": 6714,
     "sha1_bytes": 0,
     "read_backs": 778,
     "diff_switch_calls": 575,
@@ -206,7 +214,9 @@ PINNED_CHURN_IDLE = {
     "sim_events": 566,
     "reconcile_evaluations": 48,
     "switch_diffs_built": 63,
-    "entries_built": 86,
+    "entries_built": 74,
+    "day0s": 16,
+    "day0_renders": 16,
 }
 
 PINNED_CHURN_AUDIT = {
@@ -392,6 +402,7 @@ def test_churn_idle_work_is_pinned():
     assert {
         name: getattr(counts, name) for name in PINNED_CHURN_IDLE
     } == PINNED_CHURN_IDLE
+    assert counts.day0_renders == counts.day0s  # one render per day 0
 
 
 def dataplane_counts() -> dict:

@@ -56,8 +56,10 @@ from unittest import mock
 
 import repro.core.engine as engine_module
 import repro.solver.lp as lp_module
+import repro.southbound.fabric as fabric_module
 import repro.southbound.state as state_module
 from repro.core.engine import OptimizationEngine
+from repro.core.rulegen import RuleGenerator
 from repro.dataplane.tcam import TcamEntry
 from repro.experiments.multi_tenant import generate_intents
 from repro.sim.kernel import Simulator
@@ -92,7 +94,10 @@ class Counts:
     counts of work a faster epoch removes — ``TcamEntry`` and ``SwitchDiff``
     objects built, bytes fed to ``hashlib.sha1`` (the old content-hash
     cookies), switch read-backs (``state._read_table`` /
-    ``state._read_vswitch`` calls) and ``state.diff_switch`` calls.
+    ``state._read_vswitch`` calls) and ``state.diff_switch`` calls.  Day 0
+    is counted too: ``RuleGenerator.install`` calls, and the
+    ``render_desired`` calls made outside a ``push_desired`` (a day 0
+    renders once, and the fabric adopting it renders nothing).
 
     The isolation audit (``TenantOrchestrator._audit``) is counted by what
     it reads: during each tick the arbiter's ``steady`` and ``inflight``
@@ -130,6 +135,8 @@ class Counts:
         self.sha1_bytes = 0
         self.read_backs = 0
         self.diff_switch_calls = 0
+        self.day0s = self.day0_renders = 0
+        self._pushing = False
         self.intents = 0
         #: Audit ticks, the ledger entries and running instances they read,
         #: and the ticks that read fewer of either than there were.
@@ -260,10 +267,22 @@ class Counts:
 
         def push_desired(inner, fabric, *args, **kwargs):
             before = sum(fabric.versions.values())
-            epoch = inner(fabric, *args, **kwargs)
+            self._pushing = True
+            try:
+                epoch = inner(fabric, *args, **kwargs)
+            finally:
+                self._pushing = False
             self.version_bumps += sum(fabric.versions.values()) - before
             self.switches_touched += fabric.last_push["switches"]
             return epoch
+
+        def install(inner, *args, **kwargs):
+            self.day0s += 1
+            return inner(*args, **kwargs)
+
+        def render(inner, *args, **kwargs):
+            self.day0_renders += not self._pushing
+            return inner(*args, **kwargs)
 
         def sim_run(inner, *args, **kwargs):
             fired = inner(*args, **kwargs)
@@ -350,6 +369,9 @@ class Counts:
             if hasattr(state_module, name):
                 self._wrap(stack, state_module, name, read_back)
         self._wrap(stack, state_module, "diff_switch", diff_switch)
+        self._wrap(stack, RuleGenerator, "install", install)
+        for module in (state_module, fabric_module):
+            self._wrap(stack, module, "render_desired", render)
         self._wrap(stack, TenantWorker, "solve", worker_solve)
         self._wrap(stack, CapacityArbiter, "request", request)
         self._wrap(stack, TenantOrchestrator, "_audit", audit)
@@ -508,6 +530,8 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"reconcile diff evals {counts.reconcile_evaluations}",
         f"objects built        {counts.switch_diffs_built} SwitchDiff, "
         f"{counts.entries_built} TcamEntry",
+        f"day 0                {counts.day0s} installs, "
+        f"{counts.day0_renders} desired-state renders outside a push",
         f"audit reads          {counts.audit_ticks} ticks, "
         f"{counts.ledger_entries_read} ledger entries, "
         f"{counts.running_instances_summed} running instances "

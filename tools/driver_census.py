@@ -112,6 +112,10 @@ ALLOWED: Dict[str, str] = {
     "repro.dataplane.vswitch:VSwitch.origin_rule_count": _ORIGIN,
     "repro.dataplane.vswitch:VSwitch.deregister_instance": _MUTATOR,
     "repro.dataplane.vswitch:VSwitch.clear_rules": _MUTATOR,
+    "repro.dataplane.tcam:TcamTable.clear": _ORACLE
+    + "a TCAM mutator that wipes a switch behind the fabric's back in "
+    "tests/test_idle_passes.py and tests/test_dataplane_generation.py (day 0 "
+    "writes a fresh network through the applier, which never clears)",
     "repro.dataplane.tcam:TcamTable.lookup": _REFERENCE
     + "tests/test_dataplane_flowcache.py",
     "repro.dataplane.tcam:TcamTable._scan_all": _REFERENCE
