@@ -21,7 +21,7 @@ from repro import AppleController, internet2
 from repro.classify.atomic import compute_atomic_predicates
 from repro.classify.fields import DEFAULT_FIELDS
 from repro.classify.rules import MatchRule
-from repro.traffic import gravity_matrix
+from repro.traffic.gravity import gravity_matrix
 from repro.vnf.chains import PolicyChain
 
 # Operator policy table: (rule, chain), first match wins.

@@ -16,7 +16,7 @@ Usage::
 
 from repro import AppleController, internet2, STANDARD_CHAINS
 from repro.core.baselines import ingress_placement
-from repro.traffic import gravity_matrix
+from repro.traffic.gravity import gravity_matrix
 from repro.traffic.classes import hashed_assignment
 
 

@@ -9,7 +9,7 @@ engineering stay untouched, and every instance is an isolated VM.
 Quickstart::
 
     from repro import AppleController, internet2, STANDARD_CHAINS
-    from repro.traffic import gravity_matrix
+    from repro.traffic.gravity import gravity_matrix
     from repro.traffic.classes import hashed_assignment
 
     topo = internet2()
@@ -21,44 +21,19 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.core import (
-    AppleController,
-    DynamicHandler,
-    EngineConfig,
-    OptimizationEngine,
-    PlacementPlan,
-    RuleGenerator,
-    assign_subclasses,
-    ingress_placement,
-)
-from repro.sim import Simulator
-from repro.topology import as3679, geant, internet2, load_topology, Topology, univ1
-from repro.traffic import gravity_matrix, synthesize_series, TrafficMatrix
-from repro.vnf import DEFAULT_CATALOG, PolicyChain, STANDARD_CHAINS
+import importlib
+
+#: Re-exported name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "AppleController": "repro.core.controller",
+    "internet2": "repro.topology.datasets",
+    "STANDARD_CHAINS": "repro.vnf.chains",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AppleController",
-    "OptimizationEngine",
-    "EngineConfig",
-    "PlacementPlan",
-    "DynamicHandler",
-    "RuleGenerator",
-    "assign_subclasses",
-    "ingress_placement",
-    "Simulator",
-    "Topology",
-    "internet2",
-    "geant",
-    "univ1",
-    "as3679",
-    "load_topology",
-    "TrafficMatrix",
-    "gravity_matrix",
-    "synthesize_series",
-    "PolicyChain",
-    "STANDARD_CHAINS",
-    "DEFAULT_CATALOG",
-    "__version__",
-]
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

@@ -10,26 +10,23 @@ tenant worker that owns the deployment, through the re-plan intents
 (:mod:`repro.experiments.scenario`) wires them onto a live run.
 """
 
-from repro.chaos.detector import FailureDetector
-from repro.chaos.injector import FaultInjector
-from repro.chaos.metrics import ChaosMetrics
-from repro.chaos.recovery import RecoveryManager
-from repro.chaos.schedule import (
-    ChaosConfig,
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    generate_schedule,
-)
+import importlib
 
-__all__ = [
-    "ChaosConfig",
-    "ChaosMetrics",
-    "FailureDetector",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultSchedule",
-    "RecoveryManager",
-    "generate_schedule",
-]
+#: Re-exported name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "ChaosConfig": "repro.chaos.schedule",
+    "ChaosMetrics": "repro.chaos.metrics",
+    "FailureDetector": "repro.chaos.detector",
+    "FaultEvent": "repro.chaos.schedule",
+    "FaultInjector": "repro.chaos.injector",
+    "FaultKind": "repro.chaos.schedule",
+    "FaultSchedule": "repro.chaos.schedule",
+    "RecoveryManager": "repro.chaos.recovery",
+    "generate_schedule": "repro.chaos.schedule",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

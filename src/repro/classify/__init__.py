@@ -12,25 +12,3 @@ implements all three pieces from scratch:
 * :mod:`repro.classify.split` — hash-range → minimal prefix-set conversion
   (the TCAM cost of the prefix sub-class method).
 """
-
-from repro.classify.atomic import AtomicPredicates, compute_atomic_predicates
-from repro.classify.fields import DEFAULT_FIELDS, HeaderField, FieldSpace
-from repro.classify.predicates import Cube, Predicate
-from repro.classify.rules import MatchRule, prefix_cube, parse_prefix
-from repro.classify.split import fraction_to_prefixes, range_to_cidrs, SubclassSplit
-
-__all__ = [
-    "HeaderField",
-    "FieldSpace",
-    "DEFAULT_FIELDS",
-    "Cube",
-    "Predicate",
-    "AtomicPredicates",
-    "compute_atomic_predicates",
-    "MatchRule",
-    "prefix_cube",
-    "parse_prefix",
-    "fraction_to_prefixes",
-    "range_to_cidrs",
-    "SubclassSplit",
-]

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.classify.rules import format_prefix, parse_prefix
-
 
 def range_to_cidrs(lo: int, hi: int, bits: int = 32) -> List[Tuple[int, int]]:
     """Minimal CIDR cover of the inclusive integer range ``[lo, hi]``.
@@ -66,6 +64,8 @@ def fraction_to_prefixes(
     no overlap.  An interval narrower than one address after rounding gets
     no prefixes (its share is below the hardware's resolution).
     """
+    from repro.classify.rules import format_prefix, parse_prefix
+
     if not 0.0 <= frac_lo < frac_hi <= 1.0:
         raise ValueError(f"need 0 <= frac_lo < frac_hi <= 1, got ({frac_lo}, {frac_hi})")
     base_lo, base_hi = parse_prefix(class_prefix)

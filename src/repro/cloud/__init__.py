@@ -9,22 +9,3 @@ pipeline as discrete-event components with those latencies, plus the
 Resource Orchestrator middleware APPLE adds between control plane and VMs
 and the heartbeat liveness book-keeping the chaos failure detector uses.
 """
-
-from repro.cloud.host import AppleHost, HostResourceError
-from repro.cloud.hypervisor import VM, VmState, XenHypervisor
-from repro.cloud.opendaylight import OpenDaylight
-from repro.cloud.openstack import BootTimeline, OpenStack
-from repro.cloud.orchestrator import LaunchRequest, ResourceOrchestrator
-
-__all__ = [
-    "AppleHost",
-    "HostResourceError",
-    "VM",
-    "VmState",
-    "XenHypervisor",
-    "OpenDaylight",
-    "OpenStack",
-    "BootTimeline",
-    "ResourceOrchestrator",
-    "LaunchRequest",
-]

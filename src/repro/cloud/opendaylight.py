@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim.kernel import Simulator
+from repro.southbound.config import INSTALL_LATENCY
 
-#: Installing forwarding rules via the ODL REST API (Sec. VIII-D), seconds.
-#: THE single source of the 70 ms install latency: the southbound
-#: channel's healthy round trip (`repro.southbound.config.INSTALL_LATENCY`)
-#: is this — change it here and every consumer follows.
-RULE_INSTALL_SECONDS = 0.070
+#: Installing forwarding rules via the ODL REST API (Sec. VIII-D), seconds:
+#: the southbound channel's healthy round trip, defined once there.
+RULE_INSTALL_SECONDS = INSTALL_LATENCY
 #: Neutron → ODL REST notification latency (Step 2), seconds.
 NEUTRON_NOTIFY_SECONDS = 0.8
 #: OVSDB south-bound RPC creating the vSwitch port (Step 3), seconds.

@@ -14,38 +14,3 @@
 * :mod:`repro.core.baselines` — the ingress strawman and Table I's
   framework comparison.
 """
-
-from repro.core.baselines import FRAMEWORK_COMPARISON, ingress_placement
-from repro.core.controller import AppleController, UnknownClassError
-from repro.core.dynamic import DynamicHandler, FailoverEvent
-from repro.core.engine import EngineConfig, OptimizationEngine
-from repro.core.metrics import (
-    tcam_usage_with_tagging,
-    tcam_usage_without_tagging,
-)
-from repro.core.verify import verify_deployment, VerificationReport
-from repro.core.placement import InstanceRef, PlacementPlan
-from repro.core.rulegen import GeneratedRules, RuleGenerator
-from repro.core.subclasses import Subclass, SubclassPlan, assign_subclasses
-
-__all__ = [
-    "OptimizationEngine",
-    "EngineConfig",
-    "PlacementPlan",
-    "InstanceRef",
-    "Subclass",
-    "SubclassPlan",
-    "assign_subclasses",
-    "RuleGenerator",
-    "GeneratedRules",
-    "DynamicHandler",
-    "FailoverEvent",
-    "AppleController",
-    "UnknownClassError",
-    "ingress_placement",
-    "FRAMEWORK_COMPARISON",
-    "tcam_usage_with_tagging",
-    "tcam_usage_without_tagging",
-    "verify_deployment",
-    "VerificationReport",
-]

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.dynamic import DynamicHandler, FailoverConfig
 from repro.core.engine import EngineConfig, OptimizationEngine
-from repro.core.metrics import free_cores_after
 from repro.core.placement import PlacementPlan
 from repro.core.reconfigure import Deployment, bootstrap, realize
 from repro.core.rulegen import RuleGenerator
@@ -31,6 +29,7 @@ from repro.traffic.matrix import TrafficMatrix
 from repro.vnf.types import DEFAULT_CATALOG, NFTypeCatalog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.core.dynamic import DynamicHandler, FailoverConfig
     from repro.southbound.fabric import SouthboundFabric
 
 
@@ -179,6 +178,9 @@ class AppleController:
         self, config: Optional[FailoverConfig] = None
     ) -> DynamicHandler:
         """A Dynamic Handler bound to the current deployment."""
+        from repro.core.dynamic import DynamicHandler
+        from repro.core.metrics import free_cores_after
+
         if self.deployment is None:
             raise RuntimeError("deploy a placement before creating the handler")
         return DynamicHandler(

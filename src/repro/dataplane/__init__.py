@@ -8,30 +8,3 @@ packet walkers that execute installed rules.  Rules live as
 :class:`TcamEntry` / :class:`VSwitchRule` objects; nothing renders them
 as OpenFlow text.
 """
-
-from repro.dataplane.packet import FIN, Packet
-from repro.dataplane.tcam import Action, ActionKind, TcamEntry, TcamTable
-from repro.dataplane.tagging import TagAllocator, TagFieldSpec, TAG_FIELDS
-from repro.dataplane.switch import PhysicalSwitch, SwitchRuleSet
-from repro.dataplane.vswitch import VSwitch, VSwitchRule
-from repro.dataplane.flowhash import suffix_hash
-from repro.dataplane.network import DataPlaneNetwork, DeliveryRecord
-
-__all__ = [
-    "Packet",
-    "FIN",
-    "Action",
-    "ActionKind",
-    "TcamEntry",
-    "TcamTable",
-    "TagAllocator",
-    "TagFieldSpec",
-    "TAG_FIELDS",
-    "PhysicalSwitch",
-    "SwitchRuleSet",
-    "VSwitch",
-    "VSwitchRule",
-    "DataPlaneNetwork",
-    "DeliveryRecord",
-    "suffix_hash",
-]

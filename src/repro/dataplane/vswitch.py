@@ -32,6 +32,24 @@ class VSwitchRule:
     instance_ids: Tuple[str, ...]
     exit_host_tag: str
 
+    @staticmethod
+    def from_spec(instance_ids: Tuple[str, ...], exit_host_tag: str) -> "VSwitchRule":
+        """The one rule with this ``(instance_ids, exit_host_tag)`` spec:
+        rules are immutable values, so every vSwitch that holds one holds
+        the same object, and a put builds none after the first."""
+        if type(instance_ids) is not tuple:
+            instance_ids = tuple(instance_ids)
+        spec = instance_ids, exit_host_tag
+        rule = _RULES.get(spec)
+        if rule is None:
+            rule = _RULES[spec] = VSwitchRule(instance_ids, exit_host_tag)
+        return rule
+
+
+#: Rules by spec (:meth:`VSwitchRule.from_spec`): bounded by the instance
+#: sequences and exit tags a topology's plans can name.
+_RULES: Dict[Tuple[Tuple[str, ...], str], VSwitchRule] = {}
+
 
 class VSwitch:
     """Open vSwitch model inside one APPLE host.

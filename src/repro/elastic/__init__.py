@@ -18,43 +18,28 @@ Module map:
 - :mod:`repro.elastic.loop` — the controller that ties them together.
 """
 
-from repro.elastic.admission import Candidates, admit, shed_order
-from repro.elastic.hysteresis import (
-    HOLD,
-    SCALE_IN,
-    SCALE_OUT,
-    HysteresisConfig,
-    HysteresisState,
-    decide,
-)
-from repro.elastic.loop import ElasticController
-from repro.elastic.metrics import ElasticMetrics, ElasticTick, ScaleAction
-from repro.elastic.monitor import UtilizationSnapshot, utilization_snapshot
-from repro.elastic.slo import (
-    DEFAULT_SLO,
-    SLO_CLASSES,
-    SLOClass,
-    assign_slo_classes,
-)
+import importlib
 
-__all__ = [
-    "Candidates",
-    "admit",
-    "shed_order",
-    "HOLD",
-    "SCALE_IN",
-    "SCALE_OUT",
-    "HysteresisConfig",
-    "HysteresisState",
-    "decide",
-    "ElasticController",
-    "ElasticMetrics",
-    "ElasticTick",
-    "ScaleAction",
-    "UtilizationSnapshot",
-    "utilization_snapshot",
-    "DEFAULT_SLO",
-    "SLO_CLASSES",
-    "SLOClass",
-    "assign_slo_classes",
-]
+#: Re-exported name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "Candidates": "repro.elastic.admission",
+    "admit": "repro.elastic.admission",
+    "shed_order": "repro.elastic.admission",
+    "HOLD": "repro.elastic.hysteresis",
+    "SCALE_IN": "repro.elastic.hysteresis",
+    "SCALE_OUT": "repro.elastic.hysteresis",
+    "HysteresisConfig": "repro.elastic.hysteresis",
+    "HysteresisState": "repro.elastic.hysteresis",
+    "decide": "repro.elastic.hysteresis",
+    "ElasticController": "repro.elastic.loop",
+    "ElasticMetrics": "repro.elastic.metrics",
+    "ElasticTick": "repro.elastic.metrics",
+    "utilization_snapshot": "repro.elastic.monitor",
+    "assign_slo_classes": "repro.elastic.slo",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

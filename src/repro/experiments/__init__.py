@@ -2,7 +2,7 @@
 
 Every module exposes ``run(...) -> ExperimentResult`` with parameters
 defaulting to the paper's setup and a ``quick`` flag for fast benchmark
-runs.  ``python -m repro.experiments`` (or the ``apple-experiments``
+runs.  ``python -m repro`` (or the ``apple-experiments``
 console script) regenerates everything and prints the paper-style rows.
 
 | module   | reproduces                                             |
@@ -18,7 +18,3 @@ console script) regenerates everything and prints the paper-style rows.
 | fig11    | Fig. 11  — avg CPU core usage vs ingress strawman       |
 | fig12    | Fig. 12  — packet loss over time, fast failover on/off  |
 """
-
-from repro.experiments.harness import ExperimentResult, standard_setup
-
-__all__ = ["ExperimentResult", "standard_setup"]

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
-
-from repro.parallel import Jobs, parallel_map as _parallel_map
 
 from repro.core.controller import AppleController
 from repro.sim.rng import derive
@@ -18,6 +26,9 @@ from repro.traffic.classes import hashed_assignment
 from repro.traffic.diurnal import DiurnalModel, synthesize_series
 from repro.traffic.matrix import TrafficMatrixSeries
 from repro.vnf.chains import STANDARD_CHAINS
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.parallel import Jobs
 
 #: Aggregate demand driving each topology (Mbps).  Chosen so the placement
 #: needs multiple instances per NF without saturating host resources —
@@ -139,6 +150,8 @@ def parallel_map(
     :func:`functools.partial` of one, or a cheap-to-ship
     :class:`repro.parallel.FnSpec`.  Result order matches input order.
     """
+    from repro.parallel import parallel_map as _parallel_map
+
     return _parallel_map(fn, items, jobs=jobs)
 
 

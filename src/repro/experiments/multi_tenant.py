@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.scenario import Scenario, play
 from repro.sim.rng import SeededRNG, derive
 from repro.tenancy import (
     CreateChain,
@@ -42,6 +41,9 @@ from repro.tenancy import (
 from repro.topology.datasets import internet2
 from repro.topology.graph import Topology
 from repro.vnf.chains import STANDARD_CHAINS
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.experiments.scenario import Scenario
 
 #: Tenant counts swept (full mode includes the 200-tenant acceptance row).
 FULL_TENANT_SWEEP = (50, 100, 200)
@@ -149,10 +151,14 @@ def churn(tenants: int, seed: int) -> Tuple[Topology, List[Tuple[float, Intent]]
 
 def history(tenants: int) -> Scenario:
     """One ``tenants``-tenant platform history to :data:`HORIZON`."""
+    from repro.experiments.scenario import Scenario
+
     return Scenario(horizon=HORIZON, intents=partial(churn, tenants))
 
 
 def _row(tenants: int, seed: int) -> Tuple[list, str]:
+    from repro.experiments.scenario import play
+
     result = play(history(tenants), seed)
     m, sig = result.summary, result.state_signature
     pv = result.metrics["policy_violation_seconds"]

@@ -18,46 +18,24 @@ it lost everything.  Three pieces fix that:
   southbound anti-entropy reconciler: installed-vs-desired diff, never
   a blind reinstall, so in-flight make-before-break transactions roll
   forward.
-
-``recovery`` is imported lazily (it pulls in the tenancy stack, which
-itself journals through this package).
 """
 
-from repro.resilience.journal import (
-    CHECKPOINT,
-    COMMIT,
-    EPOCH,
-    GRANT,
-    INTENT,
-    RECOVERY,
-    SHUTDOWN,
-    FileJournal,
-    JournalRecord,
-    MemoryJournal,
-)
+import importlib
 
-__all__ = [
-    "INTENT",
-    "COMMIT",
-    "GRANT",
-    "EPOCH",
-    "CHECKPOINT",
-    "SHUTDOWN",
-    "RECOVERY",
-    "JournalRecord",
-    "MemoryJournal",
-    "FileJournal",
-    "recover",
-    "RecoveryReport",
-]
+#: Re-exported name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "CHECKPOINT": "repro.resilience.journal",
+    "COMMIT": "repro.resilience.journal",
+    "INTENT": "repro.resilience.journal",
+    "SHUTDOWN": "repro.resilience.journal",
+    "FileJournal": "repro.resilience.journal",
+    "MemoryJournal": "repro.resilience.journal",
+    "recover": "repro.resilience.recovery",
+    "RecoveryReport": "repro.resilience.recovery",
+}
 
 
 def __getattr__(name: str):
-    # Lazy: repro.resilience.recovery imports the tenancy stack, and the
-    # tenancy bus imports this package's journal constants — importing
-    # recovery eagerly here would close that cycle mid-init.
-    if name in ("recover", "RecoveryReport"):
-        from repro.resilience import recovery
-
-        return getattr(recovery, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

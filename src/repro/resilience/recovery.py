@@ -125,6 +125,9 @@ def _restore_worker(
     harvested = harvest.get(tenant_id) if harvest else None
     if harvested is not None:
         network, instances = harvested
+        instances = worker.rulegen.materialize_instances(
+            realised[2], network, sim=orch.sim, instances=instances
+        )
     else:
         # No surviving wire to adopt: rebuild base (version-0) rules and
         # let the reconciler transition them to the checkpointed

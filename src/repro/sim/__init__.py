@@ -8,27 +8,9 @@ transfer model used by the Fig. 8 experiment.
 
 Typical usage::
 
-    from repro.sim import Simulator
+    from repro.sim.kernel import Simulator
 
     sim = Simulator(seed=7)
     sim.schedule(1.0, lambda: print("one second in"))
     sim.run(until=10.0)
 """
-
-from repro.sim.events import Event, EventQueue
-from repro.sim.kernel import Process, Simulator, Timer
-from repro.sim.rng import SeededRNG
-from repro.sim.sources import CBRSource
-from repro.sim.tcp import TcpTransfer, TcpTransferResult
-
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Process",
-    "Simulator",
-    "Timer",
-    "SeededRNG",
-    "CBRSource",
-    "TcpTransfer",
-    "TcpTransferResult",
-]

@@ -13,14 +13,3 @@ Every solver takes one input form, :class:`LinearProgram` (the CSC arrays
 Exact integer optima are a test oracle only: ``tests/lp_reference.py``
 solves a :class:`LinearProgram` as a MIP with ``scipy.optimize.milp``.
 """
-
-from repro.solver.lp import LinearProgram, LPResult, solve_lp
-from repro.solver.rounding import RoundingResult, solve_with_rounding
-
-__all__ = [
-    "LinearProgram",
-    "solve_lp",
-    "LPResult",
-    "solve_with_rounding",
-    "RoundingResult",
-]

@@ -6,36 +6,17 @@ delta installation; and desired-state anti-entropy reconciliation.
 See DESIGN.md, "Control-plane failure model".
 """
 
-from repro.southbound.channel import ControlChannel, SwitchAgent
-from repro.southbound.config import SOUTHBOUND_STREAM, SouthboundChaosConfig
-from repro.southbound.fabric import SouthboundFabric
-from repro.southbound.faults import generate_southbound_schedule
-from repro.southbound.messages import Ack, ControlMessage
-from repro.southbound.metrics import EpochConvergence, SouthboundMetrics
-from repro.southbound.state import (
-    NetworkState,
-    SwitchDiff,
-    VERSION_STRIDE,
-    read_installed,
-    render_desired,
-)
-from repro.southbound.transaction import Transaction
+import importlib
 
-__all__ = [
-    "Ack",
-    "ControlChannel",
-    "ControlMessage",
-    "EpochConvergence",
-    "NetworkState",
-    "SOUTHBOUND_STREAM",
-    "SouthboundChaosConfig",
-    "SouthboundFabric",
-    "SouthboundMetrics",
-    "SwitchAgent",
-    "SwitchDiff",
-    "Transaction",
-    "VERSION_STRIDE",
-    "generate_southbound_schedule",
-    "read_installed",
-    "render_desired",
-]
+#: Re-exported name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "SouthboundChaosConfig": "repro.southbound.config",
+    "SouthboundFabric": "repro.southbound.fabric",
+    "generate_southbound_schedule": "repro.southbound.faults",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

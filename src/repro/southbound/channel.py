@@ -83,7 +83,7 @@ def apply_ops(
             vsw = network.vswitch_at(switch)
         if kind == "vsw_put":
             try:
-                vsw.install_rule(op[1], op[2], VSwitchRule(tuple(op[3]), op[4]))
+                vsw.install_rule(op[1], op[2], VSwitchRule.from_spec(op[3], op[4]))
             except KeyError:
                 # An instance died between desired-state render and apply
                 # (e.g. a VNF crash raced the repair).  Skip: the drift

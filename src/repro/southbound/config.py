@@ -1,11 +1,11 @@
 """Southbound channel constants and the control-plane fault model.
 
 Single source of truth for install latency: the channel's healthy
-round-trip time is :data:`repro.cloud.opendaylight.RULE_INSTALL_SECONDS`
-— the paper's measured 70 ms REST rule install — so the OpenDaylight
-facade and the southbound fabric (which every recovery, scale and tenant
-commit rides) attribute the same number instead of each hard-coding its
-own.
+round-trip time :data:`INSTALL_LATENCY` — the paper's measured 70 ms REST
+rule install — is what the OpenDaylight facade's
+:data:`repro.cloud.opendaylight.RULE_INSTALL_SECONDS` reads, so the facade
+and the southbound fabric (which every recovery, scale and tenant commit
+rides) attribute the same number instead of each hard-coding its own.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.cloud.opendaylight import RULE_INSTALL_SECONDS
 from repro.sim.rng import check_count, check_span
 
 #: Label of the southbound chaos substream.  Derived independently of
@@ -28,7 +27,7 @@ SOUTHBOUND_STREAM = "chaos.southbound"
 #: Healthy request→apply→ack round trip of one control message: the
 #: paper's measured 70 ms rule install.  The forward (request) leg takes
 #: ``APPLY_FRACTION`` × this, the ack leg the rest.
-INSTALL_LATENCY = RULE_INSTALL_SECONDS
+INSTALL_LATENCY = 0.070
 #: Fraction of the round trip spent before the switch applies the ops.
 APPLY_FRACTION = 0.5
 #: Retransmission timeout of the first attempt (seconds).

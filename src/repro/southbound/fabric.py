@@ -193,8 +193,8 @@ class SouthboundFabric:
     ) -> None:
         """Bless the day-0 state (:func:`repro.core.reconfigure.bootstrap`)
         as desired epoch 0, converged by construction: a :meth:`restore`
-        with no versions at epoch 0."""
-        self.restore(rules, classes, dict(instances or {}), {}, 0, 0)
+        with no versions at epoch 0 of the instances day 0 created."""
+        self.restore(rules, classes, instances or {}, {}, 0, 0)
 
     def push_desired(
         self,
@@ -378,12 +378,12 @@ class SouthboundFabric:
         ``rules.day0_state``, is taken as is).  Fresh
         :class:`SwitchAgent`s start at epoch -1 with empty cookie sets, so a
         restored epoch >= 0 is always accepted — the recovery analogue of a
-        Kafka-style generation reset.
+        Kafka-style generation reset.  ``instances`` is taken as it is: it
+        must hold every instance ``rules`` reference, registered (day 0's
+        install made them; crash recovery materialises a harvested map).
         """
         self._wake()
-        self.instances = self.rulegen.materialize_instances(
-            rules, self.network, sim=self.sim, instances=dict(instances)
-        )
+        self.instances = dict(instances)
         self._fingerprints = class_fingerprints(rules, classes)
         self.versions = {cid: int(v) for cid, v in versions.items()}
         self.desired = rules.day0_state

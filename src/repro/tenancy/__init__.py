@@ -18,32 +18,25 @@ pools so tenants can never interfere with each other's deployments.
   workers over one topology, plus the cross-tenant isolation audit.
 """
 
-from repro.tenancy.arbiter import CapacityArbiter
-from repro.tenancy.bus import IntentBus
-from repro.tenancy.intents import (
-    CreateChain,
-    DeleteChain,
-    Intent,
-    IntentRecord,
-    IntentValidationError,
-    Replan,
-    ScaleChain,
-    UpdateRates,
-)
-from repro.tenancy.orchestrator import TenantOrchestrator
-from repro.tenancy.worker import TenantWorker
+import importlib
 
-__all__ = [
-    "CapacityArbiter",
-    "IntentBus",
-    "Intent",
-    "CreateChain",
-    "UpdateRates",
-    "ScaleChain",
-    "DeleteChain",
-    "Replan",
-    "IntentRecord",
-    "IntentValidationError",
-    "TenantOrchestrator",
-    "TenantWorker",
-]
+#: Re-exported name → the module that defines it, imported on first access.
+_EXPORTS = {
+    "CapacityArbiter": "repro.tenancy.arbiter",
+    "IntentBus": "repro.tenancy.bus",
+    "Intent": "repro.tenancy.intents",
+    "CreateChain": "repro.tenancy.intents",
+    "UpdateRates": "repro.tenancy.intents",
+    "ScaleChain": "repro.tenancy.intents",
+    "DeleteChain": "repro.tenancy.intents",
+    "Replan": "repro.tenancy.intents",
+    "IntentValidationError": "repro.tenancy.intents",
+    "TenantOrchestrator": "repro.tenancy.orchestrator",
+    "TenantWorker": "repro.tenancy.worker",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

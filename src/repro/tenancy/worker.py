@@ -50,8 +50,6 @@ from repro.core.rulegen import GeneratedRules, RuleGenerator
 from repro.core.subclasses import SubclassPlan
 from repro.core.verify import verify_deployment
 from repro.dataplane.network import DataPlaneNetwork
-from repro.elastic.admission import Candidates, admit
-from repro.elastic.slo import DEFAULT_SLO, SLO_CLASSES
 from repro.resilience.checkpoint import settled_snapshot
 from repro.sim.rng import derive
 from repro.southbound.fabric import SouthboundFabric
@@ -84,6 +82,8 @@ class TenantWorker:
     """Serialized lifecycle executor for one tenant's blueprint."""
 
     def __init__(self, tenant_id: str, orch: "TenantOrchestrator") -> None:
+        from repro.elastic.slo import DEFAULT_SLO
+
         self.tenant_id = tenant_id
         #: Weak: the orchestrator owns its workers, so a strong reference
         #: back would leave every finished platform to the cyclic collector.
@@ -197,6 +197,8 @@ class TenantWorker:
             return tried[2] is not None
 
         if isinstance(intent, Replan) and intent.rates:
+            from repro.elastic.admission import Candidates, admit
+
             candidates = Candidates(intent.rates, intent.victims)
             pool = self._pool()
 
@@ -317,6 +319,8 @@ class TenantWorker:
                 chain=PolicyChain(intent.chain, DEFAULT_CATALOG),
                 rate_mbps=intent.rate_mbps,
             )
+            from repro.elastic.slo import SLO_CLASSES
+
             slo = SLO_CLASSES[intent.slo]
             if slo.priority > self.slo.priority:
                 self.slo = slo

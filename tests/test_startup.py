@@ -7,8 +7,10 @@ long since imported scipy.optimize and networkx (the oracles).
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,95 @@ def _workload_imports():
         and node.module
         and node.module.split(".")[0] == "repro"
     )
+
+
+#: Every ``repro`` module a pipeline process loads: the solver, the data
+#: plane, the southbound fabric, tenancy and the packages on their paths.
+#: A package loads nothing on import, and a subsystem is imported by the
+#: entry point that runs it, so nothing else may appear here.
+PIPELINE_MODULES = (
+    "repro",
+    "repro.classify", "repro.classify.split",
+    "repro.core", "repro.core.constraints", "repro.core.controller",
+    "repro.core.engine", "repro.core.placement", "repro.core.reconfigure",
+    "repro.core.rulegen", "repro.core.subclasses", "repro.core.verify",
+    "repro.dataplane", "repro.dataplane.flowhash", "repro.dataplane.network",
+    "repro.dataplane.packet", "repro.dataplane.sharded",
+    "repro.dataplane.switch", "repro.dataplane.tagging",
+    "repro.dataplane.tcam", "repro.dataplane.vswitch",
+    "repro.experiments", "repro.experiments.harness",
+    "repro.experiments.multi_tenant", "repro.experiments.packet_replay",
+    "repro.obs", "repro.obs.catalog", "repro.obs.collectors",
+    "repro.obs.manifest", "repro.obs.metrics", "repro.obs.state",
+    "repro.obs.trace",
+    "repro.resilience", "repro.resilience.checkpoint",
+    "repro.resilience.journal",
+    "repro.sim", "repro.sim.events", "repro.sim.kernel", "repro.sim.rng",
+    "repro.sim.sources",
+    "repro.solver", "repro.solver.lp", "repro.solver.rounding",
+    "repro.southbound", "repro.southbound.channel", "repro.southbound.config",
+    "repro.southbound.fabric", "repro.southbound.messages",
+    "repro.southbound.metrics", "repro.southbound.state",
+    "repro.southbound.transaction",
+    "repro.tenancy", "repro.tenancy.arbiter", "repro.tenancy.bus",
+    "repro.tenancy.intents", "repro.tenancy.orchestrator",
+    "repro.tenancy.worker",
+    "repro.topology", "repro.topology.datasets", "repro.topology.generators",
+    "repro.topology.graph", "repro.topology.routing",
+    "repro.traffic", "repro.traffic.classes", "repro.traffic.diurnal",
+    "repro.traffic.gravity", "repro.traffic.matrix",
+    "repro.vnf", "repro.vnf.chains", "repro.vnf.instance", "repro.vnf.types",
+)
+
+#: Subsystems no pipeline workload runs (chaos, the cloud mocks, the
+#: elastic loop, crash recovery, the scenario runner, the fluid Dynamic
+#: Handler, the baselines) and the process pool only ``--jobs`` needs.
+NEVER_LOADED = (
+    "repro.chaos", "repro.cloud", "repro.elastic.loop",
+    "repro.elastic.monitor", "repro.elastic.slo", "repro.elastic.hysteresis",
+    "repro.experiments.scenario", "repro.resilience.recovery",
+    "repro.core.baselines", "repro.core.dynamic", "repro.parallel",
+    "multiprocessing", "concurrent.futures",
+)
+
+
+def _workload_import_lines() -> str:
+    """The ``repro`` import statements of ``workloads.py``, as written."""
+    tree = ast.parse((ROOT / "benchmarks/pipeline/workloads.py").read_text())
+    return "\n".join(
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.module
+        and node.module.split(".")[0] == "repro"
+    )
+
+
+def test_a_pipeline_process_loads_only_the_layers_it_runs():
+    out = _run(
+        _workload_import_lines()
+        + "\nimport sys\nprint('\\n'.join(sorted(sys.modules)))\n"
+    )
+    loaded = out.split()
+    assert [m for m in loaded if m.split(".")[0] == "repro"] == sorted(
+        PIPELINE_MODULES
+    )
+    assert [
+        m for m in loaded if any(m == n or m.startswith(n + ".") for n in NEVER_LOADED)
+    ] == []
+
+
+def test_the_quickstarts_run_in_a_fresh_interpreter():
+    """The README's and the package docstring's quickstarts import through
+    the package's lazy names and run as written."""
+    readme = (ROOT / "README.md").read_text()
+    doc = (ROOT / "src/repro/__init__.py").read_text()
+    for code in (
+        re.search(r"## Quickstart\n\n```python\n(.*?)```", readme, re.S).group(1),
+        textwrap.dedent(re.search(r"Quickstart::\n\n(.*?)\n\n(?=\S)", doc, re.S).group(1)),
+    ):
+        assert code.startswith("from repro import AppleController")
+        _run(code)
 
 
 def test_the_pipeline_modules_load_no_heavy_module():

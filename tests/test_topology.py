@@ -253,7 +253,8 @@ def test_random_graphs_agree_with_networkx(topo):
 
 
 _PRINT_ROUTES = """
-from repro.topology import TOPOLOGY_LOADERS, all_shortest_paths, load_topology
+from repro.topology.datasets import TOPOLOGY_LOADERS, load_topology
+from repro.topology.routing import all_shortest_paths
 for name in TOPOLOGY_LOADERS:
     topo = load_topology(name)
     print(name, sorted(topo.bridges()))

@@ -217,6 +217,7 @@ PINNED_CHURN_IDLE = {
     "entries_built": 74,
     "day0s": 16,
     "day0_renders": 16,
+    "day0_materializations": 16,
 }
 
 PINNED_CHURN_AUDIT = {
@@ -403,6 +404,7 @@ def test_churn_idle_work_is_pinned():
         name: getattr(counts, name) for name in PINNED_CHURN_IDLE
     } == PINNED_CHURN_IDLE
     assert counts.day0_renders == counts.day0s  # one render per day 0
+    assert counts.day0_materializations == counts.day0s  # and one instance pass
 
 
 def dataplane_counts() -> dict:

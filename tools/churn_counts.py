@@ -96,8 +96,9 @@ class Counts:
     cookies), switch read-backs (``state._read_table`` /
     ``state._read_vswitch`` calls) and ``state.diff_switch`` calls.  Day 0
     is counted too: ``RuleGenerator.install`` calls, and the
-    ``render_desired`` calls made outside a ``push_desired`` (a day 0
-    renders once, and the fabric adopting it renders nothing).
+    ``render_desired`` and ``RuleGenerator.materialize_instances`` calls
+    made outside a ``push_desired`` (a day 0 renders and materialises its
+    instances once, and the fabric adopting it does neither again).
 
     The isolation audit (``TenantOrchestrator._audit``) is counted by what
     it reads: during each tick the arbiter's ``steady`` and ``inflight``
@@ -135,7 +136,7 @@ class Counts:
         self.sha1_bytes = 0
         self.read_backs = 0
         self.diff_switch_calls = 0
-        self.day0s = self.day0_renders = 0
+        self.day0s = self.day0_renders = self.day0_materializations = 0
         self._pushing = False
         self.intents = 0
         #: Audit ticks, the ledger entries and running instances they read,
@@ -284,6 +285,10 @@ class Counts:
             self.day0_renders += not self._pushing
             return inner(*args, **kwargs)
 
+        def materialize(inner, *args, **kwargs):
+            self.day0_materializations += not self._pushing
+            return inner(*args, **kwargs)
+
         def sim_run(inner, *args, **kwargs):
             fired = inner(*args, **kwargs)
             self.sim_events += fired
@@ -370,6 +375,7 @@ class Counts:
                 self._wrap(stack, state_module, name, read_back)
         self._wrap(stack, state_module, "diff_switch", diff_switch)
         self._wrap(stack, RuleGenerator, "install", install)
+        self._wrap(stack, RuleGenerator, "materialize_instances", materialize)
         for module in (state_module, fabric_module):
             self._wrap(stack, module, "render_desired", render)
         self._wrap(stack, TenantWorker, "solve", worker_solve)
@@ -531,7 +537,8 @@ def report(counts: Counts, args: argparse.Namespace) -> str:
         f"objects built        {counts.switch_diffs_built} SwitchDiff, "
         f"{counts.entries_built} TcamEntry",
         f"day 0                {counts.day0s} installs, "
-        f"{counts.day0_renders} desired-state renders outside a push",
+        f"{counts.day0_renders} desired-state renders and "
+        f"{counts.day0_materializations} instance materialisations outside a push",
         f"audit reads          {counts.audit_ticks} ticks, "
         f"{counts.ledger_entries_read} ledger entries, "
         f"{counts.running_instances_summed} running instances "

@@ -7,9 +7,9 @@ This tool runs every driver with a profile hook installed through a
 ``sitecustomize`` on ``PYTHONPATH`` (so subprocesses and forked pool
 workers are counted too), records ``(file, co_firstlineno)`` for every
 call into ``src/repro/``, matches the records against an AST list of
-every ``def`` under ``src/repro`` (a decorated function starts at its
-first decorator, as ``co_firstlineno`` does) and prints reached /
-unreached per module.
+every ``def`` under ``src/repro``, read before the first driver starts (a
+decorated function starts at its first decorator, as ``co_firstlineno``
+does), and prints reached / unreached per module.
 
 The drivers are exactly :func:`drivers`: ``apple-experiments --quick
 --seed 1`` with ``--jobs 1``, ``--jobs 2``, ``--jobs auto`` and traced
@@ -394,9 +394,12 @@ def main(argv: List[str] = None) -> int:
         "on an allow-list entry that is reached or names no function",
     )
     args = parser.parse_args(argv)
+    # The definitions are read before the first driver starts, so the
+    # lines the drivers record are matched against the code they ran.
+    defined = functions()
     with tempfile.TemporaryDirectory(prefix="driver-census-") as tmp:
         reached = run_drivers(Path(tmp))
-    violations = report([(fn, where in reached) for where, fn in functions().items()])
+    violations = report([(fn, where in reached) for where, fn in defined.items()])
     for line in violations:
         print(line)
     if args.check and violations:
